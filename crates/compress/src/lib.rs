@@ -50,24 +50,6 @@ pub use onebit::{CompressedRow, ErrorFeedback};
 pub use qsgd::{QsgdCodec, QuantizedRow};
 pub use topk::{SparseRow, TopKCodec};
 
-/// Wire size in bytes of a one-bit-compressed row of `cols` values:
-/// two `f32` scales plus one bit per value, byte-padded.
-#[deprecated(note = "use `RowCodec::payload_bytes` on `OneBitCodec` (or the selected codec)")]
-pub const fn compressed_row_payload_bytes(cols: usize) -> u64 {
-    8 + cols.div_ceil(8) as u64
-}
-
-/// Wire size of a whole one-bit-compressed model given its row widths
-/// (used by the model-granularity baselines, which also compress).
-#[deprecated(note = "use `RowCodec::model_payload_bytes` on `OneBitCodec` (or the selected codec)")]
-pub fn compressed_model_payload_bytes(row_widths: &[usize]) -> u64 {
-    #[allow(deprecated)]
-    row_widths
-        .iter()
-        .map(|&c| compressed_row_payload_bytes(c))
-        .sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -99,29 +81,5 @@ mod tests {
         let comp = OneBitCodec.model_payload_bytes(&widths);
         let rate = comp as f64 / raw as f64;
         assert!((0.028..0.045).contains(&rate), "rate {rate}");
-    }
-
-    /// Deprecated-shim coverage, exercised only on the CI deprecation
-    /// lane (`RUSTFLAGS=--cfg rog_exercise_deprecated`): the free
-    /// functions must keep returning exactly the one-bit codec's sizes.
-    #[cfg(rog_exercise_deprecated)]
-    mod shim_exercise {
-        use super::*;
-
-        #[test]
-        #[allow(deprecated)]
-        fn free_payload_fns_match_the_onebit_codec() {
-            for cols in [0usize, 1, 7, 8, 63, 64, 1024] {
-                assert_eq!(
-                    compressed_row_payload_bytes(cols),
-                    OneBitCodec.payload_bytes(cols)
-                );
-            }
-            let widths = [3usize, 509, 64];
-            assert_eq!(
-                compressed_model_payload_bytes(&widths),
-                OneBitCodec.model_payload_bytes(&widths)
-            );
-        }
     }
 }

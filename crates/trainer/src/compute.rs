@@ -157,6 +157,7 @@ impl ComputePlane {
 }
 
 /// A prefetched draw for a worker with a pending `ComputeDone` event.
+#[derive(Debug)]
 pub struct PendingDraw {
     /// Batch indices drawn from the worker's RNG stream. Always valid
     /// once sampled: sampling consumes exactly the RNG the serial engine
@@ -167,18 +168,15 @@ pub struct PendingDraw {
     pub result: Option<(GradSet, f32)>,
 }
 
-/// Prefetches draws for every worker with a pending `ComputeDone` event.
+/// Prefetches draws for every worker with a pending `ComputeDone` event
+/// into the substrate's per-worker slots.
 ///
 /// Batch indices are sampled serially (ascending worker id; each worker
 /// has at most one pending timer and an independent RNG stream, so early
 /// sampling is stream-for-stream identical to sampling at event time).
 /// When the plane has more than one thread and at least two draws lack a
 /// cached result, the gradient computations run batched on the plane.
-pub fn prefetch_draws<'m>(
-    ctx: &mut EngineCtx,
-    pending: &mut [Option<PendingDraw>],
-    model_of: impl Fn(usize) -> &'m Mlp,
-) {
+pub fn prefetch_draws(ctx: &mut EngineCtx) {
     let mut due: Vec<usize> = ctx
         .queue
         .iter()
@@ -190,9 +188,9 @@ pub fn prefetch_draws<'m>(
     due.sort_unstable();
     due.dedup();
     for &w in &due {
-        if pending[w].is_none() {
+        if ctx.pending[w].is_none() {
             let idxs = ctx.sample_batch_idxs(w);
-            pending[w] = Some(PendingDraw { idxs, result: None });
+            ctx.pending[w] = Some(PendingDraw { idxs, result: None });
         }
     }
     if ctx.plane.threads() <= 1 {
@@ -200,48 +198,38 @@ pub fn prefetch_draws<'m>(
     }
     let todo: Vec<usize> = due
         .into_iter()
-        .filter(|&w| pending[w].as_ref().is_some_and(|p| p.result.is_none()))
+        .filter(|&w| ctx.pending[w].as_ref().is_some_and(|p| p.result.is_none()))
         .collect();
     if todo.len() < 2 {
         return;
     }
-    let mut bufs: Vec<GradSet> = todo
-        .iter()
-        .map(|&w| ctx.take_grad_buf(|| model_of(w).zero_grads()))
-        .collect();
+    let mut bufs: Vec<GradSet> = todo.iter().map(|_| ctx.take_grad_buf()).collect();
     let jobs: Vec<(usize, &Mlp, &[usize])> = todo
         .iter()
         .map(|&w| {
-            let idxs = pending[w].as_ref().expect("sampled above").idxs.as_slice();
-            (w, model_of(w), idxs)
+            let idxs = ctx.pending[w].as_ref().expect("sampled above").idxs.as_slice();
+            (w, &ctx.models[w], idxs)
         })
         .collect();
     let means = ctx.draw_grads_batch_into(&jobs, &mut bufs);
     drop(jobs);
     for ((w, grads), mean) in todo.into_iter().zip(bufs).zip(means) {
-        pending[w].as_mut().expect("sampled above").result = Some((grads, mean));
+        ctx.pending[w].as_mut().expect("sampled above").result = Some((grads, mean));
     }
 }
 
 /// Consumes a worker's prefetched draw when its `ComputeDone` fires,
 /// recomputing serially when the cache is missing or was invalidated by
 /// a model change since the prefetch.
-pub fn take_draw(
-    ctx: &mut EngineCtx,
-    pending: &mut Option<PendingDraw>,
-    worker: usize,
-    model: &Mlp,
-) -> (GradSet, f32) {
-    match pending.take() {
+pub fn take_draw(ctx: &mut EngineCtx, worker: usize) -> (GradSet, f32) {
+    let idxs = match ctx.pending[worker].take() {
         Some(PendingDraw {
             result: Some(r), ..
-        }) => r,
-        Some(PendingDraw { idxs, result: None }) => ctx.grads_for_pooled(worker, model, &idxs),
-        None => {
-            let idxs = ctx.sample_batch_idxs(worker);
-            ctx.grads_for_pooled(worker, model, &idxs)
-        }
-    }
+        }) => return r,
+        Some(PendingDraw { idxs, result: None }) => idxs,
+        None => ctx.sample_batch_idxs(worker),
+    };
+    ctx.grads_for_pooled(worker, &idxs)
 }
 
 #[cfg(test)]
@@ -303,11 +291,10 @@ mod tests {
             direct.start_compute(w, 0.0);
             planed.start_compute(w, 0.0);
         }
-        let mut pending: Vec<Option<PendingDraw>> = (0..3).map(|_| None).collect();
-        prefetch_draws(&mut planed, &mut pending, |_| &model);
-        for (w, slot) in pending.iter_mut().enumerate() {
+        prefetch_draws(&mut planed);
+        for w in 0..3 {
             let (gd, md) = direct.draw_grads(w, &model);
-            let (gp, mp) = take_draw(&mut planed, slot, w, &model);
+            let (gp, mp) = take_draw(&mut planed, w);
             assert_eq!(md.to_bits(), mp.to_bits());
             for (a, b) in gd.iter().zip(&gp) {
                 assert_eq!(a.as_slice(), b.as_slice());
@@ -321,13 +308,12 @@ mod tests {
         let model = c.cluster.init_model.clone();
         c.start_compute(0, 0.0);
         c.start_compute(1, 0.0);
-        let mut pending: Vec<Option<PendingDraw>> = (0..3).map(|_| None).collect();
-        prefetch_draws(&mut c, &mut pending, |_| &model);
-        let idxs_before = pending[0].as_ref().unwrap().idxs.clone();
+        prefetch_draws(&mut c);
+        let idxs_before = c.pending[0].as_ref().unwrap().idxs.clone();
         // Simulate a pipeline pull invalidating worker 0's cache.
-        pending[0].as_mut().unwrap().result = None;
-        assert_eq!(pending[0].as_ref().unwrap().idxs, idxs_before);
-        let (g, m) = take_draw(&mut c, &mut pending[0], 0, &model);
+        c.pending[0].as_mut().unwrap().result = None;
+        assert_eq!(c.pending[0].as_ref().unwrap().idxs, idxs_before);
+        let (g, m) = take_draw(&mut c, 0);
         let expected = run_job(&model, &c.cluster.workload.shards()[0], &idxs_before);
         assert_eq!(m.to_bits(), expected.1.to_bits());
         for (a, b) in g.iter().zip(&expected.0) {

@@ -445,30 +445,9 @@ impl ExperimentConfig {
     }
 
     /// Wraps this config in a [`crate::RunOptions`] builder — the
-    /// single entry point for running experiments. `cfg.options()
-    /// .run()` replaces the deprecated `run()`/`run_traced()` pair.
+    /// single entry point for running experiments.
     pub fn options(&self) -> crate::RunOptions {
         crate::RunOptions::new(self.clone())
-    }
-
-    /// Runs the experiment and discards any journal.
-    #[deprecated(since = "0.5.0", note = "use `options().run().metrics` / `run_with`")]
-    pub fn run(&self) -> crate::RunMetrics {
-        crate::engine::run(self)
-    }
-
-    /// Runs the experiment with the event journal forced on,
-    /// returning the journal alongside the metrics.
-    #[deprecated(
-        since = "0.5.0",
-        note = "use `options().traced(true).run()` / `run_with`"
-    )]
-    pub fn run_traced(&self) -> (crate::RunMetrics, rog_obs::Journal) {
-        let cfg = ExperimentConfig {
-            trace: true,
-            ..self.clone()
-        };
-        crate::engine::run_traced(&cfg)
     }
 }
 

@@ -2,12 +2,13 @@
 
 use rog_fault::{FaultClock, FaultEvent};
 use rog_models::{GradSet, Mlp, Workload};
+use rog_net::FlowEvent;
 use rog_obs::{obs, EventKind, Journal};
 use rog_sim::{DeviceState, EventQueue, Time, Timeline};
 use rog_tensor::rng::DetRng;
 
 use crate::cluster::{Cluster, DeviceKind};
-use crate::compute::{run_job, run_job_into, ComputePlane, DrawJob};
+use crate::compute::{self, run_job, run_job_into, ComputePlane, DrawJob, PendingDraw};
 use crate::config::ExperimentConfig;
 use crate::metrics::{ByteAccount, MetricsCollector, RunMetrics};
 
@@ -54,6 +55,11 @@ pub struct EngineCtx {
     /// `cfg.trace` is set, and compiled out under the `obs-off`
     /// feature. Recording never feeds back into the simulation.
     pub journal: Journal,
+    /// Each worker's model replica (all start from the cluster's
+    /// initial model).
+    pub(crate) models: Vec<Mlp>,
+    /// Prefetched gradient draws, one slot per worker.
+    pub(crate) pending: Vec<Option<PendingDraw>>,
     /// Recycled gradient-set buffers (all shaped like the model), so
     /// steady-state draws allocate nothing. Zeroed contents never affect
     /// results: every draw overwrites its buffer from zero.
@@ -104,6 +110,7 @@ impl EngineCtx {
             }
             None => FaultClock::default(),
         };
+        let models = vec![cluster.init_model.clone(); n];
         let mut journal = Journal::new(cfg.trace);
         obs!(
             journal,
@@ -129,6 +136,8 @@ impl EngineCtx {
             link_down: vec![false; n],
             server_down: vec![false; shards],
             journal,
+            models,
+            pending: (0..n).map(|_| None).collect(),
             grad_pool: Vec::new(),
             batch_rngs: (0..n).map(|w| root.fork(0x100 + w as u64)).collect(),
             jitter_rngs: (0..n).map(|w| root.fork(0x200 + w as u64)).collect(),
@@ -206,23 +215,22 @@ impl EngineCtx {
         run_job(model, &self.cluster.workload.shards()[worker], idxs)
     }
 
-    /// Like [`EngineCtx::grads_for`], but draws the gradient buffer from
-    /// the recycle pool instead of allocating one.
-    pub fn grads_for_pooled(
-        &mut self,
-        worker: usize,
-        model: &Mlp,
-        idxs: &[usize],
-    ) -> (GradSet, f32) {
-        let mut grads = self.take_grad_buf(|| model.zero_grads());
+    /// Like [`EngineCtx::grads_for`] on the worker's own model replica,
+    /// but draws the gradient buffer from the recycle pool instead of
+    /// allocating one.
+    pub fn grads_for_pooled(&mut self, worker: usize, idxs: &[usize]) -> (GradSet, f32) {
+        let mut grads = self.take_grad_buf();
         let shard = &self.cluster.workload.shards()[worker];
-        let mean_abs = run_job_into(model, shard, idxs, &mut grads);
+        let mean_abs = run_job_into(&self.models[worker], shard, idxs, &mut grads);
         (grads, mean_abs)
     }
 
-    /// Pops a recycled gradient buffer, or builds a fresh one.
-    pub fn take_grad_buf(&mut self, fresh: impl FnOnce() -> GradSet) -> GradSet {
-        self.grad_pool.pop().unwrap_or_else(fresh)
+    /// Pops a recycled gradient buffer, or builds a fresh one (every
+    /// replica is shaped like the initial model).
+    pub fn take_grad_buf(&mut self) -> GradSet {
+        self.grad_pool
+            .pop()
+            .unwrap_or_else(|| self.cluster.init_model.zero_grads())
     }
 
     /// Returns a consumed gradient set to the recycle pool.
@@ -268,27 +276,22 @@ impl EngineCtx {
             .collect()
     }
 
-    /// Evaluates and records a checkpoint if `iter` is on the cadence.
-    pub fn maybe_eval(&mut self, worker: usize, iter: u64, t: Time, model: &Mlp) {
+    /// Evaluates the worker's model and records a checkpoint if `iter`
+    /// is on the cadence.
+    pub fn maybe_eval(&mut self, worker: usize, iter: u64, t: Time) {
         if iter > 0 && iter.is_multiple_of(self.cfg.eval_every) {
-            let metric = self.cluster.workload.test_metric(model);
+            let metric = self.cluster.workload.test_metric(&self.models[worker]);
             self.collector.record_eval(worker, iter, t, metric);
         }
     }
 
-    /// Closes timelines and assembles the final metrics.
-    ///
-    /// `models` are the workers' final model parameters, used to compute
-    /// the realized divergence diagnostic.
-    pub fn finish(self, models: &[&Mlp]) -> RunMetrics {
-        self.finish_traced(models).0
-    }
-
-    /// Like [`EngineCtx::finish`], but also returns the event journal
-    /// (with the per-worker `close` markers and the `run_end` footer a
-    /// replay needs appended).
-    pub fn finish_traced(mut self, models: &[&Mlp]) -> (RunMetrics, Journal) {
-        let divergence = relative_model_divergence(models);
+    /// Closes timelines and assembles the final metrics (the workers'
+    /// final models feed the realized divergence diagnostic), returning
+    /// them with the event journal (with the per-worker `close` markers
+    /// and the `run_end` footer a replay needs appended).
+    pub fn finish(mut self) -> (RunMetrics, Journal) {
+        let models: Vec<&Mlp> = self.models.iter().collect();
+        let divergence = relative_model_divergence(&models);
         let duration = self.cfg.duration_secs;
         for (w, tl) in self.timelines.iter_mut().enumerate() {
             // Devices that never changed state past the end stay as-is;
@@ -335,6 +338,91 @@ impl EngineCtx {
                 .finish(&self.timelines, &robot_mask, duration, bytes, divergence);
         (metrics, self.journal)
     }
+}
+
+/// What the shared event loop ([`drive`]) dispatches into: the hooks
+/// each engine fills in with its own protocol.
+pub(crate) trait Engine {
+    /// The shared substrate.
+    fn ctx(&mut self) -> &mut EngineCtx;
+    /// Starts worker `w`'s next gradient computation at `now`.
+    fn start_compute(&mut self, w: usize, now: Time);
+    /// An in-flight transfer finished (or hit its deadline).
+    fn on_flow(&mut self, ev: FlowEvent);
+    /// An injected fault fired.
+    fn on_fault(&mut self, f: FaultEvent, now: Time);
+    /// Worker `w`'s gradient computation finished.
+    fn on_compute_done(&mut self, w: usize, now: Time);
+    /// A reliable-class retransmit backoff expired for worker `w`.
+    fn on_net_retry(&mut self, w: usize, now: Time);
+}
+
+/// Runs an engine to the end of its virtual time budget and returns the
+/// number of events dispatched (flow completions, faults, timers) — a
+/// wall-clock-free progress measure, identical across hosts and thread
+/// counts.
+///
+/// Same-instant order: flow completions, then injected faults, then one
+/// queue timer.
+pub(crate) fn drive(e: &mut impl Engine) -> u64 {
+    let duration = e.ctx().duration();
+    for w in 0..e.ctx().cfg.n_workers {
+        e.start_compute(w, 0.0);
+    }
+    let mut dispatched = 0u64;
+    loop {
+        let ctx = e.ctx();
+        let horizon = ctx
+            .queue
+            .peek_time()
+            .unwrap_or(f64::INFINITY)
+            .min(ctx.next_fault_time().unwrap_or(f64::INFINITY))
+            .min(duration);
+        let evs = ctx.cluster.transport.advance_until(horizon);
+        let now = ctx.cluster.transport.now();
+        if !evs.is_empty() {
+            dispatched += evs.len() as u64;
+            for ev in evs {
+                e.on_flow(ev);
+            }
+            continue;
+        }
+        if now >= duration - 1e-9 {
+            break;
+        }
+        // Injected faults fire before timers at the same instant
+        // (flow completions were already delivered above).
+        let faults = ctx.pop_due_faults(now);
+        if !faults.is_empty() {
+            dispatched += faults.len() as u64;
+            for f in faults {
+                e.on_fault(f, now);
+            }
+            continue;
+        }
+        // Pending ComputeDone draws are independent (each worker's
+        // model is frozen until its event fires); batch them on the
+        // compute plane before delivering events.
+        compute::prefetch_draws(ctx);
+        match ctx.queue.pop() {
+            Some((t, ev)) => {
+                dispatched += 1;
+                match ev {
+                    Ev::ComputeDone(w) => e.on_compute_done(w, t),
+                    Ev::NetRetry(w) => e.on_net_retry(w, t),
+                }
+            }
+            None => {
+                // No timers and no flow finished before the horizon:
+                // if flows are in flight the next loop advances them;
+                // otherwise nothing can ever happen again.
+                if ctx.cluster.transport.active_flows() == 0 && ctx.next_fault_time().is_none() {
+                    break;
+                }
+            }
+        }
+    }
+    dispatched
 }
 
 /// Maximum pairwise L2 distance between models, relative to the mean
@@ -443,12 +531,11 @@ mod tests {
     #[test]
     fn checkpoints_only_on_cadence() {
         let mut c = ctx();
-        let model = c.cluster.init_model.clone();
-        c.maybe_eval(0, 3, 1.0, &model); // off-cadence
-        c.maybe_eval(0, 5, 2.0, &model); // on-cadence
+        c.maybe_eval(0, 3, 1.0); // off-cadence
+        c.maybe_eval(0, 5, 2.0); // on-cadence
         c.start_compute(0, 0.0);
         c.collector.record_iteration(0);
-        let m = c.finish(&[]);
+        let (m, _) = c.finish();
         assert_eq!(m.checkpoints.len(), 1);
         assert_eq!(m.checkpoints[0].iter, 5);
     }

@@ -16,22 +16,12 @@ use crate::config::{ExperimentConfig, Strategy};
 use crate::metrics::RunMetrics;
 use crate::run::FleetStats;
 
-/// Runs one experiment, dispatching on the configured strategy.
-pub fn run(cfg: &ExperimentConfig) -> RunMetrics {
-    run_traced(cfg).0
-}
-
-/// Runs one experiment and returns the event journal alongside the
-/// metrics. The journal is empty unless `cfg.trace` is set (or the
-/// crate is built with `obs-off`, which compiles tracing out).
-pub fn run_traced(cfg: &ExperimentConfig) -> (RunMetrics, Journal) {
-    let (metrics, journal, _) = run_full(cfg);
-    (metrics, journal)
-}
-
-/// Runs one experiment and additionally returns the engine-level
-/// [`FleetStats`]. The model-granularity baselines report default
-/// (all-zero) stats; only the row engine instruments them.
+/// Runs one experiment, dispatching on the configured strategy, and
+/// returns its metrics, event journal and engine-level [`FleetStats`].
+/// The journal is empty unless `cfg.trace` is set (or the crate is built
+/// with `obs-off`, which compiles tracing out). The model-granularity
+/// baselines report default (all-zero) stats; only the row engine
+/// instruments them.
 pub fn run_full(cfg: &ExperimentConfig) -> (RunMetrics, Journal, FleetStats) {
     match cfg.strategy {
         Strategy::Bsp
@@ -40,9 +30,9 @@ pub fn run_full(cfg: &ExperimentConfig) -> (RunMetrics, Journal, FleetStats) {
         | Strategy::Flown { .. }
         | Strategy::Dssp { .. }
         | Strategy::Abs { .. } => {
-            let (metrics, journal) = model::run_traced(cfg);
+            let (metrics, journal) = model::run(cfg);
             (metrics, journal, FleetStats::default())
         }
-        Strategy::Rog { .. } | Strategy::RogAdaptive { .. } => row::run_full(cfg),
+        Strategy::Rog { .. } | Strategy::RogAdaptive { .. } => row::run(cfg),
     }
 }

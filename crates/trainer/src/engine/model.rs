@@ -13,7 +13,7 @@ use std::collections::BTreeMap;
 use rog_compress::ErrorFeedback;
 use rog_core::{RowId, RowPartition};
 use rog_fault::FaultEvent;
-use rog_models::{GradSet, Mlp};
+use rog_models::GradSet;
 use rog_net::{
     BackoffPolicy, FlowEvent, FlowId, FlowOutcome, FlowSpec, ReliableProgress, ReliableTransfer,
 };
@@ -27,12 +27,11 @@ use rog_tensor::{ops, Matrix};
 
 use crate::compute::{self, PendingDraw};
 use crate::config::{ExperimentConfig, Strategy};
-use crate::engine::common::{EngineCtx, Ev};
+use crate::engine::common::{drive, Engine, EngineCtx, Ev};
 use crate::engine::row::segment_chunks;
 use crate::metrics::RunMetrics;
 
 struct WState {
-    model: Mlp,
     /// Completed iterations (currently computing `iter + 1`).
     iter: u64,
     grads: Option<GradSet>,
@@ -95,8 +94,6 @@ impl FlowCtx {
 struct ModelEngine {
     ctx: EngineCtx,
     workers: Vec<WState>,
-    /// Prefetched gradient draws, one slot per worker.
-    pending: Vec<Option<PendingDraw>>,
     server: Server,
     policy: Box<dyn ThresholdPolicy>,
     /// Whether the policy adapts at runtime (DSSP/ABS): threshold
@@ -128,14 +125,9 @@ struct ModelEngine {
     stale_retries: Vec<u32>,
 }
 
-/// Runs one model-granularity experiment.
-pub fn run(cfg: &ExperimentConfig) -> RunMetrics {
-    run_traced(cfg).0
-}
-
 /// Runs one model-granularity experiment, returning the event journal
 /// alongside the metrics.
-pub fn run_traced(cfg: &ExperimentConfig) -> (RunMetrics, rog_obs::Journal) {
+pub fn run(cfg: &ExperimentConfig) -> (RunMetrics, rog_obs::Journal) {
     let ctx = EngineCtx::new(cfg);
     let n = cfg.n_workers;
     let init = ctx.cluster.init_model.clone();
@@ -155,7 +147,6 @@ pub fn run_traced(cfg: &ExperimentConfig) -> (RunMetrics, rog_obs::Journal) {
         .collect();
     let workers: Vec<WState> = (0..n)
         .map(|_| WState {
-            model: init.clone(),
             iter: 0,
             grads: None,
             ef: ErrorFeedback::new(&widths),
@@ -205,7 +196,6 @@ pub fn run_traced(cfg: &ExperimentConfig) -> (RunMetrics, rog_obs::Journal) {
     let mut engine = ModelEngine {
         ctx,
         workers,
-        pending: (0..n).map(|_| None).collect(),
         server,
         policy,
         adaptive,
@@ -220,12 +210,15 @@ pub fn run_traced(cfg: &ExperimentConfig) -> (RunMetrics, rog_obs::Journal) {
         stale_retries: vec![0; n],
     };
     engine.refresh_thresholds(0.0);
-    engine.event_loop();
-    let models: Vec<&Mlp> = engine.workers.iter().map(|w| &w.model).collect();
-    engine.ctx.finish_traced(&models)
+    drive(&mut engine);
+    engine.ctx.finish()
 }
 
-impl ModelEngine {
+impl Engine for ModelEngine {
+    fn ctx(&mut self) -> &mut EngineCtx {
+        &mut self.ctx
+    }
+
     fn start_compute(&mut self, w: usize, now: Time) {
         self.workers[w].computing = true;
         obs!(
@@ -239,60 +232,129 @@ impl ModelEngine {
         self.ctx.start_compute(w, now);
     }
 
-    fn event_loop(&mut self) {
-        let duration = self.ctx.duration();
-        for w in 0..self.workers.len() {
-            self.start_compute(w, 0.0);
-        }
-        loop {
-            let horizon = self
-                .ctx
-                .queue
-                .peek_time()
-                .unwrap_or(f64::INFINITY)
-                .min(self.ctx.next_fault_time().unwrap_or(f64::INFINITY))
-                .min(duration);
-            let evs = self.ctx.cluster.transport.advance_until(horizon);
-            let now = self.ctx.cluster.transport.now();
-            if !evs.is_empty() {
-                for e in evs {
-                    self.on_flow(e);
-                }
-                continue;
-            }
-            if now >= duration - 1e-9 {
-                break;
-            }
-            // Injected faults fire before timers at the same instant
-            // (flow completions were already delivered above).
-            let faults = self.ctx.pop_due_faults(now);
-            if !faults.is_empty() {
-                for f in faults {
-                    self.on_fault(f, now);
-                }
-                continue;
-            }
-            // Pending ComputeDone draws are independent (each worker's
-            // model is frozen until its event fires); batch them on the
-            // compute plane before delivering events.
-            compute::prefetch_draws(&mut self.ctx, &mut self.pending, |w| &self.workers[w].model);
-            match self.ctx.queue.pop() {
-                Some((t, Ev::ComputeDone(w))) => self.on_compute_done(w, t),
-                Some((t, Ev::NetRetry(w))) => self.on_net_retry(w, t),
-                None => {
-                    // No timers and no flow finished before the horizon:
-                    // if flows are in flight the next loop advances them;
-                    // otherwise nothing can ever happen again.
-                    if self.ctx.cluster.transport.active_flows() == 0
-                        && self.ctx.next_fault_time().is_none()
-                    {
-                        break;
+    fn on_flow(&mut self, ev: FlowEvent) {
+        let ctx = self.flows.remove(&ev.id).expect("unknown flow");
+        debug_assert!(
+            matches!(ev.outcome, FlowOutcome::Completed),
+            "model flows have no deadline and cancels are reaped early"
+        );
+        let w = ctx.worker();
+        let report = self.ctx.cluster.transport.take_report(ev.id);
+        if let Some(retx) = self.retx[w].as_mut() {
+            let transmitted = retx.pending_count();
+            let fates = report.as_ref().map(|r| r.fates.as_slice());
+            match retx.on_round(fates, transmitted) {
+                ReliableProgress::Done => self.retx[w] = None,
+                ReliableProgress::Retry { delay } => {
+                    // Chunks died in flight: the whole transfer blocks on
+                    // the backed-off retransmit (reliable-only transport
+                    // has nothing to degrade to), stalling this worker —
+                    // and through the gate, eventually everyone.
+                    if let Some(r) = report.as_ref() {
+                        obs!(
+                            self.ctx.journal,
+                            ev.at,
+                            EventKind::Loss {
+                                w: w as u32,
+                                lost: r.lost_chunks() as u32,
+                                corrupt: r.corrupt_chunks() as u32,
+                                chunks: r.fates.len() as u32,
+                            }
+                        );
                     }
+                    obs!(
+                        self.ctx.journal,
+                        ev.at,
+                        EventKind::Backoff {
+                            w: w as u32,
+                            until: ev.at + delay,
+                        }
+                    );
+                    self.retry_ctx[w] = Some(ctx);
+                    self.ctx.set_state(w, ev.at, DeviceState::Stall);
+                    self.schedule_retry(w, ev.at + delay);
+                    return;
                 }
             }
+        }
+        match ctx {
+            FlowCtx::Push(w) => self.on_push_done(w, ev.at),
+            FlowCtx::Pull(w, payload) => self.on_pull_done(w, payload, ev.at),
+            FlowCtx::Resync(w) => self.finish_resync(w, ev.at),
         }
     }
 
+    fn on_fault(&mut self, f: FaultEvent, now: Time) {
+        obs!(
+            self.ctx.journal,
+            now,
+            EventKind::Fault {
+                kind: f.name(),
+                w: f.worker().map_or(-1, |w| w as i64),
+            }
+        );
+        match f {
+            FaultEvent::WorkerDown(w) => self.on_worker_down(w, now),
+            FaultEvent::WorkerUp(w) => self.on_worker_up(w, now),
+            FaultEvent::BlackoutStart(w) => self.on_blackout_start(w, now),
+            FaultEvent::BlackoutEnd(w) => self.on_blackout_end(w, now),
+            FaultEvent::ServerDown(s) => self.on_server_down(s, now),
+            FaultEvent::ServerUp(s) => self.on_server_up(s, now),
+            FaultEvent::AggregatorDown(_) | FaultEvent::AggregatorUp(_) => unreachable!(
+                "aggregator faults are rejected for baseline strategies at engine construction"
+            ),
+        }
+    }
+
+    fn on_compute_done(&mut self, w: usize, now: Time) {
+        if self.stale_timers[w] > 0 {
+            // The worker that armed this timer departed; void the draw.
+            self.stale_timers[w] -= 1;
+            self.discard_pending(w);
+            return;
+        }
+        self.workers[w].computing = false;
+        let (grads, mean_abs) = compute::take_draw(&mut self.ctx, w);
+        let ws = &mut self.workers[w];
+        ws.grads = Some(grads);
+        ws.stats.grad_mean_abs = f64::from(mean_abs);
+        self.start_push(w, now);
+    }
+
+    /// A reliable-class backoff expired: resend the outstanding chunks.
+    fn on_net_retry(&mut self, w: usize, now: Time) {
+        if self.stale_retries[w] > 0 {
+            self.stale_retries[w] -= 1;
+            return;
+        }
+        self.retry_armed[w] = false;
+        let Some(ctx) = self.retry_ctx[w].take() else {
+            return;
+        };
+        let chunks = self.retx[w]
+            .as_ref()
+            .expect("parked retry implies transfer state")
+            .pending_chunks();
+        obs!(
+            self.ctx.journal,
+            now,
+            EventKind::Retransmit {
+                w: w as u32,
+                rows: chunks.len() as u32,
+                class: "reliable",
+            }
+        );
+        self.ctx.set_state(w, now, DeviceState::Communicate);
+        let id = self
+            .ctx
+            .cluster
+            .transport
+            .start_flow(now, FlowSpec::new(w, chunks));
+        self.flows.insert(id, ctx);
+    }
+}
+
+impl ModelEngine {
     fn refresh_thresholds(&mut self, now: Time) {
         let stats: Vec<WorkerNetStats> = self.workers.iter().map(|w| w.stats.clone()).collect();
         self.server.thresholds = self.policy.thresholds(&stats);
@@ -327,26 +389,6 @@ impl ModelEngine {
                 );
             }
         }
-    }
-
-    fn on_compute_done(&mut self, w: usize, now: Time) {
-        if self.stale_timers[w] > 0 {
-            // The worker that armed this timer departed; void the draw.
-            self.stale_timers[w] -= 1;
-            self.discard_pending(w);
-            return;
-        }
-        self.workers[w].computing = false;
-        let (grads, mean_abs) = compute::take_draw(
-            &mut self.ctx,
-            &mut self.pending[w],
-            w,
-            &self.workers[w].model,
-        );
-        let ws = &mut self.workers[w];
-        ws.grads = Some(grads);
-        ws.stats.grad_mean_abs = f64::from(mean_abs);
-        self.start_push(w, now);
     }
 
     /// Starts (or, after a fault, parks) the whole-model push transfer.
@@ -420,90 +462,6 @@ impl ModelEngine {
         self.void_retry(w);
         self.retx[w] = None;
         self.retry_ctx[w].take()
-    }
-
-    /// A reliable-class backoff expired: resend the outstanding chunks.
-    fn on_net_retry(&mut self, w: usize, now: Time) {
-        if self.stale_retries[w] > 0 {
-            self.stale_retries[w] -= 1;
-            return;
-        }
-        self.retry_armed[w] = false;
-        let Some(ctx) = self.retry_ctx[w].take() else {
-            return;
-        };
-        let chunks = self.retx[w]
-            .as_ref()
-            .expect("parked retry implies transfer state")
-            .pending_chunks();
-        obs!(
-            self.ctx.journal,
-            now,
-            EventKind::Retransmit {
-                w: w as u32,
-                rows: chunks.len() as u32,
-                class: "reliable",
-            }
-        );
-        self.ctx.set_state(w, now, DeviceState::Communicate);
-        let id = self
-            .ctx
-            .cluster
-            .transport
-            .start_flow(now, FlowSpec::new(w, chunks));
-        self.flows.insert(id, ctx);
-    }
-
-    fn on_flow(&mut self, ev: FlowEvent) {
-        let ctx = self.flows.remove(&ev.id).expect("unknown flow");
-        debug_assert!(
-            matches!(ev.outcome, FlowOutcome::Completed),
-            "model flows have no deadline and cancels are reaped early"
-        );
-        let w = ctx.worker();
-        let report = self.ctx.cluster.transport.take_report(ev.id);
-        if let Some(retx) = self.retx[w].as_mut() {
-            let transmitted = retx.pending_count();
-            let fates = report.as_ref().map(|r| r.fates.as_slice());
-            match retx.on_round(fates, transmitted) {
-                ReliableProgress::Done => self.retx[w] = None,
-                ReliableProgress::Retry { delay } => {
-                    // Chunks died in flight: the whole transfer blocks on
-                    // the backed-off retransmit (reliable-only transport
-                    // has nothing to degrade to), stalling this worker —
-                    // and through the gate, eventually everyone.
-                    if let Some(r) = report.as_ref() {
-                        obs!(
-                            self.ctx.journal,
-                            ev.at,
-                            EventKind::Loss {
-                                w: w as u32,
-                                lost: r.lost_chunks() as u32,
-                                corrupt: r.corrupt_chunks() as u32,
-                                chunks: r.fates.len() as u32,
-                            }
-                        );
-                    }
-                    obs!(
-                        self.ctx.journal,
-                        ev.at,
-                        EventKind::Backoff {
-                            w: w as u32,
-                            until: ev.at + delay,
-                        }
-                    );
-                    self.retry_ctx[w] = Some(ctx);
-                    self.ctx.set_state(w, ev.at, DeviceState::Stall);
-                    self.schedule_retry(w, ev.at + delay);
-                    return;
-                }
-            }
-        }
-        match ctx {
-            FlowCtx::Push(w) => self.on_push_done(w, ev.at),
-            FlowCtx::Pull(w, payload) => self.on_pull_done(w, payload, ev.at),
-            FlowCtx::Resync(w) => self.finish_resync(w, ev.at),
-        }
     }
 
     fn on_push_done(&mut self, w: usize, now: Time) {
@@ -585,12 +543,7 @@ impl ModelEngine {
         // Quantize and drain this worker's pending copy.
         let pending = std::mem::replace(
             &mut self.server.pending[w],
-            self.workers[w]
-                .model
-                .params()
-                .iter()
-                .map(|m| Matrix::zeros(m.rows(), m.cols()))
-                .collect(),
+            self.ctx.models[w].zero_grads(),
         );
         let payload = quantize_set(&self.partition, &mut self.server.efs[w], &pending);
         // Stall accounting for ABS (assigned outside the obs! macro so
@@ -636,10 +589,11 @@ impl ModelEngine {
         let lr = self.ctx.cluster.lr;
         let momentum = self.ctx.cfg.momentum;
         {
+            let model = &mut self.ctx.models[w];
             let ws = &mut self.workers[w];
             for (mi, g) in payload.iter().enumerate() {
                 for r in 0..g.rows() {
-                    let wrow = ws.model.params_mut()[mi].row_mut(r);
+                    let wrow = model.params_mut()[mi].row_mut(r);
                     if momentum > 0.0 {
                         ops::sgd_momentum_row(wrow, ws.vel[mi].row_mut(r), g.row(r), lr, momentum);
                     } else {
@@ -656,7 +610,7 @@ impl ModelEngine {
             now,
             EventKind::IterEnd { w: w as u32, iter }
         );
-        self.ctx.maybe_eval(w, iter, now, &self.workers[w].model);
+        self.ctx.maybe_eval(w, iter, now);
         if now < self.ctx.duration() {
             self.start_compute(w, now);
         } else {
@@ -667,34 +621,12 @@ impl ModelEngine {
 
     // ----- fault injection ------------------------------------------------
 
-    fn on_fault(&mut self, f: FaultEvent, now: Time) {
-        obs!(
-            self.ctx.journal,
-            now,
-            EventKind::Fault {
-                kind: f.name(),
-                w: f.worker().map_or(-1, |w| w as i64),
-            }
-        );
-        match f {
-            FaultEvent::WorkerDown(w) => self.on_worker_down(w, now),
-            FaultEvent::WorkerUp(w) => self.on_worker_up(w, now),
-            FaultEvent::BlackoutStart(w) => self.on_blackout_start(w, now),
-            FaultEvent::BlackoutEnd(w) => self.on_blackout_end(w, now),
-            FaultEvent::ServerDown(s) => self.on_server_down(s, now),
-            FaultEvent::ServerUp(s) => self.on_server_up(s, now),
-            FaultEvent::AggregatorDown(_) | FaultEvent::AggregatorUp(_) => unreachable!(
-                "aggregator faults are rejected for baseline strategies at engine construction"
-            ),
-        }
-    }
-
     /// Drops a worker's prefetched draw, recycling its buffer.
     fn discard_pending(&mut self, w: usize) {
         if let Some(PendingDraw {
             result: Some((grads, _)),
             ..
-        }) = self.pending[w].take()
+        }) = self.ctx.pending[w].take()
         {
             self.ctx.recycle_grads(grads);
         }
@@ -798,11 +730,8 @@ impl ModelEngine {
             }
         }
         if let Some(r) = reference {
-            let model = self.workers[r].model.clone();
-            let iter = self.workers[r].iter;
-            let ws = &mut self.workers[w];
-            ws.model = model;
-            ws.iter = iter;
+            self.ctx.models[w] = self.ctx.models[r].clone();
+            self.workers[w].iter = self.workers[r].iter;
         }
         let iter = self.workers[w].iter;
         obs!(
@@ -954,6 +883,10 @@ mod tests {
     use super::*;
     use crate::config::{Environment, ModelScale, WorkloadKind};
 
+    fn run_metrics(cfg: &ExperimentConfig) -> RunMetrics {
+        run(cfg).0
+    }
+
     fn cfg(strategy: Strategy) -> ExperimentConfig {
         ExperimentConfig {
             workload: WorkloadKind::Cruda,
@@ -971,7 +904,7 @@ mod tests {
 
     #[test]
     fn bsp_completes_iterations_and_checkpoints() {
-        let m = run(&cfg(Strategy::Bsp));
+        let m = run_metrics(&cfg(Strategy::Bsp));
         assert!(
             m.mean_iterations >= 10.0,
             "iterations {}",
@@ -985,8 +918,8 @@ mod tests {
 
     #[test]
     fn runs_are_deterministic() {
-        let a = run(&cfg(Strategy::Ssp { threshold: 4 }));
-        let b = run(&cfg(Strategy::Ssp { threshold: 4 }));
+        let a = run_metrics(&cfg(Strategy::Ssp { threshold: 4 }));
+        let b = run_metrics(&cfg(Strategy::Ssp { threshold: 4 }));
         assert_eq!(a.mean_iterations, b.mean_iterations);
         assert_eq!(a.checkpoints, b.checkpoints);
         assert_eq!(a.total_energy_j, b.total_energy_j);
@@ -994,7 +927,7 @@ mod tests {
 
     #[test]
     fn training_improves_the_metric() {
-        let m = run(&cfg(Strategy::Bsp));
+        let m = run_metrics(&cfg(Strategy::Bsp));
         let first = m.checkpoints.first().expect("has checkpoints").metric;
         let last = m.checkpoints.last().expect("has checkpoints").metric;
         assert!(
@@ -1005,7 +938,7 @@ mod tests {
 
     #[test]
     fn flown_runs_to_completion() {
-        let m = run(&cfg(Strategy::Flown {
+        let m = run_metrics(&cfg(Strategy::Flown {
             min_threshold: 2,
             max_threshold: 8,
         }));
@@ -1015,10 +948,10 @@ mod tests {
     #[test]
     fn bsp_blocks_for_the_whole_outage_then_recovers() {
         use rog_fault::FaultPlan;
-        let fault_free = run(&cfg(Strategy::Bsp));
+        let fault_free = run_metrics(&cfg(Strategy::Bsp));
         let mut c = cfg(Strategy::Bsp);
         c.fault_plan = Some(FaultPlan::new().worker_offline(1, 30.0, 90.0));
-        let m = run(&c);
+        let m = run_metrics(&c);
         // Static membership: the survivor pins at the barrier for
         // (roughly) the entire 60 s outage — the fragility ROG's
         // dynamic membership removes.
@@ -1034,7 +967,7 @@ mod tests {
         );
         // But training resumes after the rejoin resync.
         assert!(m.mean_iterations > 5.0, "iters {}", m.mean_iterations);
-        let m2 = run(&c);
+        let m2 = run_metrics(&c);
         assert_eq!(m.checkpoints, m2.checkpoints, "faulty runs replay");
     }
 
@@ -1047,8 +980,8 @@ mod tests {
                 .link_blackout(0, 20.0, 35.0)
                 .server_restart(60.0, 75.0),
         );
-        let a = run(&c);
-        let b = run(&c);
+        let a = run_metrics(&c);
+        let b = run_metrics(&c);
         assert_eq!(a.checkpoints, b.checkpoints);
         assert!(a.mean_iterations > 5.0, "iters {}", a.mean_iterations);
     }
@@ -1057,7 +990,7 @@ mod tests {
     fn bsp_workers_stay_in_lockstep() {
         // Under BSP both workers complete the same number of iterations
         // (±1 for the cut-off at the time budget).
-        let m = run(&cfg(Strategy::Bsp));
+        let m = run_metrics(&cfg(Strategy::Bsp));
         // mean_iterations is the average; with lockstep the per-worker
         // counts differ by at most 1, so the fractional part is 0 or .5.
         let frac = m.mean_iterations.fract();

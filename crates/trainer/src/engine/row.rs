@@ -37,7 +37,7 @@ use rog_sync::gate;
 
 use crate::compute::{self, PendingDraw};
 use crate::config::{ExperimentConfig, Strategy};
-use crate::engine::common::{EngineCtx, Ev};
+use crate::engine::common::{drive, Engine, EngineCtx, Ev};
 use crate::metrics::{MicroSample, RunMetrics};
 use crate::run::FleetStats;
 
@@ -81,7 +81,6 @@ struct SubState {
 }
 
 struct WState {
-    model: rog_models::Mlp,
     worker: RogWorker,
     /// Completed iterations (currently working on `iter + 1`).
     iter: u64,
@@ -196,8 +195,6 @@ pub(crate) fn segment_chunks(total: u64) -> Vec<u64> {
 struct RowEngine {
     ctx: EngineCtx,
     workers: Vec<WState>,
-    /// Prefetched gradient draws, one slot per worker.
-    pending: Vec<Option<PendingDraw>>,
     server: ShardedServer,
     /// One MTA-time budget per shard.
     trackers: Vec<MtaTimeTracker>,
@@ -235,10 +232,6 @@ struct RowEngine {
     /// In-flight transfer count per worker (replaces the former
     /// O(flows) scan in `set_comm_state_sub`).
     flows_per_worker: Vec<u32>,
-    /// Events dispatched by the loop (flow completions, faults,
-    /// timers): the deterministic progress measure `bench_fleet`
-    /// reports, identical across hosts and thread counts.
-    sim_events: u64,
     /// High-water mark of the sharded version stores' resident bytes.
     peak_version_bytes: usize,
     n_shards: usize,
@@ -360,21 +353,9 @@ impl CodecAuto {
     }
 }
 
-/// Runs one ROG experiment.
-pub fn run(cfg: &ExperimentConfig) -> RunMetrics {
-    run_traced(cfg).0
-}
-
-/// Runs one ROG experiment, returning the event journal alongside the
-/// metrics.
-pub fn run_traced(cfg: &ExperimentConfig) -> (RunMetrics, rog_obs::Journal) {
-    let (metrics, journal, _) = run_full(cfg);
-    (metrics, journal)
-}
-
 /// Runs one ROG experiment, returning metrics, journal and the
 /// fleet-scale statistics ([`FleetStats`]).
-pub fn run_full(cfg: &ExperimentConfig) -> (RunMetrics, rog_obs::Journal, FleetStats) {
+pub fn run(cfg: &ExperimentConfig) -> (RunMetrics, rog_obs::Journal, FleetStats) {
     let (threshold, adaptive) = match cfg.strategy {
         Strategy::Rog { threshold } => (threshold, None),
         Strategy::RogAdaptive {
@@ -408,7 +389,6 @@ pub fn run_full(cfg: &ExperimentConfig) -> (RunMetrics, rog_obs::Journal, FleetS
     let worker_codec_base = codec_root.fork(1);
     let workers: Vec<WState> = (0..n)
         .map(|w| WState {
-            model: init.clone(),
             worker: RogWorker::new(
                 init.params(),
                 wcfg.with_codec(codec_choice, worker_codec_base.fork(w as u64).seed()),
@@ -449,7 +429,6 @@ pub fn run_full(cfg: &ExperimentConfig) -> (RunMetrics, rog_obs::Journal, FleetS
     let mut engine = RowEngine {
         ctx,
         workers,
-        pending: (0..n).map(|_| None).collect(),
         server,
         trackers: (0..n_shards).map(|_| MtaTimeTracker::new(n, 1.0)).collect(),
         flows: BTreeMap::new(),
@@ -467,7 +446,6 @@ pub fn run_full(cfg: &ExperimentConfig) -> (RunMetrics, rog_obs::Journal, FleetS
         agg_plane,
         agg_down: vec![false; n_aggs],
         flows_per_worker: vec![0; n],
-        sim_events: 0,
         peak_version_bytes: 0,
         n_shards,
         threshold,
@@ -476,14 +454,16 @@ pub fn run_full(cfg: &ExperimentConfig) -> (RunMetrics, rog_obs::Journal, FleetS
         adaptive,
         codec_auto: codec_choice.is_auto().then(CodecAuto::new),
     };
-    engine.event_loop();
+    // The dispatched-event count is the deterministic progress measure
+    // `bench_fleet` reports, identical across hosts and thread counts.
+    let sim_events = drive(&mut engine);
     let agg = engine
         .agg_plane
         .as_ref()
         .map(|p| p.stats())
         .unwrap_or_default();
     let stats = FleetStats {
-        sim_events: engine.sim_events,
+        sim_events,
         queue_scheduled: engine.ctx.queue.scheduled(),
         peak_version_bytes: engine.peak_version_bytes as u64,
         agg_flushes: agg.flushes,
@@ -491,9 +471,133 @@ pub fn run_full(cfg: &ExperimentConfig) -> (RunMetrics, rog_obs::Journal, FleetS
         agg_raw_rows: agg.raw_rows,
         agg_pulls: agg.pulls,
     };
-    let models: Vec<&rog_models::Mlp> = engine.workers.iter().map(|w| &w.model).collect();
-    let (metrics, journal) = engine.ctx.finish_traced(&models);
+    let (metrics, journal) = engine.ctx.finish();
     (metrics, journal, stats)
+}
+
+impl Engine for RowEngine {
+    fn ctx(&mut self) -> &mut EngineCtx {
+        &mut self.ctx
+    }
+
+    fn start_compute(&mut self, w: usize, now: Time) {
+        self.workers[w].computing = true;
+        self.workers[w].pipe_waiting = false;
+        obs!(
+            self.ctx.journal,
+            now,
+            EventKind::IterBegin {
+                w: w as u32,
+                iter: self.workers[w].iter + 1,
+            }
+        );
+        self.ctx.start_compute(w, now);
+    }
+
+    fn on_flow(&mut self, ev: FlowEvent) {
+        let ctx = self.untrack_flow(ev.id).expect("unknown flow");
+        match ctx {
+            FlowCtx::Push { w, s, cont } => self.on_push_flow(w, s, cont, ev),
+            FlowCtx::PushRetry { w, s } => self.on_push_retry_flow(w, s, ev),
+            FlowCtx::Pull { w, s, cont } => self.on_pull_flow(w, s, cont, ev),
+            FlowCtx::Resync { w } => {
+                debug_assert!(
+                    matches!(ev.outcome, FlowOutcome::Completed),
+                    "resync flows have no deadline"
+                );
+                self.on_resync_flow(w, ev);
+            }
+        }
+    }
+
+    fn on_fault(&mut self, f: FaultEvent, now: Time) {
+        let tag = if self.n_shards > 1 {
+            f.shard().map_or(Event::NO_SHARD, |s| s as i64)
+        } else {
+            Event::NO_SHARD
+        };
+        obs_shard!(
+            self.ctx.journal,
+            now,
+            tag,
+            EventKind::Fault {
+                kind: f.name(),
+                // Aggregator faults scope `w` to the aggregator index
+                // (the `kind` disambiguates); server faults use the
+                // shard tag and leave `w` at -1.
+                w: f.worker()
+                    .or_else(|| f.aggregator())
+                    .map_or(-1, |w| w as i64),
+            }
+        );
+        match f {
+            FaultEvent::WorkerDown(w) => self.on_worker_down(w, now),
+            FaultEvent::WorkerUp(w) => self.on_worker_up(w, now),
+            FaultEvent::BlackoutStart(w) => self.on_blackout_start(w, now),
+            FaultEvent::BlackoutEnd(w) => self.on_blackout_end(w, now),
+            FaultEvent::ServerDown(s) => self.on_server_down(s, now),
+            FaultEvent::ServerUp(s) => self.on_server_up(s, now),
+            FaultEvent::AggregatorDown(a) => self.on_aggregator_down(a, now),
+            FaultEvent::AggregatorUp(a) => self.on_aggregator_up(a, now),
+        }
+    }
+
+    fn on_compute_done(&mut self, w: usize, now: Time) {
+        if self.stale_timers[w] > 0 {
+            // The worker that armed this timer departed; void the draw.
+            self.stale_timers[w] -= 1;
+            self.discard_pending(w);
+            return;
+        }
+        self.workers[w].computing = false;
+        if self.pipeline {
+            self.on_compute_done_pipelined(w, now);
+            return;
+        }
+        let n = self.workers[w].iter + 1;
+        let (grads, _) = compute::take_draw(&mut self.ctx, w);
+        self.workers[w].worker.accumulate(&grads);
+        self.ctx.recycle_grads(grads);
+        self.begin_push(w, now, n);
+    }
+
+    /// A reliable-class backoff expired: resend the outstanding chunks,
+    /// or park the transfer if the path is down.
+    fn on_net_retry(&mut self, w: usize, now: Time) {
+        if self.stale_retries[w] > 0 {
+            self.stale_retries[w] -= 1;
+            return;
+        }
+        self.retry_armed[w] = false;
+        let Some(retx) = self.retx[w].as_ref() else {
+            return;
+        };
+        if self.ctx.any_server_down() || self.path_blocked(w) {
+            // Path went down during the backoff: restart the resync from
+            // scratch once connectivity returns.
+            self.retx[w] = None;
+            self.workers[w].resume = Some(Resume::Resync);
+            return;
+        }
+        let chunks = retx.pending_chunks();
+        obs!(
+            self.ctx.journal,
+            now,
+            EventKind::Retransmit {
+                w: w as u32,
+                rows: chunks.len() as u32,
+                class: "reliable",
+            }
+        );
+        self.ctx.set_state(w, now, DeviceState::Communicate);
+        let link = shard_link(w, self.n_shards, 0);
+        let id = self
+            .ctx
+            .cluster
+            .transport
+            .start_flow(now, FlowSpec::new(link, chunks));
+        self.track_flow(id, FlowCtx::Resync { w });
+    }
 }
 
 impl RowEngine {
@@ -545,20 +649,6 @@ impl RowEngine {
         ctx
     }
 
-    fn start_compute(&mut self, w: usize, now: Time) {
-        self.workers[w].computing = true;
-        self.workers[w].pipe_waiting = false;
-        obs!(
-            self.ctx.journal,
-            now,
-            EventKind::IterBegin {
-                w: w as u32,
-                iter: self.workers[w].iter + 1,
-            }
-        );
-        self.ctx.start_compute(w, now);
-    }
-
     /// Sets the worker's state, preferring `Compute` while a gradient
     /// computation runs concurrently (pipeline mode).
     fn set_comm_state(&mut self, w: usize, now: Time, fallback: DeviceState) {
@@ -584,72 +674,6 @@ impl RowEngine {
         self.ctx.set_state(w, now, state);
     }
 
-    fn event_loop(&mut self) {
-        let duration = self.ctx.duration();
-        for w in 0..self.workers.len() {
-            self.start_compute(w, 0.0);
-        }
-        loop {
-            let horizon = self
-                .ctx
-                .queue
-                .peek_time()
-                .unwrap_or(f64::INFINITY)
-                .min(self.ctx.next_fault_time().unwrap_or(f64::INFINITY))
-                .min(duration);
-            let evs = self.ctx.cluster.transport.advance_until(horizon);
-            let now = self.ctx.cluster.transport.now();
-            if !evs.is_empty() {
-                self.sim_events += evs.len() as u64;
-                for e in evs {
-                    self.on_flow(e);
-                }
-                continue;
-            }
-            if now >= duration - 1e-9 {
-                break;
-            }
-            // Injected faults fire before timers at the same instant
-            // (flow completions were already delivered above).
-            let faults = self.ctx.pop_due_faults(now);
-            if !faults.is_empty() {
-                self.sim_events += faults.len() as u64;
-                for f in faults {
-                    self.on_fault(f, now);
-                }
-                continue;
-            }
-            // Draws for all pending ComputeDone timers are independent;
-            // batch them on the compute plane before delivering events.
-            compute::prefetch_draws(&mut self.ctx, &mut self.pending, |w| &self.workers[w].model);
-            if self.ctx.queue.peek_time().is_some() {
-                self.sim_events += 1;
-            }
-            match self.ctx.queue.pop() {
-                Some((t, Ev::ComputeDone(w))) => self.on_compute_done(w, t),
-                Some((t, Ev::NetRetry(w))) => self.on_net_retry(w, t),
-                None => {
-                    if self.ctx.cluster.transport.active_flows() == 0
-                        && self.ctx.next_fault_time().is_none()
-                    {
-                        break;
-                    }
-                }
-            }
-        }
-    }
-
-    /// Consumes the prefetched draw for `w` (recomputing if it was
-    /// invalidated by a pipeline pull since the prefetch).
-    fn take_draw(&mut self, w: usize) -> (rog_models::GradSet, f32) {
-        compute::take_draw(
-            &mut self.ctx,
-            &mut self.pending[w],
-            w,
-            &self.workers[w].model,
-        )
-    }
-
     fn scaled_chunks(&self, ws: &WState, rows: &[RowId]) -> Vec<u64> {
         rows.iter()
             .map(|&id| {
@@ -658,25 +682,6 @@ impl RowEngine {
                     .scaled_row_bytes(ws.worker.payload_bytes(id))
             })
             .collect()
-    }
-
-    fn on_compute_done(&mut self, w: usize, now: Time) {
-        if self.stale_timers[w] > 0 {
-            // The worker that armed this timer departed; void the draw.
-            self.stale_timers[w] -= 1;
-            self.discard_pending(w);
-            return;
-        }
-        self.workers[w].computing = false;
-        if self.pipeline {
-            self.on_compute_done_pipelined(w, now);
-            return;
-        }
-        let n = self.workers[w].iter + 1;
-        let (grads, _) = self.take_draw(w);
-        self.workers[w].worker.accumulate(&grads);
-        self.ctx.recycle_grads(grads);
-        self.begin_push(w, now, n);
     }
 
     /// Pipeline mode: an iteration completes at each compute; gradients
@@ -694,10 +699,10 @@ impl RowEngine {
                 iter: n
             }
         );
-        let (grads, _) = self.take_draw(w);
+        let (grads, _) = compute::take_draw(&mut self.ctx, w);
         self.workers[w].worker.accumulate(&grads);
         self.ctx.recycle_grads(grads);
-        self.ctx.maybe_eval(w, n, now, &self.workers[w].model);
+        self.ctx.maybe_eval(w, n, now);
         if !self.workers[w].comm_busy {
             self.begin_push(w, now, n);
         }
@@ -837,22 +842,6 @@ impl RowEngine {
             .transport
             .start_flow(now, FlowSpec::new(link, chunks).with_deadline(now + budget));
         self.track_flow(id, FlowCtx::Push { w, s, cont: false });
-    }
-
-    fn on_flow(&mut self, ev: FlowEvent) {
-        let ctx = self.untrack_flow(ev.id).expect("unknown flow");
-        match ctx {
-            FlowCtx::Push { w, s, cont } => self.on_push_flow(w, s, cont, ev),
-            FlowCtx::PushRetry { w, s } => self.on_push_retry_flow(w, s, ev),
-            FlowCtx::Pull { w, s, cont } => self.on_pull_flow(w, s, cont, ev),
-            FlowCtx::Resync { w } => {
-                debug_assert!(
-                    matches!(ev.outcome, FlowOutcome::Completed),
-                    "resync flows have no deadline"
-                );
-                self.on_resync_flow(w, ev);
-            }
-        }
     }
 
     /// Collects the rows of a finished push/pull flow round that arrived
@@ -1339,12 +1328,13 @@ impl RowEngine {
             }
         );
         let payload = self.server.commit_pull(s, w, &rows);
-        let ws = &mut self.workers[w];
-        ws.worker.apply_pulled(ws.model.params_mut(), &payload);
+        self.workers[w]
+            .worker
+            .apply_pulled(self.ctx.models[w].params_mut(), &payload);
         // The model just changed; in pipeline mode a compute may be in
         // flight for this worker, so any prefetched gradients are stale.
         // The sampled batch indices stay valid.
-        if let Some(p) = self.pending[w].as_mut() {
+        if let Some(p) = self.ctx.pending[w].as_mut() {
             p.result = None;
         }
         self.finish_sub(w, s, now);
@@ -1604,7 +1594,7 @@ impl RowEngine {
             now,
             EventKind::IterEnd { w: w as u32, iter }
         );
-        self.ctx.maybe_eval(w, iter, now, &self.workers[w].model);
+        self.ctx.maybe_eval(w, iter, now);
         self.maybe_adjust_threshold(now);
         self.maybe_adapt_bound(now);
         self.maybe_select_codecs(now);
@@ -1618,44 +1608,12 @@ impl RowEngine {
 
     // ----- fault injection ------------------------------------------------
 
-    fn on_fault(&mut self, f: FaultEvent, now: Time) {
-        let tag = if self.n_shards > 1 {
-            f.shard().map_or(Event::NO_SHARD, |s| s as i64)
-        } else {
-            Event::NO_SHARD
-        };
-        obs_shard!(
-            self.ctx.journal,
-            now,
-            tag,
-            EventKind::Fault {
-                kind: f.name(),
-                // Aggregator faults scope `w` to the aggregator index
-                // (the `kind` disambiguates); server faults use the
-                // shard tag and leave `w` at -1.
-                w: f.worker()
-                    .or_else(|| f.aggregator())
-                    .map_or(-1, |w| w as i64),
-            }
-        );
-        match f {
-            FaultEvent::WorkerDown(w) => self.on_worker_down(w, now),
-            FaultEvent::WorkerUp(w) => self.on_worker_up(w, now),
-            FaultEvent::BlackoutStart(w) => self.on_blackout_start(w, now),
-            FaultEvent::BlackoutEnd(w) => self.on_blackout_end(w, now),
-            FaultEvent::ServerDown(s) => self.on_server_down(s, now),
-            FaultEvent::ServerUp(s) => self.on_server_up(s, now),
-            FaultEvent::AggregatorDown(a) => self.on_aggregator_down(a, now),
-            FaultEvent::AggregatorUp(a) => self.on_aggregator_up(a, now),
-        }
-    }
-
     /// Drops a worker's prefetched draw, recycling its buffer.
     fn discard_pending(&mut self, w: usize) {
         if let Some(PendingDraw {
             result: Some((grads, _)),
             ..
-        }) = self.pending[w].take()
+        }) = self.ctx.pending[w].take()
         {
             self.ctx.recycle_grads(grads);
         }
@@ -1849,44 +1807,6 @@ impl RowEngine {
         self.retx[w].take().is_some()
     }
 
-    /// A reliable-class backoff expired: resend the outstanding chunks,
-    /// or park the transfer if the path is down.
-    fn on_net_retry(&mut self, w: usize, now: Time) {
-        if self.stale_retries[w] > 0 {
-            self.stale_retries[w] -= 1;
-            return;
-        }
-        self.retry_armed[w] = false;
-        let Some(retx) = self.retx[w].as_ref() else {
-            return;
-        };
-        if self.ctx.any_server_down() || self.path_blocked(w) {
-            // Path went down during the backoff: restart the resync from
-            // scratch once connectivity returns.
-            self.retx[w] = None;
-            self.workers[w].resume = Some(Resume::Resync);
-            return;
-        }
-        let chunks = retx.pending_chunks();
-        obs!(
-            self.ctx.journal,
-            now,
-            EventKind::Retransmit {
-                w: w as u32,
-                rows: chunks.len() as u32,
-                class: "reliable",
-            }
-        );
-        self.ctx.set_state(w, now, DeviceState::Communicate);
-        let link = shard_link(w, self.n_shards, 0);
-        let id = self
-            .ctx
-            .cluster
-            .transport
-            .start_flow(now, FlowSpec::new(link, chunks));
-        self.track_flow(id, FlowCtx::Resync { w });
-    }
-
     /// Debug-build invariant watchdog: each shard's min(V) may never
     /// regress, and in the static-threshold sequential configuration —
     /// while no shard outage made a cycle skip a shard — no push may
@@ -1930,11 +1850,8 @@ impl RowEngine {
             }
         }
         if let Some(r) = reference {
-            let model = self.workers[r].model.clone();
-            let iter = self.workers[r].iter;
-            let ws = &mut self.workers[w];
-            ws.model = model;
-            ws.iter = iter;
+            self.ctx.models[w] = self.ctx.models[r].clone();
+            self.workers[w].iter = self.workers[r].iter;
         }
         let n = self.workers[w].iter;
         obs!(
@@ -2196,6 +2113,10 @@ mod tests {
     use super::*;
     use crate::config::{Environment, ModelScale, WorkloadKind};
 
+    fn run_metrics(cfg: &ExperimentConfig) -> RunMetrics {
+        run(cfg).0
+    }
+
     fn cfg(threshold: u32) -> ExperimentConfig {
         ExperimentConfig {
             workload: WorkloadKind::Cruda,
@@ -2213,7 +2134,7 @@ mod tests {
 
     #[test]
     fn rog_completes_iterations_and_checkpoints() {
-        let m = run(&cfg(4));
+        let m = run_metrics(&cfg(4));
         assert!(
             m.mean_iterations >= 10.0,
             "iterations {}",
@@ -2226,15 +2147,15 @@ mod tests {
 
     #[test]
     fn rog_is_deterministic() {
-        let a = run(&cfg(4));
-        let b = run(&cfg(4));
+        let a = run_metrics(&cfg(4));
+        let b = run_metrics(&cfg(4));
         assert_eq!(a.mean_iterations, b.mean_iterations);
         assert_eq!(a.checkpoints, b.checkpoints);
     }
 
     #[test]
     fn rog_trains_without_collapse() {
-        let m = run(&cfg(4));
+        let m = run_metrics(&cfg(4));
         let first = m.checkpoints.first().expect("has checkpoints").metric;
         let last = m.checkpoints.last().expect("has checkpoints").metric;
         assert!(
@@ -2248,7 +2169,7 @@ mod tests {
         let mut c = cfg(4);
         c.record_micro = true;
         c.duration_secs = 60.0;
-        let m = run(&c);
+        let m = run_metrics(&c);
         assert!(!m.micro.is_empty());
         for s in &m.micro {
             assert!(s.transmission_rate > 0.0 && s.transmission_rate <= 1.0);
@@ -2259,10 +2180,10 @@ mod tests {
     #[test]
     fn pipelined_rog_runs_and_outpaces_sequential() {
         let base = cfg(4);
-        let seq = run(&base);
+        let seq = run_metrics(&base);
         let mut pipec = cfg(4);
         pipec.pipeline = true;
-        let pipe = run(&pipec);
+        let pipe = run_metrics(&pipec);
         assert!(pipe.name.contains("+pipe"));
         // Overlapping comm and compute must not reduce throughput; on a
         // stable channel it should clearly increase it.
@@ -2282,8 +2203,8 @@ mod tests {
     fn pipelined_rog_is_deterministic() {
         let mut c = cfg(4);
         c.pipeline = true;
-        let a = run(&c);
-        let b = run(&c);
+        let a = run_metrics(&c);
+        let b = run_metrics(&c);
         assert_eq!(a.checkpoints, b.checkpoints);
         assert_eq!(a.mean_iterations, b.mean_iterations);
     }
@@ -2294,11 +2215,11 @@ mod tests {
         c.auto_threshold = true;
         c.environment = Environment::Outdoor;
         c.duration_secs = 240.0;
-        let m = run(&c);
+        let m = run_metrics(&c);
         assert!(m.name.contains("+auto"));
         assert!(m.mean_iterations > 5.0);
         // Determinism is preserved with the controller on.
-        let m2 = run(&c);
+        let m2 = run_metrics(&c);
         assert_eq!(m.checkpoints, m2.checkpoints);
     }
 
@@ -2307,17 +2228,17 @@ mod tests {
         let mut c = cfg(4);
         c.environment = Environment::Outdoor;
         c.duration_secs = 90.0;
-        let m = run(&c);
+        let m = run_metrics(&c);
         assert!(m.mean_iterations >= 5.0, "iterations {}", m.mean_iterations);
     }
 
     #[test]
     fn departed_worker_does_not_block_the_survivor() {
         use rog_fault::FaultPlan;
-        let fault_free = run(&cfg(4));
+        let fault_free = run_metrics(&cfg(4));
         let mut c = cfg(4);
         c.fault_plan = Some(FaultPlan::new().worker_offline(1, 30.0, 90.0));
-        let m = run(&c);
+        let m = run_metrics(&c);
         assert!(m.name.contains("+faults"));
         // The offline window lands in the timeline (worker 1, 60 s).
         assert!(
@@ -2348,11 +2269,11 @@ mod tests {
         use rog_fault::FaultPlan;
         let mut c = cfg(4);
         c.fault_plan = Some(FaultPlan::new().link_blackout(1, 20.0, 40.0));
-        let m = run(&c);
+        let m = run_metrics(&c);
         assert!(m.mean_iterations > 10.0, "iters {}", m.mean_iterations);
         // The interrupted transfer's bytes are wasted and retransmitted.
         assert!(m.wasted_bytes > 0.0);
-        let m2 = run(&c);
+        let m2 = run_metrics(&c);
         assert_eq!(m.checkpoints, m2.checkpoints, "faulty runs replay");
         assert_eq!(m.mean_iterations, m2.mean_iterations);
     }
@@ -2362,9 +2283,9 @@ mod tests {
         use rog_fault::FaultPlan;
         let mut c = cfg(4);
         c.fault_plan = Some(FaultPlan::new().server_restart(40.0, 55.0));
-        let m = run(&c);
+        let m = run_metrics(&c);
         assert!(m.mean_iterations > 10.0, "iters {}", m.mean_iterations);
-        let m2 = run(&c);
+        let m2 = run_metrics(&c);
         assert_eq!(m.checkpoints, m2.checkpoints);
     }
 
@@ -2373,8 +2294,8 @@ mod tests {
         let mut c = cfg(4);
         c.duration_secs = 240.0;
         c.fault_seed = Some(3);
-        let a = run(&c);
-        let b = run(&c);
+        let a = run_metrics(&c);
+        let b = run_metrics(&c);
         assert_eq!(a.checkpoints, b.checkpoints);
         assert_eq!(a.total_energy_j, b.total_energy_j);
         assert!(a.mean_iterations > 5.0, "iters {}", a.mean_iterations);
@@ -2393,8 +2314,8 @@ mod tests {
                 .worker_offline(1, 25.0, 55.0)
                 .link_blackout(0, 70.0, 80.0),
         );
-        let a = run(&c);
-        let b = run(&c);
+        let a = run_metrics(&c);
+        let b = run_metrics(&c);
         assert_eq!(a.checkpoints, b.checkpoints);
         assert!(a.mean_iterations > 5.0, "iters {}", a.mean_iterations);
     }
@@ -2402,10 +2323,10 @@ mod tests {
     #[test]
     fn empty_fault_plan_matches_fault_free_run_exactly() {
         use rog_fault::FaultPlan;
-        let base = run(&cfg(4));
+        let base = run_metrics(&cfg(4));
         let mut c = cfg(4);
         c.fault_plan = Some(FaultPlan::new());
-        let empty = run(&c);
+        let empty = run_metrics(&c);
         assert_eq!(base.name, empty.name);
         assert_eq!(base.checkpoints, empty.checkpoints);
         assert_eq!(base.mean_iterations, empty.mean_iterations);
@@ -2416,10 +2337,10 @@ mod tests {
 
     #[test]
     fn explicit_single_shard_matches_default_exactly() {
-        let base = run_traced(&cfg(4));
+        let base = run(&cfg(4));
         let mut c = cfg(4);
         c.n_shards = 1;
-        let one = run_traced(&c);
+        let one = run(&c);
         assert_eq!(base.0.name, one.0.name);
         assert_eq!(base.0.checkpoints, one.0.checkpoints);
         assert_eq!(base.0.total_energy_j, one.0.total_energy_j);
@@ -2431,10 +2352,10 @@ mod tests {
     fn sharded_rog_is_deterministic_and_trains() {
         let mut c = cfg(4);
         c.n_shards = 2;
-        let a = run(&c);
+        let a = run_metrics(&c);
         assert!(a.name.contains("+shard2"), "name {}", a.name);
         assert!(a.mean_iterations > 5.0, "iters {}", a.mean_iterations);
-        let b = run(&c);
+        let b = run_metrics(&c);
         assert_eq!(a.checkpoints, b.checkpoints);
         assert_eq!(a.mean_iterations, b.mean_iterations);
     }
@@ -2445,9 +2366,9 @@ mod tests {
         let mut c = cfg(4);
         c.n_shards = 2;
         c.fault_plan = Some(FaultPlan::new().server_restart_on(1, 40.0, 55.0));
-        let a = run(&c);
+        let a = run_metrics(&c);
         assert!(a.mean_iterations > 10.0, "iters {}", a.mean_iterations);
-        let b = run(&c);
+        let b = run_metrics(&c);
         assert_eq!(a.checkpoints, b.checkpoints);
         assert_eq!(a.total_energy_j, b.total_energy_j);
     }
@@ -2457,9 +2378,9 @@ mod tests {
         let mut c = cfg(4);
         c.pipeline = true;
         c.n_shards = 4;
-        let a = run(&c);
+        let a = run_metrics(&c);
         assert!(a.mean_iterations > 5.0, "iters {}", a.mean_iterations);
-        let b = run(&c);
+        let b = run_metrics(&c);
         assert_eq!(a.checkpoints, b.checkpoints);
         assert_eq!(a.mean_iterations, b.mean_iterations);
     }

@@ -2,15 +2,9 @@
 //! [`ExperimentConfig`] and a single entry point ([`run_with`])
 //! returning a [`RunOutcome`].
 //!
-//! Historically experiments were launched through two ad-hoc methods,
-//! `ExperimentConfig::run()` and `run_traced()`, whose return types
-//! diverged as features grew. This module replaces both: every launch
-//! path — benches, `rogctl`, examples, tests — goes through
+//! Every launch path — benches, `rogctl`, examples, tests — goes through
 //! `cfg.options()…run()` (or the free function [`run_with`]), and the
 //! outcome always carries the metrics plus an optional journal.
-//!
-//! The builder only *wraps* the config; running with default options
-//! is bit-identical to the old `run()` path.
 
 use crate::config::ExperimentConfig;
 use crate::metrics::RunMetrics;
@@ -196,10 +190,8 @@ impl RunOptions {
 /// Runs an experiment described by `options` and returns its
 /// [`RunOutcome`].
 ///
-/// This is the single launch path: an untraced run executes the exact
-/// engine the deprecated `ExperimentConfig::run()` invoked, and a
-/// traced run the exact `run_traced()` path, so outcomes are
-/// bit-identical to the legacy API.
+/// This is the single launch path; tracing only decides whether the
+/// journal is recorded and returned, never what the engine does.
 pub fn run_with(options: &RunOptions) -> RunOutcome {
     run_with_result(options).unwrap_or_else(|e| panic!("live run failed: {e}"))
 }
@@ -207,75 +199,21 @@ pub fn run_with(options: &RunOptions) -> RunOutcome {
 /// [`run_with`] with live-transport errors surfaced as `Err`. The sim
 /// path is infallible; only `Serve`/`Join` can return `Err`.
 pub fn run_with_result(options: &RunOptions) -> Result<RunOutcome, String> {
+    let cfg = ExperimentConfig {
+        trace: options.traced,
+        ..options.cfg.clone()
+    };
     match &options.transport {
-        TransportChoice::Sim => Ok(run_sim(options)),
-        TransportChoice::Serve(sopts) => {
-            let cfg = ExperimentConfig {
-                trace: options.traced,
-                ..options.cfg.clone()
-            };
-            crate::live::serve(&cfg, sopts)
+        TransportChoice::Sim => {
+            let (metrics, journal, stats) = crate::engine::run_full(&cfg);
+            Ok(RunOutcome {
+                metrics,
+                journal: options.traced.then_some(journal),
+                stats,
+            })
         }
-        TransportChoice::Join(jopts) => {
-            let cfg = ExperimentConfig {
-                trace: options.traced,
-                ..options.cfg.clone()
-            };
-            crate::live::join(&cfg, jopts)
-        }
-    }
-}
-
-fn run_sim(options: &RunOptions) -> RunOutcome {
-    if options.traced {
-        let cfg = ExperimentConfig {
-            trace: true,
-            ..options.cfg.clone()
-        };
-        let (metrics, journal, stats) = crate::engine::run_full(&cfg);
-        RunOutcome {
-            metrics,
-            journal: Some(journal),
-            stats,
-        }
-    } else {
-        let cfg = ExperimentConfig {
-            trace: false,
-            ..options.cfg.clone()
-        };
-        let (metrics, _, stats) = crate::engine::run_full(&cfg);
-        RunOutcome {
-            metrics,
-            journal: None,
-            stats,
-        }
-    }
-}
-
-/// Compiled only under `--cfg rog_exercise_deprecated`: keeps the
-/// deprecated `run()`/`run_traced()` shims themselves lint-clean (CI
-/// runs clippy once with the cfg so the shim path stays `-D warnings`
-/// compatible without every normal build tripping over the deprecation).
-#[cfg(all(test, rog_exercise_deprecated))]
-mod shim_exercise {
-    use super::*;
-    use crate::config::Strategy;
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_still_run() {
-        let cfg = ExperimentConfig {
-            strategy: Strategy::Rog { threshold: 4 },
-            model_scale: crate::config::ModelScale::Small,
-            n_workers: 2,
-            duration_secs: 30.0,
-            eval_every: 5,
-            ..ExperimentConfig::default()
-        };
-        let metrics = cfg.run();
-        let (traced_metrics, journal) = cfg.run_traced();
-        assert_eq!(format!("{metrics:?}"), format!("{traced_metrics:?}"));
-        assert!(journal.recorded() > 0);
+        TransportChoice::Serve(sopts) => crate::live::serve(&cfg, sopts),
+        TransportChoice::Join(jopts) => crate::live::join(&cfg, jopts),
     }
 }
 
@@ -307,20 +245,6 @@ mod tests {
         let out = tiny().options().traced(true).run();
         let journal = out.journal.expect("traced run must return a journal");
         assert!(journal.recorded() > 0);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn run_with_matches_the_legacy_entry_points() {
-        let cfg = tiny();
-        let legacy = cfg.run();
-        let new = cfg.options().run();
-        assert_eq!(format!("{legacy:?}"), format!("{:?}", new.metrics));
-
-        let (legacy_m, legacy_j) = cfg.run_traced();
-        let traced = cfg.options().traced(true).run();
-        assert_eq!(format!("{legacy_m:?}"), format!("{:?}", traced.metrics));
-        assert_eq!(legacy_j.to_jsonl(), traced.journal.unwrap().to_jsonl());
     }
 
     #[test]

@@ -17,8 +17,7 @@
 //! `rog::tensor`, …) for tests and power users, but carry no stability
 //! promise and may be reshaped by any release. Additions to the prelude
 //! are fine; removals or signature changes of prelude items require a
-//! deprecation cycle (see the `run()`/`run_traced()` shims on
-//! `ExperimentConfig` for the pattern).
+//! deprecation cycle.
 
 /// The "just train something" prelude.
 ///

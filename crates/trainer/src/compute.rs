@@ -207,7 +207,11 @@ pub fn prefetch_draws(ctx: &mut EngineCtx) {
     let jobs: Vec<(usize, &Mlp, &[usize])> = todo
         .iter()
         .map(|&w| {
-            let idxs = ctx.pending[w].as_ref().expect("sampled above").idxs.as_slice();
+            let idxs = ctx.pending[w]
+                .as_ref()
+                .expect("sampled above")
+                .idxs
+                .as_slice();
             (w, &ctx.models[w], idxs)
         })
         .collect();

@@ -1,8 +1,12 @@
 //! Plumbing shared by the model- and row-granularity engines.
 
+use std::collections::BTreeMap;
+
 use rog_fault::{FaultClock, FaultEvent};
 use rog_models::{GradSet, Mlp, Workload};
-use rog_net::FlowEvent;
+use rog_net::{
+    BackoffPolicy, ChunkFate, FlowEvent, FlowId, FlowSpec, ReliableProgress, ReliableTransfer,
+};
 use rog_obs::{obs, EventKind, Journal};
 use rog_sim::{DeviceState, EventQueue, Time, Timeline};
 use rog_tensor::rng::DetRng;
@@ -340,21 +344,325 @@ impl EngineCtx {
     }
 }
 
+/// Segment size for reliable-class transfers under a loss model: a lost
+/// chunk costs one segment's retransmit, not the whole payload.
+const RELIABLE_SEGMENT_BYTES: u64 = 64 * 1024;
+
+/// Splits a payload into `RELIABLE_SEGMENT_BYTES` chunks (last one
+/// short). Chunk boundaries never change a no-deadline flow's fluid
+/// completion time, only loss granularity.
+fn segment_chunks(total: u64) -> Vec<u64> {
+    let mut out = Vec::new();
+    let mut left = total;
+    while left > RELIABLE_SEGMENT_BYTES {
+        out.push(RELIABLE_SEGMENT_BYTES);
+        left -= RELIABLE_SEGMENT_BYTES;
+    }
+    out.push(left);
+    out
+}
+
+/// Verdict on one finished round of a reliable transfer.
+enum ReliableRound<C> {
+    /// Every chunk landed; the flow's context is handed back.
+    Done(C),
+    /// Chunks died in flight; the context is parked until the backoff
+    /// delay has run.
+    Retry(Time),
+}
+
+/// One worker's reliable-class transfer: must-deliver traffic (rejoin
+/// resyncs; every whole-model transfer of the baselines) that is resent
+/// after a backoff until it lands, where best-effort rows are simply
+/// not committed. At most one such transfer runs per worker.
+struct ReliableSlot<C> {
+    /// The link the transfer runs on.
+    link: usize,
+    /// Retransmit state; `None` without a loss model, where the
+    /// single-chunk transfer always lands whole.
+    retx: Option<ReliableTransfer>,
+    /// Flow context parked while its retransmit backoff runs.
+    parked: Option<C>,
+    /// Whether a `NetRetry` timer is queued.
+    retry_armed: bool,
+    /// Queued `NetRetry` timers voided since, swallowed on arrival.
+    stale_retries: u32,
+}
+
+impl<C> ReliableSlot<C> {
+    fn new() -> Self {
+        Self {
+            link: 0,
+            retx: None,
+            parked: None,
+            retry_armed: false,
+            stale_retries: 0,
+        }
+    }
+
+    /// Begins a transfer of `bytes` over `link` and returns the chunks
+    /// of its first round. With a loss model installed the payload is
+    /// segmented and tracked by a fresh [`ReliableTransfer`]; without
+    /// one, the pre-loss single-chunk flow is byte-identical.
+    fn begin(&mut self, lossy: bool, link: usize, bytes: u64) -> Vec<u64> {
+        self.link = link;
+        if !lossy {
+            return vec![bytes];
+        }
+        let chunks = segment_chunks(bytes);
+        self.void_retry();
+        self.retx = Some(ReliableTransfer::new(
+            chunks.clone(),
+            BackoffPolicy::default(),
+        ));
+        chunks
+    }
+
+    /// Folds in the fates of the round that just finished.
+    fn on_round(&mut self, fates: Option<&[ChunkFate]>, flow: C) -> ReliableRound<C> {
+        let Some(retx) = self.retx.as_mut() else {
+            return ReliableRound::Done(flow);
+        };
+        let transmitted = retx.pending_count();
+        match retx.on_round(fates, transmitted) {
+            ReliableProgress::Done => {
+                self.retx = None;
+                ReliableRound::Done(flow)
+            }
+            ReliableProgress::Retry { delay } => {
+                self.parked = Some(flow);
+                ReliableRound::Retry(delay)
+            }
+        }
+    }
+
+    /// Voids a queued backoff timer (it is swallowed on arrival).
+    fn void_retry(&mut self) {
+        if self.retry_armed {
+            self.stale_retries += 1;
+            self.retry_armed = false;
+        }
+    }
+
+    /// A `NetRetry` timer arrived: swallows it if it was voided,
+    /// otherwise hands back the chunks still outstanding and the parked
+    /// context.
+    fn expire(&mut self) -> Option<(Vec<u64>, C)> {
+        if self.stale_retries > 0 {
+            self.stale_retries -= 1;
+            return None;
+        }
+        self.retry_armed = false;
+        let flow = self.parked.take()?;
+        let retx = self
+            .retx
+            .as_ref()
+            .expect("parked retry implies transfer state");
+        Some((retx.pending_chunks(), flow))
+    }
+
+    /// Abandons the transfer (fault site), returning the parked context
+    /// if its backoff was running.
+    fn clear(&mut self) -> Option<C> {
+        self.void_retry();
+        self.retx = None;
+        self.parked.take()
+    }
+}
+
+/// The in-flight transfers of one engine: what each flow on the channel
+/// is for (`C`, the engine's flow context), how many each worker has on
+/// the air, and the per-worker reliable-class retransmit state.
+pub(crate) struct FlowTable<C> {
+    /// Owner and context per flow; ordered, so cancellations run in
+    /// flow-id order.
+    flows: BTreeMap<FlowId, (usize, C)>,
+    in_flight: Vec<u32>,
+    reliable: Vec<ReliableSlot<C>>,
+}
+
+impl<C> FlowTable<C> {
+    pub(crate) fn new(n_workers: usize) -> Self {
+        Self {
+            flows: BTreeMap::new(),
+            in_flight: vec![0; n_workers],
+            reliable: (0..n_workers).map(|_| ReliableSlot::new()).collect(),
+        }
+    }
+
+    /// Puts a transfer of worker `w` on the air.
+    pub(crate) fn start(
+        &mut self,
+        ctx: &mut EngineCtx,
+        now: Time,
+        w: usize,
+        spec: FlowSpec,
+        flow: C,
+    ) {
+        let id = ctx.cluster.transport.start_flow(now, spec);
+        self.in_flight[w] += 1;
+        self.flows.insert(id, (w, flow));
+    }
+
+    /// Deregisters a transfer that left the air, returning its context.
+    fn finish(&mut self, id: FlowId) -> Option<C> {
+        let (w, flow) = self.flows.remove(&id)?;
+        self.in_flight[w] -= 1;
+        Some(flow)
+    }
+
+    /// Transfers worker `w` has on the air.
+    pub(crate) fn in_flight(&self, w: usize) -> u32 {
+        self.in_flight[w]
+    }
+
+    /// Cancels every in-flight transfer `doomed` selects (by owner and
+    /// context), returning owners and contexts in flow-id order so the
+    /// caller can decide what (if anything) resumes. Cancelled
+    /// transfers acknowledge nothing: every byte already on the air is
+    /// wasted and any retransmission starts from scratch.
+    pub(crate) fn cancel_where(
+        &mut self,
+        ctx: &mut EngineCtx,
+        doomed: impl Fn(usize, &C) -> bool,
+    ) -> Vec<(usize, C)> {
+        let ids: Vec<FlowId> = self
+            .flows
+            .iter()
+            .filter(|(_, (w, flow))| doomed(*w, flow))
+            .map(|(&id, _)| id)
+            .collect();
+        ids.into_iter()
+            .map(|id| {
+                ctx.cluster.transport.cancel_flow(id);
+                let (w, flow) = self.flows.remove(&id).expect("just listed");
+                self.in_flight[w] -= 1;
+                (w, flow)
+            })
+            .collect()
+    }
+
+    /// Cancels every in-flight transfer of worker `target`.
+    pub(crate) fn cancel_flows_of(&mut self, ctx: &mut EngineCtx, target: usize) -> Vec<C> {
+        self.cancel_where(ctx, |w, _| w == target)
+            .into_iter()
+            .map(|(_, flow)| flow)
+            .collect()
+    }
+
+    /// Starts a reliable-class transfer of `bytes` for worker `w` over
+    /// `link`.
+    pub(crate) fn start_reliable(
+        &mut self,
+        ctx: &mut EngineCtx,
+        now: Time,
+        w: usize,
+        link: usize,
+        bytes: u64,
+        flow: C,
+    ) {
+        let lossy = ctx.cluster.transport.loss_enabled();
+        let chunks = self.reliable[w].begin(lossy, link, bytes);
+        self.start(ctx, now, w, FlowSpec::new(link, chunks), flow);
+    }
+
+    /// A round of worker `w`'s reliable transfer finished. Returns the
+    /// flow's context once everything has landed; while chunks are
+    /// still missing it journals the loss, stalls the worker and arms
+    /// the backed-off retransmit instead.
+    pub(crate) fn on_reliable_round(
+        &mut self,
+        ctx: &mut EngineCtx,
+        w: usize,
+        ev: &FlowEvent,
+        flow: C,
+    ) -> Option<C> {
+        let report = ctx.cluster.transport.take_report(ev.id);
+        let fates = report.as_ref().map(|r| r.fates.as_slice());
+        match self.reliable[w].on_round(fates, flow) {
+            ReliableRound::Done(flow) => Some(flow),
+            ReliableRound::Retry(delay) => {
+                // Chunks died in flight: the whole transfer blocks on
+                // the backed-off retransmit (the reliable class has
+                // nothing to degrade to), stalling this worker.
+                if let Some(r) = report.as_ref() {
+                    obs!(
+                        ctx.journal,
+                        ev.at,
+                        EventKind::Loss {
+                            w: w as u32,
+                            lost: r.lost_chunks() as u32,
+                            corrupt: r.corrupt_chunks() as u32,
+                            chunks: r.fates.len() as u32,
+                        }
+                    );
+                }
+                obs!(
+                    ctx.journal,
+                    ev.at,
+                    EventKind::Backoff {
+                        w: w as u32,
+                        until: ev.at + delay,
+                    }
+                );
+                ctx.set_state(w, ev.at, DeviceState::Stall);
+                self.schedule_retry(ctx, w, ev.at + delay);
+                None
+            }
+        }
+    }
+
+    /// Arms the backoff timer for a worker's reliable retransmit.
+    fn schedule_retry(&mut self, ctx: &mut EngineCtx, w: usize, at: Time) {
+        ctx.queue.push(at, Ev::NetRetry(w));
+        self.reliable[w].retry_armed = true;
+    }
+
+    /// A reliable-class backoff expired: resend the outstanding chunks.
+    /// Every path-down transition abandons the slot through
+    /// [`FlowTable::clear_retx`], which voids the timer, so a timer that
+    /// fires here always finds its path up.
+    fn on_net_retry(&mut self, ctx: &mut EngineCtx, w: usize, now: Time) {
+        let Some((chunks, flow)) = self.reliable[w].expire() else {
+            return;
+        };
+        obs!(
+            ctx.journal,
+            now,
+            EventKind::Retransmit {
+                w: w as u32,
+                rows: chunks.len() as u32,
+                class: "reliable",
+            }
+        );
+        ctx.set_state(w, now, DeviceState::Communicate);
+        let link = self.reliable[w].link;
+        self.start(ctx, now, w, FlowSpec::new(link, chunks), flow);
+    }
+
+    /// Abandons worker `w`'s reliable transfer at a fault site,
+    /// returning the flow context that was parked in backoff (it has no
+    /// flow to cancel) so the caller can mark what resumes.
+    pub(crate) fn clear_retx(&mut self, w: usize) -> Option<C> {
+        self.reliable[w].clear()
+    }
+}
+
 /// What the shared event loop ([`drive`]) dispatches into: the hooks
 /// each engine fills in with its own protocol.
 pub(crate) trait Engine {
-    /// The shared substrate.
-    fn ctx(&mut self) -> &mut EngineCtx;
+    /// What the engine remembers about one in-flight transfer.
+    type Flow;
+    /// The shared substrate and the in-flight transfer table.
+    fn parts(&mut self) -> (&mut EngineCtx, &mut FlowTable<Self::Flow>);
     /// Starts worker `w`'s next gradient computation at `now`.
     fn start_compute(&mut self, w: usize, now: Time);
     /// An in-flight transfer finished (or hit its deadline).
-    fn on_flow(&mut self, ev: FlowEvent);
+    fn on_flow(&mut self, flow: Self::Flow, ev: FlowEvent);
     /// An injected fault fired.
     fn on_fault(&mut self, f: FaultEvent, now: Time);
     /// Worker `w`'s gradient computation finished.
     fn on_compute_done(&mut self, w: usize, now: Time);
-    /// A reliable-class retransmit backoff expired for worker `w`.
-    fn on_net_retry(&mut self, w: usize, now: Time);
 }
 
 /// Runs an engine to the end of its virtual time budget and returns the
@@ -365,13 +673,13 @@ pub(crate) trait Engine {
 /// Same-instant order: flow completions, then injected faults, then one
 /// queue timer.
 pub(crate) fn drive(e: &mut impl Engine) -> u64 {
-    let duration = e.ctx().duration();
-    for w in 0..e.ctx().cfg.n_workers {
+    let duration = e.parts().0.duration();
+    for w in 0..e.parts().0.cfg.n_workers {
         e.start_compute(w, 0.0);
     }
     let mut dispatched = 0u64;
     loop {
-        let ctx = e.ctx();
+        let (ctx, flows) = e.parts();
         let horizon = ctx
             .queue
             .peek_time()
@@ -383,7 +691,8 @@ pub(crate) fn drive(e: &mut impl Engine) -> u64 {
         if !evs.is_empty() {
             dispatched += evs.len() as u64;
             for ev in evs {
-                e.on_flow(ev);
+                let flow = e.parts().1.finish(ev.id).expect("unknown flow");
+                e.on_flow(flow, ev);
             }
             continue;
         }
@@ -409,7 +718,7 @@ pub(crate) fn drive(e: &mut impl Engine) -> u64 {
                 dispatched += 1;
                 match ev {
                     Ev::ComputeDone(w) => e.on_compute_done(w, t),
-                    Ev::NetRetry(w) => e.on_net_retry(w, t),
+                    Ev::NetRetry(w) => flows.on_net_retry(ctx, w, t),
                 }
             }
             None => {
@@ -497,8 +806,8 @@ mod tests {
     use super::*;
     use crate::config::{Environment, ModelScale, Strategy};
 
-    fn ctx() -> EngineCtx {
-        EngineCtx::new(&ExperimentConfig {
+    fn cfg() -> ExperimentConfig {
+        ExperimentConfig {
             model_scale: ModelScale::Small,
             n_workers: 2,
             duration_secs: 30.0,
@@ -506,7 +815,143 @@ mod tests {
             strategy: Strategy::Bsp,
             eval_every: 5,
             ..ExperimentConfig::default()
-        })
+        }
+    }
+
+    fn ctx() -> EngineCtx {
+        EngineCtx::new(&cfg())
+    }
+
+    /// An engine that only logs what [`drive`] dispatches. When `at` is
+    /// set, worker 0 arms a timer and a deadline-cut flow for that
+    /// instant.
+    struct Stub {
+        ctx: EngineCtx,
+        flows: FlowTable<()>,
+        at: Option<Time>,
+        log: Vec<(&'static str, Time)>,
+    }
+
+    impl Engine for Stub {
+        type Flow = ();
+        fn parts(&mut self) -> (&mut EngineCtx, &mut FlowTable<()>) {
+            (&mut self.ctx, &mut self.flows)
+        }
+        fn start_compute(&mut self, w: usize, now: Time) {
+            if let (0, Some(at)) = (w, self.at) {
+                self.ctx.queue.push(at, Ev::ComputeDone(0));
+                let spec = FlowSpec::new(0, vec![u64::MAX / 4]).with_deadline(at);
+                self.flows.start(&mut self.ctx, now, 0, spec, ());
+            }
+        }
+        fn on_flow(&mut self, (): (), ev: FlowEvent) {
+            self.log.push(("flow", ev.at));
+        }
+        fn on_fault(&mut self, _: FaultEvent, now: Time) {
+            self.log.push(("fault", now));
+        }
+        fn on_compute_done(&mut self, _: usize, now: Time) {
+            self.log.push(("timer", now));
+        }
+    }
+
+    fn stub(cfg: &ExperimentConfig, at: Option<Time>) -> Stub {
+        Stub {
+            ctx: EngineCtx::new(cfg),
+            flows: FlowTable::new(cfg.n_workers),
+            at,
+            log: Vec::new(),
+        }
+    }
+
+    #[test]
+    fn drive_orders_same_instant_events_flow_then_fault_then_timer() {
+        let mut c = cfg();
+        c.fault_plan = Some(rog_fault::FaultPlan::new().link_blackout(0, 5.0, 6.0));
+        let mut e = stub(&c, Some(5.0));
+        let dispatched = drive(&mut e);
+        assert_eq!(
+            e.log,
+            [
+                ("flow", 5.0),
+                ("fault", 5.0),
+                ("timer", 5.0),
+                ("fault", 6.0)
+            ]
+        );
+        assert_eq!(dispatched, 4);
+    }
+
+    #[test]
+    fn drive_stops_at_the_time_budget_when_nothing_is_scheduled() {
+        let mut e = stub(&cfg(), None);
+        assert_eq!(drive(&mut e), 0);
+        assert!(e.log.is_empty());
+        assert!(e.ctx.cluster.transport.now() >= e.ctx.duration() - 1e-9);
+    }
+
+    #[test]
+    fn lossless_reliable_transfer_is_one_untracked_chunk() {
+        let mut slot = ReliableSlot::<()>::new();
+        assert_eq!(slot.begin(false, 3, 200_000), [200_000]);
+        assert!(slot.retx.is_none());
+        assert!(matches!(slot.on_round(None, ()), ReliableRound::Done(())));
+    }
+
+    #[test]
+    fn voided_retry_timer_is_swallowed_once_and_a_rearmed_one_fires() {
+        let mut slot = ReliableSlot::<u8>::new();
+        slot.begin(true, 0, 100_000);
+        let lost = [ChunkFate::Lost, ChunkFate::Lost];
+        assert!(matches!(
+            slot.on_round(Some(&lost), 7),
+            ReliableRound::Retry(_)
+        ));
+        slot.retry_armed = true;
+        // A new transfer voids the queued timer and drops nothing else.
+        slot.begin(true, 0, 100_000);
+        assert!(matches!(
+            slot.on_round(Some(&lost), 8),
+            ReliableRound::Retry(_)
+        ));
+        slot.retry_armed = true;
+        assert!(slot.expire().is_none(), "the voided timer arrives first");
+        let (chunks, flow) = slot.expire().expect("the re-armed timer fires");
+        assert_eq!((chunks.len(), flow), (2, 8));
+        assert!(slot.expire().is_none(), "nothing is parked any more");
+    }
+
+    #[test]
+    fn reliable_retries_resend_only_the_chunks_still_missing() {
+        use ChunkFate::{Delivered, Lost};
+        let mut slot = ReliableSlot::<()>::new();
+        let first = slot.begin(true, 0, 3 * RELIABLE_SEGMENT_BYTES + 10);
+        assert_eq!(
+            first,
+            [
+                RELIABLE_SEGMENT_BYTES,
+                RELIABLE_SEGMENT_BYTES,
+                RELIABLE_SEGMENT_BYTES,
+                10
+            ]
+        );
+        let fates = [Lost, Delivered, Delivered, Lost];
+        let ReliableRound::Retry(d1) = slot.on_round(Some(&fates), ()) else {
+            panic!("two chunks are missing");
+        };
+        let (second, ()) = slot.expire().expect("parked");
+        assert_eq!(second, [RELIABLE_SEGMENT_BYTES, 10]);
+        let ReliableRound::Retry(d2) = slot.on_round(Some(&[Delivered, Lost]), ()) else {
+            panic!("one chunk is still missing");
+        };
+        assert!(d2 > d1, "backoff grows: {d1} -> {d2}");
+        let (third, ()) = slot.expire().expect("parked");
+        assert_eq!(third, [10]);
+        assert!(matches!(
+            slot.on_round(Some(&[Delivered]), ()),
+            ReliableRound::Done(())
+        ));
+        assert!(slot.retx.is_none());
     }
 
     #[test]

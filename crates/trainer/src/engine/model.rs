@@ -8,15 +8,11 @@
 //! channel, so one straggling transmission stalls everyone at the gate —
 //! the straggler effect ROG eliminates.
 
-use std::collections::BTreeMap;
-
 use rog_compress::ErrorFeedback;
 use rog_core::{RowId, RowPartition};
 use rog_fault::FaultEvent;
 use rog_models::GradSet;
-use rog_net::{
-    BackoffPolicy, FlowEvent, FlowId, FlowOutcome, FlowSpec, ReliableProgress, ReliableTransfer,
-};
+use rog_net::{FlowEvent, FlowOutcome};
 use rog_obs::{obs, EventKind};
 use rog_sim::{DeviceState, Time};
 use rog_sync::{
@@ -27,8 +23,7 @@ use rog_tensor::{ops, Matrix};
 
 use crate::compute::{self, PendingDraw};
 use crate::config::{ExperimentConfig, Strategy};
-use crate::engine::common::{drive, Engine, EngineCtx, Ev};
-use crate::engine::row::segment_chunks;
+use crate::engine::common::{drive, Engine, EngineCtx, FlowTable};
 use crate::metrics::RunMetrics;
 
 struct WState {
@@ -105,24 +100,17 @@ struct ModelEngine {
     /// Last journaled per-worker threshold; `None` before the first
     /// `threshold_adapt` event. Unused when `adaptive` is false.
     journaled_thr: Vec<Option<u32>>,
-    flows: BTreeMap<FlowId, FlowCtx>,
+    /// In-flight transfers. Every model-granularity transfer is
+    /// reliable-class: the baselines have no row granularity to degrade
+    /// to, so a lost chunk must be resent before the worker can move —
+    /// which is exactly why they stall under loss where ROG keeps
+    /// training.
+    flows: FlowTable<FlowCtx>,
     partition: RowPartition,
     model_wire_bytes: u64,
     /// Outstanding `ComputeDone` timers of departed workers, swallowed
     /// on arrival.
     stale_timers: Vec<u32>,
-    /// Reliable-class retransmit state per worker (loss model only).
-    /// Every model-granularity transfer is reliable: the baselines have
-    /// no row granularity to degrade to, so a lost chunk must be resent
-    /// before the worker can move — which is exactly why they stall
-    /// under loss where ROG keeps training.
-    retx: Vec<Option<ReliableTransfer>>,
-    /// Flow context parked while its retransmit backoff runs.
-    retry_ctx: Vec<Option<FlowCtx>>,
-    /// Whether a `NetRetry` timer is queued per worker.
-    retry_armed: Vec<bool>,
-    /// Queued `NetRetry` timers voided by a fault, swallowed on arrival.
-    stale_retries: Vec<u32>,
 }
 
 /// Runs one model-granularity experiment, returning the event journal
@@ -200,14 +188,10 @@ pub fn run(cfg: &ExperimentConfig) -> (RunMetrics, rog_obs::Journal) {
         policy,
         adaptive,
         journaled_thr: vec![None; n],
-        flows: BTreeMap::new(),
+        flows: FlowTable::new(n),
         partition,
         model_wire_bytes,
         stale_timers: vec![0; n],
-        retx: (0..n).map(|_| None).collect(),
-        retry_ctx: (0..n).map(|_| None).collect(),
-        retry_armed: vec![false; n],
-        stale_retries: vec![0; n],
     };
     engine.refresh_thresholds(0.0);
     drive(&mut engine);
@@ -215,8 +199,10 @@ pub fn run(cfg: &ExperimentConfig) -> (RunMetrics, rog_obs::Journal) {
 }
 
 impl Engine for ModelEngine {
-    fn ctx(&mut self) -> &mut EngineCtx {
-        &mut self.ctx
+    type Flow = FlowCtx;
+
+    fn parts(&mut self) -> (&mut EngineCtx, &mut FlowTable<FlowCtx>) {
+        (&mut self.ctx, &mut self.flows)
     }
 
     fn start_compute(&mut self, w: usize, now: Time) {
@@ -232,52 +218,18 @@ impl Engine for ModelEngine {
         self.ctx.start_compute(w, now);
     }
 
-    fn on_flow(&mut self, ev: FlowEvent) {
-        let ctx = self.flows.remove(&ev.id).expect("unknown flow");
+    fn on_flow(&mut self, flow: FlowCtx, ev: FlowEvent) {
         debug_assert!(
             matches!(ev.outcome, FlowOutcome::Completed),
             "model flows have no deadline and cancels are reaped early"
         );
-        let w = ctx.worker();
-        let report = self.ctx.cluster.transport.take_report(ev.id);
-        if let Some(retx) = self.retx[w].as_mut() {
-            let transmitted = retx.pending_count();
-            let fates = report.as_ref().map(|r| r.fates.as_slice());
-            match retx.on_round(fates, transmitted) {
-                ReliableProgress::Done => self.retx[w] = None,
-                ReliableProgress::Retry { delay } => {
-                    // Chunks died in flight: the whole transfer blocks on
-                    // the backed-off retransmit (reliable-only transport
-                    // has nothing to degrade to), stalling this worker —
-                    // and through the gate, eventually everyone.
-                    if let Some(r) = report.as_ref() {
-                        obs!(
-                            self.ctx.journal,
-                            ev.at,
-                            EventKind::Loss {
-                                w: w as u32,
-                                lost: r.lost_chunks() as u32,
-                                corrupt: r.corrupt_chunks() as u32,
-                                chunks: r.fates.len() as u32,
-                            }
-                        );
-                    }
-                    obs!(
-                        self.ctx.journal,
-                        ev.at,
-                        EventKind::Backoff {
-                            w: w as u32,
-                            until: ev.at + delay,
-                        }
-                    );
-                    self.retry_ctx[w] = Some(ctx);
-                    self.ctx.set_state(w, ev.at, DeviceState::Stall);
-                    self.schedule_retry(w, ev.at + delay);
-                    return;
-                }
-            }
-        }
-        match ctx {
+        let w = flow.worker();
+        let Some(flow) = self.flows.on_reliable_round(&mut self.ctx, w, &ev, flow) else {
+            // Backing off; through the gate the stall eventually
+            // reaches everyone.
+            return;
+        };
+        match flow {
             FlowCtx::Push(w) => self.on_push_done(w, ev.at),
             FlowCtx::Pull(w, payload) => self.on_pull_done(w, payload, ev.at),
             FlowCtx::Resync(w) => self.finish_resync(w, ev.at),
@@ -320,38 +272,6 @@ impl Engine for ModelEngine {
         ws.stats.grad_mean_abs = f64::from(mean_abs);
         self.start_push(w, now);
     }
-
-    /// A reliable-class backoff expired: resend the outstanding chunks.
-    fn on_net_retry(&mut self, w: usize, now: Time) {
-        if self.stale_retries[w] > 0 {
-            self.stale_retries[w] -= 1;
-            return;
-        }
-        self.retry_armed[w] = false;
-        let Some(ctx) = self.retry_ctx[w].take() else {
-            return;
-        };
-        let chunks = self.retx[w]
-            .as_ref()
-            .expect("parked retry implies transfer state")
-            .pending_chunks();
-        obs!(
-            self.ctx.journal,
-            now,
-            EventKind::Retransmit {
-                w: w as u32,
-                rows: chunks.len() as u32,
-                class: "reliable",
-            }
-        );
-        self.ctx.set_state(w, now, DeviceState::Communicate);
-        let id = self
-            .ctx
-            .cluster
-            .transport
-            .start_flow(now, FlowSpec::new(w, chunks));
-        self.flows.insert(id, ctx);
-    }
 }
 
 impl ModelEngine {
@@ -391,6 +311,12 @@ impl ModelEngine {
         }
     }
 
+    /// Puts one whole-model transfer of worker `w` on its link.
+    fn start_transfer(&mut self, w: usize, now: Time, flow: FlowCtx) {
+        self.flows
+            .start_reliable(&mut self.ctx, now, w, w, self.model_wire_bytes, flow);
+    }
+
     /// Starts (or, after a fault, parks) the whole-model push transfer.
     fn start_push(&mut self, w: usize, now: Time) {
         if self.ctx.any_server_down() || self.ctx.link_down[w] {
@@ -415,53 +341,7 @@ impl ModelEngine {
             }
         );
         self.ctx.set_state(w, now, DeviceState::Communicate);
-        let chunks = self.transport_chunks(w);
-        let id = self
-            .ctx
-            .cluster
-            .transport
-            .start_flow(now, FlowSpec::new(w, chunks));
-        self.flows.insert(id, FlowCtx::Push(w));
-    }
-
-    /// Chunks a whole-model transfer for the reliable transport. With a
-    /// loss model installed the payload is segmented and tracked by a
-    /// fresh [`ReliableTransfer`]; without one, the pre-loss
-    /// single-chunk flow is byte-identical.
-    fn transport_chunks(&mut self, w: usize) -> Vec<u64> {
-        if self.ctx.cluster.transport.loss_enabled() {
-            let chunks = segment_chunks(self.model_wire_bytes);
-            self.void_retry(w);
-            self.retx[w] = Some(ReliableTransfer::new(
-                chunks.clone(),
-                BackoffPolicy::default(),
-            ));
-            chunks
-        } else {
-            vec![self.model_wire_bytes]
-        }
-    }
-
-    /// Arms the backoff timer for a worker's reliable retransmit.
-    fn schedule_retry(&mut self, w: usize, at: Time) {
-        self.ctx.queue.push(at, Ev::NetRetry(w));
-        self.retry_armed[w] = true;
-    }
-
-    /// Voids a queued backoff timer (it is swallowed on arrival).
-    fn void_retry(&mut self, w: usize) {
-        if self.retry_armed[w] {
-            self.stale_retries[w] += 1;
-            self.retry_armed[w] = false;
-        }
-    }
-
-    /// Abandons a worker's reliable transfer (fault site), returning the
-    /// parked flow context if its backoff was running.
-    fn clear_retx(&mut self, w: usize) -> Option<FlowCtx> {
-        self.void_retry(w);
-        self.retx[w] = None;
-        self.retry_ctx[w].take()
+        self.start_transfer(w, now, FlowCtx::Push(w));
     }
 
     fn on_push_done(&mut self, w: usize, now: Time) {
@@ -541,10 +421,8 @@ impl ModelEngine {
 
     fn grant_pull(&mut self, w: usize, now: Time) {
         // Quantize and drain this worker's pending copy.
-        let pending = std::mem::replace(
-            &mut self.server.pending[w],
-            self.ctx.models[w].zero_grads(),
-        );
+        let pending =
+            std::mem::replace(&mut self.server.pending[w], self.ctx.models[w].zero_grads());
         let payload = quantize_set(&self.partition, &mut self.server.efs[w], &pending);
         // Stall accounting for ABS (assigned outside the obs! macro so
         // obs-off builds stay behaviorally identical).
@@ -568,13 +446,7 @@ impl ModelEngine {
             }
         );
         self.ctx.set_state(w, now, DeviceState::Communicate);
-        let chunks = self.transport_chunks(w);
-        let id = self
-            .ctx
-            .cluster
-            .transport
-            .start_flow(now, FlowSpec::new(w, chunks));
-        self.flows.insert(id, FlowCtx::Pull(w, payload));
+        self.start_transfer(w, now, FlowCtx::Pull(w, payload));
     }
 
     fn on_pull_done(&mut self, w: usize, payload: GradSet, now: Time) {
@@ -632,25 +504,6 @@ impl ModelEngine {
         }
     }
 
-    /// Cancels every in-flight transfer of `target`, returning the
-    /// contexts. Nothing of a cancelled transfer is acknowledged; bytes
-    /// already on the air are wasted (retransmit-from-scratch).
-    fn cancel_flows_of(&mut self, target: usize) -> Vec<FlowCtx> {
-        let ids: Vec<FlowId> = self
-            .flows
-            .iter()
-            .filter(|(_, c)| c.worker() == target)
-            .map(|(&id, _)| id)
-            .collect();
-        ids.into_iter()
-            .map(|id| {
-                let ctx = self.flows.remove(&id).expect("just listed");
-                self.ctx.cluster.transport.cancel_flow(id);
-                ctx
-            })
-            .collect()
-    }
-
     fn suspend_ctx(&mut self, ctx: FlowCtx) {
         let w = ctx.worker();
         self.workers[w].resume = Some(match ctx {
@@ -670,9 +523,9 @@ impl ModelEngine {
         // row is NOT aged out — model-granularity baselines have static
         // membership, so the departed worker pins the BSP/SSP gate until
         // it rejoins (the fragility ROG's membership protocol removes).
-        self.cancel_flows_of(w);
+        self.flows.cancel_flows_of(&mut self.ctx, w);
         // A transfer parked in retransmit backoff dies with the device.
-        self.clear_retx(w);
+        self.flows.clear_retx(w);
         self.server.waiting.retain(|&x| x != w);
         if self.workers[w].computing {
             self.stale_timers[w] += 1;
@@ -705,13 +558,7 @@ impl ModelEngine {
             }
         );
         self.ctx.set_state(w, now, DeviceState::Communicate);
-        let chunks = self.transport_chunks(w);
-        let id = self
-            .ctx
-            .cluster
-            .transport
-            .start_flow(now, FlowSpec::new(w, chunks));
-        self.flows.insert(id, FlowCtx::Resync(w));
+        self.start_transfer(w, now, FlowCtx::Resync(w));
     }
 
     /// Completes a rejoin: adopt the most advanced online peer's model
@@ -771,12 +618,12 @@ impl ModelEngine {
             return;
         }
         self.ctx.link_down[w] = true;
-        for ctx in self.cancel_flows_of(w) {
+        for ctx in self.flows.cancel_flows_of(&mut self.ctx, w) {
             self.suspend_ctx(ctx);
         }
         // A transfer in retransmit backoff has no flow to cancel; park
         // its context as a resume (retransmit-from-scratch on recovery).
-        if let Some(ctx) = self.clear_retx(w) {
+        if let Some(ctx) = self.flows.clear_retx(w) {
             self.suspend_ctx(ctx);
         }
         if !self.ctx.offline[w] && !self.workers[w].done && !self.workers[w].computing {
@@ -803,18 +650,14 @@ impl ModelEngine {
             return;
         }
         self.ctx.server_down[shard] = true;
-        let ids: Vec<FlowId> = self.flows.keys().copied().collect();
-        for id in ids {
-            let ctx = self.flows.remove(&id).expect("just listed");
-            self.ctx.cluster.transport.cancel_flow(id);
-            let w = ctx.worker();
+        for (w, ctx) in self.flows.cancel_where(&mut self.ctx, |_, _| true) {
             self.suspend_ctx(ctx);
             if !self.ctx.offline[w] && !self.workers[w].done && !self.workers[w].computing {
                 self.ctx.set_state(w, now, DeviceState::Stall);
             }
         }
         for w in 0..self.workers.len() {
-            if let Some(ctx) = self.clear_retx(w) {
+            if let Some(ctx) = self.flows.clear_retx(w) {
                 self.suspend_ctx(ctx);
             }
         }
@@ -848,13 +691,7 @@ impl ModelEngine {
             Some(MResume::Push) => self.start_push(w, now),
             Some(MResume::Pull(payload)) => {
                 self.ctx.set_state(w, now, DeviceState::Communicate);
-                let chunks = self.transport_chunks(w);
-                let id = self
-                    .ctx
-                    .cluster
-                    .transport
-                    .start_flow(now, FlowSpec::new(w, chunks));
-                self.flows.insert(id, FlowCtx::Pull(w, payload));
+                self.start_transfer(w, now, FlowCtx::Pull(w, payload));
             }
             Some(MResume::Resync) => self.begin_resync(w, now),
             None => {}

@@ -19,25 +19,20 @@
 //! engaged leg has. With one shard everything collapses to the original
 //! single-server engine, bit for bit.
 
-use std::collections::BTreeMap;
-
 use rog_compress::{CodecChoice, RowCodec};
 use rog_core::{
     mta, AggregatorMap, AggregatorPlane, MtaTimeTracker, RogWorker, RogWorkerConfig, RowId,
     ShardMap, ShardedServer,
 };
 use rog_fault::FaultEvent;
-use rog_net::{
-    shard_link, BackoffPolicy, FlowEvent, FlowId, FlowOutcome, FlowSpec, ReliableProgress,
-    ReliableTransfer,
-};
+use rog_net::{shard_link, FlowEvent, FlowOutcome, FlowSpec};
 use rog_obs::{obs, obs_shard, Event, EventKind};
 use rog_sim::{DeviceState, Time};
 use rog_sync::gate;
 
 use crate::compute::{self, PendingDraw};
 use crate::config::{ExperimentConfig, Strategy};
-use crate::engine::common::{drive, Engine, EngineCtx, Ev};
+use crate::engine::common::{drive, Engine, EngineCtx, FlowTable};
 use crate::metrics::{MicroSample, RunMetrics};
 use crate::run::FleetStats;
 
@@ -154,15 +149,6 @@ enum FlowCtx {
 }
 
 impl FlowCtx {
-    fn worker(self) -> usize {
-        match self {
-            FlowCtx::Push { w, .. }
-            | FlowCtx::PushRetry { w, .. }
-            | FlowCtx::Pull { w, .. }
-            | FlowCtx::Resync { w } => w,
-        }
-    }
-
     /// The shard this flow talks to (`None` for whole-server resyncs).
     fn shard(self) -> Option<usize> {
         match self {
@@ -174,31 +160,14 @@ impl FlowCtx {
     }
 }
 
-/// Segment size for reliable-class transfers under a loss model: a lost
-/// chunk costs one segment's retransmit, not the whole payload.
-const RELIABLE_SEGMENT_BYTES: u64 = 64 * 1024;
-
-/// Splits a payload into `RELIABLE_SEGMENT_BYTES` chunks (last one
-/// short). Chunk boundaries never change a no-deadline flow's fluid
-/// completion time, only loss granularity.
-pub(crate) fn segment_chunks(total: u64) -> Vec<u64> {
-    let mut out = Vec::new();
-    let mut left = total;
-    while left > RELIABLE_SEGMENT_BYTES {
-        out.push(RELIABLE_SEGMENT_BYTES);
-        left -= RELIABLE_SEGMENT_BYTES;
-    }
-    out.push(left);
-    out
-}
-
 struct RowEngine {
     ctx: EngineCtx,
     workers: Vec<WState>,
     server: ShardedServer,
     /// One MTA-time budget per shard.
     trackers: Vec<MtaTimeTracker>,
-    flows: BTreeMap<FlowId, FlowCtx>,
+    /// In-flight transfers; only the rejoin resync is reliable-class.
+    flows: FlowTable<FlowCtx>,
     /// Legs whose pull awaits a shard's RSP gate: (worker, shard, iter).
     waiting: Vec<(usize, usize, u64)>,
     /// Last pushed iteration per worker (micro-event staleness).
@@ -208,13 +177,6 @@ struct RowEngine {
     stale_timers: Vec<u32>,
     /// Compressed whole-model wire size, for rejoin resync transfers.
     model_wire_bytes: u64,
-    /// Reliable-class resync retransmit state, one slot per worker
-    /// (populated only while a loss model is installed).
-    retx: Vec<Option<ReliableTransfer>>,
-    /// Whether a `NetRetry` backoff timer is queued for a worker.
-    retry_armed: Vec<bool>,
-    /// Queued `NetRetry` timers voided by a fault, swallowed on arrival.
-    stale_retries: Vec<u32>,
     /// Invariant watchdog: the last observed per-shard min(V), which may
     /// never regress.
     #[cfg(debug_assertions)]
@@ -229,9 +191,6 @@ struct RowEngine {
     /// Per-aggregator outage flags; a downed aggregator severs all its
     /// member workers from the parameter plane at once.
     agg_down: Vec<bool>,
-    /// In-flight transfer count per worker (replaces the former
-    /// O(flows) scan in `set_comm_state_sub`).
-    flows_per_worker: Vec<u32>,
     /// High-water mark of the sharded version stores' resident bytes.
     peak_version_bytes: usize,
     n_shards: usize,
@@ -431,21 +390,17 @@ pub fn run(cfg: &ExperimentConfig) -> (RunMetrics, rog_obs::Journal, FleetStats)
         workers,
         server,
         trackers: (0..n_shards).map(|_| MtaTimeTracker::new(n, 1.0)).collect(),
-        flows: BTreeMap::new(),
+        flows: FlowTable::new(n),
         waiting: Vec::new(),
         last_pushed: vec![0; n],
         stale_timers: vec![0; n],
         model_wire_bytes,
-        retx: (0..n).map(|_| None).collect(),
-        retry_armed: vec![false; n],
-        stale_retries: vec![0; n],
         #[cfg(debug_assertions)]
         last_global_min: vec![0; n_shards],
         #[cfg(debug_assertions)]
         skipped_shard_push: false,
         agg_plane,
         agg_down: vec![false; n_aggs],
-        flows_per_worker: vec![0; n],
         peak_version_bytes: 0,
         n_shards,
         threshold,
@@ -476,8 +431,10 @@ pub fn run(cfg: &ExperimentConfig) -> (RunMetrics, rog_obs::Journal, FleetStats)
 }
 
 impl Engine for RowEngine {
-    fn ctx(&mut self) -> &mut EngineCtx {
-        &mut self.ctx
+    type Flow = FlowCtx;
+
+    fn parts(&mut self) -> (&mut EngineCtx, &mut FlowTable<FlowCtx>) {
+        (&mut self.ctx, &mut self.flows)
     }
 
     fn start_compute(&mut self, w: usize, now: Time) {
@@ -494,9 +451,8 @@ impl Engine for RowEngine {
         self.ctx.start_compute(w, now);
     }
 
-    fn on_flow(&mut self, ev: FlowEvent) {
-        let ctx = self.untrack_flow(ev.id).expect("unknown flow");
-        match ctx {
+    fn on_flow(&mut self, flow: FlowCtx, ev: FlowEvent) {
+        match flow {
             FlowCtx::Push { w, s, cont } => self.on_push_flow(w, s, cont, ev),
             FlowCtx::PushRetry { w, s } => self.on_push_retry_flow(w, s, ev),
             FlowCtx::Pull { w, s, cont } => self.on_pull_flow(w, s, cont, ev),
@@ -505,7 +461,15 @@ impl Engine for RowEngine {
                     matches!(ev.outcome, FlowOutcome::Completed),
                     "resync flows have no deadline"
                 );
-                self.on_resync_flow(w, ev);
+                // Acknowledge the surviving chunks and either complete
+                // the rejoin or back off and retransmit.
+                if self
+                    .flows
+                    .on_reliable_round(&mut self.ctx, w, &ev, flow)
+                    .is_some()
+                {
+                    self.finish_resync(w, ev.at);
+                }
             }
         }
     }
@@ -560,44 +524,6 @@ impl Engine for RowEngine {
         self.ctx.recycle_grads(grads);
         self.begin_push(w, now, n);
     }
-
-    /// A reliable-class backoff expired: resend the outstanding chunks,
-    /// or park the transfer if the path is down.
-    fn on_net_retry(&mut self, w: usize, now: Time) {
-        if self.stale_retries[w] > 0 {
-            self.stale_retries[w] -= 1;
-            return;
-        }
-        self.retry_armed[w] = false;
-        let Some(retx) = self.retx[w].as_ref() else {
-            return;
-        };
-        if self.ctx.any_server_down() || self.path_blocked(w) {
-            // Path went down during the backoff: restart the resync from
-            // scratch once connectivity returns.
-            self.retx[w] = None;
-            self.workers[w].resume = Some(Resume::Resync);
-            return;
-        }
-        let chunks = retx.pending_chunks();
-        obs!(
-            self.ctx.journal,
-            now,
-            EventKind::Retransmit {
-                w: w as u32,
-                rows: chunks.len() as u32,
-                class: "reliable",
-            }
-        );
-        self.ctx.set_state(w, now, DeviceState::Communicate);
-        let link = shard_link(w, self.n_shards, 0);
-        let id = self
-            .ctx
-            .cluster
-            .transport
-            .start_flow(now, FlowSpec::new(link, chunks));
-        self.track_flow(id, FlowCtx::Resync { w });
-    }
 }
 
 impl RowEngine {
@@ -633,22 +559,6 @@ impl RowEngine {
         self.ctx.link_down[w] || self.agg_blocked(w)
     }
 
-    /// Registers an in-flight transfer (single insertion point, keeping
-    /// `flows_per_worker` exact).
-    fn track_flow(&mut self, id: FlowId, ctx: FlowCtx) {
-        self.flows_per_worker[ctx.worker()] += 1;
-        self.flows.insert(id, ctx);
-    }
-
-    /// Deregisters an in-flight transfer (completion or cancellation).
-    fn untrack_flow(&mut self, id: FlowId) -> Option<FlowCtx> {
-        let ctx = self.flows.remove(&id);
-        if let Some(c) = ctx {
-            self.flows_per_worker[c.worker()] -= 1;
-        }
-        ctx
-    }
-
     /// Sets the worker's state, preferring `Compute` while a gradient
     /// computation runs concurrently (pipeline mode).
     fn set_comm_state(&mut self, w: usize, now: Time, fallback: DeviceState) {
@@ -666,7 +576,7 @@ impl RowEngine {
     fn set_comm_state_sub(&mut self, w: usize, now: Time, fallback: DeviceState) {
         let state = if self.workers[w].computing {
             DeviceState::Compute
-        } else if self.flows_per_worker[w] > 0 {
+        } else if self.flows.in_flight(w) > 0 {
             DeviceState::Communicate
         } else {
             fallback
@@ -836,12 +746,13 @@ impl RowEngine {
         };
         self.set_comm_state(w, now, DeviceState::Communicate);
         let link = shard_link(w, self.n_shards, s);
-        let id = self
-            .ctx
-            .cluster
-            .transport
-            .start_flow(now, FlowSpec::new(link, chunks).with_deadline(now + budget));
-        self.track_flow(id, FlowCtx::Push { w, s, cont: false });
+        self.flows.start(
+            &mut self.ctx,
+            now,
+            w,
+            FlowSpec::new(link, chunks).with_deadline(now + budget),
+            FlowCtx::Push { w, s, cont: false },
+        );
     }
 
     /// Collects the rows of a finished push/pull flow round that arrived
@@ -916,12 +827,13 @@ impl RowEngine {
                 self.scaled_chunks(ws, &rest)
             };
             let link = shard_link(w, self.n_shards, s);
-            let id = self
-                .ctx
-                .cluster
-                .transport
-                .start_flow(now, FlowSpec::new(link, chunks));
-            self.track_flow(id, FlowCtx::Push { w, s, cont: true });
+            self.flows.start(
+                &mut self.ctx,
+                now,
+                w,
+                FlowSpec::new(link, chunks),
+                FlowCtx::Push { w, s, cont: true },
+            );
             return;
         }
         self.maybe_finish_push(w, s, now);
@@ -954,12 +866,13 @@ impl RowEngine {
                 };
                 self.workers[w].subs[s].push_retry = missing;
                 let link = shard_link(w, self.n_shards, s);
-                let id = self
-                    .ctx
-                    .cluster
-                    .transport
-                    .start_flow(now, FlowSpec::new(link, chunks));
-                self.track_flow(id, FlowCtx::PushRetry { w, s });
+                self.flows.start(
+                    &mut self.ctx,
+                    now,
+                    w,
+                    FlowSpec::new(link, chunks),
+                    FlowCtx::PushRetry { w, s },
+                );
                 return;
             }
         }
@@ -1262,12 +1175,13 @@ impl RowEngine {
         }
         self.set_comm_state(w, now, DeviceState::Communicate);
         let link = shard_link(w, self.n_shards, s);
-        let id = self
-            .ctx
-            .cluster
-            .transport
-            .start_flow(now, FlowSpec::new(link, chunks).with_deadline(now + budget));
-        self.track_flow(id, FlowCtx::Pull { w, s, cont: false });
+        self.flows.start(
+            &mut self.ctx,
+            now,
+            w,
+            FlowSpec::new(link, chunks).with_deadline(now + budget),
+            FlowCtx::Pull { w, s, cont: false },
+        );
     }
 
     fn on_pull_flow(&mut self, w: usize, s: usize, cont: bool, ev: FlowEvent) {
@@ -1301,12 +1215,13 @@ impl RowEngine {
                 })
                 .collect();
             let link = shard_link(w, self.n_shards, s);
-            let id = self
-                .ctx
-                .cluster
-                .transport
-                .start_flow(now, FlowSpec::new(link, chunks));
-            self.track_flow(id, FlowCtx::Pull { w, s, cont: true });
+            self.flows.start(
+                &mut self.ctx,
+                now,
+                w,
+                FlowSpec::new(link, chunks),
+                FlowCtx::Pull { w, s, cont: true },
+            );
             return;
         }
         // Apply whatever arrived (intact rows only under a loss model:
@@ -1619,26 +1534,6 @@ impl RowEngine {
         }
     }
 
-    /// Cancels every in-flight transfer of `target`, returning the
-    /// contexts so the caller can decide what (if anything) resumes.
-    /// Cancelled transfers acknowledge nothing: every byte already on
-    /// the air is wasted and any retransmission starts from scratch.
-    fn cancel_flows_of(&mut self, target: usize) -> Vec<FlowCtx> {
-        let ids: Vec<FlowId> = self
-            .flows
-            .iter()
-            .filter(|(_, c)| c.worker() == target)
-            .map(|(&id, _)| id)
-            .collect();
-        ids.into_iter()
-            .map(|id| {
-                let ctx = self.untrack_flow(id).expect("just listed");
-                self.ctx.cluster.transport.cancel_flow(id);
-                ctx
-            })
-            .collect()
-    }
-
     /// Marks what a cancelled transfer should restart as once
     /// connectivity returns. `comm_busy` stays true for suspended
     /// push/pull cycles so pipeline mode cannot start a second cycle on
@@ -1664,7 +1559,7 @@ impl RowEngine {
         self.ctx.offline[w] = true;
         // Every in-flight transfer dies with the device; nothing resumes
         // (rejoin rebuilds the cycle from the resynced model instead).
-        self.cancel_flows_of(w);
+        self.flows.cancel_flows_of(&mut self.ctx, w);
         self.waiting.retain(|&(x, _, _)| x != w);
         if self.workers[w].computing {
             // Its ComputeDone timer is still queued; swallow on arrival.
@@ -1719,92 +1614,15 @@ impl RowEngine {
             }
         );
         self.ctx.set_state(w, now, DeviceState::Communicate);
-        let chunks = if self.ctx.cluster.transport.loss_enabled() {
-            let chunks = segment_chunks(self.model_wire_bytes);
-            self.void_retry(w);
-            self.retx[w] = Some(ReliableTransfer::new(
-                chunks.clone(),
-                BackoffPolicy::default(),
-            ));
-            chunks
-        } else {
-            vec![self.model_wire_bytes]
-        };
         let link = shard_link(w, self.n_shards, 0);
-        let id = self
-            .ctx
-            .cluster
-            .transport
-            .start_flow(now, FlowSpec::new(link, chunks));
-        self.track_flow(id, FlowCtx::Resync { w });
-    }
-
-    /// A resync flow round finished: acknowledge the surviving chunks
-    /// and either complete the rejoin or back off and retransmit.
-    fn on_resync_flow(&mut self, w: usize, ev: FlowEvent) {
-        let now = ev.at;
-        let report = self.ctx.cluster.transport.take_report(ev.id);
-        let Some(retx) = self.retx[w].as_mut() else {
-            // No loss model: the single-chunk transfer always lands whole.
-            self.finish_resync(w, now);
-            return;
-        };
-        let transmitted = retx.pending_count();
-        let fates = report.as_ref().map(|r| r.fates.as_slice());
-        match retx.on_round(fates, transmitted) {
-            ReliableProgress::Done => {
-                self.retx[w] = None;
-                self.finish_resync(w, now);
-            }
-            ReliableProgress::Retry { delay } => {
-                // Some chunks died in flight: wait out the capped
-                // exponential backoff, then resend the survivors.
-                if let Some(r) = report.as_ref() {
-                    obs!(
-                        self.ctx.journal,
-                        now,
-                        EventKind::Loss {
-                            w: w as u32,
-                            lost: r.lost_chunks() as u32,
-                            corrupt: r.corrupt_chunks() as u32,
-                            chunks: r.fates.len() as u32,
-                        }
-                    );
-                }
-                obs!(
-                    self.ctx.journal,
-                    now,
-                    EventKind::Backoff {
-                        w: w as u32,
-                        until: now + delay,
-                    }
-                );
-                self.ctx.set_state(w, now, DeviceState::Stall);
-                self.schedule_retry(w, now + delay);
-            }
-        }
-    }
-
-    /// Arms the backoff timer for a worker's reliable retransmit.
-    fn schedule_retry(&mut self, w: usize, at: Time) {
-        self.ctx.queue.push(at, Ev::NetRetry(w));
-        self.retry_armed[w] = true;
-    }
-
-    /// Voids a queued backoff timer (it is swallowed on arrival).
-    fn void_retry(&mut self, w: usize) {
-        if self.retry_armed[w] {
-            self.stale_retries[w] += 1;
-            self.retry_armed[w] = false;
-        }
-    }
-
-    /// Abandons a worker's reliable transfer at a fault site. If the
-    /// worker should resync again once connectivity returns, the caller
-    /// records `Resume::Resync` (retransmit-from-scratch semantics).
-    fn clear_retx(&mut self, w: usize) -> bool {
-        self.void_retry(w);
-        self.retx[w].take().is_some()
+        self.flows.start_reliable(
+            &mut self.ctx,
+            now,
+            w,
+            link,
+            self.model_wire_bytes,
+            FlowCtx::Resync { w },
+        );
     }
 
     /// Debug-build invariant watchdog: each shard's min(V) may never
@@ -1894,13 +1712,13 @@ impl RowEngine {
             return;
         }
         self.ctx.link_down[w] = true;
-        for ctx in self.cancel_flows_of(w) {
+        for ctx in self.flows.cancel_flows_of(&mut self.ctx, w) {
             self.suspend_ctx(ctx);
         }
         // A reliable transfer in backoff has no flow to cancel; abandon
         // its state and restart the resync when the link returns.
-        if self.clear_retx(w) {
-            self.workers[w].resume = Some(Resume::Resync);
+        if let Some(ctx) = self.flows.clear_retx(w) {
+            self.suspend_ctx(ctx);
         }
         if !self.ctx.offline[w] && !self.workers[w].done {
             self.set_comm_state(w, now, DeviceState::Stall);
@@ -1935,11 +1753,11 @@ impl RowEngine {
             .members(a)
             .to_vec();
         for w in members {
-            for ctx in self.cancel_flows_of(w) {
+            for ctx in self.flows.cancel_flows_of(&mut self.ctx, w) {
                 self.suspend_ctx(ctx);
             }
-            if self.clear_retx(w) {
-                self.workers[w].resume = Some(Resume::Resync);
+            if let Some(ctx) = self.flows.clear_retx(w) {
+                self.suspend_ctx(ctx);
             }
             if !self.ctx.offline[w] && !self.workers[w].done {
                 self.set_comm_state(w, now, DeviceState::Stall);
@@ -1974,24 +1792,18 @@ impl RowEngine {
         self.ctx.server_down[shard] = true;
         // Flows to the failed shard die; resync flows carry whole-model
         // state and need every shard, so they die with it too.
-        let ids: Vec<FlowId> = self
+        let doomed = self
             .flows
-            .iter()
-            .filter(|(_, c)| c.shard().is_none_or(|cs| cs == shard))
-            .map(|(&id, _)| id)
-            .collect();
-        for id in ids {
-            let ctx = self.untrack_flow(id).expect("just listed");
-            self.ctx.cluster.transport.cancel_flow(id);
-            let w = ctx.worker();
+            .cancel_where(&mut self.ctx, |_, c| c.shard().is_none_or(|cs| cs == shard));
+        for (w, ctx) in doomed {
             self.suspend_ctx(ctx);
             if !self.ctx.offline[w] && !self.workers[w].done {
                 self.set_comm_state_sub(w, now, DeviceState::Stall);
             }
         }
         for w in 0..self.workers.len() {
-            if self.clear_retx(w) {
-                self.workers[w].resume = Some(Resume::Resync);
+            if let Some(ctx) = self.flows.clear_retx(w) {
+                self.suspend_ctx(ctx);
             }
         }
     }

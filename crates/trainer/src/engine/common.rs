@@ -7,7 +7,7 @@ use rog_models::{GradSet, Mlp, Workload};
 use rog_net::{
     BackoffPolicy, ChunkFate, FlowEvent, FlowId, FlowSpec, ReliableProgress, ReliableTransfer,
 };
-use rog_obs::{obs, EventKind, Journal};
+use rog_obs::{obs, obs_shard, Event, EventKind, Journal};
 use rog_sim::{DeviceState, EventQueue, Time, Timeline};
 use rog_tensor::rng::DetRng;
 
@@ -49,6 +49,14 @@ pub struct EngineCtx {
     pub faults: FaultClock,
     /// Workers currently powered off / out of range.
     pub offline: Vec<bool>,
+    /// Workers that reached the end of the time budget.
+    pub(crate) done: Vec<bool>,
+    /// Workers with a gradient computation running (its `ComputeDone`
+    /// timer is queued).
+    pub(crate) computing: Vec<bool>,
+    /// Outstanding `ComputeDone` timers of departed workers, swallowed
+    /// on arrival (one count per timer in flight at departure).
+    stale_timers: Vec<u32>,
     /// Workers whose link is blacked out (device up, radio dead).
     pub link_down: Vec<bool>,
     /// Per-shard parameter-server outage flags (checkpoint/restart).
@@ -137,6 +145,9 @@ impl EngineCtx {
             plane: ComputePlane::auto(),
             faults,
             offline: vec![false; n],
+            done: vec![false; n],
+            computing: vec![false; n],
+            stale_timers: vec![0; n],
             link_down: vec![false; n],
             server_down: vec![false; shards],
             journal,
@@ -196,9 +207,97 @@ impl EngineCtx {
 
     /// Schedules the start of a worker's next compute phase at `t`.
     pub fn start_compute(&mut self, worker: usize, t: Time) {
+        self.computing[worker] = true;
         self.set_state(worker, t, DeviceState::Compute);
         let dt = self.compute_secs(worker);
         self.queue.push(t + dt, Ev::ComputeDone(worker));
+    }
+
+    /// The device running worker `w`'s computation departed: its queued
+    /// `ComputeDone` timer (if any) is swallowed on arrival.
+    pub(crate) fn void_compute(&mut self, w: usize) {
+        if self.computing[w] {
+            self.stale_timers[w] += 1;
+        }
+        self.computing[w] = false;
+    }
+
+    /// A `ComputeDone` timer of worker `w` arrived. Returns `true`,
+    /// after voiding its draw, when the worker that armed it has
+    /// departed since; otherwise the computation is over.
+    fn compute_timer_is_stale(&mut self, w: usize) -> bool {
+        if self.stale_timers[w] > 0 {
+            self.stale_timers[w] -= 1;
+            self.discard_pending(w);
+            return true;
+        }
+        self.computing[w] = false;
+        false
+    }
+
+    /// Drops a worker's prefetched draw, recycling its buffer.
+    pub(crate) fn discard_pending(&mut self, w: usize) {
+        if let Some(PendingDraw {
+            result: Some((grads, _)),
+            ..
+        }) = self.pending[w].take()
+        {
+            self.recycle_grads(grads);
+        }
+    }
+
+    /// Journals an injected fault. The record carries a shard scope only
+    /// when the run is actually sharded, so single-shard journals stay
+    /// byte-identical to the pre-shard engine's.
+    fn journal_fault(&mut self, f: FaultEvent, now: Time) {
+        let tag = if self.server_down.len() > 1 {
+            f.shard().map_or(Event::NO_SHARD, |s| s as i64)
+        } else {
+            Event::NO_SHARD
+        };
+        obs_shard!(
+            self.journal,
+            now,
+            tag,
+            EventKind::Fault {
+                kind: f.name(),
+                // Aggregator faults scope `w` to the aggregator index
+                // (the `kind` disambiguates); server faults use the
+                // shard tag and leave `w` at -1.
+                w: f.worker()
+                    .or_else(|| f.aggregator())
+                    .map_or(-1, |w| w as i64),
+            }
+        );
+    }
+
+    /// Rejoin: worker `w` adopts the model of the most advanced online
+    /// peer (ties break to the lowest index) — the closest stand-in the
+    /// simulation has for the server streaming its current model; any
+    /// choice within the staleness bound is admissible. Journals and
+    /// returns the adopted iteration (`w`'s own when it is alone).
+    pub(crate) fn adopt_most_advanced_peer(
+        &mut self,
+        w: usize,
+        now: Time,
+        iter_of: impl Fn(usize) -> u64,
+    ) -> u64 {
+        let mut reference: Option<usize> = None;
+        for i in (0..self.models.len()).filter(|&i| i != w && !self.offline[i]) {
+            if reference.is_none_or(|r| iter_of(i) > iter_of(r)) {
+                reference = Some(i);
+            }
+        }
+        if let Some(r) = reference {
+            self.models[w] = self.models[r].clone();
+        }
+        let iter = iter_of(reference.unwrap_or(w));
+        obs!(
+            self.journal,
+            now,
+            EventKind::ResyncEnd { w: w as u32, iter }
+        );
+        iter
     }
 
     /// Samples the batch indices for a worker's next gradient draw.
@@ -550,6 +649,26 @@ impl<C> FlowTable<C> {
             .collect()
     }
 
+    /// Starts the full-model transfer that brings rejoining worker `w`
+    /// back in sync before it may train again.
+    pub(crate) fn begin_resync(
+        &mut self,
+        ctx: &mut EngineCtx,
+        now: Time,
+        w: usize,
+        link: usize,
+        bytes: u64,
+        flow: C,
+    ) {
+        obs!(
+            ctx.journal,
+            now,
+            EventKind::ResyncStart { w: w as u32, bytes }
+        );
+        ctx.set_state(w, now, DeviceState::Communicate);
+        self.start_reliable(ctx, now, w, link, bytes, flow);
+    }
+
     /// Starts a reliable-class transfer of `bytes` for worker `w` over
     /// `link`.
     pub(crate) fn start_reliable(
@@ -705,6 +824,7 @@ pub(crate) fn drive(e: &mut impl Engine) -> u64 {
         if !faults.is_empty() {
             dispatched += faults.len() as u64;
             for f in faults {
+                e.parts().0.journal_fault(f, now);
                 e.on_fault(f, now);
             }
             continue;
@@ -717,7 +837,11 @@ pub(crate) fn drive(e: &mut impl Engine) -> u64 {
             Some((t, ev)) => {
                 dispatched += 1;
                 match ev {
-                    Ev::ComputeDone(w) => e.on_compute_done(w, t),
+                    Ev::ComputeDone(w) => {
+                        if !ctx.compute_timer_is_stale(w) {
+                            e.on_compute_done(w, t);
+                        }
+                    }
                     Ev::NetRetry(w) => flows.on_net_retry(ctx, w, t),
                 }
             }
@@ -732,6 +856,19 @@ pub(crate) fn drive(e: &mut impl Engine) -> u64 {
         }
     }
     dispatched
+}
+
+/// What a worker does when its cycle (or rejoin) completes: start the
+/// next computation, or go `Idle` for good once the time budget is
+/// spent.
+pub(crate) fn compute_or_retire(e: &mut impl Engine, w: usize, now: Time) {
+    let ctx = e.parts().0;
+    if now < ctx.duration() {
+        e.start_compute(w, now);
+    } else {
+        ctx.done[w] = true;
+        ctx.set_state(w, now, DeviceState::Idle);
+    }
 }
 
 /// Maximum pairwise L2 distance between models, relative to the mean

@@ -21,9 +21,9 @@ use rog_sync::{
 };
 use rog_tensor::{ops, Matrix};
 
-use crate::compute::{self, PendingDraw};
+use crate::compute;
 use crate::config::{ExperimentConfig, Strategy};
-use crate::engine::common::{drive, Engine, EngineCtx, FlowTable};
+use crate::engine::common::{compute_or_retire, drive, Engine, EngineCtx, FlowTable};
 use crate::metrics::RunMetrics;
 
 struct WState {
@@ -40,9 +40,6 @@ struct WState {
     round_started: Time,
     /// When the worker joined the gate wait (journal only).
     gate_entered: Time,
-    done: bool,
-    /// A gradient computation is running (its timer is queued).
-    computing: bool,
     /// Phase to restart once connectivity returns after a fault.
     resume: Option<MResume>,
 }
@@ -108,9 +105,6 @@ struct ModelEngine {
     flows: FlowTable<FlowCtx>,
     partition: RowPartition,
     model_wire_bytes: u64,
-    /// Outstanding `ComputeDone` timers of departed workers, swallowed
-    /// on arrival.
-    stale_timers: Vec<u32>,
 }
 
 /// Runs one model-granularity experiment, returning the event journal
@@ -143,8 +137,6 @@ pub fn run(cfg: &ExperimentConfig) -> (RunMetrics, rog_obs::Journal) {
             push_started: 0.0,
             round_started: 0.0,
             gate_entered: 0.0,
-            done: false,
-            computing: false,
             resume: None,
         })
         .collect();
@@ -191,7 +183,6 @@ pub fn run(cfg: &ExperimentConfig) -> (RunMetrics, rog_obs::Journal) {
         flows: FlowTable::new(n),
         partition,
         model_wire_bytes,
-        stale_timers: vec![0; n],
     };
     engine.refresh_thresholds(0.0);
     drive(&mut engine);
@@ -206,7 +197,6 @@ impl Engine for ModelEngine {
     }
 
     fn start_compute(&mut self, w: usize, now: Time) {
-        self.workers[w].computing = true;
         obs!(
             self.ctx.journal,
             now,
@@ -237,14 +227,6 @@ impl Engine for ModelEngine {
     }
 
     fn on_fault(&mut self, f: FaultEvent, now: Time) {
-        obs!(
-            self.ctx.journal,
-            now,
-            EventKind::Fault {
-                kind: f.name(),
-                w: f.worker().map_or(-1, |w| w as i64),
-            }
-        );
         match f {
             FaultEvent::WorkerDown(w) => self.on_worker_down(w, now),
             FaultEvent::WorkerUp(w) => self.on_worker_up(w, now),
@@ -259,13 +241,6 @@ impl Engine for ModelEngine {
     }
 
     fn on_compute_done(&mut self, w: usize, now: Time) {
-        if self.stale_timers[w] > 0 {
-            // The worker that armed this timer departed; void the draw.
-            self.stale_timers[w] -= 1;
-            self.discard_pending(w);
-            return;
-        }
-        self.workers[w].computing = false;
         let (grads, mean_abs) = compute::take_draw(&mut self.ctx, w);
         let ws = &mut self.workers[w];
         ws.grads = Some(grads);
@@ -483,26 +458,10 @@ impl ModelEngine {
             EventKind::IterEnd { w: w as u32, iter }
         );
         self.ctx.maybe_eval(w, iter, now);
-        if now < self.ctx.duration() {
-            self.start_compute(w, now);
-        } else {
-            self.workers[w].done = true;
-            self.ctx.set_state(w, now, DeviceState::Idle);
-        }
+        compute_or_retire(self, w, now);
     }
 
     // ----- fault injection ------------------------------------------------
-
-    /// Drops a worker's prefetched draw, recycling its buffer.
-    fn discard_pending(&mut self, w: usize) {
-        if let Some(PendingDraw {
-            result: Some((grads, _)),
-            ..
-        }) = self.ctx.pending[w].take()
-        {
-            self.ctx.recycle_grads(grads);
-        }
-    }
 
     fn suspend_ctx(&mut self, ctx: FlowCtx) {
         let w = ctx.worker();
@@ -527,11 +486,8 @@ impl ModelEngine {
         // A transfer parked in retransmit backoff dies with the device.
         self.flows.clear_retx(w);
         self.server.waiting.retain(|&x| x != w);
-        if self.workers[w].computing {
-            self.stale_timers[w] += 1;
-        }
+        self.ctx.void_compute(w);
         let ws = &mut self.workers[w];
-        ws.computing = false;
         ws.grads = None;
         ws.resume = None;
         self.ctx.set_state(w, now, DeviceState::Offline);
@@ -549,16 +505,9 @@ impl ModelEngine {
     }
 
     fn begin_resync(&mut self, w: usize, now: Time) {
-        obs!(
-            self.ctx.journal,
-            now,
-            EventKind::ResyncStart {
-                w: w as u32,
-                bytes: self.model_wire_bytes,
-            }
-        );
-        self.ctx.set_state(w, now, DeviceState::Communicate);
-        self.start_transfer(w, now, FlowCtx::Resync(w));
+        let bytes = self.model_wire_bytes;
+        self.flows
+            .begin_resync(&mut self.ctx, now, w, w, bytes, FlowCtx::Resync(w));
     }
 
     /// Completes a rejoin: adopt the most advanced online peer's model
@@ -567,26 +516,11 @@ impl ModelEngine {
     /// server still held for this worker, and fast-forward its version
     /// so the gate reflects the adopted iteration.
     fn finish_resync(&mut self, w: usize, now: Time) {
-        let mut reference: Option<usize> = None;
-        for (i, ws) in self.workers.iter().enumerate() {
-            if i == w || self.ctx.offline[i] {
-                continue;
-            }
-            if reference.is_none_or(|r| ws.iter > self.workers[r].iter) {
-                reference = Some(i);
-            }
-        }
-        if let Some(r) = reference {
-            self.ctx.models[w] = self.ctx.models[r].clone();
-            self.workers[w].iter = self.workers[r].iter;
-        }
-        let iter = self.workers[w].iter;
-        obs!(
-            self.ctx.journal,
-            now,
-            EventKind::ResyncEnd { w: w as u32, iter }
-        );
+        let iter = self
+            .ctx
+            .adopt_most_advanced_peer(w, now, |i| self.workers[i].iter);
         let ws = &mut self.workers[w];
+        ws.iter = iter;
         ws.ef.reset();
         for m in &mut ws.vel {
             m.fill_zero();
@@ -602,13 +536,8 @@ impl ModelEngine {
         }
         self.server.versions.record_push(w, iter);
         self.ctx.offline[w] = false;
-        self.discard_pending(w);
-        if now < self.ctx.duration() {
-            self.start_compute(w, now);
-        } else {
-            self.workers[w].done = true;
-            self.ctx.set_state(w, now, DeviceState::Idle);
-        }
+        self.ctx.discard_pending(w);
+        compute_or_retire(self, w, now);
         // The fast-forwarded version can only open the gate further.
         self.drain_waiting(now);
     }
@@ -626,7 +555,7 @@ impl ModelEngine {
         if let Some(ctx) = self.flows.clear_retx(w) {
             self.suspend_ctx(ctx);
         }
-        if !self.ctx.offline[w] && !self.workers[w].done && !self.workers[w].computing {
+        if !self.ctx.offline[w] && !self.ctx.done[w] && !self.ctx.computing[w] {
             self.ctx.set_state(w, now, DeviceState::Stall);
         }
     }
@@ -652,7 +581,7 @@ impl ModelEngine {
         self.ctx.server_down[shard] = true;
         for (w, ctx) in self.flows.cancel_where(&mut self.ctx, |_, _| true) {
             self.suspend_ctx(ctx);
-            if !self.ctx.offline[w] && !self.workers[w].done && !self.workers[w].computing {
+            if !self.ctx.offline[w] && !self.ctx.done[w] && !self.ctx.computing[w] {
                 self.ctx.set_state(w, now, DeviceState::Stall);
             }
         }

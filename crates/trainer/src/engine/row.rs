@@ -30,9 +30,9 @@ use rog_obs::{obs, obs_shard, Event, EventKind};
 use rog_sim::{DeviceState, Time};
 use rog_sync::gate;
 
-use crate::compute::{self, PendingDraw};
+use crate::compute;
 use crate::config::{ExperimentConfig, Strategy};
-use crate::engine::common::{drive, Engine, EngineCtx, FlowTable};
+use crate::engine::common::{compute_or_retire, drive, Engine, EngineCtx, FlowTable};
 use crate::metrics::{MicroSample, RunMetrics};
 use crate::run::FleetStats;
 
@@ -79,9 +79,6 @@ struct WState {
     worker: RogWorker,
     /// Completed iterations (currently working on `iter + 1`).
     iter: u64,
-    done: bool,
-    /// Currently running a gradient computation.
-    computing: bool,
     /// A push/pull cycle is in flight (pipeline mode).
     comm_busy: bool,
     /// Iteration the in-flight comm cycle is pushing.
@@ -172,9 +169,6 @@ struct RowEngine {
     waiting: Vec<(usize, usize, u64)>,
     /// Last pushed iteration per worker (micro-event staleness).
     last_pushed: Vec<u64>,
-    /// Outstanding `ComputeDone` timers of departed workers, swallowed
-    /// on arrival (one count per timer in flight at departure).
-    stale_timers: Vec<u32>,
     /// Compressed whole-model wire size, for rejoin resync transfers.
     model_wire_bytes: u64,
     /// Invariant watchdog: the last observed per-shard min(V), which may
@@ -353,8 +347,6 @@ pub fn run(cfg: &ExperimentConfig) -> (RunMetrics, rog_obs::Journal, FleetStats)
                 wcfg.with_codec(codec_choice, worker_codec_base.fork(w as u64).seed()),
             ),
             iter: 0,
-            done: false,
-            computing: false,
             comm_busy: false,
             comm_iter: 0,
             applied_iter: 0,
@@ -393,7 +385,6 @@ pub fn run(cfg: &ExperimentConfig) -> (RunMetrics, rog_obs::Journal, FleetStats)
         flows: FlowTable::new(n),
         waiting: Vec::new(),
         last_pushed: vec![0; n],
-        stale_timers: vec![0; n],
         model_wire_bytes,
         #[cfg(debug_assertions)]
         last_global_min: vec![0; n_shards],
@@ -438,7 +429,6 @@ impl Engine for RowEngine {
     }
 
     fn start_compute(&mut self, w: usize, now: Time) {
-        self.workers[w].computing = true;
         self.workers[w].pipe_waiting = false;
         obs!(
             self.ctx.journal,
@@ -475,25 +465,6 @@ impl Engine for RowEngine {
     }
 
     fn on_fault(&mut self, f: FaultEvent, now: Time) {
-        let tag = if self.n_shards > 1 {
-            f.shard().map_or(Event::NO_SHARD, |s| s as i64)
-        } else {
-            Event::NO_SHARD
-        };
-        obs_shard!(
-            self.ctx.journal,
-            now,
-            tag,
-            EventKind::Fault {
-                kind: f.name(),
-                // Aggregator faults scope `w` to the aggregator index
-                // (the `kind` disambiguates); server faults use the
-                // shard tag and leave `w` at -1.
-                w: f.worker()
-                    .or_else(|| f.aggregator())
-                    .map_or(-1, |w| w as i64),
-            }
-        );
         match f {
             FaultEvent::WorkerDown(w) => self.on_worker_down(w, now),
             FaultEvent::WorkerUp(w) => self.on_worker_up(w, now),
@@ -507,13 +478,6 @@ impl Engine for RowEngine {
     }
 
     fn on_compute_done(&mut self, w: usize, now: Time) {
-        if self.stale_timers[w] > 0 {
-            // The worker that armed this timer departed; void the draw.
-            self.stale_timers[w] -= 1;
-            self.discard_pending(w);
-            return;
-        }
-        self.workers[w].computing = false;
         if self.pipeline {
             self.on_compute_done_pipelined(w, now);
             return;
@@ -562,7 +526,7 @@ impl RowEngine {
     /// Sets the worker's state, preferring `Compute` while a gradient
     /// computation runs concurrently (pipeline mode).
     fn set_comm_state(&mut self, w: usize, now: Time, fallback: DeviceState) {
-        let state = if self.workers[w].computing {
+        let state = if self.ctx.computing[w] {
             DeviceState::Compute
         } else {
             fallback
@@ -574,7 +538,7 @@ impl RowEngine {
     /// in flight to other shards stays `Communicate`: one stalled or
     /// finished leg must not misattribute the whole device's time.
     fn set_comm_state_sub(&mut self, w: usize, now: Time, fallback: DeviceState) {
-        let state = if self.workers[w].computing {
+        let state = if self.ctx.computing[w] {
             DeviceState::Compute
         } else if self.flows.in_flight(w) > 0 {
             DeviceState::Communicate
@@ -624,7 +588,7 @@ impl RowEngine {
 
     fn maybe_continue_compute(&mut self, w: usize, now: Time) {
         if now >= self.ctx.duration() {
-            self.workers[w].done = true;
+            self.ctx.done[w] = true;
             if !self.workers[w].comm_busy {
                 self.ctx.set_state(w, now, DeviceState::Idle);
             }
@@ -1277,7 +1241,7 @@ impl RowEngine {
                 // Fresh gradients accumulated during the cycle: keep the
                 // pipe full.
                 self.begin_push(w, now, latest);
-            } else if !self.workers[w].computing {
+            } else if !self.ctx.computing[w] {
                 self.ctx.set_state(
                     w,
                     now,
@@ -1513,26 +1477,10 @@ impl RowEngine {
         self.maybe_adjust_threshold(now);
         self.maybe_adapt_bound(now);
         self.maybe_select_codecs(now);
-        if now < self.ctx.duration() {
-            self.start_compute(w, now);
-        } else {
-            self.workers[w].done = true;
-            self.ctx.set_state(w, now, DeviceState::Idle);
-        }
+        compute_or_retire(self, w, now);
     }
 
     // ----- fault injection ------------------------------------------------
-
-    /// Drops a worker's prefetched draw, recycling its buffer.
-    fn discard_pending(&mut self, w: usize) {
-        if let Some(PendingDraw {
-            result: Some((grads, _)),
-            ..
-        }) = self.ctx.pending[w].take()
-        {
-            self.ctx.recycle_grads(grads);
-        }
-    }
 
     /// Marks what a cancelled transfer should restart as once
     /// connectivity returns. `comm_busy` stays true for suspended
@@ -1561,12 +1509,8 @@ impl RowEngine {
         // (rejoin rebuilds the cycle from the resynced model instead).
         self.flows.cancel_flows_of(&mut self.ctx, w);
         self.waiting.retain(|&(x, _, _)| x != w);
-        if self.workers[w].computing {
-            // Its ComputeDone timer is still queued; swallow on arrival.
-            self.stale_timers[w] += 1;
-        }
+        self.ctx.void_compute(w);
         let ws = &mut self.workers[w];
-        ws.computing = false;
         ws.comm_busy = false;
         ws.pipe_waiting = false;
         ws.resume = None;
@@ -1605,24 +1549,10 @@ impl RowEngine {
     /// the whole model, tracked by a [`ReliableTransfer`]. Without one,
     /// the pre-loss single-chunk flow is byte-identical.
     fn begin_resync(&mut self, w: usize, now: Time) {
-        obs!(
-            self.ctx.journal,
-            now,
-            EventKind::ResyncStart {
-                w: w as u32,
-                bytes: self.model_wire_bytes,
-            }
-        );
-        self.ctx.set_state(w, now, DeviceState::Communicate);
         let link = shard_link(w, self.n_shards, 0);
-        self.flows.start_reliable(
-            &mut self.ctx,
-            now,
-            w,
-            link,
-            self.model_wire_bytes,
-            FlowCtx::Resync { w },
-        );
+        let bytes = self.model_wire_bytes;
+        self.flows
+            .begin_resync(&mut self.ctx, now, w, link, bytes, FlowCtx::Resync { w });
     }
 
     /// Debug-build invariant watchdog: each shard's min(V) may never
@@ -1649,38 +1579,18 @@ impl RowEngine {
         }
     }
 
-    /// Completes a rejoin: the worker adopts the most advanced online
-    /// peer's model (ties break to the lowest index) — the closest
-    /// stand-in the simulation has for the server streaming its current
-    /// model; any choice within the RSP staleness bound is admissible.
-    /// Error-feedback residuals, momentum and Adam state are reset (the
+    /// Completes a rejoin around the adopted peer model
+    /// ([`EngineCtx::adopt_most_advanced_peer`]): error-feedback
+    /// residuals, momentum and Adam state are reset (the
     /// paper's defined policy: stale compensation must not leak into the
     /// adopted model), row iterations are stamped to the adopted
     /// iteration, and every shard's version rows fast-forward to match.
     fn finish_resync(&mut self, w: usize, now: Time) {
-        let mut reference: Option<usize> = None;
-        for (i, ws) in self.workers.iter().enumerate() {
-            if i == w || self.ctx.offline[i] {
-                continue;
-            }
-            if reference.is_none_or(|r| ws.iter > self.workers[r].iter) {
-                reference = Some(i);
-            }
-        }
-        if let Some(r) = reference {
-            self.ctx.models[w] = self.ctx.models[r].clone();
-            self.workers[w].iter = self.workers[r].iter;
-        }
-        let n = self.workers[w].iter;
-        obs!(
-            self.ctx.journal,
-            now,
-            EventKind::ResyncEnd {
-                w: w as u32,
-                iter: n
-            }
-        );
+        let n = self
+            .ctx
+            .adopt_most_advanced_peer(w, now, |i| self.workers[i].iter);
         let ws = &mut self.workers[w];
+        ws.iter = n;
         ws.applied_iter = n;
         ws.comm_iter = n;
         ws.comm_busy = false;
@@ -1696,13 +1606,8 @@ impl RowEngine {
         self.server.rejoin_worker(w, n);
         self.ctx.offline[w] = false;
         self.last_pushed[w] = n;
-        self.discard_pending(w);
-        if now < self.ctx.duration() {
-            self.start_compute(w, now);
-        } else {
-            self.workers[w].done = true;
-            self.ctx.set_state(w, now, DeviceState::Idle);
-        }
+        self.ctx.discard_pending(w);
+        compute_or_retire(self, w, now);
         // The freshly stamped member can only raise min(V).
         self.drain_waiting(now);
     }
@@ -1720,7 +1625,7 @@ impl RowEngine {
         if let Some(ctx) = self.flows.clear_retx(w) {
             self.suspend_ctx(ctx);
         }
-        if !self.ctx.offline[w] && !self.workers[w].done {
+        if !self.ctx.offline[w] && !self.ctx.done[w] {
             self.set_comm_state(w, now, DeviceState::Stall);
         }
     }
@@ -1759,7 +1664,7 @@ impl RowEngine {
             if let Some(ctx) = self.flows.clear_retx(w) {
                 self.suspend_ctx(ctx);
             }
-            if !self.ctx.offline[w] && !self.workers[w].done {
+            if !self.ctx.offline[w] && !self.ctx.done[w] {
                 self.set_comm_state(w, now, DeviceState::Stall);
             }
         }
@@ -1797,7 +1702,7 @@ impl RowEngine {
             .cancel_where(&mut self.ctx, |_, c| c.shard().is_none_or(|cs| cs == shard));
         for (w, ctx) in doomed {
             self.suspend_ctx(ctx);
-            if !self.ctx.offline[w] && !self.workers[w].done {
+            if !self.ctx.offline[w] && !self.ctx.done[w] {
                 self.set_comm_state_sub(w, now, DeviceState::Stall);
             }
         }

@@ -19,13 +19,15 @@
 //! engaged leg has. With one shard everything collapses to the original
 //! single-server engine, bit for bit.
 
+use std::ops::Range;
+
 use rog_compress::{CodecChoice, RowCodec};
 use rog_core::{
     mta, AggregatorMap, AggregatorPlane, MtaTimeTracker, RogWorker, RogWorkerConfig, RowId,
     ShardMap, ShardedServer,
 };
 use rog_fault::FaultEvent;
-use rog_net::{shard_link, FlowEvent, FlowOutcome, FlowSpec};
+use rog_net::{shard_link, DeliveryReport, FlowEvent, FlowOutcome, FlowSpec};
 use rog_obs::{obs, obs_shard, Event, EventKind};
 use rog_sim::{DeviceState, Time};
 use rog_sync::gate;
@@ -36,34 +38,108 @@ use crate::engine::common::{compute_or_retire, drive, Engine, EngineCtx, FlowTab
 use crate::metrics::{MicroSample, RunMetrics};
 use crate::run::FleetStats;
 
+/// One direction (push or pull) of a shard leg: the speculative
+/// transmission of a ranked row plan (ATP). The first flow carries the
+/// whole plan under the shard's MTA-time budget as its deadline; if the
+/// deadline cuts it short of `target`, a second flow without a deadline
+/// carries exactly the rows up to `target`.
+#[derive(Default)]
+struct Leg {
+    /// Rows to transmit, in rank order.
+    plan: Vec<RowId>,
+    /// Length of the prefix of `plan` transmitted so far.
+    delivered: usize,
+    /// Rows that must be transmitted before the leg may end (the MTA,
+    /// and on a push any longer RSP-mandatory prefix).
+    target: usize,
+    /// Transmitted rows that actually arrived intact (loss model
+    /// installed only; rows are best-effort, so a lost push row is
+    /// simply not committed and ages toward the RSP bound, and a lost
+    /// pull row stays pending on the server).
+    intact: Vec<RowId>,
+}
+
+/// What a [`Leg`] does after one of its flows left the air.
+#[derive(Debug, PartialEq, Eq)]
+enum LegRound {
+    /// Straggler this round: keep transmitting these plan positions,
+    /// without a deadline.
+    Continue(Range<usize>),
+    /// The transmission is over; [`Leg::landed`] has the rows.
+    Finished,
+}
+
+impl Leg {
+    /// Arms the leg for a fresh transmission of its plan.
+    fn begin(&mut self, target: usize) {
+        self.target = target;
+        self.delivered = 0;
+        self.intact.clear();
+    }
+
+    /// Accounts one finished flow (`cont`: the continuation flow) and
+    /// its delivery report (`None` without a loss model: every
+    /// transmitted row counts, the pre-loss fast path).
+    fn on_leg_round(
+        &mut self,
+        cont: bool,
+        outcome: &FlowOutcome,
+        report: Option<&DeliveryReport>,
+    ) -> LegRound {
+        let delivered_now = match *outcome {
+            FlowOutcome::Completed if cont => self.target - self.delivered,
+            FlowOutcome::Completed => self.plan.len(),
+            FlowOutcome::DeadlineReached { chunks_done, .. } => chunks_done,
+            FlowOutcome::Cancelled { .. } => {
+                unreachable!("cancelled flows are reaped at the fault site")
+            }
+        };
+        if let Some(report) = report {
+            let sent = &self.plan[self.delivered..self.delivered + delivered_now];
+            self.intact.extend(
+                sent.iter()
+                    .enumerate()
+                    .filter(|&(i, _)| report.intact(i))
+                    .map(|(_, &id)| id),
+            );
+        }
+        self.delivered += delivered_now;
+        if !cont && self.delivered < self.target {
+            LegRound::Continue(self.delivered..self.target)
+        } else {
+            LegRound::Finished
+        }
+    }
+
+    /// The rows that got through: the intact ones under a loss model,
+    /// otherwise everything transmitted.
+    fn landed(&mut self, lossy: bool) -> Vec<RowId> {
+        if lossy {
+            std::mem::take(&mut self.intact)
+        } else {
+            self.plan[..self.delivered].to_vec()
+        }
+    }
+}
+
 /// One shard's leg of a worker's push/pull cycle.
 #[derive(Default)]
 struct SubState {
     /// Rows of this cycle homed on this shard, in global rank order
     /// (the RSP-mandatory rows form a prefix).
-    push_plan: Vec<RowId>,
+    push: Leg,
     push_started: Time,
     /// When the worker joined this shard's RSP gate wait (journal only).
     gate_entered: Time,
-    push_delivered: usize,
-    push_target: usize,
     mta_rows: usize,
-    /// Length of the RSP-mandatory prefix of `push_plan`. Mandatory rows
-    /// are the gate's contract — a worker at the staleness bound blocks
-    /// every peer's pull — so unlike the best-effort bulk they are
-    /// retransmitted within the cycle until they land.
+    /// Length of the RSP-mandatory prefix of the push plan. Mandatory
+    /// rows are the gate's contract — a worker at the staleness bound
+    /// blocks every peer's pull — so unlike the best-effort bulk they
+    /// are retransmitted within the cycle until they land.
     push_mandatory: usize,
-    /// Rows of the current push leg that actually arrived intact
-    /// (loss model installed only; gradient rows are best-effort, so a
-    /// lost row is simply not committed and ages toward the RSP bound).
-    push_intact: Vec<RowId>,
     /// Mandatory rows lost in flight, currently being retransmitted.
     push_retry: Vec<RowId>,
-    pull_plan: Vec<RowId>,
-    pull_delivered: usize,
-    pull_target: usize,
-    /// Rows of the current pull leg that arrived intact (ditto).
-    pull_intact: Vec<RowId>,
+    pull: Leg,
     /// This shard participates in the current cycle.
     engaged: bool,
     /// The push (commit + gate entry) finished for this cycle.
@@ -73,6 +149,17 @@ struct SubState {
     /// Action to take on this leg once connectivity returns after a
     /// fault cancelled its in-flight transfer.
     resume: Option<SubResume>,
+}
+
+impl SubState {
+    /// Takes the leg out of the cycle it was part of (a new cycle
+    /// starts, or the worker departed or rejoined).
+    fn disengage(&mut self) {
+        self.engaged = false;
+        self.push_done = false;
+        self.done = false;
+        self.resume = None;
+    }
 }
 
 struct WState {
@@ -443,9 +530,9 @@ impl Engine for RowEngine {
 
     fn on_flow(&mut self, flow: FlowCtx, ev: FlowEvent) {
         match flow {
-            FlowCtx::Push { w, s, cont } => self.on_push_flow(w, s, cont, ev),
+            FlowCtx::Push { w, s, cont } => self.on_leg_flow(w, s, false, cont, ev),
             FlowCtx::PushRetry { w, s } => self.on_push_retry_flow(w, s, ev),
-            FlowCtx::Pull { w, s, cont } => self.on_pull_flow(w, s, cont, ev),
+            FlowCtx::Pull { w, s, cont } => self.on_leg_flow(w, s, true, cont, ev),
             FlowCtx::Resync { w } => {
                 debug_assert!(
                     matches!(ev.outcome, FlowOutcome::Completed),
@@ -629,18 +716,15 @@ impl RowEngine {
         let mut plan = std::mem::take(&mut ws.plan_scratch);
         ws.worker.plan_push_into(n, &mut plan);
         for sub in &mut ws.subs {
-            sub.push_plan.clear();
-            sub.engaged = false;
-            sub.push_done = false;
-            sub.done = false;
-            sub.resume = None;
+            sub.push.plan.clear();
+            sub.disengage();
         }
         // Split the globally ranked plan across shards; per-shard order
         // follows the ranking, so each shard's RSP-mandatory rows stay a
         // prefix of its leg's plan.
         let map = self.server.map();
         for &id in &plan {
-            ws.subs[map.shard_of(id)].push_plan.push(id);
+            ws.subs[map.shard_of(id)].push.plan.push(id);
         }
         ws.plan_scratch = plan;
         for s in 0..self.n_shards {
@@ -662,11 +746,12 @@ impl RowEngine {
     fn start_push_sub(&mut self, w: usize, s: usize, now: Time, n: u64) {
         let threshold = self.threshold;
         let ws = &mut self.workers[w];
-        let n_rows = ws.subs[s].push_plan.len();
+        let n_rows = ws.subs[s].push.plan.len();
         let mandatory = {
             let row_iters = ws.worker.row_iters();
             ws.subs[s]
-                .push_plan
+                .push
+                .plan
                 .iter()
                 .take_while(|&&id| gate::row_is_mandatory(row_iters[id.0], n, threshold))
                 .count()
@@ -678,11 +763,9 @@ impl RowEngine {
         sub.push_done = false;
         sub.resume = None;
         sub.mta_rows = mta_rows;
-        sub.push_target = mta_rows.max(mandatory).min(n_rows);
+        sub.push.begin(mta_rows.max(mandatory).min(n_rows));
         sub.push_mandatory = mandatory.min(n_rows);
         sub.push_started = now;
-        sub.push_delivered = 0;
-        sub.push_intact.clear();
         sub.push_retry.clear();
         let budget = self.trackers[s].get();
         if self.ctx.journal.enabled() {
@@ -690,7 +773,7 @@ impl RowEngine {
             let start = EventKind::PushStart {
                 w: w as u32,
                 iter: n,
-                rows: sub.push_plan.len() as u32,
+                rows: n_rows as u32,
                 mand: sub.push_mandatory as u32,
                 mta: sub.mta_rows as u32,
                 budget,
@@ -698,48 +781,69 @@ impl RowEngine {
             let rows_ranked = EventKind::RowPush {
                 w: w as u32,
                 iter: n,
-                rows: sub.push_plan.iter().map(|id| id.0 as u32).collect(),
+                rows: sub.push.plan.iter().map(|id| id.0 as u32).collect(),
             };
             let tag = self.shard_tag(s);
             self.ctx.journal.record_shard(now, tag, start);
             self.ctx.journal.record_shard(now, tag, rows_ranked);
         }
-        let chunks = {
-            let ws = &self.workers[w];
-            self.scaled_chunks(ws, &ws.subs[s].push_plan)
-        };
+        let chunks = self.leg_chunks(w, s, false, 0..n_rows);
         self.set_comm_state(w, now, DeviceState::Communicate);
-        let link = shard_link(w, self.n_shards, s);
-        self.flows.start(
-            &mut self.ctx,
-            now,
-            w,
-            FlowSpec::new(link, chunks).with_deadline(now + budget),
-            FlowCtx::Push { w, s, cont: false },
-        );
+        self.start_leg_flow(w, s, false, now, chunks, Some(now + budget));
     }
 
-    /// Collects the rows of a finished push/pull flow round that arrived
-    /// intact. Without a loss model there is no report and every
-    /// transmitted row counts (the pre-loss fast path stays untouched).
-    fn collect_intact(
+    /// Wire sizes of positions `rows` of a leg's plan: a push row is
+    /// sized by the worker's codec state, a pull row by the server's
+    /// per-destination state.
+    fn leg_chunks(&self, w: usize, s: usize, pull: bool, rows: Range<usize>) -> Vec<u64> {
+        let ws = &self.workers[w];
+        if pull {
+            ws.subs[s].pull.plan[rows]
+                .iter()
+                .map(|&id| {
+                    self.ctx
+                        .cluster
+                        .scaled_row_bytes(self.server.payload_bytes_for(w, id))
+                })
+                .collect()
+        } else {
+            self.scaled_chunks(ws, &ws.subs[s].push.plan[rows])
+        }
+    }
+
+    /// Puts one flow of a leg on the worker↔shard link: the first,
+    /// speculative one under `deadline`, the continuation without.
+    fn start_leg_flow(
         &mut self,
-        ev: &FlowEvent,
-        base: usize,
-        delivered_now: usize,
-        pull: bool,
         w: usize,
         s: usize,
+        pull: bool,
+        now: Time,
+        chunks: Vec<u64>,
+        deadline: Option<Time>,
     ) {
-        let Some(report) = self.ctx.cluster.transport.take_report(ev.id) else {
-            return;
+        let mut spec = FlowSpec::new(shard_link(w, self.n_shards, s), chunks);
+        if let Some(deadline) = deadline {
+            spec = spec.with_deadline(deadline);
+        }
+        let cont = deadline.is_none();
+        let flow = if pull {
+            FlowCtx::Pull { w, s, cont }
+        } else {
+            FlowCtx::Push { w, s, cont }
         };
+        self.flows.start(&mut self.ctx, now, w, spec, flow);
+    }
+
+    /// Journals the chunks a flow round lost to the loss model, if any.
+    fn journal_loss(&mut self, w: usize, s: usize, at: Time, report: Option<&DeliveryReport>) {
+        let Some(report) = report else { return };
         let lost = report.lost_chunks();
         let corrupt = report.corrupt_chunks();
         if lost + corrupt > 0 {
             obs_shard!(
                 self.ctx.journal,
-                ev.at,
+                at,
                 self.shard_tag(s),
                 EventKind::Loss {
                     w: w as u32,
@@ -749,58 +853,23 @@ impl RowEngine {
                 }
             );
         }
-        let sub = &mut self.workers[w].subs[s];
-        let (plan, intact) = if pull {
-            (&sub.pull_plan, &mut sub.pull_intact)
-        } else {
-            (&sub.push_plan, &mut sub.push_intact)
-        };
-        intact.extend(
-            (0..delivered_now)
-                .filter(|&i| report.intact(i))
-                .map(|i| plan[base + i]),
-        );
     }
 
-    fn on_push_flow(&mut self, w: usize, s: usize, cont: bool, ev: FlowEvent) {
-        let now = ev.at;
-        let delivered_now = match ev.outcome {
-            FlowOutcome::Completed => {
-                let sub = &self.workers[w].subs[s];
-                if cont {
-                    sub.push_target - sub.push_delivered
-                } else {
-                    sub.push_plan.len()
-                }
-            }
-            FlowOutcome::DeadlineReached { chunks_done, .. } => chunks_done,
-            FlowOutcome::Cancelled { .. } => {
-                unreachable!("cancelled flows are reaped at the fault site")
-            }
-        };
-        let base = self.workers[w].subs[s].push_delivered;
-        self.collect_intact(&ev, base, delivered_now, false, w, s);
+    /// One flow of a speculative leg left the air: bank what it
+    /// delivered, then continue to the target or end the transmission.
+    fn on_leg_flow(&mut self, w: usize, s: usize, pull: bool, cont: bool, ev: FlowEvent) {
+        let report = self.ctx.cluster.transport.take_report(ev.id);
+        self.journal_loss(w, s, ev.at, report.as_ref());
         let sub = &mut self.workers[w].subs[s];
-        sub.push_delivered += delivered_now;
-        if !cont && sub.push_delivered < sub.push_target {
-            // Straggler this round: keep transmitting up to the target
-            // (MTA plus any RSP-mandatory rows), without a deadline.
-            let rest: Vec<RowId> = sub.push_plan[sub.push_delivered..sub.push_target].to_vec();
-            let chunks = {
-                let ws = &self.workers[w];
-                self.scaled_chunks(ws, &rest)
-            };
-            let link = shard_link(w, self.n_shards, s);
-            self.flows.start(
-                &mut self.ctx,
-                now,
-                w,
-                FlowSpec::new(link, chunks),
-                FlowCtx::Push { w, s, cont: true },
-            );
-            return;
+        let leg = if pull { &mut sub.pull } else { &mut sub.push };
+        match leg.on_leg_round(cont, &ev.outcome, report.as_ref()) {
+            LegRound::Continue(rest) => {
+                let chunks = self.leg_chunks(w, s, pull, rest);
+                self.start_leg_flow(w, s, pull, ev.at, chunks, None);
+            }
+            LegRound::Finished if pull => self.finish_pull_sub(w, s, ev.at),
+            LegRound::Finished => self.maybe_finish_push(w, s, ev.at),
         }
-        self.maybe_finish_push(w, s, now);
     }
 
     /// Ends a push leg — unless mandatory rows were lost in flight, in
@@ -846,10 +915,10 @@ impl RowEngine {
     /// Mandatory-prefix rows of one leg that have not yet arrived intact.
     fn missing_mandatory(&self, w: usize, s: usize) -> Vec<RowId> {
         let sub = &self.workers[w].subs[s];
-        sub.push_plan[..sub.push_mandatory.min(sub.push_delivered)]
+        sub.push.plan[..sub.push_mandatory.min(sub.push.delivered)]
             .iter()
             .copied()
-            .filter(|id| !sub.push_intact.contains(id))
+            .filter(|id| !sub.push.intact.contains(id))
             .collect()
     }
 
@@ -862,48 +931,29 @@ impl RowEngine {
         );
         let report = self.ctx.cluster.transport.take_report(ev.id);
         let retry = std::mem::take(&mut self.workers[w].subs[s].push_retry);
-        if let Some(rep) = report.as_ref() {
-            let lost = rep.lost_chunks();
-            let corrupt = rep.corrupt_chunks();
-            if lost + corrupt > 0 {
-                obs_shard!(
-                    self.ctx.journal,
-                    ev.at,
-                    self.shard_tag(s),
-                    EventKind::Loss {
-                        w: w as u32,
-                        lost: lost as u32,
-                        corrupt: corrupt as u32,
-                        chunks: rep.fates.len() as u32,
-                    }
-                );
-            }
-        }
-        let sub = &mut self.workers[w].subs[s];
+        self.journal_loss(w, s, ev.at, report.as_ref());
+        let intact = &mut self.workers[w].subs[s].push.intact;
         match report {
-            Some(rep) => sub.push_intact.extend(
+            Some(rep) => intact.extend(
                 retry
                     .iter()
                     .enumerate()
                     .filter(|&(i, _)| rep.intact(i))
                     .map(|(_, &id)| id),
             ),
-            None => sub.push_intact.extend(retry.iter().copied()),
+            None => intact.extend(retry.iter().copied()),
         }
         self.maybe_finish_push(w, s, ev.at);
     }
 
     fn finish_push_sub(&mut self, w: usize, s: usize, now: Time) {
-        let n = if self.pipeline {
-            self.workers[w].comm_iter
-        } else {
-            self.workers[w].iter + 1
-        };
+        // The iteration this cycle pushes (`iter + 1` when sequential).
+        let n = self.workers[w].comm_iter;
         let (delivered, total_rows, duration, mta_rows) = {
             let sub = &self.workers[w].subs[s];
             (
-                sub.push_delivered,
-                sub.push_plan.len(),
+                sub.push.delivered,
+                sub.push.plan.len(),
                 (now - sub.push_started).max(1e-6),
                 sub.mta_rows,
             )
@@ -913,11 +963,7 @@ impl RowEngine {
         // which changes a content-sized codec's payloads (one-bit sizes
         // are width-only, so the ordering is immaterial there).
         let journal_bytes: u64 = if self.ctx.journal.enabled() {
-            let ws = &self.workers[w];
-            let upto = delivered.min(ws.subs[s].push_plan.len());
-            self.scaled_chunks(ws, &ws.subs[s].push_plan[..upto])
-                .iter()
-                .sum()
+            self.leg_chunks(w, s, false, 0..delivered).iter().sum()
         } else {
             0
         };
@@ -927,11 +973,8 @@ impl RowEngine {
             // keep their error-feedback residual and stale row iteration,
             // so they age toward the RSP-mandatory bound and retransmit
             // as mandatory rows of a later push.
-            let plan: Vec<RowId> = if self.ctx.cluster.transport.loss_enabled() {
-                std::mem::take(&mut self.workers[w].subs[s].push_intact)
-            } else {
-                self.workers[w].subs[s].push_plan[..delivered].to_vec()
-            };
+            let lossy = self.ctx.cluster.transport.loss_enabled();
+            let plan = self.workers[w].subs[s].push.landed(lossy);
             self.workers[w].worker.commit_push(&plan, n)
         };
         let min_before = self.server.versions(s).global_min();
@@ -1088,33 +1131,17 @@ impl RowEngine {
                 );
             }
         }
-        let mut plan = std::mem::take(&mut self.workers[w].subs[s].pull_plan);
-        self.server.plan_pull_into(s, w, &mut plan);
-        if plan.is_empty() {
-            self.workers[w].subs[s].pull_plan = plan;
+        let pull = &mut self.workers[w].subs[s].pull;
+        self.server.plan_pull_into(s, w, &mut pull.plan);
+        let n_rows = pull.plan.len();
+        if n_rows == 0 {
             self.finish_sub(w, s, now);
             return;
         }
         let mta_rows = mta::mta_rows(self.server.map().shard_rows(s), self.threshold);
-        {
-            let sub = &mut self.workers[w].subs[s];
-            sub.pull_target = mta_rows.min(plan.len());
-            sub.pull_plan = plan;
-            sub.pull_delivered = 0;
-            sub.pull_intact.clear();
-        }
+        pull.begin(mta_rows.min(n_rows));
         let budget = self.trackers[s].get();
-        let chunks: Vec<u64> = {
-            let sub = &self.workers[w].subs[s];
-            sub.pull_plan
-                .iter()
-                .map(|&id| {
-                    self.ctx
-                        .cluster
-                        .scaled_row_bytes(self.server.payload_bytes_for(w, id))
-                })
-                .collect()
-        };
+        let chunks = self.leg_chunks(w, s, true, 0..n_rows);
         if self.ctx.journal.enabled() {
             let ws = &self.workers[w];
             let tag = self.shard_tag(s);
@@ -1133,70 +1160,21 @@ impl RowEngine {
                 EventKind::RowPull {
                     w: w as u32,
                     iter: ws.comm_iter,
-                    rows: ws.subs[s].pull_plan.iter().map(|id| id.0 as u32).collect(),
+                    rows: ws.subs[s].pull.plan.iter().map(|id| id.0 as u32).collect(),
                 },
             );
         }
         self.set_comm_state(w, now, DeviceState::Communicate);
-        let link = shard_link(w, self.n_shards, s);
-        self.flows.start(
-            &mut self.ctx,
-            now,
-            w,
-            FlowSpec::new(link, chunks).with_deadline(now + budget),
-            FlowCtx::Pull { w, s, cont: false },
-        );
+        self.start_leg_flow(w, s, true, now, chunks, Some(now + budget));
     }
 
-    fn on_pull_flow(&mut self, w: usize, s: usize, cont: bool, ev: FlowEvent) {
-        let now = ev.at;
-        let delivered_now = match ev.outcome {
-            FlowOutcome::Completed => {
-                let sub = &self.workers[w].subs[s];
-                if cont {
-                    sub.pull_target - sub.pull_delivered
-                } else {
-                    sub.pull_plan.len()
-                }
-            }
-            FlowOutcome::DeadlineReached { chunks_done, .. } => chunks_done,
-            FlowOutcome::Cancelled { .. } => {
-                unreachable!("cancelled flows are reaped at the fault site")
-            }
-        };
-        let base = self.workers[w].subs[s].pull_delivered;
-        self.collect_intact(&ev, base, delivered_now, true, w, s);
-        let sub = &mut self.workers[w].subs[s];
-        sub.pull_delivered += delivered_now;
-        if !cont && sub.pull_delivered < sub.pull_target {
-            let rest: Vec<RowId> = sub.pull_plan[sub.pull_delivered..sub.pull_target].to_vec();
-            let chunks: Vec<u64> = rest
-                .iter()
-                .map(|&id| {
-                    self.ctx
-                        .cluster
-                        .scaled_row_bytes(self.server.payload_bytes_for(w, id))
-                })
-                .collect();
-            let link = shard_link(w, self.n_shards, s);
-            self.flows.start(
-                &mut self.ctx,
-                now,
-                w,
-                FlowSpec::new(link, chunks),
-                FlowCtx::Pull { w, s, cont: true },
-            );
-            return;
-        }
+    /// A pull leg's transmission ended: commit and apply what arrived.
+    fn finish_pull_sub(&mut self, w: usize, s: usize, now: Time) {
         // Apply whatever arrived (intact rows only under a loss model:
         // a dropped pull row stays pending on the server and re-ranks
         // into a later pull instead of being silently consumed).
-        let delivered = self.workers[w].subs[s].pull_delivered;
-        let rows: Vec<RowId> = if self.ctx.cluster.transport.loss_enabled() {
-            std::mem::take(&mut self.workers[w].subs[s].pull_intact)
-        } else {
-            self.workers[w].subs[s].pull_plan[..delivered].to_vec()
-        };
+        let lossy = self.ctx.cluster.transport.loss_enabled();
+        let rows = self.workers[w].subs[s].pull.landed(lossy);
         obs_shard!(
             self.ctx.journal,
             now,
@@ -1515,10 +1493,7 @@ impl RowEngine {
         ws.pipe_waiting = false;
         ws.resume = None;
         for sub in &mut ws.subs {
-            sub.engaged = false;
-            sub.push_done = false;
-            sub.done = false;
-            sub.resume = None;
+            sub.disengage();
         }
         self.server.deactivate_worker(w);
         self.ctx.set_state(w, now, DeviceState::Offline);
@@ -1597,10 +1572,7 @@ impl RowEngine {
         ws.pipe_waiting = false;
         ws.resume = None;
         for sub in &mut ws.subs {
-            sub.engaged = false;
-            sub.push_done = false;
-            sub.done = false;
-            sub.resume = None;
+            sub.disengage();
         }
         ws.worker.reset_for_rejoin(n);
         self.server.rejoin_worker(w, n);
@@ -1745,13 +1717,7 @@ impl RowEngine {
         match self.workers[w].resume {
             Some(Resume::Push) if self.any_shard_up() => {
                 self.workers[w].resume = None;
-                // Re-plan against the latest accumulated gradients: in
-                // pipeline mode compute kept running during the outage.
-                let n = if self.pipeline {
-                    self.workers[w].iter
-                } else {
-                    self.workers[w].iter + 1
-                };
+                let n = self.restart_iter(w);
                 self.begin_push(w, now, n);
             }
             Some(Resume::Resync) if !self.ctx.any_server_down() => {
@@ -1764,6 +1730,18 @@ impl RowEngine {
             if !self.ctx.server_down[s] {
                 self.resume_sub(w, s, now);
             }
+        }
+    }
+
+    /// The iteration a cycle restarted after an outage pushes: the one
+    /// being worked on — except in pipeline mode, where compute kept
+    /// running during the outage and the restart re-plans against the
+    /// latest accumulated gradients.
+    fn restart_iter(&self, w: usize) -> u64 {
+        if self.pipeline {
+            self.workers[w].iter
+        } else {
+            self.workers[w].iter + 1
         }
     }
 
@@ -1787,11 +1765,7 @@ impl RowEngine {
                     for sub in &mut self.workers[w].subs {
                         sub.resume = None;
                     }
-                    let n = if self.pipeline {
-                        self.workers[w].iter
-                    } else {
-                        self.workers[w].iter + 1
-                    };
+                    let n = self.restart_iter(w);
                     self.begin_push(w, now, n);
                 } else {
                     self.workers[w].subs[s].resume = None;
@@ -1818,8 +1792,9 @@ impl RowEngine {
         ws.worker.plan_push_into(n, &mut plan);
         let map = self.server.map();
         let sub = &mut ws.subs[s];
-        sub.push_plan.clear();
-        sub.push_plan
+        sub.push.plan.clear();
+        sub.push
+            .plan
             .extend(plan.iter().copied().filter(|&id| map.shard_of(id) == s));
         ws.plan_scratch = plan;
     }
@@ -1847,6 +1822,76 @@ mod tests {
             seed: 42,
             ..ExperimentConfig::default()
         }
+    }
+
+    fn leg(rows: usize, target: usize) -> Leg {
+        let mut leg = Leg {
+            plan: (0..rows).map(RowId).collect(),
+            ..Leg::default()
+        };
+        leg.begin(target);
+        leg
+    }
+
+    fn cut_at(chunks_done: usize) -> FlowOutcome {
+        FlowOutcome::DeadlineReached {
+            chunks_done,
+            bytes_done: 0,
+        }
+    }
+
+    #[test]
+    fn leg_that_fits_its_deadline_delivers_the_whole_plan() {
+        let mut l = leg(10, 4);
+        assert_eq!(
+            l.on_leg_round(false, &FlowOutcome::Completed, None),
+            LegRound::Finished
+        );
+        assert_eq!(l.landed(false).len(), 10);
+    }
+
+    #[test]
+    fn leg_cut_below_its_target_continues_exactly_to_it() {
+        let mut l = leg(10, 4);
+        assert_eq!(
+            l.on_leg_round(false, &cut_at(1), None),
+            LegRound::Continue(1..4)
+        );
+        assert_eq!(
+            l.on_leg_round(true, &FlowOutcome::Completed, None),
+            LegRound::Finished
+        );
+        assert_eq!(l.landed(false), [RowId(0), RowId(1), RowId(2), RowId(3)]);
+    }
+
+    #[test]
+    fn leg_cut_at_or_above_its_target_is_finished() {
+        let mut l = leg(10, 4);
+        assert_eq!(l.on_leg_round(false, &cut_at(6), None), LegRound::Finished);
+        assert_eq!(l.landed(false).len(), 6);
+    }
+
+    #[test]
+    fn lossy_leg_lands_only_the_intact_rows_of_both_flows() {
+        use rog_net::ChunkFate::{Corrupt, Delivered, Lost};
+        let report = |fates: &[rog_net::ChunkFate]| DeliveryReport {
+            link: 0,
+            fates: fates.to_vec(),
+            lost_bytes: 0,
+            corrupt_bytes: 0,
+        };
+        let mut l = leg(6, 4);
+        let first = report(&[Delivered, Lost]);
+        assert_eq!(
+            l.on_leg_round(false, &cut_at(2), Some(&first)),
+            LegRound::Continue(2..4)
+        );
+        let second = report(&[Corrupt, Delivered]);
+        assert_eq!(
+            l.on_leg_round(true, &FlowOutcome::Completed, Some(&second)),
+            LegRound::Finished
+        );
+        assert_eq!(l.landed(true), [RowId(0), RowId(3)]);
     }
 
     #[test]

@@ -642,11 +642,21 @@ impl<C> FlowTable<C> {
     }
 
     /// Cancels every in-flight transfer of worker `target`.
-    pub(crate) fn cancel_flows_of(&mut self, ctx: &mut EngineCtx, target: usize) -> Vec<C> {
+    fn cancel_flows_of(&mut self, ctx: &mut EngineCtx, target: usize) -> Vec<C> {
         self.cancel_where(ctx, |w, _| w == target)
             .into_iter()
             .map(|(_, flow)| flow)
             .collect()
+    }
+
+    /// Worker `w` lost its path (or its power): its in-flight transfers
+    /// are cancelled and its reliable transfer abandoned. Returns the
+    /// contexts of everything that was on the air or parked in a
+    /// retransmit backoff (which has no flow to cancel).
+    pub(crate) fn sever(&mut self, ctx: &mut EngineCtx, w: usize) -> Vec<C> {
+        let mut cut = self.cancel_flows_of(ctx, w);
+        cut.extend(self.clear_retx(w));
+        cut
     }
 
     /// Starts the full-model transfer that brings rejoining worker `w`

@@ -7,6 +7,7 @@
 //! timelines and the metrics collector.
 
 pub mod common;
+mod control;
 pub mod model;
 pub mod row;
 

@@ -40,21 +40,13 @@ struct WState {
     round_started: Time,
     /// When the worker joined the gate wait (journal only).
     gate_entered: Time,
-    /// Phase to restart once connectivity returns after a fault.
-    resume: Option<MResume>,
-}
-
-/// What an interrupted worker restarts when connectivity returns.
-/// Model-granularity strategies keep *static* membership — a departed
-/// worker's version pins the SSP/BSP gate until it rejoins, which is
-/// exactly the fragility ROG's dynamic membership removes.
-enum MResume {
-    /// Retransmit the whole-model push (`grads` are still held).
-    Push,
-    /// Retransmit the pull; the drained averaged gradients ride along.
-    Pull(GradSet),
-    /// Restart the rejoin resync transfer.
-    Resync,
+    /// The transfer to restart from scratch once connectivity returns
+    /// after a fault (a pull's drained averaged gradients ride along; a
+    /// push's `grads` are still held). Model-granularity strategies keep
+    /// *static* membership — a departed worker's version pins the
+    /// SSP/BSP gate until it rejoins, which is exactly the fragility
+    /// ROG's dynamic membership removes.
+    resume: Option<FlowCtx>,
 }
 
 struct Server {
@@ -295,7 +287,7 @@ impl ModelEngine {
     /// Starts (or, after a fault, parks) the whole-model push transfer.
     fn start_push(&mut self, w: usize, now: Time) {
         if self.ctx.any_server_down() || self.ctx.link_down[w] {
-            self.workers[w].resume = Some(MResume::Push);
+            self.workers[w].resume = Some(FlowCtx::Push(w));
             self.ctx.set_state(w, now, DeviceState::Stall);
             return;
         }
@@ -465,11 +457,7 @@ impl ModelEngine {
 
     fn suspend_ctx(&mut self, ctx: FlowCtx) {
         let w = ctx.worker();
-        self.workers[w].resume = Some(match ctx {
-            FlowCtx::Push(_) => MResume::Push,
-            FlowCtx::Pull(_, payload) => MResume::Pull(payload),
-            FlowCtx::Resync(_) => MResume::Resync,
-        });
+        self.workers[w].resume = Some(ctx);
     }
 
     fn on_worker_down(&mut self, w: usize, now: Time) {
@@ -482,9 +470,7 @@ impl ModelEngine {
         // row is NOT aged out — model-granularity baselines have static
         // membership, so the departed worker pins the BSP/SSP gate until
         // it rejoins (the fragility ROG's membership protocol removes).
-        self.flows.cancel_flows_of(&mut self.ctx, w);
-        // A transfer parked in retransmit backoff dies with the device.
-        self.flows.clear_retx(w);
+        self.flows.sever(&mut self.ctx, w);
         self.server.waiting.retain(|&x| x != w);
         self.ctx.void_compute(w);
         let ws = &mut self.workers[w];
@@ -498,7 +484,7 @@ impl ModelEngine {
             return;
         }
         if self.ctx.any_server_down() || self.ctx.link_down[w] {
-            self.workers[w].resume = Some(MResume::Resync);
+            self.workers[w].resume = Some(FlowCtx::Resync(w));
             return;
         }
         self.begin_resync(w, now);
@@ -547,12 +533,8 @@ impl ModelEngine {
             return;
         }
         self.ctx.link_down[w] = true;
-        for ctx in self.flows.cancel_flows_of(&mut self.ctx, w) {
-            self.suspend_ctx(ctx);
-        }
-        // A transfer in retransmit backoff has no flow to cancel; park
-        // its context as a resume (retransmit-from-scratch on recovery).
-        if let Some(ctx) = self.flows.clear_retx(w) {
+        // Retransmit-from-scratch on recovery.
+        for ctx in self.flows.sever(&mut self.ctx, w) {
             self.suspend_ctx(ctx);
         }
         if !self.ctx.offline[w] && !self.ctx.done[w] && !self.ctx.computing[w] {
@@ -610,19 +592,19 @@ impl ModelEngine {
 
     fn resume_worker(&mut self, w: usize, now: Time) {
         if self.ctx.offline[w] {
-            if matches!(self.workers[w].resume, Some(MResume::Resync)) {
+            if matches!(self.workers[w].resume, Some(FlowCtx::Resync(_))) {
                 self.workers[w].resume = None;
                 self.begin_resync(w, now);
             }
             return;
         }
         match self.workers[w].resume.take() {
-            Some(MResume::Push) => self.start_push(w, now),
-            Some(MResume::Pull(payload)) => {
+            Some(FlowCtx::Push(_)) => self.start_push(w, now),
+            Some(pull @ FlowCtx::Pull(..)) => {
                 self.ctx.set_state(w, now, DeviceState::Communicate);
-                self.start_transfer(w, now, FlowCtx::Pull(w, payload));
+                self.start_transfer(w, now, pull);
             }
-            Some(MResume::Resync) => self.begin_resync(w, now),
+            Some(FlowCtx::Resync(_)) => self.begin_resync(w, now),
             None => {}
         }
     }

@@ -21,7 +21,7 @@
 
 use std::ops::Range;
 
-use rog_compress::{CodecChoice, RowCodec};
+use rog_compress::RowCodec;
 use rog_core::{
     mta, AggregatorMap, AggregatorPlane, MtaTimeTracker, RogWorker, RogWorkerConfig, RowId,
     ShardMap, ShardedServer,
@@ -35,6 +35,7 @@ use rog_sync::gate;
 use crate::compute;
 use crate::config::{ExperimentConfig, Strategy};
 use crate::engine::common::{compute_or_retire, drive, Engine, EngineCtx, FlowTable};
+use crate::engine::control::{link_stress, AdaptiveBound, AutoThreshold, CodecAuto};
 use crate::metrics::{MicroSample, RunMetrics};
 use crate::run::FleetStats;
 
@@ -284,113 +285,6 @@ struct RowEngine {
     adaptive: Option<AdaptiveBound>,
     /// Per-link codec selector (`--codec auto`).
     codec_auto: Option<CodecAuto>,
-}
-
-/// Online staleness-threshold controller: widens the threshold when the
-/// cluster is stalling (buy throughput), narrows it when the channel is
-/// calm (buy statistical efficiency) — the paper's Sec. VI-C future
-/// work, as a simple hysteresis controller over the recent stall share.
-#[derive(Debug, Clone, Copy)]
-struct AutoThreshold {
-    min: u32,
-    max: u32,
-    /// Controller period in completed iterations (cluster-wide).
-    window_iters: u64,
-    stall_hi: f64,
-    stall_lo: f64,
-    /// Iterations completed at the last check.
-    last_iters: u64,
-    /// Virtual time of the last check.
-    last_time: Time,
-}
-
-impl AutoThreshold {
-    fn new(initial: u32) -> Self {
-        Self {
-            // Never narrow below the configured threshold: narrowing is
-            // only meaningful relative to what the controller itself
-            // widened (below that, low stall is *caused* by the tight
-            // gate, and the controller would oscillate — especially in
-            // pipeline mode where the threshold also bounds the
-            // pipeline depth).
-            min: initial,
-            max: 40,
-            window_iters: 60,
-            stall_hi: 0.18,
-            stall_lo: 0.04,
-            last_iters: 0,
-            last_time: 0.0,
-        }
-    }
-}
-
-/// Adaptive-bound RSP controller (the `roga` hybrid): drives the row
-/// gate's staleness bound from the per-link loss-rate and goodput EWMAs
-/// the channel already maintains. A calm, uniform channel narrows the
-/// bound toward `min` (statistical efficiency); packet loss or a faded
-/// straggler link widens it toward `max` so healthy devices keep
-/// computing through the turbulence. Unlike [`AutoThreshold`] — which
-/// reacts to the *symptom*, the observed stall share — this controller
-/// reacts to the *cause* and can move before stalls accumulate.
-#[derive(Debug, Clone, Copy)]
-struct AdaptiveBound {
-    min: u32,
-    max: u32,
-    /// Controller period in completed iterations (cluster-wide).
-    window_iters: u64,
-    /// Iterations completed at the last check.
-    last_iters: u64,
-}
-
-impl AdaptiveBound {
-    fn new(min: u32, max: u32) -> Self {
-        assert!(min >= 1, "adaptive bound min threshold must be at least 1");
-        assert!(
-            min <= max,
-            "adaptive bound min threshold must not exceed max"
-        );
-        Self {
-            min,
-            max,
-            window_iters: 24,
-            last_iters: 0,
-        }
-    }
-}
-
-/// Per-link codec selector (`--codec auto`): every window it re-picks
-/// each worker's row codec from the channel's per-link loss-rate and
-/// goodput EWMAs. A calm, uniform link keeps the dense one-bit codec
-/// (full sign information, best statistical efficiency); a lossy or
-/// faded straggler link drops to sparse-delta so the fewest bytes
-/// possible squeeze through the bad link. The decision is a pure
-/// function of the EWMAs at a deterministic evaluation point (the same
-/// cluster-iteration windowing as [`AdaptiveBound`]), so runs stay
-/// byte-identical across thread counts; every change is journaled as a
-/// `codec_select` event and replay-checked by the fuzzer.
-#[derive(Debug, Clone, Copy)]
-struct CodecAuto {
-    /// Controller period in completed iterations (cluster-wide).
-    window_iters: u64,
-    /// Iterations completed at the last check.
-    last_iters: u64,
-    /// Stress level above which a link falls back from dense one-bit to
-    /// sparse-delta.
-    stress_hi: f64,
-    /// Stress level below which a sparse link recovers to one-bit
-    /// (hysteresis gap keeps the selector from flapping).
-    stress_lo: f64,
-}
-
-impl CodecAuto {
-    fn new() -> Self {
-        Self {
-            window_iters: 24,
-            last_iters: 0,
-            stress_hi: 0.35,
-            stress_lo: 0.15,
-        }
-    }
 }
 
 /// Runs one ROG experiment, returning metrics, journal and the
@@ -668,9 +562,7 @@ impl RowEngine {
             self.begin_push(w, now, n);
         }
         self.maybe_continue_compute(w, now);
-        self.maybe_adjust_threshold(now);
-        self.maybe_adapt_bound(now);
-        self.maybe_select_codecs(now);
+        self.run_controllers(now);
     }
 
     fn maybe_continue_compute(&mut self, w: usize, now: Time) {
@@ -1238,181 +1130,128 @@ impl RowEngine {
         self.complete_iteration(w, now);
     }
 
-    /// Runs the auto-threshold controller if its window elapsed.
-    fn maybe_adjust_threshold(&mut self, now: Time) {
-        let Some(mut auto) = self.auto else { return };
-        let total_iters: u64 = self.workers.iter().map(|w| w.iter).sum();
-        if total_iters < auto.last_iters + auto.window_iters || now <= auto.last_time {
-            return;
-        }
-        // Cluster stall share over the window.
-        let n = self.workers.len() as f64;
-        let stall: f64 = self
-            .ctx
-            .timelines
-            .iter()
-            .map(|t| t.time_in_between(DeviceState::Stall, auto.last_time, now))
-            .sum();
-        let share = stall / ((now - auto.last_time) * n);
-        let old = self.threshold;
-        let new = if share > auto.stall_hi {
-            ((old as f64 * 1.5).ceil() as u32).min(auto.max)
-        } else if share < auto.stall_lo {
-            (old.saturating_sub((old as f64 * 0.25).ceil() as u32)).max(auto.min)
-        } else {
-            old
-        };
-        if new != old {
-            obs!(
-                self.ctx.journal,
-                now,
-                EventKind::AutoThreshold { threshold: new }
-            );
-            self.threshold = new;
-            self.server.set_threshold(new);
-            for ws in &mut self.workers {
-                ws.worker.set_threshold(new);
-            }
-            // A loosened gate may unblock waiting pulls immediately.
-            self.drain_waiting(now);
-        }
-        auto.last_iters = total_iters;
-        auto.last_time = now;
-        self.auto = Some(auto);
+    /// Completed iterations cluster-wide: the clock the controllers'
+    /// windows run on.
+    fn total_iters(&self) -> u64 {
+        self.workers.iter().map(|w| w.iter).sum()
     }
 
-    /// Runs the adaptive-bound controller (`roga`) if its window elapsed.
-    ///
-    /// The new bound is a pure function of the channel's per-link EWMAs
-    /// at a deterministic evaluation point, so runs stay byte-identical
-    /// across thread counts. Narrowing is clamped by
-    /// [`RowEngine::pending_bound_floor`] so every in-flight iteration
-    /// still satisfies the *instantaneous* bound at its next
-    /// `gate_enter`.
-    fn maybe_adapt_bound(&mut self, now: Time) {
-        let Some(mut ab) = self.adaptive else { return };
-        let total_iters: u64 = self.workers.iter().map(|w| w.iter).sum();
-        if total_iters < ab.last_iters + ab.window_iters {
-            return;
-        }
-        ab.last_iters = total_iters;
-        self.adaptive = Some(ab);
+    /// `(loss-rate EWMA, goodput EWMA)` of every shard link of the
+    /// workers in `ws`, as the channel currently estimates them.
+    fn link_estimates(&self, ws: Range<usize>) -> impl Iterator<Item = (f64, f64)> + '_ {
         let tp = &self.ctx.cluster.transport;
-        let mut max_loss = 0.0f64;
-        let mut min_good = f64::INFINITY;
-        let mut max_good = 0.0f64;
-        for w in 0..self.workers.len() {
-            for s in 0..self.n_shards {
-                let link = shard_link(w, self.n_shards, s);
-                max_loss = max_loss.max(tp.estimated_loss_rate(link));
-                let good = tp.estimated_goodput_rate(link);
-                min_good = min_good.min(good);
-                max_good = max_good.max(good);
-            }
-        }
-        // Straggler-link share: how far the weakest link's goodput falls
-        // below the strongest's. The channel's global sharing divisor
-        // cancels in the ratio, leaving pure fade × delivery probability.
-        let lag = if max_good > 0.0 {
-            (1.0 - min_good / max_good).clamp(0.0, 1.0)
-        } else {
-            0.0
-        };
-        let stress = (2.5 * max_loss + lag).min(1.0);
-        let span = f64::from(ab.max - ab.min);
-        let desired = ab.min + (stress * span).round() as u32;
-        let applied = if desired < self.threshold {
-            desired.max(self.pending_bound_floor())
-        } else {
-            desired
-        };
-        if applied != self.threshold {
-            obs!(
-                self.ctx.journal,
-                now,
-                EventKind::AutoThreshold { threshold: applied }
-            );
-            self.threshold = applied;
-            self.server.set_threshold(applied);
-            for ws in &mut self.workers {
-                ws.worker.set_threshold(applied);
-            }
-            // Widening may unblock waiting pulls immediately.
-            self.drain_waiting(now);
-        }
+        ws.flat_map(move |w| (0..self.n_shards).map(move |s| shard_link(w, self.n_shards, s)))
+            .map(move |link| {
+                (
+                    tp.estimated_loss_rate(link),
+                    tp.estimated_goodput_rate(link),
+                )
+            })
     }
 
-    /// Runs the per-link codec selector (`--codec auto`) if its window
-    /// elapsed. See [`CodecAuto`] for the policy; per-worker stress
-    /// combines the worst loss EWMA across the worker's shard links with
-    /// how far its weakest link's goodput lags the cluster's best.
-    fn maybe_select_codecs(&mut self, now: Time) {
-        let Some(mut ca) = self.codec_auto else {
-            return;
-        };
-        let total_iters: u64 = self.workers.iter().map(|w| w.iter).sum();
-        if total_iters < ca.last_iters + ca.window_iters {
+    /// Switches the whole cluster to a new staleness threshold.
+    fn apply_threshold(&mut self, new: u32, now: Time) {
+        if new == self.threshold {
             return;
         }
-        ca.last_iters = total_iters;
-        self.codec_auto = Some(ca);
-        let decisions: Vec<(usize, CodecChoice)> = {
-            let tp = &self.ctx.cluster.transport;
-            let mut max_good = 0.0f64;
-            for w in 0..self.workers.len() {
-                for s in 0..self.n_shards {
-                    let link = shard_link(w, self.n_shards, s);
-                    max_good = max_good.max(tp.estimated_goodput_rate(link));
-                }
+        obs!(
+            self.ctx.journal,
+            now,
+            EventKind::AutoThreshold { threshold: new }
+        );
+        self.threshold = new;
+        self.server.set_threshold(new);
+        for ws in &mut self.workers {
+            ws.worker.set_threshold(new);
+        }
+        // A loosened gate may unblock waiting pulls immediately.
+        self.drain_waiting(now);
+    }
+
+    /// Runs every adaptive controller whose window elapsed; called
+    /// wherever an iteration completes. Each decision is a pure function
+    /// of engine state at this deterministic evaluation point, so runs
+    /// stay byte-identical across thread counts.
+    fn run_controllers(&mut self, now: Time) {
+        let n = self.workers.len();
+        // Auto-threshold: hysteresis over the cluster stall share of the
+        // window.
+        if let Some(auto) = self.auto {
+            let total_iters = self.total_iters();
+            if auto.window.due(total_iters) && now > auto.last_time {
+                let stall: f64 = self
+                    .ctx
+                    .timelines
+                    .iter()
+                    .map(|t| t.time_in_between(DeviceState::Stall, auto.last_time, now))
+                    .sum();
+                let share = stall / ((now - auto.last_time) * n as f64);
+                self.apply_threshold(auto.decide(self.threshold, share), now);
+                // The window restarts only now: a pull granted by the
+                // loosened gate can complete an iteration and re-enter
+                // the controllers, and that nested evaluation sees this
+                // window still open.
+                let auto = self.auto.as_mut().expect("checked above");
+                auto.window.restart(total_iters);
+                auto.last_time = now;
             }
-            (0..self.workers.len())
+        }
+        // Adaptive bound (`roga`). Narrowing is clamped by
+        // `pending_bound_floor` so every in-flight iteration still
+        // satisfies the *instantaneous* bound at its next `gate_enter`.
+        let total_iters = self.total_iters();
+        if let Some(ab) = self.adaptive.as_mut().filter(|c| c.window.due(total_iters)) {
+            ab.window.restart(total_iters);
+            let ab = *ab;
+            let max_good = self.link_estimates(0..n).map(|l| l.1).fold(0.0, f64::max);
+            let desired = ab.desired(link_stress(self.link_estimates(0..n), max_good));
+            let applied = if desired < self.threshold {
+                desired.max(self.pending_bound_floor())
+            } else {
+                desired
+            };
+            self.apply_threshold(applied, now);
+        }
+        // Per-link codec selection (`--codec auto`): per-worker stress
+        // combines the worst loss EWMA across the worker's shard links
+        // with how far its weakest link's goodput lags the cluster's
+        // best.
+        let total_iters = self.total_iters();
+        if let Some(ca) = self
+            .codec_auto
+            .as_mut()
+            .filter(|c| c.window.due(total_iters))
+        {
+            ca.window.restart(total_iters);
+            let ca = *ca;
+            let max_good = self.link_estimates(0..n).map(|l| l.1).fold(0.0, f64::max);
+            let decisions: Vec<_> = (0..n)
                 .filter(|&w| !self.ctx.offline[w])
                 .map(|w| {
-                    let mut loss = 0.0f64;
-                    let mut good = f64::INFINITY;
-                    for s in 0..self.n_shards {
-                        let link = shard_link(w, self.n_shards, s);
-                        loss = loss.max(tp.estimated_loss_rate(link));
-                        good = good.min(tp.estimated_goodput_rate(link));
-                    }
-                    let lag = if max_good > 0.0 {
-                        (1.0 - good / max_good).clamp(0.0, 1.0)
-                    } else {
-                        0.0
-                    };
-                    let stress = (2.5 * loss + lag).min(1.0);
+                    let stress = link_stress(self.link_estimates(w..w + 1), max_good);
                     let current_sparse = self.workers[w].worker.codec().name() == "sparse";
-                    // Hysteresis: inside the band a link keeps whatever
-                    // codec it has, so EWMA jitter cannot flap it.
-                    let choice = if stress > ca.stress_hi {
-                        CodecChoice::Sparse
-                    } else if stress < ca.stress_lo || !current_sparse {
-                        CodecChoice::OneBit
-                    } else {
-                        CodecChoice::Sparse
-                    };
-                    (w, choice)
+                    (w, ca.choose(stress, current_sparse))
                 })
-                .collect()
-        };
-        for (w, choice) in decisions {
-            let codec = choice.build();
-            if self.workers[w].worker.codec().name() == codec.name() {
-                continue;
-            }
-            // Residuals carry across the switch on both sides (the
-            // error-feedback invariant holds for any encoder), so no
-            // gradient mass is lost at the boundary.
-            self.workers[w].worker.set_codec(codec);
-            self.server.set_codec(w, codec);
-            obs!(
-                self.ctx.journal,
-                now,
-                EventKind::CodecSelect {
-                    w: w as u32,
-                    codec: codec.name(),
+                .collect();
+            for (w, choice) in decisions {
+                let codec = choice.build();
+                if self.workers[w].worker.codec().name() == codec.name() {
+                    continue;
                 }
-            );
+                // Residuals carry across the switch on both sides (the
+                // error-feedback invariant holds for any encoder), so no
+                // gradient mass is lost at the boundary.
+                self.workers[w].worker.set_codec(codec);
+                self.server.set_codec(w, codec);
+                obs!(
+                    self.ctx.journal,
+                    now,
+                    EventKind::CodecSelect {
+                        w: w as u32,
+                        codec: codec.name(),
+                    }
+                );
+            }
         }
     }
 
@@ -1452,9 +1291,7 @@ impl RowEngine {
             EventKind::IterEnd { w: w as u32, iter }
         );
         self.ctx.maybe_eval(w, iter, now);
-        self.maybe_adjust_threshold(now);
-        self.maybe_adapt_bound(now);
-        self.maybe_select_codecs(now);
+        self.run_controllers(now);
         compute_or_retire(self, w, now);
     }
 
@@ -1485,7 +1322,7 @@ impl RowEngine {
         self.ctx.offline[w] = true;
         // Every in-flight transfer dies with the device; nothing resumes
         // (rejoin rebuilds the cycle from the resynced model instead).
-        self.flows.cancel_flows_of(&mut self.ctx, w);
+        self.flows.sever(&mut self.ctx, w);
         self.waiting.retain(|&(x, _, _)| x != w);
         self.ctx.void_compute(w);
         let ws = &mut self.workers[w];
@@ -1516,13 +1353,8 @@ impl RowEngine {
         self.begin_resync(w, now);
     }
 
-    /// Starts the full-model transfer that brings a rejoining worker
-    /// back in sync before it may train again.
-    ///
-    /// Resync is reliable-class traffic: with a loss model installed the
-    /// model is segmented so a lost chunk retransmits ~64 KiB instead of
-    /// the whole model, tracked by a [`ReliableTransfer`]. Without one,
-    /// the pre-loss single-chunk flow is byte-identical.
+    /// Starts the rejoin resync (reliable-class) over the worker's link
+    /// to shard 0.
     fn begin_resync(&mut self, w: usize, now: Time) {
         let link = shard_link(w, self.n_shards, 0);
         let bytes = self.model_wire_bytes;
@@ -1589,17 +1421,29 @@ impl RowEngine {
             return;
         }
         self.ctx.link_down[w] = true;
-        for ctx in self.flows.cancel_flows_of(&mut self.ctx, w) {
-            self.suspend_ctx(ctx);
-        }
-        // A reliable transfer in backoff has no flow to cancel; abandon
-        // its state and restart the resync when the link returns.
-        if let Some(ctx) = self.flows.clear_retx(w) {
+        self.sever_worker(w, now);
+    }
+
+    /// Worker `w`'s path to the parameter plane went down: whatever it
+    /// had on the air (or parked in a resync backoff) dies and is marked
+    /// to restart when the path returns.
+    fn sever_worker(&mut self, w: usize, now: Time) {
+        for ctx in self.flows.sever(&mut self.ctx, w) {
             self.suspend_ctx(ctx);
         }
         if !self.ctx.offline[w] && !self.ctx.done[w] {
             self.set_comm_state(w, now, DeviceState::Stall);
         }
+    }
+
+    /// The workers fronted by aggregator `a`.
+    fn agg_members(&self, a: usize) -> Vec<usize> {
+        self.agg_plane
+            .as_ref()
+            .expect("aggregator faults are validated against the topology")
+            .map()
+            .members(a)
+            .to_vec()
     }
 
     fn on_blackout_end(&mut self, w: usize, now: Time) {
@@ -1622,23 +1466,8 @@ impl RowEngine {
             return;
         }
         self.agg_down[a] = true;
-        let members: Vec<usize> = self
-            .agg_plane
-            .as_ref()
-            .expect("aggregator faults are validated against the topology")
-            .map()
-            .members(a)
-            .to_vec();
-        for w in members {
-            for ctx in self.flows.cancel_flows_of(&mut self.ctx, w) {
-                self.suspend_ctx(ctx);
-            }
-            if let Some(ctx) = self.flows.clear_retx(w) {
-                self.suspend_ctx(ctx);
-            }
-            if !self.ctx.offline[w] && !self.ctx.done[w] {
-                self.set_comm_state(w, now, DeviceState::Stall);
-            }
+        for w in self.agg_members(a) {
+            self.sever_worker(w, now);
         }
     }
 
@@ -1649,14 +1478,7 @@ impl RowEngine {
             return;
         }
         self.agg_down[a] = false;
-        let members: Vec<usize> = self
-            .agg_plane
-            .as_ref()
-            .expect("aggregator faults are validated against the topology")
-            .map()
-            .members(a)
-            .to_vec();
-        for w in members {
+        for w in self.agg_members(a) {
             self.resume_worker(w, now);
         }
         self.drain_waiting(now);

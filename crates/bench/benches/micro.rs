@@ -6,7 +6,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use rog_compress::{CompressedRow, ErrorFeedback, TopKCodec};
+use rog_compress::{CodecState, CompressedRow, OneBitCodec, TopKCodec};
 use rog_core::mta::mta_fraction;
 use rog_core::{
     ImportanceMetric, ImportanceMode, RankScratch, RogWorker, RogWorkerConfig, RowId, RowPartition,
@@ -29,9 +29,9 @@ fn bench_compression(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::new("onebit_decode", cols), &code, |b, code| {
             b.iter(|| black_box(code).decompress())
         });
-        let mut ef = ErrorFeedback::new(&[cols]);
+        let mut ef = CodecState::new(&[cols], 0);
         g.bench_with_input(BenchmarkId::new("error_feedback", cols), &row, |b, row| {
-            b.iter(|| ef.compress(0, black_box(row)))
+            b.iter(|| ef.compress(&OneBitCodec, 0, black_box(row)))
         });
         let topk = TopKCodec::new(0.01);
         g.bench_with_input(BenchmarkId::new("topk_1pct", cols), &row, |b, row| {

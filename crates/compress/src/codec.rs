@@ -5,10 +5,9 @@
 //! [`RowCode`] whose wire size it can predict exactly, and
 //! [`CodecState`] carries the per-row error-feedback residuals plus the
 //! deterministic RNG stream that stochastic codecs draw from. The
-//! historical one-bit path ([`crate::ErrorFeedback`] +
-//! [`crate::CompressedRow`]) is the [`OneBitCodec`] rung of this API;
-//! selecting it reproduces the legacy arithmetic f32-op-for-f32-op, so
-//! journals and metrics stay byte-identical.
+//! paper's one-bit scheme ([`crate::CompressedRow`] under error
+//! feedback) is the [`OneBitCodec`] rung of this API; it never draws
+//! from the RNG.
 //!
 //! Three codec families are provided:
 //!
@@ -23,7 +22,7 @@
 //!   enough that the gap stream would cost more than the bitmap, so a
 //!   sparse-delta row never costs more than one-bit.
 //! - **k-bit quantization ladder** ([`QuantCodec`]): the QSGD-style
-//!   stochastic-rounding generalization of [`crate::QsgdCodec`] at
+//!   stochastic-rounding quantizer of the `qsgd` module generalized to
 //!   k ∈ {2, 4, 8} bits/value (k = 1 is one-bit itself), run through
 //!   error feedback like every other rung.
 //!
@@ -32,7 +31,8 @@
 
 use rog_tensor::rng::DetRng;
 
-use crate::{CompressedRow, QsgdCodec, QuantizedRow, SparseRow, TopKCodec};
+use crate::qsgd::QsgdCodec;
+use crate::{CompressedRow, QuantizedRow, SparseRow, TopKCodec};
 
 /// Length in bytes of `v` as an LEB128 varint.
 const fn varint_len(v: u64) -> u64 {
@@ -554,13 +554,14 @@ impl RowCodec for Codec {
     }
 }
 
-/// Per-row error-feedback state for a whole model, generalized over
-/// codecs: the residual bookkeeping of [`crate::ErrorFeedback`] plus
+/// Per-row error-feedback state for a whole model, for any codec, plus
 /// the deterministic RNG stream stochastic codecs draw from.
 ///
-/// With [`OneBitCodec`] the arithmetic is f32-op-for-f32-op identical
-/// to `ErrorFeedback::compress` (and the RNG is never touched), which
-/// is what keeps `codec=onebit` runs byte-identical to the legacy path.
+/// Each row keeps the quantization residual of its last transmission; the
+/// residual is added to the next gradient before compressing, so no
+/// information is ever dropped — it is only delayed. This is the error
+/// compensation that lets the paper call one-bit compression "lossless".
+/// With [`OneBitCodec`] the RNG is never touched.
 #[derive(Debug, Clone)]
 pub struct CodecState {
     residuals: Vec<Vec<f32>>,
@@ -591,10 +592,12 @@ impl CodecState {
         &self.residuals[row]
     }
 
-    /// Zeroes every stored residual (cold-resync semantics, exactly as
-    /// [`crate::ErrorFeedback::reset`]). The RNG stream is left where it
-    /// is — resets happen at deterministic points, so determinism is
-    /// unaffected either way.
+    /// Zeroes every stored residual. Used when a worker cold-resyncs
+    /// after a fault: the compensation was accumulated against a model
+    /// lineage that no longer exists, so carrying it into the adopted
+    /// model would inject stale error instead of correcting it. The RNG
+    /// stream is left where it is — resets happen at deterministic
+    /// points, so determinism is unaffected either way.
     pub fn reset(&mut self) {
         for r in &mut self.residuals {
             r.fill(0.0);
@@ -661,7 +664,6 @@ impl CodecState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ErrorFeedback;
     use proptest::prelude::*;
 
     fn all_codecs() -> Vec<Codec> {
@@ -695,24 +697,68 @@ mod tests {
     }
 
     #[test]
-    fn onebit_codec_matches_legacy_error_feedback_exactly() {
-        // The byte-identity anchor: CodecState + OneBitCodec must
-        // reproduce ErrorFeedback::compress bit-for-bit, residuals
-        // included.
+    fn onebit_rung_is_plain_one_bit_error_feedback() {
+        // The byte-identity anchor: CodecState + OneBitCodec must be
+        // exactly "encode gradient + residual, keep what decoding
+        // misses", bit for bit, residuals included.
         let widths = [7usize, 64, 65];
-        let mut legacy = ErrorFeedback::new(&widths);
+        let mut residuals: Vec<Vec<f32>> = widths.iter().map(|&w| vec![0.0; w]).collect();
         let mut state = CodecState::new(&widths, 42);
         let codec = Codec::OneBit(OneBitCodec);
         let mut rng = DetRng::new(5);
         for round in 0..20 {
             for (row, &w) in widths.iter().enumerate() {
                 let g: Vec<f32> = (0..w).map(|_| rng.normal() as f32).collect();
-                let want = legacy.compress(row, &g);
+                let adjusted: Vec<f32> =
+                    g.iter().zip(&residuals[row]).map(|(g, r)| g + r).collect();
+                let want = CompressedRow::encode(&adjusted);
+                let restored = want.decompress();
+                for ((r, a), d) in residuals[row].iter_mut().zip(&adjusted).zip(&restored) {
+                    *r = a - d;
+                }
                 let got = state.compress(&codec, row, &g);
                 assert_eq!(got, RowCode::Dense(want), "round {round} row {row}");
-                assert_eq!(state.residual(row), legacy.residual(row));
+                assert_eq!(state.residual(row), residuals[row]);
             }
         }
+    }
+
+    #[test]
+    fn onebit_residual_stays_bounded_for_stationary_gradients() {
+        // Error feedback must not accumulate unboundedly when gradients
+        // are bounded.
+        let mut ef = CodecState::new(&[8], 0);
+        let mut rng = DetRng::new(9);
+        let mut max_res = 0.0f32;
+        for _ in 0..500 {
+            let g: Vec<f32> = (0..8).map(|_| rng.normal() as f32).collect();
+            ef.compress(&OneBitCodec, 0, &g);
+            let m = ef.residual(0).iter().fold(0.0f32, |a, &b| a.max(b.abs()));
+            max_res = max_res.max(m);
+        }
+        assert!(max_res < 20.0, "residual exploded: {max_res}");
+    }
+
+    #[test]
+    #[should_panic(expected = "width mismatch")]
+    fn wrong_width_panics() {
+        let mut ef = CodecState::new(&[4], 0);
+        ef.compress(&OneBitCodec, 0, &[1.0]);
+    }
+
+    #[test]
+    fn reset_zeroes_all_residuals() {
+        let mut ef = CodecState::new(&[4, 2], 0);
+        ef.compress(&OneBitCodec, 0, &[0.3, -0.7, 0.1, 0.9]);
+        ef.compress(&OneBitCodec, 1, &[1.5, -0.2]);
+        assert!(ef.residual(0).iter().any(|&r| r != 0.0));
+        ef.reset();
+        for row in 0..ef.rows() {
+            assert!(ef.residual(row).iter().all(|&r| r == 0.0));
+        }
+        // Post-reset compression behaves like a fresh instance.
+        let fresh = CodecState::new(&[4, 2], 0).compress(&OneBitCodec, 0, &[0.3, -0.7, 0.1, 0.9]);
+        assert_eq!(ef.compress(&OneBitCodec, 0, &[0.3, -0.7, 0.1, 0.9]), fresh);
     }
 
     #[test]

@@ -20,11 +20,11 @@
 //! # Example
 //!
 //! ```
-//! use rog_compress::ErrorFeedback;
+//! use rog_compress::{CodecState, OneBitCodec};
 //!
-//! let mut ef = ErrorFeedback::new(&[3]);
+//! let mut ef = CodecState::new(&[3], 0);
 //! let g = [0.5, -0.25, 0.75];
-//! let c = ef.compress(0, &g);
+//! let c = ef.compress(&OneBitCodec, 0, &g);
 //! let restored = c.decompress();
 //! // One round is lossy ...
 //! assert_ne!(restored.as_slice(), g.as_slice());
@@ -46,8 +46,8 @@ pub use codec::{
     Codec, CodecChoice, CodecState, OneBitCodec, QuantCodec, RowCode, RowCodec, SparseDeltaCodec,
     SparseDeltaRow,
 };
-pub use onebit::{CompressedRow, ErrorFeedback};
-pub use qsgd::{QsgdCodec, QuantizedRow};
+pub use onebit::CompressedRow;
+pub use qsgd::QuantizedRow;
 pub use topk::{SparseRow, TopKCodec};
 
 #[cfg(test)]

@@ -110,76 +110,6 @@ impl CompressedRow {
     }
 }
 
-/// Per-row error-feedback state for a whole model.
-///
-/// Each row keeps the quantization residual of its last transmission; the
-/// residual is added to the next gradient before compressing, so no
-/// information is ever dropped — it is only delayed. This is the error
-/// compensation that lets the paper call one-bit compression "lossless".
-#[derive(Debug, Clone)]
-pub struct ErrorFeedback {
-    residuals: Vec<Vec<f32>>,
-}
-
-impl ErrorFeedback {
-    /// Creates zeroed state for rows of the given widths.
-    pub fn new(row_widths: &[usize]) -> Self {
-        Self {
-            residuals: row_widths.iter().map(|&w| vec![0.0; w]).collect(),
-        }
-    }
-
-    /// Number of rows tracked.
-    pub fn rows(&self) -> usize {
-        self.residuals.len()
-    }
-
-    /// Current residual of row `row`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `row` is out of range.
-    pub fn residual(&self, row: usize) -> &[f32] {
-        &self.residuals[row]
-    }
-
-    /// Zeroes every stored residual. Used when a worker cold-resyncs
-    /// after a fault: the compensation was accumulated against a model
-    /// lineage that no longer exists, so carrying it into the adopted
-    /// model would inject stale error instead of correcting it.
-    pub fn reset(&mut self) {
-        for r in &mut self.residuals {
-            r.fill(0.0);
-        }
-    }
-
-    /// Compresses `gradient` for row `row`, folding in the stored residual
-    /// and retaining the new quantization error.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `row` is out of range or `gradient` has the wrong width.
-    pub fn compress(&mut self, row: usize, gradient: &[f32]) -> CompressedRow {
-        let residual = &mut self.residuals[row];
-        assert_eq!(
-            residual.len(),
-            gradient.len(),
-            "gradient width mismatch for row {row}"
-        );
-        let adjusted: Vec<f32> = gradient
-            .iter()
-            .zip(residual.iter())
-            .map(|(g, r)| g + r)
-            .collect();
-        let code = CompressedRow::encode(&adjusted);
-        let restored = code.decompress();
-        for ((r, a), d) in residual.iter_mut().zip(&adjusted).zip(&restored) {
-            *r = a - d;
-        }
-        code
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -278,82 +208,7 @@ mod tests {
         assert_eq!(c.payload_bytes(), 8);
     }
 
-    #[test]
-    fn error_feedback_conserves_information() {
-        // decompressed + new_residual == gradient + old_residual, exactly
-        // the invariant that makes the scheme lossless over time.
-        let mut ef = ErrorFeedback::new(&[4]);
-        let mut rng = DetRng::new(3);
-        for _ in 0..50 {
-            let g: Vec<f32> = (0..4).map(|_| rng.normal() as f32).collect();
-            let old_res: Vec<f32> = ef.residual(0).to_vec();
-            let restored = ef.compress(0, &g).decompress();
-            for i in 0..4 {
-                let lhs = restored[i] + ef.residual(0)[i];
-                let rhs = g[i] + old_res[i];
-                assert!((lhs - rhs).abs() < 1e-5, "lossy at {i}: {lhs} vs {rhs}");
-            }
-        }
-    }
-
-    #[test]
-    fn residual_stays_bounded_for_stationary_gradients() {
-        // Error feedback must not accumulate unboundedly when gradients
-        // are bounded.
-        let mut ef = ErrorFeedback::new(&[8]);
-        let mut rng = DetRng::new(9);
-        let mut max_res = 0.0f32;
-        for _ in 0..500 {
-            let g: Vec<f32> = (0..8).map(|_| rng.normal() as f32).collect();
-            ef.compress(0, &g);
-            let m = ef.residual(0).iter().fold(0.0f32, |a, &b| a.max(b.abs()));
-            max_res = max_res.max(m);
-        }
-        assert!(max_res < 20.0, "residual exploded: {max_res}");
-    }
-
-    #[test]
-    #[should_panic(expected = "width mismatch")]
-    fn wrong_width_panics() {
-        let mut ef = ErrorFeedback::new(&[4]);
-        ef.compress(0, &[1.0]);
-    }
-
-    #[test]
-    fn reset_zeroes_all_residuals() {
-        let mut ef = ErrorFeedback::new(&[4, 2]);
-        ef.compress(0, &[0.3, -0.7, 0.1, 0.9]);
-        ef.compress(1, &[1.5, -0.2]);
-        assert!(ef.residual(0).iter().any(|&r| r != 0.0));
-        ef.reset();
-        for row in 0..ef.rows() {
-            assert!(ef.residual(row).iter().all(|&r| r == 0.0));
-        }
-        // Post-reset compression behaves like a fresh instance.
-        let fresh = ErrorFeedback::new(&[4, 2]).compress(0, &[0.3, -0.7, 0.1, 0.9]);
-        assert_eq!(ef.compress(0, &[0.3, -0.7, 0.1, 0.9]), fresh);
-    }
-
     proptest! {
-        #[test]
-        fn prop_one_round_information_conservation(
-            g in proptest::collection::vec(-100.0f32..100.0, 0..64),
-            r in proptest::collection::vec(-10.0f32..10.0, 0..64),
-        ) {
-            let n = g.len().min(r.len());
-            let g = &g[..n];
-            let mut ef = ErrorFeedback::new(&[n]);
-            // Seed the residual by one warm-up round.
-            ef.compress(0, &r[..n]);
-            let old_res: Vec<f32> = ef.residual(0).to_vec();
-            let restored = ef.compress(0, g).decompress();
-            for i in 0..n {
-                let lhs = restored[i] + ef.residual(0)[i];
-                let rhs = g[i] + old_res[i];
-                prop_assert!((lhs - rhs).abs() < 1e-3 * (1.0 + rhs.abs()));
-            }
-        }
-
         #[test]
         fn prop_bits_length_matches_cols(cols in 0usize..200) {
             let row = vec![1.0f32; cols];

@@ -8,7 +8,7 @@
 //! channel, so one straggling transmission stalls everyone at the gate —
 //! the straggler effect ROG eliminates.
 
-use rog_compress::ErrorFeedback;
+use rog_compress::{CodecState, OneBitCodec, RowCodec};
 use rog_core::{RowId, RowPartition};
 use rog_fault::FaultEvent;
 use rog_models::GradSet;
@@ -31,7 +31,7 @@ struct WState {
     iter: u64,
     grads: Option<GradSet>,
     /// Whole-model push compression residuals.
-    ef: ErrorFeedback,
+    ef: CodecState,
     vel: Vec<Matrix>,
     stats: WorkerNetStats,
     push_started: Time,
@@ -54,7 +54,7 @@ struct Server {
     pending: Vec<GradSet>,
     versions: VersionVector,
     /// Per-destination pull compression residuals.
-    efs: Vec<ErrorFeedback>,
+    efs: Vec<CodecState>,
     /// Workers whose pull awaits the gate; stores their pushed iter.
     waiting: Vec<usize>,
     thresholds: Vec<u32>,
@@ -109,21 +109,21 @@ pub fn run(cfg: &ExperimentConfig) -> (RunMetrics, rog_obs::Journal) {
     let partition = RowPartition::of_params(init.params());
     // Model-granularity baselines always ship the dense one-bit model
     // (the codec ladder is a row-granular feature).
-    let model_wire_bytes = ctx.cluster.scaled_model_bytes(
-        widths
-            .iter()
-            .map(|&w| rog_compress::RowCodec::payload_bytes(&rog_compress::OneBitCodec, w)),
-    );
+    let model_wire_bytes = ctx
+        .cluster
+        .scaled_model_bytes(widths.iter().map(|&w| OneBitCodec.payload_bytes(w)));
     let zero: GradSet = init
         .params()
         .iter()
         .map(|m| Matrix::zeros(m.rows(), m.cols()))
         .collect();
+    // One-bit never draws from the state's RNG: the seed is immaterial.
+    let ef = CodecState::new(&widths, 0);
     let workers: Vec<WState> = (0..n)
         .map(|_| WState {
             iter: 0,
             grads: None,
-            ef: ErrorFeedback::new(&widths),
+            ef: ef.clone(),
             vel: zero.clone(),
             stats: WorkerNetStats::default(),
             push_started: 0.0,
@@ -135,7 +135,7 @@ pub fn run(cfg: &ExperimentConfig) -> (RunMetrics, rog_obs::Journal) {
     let server = Server {
         pending: vec![zero; n],
         versions: VersionVector::new(n),
-        efs: (0..n).map(|_| ErrorFeedback::new(&widths)).collect(),
+        efs: vec![ef; n],
         waiting: Vec::new(),
         thresholds: vec![0; n],
     };
@@ -612,7 +612,7 @@ impl ModelEngine {
 
 /// Quantizes a gradient set row-by-row with error feedback, returning the
 /// values the receiver reconstructs.
-fn quantize_set(partition: &RowPartition, ef: &mut ErrorFeedback, set: &GradSet) -> GradSet {
+fn quantize_set(partition: &RowPartition, ef: &mut CodecState, set: &GradSet) -> GradSet {
     let mut out: GradSet = set
         .iter()
         .map(|m| Matrix::zeros(m.rows(), m.cols()))
@@ -620,7 +620,9 @@ fn quantize_set(partition: &RowPartition, ef: &mut ErrorFeedback, set: &GradSet)
     for i in 0..partition.n_rows() {
         let id = RowId(i);
         let r = partition.locate(id);
-        let restored = ef.compress(i, set[r.matrix].row(r.row)).decompress();
+        let restored = ef
+            .compress(&OneBitCodec, i, set[r.matrix].row(r.row))
+            .decompress();
         out[r.matrix].row_mut(r.row).copy_from_slice(&restored);
     }
     out

@@ -97,7 +97,10 @@ impl Default for JoinOptions {
 ///
 /// Loss injection, fault plans and recorded channel traces live inside
 /// the deterministic sim channel; a real network supplies its own
-/// loss, so carrying them over would silently mean nothing.
+/// loss, so carrying them over would silently mean nothing. Shards,
+/// aggregators, pipelining and the auto-threshold controller are
+/// features of the simulated row engine the live protocol does not
+/// implement; accepting them would run one plain server without them.
 pub fn check_socket_compatible(cfg: &ExperimentConfig) -> Result<(), String> {
     if !matches!(cfg.strategy, Strategy::Rog { .. }) {
         return Err(format!(
@@ -112,6 +115,35 @@ pub fn check_socket_compatible(cfg: &ExperimentConfig) -> Result<(), String> {
              (drop --codec or run the sim backend)",
             cfg.codec.name()
         ));
+    }
+    let engine_only: [(&str, bool, &str); 4] = [
+        (
+            "--shards",
+            cfg.n_shards > 1,
+            "serve runs one unsharded parameter server",
+        ),
+        (
+            "--aggregators",
+            cfg.n_aggregators > 0,
+            "workers connect to the server directly",
+        ),
+        (
+            "--pipeline",
+            cfg.pipeline,
+            "a live worker computes and communicates in turn",
+        ),
+        (
+            "--auto-threshold",
+            cfg.auto_threshold,
+            "the live gate uses the fixed --strategy rog:<threshold> bound",
+        ),
+    ];
+    for (what, set, why) in engine_only {
+        if set {
+            return Err(format!(
+                "{what} is sim-only, because {why} (drop {what} or run the sim backend)"
+            ));
+        }
     }
     let sim_only: [(&str, bool); 5] = [
         ("--loss (packet-loss injection)", cfg.loss.is_some()),
@@ -399,8 +431,7 @@ pub fn serve(cfg: &ExperimentConfig, opts: &ServeOptions) -> Result<RunOutcome, 
                 Err(_) => continue, // hostile or torn datagram: drop
             };
             match msg {
-                Msg::Sync { worker, iter } => {
-                    let _ = (worker, iter);
+                Msg::Sync { worker, iter } if worker as usize == from => {
                     let min = server.versions().global_min();
                     let _ = send_msg(&mut transport, from, iter, &Msg::MinVersion { min });
                 }
@@ -1036,6 +1067,46 @@ mod tests {
         assert!(check_socket_compatible(&cfg)
             .unwrap_err()
             .contains("--fault-seed"));
+    }
+
+    #[test]
+    fn socket_compat_rejects_shards() {
+        let cfg = ExperimentConfig {
+            n_shards: 2,
+            ..rog_cfg()
+        };
+        let err = check_socket_compatible(&cfg).unwrap_err();
+        assert!(err.contains("--shards is sim-only"), "{err}");
+    }
+
+    #[test]
+    fn socket_compat_rejects_aggregators() {
+        let cfg = ExperimentConfig {
+            n_aggregators: 1,
+            ..rog_cfg()
+        };
+        let err = check_socket_compatible(&cfg).unwrap_err();
+        assert!(err.contains("--aggregators is sim-only"), "{err}");
+    }
+
+    #[test]
+    fn socket_compat_rejects_pipeline() {
+        let cfg = ExperimentConfig {
+            pipeline: true,
+            ..rog_cfg()
+        };
+        let err = check_socket_compatible(&cfg).unwrap_err();
+        assert!(err.contains("--pipeline is sim-only"), "{err}");
+    }
+
+    #[test]
+    fn socket_compat_rejects_auto_threshold() {
+        let cfg = ExperimentConfig {
+            auto_threshold: true,
+            ..rog_cfg()
+        };
+        let err = check_socket_compatible(&cfg).unwrap_err();
+        assert!(err.contains("--auto-threshold is sim-only"), "{err}");
     }
 
     #[test]

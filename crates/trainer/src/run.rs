@@ -244,7 +244,8 @@ mod tests {
     fn traced_outcome_carries_a_journal() {
         let out = tiny().options().traced(true).run();
         let journal = out.journal.expect("traced run must return a journal");
-        assert!(journal.recorded() > 0);
+        // Under `obs-off` every emission site is compiled out.
+        assert_eq!(journal.recorded() > 0, cfg!(not(feature = "obs-off")));
     }
 
     #[test]

@@ -393,8 +393,7 @@ impl EngineCtx {
     /// them with the event journal (with the per-worker `close` markers
     /// and the `run_end` footer a replay needs appended).
     pub fn finish(mut self) -> (RunMetrics, Journal) {
-        let models: Vec<&Mlp> = self.models.iter().collect();
-        let divergence = relative_model_divergence(&models);
+        let divergence = relative_model_divergence(&self.models);
         let duration = self.cfg.duration_secs;
         for (w, tl) in self.timelines.iter_mut().enumerate() {
             // Devices that never changed state past the end stay as-is;
@@ -883,7 +882,7 @@ pub(crate) fn compute_or_retire(e: &mut impl Engine, w: usize, now: Time) {
 
 /// Maximum pairwise L2 distance between models, relative to the mean
 /// parameter norm (0 if fewer than two models).
-pub fn relative_model_divergence(models: &[&Mlp]) -> f64 {
+pub fn relative_model_divergence(models: &[Mlp]) -> f64 {
     if models.len() < 2 {
         return 0.0;
     }

@@ -1149,6 +1149,13 @@ impl RowEngine {
             })
     }
 
+    /// The strongest link's goodput EWMA, cluster-wide.
+    fn max_goodput(&self) -> f64 {
+        self.link_estimates(0..self.workers.len())
+            .map(|(_, good)| good)
+            .fold(0.0, f64::max)
+    }
+
     /// Switches the whole cluster to a new staleness threshold.
     fn apply_threshold(&mut self, new: u32, now: Time) {
         if new == self.threshold {
@@ -1199,59 +1206,65 @@ impl RowEngine {
         // Adaptive bound (`roga`). Narrowing is clamped by
         // `pending_bound_floor` so every in-flight iteration still
         // satisfies the *instantaneous* bound at its next `gate_enter`.
-        let total_iters = self.total_iters();
-        if let Some(ab) = self.adaptive.as_mut().filter(|c| c.window.due(total_iters)) {
-            ab.window.restart(total_iters);
-            let ab = *ab;
-            let max_good = self.link_estimates(0..n).map(|l| l.1).fold(0.0, f64::max);
-            let desired = ab.desired(link_stress(self.link_estimates(0..n), max_good));
-            let applied = if desired < self.threshold {
-                desired.max(self.pending_bound_floor())
-            } else {
-                desired
-            };
-            self.apply_threshold(applied, now);
+        if let Some(mut ab) = self.adaptive {
+            let total_iters = self.total_iters();
+            if ab.window.due(total_iters) {
+                ab.window.restart(total_iters);
+                self.adaptive = Some(ab);
+                let stress = link_stress(self.link_estimates(0..n), self.max_goodput());
+                let desired = ab.desired(stress);
+                let applied = if desired < self.threshold {
+                    desired.max(self.pending_bound_floor())
+                } else {
+                    desired
+                };
+                self.apply_threshold(applied, now);
+            }
         }
         // Per-link codec selection (`--codec auto`): per-worker stress
         // combines the worst loss EWMA across the worker's shard links
         // with how far its weakest link's goodput lags the cluster's
         // best.
-        let total_iters = self.total_iters();
-        if let Some(ca) = self
-            .codec_auto
-            .as_mut()
-            .filter(|c| c.window.due(total_iters))
-        {
-            ca.window.restart(total_iters);
-            let ca = *ca;
-            let max_good = self.link_estimates(0..n).map(|l| l.1).fold(0.0, f64::max);
-            let decisions: Vec<_> = (0..n)
-                .filter(|&w| !self.ctx.offline[w])
-                .map(|w| {
-                    let stress = link_stress(self.link_estimates(w..w + 1), max_good);
-                    let current_sparse = self.workers[w].worker.codec().name() == "sparse";
-                    (w, ca.choose(stress, current_sparse))
-                })
-                .collect();
-            for (w, choice) in decisions {
-                let codec = choice.build();
-                if self.workers[w].worker.codec().name() == codec.name() {
-                    continue;
-                }
-                // Residuals carry across the switch on both sides (the
-                // error-feedback invariant holds for any encoder), so no
-                // gradient mass is lost at the boundary.
-                self.workers[w].worker.set_codec(codec);
-                self.server.set_codec(w, codec);
-                obs!(
-                    self.ctx.journal,
-                    now,
-                    EventKind::CodecSelect {
-                        w: w as u32,
-                        codec: codec.name(),
-                    }
-                );
+        if let Some(mut ca) = self.codec_auto {
+            let total_iters = self.total_iters();
+            if ca.window.due(total_iters) {
+                ca.window.restart(total_iters);
+                self.codec_auto = Some(ca);
+                self.select_codecs(ca, now);
             }
+        }
+    }
+
+    /// Re-picks every online worker's codec from its links' stress and
+    /// journals the switches.
+    fn select_codecs(&mut self, ca: CodecAuto, now: Time) {
+        let max_good = self.max_goodput();
+        let decisions: Vec<_> = (0..self.workers.len())
+            .filter(|&w| !self.ctx.offline[w])
+            .map(|w| {
+                let stress = link_stress(self.link_estimates(w..w + 1), max_good);
+                let current_sparse = self.workers[w].worker.codec().name() == "sparse";
+                (w, ca.choose(stress, current_sparse))
+            })
+            .collect();
+        for (w, choice) in decisions {
+            let codec = choice.build();
+            if self.workers[w].worker.codec().name() == codec.name() {
+                continue;
+            }
+            // Residuals carry across the switch on both sides (the
+            // error-feedback invariant holds for any encoder), so no
+            // gradient mass is lost at the boundary.
+            self.workers[w].worker.set_codec(codec);
+            self.server.set_codec(w, codec);
+            obs!(
+                self.ctx.journal,
+                now,
+                EventKind::CodecSelect {
+                    w: w as u32,
+                    codec: codec.name(),
+                }
+            );
         }
     }
 

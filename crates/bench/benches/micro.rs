@@ -11,9 +11,11 @@ use rog_core::mta::mta_fraction;
 use rog_core::{
     ImportanceMetric, ImportanceMode, RankScratch, RogWorker, RogWorkerConfig, RowId, RowPartition,
 };
+use rog_models::{Mlp, Task};
 use rog_net::{Channel, ChannelProfile, FlowSpec, Trace};
 use rog_tensor::rng::DetRng;
 use rog_tensor::Matrix;
+use rog_trainer::engine::common::relative_model_divergence;
 
 fn bench_compression(c: &mut Criterion) {
     let mut g = c.benchmark_group("compression");
@@ -186,6 +188,40 @@ fn bench_channel(c: &mut Criterion) {
             events
         })
     });
+    // Fleet scale (the `fleet256` benchmark cell): 256 workers x 4 shard
+    // links, one deadline-less push per link, each far larger than its
+    // 1/1024 airtime share can carry in 10 s — so this is pure
+    // integrator stepping, 1024 flows at each of ~100 trace
+    // breakpoints. The link traces are just long enough, to keep the
+    // per-iteration channel clone small beside the stepping.
+    let fleet_links: Vec<Trace> = (0..1024)
+        .map(|l| profile.generate_link(100 + l, 12.0))
+        .collect();
+    g.bench_function("1024_flows_outdoor_10s", |b| {
+        b.iter(|| {
+            let mut ch = Channel::new(capacity.clone(), fleet_links.clone());
+            for l in 0..1024 {
+                ch.start_flow(0.0, FlowSpec::new(l, vec![20_000; 55]));
+            }
+            let events = ch.advance_until(10.0);
+            assert!(events.is_empty());
+            ch.active_flows()
+        })
+    });
+    g.finish();
+}
+
+fn bench_divergence(c: &mut Criterion) {
+    // End-of-run model divergence at fleet scale: 256 replicas of the
+    // paper-scale CRUDA MLP (15 576 parameters), 32 640 model pairs.
+    let mut g = c.benchmark_group("divergence");
+    let root = DetRng::new(12);
+    let models: Vec<Mlp> = (0..256)
+        .map(|w| Mlp::new(&[40, 112, 80, 24], Task::Classification, &mut root.fork(w)))
+        .collect();
+    g.bench_function("256_paper_models", |b| {
+        b.iter(|| relative_model_divergence(black_box(&models)))
+    });
     g.finish();
 }
 
@@ -319,6 +355,7 @@ criterion_group!(
     bench_mta,
     bench_row_plumbing,
     bench_channel,
+    bench_divergence,
     bench_event_queue,
     bench_wire_framing,
     bench_granularity_ablation

@@ -186,6 +186,7 @@ impl DeliveryReport {
 /// An in-flight transfer.
 #[derive(Debug, Clone)]
 pub struct Flow {
+    id: FlowId,
     link: LinkId,
     /// Cumulative chunk byte boundaries; `prefix[i]` = bytes of the first
     /// `i` chunks. `prefix[len]` is the flow total.
@@ -210,11 +211,21 @@ impl Flow {
     /// Number of whole chunks covered by `bytes_done`.
     fn chunks_done(&self) -> usize {
         // prefix is sorted; find the last boundary <= bytes_done (+tol).
+        // `bytes_done` never decreases, so the chunks that already drew
+        // a fate are known complete and the scan resumes after them.
         let done = self.bytes_done + 0.25;
-        self.prefix[1..]
-            .iter()
-            .take_while(|&&b| b as f64 <= done)
-            .count()
+        let known = self.fates.len();
+        known
+            + self.prefix[known + 1..]
+                .iter()
+                .take_while(|&&b| b as f64 <= done)
+                .count()
+    }
+
+    /// Whether the flow leaves the channel at time `now`: fully
+    /// transmitted, or cut by its deadline.
+    fn finished(&self, now: Time) -> bool {
+        self.remaining() <= BYTE_TOL || self.deadline.is_some_and(|d| now >= d - EPS)
     }
 }
 
@@ -226,7 +237,14 @@ impl Flow {
 pub struct Channel {
     capacity: Trace,
     links: Vec<Trace>,
-    flows: BTreeMap<FlowId, Flow>,
+    /// Live flows in `FlowId` order: ids are handed out monotonically,
+    /// so appending keeps the vector sorted.
+    flows: Vec<Flow>,
+    /// Per-step rate and finish time of `flows[k]`, kept between steps
+    /// so [`Channel::advance_until`] allocates nothing in the steady
+    /// state.
+    rates: Vec<f64>,
+    fins: Vec<Time>,
     now: Time,
     next_id: u64,
     useful_bytes: f64,
@@ -252,7 +270,9 @@ impl Channel {
         Self {
             capacity,
             links,
-            flows: BTreeMap::new(),
+            flows: Vec::new(),
+            rates: Vec::new(),
+            fins: Vec::new(),
             now: 0.0,
             next_id: 0,
             useful_bytes: 0.0,
@@ -443,23 +463,32 @@ impl Channel {
         }
         let id = FlowId(self.next_id);
         self.next_id += 1;
-        self.flows.insert(
+        self.flows.push(Flow {
             id,
-            Flow {
-                link: spec.link,
-                prefix,
-                bytes_done: 0.0,
-                deadline: spec.deadline,
-                started_at: self.now,
-                fates: Vec::new(),
-            },
-        );
+            link: spec.link,
+            prefix,
+            bytes_done: 0.0,
+            deadline: spec.deadline,
+            started_at: self.now,
+            // One fate per chunk at most: sized here so that drawing
+            // them never allocates inside `advance_until`.
+            fates: Vec::with_capacity(if self.loss.is_some() {
+                spec.chunks.len()
+            } else {
+                0
+            }),
+        });
         id
+    }
+
+    fn flow_index(&self, id: FlowId) -> Option<usize> {
+        self.flows.binary_search_by_key(&id, |f| f.id).ok()
     }
 
     /// Time a flow has spent in flight so far.
     pub fn flow_age(&self, id: FlowId) -> Option<Time> {
-        self.flows.get(&id).map(|f| self.now - f.started_at)
+        self.flow_index(id)
+            .map(|k| self.now - self.flows[k].started_at)
     }
 
     /// Tears down an in-flight flow at the current channel time (the
@@ -473,7 +502,7 @@ impl Channel {
     /// (outcome [`FlowOutcome::Cancelled`]), or `None` if the flow is
     /// unknown or already finished — cancelling twice is harmless.
     pub fn cancel_flow(&mut self, id: FlowId) -> Option<FlowEvent> {
-        let f = self.flows.remove(&id)?;
+        let f = self.flows.remove(self.flow_index(id)?);
         self.wasted_bytes += f.bytes_done;
         self.offered_bytes += f.bytes_done;
         Some(FlowEvent {
@@ -495,7 +524,7 @@ impl Channel {
     /// byte-identical. The same holds when a model is installed but
     /// every fate is `Delivered`, because the per-class byte sums are
     /// integers accumulated in `u64` and added to each counter once.
-    fn settle_chunks(&mut self, id: FlowId, f: &Flow, chunks_done: usize) {
+    fn settle_chunks(&mut self, f: &Flow, chunks_done: usize) {
         if self.loss.is_none() {
             self.useful_bytes += f.prefix[chunks_done] as f64;
             return;
@@ -528,7 +557,7 @@ impl Channel {
             .entry(f.link)
             .or_insert_with(|| LossEwma::new(LossEwma::DEFAULT_ALPHA))
             .observe(report.bad_chunks(), chunks_done);
-        self.reports.insert(id, report);
+        self.reports.insert(f.id, report);
     }
 
     /// Advances the channel toward `t`, stopping at the first instant at
@@ -554,114 +583,106 @@ impl Channel {
                 self.now = t;
                 return events;
             }
+            let now = self.now;
             // Segment of constant rates: bounded by trace breakpoints.
-            let mut seg_end = t.min(self.capacity.next_breakpoint_after(self.now));
-            for f in self.flows.values() {
-                if let Some(link) = self.links.get(f.link) {
-                    seg_end = seg_end.min(link.next_breakpoint_after(self.now));
-                }
+            // The same pass leaves each flow's un-shared PHY rate
+            // (`capacity × link factor`) in `rates`.
+            let mut seg_end = t.min(self.capacity.next_breakpoint_after(now));
+            let cap = self.capacity.value_at(now);
+            self.rates.clear();
+            for f in &self.flows {
+                let factor = match self.links.get(f.link) {
+                    Some(link) => {
+                        seg_end = seg_end.min(link.next_breakpoint_after(now));
+                        link.value_at(now)
+                    }
+                    None => 1.0,
+                };
+                self.rates.push(cap * factor);
             }
-            // Constant per-flow rates in this segment.
+            // Constant per-flow rates in this segment, exact per-flow
+            // finish times, and the earliest event inside the segment.
             let n = self.flows.len() as f64;
-            let cap = self.capacity.value_at(self.now);
-            let rates: BTreeMap<FlowId, f64> = match self.sharing {
-                SharingMode::AirtimeFair => self
-                    .flows
-                    .iter()
-                    .map(|(&id, f)| (id, cap * self.link_factor(f.link, self.now) / 8.0 / n))
-                    .collect(),
+            let common = match self.sharing {
+                SharingMode::AirtimeFair => None,
                 SharingMode::ThroughputFair => {
                     // Rate anomaly: equal per-flow throughput set by the
                     // harmonic mean of the stations' PHY rates.
-                    let inv_sum: f64 = self
-                        .flows
-                        .values()
-                        .map(|f| 1.0 / (cap * self.link_factor(f.link, self.now)).max(1e-3))
-                        .sum();
-                    let common = 1.0 / inv_sum / 8.0;
-                    self.flows.keys().map(|&id| (id, common)).collect()
+                    let inv_sum: f64 = self.rates.iter().map(|phy| 1.0 / phy.max(1e-3)).sum();
+                    Some(1.0 / inv_sum / 8.0)
                 }
             };
-            // Exact per-flow finish times, and the earliest event inside
-            // the segment.
-            let fins: BTreeMap<FlowId, Time> = self
-                .flows
-                .iter()
-                .map(|(&id, f)| {
-                    let rate = rates[&id];
-                    let fin = if rate > 0.0 {
-                        self.now + f.remaining().max(0.0) / rate
-                    } else {
-                        f64::INFINITY
-                    };
-                    (id, fin)
-                })
-                .collect();
             let mut t_event = f64::INFINITY;
-            for (&id, f) in &self.flows {
-                t_event = t_event.min(fins[&id]);
+            self.fins.clear();
+            for (f, rate) in self.flows.iter().zip(&mut self.rates) {
+                *rate = common.unwrap_or(*rate / 8.0 / n);
+                let fin = if *rate > 0.0 {
+                    now + f.remaining().max(0.0) / *rate
+                } else {
+                    f64::INFINITY
+                };
+                self.fins.push(fin);
+                t_event = t_event.min(fin);
                 if let Some(d) = f.deadline {
-                    t_event = t_event.min(d.max(self.now));
+                    t_event = t_event.min(d.max(now));
                 }
             }
             let step_to = seg_end.min(t_event);
-            let dt = (step_to - self.now).max(0.0);
-            for (id, f) in self.flows.iter_mut() {
-                if fins[id] <= step_to + EPS {
+            let dt = (step_to - now).max(0.0);
+            self.now = step_to;
+            let mut any_finished = false;
+            for ((f, &rate), &fin) in self.flows.iter_mut().zip(&self.rates).zip(&self.fins) {
+                let total = f.total() as f64;
+                f.bytes_done = if fin <= step_to + EPS {
                     // Snap to exact completion: floating-point increments
                     // can otherwise fall below the ulp of `bytes_done`
                     // and stall the integration forever.
-                    f.bytes_done = f.total() as f64;
+                    total
                 } else {
-                    f.bytes_done = (f.bytes_done + rates[id] * dt).min(f.total() as f64);
-                }
-            }
-            self.now = step_to;
-            // Draw loss fates for chunks the fluid model just
-            // completed, in FlowId order (deterministic: single
-            // integration thread, ordered map).
-            if let Some(model) = self.loss.as_mut() {
-                for f in self.flows.values_mut() {
+                    (f.bytes_done + rate * dt).min(total)
+                };
+                // Draw loss fates for chunks the fluid model just
+                // completed, in FlowId order (deterministic: single
+                // integration thread, id-ordered flows).
+                if let Some(model) = self.loss.as_mut() {
                     let done = f.chunks_done();
                     while f.fates.len() < done {
                         f.fates.push(model.chunk_fate(f.link, step_to));
                     }
                 }
+                any_finished |= f.finished(step_to);
             }
-            // Collect events at this instant.
-            let done_ids: Vec<FlowId> = self
-                .flows
-                .iter()
-                .filter(|(_, f)| {
-                    f.remaining() <= BYTE_TOL || f.deadline.is_some_and(|d| self.now >= d - EPS)
-                })
-                .map(|(&id, _)| id)
-                .collect();
-            for id in done_ids {
-                let f = self.flows.remove(&id).expect("flow exists");
-                let outcome = if f.remaining() <= BYTE_TOL {
-                    let chunks_done = f.prefix.len() - 1;
-                    self.settle_chunks(id, &f, chunks_done);
-                    self.offered_bytes += f.total() as f64;
-                    FlowOutcome::Completed
-                } else {
-                    let chunks_done = f.chunks_done();
-                    let bytes_done = f.prefix[chunks_done];
-                    self.settle_chunks(id, &f, chunks_done);
-                    self.wasted_bytes += f.bytes_done - bytes_done as f64;
-                    self.offered_bytes += f.bytes_done;
-                    FlowOutcome::DeadlineReached {
-                        chunks_done,
-                        bytes_done,
+            if any_finished {
+                // Settle the events at this instant, in FlowId order.
+                let mut flows = std::mem::take(&mut self.flows);
+                flows.retain(|f| {
+                    if !f.finished(step_to) {
+                        return true;
                     }
-                };
-                events.push(FlowEvent {
-                    id,
-                    at: self.now,
-                    outcome,
+                    let outcome = if f.remaining() <= BYTE_TOL {
+                        let chunks_done = f.prefix.len() - 1;
+                        self.settle_chunks(f, chunks_done);
+                        self.offered_bytes += f.total() as f64;
+                        FlowOutcome::Completed
+                    } else {
+                        let chunks_done = f.chunks_done();
+                        let bytes_done = f.prefix[chunks_done];
+                        self.settle_chunks(f, chunks_done);
+                        self.wasted_bytes += f.bytes_done - bytes_done as f64;
+                        self.offered_bytes += f.bytes_done;
+                        FlowOutcome::DeadlineReached {
+                            chunks_done,
+                            bytes_done,
+                        }
+                    };
+                    events.push(FlowEvent {
+                        id: f.id,
+                        at: step_to,
+                        outcome,
+                    });
+                    false
                 });
-            }
-            if !events.is_empty() {
+                self.flows = flows;
                 return events;
             }
         }
@@ -673,6 +694,165 @@ impl Channel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::loss::{GeParams, LossConfig};
+    use proptest::prelude::*;
+    use rog_tensor::rng::DetRng;
+
+    /// The map-based integrator that [`Channel::advance_until`]
+    /// replaced, kept as its differential oracle: the old body over a
+    /// `BTreeMap` of the flows, with per-step maps of rates and finish
+    /// times and a chunk count that rescans from chunk 0.
+    impl Channel {
+        fn advance_until_reference(&mut self, t: Time) -> Vec<FlowEvent> {
+            let mut flows: BTreeMap<FlowId, Flow> = std::mem::take(&mut self.flows)
+                .into_iter()
+                .map(|f| (f.id, f))
+                .collect();
+            let events = self.reference_steps(&mut flows, t);
+            self.flows = flows.into_values().collect();
+            events
+        }
+
+        fn reference_steps(
+            &mut self,
+            flows: &mut BTreeMap<FlowId, Flow>,
+            t: Time,
+        ) -> Vec<FlowEvent> {
+            let mut events = Vec::new();
+            let mut guard = 0u64;
+            while self.now < t - EPS {
+                guard += 1;
+                assert!(
+                    guard < 50_000_000,
+                    "channel integration stuck at t={} (target {t}, {} flows)",
+                    self.now,
+                    flows.len()
+                );
+                if flows.is_empty() {
+                    self.now = t;
+                    return events;
+                }
+                // Segment of constant rates: bounded by trace breakpoints.
+                let mut seg_end = t.min(self.capacity.next_breakpoint_after(self.now));
+                for f in flows.values() {
+                    if let Some(link) = self.links.get(f.link) {
+                        seg_end = seg_end.min(link.next_breakpoint_after(self.now));
+                    }
+                }
+                // Constant per-flow rates in this segment.
+                let n = flows.len() as f64;
+                let cap = self.capacity.value_at(self.now);
+                let rates: BTreeMap<FlowId, f64> = match self.sharing {
+                    SharingMode::AirtimeFair => flows
+                        .iter()
+                        .map(|(&id, f)| (id, cap * self.link_factor(f.link, self.now) / 8.0 / n))
+                        .collect(),
+                    SharingMode::ThroughputFair => {
+                        // Rate anomaly: equal per-flow throughput set by the
+                        // harmonic mean of the stations' PHY rates.
+                        let inv_sum: f64 = flows
+                            .values()
+                            .map(|f| 1.0 / (cap * self.link_factor(f.link, self.now)).max(1e-3))
+                            .sum();
+                        let common = 1.0 / inv_sum / 8.0;
+                        flows.keys().map(|&id| (id, common)).collect()
+                    }
+                };
+                // Exact per-flow finish times, and the earliest event inside
+                // the segment.
+                let fins: BTreeMap<FlowId, Time> = flows
+                    .iter()
+                    .map(|(&id, f)| {
+                        let rate = rates[&id];
+                        let fin = if rate > 0.0 {
+                            self.now + f.remaining().max(0.0) / rate
+                        } else {
+                            f64::INFINITY
+                        };
+                        (id, fin)
+                    })
+                    .collect();
+                let mut t_event = f64::INFINITY;
+                for (&id, f) in flows.iter() {
+                    t_event = t_event.min(fins[&id]);
+                    if let Some(d) = f.deadline {
+                        t_event = t_event.min(d.max(self.now));
+                    }
+                }
+                let step_to = seg_end.min(t_event);
+                let dt = (step_to - self.now).max(0.0);
+                for (id, f) in flows.iter_mut() {
+                    if fins[id] <= step_to + EPS {
+                        // Snap to exact completion: floating-point increments
+                        // can otherwise fall below the ulp of `bytes_done`
+                        // and stall the integration forever.
+                        f.bytes_done = f.total() as f64;
+                    } else {
+                        f.bytes_done = (f.bytes_done + rates[id] * dt).min(f.total() as f64);
+                    }
+                }
+                self.now = step_to;
+                // Draw loss fates for chunks the fluid model just
+                // completed, in FlowId order (deterministic: single
+                // integration thread, ordered map).
+                if let Some(model) = self.loss.as_mut() {
+                    for f in flows.values_mut() {
+                        let done = f.chunks_done_reference();
+                        while f.fates.len() < done {
+                            f.fates.push(model.chunk_fate(f.link, step_to));
+                        }
+                    }
+                }
+                // Collect events at this instant.
+                let done_ids: Vec<FlowId> = flows
+                    .iter()
+                    .filter(|(_, f)| {
+                        f.remaining() <= BYTE_TOL || f.deadline.is_some_and(|d| self.now >= d - EPS)
+                    })
+                    .map(|(&id, _)| id)
+                    .collect();
+                for id in done_ids {
+                    let f = flows.remove(&id).expect("flow exists");
+                    let outcome = if f.remaining() <= BYTE_TOL {
+                        let chunks_done = f.prefix.len() - 1;
+                        self.settle_chunks(&f, chunks_done);
+                        self.offered_bytes += f.total() as f64;
+                        FlowOutcome::Completed
+                    } else {
+                        let chunks_done = f.chunks_done_reference();
+                        let bytes_done = f.prefix[chunks_done];
+                        self.settle_chunks(&f, chunks_done);
+                        self.wasted_bytes += f.bytes_done - bytes_done as f64;
+                        self.offered_bytes += f.bytes_done;
+                        FlowOutcome::DeadlineReached {
+                            chunks_done,
+                            bytes_done,
+                        }
+                    };
+                    events.push(FlowEvent {
+                        id,
+                        at: self.now,
+                        outcome,
+                    });
+                }
+                if !events.is_empty() {
+                    return events;
+                }
+            }
+            self.now = self.now.max(t);
+            events
+        }
+    }
+
+    impl Flow {
+        fn chunks_done_reference(&self) -> usize {
+            let done = self.bytes_done + 0.25;
+            self.prefix[1..]
+                .iter()
+                .take_while(|&&b| b as f64 <= done)
+                .count()
+        }
+    }
 
     fn flat_channel(bps: f64, n_links: usize) -> Channel {
         Channel::new(
@@ -1073,5 +1253,107 @@ mod tests {
         ch.start_flow(0.0, FlowSpec::new(0, vec![50_000_000]));
         assert!((ch.estimated_rate(2) - 2.5e6).abs() < 1.0);
         assert_eq!(ch.estimated_rate(1), 0.0);
+    }
+
+    /// Every observable of a channel, floats as bit patterns.
+    fn observables(ch: &Channel) -> (u64, usize, [u64; 6]) {
+        (
+            ch.now().to_bits(),
+            ch.active_flows(),
+            [
+                ch.useful_bytes(),
+                ch.wasted_bytes(),
+                ch.lost_bytes(),
+                ch.corrupt_bytes(),
+                ch.duplicated_bytes(),
+                ch.offered_bytes(),
+            ]
+            .map(f64::to_bits),
+        )
+    }
+
+    proptest! {
+        /// Differential test of the integrator: the same random
+        /// start / cancel / advance schedule drives `advance_until` and
+        /// the map-based reference, and everything either can report
+        /// must agree bit for bit after every call.
+        #[test]
+        fn advance_until_matches_the_map_based_reference(
+            seed in 0u64..u64::MAX,
+            n_links in 1usize..=64,
+            lossy in proptest::bool::ANY,
+            throughput_fair in proptest::bool::ANY,
+        ) {
+            let mut rng = DetRng::new(seed);
+            let grid = [0.05, 0.1, 0.3, 1.0];
+            let capacity = Trace::from_samples(
+                grid[rng.index(grid.len())],
+                (0..1 + rng.index(8)).map(|_| rng.uniform_range(4e6, 80e6)).collect(),
+            );
+            let links: Vec<Trace> = (0..n_links)
+                .map(|l| {
+                    let mut samples: Vec<f64> =
+                        (0..1 + rng.index(6)).map(|_| rng.uniform()).collect();
+                    // Link 0 always fades to zero somewhere; others sometimes.
+                    if l == 0 || rng.chance(0.1) {
+                        let k = rng.index(samples.len());
+                        samples[k] = 0.0;
+                    }
+                    Trace::from_samples(grid[rng.index(grid.len())], samples)
+                })
+                .collect();
+            let mut new = Channel::new(capacity, links).with_sharing(if throughput_fair {
+                SharingMode::ThroughputFair
+            } else {
+                SharingMode::AirtimeFair
+            });
+            if lossy {
+                let cfg = LossConfig {
+                    seed,
+                    iid_loss: 0.15,
+                    corrupt: 0.05,
+                    duplicate: 0.05,
+                    reorder: 0.05,
+                    ge: Some(GeParams::bursty(0.1)),
+                };
+                new.set_loss_model(Some(LossModel::build(&cfg, n_links, 30.0)));
+            }
+            let mut old = new.clone();
+            let mut ids: Vec<FlowId> = Vec::new();
+            for _ in 0..60 {
+                match rng.index(4) {
+                    0 | 1 => {
+                        // One link index past the traces: factor 1.0.
+                        let link = rng.index(n_links + 1);
+                        let chunks: Vec<u64> =
+                            (0..rng.index(12)).map(|_| rng.index(40_000) as u64).collect();
+                        let mut spec = FlowSpec::new(link, chunks);
+                        if rng.chance(0.5) {
+                            spec = spec.with_deadline(new.now() + rng.uniform_range(0.0, 0.5));
+                        }
+                        let id = new.start_flow(new.now(), spec.clone());
+                        prop_assert_eq!(old.start_flow(old.now(), spec), id);
+                        ids.push(id);
+                    }
+                    2 if !ids.is_empty() => {
+                        // Live and long-finished ids alike.
+                        let id = ids[rng.index(ids.len())];
+                        prop_assert_eq!(new.flow_age(id).map(f64::to_bits), old.flow_age(id).map(f64::to_bits));
+                        prop_assert_eq!(new.cancel_flow(id), old.cancel_flow(id));
+                    }
+                    _ => {
+                        let t = new.now() + rng.uniform_range(0.0, 0.3);
+                        let got = new.advance_until(t);
+                        let want = old.advance_until_reference(t);
+                        prop_assert_eq!(got.len(), want.len());
+                        for (g, w) in got.iter().zip(&want) {
+                            prop_assert_eq!((g.id, g.at.to_bits(), g.outcome), (w.id, w.at.to_bits(), w.outcome));
+                            prop_assert_eq!(new.take_report(g.id), old.take_report(w.id));
+                        }
+                    }
+                }
+                prop_assert_eq!(observables(&new), observables(&old));
+            }
+        }
     }
 }

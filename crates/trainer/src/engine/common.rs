@@ -880,13 +880,43 @@ pub(crate) fn compute_or_retire(e: &mut impl Engine, w: usize, now: Time) {
     }
 }
 
-/// Maximum pairwise L2 distance between models, relative to the mean
-/// parameter norm (0 if fewer than two models).
-pub fn relative_model_divergence(models: &[Mlp]) -> f64 {
-    if models.len() < 2 {
-        return 0.0;
+/// Partners handled per pass over one model in
+/// [`relative_model_divergence`]: enough independent `f64` add chains
+/// to hide the add latency, few enough to stay in registers.
+const DIVERGENCE_BLOCK: usize = 8;
+
+/// `Σ (x − y)²` of `x` against each of `B` same-length slices, one
+/// accumulator per slice. Every sum takes its terms in element order,
+/// exactly as a one-pair loop would; only the adds of *different* pairs
+/// overlap.
+fn squared_distances<const B: usize>(x: &[f32], ys: [&[f32]; B]) -> [f64; B] {
+    let ys = ys.map(|y| &y[..x.len()]);
+    let mut acc = [0.0f64; B];
+    for (e, &xe) in x.iter().enumerate() {
+        for (a, y) in acc.iter_mut().zip(&ys) {
+            *a += f64::from(xe - y[e]).powi(2);
+        }
     }
-    let norm: f64 = models
+    acc
+}
+
+/// Squared L2 distance from `model` to each of `partners`: per pair,
+/// the per-matrix sums of [`squared_distances`] added in parameter
+/// order.
+fn squared_model_distances<const B: usize>(model: &Mlp, partners: [&Mlp; B]) -> [f64; B] {
+    let mut acc = [0.0f64; B];
+    for (m, x) in model.params().iter().enumerate() {
+        let ys = partners.map(|p| p.params()[m].as_slice());
+        for (a, d) in acc.iter_mut().zip(squared_distances(x.as_slice(), ys)) {
+            *a += d;
+        }
+    }
+    acc
+}
+
+/// Mean L2 norm of the models' parameters.
+fn mean_parameter_norm(models: &[Mlp]) -> f64 {
+    models
         .iter()
         .map(|m| {
             m.params()
@@ -896,24 +926,33 @@ pub fn relative_model_divergence(models: &[Mlp]) -> f64 {
                 .sqrt()
         })
         .sum::<f64>()
-        / models.len() as f64;
+        / models.len() as f64
+}
+
+/// Maximum pairwise L2 distance between models, relative to the mean
+/// parameter norm (0 if fewer than two models).
+///
+/// All models must share one architecture. The n·(n−1)/2 distances are
+/// computed [`DIVERGENCE_BLOCK`] partners at a time per model (the
+/// remainder one by one): a 256-worker fleet has 32 640 pairs, and one
+/// pair alone is a single latency-bound add chain.
+pub fn relative_model_divergence(models: &[Mlp]) -> f64 {
+    if models.len() < 2 {
+        return 0.0;
+    }
+    let norm = mean_parameter_norm(models);
     let mut max_d = 0.0f64;
-    for i in 0..models.len() {
-        for j in (i + 1)..models.len() {
-            let d: f64 = models[i]
-                .params()
-                .iter()
-                .zip(models[j].params())
-                .map(|(a, b)| {
-                    a.as_slice()
-                        .iter()
-                        .zip(b.as_slice())
-                        .map(|(x, y)| f64::from(x - y).powi(2))
-                        .sum::<f64>()
-                })
-                .sum::<f64>()
-                .sqrt();
-            max_d = max_d.max(d);
+    for (i, model) in models.iter().enumerate() {
+        let mut blocks = models[i + 1..].chunks_exact(DIVERGENCE_BLOCK);
+        for block in &mut blocks {
+            let partners: [&Mlp; DIVERGENCE_BLOCK] = std::array::from_fn(|k| &block[k]);
+            for d in squared_model_distances(model, partners) {
+                max_d = max_d.max(d.sqrt());
+            }
+        }
+        for partner in blocks.remainder() {
+            let [d] = squared_model_distances(model, [partner]);
+            max_d = max_d.max(d.sqrt());
         }
     }
     max_d / norm.max(1e-12)
@@ -951,6 +990,8 @@ pub fn relative_model_divergence_flat(models: &[&[f32]]) -> f64 {
 mod tests {
     use super::*;
     use crate::config::{Environment, ModelScale, Strategy};
+    use proptest::prelude::*;
+    use rog_models::Task;
 
     fn cfg() -> ExperimentConfig {
         ExperimentConfig {
@@ -1129,5 +1170,55 @@ mod tests {
         let (m, _) = c.finish();
         assert_eq!(m.checkpoints.len(), 1);
         assert_eq!(m.checkpoints[0].iter, 5);
+    }
+
+    /// [`relative_model_divergence`] as it was before the blocked
+    /// kernel: one pair at a time, one add chain (the norm is shared).
+    fn one_pair_at_a_time_divergence(models: &[Mlp]) -> f64 {
+        if models.len() < 2 {
+            return 0.0;
+        }
+        let mut max_d = 0.0f64;
+        for i in 0..models.len() {
+            for j in (i + 1)..models.len() {
+                let d: f64 = models[i]
+                    .params()
+                    .iter()
+                    .zip(models[j].params())
+                    .map(|(a, b)| {
+                        a.as_slice()
+                            .iter()
+                            .zip(b.as_slice())
+                            .map(|(x, y)| f64::from(x - y).powi(2))
+                            .sum::<f64>()
+                    })
+                    .sum::<f64>()
+                    .sqrt();
+                max_d = max_d.max(d);
+            }
+        }
+        max_d / mean_parameter_norm(models).max(1e-12)
+    }
+
+    proptest! {
+        /// The blocked kernel is a reordering of independent sums only:
+        /// bit-equal to the one-pair loop for every block remainder
+        /// (0 and 1 models, one short block, exactly one block, one
+        /// block plus a remainder, …) and for layers of unequal width.
+        #[test]
+        fn blocked_divergence_is_bitwise_the_one_pair_loop(
+            seed in 0u64..u64::MAX,
+            dims in proptest::collection::vec(1usize..24, 2..5),
+        ) {
+            let root = DetRng::new(seed);
+            for n in [0usize, 1, 2, 7, 8, 9, 17] {
+                let models: Vec<Mlp> = (0..n)
+                    .map(|w| Mlp::new(&dims, Task::Regression, &mut root.fork(w as u64)))
+                    .collect();
+                let got = relative_model_divergence(&models);
+                prop_assert_eq!(got.to_bits(), one_pair_at_a_time_divergence(&models).to_bits());
+                prop_assert_eq!(n < 2, got == 0.0);
+            }
+        }
     }
 }

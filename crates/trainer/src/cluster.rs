@@ -4,7 +4,6 @@ use rog_models::batching::dynamic_batches;
 use rog_models::{CrimpSpec, CrimpWorkload, CrudaSpec, CrudaWorkload, Dataset, Mlp, Workload};
 use rog_net::{Channel, Trace};
 use rog_tensor::rng::DetRng;
-use rog_transport::SimTransport;
 
 use crate::config::{ExperimentConfig, ModelScale, WorkloadKind};
 
@@ -103,9 +102,9 @@ pub struct Cluster {
     /// The training workers (the parameter server is an extra laptop
     /// hosting the hotspot; it does not train).
     pub devices: Vec<Device>,
-    /// The transport plane over the shared wireless channel (one link
-    /// per worker), through the deterministic sim backend.
-    pub transport: SimTransport,
+    /// The shared wireless channel (one link per worker and shard) the
+    /// engines drive directly on the virtual clock.
+    pub transport: Channel,
     /// The built workload with one shard per worker.
     pub workload: BuiltWorkload,
     /// The shared initial model.
@@ -224,8 +223,7 @@ impl Cluster {
                 }
             }
         }
-        let transport =
-            SimTransport::new(Channel::new(capacity, links).with_sharing(cfg.mac_sharing));
+        let transport = Channel::new(capacity, links).with_sharing(cfg.mac_sharing);
 
         // Initial shared model and wire scaling.
         let init_model = workload.make_model(&mut root.fork(0x20));

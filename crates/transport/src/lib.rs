@@ -1,31 +1,21 @@
-//! Pluggable transport plane for the ROG engines.
+//! Live transport plane: real sockets under the ROG row protocol.
 //!
 //! ROG's traffic is two-class by design (paper Sec. III): best-effort
 //! gradient rows that are allowed to age toward the staleness bound,
 //! and reliable, acked resync / model transfers that must arrive. The
 //! [`Transport`] trait captures exactly that split — a datagram-class
-//! send for rows and a stream-class send for reliable messages, plus
-//! link-level delivery estimates feeding the loss-rate/goodput EWMAs
-//! the ATP planner already consumes.
+//! send for rows and a stream-class send for reliable messages, plus a
+//! link-level delivery estimate in the units the ATP planner consumes.
+//! It is the seam of the *live* plane only: the simulated engines model
+//! the same two classes on the virtual clock by driving
+//! [`rog_net::Channel`] and [`rog_net::ReliableTransfer`] directly and
+//! never go through this crate.
 //!
-//! Two backends implement the trait:
-//!
-//! * [`SimTransport`] — a thin adapter over the deterministic
-//!   [`rog_net::Channel`] / [`rog_net::ReliableTransfer`] path. The
-//!   simulation engines keep calling the full channel surface through
-//!   its inherent delegation methods, so a sim run is bit-identical to
-//!   the pre-transport code; the trait impl adds message-level
-//!   semantics on top (a completed flow loops its payload back to the
-//!   local inbox, standing in for the remote endpoint the simulation
-//!   does not materialize).
-//! * [`SocketTransport`] — a real-network backend on blocking
-//!   `std::net` sockets: UDP for the best-effort class (reusing the
-//!   seq+CRC32 framing and [`rog_net::SeqWindow`] dedup from
-//!   [`rog_net::wire`]) and TCP for the reliable class. The vendored
-//!   dependency set has no async runtime, so the backend is
-//!   thread-per-endpoint; the trait is backend-agnostic and an async
-//!   (e.g. tokio) implementation could slot in without touching
-//!   callers.
+//! [`SocketTransport`] is the one implementation: blocking `std::net`
+//! sockets, UDP for the best-effort class (reusing the seq+CRC32
+//! framing and [`rog_net::SeqWindow`] dedup from [`rog_net::wire`]) and
+//! TCP for the reliable class. The vendored dependency set has no async
+//! runtime, so it is driven by short blocking polls from one thread.
 //!
 //! [`proto`] defines the small length-prefixed control protocol the
 //! live `rogctl serve`/`join` cluster speaks on top of the transport
@@ -34,12 +24,10 @@
 //!
 //! # Determinism boundary
 //!
-//! The sim backend is bit-exact: golden traces and bench fingerprints
-//! must not move when the engines run through it. The socket backend
-//! is best-effort real I/O — wall-clock pacing, kernel buffers and
-//! datagram loss make it non-deterministic by nature; its runs are
-//! reconciled against sim runs statistically (composition within
-//! tolerance), never byte-compared.
+//! Real I/O — wall-clock pacing, kernel buffers and datagram loss —
+//! is non-deterministic by nature; live runs are reconciled against
+//! sim runs statistically (composition within tolerance), never
+//! byte-compared.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -49,18 +37,13 @@ use std::fmt;
 pub use rog_net::wire::FrameClass;
 
 pub mod proto;
-mod sim;
 mod socket;
 
-pub use sim::SimTransport;
 pub use socket::{SocketByteCounters, SocketTransport};
 
-/// Identifies the remote end of a lane.
-///
-/// For the sim backend this is the [`rog_net::LinkId`] the message
-/// travels on; for the socket backend it indexes the registered peer
-/// (a server numbers its workers `0..n`, a worker numbers the server
-/// `0`).
+/// Identifies the remote end of a lane: the index a peer was
+/// registered under (a server numbers its workers `0..n`, a worker
+/// numbers the server `0`).
 pub type PeerId = usize;
 
 /// Largest best-effort payload a single datagram may carry. Safely
@@ -142,9 +125,7 @@ pub struct Delivery {
 /// detected (CRC32) and dropped, never retransmitted — RSP's
 /// staleness gate absorbs the gap. `send` with
 /// [`FrameClass::Reliable`] is stream semantics: delivered exactly
-/// once, in order, retransmitted until acked (TCP on the socket
-/// backend, ack+backoff [`rog_net::ReliableTransfer`] rounds on the
-/// sim backend).
+/// once, in order, retransmitted until acked (TCP).
 pub trait Transport {
     /// Queues one message to `to` under `class`. Best-effort sends
     /// return once the datagram is handed to the lane; reliable sends
@@ -157,15 +138,11 @@ pub trait Transport {
         payload: &[u8],
     ) -> Result<(), TransportError>;
 
-    /// Drives the transport for up to `budget` seconds — virtual
-    /// seconds on the sim clock, wall seconds of socket polling — and
-    /// returns every message delivered in that window (possibly none).
+    /// Drives the transport for up to `budget` wall seconds and returns
+    /// every message delivered in that window (possibly none).
     fn poll(&mut self, budget: f64) -> Result<Vec<Delivery>, TransportError>;
 
     /// Current link-quality estimate toward `peer` (loss EWMA fed by
     /// link-level delivery reports, plus a goodput estimate).
     fn link_quality(&self, peer: PeerId) -> LinkQuality;
-
-    /// Registered peers, ascending.
-    fn peers(&self) -> Vec<PeerId>;
 }

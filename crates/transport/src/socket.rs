@@ -18,8 +18,7 @@
 //!
 //! The vendored dependency set has no async runtime; sockets are
 //! driven by short blocking polls ([`SocketTransport::poll`] toggles
-//! non-blocking mode for its read bursts). An async backend could
-//! implement [`Transport`] without changing any caller.
+//! non-blocking mode for its read bursts).
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io::{ErrorKind, Read, Write};
@@ -150,8 +149,8 @@ impl SocketTransport {
     }
 
     /// Registers `peer` with its lanes. Either lane may be absent and
-    /// filled in later ([`SocketTransport::set_peer_udp`]). The TCP
-    /// stream gets `TCP_NODELAY` — gate probes are latency-critical.
+    /// filled in by a later call. The TCP stream gets `TCP_NODELAY` —
+    /// gate probes are latency-critical.
     pub fn register_peer(
         &mut self,
         peer: PeerId,
@@ -173,11 +172,6 @@ impl SocketTransport {
             entry.tcp = tcp;
         }
         Ok(())
-    }
-
-    /// Sets (or replaces) the UDP address of an already registered peer.
-    pub fn set_peer_udp(&mut self, peer: PeerId, addr: SocketAddr) -> Result<(), TransportError> {
-        self.register_peer(peer, Some(addr), None)
     }
 
     /// True while the peer's reliable lane is open.
@@ -471,10 +465,6 @@ impl Transport for SocketTransport {
                 goodput_bps: 0.0,
             },
         }
-    }
-
-    fn peers(&self) -> Vec<PeerId> {
-        self.peers.keys().copied().collect()
     }
 }
 

@@ -8,7 +8,7 @@
 //! the staleness term keeps stale pushed rows from tripping the RSP
 //! gate.
 
-use rog_bench::{duration, header, run_all, series_at_times, write_artifact};
+use rog_bench::{duration, final_metric, header, run_all, series_at_times, write_artifact};
 use rog_trainer::report;
 use rog_trainer::{Environment, ExperimentConfig, Strategy, WorkloadKind};
 
@@ -49,7 +49,7 @@ fn main() {
             r.name,
             r.mean_iterations,
             r.composition.stall,
-            r.checkpoints.last().map(|c| c.metric).unwrap_or(f64::NAN),
+            final_metric(r),
             report::metric_at_time(r, dur).unwrap_or(f64::NAN),
         );
     }

@@ -10,7 +10,7 @@
 //! because aligning transmission *times* is exactly what the anomaly
 //! punishes baselines for not doing).
 
-use rog_bench::{duration, header, run_all, write_artifact};
+use rog_bench::{duration, header, run_all, short_name, write_artifact};
 use rog_net::SharingMode;
 use rog_trainer::{Environment, ExperimentConfig, RunMetrics, Strategy, WorkloadKind};
 
@@ -34,8 +34,7 @@ fn main() {
             .collect();
         let mut batch = run_all(&configs);
         for r in &mut batch {
-            let base = r.name.split(" / ").next().unwrap_or(&r.name).to_owned();
-            r.name = format!("{base}[{tag}]");
+            r.name = format!("{}[{tag}]", short_name(r));
         }
         runs.extend(batch);
     }

@@ -15,9 +15,11 @@
 //! runs of the same invocation byte-for-byte as a reproducibility
 //! check.
 
-use rog_bench::{header, run_all};
+use rog_bench::{
+    arg_seed, cells_json, final_metric, header, run_all, write_bench_json, Extra, JsonCell,
+};
 use rog_fault::{ChurnProfile, FaultPlan};
-use rog_trainer::{Environment, ExperimentConfig, RunMetrics, Strategy, WorkloadKind};
+use rog_trainer::{Environment, ExperimentConfig, Strategy, WorkloadKind};
 
 /// Churn profile tuned so even `--quick` runs see real departures
 /// (default means target multi-hour traces).
@@ -29,15 +31,6 @@ fn churn_profile() -> ChurnProfile {
         min_down_secs: 8.0,
         keep_first_online: true,
     }
-}
-
-fn fault_seed() -> u64 {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == "--seed")
-        .and_then(|i| args.get(i + 1))
-        .map(|v| v.parse().expect("--seed expects an integer"))
-        .unwrap_or(1)
 }
 
 fn scenario_plans(seed: u64, n_workers: usize, dur: f64) -> Vec<(&'static str, FaultPlan)> {
@@ -61,64 +54,10 @@ fn scenario_plans(seed: u64, n_workers: usize, dur: f64) -> Vec<(&'static str, F
     ]
 }
 
-fn json_f64(x: f64) -> String {
-    // `+ 0.0` folds IEEE −0.0 into +0.0 so artifacts never print "-0".
-    let x = x + 0.0;
-    if x.is_finite() {
-        format!("{x}")
-    } else {
-        "null".to_owned()
-    }
-}
-
-fn scenario_json(scenario: &str, r: &RunMetrics) -> String {
-    let mut s = String::from("    {\n");
-    s.push_str(&format!("      \"scenario\": {scenario:?},\n"));
-    s.push_str(&format!("      \"name\": {:?},\n", r.name));
-    s.push_str(&format!(
-        "      \"mean_iterations\": {},\n",
-        json_f64(r.mean_iterations)
-    ));
-    s.push_str(&format!(
-        "      \"total_energy_j\": {},\n",
-        json_f64(r.total_energy_j)
-    ));
-    s.push_str(&format!(
-        "      \"useful_bytes\": {},\n",
-        json_f64(r.useful_bytes)
-    ));
-    s.push_str(&format!(
-        "      \"wasted_bytes\": {},\n",
-        json_f64(r.wasted_bytes)
-    ));
-    s.push_str(&format!(
-        "      \"stall_secs\": {},\n",
-        json_f64(r.stall_secs)
-    ));
-    s.push_str(&format!(
-        "      \"offline_secs\": {},\n",
-        json_f64(r.offline_secs)
-    ));
-    let final_metric = r.checkpoints.last().map_or(f64::NAN, |c| c.metric);
-    s.push_str(&format!(
-        "      \"final_metric\": {},\n",
-        json_f64(final_metric)
-    ));
-    s.push_str("      \"accuracy_vs_time\": [");
-    let pts: Vec<String> = r
-        .checkpoints
-        .iter()
-        .map(|c| format!("[{}, {}, {}]", json_f64(c.time), c.iter, json_f64(c.metric)))
-        .collect();
-    s.push_str(&pts.join(", "));
-    s.push_str("]\n    }");
-    s
-}
-
 fn main() {
     let quick = rog_bench::quick();
     let dur = if quick { 120.0 } else { 600.0 };
-    let seed = fault_seed();
+    let seed = arg_seed();
     let base = ExperimentConfig {
         workload: WorkloadKind::Cruda,
         environment: Environment::Outdoor,
@@ -169,13 +108,12 @@ fn main() {
         "scenario", "iters", "stall(s)", "offline(s)", "metric", "wasted(B)"
     );
     for ((scenario, _), r) in configs.iter().zip(&runs) {
-        let final_metric = r.checkpoints.last().map_or(f64::NAN, |c| c.metric);
         println!(
             "{scenario:<15} {:>8.1} {:>10.1} {:>10.1} {:>10.2} {:>12.0}",
             r.mean_iterations,
             r.stall_secs + 0.0,
             r.offline_secs + 0.0,
-            final_metric,
+            final_metric(r),
             r.wasted_bytes
         );
     }
@@ -185,13 +123,16 @@ fn main() {
     json.push_str(&format!("  \"virtual_duration_secs\": {dur},\n"));
     json.push_str(&format!("  \"fault_seed\": {seed},\n"));
     json.push_str("  \"scenarios\": [\n");
-    let rows: Vec<String> = configs
+    let cells: Vec<JsonCell> = configs
         .iter()
         .zip(&runs)
-        .map(|((scenario, _), r)| scenario_json(scenario, r))
+        .map(|((scenario, _), r)| {
+            JsonCell::new()
+                .text("scenario", scenario)
+                .metrics(r, &[Extra::OfflineSecs, Extra::AccuracyVsTime])
+        })
         .collect();
-    json.push_str(&rows.join(",\n"));
+    json.push_str(&cells_json(&cells));
     json.push_str("\n  ]\n}\n");
-    std::fs::write("BENCH_fault.json", &json).expect("write BENCH_fault.json");
-    println!("  -> wrote BENCH_fault.json");
+    write_bench_json("fault", &json);
 }

@@ -19,94 +19,12 @@
 //! Usage: `cargo run --release -p rog-bench --bin bench_fleet
 //!         [--quick] [--seed <n>]`
 
-use rog_bench::header;
-use rog_trainer::{
-    Environment, ExperimentConfig, FleetStats, RunMetrics, RunOutcome, Strategy, WorkloadKind,
+use rog_bench::{
+    arg_seed, cells_json, header, identical, run_outcomes, write_bench_json, JsonCell,
 };
+use rog_trainer::{Environment, ExperimentConfig, RunOutcome, Strategy, WorkloadKind};
 
 const N_SHARDS: usize = 4;
-
-fn arg_seed() -> u64 {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == "--seed")
-        .and_then(|i| args.get(i + 1))
-        .map(|v| v.parse().expect("--seed expects an integer"))
-        .unwrap_or(1)
-}
-
-fn json_f64(x: f64) -> String {
-    // `+ 0.0` folds IEEE −0.0 into +0.0 so artifacts never print "-0".
-    let x = x + 0.0;
-    if x.is_finite() {
-        format!("{x}")
-    } else {
-        "null".to_owned()
-    }
-}
-
-/// Byte-level equality of everything the engine reports: if any of
-/// these differ the runs were not the same computation.
-fn identical(a: &RunOutcome, b: &RunOutcome) -> bool {
-    a.stats == b.stats
-        && a.metrics.checkpoints == b.metrics.checkpoints
-        && a.metrics.mean_iterations == b.metrics.mean_iterations
-        && a.metrics.total_energy_j == b.metrics.total_energy_j
-        && a.metrics.useful_bytes == b.metrics.useful_bytes
-        && a.metrics.wasted_bytes == b.metrics.wasted_bytes
-        && a.metrics.stall_secs == b.metrics.stall_secs
-        && a.metrics.final_model_divergence == b.metrics.final_model_divergence
-}
-
-fn run_outcomes(configs: &[ExperimentConfig]) -> Vec<RunOutcome> {
-    std::thread::scope(|s| {
-        let handles: Vec<_> = configs
-            .iter()
-            .map(|cfg| s.spawn(move || cfg.options().run()))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("experiment thread panicked"))
-            .collect()
-    })
-}
-
-fn cell_json(workers: usize, aggs: usize, dur: f64, m: &RunMetrics, st: &FleetStats) -> String {
-    let mut s = String::from("    {\n");
-    s.push_str(&format!("      \"workers\": {workers},\n"));
-    s.push_str(&format!("      \"aggregators\": {aggs},\n"));
-    s.push_str(&format!("      \"name\": {:?},\n", m.name));
-    s.push_str(&format!("      \"sim_events\": {},\n", st.sim_events));
-    s.push_str(&format!(
-        "      \"sim_events_per_virtual_sec\": {},\n",
-        json_f64(st.sim_events as f64 / dur)
-    ));
-    s.push_str(&format!(
-        "      \"queue_scheduled\": {},\n",
-        st.queue_scheduled
-    ));
-    s.push_str(&format!(
-        "      \"peak_version_bytes\": {},\n",
-        st.peak_version_bytes
-    ));
-    s.push_str(&format!("      \"agg_flushes\": {},\n", st.agg_flushes));
-    s.push_str(&format!(
-        "      \"agg_upstream_rows\": {},\n",
-        st.agg_upstream_rows
-    ));
-    s.push_str(&format!("      \"agg_raw_rows\": {},\n", st.agg_raw_rows));
-    s.push_str(&format!("      \"agg_pulls\": {},\n", st.agg_pulls));
-    s.push_str(&format!(
-        "      \"mean_iterations\": {},\n",
-        json_f64(m.mean_iterations)
-    ));
-    s.push_str(&format!(
-        "      \"stall_secs\": {}\n",
-        json_f64(m.stall_secs)
-    ));
-    s.push_str("    }");
-    s
-}
 
 fn main() {
     let quick = rog_bench::quick();
@@ -152,7 +70,8 @@ fn main() {
     let mut cells: Vec<RunOutcome> = Vec::new();
     let mut double_run_identity = true;
     for pair in outcomes.chunks(2) {
-        double_run_identity &= identical(&pair[0], &pair[1]);
+        double_run_identity &=
+            pair[0].stats == pair[1].stats && identical(&pair[0].metrics, &pair[1].metrics);
         cells.push(pair[0].clone());
     }
 
@@ -196,15 +115,30 @@ fn main() {
     ));
     json.push_str(&format!("  \"merge_never_expands\": {merge_ok},\n"));
     json.push_str("  \"cells\": [\n");
-    let rows: Vec<String> = labels
+    let rows: Vec<JsonCell> = labels
         .iter()
         .zip(&cells)
-        .map(|((w, a), out)| cell_json(*w, *a, dur, &out.metrics, &out.stats))
+        .map(|((workers, aggs), out)| {
+            let (m, st) = (&out.metrics, &out.stats);
+            JsonCell::new()
+                .raw("workers", workers)
+                .raw("aggregators", aggs)
+                .text("name", &m.name)
+                .raw("sim_events", st.sim_events)
+                .num("sim_events_per_virtual_sec", st.sim_events as f64 / dur)
+                .raw("queue_scheduled", st.queue_scheduled)
+                .raw("peak_version_bytes", st.peak_version_bytes)
+                .raw("agg_flushes", st.agg_flushes)
+                .raw("agg_upstream_rows", st.agg_upstream_rows)
+                .raw("agg_raw_rows", st.agg_raw_rows)
+                .raw("agg_pulls", st.agg_pulls)
+                .num("mean_iterations", m.mean_iterations)
+                .num("stall_secs", m.stall_secs)
+        })
         .collect();
-    json.push_str(&rows.join(",\n"));
+    json.push_str(&cells_json(&rows));
     json.push_str("\n  ]\n}\n");
-    std::fs::write("BENCH_fleet.json", &json).expect("write BENCH_fleet.json");
-    println!("  -> wrote BENCH_fleet.json");
+    write_bench_json("fleet", &json);
 
     assert!(
         double_run_identity,

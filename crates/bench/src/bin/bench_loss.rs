@@ -24,20 +24,14 @@
 //! runs of the same invocation byte-for-byte as a reproducibility
 //! check.
 
-use rog_bench::{header, run_all};
+use rog_bench::{
+    arg_seed, cells_json, final_metric, header, json_f64, run_all, write_bench_json, Extra,
+    JsonCell,
+};
 use rog_compress::CodecChoice;
 use rog_net::LossConfig;
 use rog_obs::Record;
-use rog_trainer::{Environment, ExperimentConfig, RunMetrics, Strategy, WorkloadKind};
-
-fn loss_seed() -> u64 {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == "--seed")
-        .and_then(|i| args.get(i + 1))
-        .map(|v| v.parse().expect("--seed expects an integer"))
-        .unwrap_or(1)
-}
+use rog_trainer::{Environment, ExperimentConfig, Strategy, WorkloadKind};
 
 fn scenarios(seed: u64) -> Vec<(&'static str, Option<LossConfig>)> {
     vec![
@@ -48,69 +42,10 @@ fn scenarios(seed: u64) -> Vec<(&'static str, Option<LossConfig>)> {
     ]
 }
 
-fn json_f64(x: f64) -> String {
-    // `+ 0.0` folds IEEE −0.0 into +0.0 so artifacts never print "-0".
-    let x = x + 0.0;
-    if x.is_finite() {
-        format!("{x}")
-    } else {
-        "null".to_owned()
-    }
-}
-
-fn scenario_json(scenario: &str, codec: &str, r: &RunMetrics) -> String {
-    let mut s = String::from("    {\n");
-    s.push_str(&format!("      \"scenario\": {scenario:?},\n"));
-    s.push_str(&format!("      \"codec\": {codec:?},\n"));
-    s.push_str(&format!("      \"name\": {:?},\n", r.name));
-    s.push_str(&format!(
-        "      \"mean_iterations\": {},\n",
-        json_f64(r.mean_iterations)
-    ));
-    s.push_str(&format!(
-        "      \"total_energy_j\": {},\n",
-        json_f64(r.total_energy_j)
-    ));
-    s.push_str(&format!(
-        "      \"useful_bytes\": {},\n",
-        json_f64(r.useful_bytes)
-    ));
-    s.push_str(&format!(
-        "      \"wasted_bytes\": {},\n",
-        json_f64(r.wasted_bytes)
-    ));
-    s.push_str(&format!(
-        "      \"lost_bytes\": {},\n",
-        json_f64(r.lost_bytes)
-    ));
-    s.push_str(&format!(
-        "      \"corrupt_bytes\": {},\n",
-        json_f64(r.corrupt_bytes)
-    ));
-    s.push_str(&format!(
-        "      \"stall_secs\": {},\n",
-        json_f64(r.stall_secs)
-    ));
-    let final_metric = r.checkpoints.last().map_or(f64::NAN, |c| c.metric);
-    s.push_str(&format!(
-        "      \"final_metric\": {},\n",
-        json_f64(final_metric)
-    ));
-    s.push_str("      \"accuracy_vs_time\": [");
-    let pts: Vec<String> = r
-        .checkpoints
-        .iter()
-        .map(|c| format!("[{}, {}, {}]", json_f64(c.time), c.iter, json_f64(c.metric)))
-        .collect();
-    s.push_str(&pts.join(", "));
-    s.push_str("]\n    }");
-    s
-}
-
 fn main() {
     let quick = rog_bench::quick();
     let dur = if quick { 120.0 } else { 600.0 };
-    let seed = loss_seed();
+    let seed = arg_seed();
     let base = ExperimentConfig {
         workload: WorkloadKind::Cruda,
         environment: Environment::Outdoor,
@@ -190,7 +125,6 @@ fn main() {
         "scenario", "codec", "iters", "stall(s)", "useful(B)", "lost(B)", "metric"
     );
     for ((scenario, cfg), r) in configs.iter().zip(&runs) {
-        let final_metric = r.checkpoints.last().map_or(f64::NAN, |c| c.metric);
         println!(
             "{scenario:<12} {:>7} {:>8.1} {:>10.1} {:>13.0} {:>12.0} {:>10.2}",
             cfg.effective_codec().name(),
@@ -198,7 +132,7 @@ fn main() {
             r.stall_secs + 0.0,
             r.useful_bytes,
             r.lost_bytes,
-            final_metric,
+            final_metric(r),
         );
     }
 
@@ -237,12 +171,20 @@ fn main() {
     json.push_str(&format!("  \"virtual_duration_secs\": {dur},\n"));
     json.push_str(&format!("  \"loss_seed\": {seed},\n"));
     json.push_str("  \"scenarios\": [\n");
-    let rows: Vec<String> = configs
+    let cells: Vec<JsonCell> = configs
         .iter()
         .zip(&runs)
-        .map(|((scenario, cfg), r)| scenario_json(scenario, cfg.effective_codec().name(), r))
+        .map(|((scenario, cfg), r)| {
+            JsonCell::new()
+                .text("scenario", scenario)
+                .text("codec", cfg.effective_codec().name())
+                .metrics(
+                    r,
+                    &[Extra::LostBytes, Extra::CorruptBytes, Extra::AccuracyVsTime],
+                )
+        })
         .collect();
-    json.push_str(&rows.join(",\n"));
+    json.push_str(&cells_json(&cells));
     json.push_str("\n  ],\n");
     json.push_str(&format!(
         "  \"push_payload_bytes_per_row\": {{\"onebit\": {}, \"sparse\": {}}}\n",
@@ -250,6 +192,5 @@ fn main() {
         json_f64(sparse_row)
     ));
     json.push_str("}\n");
-    std::fs::write("BENCH_loss.json", &json).expect("write BENCH_loss.json");
-    println!("  -> wrote BENCH_loss.json");
+    write_bench_json("loss", &json);
 }

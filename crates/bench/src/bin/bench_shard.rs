@@ -22,21 +22,15 @@
 //! runs of the same invocation byte-for-byte as a reproducibility
 //! check.
 
-use rog_bench::{header, run_all};
+use rog_bench::{
+    arg_seed, cells_json, final_metric, header, identical, json_f64, run_all, write_bench_json,
+    Extra, JsonCell,
+};
 use rog_fault::FaultPlan;
 use rog_net::LossConfig;
-use rog_trainer::{Environment, ExperimentConfig, RunMetrics, Strategy, WorkloadKind};
+use rog_trainer::{Environment, ExperimentConfig, Strategy, WorkloadKind};
 
 const SHARD_COUNTS: [usize; 3] = [1, 2, 4];
-
-fn arg_seed() -> u64 {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == "--seed")
-        .and_then(|i| args.get(i + 1))
-        .map(|v| v.parse().expect("--seed expects an integer"))
-        .unwrap_or(1)
-}
 
 /// The scenario matrix: (label, fault plan, loss model). The outage
 /// window always targets shard 0, whatever the shard count — that is
@@ -48,73 +42,6 @@ fn scenarios(seed: u64, dur: f64) -> Vec<(&'static str, Option<FaultPlan>, Optio
         ("shard0-outage", Some(outage), None),
         ("ge-10", None, Some(LossConfig::gilbert_elliott(seed, 0.10))),
     ]
-}
-
-fn json_f64(x: f64) -> String {
-    // `+ 0.0` folds IEEE −0.0 into +0.0 so artifacts never print "-0".
-    let x = x + 0.0;
-    if x.is_finite() {
-        format!("{x}")
-    } else {
-        "null".to_owned()
-    }
-}
-
-fn cell_json(scenario: &str, shards: usize, r: &RunMetrics) -> String {
-    let mut s = String::from("    {\n");
-    s.push_str(&format!("      \"scenario\": {scenario:?},\n"));
-    s.push_str(&format!("      \"shards\": {shards},\n"));
-    s.push_str(&format!("      \"name\": {:?},\n", r.name));
-    s.push_str(&format!(
-        "      \"mean_iterations\": {},\n",
-        json_f64(r.mean_iterations)
-    ));
-    s.push_str(&format!(
-        "      \"total_energy_j\": {},\n",
-        json_f64(r.total_energy_j)
-    ));
-    s.push_str(&format!(
-        "      \"useful_bytes\": {},\n",
-        json_f64(r.useful_bytes)
-    ));
-    s.push_str(&format!(
-        "      \"wasted_bytes\": {},\n",
-        json_f64(r.wasted_bytes)
-    ));
-    s.push_str(&format!(
-        "      \"lost_bytes\": {},\n",
-        json_f64(r.lost_bytes)
-    ));
-    s.push_str(&format!(
-        "      \"stall_secs\": {},\n",
-        json_f64(r.stall_secs)
-    ));
-    let final_metric = r.checkpoints.last().map_or(f64::NAN, |c| c.metric);
-    s.push_str(&format!(
-        "      \"final_metric\": {},\n",
-        json_f64(final_metric)
-    ));
-    s.push_str("      \"accuracy_vs_time\": [");
-    let pts: Vec<String> = r
-        .checkpoints
-        .iter()
-        .map(|c| format!("[{}, {}, {}]", json_f64(c.time), c.iter, json_f64(c.metric)))
-        .collect();
-    s.push_str(&pts.join(", "));
-    s.push_str("]\n    }");
-    s
-}
-
-/// Byte-level equality of everything the engine reports: if any of
-/// these differ the runs were not the same computation.
-fn identical(a: &RunMetrics, b: &RunMetrics) -> bool {
-    a.checkpoints == b.checkpoints
-        && a.mean_iterations == b.mean_iterations
-        && a.total_energy_j == b.total_energy_j
-        && a.useful_bytes == b.useful_bytes
-        && a.wasted_bytes == b.wasted_bytes
-        && a.stall_secs == b.stall_secs
-        && a.final_model_divergence == b.final_model_divergence
 }
 
 fn main() {
@@ -163,13 +90,12 @@ fn main() {
         "scenario", "shards", "iters", "stall(s)", "lost(B)", "metric"
     );
     for ((scenario, shards), r) in labels.iter().zip(&runs) {
-        let final_metric = r.checkpoints.last().map_or(f64::NAN, |c| c.metric);
         println!(
             "{scenario:<14} {shards:>7} {:>8.1} {:>10.1} {:>12.0} {:>10.2}",
             r.mean_iterations,
             r.stall_secs + 0.0,
             r.lost_bytes,
-            final_metric,
+            final_metric(r),
         );
     }
 
@@ -214,15 +140,19 @@ fn main() {
         "  \"sharding_localizes_fault_stall\": {localized},\n"
     ));
     json.push_str("  \"cells\": [\n");
-    let rows: Vec<String> = labels
+    let cells: Vec<JsonCell> = labels
         .iter()
         .zip(&runs)
-        .map(|((scenario, shards), r)| cell_json(scenario, *shards, r))
+        .map(|((scenario, shards), r)| {
+            JsonCell::new()
+                .text("scenario", scenario)
+                .raw("shards", shards)
+                .metrics(r, &[Extra::LostBytes, Extra::AccuracyVsTime])
+        })
         .collect();
-    json.push_str(&rows.join(",\n"));
+    json.push_str(&cells_json(&cells));
     json.push_str("\n  ]\n}\n");
-    std::fs::write("BENCH_shard.json", &json).expect("write BENCH_shard.json");
-    println!("  -> wrote BENCH_shard.json");
+    write_bench_json("shard", &json);
 
     assert!(
         one_shard_identity,

@@ -16,10 +16,12 @@
 //! runs of the same invocation byte-for-byte as a reproducibility
 //! check (and does, across compute-thread counts).
 
-use rog_bench::{header, run_all};
+use rog_bench::{
+    arg_seed, cells_json, final_metric, header, run_all, write_bench_json, Extra, JsonCell,
+};
 use rog_fault::FaultPlan;
 use rog_net::LossConfig;
-use rog_trainer::{Environment, ExperimentConfig, RunMetrics, Strategy, WorkloadKind};
+use rog_trainer::{Environment, ExperimentConfig, Strategy, WorkloadKind};
 
 /// The six-model spectrum plus the adaptive-bound hybrid. Bound ranges
 /// are part of the run name (`DSSP-1..8`), so every row of the matrix
@@ -47,15 +49,6 @@ const MODELS: [Strategy; 8] = [
     },
 ];
 
-fn arg_seed() -> u64 {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == "--seed")
-        .and_then(|i| args.get(i + 1))
-        .map(|v| v.parse().expect("--seed expects an integer"))
-        .unwrap_or(1)
-}
-
 /// The scenario matrix: (label, environment, fault plan, loss model).
 fn scenarios(
     seed: u64,
@@ -78,58 +71,6 @@ fn scenarios(
         ("churn", Environment::Stable, Some(churn), None),
         ("outdoor", Environment::Outdoor, None, None),
     ]
-}
-
-fn json_f64(x: f64) -> String {
-    // `+ 0.0` folds IEEE −0.0 into +0.0 so artifacts never print "-0".
-    let x = x + 0.0;
-    if x.is_finite() {
-        format!("{x}")
-    } else {
-        "null".to_owned()
-    }
-}
-
-fn cell_json(scenario: &str, model: &str, r: &RunMetrics) -> String {
-    let mut s = String::from("    {\n");
-    s.push_str(&format!("      \"scenario\": {scenario:?},\n"));
-    s.push_str(&format!("      \"model\": {model:?},\n"));
-    s.push_str(&format!("      \"name\": {:?},\n", r.name));
-    s.push_str(&format!(
-        "      \"mean_iterations\": {},\n",
-        json_f64(r.mean_iterations)
-    ));
-    s.push_str(&format!(
-        "      \"total_energy_j\": {},\n",
-        json_f64(r.total_energy_j)
-    ));
-    s.push_str(&format!(
-        "      \"useful_bytes\": {},\n",
-        json_f64(r.useful_bytes)
-    ));
-    s.push_str(&format!(
-        "      \"wasted_bytes\": {},\n",
-        json_f64(r.wasted_bytes)
-    ));
-    s.push_str(&format!(
-        "      \"lost_bytes\": {},\n",
-        json_f64(r.lost_bytes)
-    ));
-    s.push_str(&format!(
-        "      \"stall_secs\": {},\n",
-        json_f64(r.stall_secs)
-    ));
-    s.push_str(&format!(
-        "      \"offline_secs\": {},\n",
-        json_f64(r.offline_secs)
-    ));
-    let final_metric = r.checkpoints.last().map_or(f64::NAN, |c| c.metric);
-    s.push_str(&format!(
-        "      \"final_metric\": {}\n",
-        json_f64(final_metric)
-    ));
-    s.push_str("    }");
-    s
 }
 
 fn main() {
@@ -184,13 +125,12 @@ fn main() {
         "scenario", "model", "iters", "stall(s)", "lost(B)", "metric"
     );
     for ((scenario, model), r) in labels.iter().zip(&runs) {
-        let final_metric = r.checkpoints.last().map_or(f64::NAN, |c| c.metric);
         println!(
             "{scenario:<10} {model:<12} {:>8.1} {:>10.1} {:>12.0} {:>10.2}",
             r.mean_iterations,
             r.stall_secs + 0.0,
             r.lost_bytes,
-            final_metric,
+            final_metric(r),
         );
     }
 
@@ -243,13 +183,17 @@ fn main() {
     json.push_str(&rank_rows.join(",\n"));
     json.push_str("\n  },\n");
     json.push_str("  \"cells\": [\n");
-    let rows: Vec<String> = labels
+    let cells: Vec<JsonCell> = labels
         .iter()
         .zip(&runs)
-        .map(|((scenario, model), r)| cell_json(scenario, model, r))
+        .map(|((scenario, model), r)| {
+            JsonCell::new()
+                .text("scenario", scenario)
+                .text("model", model)
+                .metrics(r, &[Extra::LostBytes, Extra::OfflineSecs])
+        })
         .collect();
-    json.push_str(&rows.join(",\n"));
+    json.push_str(&cells_json(&cells));
     json.push_str("\n  ]\n}\n");
-    std::fs::write("BENCH_sync.json", &json).expect("write BENCH_sync.json");
-    println!("  -> wrote BENCH_sync.json");
+    write_bench_json("sync", &json);
 }

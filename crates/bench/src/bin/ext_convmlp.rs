@@ -8,7 +8,9 @@
 //! the convolutional architecture: rows are now filter banks (one
 //! output channel per row), but RSP/ATP are architecture-agnostic.
 
-use rog_bench::{duration, header, run_all, series_at_times, write_artifact};
+use rog_bench::{
+    duration, final_metric, header, run_all, series_at_times, short_name, write_artifact,
+};
 use rog_trainer::{Environment, ExperimentConfig, Strategy, WorkloadKind};
 
 fn main() {
@@ -46,10 +48,10 @@ fn main() {
     for r in &runs {
         println!(
             "{:<8} iters {:>5.0}  stall {:>5.2}s/iter  final {:>6.2}%",
-            r.name.split(" / ").next().unwrap_or(&r.name),
+            short_name(r),
             r.mean_iterations,
             r.composition.stall,
-            r.checkpoints.last().map(|c| c.metric).unwrap_or(f64::NAN),
+            final_metric(r),
         );
     }
 }

@@ -9,7 +9,9 @@
 //!
 //! Both run CRUDA outdoors against plain ROG-4.
 
-use rog_bench::{duration, header, run_all, series_at_times, write_artifact};
+use rog_bench::{
+    duration, final_metric, header, run_all, series_at_times, short_name, write_artifact,
+};
 use rog_trainer::{Environment, ExperimentConfig, Strategy, WorkloadKind};
 
 fn main() {
@@ -54,10 +56,10 @@ fn main() {
     for r in &runs {
         println!(
             "{:<16} iters {:>5.0}  total {:>5.2}s/iter  final {:>6.2}%",
-            r.name.split(" / ").next().unwrap_or(&r.name),
+            short_name(r),
             r.mean_iterations,
             r.composition.total(),
-            r.checkpoints.last().map(|c| c.metric).unwrap_or(f64::NAN),
+            final_metric(r),
         );
     }
     println!(

@@ -7,112 +7,34 @@
 //! numbers: accuracy gain after fixed training time and energy saving to
 //! reach a common accuracy.
 
-use rog_bench::{duration, header, run_all, series_at_iterations, series_at_times, write_artifact};
+use rog_bench::{duration, four_panel_report, header, side, six_strategy_runs};
 use rog_trainer::report;
-use rog_trainer::{Environment, ExperimentConfig, Strategy, WorkloadKind};
+use rog_trainer::{Environment, WorkloadKind};
 
 fn main() {
     let dur = duration(5400.0, 240.0);
-    let strategies = [
-        Strategy::Bsp,
-        Strategy::Ssp { threshold: 4 },
-        Strategy::Ssp { threshold: 20 },
-        Strategy::Flown {
-            min_threshold: 2,
-            max_threshold: 20,
-        },
-        Strategy::Rog { threshold: 4 },
-        Strategy::Rog { threshold: 20 },
-    ];
-    let configs: Vec<ExperimentConfig> = strategies
-        .iter()
-        .map(|&strategy| ExperimentConfig {
-            workload: WorkloadKind::Cruda,
-            environment: Environment::Outdoor,
-            strategy,
-            duration_secs: dur,
-            ..ExperimentConfig::default()
-        })
-        .collect();
-    let runs = run_all(&configs);
-
-    header("Fig. 1a — average time composition of a training iteration (s)");
-    let comp = report::composition_table(&runs);
-    print!("{comp}");
-    write_artifact("fig1a_composition.csv", &comp);
-
-    header("Fig. 1b — statistical efficiency (accuracy % vs iteration)");
-    let max_iter = runs
-        .iter()
-        .flat_map(|r| r.checkpoints.last().map(|c| c.iter))
-        .min()
-        .unwrap_or(0);
-    let iters: Vec<u64> = (1..=10)
-        .map(|k| k * max_iter / 10)
-        .filter(|&i| i > 0)
-        .collect();
-    let b = series_at_iterations(&runs, &iters);
-    print!("{b}");
-    write_artifact("fig1b_statistical_efficiency.csv", &b);
-
-    header("Fig. 1c — accuracy % vs wall-clock time (s)");
-    let probes: Vec<f64> = (1..=12).map(|k| dur * k as f64 / 12.0).collect();
-    let c = series_at_times(&runs, &probes);
-    print!("{c}");
-    write_artifact("fig1c_accuracy_vs_time.csv", &c);
-
-    header("Fig. 1d — energy (J) to reach accuracy targets");
-    let mut d = String::from("target_acc");
-    for r in &runs {
-        d.push(',');
-        d.push_str(r.name.split(" / ").next().unwrap_or(&r.name));
-    }
-    d.push('\n');
-    let best_final = runs
-        .iter()
-        .flat_map(|r| r.checkpoints.last().map(|c| c.metric))
-        .fold(f64::NEG_INFINITY, f64::max);
-    for k in 0..6 {
-        let target = best_final - 8.0 + k as f64 * 1.6;
-        d.push_str(&format!("{target:.1}"));
-        for r in &runs {
-            match report::energy_to_reach(r, target) {
-                Some(j) => d.push_str(&format!(",{j:.0}")),
-                None => d.push_str(",-"),
-            }
-        }
-        d.push('\n');
-    }
-    print!("{d}");
-    write_artifact("fig1d_energy_to_accuracy.csv", &d);
+    let runs = six_strategy_runs(WorkloadKind::Cruda, Environment::Outdoor, dur);
+    four_panel_report(1, &runs, dur);
 
     header("Headline numbers (paper Sec. VI-A)");
-    let rog_best = runs
-        .iter()
-        .filter(|r| r.name.starts_with("ROG"))
-        .flat_map(|r| report::metric_at_time(r, dur))
-        .fold(f64::NEG_INFINITY, f64::max);
-    let baseline_best = runs
-        .iter()
-        .filter(|r| !r.name.starts_with("ROG"))
-        .flat_map(|r| report::metric_at_time(r, dur))
-        .fold(f64::NEG_INFINITY, f64::max);
+    let best_at_end = |rog: bool| {
+        side(&runs, rog)
+            .flat_map(|r| report::metric_at_time(r, dur))
+            .fold(f64::NEG_INFINITY, f64::max)
+    };
+    let (rog_best, baseline_best) = (best_at_end(true), best_at_end(false));
     println!(
         "accuracy after {dur:.0}s: best ROG {rog_best:.1}%, best baseline {baseline_best:.1}% \
          (gain {:+.1} pts; paper reports +4.9 to +6.5 pts outdoors at 60 min)",
         rog_best - baseline_best
     );
     let target = baseline_best.min(rog_best) - 0.5;
-    let rog_energy = runs
-        .iter()
-        .filter(|r| r.name.starts_with("ROG"))
-        .flat_map(|r| report::energy_to_reach(r, target))
-        .fold(f64::INFINITY, f64::min);
-    let base_energy = runs
-        .iter()
-        .filter(|r| !r.name.starts_with("ROG"))
-        .flat_map(|r| report::energy_to_reach(r, target))
-        .fold(f64::INFINITY, f64::min);
+    let least_energy = |rog: bool| {
+        side(&runs, rog)
+            .flat_map(|r| report::energy_to_reach(r, target))
+            .fold(f64::INFINITY, f64::min)
+    };
+    let (rog_energy, base_energy) = (least_energy(true), least_energy(false));
     if rog_energy.is_finite() && base_energy.is_finite() {
         println!(
             "energy to reach {target:.1}%: ROG {rog_energy:.0} J vs best baseline {base_energy:.0} J \
@@ -120,18 +42,15 @@ fn main() {
             100.0 * (1.0 - rog_energy / base_energy)
         );
     }
-    let rog_stall: f64 = runs
-        .iter()
-        .filter(|r| r.name.starts_with("ROG"))
-        .map(|r| r.composition.stall)
-        .fold(f64::INFINITY, f64::min);
-    let base_stall: f64 = runs
-        .iter()
-        .filter(|r| !r.name.starts_with("ROG"))
-        .map(|r| r.composition.stall)
-        .fold(f64::INFINITY, f64::min);
+    let least_stall = |rog: bool| {
+        side(&runs, rog)
+            .map(|r| r.composition.stall)
+            .fold(f64::INFINITY, f64::min)
+    };
     println!(
-        "stall per iteration: ROG {rog_stall:.2}s vs best baseline {base_stall:.2}s \
-         (paper: ROG cuts outdoor stall by 49.1–86.5%)"
+        "stall per iteration: ROG {:.2}s vs best baseline {:.2}s \
+         (paper: ROG cuts outdoor stall by 49.1–86.5%)",
+        least_stall(true),
+        least_stall(false)
     );
 }

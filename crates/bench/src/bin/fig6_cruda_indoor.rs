@@ -2,84 +2,13 @@
 //! Fig. 1, milder instability), plus the Sec. II-D observation that BSP
 //! stall indoors is comparable to the computation time.
 
-use rog_bench::{duration, header, run_all, series_at_iterations, series_at_times, write_artifact};
-use rog_trainer::report;
-use rog_trainer::{Environment, ExperimentConfig, Strategy, WorkloadKind};
+use rog_bench::{duration, four_panel_report, header, side, six_strategy_runs};
+use rog_trainer::{Environment, WorkloadKind};
 
 fn main() {
     let dur = duration(3600.0, 240.0);
-    let strategies = [
-        Strategy::Bsp,
-        Strategy::Ssp { threshold: 4 },
-        Strategy::Ssp { threshold: 20 },
-        Strategy::Flown {
-            min_threshold: 2,
-            max_threshold: 20,
-        },
-        Strategy::Rog { threshold: 4 },
-        Strategy::Rog { threshold: 20 },
-    ];
-    let configs: Vec<ExperimentConfig> = strategies
-        .iter()
-        .map(|&strategy| ExperimentConfig {
-            workload: WorkloadKind::Cruda,
-            environment: Environment::Indoor,
-            strategy,
-            duration_secs: dur,
-            ..ExperimentConfig::default()
-        })
-        .collect();
-    let runs = run_all(&configs);
-
-    header("Fig. 6a — average time composition of a training iteration (s)");
-    let comp = report::composition_table(&runs);
-    print!("{comp}");
-    write_artifact("fig6a_composition.csv", &comp);
-
-    header("Fig. 6b — statistical efficiency (accuracy % vs iteration)");
-    let max_iter = runs
-        .iter()
-        .flat_map(|r| r.checkpoints.last().map(|c| c.iter))
-        .min()
-        .unwrap_or(0);
-    let iters: Vec<u64> = (1..=10)
-        .map(|k| k * max_iter / 10)
-        .filter(|&i| i > 0)
-        .collect();
-    let b = series_at_iterations(&runs, &iters);
-    print!("{b}");
-    write_artifact("fig6b_statistical_efficiency.csv", &b);
-
-    header("Fig. 6c — accuracy % vs wall-clock time (s)");
-    let probes: Vec<f64> = (1..=12).map(|k| dur * k as f64 / 12.0).collect();
-    let c = series_at_times(&runs, &probes);
-    print!("{c}");
-    write_artifact("fig6c_accuracy_vs_time.csv", &c);
-
-    header("Fig. 6d — energy (J) to reach accuracy targets");
-    let mut d = String::from("target_acc");
-    for r in &runs {
-        d.push(',');
-        d.push_str(r.name.split(" / ").next().unwrap_or(&r.name));
-    }
-    d.push('\n');
-    let best_final = runs
-        .iter()
-        .flat_map(|r| r.checkpoints.last().map(|c| c.metric))
-        .fold(f64::NEG_INFINITY, f64::max);
-    for k in 0..6 {
-        let target = best_final - 8.0 + k as f64 * 1.6;
-        d.push_str(&format!("{target:.1}"));
-        for r in &runs {
-            match report::energy_to_reach(r, target) {
-                Some(j) => d.push_str(&format!(",{j:.0}")),
-                None => d.push_str(",-"),
-            }
-        }
-        d.push('\n');
-    }
-    print!("{d}");
-    write_artifact("fig6d_energy_to_accuracy.csv", &d);
+    let runs = six_strategy_runs(WorkloadKind::Cruda, Environment::Indoor, dur);
+    four_panel_report(6, &runs, dur);
 
     header("Sec. II-D cross-check (indoor BSP)");
     if let Some(bsp) = runs.iter().find(|r| r.name.starts_with("BSP")) {
@@ -89,18 +18,15 @@ fn main() {
             bsp.composition.compute, bsp.composition.stall
         );
     }
-    let rog_stall: f64 = runs
-        .iter()
-        .filter(|r| r.name.starts_with("ROG"))
-        .map(|r| r.composition.stall)
-        .fold(f64::INFINITY, f64::min);
-    let base_stall: f64 = runs
-        .iter()
-        .filter(|r| !r.name.starts_with("ROG"))
-        .map(|r| r.composition.stall)
-        .fold(f64::INFINITY, f64::min);
+    let least_stall = |rog: bool| {
+        side(&runs, rog)
+            .map(|r| r.composition.stall)
+            .fold(f64::INFINITY, f64::min)
+    };
     println!(
-        "stall per iteration: ROG {rog_stall:.2}s vs best baseline {base_stall:.2}s \
-         (paper: ROG cuts indoor stall by 42.4–97.6%)"
+        "stall per iteration: ROG {:.2}s vs best baseline {:.2}s \
+         (paper: ROG cuts indoor stall by 42.4–97.6%)",
+        least_stall(true),
+        least_stall(false)
     );
 }

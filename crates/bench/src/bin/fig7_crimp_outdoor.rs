@@ -5,96 +5,22 @@
 //! compressed): time composition, error vs iteration, error vs
 //! wall-clock, energy vs error.
 
-use rog_bench::{duration, header, run_all, series_at_iterations, series_at_times, write_artifact};
+use rog_bench::{duration, four_panel_report, header, side, six_strategy_runs};
 use rog_trainer::report;
-use rog_trainer::{Environment, ExperimentConfig, Strategy, WorkloadKind};
+use rog_trainer::{Environment, WorkloadKind};
 
 fn main() {
     let dur = duration(3600.0, 240.0);
-    let strategies = [
-        Strategy::Bsp,
-        Strategy::Ssp { threshold: 4 },
-        Strategy::Ssp { threshold: 20 },
-        Strategy::Flown {
-            min_threshold: 2,
-            max_threshold: 20,
-        },
-        Strategy::Rog { threshold: 4 },
-        Strategy::Rog { threshold: 20 },
-    ];
-    let configs: Vec<ExperimentConfig> = strategies
-        .iter()
-        .map(|&strategy| ExperimentConfig {
-            workload: WorkloadKind::Crimp,
-            environment: Environment::Outdoor,
-            strategy,
-            duration_secs: dur,
-            ..ExperimentConfig::default()
-        })
-        .collect();
-    let runs = run_all(&configs);
-
-    header("Fig. 7a — average time composition of a training iteration (s)");
-    let comp = report::composition_table(&runs);
-    print!("{comp}");
-    write_artifact("fig7a_composition.csv", &comp);
-
-    header("Fig. 7b — statistical efficiency (trajectory error (m) vs iteration)");
-    let max_iter = runs
-        .iter()
-        .flat_map(|r| r.checkpoints.last().map(|c| c.iter))
-        .min()
-        .unwrap_or(0);
-    let iters: Vec<u64> = (1..=10)
-        .map(|k| k * max_iter / 10)
-        .filter(|&i| i > 0)
-        .collect();
-    let b = series_at_iterations(&runs, &iters);
-    print!("{b}");
-    write_artifact("fig7b_error_vs_iteration.csv", &b);
-
-    header("Fig. 7c — trajectory error (m) vs wall-clock time (s)");
-    let probes: Vec<f64> = (1..=12).map(|k| dur * k as f64 / 12.0).collect();
-    let c = series_at_times(&runs, &probes);
-    print!("{c}");
-    write_artifact("fig7c_error_vs_time.csv", &c);
-
-    header("Fig. 7d — energy (J) to reach trajectory-error targets");
-    let best_final = runs
-        .iter()
-        .flat_map(|r| r.checkpoints.last().map(|c| c.metric))
-        .fold(f64::INFINITY, f64::min);
-    let mut d = String::from("target_error");
-    for r in &runs {
-        d.push(',');
-        d.push_str(r.name.split(" / ").next().unwrap_or(&r.name));
-    }
-    d.push('\n');
-    for k in 0..6 {
-        let target = best_final + 0.1 + k as f64 * 0.15;
-        d.push_str(&format!("{target:.2}"));
-        for r in &runs {
-            match report::energy_to_reach(r, target) {
-                Some(j) => d.push_str(&format!(",{j:.0}")),
-                None => d.push_str(",-"),
-            }
-        }
-        d.push('\n');
-    }
-    print!("{d}");
-    write_artifact("fig7d_energy_to_error.csv", &d);
+    let runs = six_strategy_runs(WorkloadKind::Crimp, Environment::Outdoor, dur);
+    four_panel_report(7, &runs, dur);
 
     header("Headline numbers (paper Sec. VI-A, CRIMP)");
-    let rog_best = runs
-        .iter()
-        .filter(|r| r.name.starts_with("ROG"))
-        .flat_map(|r| report::metric_at_time(r, dur))
-        .fold(f64::INFINITY, f64::min);
-    let baseline_best = runs
-        .iter()
-        .filter(|r| !r.name.starts_with("ROG"))
-        .flat_map(|r| report::metric_at_time(r, dur))
-        .fold(f64::INFINITY, f64::min);
+    let best_at_end = |rog: bool| {
+        side(&runs, rog)
+            .flat_map(|r| report::metric_at_time(r, dur))
+            .fold(f64::INFINITY, f64::min)
+    };
+    let (rog_best, baseline_best) = (best_at_end(true), best_at_end(false));
     println!(
         "trajectory error after {dur:.0}s: best ROG {rog_best:.3} m vs best baseline {baseline_best:.3} m \
          ({:.0}% reduction; paper reports 16–30% at 60 min)",

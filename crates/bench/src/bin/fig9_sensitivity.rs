@@ -5,7 +5,7 @@
 //! workers. Panels: accuracy vs time, energy to reach a target, and
 //! time composition.
 
-use rog_bench::{duration, header, run_all, series_at_times, write_artifact};
+use rog_bench::{duration, header, run_all, series_at_times, short_name, write_artifact};
 use rog_trainer::report;
 use rog_trainer::{Environment, ExperimentConfig, RunMetrics, Strategy, WorkloadKind};
 
@@ -19,8 +19,7 @@ fn strategies() -> [Strategy; 3] {
 
 fn tagged(mut runs: Vec<RunMetrics>, tag: &str) -> Vec<RunMetrics> {
     for r in &mut runs {
-        let base = r.name.split(" / ").next().unwrap_or(&r.name).to_owned();
-        r.name = format!("{base}-{tag}");
+        r.name = format!("{}-{tag}", short_name(r));
     }
     runs
 }

@@ -9,7 +9,7 @@
 //! externally recorded trace in `time_s,value` form can drive the
 //! whole evaluation.
 
-use rog_bench::{duration, header, results_dir, run_all};
+use rog_bench::{duration, header, results_dir, run_all, short_name};
 use rog_net::{io, ChannelProfile, Trace};
 use rog_trainer::{Environment, ExperimentConfig, Strategy, WorkloadKind};
 
@@ -73,7 +73,7 @@ fn main() {
             replay.checkpoints == gen.checkpoints && replay.mean_iterations == gen.mean_iterations;
         println!(
             "{:<8} replay {:>6.0} iters / generated {:>6.0} iters — {}",
-            gen.name.split(" / ").next().unwrap_or(""),
+            short_name(gen),
             replay.mean_iterations,
             gen.mean_iterations,
             if same {

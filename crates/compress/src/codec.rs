@@ -21,18 +21,18 @@
 //!   bit of the row framing header) whenever the selection is dense
 //!   enough that the gap stream would cost more than the bitmap, so a
 //!   sparse-delta row never costs more than one-bit.
-//! - **k-bit quantization ladder** ([`QuantCodec`]): the QSGD-style
-//!   stochastic-rounding quantizer of the `qsgd` module generalized to
-//!   k ∈ {2, 4, 8} bits/value (k = 1 is one-bit itself), run through
-//!   error feedback like every other rung.
+//! - **k-bit quantization ladder** ([`QuantCodec`]): QSGD-style
+//!   unbiased stochastic rounding at k ∈ {2, 4, 8} bits/value (k = 1 is
+//!   one-bit itself), run through error feedback like every other rung.
 //!
-//! [`TopKCodec`](crate::TopKCodec) also implements [`RowCodec`] so the
-//! ablation comparator runs through the same engine path.
+//! [`TopKCodec`] — magnitude sparsification, the lossy comparator the
+//! paper cites as related work (deep gradient compression, Sec. II-D) —
+//! also implements [`RowCodec`] so the ablation runs through the same
+//! engine path.
 
 use rog_tensor::rng::DetRng;
 
-use crate::qsgd::QsgdCodec;
-use crate::{CompressedRow, QuantizedRow, SparseRow, TopKCodec};
+use crate::CompressedRow;
 
 /// Length in bytes of `v` as an LEB128 varint.
 const fn varint_len(v: u64) -> u64 {
@@ -442,9 +442,44 @@ impl RowCodec for SparseDeltaCodec {
     }
 }
 
+/// A stochastically quantized row.
+#[derive(Debug, Clone, PartialEq)]
+pub struct QuantizedRow {
+    /// Scale (max magnitude of the row).
+    pub norm: f32,
+    /// Signed level per value, in `[-levels, +levels]`.
+    pub levels_signed: Vec<i16>,
+    /// Number of positive levels.
+    pub levels: u16,
+}
+
+impl QuantizedRow {
+    /// Reconstructs the row values.
+    pub fn decompress(&self) -> Vec<f32> {
+        let s = f32::from(self.levels.max(1));
+        self.levels_signed
+            .iter()
+            .map(|&l| f32::from(l) / s * self.norm)
+            .collect()
+    }
+
+    /// Bytes on the wire: the scale plus `ceil(log2(2s+1))` bits per
+    /// value, byte-padded.
+    pub fn payload_bytes(&self) -> u64 {
+        let symbols = u32::from(self.levels) * 2 + 1;
+        let bits_per_value = 32 - (symbols - 1).leading_zeros();
+        4 + ((self.levels_signed.len() as u64 * u64::from(bits_per_value)).div_ceil(8))
+    }
+}
+
 /// The k-bit quantization ladder: QSGD stochastic rounding at
 /// `bits` ∈ {2..8} bits per value (k = 1 is [`OneBitCodec`]), with the
 /// level count chosen so the symbol alphabet exactly fills `bits` bits.
+///
+/// Each value is randomly rounded to one of the levels of its row's max
+/// magnitude, with probabilities chosen so the expectation equals the
+/// input: where one-bit + error feedback delays information, this adds
+/// zero-mean noise instead.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QuantCodec {
     /// Bits per value on the wire.
@@ -478,8 +513,107 @@ impl RowCodec for QuantCodec {
         4 + (cols as u64 * u64::from(self.bits)).div_ceil(8)
     }
 
+    /// One RNG draw per value of a non-zero row, in index order.
     fn encode(&self, adjusted: &[f32], rng: &mut DetRng) -> RowCode {
-        RowCode::Quant(QsgdCodec::new(self.levels()).compress(adjusted, rng))
+        let levels = self.levels();
+        let norm = adjusted.iter().fold(0.0f32, |a, v| a.max(v.abs()));
+        let s = f32::from(levels);
+        let levels_signed = adjusted
+            .iter()
+            .map(|&v| {
+                if norm == 0.0 {
+                    return 0i16;
+                }
+                let scaled = v.abs() / norm * s;
+                let lower = scaled.floor();
+                let p = f64::from(scaled - lower);
+                let level = lower as i16 + i16::from(rng.chance(p));
+                if v < 0.0 {
+                    -level
+                } else {
+                    level
+                }
+            })
+            .collect();
+        RowCode::Quant(QuantizedRow {
+            norm,
+            levels_signed,
+            levels,
+        })
+    }
+}
+
+/// A sparsified row: the `k` largest-magnitude entries with their indices.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SparseRow {
+    /// Indices of retained values, ascending.
+    pub indices: Vec<u32>,
+    /// Retained values, aligned with `indices`.
+    pub values: Vec<f32>,
+    /// Original row width.
+    pub cols: usize,
+}
+
+impl SparseRow {
+    /// Dense reconstruction with zeros elsewhere.
+    pub fn decompress(&self) -> Vec<f32> {
+        let mut out = vec![0.0; self.cols];
+        for (&i, &v) in self.indices.iter().zip(&self.values) {
+            out[i as usize] = v;
+        }
+        out
+    }
+
+    /// Wire size: 4-byte index + 4-byte value per retained entry.
+    pub fn payload_bytes(&self) -> u64 {
+        8 * self.indices.len() as u64
+    }
+}
+
+/// Top-k sparsifying codec.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct TopKCodec {
+    /// Fraction of entries to keep, in `(0, 1]`.
+    pub keep_fraction: f64,
+}
+
+impl TopKCodec {
+    /// Creates a codec keeping `keep_fraction` of each row.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `0 < keep_fraction <= 1`.
+    pub fn new(keep_fraction: f64) -> Self {
+        assert!(
+            keep_fraction > 0.0 && keep_fraction <= 1.0,
+            "keep_fraction must be in (0, 1]"
+        );
+        Self { keep_fraction }
+    }
+
+    /// Entries kept of a `cols`-wide row: at least one for a non-empty row.
+    fn keep(&self, cols: usize) -> usize {
+        ((cols as f64 * self.keep_fraction).ceil() as usize).clamp(cols.min(1), cols)
+    }
+
+    /// Sparsifies one row, keeping at least one entry for non-empty rows.
+    pub fn compress(&self, row: &[f32]) -> SparseRow {
+        let cols = row.len();
+        let mut order: Vec<usize> = (0..cols).collect();
+        order.sort_by(|&a, &b| {
+            row[b]
+                .abs()
+                .partial_cmp(&row[a].abs())
+                .unwrap_or(std::cmp::Ordering::Equal)
+                .then(a.cmp(&b))
+        });
+        order.truncate(self.keep(cols));
+        order.sort_unstable();
+        SparseRow {
+            indices: order.iter().map(|&i| i as u32).collect(),
+            values: order.iter().map(|&i| row[i]).collect(),
+            cols,
+        }
     }
 }
 
@@ -489,11 +623,7 @@ impl RowCodec for TopKCodec {
     }
 
     fn payload_bytes(&self, cols: usize) -> u64 {
-        if cols == 0 {
-            return 0;
-        }
-        let k = ((cols as f64 * self.keep_fraction).ceil() as usize).clamp(1, cols);
-        8 * k as u64
+        8 * self.keep(cols) as u64
     }
 
     fn encode(&self, adjusted: &[f32], _rng: &mut DetRng) -> RowCode {
@@ -803,6 +933,107 @@ mod tests {
         let _ = QuantCodec::new(1);
     }
 
+    /// The `bits`-bit rung's encoding of `row`, unwrapped.
+    fn quantize(bits: u8, row: &[f32], rng: &mut DetRng) -> QuantizedRow {
+        match QuantCodec::new(bits).encode(row, rng) {
+            RowCode::Quant(q) => q,
+            other => panic!("quant rung produced {other:?}"),
+        }
+    }
+
+    #[test]
+    fn quant_zero_row_stays_zero() {
+        let q = quantize(4, &[0.0; 8], &mut DetRng::new(1));
+        assert!(q.decompress().iter().all(|&v| v == 0.0));
+    }
+
+    #[test]
+    fn quant_zero_row_draws_nothing() {
+        let mut rng = DetRng::new(1);
+        let _ = quantize(4, &[0.0; 8], &mut rng);
+        assert_eq!(rng.next_u64(), DetRng::new(1).next_u64());
+    }
+
+    #[test]
+    fn quant_max_magnitude_is_exact() {
+        let d = quantize(4, &[-3.0, 1.0, 3.0], &mut DetRng::new(2)).decompress();
+        assert_eq!(d[0], -3.0);
+        assert_eq!(d[2], 3.0);
+    }
+
+    #[test]
+    fn quantization_is_unbiased() {
+        // Average many independent quantizations of the same row.
+        let row = [0.3f32, -0.7, 0.55, 1.0, -0.11];
+        let mut rng = DetRng::new(3);
+        let n = 4000;
+        let mut acc = vec![0.0f64; row.len()];
+        for _ in 0..n {
+            for (a, v) in acc.iter_mut().zip(quantize(3, &row, &mut rng).decompress()) {
+                *a += f64::from(v);
+            }
+        }
+        for (a, &v) in acc.iter().zip(&row) {
+            let mean = a / f64::from(n);
+            assert!((mean - f64::from(v)).abs() < 0.03, "biased: {mean} vs {v}");
+        }
+    }
+
+    #[test]
+    fn quant_error_is_bounded_by_one_level() {
+        let row: Vec<f32> = (0..64).map(|i| (i as f32 * 0.37).sin()).collect();
+        let d = quantize(4, &row, &mut DetRng::new(4)).decompress();
+        let norm = row.iter().fold(0.0f32, |a, v| a.max(v.abs()));
+        let levels = f32::from(QuantCodec::new(4).levels());
+        for (q, v) in d.iter().zip(&row) {
+            assert!((q - v).abs() <= norm / levels + 1e-6, "{q} vs {v}");
+        }
+    }
+
+    #[test]
+    fn quantization_is_deterministic_per_seed() {
+        let row = [0.5f32, -0.25, 0.8];
+        assert_eq!(
+            quantize(4, &row, &mut DetRng::new(9)),
+            quantize(4, &row, &mut DetRng::new(9))
+        );
+    }
+
+    #[test]
+    fn topk_keeps_largest_magnitudes() {
+        let s = TopKCodec::new(0.5).compress(&[0.1, -5.0, 0.2, 3.0]);
+        assert_eq!(s.indices, vec![1, 3]);
+        assert_eq!(s.values, vec![-5.0, 3.0]);
+    }
+
+    #[test]
+    fn topk_decompress_zero_fills() {
+        let s = TopKCodec::new(0.25).compress(&[1.0, 9.0, 2.0, 3.0]);
+        assert_eq!(s.decompress(), vec![0.0, 9.0, 0.0, 0.0]);
+    }
+
+    #[test]
+    fn topk_keep_all_is_identity() {
+        let row = [3.0, -1.0, 2.0];
+        assert_eq!(
+            TopKCodec::new(1.0).compress(&row).decompress(),
+            row.to_vec()
+        );
+    }
+
+    #[test]
+    fn topk_empty_row_is_empty() {
+        let s = TopKCodec::new(0.5).compress(&[]);
+        assert!(s.decompress().is_empty());
+        assert_eq!(s.payload_bytes(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "keep_fraction")]
+    fn topk_zero_fraction_panics() {
+        let _ = TopKCodec::new(0.0);
+    }
+
     #[test]
     fn sparse_encodes_concentrated_rows_below_the_dense_size() {
         // 256 cols, 8 large spikes: dense = 8 + 32 = 40 bytes; sparse =
@@ -973,6 +1204,40 @@ mod tests {
                         (lhs - rhs).abs() <= tol,
                         "{} leaks at {i}: {lhs} vs {rhs}", codec.name()
                     );
+                }
+            }
+        }
+
+        #[test]
+        fn prop_quant_reconstruction_within_range(
+            row in proptest::collection::vec(-100.0f32..100.0, 0..64),
+            bits in 2u8..=8,
+            seed in 0u64..1000,
+        ) {
+            let d = quantize(bits, &row, &mut DetRng::new(seed)).decompress();
+            prop_assert_eq!(d.len(), row.len());
+            let norm = row.iter().fold(0.0f32, |a, v| a.max(v.abs()));
+            for (qv, v) in d.iter().zip(&row) {
+                prop_assert!(qv.abs() <= norm + 1e-4);
+                if *qv != 0.0 && *v != 0.0 {
+                    // Sign is preserved for nonzero reconstructions.
+                    prop_assert!(qv.signum() * v.signum() > 0.0);
+                }
+            }
+        }
+
+        #[test]
+        fn prop_topk_retained_dominate_dropped(
+            row in proptest::collection::vec(-10.0f32..10.0, 1..64),
+            frac in 0.05f64..1.0,
+        ) {
+            let s = TopKCodec::new(frac).compress(&row);
+            prop_assert!(!s.indices.is_empty());
+            let min_kept = s.values.iter().map(|v| v.abs()).fold(f32::INFINITY, f32::min);
+            let kept: std::collections::HashSet<u32> = s.indices.iter().copied().collect();
+            for (i, v) in row.iter().enumerate() {
+                if !kept.contains(&(i as u32)) {
+                    prop_assert!(v.abs() <= min_kept + 1e-6);
                 }
             }
         }

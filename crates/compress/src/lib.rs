@@ -39,16 +39,12 @@
 
 mod codec;
 mod onebit;
-mod qsgd;
-mod topk;
 
 pub use codec::{
-    Codec, CodecChoice, CodecState, OneBitCodec, QuantCodec, RowCode, RowCodec, SparseDeltaCodec,
-    SparseDeltaRow,
+    Codec, CodecChoice, CodecState, OneBitCodec, QuantCodec, QuantizedRow, RowCode, RowCodec,
+    SparseDeltaCodec, SparseDeltaRow, SparseRow, TopKCodec,
 };
 pub use onebit::CompressedRow;
-pub use qsgd::QuantizedRow;
-pub use topk::{SparseRow, TopKCodec};
 
 #[cfg(test)]
 mod tests {

@@ -48,5 +48,5 @@ pub use optimizer::{RogOptimizer, RogSession, StepReport};
 pub use rows::{RowId, RowPartition, RowRef};
 pub use server::RogServer;
 pub use shard::{ShardMap, ShardedServer};
-pub use version::{DenseRowVersionStore, RowVersionStore};
+pub use version::RowVersionStore;
 pub use worker::{RogWorker, RogWorkerConfig, UpdateRule};

@@ -1,16 +1,13 @@
 //! RSP's row-granulated version storage (the paper's "Version Storage").
 //!
-//! Two implementations share one semantics:
-//!
-//! * [`RowVersionStore`] — the production store: an interned per-worker
-//!   clock (a base version plus a sparse override map for rows pushed
-//!   ahead of it) and a count-indexed min tracker, so `min(V)` is a
-//!   plain field read (`&self`, O(1)) and memory is
-//!   O(workers + rows pushed ahead of their worker's floor) instead of
-//!   the dense `workers × rows` table.
-//! * [`DenseRowVersionStore`] — the original dense table, kept as the
-//!   differential test oracle (and as the readable reference for the
-//!   semantics).
+//! [`RowVersionStore`] is an interned per-worker clock (a base version
+//! plus a sparse override map for rows pushed ahead of it) and a
+//! count-indexed min tracker, so `min(V)` is a plain field read
+//! (`&self`, O(1)) and memory is O(workers + rows pushed ahead of their
+//! worker's floor) instead of a dense `workers × rows` table. That
+//! dense table, `DenseRowVersionStore`, is compiled for this module's
+//! tests only, as the differential oracle and the readable reference
+//! for the semantics.
 
 use std::collections::{HashMap, VecDeque};
 
@@ -403,8 +400,9 @@ impl RowVersionStore {
 /// `min(V)`. Retained as the differential oracle for
 /// [`RowVersionStore`]: same observable semantics, trivially auditable
 /// implementation.
+#[cfg(test)]
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DenseRowVersionStore {
+struct DenseRowVersionStore {
     /// `v[worker][row]`.
     v: Vec<Vec<u64>>,
     /// Membership mask; inactive workers are excluded from `min(V)`.
@@ -413,6 +411,7 @@ pub struct DenseRowVersionStore {
     dirty: bool,
 }
 
+#[cfg(test)]
 impl DenseRowVersionStore {
     /// Creates storage for `n_workers × n_rows`, all at version 0.
     ///
@@ -428,16 +427,6 @@ impl DenseRowVersionStore {
             cached_min: 0,
             dirty: false,
         }
-    }
-
-    /// Number of workers tracked.
-    pub fn n_workers(&self) -> usize {
-        self.v.len()
-    }
-
-    /// Number of rows tracked.
-    pub fn n_rows(&self) -> usize {
-        self.v[0].len()
     }
 
     /// Version of `row` on `worker`.

@@ -58,7 +58,6 @@
 #![recursion_limit = "256"]
 
 mod channel;
-pub mod fit;
 pub mod io;
 pub mod loss;
 mod profile;

@@ -40,7 +40,8 @@ use rog_sim::{DeviceState, Timeline};
 use rog_tensor::rng::DetRng;
 use rog_transport::proto::{chunk_rows, Msg, Row, TraceEv};
 use rog_transport::{
-    Delivery, FrameClass, SocketTransport, Transport, TransportError, MAX_DATAGRAM_PAYLOAD,
+    Delivery, FrameClass, SocketByteCounters, SocketTransport, Transport, TransportError,
+    MAX_DATAGRAM_PAYLOAD,
 };
 
 use crate::cluster::{Cluster, DeviceKind};
@@ -282,6 +283,50 @@ fn importance_for(cfg: &ExperimentConfig) -> ImportanceMetric {
     }
 }
 
+impl From<SocketByteCounters> for ByteAccount {
+    fn from(c: SocketByteCounters) -> Self {
+        Self {
+            useful: c.useful,
+            wasted: c.wasted,
+            lost: c.lost,
+            corrupt: c.corrupt,
+        }
+    }
+}
+
+/// Journals worker `w`'s protocol event `ev` at virtual time `t`: the
+/// one `TraceEv` → `EventKind` mapping, shared by the worker that emits
+/// the event and the server that receives it.
+fn journal_trace(journal: &mut Journal, w: u32, t: f64, ev: &TraceEv) {
+    let kind = match *ev {
+        TraceEv::State(s) => match DeviceState::ALL.get(s as usize) {
+            Some(state) => EventKind::State {
+                w,
+                state: state.name(),
+            },
+            None => return,
+        },
+        TraceEv::IterBegin(iter) => EventKind::IterBegin { w, iter },
+        TraceEv::IterEnd(iter) => EventKind::IterEnd { w, iter },
+        TraceEv::GateEnter { iter, min } => EventKind::GateEnter {
+            w,
+            iter,
+            min,
+            lead: iter.saturating_sub(min),
+            row: -1,
+        },
+        TraceEv::GateExit { iter, waited } => EventKind::GateExit { w, iter, waited },
+        TraceEv::PushEnd { iter, rows, bytes } => EventKind::PushEnd {
+            w,
+            iter,
+            rows,
+            bytes,
+        },
+        TraceEv::Close => EventKind::Close { w },
+    };
+    obs!(journal, t, kind);
+}
+
 /// Per-worker bookkeeping on the server.
 struct Member {
     timeline: Timeline,
@@ -472,72 +517,29 @@ pub fn serve(cfg: &ExperimentConfig, opts: &ServeOptions) -> Result<RunOutcome, 
                     if worker as usize != from {
                         continue;
                     }
+                    // Timeline transitions are journaled only when the
+                    // timeline takes them (the sim engines' dedup rule).
                     let m = &mut members[from];
-                    match ev {
-                        TraceEv::State(s) => {
-                            if let Some(&state) = DeviceState::ALL.get(s as usize) {
-                                if !m.closed && m.timeline.set_state(t, state) {
-                                    obs!(
-                                        journal,
-                                        t,
-                                        EventKind::State {
-                                            w: worker,
-                                            state: state.name(),
-                                        }
-                                    );
-                                }
-                            }
-                        }
-                        TraceEv::IterBegin(iter) => {
-                            obs!(journal, t, EventKind::IterBegin { w: worker, iter });
-                        }
-                        TraceEv::IterEnd(iter) => {
-                            collector.record_iteration(from);
-                            obs!(journal, t, EventKind::IterEnd { w: worker, iter });
-                        }
-                        TraceEv::GateEnter { iter, min } => {
-                            obs!(
-                                journal,
-                                t,
-                                EventKind::GateEnter {
-                                    w: worker,
-                                    iter,
-                                    min,
-                                    lead: iter.saturating_sub(min),
-                                    row: -1,
-                                }
-                            );
-                        }
-                        TraceEv::GateExit { iter, waited } => {
-                            obs!(
-                                journal,
-                                t,
-                                EventKind::GateExit {
-                                    w: worker,
-                                    iter,
-                                    waited
-                                }
-                            );
-                        }
-                        TraceEv::PushEnd { iter, rows, bytes } => {
-                            obs!(
-                                journal,
-                                t,
-                                EventKind::PushEnd {
-                                    w: worker,
-                                    iter,
-                                    rows,
-                                    bytes,
-                                }
-                            );
-                        }
+                    let taken = match ev {
+                        TraceEv::State(s) => DeviceState::ALL
+                            .get(s as usize)
+                            .is_some_and(|&state| !m.closed && m.timeline.set_state(t, state)),
                         TraceEv::Close => {
-                            if !m.closed && m.timeline.current_state().is_some() {
+                            let open = !m.closed && m.timeline.current_state().is_some();
+                            if open {
                                 m.timeline.close(t);
-                                obs!(journal, t, EventKind::Close { w: worker });
                             }
                             m.closed = true;
+                            open
                         }
+                        TraceEv::IterEnd(_) => {
+                            collector.record_iteration(from);
+                            true
+                        }
+                        _ => true,
+                    };
+                    if taken {
+                        journal_trace(&mut journal, worker, t, &ev);
                     }
                 }
                 Msg::FinalModel {
@@ -597,13 +599,7 @@ pub fn serve(cfg: &ExperimentConfig, opts: &ServeOptions) -> Result<RunOutcome, 
         .iter()
         .map(|d| d.kind == DeviceKind::Robot)
         .collect();
-    let counters = transport.byte_counters();
-    let bytes = ByteAccount {
-        useful: counters.useful,
-        wasted: counters.wasted,
-        lost: counters.lost,
-        corrupt: counters.corrupt,
-    };
+    let bytes = transport.byte_counters().into();
     let metrics = collector.finish(&timelines, &robot_mask, duration, bytes, divergence);
     Ok(RunOutcome {
         metrics,
@@ -634,16 +630,17 @@ impl LiveWorker {
         let _ = send_msg(&mut self.transport, 0, iter, msg);
     }
 
-    fn trace(&mut self, ev: TraceEv) {
-        let t = self.now();
-        self.send(
-            &Msg::Trace {
-                worker: self.w as u32,
-                t,
-                ev,
-            },
-            0,
-        );
+    /// Journals `ev` at `t` and streams it, with that same `t`, to the
+    /// server.
+    fn emit_at(&mut self, t: f64, ev: TraceEv) {
+        let worker = self.w as u32;
+        journal_trace(&mut self.journal, worker, t, &ev);
+        self.send(&Msg::Trace { worker, t, ev }, 0);
+    }
+
+    /// [`LiveWorker::emit_at`] the current virtual time, sampled once.
+    fn emit(&mut self, ev: TraceEv) {
+        self.emit_at(self.now(), ev);
     }
 
     /// Polls briefly, stashing messages and latching `Done`.
@@ -665,19 +662,11 @@ impl LiveWorker {
     fn set_state(&mut self, state: DeviceState) {
         let t = self.now();
         if self.timeline.set_state(t, state) {
-            obs!(
-                self.journal,
-                t,
-                EventKind::State {
-                    w: self.w as u32,
-                    state: state.name(),
-                }
-            );
             let idx = DeviceState::ALL
                 .iter()
                 .position(|&s| s == state)
                 .expect("state in ALL") as u8;
-            self.trace(TraceEv::State(idx));
+            self.emit_at(t, TraceEv::State(idx));
         }
     }
 }
@@ -815,21 +804,10 @@ pub fn join(cfg: &ExperimentConfig, opts: &JoinOptions) -> Result<RunOutcome, St
         if iter > known_min + u64::from(threshold) {
             let t_enter = lw.now();
             lw.set_state(DeviceState::Stall);
-            lw.trace(TraceEv::GateEnter {
+            lw.emit(TraceEv::GateEnter {
                 iter,
                 min: known_min,
             });
-            obs!(
-                lw.journal,
-                t_enter,
-                EventKind::GateEnter {
-                    w: w as u32,
-                    iter,
-                    min: known_min,
-                    lead: iter.saturating_sub(known_min),
-                    row: -1,
-                }
-            );
             while !lw.done && iter > known_min + u64::from(threshold) && lw.now() < lw.duration {
                 lw.send(
                     &Msg::Sync {
@@ -846,16 +824,7 @@ pub fn join(cfg: &ExperimentConfig, opts: &JoinOptions) -> Result<RunOutcome, St
                 }
             }
             let waited = lw.now() - t_enter;
-            lw.trace(TraceEv::GateExit { iter, waited });
-            obs!(
-                lw.journal,
-                lw.now(),
-                EventKind::GateExit {
-                    w: w as u32,
-                    iter,
-                    waited,
-                }
-            );
+            lw.emit(TraceEv::GateExit { iter, waited });
             if lw.done || lw.now() >= lw.duration {
                 break;
             }
@@ -863,12 +832,7 @@ pub fn join(cfg: &ExperimentConfig, opts: &JoinOptions) -> Result<RunOutcome, St
 
         // Compute: real gradients, paced to the virtual clock.
         lw.set_state(DeviceState::Compute);
-        lw.trace(TraceEv::IterBegin(iter));
-        obs!(
-            lw.journal,
-            lw.now(),
-            EventKind::IterBegin { w: w as u32, iter }
-        );
+        lw.emit(TraceEv::IterBegin(iter));
         let compute_start = Instant::now();
         let shard = &cluster.workload.shards()[w];
         let batch = cluster.devices[w].batch;
@@ -902,21 +866,11 @@ pub fn join(cfg: &ExperimentConfig, opts: &JoinOptions) -> Result<RunOutcome, St
                 iter,
             );
         }
-        lw.trace(TraceEv::PushEnd {
+        lw.emit(TraceEv::PushEnd {
             iter,
             rows: n_rows,
             bytes: payload_bytes,
         });
-        obs!(
-            lw.journal,
-            lw.now(),
-            EventKind::PushEnd {
-                w: w as u32,
-                iter,
-                rows: n_rows,
-                bytes: payload_bytes,
-            }
-        );
 
         // Pull: fresh rows until PullDone (or a wall timeout — a lost
         // datagram must not stall the run; RSP absorbs the gap).
@@ -946,12 +900,7 @@ pub fn join(cfg: &ExperimentConfig, opts: &JoinOptions) -> Result<RunOutcome, St
             }
         }
 
-        lw.trace(TraceEv::IterEnd(iter));
-        obs!(
-            lw.journal,
-            lw.now(),
-            EventKind::IterEnd { w: w as u32, iter }
-        );
+        lw.emit(TraceEv::IterEnd(iter));
         collector.record_iteration(0);
         if iter.is_multiple_of(cfg.eval_every) {
             let metric = cluster.workload.test_metric(&model);
@@ -974,9 +923,8 @@ pub fn join(cfg: &ExperimentConfig, opts: &JoinOptions) -> Result<RunOutcome, St
     let t_close = lw.now().max(lw.timeline.end_time());
     if lw.timeline.current_state().is_some() {
         lw.timeline.close(t_close);
-        obs!(lw.journal, t_close, EventKind::Close { w: w as u32 });
+        lw.emit_at(t_close, TraceEv::Close);
     }
-    lw.trace(TraceEv::Close);
     obs!(
         lw.journal,
         lw.duration,
@@ -1002,13 +950,7 @@ pub fn join(cfg: &ExperimentConfig, opts: &JoinOptions) -> Result<RunOutcome, St
     // Let the reliable sends flush before dropping the stream.
     lw.pump(0.2);
 
-    let counters = lw.transport.byte_counters();
-    let bytes = ByteAccount {
-        useful: counters.useful,
-        wasted: counters.wasted,
-        lost: counters.lost,
-        corrupt: counters.corrupt,
-    };
+    let bytes = lw.transport.byte_counters().into();
     let robot = cluster.devices[w].kind == DeviceKind::Robot;
     let metrics = collector.finish(&[lw.timeline.clone()], &[robot], lw.duration, bytes, 0.0);
     Ok(RunOutcome {

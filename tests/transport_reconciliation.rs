@@ -14,7 +14,7 @@ use std::net::TcpStream;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use rog::obs::TraceSummary;
+use rog::obs::{EventKind, TraceSummary};
 use rog::prelude::*;
 
 fn live_cfg() -> ExperimentConfig {
@@ -41,6 +41,7 @@ fn live_cluster_reconciles_with_a_sim_run() {
     // handle after bind. Simplest race-free localhost arrangement is a
     // fixed high port per test binary; retry a few candidates.
     let mut outcome = None;
+    let mut worker_journals = Vec::new();
     for port in [47117u16, 47217, 47317, 47417] {
         let listen = format!("127.0.0.1:{port}");
         let serve_cfg = cfg.clone();
@@ -84,6 +85,7 @@ fn live_cluster_reconciles_with_a_sim_run() {
                 for w in worker_outs {
                     let w = w.expect("worker failed while server succeeded");
                     assert!(w.metrics.mean_iterations > 0.0, "worker made no progress");
+                    worker_journals.push(w.journal.expect("traced worker has a journal"));
                 }
                 outcome = Some(out);
                 break;
@@ -127,6 +129,30 @@ fn live_cluster_reconciles_with_a_sim_run() {
             reported.to_bits(),
             "journal/metrics composition[{i}] diverged: {replayed} vs {reported}"
         );
+    }
+
+    // One event path: a worker stamps each protocol event once, so the
+    // record the server journals from the streamed copy carries the
+    // worker's own timestamp and fields, bit for bit.
+    for wj in &worker_journals {
+        let protocol = wj.events().filter(|e| {
+            matches!(
+                e.kind,
+                EventKind::IterBegin { .. }
+                    | EventKind::IterEnd { .. }
+                    | EventKind::GateEnter { .. }
+                    | EventKind::GateExit { .. }
+                    | EventKind::PushEnd { .. }
+            )
+        });
+        for ev in protocol {
+            assert!(
+                journal
+                    .events()
+                    .any(|s| s.t.to_bits() == ev.t.to_bits() && s.kind == ev.kind),
+                "server journal has no record matching the worker's {ev:?}"
+            );
+        }
     }
 
     // (b) Statistical: a sim run of the same config lands in the same

@@ -8,7 +8,9 @@
 //! the staleness term keeps stale pushed rows from tripping the RSP
 //! gate.
 
-use rog_bench::{duration, final_metric, header, run_all, series_at_times, write_artifact};
+use rog_bench::{
+    duration, final_metric, header, run_all, series_at_times, time_probes, write_artifact,
+};
 use rog_trainer::report;
 use rog_trainer::{Environment, ExperimentConfig, Strategy, WorkloadKind};
 
@@ -37,7 +39,7 @@ fn main() {
     }
 
     header("Importance ablation — accuracy % vs wall-clock time (s)");
-    let probes: Vec<f64> = (1..=8).map(|k| dur * k as f64 / 8.0).collect();
+    let probes = time_probes(dur, 8);
     let a = series_at_times(&runs, &probes);
     print!("{a}");
     write_artifact("ablation_importance.csv", &a);

@@ -9,7 +9,8 @@
 //! output channel per row), but RSP/ATP are architecture-agnostic.
 
 use rog_bench::{
-    duration, final_metric, header, run_all, series_at_times, short_name, write_artifact,
+    duration, final_metric, header, run_all, series_at_times, short_name, time_probes,
+    write_artifact,
 };
 use rog_trainer::{Environment, ExperimentConfig, Strategy, WorkloadKind};
 
@@ -39,7 +40,7 @@ fn main() {
     write_artifact("ext_convmlp_composition.csv", &comp);
 
     header("ConvMLP CRUDA — accuracy % vs wall-clock time (s)");
-    let probes: Vec<f64> = (1..=8).map(|k| dur * k as f64 / 8.0).collect();
+    let probes = time_probes(dur, 8);
     let a = series_at_times(&runs, &probes);
     print!("{a}");
     write_artifact("ext_convmlp_accuracy.csv", &a);

@@ -10,7 +10,8 @@
 //! Both run CRUDA outdoors against plain ROG-4.
 
 use rog_bench::{
-    duration, final_metric, header, run_all, series_at_times, short_name, write_artifact,
+    duration, final_metric, header, run_all, series_at_times, short_name, time_probes,
+    write_artifact,
 };
 use rog_trainer::{Environment, ExperimentConfig, Strategy, WorkloadKind};
 
@@ -47,7 +48,7 @@ fn main() {
     write_artifact("ext_future_work_composition.csv", &comp);
 
     header("Future-work extensions — accuracy % vs wall-clock time (s)");
-    let probes: Vec<f64> = (1..=8).map(|k| dur * k as f64 / 8.0).collect();
+    let probes = time_probes(dur, 8);
     let a = series_at_times(&runs, &probes);
     print!("{a}");
     write_artifact("ext_future_work_accuracy.csv", &a);

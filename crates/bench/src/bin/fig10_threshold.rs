@@ -6,7 +6,10 @@
 //! final accuracy is slightly lower — the threshold trades training
 //! speed against final quality.
 
-use rog_bench::{duration, header, run_all, series_at_iterations, series_at_times, write_artifact};
+use rog_bench::{
+    duration, final_metric, header, iteration_probes, run_all, series_at_iterations,
+    series_at_times, short_name, time_probes, write_artifact,
+};
 use rog_trainer::{Environment, ExperimentConfig, Strategy, WorkloadKind};
 
 fn main() {
@@ -24,33 +27,22 @@ fn main() {
     let runs = run_all(&configs);
 
     header("Fig. 10a — accuracy % vs wall-clock time (s)");
-    let probes: Vec<f64> = (1..=12).map(|k| dur * k as f64 / 12.0).collect();
-    let a = series_at_times(&runs, &probes);
+    let a = series_at_times(&runs, &time_probes(dur, 12));
     print!("{a}");
     write_artifact("fig10a_accuracy_vs_time.csv", &a);
 
     header("Fig. 10b — statistical efficiency (accuracy % vs iteration)");
-    let max_iter = runs
-        .iter()
-        .flat_map(|r| r.checkpoints.last().map(|c| c.iter))
-        .min()
-        .unwrap_or(0);
-    let iters: Vec<u64> = (1..=10)
-        .map(|k| k * max_iter / 10)
-        .filter(|&i| i > 0)
-        .collect();
-    let b = series_at_iterations(&runs, &iters);
+    let b = series_at_iterations(&runs, &iteration_probes(&runs));
     print!("{b}");
     write_artifact("fig10b_statistical_efficiency.csv", &b);
 
     header("Throughput vs final quality");
     for r in &runs {
-        let last = r.checkpoints.last();
         println!(
             "{:<8} iterations {:>6.0}  final accuracy {:>6.2}%",
-            r.name.split(" / ").next().unwrap_or(&r.name),
+            short_name(r),
             r.mean_iterations,
-            last.map(|c| c.metric).unwrap_or(f64::NAN),
+            final_metric(r),
         );
     }
     println!(

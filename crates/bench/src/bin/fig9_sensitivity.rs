@@ -5,7 +5,9 @@
 //! workers. Panels: accuracy vs time, energy to reach a target, and
 //! time composition.
 
-use rog_bench::{duration, header, run_all, series_at_times, short_name, write_artifact};
+use rog_bench::{
+    duration, header, run_all, series_at_times, short_name, time_probes, write_artifact,
+};
 use rog_trainer::report;
 use rog_trainer::{Environment, ExperimentConfig, RunMetrics, Strategy, WorkloadKind};
 
@@ -43,7 +45,7 @@ fn main() {
             .collect();
         batch_runs.extend(tagged(run_all(&configs), &format!("Bx{}", scale as u32)));
     }
-    let probes: Vec<f64> = (1..=8).map(|k| dur * k as f64 / 8.0).collect();
+    let probes = time_probes(dur, 8);
     let a = series_at_times(&batch_runs, &probes);
     print!("{a}");
     write_artifact("fig9a_accuracy_batch.csv", &a);

@@ -114,6 +114,14 @@ impl fmt::Display for CliError {
 
 impl std::error::Error for CliError {}
 
+/// Parses `flag`'s value, reporting `"<flag> expects <what>"` when it
+/// does not parse.
+fn parsed<T: std::str::FromStr>(flag: &str, value: &str, what: &str) -> Result<T, CliError> {
+    value
+        .parse()
+        .map_err(|_| err(format!("{flag} expects {what}")))
+}
+
 fn err(msg: impl Into<String>) -> CliError {
     CliError(msg.into())
 }
@@ -247,20 +255,14 @@ pub fn parse_command(args: &[String]) -> Result<CliCommand, CliError> {
                 match a.as_str() {
                     "--listen" => opts.listen = value()?.clone(),
                     "--speedup" => {
-                        opts.speedup = value()?
-                            .parse()
-                            .map_err(|_| err("--speedup expects a number"))?;
+                        opts.speedup = parsed(a, value()?, "a number")?;
                         // NaN also fails this check, not just <= 0.
                         let positive = opts.speedup.is_finite() && opts.speedup > 0.0;
                         if !positive {
                             return Err(err("--speedup must be positive"));
                         }
                     }
-                    "--join-timeout" => {
-                        opts.join_timeout_secs = value()?
-                            .parse()
-                            .map_err(|_| err("--join-timeout expects seconds"))?
-                    }
+                    "--join-timeout" => opts.join_timeout_secs = parsed(a, value()?, "seconds")?,
                     _ => rest.push(a.clone()),
                 }
             }
@@ -276,9 +278,7 @@ pub fn parse_command(args: &[String]) -> Result<CliCommand, CliError> {
                 match a.as_str() {
                     "--connect" => opts.connect = value()?.clone(),
                     "--push-cap" => {
-                        opts.push_cap = value()?
-                            .parse()
-                            .map_err(|_| err("--push-cap expects a row count"))?;
+                        opts.push_cap = parsed(a, value()?, "a row count")?;
                         if opts.push_cap == 0 {
                             return Err(err("--push-cap must be >= 1"));
                         }
@@ -295,20 +295,10 @@ pub fn parse_command(args: &[String]) -> Result<CliCommand, CliError> {
             while let Some(a) = it.next() {
                 let mut value = || it.next().ok_or_else(|| err(format!("{a} expects a value")));
                 match a.as_str() {
-                    "--seed" => {
-                        opts.seed = value()?
-                            .parse()
-                            .map_err(|_| err("--seed expects an integer"))?
-                    }
-                    "--count" => {
-                        opts.count = value()?
-                            .parse()
-                            .map_err(|_| err("--count expects a scenario count"))?
-                    }
+                    "--seed" => opts.seed = parsed(a, value()?, "an integer")?,
+                    "--count" => opts.count = parsed(a, value()?, "a scenario count")?,
                     "--max-duration" => {
-                        let secs: f64 = value()?
-                            .parse()
-                            .map_err(|_| err("--max-duration expects seconds"))?;
+                        let secs: f64 = parsed(a, value()?, "seconds")?;
                         if !(secs.is_finite() && secs > 0.0) {
                             return Err(err("--max-duration must be positive"));
                         }
@@ -391,36 +381,12 @@ pub fn parse(args: &[String]) -> Result<CliRun, CliError> {
                 }
             }
             "--strategy" => cfg.strategy = parse_strategy(value()?)?,
-            "--duration" => {
-                cfg.duration_secs = value()?
-                    .parse()
-                    .map_err(|_| err("--duration expects seconds"))?
-            }
-            "--workers" => {
-                cfg.n_workers = value()?
-                    .parse()
-                    .map_err(|_| err("--workers expects a count"))?
-            }
-            "--laptops" => {
-                cfg.n_laptop_workers = value()?
-                    .parse()
-                    .map_err(|_| err("--laptops expects a count"))?
-            }
-            "--batch-scale" => {
-                cfg.batch_scale = value()?
-                    .parse()
-                    .map_err(|_| err("--batch-scale expects a number"))?
-            }
-            "--eval-every" => {
-                cfg.eval_every = value()?
-                    .parse()
-                    .map_err(|_| err("--eval-every expects an iteration count"))?
-            }
-            "--seed" => {
-                cfg.seed = value()?
-                    .parse()
-                    .map_err(|_| err("--seed expects an integer"))?
-            }
+            "--duration" => cfg.duration_secs = parsed(flag, value()?, "seconds")?,
+            "--workers" => cfg.n_workers = parsed(flag, value()?, "a count")?,
+            "--laptops" => cfg.n_laptop_workers = parsed(flag, value()?, "a count")?,
+            "--batch-scale" => cfg.batch_scale = parsed(flag, value()?, "a number")?,
+            "--eval-every" => cfg.eval_every = parsed(flag, value()?, "an iteration count")?,
+            "--seed" => cfg.seed = parsed(flag, value()?, "an integer")?,
             "--scale" => {
                 cfg.model_scale = match value()?.as_str() {
                     "paper" => ModelScale::Paper,
@@ -439,22 +405,16 @@ pub fn parse(args: &[String]) -> Result<CliRun, CliError> {
             "--auto-threshold" => cfg.auto_threshold = true,
             "--micro" => cfg.record_micro = true,
             "--shards" => {
-                cfg.n_shards = value()?
-                    .parse()
-                    .map_err(|_| err("--shards expects a count"))?;
+                cfg.n_shards = parsed(flag, value()?, "a count")?;
                 if cfg.n_shards == 0 {
                     return Err(err("--shards expects a count >= 1"));
                 }
             }
             "--aggregators" => {
-                cfg.n_aggregators = value()?
-                    .parse()
-                    .map_err(|_| err("--aggregators expects a count"))?;
+                cfg.n_aggregators = parsed(flag, value()?, "a count")?;
             }
             "--codec" => {
-                cfg.codec = value()?
-                    .parse()
-                    .map_err(|_| err("--codec expects onebit|sparse|q2|q4|q8|topk|auto"))?;
+                cfg.codec = parsed(flag, value()?, "onebit|sparse|q2|q4|q8|topk|auto")?;
             }
             "--fault-plan" => {
                 let path = value()?;
@@ -469,41 +429,11 @@ pub fn parse(args: &[String]) -> Result<CliRun, CliError> {
                 );
                 cfg.fault_plan = Some(plan);
             }
-            "--fault-seed" => {
-                cfg.fault_seed = Some(
-                    value()?
-                        .parse()
-                        .map_err(|_| err("--fault-seed expects an integer"))?,
-                )
-            }
-            "--loss" => {
-                iid_loss = Some(
-                    value()?
-                        .parse()
-                        .map_err(|_| err("--loss expects a rate in [0, 1]"))?,
-                )
-            }
-            "--loss-burst" => {
-                burst_loss = Some(
-                    value()?
-                        .parse()
-                        .map_err(|_| err("--loss-burst expects a rate in [0, 1]"))?,
-                )
-            }
-            "--loss-seed" => {
-                loss_seed = Some(
-                    value()?
-                        .parse()
-                        .map_err(|_| err("--loss-seed expects an integer"))?,
-                )
-            }
-            "--corrupt" => {
-                corrupt = Some(
-                    value()?
-                        .parse()
-                        .map_err(|_| err("--corrupt expects a rate in [0, 1]"))?,
-                )
-            }
+            "--fault-seed" => cfg.fault_seed = Some(parsed(flag, value()?, "an integer")?),
+            "--loss" => iid_loss = Some(parsed(flag, value()?, "a rate in [0, 1]")?),
+            "--loss-burst" => burst_loss = Some(parsed(flag, value()?, "a rate in [0, 1]")?),
+            "--loss-seed" => loss_seed = Some(parsed(flag, value()?, "an integer")?),
+            "--corrupt" => corrupt = Some(parsed(flag, value()?, "a rate in [0, 1]")?),
             "--csv" => csv_out = Some(value()?.clone()),
             "--json" => json_out = Some(value()?.clone()),
             "--help" | "-h" => return Err(err(USAGE)),

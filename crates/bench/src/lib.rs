@@ -147,6 +147,25 @@ pub fn header(title: &str) {
     println!("\n=== {title} ===");
 }
 
+/// `n` evenly spaced probe times ending at `dur`.
+pub fn time_probes(dur: f64, n: u32) -> Vec<f64> {
+    (1..=n).map(|k| dur * f64::from(k) / f64::from(n)).collect()
+}
+
+/// Ten evenly spaced probe iterations up to the last checkpoint every
+/// run reached (fewer when that is under ten iterations).
+pub fn iteration_probes(runs: &[RunMetrics]) -> Vec<u64> {
+    let max_iter = runs
+        .iter()
+        .flat_map(|r| r.checkpoints.last().map(|c| c.iter))
+        .min()
+        .unwrap_or(0);
+    (1..=10)
+        .map(|k| k * max_iter / 10)
+        .filter(|&i| i > 0)
+        .collect()
+}
+
 /// CSV header row: `first` then one column per run.
 fn name_row(first: &str, runs: &[RunMetrics]) -> String {
     let mut out = String::from(first);
@@ -230,15 +249,7 @@ pub fn four_panel_report(fig: u32, runs: &[RunMetrics], dur: f64) {
     header(&format!(
         "Fig. {fig}b — statistical efficiency ({metric_name} vs iteration)"
     ));
-    let max_iter = runs
-        .iter()
-        .flat_map(|r| r.checkpoints.last().map(|c| c.iter))
-        .min()
-        .unwrap_or(0);
-    let iters: Vec<u64> = (1..=10)
-        .map(|k| k * max_iter / 10)
-        .filter(|&i| i > 0)
-        .collect();
+    let iters = iteration_probes(runs);
     let b = series_at_iterations(runs, &iters);
     print!("{b}");
     write_artifact(&format!("fig{fig}b_{b_file}.csv"), &b);
@@ -246,8 +257,7 @@ pub fn four_panel_report(fig: u32, runs: &[RunMetrics], dur: f64) {
     header(&format!(
         "Fig. {fig}c — {metric_name} vs wall-clock time (s)"
     ));
-    let probes: Vec<f64> = (1..=12).map(|k| dur * k as f64 / 12.0).collect();
-    let c = series_at_times(runs, &probes);
+    let c = series_at_times(runs, &time_probes(dur, 12));
     print!("{c}");
     write_artifact(&format!("fig{fig}c_{c_file}.csv"), &c);
 

@@ -14,9 +14,10 @@
 //!   quickstart).
 //! * [`net`] / [`sim`] / [`energy`] — wireless channel, discrete-event
 //!   engine, Table III power model.
-//! * [`transport`] — the pluggable transport plane: the deterministic
-//!   sim backend and the UDP/TCP socket backend behind
-//!   `rogctl serve` / `rogctl join`.
+//! * [`transport`] — the live transport plane: the two-class
+//!   `Transport` trait, its UDP/TCP socket implementation and the
+//!   control protocol behind `rogctl serve` / `rogctl join` (the
+//!   simulated engines drive [`net`]'s `Channel` directly).
 //! * [`models`] / [`tensor`] / [`compress`] — training substrate.
 //! * [`sync`] — model-granularity baselines.
 //! * [`fault`] — deterministic fault injection (worker churn, link

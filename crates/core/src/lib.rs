@@ -22,9 +22,12 @@
 //!   [`MtaTimeTracker`] maintains the cross-device MTA-time estimate
 //!   that aligns every device's transmission time.
 //!
-//! The event-driven engine that moves these pieces over a simulated
-//! wireless channel lives in `rog-trainer`; everything algorithmic about
-//! ROG is here, independent of time and transport.
+//! The push/pull cycle that strings these together is [`WorkerRole`] +
+//! [`ServerRole`]: clockless, socketless decisions with three drivers —
+//! the event-driven engine over a simulated wireless channel and the
+//! socket path (both in `rog-trainer`), and [`RogOptimizer`] here.
+//! Everything algorithmic about ROG is in this crate, independent of
+//! time and transport.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -35,6 +38,7 @@ mod importance;
 pub mod mta;
 mod mta_time;
 mod optimizer;
+mod roles;
 mod rows;
 mod server;
 mod shard;
@@ -45,6 +49,7 @@ pub use aggregator::{AggregatorMap, AggregatorPlane, AggregatorStats, MergeSumma
 pub use importance::{ImportanceMetric, ImportanceMode, ImportanceWeights, RankScratch};
 pub use mta_time::MtaTimeTracker;
 pub use optimizer::{RogOptimizer, RogSession, StepReport};
+pub use roles::{Gate, PushFloor, PushReport, ServerRole, WorkerRole};
 pub use rows::{RowId, RowPartition, RowRef};
 pub use server::RogServer;
 pub use shard::{ShardMap, ShardedServer};

@@ -5,16 +5,18 @@
 //! application's original optimizer", with a parameter server tracked
 //! under the hood. [`RogSession`] + [`RogOptimizer`] are the Rust
 //! equivalent for in-process data-parallel training: one session hosts
-//! the shared [`RogServer`]; each rank holds a [`RogOptimizer`] and
+//! the shared [`ServerRole`]; each rank holds a [`RogOptimizer`] and
 //! calls [`RogOptimizer::step`] once per iteration with its freshly
 //! computed gradients. The step accumulates, ranks, "transmits" the
 //! admitted row budget (the caller supplies how many rows its link
 //! admitted — or `None` for all), applies the RSP gate, and pulls
 //! averaged updates into the local parameters.
 //!
-//! The simulated-time distributed engine in `rog-trainer` uses the
-//! underlying [`RogWorker`]/[`RogServer`] directly; this facade is for
-//! embedding ROG into a different harness or transport.
+//! It is the synchronous, zero-latency driver of the same
+//! [`WorkerRole`]/[`ServerRole`] cycle the simulated engine and the
+//! socket path in `rog-trainer` drive: every row it transmits lands at
+//! once, nothing is timed, and a refused pull is withdrawn instead of
+//! waiting on the server.
 //!
 //! # Example
 //!
@@ -41,7 +43,12 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use rog_tensor::Matrix;
 
-use crate::{mta, ImportanceMetric, RogServer, RogWorker, RogWorkerConfig};
+use rog_obs::Journal;
+
+use crate::{
+    Gate, ImportanceMetric, RogWorkerConfig, RowId, ServerRole, ShardMap, ShardedServer,
+    WorkerRole,
+};
 
 /// What one [`RogOptimizer::step`] did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -59,7 +66,7 @@ pub struct StepReport {
 /// Shared state of an in-process ROG training group.
 #[derive(Debug, Clone)]
 pub struct RogSession {
-    server: Arc<Mutex<RogServer>>,
+    server: Arc<Mutex<ServerRole>>,
     template: Vec<(usize, usize)>,
     n_workers: usize,
     threshold: u32,
@@ -73,13 +80,16 @@ impl RogSession {
     ///
     /// Panics if `n_workers == 0` or the model has no rows.
     pub fn new(params: &[Matrix], n_workers: usize, threshold: u32) -> Self {
+        let n_rows = params.iter().map(Matrix::rows).sum();
+        let server = ShardedServer::new(
+            params,
+            n_workers,
+            threshold,
+            ImportanceMetric::default(),
+            ShardMap::contiguous(n_rows, 1),
+        );
         Self {
-            server: Arc::new(Mutex::new(RogServer::new(
-                params,
-                n_workers,
-                threshold,
-                ImportanceMetric::default(),
-            ))),
+            server: Arc::new(Mutex::new(ServerRole::new(server, None))),
             template: params.iter().map(Matrix::shape).collect(),
             n_workers,
             threshold,
@@ -105,10 +115,10 @@ impl RogSession {
             .collect();
         RogOptimizer {
             server: Arc::clone(&self.server),
-            worker: RogWorker::new(&params, RogWorkerConfig::new(self.threshold, lr)),
+            role: WorkerRole::new(&params, RogWorkerConfig::new(self.threshold, lr), 1),
             rank,
             iter: 0,
-            threshold: self.threshold,
+            plan: Vec::new(),
         }
     }
 }
@@ -116,11 +126,12 @@ impl RogSession {
 /// Per-rank drop-in optimizer (see module docs).
 #[derive(Debug)]
 pub struct RogOptimizer {
-    server: Arc<Mutex<RogServer>>,
-    worker: RogWorker,
+    server: Arc<Mutex<ServerRole>>,
+    role: WorkerRole,
     rank: usize,
     iter: u64,
-    threshold: u32,
+    /// Push plan, then pull plan, of the step in progress.
+    plan: Vec<RowId>,
 }
 
 impl RogOptimizer {
@@ -149,30 +160,25 @@ impl RogOptimizer {
         budget_rows: Option<usize>,
     ) -> StepReport {
         let n = self.iter + 1;
-        self.worker.accumulate(grads);
-        let plan = self.worker.plan_push(n);
-        let n_rows = plan.len();
-        let t = u64::from(self.threshold.max(1));
-        let mandatory = plan
-            .iter()
-            .take_while(|&&id| n.saturating_sub(self.worker.row_iters()[id.0]) >= t)
-            .count();
-        let floor = mta::mta_rows(n_rows, self.threshold).max(mandatory);
-        let admitted = budget_rows
-            .unwrap_or(n_rows)
-            .clamp(floor.min(n_rows), n_rows);
-        let sent = self.worker.commit_push(&plan[..admitted], n);
-
+        // Nothing is recorded: the journal belongs to the timed drivers.
+        let mut journal = Journal::disabled();
+        self.role.accumulate(grads);
+        self.role.rank(n);
         let mut server = self.server.lock();
-        server.on_push(self.rank, n, &sent);
-        let gate_open = server.gate_ok(n);
+        self.role.leg_rows(server.server().map(), 0, &mut self.plan);
+        let admitted = self.role.start_leg(0, &self.plan, n).admit(budget_rows);
+        let mut sent = self.role.commit_landed(&self.plan[..admitted], n);
+        server.ingest(self.rank, 0, n, &mut sent);
+        let gate = server.enter_gate(self.rank, 0, n, 0.0, &mut journal);
+        let gate_open = gate == Gate::Granted;
         let pulled = if gate_open {
-            let pull_plan = server.plan_pull(self.rank);
-            let payload = server.commit_pull(self.rank, &pull_plan);
+            server.grant(self.rank, 0, 0.0, &mut journal, &mut self.plan);
+            let payload = server.settle_pull(self.rank, 0, &self.plan, 0.0, &mut journal);
             drop(server);
-            self.worker.apply_pulled(params, &payload);
+            self.role.apply(params, &payload);
             payload.len()
         } else {
+            server.withdraw(self.rank);
             0
         };
         self.iter = n;
@@ -254,7 +260,7 @@ mod tests {
         for k in 1..=20u64 {
             let _ = opt.step(&mut p, &grads(&mut rng), Some(0));
             assert!(
-                opt.worker.max_row_staleness(k) < 4,
+                opt.role.worker().max_row_staleness(k) < 4,
                 "staleness exceeded the threshold at step {k}"
             );
         }

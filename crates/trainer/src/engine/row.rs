@@ -23,14 +23,13 @@ use std::ops::Range;
 
 use rog_compress::RowCodec;
 use rog_core::{
-    mta, AggregatorMap, AggregatorPlane, MtaTimeTracker, RogWorker, RogWorkerConfig, RowId,
-    ShardMap, ShardedServer,
+    AggregatorMap, AggregatorPlane, Gate, PushReport, RogWorkerConfig, RowId, ServerRole, ShardMap,
+    ShardedServer, WorkerRole,
 };
 use rog_fault::FaultEvent;
 use rog_net::{shard_link, DeliveryReport, FlowEvent, FlowOutcome, FlowSpec};
-use rog_obs::{obs, obs_shard, Event, EventKind};
+use rog_obs::{obs, obs_shard, EventKind};
 use rog_sim::{DeviceState, Time};
-use rog_sync::gate;
 
 use crate::compute;
 use crate::config::{ExperimentConfig, Strategy};
@@ -123,48 +122,28 @@ impl Leg {
     }
 }
 
-/// One shard's leg of a worker's push/pull cycle.
+/// The transmissions of one shard's leg of a worker's push/pull cycle
+/// (the leg's decisions — floor, phase — are the [`WorkerRole`]'s).
 #[derive(Default)]
 struct SubState {
     /// Rows of this cycle homed on this shard, in global rank order
     /// (the RSP-mandatory rows form a prefix).
     push: Leg,
     push_started: Time,
-    /// When the worker joined this shard's RSP gate wait (journal only).
-    gate_entered: Time,
-    mta_rows: usize,
-    /// Length of the RSP-mandatory prefix of the push plan. Mandatory
-    /// rows are the gate's contract — a worker at the staleness bound
-    /// blocks every peer's pull — so unlike the best-effort bulk they
-    /// are retransmitted within the cycle until they land.
-    push_mandatory: usize,
     /// Mandatory rows lost in flight, currently being retransmitted.
+    /// Mandatory rows are the gate's contract — a worker at the
+    /// staleness bound blocks every peer's pull — so unlike the
+    /// best-effort bulk they are retransmitted within the cycle until
+    /// they land.
     push_retry: Vec<RowId>,
     pull: Leg,
-    /// This shard participates in the current cycle.
-    engaged: bool,
-    /// The push (commit + gate entry) finished for this cycle.
-    push_done: bool,
-    /// Push and pull both finished for this cycle.
-    done: bool,
     /// Action to take on this leg once connectivity returns after a
     /// fault cancelled its in-flight transfer.
     resume: Option<SubResume>,
 }
 
-impl SubState {
-    /// Takes the leg out of the cycle it was part of (a new cycle
-    /// starts, or the worker departed or rejoined).
-    fn disengage(&mut self) {
-        self.engaged = false;
-        self.push_done = false;
-        self.done = false;
-        self.resume = None;
-    }
-}
-
 struct WState {
-    worker: RogWorker,
+    role: WorkerRole,
     /// Completed iterations (currently working on `iter + 1`).
     iter: u64,
     /// A push/pull cycle is in flight (pipeline mode).
@@ -180,8 +159,6 @@ struct WState {
     resume: Option<Resume>,
     /// Per-shard legs of the current cycle.
     subs: Vec<SubState>,
-    /// Reusable buffer for the globally ranked push plan.
-    plan_scratch: Vec<RowId>,
     /// Rows delivered across all legs this cycle (micro-events).
     cycle_push_delivered: usize,
     /// Rows planned across all legs this cycle (micro-events).
@@ -248,13 +225,11 @@ impl FlowCtx {
 struct RowEngine {
     ctx: EngineCtx,
     workers: Vec<WState>,
-    server: ShardedServer,
-    /// One MTA-time budget per shard.
-    trackers: Vec<MtaTimeTracker>,
+    /// The parameter plane with its gates, MTA-time budgets and (for a
+    /// hierarchical topology) aggregator windows.
+    server: ServerRole,
     /// In-flight transfers; only the rejoin resync is reliable-class.
     flows: FlowTable<FlowCtx>,
-    /// Legs whose pull awaits a shard's RSP gate: (worker, shard, iter).
-    waiting: Vec<(usize, usize, u64)>,
     /// Last pushed iteration per worker (micro-event staleness).
     last_pushed: Vec<u64>,
     /// Compressed whole-model wire size, for rejoin resync transfers.
@@ -267,16 +242,10 @@ struct RowEngine {
     /// legitimately age past the static staleness bound.
     #[cfg(debug_assertions)]
     skipped_shard_push: bool,
-    /// Edge-aggregation tier (`None` = flat worker→server topology,
-    /// byte-identical to the pre-aggregator engine).
-    agg_plane: Option<AggregatorPlane>,
     /// Per-aggregator outage flags; a downed aggregator severs all its
     /// member workers from the parameter plane at once.
     agg_down: Vec<bool>,
-    /// High-water mark of the sharded version stores' resident bytes.
-    peak_version_bytes: usize,
     n_shards: usize,
-    threshold: u32,
     /// Overlap communication and computation (paper future work).
     pipeline: bool,
     /// Online threshold controller (paper future work).
@@ -323,9 +292,10 @@ pub fn run(cfg: &ExperimentConfig) -> (RunMetrics, rog_obs::Journal, FleetStats)
     let worker_codec_base = codec_root.fork(1);
     let workers: Vec<WState> = (0..n)
         .map(|w| WState {
-            worker: RogWorker::new(
+            role: WorkerRole::new(
                 init.params(),
                 wcfg.with_codec(codec_choice, worker_codec_base.fork(w as u64).seed()),
+                n_shards,
             ),
             iter: 0,
             comm_busy: false,
@@ -334,7 +304,6 @@ pub fn run(cfg: &ExperimentConfig) -> (RunMetrics, rog_obs::Journal, FleetStats)
             pipe_waiting: false,
             resume: None,
             subs: (0..n_shards).map(|_| SubState::default()).collect(),
-            plan_scratch: Vec::new(),
             cycle_push_delivered: 0,
             cycle_push_total: 0,
         })
@@ -343,6 +312,8 @@ pub fn run(cfg: &ExperimentConfig) -> (RunMetrics, rog_obs::Journal, FleetStats)
     let mut server = ShardedServer::new(init.params(), n, threshold, wcfg.importance, map);
     server.configure_codec(codec_choice, codec_root.fork(0).seed());
     let n_aggs = cfg.effective_aggregators();
+    // `None` = flat worker→server topology, byte-identical to the
+    // pre-aggregator engine.
     let agg_plane = (n_aggs > 0).then(|| {
         AggregatorPlane::new(
             AggregatorMap::contiguous(n, n_aggs),
@@ -361,21 +332,16 @@ pub fn run(cfg: &ExperimentConfig) -> (RunMetrics, rog_obs::Journal, FleetStats)
     let mut engine = RowEngine {
         ctx,
         workers,
-        server,
-        trackers: (0..n_shards).map(|_| MtaTimeTracker::new(n, 1.0)).collect(),
+        server: ServerRole::new(server, agg_plane),
         flows: FlowTable::new(n),
-        waiting: Vec::new(),
         last_pushed: vec![0; n],
         model_wire_bytes,
         #[cfg(debug_assertions)]
         last_global_min: vec![0; n_shards],
         #[cfg(debug_assertions)]
         skipped_shard_push: false,
-        agg_plane,
         agg_down: vec![false; n_aggs],
-        peak_version_bytes: 0,
         n_shards,
-        threshold,
         pipeline: cfg.pipeline,
         auto: cfg.auto_threshold.then(|| AutoThreshold::new(threshold)),
         adaptive,
@@ -384,15 +350,11 @@ pub fn run(cfg: &ExperimentConfig) -> (RunMetrics, rog_obs::Journal, FleetStats)
     // The dispatched-event count is the deterministic progress measure
     // `bench_fleet` reports, identical across hosts and thread counts.
     let sim_events = drive(&mut engine);
-    let agg = engine
-        .agg_plane
-        .as_ref()
-        .map(|p| p.stats())
-        .unwrap_or_default();
+    let agg = engine.server.agg_stats();
     let stats = FleetStats {
         sim_events,
         queue_scheduled: engine.ctx.queue.scheduled(),
-        peak_version_bytes: engine.peak_version_bytes as u64,
+        peak_version_bytes: engine.server.peak_version_bytes() as u64,
         agg_flushes: agg.flushes,
         agg_upstream_rows: agg.upstream_rows,
         agg_raw_rows: agg.raw_rows,
@@ -465,22 +427,16 @@ impl Engine for RowEngine {
         }
         let n = self.workers[w].iter + 1;
         let (grads, _) = compute::take_draw(&mut self.ctx, w);
-        self.workers[w].worker.accumulate(&grads);
+        self.workers[w].role.accumulate(&grads);
         self.ctx.recycle_grads(grads);
         self.begin_push(w, now, n);
     }
 }
 
 impl RowEngine {
-    /// The journal scope of shard `s`: real shard id only when the run
-    /// is actually sharded, so single-shard journals stay byte-identical
-    /// to the pre-shard engine's.
-    fn shard_tag(&self, s: usize) -> i64 {
-        if self.n_shards > 1 {
-            s as i64
-        } else {
-            Event::NO_SHARD
-        }
+    /// The staleness bound every shard's gate currently enforces.
+    fn threshold(&self) -> u32 {
+        self.server.server().threshold()
     }
 
     /// Whether at least one parameter shard is reachable.
@@ -490,9 +446,9 @@ impl RowEngine {
 
     /// Whether `w`'s fronting aggregator (if any) is down.
     fn agg_blocked(&self, w: usize) -> bool {
-        self.agg_plane
-            .as_ref()
-            .is_some_and(|p| self.agg_down[p.map().agg_of(w)])
+        self.server
+            .agg_map()
+            .is_some_and(|m| self.agg_down[m.agg_of(w)])
     }
 
     /// Whether `w`'s path to the parameter plane is severed: its own
@@ -534,7 +490,7 @@ impl RowEngine {
             .map(|&id| {
                 self.ctx
                     .cluster
-                    .scaled_row_bytes(ws.worker.payload_bytes(id))
+                    .scaled_row_bytes(ws.role.worker().payload_bytes(id))
             })
             .collect()
     }
@@ -555,7 +511,7 @@ impl RowEngine {
             }
         );
         let (grads, _) = compute::take_draw(&mut self.ctx, w);
-        self.workers[w].worker.accumulate(&grads);
+        self.workers[w].role.accumulate(&grads);
         self.ctx.recycle_grads(grads);
         self.ctx.maybe_eval(w, n, now);
         if !self.workers[w].comm_busy {
@@ -580,7 +536,7 @@ impl RowEngine {
         // *computed* iteration but push opportunities only arise per
         // comm cycle, so letting compute run `threshold` iterations
         // ahead would mass-expire rows and thrash the RSP gate.
-        let depth = u64::from(self.threshold.max(1)).min(2);
+        let depth = u64::from(self.threshold().max(1)).min(2);
         if ahead < depth {
             self.start_compute(w, now);
         } else {
@@ -605,20 +561,13 @@ impl RowEngine {
         ws.comm_iter = n;
         ws.cycle_push_delivered = 0;
         ws.cycle_push_total = 0;
-        let mut plan = std::mem::take(&mut ws.plan_scratch);
-        ws.worker.plan_push_into(n, &mut plan);
-        for sub in &mut ws.subs {
-            sub.push.plan.clear();
-            sub.disengage();
+        ws.role.rank(n);
+        ws.role.disengage();
+        let map = self.server.server().map();
+        for (s, sub) in ws.subs.iter_mut().enumerate() {
+            ws.role.leg_rows(map, s, &mut sub.push.plan);
+            sub.resume = None;
         }
-        // Split the globally ranked plan across shards; per-shard order
-        // follows the ranking, so each shard's RSP-mandatory rows stay a
-        // prefix of its leg's plan.
-        let map = self.server.map();
-        for &id in &plan {
-            ws.subs[map.shard_of(id)].push.plan.push(id);
-        }
-        ws.plan_scratch = plan;
         for s in 0..self.n_shards {
             if self.ctx.server_down[s] {
                 // This shard's rows stay accumulated and age toward the
@@ -634,52 +583,20 @@ impl RowEngine {
     }
 
     /// Starts one shard leg's speculative push (its plan is already in
-    /// `subs[s].push_plan`).
+    /// `subs[s].push.plan`).
     fn start_push_sub(&mut self, w: usize, s: usize, now: Time, n: u64) {
-        let threshold = self.threshold;
         let ws = &mut self.workers[w];
-        let n_rows = ws.subs[s].push.plan.len();
-        let mandatory = {
-            let row_iters = ws.worker.row_iters();
-            ws.subs[s]
-                .push
-                .plan
-                .iter()
-                .take_while(|&&id| gate::row_is_mandatory(row_iters[id.0], n, threshold))
-                .count()
-        };
-        let mta_rows = mta::mta_rows(n_rows, threshold);
         let sub = &mut ws.subs[s];
-        sub.engaged = true;
-        sub.done = false;
-        sub.push_done = false;
+        let floor = ws.role.start_leg(s, &sub.push.plan, n);
         sub.resume = None;
-        sub.mta_rows = mta_rows;
-        sub.push.begin(mta_rows.max(mandatory).min(n_rows));
-        sub.push_mandatory = mandatory.min(n_rows);
+        sub.push.begin(floor.floor);
         sub.push_started = now;
         sub.push_retry.clear();
-        let budget = self.trackers[s].get();
-        if self.ctx.journal.enabled() {
-            let sub = &self.workers[w].subs[s];
-            let start = EventKind::PushStart {
-                w: w as u32,
-                iter: n,
-                rows: n_rows as u32,
-                mand: sub.push_mandatory as u32,
-                mta: sub.mta_rows as u32,
-                budget,
-            };
-            let rows_ranked = EventKind::RowPush {
-                w: w as u32,
-                iter: n,
-                rows: sub.push.plan.iter().map(|id| id.0 as u32).collect(),
-            };
-            let tag = self.shard_tag(s);
-            self.ctx.journal.record_shard(now, tag, start);
-            self.ctx.journal.record_shard(now, tag, rows_ranked);
-        }
-        let chunks = self.leg_chunks(w, s, false, 0..n_rows);
+        let journal = &mut self.ctx.journal;
+        let budget = self
+            .server
+            .push_start(w, s, n, floor, &sub.push.plan, now, journal);
+        let chunks = self.leg_chunks(w, s, false, 0..floor.rows);
         self.set_comm_state(w, now, DeviceState::Communicate);
         self.start_leg_flow(w, s, false, now, chunks, Some(now + budget));
     }
@@ -695,7 +612,7 @@ impl RowEngine {
                 .map(|&id| {
                     self.ctx
                         .cluster
-                        .scaled_row_bytes(self.server.payload_bytes_for(w, id))
+                        .scaled_row_bytes(self.server.pull_row_bytes(w, id))
                 })
                 .collect()
         } else {
@@ -736,7 +653,7 @@ impl RowEngine {
             obs_shard!(
                 self.ctx.journal,
                 at,
-                self.shard_tag(s),
+                self.server.tag(s),
                 EventKind::Loss {
                     w: w as u32,
                     lost: lost as u32,
@@ -778,7 +695,7 @@ impl RowEngine {
                 obs_shard!(
                     self.ctx.journal,
                     now,
-                    self.shard_tag(s),
+                    self.server.tag(s),
                     EventKind::Retransmit {
                         w: w as u32,
                         rows: missing.len() as u32,
@@ -806,8 +723,9 @@ impl RowEngine {
 
     /// Mandatory-prefix rows of one leg that have not yet arrived intact.
     fn missing_mandatory(&self, w: usize, s: usize) -> Vec<RowId> {
-        let sub = &self.workers[w].subs[s];
-        sub.push.plan[..sub.push_mandatory.min(sub.push.delivered)]
+        let ws = &self.workers[w];
+        let sub = &ws.subs[s];
+        sub.push.plan[..ws.role.floor(s).mandatory.min(sub.push.delivered)]
             .iter()
             .copied()
             .filter(|id| !sub.push.intact.contains(id))
@@ -841,88 +759,45 @@ impl RowEngine {
     fn finish_push_sub(&mut self, w: usize, s: usize, now: Time) {
         // The iteration this cycle pushes (`iter + 1` when sequential).
         let n = self.workers[w].comm_iter;
-        let (delivered, total_rows, duration, mta_rows) = {
+        let (delivered, total_rows, secs) = {
             let sub = &self.workers[w].subs[s];
             (
                 sub.push.delivered,
                 sub.push.plan.len(),
                 (now - sub.push_started).max(1e-6),
-                sub.mta_rows,
             )
         };
         // Journal byte sizes are captured before the commit below:
         // committing zeroes the accumulator and rolls the residuals,
         // which changes a content-sized codec's payloads (one-bit sizes
         // are width-only, so the ordering is immaterial there).
-        let journal_bytes: u64 = if self.ctx.journal.enabled() {
+        let bytes: u64 = if self.ctx.journal.enabled() {
             self.leg_chunks(w, s, false, 0..delivered).iter().sum()
         } else {
             0
         };
-        let mut payloads = {
-            // Gradient rows are best-effort: with a loss model installed
-            // only the rows whose chunks survived are committed; the rest
-            // keep their error-feedback residual and stale row iteration,
-            // so they age toward the RSP-mandatory bound and retransmit
-            // as mandatory rows of a later push.
-            let lossy = self.ctx.cluster.transport.loss_enabled();
-            let plan = self.workers[w].subs[s].push.landed(lossy);
-            self.workers[w].worker.commit_push(&plan, n)
-        };
-        let min_before = self.server.versions(s).global_min();
-        if let Some(plane) = self.agg_plane.as_mut() {
-            // Fold the push into the member's merge window while the
-            // row ids are still global (`on_push` translates them to
-            // shard-local in place). The plane is accounting only — it
-            // never feeds back into the simulation.
-            let ids: Vec<usize> = payloads.iter().map(|(id, _)| id.0).collect();
-            plane.on_member_push(w, s, &ids, n);
-        }
-        self.server.on_push(s, w, n, &mut payloads);
-        let min_advanced = self.server.versions(s).global_min() > min_before;
-        self.peak_version_bytes = self
-            .peak_version_bytes
-            .max(self.server.version_store_bytes());
+        // Gradient rows are best-effort: with a loss model installed
+        // only the rows whose chunks survived land.
+        let lossy = self.ctx.cluster.transport.loss_enabled();
+        let landed = self.workers[w].subs[s].push.landed(lossy);
+        let mut payloads = self.workers[w].role.commit_landed(&landed, n);
+        let min_advanced = self.server.ingest(w, s, n, &mut payloads);
         #[cfg(debug_assertions)]
         self.check_version_invariants(s, n);
-        self.trackers[s].report(w, delivered, duration, mta_rows);
+        let sent = PushReport {
+            rows: delivered,
+            bytes,
+            secs,
+        };
+        self.server
+            .push_end(w, s, n, sent, now, &mut self.ctx.journal);
         self.last_pushed[w] = n;
-        if self.ctx.journal.enabled() {
-            let tag = self.shard_tag(s);
-            self.ctx.journal.record_shard(
-                now,
-                tag,
-                EventKind::PushEnd {
-                    w: w as u32,
-                    iter: n,
-                    rows: delivered as u32,
-                    bytes: journal_bytes,
-                },
-            );
-            self.ctx.journal.record_shard(
-                now,
-                tag,
-                EventKind::Mta {
-                    w: w as u32,
-                    secs: duration,
-                    budget: self.trackers[s].get(),
-                },
-            );
-        }
 
-        {
-            let ws = &mut self.workers[w];
-            ws.cycle_push_delivered += delivered;
-            ws.cycle_push_total += total_rows;
-            ws.subs[s].push_done = true;
-        }
-        if self.ctx.cfg.record_micro
-            && w == 0
-            && self.workers[w]
-                .subs
-                .iter()
-                .all(|sp| !sp.engaged || sp.push_done)
-        {
+        let ws = &mut self.workers[w];
+        ws.cycle_push_delivered += delivered;
+        ws.cycle_push_total += total_rows;
+        let pushes_done = ws.role.push_done(s);
+        if self.ctx.cfg.record_micro && w == 0 && pushes_done {
             let fastest = *self.last_pushed.iter().max().expect("non-empty");
             let ws = &self.workers[w];
             let sample = MicroSample {
@@ -944,142 +819,69 @@ impl RowEngine {
 
         // RSP gate (Algorithm 2 lines 7–9): this shard's pull waits for
         // the stragglers' pushes to *this* shard only.
-        self.workers[w].subs[s].gate_entered = now;
-        if self.ctx.journal.enabled() {
-            let (_, row, _) = self.server.versions_mut(s).stalest_cell();
-            let min = self.server.versions_mut(s).global_min();
-            let row = self.server.map().to_global(s, RowId(row)).0;
-            self.ctx.journal.record_shard(
-                now,
-                self.shard_tag(s),
-                EventKind::GateEnter {
-                    w: w as u32,
-                    iter: n,
-                    min,
-                    lead: n.saturating_sub(min),
-                    row: row as i64,
-                },
-            );
-        }
-        if self.server.gate_ok(s, n) {
-            self.grant_pull(w, s, now);
-        } else {
-            self.set_comm_state_sub(w, now, DeviceState::Stall);
-            self.waiting.push((w, s, n));
+        match self
+            .server
+            .enter_gate(w, s, n, now, &mut self.ctx.journal)
+        {
+            Gate::Granted => self.grant_pull(w, s, now),
+            Gate::Parked => self.set_comm_state_sub(w, now, DeviceState::Stall),
         }
         // The gate depends only on this shard's min(V) (and on flags
         // whose own transitions re-drain): if the push did not advance
-        // it, no waiting leg's verdict changed and the scan is skipped.
+        // it, no parked leg's verdict changed and the scan is skipped.
         if min_advanced {
             self.drain_waiting(now);
         }
     }
 
+    /// Release scan: every parked leg the engine can currently reach is
+    /// put to its gate again, in parking order.
     fn drain_waiting(&mut self, now: Time) {
-        let waiting = std::mem::take(&mut self.waiting);
-        for (w, s, n) in waiting {
-            if !self.ctx.offline[w]
-                && !self.path_blocked(w)
-                && !self.ctx.server_down[s]
-                && self.server.gate_ok(s, n)
-            {
+        for (w, s, n) in self.server.take_parked() {
+            let reach =
+                !self.ctx.offline[w] && !self.path_blocked(w) && !self.ctx.server_down[s];
+            if self.server.retry(w, s, n, reach) == Gate::Granted {
                 self.grant_pull(w, s, now);
-            } else {
-                self.waiting.push((w, s, n));
             }
         }
     }
 
     fn grant_pull(&mut self, w: usize, s: usize, now: Time) {
-        obs_shard!(
-            self.ctx.journal,
-            now,
-            self.shard_tag(s),
-            EventKind::GateExit {
-                w: w as u32,
-                iter: self.workers[w].comm_iter,
-                waited: now - self.workers[w].subs[s].gate_entered,
-            }
-        );
-        if let Some(plane) = self.agg_plane.as_mut() {
-            // Granting a pull closes the member's merge window: the
-            // merged rows go upstream ahead of the fresh fetch, and the
-            // pull fans out downstream through the aggregator.
-            let merged = plane.flush(w, s);
-            let agg = plane.map().agg_of(w) as u32;
-            plane.on_member_pull();
-            if let Some(m) = merged {
-                obs_shard!(
-                    self.ctx.journal,
-                    now,
-                    self.shard_tag(s),
-                    EventKind::AggMerge {
-                        agg,
-                        rows: m.rows as u32,
-                        raw: m.raw_rows as u32,
-                        pushes: m.pushes as u32,
-                        ver: m.max_version,
-                    }
-                );
-            }
-        }
+        let journal = &mut self.ctx.journal;
         let pull = &mut self.workers[w].subs[s].pull;
-        self.server.plan_pull_into(s, w, &mut pull.plan);
+        let target = self.server.grant(w, s, now, journal, &mut pull.plan);
         let n_rows = pull.plan.len();
         if n_rows == 0 {
             self.finish_sub(w, s, now);
             return;
         }
-        let mta_rows = mta::mta_rows(self.server.map().shard_rows(s), self.threshold);
-        pull.begin(mta_rows.min(n_rows));
-        let budget = self.trackers[s].get();
+        pull.begin(target);
+        let budget = self.server.budget(s);
         let chunks = self.leg_chunks(w, s, true, 0..n_rows);
-        if self.ctx.journal.enabled() {
-            let ws = &self.workers[w];
-            let tag = self.shard_tag(s);
-            self.ctx.journal.record_shard(
-                now,
-                tag,
-                EventKind::PullStart {
-                    w: w as u32,
-                    iter: ws.comm_iter,
-                    bytes: chunks.iter().sum(),
-                },
-            );
-            self.ctx.journal.record_shard(
-                now,
-                tag,
-                EventKind::RowPull {
-                    w: w as u32,
-                    iter: ws.comm_iter,
-                    rows: ws.subs[s].pull.plan.iter().map(|id| id.0 as u32).collect(),
-                },
-            );
-        }
+        self.server.pull_start(
+            w,
+            s,
+            &self.workers[w].subs[s].pull.plan,
+            chunks.iter().sum(),
+            now,
+            &mut self.ctx.journal,
+        );
         self.set_comm_state(w, now, DeviceState::Communicate);
         self.start_leg_flow(w, s, true, now, chunks, Some(now + budget));
     }
 
     /// A pull leg's transmission ended: commit and apply what arrived.
     fn finish_pull_sub(&mut self, w: usize, s: usize, now: Time) {
-        // Apply whatever arrived (intact rows only under a loss model:
-        // a dropped pull row stays pending on the server and re-ranks
-        // into a later pull instead of being silently consumed).
+        // Intact rows only under a loss model: a dropped pull row stays
+        // pending on the server instead of being silently consumed.
         let lossy = self.ctx.cluster.transport.loss_enabled();
         let rows = self.workers[w].subs[s].pull.landed(lossy);
-        obs_shard!(
-            self.ctx.journal,
-            now,
-            self.shard_tag(s),
-            EventKind::PullEnd {
-                w: w as u32,
-                iter: self.workers[w].comm_iter,
-            }
-        );
-        let payload = self.server.commit_pull(s, w, &rows);
+        let payload = self
+            .server
+            .settle_pull(w, s, &rows, now, &mut self.ctx.journal);
         self.workers[w]
-            .worker
-            .apply_pulled(self.ctx.models[w].params_mut(), &payload);
+            .role
+            .apply(self.ctx.models[w].params_mut(), &payload);
         // The model just changed; in pipeline mode a compute may be in
         // flight for this worker, so any prefetched gradients are stale.
         // The sampled batch indices stay valid.
@@ -1092,8 +894,7 @@ impl RowEngine {
     /// Marks one shard's leg done; the worker's cycle completes once
     /// every engaged leg has finished its push *and* pull.
     fn finish_sub(&mut self, w: usize, s: usize, now: Time) {
-        self.workers[w].subs[s].done = true;
-        if self.workers[w].subs.iter().all(|sp| !sp.engaged || sp.done) {
+        if self.workers[w].role.finish_leg(s) {
             self.complete_cycle(w, now);
         } else {
             self.set_comm_state_sub(w, now, DeviceState::Stall);
@@ -1158,18 +959,12 @@ impl RowEngine {
 
     /// Switches the whole cluster to a new staleness threshold.
     fn apply_threshold(&mut self, new: u32, now: Time) {
-        if new == self.threshold {
+        if new == self.threshold() {
             return;
         }
-        obs!(
-            self.ctx.journal,
-            now,
-            EventKind::AutoThreshold { threshold: new }
-        );
-        self.threshold = new;
-        self.server.set_threshold(new);
+        self.server.set_threshold(new, now, &mut self.ctx.journal);
         for ws in &mut self.workers {
-            ws.worker.set_threshold(new);
+            ws.role.set_threshold(new);
         }
         // A loosened gate may unblock waiting pulls immediately.
         self.drain_waiting(now);
@@ -1193,7 +988,7 @@ impl RowEngine {
                     .map(|t| t.time_in_between(DeviceState::Stall, auto.last_time, now))
                     .sum();
                 let share = stall / ((now - auto.last_time) * n as f64);
-                self.apply_threshold(auto.decide(self.threshold, share), now);
+                self.apply_threshold(auto.decide(self.threshold(), share), now);
                 // The window restarts only now: a pull granted by the
                 // loosened gate can complete an iteration and re-enter
                 // the controllers, and that nested evaluation sees this
@@ -1213,7 +1008,7 @@ impl RowEngine {
                 self.adaptive = Some(ab);
                 let stress = link_stress(self.link_estimates(0..n), self.max_goodput());
                 let desired = ab.desired(stress);
-                let applied = if desired < self.threshold {
+                let applied = if desired < self.threshold() {
                     desired.max(self.pending_bound_floor())
                 } else {
                     desired
@@ -1243,19 +1038,19 @@ impl RowEngine {
             .filter(|&w| !self.ctx.offline[w])
             .map(|w| {
                 let stress = link_stress(self.link_estimates(w..w + 1), max_good);
-                let current_sparse = self.workers[w].worker.codec().name() == "sparse";
+                let current_sparse = self.workers[w].role.worker().codec().name() == "sparse";
                 (w, ca.choose(stress, current_sparse))
             })
             .collect();
         for (w, choice) in decisions {
             let codec = choice.build();
-            if self.workers[w].worker.codec().name() == codec.name() {
+            if self.workers[w].role.worker().codec().name() == codec.name() {
                 continue;
             }
             // Residuals carry across the switch on both sides (the
             // error-feedback invariant holds for any encoder), so no
             // gradient mass is lost at the boundary.
-            self.workers[w].worker.set_codec(codec);
+            self.workers[w].role.set_codec(codec);
             self.server.set_codec(w, codec);
             obs!(
                 self.ctx.journal,
@@ -1284,10 +1079,10 @@ impl RowEngine {
             // more once the current cycle's pulls have been granted.
             let next = ws.iter.max(ws.comm_iter) + 1;
             for s in 0..self.n_shards {
-                if self.waiting.iter().any(|&(ww, ss, _)| ww == w && ss == s) {
+                if self.server.is_parked(w, s) {
                     continue;
                 }
-                let min = self.server.versions(s).global_min();
+                let min = self.server.global_min(s);
                 floor = floor.max(next.saturating_sub(min));
             }
         }
@@ -1336,16 +1131,16 @@ impl RowEngine {
         // Every in-flight transfer dies with the device; nothing resumes
         // (rejoin rebuilds the cycle from the resynced model instead).
         self.flows.sever(&mut self.ctx, w);
-        self.waiting.retain(|&(x, _, _)| x != w);
         self.ctx.void_compute(w);
         let ws = &mut self.workers[w];
         ws.comm_busy = false;
         ws.pipe_waiting = false;
         ws.resume = None;
+        ws.role.disengage();
         for sub in &mut ws.subs {
-            sub.disengage();
+            sub.resume = None;
         }
-        self.server.deactivate_worker(w);
+        self.server.deactivate(w);
         self.ctx.set_state(w, now, DeviceState::Offline);
         // The departed worker's frozen rows age out of min(V): gated
         // pulls of the survivors may proceed — the membership move a
@@ -1383,7 +1178,7 @@ impl RowEngine {
     /// may legitimately lead by the pipeline depth as well).
     #[cfg(debug_assertions)]
     fn check_version_invariants(&mut self, s: usize, pushed_iter: u64) {
-        let min = self.server.versions_mut(s).global_min();
+        let min = self.server.global_min(s);
         assert!(
             min >= self.last_global_min[s],
             "shard {s} global_min regressed: {} -> {min}",
@@ -1391,7 +1186,7 @@ impl RowEngine {
         );
         self.last_global_min[s] = min;
         if self.auto.is_none() && !self.pipeline && !self.skipped_shard_push {
-            let bound = u64::from(self.threshold.max(1));
+            let bound = u64::from(self.threshold().max(1));
             assert!(
                 pushed_iter <= min + bound,
                 "staleness bound violated on shard {s}: pushed iter {pushed_iter}, min {min}, bound {bound}"
@@ -1417,10 +1212,10 @@ impl RowEngine {
         ws.pipe_waiting = false;
         ws.resume = None;
         for sub in &mut ws.subs {
-            sub.disengage();
+            sub.resume = None;
         }
-        ws.worker.reset_for_rejoin(n);
-        self.server.rejoin_worker(w, n);
+        ws.role.reset_for_rejoin(n);
+        self.server.rejoin(w, n);
         self.ctx.offline[w] = false;
         self.last_pushed[w] = n;
         self.ctx.discard_pending(w);
@@ -1451,10 +1246,9 @@ impl RowEngine {
 
     /// The workers fronted by aggregator `a`.
     fn agg_members(&self, a: usize) -> Vec<usize> {
-        self.agg_plane
-            .as_ref()
+        self.server
+            .agg_map()
             .expect("aggregator faults are validated against the topology")
-            .map()
             .members(a)
             .to_vec()
     }
@@ -1592,10 +1386,10 @@ impl RowEngine {
         };
         match kind {
             SubResume::Push => {
-                let whole = self.workers[w]
-                    .subs
-                    .iter()
-                    .all(|sp| !sp.engaged || sp.resume == Some(SubResume::Push));
+                let ws = &self.workers[w];
+                let whole = ws.subs.iter().enumerate().all(|(s, sp)| {
+                    !ws.role.engaged(s) || sp.resume == Some(SubResume::Push)
+                });
                 if whole {
                     for sub in &mut self.workers[w].subs {
                         sub.resume = None;
@@ -1613,7 +1407,7 @@ impl RowEngine {
                 self.workers[w].subs[s].resume = None;
                 let n = self.workers[w].comm_iter;
                 self.set_comm_state_sub(w, now, DeviceState::Stall);
-                self.waiting.push((w, s, n));
+                self.server.park(w, s, n);
             }
         }
     }
@@ -1621,17 +1415,10 @@ impl RowEngine {
     /// Rebuilds one shard's push plan at the cycle's pinned iteration
     /// (the other legs already carry it).
     fn replan_sub(&mut self, w: usize, s: usize) {
-        let n = self.workers[w].comm_iter;
         let ws = &mut self.workers[w];
-        let mut plan = std::mem::take(&mut ws.plan_scratch);
-        ws.worker.plan_push_into(n, &mut plan);
-        let map = self.server.map();
-        let sub = &mut ws.subs[s];
-        sub.push.plan.clear();
-        sub.push
-            .plan
-            .extend(plan.iter().copied().filter(|&id| map.shard_of(id) == s));
-        ws.plan_scratch = plan;
+        ws.role.rank(ws.comm_iter);
+        ws.role
+            .leg_rows(self.server.server().map(), s, &mut ws.subs[s].push.plan);
     }
 }
 

@@ -190,13 +190,21 @@ Subcommands:
       Run the live parameter server over real sockets: listen for
       worker joins on --listen (default 127.0.0.1:7117), then train at
       --speedup virtual seconds per wall second (default 60). Every
-      process must be launched with identical run flags. Sim-only knobs
-      (--loss*, --corrupt, --fault-plan, --fault-seed, non-ROG
-      strategies) are rejected: a real network supplies its own loss.
+      process must be launched with identical run flags. The server
+      runs the same row cycle as the simulated engine — --shards
+      included — and holds the RSP gate: a worker's pull request waits
+      there until min(V) admits it. Rejected with a reason: every
+      strategy but fixed-bound rog:<t> and --auto-threshold (the wire
+      has no threshold broadcast), --codec (the wire frames dense f32
+      rows), --aggregators, --pipeline, and what only exists inside
+      the simulated channel (--loss*, --corrupt, --fault-plan,
+      --fault-seed, trace replay): a real network supplies its own
+      loss.
   rogctl join [run flags] [--connect <ip:port>] [--push-cap <rows>]
-      Join a live server as one worker: real gradients, UDP row pushes,
-      TCP control. --push-cap bounds rows pushed per iteration
-      (default 512).
+      Join a live server as one worker: real gradients; each push sends
+      its RSP-mandatory rows over TCP and the rest as UDP datagrams.
+      --push-cap bounds the rows pushed per iteration (default 512); it
+      cuts the best-effort tail only, never below max(MTA, mandatory).
   rogctl fuzz [--seed <n>] [--count <n>] [--max-duration <secs>]
               [--models all|legacy]
               [--corpus <dir>] [--replay <file|dir>] [--json <path>]
@@ -858,6 +866,10 @@ mod tests {
             "zero speedup would divide wall pacing by zero"
         );
         assert!(parse_command(&args("serve --strategy rog:4 --speedup -3")).is_err());
+        assert!(
+            parse_command(&args("serve --strategy rog:4 --shards 2")).is_ok(),
+            "the socket server hosts the same sharded plane as the sim"
+        );
     }
 
     #[test]

@@ -49,7 +49,7 @@ pub use aggregator::{AggregatorMap, AggregatorPlane, AggregatorStats, MergeSumma
 pub use importance::{ImportanceMetric, ImportanceMode, ImportanceWeights, RankScratch};
 pub use mta_time::MtaTimeTracker;
 pub use optimizer::{RogOptimizer, RogSession, StepReport};
-pub use roles::{Gate, PushFloor, PushReport, ServerRole, WorkerRole};
+pub use roles::{Gate, LegId, PushFloor, PushReport, ServerRole, WorkerRole};
 pub use rows::{RowId, RowPartition, RowRef};
 pub use server::RogServer;
 pub use shard::{ShardMap, ShardedServer};

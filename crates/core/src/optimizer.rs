@@ -46,8 +46,7 @@ use rog_tensor::Matrix;
 use rog_obs::Journal;
 
 use crate::{
-    Gate, ImportanceMetric, RogWorkerConfig, RowId, ServerRole, ShardMap, ShardedServer,
-    WorkerRole,
+    Gate, ImportanceMetric, RogWorkerConfig, RowId, ServerRole, ShardMap, ShardedServer, WorkerRole,
 };
 
 /// What one [`RogOptimizer::step`] did.
@@ -162,18 +161,21 @@ impl RogOptimizer {
         let n = self.iter + 1;
         // Nothing is recorded: the journal belongs to the timed drivers.
         let mut journal = Journal::disabled();
-        self.role.accumulate(grads);
+        self.role.worker_mut().accumulate(grads);
         self.role.rank(n);
         let mut server = self.server.lock();
-        self.role.leg_rows(server.server().map(), 0, &mut self.plan);
+        self.plan.clear();
+        let ranked = self.role.ranked(server.server().map());
+        self.plan.extend(ranked.map(|(_, id)| id));
         let admitted = self.role.start_leg(0, &self.plan, n).admit(budget_rows);
         let mut sent = self.role.commit_landed(&self.plan[..admitted], n);
-        server.ingest(self.rank, 0, n, &mut sent);
-        let gate = server.enter_gate(self.rank, 0, n, 0.0, &mut journal);
+        let leg = (self.rank, 0);
+        server.ingest(leg, n, &mut sent);
+        let gate = server.enter_gate(leg, n, 0.0, &mut journal);
         let gate_open = gate == Gate::Granted;
         let pulled = if gate_open {
-            server.grant(self.rank, 0, 0.0, &mut journal, &mut self.plan);
-            let payload = server.settle_pull(self.rank, 0, &self.plan, 0.0, &mut journal);
+            server.grant(leg, 0.0, &mut journal, &mut self.plan);
+            let payload = server.settle_pull(leg, &self.plan, 0.0, &mut journal);
             drop(server);
             self.role.apply(params, &payload);
             payload.len()

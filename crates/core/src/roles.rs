@@ -11,18 +11,17 @@
 //! [`crate::RogOptimizer`] — so a rule such as "the RSP-mandatory
 //! prefix is never cut" has one home.
 //!
-//! One shard leg of one cycle, in call order:
-//!
-//! | step | worker side | server side |
-//! |---|---|---|
-//! | rank + split | [`WorkerRole::rank`], [`WorkerRole::leg_rows`] | |
-//! | floor | [`WorkerRole::start_leg`] → [`PushFloor`] | [`ServerRole::push_start`] → time budget |
-//! | commit what landed | [`WorkerRole::commit_landed`] | [`ServerRole::ingest`], [`ServerRole::push_end`] |
-//! | gate | | [`ServerRole::enter_gate`] → [`Gate`]; [`ServerRole::take_parked`] + [`ServerRole::retry`] when `min(V)`, the bound or membership moved |
-//! | pull | [`WorkerRole::apply`] | [`ServerRole::grant`], [`ServerRole::pull_start`], [`ServerRole::settle_pull`] |
-//! | completion | [`WorkerRole::finish_leg`] | |
+//! One shard leg of a cycle, in call order: [`WorkerRole::rank`] and
+//! [`WorkerRole::ranked`], [`WorkerRole::start_leg`] (the floor),
+//! [`ServerRole::push_start`] (the time budget); when the transmission
+//! is over [`WorkerRole::commit_landed`], [`ServerRole::ingest`],
+//! [`ServerRole::push_end`], [`ServerRole::enter_gate`]; on a grant
+//! [`ServerRole::grant`], [`ServerRole::pull_start`], then
+//! [`ServerRole::settle_pull`], [`WorkerRole::apply`] and
+//! [`WorkerRole::finish_leg`]. A parked request is re-checked by a
+//! release scan ([`ServerRole::take_parked`] + [`ServerRole::retry`])
+//! whenever `min(V)`, the bound, membership or reachability moved.
 
-use rog_compress::Codec;
 use rog_obs::{obs, obs_shard, Event, EventKind, Journal};
 use rog_sim::Time;
 use rog_sync::gate;
@@ -32,6 +31,9 @@ use crate::{
     mta, AggregatorMap, AggregatorPlane, AggregatorStats, MtaTimeTracker, RogWorker,
     RogWorkerConfig, RowId, ShardMap, ShardedServer,
 };
+
+/// One worker's leg to one parameter shard: `(worker, shard)`.
+pub type LegId = (usize, usize);
 
 /// How many rows of one shard leg's ranked push plan must get through.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -92,12 +94,12 @@ pub struct PushReport {
     pub secs: Time,
 }
 
+/// Where one shard leg stands in the worker's current cycle.
 #[derive(Debug, Clone, Copy, Default)]
 struct LegPhase {
     engaged: bool,
     push_done: bool,
     done: bool,
-    floor: PushFloor,
 }
 
 /// The worker half of the row cycle (Algorithm 1) around a
@@ -121,31 +123,16 @@ impl WorkerRole {
         }
     }
 
-    /// The wrapped worker state (read-only).
+    /// The wrapped worker state.
     pub fn worker(&self) -> &RogWorker {
         &self.worker
     }
 
-    /// `g' ← g' + g` (Algorithm 1 line 3).
-    pub fn accumulate(&mut self, grads: &[Matrix]) {
-        self.worker.accumulate(grads);
-    }
-
-    /// Changes the staleness threshold from the next plan on.
-    pub fn set_threshold(&mut self, threshold: u32) {
-        self.worker.set_threshold(threshold);
-    }
-
-    /// Switches the push codec; residuals carry over.
-    pub fn set_codec(&mut self, codec: Codec) {
-        self.worker.set_codec(codec);
-    }
-
-    /// Drops the transient state of a worker that resynced to iteration
-    /// `n`, and takes it out of whatever cycle it was in.
-    pub fn reset_for_rejoin(&mut self, n: u64) {
-        self.worker.reset_for_rejoin(n);
-        self.disengage();
+    /// The wrapped worker state, for what is not a cycle decision:
+    /// accumulating gradients, switching threshold or codec, a rejoin
+    /// reset.
+    pub fn worker_mut(&mut self) -> &mut RogWorker {
+        &mut self.worker
     }
 
     /// Ranks every row for the push of iteration `n`: mandatory rows
@@ -154,20 +141,15 @@ impl WorkerRole {
         self.worker.plan_push_into(n, &mut self.ranked);
     }
 
-    /// Writes the rows of the ranked plan homed on shard `s` into
-    /// `out`, in rank order — so each leg's mandatory rows stay a
-    /// prefix of its plan.
-    pub fn leg_rows(&self, map: &ShardMap, s: usize, out: &mut Vec<RowId>) {
-        out.clear();
-        out.extend(
-            self.ranked
-                .iter()
-                .copied()
-                .filter(|&id| map.shard_of(id) == s),
-        );
+    /// The ranked plan with each row's home shard, in rank order. A
+    /// shard leg's plan is its rows in this order, so the leg's
+    /// mandatory rows stay a prefix of its plan.
+    pub fn ranked<'a>(&'a self, map: &'a ShardMap) -> impl Iterator<Item = (usize, RowId)> + 'a {
+        self.ranked.iter().map(|&id| (map.shard_of(id), id))
     }
 
-    /// Takes every leg out of the cycle it was part of.
+    /// Takes every leg out of the cycle it was part of (a new cycle
+    /// starts, or the worker departed or rejoined).
     pub fn disengage(&mut self) {
         self.legs.fill(LegPhase::default());
     }
@@ -181,19 +163,11 @@ impl WorkerRole {
             .iter()
             .take_while(|&&id| gate::row_is_mandatory(row_iters[id.0], n, threshold))
             .count();
-        let floor = PushFloor::new(plan.len(), mandatory, threshold);
         self.legs[s] = LegPhase {
             engaged: true,
-            push_done: false,
-            done: false,
-            floor,
+            ..LegPhase::default()
         };
-        floor
-    }
-
-    /// The floor [`Self::start_leg`] gave shard `s`'s leg.
-    pub fn floor(&self, s: usize) -> PushFloor {
-        self.legs[s].floor
+        PushFloor::new(plan.len(), mandatory, threshold)
     }
 
     /// Whether shard `s` takes part in the current cycle.
@@ -231,9 +205,9 @@ impl WorkerRole {
     }
 }
 
+/// What the server remembers of one worker's cycle on one shard.
 #[derive(Debug, Clone, Copy, Default)]
 struct ServerLeg {
-    /// Iteration of the worker's current cycle on this shard.
     iter: u64,
     mta_rows: usize,
     gate_entered: Time,
@@ -251,9 +225,9 @@ pub struct ServerRole {
     /// Edge-aggregation tier (`None`: workers reach the shards
     /// directly). Accounting only.
     agg: Option<AggregatorPlane>,
-    /// Pull requests waiting at a shard's gate: (worker, shard, iter).
-    parked: Vec<(usize, usize, u64)>,
-    /// Per (worker, shard), row-major by worker.
+    /// Pull requests waiting at a shard's gate, with their iteration.
+    parked: Vec<(LegId, u64)>,
+    /// Row-major by worker.
     legs: Vec<ServerLeg>,
     peak_version_bytes: usize,
 }
@@ -261,8 +235,7 @@ pub struct ServerRole {
 impl ServerRole {
     /// The server side of a cluster of `server.n_workers()` workers.
     pub fn new(server: ShardedServer, agg: Option<AggregatorPlane>) -> Self {
-        let n = server.n_workers();
-        let n_shards = server.n_shards();
+        let (n, n_shards) = (server.n_workers(), server.n_shards());
         Self {
             trackers: vec![MtaTimeTracker::new(n, 1.0); n_shards],
             agg,
@@ -273,9 +246,15 @@ impl ServerRole {
         }
     }
 
-    /// The wrapped parameter plane (read-only).
+    /// The wrapped parameter plane.
     pub fn server(&self) -> &ShardedServer {
         &self.server
+    }
+
+    /// The wrapped parameter plane, for what is not a cycle decision
+    /// (switching a link's codec).
+    pub fn server_mut(&mut self) -> &mut ShardedServer {
+        &mut self.server
     }
 
     /// The aggregator topology, if any.
@@ -293,30 +272,14 @@ impl ServerRole {
         self.peak_version_bytes
     }
 
-    /// Shard `s`'s `min(V)` over the active workers.
-    pub fn global_min(&self, s: usize) -> u64 {
-        self.server.versions(s).global_min()
-    }
-
     /// Shard `s`'s current MTA-time budget (Algorithm 4 `GetMTATime`).
     pub fn budget(&self, s: usize) -> Time {
         self.trackers[s].get()
     }
 
-    /// Whether worker `w` has a pull parked at shard `s`'s gate.
-    pub fn is_parked(&self, w: usize, s: usize) -> bool {
-        self.parked.iter().any(|&(pw, ps, _)| pw == w && ps == s)
-    }
-
-    /// Payload bytes of one row on the pull link to `w`, as that link's
-    /// codec would frame it now.
-    pub fn pull_row_bytes(&self, w: usize, id: RowId) -> u64 {
-        self.server.payload_bytes_for(w, id)
-    }
-
-    /// Switches the pull codec of the link to `w`.
-    pub fn set_codec(&mut self, w: usize, codec: Codec) {
-        self.server.set_codec(w, codec);
+    /// Whether `leg` has a pull parked at its shard's gate.
+    pub fn is_parked(&self, leg: LegId) -> bool {
+        self.parked.iter().any(|&(l, _)| l == leg)
     }
 
     /// The journal scope of shard `s`: a real shard id only when the
@@ -329,63 +292,50 @@ impl ServerRole {
         }
     }
 
-    fn leg(&mut self, w: usize, s: usize) -> &mut ServerLeg {
+    fn leg(&mut self, (w, s): LegId) -> &mut ServerLeg {
         let n_shards = self.server.n_shards();
         &mut self.legs[w * n_shards + s]
     }
 
-    /// Worker `w` starts pushing iteration `n` to shard `s`: records the
-    /// floor and the ranked rows (`plan`: as much of the plan as the
-    /// driver can see) and returns the time budget the speculative
+    /// A worker starts pushing iteration `n` on `leg`: records the floor
+    /// and the ranked rows (`plan`: as much of the plan as the driver
+    /// can see) and returns the time budget the speculative
     /// transmission runs under.
     pub fn push_start(
         &mut self,
-        w: usize,
-        s: usize,
+        leg: LegId,
         n: u64,
         floor: PushFloor,
         plan: &[RowId],
         now: Time,
         journal: &mut Journal,
     ) -> Time {
-        let leg = self.leg(w, s);
-        leg.iter = n;
-        leg.mta_rows = floor.mta_rows;
-        let budget = self.trackers[s].get();
-        if journal.enabled() {
-            let tag = self.tag(s);
-            journal.record_shard(
-                now,
-                tag,
-                EventKind::PushStart {
-                    w: w as u32,
-                    iter: n,
-                    rows: floor.rows as u32,
-                    mand: floor.mandatory as u32,
-                    mta: floor.mta_rows as u32,
-                    budget,
-                },
-            );
-            journal.record_shard(
-                now,
-                tag,
-                EventKind::RowPush {
-                    w: w as u32,
-                    iter: n,
-                    rows: plan.iter().map(|id| id.0 as u32).collect(),
-                },
-            );
-        }
+        let state = self.leg(leg);
+        state.iter = n;
+        state.mta_rows = floor.mta_rows;
+        let (w, tag, budget) = (leg.0 as u32, self.tag(leg.1), self.budget(leg.1));
+        let start = EventKind::PushStart {
+            w,
+            iter: n,
+            rows: floor.rows as u32,
+            mand: floor.mandatory as u32,
+            mta: floor.mta_rows as u32,
+            budget,
+        };
+        obs_shard!(journal, now, tag, start);
+        let rows = || plan.iter().map(|id| id.0 as u32).collect();
+        #[rustfmt::skip]
+        obs_shard!(journal, now, tag, EventKind::RowPush { w, iter: n, rows: rows() });
         budget
     }
 
-    /// Ingests rows of iteration `n` that landed from `w` on shard `s`
-    /// (global ids, translated in place): folds them into the member's
-    /// aggregator window, averages them into every active worker's
-    /// pending copy and raises the versions. Returns whether the
-    /// shard's `min(V)` advanced — the only push outcome that can
-    /// change a parked request's verdict.
-    pub fn ingest(&mut self, w: usize, s: usize, n: u64, rows: &mut [(RowId, Vec<f32>)]) -> bool {
+    /// Ingests rows of iteration `n` that landed on `leg` (global ids,
+    /// translated in place): folds them into the member's aggregator
+    /// window, averages them into every active worker's pending copy
+    /// and raises the versions. Returns whether the shard's `min(V)`
+    /// advanced — the only push outcome that can change a parked
+    /// request's verdict.
+    pub fn ingest(&mut self, (w, s): LegId, n: u64, rows: &mut [(RowId, Vec<f32>)]) -> bool {
         let min_before = self.server.versions(s).global_min();
         if let Some(plane) = self.agg.as_mut() {
             let ids: Vec<usize> = rows.iter().map(|(id, _)| id.0).collect();
@@ -398,131 +348,101 @@ impl ServerRole {
         self.server.versions(s).global_min() > min_before
     }
 
-    /// The push of iteration `n` from `w` to shard `s` left the air:
-    /// updates the shard's MTA-time estimate (Algorithm 4
-    /// `UpdateMTATime`).
+    /// The push of iteration `n` on `leg` left the air: updates the
+    /// shard's MTA-time estimate (Algorithm 4 `UpdateMTATime`).
     pub fn push_end(
         &mut self,
-        w: usize,
-        s: usize,
+        leg: LegId,
         n: u64,
         sent: PushReport,
         now: Time,
         journal: &mut Journal,
     ) {
-        let mta_rows = self.leg(w, s).mta_rows;
+        let (w, s) = leg;
+        let mta_rows = self.leg(leg).mta_rows;
         self.trackers[s].report(w, sent.rows, sent.secs, mta_rows);
-        if journal.enabled() {
-            let tag = self.tag(s);
-            journal.record_shard(
-                now,
-                tag,
-                EventKind::PushEnd {
-                    w: w as u32,
-                    iter: n,
-                    rows: sent.rows as u32,
-                    bytes: sent.bytes,
-                },
-            );
-            journal.record_shard(
-                now,
-                tag,
-                EventKind::Mta {
-                    w: w as u32,
-                    secs: sent.secs,
-                    budget: self.trackers[s].get(),
-                },
-            );
-        }
+        let (w, tag) = (w as u32, self.tag(s));
+        let end = EventKind::PushEnd {
+            w,
+            iter: n,
+            rows: sent.rows as u32,
+            bytes: sent.bytes,
+        };
+        obs_shard!(journal, now, tag, end);
+        let mta = EventKind::Mta {
+            w,
+            secs: sent.secs,
+            budget: self.budget(s),
+        };
+        obs_shard!(journal, now, tag, mta);
     }
 
-    /// `w`, having pushed iteration `n`, asks for shard `s`'s pull (Algorithm
-    /// 2 lines 7–9). A refused request parks here.
-    pub fn enter_gate(
-        &mut self,
-        w: usize,
-        s: usize,
-        n: u64,
-        now: Time,
-        journal: &mut Journal,
-    ) -> Gate {
-        let leg = self.leg(w, s);
-        leg.iter = n;
-        leg.gate_entered = now;
+    /// The worker of `leg`, having pushed iteration `n`, asks for the
+    /// shard's pull (Algorithm 2 lines 7–9). A refused request parks.
+    pub fn enter_gate(&mut self, leg: LegId, n: u64, now: Time, journal: &mut Journal) -> Gate {
+        let state = self.leg(leg);
+        state.iter = n;
+        state.gate_entered = now;
         if journal.enabled() {
+            let (w, s) = leg;
             let versions = self.server.versions(s);
             let (_, row, _) = versions.stalest_cell();
             let min = versions.global_min();
-            let row = self.server.map().to_global(s, RowId(row)).0;
-            journal.record_shard(
-                now,
-                self.tag(s),
-                EventKind::GateEnter {
-                    w: w as u32,
-                    iter: n,
-                    min,
-                    lead: n.saturating_sub(min),
-                    row: row as i64,
-                },
-            );
+            let enter = EventKind::GateEnter {
+                w: w as u32,
+                iter: n,
+                min,
+                lead: n.saturating_sub(min),
+                row: self.server.map().to_global(s, RowId(row)).0 as i64,
+            };
+            journal.record_shard(now, self.tag(s), enter);
         }
-        self.retry(w, s, n, true)
+        self.retry(leg, n, true)
     }
 
-    /// Re-enters the wait at shard `s`'s gate without a new record (a
-    /// granted pull was cut off and starts over).
-    pub fn park(&mut self, w: usize, s: usize, n: u64) {
-        self.parked.push((w, s, n));
-    }
-
-    /// Starts a release scan: hands out every parked request, each to be
-    /// put through [`Self::retry`] in order. Run it when a shard's
-    /// `min(V)` advanced, the bound changed, or membership or
-    /// reachability did.
-    pub fn take_parked(&mut self) -> Vec<(usize, usize, u64)> {
+    /// Starts a release scan: hands out every parked request, each to
+    /// be put through [`Self::retry`] in order.
+    pub fn take_parked(&mut self) -> Vec<(LegId, u64)> {
         std::mem::take(&mut self.parked)
     }
 
-    /// Re-checks one request: granted if the driver can currently
+    /// (Re-)checks one request: granted if the driver can currently
     /// `reach` the worker and the gate admits iteration `n`, parked
-    /// again otherwise.
-    pub fn retry(&mut self, w: usize, s: usize, n: u64, reach: bool) -> Gate {
-        if reach && self.server.gate_ok(s, n) {
+    /// otherwise. `reach = false` re-enters the wait without a check (a
+    /// granted pull was cut off and starts over).
+    pub fn retry(&mut self, leg: LegId, n: u64, reach: bool) -> Gate {
+        if reach && self.server.gate_ok(leg.1, n) {
             Gate::Granted
         } else {
-            self.parked.push((w, s, n));
+            self.parked.push((leg, n));
             Gate::Parked
         }
     }
 
     /// Drops every request `w` has parked (it left, or gave up waiting).
     pub fn withdraw(&mut self, w: usize) {
-        self.parked.retain(|&(pw, _, _)| pw != w);
+        self.parked.retain(|&((pw, _), _)| pw != w);
     }
 
-    /// Grants `w` shard `s`'s pull: closes the member's aggregator
-    /// window, writes the ranked pull plan into `plan` and returns how
-    /// many of its rows must get through (the MTA of the shard's rows).
+    /// Grants `leg`'s pull: closes the member's aggregator window,
+    /// writes the ranked pull plan into `plan` and returns how many of
+    /// its rows must get through (the MTA of the shard's rows).
     pub fn grant(
         &mut self,
-        w: usize,
-        s: usize,
+        leg: LegId,
         now: Time,
         journal: &mut Journal,
         plan: &mut Vec<RowId>,
     ) -> usize {
+        let (w, s) = leg;
         let tag = self.tag(s);
-        let leg = *self.leg(w, s);
-        obs_shard!(
-            journal,
-            now,
-            tag,
-            EventKind::GateExit {
-                w: w as u32,
-                iter: leg.iter,
-                waited: now - leg.gate_entered,
-            }
-        );
+        let state = *self.leg(leg);
+        let exit = EventKind::GateExit {
+            w: w as u32,
+            iter: state.iter,
+            waited: now - state.gate_entered,
+        };
+        obs_shard!(journal, now, tag, exit);
         if let Some(plane) = self.agg.as_mut() {
             // The merged rows go upstream ahead of the fresh fetch, and
             // the pull fans out downstream through the aggregator.
@@ -530,18 +450,14 @@ impl ServerRole {
             let agg = plane.map().agg_of(w) as u32;
             plane.on_member_pull();
             if let Some(m) = merged {
-                obs_shard!(
-                    journal,
-                    now,
-                    tag,
-                    EventKind::AggMerge {
-                        agg,
-                        rows: m.rows as u32,
-                        raw: m.raw_rows as u32,
-                        pushes: m.pushes as u32,
-                        ver: m.max_version,
-                    }
-                );
+                let merge = EventKind::AggMerge {
+                    agg,
+                    rows: m.rows as u32,
+                    raw: m.raw_rows as u32,
+                    pushes: m.pushes as u32,
+                    ver: m.max_version,
+                };
+                obs_shard!(journal, now, tag, merge);
             }
         }
         self.server.plan_pull_into(s, w, plan);
@@ -554,58 +470,44 @@ impl ServerRole {
     /// The granted pull of `plan` (`bytes` on the wire) starts.
     pub fn pull_start(
         &mut self,
-        w: usize,
-        s: usize,
+        leg: LegId,
         plan: &[RowId],
         bytes: u64,
         now: Time,
         journal: &mut Journal,
     ) {
-        if journal.enabled() {
-            let tag = self.tag(s);
-            let iter = self.leg(w, s).iter;
-            journal.record_shard(
-                now,
-                tag,
-                EventKind::PullStart {
-                    w: w as u32,
-                    iter,
-                    bytes,
-                },
-            );
-            journal.record_shard(
-                now,
-                tag,
-                EventKind::RowPull {
-                    w: w as u32,
-                    iter,
-                    rows: plan.iter().map(|id| id.0 as u32).collect(),
-                },
-            );
-        }
+        let (w, tag, iter) = (leg.0 as u32, self.tag(leg.1), self.leg(leg).iter);
+        obs_shard!(journal, now, tag, EventKind::PullStart { w, iter, bytes });
+        let rows = || plan.iter().map(|id| id.0 as u32).collect();
+        obs_shard!(
+            journal,
+            now,
+            tag,
+            EventKind::RowPull {
+                w,
+                iter,
+                rows: rows()
+            }
+        );
     }
 
     /// The pull ended with `landed` delivered: drains exactly those rows
-    /// from `w`'s pending copy (Algorithm 2 lines 12–13) and returns
-    /// their values. A row that did not land stays pending and re-ranks
-    /// into a later pull.
+    /// from the worker's pending copy (Algorithm 2 lines 12–13) and
+    /// returns their values. A row that did not land stays pending and
+    /// re-ranks into a later pull.
     pub fn settle_pull(
         &mut self,
-        w: usize,
-        s: usize,
+        leg: LegId,
         landed: &[RowId],
         now: Time,
         journal: &mut Journal,
     ) -> Vec<(RowId, Vec<f32>)> {
-        obs_shard!(
-            journal,
-            now,
-            self.tag(s),
-            EventKind::PullEnd {
-                w: w as u32,
-                iter: self.leg(w, s).iter,
-            }
-        );
+        let (w, s) = leg;
+        let end = EventKind::PullEnd {
+            w: w as u32,
+            iter: self.leg(leg).iter,
+        };
+        obs_shard!(journal, now, self.tag(s), end);
         self.server.commit_pull(s, w, landed)
     }
 
@@ -622,11 +524,5 @@ impl ServerRole {
     pub fn deactivate(&mut self, w: usize) {
         self.withdraw(w);
         self.server.deactivate_worker(w);
-    }
-
-    /// Readmits `w`, resynced to iteration `n` (follow with a release
-    /// scan: the freshly stamped member can only raise `min(V)`).
-    pub fn rejoin(&mut self, w: usize, n: u64) {
-        self.server.rejoin_worker(w, n);
     }
 }

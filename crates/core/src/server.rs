@@ -147,11 +147,6 @@ impl RogServer {
         &self.versions
     }
 
-    /// The version storage (mutable, for direct version updates).
-    pub fn versions_mut(&mut self) -> &mut RowVersionStore {
-        &mut self.versions
-    }
-
     /// Number of currently active (joined) workers.
     pub fn active_workers(&self) -> usize {
         self.active.iter().filter(|&&a| a).count()
@@ -520,7 +515,7 @@ mod tests {
         assert_eq!(s.pending_magnitude(1), 0.0);
         // Versions fast-forwarded: the rejoiner does not re-pin the gate.
         assert!(s.gate_ok(9));
-        assert_eq!(s.versions_mut().global_min(), 9);
+        assert_eq!(s.versions().global_min(), 9);
     }
 
     #[test]

@@ -312,15 +312,6 @@ impl ShardedServer {
         self.shards[shard].versions()
     }
 
-    /// The version storage of one shard (mutable).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shard` is out of range.
-    pub fn versions_mut(&mut self, shard: usize) -> &mut RowVersionStore {
-        self.shards[shard].versions_mut()
-    }
-
     /// Estimated resident bytes of every shard's version storage (see
     /// [`RowVersionStore::memory_bytes`]).
     pub fn version_store_bytes(&self) -> usize {
@@ -537,7 +528,7 @@ mod tests {
         assert!(!s.is_active(2));
         s.rejoin_worker(2, 5);
         assert!(s.is_active(2));
-        assert_eq!(s.versions_mut(0).global_min(), 0, "others still at 0");
+        assert_eq!(s.versions(0).global_min(), 0, "others still at 0");
         s.set_threshold(9);
         assert_eq!(s.threshold(), 9);
     }

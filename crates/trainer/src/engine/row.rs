@@ -136,6 +136,8 @@ struct SubState {
     /// best-effort bulk they are retransmitted within the cycle until
     /// they land.
     push_retry: Vec<RowId>,
+    /// Length of the RSP-mandatory prefix of the push plan.
+    push_mandatory: usize,
     pull: Leg,
     /// Action to take on this leg once connectivity returns after a
     /// fault cancelled its in-flight transfer.
@@ -427,7 +429,7 @@ impl Engine for RowEngine {
         }
         let n = self.workers[w].iter + 1;
         let (grads, _) = compute::take_draw(&mut self.ctx, w);
-        self.workers[w].role.accumulate(&grads);
+        self.workers[w].role.worker_mut().accumulate(&grads);
         self.ctx.recycle_grads(grads);
         self.begin_push(w, now, n);
     }
@@ -511,7 +513,7 @@ impl RowEngine {
             }
         );
         let (grads, _) = compute::take_draw(&mut self.ctx, w);
-        self.workers[w].role.accumulate(&grads);
+        self.workers[w].role.worker_mut().accumulate(&grads);
         self.ctx.recycle_grads(grads);
         self.ctx.maybe_eval(w, n, now);
         if !self.workers[w].comm_busy {
@@ -563,10 +565,12 @@ impl RowEngine {
         ws.cycle_push_total = 0;
         ws.role.rank(n);
         ws.role.disengage();
-        let map = self.server.server().map();
-        for (s, sub) in ws.subs.iter_mut().enumerate() {
-            ws.role.leg_rows(map, s, &mut sub.push.plan);
+        for sub in &mut ws.subs {
+            sub.push.plan.clear();
             sub.resume = None;
+        }
+        for (s, id) in ws.role.ranked(self.server.server().map()) {
+            ws.subs[s].push.plan.push(id);
         }
         for s in 0..self.n_shards {
             if self.ctx.server_down[s] {
@@ -590,12 +594,13 @@ impl RowEngine {
         let floor = ws.role.start_leg(s, &sub.push.plan, n);
         sub.resume = None;
         sub.push.begin(floor.floor);
+        sub.push_mandatory = floor.mandatory;
         sub.push_started = now;
         sub.push_retry.clear();
         let journal = &mut self.ctx.journal;
         let budget = self
             .server
-            .push_start(w, s, n, floor, &sub.push.plan, now, journal);
+            .push_start((w, s), n, floor, &sub.push.plan, now, journal);
         let chunks = self.leg_chunks(w, s, false, 0..floor.rows);
         self.set_comm_state(w, now, DeviceState::Communicate);
         self.start_leg_flow(w, s, false, now, chunks, Some(now + budget));
@@ -612,7 +617,7 @@ impl RowEngine {
                 .map(|&id| {
                     self.ctx
                         .cluster
-                        .scaled_row_bytes(self.server.pull_row_bytes(w, id))
+                        .scaled_row_bytes(self.server.server().payload_bytes_for(w, id))
                 })
                 .collect()
         } else {
@@ -723,9 +728,8 @@ impl RowEngine {
 
     /// Mandatory-prefix rows of one leg that have not yet arrived intact.
     fn missing_mandatory(&self, w: usize, s: usize) -> Vec<RowId> {
-        let ws = &self.workers[w];
-        let sub = &ws.subs[s];
-        sub.push.plan[..ws.role.floor(s).mandatory.min(sub.push.delivered)]
+        let sub = &self.workers[w].subs[s];
+        sub.push.plan[..sub.push_mandatory.min(sub.push.delivered)]
             .iter()
             .copied()
             .filter(|id| !sub.push.intact.contains(id))
@@ -781,7 +785,7 @@ impl RowEngine {
         let lossy = self.ctx.cluster.transport.loss_enabled();
         let landed = self.workers[w].subs[s].push.landed(lossy);
         let mut payloads = self.workers[w].role.commit_landed(&landed, n);
-        let min_advanced = self.server.ingest(w, s, n, &mut payloads);
+        let min_advanced = self.server.ingest((w, s), n, &mut payloads);
         #[cfg(debug_assertions)]
         self.check_version_invariants(s, n);
         let sent = PushReport {
@@ -790,7 +794,7 @@ impl RowEngine {
             secs,
         };
         self.server
-            .push_end(w, s, n, sent, now, &mut self.ctx.journal);
+            .push_end((w, s), n, sent, now, &mut self.ctx.journal);
         self.last_pushed[w] = n;
 
         let ws = &mut self.workers[w];
@@ -821,7 +825,7 @@ impl RowEngine {
         // the stragglers' pushes to *this* shard only.
         match self
             .server
-            .enter_gate(w, s, n, now, &mut self.ctx.journal)
+            .enter_gate((w, s), n, now, &mut self.ctx.journal)
         {
             Gate::Granted => self.grant_pull(w, s, now),
             Gate::Parked => self.set_comm_state_sub(w, now, DeviceState::Stall),
@@ -837,10 +841,9 @@ impl RowEngine {
     /// Release scan: every parked leg the engine can currently reach is
     /// put to its gate again, in parking order.
     fn drain_waiting(&mut self, now: Time) {
-        for (w, s, n) in self.server.take_parked() {
-            let reach =
-                !self.ctx.offline[w] && !self.path_blocked(w) && !self.ctx.server_down[s];
-            if self.server.retry(w, s, n, reach) == Gate::Granted {
+        for ((w, s), n) in self.server.take_parked() {
+            let reach = !self.ctx.offline[w] && !self.path_blocked(w) && !self.ctx.server_down[s];
+            if self.server.retry((w, s), n, reach) == Gate::Granted {
                 self.grant_pull(w, s, now);
             }
         }
@@ -849,7 +852,7 @@ impl RowEngine {
     fn grant_pull(&mut self, w: usize, s: usize, now: Time) {
         let journal = &mut self.ctx.journal;
         let pull = &mut self.workers[w].subs[s].pull;
-        let target = self.server.grant(w, s, now, journal, &mut pull.plan);
+        let target = self.server.grant((w, s), now, journal, &mut pull.plan);
         let n_rows = pull.plan.len();
         if n_rows == 0 {
             self.finish_sub(w, s, now);
@@ -859,8 +862,7 @@ impl RowEngine {
         let budget = self.server.budget(s);
         let chunks = self.leg_chunks(w, s, true, 0..n_rows);
         self.server.pull_start(
-            w,
-            s,
+            (w, s),
             &self.workers[w].subs[s].pull.plan,
             chunks.iter().sum(),
             now,
@@ -878,7 +880,7 @@ impl RowEngine {
         let rows = self.workers[w].subs[s].pull.landed(lossy);
         let payload = self
             .server
-            .settle_pull(w, s, &rows, now, &mut self.ctx.journal);
+            .settle_pull((w, s), &rows, now, &mut self.ctx.journal);
         self.workers[w]
             .role
             .apply(self.ctx.models[w].params_mut(), &payload);
@@ -964,7 +966,7 @@ impl RowEngine {
         }
         self.server.set_threshold(new, now, &mut self.ctx.journal);
         for ws in &mut self.workers {
-            ws.role.set_threshold(new);
+            ws.role.worker_mut().set_threshold(new);
         }
         // A loosened gate may unblock waiting pulls immediately.
         self.drain_waiting(now);
@@ -1050,8 +1052,8 @@ impl RowEngine {
             // Residuals carry across the switch on both sides (the
             // error-feedback invariant holds for any encoder), so no
             // gradient mass is lost at the boundary.
-            self.workers[w].role.set_codec(codec);
-            self.server.set_codec(w, codec);
+            self.workers[w].role.worker_mut().set_codec(codec);
+            self.server.server_mut().set_codec(w, codec);
             obs!(
                 self.ctx.journal,
                 now,
@@ -1079,10 +1081,10 @@ impl RowEngine {
             // more once the current cycle's pulls have been granted.
             let next = ws.iter.max(ws.comm_iter) + 1;
             for s in 0..self.n_shards {
-                if self.server.is_parked(w, s) {
+                if self.server.is_parked((w, s)) {
                     continue;
                 }
-                let min = self.server.global_min(s);
+                let min = self.server.server().versions(s).global_min();
                 floor = floor.max(next.saturating_sub(min));
             }
         }
@@ -1178,7 +1180,7 @@ impl RowEngine {
     /// may legitimately lead by the pipeline depth as well).
     #[cfg(debug_assertions)]
     fn check_version_invariants(&mut self, s: usize, pushed_iter: u64) {
-        let min = self.server.global_min(s);
+        let min = self.server.server().versions(s).global_min();
         assert!(
             min >= self.last_global_min[s],
             "shard {s} global_min regressed: {} -> {min}",
@@ -1214,8 +1216,9 @@ impl RowEngine {
         for sub in &mut ws.subs {
             sub.resume = None;
         }
-        ws.role.reset_for_rejoin(n);
-        self.server.rejoin(w, n);
+        ws.role.worker_mut().reset_for_rejoin(n);
+        ws.role.disengage();
+        self.server.server_mut().rejoin_worker(w, n);
         self.ctx.offline[w] = false;
         self.last_pushed[w] = n;
         self.ctx.discard_pending(w);
@@ -1387,9 +1390,11 @@ impl RowEngine {
         match kind {
             SubResume::Push => {
                 let ws = &self.workers[w];
-                let whole = ws.subs.iter().enumerate().all(|(s, sp)| {
-                    !ws.role.engaged(s) || sp.resume == Some(SubResume::Push)
-                });
+                let whole = ws
+                    .subs
+                    .iter()
+                    .enumerate()
+                    .all(|(s, sp)| !ws.role.engaged(s) || sp.resume == Some(SubResume::Push));
                 if whole {
                     for sub in &mut self.workers[w].subs {
                         sub.resume = None;
@@ -1407,7 +1412,7 @@ impl RowEngine {
                 self.workers[w].subs[s].resume = None;
                 let n = self.workers[w].comm_iter;
                 self.set_comm_state_sub(w, now, DeviceState::Stall);
-                self.server.park(w, s, n);
+                self.server.retry((w, s), n, false);
             }
         }
     }
@@ -1417,8 +1422,10 @@ impl RowEngine {
     fn replan_sub(&mut self, w: usize, s: usize) {
         let ws = &mut self.workers[w];
         ws.role.rank(ws.comm_iter);
-        ws.role
-            .leg_rows(self.server.server().map(), s, &mut ws.subs[s].push.plan);
+        let ranked = ws.role.ranked(self.server.server().map());
+        let plan = &mut ws.subs[s].push.plan;
+        plan.clear();
+        plan.extend(ranked.filter(|&(home, _)| home == s).map(|(_, id)| id));
     }
 }
 

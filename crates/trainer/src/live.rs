@@ -6,8 +6,21 @@
 //! [`rog_transport::proto`] control protocol over a
 //! [`SocketTransport`]: gradient rows ride best-effort UDP datagrams
 //! (CRC-checked, seq-deduped, loss absorbed by the RSP gate), while
-//! membership, gate probes, checkpoints and the final-model handoff
-//! ride reliable TCP.
+//! membership, the RSP-mandatory prefix of each push, checkpoints and
+//! the final-model handoff ride reliable TCP.
+//!
+//! # One row cycle
+//!
+//! Nothing about the cycle is decided here: `serve` hosts a
+//! [`ServerRole`] and every `join` one [`WorkerRole`] — the decisions
+//! the simulated row engine drives, in the same order. This module is
+//! handshake, pacing, socket polling, (de)serialisation and telemetry.
+//! A worker pushes its mandatory prefix reliably and the bulk
+//! best-effort, then asks for the pull; the request waits *on the
+//! server* until `min(V)` admits it. The wire has no acks, so both
+//! sides treat what they sent as landed (a dropped best-effort row
+//! loses its gradient mass, where the sim keeps it) and neither
+//! direction is paced to the MTA-time budget.
 //!
 //! # Virtual clock
 //!
@@ -33,7 +46,10 @@ use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use rog_core::{ImportanceMetric, RogServer, RogWorker, RogWorkerConfig, RowId};
+use rog_core::{
+    Gate, ImportanceMetric, PushFloor, PushReport, RogWorkerConfig, RowId, ServerRole, ShardMap,
+    ShardedServer, WorkerRole,
+};
 use rog_models::Workload;
 use rog_obs::{obs, EventKind, Journal};
 use rog_sim::{DeviceState, Timeline};
@@ -77,10 +93,10 @@ impl Default for ServeOptions {
 pub struct JoinOptions {
     /// The server's TCP address.
     pub connect: String,
-    /// Upper bound on rows pushed per iteration. `plan_push` orders
-    /// mandatory / stalest rows first, so a prefix cap preserves the
-    /// RSP bound while bounding datagram traffic. `usize::MAX` pushes
-    /// the full plan.
+    /// Upper bound on rows pushed per iteration (split evenly over the
+    /// shard legs), bounding datagram traffic. It cuts the best-effort
+    /// tail only: each leg's `max(MTA, mandatory)` floor always goes.
+    /// `usize::MAX` pushes the full plan.
     pub push_cap: usize,
 }
 
@@ -97,75 +113,59 @@ impl Default for JoinOptions {
 /// clear error naming the first sim-only knob found.
 ///
 /// Loss injection, fault plans and recorded channel traces live inside
-/// the deterministic sim channel; a real network supplies its own
-/// loss, so carrying them over would silently mean nothing. Shards,
-/// aggregators, pipelining and the auto-threshold controller are
-/// features of the simulated row engine the live protocol does not
-/// implement; accepting them would run one plain server without them.
+/// the deterministic sim channel; carried over they would silently mean
+/// nothing. The row cycle itself is shared with the sim (shards
+/// included); the rest of what is rejected is what the *wire* cannot
+/// carry yet — compressed rows, a threshold broadcast — and the sim
+/// engine's own scheduling (aggregator tier, pipelining).
 pub fn check_socket_compatible(cfg: &ExperimentConfig) -> Result<(), String> {
-    if !matches!(cfg.strategy, Strategy::Rog { .. }) {
-        return Err(format!(
-            "the socket transport runs the ROG row engine only; strategy {} is sim-only \
-             (drop --strategy or choose rog)",
-            cfg.strategy.name()
-        ));
-    }
-    if cfg.codec != rog_compress::CodecChoice::OneBit {
-        return Err(format!(
-            "--codec {} is sim-only for now; the live wire protocol frames one-bit rows \
-             (drop --codec or run the sim backend)",
-            cfg.codec.name()
-        ));
-    }
-    let engine_only: [(&str, bool, &str); 4] = [
+    const CHANNEL: &str = "it only exists inside the simulated channel, and the socket \
+                           transport rides a real network that supplies its own loss";
+    let strategy = format!("strategy {}", cfg.strategy.name());
+    let codec = format!("--codec {}", cfg.codec.name());
+    let rejected: [(bool, &str, &str); 10] = [
         (
-            "--shards",
-            cfg.n_shards > 1,
-            "serve runs one unsharded parameter server",
+            !matches!(cfg.strategy, Strategy::Rog { .. }),
+            &strategy,
+            "the socket path runs fixed-bound ROG — the baselines run in the model engine, \
+             and the wire has no threshold broadcast for roga's moving bound",
         ),
         (
-            "--aggregators",
+            cfg.codec != rog_compress::CodecChoice::OneBit,
+            &codec,
+            "the wire still frames dense f32 rows, so a codec would change no byte a socket carries",
+        ),
+        (
             cfg.n_aggregators > 0,
+            "--aggregators",
             "workers connect to the server directly",
         ),
         (
-            "--pipeline",
             cfg.pipeline,
+            "--pipeline",
             "a live worker computes and communicates in turn",
         ),
         (
-            "--auto-threshold",
             cfg.auto_threshold,
-            "the live gate uses the fixed --strategy rog:<threshold> bound",
+            "--auto-threshold",
+            "the wire has no threshold broadcast: workers keep the bound from Welcome",
         ),
+        (cfg.loss.is_some(), "--loss (packet-loss injection)", CHANNEL),
+        (cfg.fault_plan.is_some(), "--fault-plan (fault injection)", CHANNEL),
+        (cfg.fault_seed.is_some(), "--fault-seed (seeded churn)", CHANNEL),
+        (cfg.capacity_trace.is_some(), "capacity trace replay", CHANNEL),
+        (cfg.link_traces.is_some(), "link trace replay", CHANNEL),
     ];
-    for (what, set, why) in engine_only {
-        if set {
-            return Err(format!(
-                "{what} is sim-only, because {why} (drop {what} or run the sim backend)"
-            ));
-        }
+    match rejected.iter().find(|r| r.0) {
+        Some((_, what, why)) => Err(format!(
+            "{what} is sim-only: {why} (drop it or run the sim backend)"
+        )),
+        None => Ok(()),
     }
-    let sim_only: [(&str, bool); 5] = [
-        ("--loss (packet-loss injection)", cfg.loss.is_some()),
-        ("--fault-plan (fault injection)", cfg.fault_plan.is_some()),
-        ("--fault-seed (seeded churn)", cfg.fault_seed.is_some()),
-        ("capacity trace replay", cfg.capacity_trace.is_some()),
-        ("link trace replay", cfg.link_traces.is_some()),
-    ];
-    for (what, set) in sim_only {
-        if set {
-            return Err(format!(
-                "{what} only exists inside the simulated channel; the socket transport \
-                 rides a real network that supplies its own loss — remove it or run the \
-                 sim backend"
-            ));
-        }
-    }
-    Ok(())
 }
 
-/// Which class each control message travels under.
+/// Which class each control message travels under (a push's mandatory
+/// prefix overrides this to reliable).
 fn class_of(msg: &Msg) -> FrameClass {
     match msg {
         Msg::PushRows { .. }
@@ -266,9 +266,9 @@ fn admit_worker(
     Ok(worker_udp)
 }
 
-fn to_row_ids(rows: &[Row]) -> Vec<(RowId, Vec<f32>)> {
-    rows.iter()
-        .map(|(id, v)| (RowId(*id as usize), v.clone()))
+fn to_row_ids(rows: Vec<Row>) -> Vec<(RowId, Vec<f32>)> {
+    rows.into_iter()
+        .map(|(id, v)| (RowId(id as usize), v))
         .collect()
 }
 
@@ -294,6 +294,21 @@ impl From<SocketByteCounters> for ByteAccount {
     }
 }
 
+/// The journal (opened with the run's `Meta` record) and the metrics
+/// collector of one process's view of a run over `n` workers.
+fn open_run(cfg: &ExperimentConfig, cluster: &Cluster, n: usize) -> (Journal, MetricsCollector) {
+    let mut journal = Journal::new(cfg.trace);
+    let (name, seed) = (cfg.name(), cfg.seed);
+    obs!(journal, 0.0, EventKind::Meta { name, seed });
+    let collector = MetricsCollector::new(
+        cfg.name(),
+        cluster.workload.metric_name().to_owned(),
+        cluster.workload.metric_higher_better(),
+        n,
+    );
+    (journal, collector)
+}
+
 /// Journals worker `w`'s protocol event `ev` at virtual time `t`: the
 /// one `TraceEv` → `EventKind` mapping, shared by the worker that emits
 /// the event and the server that receives it.
@@ -308,20 +323,6 @@ fn journal_trace(journal: &mut Journal, w: u32, t: f64, ev: &TraceEv) {
         },
         TraceEv::IterBegin(iter) => EventKind::IterBegin { w, iter },
         TraceEv::IterEnd(iter) => EventKind::IterEnd { w, iter },
-        TraceEv::GateEnter { iter, min } => EventKind::GateEnter {
-            w,
-            iter,
-            min,
-            lead: iter.saturating_sub(min),
-            row: -1,
-        },
-        TraceEv::GateExit { iter, waited } => EventKind::GateExit { w, iter, waited },
-        TraceEv::PushEnd { iter, rows, bytes } => EventKind::PushEnd {
-            w,
-            iter,
-            rows,
-            bytes,
-        },
         TraceEv::Close => EventKind::Close { w },
     };
     obs!(journal, t, kind);
@@ -334,6 +335,147 @@ struct Member {
     iters: u64,
     final_params: Option<Vec<f32>>,
     said_bye: bool,
+    /// Iteration of the push being received, when its first message
+    /// arrived, and per shard the rows and payload bytes received.
+    push_iter: u64,
+    push_started: f64,
+    received: Vec<(usize, u64)>,
+    /// Iteration of the last pull request acted on, and per shard the
+    /// iteration of the last pull served.
+    pull_iter: u64,
+    served: Vec<u64>,
+}
+
+impl Member {
+    fn new(n_shards: usize) -> Self {
+        Self {
+            timeline: Timeline::new(),
+            closed: false,
+            iters: 0,
+            final_params: None,
+            said_bye: false,
+            push_iter: 0,
+            push_started: 0.0,
+            received: vec![(0, 0); n_shards],
+            pull_iter: 0,
+            served: vec![0; n_shards],
+        }
+    }
+
+    /// Starts counting the push of a new iteration.
+    fn open_push(&mut self, iter: u64, now: f64) {
+        if iter > self.push_iter {
+            self.push_iter = iter;
+            self.push_started = now;
+            self.received.fill((0, 0));
+        }
+    }
+}
+
+/// The server's socket-facing half: routes decoded messages into the
+/// [`ServerRole`] and its verdicts back onto the wire.
+struct Plane {
+    role: ServerRole,
+    transport: SocketTransport,
+    journal: Journal,
+    members: Vec<Member>,
+    /// Row widths in global order: what a pushed row must look like.
+    widths: Vec<usize>,
+}
+
+impl Plane {
+    /// A batch of pushed rows arrived from `w`. The reliable batch is
+    /// the cycle's `opener` and carries exactly the mandatory prefix.
+    fn on_push_rows(&mut self, w: usize, iter: u64, rows: Vec<Row>, opener: bool, now: f64) {
+        self.members[w].open_push(iter, now);
+        let map = self.role.server().map();
+        let mut legs = vec![Vec::new(); map.n_shards()];
+        // A row that is not one of the model's is hostile or torn.
+        for (id, v) in to_row_ids(rows) {
+            if self.widths.get(id.0) == Some(&v.len()) {
+                legs[map.shard_of(id)].push((id, v));
+            }
+        }
+        let mut advanced = false;
+        for (s, leg) in legs.iter_mut().enumerate() {
+            let ids: Vec<RowId> = leg.iter().map(|&(id, _)| id).collect();
+            let plane = self.role.server();
+            let bytes: u64 = ids.iter().map(|&id| plane.payload_bytes(id)).sum();
+            if opener {
+                let floor = PushFloor::new(plane.map().shard_rows(s), ids.len(), plane.threshold());
+                self.role
+                    .push_start((w, s), iter, floor, &ids, now, &mut self.journal);
+            }
+            if iter == self.members[w].push_iter {
+                let got = &mut self.members[w].received[s];
+                *got = (got.0 + ids.len(), got.1 + bytes);
+            }
+            advanced |= self.role.ingest((w, s), iter, leg);
+        }
+        if advanced {
+            self.release(now);
+        }
+    }
+
+    /// `w` ended its push of `iter` and asks for the pull. A repeat of
+    /// the request being handled only re-sends the receipts it may have
+    /// missed.
+    fn on_pull_req(&mut self, w: usize, iter: u64, now: f64) {
+        if iter <= self.members[w].pull_iter {
+            for s in 0..self.members[w].served.len() {
+                if self.members[w].served[s] == iter {
+                    self.send_done(w, iter, s, 0);
+                }
+            }
+            return;
+        }
+        let m = &mut self.members[w];
+        m.pull_iter = iter;
+        m.open_push(iter, now);
+        let secs = (now - m.push_started).max(1e-6);
+        for s in 0..m.served.len() {
+            let (rows, bytes) = self.members[w].received[s];
+            let sent = PushReport { rows, bytes, secs };
+            self.role
+                .push_end((w, s), iter, sent, now, &mut self.journal);
+            if self.role.enter_gate((w, s), iter, now, &mut self.journal) == Gate::Granted {
+                self.serve_pull(w, s, now);
+            }
+        }
+    }
+
+    /// Release scan (after `min(V)` advanced or a member left).
+    fn release(&mut self, now: f64) {
+        for ((w, s), n) in self.role.take_parked() {
+            if self.role.retry((w, s), n, true) == Gate::Granted {
+                self.serve_pull(w, s, now);
+            }
+        }
+    }
+
+    /// Sends `w` the granted pull of shard `s`.
+    fn serve_pull(&mut self, w: usize, s: usize, now: f64) {
+        let (leg, iter) = ((w, s), self.members[w].pull_iter);
+        let mut plan = Vec::new();
+        self.role.grant(leg, now, &mut self.journal, &mut plan);
+        let plane = self.role.server();
+        let bytes = plan.iter().map(|&id| plane.payload_bytes_for(w, id)).sum();
+        self.role
+            .pull_start(leg, &plan, bytes, now, &mut self.journal);
+        let fresh = self.role.settle_pull(leg, &plan, now, &mut self.journal);
+        let sent = fresh.len() as u32;
+        for rows in chunk_rows(from_row_ids(fresh), MAX_DATAGRAM_PAYLOAD) {
+            let _ = send_msg(&mut self.transport, w, iter, &Msg::PullRows { rows });
+        }
+        self.send_done(w, iter, s, sent);
+        self.members[w].served[s] = iter;
+    }
+
+    fn send_done(&mut self, w: usize, iter: u64, s: usize, sent: u32) {
+        let shard = s as u32;
+        let done = Msg::PullDone { iter, shard, sent };
+        let _ = send_msg(&mut self.transport, w, iter, &done);
+    }
 }
 
 /// Runs the live parameter server: accepts `cfg.n_workers` joins,
@@ -351,33 +493,31 @@ pub fn serve(cfg: &ExperimentConfig, opts: &ServeOptions) -> Result<RunOutcome, 
         unreachable!("checked above");
     };
     let n = cfg.n_workers;
+    let n_shards = cfg.effective_shards();
     let cluster = Cluster::build(cfg);
-    let mut server = RogServer::new(
-        cluster.init_model.params(),
-        n,
-        threshold,
-        importance_for(cfg),
+    let widths = cluster.init_model.row_widths();
+    let role = ServerRole::new(
+        ShardedServer::new(
+            cluster.init_model.params(),
+            n,
+            threshold,
+            importance_for(cfg),
+            ShardMap::contiguous(widths.len(), n_shards),
+        ),
+        None,
     );
 
     let listen_addr = resolve(&opts.listen)?;
     let listener = TcpListener::bind(listen_addr)
         .map_err(|e| format!("cannot listen on {listen_addr}: {e}"))?;
-    let mut transport = SocketTransport::bind(SocketAddr::new(listen_addr.ip(), 0))
+    let transport = SocketTransport::bind(SocketAddr::new(listen_addr.ip(), 0))
         .map_err(|e| format!("cannot bind UDP: {e}"))?;
     let server_udp = transport
         .local_udp_addr()
         .map_err(|e| e.to_string())?
         .to_string();
 
-    let mut journal = Journal::new(cfg.trace);
-    obs!(
-        journal,
-        0.0,
-        EventKind::Meta {
-            name: cfg.name(),
-            seed: cfg.seed,
-        }
-    );
+    let (journal, mut collector) = open_run(cfg, &cluster, n);
 
     // Membership: admit n workers, in accept order. The listener is
     // non-blocking so the join timeout is a hard deadline even when no
@@ -387,9 +527,15 @@ pub fn serve(cfg: &ExperimentConfig, opts: &ServeOptions) -> Result<RunOutcome, 
     listener.set_nonblocking(true).map_err(|e| e.to_string())?;
     let join_deadline = Instant::now() + Duration::from_secs_f64(opts.join_timeout_secs);
     let expect_name = cfg.name();
-    let mut members: Vec<Member> = Vec::with_capacity(n);
-    while members.len() < n {
-        let w = members.len();
+    let mut plane = Plane {
+        role,
+        transport,
+        journal,
+        members: Vec::with_capacity(n),
+        widths,
+    };
+    while plane.members.len() < n {
+        let w = plane.members.len();
         let (mut stream, peer_addr) = loop {
             match listener.accept() {
                 Ok(conn) => break conn,
@@ -417,30 +563,21 @@ pub fn serve(cfg: &ExperimentConfig, opts: &ServeOptions) -> Result<RunOutcome, 
                 continue;
             }
         };
-        if let Err(e) = transport.register_peer(w, Some(worker_udp), Some(stream)) {
+        if let Err(e) = plane
+            .transport
+            .register_peer(w, Some(worker_udp), Some(stream))
+        {
             eprintln!("rejecting connection from {peer_addr}: {e}");
             continue;
         }
-        obs!(journal, 0.0, EventKind::PeerUp { w: w as u32 });
-        members.push(Member {
-            timeline: Timeline::new(),
-            closed: false,
-            iters: 0,
-            final_params: None,
-            said_bye: false,
-        });
+        obs!(plane.journal, 0.0, EventKind::PeerUp { w: w as u32 });
+        plane.members.push(Member::new(n_shards));
     }
 
     for w in 0..n {
-        send_msg(&mut transport, w, 0, &Msg::Start).map_err(|e| e.to_string())?;
+        send_msg(&mut plane.transport, w, 0, &Msg::Start).map_err(|e| e.to_string())?;
     }
 
-    let mut collector = MetricsCollector::new(
-        cfg.name(),
-        cluster.workload.metric_name().to_owned(),
-        cluster.workload.metric_higher_better(),
-        n,
-    );
     let mut stats = FleetStats::default();
     let epoch = Instant::now();
     let duration = cfg.duration_secs;
@@ -453,13 +590,14 @@ pub fn serve(cfg: &ExperimentConfig, opts: &ServeOptions) -> Result<RunOutcome, 
         let now = vnow(epoch);
         if !done_sent && now >= duration {
             for w in 0..n {
-                let _ = send_msg(&mut transport, w, 0, &Msg::Done);
+                let _ = send_msg(&mut plane.transport, w, 0, &Msg::Done);
             }
             done_sent = true;
             grace_deadline = Some(Instant::now() + Duration::from_secs(30));
         }
         if done_sent {
-            let all_in = members
+            let all_in = plane
+                .members
                 .iter()
                 .all(|m| m.final_params.is_some() && m.said_bye);
             let expired = grace_deadline.is_some_and(|d| Instant::now() > d);
@@ -468,42 +606,26 @@ pub fn serve(cfg: &ExperimentConfig, opts: &ServeOptions) -> Result<RunOutcome, 
             }
         }
 
-        let deliveries = transport.poll(0.05).map_err(|e| e.to_string())?;
-        for Delivery { from, payload, .. } in deliveries {
+        let deliveries = plane.transport.poll(0.05).map_err(|e| e.to_string())?;
+        for Delivery {
+            from,
+            class,
+            payload,
+            ..
+        } in deliveries
+        {
             stats.sim_events += 1;
             let msg = match Msg::decode(&payload) {
                 Ok(m) => m,
                 Err(_) => continue, // hostile or torn datagram: drop
             };
             match msg {
-                Msg::Sync { worker, iter } if worker as usize == from => {
-                    let min = server.versions().global_min();
-                    let _ = send_msg(&mut transport, from, iter, &Msg::MinVersion { min });
-                }
                 Msg::PushRows { worker, iter, rows } if worker as usize == from => {
-                    server.on_push(from, iter, &to_row_ids(&rows));
-                    stats.peak_version_bytes = stats
-                        .peak_version_bytes
-                        .max(server.versions().memory_bytes() as u64);
+                    let opener = class == FrameClass::Reliable;
+                    plane.on_push_rows(from, iter, rows, opener, vnow(epoch));
                 }
-                Msg::PullReq { worker, iter } => {
-                    if worker as usize != from {
-                        continue;
-                    }
-                    let plan = server.plan_pull(from);
-                    let fresh = server.commit_pull(from, &plan);
-                    let sent = fresh.len() as u32;
-                    for batch in chunk_rows(from_row_ids(fresh), MAX_DATAGRAM_PAYLOAD) {
-                        let _ =
-                            send_msg(&mut transport, from, iter, &Msg::PullRows { rows: batch });
-                    }
-                    let min = server.versions().global_min();
-                    let _ = send_msg(
-                        &mut transport,
-                        from,
-                        iter,
-                        &Msg::PullDone { iter, min, sent },
-                    );
+                Msg::PullReq { worker, iter } if worker as usize == from => {
+                    plane.on_pull_req(from, iter, vnow(epoch));
                 }
                 Msg::Checkpoint {
                     worker,
@@ -519,7 +641,7 @@ pub fn serve(cfg: &ExperimentConfig, opts: &ServeOptions) -> Result<RunOutcome, 
                     }
                     // Timeline transitions are journaled only when the
                     // timeline takes them (the sim engines' dedup rule).
-                    let m = &mut members[from];
+                    let m = &mut plane.members[from];
                     let taken = match ev {
                         TraceEv::State(s) => DeviceState::ALL
                             .get(s as usize)
@@ -536,10 +658,10 @@ pub fn serve(cfg: &ExperimentConfig, opts: &ServeOptions) -> Result<RunOutcome, 
                             collector.record_iteration(from);
                             true
                         }
-                        _ => true,
+                        TraceEv::IterBegin(_) => true,
                     };
                     if taken {
-                        journal_trace(&mut journal, worker, t, &ev);
+                        journal_trace(&mut plane.journal, worker, t, &ev);
                     }
                 }
                 Msg::FinalModel {
@@ -547,21 +669,25 @@ pub fn serve(cfg: &ExperimentConfig, opts: &ServeOptions) -> Result<RunOutcome, 
                     iters,
                     params,
                 } if worker as usize == from => {
-                    members[from].iters = iters;
-                    members[from].final_params = Some(params);
+                    plane.members[from].iters = iters;
+                    plane.members[from].final_params = Some(params);
                 }
                 Msg::Bye { worker } if worker as usize == from => {
-                    members[from].said_bye = true;
-                    obs!(journal, vnow(epoch), EventKind::PeerDown { w: worker });
+                    let now = vnow(epoch);
+                    plane.members[from].said_bye = true;
+                    obs!(plane.journal, now, EventKind::PeerDown { w: worker });
+                    // The departed worker's rows stop gating the rest.
+                    plane.role.deactivate(from);
+                    plane.release(now);
                 }
                 // Server-bound only; anything else is a protocol error
                 // from a confused peer — ignore rather than crash the run.
                 _ => {}
             }
         }
-        for (peer, kind) in transport.take_wire_drops() {
+        for (peer, kind) in plane.transport.take_wire_drops() {
             obs!(
-                journal,
+                plane.journal,
                 vnow(epoch),
                 EventKind::WireDrop {
                     w: peer as u32,
@@ -572,6 +698,14 @@ pub fn serve(cfg: &ExperimentConfig, opts: &ServeOptions) -> Result<RunOutcome, 
     }
 
     // Close any timeline a worker never closed itself (crash, timeout).
+    let Plane {
+        role,
+        transport,
+        mut journal,
+        mut members,
+        ..
+    } = plane;
+    stats.peak_version_bytes = role.peak_version_bytes() as u64;
     for (w, m) in members.iter_mut().enumerate() {
         if !m.closed && m.timeline.current_state().is_some() {
             let t_close = duration.max(m.timeline.end_time());
@@ -636,11 +770,6 @@ impl LiveWorker {
         let worker = self.w as u32;
         journal_trace(&mut self.journal, worker, t, &ev);
         self.send(&Msg::Trace { worker, t, ev }, 0);
-    }
-
-    /// [`LiveWorker::emit_at`] the current virtual time, sampled once.
-    fn emit(&mut self, ev: TraceEv) {
-        self.emit_at(self.now(), ev);
     }
 
     /// Polls briefly, stashing messages and latching `Done`.
@@ -745,19 +874,15 @@ pub fn join(cfg: &ExperimentConfig, opts: &JoinOptions) -> Result<RunOutcome, St
         wcfg = wcfg.with_momentum(cfg.momentum);
     }
     wcfg.importance = importance_for(cfg);
-    let mut rog = RogWorker::new(model.params(), wcfg);
+    let n_shards = cfg.effective_shards();
+    let map = ShardMap::contiguous(model.row_widths().len(), n_shards);
+    let mut role = WorkerRole::new(model.params(), wcfg, n_shards);
+    let leg_cap = opts.push_cap.div_ceil(n_shards);
+    let mut plans: Vec<Vec<RowId>> = vec![Vec::new(); n_shards];
     let mut batch_rng = DetRng::new(cfg.seed).fork(0x100 + w as u64);
     let mut jitter_rng = DetRng::new(cfg.seed).fork(0x200 + w as u64);
 
-    let mut journal = Journal::new(cfg.trace);
-    obs!(
-        journal,
-        0.0,
-        EventKind::Meta {
-            name: cfg.name(),
-            seed: cfg.seed,
-        }
-    );
+    let (journal, mut collector) = open_run(cfg, &cluster, 1);
 
     // Wait for Start.
     let mut lw = LiveWorker {
@@ -786,53 +911,15 @@ pub fn join(cfg: &ExperimentConfig, opts: &JoinOptions) -> Result<RunOutcome, St
     }
     lw.epoch = Instant::now();
 
-    let mut collector = MetricsCollector::new(
-        cfg.name(),
-        cluster.workload.metric_name().to_owned(),
-        cluster.workload.metric_higher_better(),
-        1,
-    );
-    let mut known_min: u64 = 0;
     let mut iter: u64 = 0;
     let base = cfg.base_compute_secs() * cfg.batch_scale;
 
     while !lw.done && lw.now() < lw.duration {
         iter += 1;
 
-        // RSP gate: iteration `iter` may start iff it is within
-        // `threshold` of the slowest row anywhere in the cluster.
-        if iter > known_min + u64::from(threshold) {
-            let t_enter = lw.now();
-            lw.set_state(DeviceState::Stall);
-            lw.emit(TraceEv::GateEnter {
-                iter,
-                min: known_min,
-            });
-            while !lw.done && iter > known_min + u64::from(threshold) && lw.now() < lw.duration {
-                lw.send(
-                    &Msg::Sync {
-                        worker: w as u32,
-                        iter,
-                    },
-                    iter,
-                );
-                lw.pump(0.05);
-                for m in lw.pending.drain(..) {
-                    if let Msg::MinVersion { min } = m {
-                        known_min = known_min.max(min);
-                    }
-                }
-            }
-            let waited = lw.now() - t_enter;
-            lw.emit(TraceEv::GateExit { iter, waited });
-            if lw.done || lw.now() >= lw.duration {
-                break;
-            }
-        }
-
         // Compute: real gradients, paced to the virtual clock.
         lw.set_state(DeviceState::Compute);
-        lw.emit(TraceEv::IterBegin(iter));
+        lw.emit_at(lw.now(), TraceEv::IterBegin(iter));
         let compute_start = Instant::now();
         let shard = &cluster.workload.shards()[w];
         let batch = cluster.devices[w].batch;
@@ -848,59 +935,78 @@ pub fn join(cfg: &ExperimentConfig, opts: &JoinOptions) -> Result<RunOutcome, St
             lw.pump(0.01);
         }
 
-        // Push: importance-ranked rows, best-effort datagrams.
+        // Push: each shard leg's ranked rows up to its admitted count;
+        // the mandatory prefixes go first and reliably, the bulk as
+        // best-effort datagrams.
         lw.set_state(DeviceState::Communicate);
-        rog.accumulate(&grads);
-        let mut plan = rog.plan_push(iter);
-        plan.truncate(opts.push_cap);
-        let rows = rog.commit_push(&plan, iter);
-        let n_rows = rows.len() as u32;
-        let payload_bytes: u64 = rows.iter().map(|(_, v)| 4 + 4 * v.len() as u64).sum();
-        for batch in chunk_rows(from_row_ids(rows), MAX_DATAGRAM_PAYLOAD) {
-            lw.send(
-                &Msg::PushRows {
-                    worker: w as u32,
-                    iter,
-                    rows: batch,
-                },
-                iter,
-            );
+        role.worker_mut().accumulate(&grads);
+        role.rank(iter);
+        role.disengage();
+        plans.iter_mut().for_each(Vec::clear);
+        for (s, id) in role.ranked(&map) {
+            plans[s].push(id);
         }
-        lw.emit(TraceEv::PushEnd {
+        let (mut mandatory, mut bulk) = (Vec::new(), Vec::new());
+        for (s, plan) in plans.iter().enumerate() {
+            let floor = role.start_leg(s, plan, iter);
+            let admitted = floor.admit(Some(leg_cap));
+            let mut rows = from_row_ids(role.commit_landed(&plan[..admitted], iter));
+            bulk.extend(rows.split_off(floor.mandatory));
+            mandatory.append(&mut rows);
+        }
+        let worker = w as u32;
+        let opener = Msg::PushRows {
+            worker,
             iter,
-            rows: n_rows,
-            bytes: payload_bytes,
-        });
+            rows: mandatory,
+        };
+        let _ = lw
+            .transport
+            .send(0, FrameClass::Reliable, iter, &opener.encode());
+        for rows in chunk_rows(bulk, MAX_DATAGRAM_PAYLOAD) {
+            lw.send(&Msg::PushRows { worker, iter, rows }, iter);
+        }
 
-        // Pull: fresh rows until PullDone (or a wall timeout — a lost
-        // datagram must not stall the run; RSP absorbs the gap).
-        lw.send(
-            &Msg::PullReq {
-                worker: w as u32,
-                iter,
-            },
-            iter,
-        );
-        let pull_deadline = Instant::now() + Duration::from_secs(2);
-        let mut pulled = false;
-        while !pulled && Instant::now() < pull_deadline {
+        // Pull: the request rides behind the rows and waits on the
+        // server until every shard's gate admits it. Request and
+        // receipts are datagrams, so an unanswered request is repeated.
+        let mut asked: Option<Instant> = None;
+        let mut cycle_done = false;
+        while !cycle_done && !lw.done && lw.now() < lw.duration {
+            if asked.is_none_or(|t| t.elapsed() > Duration::from_millis(250)) {
+                lw.send(&Msg::PullReq { worker, iter }, iter);
+                asked = Some(Instant::now());
+            }
             lw.pump(0.05);
-            for m in lw.pending.drain(..) {
+            let mut heard = false;
+            for m in std::mem::take(&mut lw.pending) {
                 match m {
                     Msg::PullRows { rows } => {
-                        rog.apply_pulled(model.params_mut(), &to_row_ids(&rows));
+                        heard = true;
+                        role.apply(model.params_mut(), &to_row_ids(rows));
                     }
-                    Msg::PullDone { min, .. } => {
-                        known_min = known_min.max(min);
-                        pulled = true;
+                    Msg::PullDone { iter: i, shard, .. }
+                        if i == iter && (shard as usize) < n_shards =>
+                    {
+                        heard = true;
+                        cycle_done |= role.finish_leg(shard as usize);
                     }
-                    Msg::MinVersion { min } => known_min = known_min.max(min),
                     _ => {}
                 }
             }
+            // A poll round without an answer: parked at a gate.
+            lw.set_state(if heard {
+                DeviceState::Communicate
+            } else {
+                DeviceState::Stall
+            });
+        }
+        if !cycle_done {
+            iter -= 1;
+            break;
         }
 
-        lw.emit(TraceEv::IterEnd(iter));
+        lw.emit_at(lw.now(), TraceEv::IterEnd(iter));
         collector.record_iteration(0);
         if iter.is_multiple_of(cfg.eval_every) {
             let metric = cluster.workload.test_metric(&model);
@@ -978,97 +1084,82 @@ mod tests {
     }
 
     #[test]
-    fn socket_compat_accepts_a_plain_rog_config() {
+    fn socket_compat_accepts_plain_and_sharded_rog() {
         assert_eq!(check_socket_compatible(&rog_cfg()), Ok(()));
-    }
-
-    #[test]
-    fn socket_compat_rejects_loss_injection() {
-        let cfg = ExperimentConfig {
-            loss: Some(LossConfig::iid(1, 0.1)),
-            ..rog_cfg()
-        };
-        let err = check_socket_compatible(&cfg).unwrap_err();
-        assert!(err.contains("--loss"), "{err}");
-        assert!(err.contains("real network"), "{err}");
-    }
-
-    #[test]
-    fn socket_compat_rejects_fault_plans_and_seeds() {
-        let cfg = ExperimentConfig {
-            fault_plan: Some(FaultPlan::default()),
-            ..rog_cfg()
-        };
-        assert!(check_socket_compatible(&cfg)
-            .unwrap_err()
-            .contains("--fault-plan"));
-        let cfg = ExperimentConfig {
-            fault_seed: Some(7),
-            ..rog_cfg()
-        };
-        assert!(check_socket_compatible(&cfg)
-            .unwrap_err()
-            .contains("--fault-seed"));
-    }
-
-    #[test]
-    fn socket_compat_rejects_shards() {
-        let cfg = ExperimentConfig {
+        let sharded = ExperimentConfig {
             n_shards: 2,
             ..rog_cfg()
         };
-        let err = check_socket_compatible(&cfg).unwrap_err();
-        assert!(err.contains("--shards is sim-only"), "{err}");
+        assert_eq!(check_socket_compatible(&sharded), Ok(()));
     }
 
     #[test]
-    fn socket_compat_rejects_aggregators() {
-        let cfg = ExperimentConfig {
-            n_aggregators: 1,
-            ..rog_cfg()
-        };
-        let err = check_socket_compatible(&cfg).unwrap_err();
-        assert!(err.contains("--aggregators is sim-only"), "{err}");
-    }
-
-    #[test]
-    fn socket_compat_rejects_pipeline() {
-        let cfg = ExperimentConfig {
-            pipeline: true,
-            ..rog_cfg()
-        };
-        let err = check_socket_compatible(&cfg).unwrap_err();
-        assert!(err.contains("--pipeline is sim-only"), "{err}");
-    }
-
-    #[test]
-    fn socket_compat_rejects_auto_threshold() {
-        let cfg = ExperimentConfig {
-            auto_threshold: true,
-            ..rog_cfg()
-        };
-        let err = check_socket_compatible(&cfg).unwrap_err();
-        assert!(err.contains("--auto-threshold is sim-only"), "{err}");
-    }
-
-    #[test]
-    fn socket_compat_rejects_non_onebit_codecs() {
-        let cfg = ExperimentConfig {
-            codec: rog_compress::CodecChoice::Sparse,
-            ..rog_cfg()
-        };
-        let err = check_socket_compatible(&cfg).unwrap_err();
-        assert!(err.contains("--codec sparse"), "{err}");
-    }
-
-    #[test]
-    fn socket_compat_rejects_model_granularity_baselines() {
-        let cfg = ExperimentConfig {
-            strategy: Strategy::Bsp,
-            ..rog_cfg()
-        };
-        let err = check_socket_compatible(&cfg).unwrap_err();
-        assert!(err.contains("BSP"), "{err}");
+    fn socket_compat_names_what_it_rejects_and_why() {
+        let base = rog_cfg;
+        let cases: [(ExperimentConfig, &[&str]); 8] = [
+            (
+                ExperimentConfig {
+                    loss: Some(LossConfig::iid(1, 0.1)),
+                    ..base()
+                },
+                &["--loss", "real network"],
+            ),
+            (
+                ExperimentConfig {
+                    fault_plan: Some(FaultPlan::default()),
+                    ..base()
+                },
+                &["--fault-plan"],
+            ),
+            (
+                ExperimentConfig {
+                    fault_seed: Some(7),
+                    ..base()
+                },
+                &["--fault-seed"],
+            ),
+            (
+                ExperimentConfig {
+                    n_aggregators: 1,
+                    ..base()
+                },
+                &["--aggregators is sim-only"],
+            ),
+            (
+                ExperimentConfig {
+                    pipeline: true,
+                    ..base()
+                },
+                &["--pipeline is sim-only"],
+            ),
+            (
+                ExperimentConfig {
+                    auto_threshold: true,
+                    ..base()
+                },
+                &["--auto-threshold is sim-only", "threshold broadcast"],
+            ),
+            (
+                ExperimentConfig {
+                    codec: rog_compress::CodecChoice::Sparse,
+                    ..base()
+                },
+                &["--codec sparse", "dense f32"],
+            ),
+            (
+                ExperimentConfig {
+                    strategy: Strategy::Bsp,
+                    ..base()
+                },
+                &["BSP"],
+            ),
+        ];
+        for (cfg, needles) in cases {
+            let err = check_socket_compatible(&cfg).unwrap_err();
+            for needle in needles {
+                assert!(err.contains(needle), "{needle:?} not in: {err}");
+            }
+        }
     }
 
     #[test]

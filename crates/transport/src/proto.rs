@@ -10,13 +10,19 @@
 //!
 //! Message ↔ class mapping (see the crate docs for the class split):
 //!
-//! * Best-effort datagrams: [`Msg::PushRows`], [`Msg::PullReq`],
-//!   [`Msg::PullRows`], [`Msg::PullDone`] — gradient/parameter rows
-//!   whose loss RSP's staleness gate absorbs.
-//! * Reliable stream: everything else — membership handshake, gate
-//!   probes, checkpoints, trace events, the final model handoff.
-
-use crate::PeerId;
+//! * Best-effort datagrams: [`Msg::PushRows`] (the bulk),
+//!   [`Msg::PullReq`], [`Msg::PullRows`], [`Msg::PullDone`] —
+//!   gradient/parameter rows whose loss RSP's staleness gate absorbs,
+//!   and the pull request/receipt that ride behind them (a lost one is
+//!   re-requested).
+//! * Reliable stream: everything else — membership handshake, the
+//!   RSP-mandatory prefix of each push (one [`Msg::PushRows`], the
+//!   rows the staleness bound depends on), checkpoints, trace events,
+//!   the final model handoff.
+//!
+//! The RSP gate lives on the server: a [`Msg::PullReq`] waits there
+//! until `min(V)` admits it, so there is no gate probe on the wire.
+//! Tags of retired messages stay unassigned.
 
 /// One parameter row on the wire: row id + dense f32 payload.
 pub type Row = (u32, Vec<f32>);
@@ -62,6 +68,8 @@ const MAX_PARAMS: u64 = 1 << 28;
 /// the worker's virtual clock. The server folds these into the shared
 /// journal and per-device timelines, which is what makes the live
 /// run's `TraceSummary` reconcile with a sim run of the same scenario.
+/// Push, gate and pull records are not here: the server journals the
+/// cycle itself.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TraceEv {
     /// Device state change; index into `rog-obs`'s `STATE_NAMES`
@@ -71,29 +79,6 @@ pub enum TraceEv {
     IterBegin(u64),
     /// Iteration `iter` finished (update applied).
     IterEnd(u64),
-    /// Blocked at the staleness gate before `iter`; global min was `min`.
-    GateEnter {
-        /// Iteration about to start.
-        iter: u64,
-        /// Global minimum row version at block time.
-        min: u64,
-    },
-    /// Released from the gate after `waited` virtual seconds.
-    GateExit {
-        /// Iteration about to start.
-        iter: u64,
-        /// Virtual seconds spent blocked.
-        waited: f64,
-    },
-    /// Push for `iter` finished: `rows` rows, `bytes` payload bytes.
-    PushEnd {
-        /// Iteration pushed.
-        iter: u64,
-        /// Rows pushed.
-        rows: u32,
-        /// Payload bytes pushed.
-        bytes: u64,
-    },
     /// The worker's timeline closed (end of its run).
     Close,
 }
@@ -131,19 +116,10 @@ pub enum Msg {
     /// Server → workers: all members joined, start training now (the
     /// receipt instant is the worker's virtual-clock epoch).
     Start,
-    /// Worker → server: staleness-gate probe before starting `iter`.
-    Sync {
-        /// Probing worker.
-        worker: u32,
-        /// Iteration it wants to start.
-        iter: u64,
-    },
-    /// Server → worker: gate probe answer.
-    MinVersion {
-        /// Current global minimum row version.
-        min: u64,
-    },
-    /// Worker → server (best-effort): a batch of pushed gradient rows.
+    /// Worker → server: a batch of pushed gradient rows (global row
+    /// ids). Each cycle opens with exactly one reliable batch — the
+    /// RSP-mandatory prefix, possibly empty — followed by the
+    /// best-effort bulk.
     PushRows {
         /// Pushing worker.
         worker: u32,
@@ -152,7 +128,9 @@ pub enum Msg {
         /// Row payloads.
         rows: Vec<Row>,
     },
-    /// Worker → server (best-effort): request fresh rows.
+    /// Worker → server (best-effort, behind the rows it ends): the push
+    /// of `iter` is over, serve the pull once the gate admits it.
+    /// Re-sent while unanswered; the server treats repeats as one.
     PullReq {
         /// Pulling worker.
         worker: u32,
@@ -164,13 +142,13 @@ pub enum Msg {
         /// Row payloads.
         rows: Vec<Row>,
     },
-    /// Server → worker (best-effort): pull finished.
+    /// Server → worker (best-effort): one shard's pull was granted and
+    /// its rows sent.
     PullDone {
         /// Iteration the pull served.
         iter: u64,
-        /// Global minimum row version at send time (piggybacked gate
-        /// info, saving the worker a Sync round-trip).
-        min: u64,
+        /// The parameter shard whose leg this ends.
+        shard: u32,
         /// Total rows sent for this pull (lets the receiver detect
         /// best-effort gaps).
         sent: u32,
@@ -350,22 +328,6 @@ impl TraceEv {
                 w.u8(2);
                 w.u64(*iter);
             }
-            TraceEv::GateEnter { iter, min } => {
-                w.u8(3);
-                w.u64(*iter);
-                w.u64(*min);
-            }
-            TraceEv::GateExit { iter, waited } => {
-                w.u8(4);
-                w.u64(*iter);
-                w.f64(*waited);
-            }
-            TraceEv::PushEnd { iter, rows, bytes } => {
-                w.u8(5);
-                w.u64(*iter);
-                w.u32(*rows);
-                w.u64(*bytes);
-            }
             TraceEv::Close => w.u8(6),
         }
     }
@@ -375,19 +337,6 @@ impl TraceEv {
             0 => TraceEv::State(r.u8()?),
             1 => TraceEv::IterBegin(r.u64()?),
             2 => TraceEv::IterEnd(r.u64()?),
-            3 => TraceEv::GateEnter {
-                iter: r.u64()?,
-                min: r.u64()?,
-            },
-            4 => TraceEv::GateExit {
-                iter: r.u64()?,
-                waited: r.f64()?,
-            },
-            5 => TraceEv::PushEnd {
-                iter: r.u64()?,
-                rows: r.u32()?,
-                bytes: r.u64()?,
-            },
             6 => TraceEv::Close,
             t => return Err(ProtoError::BadTag(t)),
         })
@@ -421,15 +370,6 @@ impl Msg {
                 w.str(udp);
             }
             Msg::Start => w = Writer::new(3),
-            Msg::Sync { worker, iter } => {
-                w = Writer::new(4);
-                w.u32(*worker);
-                w.u64(*iter);
-            }
-            Msg::MinVersion { min } => {
-                w = Writer::new(5);
-                w.u64(*min);
-            }
             Msg::PushRows { worker, iter, rows } => {
                 w = Writer::new(6);
                 w.u32(*worker);
@@ -445,10 +385,10 @@ impl Msg {
                 w = Writer::new(8);
                 w.rows(rows);
             }
-            Msg::PullDone { iter, min, sent } => {
+            Msg::PullDone { iter, shard, sent } => {
                 w = Writer::new(9);
                 w.u64(*iter);
-                w.u64(*min);
+                w.u32(*shard);
                 w.u32(*sent);
             }
             Msg::Checkpoint {
@@ -508,11 +448,6 @@ impl Msg {
                 udp: r.str()?,
             },
             3 => Msg::Start,
-            4 => Msg::Sync {
-                worker: r.u32()?,
-                iter: r.u64()?,
-            },
-            5 => Msg::MinVersion { min: r.u64()? },
             6 => Msg::PushRows {
                 worker: r.u32()?,
                 iter: r.u64()?,
@@ -525,7 +460,7 @@ impl Msg {
             8 => Msg::PullRows { rows: r.rows()? },
             9 => Msg::PullDone {
                 iter: r.u64()?,
-                min: r.u64()?,
+                shard: r.u32()?,
                 sent: r.u32()?,
             },
             10 => Msg::Checkpoint {
@@ -580,12 +515,6 @@ pub fn chunk_rows(rows: Vec<Row>, max_payload: usize) -> Vec<Vec<Row>> {
     out
 }
 
-/// Sanity guard used by the live driver: true when `peer` is a
-/// plausible worker index for an `n_workers` cluster.
-pub fn valid_worker(peer: PeerId, n_workers: usize) -> bool {
-    peer < n_workers
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -610,8 +539,6 @@ mod tests {
             udp: "127.0.0.1:9000".into(),
         });
         roundtrip(Msg::Start);
-        roundtrip(Msg::Sync { worker: 1, iter: 9 });
-        roundtrip(Msg::MinVersion { min: 7 });
         roundtrip(Msg::PushRows {
             worker: 0,
             iter: 3,
@@ -623,7 +550,7 @@ mod tests {
         });
         roundtrip(Msg::PullDone {
             iter: 8,
-            min: 5,
+            shard: 1,
             sent: 12,
         });
         roundtrip(Msg::Checkpoint {
@@ -636,16 +563,6 @@ mod tests {
             TraceEv::State(2),
             TraceEv::IterBegin(4),
             TraceEv::IterEnd(4),
-            TraceEv::GateEnter { iter: 4, min: 1 },
-            TraceEv::GateExit {
-                iter: 4,
-                waited: 0.5,
-            },
-            TraceEv::PushEnd {
-                iter: 4,
-                rows: 10,
-                bytes: 4096,
-            },
             TraceEv::Close,
         ] {
             roundtrip(Msg::Trace {
@@ -667,8 +584,10 @@ mod tests {
     fn decode_is_total_on_junk() {
         assert_eq!(Msg::decode(&[]), Err(ProtoError::Truncated));
         assert_eq!(Msg::decode(&[99]), Err(ProtoError::BadTag(99)));
+        // The retired gate-probe tags are unknown tags now.
+        assert_eq!(Msg::decode(&[4]), Err(ProtoError::BadTag(4)));
         // Truncated mid-field.
-        let mut enc = Msg::Sync { worker: 1, iter: 2 }.encode();
+        let mut enc = Msg::PullReq { worker: 1, iter: 2 }.encode();
         enc.truncate(enc.len() - 3);
         assert_eq!(Msg::decode(&enc), Err(ProtoError::Truncated));
         // Trailing garbage.
@@ -708,11 +627,5 @@ mod tests {
         let batches = chunk_rows(rows, 4000);
         assert_eq!(batches.len(), 2);
         assert_eq!(batches[0].len(), 1);
-    }
-
-    #[test]
-    fn worker_bound_check() {
-        assert!(valid_worker(0, 2));
-        assert!(!valid_worker(2, 2));
     }
 }

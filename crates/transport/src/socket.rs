@@ -615,8 +615,8 @@ mod tests {
     fn reliable_sends_do_not_create_phantom_udp_gaps() {
         let (mut a, mut b) = pair();
         // Interleave reliable control traffic with best-effort rows —
-        // the shape of every live iteration (Trace/Sync on TCP between
-        // row datagrams). None of the TCP sends may burn a UDP seq.
+        // the shape of every live iteration (trace events and the mandatory push
+        // prefix on TCP between row datagrams). None of the TCP sends may burn a UDP seq.
         for i in 0..3u64 {
             a.send(0, FrameClass::Reliable, i, b"control").unwrap();
             a.send(0, FrameClass::BestEffort, i, b"row").unwrap();

@@ -1,18 +1,20 @@
 //! Using the ROG building blocks directly — the library layer below the
 //! simulation harness.
 //!
-//! This drives one RSP/ATP round trip by hand: two workers accumulate
+//! This drives the row cycle's two roles by hand, the way the simulated
+//! engine, the socket path and `RogOptimizer` do: two workers accumulate
 //! real gradients, rank rows with the importance metric, push a
-//! bandwidth-limited subset (as a cut deadline would), and the
-//! parameter server enforces the RSP gate before serving pulls. Useful
-//! as a template for embedding ROG in a different transport.
+//! bandwidth-limited subset (as a cut deadline would), and the server
+//! role enforces the RSP gate before serving pulls. Useful as a
+//! template for embedding ROG in a different transport.
 //!
 //! ```text
 //! cargo run --example custom_strategy
 //! ```
 
-use rog::core::{mta, RogServer, RogWorker, RogWorkerConfig};
+use rog::core::{Gate, RogWorkerConfig, ServerRole, ShardMap, ShardedServer, WorkerRole};
 use rog::models::{CrudaSpec, Workload};
+use rog::obs::Journal;
 use rog::tensor::rng::DetRng;
 
 fn main() {
@@ -23,14 +25,23 @@ fn main() {
         workload.make_model(&mut DetRng::new(0)),
     ];
     let cfg = RogWorkerConfig::new(threshold, workload.learning_rate());
-    let mut workers: Vec<RogWorker> = models
+    let mut workers: Vec<WorkerRole> = models
         .iter()
-        .map(|m| RogWorker::new(m.params(), cfg))
+        .map(|m| WorkerRole::new(m.params(), cfg, 1))
         .collect();
-    let mut server = RogServer::new(models[0].params(), 2, threshold, cfg.importance);
-    let n_rows = workers[0].partition().n_rows();
-    let mta_rows = mta::mta_rows(n_rows, threshold);
-    println!("model has {n_rows} rows; MTA at threshold {threshold} is {mta_rows} rows");
+    let n_rows = workers[0].worker().partition().n_rows();
+    let map = ShardMap::contiguous(n_rows, 1);
+    let plane = ShardedServer::new(
+        models[0].params(),
+        2,
+        threshold,
+        cfg.importance,
+        map.clone(),
+    );
+    let mut server = ServerRole::new(plane, None);
+    let mut journal = Journal::disabled();
+    let mut plan = Vec::new();
+    println!("model has {n_rows} rows; RSP threshold {threshold}");
 
     let mut rng = DetRng::new(9);
     for iter in 1..=6u64 {
@@ -39,30 +50,38 @@ fn main() {
             let shard = &workload.shards()[w];
             let batch = shard.sample_batch(16, &mut rng);
             let (_, grads, _) = models[w].loss_and_grad(shard, &batch);
-            workers[w].accumulate(&grads);
+            workers[w].worker_mut().accumulate(&grads);
 
             // Rank rows; pretend the channel only let a prefix through.
-            // Worker 1 has the worse link and only fits the MTA minimum.
-            let plan = workers[w].plan_push(iter);
-            let delivered = if w == 0 { plan.len() } else { mta_rows };
-            let sent = workers[w].commit_push(&plan[..delivered], iter);
-            server.on_push(w, iter, &sent);
+            // Worker 1 has the worse link and only fits the floor: the
+            // MTA or the RSP-mandatory prefix, whichever is longer.
+            workers[w].rank(iter);
+            plan.clear();
+            plan.extend(workers[w].ranked(&map).map(|(_, id)| id));
+            let floor = workers[w].start_leg(0, &plan, iter);
+            let delivered = floor.admit((w == 1).then_some(0));
+            let mut sent = workers[w].commit_landed(&plan[..delivered], iter);
+            server.ingest((w, 0), iter, &mut sent);
             println!(
                 "iter {iter}: worker {w} pushed {delivered}/{} rows (stalest row now {} iters old)",
-                plan.len(),
-                workers[w].max_row_staleness(iter)
+                floor.rows,
+                workers[w].worker().max_row_staleness(iter)
             );
 
-            // RSP gate, then pull whatever the server has pending. A
-            // closed gate is the protocol working: this worker leads the
-            // stalest row by the threshold and must stall.
-            if server.gate_ok(iter) {
-                let pull_plan = server.plan_pull(w);
-                let take = pull_plan.len().min(mta_rows.max(1));
-                let payload = server.commit_pull(w, &pull_plan[..take]);
-                workers[w].apply_pulled(models[w].params_mut(), &payload);
-            } else {
-                println!("  worker {w}: RSP gate closed -> stall (a straggler is {threshold} iterations behind)");
+            // RSP gate, then pull at least the MTA of what the server
+            // has pending. A closed gate is the protocol working: this
+            // worker leads the stalest row by the threshold and must
+            // stall (a transport would leave the request parked).
+            match server.enter_gate((w, 0), iter, 0.0, &mut journal) {
+                Gate::Granted => {
+                    let take = server.grant((w, 0), 0.0, &mut journal, &mut plan);
+                    let payload = server.settle_pull((w, 0), &plan[..take], 0.0, &mut journal);
+                    workers[w].apply(models[w].params_mut(), &payload);
+                }
+                Gate::Parked => {
+                    server.withdraw(w);
+                    println!("  worker {w}: RSP gate closed -> stall (a straggler is {threshold} iterations behind)");
+                }
             }
         }
     }

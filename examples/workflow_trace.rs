@@ -12,7 +12,8 @@
 //! cargo run --example workflow_trace
 //! ```
 
-use rog::core::{mta, RogServer, RogWorker, RogWorkerConfig};
+use rog::core::{mta, Gate, RogWorkerConfig, ServerRole, ShardMap, ShardedServer, WorkerRole};
+use rog::obs::Journal;
 use rog::tensor::rng::DetRng;
 use rog::tensor::Matrix;
 
@@ -21,12 +22,17 @@ fn main() {
     let params = vec![Matrix::zeros(6, 5), Matrix::zeros(2, 4)];
     let n_workers = 3;
     let cfg = RogWorkerConfig::new(threshold, 0.1);
-    let mut workers: Vec<RogWorker> = (0..n_workers)
-        .map(|_| RogWorker::new(&params, cfg))
+    let mut workers: Vec<WorkerRole> = (0..n_workers)
+        .map(|_| WorkerRole::new(&params, cfg, 1))
         .collect();
     let mut models: Vec<Vec<Matrix>> = (0..n_workers).map(|_| params.clone()).collect();
-    let mut server = RogServer::new(&params, n_workers, threshold, cfg.importance);
-    let n_rows = workers[0].partition().n_rows();
+    let n_rows = workers[0].worker().partition().n_rows();
+    let map = ShardMap::contiguous(n_rows, 1);
+    let plane = ShardedServer::new(&params, n_workers, threshold, cfg.importance, map.clone());
+    let mut server = ServerRole::new(plane, None);
+    // This walkthrough has no clock: every record would carry t = 0.
+    let mut journal = Journal::disabled();
+    let mut plan = Vec::new();
     let mta_rows = mta::mta_rows(n_rows, threshold);
     println!(
         "model: {n_rows} rows | RSP threshold {threshold} | MTA {:.0}% = {mta_rows} rows\n",
@@ -49,13 +55,17 @@ fn main() {
                     })
                 })
                 .collect();
-            workers[w].accumulate(&grads);
+            workers[w].worker_mut().accumulate(&grads);
 
-            // "Transmit": worker 2's link admits only the MTA floor.
-            let plan = workers[w].plan_push(round);
-            let admitted = if w == 2 { mta_rows } else { plan.len() };
-            let sent = workers[w].commit_push(&plan[..admitted], round);
-            server.on_push(w, round, &sent);
+            // "Transmit": worker 2's link admits only the floor
+            // (MTA or the RSP-mandatory prefix, whichever is longer).
+            workers[w].rank(round);
+            plan.clear();
+            plan.extend(workers[w].ranked(&map).map(|(_, id)| id));
+            let floor = workers[w].start_leg(0, &plan, round);
+            let admitted = floor.admit((w == 2).then_some(0));
+            let mut sent = workers[w].commit_landed(&plan[..admitted], round);
+            server.ingest((w, 0), round, &mut sent);
 
             let pushed: Vec<String> = plan[..admitted].iter().map(|r| r.0.to_string()).collect();
             println!(
@@ -63,26 +73,30 @@ fn main() {
                 admitted,
                 n_rows,
                 pushed.join(","),
-                workers[w].max_row_staleness(round),
+                workers[w].worker().max_row_staleness(round),
             );
 
             // RSP gate, then pull.
-            let gate = server.gate_ok(round);
-            if gate {
-                let pull = server.plan_pull(w);
-                let take = pull.len().min(mta_rows.max(1));
-                let payload = server.commit_pull(w, &pull[..take]);
-                workers[w].apply_pulled(&mut models[w], &payload);
-                println!("           gate open → pulled {take} rows");
-            } else {
-                println!(
-                    "           gate CLOSED (a straggler is {threshold} iterations behind) → stall"
-                );
+            match server.enter_gate((w, 0), round, 0.0, &mut journal) {
+                Gate::Granted => {
+                    let take = server.grant((w, 0), 0.0, &mut journal, &mut plan);
+                    let payload = server.settle_pull((w, 0), &plan[..take], 0.0, &mut journal);
+                    workers[w].apply(&mut models[w], &payload);
+                    println!("           gate open → pulled {take} rows");
+                }
+                Gate::Parked => {
+                    // A real driver leaves the request parked until a
+                    // straggler's push releases it; this one moves on.
+                    server.withdraw(w);
+                    println!(
+                        "           gate CLOSED (a straggler is {threshold} iterations behind) → stall"
+                    );
+                }
             }
         }
         println!(
             "  server: min(V) = {} (stalest row anywhere in the cluster)\n",
-            server.versions_mut().global_min()
+            server.server().versions(0).global_min()
         );
     }
     println!(

@@ -4,7 +4,6 @@
 //! subset of it, so unused items are expected.
 #![allow(dead_code)]
 
-use rog::core::RowId;
 use rog::prelude::*;
 use rog::trainer::report::runs_to_json;
 
@@ -181,13 +180,4 @@ pub fn assert_checkpoints_monotone_in_time(m: &RunMetrics, what: &str) {
             "{what}: checkpoint time went backwards"
         );
     }
-}
-
-/// Length of the RSP-mandatory prefix of a ranked push plan, computed
-/// through the one shared predicate (`rog::sync::gate`) the engines and
-/// tests agree on.
-pub fn mandatory_prefix(plan: &[RowId], row_iters: &[u64], iter: u64, threshold: u32) -> usize {
-    plan.iter()
-        .take_while(|&&id| rog::sync::gate::row_is_mandatory(row_iters[id.0], iter, threshold))
-        .count()
 }

@@ -1,12 +1,14 @@
-//! RSP safety invariants exercised through the core building blocks:
-//! no matter how the (adversarial) channel truncates transmissions down
-//! to the MTA/mandatory floor, row staleness stays within the
-//! threshold and every worker eventually applies the same gradients.
-
-mod common;
+//! RSP safety invariants exercised through the shipped row-cycle
+//! decisions (`WorkerRole` / `ServerRole`): no matter how the
+//! (adversarial) channel truncates transmissions down to the
+//! MTA/mandatory floor, row staleness stays within the threshold and
+//! every worker eventually applies the same gradients.
 
 use proptest::prelude::*;
-use rog::core::{mta, RogServer, RogWorker, RogWorkerConfig, RowId};
+use rog::core::{
+    Gate, ImportanceMetric, RogWorkerConfig, RowId, ServerRole, ShardMap, ShardedServer, WorkerRole,
+};
+use rog::obs::Journal;
 use rog::tensor::rng::DetRng;
 use rog::tensor::Matrix;
 
@@ -17,6 +19,34 @@ fn params() -> Vec<Matrix> {
         Matrix::zeros(3, 6),
         Matrix::zeros(1, 3),
     ]
+}
+
+fn n_rows() -> usize {
+    params().iter().map(Matrix::rows).sum()
+}
+
+fn worker(threshold: u32, lr: f32) -> WorkerRole {
+    WorkerRole::new(&params(), RogWorkerConfig::new(threshold, lr), 1)
+}
+
+fn server(n_workers: usize, threshold: u32) -> ServerRole {
+    let map = ShardMap::contiguous(n_rows(), 1);
+    let imp = ImportanceMetric::default();
+    ServerRole::new(
+        ShardedServer::new(&params(), n_workers, threshold, imp, map),
+        None,
+    )
+}
+
+/// Ranks worker `w`'s push of `iter` into `plan` and returns its floor.
+fn plan_push(w: &mut WorkerRole, iter: u64, plan: &mut Vec<RowId>) -> usize {
+    w.rank(iter);
+    plan.clear();
+    plan.extend(
+        w.ranked(&ShardMap::contiguous(n_rows(), 1))
+            .map(|(_, id)| id),
+    );
+    w.start_leg(0, plan, iter).floor
 }
 
 fn random_grads(rng: &mut DetRng) -> Vec<Matrix> {
@@ -38,26 +68,19 @@ proptest! {
         threshold in 2u32..8,
         cut_bias in 0.0f64..1.0,
     ) {
-        let ps = params();
-        let mut worker = RogWorker::new(&ps, RogWorkerConfig::new(threshold, 0.01));
-        let n_rows = worker.partition().n_rows();
-        let mta_rows = mta::mta_rows(n_rows, threshold);
+        let mut worker = worker(threshold, 0.01);
+        let mut plan = Vec::new();
         let mut rng = DetRng::new(seed);
         for iter in 1..=40u64 {
-            let g = random_grads(&mut rng);
-            worker.accumulate(&g);
-            let plan = worker.plan_push(iter);
-            // Mandatory rows sit at the front of the plan.
-            let mandatory = common::mandatory_prefix(&plan, worker.row_iters(), iter, threshold);
+            worker.worker_mut().accumulate(&random_grads(&mut rng));
             // Adversarial channel: deliver between the floor and all.
-            let floor = mta_rows.max(mandatory).min(plan.len());
+            let floor = plan_push(&mut worker, iter, &mut plan);
             let extra = ((plan.len() - floor) as f64 * cut_bias * rng.uniform()) as usize;
-            let delivered = floor + extra;
-            worker.commit_push(&plan[..delivered], iter);
+            worker.commit_landed(&plan[..floor + extra], iter);
+            let staleness = worker.worker().max_row_staleness(iter);
             prop_assert!(
-                worker.max_row_staleness(iter) < u64::from(threshold),
-                "iter {iter}: staleness {} reached threshold {threshold}",
-                worker.max_row_staleness(iter)
+                staleness < u64::from(threshold),
+                "iter {iter}: staleness {staleness} reached threshold {threshold}"
             );
         }
     }
@@ -69,41 +92,39 @@ proptest! {
         seed in 0u64..1000,
         threshold in 2u32..6,
     ) {
-        let ps = params();
         let n_workers = 3usize;
-        let mut server = RogServer::new(&ps, n_workers, threshold, Default::default());
-        let mut workers: Vec<RogWorker> = (0..n_workers)
-            .map(|_| RogWorker::new(&ps, RogWorkerConfig::new(threshold, 0.01)))
-            .collect();
-        let n_rows = workers[0].partition().n_rows();
-        let mta_rows = mta::mta_rows(n_rows, threshold);
+        let mut server = server(n_workers, threshold);
+        let mut workers: Vec<WorkerRole> =
+            (0..n_workers).map(|_| worker(threshold, 0.01)).collect();
+        let mut journal = Journal::disabled();
+        let mut plan = Vec::new();
         let mut rng = DetRng::new(seed);
         let mut iters = vec![0u64; n_workers];
         for _round in 0..60 {
             // A random worker tries to advance; the gate may block it.
             let w = rng.index(n_workers);
             let next = iters[w] + 1;
-            let g = random_grads(&mut rng);
-            workers[w].accumulate(&g);
-            let plan = workers[w].plan_push(next);
-            let mandatory =
-                common::mandatory_prefix(&plan, workers[w].row_iters(), next, threshold);
-            let floor = mta_rows.max(mandatory).min(plan.len());
-            let sent = workers[w].commit_push(&plan[..floor], next);
-            server.on_push(w, next, &sent);
+            workers[w].worker_mut().accumulate(&random_grads(&mut rng));
+            let floor = plan_push(&mut workers[w], next, &mut plan);
+            let mut sent = workers[w].commit_landed(&plan[..floor], next);
+            server.ingest((w, 0), next, &mut sent);
             iters[w] = next;
-            if server.gate_ok(next) {
-                let pull = server.plan_pull(w);
-                let take = pull.len().min(mta_rows.max(1));
-                let _ = server.commit_pull(w, &pull[..take]);
-            } else {
-                // Gate blocked: verify the lead is genuinely at the
-                // threshold.
-                let min = server.versions_mut().global_min();
-                prop_assert!(
-                    next >= min + u64::from(threshold),
-                    "gate blocked below threshold: next {next}, min {min}"
-                );
+            match server.enter_gate((w, 0), next, 0.0, &mut journal) {
+                Gate::Granted => {
+                    let take = server.grant((w, 0), 0.0, &mut journal, &mut plan).max(1);
+                    let take = take.min(plan.len());
+                    let _ = server.settle_pull((w, 0), &plan[..take], 0.0, &mut journal);
+                }
+                Gate::Parked => {
+                    // Verify the lead is genuinely at the threshold; this
+                    // driver does not wait, so the request is withdrawn.
+                    let min = server.server().versions(0).global_min();
+                    prop_assert!(
+                        next >= min + u64::from(threshold),
+                        "gate blocked below threshold: next {next}, min {min}"
+                    );
+                    server.withdraw(w);
+                }
             }
         }
     }
@@ -114,25 +135,22 @@ proptest! {
 /// residual still held server-side.
 #[test]
 fn all_workers_apply_the_same_totals() {
-    let ps = params();
-    let n_workers = 2usize;
-    let threshold = 4u32;
-    let mut server = RogServer::new(&ps, n_workers, threshold, Default::default());
-    let mut worker = RogWorker::new(&ps, RogWorkerConfig::new(threshold, 1.0));
-    let n_rows = worker.partition().n_rows();
-    let all_rows: Vec<RowId> = (0..n_rows).map(RowId).collect();
+    let mut server = server(2, 4);
+    let mut worker = worker(4, 1.0);
+    let all_rows: Vec<RowId> = (0..n_rows()).map(RowId).collect();
+    let mut journal = Journal::disabled();
+    let mut plan = Vec::new();
     let mut rng = DetRng::new(42);
     // One producer pushes everything each round; both consumers drain
     // fully each round.
     let mut received: Vec<Vec<f32>> = vec![vec![], vec![]];
     for iter in 1..=30u64 {
-        let g = random_grads(&mut rng);
-        worker.accumulate(&g);
-        let plan = worker.plan_push(iter);
-        let sent = worker.commit_push(&plan, iter);
-        server.on_push(0, iter, &sent);
+        worker.worker_mut().accumulate(&random_grads(&mut rng));
+        plan_push(&mut worker, iter, &mut plan);
+        let mut sent = worker.commit_landed(&plan, iter);
+        server.ingest((0, 0), iter, &mut sent);
         for (dst, inbox) in received.iter_mut().enumerate() {
-            let payload = server.commit_pull(dst, &all_rows);
+            let payload = server.settle_pull((dst, 0), &all_rows, 0.0, &mut journal);
             let flat: f32 = payload.iter().flat_map(|(_, v)| v.iter()).sum();
             inbox.push(flat);
         }

@@ -33,16 +33,16 @@ fn live_cfg() -> ExperimentConfig {
     }
 }
 
-#[test]
-fn live_cluster_reconciles_with_a_sim_run() {
-    let cfg = live_cfg();
-
-    // Port 0: the OS picks a free TCP port; workers learn it from the
-    // handle after bind. Simplest race-free localhost arrangement is a
-    // fixed high port per test binary; retry a few candidates.
-    let mut outcome = None;
-    let mut worker_journals = Vec::new();
-    for port in [47117u16, 47217, 47317, 47417] {
+/// Runs one in-process cluster — a server and `cfg.n_workers` worker
+/// threads on localhost — and returns the server's outcome plus every
+/// worker's journal. Tests in this binary run in parallel, so each
+/// passes its own `ports` (several candidates: one may be in use).
+fn run_cluster(
+    cfg: &ExperimentConfig,
+    ports: [u16; 4],
+    push_cap: usize,
+) -> (RunOutcome, Vec<Journal>) {
+    for port in ports {
         let listen = format!("127.0.0.1:{port}");
         let serve_cfg = cfg.clone();
         let serve_listen = listen.clone();
@@ -65,13 +65,7 @@ fn live_cluster_reconciles_with_a_sim_run() {
                 let wcfg = cfg.clone();
                 let connect = listen.clone();
                 thread::spawn(move || {
-                    rog::trainer::live::join(
-                        &wcfg,
-                        &JoinOptions {
-                            connect,
-                            ..JoinOptions::default()
-                        },
-                    )
+                    rog::trainer::live::join(&wcfg, &JoinOptions { connect, push_cap })
                 })
             })
             .collect();
@@ -82,20 +76,52 @@ fn live_cluster_reconciles_with_a_sim_run() {
             .collect();
         match server_out {
             Ok(out) => {
-                for w in worker_outs {
-                    let w = w.expect("worker failed while server succeeded");
-                    assert!(w.metrics.mean_iterations > 0.0, "worker made no progress");
-                    worker_journals.push(w.journal.expect("traced worker has a journal"));
-                }
-                outcome = Some(out);
-                break;
+                let journals = worker_outs
+                    .into_iter()
+                    .map(|w| {
+                        let w = w.expect("worker failed while server succeeded");
+                        assert!(w.metrics.mean_iterations > 0.0, "worker made no progress");
+                        w.journal.expect("traced worker has a journal")
+                    })
+                    .collect();
+                return (out, journals);
             }
             // Port in use (parallel test runs): try the next one.
             Err(e) if e.contains("cannot listen") => continue,
             Err(e) => panic!("serve failed: {e}"),
         }
     }
-    let live = outcome.expect("no free localhost port for the smoke test");
+    panic!("no free localhost port among {ports:?}");
+}
+
+/// The journal replay and the metrics collector see the same
+/// timelines, so composition must match bit for bit.
+fn assert_journal_replays_to_metrics(live: &RunOutcome) {
+    let journal = live.journal.as_ref().expect("traced run has a journal");
+    let summary = TraceSummary::from_jsonl(&journal.to_jsonl()).expect("journal parses");
+    let c = &live.metrics.composition;
+    for (i, (replayed, reported)) in summary
+        .composition()
+        .iter()
+        .zip([c.compute, c.communicate, c.stall, c.offline])
+        .enumerate()
+    {
+        assert_eq!(
+            replayed.to_bits(),
+            reported.to_bits(),
+            "journal/metrics composition[{i}] diverged: {replayed} vs {reported}"
+        );
+    }
+}
+
+#[test]
+fn live_cluster_reconciles_with_a_sim_run() {
+    let cfg = live_cfg();
+    let (live, worker_journals) = run_cluster(
+        &cfg,
+        [47117, 47217, 47317, 47417],
+        JoinOptions::default().push_cap,
+    );
 
     // Progress: both workers iterated and checkpoints were recorded.
     assert!(
@@ -109,43 +135,25 @@ fn live_cluster_reconciles_with_a_sim_run() {
     );
     assert!(live.metrics.useful_bytes > 0.0, "no useful bytes accounted");
 
-    // (a) Bitwise: the journal replay and the metrics collector see
-    // the same timelines, so composition must match exactly.
+    // (a) Bitwise, between the live server's own two views.
+    assert_journal_replays_to_metrics(&live);
     let journal = live.journal.as_ref().expect("traced run has a journal");
-    let summary = TraceSummary::from_jsonl(&journal.to_jsonl()).expect("journal parses");
-    let composition = summary.composition();
-    for (i, (replayed, reported)) in composition
-        .iter()
-        .zip([
-            live.metrics.composition.compute,
-            live.metrics.composition.communicate,
-            live.metrics.composition.stall,
-            live.metrics.composition.offline,
-        ])
-        .enumerate()
-    {
-        assert_eq!(
-            replayed.to_bits(),
-            reported.to_bits(),
-            "journal/metrics composition[{i}] diverged: {replayed} vs {reported}"
-        );
-    }
 
-    // One event path: a worker stamps each protocol event once, so the
-    // record the server journals from the streamed copy carries the
-    // worker's own timestamp and fields, bit for bit.
+    // One event path: a worker stamps each of its own events once, so
+    // the record the server journals from the streamed copy carries the
+    // worker's timestamp and fields, bit for bit. (Push, gate and pull
+    // records are the server's own: it runs the cycle's gate.)
     for wj in &worker_journals {
-        let protocol = wj.events().filter(|e| {
+        let stamped = wj.events().filter(|e| {
             matches!(
                 e.kind,
                 EventKind::IterBegin { .. }
                     | EventKind::IterEnd { .. }
-                    | EventKind::GateEnter { .. }
-                    | EventKind::GateExit { .. }
-                    | EventKind::PushEnd { .. }
+                    | EventKind::State { .. }
+                    | EventKind::Close { .. }
             )
         });
-        for ev in protocol {
+        for ev in stamped {
             assert!(
                 journal
                     .events()
@@ -154,6 +162,26 @@ fn live_cluster_reconciles_with_a_sim_run() {
             );
         }
     }
+
+    // The server journals the cycle with the sim's record set.
+    let jsonl = journal.to_jsonl();
+    for kind in [
+        "push_start",
+        "push_end",
+        "mta",
+        "gate_enter",
+        "gate_exit",
+        "pull_start",
+        "pull_end",
+    ] {
+        assert!(jsonl.contains(&format!("\"{kind}\"")), "no {kind} record");
+    }
+    assert!(
+        journal
+            .events()
+            .any(|e| matches!(e.kind, EventKind::GateEnter { row, .. } if row >= 0)),
+        "gate_enter names no blocking row"
+    );
 
     // (b) Statistical: a sim run of the same config lands in the same
     // regime. Live pacing (socket latency, scheduler noise) shifts the
@@ -256,4 +284,53 @@ fn stray_connections_do_not_abort_the_join_phase() {
         "cluster made no progress after rejecting the stray: {} mean iterations",
         live.metrics.mean_iterations
     );
+}
+
+/// The wedge the worker-side fork of the cycle had: a push cap below the
+/// RSP-mandatory prefix cut the rows the bound depends on, `min(V)`
+/// pinned, and the cluster sat at the gate for the rest of the run. The
+/// cap bounds the best-effort tail only.
+#[test]
+fn a_push_cap_below_the_floor_does_not_wedge_the_gate() {
+    let cfg = live_cfg();
+    let Strategy::Rog { threshold } = cfg.strategy else {
+        unreachable!()
+    };
+    let (live, _) = run_cluster(&cfg, [47127, 47227, 47327, 47427], 1);
+    assert!(
+        live.metrics.mean_iterations > f64::from(threshold) + 1.0,
+        "cluster wedged at the gate: {} mean iterations",
+        live.metrics.mean_iterations
+    );
+}
+
+/// A row-sharded plane over sockets: per-shard gates and pulls, and the
+/// server's journal still replays to its metrics bit for bit.
+#[test]
+fn a_sharded_socket_cluster_trains_and_reconciles() {
+    let cfg = ExperimentConfig {
+        n_shards: 2,
+        ..live_cfg()
+    };
+    let (live, _) = run_cluster(&cfg, [47137, 47237, 47337, 47437], 512);
+    assert!(
+        live.metrics.name.contains("+shard2"),
+        "{}",
+        live.metrics.name
+    );
+    assert!(
+        live.metrics.mean_iterations >= 3.0,
+        "sharded cluster barely progressed: {} mean iterations",
+        live.metrics.mean_iterations
+    );
+    assert_journal_replays_to_metrics(&live);
+    let journal = live.journal.as_ref().expect("traced");
+    for shard in 0..2 {
+        assert!(
+            journal
+                .events()
+                .any(|e| e.shard == shard && matches!(e.kind, EventKind::PullEnd { .. })),
+            "shard {shard} served no pull"
+        );
+    }
 }

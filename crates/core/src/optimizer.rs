@@ -171,8 +171,7 @@ impl RogOptimizer {
         let mut sent = self.role.commit_landed(&self.plan[..admitted], n);
         let leg = (self.rank, 0);
         server.ingest(leg, n, &mut sent);
-        let gate = server.enter_gate(leg, n, 0.0, &mut journal);
-        let gate_open = gate == Gate::Granted;
+        let gate_open = server.enter_gate(leg, n, 0.0, &mut journal) == Gate::Granted;
         let pulled = if gate_open {
             server.grant(leg, 0.0, &mut journal, &mut self.plan);
             let payload = server.settle_pull(leg, &self.plan, 0.0, &mut journal);

@@ -73,6 +73,11 @@ impl PushFloor {
     }
 }
 
+/// Row ids as the journal records them.
+fn wire_ids(plan: &[RowId]) -> Vec<u32> {
+    plan.iter().map(|id| id.0 as u32).collect()
+}
+
 /// The RSP gate's answer to a pull request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Gate {
@@ -103,8 +108,8 @@ struct LegPhase {
 }
 
 /// The worker half of the row cycle (Algorithm 1) around a
-/// [`RogWorker`]: the cycle's ranked plan, each shard leg's floor, and
-/// which legs of the cycle are still open.
+/// [`RogWorker`]: the cycle's ranked plan, each shard leg's floor when
+/// it opens, and which legs of the cycle are still open.
 #[derive(Debug, Clone)]
 pub struct WorkerRole {
     worker: RogWorker,
@@ -323,9 +328,18 @@ impl ServerRole {
             budget,
         };
         obs_shard!(journal, now, tag, start);
-        let rows = || plan.iter().map(|id| id.0 as u32).collect();
-        #[rustfmt::skip]
-        obs_shard!(journal, now, tag, EventKind::RowPush { w, iter: n, rows: rows() });
+        // (An allocating record is built only if the journal takes it.)
+        let iter = n;
+        obs_shard!(
+            journal,
+            now,
+            tag,
+            EventKind::RowPush {
+                w,
+                iter,
+                rows: wire_ids(plan)
+            }
+        );
         budget
     }
 
@@ -478,7 +492,6 @@ impl ServerRole {
     ) {
         let (w, tag, iter) = (leg.0 as u32, self.tag(leg.1), self.leg(leg).iter);
         obs_shard!(journal, now, tag, EventKind::PullStart { w, iter, bytes });
-        let rows = || plan.iter().map(|id| id.0 as u32).collect();
         obs_shard!(
             journal,
             now,
@@ -486,7 +499,7 @@ impl ServerRole {
             EventKind::RowPull {
                 w,
                 iter,
-                rows: rows()
+                rows: wire_ids(plan)
             }
         );
     }

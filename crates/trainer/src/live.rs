@@ -398,17 +398,17 @@ impl Plane {
         }
         let mut advanced = false;
         for (s, leg) in legs.iter_mut().enumerate() {
-            let ids: Vec<RowId> = leg.iter().map(|&(id, _)| id).collect();
             let plane = self.role.server();
-            let bytes: u64 = ids.iter().map(|&id| plane.payload_bytes(id)).sum();
+            let bytes: u64 = leg.iter().map(|&(id, _)| plane.payload_bytes(id)).sum();
             if opener {
+                let ids: Vec<RowId> = leg.iter().map(|&(id, _)| id).collect();
                 let floor = PushFloor::new(plane.map().shard_rows(s), ids.len(), plane.threshold());
                 self.role
                     .push_start((w, s), iter, floor, &ids, now, &mut self.journal);
             }
             if iter == self.members[w].push_iter {
                 let got = &mut self.members[w].received[s];
-                *got = (got.0 + ids.len(), got.1 + bytes);
+                *got = (got.0 + leg.len(), got.1 + bytes);
             }
             advanced |= self.role.ingest((w, s), iter, leg);
         }

@@ -10,6 +10,7 @@ use rog_compress::{CodecState, CompressedRow, OneBitCodec, TopKCodec};
 use rog_core::mta::mta_fraction;
 use rog_core::{
     ImportanceMetric, ImportanceMode, RankScratch, RogWorker, RogWorkerConfig, RowId, RowPartition,
+    ShardMap, ShardedServer,
 };
 use rog_models::{Mlp, Task};
 use rog_net::{Channel, ChannelProfile, FlowSpec, Trace};
@@ -225,6 +226,55 @@ fn bench_divergence(c: &mut Criterion) {
     g.finish();
 }
 
+fn bench_server_plane(c: &mut Criterion) {
+    // The parameter plane at fleet scale (the `fleet256` cell): the
+    // paper-scale CRUDA MLP, 256 workers x 4 shards, one worker's leg
+    // to shard 0 — every row of the shard averaged into 256 pending
+    // copies, then ranked for and drained by one destination worker.
+    let mut g = c.benchmark_group("server_plane");
+    let model = Mlp::new(
+        &[40, 112, 80, 24],
+        Task::Classification,
+        &mut DetRng::new(12),
+    );
+    let partition = RowPartition::of_params(model.params());
+    let map = ShardMap::contiguous(partition.n_rows(), 4);
+    let ids: Vec<RowId> = map.rows_of(0).iter().map(|&r| RowId(r)).collect();
+    let mut leg: Vec<(RowId, Vec<f32>)> = ids
+        .iter()
+        .map(|&id| {
+            (
+                id,
+                vec![0.01 + 0.001 * (id.0 % 7) as f32; partition.width(id)],
+            )
+        })
+        .collect();
+    let imp = ImportanceMetric::default();
+    let mut plane = ShardedServer::new(model.params(), 256, 4, imp, map);
+    let mut iter = 0u64;
+    g.bench_function("on_push_leg", |b| {
+        b.iter(|| {
+            iter += 1;
+            plane.on_push(0, (iter % 256) as usize, iter, black_box(&mut leg));
+        })
+    });
+    let mut plan = Vec::new();
+    g.bench_function("plan_pull", |b| {
+        b.iter(|| {
+            iter += 1;
+            plane.plan_pull_into(0, (iter % 256) as usize, &mut plan);
+            plan.len()
+        })
+    });
+    g.bench_function("commit_pull_leg", |b| {
+        b.iter(|| {
+            iter += 1;
+            plane.commit_pull(0, (iter % 256) as usize, black_box(&ids))
+        })
+    });
+    g.finish();
+}
+
 fn bench_event_queue(c: &mut Criterion) {
     // Fleet-scale event churn: a 256-worker run pushes and pops
     // millions of events, so heap growth and sift costs matter. The
@@ -356,6 +406,7 @@ criterion_group!(
     bench_row_plumbing,
     bench_channel,
     bench_divergence,
+    bench_server_plane,
     bench_event_queue,
     bench_wire_framing,
     bench_granularity_ablation

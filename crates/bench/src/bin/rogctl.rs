@@ -20,7 +20,7 @@ use std::process::ExitCode;
 use rog_bench::cli::{self, CliCommand, CliRun, FuzzOptions};
 use rog_fuzz::{check_scenario, shrink, FuzzReport, Scenario, ScenarioGen, ScenarioRecord};
 use rog_obs::{gzip_compress, gzip_decompress, TraceSummary};
-use rog_trainer::{report, run_with_result, TransportChoice};
+use rog_trainer::{report, run_with_result, FleetStats, TransportChoice};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -47,6 +47,18 @@ fn warn(run: &CliRun) {
     }
 }
 
+/// The server repairs NaN/Inf gradient values at ingest rather than
+/// spreading them; a run that needed it says so.
+fn report_ingest_faults(stats: &FleetStats) {
+    if stats.nonfinite_dropped > 0 {
+        println!(
+            "warning: the server zeroed {} non-finite gradient values at ingest \
+             (a corrupted payload or a diverging worker)",
+            stats.nonfinite_dropped
+        );
+    }
+}
+
 fn run_experiment(run: &CliRun) -> ExitCode {
     warn(run);
     println!(
@@ -54,7 +66,8 @@ fn run_experiment(run: &CliRun) -> ExitCode {
         run.config.name(),
         run.config.duration_secs
     );
-    let metrics = run.config.options().run().metrics;
+    let outcome = run.config.options().run();
+    let metrics = outcome.metrics;
 
     println!(
         "\n{}",
@@ -74,6 +87,7 @@ fn run_experiment(run: &CliRun) -> ExitCode {
         metrics.useful_bytes / 1e6,
         metrics.wasted_bytes / 1e6
     );
+    report_ingest_faults(&outcome.stats);
 
     if let Some(path) = &run.csv_out {
         std::fs::write(
@@ -120,6 +134,7 @@ fn live_experiment(run: &CliRun, transport: TransportChoice) -> ExitCode {
         metrics.useful_bytes / 1e6,
         metrics.wasted_bytes / 1e6
     );
+    report_ingest_faults(&outcome.stats);
     if let Some(path) = &run.csv_out {
         std::fs::write(
             path,

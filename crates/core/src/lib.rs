@@ -10,6 +10,9 @@
 //!   by at most the staleness threshold. Implemented by
 //!   [`RowVersionStore`] (parameter-server side, Algo 2 lines 7–9) and
 //!   the mandatory-row rule of [`RogWorker::plan_push`] (worker side).
+//!   [`ShardedServer`] is the parameter server itself (Algorithm 2):
+//!   per-worker pending copies of the averaged gradients, kept per row
+//!   and therefore shardable by row with no change to any value.
 //!   RSP provably retains SSP's convergence guarantee —
 //!   [`convergence::rsp_regret_bound`] computes the Theorem 1 bound and
 //!   the crate's tests exercise it on a convex problem.
@@ -23,7 +26,9 @@
 //!   that aligns every device's transmission time.
 //!
 //! The push/pull cycle that strings these together is [`WorkerRole`] +
-//! [`ServerRole`]: clockless, socketless decisions with three drivers —
+//! [`ServerRole`], which own the worker and server state (drivers read
+//! it, and change it only through role methods): clockless, socketless
+//! decisions with three drivers —
 //! the event-driven engine over a simulated wireless channel and the
 //! socket path (both in `rog-trainer`), and [`RogOptimizer`] here.
 //! Everything algorithmic about ROG is in this crate, independent of
@@ -40,7 +45,6 @@ mod mta_time;
 mod optimizer;
 mod roles;
 mod rows;
-mod server;
 mod shard;
 mod version;
 mod worker;
@@ -51,7 +55,6 @@ pub use mta_time::MtaTimeTracker;
 pub use optimizer::{RogOptimizer, RogSession, StepReport};
 pub use roles::{Gate, LegId, PushFloor, PushReport, ServerRole, WorkerRole};
 pub use rows::{RowId, RowPartition, RowRef};
-pub use server::RogServer;
 pub use shard::{ShardMap, ShardedServer};
 pub use version::RowVersionStore;
 pub use worker::{RogWorker, RogWorkerConfig, UpdateRule};

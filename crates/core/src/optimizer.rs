@@ -161,7 +161,7 @@ impl RogOptimizer {
         let n = self.iter + 1;
         // Nothing is recorded: the journal belongs to the timed drivers.
         let mut journal = Journal::disabled();
-        self.role.worker_mut().accumulate(grads);
+        self.role.accumulate(grads);
         self.role.rank(n);
         let mut server = self.server.lock();
         self.plan.clear();

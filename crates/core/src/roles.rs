@@ -22,6 +22,7 @@
 //! release scan ([`ServerRole::take_parked`] + [`ServerRole::retry`])
 //! whenever `min(V)`, the bound, membership or reachability moved.
 
+use rog_compress::Codec;
 use rog_obs::{obs, obs_shard, Event, EventKind, Journal};
 use rog_sim::Time;
 use rog_sync::gate;
@@ -128,16 +129,35 @@ impl WorkerRole {
         }
     }
 
-    /// The wrapped worker state.
+    /// The wrapped worker state (read-only).
     pub fn worker(&self) -> &RogWorker {
         &self.worker
     }
 
-    /// The wrapped worker state, for what is not a cycle decision:
-    /// accumulating gradients, switching threshold or codec, a rejoin
-    /// reset.
-    pub fn worker_mut(&mut self) -> &mut RogWorker {
-        &mut self.worker
+    /// Adds freshly computed gradients to the accumulated gradients
+    /// (Algorithm 1 line 3).
+    pub fn accumulate(&mut self, grads: &[Matrix]) {
+        self.worker.accumulate(grads);
+    }
+
+    /// Changes the staleness bound; the mandatory-row rule uses the new
+    /// value from the next [`Self::rank`].
+    pub fn set_threshold(&mut self, threshold: u32) {
+        self.worker.set_threshold(threshold);
+    }
+
+    /// Switches the push codec (error-feedback residuals carry over).
+    pub fn set_codec(&mut self, codec: Codec) {
+        self.worker.set_codec(codec);
+    }
+
+    /// The worker adopted a peer's model at iteration `n` after a
+    /// fault: drops what belonged to the lost lineage (accumulated
+    /// gradients, residuals, momentum), stamps every row to `n` and
+    /// leaves the cycle it was part of.
+    pub fn rejoin(&mut self, n: u64) {
+        self.worker.reset_for_rejoin(n);
+        self.disengage();
     }
 
     /// Ranks every row for the push of iteration `n`: mandatory rows
@@ -251,15 +271,21 @@ impl ServerRole {
         }
     }
 
-    /// The wrapped parameter plane.
+    /// The wrapped parameter plane (read-only).
     pub fn server(&self) -> &ShardedServer {
         &self.server
     }
 
-    /// The wrapped parameter plane, for what is not a cycle decision
-    /// (switching a link's codec).
-    pub fn server_mut(&mut self) -> &mut ShardedServer {
-        &mut self.server
+    /// Switches the pull codec of the link to `w` (residuals carry
+    /// over).
+    pub fn set_codec(&mut self, w: usize, codec: Codec) {
+        self.server.set_codec(w, codec);
+    }
+
+    /// NaN/Inf gradient values zeroed at ingest so far: non-zero means
+    /// a corrupted payload got past the link's CRC or a worker diverged.
+    pub fn nonfinite_dropped(&self) -> u64 {
+        self.server.nonfinite_dropped()
     }
 
     /// The aggregator topology, if any.
@@ -343,10 +369,10 @@ impl ServerRole {
         budget
     }
 
-    /// Ingests rows of iteration `n` that landed on `leg` (global ids,
-    /// translated in place): folds them into the member's aggregator
-    /// window, averages them into every active worker's pending copy
-    /// and raises the versions. Returns whether the shard's `min(V)`
+    /// Ingests rows of iteration `n` that landed on `leg` (NaN/Inf
+    /// values are zeroed in place and counted): folds them into the
+    /// member's aggregator window, averages them into every active
+    /// worker's pending copy and raises the versions. Returns whether the shard's `min(V)`
     /// advanced — the only push outcome that can change a parked
     /// request's verdict.
     pub fn ingest(&mut self, (w, s): LegId, n: u64, rows: &mut [(RowId, Vec<f32>)]) -> bool {
@@ -537,5 +563,13 @@ impl ServerRole {
     pub fn deactivate(&mut self, w: usize) {
         self.withdraw(w);
         self.server.deactivate_worker(w);
+    }
+
+    /// `w` is back, having adopted a peer's model at iteration `n`: its
+    /// stale pending copy is discarded and its version rows restart at
+    /// `n`, so it neither replays old gradients nor pins `min(V)`
+    /// (follow with a release scan — the new member can only raise it).
+    pub fn rejoin(&mut self, w: usize, n: u64) {
+        self.server.rejoin_worker(w, n);
     }
 }

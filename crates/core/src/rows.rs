@@ -4,8 +4,7 @@
 //! Element granularity would double traffic (one `int32` index per
 //! `float32` value); layer granularity indexes cheaply but single layers
 //! are still large. Rows cost one index per row — 0.24 % of model size in
-//! the paper's ConvMLP — which [`RowPartition::index_overhead_bytes`]
-//! accounts for.
+//! the paper's ConvMLP.
 
 use std::fmt;
 
@@ -118,24 +117,6 @@ impl RowPartition {
         let r = self.locate(id);
         params[r.matrix].row_mut(r.row)
     }
-
-    /// Total scalar parameters covered.
-    pub fn total_elements(&self) -> usize {
-        self.widths.iter().sum()
-    }
-
-    /// Bytes of index metadata needed to manage all rows (one `int32`
-    /// index per row — the management overhead of Sec. III-A).
-    pub fn index_overhead_bytes(&self) -> u64 {
-        4 * self.n_rows() as u64
-    }
-
-    /// Management-overhead ratio: index bytes over raw `float32` model
-    /// bytes. ~0.24 % for the paper's ConvMLP; ~50 % (doubling traffic)
-    /// for element granularity.
-    pub fn index_overhead_ratio(&self) -> f64 {
-        self.index_overhead_bytes() as f64 / (4 * self.total_elements()) as f64
-    }
 }
 
 #[cfg(test)]
@@ -155,7 +136,6 @@ mod tests {
         assert_eq!(p.locate(RowId(3)), RowRef { matrix: 1, row: 0 });
         assert_eq!(p.locate(RowId(5)), RowRef { matrix: 2, row: 1 });
         assert_eq!(p.width(RowId(3)), 3);
-        assert_eq!(p.total_elements(), 12 + 3 + 8);
     }
 
     #[test]
@@ -169,27 +149,8 @@ mod tests {
     }
 
     #[test]
-    fn paper_scale_overhead_ratio() {
-        // ConvMLP: 16.95M elements in 33307 rows → index list ~0.20% of
-        // model size (paper says 0.24%).
-        let p = RowPartition::from_shapes(&[(33_307, 509)]);
-        let ratio = p.index_overhead_ratio();
-        assert!((0.001..0.004).contains(&ratio), "ratio {ratio}");
-    }
-
-    #[test]
-    fn element_granularity_would_double_traffic() {
-        // A "partition" with one element per row: index bytes == data
-        // bytes, i.e. 100% overhead, the paper's argument against
-        // element granularity.
-        let p = RowPartition::from_shapes(&[(1000, 1)]);
-        assert!((p.index_overhead_ratio() - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn empty_model_is_legal() {
         let p = RowPartition::from_shapes(&[]);
         assert_eq!(p.n_rows(), 0);
-        assert_eq!(p.total_elements(), 0);
     }
 }

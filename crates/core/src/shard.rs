@@ -1,32 +1,34 @@
-//! Row-sharded parameter-server plane.
+//! The ROG parameter server (Algorithm 2), row-sharded.
 //!
-//! ROG's row granularity is exactly the unit a sharded PS group needs:
-//! every [`RowId`] is homed on one shard, each shard keeps its own
-//! version storage and active-mask, and RSP's two-level bound composes
-//! per shard because `global_min` is already a per-row property — a
-//! worker blocks only on the shard that owns the row pinning its
-//! staleness, so one slow or faulted shard never stalls rows homed
-//! elsewhere.
+//! The server keeps, *per worker*, a copy of the accumulated averaged
+//! gradients (`ḡ^r`): a push from any worker is averaged into every
+//! worker's copy, and a pull to worker `r` drains only `r`'s copy. Every
+//! worker therefore eventually applies exactly the same gradients, which
+//! is why partial (row-granular) transmission does not break consistency
+//! (paper Sec. III-B).
+//!
+//! All of that state is per *row*, which is exactly the unit a sharded
+//! PS group needs: every [`RowId`] is homed on one shard, each shard
+//! keeps its own pending copies and version storage, and RSP's two-level
+//! bound composes per shard because `global_min` is already a per-row
+//! property — a worker blocks only on the shard that owns the row
+//! pinning its staleness, so one slow or faulted shard never stalls rows
+//! homed elsewhere.
 //!
 //! [`ShardMap`] is the deterministic row→shard assignment (contiguous
-//! ranges by default, seeded hash optionally); [`ShardedServer`] owns
-//! one [`RogServer`] per shard and translates between global and
-//! shard-local row ids at the boundary. With one shard the map is the
-//! identity and the plane degenerates to a single [`RogServer`] built
-//! exactly as before — byte-identical behaviour is a hard contract.
+//! ranges); [`ShardedServer`] owns one private `Shard` per shard — flat
+//! per-worker buffers indexed by row offset, one layout and one
+//! construction path for any shard count — and speaks global row ids
+//! throughout. Finding a row is index arithmetic, never a float
+//! operation, so shard count never perturbs values.
 
-use rog_tensor::Matrix;
+use std::ops::Range;
 
-use crate::{ImportanceMetric, RogServer, RowId, RowPartition, RowVersionStore};
+use rog_compress::{Codec, CodecChoice, CodecState, OneBitCodec, RowCodec};
+use rog_tensor::rng::DetRng;
+use rog_tensor::{ops, Matrix};
 
-/// `splitmix64` finalizer — a tiny, dependency-free seeded hash with
-/// full avalanche, used for the optional hashed row→shard mode.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
+use crate::{ImportanceMetric, ImportanceMode, RankScratch, RowId, RowPartition, RowVersionStore};
 
 /// Deterministic assignment of global rows to parameter-server shards.
 ///
@@ -36,7 +38,6 @@ fn splitmix64(mut x: u64) -> u64 {
 /// - with one shard, routing is the identity.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardMap {
-    n_shards: usize,
     /// `assign[row]` = owning shard.
     assign: Vec<usize>,
     /// `local[row]` = index of the row within its shard.
@@ -46,22 +47,6 @@ pub struct ShardMap {
 }
 
 impl ShardMap {
-    fn from_assignment(n_shards: usize, assign: Vec<usize>) -> Self {
-        assert!(n_shards >= 1, "need at least one shard");
-        let mut local = vec![0usize; assign.len()];
-        let mut rows: Vec<Vec<usize>> = vec![Vec::new(); n_shards];
-        for (r, &s) in assign.iter().enumerate() {
-            local[r] = rows[s].len();
-            rows[s].push(r);
-        }
-        Self {
-            n_shards,
-            assign,
-            local,
-            rows,
-        }
-    }
-
     /// Contiguous row-range partitioning: shard `s` owns a near-equal
     /// slice of `0..n_rows`, earlier shards taking the remainder rows.
     /// With `n_shards == 1` this is the identity map.
@@ -74,32 +59,24 @@ impl ShardMap {
         let base = n_rows / n_shards;
         let rem = n_rows % n_shards;
         let mut assign = Vec::with_capacity(n_rows);
+        let mut local = Vec::with_capacity(n_rows);
+        let mut rows = Vec::with_capacity(n_shards);
         for s in 0..n_shards {
             let len = base + usize::from(s < rem);
+            rows.push((assign.len()..assign.len() + len).collect());
             assign.extend((0..len).map(|_| s));
+            local.extend(0..len);
         }
-        Self::from_assignment(n_shards, assign)
-    }
-
-    /// Seeded-hash partitioning: each row's shard is drawn from a
-    /// `splitmix64` hash of `(seed, row)`. Deterministic for a given
-    /// seed, load-balanced in expectation, and independent of row
-    /// adjacency (useful when neighbouring rows have correlated load).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n_shards == 0`.
-    pub fn seeded_hash(n_rows: usize, n_shards: usize, seed: u64) -> Self {
-        assert!(n_shards >= 1, "need at least one shard");
-        let assign = (0..n_rows)
-            .map(|r| (splitmix64(seed ^ (r as u64).wrapping_mul(0x9E37_79B9))) as usize % n_shards)
-            .collect();
-        Self::from_assignment(n_shards, assign)
+        Self {
+            assign,
+            local,
+            rows,
+        }
     }
 
     /// Number of shards.
     pub fn n_shards(&self) -> usize {
-        self.n_shards
+        self.rows.len()
     }
 
     /// Total number of rows covered.
@@ -151,33 +128,84 @@ impl ShardMap {
     pub fn rows_of(&self, shard: usize) -> &[usize] {
         &self.rows[shard]
     }
+}
 
-    /// Whether routing is the identity (single shard).
-    pub fn is_identity(&self) -> bool {
-        self.n_shards == 1
+/// What Algorithm 2 keeps for the rows homed on one shard, in
+/// shard-local order.
+#[derive(Debug, Clone)]
+struct Shard {
+    /// Row `l` occupies `offsets[l]..offsets[l + 1]` of a pending copy.
+    offsets: Vec<usize>,
+    /// `pending[r]` = averaged gradients pending for worker `r`, the
+    /// shard's rows back to back.
+    pending: Vec<Vec<f32>>,
+    /// `fresh[r][l]` = freshest iteration contributing to row `l` of
+    /// `r`'s copy (0 = no pending content).
+    fresh: Vec<Vec<u64>>,
+    /// `v_i^r` version storage.
+    versions: RowVersionStore,
+    /// Per-destination-worker compression residuals for pulls.
+    states: Vec<CodecState>,
+}
+
+impl Shard {
+    /// Zeroed state for rows of the given widths.
+    fn new(widths: &[usize], n_workers: usize) -> Self {
+        let mut offsets = vec![0];
+        for w in widths {
+            offsets.push(offsets[offsets.len() - 1] + w);
+        }
+        Self {
+            pending: vec![vec![0.0; offsets[widths.len()]]; n_workers],
+            fresh: vec![vec![0; widths.len()]; n_workers],
+            versions: RowVersionStore::new(n_workers, widths.len()),
+            states: vec![CodecState::new(widths, 0); n_workers],
+            offsets,
+        }
+    }
+
+    fn span(&self, local: usize) -> Range<usize> {
+        self.offsets[local]..self.offsets[local + 1]
+    }
+
+    fn widths(&self) -> Vec<usize> {
+        self.offsets.windows(2).map(|o| o[1] - o[0]).collect()
     }
 }
 
-/// A group of [`RogServer`] shards behind one global-row-id facade.
+/// The parameter-server plane: Algorithm 2's state for every row,
+/// grouped by the shard the [`ShardMap`] homes it on.
 ///
-/// Each shard is a full `RogServer` — its own accumulators, error
-/// feedback, [`RowVersionStore`] and active-mask — over the rows the
-/// [`ShardMap`] homes on it. All methods speak global [`RowId`]s and
-/// translate at the boundary; translation is pure index arithmetic
-/// (no float operations), so shard count never perturbs values.
+/// Each shard has its own pending copies, error feedback and
+/// [`RowVersionStore`] (and so its own RSP gate); membership, the
+/// staleness threshold and each link's codec are uniform across shards
+/// and held once. All methods speak global [`RowId`]s.
 #[derive(Debug, Clone)]
 pub struct ShardedServer {
     map: ShardMap,
-    shards: Vec<RogServer>,
-    /// Scratch for global→local id translation in `commit_pull`.
-    local_buf: Vec<RowId>,
+    shards: Vec<Shard>,
+    threshold: u32,
+    importance: ImportanceMetric,
+    /// Membership mask: pushes are averaged over (and fanned out to)
+    /// active workers only.
+    active: Vec<bool>,
+    /// Per-destination-worker pull codec (the per-link auto controller
+    /// may switch individual links independently).
+    codecs: Vec<Codec>,
+    /// Count of NaN/Inf gradient values zeroed at ingest (a corrupted
+    /// or diverging worker must not poison every peer's pending copy).
+    nonfinite_dropped: u64,
+    /// Ranking scratch, reused across pull plans.
+    scratch: RankScratch,
+    /// Per-row mean-|ḡ| buffer, reused across pull plans.
+    mean_abs_buf: Vec<f32>,
+    /// Importance order buffer, reused across pull plans.
+    ranked_buf: Vec<RowId>,
 }
 
 impl ShardedServer {
-    /// Creates the shard group for `n_workers` over a model shaped like
-    /// `params`. With a single shard the inner server is constructed
-    /// exactly as an unsharded [`RogServer`] (same partition, same
-    /// buffer layout) — the byte-identity anchor for `shards = 1`.
+    /// Creates the plane for `n_workers` sharing a model shaped like
+    /// `params`.
     ///
     /// # Panics
     ///
@@ -190,6 +218,7 @@ impl ShardedServer {
         importance: ImportanceMetric,
         map: ShardMap,
     ) -> Self {
+        assert!(n_workers > 0, "need at least one worker");
         let partition = RowPartition::of_params(params);
         assert_eq!(
             map.n_rows(),
@@ -198,33 +227,33 @@ impl ShardedServer {
             map.n_rows(),
             partition.n_rows()
         );
-        let shards = if map.is_identity() {
-            vec![RogServer::new(params, n_workers, threshold, importance)]
-        } else {
-            (0..map.n_shards())
-                .map(|s| {
-                    assert!(
-                        map.shard_rows(s) > 0,
-                        "shard {s} owns no rows ({} rows over {} shards)",
-                        map.n_rows(),
-                        map.n_shards()
-                    );
-                    // Server state is strictly per-row, so a synthetic
-                    // one-row-per-matrix shape reproduces the same
-                    // arithmetic regardless of the original grouping.
-                    let shard_params: Vec<Matrix> = map
-                        .rows_of(s)
-                        .iter()
-                        .map(|&r| Matrix::zeros(1, partition.width(RowId(r))))
-                        .collect();
-                    RogServer::new(&shard_params, n_workers, threshold, importance)
-                })
-                .collect()
-        };
+        let shards = (0..map.n_shards())
+            .map(|s| {
+                assert!(
+                    map.shard_rows(s) > 0,
+                    "shard {s} owns no rows ({} rows over {} shards)",
+                    map.n_rows(),
+                    map.n_shards()
+                );
+                let widths: Vec<usize> = map
+                    .rows_of(s)
+                    .iter()
+                    .map(|&r| partition.width(RowId(r)))
+                    .collect();
+                Shard::new(&widths, n_workers)
+            })
+            .collect();
         Self {
             map,
             shards,
-            local_buf: Vec::new(),
+            threshold,
+            importance,
+            active: vec![true; n_workers],
+            codecs: vec![Codec::default(); n_workers],
+            nonfinite_dropped: 0,
+            scratch: RankScratch::default(),
+            mean_abs_buf: Vec::new(),
+            ranked_buf: Vec::new(),
         }
     }
 
@@ -240,153 +269,250 @@ impl ShardedServer {
 
     /// Number of workers.
     pub fn n_workers(&self) -> usize {
-        self.shards[0].n_workers()
+        self.active.len()
     }
 
-    /// The staleness threshold (uniform across shards).
+    /// The staleness threshold.
     pub fn threshold(&self) -> u32 {
-        self.shards[0].threshold()
+        self.threshold
     }
 
-    /// Changes the staleness threshold on every shard.
+    /// Changes the staleness threshold (used by the auto-threshold
+    /// controller extension). Takes effect at the next gate check.
     pub fn set_threshold(&mut self, threshold: u32) {
-        for s in &mut self.shards {
-            s.set_threshold(threshold);
+        self.threshold = threshold;
+    }
+
+    /// Configures the pull codec of every link from `choice`. Each
+    /// shard's stochastic streams come from an independent fork of
+    /// `seed`, each destination worker's from a fork of that. Call
+    /// before training starts — it rebuilds the residual state.
+    pub fn configure_codec(&mut self, choice: CodecChoice, seed: u64) {
+        let base = DetRng::new(seed);
+        self.codecs.fill(choice.build());
+        for (i, shard) in self.shards.iter_mut().enumerate() {
+            let streams = base.fork(i as u64);
+            let widths = shard.widths();
+            for (w, state) in shard.states.iter_mut().enumerate() {
+                *state = CodecState::new(&widths, streams.fork(w as u64).seed());
+            }
         }
     }
 
-    /// Configures the pull codec of every link on every shard, each
-    /// shard's stochastic streams seeded from an independent fork of
-    /// `seed`. Call before training starts.
-    pub fn configure_codec(&mut self, choice: rog_compress::CodecChoice, seed: u64) {
-        let base = rog_tensor::rng::DetRng::new(seed);
-        for (i, s) in self.shards.iter_mut().enumerate() {
-            s.configure_codec(choice, base.fork(i as u64).seed());
-        }
+    /// Switches the pull codec of the link to `worker` (the per-link
+    /// auto controller). Residuals carry over — the held mass is
+    /// codec-independent.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `worker` is out of range.
+    pub fn set_codec(&mut self, worker: usize, codec: Codec) {
+        self.codecs[worker] = codec;
     }
 
-    /// Switches the pull codec of the link to `worker` on every shard
-    /// (the per-link auto controller).
-    pub fn set_codec(&mut self, worker: usize, codec: rog_compress::Codec) {
-        for s in &mut self.shards {
-            s.set_codec(worker, codec);
-        }
-    }
-
-    /// Total NaN/Inf gradient values zeroed at ingest across shards.
+    /// Number of NaN/Inf gradient values zeroed at push ingest so far.
     pub fn nonfinite_dropped(&self) -> u64 {
-        self.shards.iter().map(RogServer::nonfinite_dropped).sum()
+        self.nonfinite_dropped
     }
 
-    /// Number of currently active workers (uniform across shards).
+    /// Number of currently active (joined) workers.
     pub fn active_workers(&self) -> usize {
-        self.shards[0].active_workers()
+        self.active.iter().filter(|&&a| a).count()
     }
 
     /// Whether `worker` is currently a cluster member.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `worker` is out of range.
     pub fn is_active(&self, worker: usize) -> bool {
-        self.shards[0].is_active(worker)
+        self.active[worker]
     }
 
-    /// Removes `worker` from the active set on every shard.
+    /// Removes `worker` from the active set: its frozen version rows
+    /// stop gating the cluster, subsequent pushes are averaged over the
+    /// remaining members only, and nothing further accumulates for it.
+    /// Idempotent.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `worker` is out of range.
     pub fn deactivate_worker(&mut self, worker: usize) {
-        for s in &mut self.shards {
-            s.deactivate_worker(worker);
+        self.active[worker] = false;
+        for shard in &mut self.shards {
+            shard.versions.set_active(worker, false);
         }
     }
 
-    /// Readmits `worker` at iteration `iter` on every shard.
+    /// Readmits `worker` after a cold resync at iteration `iter`: its
+    /// stale pending copy and pull residuals are discarded (the model it
+    /// adopted already reflects those gradients), and its version rows
+    /// are fast-forwarded to `iter` so it re-enters the RSP bound
+    /// exactly as fresh as the model it resynced to.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `worker` is out of range.
     pub fn rejoin_worker(&mut self, worker: usize, iter: u64) {
-        for s in &mut self.shards {
-            s.rejoin_worker(worker, iter);
+        self.active[worker] = true;
+        for shard in &mut self.shards {
+            shard.pending[worker].fill(0.0);
+            shard.fresh[worker].fill(0);
+            shard.states[worker].reset();
+            shard.versions.stamp_worker(worker, iter);
+            shard.versions.set_active(worker, true);
         }
     }
 
-    /// The version storage of one shard (shared; gate diagnostics are
-    /// `&self` reads on the sparse store).
+    /// The version storage of one shard (shared; `min(V)` and gate
+    /// queries are `&self` reads on the sparse store).
     ///
     /// # Panics
     ///
     /// Panics if `shard` is out of range.
     pub fn versions(&self, shard: usize) -> &RowVersionStore {
-        self.shards[shard].versions()
+        &self.shards[shard].versions
     }
 
     /// Estimated resident bytes of every shard's version storage (see
     /// [`RowVersionStore::memory_bytes`]).
     pub fn version_store_bytes(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.versions().memory_bytes())
-            .sum()
+        self.shards.iter().map(|s| s.versions.memory_bytes()).sum()
     }
 
-    /// Receives pushed rows homed on `shard`. `rows` carries global ids
-    /// and is translated to shard-local ids **in place** (callers hand
-    /// the payload over; the ids are not meaningful afterwards).
+    /// Receives row gradients of iteration `n` that worker `from`
+    /// pushed to `shard`: averages them into every *active* worker's
+    /// pending copy and updates the version storage (Algorithm 2 lines
+    /// 2–6). Under full membership this is the paper's `1/n_workers`
+    /// averaging exactly; when members have departed, the divisor is
+    /// the active count, so the expected gradient magnitude is
+    /// preserved for the survivors.
+    ///
+    /// NaN/Inf values are zeroed in `rows` before they are added (and
+    /// counted in [`ShardedServer::nonfinite_dropped`]): on a lossy link
+    /// a corrupted payload that slipped past the CRC, or a diverging
+    /// worker, must not poison every active worker's pending copy.
     ///
     /// # Panics
     ///
-    /// Panics if any row is not homed on `shard`.
+    /// Panics if `from` or a row is out of range, a row is not homed on
+    /// `shard`, or a row payload has the wrong width.
     pub fn on_push(&mut self, shard: usize, from: usize, n: u64, rows: &mut [(RowId, Vec<f32>)]) {
-        for (id, _) in rows.iter_mut() {
+        assert!(from < self.n_workers(), "worker out of range");
+        let inv = 1.0 / self.active_workers().max(1) as f32;
+        let state = &mut self.shards[shard];
+        for (id, values) in rows {
             assert_eq!(self.map.shard_of(*id), shard, "{id} not homed on {shard}");
-            *id = self.map.to_local(*id);
+            let local = self.map.to_local(*id).0;
+            let span = state.span(local);
+            assert_eq!(values.len(), span.len(), "payload width mismatch for {id}");
+            for v in values.iter_mut().filter(|v| !v.is_finite()) {
+                *v = 0.0;
+                self.nonfinite_dropped += 1;
+            }
+            for (r, pending) in state.pending.iter_mut().enumerate() {
+                if !self.active[r] {
+                    continue;
+                }
+                for (d, v) in pending[span.clone()].iter_mut().zip(values.iter()) {
+                    *d += v * inv;
+                }
+                let fresh = &mut state.fresh[r][local];
+                *fresh = (*fresh).max(n);
+            }
+            state.versions.record_push(from, local, n);
         }
-        self.shards[shard].on_push(from, n, rows);
     }
 
-    /// Per-shard RSP gate: may a worker whose push to `shard` carried
-    /// iteration `pushed_iter` be served that shard's pull now?
+    /// Per-shard RSP gate (Algorithm 2 lines 7–9): may a worker whose
+    /// push to `shard` carried iteration `pushed_iter` be served that
+    /// shard's pull now?
     pub fn gate_ok(&self, shard: usize, pushed_iter: u64) -> bool {
-        self.shards[shard].gate_ok(pushed_iter)
+        self.shards[shard]
+            .versions
+            .gate_ok(pushed_iter, self.threshold)
     }
 
-    /// Shard-local pull plan for `worker`, translated to global ids.
+    /// Writes into `out` the rows of `shard` with pending content for
+    /// `worker`, ranked by the server-mode importance metric (fresh,
+    /// large-magnitude rows first). Allocation-free in steady state.
     pub fn plan_pull_into(&mut self, shard: usize, worker: usize, out: &mut Vec<RowId>) {
-        self.shards[shard].plan_pull_into(worker, out);
-        for id in out.iter_mut() {
-            *id = self.map.to_global(shard, *id);
-        }
+        let state = &self.shards[shard];
+        let (pending, fresh) = (&state.pending[worker], &state.fresh[worker]);
+        self.mean_abs_buf.clear();
+        self.mean_abs_buf.extend(
+            state
+                .offsets
+                .windows(2)
+                .map(|o| ops::mean_abs(&pending[o[0]..o[1]])),
+        );
+        self.importance.rank_into(
+            ImportanceMode::Server,
+            &self.mean_abs_buf,
+            fresh,
+            &mut self.scratch,
+            &mut self.ranked_buf,
+        );
+        let globals = self.map.rows_of(shard);
+        out.clear();
+        out.extend(
+            self.ranked_buf
+                .iter()
+                .filter(|id| fresh[id.0] > 0)
+                .map(|id| RowId(globals[id.0])),
+        );
     }
 
-    /// Width-only payload size of one (global) row on the wire (the
-    /// one-bit / dense bound; see [`RogServer::payload_bytes`]).
+    /// Width-only payload size of one row on the wire — the one-bit /
+    /// dense bound, kept for sizing paths that have no destination
+    /// worker in scope (e.g. resync model transfers, which are dense).
     pub fn payload_bytes(&self, id: RowId) -> u64 {
-        self.shards[self.map.shard_of(id)].payload_bytes(self.map.to_local(id))
+        let state = &self.shards[self.map.shard_of(id)];
+        OneBitCodec.payload_bytes(state.span(self.map.to_local(id).0).len())
     }
 
-    /// Payload size of one (global) row on the link to `worker`, as
-    /// that link's codec would frame it right now.
+    /// Payload size of one row on the link to `worker`, as that link's
+    /// codec would frame it right now (content-sized codecs account the
+    /// pending gradient plus the link's residual).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `worker` or `id` is out of range.
     pub fn payload_bytes_for(&self, worker: usize, id: RowId) -> u64 {
-        self.shards[self.map.shard_of(id)].payload_bytes_for(worker, self.map.to_local(id))
+        let state = &self.shards[self.map.shard_of(id)];
+        let local = self.map.to_local(id).0;
+        state.states[worker].planned_payload_bytes(
+            &self.codecs[worker],
+            local,
+            &state.pending[worker][state.span(local)],
+        )
     }
 
-    /// Commits a pull of global `rows` from `shard`, returning the
-    /// delivered values keyed by global id.
+    /// Commits a pull of `rows` from `shard`: compresses
+    /// (per-destination error feedback), drains the delivered rows from
+    /// `worker`'s pending copy (Algorithm 2 lines 12–13), and returns
+    /// the values the worker receives.
     pub fn commit_pull(
         &mut self,
         shard: usize,
         worker: usize,
         rows: &[RowId],
     ) -> Vec<(RowId, Vec<f32>)> {
-        let mut local = std::mem::take(&mut self.local_buf);
-        local.clear();
-        local.extend(rows.iter().map(|&id| self.map.to_local(id)));
-        let mut out = self.shards[shard].commit_pull(worker, &local);
-        for (id, _) in &mut out {
-            *id = self.map.to_global(shard, *id);
-        }
-        self.local_buf = local;
-        out
-    }
-
-    /// Sum over shards of pending mean-|ḡ| for `worker` (diagnostic).
-    pub fn pending_magnitude(&self, worker: usize) -> f32 {
-        self.shards
-            .iter()
-            .map(|s| s.pending_magnitude(worker))
-            .sum()
+        let state = &mut self.shards[shard];
+        let codec = &self.codecs[worker];
+        rows.iter()
+            .map(|&id| {
+                let local = self.map.to_local(id).0;
+                let span = state.span(local);
+                let row = &mut state.pending[worker][span];
+                let restored = state.states[worker]
+                    .compress(codec, local, row)
+                    .decompress();
+                row.fill(0.0);
+                state.fresh[worker][local] = 0;
+                (id, restored)
+            })
+            .collect()
     }
 }
 
@@ -396,6 +522,31 @@ mod tests {
 
     fn params() -> Vec<Matrix> {
         vec![Matrix::zeros(4, 3), Matrix::zeros(3, 2)]
+    }
+
+    /// A plane over [`params`] (7 rows: four of width 3, three of 2).
+    fn plane(n_workers: usize, threshold: u32, n_shards: usize) -> ShardedServer {
+        let map = ShardMap::contiguous(7, n_shards);
+        ShardedServer::new(
+            &params(),
+            n_workers,
+            threshold,
+            ImportanceMetric::default(),
+            map,
+        )
+    }
+
+    fn plan_pull(s: &mut ShardedServer, shard: usize, worker: usize) -> Vec<RowId> {
+        let mut out = Vec::new();
+        s.plan_pull_into(shard, worker, &mut out);
+        out
+    }
+
+    /// Every row of the model carrying `1.0`s.
+    fn all_rows() -> Vec<(RowId, Vec<f32>)> {
+        (0..7)
+            .map(|r| (RowId(r), vec![1.0; if r < 4 { 3 } else { 2 }]))
+            .collect()
     }
 
     #[test]
@@ -425,7 +576,7 @@ mod tests {
     #[test]
     fn single_shard_is_identity() {
         let m = ShardMap::contiguous(9, 1);
-        assert!(m.is_identity());
+        assert_eq!(m.n_shards(), 1);
         for r in 0..9 {
             assert_eq!(m.shard_of(RowId(r)), 0);
             assert_eq!(m.to_local(RowId(r)), RowId(r));
@@ -434,100 +585,175 @@ mod tests {
     }
 
     #[test]
-    fn seeded_hash_is_deterministic_and_covers() {
-        let a = ShardMap::seeded_hash(50, 4, 7);
-        let b = ShardMap::seeded_hash(50, 4, 7);
-        assert_eq!(a, b);
-        let total: usize = (0..4).map(|s| a.shard_rows(s)).sum();
-        assert_eq!(total, 50);
-        // A different seed reshuffles the assignment.
-        let c = ShardMap::seeded_hash(50, 4, 8);
-        assert_ne!(a, c);
+    fn nonfinite_gradients_are_zeroed_at_ingest() {
+        let mut s = plane(2, 4, 1);
+        s.on_push(
+            0,
+            0,
+            1,
+            &mut [
+                (RowId(0), vec![1.0, f32::NAN, f32::INFINITY]),
+                (RowId(1), vec![f32::NEG_INFINITY, 2.0, 3.0]),
+            ],
+        );
+        assert_eq!(s.nonfinite_dropped(), 3);
+        // The finite values landed (averaged by 1/2), the poison did not.
+        assert_eq!(s.shards[0].pending[1][..6], [0.5, 0.0, 0.0, 0.0, 1.0, 1.5]);
+        let payloads = s.commit_pull(0, 1, &[RowId(0), RowId(1)]);
+        for (_, values) in &payloads {
+            assert!(values.iter().all(|v| v.is_finite()), "{values:?}");
+        }
+        // A clean push leaves the counter alone.
+        s.on_push(0, 1, 1, &mut [(RowId(0), vec![1.0, 1.0, 1.0])]);
+        assert_eq!(s.nonfinite_dropped(), 3);
     }
 
     #[test]
-    fn sharded_push_pull_matches_single_server_values() {
-        // Per-row server arithmetic is shard-invariant: pushing the same
-        // rows through a 3-shard plane and a plain server must deliver
-        // identical pulled values.
-        let p = params();
-        let imp = ImportanceMetric::default();
-        let mut plain = RogServer::new(&p, 2, 4, imp);
-        let map = ShardMap::contiguous(7, 3);
-        let mut sharded = ShardedServer::new(&p, 2, 4, imp, map);
-
-        let rows: Vec<(RowId, Vec<f32>)> = (0..7)
-            .map(|r| {
-                let w = if r < 4 { 3 } else { 2 };
-                (RowId(r), vec![0.5 + r as f32; w])
-            })
-            .collect();
-        plain.on_push(0, 1, &rows);
-        for s in 0..3 {
-            let mut part: Vec<(RowId, Vec<f32>)> = rows
-                .iter()
-                .filter(|(id, _)| sharded.map().shard_of(*id) == s)
-                .cloned()
-                .collect();
-            sharded.on_push(s, 0, 1, &mut part);
+    fn push_is_averaged_into_every_copy() {
+        let mut s = plane(4, 4, 1);
+        s.on_push(0, 0, 1, &mut [(RowId(0), vec![4.0, 8.0, 12.0])]);
+        for w in 0..4 {
+            assert_eq!(plan_pull(&mut s, 0, w), vec![RowId(0)]);
         }
+        // The one-bit code keeps the mean magnitude: (1 + 2 + 3) / 3.
+        let out = s.commit_pull(0, 1, &[RowId(0)]);
+        let mean: f32 = out[0].1.iter().sum::<f32>() / 3.0;
+        assert!((mean - 2.0).abs() < 0.8, "mean {mean}");
+    }
 
-        let ids: Vec<RowId> = (0..7).map(RowId).collect();
-        let want = plain.commit_pull(1, &ids);
-        for s in 0..3 {
-            let shard_ids: Vec<RowId> = ids
-                .iter()
-                .copied()
-                .filter(|&id| sharded.map().shard_of(id) == s)
-                .collect();
-            let got = sharded.commit_pull(s, 1, &shard_ids);
-            for (id, values) in got {
-                let (_, expect) = want.iter().find(|(w, _)| *w == id).unwrap();
-                assert_eq!(&values, expect, "{id}");
-            }
+    #[test]
+    fn pull_drains_only_that_workers_copy() {
+        let mut s = plane(2, 4, 1);
+        s.on_push(0, 0, 1, &mut [(RowId(1), vec![2.0, 2.0, 2.0])]);
+        let _ = s.commit_pull(0, 0, &[RowId(1)]);
+        assert!(plan_pull(&mut s, 0, 0).is_empty());
+        assert_eq!(plan_pull(&mut s, 0, 1), vec![RowId(1)]);
+    }
+
+    #[test]
+    fn every_worker_eventually_gets_the_same_totals() {
+        // Multiple pushes from different workers; drain both copies and
+        // compare totals (modulo bounded compression residual).
+        let mut s = plane(2, 4, 1);
+        s.on_push(0, 0, 1, &mut [(RowId(0), vec![1.0, 2.0, 3.0])]);
+        s.on_push(0, 1, 1, &mut [(RowId(0), vec![3.0, 2.0, 1.0])]);
+        let a: Vec<f32> = s.commit_pull(0, 0, &[RowId(0)]).remove(0).1;
+        let b: Vec<f32> = s.commit_pull(0, 1, &[RowId(0)]).remove(0).1;
+        for (x, y) in a.iter().zip(&b) {
+            assert!((x - y).abs() < 1.0, "copies diverge: {x} vs {y}");
         }
+    }
+
+    #[test]
+    fn gate_follows_version_storage() {
+        let mut s = plane(2, 2, 1);
+        // Worker 0 pushes all rows at iterations 1..=3; worker 1 stays
+        // at 0.
+        for it in 1..=3u64 {
+            s.on_push(0, 0, it, &mut all_rows());
+        }
+        // min(V) = 0 (worker 1), threshold 2: a push at iter 3 leads too
+        // far.
+        assert!(!s.gate_ok(0, 3));
+        // Worker 1 catches up.
+        s.on_push(0, 1, 3, &mut all_rows());
+        assert!(s.gate_ok(0, 3));
+    }
+
+    #[test]
+    fn plan_pull_prefers_fresh_rows() {
+        let mut s = plane(1, 8, 1);
+        s.on_push(0, 0, 1, &mut [(RowId(0), vec![0.5, 0.5, 0.5])]);
+        s.on_push(0, 0, 5, &mut [(RowId(1), vec![0.5, 0.5, 0.5])]);
+        let plan = plan_pull(&mut s, 0, 0);
+        assert_eq!(plan[0], RowId(1), "fresher row first: {plan:?}");
+    }
+
+    #[test]
+    #[should_panic(expected = "payload width mismatch")]
+    fn wrong_width_payload_panics() {
+        let mut s = plane(1, 4, 1);
+        s.on_push(0, 0, 1, &mut [(RowId(0), vec![1.0])]);
+    }
+
+    #[test]
+    fn departed_worker_stops_gating_and_accumulating() {
+        let mut s = plane(3, 2, 1);
+        // Workers 0 and 1 reach iteration 5; worker 2 pushed once at 1.
+        for it in 1..=5u64 {
+            s.on_push(0, 0, it, &mut all_rows());
+            s.on_push(0, 1, it, &mut all_rows());
+        }
+        s.on_push(0, 2, 1, &mut all_rows());
+        assert!(!s.gate_ok(0, 5), "straggler pins min(V) = 1");
+        s.deactivate_worker(2);
+        assert_eq!(s.active_workers(), 2);
+        assert!(!s.is_active(2));
+        assert!(s.gate_ok(0, 5), "gate recomputed over the active set");
+        // Pushes now average over 2 and skip the departed copy.
+        let before = s.shards[0].pending.clone();
+        s.on_push(0, 0, 6, &mut [(RowId(0), vec![2.0, 2.0, 2.0])]);
+        let after = &s.shards[0].pending;
+        assert_eq!(after[2], before[2], "nothing for the departed");
+        assert!((after[1][0] - before[1][0] - 1.0).abs() < 1e-5, "2.0 / 2");
+        s.deactivate_worker(2); // idempotent
+        assert_eq!(s.active_workers(), 2);
+    }
+
+    #[test]
+    fn rejoin_clears_pending_state_and_fast_forwards_versions() {
+        let mut s = plane(2, 2, 1);
+        s.on_push(0, 1, 1, &mut all_rows());
+        s.deactivate_worker(1);
+        for it in 2..=9u64 {
+            s.on_push(0, 0, it, &mut all_rows());
+        }
+        s.rejoin_worker(1, 9);
+        assert!(s.is_active(1));
+        assert_eq!(s.active_workers(), 2);
+        assert!(plan_pull(&mut s, 0, 1).is_empty(), "stale copy discarded");
+        assert!(s.shards[0].pending[1].iter().all(|&v| v == 0.0));
+        // Versions fast-forwarded: the rejoiner does not re-pin the gate.
+        assert!(s.gate_ok(0, 9));
+        assert_eq!(s.versions(0).global_min(), 9);
+    }
+
+    #[test]
+    fn full_membership_averaging_matches_static_divisor() {
+        // The zero-cost invariant: with nobody departed, on_push must be
+        // arithmetically identical to the pre-membership 1/n averaging.
+        let mut s = plane(4, 4, 1);
+        s.on_push(0, 0, 1, &mut [(RowId(0), vec![4.0, 8.0, 12.0])]);
+        assert_eq!(s.shards[0].pending[3][..3], [1.0, 2.0, 3.0]);
     }
 
     #[test]
     fn per_shard_gate_is_independent() {
-        let p = params();
-        let map = ShardMap::contiguous(7, 2);
-        let mut s = ShardedServer::new(&p, 2, 1, ImportanceMetric::default(), map);
+        let mut s = plane(2, 1, 2);
+        let shard0 = || -> Vec<(RowId, Vec<f32>)> {
+            all_rows().into_iter().filter(|(id, _)| id.0 < 4).collect()
+        };
         // Worker 0 pushes only shard-0 rows at iteration 3; worker 1 has
         // pushed nothing anywhere.
-        let mut rows: Vec<(RowId, Vec<f32>)> = s
-            .map()
-            .rows_of(0)
-            .to_vec()
-            .iter()
-            .map(|&r| (RowId(r), vec![1.0; if r < 4 { 3 } else { 2 }]))
-            .collect();
-        s.on_push(0, 0, 3, &mut rows);
+        s.on_push(0, 0, 3, &mut shard0());
         assert!(!s.gate_ok(0, 3), "shard 0 gated by worker 1's rows");
         // Worker 1 catches up on shard 0 only: shard 0 opens while shard
         // 1 still reflects nothing (gate at iter 3 leads by 3 > 1).
-        let mut rows: Vec<(RowId, Vec<f32>)> = s
-            .map()
-            .rows_of(0)
-            .to_vec()
-            .iter()
-            .map(|&r| (RowId(r), vec![1.0; if r < 4 { 3 } else { 2 }]))
-            .collect();
-        s.on_push(0, 1, 3, &mut rows);
+        s.on_push(0, 1, 3, &mut shard0());
         assert!(s.gate_ok(0, 3), "shard 0 gate opens independently");
         assert!(!s.gate_ok(1, 3), "shard 1 still pins its own gate");
     }
 
     #[test]
-    fn membership_ops_fan_out_to_every_shard() {
-        let p = params();
-        let map = ShardMap::contiguous(7, 2);
-        let mut s = ShardedServer::new(&p, 3, 2, ImportanceMetric::default(), map);
+    fn membership_ops_reach_every_shard() {
+        let mut s = plane(3, 2, 2);
         s.deactivate_worker(2);
         assert_eq!(s.active_workers(), 2);
         assert!(!s.is_active(2));
+        assert!((0..2).all(|sh| !s.versions(sh).is_active(2)));
         s.rejoin_worker(2, 5);
         assert!(s.is_active(2));
+        assert!((0..2).all(|sh| s.versions(sh).is_active(2)));
         assert_eq!(s.versions(0).global_min(), 0, "others still at 0");
         s.set_threshold(9);
         assert_eq!(s.threshold(), 9);
@@ -536,11 +762,192 @@ mod tests {
     #[test]
     #[should_panic(expected = "not homed on")]
     fn pushing_a_foreign_row_panics() {
-        let p = params();
-        let map = ShardMap::contiguous(7, 2);
-        let mut s = ShardedServer::new(&p, 1, 2, ImportanceMetric::default(), map);
+        let mut s = plane(1, 2, 2);
         let foreign = s.map().rows_of(1)[0];
-        let mut rows = vec![(RowId(foreign), vec![1.0, 1.0])];
-        s.on_push(0, 0, 1, &mut rows);
+        s.on_push(0, 0, 1, &mut [(RowId(foreign), vec![1.0, 1.0])]);
+    }
+
+    mod shard_count_props {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// One step of a random history, applied to a 1-shard and a
+        /// k-shard plane alike.
+        #[derive(Debug, Clone, Copy)]
+        enum Op {
+            /// `from` pushes the rows selected by `mask` at its next
+            /// iteration; `salt` varies the values.
+            Push {
+                from: usize,
+                mask: u64,
+                salt: u32,
+            },
+            PlanPull {
+                w: usize,
+            },
+            /// `w` pulls the first `take` rows of its current plans.
+            CommitPull {
+                w: usize,
+                take: usize,
+            },
+            Deactivate {
+                w: usize,
+            },
+            Rejoin {
+                w: usize,
+                iter: u64,
+            },
+            SetThreshold {
+                t: u32,
+            },
+        }
+
+        /// Pushes dominate, as in a real run; membership and threshold
+        /// moves are the tail.
+        fn decode((kind, w, x, salt): (usize, usize, u64, u32), n_workers: usize) -> Op {
+            let w = w % n_workers;
+            match kind {
+                0..=4 => Op::Push {
+                    from: w,
+                    mask: x,
+                    salt,
+                },
+                5 => Op::PlanPull { w },
+                6 | 7 => Op::CommitPull {
+                    w,
+                    take: x as usize % 8,
+                },
+                8 => Op::Deactivate { w },
+                9 => Op::Rejoin { w, iter: x % 40 },
+                _ => Op::SetThreshold { t: salt % 6 },
+            }
+        }
+
+        /// A deterministic gradient value with the odd NaN/Inf in it.
+        fn value(row: usize, col: usize, salt: u32) -> f32 {
+            let h =
+                (row as u32 * 31 + col as u32 * 7).wrapping_add(salt.wrapping_mul(2_654_435_761));
+            match h % 23 {
+                0 => f32::NAN,
+                1 => f32::NEG_INFINITY,
+                _ => (h % 2001) as f32 / 500.0 - 2.0,
+            }
+        }
+
+        /// The 1-shard plane's pending state for `w`, restricted to the
+        /// rows homed on shard `s` of `sharded` and ranked on its own —
+        /// Algorithm 3 normalises per ranking call, so this (not a filter
+        /// of the whole-model plan) is the order shard `s` must produce.
+        fn filtered_plan(
+            one: &ShardedServer,
+            sharded: &ShardedServer,
+            s: usize,
+            w: usize,
+        ) -> Vec<RowId> {
+            let state = &one.shards[0];
+            let globals = sharded.map().rows_of(s);
+            let mean_abs: Vec<f32> = globals
+                .iter()
+                .map(|&r| ops::mean_abs(&state.pending[w][state.span(r)]))
+                .collect();
+            let fresh: Vec<u64> = globals.iter().map(|&r| state.fresh[w][r]).collect();
+            ImportanceMetric::default()
+                .rank(ImportanceMode::Server, &mean_abs, &fresh)
+                .into_iter()
+                .filter(|l| fresh[l.0] > 0)
+                .map(|l| RowId(globals[l.0]))
+                .collect()
+        }
+
+        proptest! {
+            /// Shard count never perturbs values: any history leaves a
+            /// k-shard plane with bit-identical pulled values, the same
+            /// pull plans, the same ingest fault count and the same
+            /// gate as the 1-shard plane.
+            #[test]
+            fn k_shards_match_one_shard_on_any_history(
+                shapes in proptest::collection::vec((1..4usize, 1..6usize), 2..5),
+                n_workers in 1..7usize,
+                raw in proptest::collection::vec((0..11usize, 0..6usize, 0..u64::MAX, 0..u32::MAX), 1..60),
+            ) {
+                let params: Vec<Matrix> = shapes.iter().map(|&(r, c)| Matrix::zeros(r, c)).collect();
+                let widths = RowPartition::of_params(&params).widths().to_vec();
+                let n_rows = widths.len();
+                for k in [2, 3, 5].into_iter().filter(|&k| k <= n_rows) {
+                    let build = |k| ShardedServer::new(
+                        &params,
+                        n_workers,
+                        2,
+                        ImportanceMetric::default(),
+                        ShardMap::contiguous(n_rows, k),
+                    );
+                    let (mut one, mut many) = (build(1), build(k));
+                    let mut iters = vec![0u64; n_workers];
+                    for &draw in &raw {
+                        match decode(draw, n_workers) {
+                            Op::Push { from, mask, salt } => {
+                                iters[from] += 1 + u64::from(salt % 3);
+                                let rows: Vec<(RowId, Vec<f32>)> = (0..n_rows)
+                                    .filter(|r| mask >> (r % 64) & 1 == 1)
+                                    .map(|r| (RowId(r), (0..widths[r]).map(|c| value(r, c, salt)).collect()))
+                                    .collect();
+                                one.on_push(0, from, iters[from], &mut rows.clone());
+                                for s in 0..k {
+                                    let mut leg: Vec<_> = rows
+                                        .iter()
+                                        .filter(|(id, _)| many.map().shard_of(*id) == s)
+                                        .cloned()
+                                        .collect();
+                                    many.on_push(s, from, iters[from], &mut leg);
+                                }
+                            }
+                            Op::PlanPull { w } => {
+                                let whole = plan_pull(&mut one, 0, w);
+                                let mut covered = 0;
+                                for s in 0..k {
+                                    let plan = plan_pull(&mut many, s, w);
+                                    prop_assert_eq!(&plan, &filtered_plan(&one, &many, s, w));
+                                    covered += plan.len();
+                                    prop_assert!(plan.iter().all(|id| whole.contains(id)));
+                                }
+                                prop_assert_eq!(covered, whole.len());
+                            }
+                            Op::CommitPull { w, take } => {
+                                for s in 0..k {
+                                    let mut plan = plan_pull(&mut many, s, w);
+                                    plan.truncate(take);
+                                    let got = many.commit_pull(s, w, &plan);
+                                    let want = one.commit_pull(0, w, &plan);
+                                    prop_assert_eq!(got.len(), want.len());
+                                    for ((gi, g), (wi, v)) in got.iter().zip(&want) {
+                                        prop_assert_eq!(gi, wi);
+                                        let bits = |x: &[f32]| x.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+                                        prop_assert_eq!(bits(g), bits(v), "{} to worker {}", gi, w);
+                                    }
+                                }
+                            }
+                            Op::Deactivate { w } => {
+                                one.deactivate_worker(w);
+                                many.deactivate_worker(w);
+                            }
+                            Op::Rejoin { w, iter } => {
+                                one.rejoin_worker(w, iter);
+                                many.rejoin_worker(w, iter);
+                            }
+                            Op::SetThreshold { t } => {
+                                one.set_threshold(t);
+                                many.set_threshold(t);
+                            }
+                        }
+                        prop_assert_eq!(one.nonfinite_dropped(), many.nonfinite_dropped());
+                        prop_assert_eq!(one.active_workers(), many.active_workers());
+                        for pushed in 0..12 {
+                            let all = (0..k).all(|s| many.gate_ok(s, pushed));
+                            prop_assert_eq!(all, one.gate_ok(0, pushed), "gate at {}", pushed);
+                        }
+                    }
+                }
+            }
+        }
     }
 }

@@ -19,10 +19,9 @@ use crate::{ImportanceMetric, ImportanceMode, RankScratch, RowId, RowPartition};
 
 /// Per-row parameter-update rule applied to pulled averaged gradients.
 ///
-/// Rows arrive independently, so every stateful rule keeps *per-row*
-/// state (velocity / first and second moments / timestep) — the
-/// block-wise formulation the paper adopts from Sun et al. for
-/// momentum, extended here with Adam as an experimental option.
+/// Rows arrive independently, so a stateful rule keeps *per-row* state
+/// (velocity) — the block-wise formulation the paper adopts from Sun
+/// et al. for momentum.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum UpdateRule {
     /// Plain SGD.
@@ -33,29 +32,6 @@ pub enum UpdateRule {
         /// Momentum coefficient in `[0, 1)`.
         beta: f32,
     },
-    /// Adam with per-row bias correction. Note: with row-granular,
-    /// accumulated (multi-iteration) gradients Adam's moment estimates
-    /// see coarser samples than in synchronous training; treat as
-    /// experimental (the paper's production path is SGD/momentum).
-    Adam {
-        /// First-moment decay.
-        beta1: f32,
-        /// Second-moment decay.
-        beta2: f32,
-        /// Denominator stabilizer.
-        eps: f32,
-    },
-}
-
-impl UpdateRule {
-    /// Standard Adam coefficients.
-    pub fn adam() -> Self {
-        UpdateRule::Adam {
-            beta1: 0.9,
-            beta2: 0.999,
-            eps: 1e-8,
-        }
-    }
 }
 
 /// Configuration of a ROG worker.
@@ -98,13 +74,6 @@ impl RogWorkerConfig {
         self
     }
 
-    /// Switches to the given update rule.
-    #[must_use]
-    pub fn with_rule(mut self, rule: UpdateRule) -> Self {
-        self.rule = rule;
-        self
-    }
-
     /// Selects the row codec and the seed of its stochastic stream.
     #[must_use]
     pub fn with_codec(mut self, codec: CodecChoice, seed: u64) -> Self {
@@ -126,12 +95,8 @@ pub struct RogWorker {
     codec: Codec,
     /// Per-row compression residuals + stochastic-rounding stream.
     state: CodecState,
-    /// Per-row momentum velocities / Adam first moments.
+    /// Per-row momentum velocities.
     vel: Vec<Matrix>,
-    /// Adam second moments (allocated lazily on first Adam step).
-    adam_v: Option<Vec<Matrix>>,
-    /// Per-row Adam timestep.
-    adam_t: Vec<u64>,
     cfg: RogWorkerConfig,
     /// Ranking scratch, reused across push plans.
     scratch: RankScratch,
@@ -156,8 +121,6 @@ impl RogWorker {
             codec: cfg.codec.build(),
             state: CodecState::new(&widths, cfg.codec_seed),
             vel: zero,
-            adam_v: None,
-            adam_t: vec![0; partition.n_rows()],
             partition,
             cfg,
             scratch: RankScratch::default(),
@@ -306,38 +269,16 @@ impl RogWorker {
                     let v = self.vel[r.matrix].row_mut(r.row);
                     ops::sgd_momentum_row(w, v, g, self.cfg.lr, beta);
                 }
-                UpdateRule::Adam { beta1, beta2, eps } => {
-                    let adam_v = self.adam_v.get_or_insert_with(|| {
-                        self.vel
-                            .iter()
-                            .map(|m| Matrix::zeros(m.rows(), m.cols()))
-                            .collect()
-                    });
-                    self.adam_t[id.0] += 1;
-                    let m = self.vel[r.matrix].row_mut(r.row);
-                    let v = adam_v[r.matrix].row_mut(r.row);
-                    ops::adam_row(
-                        w,
-                        m,
-                        v,
-                        g,
-                        self.cfg.lr,
-                        beta1,
-                        beta2,
-                        eps,
-                        self.adam_t[id.0],
-                    );
-                }
             }
         }
     }
 
     /// Rebuilds the worker's transient state after a cold rejoin resync
-    /// at iteration `n`: accumulated gradients, compression residuals,
-    /// momentum/Adam moments, and Adam timesteps are all dropped (they
-    /// belong to the model lineage that died with the fault), and every
-    /// row's push iteration is stamped to `n` so the freshly adopted
-    /// model re-enters the staleness bound with zero row staleness.
+    /// at iteration `n`: accumulated gradients, compression residuals
+    /// and momentum are all dropped (they belong to the model lineage
+    /// that died with the fault), and every row's push iteration is
+    /// stamped to `n` so the freshly adopted model re-enters the
+    /// staleness bound with zero row staleness.
     pub fn reset_for_rejoin(&mut self, n: u64) {
         for m in &mut self.accum {
             m.fill_zero();
@@ -346,8 +287,6 @@ impl RogWorker {
         for m in &mut self.vel {
             m.fill_zero();
         }
-        self.adam_v = None;
-        self.adam_t.fill(0);
         self.iters.fill(n);
     }
 
@@ -463,32 +402,6 @@ mod tests {
         w.apply_pulled(&mut ps, &[(RowId(0), vec![1.0, 0.0, 0.0, 0.0])]);
         // v1 = 1, w -= 1; v2 = 1.9, w -= 1.9 → w = -2.9.
         assert!((ps[0].get(0, 0) + 2.9).abs() < 1e-6);
-    }
-
-    #[test]
-    fn apply_pulled_with_adam_takes_bounded_steps() {
-        let mut ps = params();
-        let cfg = RogWorkerConfig::new(4, 0.1).with_rule(UpdateRule::adam());
-        let mut w = RogWorker::new(&ps, cfg);
-        // Wildly different gradient magnitudes → near-equal step sizes.
-        w.apply_pulled(&mut ps, &[(RowId(0), vec![100.0, 0.0, 0.0, 0.0])]);
-        w.apply_pulled(&mut ps, &[(RowId(1), vec![0.001, 0.0, 0.0, 0.0])]);
-        let s0 = ps[0].get(0, 0).abs();
-        let s1 = ps[0].get(1, 0).abs();
-        assert!((s0 - 0.1).abs() < 0.01, "step {s0}");
-        assert!((s1 - 0.1).abs() < 0.02, "step {s1}");
-    }
-
-    #[test]
-    fn adam_timesteps_are_per_row() {
-        let mut ps = params();
-        let cfg = RogWorkerConfig::new(4, 0.1).with_rule(UpdateRule::adam());
-        let mut w = RogWorker::new(&ps, cfg);
-        for _ in 0..5 {
-            w.apply_pulled(&mut ps, &[(RowId(0), vec![1.0, 1.0, 1.0, 1.0])]);
-        }
-        assert_eq!(w.adam_t[0], 5);
-        assert_eq!(w.adam_t[1], 0);
     }
 
     #[test]

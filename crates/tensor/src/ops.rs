@@ -144,44 +144,6 @@ pub fn sgd_momentum_row(w: &mut [f32], v: &mut [f32], g: &[f32], lr: f32, moment
     }
 }
 
-/// Adam on one row (per-row timestep for bias correction):
-/// `m = β1·m + (1-β1)·g; v = β2·v + (1-β2)·g²;`
-/// `w -= lr · m̂ / (√v̂ + ε)`.
-///
-/// ROG applies updates per row as averaged gradients arrive, so each
-/// row carries its own step counter `t` (already incremented for this
-/// call).
-///
-/// # Panics
-///
-/// Panics if slice lengths differ or `t == 0`.
-#[allow(clippy::too_many_arguments)]
-pub fn adam_row(
-    w: &mut [f32],
-    m: &mut [f32],
-    v: &mut [f32],
-    g: &[f32],
-    lr: f32,
-    beta1: f32,
-    beta2: f32,
-    eps: f32,
-    t: u64,
-) {
-    assert_eq!(w.len(), g.len(), "adam_row length mismatch");
-    assert_eq!(w.len(), m.len(), "adam_row m mismatch");
-    assert_eq!(w.len(), v.len(), "adam_row v mismatch");
-    assert!(t > 0, "adam timestep starts at 1");
-    let bc1 = 1.0 - beta1.powi(t as i32);
-    let bc2 = 1.0 - beta2.powi(t as i32);
-    for i in 0..w.len() {
-        m[i] = beta1 * m[i] + (1.0 - beta1) * g[i];
-        v[i] = beta2 * v[i] + (1.0 - beta2) * g[i] * g[i];
-        let mhat = m[i] / bc1;
-        let vhat = v[i] / bc2;
-        w[i] -= lr * mhat / (vhat.sqrt() + eps);
-    }
-}
-
 /// ReLU applied in place.
 pub fn relu(xs: &mut [f32]) {
     for x in xs {
@@ -313,40 +275,6 @@ mod tests {
         sgd_momentum_row(&mut w, &mut v, &[1.0], 1.0, 0.9);
         assert!((v[0] - 1.9).abs() < 1e-6);
         assert!((w[0] + 2.9).abs() < 1e-6);
-    }
-
-    #[test]
-    fn adam_first_step_is_signed_unit_step() {
-        // With bias correction, the first Adam step is ≈ lr·sign(g).
-        let mut w = vec![0.0f32, 0.0];
-        let mut m = vec![0.0f32; 2];
-        let mut v = vec![0.0f32; 2];
-        adam_row(
-            &mut w,
-            &mut m,
-            &mut v,
-            &[0.5, -2.0],
-            0.1,
-            0.9,
-            0.999,
-            1e-8,
-            1,
-        );
-        assert!((w[0] + 0.1).abs() < 1e-3, "{}", w[0]);
-        assert!((w[1] - 0.1).abs() < 1e-3, "{}", w[1]);
-    }
-
-    #[test]
-    fn adam_converges_on_a_quadratic() {
-        // Minimize (x - 3)^2 with per-row Adam.
-        let mut w = vec![0.0f32];
-        let mut m = vec![0.0f32];
-        let mut v = vec![0.0f32];
-        for t in 1..=500u64 {
-            let g = vec![2.0 * (w[0] - 3.0)];
-            adam_row(&mut w, &mut m, &mut v, &g, 0.05, 0.9, 0.999, 1e-8, t);
-        }
-        assert!((w[0] - 3.0).abs() < 0.2, "{}", w[0]);
     }
 
     #[test]

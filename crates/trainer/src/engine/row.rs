@@ -361,6 +361,7 @@ pub fn run(cfg: &ExperimentConfig) -> (RunMetrics, rog_obs::Journal, FleetStats)
         agg_upstream_rows: agg.upstream_rows,
         agg_raw_rows: agg.raw_rows,
         agg_pulls: agg.pulls,
+        nonfinite_dropped: engine.server.nonfinite_dropped(),
     };
     let (metrics, journal) = engine.ctx.finish();
     (metrics, journal, stats)
@@ -429,7 +430,7 @@ impl Engine for RowEngine {
         }
         let n = self.workers[w].iter + 1;
         let (grads, _) = compute::take_draw(&mut self.ctx, w);
-        self.workers[w].role.worker_mut().accumulate(&grads);
+        self.workers[w].role.accumulate(&grads);
         self.ctx.recycle_grads(grads);
         self.begin_push(w, now, n);
     }
@@ -513,7 +514,7 @@ impl RowEngine {
             }
         );
         let (grads, _) = compute::take_draw(&mut self.ctx, w);
-        self.workers[w].role.worker_mut().accumulate(&grads);
+        self.workers[w].role.accumulate(&grads);
         self.ctx.recycle_grads(grads);
         self.ctx.maybe_eval(w, n, now);
         if !self.workers[w].comm_busy {
@@ -966,7 +967,7 @@ impl RowEngine {
         }
         self.server.set_threshold(new, now, &mut self.ctx.journal);
         for ws in &mut self.workers {
-            ws.role.worker_mut().set_threshold(new);
+            ws.role.set_threshold(new);
         }
         // A loosened gate may unblock waiting pulls immediately.
         self.drain_waiting(now);
@@ -1052,8 +1053,8 @@ impl RowEngine {
             // Residuals carry across the switch on both sides (the
             // error-feedback invariant holds for any encoder), so no
             // gradient mass is lost at the boundary.
-            self.workers[w].role.worker_mut().set_codec(codec);
-            self.server.server_mut().set_codec(w, codec);
+            self.workers[w].role.set_codec(codec);
+            self.server.set_codec(w, codec);
             obs!(
                 self.ctx.journal,
                 now,
@@ -1198,7 +1199,7 @@ impl RowEngine {
 
     /// Completes a rejoin around the adopted peer model
     /// ([`EngineCtx::adopt_most_advanced_peer`]): error-feedback
-    /// residuals, momentum and Adam state are reset (the
+    /// residuals and momentum are reset (the
     /// paper's defined policy: stale compensation must not leak into the
     /// adopted model), row iterations are stamped to the adopted
     /// iteration, and every shard's version rows fast-forward to match.
@@ -1216,9 +1217,8 @@ impl RowEngine {
         for sub in &mut ws.subs {
             sub.resume = None;
         }
-        ws.role.worker_mut().reset_for_rejoin(n);
-        ws.role.disengage();
-        self.server.server_mut().rejoin_worker(w, n);
+        ws.role.rejoin(n);
+        self.server.rejoin(w, n);
         self.ctx.offline[w] = false;
         self.last_pushed[w] = n;
         self.ctx.discard_pending(w);

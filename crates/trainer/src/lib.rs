@@ -14,8 +14,9 @@
 //!   thresholds from a [`rog_sync::ThresholdPolicy`].
 //! * [`engine::row`] drives ROG: per-row speculative transmission with
 //!   MTA continuation, the shared MTA-time budget, importance-ordered
-//!   rows and the RSP gate, via [`rog_core::RogWorker`] /
-//!   [`rog_core::RogServer`].
+//!   rows and the RSP gate, by driving [`rog_core::WorkerRole`] /
+//!   [`rog_core::ServerRole`] (which own the [`rog_core::RogWorker`]s
+//!   and the [`rog_core::ShardedServer`] plane).
 //!
 //! "Tens of lines of code to apply" (paper Sec. I): running a full
 //! experiment is a config plus one call:

@@ -706,6 +706,7 @@ pub fn serve(cfg: &ExperimentConfig, opts: &ServeOptions) -> Result<RunOutcome, 
         ..
     } = plane;
     stats.peak_version_bytes = role.peak_version_bytes() as u64;
+    stats.nonfinite_dropped = role.nonfinite_dropped();
     for (w, m) in members.iter_mut().enumerate() {
         if !m.closed && m.timeline.current_state().is_some() {
             let t_close = duration.max(m.timeline.end_time());
@@ -939,7 +940,7 @@ pub fn join(cfg: &ExperimentConfig, opts: &JoinOptions) -> Result<RunOutcome, St
         // the mandatory prefixes go first and reliably, the bulk as
         // best-effort datagrams.
         lw.set_state(DeviceState::Communicate);
-        role.worker_mut().accumulate(&grads);
+        role.accumulate(&grads);
         role.rank(iter);
         role.disengage();
         plans.iter_mut().for_each(Vec::clear);

@@ -35,6 +35,10 @@ pub struct FleetStats {
     pub agg_raw_rows: u64,
     /// Member pulls fanned out through aggregators.
     pub agg_pulls: u64,
+    /// NaN/Inf gradient values the server zeroed at ingest: non-zero
+    /// means a corrupted payload got past a link's CRC or a worker
+    /// diverged.
+    pub nonfinite_dropped: u64,
 }
 
 /// Everything a run produces: the measurement bundle plus, when

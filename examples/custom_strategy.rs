@@ -50,7 +50,7 @@ fn main() {
             let shard = &workload.shards()[w];
             let batch = shard.sample_batch(16, &mut rng);
             let (_, grads, _) = models[w].loss_and_grad(shard, &batch);
-            workers[w].worker_mut().accumulate(&grads);
+            workers[w].accumulate(&grads);
 
             // Rank rows; pretend the channel only let a prefix through.
             // Worker 1 has the worse link and only fits the floor: the

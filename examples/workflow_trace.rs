@@ -55,7 +55,7 @@ fn main() {
                     })
                 })
                 .collect();
-            workers[w].worker_mut().accumulate(&grads);
+            workers[w].accumulate(&grads);
 
             // "Transmit": worker 2's link admits only the floor
             // (MTA or the RSP-mandatory prefix, whichever is longer).

@@ -35,6 +35,9 @@ struct Cluster {
     iters: Vec<u64>,
     /// The worker has a pull outstanding and may not compute.
     waiting: Vec<bool>,
+    /// The worker's link is up; a pull to a worker whose link is down is
+    /// cut off and waits on the server, whatever the gate says.
+    reachable: Vec<bool>,
     server: ServerRole,
     map: ShardMap,
     journal: Journal,
@@ -61,6 +64,7 @@ impl Cluster {
             models: vec![ps; N_WORKERS],
             iters: vec![0; N_WORKERS],
             waiting: vec![false; N_WORKERS],
+            reachable: vec![true; N_WORKERS],
             server: ServerRole::new(plane, None),
             map,
             journal: Journal::new(true),
@@ -99,7 +103,7 @@ impl Cluster {
             .iter()
             .map(|m| Matrix::randn(m.rows(), m.cols(), 1.0, &mut self.rng))
             .collect();
-        self.workers[w].worker_mut().accumulate(&grads);
+        self.workers[w].accumulate(&grads);
         self.workers[w].rank(n);
         self.workers[w].disengage();
         self.waiting[w] = true;
@@ -135,7 +139,11 @@ impl Cluster {
                 .server
                 .enter_gate((w, s), n, self.now, &mut self.journal);
             if self.verdict((w, s), n, got) == Gate::Granted {
-                self.serve((w, s));
+                if self.reachable[w] {
+                    self.serve((w, s));
+                } else {
+                    self.server.retry((w, s), n, false);
+                }
             }
             if advanced {
                 self.release();
@@ -147,6 +155,10 @@ impl Cluster {
     /// Release scan, as a driver runs it when `min(V)` advanced.
     fn release(&mut self) {
         for (leg, n) in self.server.take_parked() {
+            if !self.reachable[leg.0] {
+                self.server.retry(leg, n, false);
+                continue;
+            }
             let got = self.server.retry(leg, n, true);
             if self.verdict(leg, n, got) == Gate::Granted {
                 self.releases += 1;
@@ -156,11 +168,11 @@ impl Cluster {
     }
 
     /// "Released exactly when `min(V)` admits it": after every event,
-    /// whatever is still parked must still be refused.
+    /// whatever is still parked must still be refused (or unreachable).
     fn assert_nothing_parked_is_admissible(&mut self) {
         for (leg, n) in self.server.take_parked() {
             assert!(
-                !gate::rsp_may_pull(self.min(leg.1), n, THRESHOLD),
+                !self.reachable[leg.0] || !gate::rsp_may_pull(self.min(leg.1), n, THRESHOLD),
                 "leg {leg:?} iter {n} sits parked although the gate admits it"
             );
             assert_eq!(self.server.retry(leg, n, false), Gate::Parked);
@@ -244,7 +256,7 @@ fn a_dropped_row_keeps_its_mass_and_comes_back_mandatory() {
             .iter()
             .map(|m| Matrix::randn(m.rows(), m.cols(), 1.0, &mut rng))
             .collect();
-        w.worker_mut().accumulate(&grads);
+        w.accumulate(&grads);
         w.rank(n);
         plan.clear();
         plan.extend(w.ranked(&map).map(|(_, id)| id));
@@ -283,4 +295,111 @@ fn two_runs_are_bit_identical() {
     assert!(a == b, "same seed, different run");
     assert!(a.3.contains("\"gate_enter\"") && a.3.contains("\"pull_end\""));
     assert!(run(4).0 != a.0, "the seed must matter");
+}
+
+/// Worker 1's link drops mid-cycle (its granted pulls wait on the
+/// server), the device then leaves, and later rejoins around a peer's
+/// model — driven through the roles alone.
+fn depart_and_rejoin(seed: u64) -> (Vec<u32>, String) {
+    const X: usize = 1;
+    let mut c = Cluster::new(seed, 0.2);
+    let legs = || (0..N_SHARDS).map(|s| (X, s));
+    c.reachable[X] = false;
+    c.step(X);
+    assert!(
+        legs().all(|leg| c.server.is_parked(leg)),
+        "cut-off pulls wait"
+    );
+    // X's rows sit at iteration 1 or 0: both peers run into the gate.
+    for w in [0, 2] {
+        while !c.waiting[w] {
+            c.step(w);
+        }
+        assert!((0..N_SHARDS).any(|s| c.server.is_parked((w, s))));
+    }
+
+    c.server.deactivate(X);
+    assert!(
+        !legs().any(|leg| c.server.is_parked(leg)),
+        "request withdrawn"
+    );
+    let before = c.releases;
+    c.release();
+    assert!(c.releases > before, "the survivors were pinned by X alone");
+    assert!(!c.waiting[0] && !c.waiting[2]);
+    c.run(40); // X still counts as waiting: only the survivors are scheduled
+
+    let peer = if c.iters[0] >= c.iters[2] { 0 } else { 2 };
+    let n = c.iters[peer];
+    let mins: Vec<u64> = (0..N_SHARDS).map(|s| c.min(s)).collect();
+    c.models[X] = c.models[peer].clone();
+    c.iters[X] = n;
+    c.workers[X].rejoin(n);
+    c.server.rejoin(X, n);
+    c.reachable[X] = true;
+    c.waiting[X] = false;
+    c.release();
+
+    let worker = c.workers[X].worker();
+    assert_eq!(worker.max_row_staleness(n), 0);
+    assert!(worker.row_mean_abs().iter().all(|&m| m == 0.0));
+    assert!((0..N_SHARDS).all(|s| !c.workers[X].engaged(s)));
+    let mut plane = c.server.server().clone();
+    let mut plan = Vec::new();
+    for (s, &min) in mins.iter().enumerate() {
+        assert!(plane.versions(s).is_active(X));
+        assert_eq!(c.min(s), min, "the rejoiner does not pin min(V)");
+        plane.plan_pull_into(s, X, &mut plan);
+        assert!(plan.is_empty(), "pending copy of shard {s}: {plan:?}");
+    }
+
+    let bits = c.run(120);
+    assert!(c.iters[X] > n, "the rejoiner trains on");
+    let slowest = *c.iters.iter().min().expect("workers");
+    assert!(c
+        .iters
+        .iter()
+        .all(|&i| i <= slowest + u64::from(THRESHOLD) + 1));
+    (bits, c.journal.to_jsonl())
+}
+
+#[test]
+fn a_parked_worker_departs_and_rejoins_through_the_roles() {
+    let (a, b) = (depart_and_rejoin(5), depart_and_rejoin(5));
+    assert!(a == b, "same seed, different run");
+    assert!(depart_and_rejoin(6).0 != a.0, "the seed must matter");
+}
+
+#[test]
+fn a_nonfinite_row_is_counted_at_ingest_and_never_reaches_a_pull() {
+    let ps = params();
+    let n_rows = ps.iter().map(Matrix::rows).sum();
+    let imp = ImportanceMetric::default();
+    let map = ShardMap::contiguous(n_rows, 1);
+    let mut server = ServerRole::new(ShardedServer::new(&ps, 2, THRESHOLD, imp, map), None);
+    let mut journal = Journal::disabled();
+    let mut rows = vec![
+        (RowId(0), vec![2.0, f32::NAN, f32::INFINITY, -2.0]),
+        (RowId(1), vec![1.0; 4]),
+    ];
+    server.ingest((0, 0), 1, &mut rows);
+    assert_eq!(server.nonfinite_dropped(), 2);
+
+    let leg = (1, 0);
+    assert_eq!(server.enter_gate(leg, 1, 0.0, &mut journal), Gate::Granted);
+    let mut plan = Vec::new();
+    server.grant(leg, 0.0, &mut journal, &mut plan);
+    assert!(plan.contains(&RowId(0)) && plan.contains(&RowId(1)));
+    let pulled = server.settle_pull(leg, &plan, 0.0, &mut journal);
+    for (id, values) in &pulled {
+        assert!(values.iter().all(|v| v.is_finite()), "{id}: {values:?}");
+    }
+    let (_, poisoned) = pulled.iter().find(|(id, _)| *id == RowId(0)).expect("sent");
+    assert!(
+        poisoned[0] > 0.0 && poisoned[3] < 0.0,
+        "the finite values landed"
+    );
+    // A clean push leaves the counter alone.
+    server.ingest((1, 0), 1, &mut [(RowId(1), vec![1.0; 4])]);
+    assert_eq!(server.nonfinite_dropped(), 2);
 }

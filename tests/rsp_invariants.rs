@@ -72,7 +72,7 @@ proptest! {
         let mut plan = Vec::new();
         let mut rng = DetRng::new(seed);
         for iter in 1..=40u64 {
-            worker.worker_mut().accumulate(&random_grads(&mut rng));
+            worker.accumulate(&random_grads(&mut rng));
             // Adversarial channel: deliver between the floor and all.
             let floor = plan_push(&mut worker, iter, &mut plan);
             let extra = ((plan.len() - floor) as f64 * cut_bias * rng.uniform()) as usize;
@@ -104,7 +104,7 @@ proptest! {
             // A random worker tries to advance; the gate may block it.
             let w = rng.index(n_workers);
             let next = iters[w] + 1;
-            workers[w].worker_mut().accumulate(&random_grads(&mut rng));
+            workers[w].accumulate(&random_grads(&mut rng));
             let floor = plan_push(&mut workers[w], next, &mut plan);
             let mut sent = workers[w].commit_landed(&plan[..floor], next);
             server.ingest((w, 0), next, &mut sent);
@@ -145,7 +145,7 @@ fn all_workers_apply_the_same_totals() {
     // fully each round.
     let mut received: Vec<Vec<f32>> = vec![vec![], vec![]];
     for iter in 1..=30u64 {
-        worker.worker_mut().accumulate(&random_grads(&mut rng));
+        worker.accumulate(&random_grads(&mut rng));
         plan_push(&mut worker, iter, &mut plan);
         let mut sent = worker.commit_landed(&plan, iter);
         server.ingest((0, 0), iter, &mut sent);

@@ -7,15 +7,6 @@
 use proptest::prelude::*;
 use rog::core::{RowId, ShardMap};
 
-/// Both partitioning modes from one generator, so every invariant is
-/// checked against contiguous ranges *and* seeded-hash scatter.
-fn build(n_rows: usize, n_shards: usize, hash_seed: Option<u64>) -> ShardMap {
-    match hash_seed {
-        None => ShardMap::contiguous(n_rows, n_shards),
-        Some(seed) => ShardMap::seeded_hash(n_rows, n_shards, seed),
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -25,9 +16,8 @@ proptest! {
     fn prop_every_row_homed_by_exactly_one_shard(
         n_rows in 1usize..200,
         n_shards in 1usize..9,
-        hash_seed in prop::option::of(0u64..=u64::MAX),
     ) {
-        let map = build(n_rows, n_shards, hash_seed);
+        let map = ShardMap::contiguous(n_rows, n_shards);
         for row in 0..map.n_rows() {
             let s = map.shard_of(RowId(row));
             prop_assert!(s < map.n_shards(), "row {row} homed by out-of-range shard {s}");
@@ -45,9 +35,8 @@ proptest! {
     fn prop_shards_disjointly_cover_the_model(
         n_rows in 1usize..200,
         n_shards in 1usize..9,
-        hash_seed in prop::option::of(0u64..=u64::MAX),
     ) {
-        let map = build(n_rows, n_shards, hash_seed);
+        let map = ShardMap::contiguous(n_rows, n_shards);
         let total: usize = (0..map.n_shards()).map(|s| map.shard_rows(s)).sum();
         prop_assert_eq!(total, map.n_rows());
         let mut seen = vec![false; map.n_rows()];
@@ -64,22 +53,18 @@ proptest! {
         prop_assert!(seen.iter().all(|&v| v), "cover has a hole");
     }
 
-    /// One shard is the identity map, whatever the mode or seed: local
-    /// and global ids coincide, which is why a single-shard plane runs
-    /// the exact pre-shard engine.
+    /// One shard is the identity map: local and global ids coincide,
+    /// which is why a single-shard plane runs the exact pre-shard
+    /// engine.
     #[test]
-    fn prop_one_shard_is_the_identity(n_rows in 1usize..200, seed in 0u64..=u64::MAX) {
-        for map in [
-            ShardMap::contiguous(n_rows, 1),
-            ShardMap::seeded_hash(n_rows, 1, seed),
-        ] {
-            prop_assert!(map.is_identity());
-            prop_assert_eq!(map.shard_rows(0), n_rows);
-            for row in 0..n_rows {
-                prop_assert_eq!(map.shard_of(RowId(row)), 0);
-                prop_assert_eq!(map.to_local(RowId(row)), RowId(row));
-                prop_assert_eq!(map.to_global(0, RowId(row)), RowId(row));
-            }
+    fn prop_one_shard_is_the_identity(n_rows in 1usize..200) {
+        let map = ShardMap::contiguous(n_rows, 1);
+        prop_assert_eq!(map.n_shards(), 1);
+        prop_assert_eq!(map.shard_rows(0), n_rows);
+        for row in 0..n_rows {
+            prop_assert_eq!(map.shard_of(RowId(row)), 0);
+            prop_assert_eq!(map.to_local(RowId(row)), RowId(row));
+            prop_assert_eq!(map.to_global(0, RowId(row)), RowId(row));
         }
     }
 

@@ -372,9 +372,9 @@ impl ServerRole {
     /// Ingests rows of iteration `n` that landed on `leg` (NaN/Inf
     /// values are zeroed in place and counted): folds them into the
     /// member's aggregator window, averages them into every active
-    /// worker's pending copy and raises the versions. Returns whether the shard's `min(V)`
-    /// advanced — the only push outcome that can change a parked
-    /// request's verdict.
+    /// worker's pending copy and raises the versions. Returns whether
+    /// the shard's `min(V)` advanced — the only push outcome that can
+    /// change a parked request's verdict.
     pub fn ingest(&mut self, (w, s): LegId, n: u64, rows: &mut [(RowId, Vec<f32>)]) -> bool {
         let min_before = self.server.versions(s).global_min();
         if let Some(plane) = self.agg.as_mut() {

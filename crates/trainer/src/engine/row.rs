@@ -1199,10 +1199,10 @@ impl RowEngine {
 
     /// Completes a rejoin around the adopted peer model
     /// ([`EngineCtx::adopt_most_advanced_peer`]): error-feedback
-    /// residuals and momentum are reset (the
-    /// paper's defined policy: stale compensation must not leak into the
-    /// adopted model), row iterations are stamped to the adopted
-    /// iteration, and every shard's version rows fast-forward to match.
+    /// residuals and momentum are reset (the paper's defined policy:
+    /// stale compensation must not leak into the adopted model), row
+    /// iterations are stamped to the adopted iteration, and every
+    /// shard's version rows fast-forward to match.
     fn finish_resync(&mut self, w: usize, now: Time) {
         let n = self
             .ctx

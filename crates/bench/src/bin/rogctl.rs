@@ -20,7 +20,7 @@ use std::process::ExitCode;
 use rog_bench::cli::{self, CliCommand, CliRun, FuzzOptions};
 use rog_fuzz::{check_scenario, shrink, FuzzReport, Scenario, ScenarioGen, ScenarioRecord};
 use rog_obs::{gzip_compress, gzip_decompress, TraceSummary};
-use rog_trainer::{report, run_with_result, FleetStats, TransportChoice};
+use rog_trainer::{report, run_with_result, FleetStats, RunMetrics, TransportChoice};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -59,6 +59,25 @@ fn report_ingest_faults(stats: &FleetStats) {
     }
 }
 
+/// Writes the run's metrics where `--json` asked for them.
+fn export_json(run: &CliRun, metrics: &RunMetrics) {
+    if let Some(path) = &run.json_out {
+        std::fs::write(path, report::runs_to_json(std::slice::from_ref(metrics)))
+            .expect("write json");
+        println!("wrote {path}");
+    }
+}
+
+/// The `--csv` and `--json` exports of a finished run.
+fn export(run: &CliRun, metrics: &RunMetrics) {
+    if let Some(path) = &run.csv_out {
+        std::fs::write(path, report::checkpoints_csv(std::slice::from_ref(metrics)))
+            .expect("write csv");
+        println!("wrote {path}");
+    }
+    export_json(run, metrics);
+}
+
 fn run_experiment(run: &CliRun) -> ExitCode {
     warn(run);
     println!(
@@ -88,20 +107,7 @@ fn run_experiment(run: &CliRun) -> ExitCode {
         metrics.wasted_bytes / 1e6
     );
     report_ingest_faults(&outcome.stats);
-
-    if let Some(path) = &run.csv_out {
-        std::fs::write(
-            path,
-            report::checkpoints_csv(std::slice::from_ref(&metrics)),
-        )
-        .expect("write csv");
-        println!("wrote {path}");
-    }
-    if let Some(path) = &run.json_out {
-        std::fs::write(path, report::runs_to_json(std::slice::from_ref(&metrics)))
-            .expect("write json");
-        println!("wrote {path}");
-    }
+    export(run, &metrics);
     ExitCode::SUCCESS
 }
 
@@ -135,19 +141,7 @@ fn live_experiment(run: &CliRun, transport: TransportChoice) -> ExitCode {
         metrics.wasted_bytes / 1e6
     );
     report_ingest_faults(&outcome.stats);
-    if let Some(path) = &run.csv_out {
-        std::fs::write(
-            path,
-            report::checkpoints_csv(std::slice::from_ref(&metrics)),
-        )
-        .expect("write csv");
-        println!("wrote {path}");
-    }
-    if let Some(path) = &run.json_out {
-        std::fs::write(path, report::runs_to_json(std::slice::from_ref(&metrics)))
-            .expect("write json");
-        println!("wrote {path}");
-    }
+    export(run, &metrics);
     ExitCode::SUCCESS
 }
 
@@ -177,11 +171,7 @@ fn trace_experiment(run: &CliRun, out: &str) -> ExitCode {
         metrics.mean_iterations,
         metrics.duration
     );
-    if let Some(path) = &run.json_out {
-        std::fs::write(path, report::runs_to_json(std::slice::from_ref(&metrics)))
-            .expect("write json");
-        println!("wrote {path}");
-    }
+    export_json(run, &metrics);
     ExitCode::SUCCESS
 }
 

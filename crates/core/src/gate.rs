@@ -1,4 +1,4 @@
-//! The SSP staleness gate.
+//! The SSP staleness gate and ROG's row-granular (RSP) refinement of it.
 //!
 //! In SSP a worker that has finished iteration `n` may *proceed to*
 //! iteration `n + 1` only if it would not run more than `threshold`
@@ -6,48 +6,43 @@
 //! barrier until stragglers catch up. BSP is the special case
 //! `threshold == 0` (everyone advances in lockstep).
 
-use crate::VersionVector;
-
-/// Whether a worker that has pushed through iteration `done_iter` may
-/// start its next iteration under `threshold`, given everyone's push
-/// versions.
+/// Whether a worker that has pushed through iteration `pushed` may start
+/// its next iteration under `threshold`, given the slowest worker's
+/// pushed iteration `min`.
 ///
 /// # Example
 ///
 /// ```
-/// use rog_sync::{gate, VersionVector};
+/// use rog_core::gate;
 ///
-/// let mut v = VersionVector::new(2);
-/// v.record_push(0, 4);
-/// v.record_push(1, 1);
-/// // Worker 0 wants to start iteration 5; it would lead by 4 > 2.
-/// assert!(!gate::may_proceed(&v, 0, 2));
+/// // Worker at 4, slowest at 1: starting iteration 5 would lead by 4 > 2.
+/// assert!(!gate::may_proceed(4, 1, 2));
 /// // With threshold 4 it may.
-/// assert!(gate::may_proceed(&v, 0, 4));
+/// assert!(gate::may_proceed(4, 1, 4));
 /// // The slowest worker may always proceed.
-/// assert!(gate::may_proceed(&v, 1, 0));
+/// assert!(gate::may_proceed(1, 1, 0));
 /// ```
-pub fn may_proceed(versions: &VersionVector, worker: usize, threshold: u32) -> bool {
-    let next = versions.get(worker) + 1;
-    next <= versions.min() + 1 + u64::from(threshold)
+pub fn may_proceed(pushed: u64, min: u64, threshold: u32) -> bool {
+    pushed <= min + u64::from(threshold)
 }
 
-/// The earliest slowest-worker version that would let `worker` proceed.
-/// Useful for diagnostics ("whom are we waiting for").
-pub fn required_min_version(versions: &VersionVector, worker: usize, threshold: u32) -> u64 {
-    (versions.get(worker) + 1).saturating_sub(1 + u64::from(threshold))
+/// The earliest slowest-worker version that would let a worker that has
+/// pushed through `pushed` proceed. Useful for diagnostics ("whom are we
+/// waiting for").
+pub fn required_min_version(pushed: u64, threshold: u32) -> u64 {
+    (pushed + 1).saturating_sub(1 + u64::from(threshold))
 }
 
 // --------------------------------------------------------------- RSP
 //
 // ROG's row-granulated SP (paper Sec. IV) is a *two-level* staleness
 // contract, and these predicates are its single source of truth: the
-// ROG engine (`rog-trainer`), the parameter server
-// (`rog-core::RowVersionStore`), and the invariant test suites must
+// roles, the parameter server's `RowVersionStore`, the fuzz harness
+// and the invariant test suites must
 // all agree on the bound semantics, in particular on the
 // `threshold == 0` clamp below.
 //
-// Under a row-sharded parameter plane (`rog-core::ShardedServer`) these
+// Under a row-sharded parameter plane (`ShardedServer`) these
 // predicates compose per shard: each shard evaluates the RSP gate over
 // the versions of the rows *it* owns, so a worker blocks only on the
 // shard homing the mandatory row, never on an unrelated shard's
@@ -118,51 +113,39 @@ pub mod testhooks {
 mod tests {
     use super::*;
 
-    fn versions(vs: &[u64]) -> VersionVector {
-        let mut v = VersionVector::new(vs.len());
-        for (w, &iter) in vs.iter().enumerate() {
-            v.record_push(w, iter);
-        }
-        v
-    }
-
     #[test]
     fn bsp_is_lockstep() {
         // Under threshold 0, a worker may only be one iteration ahead of
         // the slowest pusher.
-        let v = versions(&[1, 1, 1]);
-        assert!(may_proceed(&v, 0, 0));
-        let v = versions(&[2, 1, 1]);
-        assert!(!may_proceed(&v, 0, 0));
-        assert!(may_proceed(&v, 1, 0));
+        assert!(may_proceed(1, 1, 0));
+        assert!(!may_proceed(2, 1, 0));
     }
 
     #[test]
     fn ssp_allows_bounded_lead() {
-        let v = versions(&[5, 2, 3]);
-        // Worker 0 would be computing iteration 6 while the slowest has
+        // The worker would be computing iteration 6 while the slowest has
         // pushed only 2 — a lead of 4 iterations, admissible only when
         // `threshold + 1 >= 4`.
-        assert!(!may_proceed(&v, 0, 2));
-        assert!(may_proceed(&v, 0, 3));
+        assert!(!may_proceed(5, 2, 2));
+        assert!(may_proceed(5, 2, 3));
     }
 
     #[test]
     fn required_min_matches_gate() {
-        let v = versions(&[5, 2, 3]);
-        let need = required_min_version(&v, 0, 2);
-        assert_eq!(need, 3);
-        // Once the slowest reaches `need`, the gate opens.
-        let v2 = versions(&[5, 3, 3]);
-        assert!(may_proceed(&v2, 0, 2));
+        assert!(!may_proceed(5, 2, 2));
+        assert_eq!(required_min_version(5, 2), 3);
+        // Once the slowest reaches that version, the gate opens.
+        assert!(may_proceed(5, 3, 2));
     }
 
     #[test]
     fn fresh_cluster_can_start() {
-        let v = VersionVector::new(4);
-        for w in 0..4 {
-            assert!(may_proceed(&v, w, 0));
-        }
+        assert!(may_proceed(0, 0, 0));
+    }
+
+    #[test]
+    fn asp_never_gates() {
+        assert!(may_proceed(1_000_000, 0, u32::MAX));
     }
 
     #[test]
@@ -331,19 +314,15 @@ mod tests {
             #[test]
             fn prop_required_min_version_matches_may_proceed(
                 threshold in 0u32..8,
-                versions_raw in proptest::collection::vec(0u64..60, 1..6),
-                pick in 0usize..6,
+                min in 0u64..60,
+                lead in 0u64..60,
             ) {
-                let mut v = VersionVector::new(versions_raw.len());
-                for (w, &iter) in versions_raw.iter().enumerate() {
-                    v.record_push(w, iter);
-                }
-                let w = pick % versions_raw.len();
+                let pushed = min + lead;
                 prop_assert_eq!(
-                    may_proceed(&v, w, threshold),
-                    v.min() >= required_min_version(&v, w, threshold),
-                    "gate and required-min disagree: versions {:?}, worker {}, threshold {}",
-                    versions_raw, w, threshold
+                    may_proceed(pushed, min, threshold),
+                    min >= required_min_version(pushed, threshold),
+                    "gate and required-min disagree: pushed {}, min {}, threshold {}",
+                    pushed, min, threshold
                 );
             }
 
@@ -354,17 +333,11 @@ mod tests {
                 threshold in 0u32..6,
                 global_min in 0u64..50,
                 lead in 0u64..10,
-                n_workers in 2usize..5,
             ) {
                 let pushed = global_min + lead;
                 if rsp_may_pull(global_min, pushed, threshold) {
-                    let mut v = VersionVector::new(n_workers);
-                    v.record_push(0, pushed);
-                    for w in 1..n_workers {
-                        v.record_push(w, global_min);
-                    }
                     prop_assert!(
-                        may_proceed(&v, 0, threshold),
+                        may_proceed(pushed, global_min, threshold),
                         "RSP admitted lead {lead} at threshold {threshold} but SSP refused"
                     );
                 }

@@ -9,7 +9,10 @@
 //!   workers, and of different rows within one worker, may each diverge
 //!   by at most the staleness threshold. Implemented by
 //!   [`RowVersionStore`] (parameter-server side, Algo 2 lines 7–9) and
-//!   the mandatory-row rule of [`RogWorker::plan_push`] (worker side).
+//!   the mandatory-row rule of [`RogWorker::plan_push`] (worker side);
+//!   the bound semantics both sides, the fuzzer and the invariant
+//!   suites agree on are the predicates in [`gate`], next to the coarse
+//!   SSP gate the model-granularity baselines run behind.
 //!   [`ShardedServer`] is the parameter server itself (Algorithm 2):
 //!   per-worker pending copies of the averaged gradients, kept per row
 //!   and therefore shardable by row with no change to any value.
@@ -39,6 +42,7 @@
 
 mod aggregator;
 pub mod convergence;
+pub mod gate;
 mod importance;
 pub mod mta;
 mod mta_time;
@@ -57,4 +61,4 @@ pub use roles::{Gate, LegId, PushFloor, PushReport, ServerRole, WorkerRole};
 pub use rows::{RowId, RowPartition, RowRef};
 pub use shard::{ShardMap, ShardedServer};
 pub use version::RowVersionStore;
-pub use worker::{RogWorker, RogWorkerConfig, UpdateRule};
+pub use worker::{RogWorker, RogWorkerConfig};

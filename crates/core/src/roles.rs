@@ -25,11 +25,10 @@
 use rog_compress::Codec;
 use rog_obs::{obs, obs_shard, Event, EventKind, Journal};
 use rog_sim::Time;
-use rog_sync::gate;
 use rog_tensor::Matrix;
 
 use crate::{
-    mta, AggregatorMap, AggregatorPlane, AggregatorStats, MtaTimeTracker, RogWorker,
+    gate, mta, AggregatorMap, AggregatorPlane, AggregatorStats, MtaTimeTracker, RogWorker,
     RogWorkerConfig, RowId, ShardMap, ShardedServer,
 };
 
@@ -153,7 +152,7 @@ impl WorkerRole {
 
     /// The worker adopted a peer's model at iteration `n` after a
     /// fault: drops what belonged to the lost lineage (accumulated
-    /// gradients, residuals, momentum), stamps every row to `n` and
+    /// gradients, residuals), stamps every row to `n` and
     /// leaves the cycle it was part of.
     pub fn rejoin(&mut self, n: u64) {
         self.worker.reset_for_rejoin(n);

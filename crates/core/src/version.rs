@@ -325,10 +325,10 @@ impl RowVersionStore {
     ///
     /// Mirrors Algorithm 2: the pull waits while
     /// `pushed_iter - min(V) >= threshold`. The bound semantics live
-    /// in [`rog_sync::gate::rsp_may_pull`], shared with the engine and
+    /// in [`crate::gate::rsp_may_pull`], shared with the engine and
     /// the invariant tests.
     pub fn gate_ok(&self, pushed_iter: u64, threshold: u32) -> bool {
-        rog_sync::gate::rsp_may_pull(self.global_min(), pushed_iter, threshold)
+        crate::gate::rsp_may_pull(self.global_min(), pushed_iter, threshold)
     }
 
     /// The cell pinning `min(V)`: the first `(worker, row)` in index
@@ -498,7 +498,7 @@ impl DenseRowVersionStore {
     /// The RSP gate over the rescanned bound.
     pub fn gate_ok(&mut self, pushed_iter: u64, threshold: u32) -> bool {
         let global_min = self.global_min();
-        rog_sync::gate::rsp_may_pull(global_min, pushed_iter, threshold)
+        crate::gate::rsp_may_pull(global_min, pushed_iter, threshold)
     }
 
     /// The cell pinning `min(V)`, first in index order (active workers
@@ -658,7 +658,7 @@ mod tests {
             for pushed in 0..8 {
                 assert_eq!(
                     v.gate_ok(pushed, threshold),
-                    rog_sync::gate::rsp_may_pull(min, pushed, threshold)
+                    crate::gate::rsp_may_pull(min, pushed, threshold)
                 );
             }
         }

@@ -17,23 +17,6 @@ use rog_tensor::{ops, Matrix};
 
 use crate::{ImportanceMetric, ImportanceMode, RankScratch, RowId, RowPartition};
 
-/// Per-row parameter-update rule applied to pulled averaged gradients.
-///
-/// Rows arrive independently, so a stateful rule keeps *per-row* state
-/// (velocity) — the block-wise formulation the paper adopts from Sun
-/// et al. for momentum.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub enum UpdateRule {
-    /// Plain SGD.
-    #[default]
-    Sgd,
-    /// Heavy-ball momentum with coefficient `beta`.
-    Momentum {
-        /// Momentum coefficient in `[0, 1)`.
-        beta: f32,
-    },
-}
-
 /// Configuration of a ROG worker.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RogWorkerConfig {
@@ -43,8 +26,6 @@ pub struct RogWorkerConfig {
     pub importance: ImportanceMetric,
     /// Learning rate applied to pulled averaged gradients.
     pub lr: f32,
-    /// Parameter-update rule.
-    pub rule: UpdateRule,
     /// Row codec for pushed gradients (`Auto` starts on the one-bit
     /// rung; the engine's controller switches rungs at runtime).
     pub codec: CodecChoice,
@@ -61,17 +42,9 @@ impl RogWorkerConfig {
             threshold,
             importance: ImportanceMetric::default(),
             lr,
-            rule: UpdateRule::Sgd,
             codec: CodecChoice::OneBit,
             codec_seed: 0,
         }
-    }
-
-    /// Switches to momentum with coefficient `beta`.
-    #[must_use]
-    pub fn with_momentum(mut self, beta: f32) -> Self {
-        self.rule = UpdateRule::Momentum { beta };
-        self
     }
 
     /// Selects the row codec and the seed of its stochastic stream.
@@ -95,8 +68,6 @@ pub struct RogWorker {
     codec: Codec,
     /// Per-row compression residuals + stochastic-rounding stream.
     state: CodecState,
-    /// Per-row momentum velocities.
-    vel: Vec<Matrix>,
     cfg: RogWorkerConfig,
     /// Ranking scratch, reused across push plans.
     scratch: RankScratch,
@@ -110,17 +81,15 @@ impl RogWorker {
     /// Creates a worker for a model with the given parameter matrices.
     pub fn new(params: &[Matrix], cfg: RogWorkerConfig) -> Self {
         let partition = RowPartition::of_params(params);
-        let zero: Vec<Matrix> = params
-            .iter()
-            .map(|m| Matrix::zeros(m.rows(), m.cols()))
-            .collect();
         let widths = partition.widths().to_vec();
         Self {
-            accum: zero.clone(),
+            accum: params
+                .iter()
+                .map(|m| Matrix::zeros(m.rows(), m.cols()))
+                .collect(),
             iters: vec![0; partition.n_rows()],
             codec: cfg.codec.build(),
             state: CodecState::new(&widths, cfg.codec_seed),
-            vel: zero,
             partition,
             cfg,
             scratch: RankScratch::default(),
@@ -254,7 +223,7 @@ impl RogWorker {
     }
 
     /// Applies pulled averaged gradients to the model parameters
-    /// (Algorithm 1 lines 13–17), with per-row momentum if configured.
+    /// (Algorithm 1 lines 13–17) by plain per-row SGD.
     ///
     /// # Panics
     ///
@@ -262,31 +231,21 @@ impl RogWorker {
     pub fn apply_pulled(&mut self, params: &mut [Matrix], rows: &[(RowId, Vec<f32>)]) {
         for (id, g) in rows {
             let r = self.partition.locate(*id);
-            let w = params[r.matrix].row_mut(r.row);
-            match self.cfg.rule {
-                UpdateRule::Sgd => ops::sgd_row(w, g, self.cfg.lr),
-                UpdateRule::Momentum { beta } => {
-                    let v = self.vel[r.matrix].row_mut(r.row);
-                    ops::sgd_momentum_row(w, v, g, self.cfg.lr, beta);
-                }
-            }
+            ops::sgd_row(params[r.matrix].row_mut(r.row), g, self.cfg.lr);
         }
     }
 
     /// Rebuilds the worker's transient state after a cold rejoin resync
-    /// at iteration `n`: accumulated gradients, compression residuals
-    /// and momentum are all dropped (they belong to the model lineage
-    /// that died with the fault), and every row's push iteration is
-    /// stamped to `n` so the freshly adopted model re-enters the
-    /// staleness bound with zero row staleness.
+    /// at iteration `n`: accumulated gradients and compression residuals
+    /// are dropped (they belong to the model lineage that died with the
+    /// fault), and every row's push iteration is stamped to `n` so the
+    /// freshly adopted model re-enters the staleness bound with zero row
+    /// staleness.
     pub fn reset_for_rejoin(&mut self, n: u64) {
         for m in &mut self.accum {
             m.fill_zero();
         }
         self.state.reset();
-        for m in &mut self.vel {
-            m.fill_zero();
-        }
         self.iters.fill(n);
     }
 
@@ -394,33 +353,14 @@ mod tests {
     }
 
     #[test]
-    fn apply_pulled_with_momentum_accumulates() {
-        let mut ps = params();
-        let cfg = RogWorkerConfig::new(4, 1.0).with_momentum(0.9);
-        let mut w = RogWorker::new(&ps, cfg);
-        w.apply_pulled(&mut ps, &[(RowId(0), vec![1.0, 0.0, 0.0, 0.0])]);
-        w.apply_pulled(&mut ps, &[(RowId(0), vec![1.0, 0.0, 0.0, 0.0])]);
-        // v1 = 1, w -= 1; v2 = 1.9, w -= 1.9 → w = -2.9.
-        assert!((ps[0].get(0, 0) + 2.9).abs() < 1e-6);
-    }
-
-    #[test]
     fn reset_for_rejoin_drops_transient_state_and_stamps_rows() {
-        let cfg = RogWorkerConfig::new(3, 0.1).with_momentum(0.9);
-        let mut ps = params();
-        let mut w = RogWorker::new(&ps, cfg);
+        let mut w = RogWorker::new(&params(), RogWorkerConfig::new(3, 0.1));
         w.accumulate(&grads(1.0));
         w.commit_push(&[RowId(0)], 2);
-        w.apply_pulled(&mut ps, &[(RowId(0), vec![1.0, 1.0, 1.0, 1.0])]);
         w.reset_for_rejoin(7);
         assert!(w.row_mean_abs().iter().all(|&m| m == 0.0), "accum cleared");
         assert!(w.row_iters().iter().all(|&it| it == 7), "rows stamped");
         assert_eq!(w.max_row_staleness(7), 0);
-        // Momentum restarts from zero velocity: one unit pull moves the
-        // row by exactly lr, as on a fresh worker.
-        let before = ps[0].get(0, 0);
-        w.apply_pulled(&mut ps, &[(RowId(0), vec![1.0, 0.0, 0.0, 0.0])]);
-        assert!((before - ps[0].get(0, 0) - 0.1).abs() < 1e-6);
     }
 
     #[test]

@@ -34,9 +34,9 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
+use rog_core::gate;
 use rog_fault::FaultKind;
 use rog_obs::{Record, TraceSummary};
-use rog_sync::gate;
 use rog_trainer::report::runs_to_json;
 use rog_trainer::{compute, ExperimentConfig, RunMetrics, RunOutcome, Strategy};
 

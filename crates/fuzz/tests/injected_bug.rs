@@ -2,7 +2,7 @@
 //! engine bug and shrink it to a tiny repro.
 //!
 //! The injection widens the RSP cross-row pull gate
-//! (`rog_sync::gate::testhooks::set_gate_slack`) by a few iterations —
+//! (`rog_core::gate::testhooks::set_gate_slack`) by a few iterations —
 //! a genuine staleness-contract violation in the one predicate the
 //! engine, the parameter server and the test suites share. The
 //! engine's independent debug-build watchdog (`pushed iter ≤ min +
@@ -14,8 +14,8 @@
 //! process-global, so this file holds exactly one `#[test]` — it must
 //! not share a binary with clean-gate tests.
 
+use rog_core::gate::testhooks;
 use rog_fuzz::{check_scenario, shrink, Scenario, ScenarioGen};
-use rog_sync::gate::testhooks;
 use rog_trainer::Strategy;
 
 /// Scenario draws to scan for one whose gate engages under the bug.

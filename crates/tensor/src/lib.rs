@@ -8,7 +8,7 @@
 //!
 //! This crate deliberately implements only what the rest of the workspace
 //! needs — row-major [`Matrix`], a handful of BLAS-1/2 kernels, the
-//! [`ops`] SGD/momentum update rules, and deterministic random
+//! [`ops`] SGD update rule, and deterministic random
 //! initialization ([`rng`]) — rather than binding to an external BLAS.
 //! Determinism is a hard requirement: every simulated experiment must be
 //! bit-reproducible from a seed, so all randomness flows through

@@ -125,25 +125,6 @@ pub fn sgd_row(w: &mut [f32], g: &[f32], lr: f32) {
     }
 }
 
-/// SGD with momentum on one row:
-/// `v = momentum * v + g; w -= lr * v`.
-///
-/// This is the block-wise (per-row) variant of distributed SGD-momentum the
-/// paper implements from Sun et al. (LAQ), where each row keeps its own
-/// velocity so rows can be updated independently as they arrive.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-pub fn sgd_momentum_row(w: &mut [f32], v: &mut [f32], g: &[f32], lr: f32, momentum: f32) {
-    assert_eq!(w.len(), g.len(), "sgd_momentum_row length mismatch");
-    assert_eq!(w.len(), v.len(), "sgd_momentum_row velocity mismatch");
-    for ((wv, vv), gv) in w.iter_mut().zip(v.iter_mut()).zip(g) {
-        *vv = momentum * *vv + gv;
-        *wv -= lr * *vv;
-    }
-}
-
 /// ReLU applied in place.
 pub fn relu(xs: &mut [f32]) {
     for x in xs {
@@ -263,18 +244,6 @@ mod tests {
         let mut w = vec![1.0, 1.0];
         sgd_row(&mut w, &[0.5, -0.5], 0.1);
         assert_eq!(w, vec![0.95, 1.05]);
-    }
-
-    #[test]
-    fn momentum_accumulates_velocity() {
-        let mut w = vec![0.0];
-        let mut v = vec![0.0];
-        sgd_momentum_row(&mut w, &mut v, &[1.0], 1.0, 0.9);
-        assert_eq!(v, vec![1.0]);
-        assert_eq!(w, vec![-1.0]);
-        sgd_momentum_row(&mut w, &mut v, &[1.0], 1.0, 0.9);
-        assert!((v[0] - 1.9).abs() < 1e-6);
-        assert!((w[0] + 2.9).abs() < 1e-6);
     }
 
     #[test]

@@ -242,7 +242,7 @@ impl Cluster {
             .sum();
         let wire_scale = cfg.compressed_bytes() as f64 / framed_compressed.max(1) as f64;
 
-        let lr = cfg.lr_override.unwrap_or_else(|| workload.learning_rate());
+        let lr = workload.learning_rate();
 
         Self {
             devices,

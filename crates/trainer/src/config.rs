@@ -170,20 +170,8 @@ pub struct ExperimentConfig {
     /// Root random seed; every run with the same config is
     /// bit-reproducible.
     pub seed: u64,
-    /// Momentum coefficient (0 = plain SGD).
-    pub momentum: f32,
-    /// Learning-rate override (default: the workload's suggestion).
-    pub lr_override: Option<f32>,
     /// Record per-push micro-events on worker 0 (Fig. 8).
     pub record_micro: bool,
-    /// Target compressed model size in bytes on the wire; the synthetic
-    /// model's rows are scaled so its compressed size matches the
-    /// paper's transmission volume (default: 2.1 MB for CRUDA, 0.75 MB
-    /// for CRIMP).
-    pub compressed_bytes_target: Option<u64>,
-    /// Mean per-iteration gradient-computation seconds on a robot at
-    /// batch scale 1 (default: per workload, Table II / Sec. II-D).
-    pub compute_secs_override: Option<f64>,
     /// ATP importance-metric coefficients `(f1, f2)` override (ROG only;
     /// used by the importance ablation).
     pub importance_weights: Option<(f64, f64)>,
@@ -261,11 +249,7 @@ impl Default for ExperimentConfig {
             duration_secs: 3600.0,
             eval_every: 50,
             seed: 0x0611,
-            momentum: 0.0,
-            lr_override: None,
             record_micro: false,
-            compressed_bytes_target: None,
-            compute_secs_override: None,
             importance_weights: None,
             pipeline: false,
             auto_threshold: false,
@@ -421,10 +405,10 @@ impl ExperimentConfig {
     /// including the 0.42–0.51 s codec cost. CRIMP's model is smaller and
     /// computes faster (Fig. 7a).
     pub fn base_compute_secs(&self) -> f64 {
-        self.compute_secs_override.unwrap_or(match self.workload {
+        match self.workload {
             WorkloadKind::Cruda | WorkloadKind::CrudaConv => 1.71,
             WorkloadKind::Crimp => 0.95,
-        })
+        }
     }
 
     /// Compression + decompression seconds per iteration (Table II).
@@ -436,12 +420,13 @@ impl ExperimentConfig {
     }
 
     /// Target compressed model size on the wire (paper Sec. I: 2.1 MB
-    /// and 0.75 MB for the two paradigms).
+    /// and 0.75 MB for the two paradigms); the synthetic model's rows
+    /// are scaled so its compressed size matches.
     pub fn compressed_bytes(&self) -> u64 {
-        self.compressed_bytes_target.unwrap_or(match self.workload {
+        match self.workload {
             WorkloadKind::Cruda | WorkloadKind::CrudaConv => 2_100_000,
             WorkloadKind::Crimp => 750_000,
-        })
+        }
     }
 
     /// Wraps this config in a [`crate::RunOptions`] builder — the

@@ -9,21 +9,18 @@
 //! the straggler effect ROG eliminates.
 
 use rog_compress::{CodecState, OneBitCodec, RowCodec};
-use rog_core::{RowId, RowPartition};
+use rog_core::{gate, RowId, RowPartition};
 use rog_fault::FaultEvent;
 use rog_models::GradSet;
 use rog_net::{FlowEvent, FlowOutcome};
 use rog_obs::{obs, EventKind};
 use rog_sim::{DeviceState, Time};
-use rog_sync::{
-    gate, AbsPolicy, DsspPolicy, FixedThreshold, FlownPolicy, ThresholdPolicy, VersionVector,
-    WorkerNetStats,
-};
 use rog_tensor::{ops, Matrix};
 
 use crate::compute;
-use crate::config::{ExperimentConfig, Strategy};
+use crate::config::ExperimentConfig;
 use crate::engine::common::{compute_or_retire, drive, Engine, EngineCtx, FlowTable};
+use crate::engine::control::{GateControl, Round};
 use crate::metrics::RunMetrics;
 
 struct WState {
@@ -32,14 +29,15 @@ struct WState {
     grads: Option<GradSet>,
     /// Whole-model push compression residuals.
     ef: CodecState,
-    vel: Vec<Matrix>,
-    stats: WorkerNetStats,
     push_started: Time,
     /// When the worker's current round started (previous push-done),
     /// feeding the DSSP iteration-rate estimate.
     round_started: Time,
-    /// When the worker joined the gate wait (journal only).
+    /// When the worker joined the gate wait.
     gate_entered: Time,
+    /// How long the last granted pull waited at the gate (ABS's stall
+    /// accounting).
+    last_gate_wait: f64,
     /// The transfer to restart from scratch once connectivity returns
     /// after a fault (a pull's drained averaged gradients ride along; a
     /// push's `grads` are still held). Model-granularity strategies keep
@@ -52,12 +50,29 @@ struct WState {
 struct Server {
     /// Per-worker pending averaged gradients.
     pending: Vec<GradSet>,
-    versions: VersionVector,
+    /// Latest pushed iteration per worker (monotonic).
+    versions: Vec<u64>,
     /// Per-destination pull compression residuals.
     efs: Vec<CodecState>,
     /// Workers whose pull awaits the gate; stores their pushed iter.
     waiting: Vec<usize>,
     thresholds: Vec<u32>,
+}
+
+impl Server {
+    /// Iteration of the slowest pusher.
+    fn min_version(&self) -> u64 {
+        *self.versions.iter().min().expect("at least one worker")
+    }
+
+    /// How far `w` is ahead of the slowest pusher.
+    fn lead(&self, w: usize) -> u64 {
+        self.versions[w] - self.min_version()
+    }
+
+    fn record_push(&mut self, w: usize, iter: u64) {
+        self.versions[w] = self.versions[w].max(iter);
+    }
 }
 
 enum FlowCtx {
@@ -79,15 +94,15 @@ struct ModelEngine {
     ctx: EngineCtx,
     workers: Vec<WState>,
     server: Server,
-    policy: Box<dyn ThresholdPolicy>,
-    /// Whether the policy adapts at runtime (DSSP/ABS): threshold
-    /// changes are then journaled as `threshold_adapt` events so the
-    /// instantaneous bound is observable and replayable. The journaled
-    /// value never narrows below a granted-but-unpushed iteration's
-    /// lead (see [`ModelEngine::refresh_thresholds`]).
-    adaptive: bool,
+    /// Rewrites `server.thresholds` after every push; `None` for the
+    /// fixed bounds (BSP/SSP/ASP). DSSP/ABS changes are journaled as
+    /// `threshold_adapt` events so the instantaneous bound is
+    /// observable and replayable. The journaled value never narrows
+    /// below a granted-but-unpushed iteration's lead (see
+    /// [`ModelEngine::refresh_thresholds`]).
+    control: Option<GateControl>,
     /// Last journaled per-worker threshold; `None` before the first
-    /// `threshold_adapt` event. Unused when `adaptive` is false.
+    /// `threshold_adapt` event.
     journaled_thr: Vec<Option<u32>>,
     /// In-flight transfers. Every model-granularity transfer is
     /// reliable-class: the baselines have no row granularity to degrade
@@ -124,53 +139,26 @@ pub fn run(cfg: &ExperimentConfig) -> (RunMetrics, rog_obs::Journal) {
             iter: 0,
             grads: None,
             ef: ef.clone(),
-            vel: zero.clone(),
-            stats: WorkerNetStats::default(),
             push_started: 0.0,
             round_started: 0.0,
             gate_entered: 0.0,
+            last_gate_wait: 0.0,
             resume: None,
         })
         .collect();
+    let (fixed, control) = GateControl::for_strategy(cfg.strategy, n, model_wire_bytes);
     let server = Server {
         pending: vec![zero; n],
-        versions: VersionVector::new(n),
+        versions: vec![0; n],
         efs: vec![ef; n],
         waiting: Vec::new(),
-        thresholds: vec![0; n],
-    };
-    let (policy, adaptive): (Box<dyn ThresholdPolicy>, bool) = match cfg.strategy {
-        Strategy::Bsp => (Box::new(FixedThreshold::bsp()), false),
-        Strategy::Ssp { threshold } => (Box::new(FixedThreshold::ssp(threshold)), false),
-        Strategy::Asp => (Box::new(FixedThreshold::asp()), false),
-        Strategy::Flown {
-            min_threshold,
-            max_threshold,
-        } => (
-            Box::new(FlownPolicy::new(min_threshold, max_threshold)),
-            false,
-        ),
-        Strategy::Dssp {
-            min_threshold,
-            max_threshold,
-        } => (
-            Box::new(DsspPolicy::new(min_threshold, max_threshold)),
-            true,
-        ),
-        Strategy::Abs {
-            min_threshold,
-            max_threshold,
-        } => (Box::new(AbsPolicy::new(min_threshold, max_threshold)), true),
-        Strategy::Rog { .. } | Strategy::RogAdaptive { .. } => {
-            unreachable!("row strategies run in the row engine")
-        }
+        thresholds: vec![fixed; n],
     };
     let mut engine = ModelEngine {
         ctx,
         workers,
         server,
-        policy,
-        adaptive,
+        control,
         journaled_thr: vec![None; n],
         flows: FlowTable::new(n),
         partition,
@@ -234,18 +222,22 @@ impl Engine for ModelEngine {
 
     fn on_compute_done(&mut self, w: usize, now: Time) {
         let (grads, mean_abs) = compute::take_draw(&mut self.ctx, w);
-        let ws = &mut self.workers[w];
-        ws.grads = Some(grads);
-        ws.stats.grad_mean_abs = f64::from(mean_abs);
+        self.workers[w].grads = Some(grads);
+        if let Some(control) = &mut self.control {
+            control.on_gradient(w, f64::from(mean_abs));
+        }
         self.start_push(w, now);
     }
 }
 
 impl ModelEngine {
     fn refresh_thresholds(&mut self, now: Time) {
-        let stats: Vec<WorkerNetStats> = self.workers.iter().map(|w| w.stats.clone()).collect();
-        self.server.thresholds = self.policy.thresholds(&stats);
-        if !self.adaptive {
+        let Some(control) = &mut self.control else {
+            return;
+        };
+        control.assign(&mut self.server.thresholds);
+        // FLOWN's schedule is not journaled (no checker replays it).
+        if matches!(control, GateControl::Flown(_)) {
             return;
         }
         // Journal the instantaneous per-worker bound. A worker that was
@@ -256,13 +248,14 @@ impl ModelEngine {
         // bound in force at its own timestamp. Gating itself always
         // uses the raw policy thresholds, so a waiting worker is never
         // released early by its own lead.
+        let min = self.server.min_version();
         for w in 0..self.workers.len() {
             let raw = self.server.thresholds[w];
             let journaled = if self.server.waiting.contains(&w) {
                 raw
             } else {
-                let lead = u32::try_from(self.server.versions.lead(w)).unwrap_or(u32::MAX);
-                raw.max(lead)
+                let lead = self.server.versions[w] - min;
+                raw.max(u32::try_from(lead).unwrap_or(u32::MAX))
             };
             if self.journaled_thr[w] != Some(journaled) {
                 self.journaled_thr[w] = Some(journaled);
@@ -328,15 +321,19 @@ impl ModelEngine {
                 p.add_scaled(q, inv).expect("shapes match");
             }
         }
-        self.server.versions.record_push(w, pushed_iter);
+        self.server.record_push(w, pushed_iter);
         // Bandwidth estimate for FLOWN; round accounting for DSSP/ABS.
-        let dur = (now - self.workers[w].push_started).max(1e-6);
         let ws = &mut self.workers[w];
-        ws.stats.last_push_secs = dur;
-        ws.stats.est_bandwidth_bps = self.model_wire_bytes as f64 * 8.0 / dur;
-        ws.stats.rounds += 1;
-        ws.stats.last_round_secs = now - ws.round_started;
+        let round = Round {
+            worker: w,
+            push_secs: (now - ws.push_started).max(1e-6),
+            round_secs: now - ws.round_started,
+            gate_wait: ws.last_gate_wait,
+        };
         ws.round_started = now;
+        if let Some(control) = &mut self.control {
+            control.observe(round);
+        }
         self.refresh_thresholds(now);
         obs!(
             self.ctx.journal,
@@ -357,8 +354,8 @@ impl ModelEngine {
             EventKind::GateEnter {
                 w: w as u32,
                 iter: pushed_iter,
-                min: self.server.versions.min(),
-                lead: self.server.versions.lead(w),
+                min: self.server.min_version(),
+                lead: self.server.lead(w),
                 row: -1,
             }
         );
@@ -372,11 +369,12 @@ impl ModelEngine {
         }
         let mut still_waiting = Vec::new();
         let waiting = std::mem::take(&mut self.server.waiting);
+        let min = self.server.min_version();
         for w in waiting {
             let t = self.server.thresholds[w];
             if !self.ctx.offline[w]
                 && !self.ctx.link_down[w]
-                && gate::may_proceed(&self.server.versions, w, t)
+                && gate::may_proceed(self.server.versions[w], min, t)
             {
                 self.grant_pull(w, now);
             } else {
@@ -393,7 +391,7 @@ impl ModelEngine {
         let payload = quantize_set(&self.partition, &mut self.server.efs[w], &pending);
         // Stall accounting for ABS (assigned outside the obs! macro so
         // obs-off builds stay behaviorally identical).
-        self.workers[w].stats.last_stall_secs = now - self.workers[w].gate_entered;
+        self.workers[w].last_gate_wait = now - self.workers[w].gate_entered;
         obs!(
             self.ctx.journal,
             now,
@@ -426,22 +424,13 @@ impl ModelEngine {
             }
         );
         let lr = self.ctx.cluster.lr;
-        let momentum = self.ctx.cfg.momentum;
-        {
-            let model = &mut self.ctx.models[w];
-            let ws = &mut self.workers[w];
-            for (mi, g) in payload.iter().enumerate() {
-                for r in 0..g.rows() {
-                    let wrow = model.params_mut()[mi].row_mut(r);
-                    if momentum > 0.0 {
-                        ops::sgd_momentum_row(wrow, ws.vel[mi].row_mut(r), g.row(r), lr, momentum);
-                    } else {
-                        ops::sgd_row(wrow, g.row(r), lr);
-                    }
-                }
+        let model = &mut self.ctx.models[w];
+        for (mi, g) in payload.iter().enumerate() {
+            for r in 0..g.rows() {
+                ops::sgd_row(model.params_mut()[mi].row_mut(r), g.row(r), lr);
             }
-            ws.iter += 1;
         }
+        self.workers[w].iter += 1;
         self.ctx.collector.record_iteration(w);
         let iter = self.workers[w].iter;
         obs!(
@@ -497,8 +486,8 @@ impl ModelEngine {
     }
 
     /// Completes a rejoin: adopt the most advanced online peer's model
-    /// (ties to the lowest index), reset compression residuals and
-    /// momentum on both ends, drop the stale averaged gradients the
+    /// (ties to the lowest index), reset compression residuals on both
+    /// ends, drop the stale averaged gradients the
     /// server still held for this worker, and fast-forward its version
     /// so the gate reflects the adopted iteration.
     fn finish_resync(&mut self, w: usize, now: Time) {
@@ -508,9 +497,6 @@ impl ModelEngine {
         let ws = &mut self.workers[w];
         ws.iter = iter;
         ws.ef.reset();
-        for m in &mut ws.vel {
-            m.fill_zero();
-        }
         ws.grads = None;
         ws.resume = None;
         // The outage is not an iteration round; restart the round clock
@@ -520,7 +506,7 @@ impl ModelEngine {
         for m in &mut self.server.pending[w] {
             m.fill_zero();
         }
-        self.server.versions.record_push(w, iter);
+        self.server.record_push(w, iter);
         self.ctx.offline[w] = false;
         self.ctx.discard_pending(w);
         compute_or_retire(self, w, now);
@@ -631,7 +617,7 @@ fn quantize_set(partition: &RowPartition, ef: &mut CodecState, set: &GradSet) ->
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{Environment, ModelScale, WorkloadKind};
+    use crate::config::{Environment, ModelScale, Strategy, WorkloadKind};
 
     fn run_metrics(cfg: &ExperimentConfig) -> RunMetrics {
         run(cfg).0

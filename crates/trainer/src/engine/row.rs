@@ -278,9 +278,6 @@ pub fn run(cfg: &ExperimentConfig) -> (RunMetrics, rog_obs::Journal, FleetStats)
     let init = ctx.cluster.init_model.clone();
     let lr = ctx.cluster.lr;
     let mut wcfg = RogWorkerConfig::new(threshold, lr);
-    if cfg.momentum > 0.0 {
-        wcfg = wcfg.with_momentum(cfg.momentum);
-    }
     if let Some((f1, f2)) = cfg.importance_weights {
         wcfg.importance = rog_core::ImportanceMetric::new(rog_core::ImportanceWeights { f1, f2 });
     }
@@ -1199,7 +1196,7 @@ impl RowEngine {
 
     /// Completes a rejoin around the adopted peer model
     /// ([`EngineCtx::adopt_most_advanced_peer`]): error-feedback
-    /// residuals and momentum are reset (the paper's defined policy:
+    /// residuals are reset (the paper's defined policy:
     /// stale compensation must not leak into the adopted model), row
     /// iterations are stamped to the adopted iteration, and every
     /// shard's version rows fast-forward to match.

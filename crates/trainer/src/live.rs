@@ -871,9 +871,6 @@ pub fn join(cfg: &ExperimentConfig, opts: &JoinOptions) -> Result<RunOutcome, St
     let cluster = Cluster::build(cfg);
     let mut model = cluster.init_model.clone();
     let mut wcfg = RogWorkerConfig::new(threshold, cluster.lr);
-    if cfg.momentum > 0.0 {
-        wcfg = wcfg.with_momentum(cfg.momentum);
-    }
     wcfg.importance = importance_for(cfg);
     let n_shards = cfg.effective_shards();
     let map = ShardMap::contiguous(model.row_widths().len(), n_shards);

@@ -121,56 +121,9 @@ impl RunOptions {
         self
     }
 
-    /// Sets the number of parameter-server shards (ROG only; 1 is the
-    /// single-server engine, bit-identical to pre-shard behavior).
-    pub fn shards(mut self, n_shards: usize) -> Self {
-        self.cfg.n_shards = n_shards;
-        self
-    }
-
-    /// Sets the fleet size (number of workers).
-    pub fn workers(mut self, n_workers: usize) -> Self {
-        self.cfg.n_workers = n_workers;
-        self
-    }
-
-    /// Sets the number of edge aggregators between workers and the
-    /// parameter-server shards (ROG only; 0 is the flat topology,
-    /// bit-identical to pre-aggregator behavior).
-    pub fn aggregators(mut self, n_aggregators: usize) -> Self {
-        self.cfg.n_aggregators = n_aggregators;
-        self
-    }
-
-    /// Selects the row codec for push/pull payloads (ROG only;
-    /// [`rog_compress::CodecChoice::OneBit`], the default, is
-    /// bit-identical to pre-codec behavior).
-    pub fn codec(mut self, codec: rog_compress::CodecChoice) -> Self {
-        self.cfg.codec = codec;
-        self
-    }
-
-    /// Overrides the experiment seed.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.cfg.seed = seed;
-        self
-    }
-
-    /// Overrides the simulated duration (seconds).
-    pub fn duration_secs(mut self, secs: f64) -> Self {
-        self.cfg.duration_secs = secs;
-        self
-    }
-
     /// The wrapped config.
     pub fn config(&self) -> &ExperimentConfig {
         &self.cfg
-    }
-
-    /// Mutable access to the wrapped config, for fields without a
-    /// dedicated setter.
-    pub fn config_mut(&mut self) -> &mut ExperimentConfig {
-        &mut self.cfg
     }
 
     /// Runs the experiment. Equivalent to [`run_with`]`(&self)`.
@@ -182,12 +135,6 @@ impl RunOptions {
     /// [`run_with_result`] to handle those errors.
     pub fn run(&self) -> RunOutcome {
         run_with(self)
-    }
-
-    /// Like [`RunOptions::run`] but surfaces live-transport failures
-    /// as `Err` instead of panicking. Sim runs cannot fail.
-    pub fn run_result(&self) -> Result<RunOutcome, String> {
-        run_with_result(self)
     }
 }
 
@@ -253,24 +200,6 @@ mod tests {
     }
 
     #[test]
-    fn builder_setters_reach_the_config() {
-        let opts = tiny()
-            .options()
-            .shards(4)
-            .seed(7)
-            .duration_secs(12.0)
-            .workers(6)
-            .aggregators(3)
-            .codec(rog_compress::CodecChoice::Sparse);
-        assert_eq!(opts.config().n_shards, 4);
-        assert_eq!(opts.config().seed, 7);
-        assert!((opts.config().duration_secs - 12.0).abs() < 1e-12);
-        assert_eq!(opts.config().n_workers, 6);
-        assert_eq!(opts.config().n_aggregators, 3);
-        assert_eq!(opts.config().codec, rog_compress::CodecChoice::Sparse);
-    }
-
-    #[test]
     fn flat_rog_run_reports_fleet_stats_without_aggregator_traffic() {
         let out = tiny().options().run();
         assert!(out.stats.sim_events > 0);
@@ -283,7 +212,11 @@ mod tests {
 
     #[test]
     fn hierarchical_run_reports_aggregator_traffic() {
-        let out = tiny().options().aggregators(1).run();
+        let cfg = ExperimentConfig {
+            n_aggregators: 1,
+            ..tiny()
+        };
+        let out = cfg.options().run();
         assert!(out.stats.agg_flushes > 0);
         assert!(out.stats.agg_raw_rows >= out.stats.agg_upstream_rows);
         assert!(out.stats.agg_pulls > 0);

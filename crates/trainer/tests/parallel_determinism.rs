@@ -69,3 +69,47 @@ fn pipelined_rog_is_bit_identical_to_serial() {
     let parallel = run_with_threads(&c, 4);
     assert_identical(&serial, &parallel, &serial.name);
 }
+
+/// The `threshold_adapt` lines of one traced run of `cfg` at a forced
+/// compute-plane width.
+fn adaptations(cfg: &ExperimentConfig, threads: usize) -> Vec<String> {
+    compute::set_thread_override(Some(threads));
+    let journal = cfg.options().traced(true).run().journal;
+    compute::set_thread_override(None);
+    let jsonl = journal.expect("traced run has a journal").to_jsonl();
+    jsonl
+        .lines()
+        .filter(|l| l.contains("\"ev\":\"threshold_adapt\""))
+        .map(str::to_owned)
+        .collect()
+}
+
+#[test]
+fn adaptive_bounds_journal_one_adaptation_sequence() {
+    // DSSP and ABS move the model engine's gate bound from per-round
+    // measurements on the virtual clock; the journaled sequence must
+    // repeat run to run and not depend on the compute plane's width.
+    for strategy in [
+        Strategy::Dssp {
+            min_threshold: 1,
+            max_threshold: 8,
+        },
+        Strategy::Abs {
+            min_threshold: 1,
+            max_threshold: 8,
+        },
+    ] {
+        let c = ExperimentConfig {
+            duration_secs: 240.0,
+            ..cfg(WorkloadKind::Cruda, strategy, false)
+        };
+        let serial = adaptations(&c, 1);
+        assert!(
+            serial.len() > c.n_workers,
+            "{}: the bound never moved off its start: {serial:?}",
+            c.name()
+        );
+        assert_eq!(serial, adaptations(&c, 1), "{}: rerun differs", c.name());
+        assert_eq!(serial, adaptations(&c, 4), "{}: width differs", c.name());
+    }
+}

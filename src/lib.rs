@@ -9,7 +9,8 @@
 //!
 //! Facade crate re-exporting the whole workspace:
 //!
-//! * [`core`] — the contribution: RSP, ATP, the `RogOptimizer` API.
+//! * [`core`] — the contribution: RSP, ATP, the `RogOptimizer` API, and
+//!   the staleness-gate predicates (`core::gate`) every strategy shares.
 //! * [`trainer`] — end-to-end simulated experiments ([`prelude`] has a
 //!   quickstart).
 //! * [`net`] / [`sim`] / [`energy`] — wireless channel, discrete-event
@@ -19,7 +20,6 @@
 //!   control protocol behind `rogctl serve` / `rogctl join` (the
 //!   simulated engines drive [`net`]'s `Channel` directly).
 //! * [`models`] / [`tensor`] / [`compress`] — training substrate.
-//! * [`sync`] — model-granularity baselines.
 //! * [`fault`] — deterministic fault injection (worker churn, link
 //!   blackouts, server restarts) for robustness experiments.
 //! * [`fuzz`] — seeded scenario fuzzer and differential invariant
@@ -47,7 +47,6 @@ pub use rog_models as models;
 pub use rog_net as net;
 pub use rog_obs as obs;
 pub use rog_sim as sim;
-pub use rog_sync as sync;
 pub use rog_tensor as tensor;
 pub use rog_trainer as trainer;
 pub use rog_transport as transport;

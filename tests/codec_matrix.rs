@@ -20,7 +20,11 @@ fn cfg() -> ExperimentConfig {
 }
 
 fn run_traced(cfg: &ExperimentConfig, codec: CodecChoice) -> RunOutcome {
-    cfg.options().codec(codec).traced(true).run()
+    let cfg = ExperimentConfig {
+        codec,
+        ..cfg.clone()
+    };
+    cfg.options().traced(true).run()
 }
 
 /// Mean per-row `push_end` payload observed in a journal — the

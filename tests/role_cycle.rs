@@ -4,12 +4,12 @@
 //! (mandatory prefix reliable, bulk best-effort, pull request parked on
 //! the server until `min(V)` admits it), made deterministic.
 
+use rog::core::gate;
 use rog::core::{
     Gate, ImportanceMetric, LegId, PushReport, RogWorkerConfig, RowId, ServerRole, ShardMap,
     ShardedServer, WorkerRole,
 };
 use rog::obs::Journal;
-use rog::sync::gate;
 use rog::tensor::rng::DetRng;
 use rog::tensor::Matrix;
 

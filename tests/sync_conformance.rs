@@ -22,9 +22,9 @@
 mod common;
 
 use common::{scenario_matrix, small_cluster_cfg};
+use rog::core::gate;
 use rog::obs::Record;
 use rog::prelude::*;
-use rog::sync::gate;
 use rog::trainer::report::runs_to_json;
 
 fn traced(cfg: &ExperimentConfig) -> (RunMetrics, String) {
@@ -72,7 +72,7 @@ fn bsp_is_ssp_zero_modulo_run_name() {
 
 #[test]
 fn asp_is_the_unbounded_ssp_limit() {
-    // `FixedThreshold::asp()` is literally the `u32::MAX` threshold, so
+    // ASP's gate threshold is literally `u32::MAX`, so
     // the composition SSP-huge → ASP must be exact, not approximate.
     let asp = traced(&short(Strategy::Asp));
     let ssp_huge = traced(&short(Strategy::Ssp {

@@ -36,6 +36,16 @@ fn bench_compression(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::new("error_feedback", cols), &row, |b, row| {
             b.iter(|| ef.compress(&OneBitCodec, 0, black_box(row)))
         });
+        // What the commit paths run: the same step, restored values
+        // into a caller buffer, no code.
+        let mut ef = CodecState::new(&[cols], 0);
+        let mut out = vec![0.0f32; cols];
+        g.bench_with_input(BenchmarkId::new("ef_cycle", cols), &row, |b, row| {
+            b.iter(|| {
+                ef.restore_into(&OneBitCodec, 0, black_box(row), &mut out);
+                out[0]
+            })
+        });
         let topk = TopKCodec::new(0.01);
         g.bench_with_input(BenchmarkId::new("topk_1pct", cols), &row, |b, row| {
             b.iter(|| topk.compress(black_box(row)))

@@ -32,7 +32,7 @@
 
 use rog_tensor::rng::DetRng;
 
-use crate::CompressedRow;
+use crate::onebit::{restore_in_place, CompressedRow};
 
 /// Length in bytes of `v` as an LEB128 varint.
 const fn varint_len(v: u64) -> u64 {
@@ -166,8 +166,8 @@ const fn quant_name(bits: u8) -> &'static str {
 /// - encoding is deterministic given the input and the RNG stream
 ///   (codecs that don't randomize must not touch the RNG).
 ///
-/// Error feedback is *outside* the codec: [`CodecState::compress`]
-/// folds the stored residual into the row before encoding and retains
+/// Error feedback is *outside* the codec: [`CodecState::restore_into`]
+/// folds the stored residual into the row before transcoding and keeps
 /// the new quantization error afterwards, so `restored + residual ==
 /// input` holds exactly for every codec — the invariant that keeps each
 /// rung "lossless" in the convergence sense.
@@ -200,6 +200,14 @@ pub trait RowCodec {
     /// Encodes one (residual-adjusted) row. Stochastic codecs draw from
     /// `rng`; deterministic codecs must leave it untouched.
     fn encode(&self, adjusted: &[f32], rng: &mut DetRng) -> RowCode;
+
+    /// Replaces a (residual-adjusted) row, in place, with the values
+    /// its receiver restores: `encode` + `decompress` without handing
+    /// out the code, same values and same RNG draws.
+    fn transcode(&self, row: &mut [f32], rng: &mut DetRng) {
+        let restored = self.encode(row, rng).decompress();
+        row.copy_from_slice(&restored);
+    }
 }
 
 /// One encoded row, as produced by some [`RowCodec`].
@@ -254,6 +262,11 @@ impl RowCodec for OneBitCodec {
 
     fn encode(&self, adjusted: &[f32], _rng: &mut DetRng) -> RowCode {
         RowCode::Dense(CompressedRow::encode(adjusted))
+    }
+
+    /// Allocation-free: the two passes of the one-bit kernel, no code.
+    fn transcode(&self, row: &mut [f32], _rng: &mut DetRng) {
+        restore_in_place(row);
     }
 }
 
@@ -682,6 +695,10 @@ impl RowCodec for Codec {
     fn encode(&self, adjusted: &[f32], rng: &mut DetRng) -> RowCode {
         self.inner().encode(adjusted, rng)
     }
+
+    fn transcode(&self, row: &mut [f32], rng: &mut DetRng) {
+        self.inner().transcode(row, rng);
+    }
 }
 
 /// Per-row error-feedback state for a whole model, for any codec, plus
@@ -694,7 +711,10 @@ impl RowCodec for Codec {
 /// With [`OneBitCodec`] the RNG is never touched.
 #[derive(Debug, Clone)]
 pub struct CodecState {
-    residuals: Vec<Vec<f32>>,
+    /// Every row's residual, back to back.
+    residuals: Vec<f32>,
+    /// Row `i` occupies `offsets[i]..offsets[i + 1]` of `residuals`.
+    offsets: Vec<usize>,
     rng: DetRng,
 }
 
@@ -702,15 +722,21 @@ impl CodecState {
     /// Creates zeroed state for rows of the given widths, with the
     /// stochastic-rounding stream seeded by `seed`.
     pub fn new(row_widths: &[usize], seed: u64) -> Self {
+        let mut offsets = Vec::with_capacity(row_widths.len() + 1);
+        offsets.push(0);
+        for w in row_widths {
+            offsets.push(offsets[offsets.len() - 1] + w);
+        }
         Self {
-            residuals: row_widths.iter().map(|&w| vec![0.0; w]).collect(),
+            residuals: vec![0.0; offsets[row_widths.len()]],
+            offsets,
             rng: DetRng::new(seed),
         }
     }
 
     /// Number of rows tracked.
     pub fn rows(&self) -> usize {
-        self.residuals.len()
+        self.offsets.len() - 1
     }
 
     /// Current residual of row `row`.
@@ -719,7 +745,7 @@ impl CodecState {
     ///
     /// Panics if `row` is out of range.
     pub fn residual(&self, row: usize) -> &[f32] {
-        &self.residuals[row]
+        &self.residuals[self.offsets[row]..self.offsets[row + 1]]
     }
 
     /// Zeroes every stored residual. Used when a worker cold-resyncs
@@ -729,9 +755,15 @@ impl CodecState {
     /// stream is left where it is — resets happen at deterministic
     /// points, so determinism is unaffected either way.
     pub fn reset(&mut self) {
-        for r in &mut self.residuals {
-            r.fill(0.0);
-        }
+        self.residuals.fill(0.0);
+    }
+
+    /// Zeroes every stored residual and restarts the stochastic stream
+    /// from `seed`: the state [`CodecState::new`] would build, without
+    /// rebuilding it.
+    pub fn reseed(&mut self, seed: u64) {
+        self.reset();
+        self.rng = DetRng::new(seed);
     }
 
     /// Exact wire size that [`CodecState::compress`] would produce for
@@ -747,7 +779,7 @@ impl CodecState {
         if !codec.is_content_sized() {
             return codec.payload_bytes(gradient.len());
         }
-        let residual = &self.residuals[row];
+        let residual = self.residual(row);
         assert_eq!(
             residual.len(),
             gradient.len(),
@@ -761,31 +793,61 @@ impl CodecState {
         codec.sized_payload_bytes(&adjusted)
     }
 
-    /// Compresses `gradient` for row `row` with `codec`, folding in the
-    /// stored residual and retaining the new quantization error —
-    /// `restored + residual == gradient + old_residual` exactly, for
-    /// every codec.
+    /// Folds `gradient` into the stored residual of row `row`
+    /// (`r ← g + r`) and hands back that residual-adjusted row with the
+    /// stream to encode it with.
+    fn fold(&mut self, row: usize, gradient: &[f32]) -> (&mut [f32], &mut DetRng) {
+        let adjusted = &mut self.residuals[self.offsets[row]..self.offsets[row + 1]];
+        assert_eq!(
+            adjusted.len(),
+            gradient.len(),
+            "gradient width mismatch for row {row}"
+        );
+        for (r, g) in adjusted.iter_mut().zip(gradient) {
+            *r += g;
+        }
+        (adjusted, &mut self.rng)
+    }
+
+    /// One error-feedback step of row `row`, in place: folds the stored
+    /// residual into `gradient`, writes into `restored` the values the
+    /// receiver of the `codec`-framed row reconstructs, and keeps the
+    /// new quantization error — `restored + residual == gradient +
+    /// old_residual` exactly, for every codec. What every commit path
+    /// runs; with [`OneBitCodec`] it never touches the heap.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row` is out of range or `gradient` or `restored` has
+    /// the wrong width.
+    pub fn restore_into(
+        &mut self,
+        codec: &dyn RowCodec,
+        row: usize,
+        gradient: &[f32],
+        restored: &mut [f32],
+    ) {
+        let (adjusted, rng) = self.fold(row, gradient);
+        restored.copy_from_slice(adjusted);
+        codec.transcode(restored, rng);
+        for (r, d) in adjusted.iter_mut().zip(restored.iter()) {
+            *r -= d;
+        }
+    }
+
+    /// [`CodecState::restore_into`] for a caller that wants the wire
+    /// code: returns it instead of the restored values, with the same
+    /// effect on the residual and the RNG stream.
     ///
     /// # Panics
     ///
     /// Panics if `row` is out of range or `gradient` has the wrong
     /// width.
     pub fn compress(&mut self, codec: &dyn RowCodec, row: usize, gradient: &[f32]) -> RowCode {
-        let residual = &mut self.residuals[row];
-        assert_eq!(
-            residual.len(),
-            gradient.len(),
-            "gradient width mismatch for row {row}"
-        );
-        let adjusted: Vec<f32> = gradient
-            .iter()
-            .zip(residual.iter())
-            .map(|(g, r)| g + r)
-            .collect();
-        let code = codec.encode(&adjusted, &mut self.rng);
-        let restored = code.decompress();
-        for ((r, a), d) in residual.iter_mut().zip(&adjusted).zip(&restored) {
-            *r = a - d;
+        let (adjusted, rng) = self.fold(row, gradient);
+        let code = codec.encode(adjusted, rng);
+        for (r, d) in adjusted.iter_mut().zip(code.decompress()) {
+            *r -= d;
         }
         code
     }
@@ -826,29 +888,98 @@ mod tests {
         assert!(!CodecChoice::Sparse.is_auto());
     }
 
+    /// Round `round` of the differential sequence: a normal row bent
+    /// into the shapes the sign classes care about — `±0.0` entries,
+    /// one class empty, subnormals — and, on round 17 only, `special`.
+    fn shaped_row(w: usize, round: usize, special: Option<f32>, rng: &mut DetRng) -> Vec<f32> {
+        let mut g: Vec<f32> = (0..w).map(|_| rng.normal() as f32).collect();
+        match round % 5 {
+            1 => g.iter_mut().step_by(3).for_each(|v| *v *= -0.0),
+            2 => g.iter_mut().for_each(|v| *v = v.abs()),
+            3 => g.iter_mut().for_each(|v| *v = -v.abs()),
+            4 => g.iter_mut().for_each(|v| *v *= 1e-42),
+            _ => {}
+        }
+        if let (17, Some(x)) = (round, special) {
+            g.iter_mut().step_by(5).for_each(|v| *v = x);
+            g.iter_mut().skip(2).step_by(7).for_each(|v| *v = -x);
+        }
+        g
+    }
+
+    /// Bit patterns, with every NaN folded to one: the sign and payload
+    /// of a computed NaN are unspecified in Rust (debug and release
+    /// builds of the per-bit reference itself disagree on the sign).
+    fn bits(xs: &[f32]) -> Vec<u32> {
+        xs.iter()
+            .map(|x| if x.is_nan() { f32::NAN } else { *x }.to_bits())
+            .collect()
+    }
+
     #[test]
-    fn onebit_rung_is_plain_one_bit_error_feedback() {
-        // The byte-identity anchor: CodecState + OneBitCodec must be
-        // exactly "encode gradient + residual, keep what decoding
-        // misses", bit for bit, residuals included.
-        let widths = [7usize, 64, 65];
-        let mut residuals: Vec<Vec<f32>> = widths.iter().map(|&w| vec![0.0; w]).collect();
-        let mut state = CodecState::new(&widths, 42);
-        let codec = Codec::OneBit(OneBitCodec);
-        let mut rng = DetRng::new(5);
-        for round in 0..20 {
-            for (row, &w) in widths.iter().enumerate() {
-                let g: Vec<f32> = (0..w).map(|_| rng.normal() as f32).collect();
-                let adjusted: Vec<f32> =
-                    g.iter().zip(&residuals[row]).map(|(g, r)| g + r).collect();
-                let want = CompressedRow::encode(&adjusted);
-                let restored = want.decompress();
-                for ((r, a), d) in residuals[row].iter_mut().zip(&adjusted).zip(&restored) {
-                    *r = a - d;
+    fn every_rung_steps_like_the_spelled_out_error_feedback() {
+        // The byte-identity anchor. Reference: "encode gradient +
+        // residual, keep what decoding misses", written out with its
+        // own RNG — through the bit-at-a-time, branch-per-value one-bit
+        // codec for the one-bit rung, through `encode` + `decompress`
+        // for the others. `restore_into` (what the engines run) and
+        // `compress` (what hands out the code) must both reproduce its
+        // restored values, residuals, code and RNG position bit for
+        // bit, on widths crossing the 8- and 64-value boundaries, over
+        // 20 rounds so residuals carry. NaN and ±Inf rows go to the
+        // one-bit rung only (the quantizers divide by the row maximum).
+        use crate::onebit::reference::{decompress_per_bit, encode_per_bit};
+        for codec in all_codecs() {
+            let onebit = codec == Codec::OneBit(OneBitCodec);
+            let specials: &[Option<f32>] = if onebit {
+                &[None, Some(f32::NAN), Some(f32::INFINITY)]
+            } else {
+                &[None]
+            };
+            for (&special, w) in specials.iter().flat_map(|s| (0..=200).map(move |w| (s, w))) {
+                let what = format!("{} width {w} special {special:?}", codec.name());
+                let mut residual = vec![0.0f32; w];
+                let mut ref_rng = DetRng::new(42);
+                let mut fused = CodecState::new(&[3, w], 42);
+                let mut coded = fused.clone();
+                let mut rows = DetRng::new(w as u64);
+                for round in 0..20 {
+                    let g = shaped_row(w, round, special, &mut rows);
+                    let adjusted: Vec<f32> = g.iter().zip(&residual).map(|(g, r)| g + r).collect();
+                    let (want, want_restored) = if onebit {
+                        let c = encode_per_bit(&adjusted);
+                        let restored = decompress_per_bit(&c);
+                        (RowCode::Dense(c), restored)
+                    } else {
+                        let c = codec.encode(&adjusted, &mut ref_rng);
+                        let restored = c.decompress();
+                        (c, restored)
+                    };
+                    for ((r, a), d) in residual.iter_mut().zip(&adjusted).zip(&want_restored) {
+                        *r = a - d;
+                    }
+                    let at = format!("{what} round {round}");
+                    let mut restored = vec![7.0f32; w];
+                    fused.restore_into(&codec, 1, &g, &mut restored);
+                    let code = coded.compress(&codec, 1, &g);
+                    assert_eq!(bits(&restored), bits(&want_restored), "{at}");
+                    assert_eq!(bits(&code.decompress()), bits(&restored), "{at}");
+                    if special.is_none() {
+                        assert_eq!(code, want, "{at}");
+                    }
+                    for state in [&fused, &coded] {
+                        assert_eq!(bits(state.residual(1)), bits(&residual), "{at}");
+                        assert_eq!(
+                            state.rng.clone().next_u64(),
+                            ref_rng.clone().next_u64(),
+                            "{at}: RNG position"
+                        );
+                        assert!(state.residual(0).iter().all(|&r| r == 0.0), "{at}");
+                    }
                 }
-                let got = state.compress(&codec, row, &g);
-                assert_eq!(got, RowCode::Dense(want), "round {round} row {row}");
-                assert_eq!(state.residual(row), residuals[row]);
+                // Only the quantization ladder draws.
+                let drew = ref_rng.next_u64() != DetRng::new(42).next_u64();
+                assert_eq!(drew, matches!(codec, Codec::Quant(_)) && w > 0, "{what}");
             }
         }
     }
@@ -889,26 +1020,6 @@ mod tests {
         // Post-reset compression behaves like a fresh instance.
         let fresh = CodecState::new(&[4, 2], 0).compress(&OneBitCodec, 0, &[0.3, -0.7, 0.1, 0.9]);
         assert_eq!(ef.compress(&OneBitCodec, 0, &[0.3, -0.7, 0.1, 0.9]), fresh);
-    }
-
-    #[test]
-    fn onebit_never_draws_from_the_rng() {
-        let mut a = CodecState::new(&[16], 9);
-        let mut b = CodecState::new(&[16], 9);
-        let g: Vec<f32> = (0..16).map(|i| (i as f32 * 0.7).sin()).collect();
-        let _ = a.compress(&Codec::OneBit(OneBitCodec), 0, &g);
-        let _ = a.compress(&Codec::Sparse(SparseDeltaCodec::default()), 0, &g);
-        let _ = a.compress(&Codec::TopK(TopKCodec::new(0.5)), 0, &g);
-        // After three deterministic-codec compressions the stream is
-        // untouched: the next quant draw matches a fresh state's.
-        b.reset();
-        let qa = a.compress(&Codec::Quant(QuantCodec::new(4)), 0, &g);
-        a.reset();
-        let qb = b.compress(&Codec::Quant(QuantCodec::new(4)), 0, &g);
-        // Different residual histories, so compare the rng effect via a
-        // second identical call on equal residuals.
-        let qa2 = a.compress(&Codec::Quant(QuantCodec::new(4)), 0, &g);
-        let _ = (qa, qb, qa2); // drawn without panicking is the contract
     }
 
     #[test]

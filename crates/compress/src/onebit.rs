@@ -18,6 +18,90 @@ pub struct CompressedRow {
     pub cols: usize,
 }
 
+/// Pass A of the one sign-and-scale kernel: the running per-class
+/// magnitude sums of a row, fed a word of up to 64 values at a time in
+/// row order.
+///
+/// Each value adds its magnitude to its own class's sum and `+0.0` to
+/// the other's, so the add chains carry no data-dependent branch. The
+/// result is bit-identical to summing each class on its own: a sum that
+/// starts at `+0.0` and only ever takes non-negative terms (or NaN) can
+/// never be `-0.0`, and `x + 0.0 == x` exactly for every other `x`.
+#[derive(Default)]
+struct ClassSums {
+    pos_sum: f64,
+    neg_sum: f64,
+    pos_n: u32,
+}
+
+impl ClassSums {
+    /// Accounts `chunk` (at most 64 values) and returns its sign word,
+    /// bit `b` set when value `b` is in the positive class: `v >= 0.0`,
+    /// so `-0.0` decodes to `scale_pos` and NaN to `-scale_neg`.
+    #[inline(always)]
+    fn add(&mut self, chunk: &[f32]) -> u64 {
+        // The two terms of every value are staged first: that loop has
+        // no carried dependency, so it compiles to vector selects,
+        // where the same selects inside the add chain compile to a
+        // branch taken on about half of all gradient values.
+        let (mut pos, mut neg) = ([0.0f32; 64], [0.0f32; 64]);
+        for ((p, n), &v) in pos.iter_mut().zip(&mut neg).zip(chunk) {
+            *p = if v >= 0.0 { v } else { 0.0 };
+            *n = if v >= 0.0 { 0.0 } else { -v };
+        }
+        for (p, n) in pos.iter().zip(&neg).take(chunk.len()) {
+            self.pos_sum += f64::from(*p);
+            self.neg_sum += f64::from(*n);
+        }
+        let mut word = 0u64;
+        for (b, &v) in chunk.iter().enumerate() {
+            word |= u64::from(v >= 0.0) << b;
+        }
+        self.pos_n += word.count_ones();
+        word
+    }
+
+    /// `(scale_pos, scale_neg)` of the `cols` values seen: each class's
+    /// mean magnitude, 0 for an empty class.
+    fn scales(&self, cols: usize) -> (f32, f32) {
+        let mean = |sum: f64, n: u32| {
+            if n > 0 {
+                (sum / f64::from(n)) as f32
+            } else {
+                0.0
+            }
+        };
+        (
+            mean(self.pos_sum, self.pos_n),
+            mean(self.neg_sum, cols as u32 - self.pos_n),
+        )
+    }
+}
+
+/// Pass B of the kernel: what a value of either sign class decodes to.
+#[inline(always)]
+fn level(positive: bool, scale_pos: f32, scale_neg: f32) -> f32 {
+    if positive {
+        scale_pos
+    } else {
+        -scale_neg
+    }
+}
+
+/// Replaces `row`, in place, with what its one-bit code decodes to —
+/// `CompressedRow::encode(row).decompress()` without the code: pass A
+/// over the values, pass B writing the two levels back.
+pub(crate) fn restore_in_place(row: &mut [f32]) {
+    let mut sums = ClassSums::default();
+    for chunk in row.chunks(64) {
+        sums.add(chunk);
+    }
+    let (scale_pos, scale_neg) = sums.scales(row.len());
+    for v in row {
+        *v = level(*v >= 0.0, scale_pos, scale_neg);
+    }
+}
+
 impl CompressedRow {
     /// Compresses a row without error feedback (pure function).
     ///
@@ -29,44 +113,12 @@ impl CompressedRow {
     pub fn encode(row: &[f32]) -> Self {
         let cols = row.len();
         let mut bits = vec![0u8; cols.div_ceil(8)];
-        let (mut pos_sum, mut pos_n, mut neg_sum, mut neg_n) = (0.0f64, 0u32, 0.0f64, 0u32);
-        let mut pack = |chunk: &[f32]| -> u64 {
-            let mut word = 0u64;
-            for (b, &v) in chunk.iter().enumerate() {
-                if v >= 0.0 {
-                    word |= 1 << b;
-                    pos_sum += f64::from(v);
-                    pos_n += 1;
-                } else {
-                    neg_sum += f64::from(-v);
-                    neg_n += 1;
-                }
-            }
-            word
-        };
-        let mut chunks = row.chunks_exact(64);
-        let mut byte = 0usize;
-        for chunk in &mut chunks {
-            let word = pack(chunk);
-            bits[byte..byte + 8].copy_from_slice(&word.to_le_bytes());
-            byte += 8;
+        let mut sums = ClassSums::default();
+        for (chunk, out) in row.chunks(64).zip(bits.chunks_mut(8)) {
+            let word = sums.add(chunk).to_le_bytes();
+            out.copy_from_slice(&word[..out.len()]);
         }
-        let tail = chunks.remainder();
-        if !tail.is_empty() {
-            let word = pack(tail);
-            let nb = tail.len().div_ceil(8);
-            bits[byte..byte + nb].copy_from_slice(&word.to_le_bytes()[..nb]);
-        }
-        let scale_pos = if pos_n > 0 {
-            (pos_sum / pos_n as f64) as f32
-        } else {
-            0.0
-        };
-        let scale_neg = if neg_n > 0 {
-            (neg_sum / neg_n as f64) as f32
-        } else {
-            0.0
-        };
+        let (scale_pos, scale_neg) = sums.scales(cols);
         Self {
             scale_pos,
             scale_neg,
@@ -77,29 +129,14 @@ impl CompressedRow {
 
     /// Reconstructs the row values (word-at-a-time unpack).
     pub fn decompress(&self) -> Vec<f32> {
-        let mut out = Vec::with_capacity(self.cols);
-        let mut remaining = self.cols;
-        let unpack = |word: u64, take: usize, out: &mut Vec<f32>| {
-            for b in 0..take {
-                out.push(if word >> b & 1 == 1 {
-                    self.scale_pos
-                } else {
-                    -self.scale_neg
-                });
+        let mut out = vec![0.0; self.cols];
+        for (chunk, bytes) in out.chunks_mut(64).zip(self.bits.chunks(8)) {
+            let mut word = [0u8; 8];
+            word[..bytes.len()].copy_from_slice(bytes);
+            let word = u64::from_le_bytes(word);
+            for (b, v) in chunk.iter_mut().enumerate() {
+                *v = level(word >> b & 1 == 1, self.scale_pos, self.scale_neg);
             }
-        };
-        let mut chunks = self.bits.chunks_exact(8);
-        for ch in &mut chunks {
-            let word = u64::from_le_bytes(ch.try_into().expect("8-byte chunk"));
-            let take = remaining.min(64);
-            unpack(word, take, &mut out);
-            remaining -= take;
-        }
-        let rem = chunks.remainder();
-        if remaining > 0 {
-            let mut buf = [0u8; 8];
-            buf[..rem.len()].copy_from_slice(rem);
-            unpack(u64::from_le_bytes(buf), remaining, &mut out);
         }
         out
     }
@@ -110,15 +147,13 @@ impl CompressedRow {
     }
 }
 
+/// The original bit-at-a-time, branch-per-value codec: the reference
+/// the kernel above must match bit for bit.
 #[cfg(test)]
-mod tests {
-    use super::*;
-    use proptest::prelude::*;
-    use rog_tensor::rng::DetRng;
+pub(crate) mod reference {
+    use super::CompressedRow;
 
-    /// The original bit-at-a-time encoder, kept as the reference the
-    /// u64 word-packed implementation must match exactly.
-    fn encode_per_bit(row: &[f32]) -> CompressedRow {
+    pub(crate) fn encode_per_bit(row: &[f32]) -> CompressedRow {
         let cols = row.len();
         let mut bits = vec![0u8; cols.div_ceil(8)];
         let (mut pos_sum, mut pos_n, mut neg_sum, mut neg_n) = (0.0f64, 0u32, 0.0f64, 0u32);
@@ -148,8 +183,7 @@ mod tests {
         }
     }
 
-    /// The original bit-at-a-time decoder (reference).
-    fn decompress_per_bit(c: &CompressedRow) -> Vec<f32> {
+    pub(crate) fn decompress_per_bit(c: &CompressedRow) -> Vec<f32> {
         (0..c.cols)
             .map(|i| {
                 if c.bits[i / 8] >> (i % 8) & 1 == 1 {
@@ -160,6 +194,14 @@ mod tests {
             })
             .collect()
     }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::reference::{decompress_per_bit, encode_per_bit};
+    use super::*;
+    use proptest::prelude::*;
+    use rog_tensor::rng::DetRng;
 
     #[test]
     fn word_packed_codec_matches_reference_across_boundaries() {

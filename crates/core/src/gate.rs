@@ -26,13 +26,6 @@ pub fn may_proceed(pushed: u64, min: u64, threshold: u32) -> bool {
     pushed <= min + u64::from(threshold)
 }
 
-/// The earliest slowest-worker version that would let a worker that has
-/// pushed through `pushed` proceed. Useful for diagnostics ("whom are we
-/// waiting for").
-pub fn required_min_version(pushed: u64, threshold: u32) -> u64 {
-    (pushed + 1).saturating_sub(1 + u64::from(threshold))
-}
-
 // --------------------------------------------------------------- RSP
 //
 // ROG's row-granulated SP (paper Sec. IV) is a *two-level* staleness
@@ -128,14 +121,6 @@ mod tests {
         // `threshold + 1 >= 4`.
         assert!(!may_proceed(5, 2, 2));
         assert!(may_proceed(5, 2, 3));
-    }
-
-    #[test]
-    fn required_min_matches_gate() {
-        assert!(!may_proceed(5, 2, 2));
-        assert_eq!(required_min_version(5, 2), 3);
-        // Once the slowest reaches that version, the gate opens.
-        assert!(may_proceed(5, 3, 2));
     }
 
     #[test]
@@ -305,24 +290,6 @@ mod tests {
                 prop_assert!(
                     cluster.step(slowest, 0),
                     "slowest worker stalled forever"
-                );
-            }
-
-            /// `may_proceed` and `required_min_version` are two views of
-            /// one predicate: the gate opens exactly when the slowest
-            /// pusher has reached the required minimum version.
-            #[test]
-            fn prop_required_min_version_matches_may_proceed(
-                threshold in 0u32..8,
-                min in 0u64..60,
-                lead in 0u64..60,
-            ) {
-                let pushed = min + lead;
-                prop_assert_eq!(
-                    may_proceed(pushed, min, threshold),
-                    min >= required_min_version(pushed, threshold),
-                    "gate and required-min disagree: pushed {}, min {}, threshold {}",
-                    pushed, min, threshold
                 );
             }
 

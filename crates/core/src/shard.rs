@@ -167,10 +167,6 @@ impl Shard {
     fn span(&self, local: usize) -> Range<usize> {
         self.offsets[local]..self.offsets[local + 1]
     }
-
-    fn widths(&self) -> Vec<usize> {
-        self.offsets.windows(2).map(|o| o[1] - o[0]).collect()
-    }
 }
 
 /// The parameter-server plane: Algorithm 2's state for every row,
@@ -286,15 +282,14 @@ impl ShardedServer {
     /// Configures the pull codec of every link from `choice`. Each
     /// shard's stochastic streams come from an independent fork of
     /// `seed`, each destination worker's from a fork of that. Call
-    /// before training starts — it rebuilds the residual state.
+    /// before training starts — it zeroes the pull residuals.
     pub fn configure_codec(&mut self, choice: CodecChoice, seed: u64) {
         let base = DetRng::new(seed);
         self.codecs.fill(choice.build());
         for (i, shard) in self.shards.iter_mut().enumerate() {
             let streams = base.fork(i as u64);
-            let widths = shard.widths();
             for (w, state) in shard.states.iter_mut().enumerate() {
-                *state = CodecState::new(&widths, streams.fork(w as u64).seed());
+                state.reseed(streams.fork(w as u64).seed());
             }
         }
     }
@@ -505,9 +500,8 @@ impl ShardedServer {
                 let local = self.map.to_local(id).0;
                 let span = state.span(local);
                 let row = &mut state.pending[worker][span];
-                let restored = state.states[worker]
-                    .compress(codec, local, row)
-                    .decompress();
+                let mut restored = vec![0.0; row.len()];
+                state.states[worker].restore_into(codec, local, row, &mut restored);
                 row.fill(0.0);
                 state.fresh[worker][local] = 0;
                 (id, restored)

@@ -81,7 +81,6 @@ impl RogWorker {
     /// Creates a worker for a model with the given parameter matrices.
     pub fn new(params: &[Matrix], cfg: RogWorkerConfig) -> Self {
         let partition = RowPartition::of_params(params);
-        let widths = partition.widths().to_vec();
         Self {
             accum: params
                 .iter()
@@ -89,7 +88,7 @@ impl RogWorker {
                 .collect(),
             iters: vec![0; partition.n_rows()],
             codec: cfg.codec.build(),
-            state: CodecState::new(&widths, cfg.codec_seed),
+            state: CodecState::new(partition.widths(), cfg.codec_seed),
             partition,
             cfg,
             scratch: RankScratch::default(),
@@ -210,12 +209,11 @@ impl RogWorker {
     pub fn commit_push(&mut self, rows: &[RowId], n: u64) -> Vec<(RowId, Vec<f32>)> {
         rows.iter()
             .map(|&id| {
-                let row = self.partition.row(&self.accum, id).to_vec();
-                let restored = self.state.compress(&self.codec, id.0, &row).decompress();
-                self.partition
-                    .row_mut(&mut self.accum, id)
-                    .iter_mut()
-                    .for_each(|v| *v = 0.0);
+                let row = self.partition.row_mut(&mut self.accum, id);
+                let mut restored = vec![0.0; row.len()];
+                self.state
+                    .restore_into(&self.codec, id.0, row, &mut restored);
+                row.fill(0.0);
                 self.iters[id.0] = n;
                 (id, restored)
             })

@@ -606,10 +606,12 @@ fn quantize_set(partition: &RowPartition, ef: &mut CodecState, set: &GradSet) ->
     for i in 0..partition.n_rows() {
         let id = RowId(i);
         let r = partition.locate(id);
-        let restored = ef
-            .compress(&OneBitCodec, i, set[r.matrix].row(r.row))
-            .decompress();
-        out[r.matrix].row_mut(r.row).copy_from_slice(&restored);
+        ef.restore_into(
+            &OneBitCodec,
+            i,
+            set[r.matrix].row(r.row),
+            out[r.matrix].row_mut(r.row),
+        );
     }
     out
 }

@@ -121,11 +121,6 @@ impl RunOptions {
         self
     }
 
-    /// The wrapped config.
-    pub fn config(&self) -> &ExperimentConfig {
-        &self.cfg
-    }
-
     /// Runs the experiment. Equivalent to [`run_with`]`(&self)`.
     ///
     /// # Panics

@@ -12,7 +12,7 @@ use rog_core::{
     ImportanceMetric, ImportanceMode, RankScratch, RogWorker, RogWorkerConfig, RowId, RowPartition,
     ShardMap, ShardedServer,
 };
-use rog_models::{Mlp, Task};
+use rog_models::{CrudaSpec, Mlp, Task, Workload};
 use rog_net::{Channel, ChannelProfile, FlowSpec, Trace};
 use rog_tensor::rng::DetRng;
 use rog_tensor::Matrix;
@@ -105,7 +105,19 @@ fn bench_kernels(c: &mut Criterion) {
     // (matmul), and the per-sample outer-product gradient accumulate.
     let mut g = c.benchmark_group("kernels");
     let mut rng = DetRng::new(4);
-    for &(batch, n_in, n_out) in &[(32usize, 96usize, 64usize), (64, 256, 256)] {
+    // Two synthetic shapes, then the three layers of the paper CRUDA
+    // MLP at the robot batch (24) and the pretrain batch (48).
+    let shapes = [
+        (32usize, 96usize, 64usize),
+        (64, 256, 256),
+        (24, 40, 112),
+        (24, 112, 80),
+        (24, 80, 24),
+        (48, 40, 112),
+        (48, 112, 80),
+        (48, 80, 24),
+    ];
+    for &(batch, n_in, n_out) in &shapes {
         let label = format!("{batch}x{n_in}x{n_out}");
         let acts = Matrix::from_fn(batch, n_in, |_, _| rng.normal() as f32);
         let w = Matrix::from_fn(n_out, n_in, |_, _| rng.normal() as f32);
@@ -134,6 +146,22 @@ fn bench_kernels(c: &mut Criterion) {
             },
         );
     }
+    // The dense model end to end on the paper CRUDA workload: one
+    // gradient draw into a recycled gradient set, one evaluation of
+    // the 960-sample test set.
+    let wl = CrudaSpec::paper().build(1, &mut rng);
+    let model = wl.make_model(&mut rng);
+    let shard = &wl.shards()[0];
+    let mut grads = model.zero_grads();
+    for batch in [24usize, 48] {
+        let idxs = shard.sample_batch(batch, &mut rng);
+        g.bench_with_input(BenchmarkId::new("dense_step", batch), &idxs, |b, idxs| {
+            b.iter(|| model.loss_and_grad_into(shard, black_box(idxs), &mut grads))
+        });
+    }
+    g.bench_function("eval/paper", |b| {
+        b.iter(|| black_box(&model).accuracy_percent(wl.target_test()))
+    });
     g.finish();
 }
 

@@ -369,9 +369,10 @@ mod tests {
         // Train on the single shard.
         let shard = &wl.shards()[0];
         let mut rng = DetRng::new(6);
+        let mut grads = model.zero_grads();
         for _ in 0..400 {
             let batch = shard.sample_batch(24, &mut rng);
-            let (_, grads, _) = model.loss_and_grad(shard, &batch);
+            model.loss_and_grad_into(shard, &batch, &mut grads);
             for (p, g) in model.params_mut().iter_mut().zip(&grads) {
                 p.add_scaled(g, -wl.learning_rate()).expect("shapes match");
             }

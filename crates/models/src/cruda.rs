@@ -291,9 +291,10 @@ impl CrudaSpec {
             ),
         };
         let mut pre_rng = rng.fork(0x9E7);
+        let mut grads = model.zero_grads();
         for _ in 0..self.pretrain_steps {
             let batch = source_train.sample_batch(self.pretrain_batch, &mut pre_rng);
-            let (_, grads, _) = model.loss_and_grad(&source_train, &batch);
+            model.loss_and_grad_into(&source_train, &batch, &mut grads);
             for (p, g) in model.params_mut().iter_mut().zip(&grads) {
                 p.add_scaled(g, -self.pretrain_lr).expect("shapes match");
             }

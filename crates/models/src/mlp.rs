@@ -13,14 +13,38 @@
 //! matrix is one output channel's filter bank — both natural units for
 //! ROG's row-granulated scheduling.
 
+use std::cell::RefCell;
+
 use rog_tensor::rng::DetRng;
-use rog_tensor::{ops, Matrix};
+use rog_tensor::{ops, Matrix, SumOrder};
 use serde::{Deserialize, Serialize};
 
 use crate::data::{Dataset, Targets};
 
 /// Gradients (or any parameter-shaped quantity) for a whole model.
 pub type GradSet = Vec<Matrix>;
+
+/// Rows per batched evaluation block.
+const EVAL_BLOCK: usize = 64;
+
+/// Buffers of the batched dense passes, reused so that a warm gradient
+/// draw or evaluation never calls the allocator.
+#[derive(Default)]
+struct DenseScratch {
+    /// Packed weight panels of the layer being multiplied.
+    panels: Vec<f32>,
+    /// `acts[l]` is the input of layer `l` (post-ReLU for `l > 0`) and
+    /// `acts[n_layers]` the raw model output.
+    acts: Vec<Matrix>,
+    /// dL/dz of the layer the backward pass is at, and dL/da of the
+    /// layer below it (swapped as the pass descends).
+    dz: Matrix,
+    da: Matrix,
+}
+
+thread_local! {
+    static SCRATCH: RefCell<DenseScratch> = RefCell::default();
+}
 
 /// Output-head objective.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -317,7 +341,8 @@ impl Mlp {
         let inv_n = 1.0 / idxs.len() as f32;
         match &self.arch {
             Arch::Dense { .. } => {
-                let (total_loss, correct) = self.backward_dense_batch(data, idxs, inv_n, grads);
+                let (total_loss, correct) = SCRATCH
+                    .with_borrow_mut(|s| self.backward_dense_batch(s, data, idxs, inv_n, grads));
                 (total_loss * inv_n, correct)
             }
             Arch::ConvMlp { .. } => {
@@ -355,46 +380,62 @@ impl Mlp {
         }
     }
 
+    /// Batched dense forward of the dataset rows `rows`: fills
+    /// `s.acts` through every layer, one `batch x width` matrix each,
+    /// every pre-activation summed in `order`.
+    fn forward_dense_batch(
+        &self,
+        s: &mut DenseScratch,
+        data: &Dataset,
+        rows: impl ExactSizeIterator<Item = usize>,
+        order: SumOrder,
+    ) {
+        let n_layers = self.params.len() / 2;
+        // Grow only: a thread alternating between model depths keeps
+        // every buffer it has warmed.
+        if s.acts.len() <= n_layers {
+            s.acts.resize_with(n_layers + 1, Matrix::default);
+        }
+        s.acts[0].reshape(rows.len(), self.dims()[0]);
+        for (r, i) in rows.enumerate() {
+            s.acts[0].row_mut(r).copy_from_slice(data.input(i));
+        }
+        for l in 0..n_layers {
+            let (inputs, outputs) = s.acts.split_at_mut(l + 1);
+            let z = &mut outputs[0];
+            inputs[l].matmul_transb_into(&self.params[2 * l], order, &mut s.panels, z);
+            let bias = self.params[2 * l + 1].row(0);
+            for r in 0..z.rows() {
+                for (zv, bv) in z.row_mut(r).iter_mut().zip(bias) {
+                    *zv += bv;
+                }
+            }
+            if l + 1 < n_layers {
+                ops::relu(z.as_mut_slice());
+            }
+        }
+    }
+
     /// Batched dense backward pass: the whole batch flows through every
     /// layer as one `batch x width` matrix, so the hot loops are the
-    /// blocked [`Matrix::matmul_transb`] / [`Matrix::matmul`] kernels
+    /// [`Matrix::matmul_transb_into`] / [`Matrix::matmul_into`] kernels
     /// instead of per-sample matvecs. Weight and bias gradients still
     /// accumulate sample-by-sample (`dW += dz_r ⊗ a_r`), preserving the
     /// element-wise accumulation order of a per-sample sweep.
     fn backward_dense_batch(
         &self,
+        s: &mut DenseScratch,
         data: &Dataset,
         idxs: &[usize],
         scale: f32,
         grads: &mut GradSet,
     ) -> (f32, usize) {
+        self.forward_dense_batch(s, data, idxs.iter().copied(), SumOrder::Four);
+        let DenseScratch { acts, dz, da, .. } = s;
         let n_layers = self.params.len() / 2;
         let b = idxs.len();
-        let mut x = Matrix::zeros(b, self.dims()[0]);
-        for (r, &i) in idxs.iter().enumerate() {
-            x.row_mut(r).copy_from_slice(data.input(i));
-        }
-        // acts[l] is the input to layer l (post-ReLU for l > 0);
-        // pres[l] the pre-activation of hidden layer l.
-        let mut acts: Vec<Matrix> = vec![x];
-        let mut pres: Vec<Matrix> = Vec::with_capacity(n_layers.saturating_sub(1));
-        for l in 0..n_layers {
-            let w = &self.params[2 * l];
-            let bias = &self.params[2 * l + 1];
-            let mut z = acts[l].matmul_transb(w);
-            for r in 0..b {
-                for (zv, bv) in z.row_mut(r).iter_mut().zip(bias.row(0)) {
-                    *zv += bv;
-                }
-            }
-            if l + 1 < n_layers {
-                pres.push(z.clone());
-                ops::relu(z.as_mut_slice());
-            }
-            acts.push(z);
-        }
         // The logits become dL/dz of the output layer in place.
-        let mut dz = acts.pop().expect("non-empty");
+        std::mem::swap(dz, &mut acts[n_layers]);
         let mut total_loss = 0.0f32;
         let mut correct = 0usize;
         match (&data.targets, self.task) {
@@ -430,15 +471,38 @@ impl Mlp {
                 }
             }
             if l > 0 {
-                let w = &self.params[2 * l];
-                let mut da = dz.matmul(w);
-                for r in 0..b {
-                    ops::relu_backward(pres[l - 1].row(r), da.row_mut(r));
-                }
-                dz = da;
+                dz.matmul_into(&self.params[2 * l], da);
+                // `act <= 0` is `pre <= 0` for every pre-activation
+                // (`-0.0` and NaN included), so the post-ReLU input
+                // of layer `l` is its own mask.
+                ops::relu_backward(acts[l].as_slice(), da.as_mut_slice());
+                std::mem::swap(dz, da);
             }
         }
         (total_loss, correct)
+    }
+
+    /// Calls `f(i, raw output of sample i)` for every sample, in order.
+    /// Dense models run [`EVAL_BLOCK`] samples at a time through the
+    /// batched forward in [`SumOrder::Eight`], which is bit for bit
+    /// what [`Mlp::forward`] computes one sample at a time.
+    fn for_each_output(&self, data: &Dataset, mut f: impl FnMut(usize, &[f32])) {
+        if self.is_conv() {
+            for i in 0..data.len() {
+                f(i, &self.forward(data.input(i)));
+            }
+            return;
+        }
+        SCRATCH.with_borrow_mut(|s| {
+            for start in (0..data.len()).step_by(EVAL_BLOCK) {
+                let block = start..data.len().min(start + EVAL_BLOCK);
+                self.forward_dense_batch(s, data, block.clone(), SumOrder::Eight);
+                let out = &s.acts[self.params.len() / 2];
+                for (r, i) in block.enumerate() {
+                    f(i, out.row(r));
+                }
+            }
+        });
     }
 
     fn backward_conv(
@@ -547,9 +611,8 @@ impl Mlp {
             panic!("accuracy requires labels");
         };
         assert!(!ys.is_empty(), "empty dataset");
-        let correct = (0..ys.len())
-            .filter(|&i| argmax(&self.forward(data.input(i))) == ys[i])
-            .count();
+        let mut correct = 0usize;
+        self.for_each_output(data, |i, out| correct += usize::from(argmax(out) == ys[i]));
         100.0 * correct as f64 / ys.len() as f64
     }
 
@@ -584,12 +647,10 @@ impl Mlp {
             panic!("mse requires value targets");
         };
         assert!(!ys.is_empty(), "empty dataset");
-        let total: f64 = (0..ys.len())
-            .map(|i| {
-                let out = self.forward(data.input(i));
-                ops::sq_dist(&out, &ys[i]) as f64 / out.len() as f64
-            })
-            .sum();
+        let mut total = 0.0f64;
+        self.for_each_output(data, |i, out| {
+            total += ops::sq_dist(out, &ys[i]) as f64 / out.len() as f64;
+        });
         total / ys.len() as f64
     }
 }
@@ -891,6 +952,152 @@ mod tests {
         let mlp = Mlp::new(&[2, 2], Task::Regression, &mut DetRng::new(0));
         let data = tiny_dataset();
         let _ = mlp.loss_and_grad(&data, &[0]);
+    }
+
+    /// `backward_dense_batch` as it was before the panel kernel and the
+    /// reused scratch: fresh matrices per layer, the pre-activations
+    /// cloned for the ReLU mask. The oracle of the test below.
+    fn backward_dense_batch_before(
+        mlp: &Mlp,
+        data: &Dataset,
+        idxs: &[usize],
+        scale: f32,
+        grads: &mut GradSet,
+    ) -> (f32, usize) {
+        let n_layers = mlp.params.len() / 2;
+        let b = idxs.len();
+        let mut x = Matrix::zeros(b, mlp.dims()[0]);
+        for (r, &i) in idxs.iter().enumerate() {
+            x.row_mut(r).copy_from_slice(data.input(i));
+        }
+        let mut acts: Vec<Matrix> = vec![x];
+        let mut pres: Vec<Matrix> = Vec::with_capacity(n_layers.saturating_sub(1));
+        for l in 0..n_layers {
+            let w = &mlp.params[2 * l];
+            let bias = &mlp.params[2 * l + 1];
+            let mut z = acts[l].matmul_transb(w);
+            for r in 0..b {
+                for (zv, bv) in z.row_mut(r).iter_mut().zip(bias.row(0)) {
+                    *zv += bv;
+                }
+            }
+            if l + 1 < n_layers {
+                pres.push(z.clone());
+                ops::relu(z.as_mut_slice());
+            }
+            acts.push(z);
+        }
+        let mut dz = acts.pop().expect("non-empty");
+        let mut total_loss = 0.0f32;
+        let mut correct = 0usize;
+        match (&data.targets, mlp.task) {
+            (Targets::Labels(ys), Task::Classification) => {
+                for (r, &i) in idxs.iter().enumerate() {
+                    let row = dz.row_mut(r);
+                    correct += usize::from(argmax(row) == ys[i]);
+                    total_loss += ops::softmax_ce_grad(row, ys[i]);
+                }
+            }
+            (Targets::Values(ys), Task::Regression) => {
+                for (r, &i) in idxs.iter().enumerate() {
+                    let y = &ys[i];
+                    let row = dz.row_mut(r);
+                    let k = row.len() as f32;
+                    total_loss += ops::sq_dist(row, y) / k;
+                    for (o, t) in row.iter_mut().zip(y) {
+                        *o = 2.0 * (*o - t) / k;
+                    }
+                }
+            }
+            _ => panic!("dataset target kind does not match model task"),
+        }
+        for l in (0..n_layers).rev() {
+            let (left, right) = grads.split_at_mut(2 * l + 1);
+            let gw = &mut left[2 * l];
+            let gb = &mut right[0];
+            for r in 0..b {
+                gw.add_outer(dz.row(r), acts[l].row(r), scale);
+                for (g, d) in gb.row_mut(0).iter_mut().zip(dz.row(r)) {
+                    *g += d * scale;
+                }
+            }
+            if l > 0 {
+                let mut da = dz.matmul(&mlp.params[2 * l]);
+                for r in 0..b {
+                    ops::relu_backward(pres[l - 1].row(r), da.row_mut(r));
+                }
+                dz = da;
+            }
+        }
+        (total_loss, correct)
+    }
+
+    fn bits(xs: &[f32]) -> Vec<u32> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn batched_dense_passes_are_bit_identical_to_their_ancestors() {
+        use crate::{CrimpSpec, CrudaSpec, Workload};
+        let mut rng = DetRng::new(77);
+        // (model, training shard, evaluation set); CRIMP's single output
+        // is all `n mod 4` remainder.
+        let mut cases: Vec<(Mlp, Dataset, Dataset)> = Vec::new();
+        for spec in [CrudaSpec::small(), CrudaSpec::paper()] {
+            let wl = spec.build(2, &mut rng);
+            let model = wl.make_model(&mut rng);
+            cases.push((model, wl.shards()[1].clone(), wl.target_test().clone()));
+        }
+        for spec in [CrimpSpec::small(), CrimpSpec::paper()] {
+            let wl = spec.build(2, &mut rng);
+            let model = wl.make_model(&mut rng);
+            cases.push((model, wl.shards()[0].clone(), wl.shards()[1].clone()));
+        }
+        // Shapes alternate on one thread, so the scratch is reshaped
+        // between every pair of calls.
+        for batch in [1usize, 7, 23, 49] {
+            for (model, shard, test) in &cases {
+                let idxs = shard.sample_batch(batch, &mut rng);
+                let mut got = model.zero_grads();
+                let (loss, correct) = model.loss_and_grad_into(shard, &idxs, &mut got);
+                let inv_n = 1.0 / batch as f32;
+                let mut want = model.zero_grads();
+                let (total, want_correct) =
+                    backward_dense_batch_before(model, shard, &idxs, inv_n, &mut want);
+                assert_eq!(loss.to_bits(), (total * inv_n).to_bits());
+                assert_eq!(correct, want_correct);
+                for (g, w) in got.iter().zip(&want) {
+                    assert_eq!(bits(g.as_slice()), bits(w.as_slice()), "batch {batch}");
+                }
+
+                let mut seen = 0;
+                model.for_each_output(test, |i, out| {
+                    assert_eq!(i, seen);
+                    assert_eq!(bits(out), bits(&model.forward(test.input(i))), "sample {i}");
+                    seen += 1;
+                });
+                assert_eq!(seen, test.len());
+                match &test.targets {
+                    Targets::Labels(ys) => {
+                        let hits = (0..ys.len())
+                            .filter(|&i| argmax(&model.forward(test.input(i))) == ys[i])
+                            .count();
+                        let want = 100.0 * hits as f64 / ys.len() as f64;
+                        assert_eq!(model.accuracy_percent(test).to_bits(), want.to_bits());
+                    }
+                    Targets::Values(ys) => {
+                        let total: f64 = (0..ys.len())
+                            .map(|i| {
+                                let out = model.forward(test.input(i));
+                                ops::sq_dist(&out, &ys[i]) as f64 / out.len() as f64
+                            })
+                            .sum();
+                        let want = total / ys.len() as f64;
+                        assert_eq!(model.mse(test).to_bits(), want.to_bits());
+                    }
+                }
+            }
+        }
     }
 
     // ---- ConvMLP ----

@@ -30,8 +30,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod gemm;
 mod matrix;
 pub mod ops;
 pub mod rng;
 
+pub use gemm::SumOrder;
 pub use matrix::{Matrix, ShapeError};

@@ -4,6 +4,7 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
+use crate::gemm::{self, SumOrder};
 use crate::rng::DetRng;
 
 /// Error returned when two matrices (or a matrix and a vector) have
@@ -43,7 +44,7 @@ impl std::error::Error for ShapeError {}
 /// assert_eq!(m.get(1, 2), 3.0);
 /// assert_eq!(m.row(0), &[0.0, 0.0, 0.0]);
 /// ```
-#[derive(Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
@@ -265,11 +266,6 @@ impl Matrix {
         Ok(())
     }
 
-    /// Multiplies every element by `scale`.
-    pub fn scale(&mut self, scale: f32) {
-        self.data.iter_mut().for_each(|v| *v *= scale);
-    }
-
     /// Mean of absolute values over the whole matrix (0 for empty).
     pub fn mean_abs(&self) -> f32 {
         if self.data.is_empty() {
@@ -283,49 +279,55 @@ impl Matrix {
         crate::ops::sum_sq(&self.data).sqrt()
     }
 
-    /// `out = self * other^T` (both operands row-major).
+    /// Reshapes to `rows x cols` in place, keeping the allocation when
+    /// it is large enough; the contents are unspecified afterwards.
+    pub fn reshape(&mut self, rows: usize, cols: usize) {
+        self.data.resize(rows * cols, 0.0);
+        (self.rows, self.cols) = (rows, cols);
+    }
+
+    /// `out = self * other^T` (both operands row-major), `out` reshaped
+    /// to fit.
     ///
-    /// This is the cache-friendly layout for dense layers: with
-    /// activations `A` (batch x in) and weights `W` (out x in), the
-    /// pre-activations are `A * W^T` (batch x out) and every dot product
-    /// walks two contiguous rows. Output rows are register-blocked four
-    /// at a time so the autovectorizer can keep four accumulator lanes
-    /// live per pass over `self.row(i)`.
+    /// This is the dense-layer forward: with activations `A` (batch x
+    /// in) and weights `W` (out x in), the pre-activations are `A * W^T`
+    /// (batch x out). `other` is packed into `panels` (scratch, reused
+    /// across calls) eight outputs wide and every output is summed in
+    /// `order`, bit-identical to the scalar dot product it names.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `self.cols() != other.cols()`.
+    pub fn matmul_transb_into(
+        &self,
+        other: &Matrix,
+        order: SumOrder,
+        panels: &mut Vec<f32>,
+        out: &mut Matrix,
+    ) {
+        assert_eq!(
+            self.cols, other.cols,
+            "matmul_transb inner dimension mismatch"
+        );
+        out.reshape(self.rows, other.rows);
+        let (k, n) = (self.cols, other.rows);
+        gemm::matmul_transb(&self.data, &other.data, k, n, order, panels, &mut out.data);
+    }
+
+    /// [`Matrix::matmul_transb_into`] in [`SumOrder::Four`] with a fresh
+    /// output and scratch.
     ///
     /// # Panics
     ///
     /// Panics if `self.cols() != other.cols()`.
     pub fn matmul_transb(&self, other: &Matrix) -> Matrix {
-        assert_eq!(
-            self.cols, other.cols,
-            "matmul_transb inner dimension mismatch"
-        );
-        let mut out = Matrix::zeros(self.rows, other.rows);
-        let n = other.rows;
-        for (i, a) in self.iter_rows().enumerate() {
-            let orow = &mut out.data[i * n..(i + 1) * n];
-            let mut j = 0;
-            while j + 4 <= n {
-                let d = crate::ops::dot4(
-                    a,
-                    [
-                        other.row(j),
-                        other.row(j + 1),
-                        other.row(j + 2),
-                        other.row(j + 3),
-                    ],
-                );
-                orow[j..j + 4].copy_from_slice(&d);
-                j += 4;
-            }
-            for (o, brow) in orow[j..].iter_mut().zip(j..n) {
-                *o = crate::ops::dot(a, other.row(brow));
-            }
-        }
+        let mut out = Matrix::default();
+        self.matmul_transb_into(other, SumOrder::Four, &mut Vec::new(), &mut out);
         out
     }
 
-    /// `out = self * other` (row-major matrix product).
+    /// `out = self * other` (row-major matrix product), `out` reshaped
+    /// to fit.
     ///
     /// Uses the i-k-j loop order: each scalar of a row of `self` streams
     /// a contiguous row of `other` into a contiguous row of the output
@@ -336,9 +338,10 @@ impl Matrix {
     /// # Panics
     ///
     /// Panics if `self.cols() != other.rows()`.
-    pub fn matmul(&self, other: &Matrix) -> Matrix {
+    pub fn matmul_into(&self, other: &Matrix, out: &mut Matrix) {
         assert_eq!(self.cols, other.rows, "matmul inner dimension mismatch");
-        let mut out = Matrix::zeros(self.rows, other.cols);
+        out.reshape(self.rows, other.cols);
+        out.fill_zero();
         let n = other.cols;
         for (i, a) in self.iter_rows().enumerate() {
             let orow = &mut out.data[i * n..(i + 1) * n];
@@ -348,6 +351,16 @@ impl Matrix {
                 }
             }
         }
+    }
+
+    /// [`Matrix::matmul_into`] with a fresh output.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `self.cols() != other.rows()`.
+    pub fn matmul(&self, other: &Matrix) -> Matrix {
+        let mut out = Matrix::default();
+        self.matmul_into(other, &mut out);
         out
     }
 }
@@ -494,8 +507,8 @@ mod tests {
         for i in 0..5 {
             let per_sample = w.matvec(a.row(i));
             for (got, want) in z.row(i).iter().zip(&per_sample) {
-                // dot4 and dot use different accumulator widths, so the
-                // sums agree only up to rounding.
+                // `SumOrder::Four` and `dot` keep different partial
+                // sums, so they agree only up to rounding.
                 assert!((got - want).abs() < 1e-4, "row {i}: {got} vs {want}");
             }
         }

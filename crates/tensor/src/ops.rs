@@ -31,41 +31,6 @@ pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     ((acc[0] + acc[4]) + (acc[1] + acc[5])) + ((acc[2] + acc[6]) + (acc[3] + acc[7])) + tail
 }
 
-/// Four simultaneous dot products of `a` against four rows.
-///
-/// Streams `a` through registers once for four outputs — the register
-/// block of the transposed-B matmul kernel.
-///
-/// # Panics
-///
-/// Panics if any row's length differs from `a`'s.
-pub fn dot4(a: &[f32], b: [&[f32]; 4]) -> [f32; 4] {
-    let n = a.len();
-    for row in b {
-        assert_eq!(row.len(), n, "dot4 length mismatch");
-    }
-    let mut acc = [[0.0f32; 4]; 4];
-    let mut t = 0;
-    while t + 4 <= n {
-        for u in 0..4 {
-            let av = a[t + u];
-            for l in 0..4 {
-                acc[l][u] += av * b[l][t + u];
-            }
-        }
-        t += 4;
-    }
-    let mut out = [0.0f32; 4];
-    for l in 0..4 {
-        let mut s = (acc[l][0] + acc[l][2]) + (acc[l][1] + acc[l][3]);
-        for u in t..n {
-            s += a[u] * b[l][u];
-        }
-        out[l] = s;
-    }
-    out
-}
-
 /// `y += s * x` (scaled accumulate); the inner loop of `matmul` and the
 /// outer-product accumulate.
 ///
@@ -125,12 +90,12 @@ pub fn sgd_row(w: &mut [f32], g: &[f32], lr: f32) {
     }
 }
 
-/// ReLU applied in place.
+/// ReLU applied in place. A select, not a conditional store: random
+/// signs would mispredict every other branch (`-0.0` and NaN pass
+/// through unchanged).
 pub fn relu(xs: &mut [f32]) {
     for x in xs {
-        if *x < 0.0 {
-            *x = 0.0;
-        }
+        *x = if *x < 0.0 { 0.0 } else { *x };
     }
 }
 
@@ -142,36 +107,15 @@ pub fn relu(xs: &mut [f32]) {
 pub fn relu_backward(pre: &[f32], dy: &mut [f32]) {
     assert_eq!(pre.len(), dy.len(), "relu_backward length mismatch");
     for (p, d) in pre.iter().zip(dy.iter_mut()) {
-        if *p <= 0.0 {
-            *d = 0.0;
-        }
-    }
-}
-
-/// Numerically-stable in-place softmax.
-pub fn softmax(xs: &mut [f32]) {
-    if xs.is_empty() {
-        return;
-    }
-    let max = xs.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-    let mut sum = 0.0;
-    for x in xs.iter_mut() {
-        *x = (*x - max).exp();
-        sum += *x;
-    }
-    if sum > 0.0 {
-        for x in xs.iter_mut() {
-            *x /= sum;
-        }
+        *d = if *p <= 0.0 { 0.0 } else { *d };
     }
 }
 
 /// Fused softmax + cross-entropy backward.
 ///
 /// Turns raw logits into the output gradient *in place* — `d = softmax(x);
-/// d[label] -= 1` — and returns the cross-entropy loss, avoiding the
-/// separate probability buffer and extra passes of calling [`softmax`]
-/// then [`cross_entropy`].
+/// d[label] -= 1` — and returns the cross-entropy loss, with no separate
+/// probability buffer.
 ///
 /// # Panics
 ///
@@ -191,16 +135,6 @@ pub fn softmax_ce_grad(xs: &mut [f32], label: usize) -> f32 {
     let loss = -xs[label].max(1e-12).ln();
     xs[label] -= 1.0;
     loss
-}
-
-/// Cross-entropy loss of a softmax distribution against a class label.
-///
-/// # Panics
-///
-/// Panics if `label >= probs.len()`.
-pub fn cross_entropy(probs: &[f32], label: usize) -> f32 {
-    assert!(label < probs.len(), "label out of range");
-    -probs[label].max(1e-12).ln()
 }
 
 /// Mean of absolute values of a slice (0 for empty input).
@@ -258,28 +192,6 @@ mod tests {
     }
 
     #[test]
-    fn softmax_sums_to_one_and_orders() {
-        let mut xs = vec![1.0, 2.0, 3.0];
-        softmax(&mut xs);
-        assert!((xs.iter().sum::<f32>() - 1.0).abs() < 1e-6);
-        assert!(xs[2] > xs[1] && xs[1] > xs[0]);
-    }
-
-    #[test]
-    fn softmax_is_stable_for_large_logits() {
-        let mut xs = vec![1000.0, 1001.0];
-        softmax(&mut xs);
-        assert!(xs.iter().all(|v| v.is_finite()));
-        assert!((xs.iter().sum::<f32>() - 1.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn cross_entropy_of_confident_correct_is_small() {
-        assert!(cross_entropy(&[0.01, 0.99], 1) < 0.02);
-        assert!(cross_entropy(&[0.01, 0.99], 0) > 4.0);
-    }
-
-    #[test]
     fn mean_abs_empty_is_zero() {
         assert_eq!(mean_abs(&[]), 0.0);
         assert_eq!(mean_abs(&[-2.0, 2.0]), 2.0);
@@ -295,24 +207,6 @@ mod tests {
                 (dot(&a, &b) - naive).abs() < 1e-4 * (1.0 + naive.abs()),
                 "n={n}: {} vs {naive}",
                 dot(&a, &b)
-            );
-        }
-    }
-
-    #[test]
-    fn dot4_matches_four_dots() {
-        let n = 13;
-        let a: Vec<f32> = (0..n).map(|i| i as f32 * 0.5 - 3.0).collect();
-        let rows: Vec<Vec<f32>> = (0..4)
-            .map(|r| (0..n).map(|i| ((r * n + i) as f32 * 0.11).sin()).collect())
-            .collect();
-        let got = dot4(&a, [&rows[0], &rows[1], &rows[2], &rows[3]]);
-        for (l, row) in rows.iter().enumerate() {
-            assert!(
-                (got[l] - dot(&a, row)).abs() < 1e-4,
-                "lane {l}: {} vs {}",
-                got[l],
-                dot(&a, row)
             );
         }
     }
@@ -335,20 +229,65 @@ mod tests {
 
     #[test]
     fn fused_softmax_ce_matches_split_path() {
-        let logits = vec![0.5f32, -1.0, 2.0, 0.0];
-        for label in 0..logits.len() {
-            let mut probs = logits.clone();
-            softmax(&mut probs);
-            let want_loss = cross_entropy(&probs, label);
-            let mut want_grad = probs.clone();
-            want_grad[label] -= 1.0;
-
-            let mut fused = logits.clone();
-            let loss = softmax_ce_grad(&mut fused, label);
-            assert!((loss - want_loss).abs() < 1e-6);
-            for (a, b) in fused.iter().zip(&want_grad) {
-                assert!((a - b).abs() < 1e-6);
+        let logits = [0.5f32, -1.0, 2.0, 0.0, 1000.0];
+        for n in [4, 5] {
+            let logits = &logits[..n];
+            let max = logits.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
+            let sum: f32 = logits.iter().map(|x| (x - max).exp()).sum();
+            let probs: Vec<f32> = logits.iter().map(|x| (x - max).exp() / sum).collect();
+            assert!((probs.iter().sum::<f32>() - 1.0).abs() < 1e-6);
+            for label in 0..n {
+                let mut fused = logits.to_vec();
+                let loss = softmax_ce_grad(&mut fused, label);
+                let want_loss = -probs[label].max(1e-12).ln();
+                assert!(loss.is_finite() && (loss - want_loss).abs() < 1e-6);
+                for (i, (got, p)) in fused.iter().zip(&probs).enumerate() {
+                    let want = p - f32::from(i == label);
+                    assert!((got - want).abs() < 1e-6);
+                }
             }
+        }
+    }
+
+    #[test]
+    fn branch_free_relus_match_their_conditional_stores() {
+        let xs = [
+            -1.5f32,
+            -0.0,
+            0.0,
+            2.0,
+            1.0e-41,
+            -1.0e-41,
+            f32::NAN,
+            -f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+        ];
+        let mut want = xs;
+        for x in &mut want {
+            if *x < 0.0 {
+                *x = 0.0;
+            }
+        }
+        let mut got = xs;
+        relu(&mut got);
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got), bits(&want));
+        // Every value as the mask, against every value as the gradient.
+        for &p in &xs {
+            let mut want = xs;
+            for d in &mut want {
+                if p <= 0.0 {
+                    *d = 0.0;
+                }
+            }
+            let mut got = xs;
+            relu_backward(&[p; 10], &mut got);
+            assert_eq!(bits(&got), bits(&want), "mask {p}");
+            // The post-ReLU activation masks exactly like `p` itself.
+            let mut act = [p];
+            relu(&mut act);
+            assert_eq!(act[0] <= 0.0, p <= 0.0, "mask {p}");
         }
     }
 }

@@ -5,53 +5,16 @@
 //! with a counting allocator, which is why this lives in a test binary
 //! of its own (the libraries forbid `unsafe`).
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-
 use rog::compress::{CodecState, OneBitCodec};
 use rog::core::{ImportanceMetric, RogWorker, RogWorkerConfig, RowId, ShardMap, ShardedServer};
 use rog::tensor::Matrix;
 
-thread_local! {
-    /// Allocation calls made by this thread (the test harness's other
-    /// threads must not count).
-    static CALLS: Cell<u64> = const { Cell::new(0) };
-}
-
-struct Counting;
-
-// SAFETY: every method forwards its arguments unchanged to `System`,
-// which upholds the `GlobalAlloc` contract; the counter is a
-// destructor-free thread-local that never touches the returned memory.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        CALLS.with(|c| c.set(c.get() + 1));
-        // SAFETY: the caller's `layout` obligations pass through as is.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` was returned by `System` with this `layout`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        CALLS.with(|c| c.set(c.get() + 1));
-        // SAFETY: `ptr`/`layout` come from `System`; the `new_size`
-        // obligations pass through as is.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
+#[path = "common/counting_alloc.rs"]
+mod counting_alloc;
+use counting_alloc::{calls, Counting};
 
 #[global_allocator]
 static ALLOC: Counting = Counting;
-
-/// Allocator calls `f` makes on this thread.
-fn calls<T>(f: impl FnOnce() -> T) -> (u64, T) {
-    let before = CALLS.with(Cell::get);
-    let out = f();
-    (CALLS.with(Cell::get) - before, out)
-}
 
 fn params() -> Vec<Matrix> {
     vec![

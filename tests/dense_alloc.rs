@@ -1,0 +1,52 @@
+//! The batched dense passes keep their packed panels, activations and
+//! `dz` in per-thread scratch, so once warm a gradient draw must not
+//! touch the heap and an evaluation's allocator calls must not grow
+//! with the dataset. Counted like `tests/commit_alloc.rs`.
+
+use rog::models::{CrudaSpec, Dataset, Workload};
+use rog::tensor::rng::DetRng;
+
+#[path = "common/counting_alloc.rs"]
+mod counting_alloc;
+use counting_alloc::{calls, Counting};
+
+#[global_allocator]
+static ALLOC: Counting = Counting;
+
+#[test]
+fn a_warm_gradient_draw_does_not_allocate() {
+    let mut rng = DetRng::new(5);
+    let wl = CrudaSpec::paper().build(2, &mut rng);
+    let model = wl.make_model(&mut rng);
+    let shard = &wl.shards()[0];
+    let mut grads = model.zero_grads();
+    let batches: Vec<Vec<usize>> = [48, 24, 48]
+        .iter()
+        .map(|&b| shard.sample_batch(b, &mut rng))
+        .collect();
+    model.loss_and_grad_into(shard, &batches[0], &mut grads);
+    let (n, ()) = calls(|| {
+        for idxs in &batches {
+            model.loss_and_grad_into(shard, idxs, &mut grads);
+        }
+    });
+    assert_eq!(n, 0, "warm loss_and_grad_into allocated {n} times");
+    assert!(grads[0].as_slice().iter().any(|&g| g != 0.0));
+}
+
+#[test]
+fn evaluation_allocations_do_not_grow_with_the_dataset() {
+    let mut rng = DetRng::new(6);
+    let wl = CrudaSpec::paper().build(2, &mut rng);
+    let model = wl.make_model(&mut rng);
+    let full = wl.target_test();
+    assert_eq!(full.len(), 960);
+    let tenth = Dataset::labeled(
+        (0..96).map(|i| full.input(i).to_vec()).collect(),
+        (0..96).map(|i| full.label(i).expect("labeled")).collect(),
+    );
+    model.accuracy_percent(full);
+    let (small, _) = calls(|| model.accuracy_percent(&tenth));
+    let (large, _) = calls(|| model.accuracy_percent(full));
+    assert_eq!((small, large), (0, 0), "warm accuracy_percent allocated");
+}

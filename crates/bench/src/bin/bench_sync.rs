@@ -14,7 +14,7 @@
 //! The output contains no wall-clock timings — every field is a
 //! deterministic function of the config and seeds, so CI can diff two
 //! runs of the same invocation byte-for-byte as a reproducibility
-//! check (and does, across compute-thread counts).
+//! check (and does).
 
 use rog_bench::{
     arg_seed, cells_json, final_metric, header, run_all, write_bench_json, Extra, JsonCell,

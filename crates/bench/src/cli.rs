@@ -126,6 +126,11 @@ fn err(msg: impl Into<String>) -> CliError {
     CliError(msg.into())
 }
 
+/// Finite and `> 0` (NaN fails, not just `<= 0`).
+fn positive(x: f64) -> bool {
+    x.is_finite() && x > 0.0
+}
+
 /// Usage text.
 pub const USAGE: &str = "\
 rogctl — run one ROG/baseline training experiment on the simulated cluster
@@ -180,8 +185,7 @@ Subcommands:
   rogctl trace [run flags] --out <path[.gz]>
       Run with the deterministic event journal enabled and write it as
       JSONL (gzipped when the path ends in .gz). The journal for a
-      (config, seed) pair is byte-identical across runs and compute
-      thread counts.
+      (config, seed) pair is byte-identical across runs.
   rogctl trace-summary <path[.jsonl|.jsonl.gz]>
       Replay a journal into the per-iteration time-composition table
       and per-category event counts.
@@ -210,8 +214,8 @@ Subcommands:
               [--corpus <dir>] [--replay <file|dir>] [--json <path>]
       Generate --count seeded scenarios (random topology, sync model,
       faults, loss) and replay each through the differential invariant
-      harness: thread counts {1, 2, 8} must agree bitwise, progress,
-      byte conservation, journal/metrics reconciliation, the RSP
+      harness: two replays must agree bitwise, progress, byte
+      conservation, journal/metrics reconciliation, the RSP
       staleness bound, and the shard-plane / aggregation-tree twins.
       Failing scenarios are shrunk to minimal repros and written to
       --corpus. --replay re-checks existing .repro files instead of
@@ -264,9 +268,7 @@ pub fn parse_command(args: &[String]) -> Result<CliCommand, CliError> {
                     "--listen" => opts.listen = value()?.clone(),
                     "--speedup" => {
                         opts.speedup = parsed(a, value()?, "a number")?;
-                        // NaN also fails this check, not just <= 0.
-                        let positive = opts.speedup.is_finite() && opts.speedup > 0.0;
-                        if !positive {
+                        if !positive(opts.speedup) {
                             return Err(err("--speedup must be positive"));
                         }
                     }
@@ -307,7 +309,7 @@ pub fn parse_command(args: &[String]) -> Result<CliCommand, CliError> {
                     "--count" => opts.count = parsed(a, value()?, "a scenario count")?,
                     "--max-duration" => {
                         let secs: f64 = parsed(a, value()?, "seconds")?;
-                        if !(secs.is_finite() && secs > 0.0) {
+                        if !positive(secs) {
                             return Err(err("--max-duration must be positive"));
                         }
                         opts.max_duration = Some(secs);
@@ -351,8 +353,8 @@ fn parse_socket_run(args: &[String]) -> Result<CliRun, CliError> {
 ///
 /// # Errors
 ///
-/// Returns a printable [`CliError`] on unknown flags or malformed
-/// values.
+/// Returns a printable [`CliError`] on unknown flags and on malformed
+/// or out-of-range values.
 pub fn parse(args: &[String]) -> Result<CliRun, CliError> {
     let mut cfg = ExperimentConfig {
         duration_secs: 600.0,
@@ -448,6 +450,7 @@ pub fn parse(args: &[String]) -> Result<CliRun, CliError> {
             other => return Err(err(format!("unknown flag '{other}'\n\n{USAGE}"))),
         }
     }
+    check_ranges(&cfg)?;
     if iid_loss.is_some() || burst_loss.is_some() || corrupt.is_some() {
         for (flag, rate) in [
             ("--loss", iid_loss),
@@ -505,6 +508,36 @@ pub fn parse(args: &[String]) -> Result<CliRun, CliError> {
              strategies only",
         ))
     }
+}
+
+/// Rejects run-flag values the cluster builder or the engines cannot
+/// take: one message per rule, naming the flag and the offending value.
+fn check_ranges(cfg: &ExperimentConfig) -> Result<(), CliError> {
+    if cfg.n_workers == 0 {
+        return Err(err("--workers 0: need at least one worker"));
+    }
+    if cfg.n_laptop_workers > cfg.n_workers {
+        return Err(err(format!(
+            "--laptops {} exceeds --workers {}",
+            cfg.n_laptop_workers, cfg.n_workers
+        )));
+    }
+    if !positive(cfg.duration_secs) {
+        return Err(err(format!(
+            "--duration {} must be finite and > 0",
+            cfg.duration_secs
+        )));
+    }
+    if !positive(cfg.batch_scale) {
+        return Err(err(format!(
+            "--batch-scale {} must be finite and > 0",
+            cfg.batch_scale
+        )));
+    }
+    if cfg.eval_every == 0 {
+        return Err(err("--eval-every 0: must be >= 1"));
+    }
+    Ok(())
 }
 
 fn parse_strategy(s: &str) -> Result<Strategy, CliError> {
@@ -650,6 +683,31 @@ mod tests {
         assert!(parse(&args("--duration")).is_err());
         assert!(parse(&args("--duration banana")).is_err());
         assert!(parse(&args("--workload quake")).is_err());
+    }
+
+    #[test]
+    fn out_of_range_run_flags_are_rejected_naming_the_flag() {
+        for (input, flag) in [
+            ("--workers 0", "--workers 0"),
+            ("--workers 2 --laptops 5", "--laptops 5"),
+            ("--duration -5", "--duration -5"),
+            ("--duration nan", "--duration NaN"),
+            ("--batch-scale 0", "--batch-scale 0"),
+            ("--eval-every 0", "--eval-every 0"),
+        ] {
+            let e = parse(&args(input)).expect_err(input).to_string();
+            assert!(e.contains(flag) && !e.contains('\n'), "{input}: {e}");
+            // The subcommands share the parser, so they share the rules.
+            for sub in ["trace", "serve --strategy rog:4", "join --strategy rog:4"] {
+                let e = parse_command(&args(&format!("{sub} {input}")))
+                    .expect_err(input)
+                    .to_string();
+                assert!(e.contains(flag), "{sub} {input}: {e}");
+            }
+        }
+        for boundary in ["--workers 1 --laptops 1", "--eval-every 1"] {
+            assert!(parse(&args(boundary)).is_ok(), "{boundary}");
+        }
     }
 
     #[test]

@@ -119,7 +119,7 @@ impl CodecChoice {
     pub fn build(self) -> Codec {
         match self {
             Self::OneBit | Self::Auto => Codec::OneBit(OneBitCodec),
-            Self::Sparse => Codec::Sparse(SparseDeltaCodec::default()),
+            Self::Sparse => Codec::Sparse(SparseDeltaCodec),
             Self::Quant { bits } => Codec::Quant(QuantCodec::new(bits)),
             Self::TopK { keep_milli } => {
                 Codec::TopK(TopKCodec::new(f64::from(keep_milli) / 1000.0))
@@ -341,41 +341,22 @@ fn sparse_entries_cost(indices: &[u32]) -> u64 {
 }
 
 /// Sparse-delta codec: transmit only the values whose magnitude clears
-/// `threshold_factor ×` the row's mean |value|, quantized to the two
-/// mean-magnitude scales of the selection; fall back to a dense one-bit
-/// row when the gap stream would cost at least as much as the bitmap.
+/// `SPARSE_THRESHOLD_FACTOR` (2) `×` the row's mean |value|, quantized to
+/// the two mean-magnitude scales of the selection; fall back to a dense
+/// one-bit row when the gap stream would cost at least as much as the
+/// bitmap.
 ///
 /// With error feedback around it the scheme is delay-only, exactly like
 /// one-bit: unselected mass stays in the residual and rides the next
 /// transmission of the row.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SparseDeltaCodec {
-    /// Selection threshold as a multiple of the row's mean |value|.
-    pub threshold_factor: f32,
-}
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct SparseDeltaCodec;
 
-impl Default for SparseDeltaCodec {
-    fn default() -> Self {
-        Self {
-            threshold_factor: 2.0,
-        }
-    }
-}
+/// Selection threshold of [`SparseDeltaCodec`] as a multiple of the
+/// row's mean |value|.
+const SPARSE_THRESHOLD_FACTOR: f64 = 2.0;
 
 impl SparseDeltaCodec {
-    /// Creates a codec with the given selection threshold factor.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `threshold_factor` is positive and finite.
-    pub fn new(threshold_factor: f32) -> Self {
-        assert!(
-            threshold_factor > 0.0 && threshold_factor.is_finite(),
-            "threshold_factor must be positive and finite"
-        );
-        Self { threshold_factor }
-    }
-
     /// Indices whose magnitude clears the selection threshold,
     /// ascending. Deterministic: pure thresholding, no randomization.
     fn select(&self, adjusted: &[f32]) -> Vec<u32> {
@@ -384,7 +365,7 @@ impl SparseDeltaCodec {
         }
         let mean: f64 =
             adjusted.iter().map(|v| f64::from(v.abs())).sum::<f64>() / adjusted.len() as f64;
-        let tau = f64::from(self.threshold_factor) * mean;
+        let tau = SPARSE_THRESHOLD_FACTOR * mean;
         adjusted
             .iter()
             .enumerate()
@@ -861,7 +842,7 @@ mod tests {
     fn all_codecs() -> Vec<Codec> {
         vec![
             Codec::OneBit(OneBitCodec),
-            Codec::Sparse(SparseDeltaCodec::default()),
+            Codec::Sparse(SparseDeltaCodec),
             Codec::Quant(QuantCodec::new(2)),
             Codec::Quant(QuantCodec::new(4)),
             Codec::Quant(QuantCodec::new(8)),
@@ -1153,7 +1134,7 @@ mod tests {
         for i in 0..8 {
             row[i * 31] = if i % 2 == 0 { 5.0 } else { -5.0 };
         }
-        let c = SparseDeltaCodec::default();
+        let c = SparseDeltaCodec;
         let code = c.encode(&row, &mut DetRng::new(1));
         assert!(matches!(
             code,
@@ -1183,7 +1164,7 @@ mod tests {
         let row: Vec<f32> = (0..256)
             .map(|i| if i < 102 { 10.0 } else { 0.001 })
             .collect();
-        let c = SparseDeltaCodec::default();
+        let c = SparseDeltaCodec;
         let code = c.encode(&row, &mut DetRng::new(1));
         assert!(matches!(
             code,
@@ -1205,7 +1186,7 @@ mod tests {
             for slot in row.iter_mut().take(d) {
                 *slot = 3.0;
             }
-            let c = SparseDeltaCodec::default();
+            let c = SparseDeltaCodec;
             let code = c.encode(&row, &mut DetRng::new(1));
             let got_sparse = matches!(code, RowCode::SparseDelta(SparseDeltaRow::Sparse { .. }));
             assert_eq!(got_sparse, sparse, "{d} spikes");
@@ -1215,7 +1196,7 @@ mod tests {
 
     #[test]
     fn sparse_zero_row_costs_the_bare_header() {
-        let c = SparseDeltaCodec::default();
+        let c = SparseDeltaCodec;
         let code = c.encode(&[0.0; 512], &mut DetRng::new(1));
         assert_eq!(code.payload_bytes(), 8);
         assert!(code.decompress().iter().all(|&v| v == 0.0));
@@ -1226,7 +1207,7 @@ mod tests {
     #[test]
     fn sparse_never_costs_more_than_onebit() {
         let mut rng = DetRng::new(11);
-        let c = SparseDeltaCodec::default();
+        let c = SparseDeltaCodec;
         for cols in [1usize, 7, 8, 64, 129, 500] {
             for _ in 0..8 {
                 let row: Vec<f32> = (0..cols).map(|_| rng.normal() as f32).collect();
@@ -1270,7 +1251,7 @@ mod tests {
         // A sparse row whose residual pushes values over the selection
         // threshold must be sized from gradient + residual, not the
         // gradient alone.
-        let codec = Codec::Sparse(SparseDeltaCodec::default());
+        let codec = Codec::Sparse(SparseDeltaCodec);
         let mut state = CodecState::new(&[64], 1);
         let mut spiky = vec![0.0f32; 64];
         spiky[3] = 100.0;

@@ -1,12 +1,12 @@
 //! The differential invariant checker.
 //!
-//! [`check_scenario`] replays one [`Scenario`] across compute-thread
-//! counts {1, 2, 8} and asserts the cheap invariants the hand-written
-//! suites already trust, returning every violation instead of
-//! panicking — the shrinker needs failures to be data:
+//! [`check_scenario`] replays one [`Scenario`] twice and asserts the
+//! cheap invariants the hand-written suites already trust, returning
+//! every violation instead of panicking — the shrinker needs failures
+//! to be data:
 //!
-//! * **Thread invariance** — serialized metrics, journal bytes and
-//!   fleet stats are byte-identical at every thread count.
+//! * **Run-to-run identity** — serialized metrics, journal bytes and
+//!   fleet stats of the rerun are byte-identical to the base replay's.
 //! * **Engine self-checks** — a replay that panics (debug-build
 //!   staleness watchdog, byte-conservation assert, any engine bug) is
 //!   caught and reported, never crashes the harness.
@@ -38,12 +38,9 @@ use rog_core::gate;
 use rog_fault::FaultKind;
 use rog_obs::{Record, TraceSummary};
 use rog_trainer::report::runs_to_json;
-use rog_trainer::{compute, ExperimentConfig, RunMetrics, RunOutcome, Strategy};
+use rog_trainer::{ExperimentConfig, RunMetrics, RunOutcome, Strategy};
 
 use crate::scenario::Scenario;
-
-/// Compute-thread counts every scenario is replayed at.
-pub const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 
 /// Float tolerance for mean-vs-total iteration reconciliation (all
 /// other comparisons are bitwise).
@@ -55,18 +52,12 @@ pub enum Violation {
     /// A replay panicked — an engine self-check (staleness watchdog,
     /// byte-conservation assert) or a genuine crash.
     EnginePanic {
-        /// Compute-thread count of the panicking replay.
-        threads: usize,
         /// The panic payload.
         message: String,
     },
-    /// Two thread counts produced observably different runs.
-    ThreadDivergence {
-        /// The diverging thread count (compared against the first).
-        threads: usize,
-        /// What differed.
-        what: String,
-    },
+    /// Two replays of the same scenario produced observably different
+    /// runs (what differed).
+    RerunDivergence(String),
     /// The run completed zero iterations despite its fault-free prefix.
     NoProgress,
     /// The four-way byte ledger is inconsistent.
@@ -88,7 +79,7 @@ impl Violation {
     pub fn kind(&self) -> &'static str {
         match self {
             Violation::EnginePanic { .. } => "engine_panic",
-            Violation::ThreadDivergence { .. } => "thread_divergence",
+            Violation::RerunDivergence(_) => "rerun_divergence",
             Violation::NoProgress => "no_progress",
             Violation::ByteLedger(_) => "byte_ledger",
             Violation::Reconciliation(_) => "reconciliation",
@@ -103,12 +94,8 @@ impl Violation {
 impl std::fmt::Display for Violation {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            Violation::EnginePanic { threads, message } => {
-                write!(f, "engine panic @ {threads} threads: {message}")
-            }
-            Violation::ThreadDivergence { threads, what } => {
-                write!(f, "thread divergence @ {threads} threads: {what}")
-            }
+            Violation::EnginePanic { message } => write!(f, "engine panic: {message}"),
+            Violation::RerunDivergence(d) => write!(f, "rerun divergence: {d}"),
             Violation::NoProgress => write!(f, "no progress: zero iterations completed"),
             Violation::ByteLedger(d) => write!(f, "byte ledger: {d}"),
             Violation::Reconciliation(d) => write!(f, "journal/metrics reconciliation: {d}"),
@@ -436,68 +423,49 @@ fn check_codec_select(sc: &Scenario, journal: &str, violations: &mut Vec<Violati
     }
 }
 
-/// Replays `sc` across thread counts and twin topologies, returning
-/// every invariant violation. Never panics on engine failures — they
-/// become [`Violation::EnginePanic`] — so the shrinker can replay
-/// failing scenarios freely.
+/// Replays `sc` twice and across twin topologies, returning every
+/// invariant violation. Never panics on engine failures — they become
+/// [`Violation::EnginePanic`] — so the shrinker can replay failing
+/// scenarios freely.
 ///
-/// Uses the process-global compute-thread override (restored to auto
-/// on exit) and briefly swaps the panic hook; callers running inside a
-/// test binary should keep that binary to a single `#[test]`.
+/// Briefly swaps the process-global panic hook; callers running inside
+/// a test binary should keep that binary to a single `#[test]`.
 pub fn check_scenario(sc: &Scenario) -> CheckOutcome {
     let cfg = sc.config();
     let mut violations = Vec::new();
 
-    // --- differential replays across thread counts.
-    let mut base: Option<RunOutcome> = None;
-    for threads in THREAD_COUNTS {
-        compute::set_thread_override(Some(threads));
-        let res = quiet_run(&cfg);
-        compute::set_thread_override(None);
-        let out = match res {
-            Ok(out) => out,
-            Err(message) => {
-                violations.push(Violation::EnginePanic { threads, message });
-                // Remaining invariants are meaningless once a replay
-                // dies; report the panic and stop.
-                return CheckOutcome {
-                    violations,
-                    virtual_secs: 0.0,
-                    sim_events: 0,
-                };
-            }
-        };
-        match &base {
-            None => base = Some(out),
-            Some(b) => {
-                let b_m = runs_to_json(std::slice::from_ref(&b.metrics));
-                let o_m = runs_to_json(std::slice::from_ref(&out.metrics));
-                if b_m != o_m {
-                    violations.push(Violation::ThreadDivergence {
-                        threads,
-                        what: "serialized metrics differ".to_owned(),
-                    });
-                }
-                let b_j = b.journal.as_ref().expect("traced").to_jsonl();
-                let o_j = out.journal.as_ref().expect("traced").to_jsonl();
-                if b_j != o_j {
-                    violations.push(Violation::ThreadDivergence {
-                        threads,
-                        what: "journal bytes differ".to_owned(),
-                    });
-                }
-                if b.stats != out.stats {
-                    violations.push(Violation::ThreadDivergence {
-                        threads,
-                        what: format!("fleet stats differ: {:?} vs {:?}", b.stats, out.stats),
-                    });
-                }
-            }
+    // --- base replay plus one rerun. Once a replay dies the remaining
+    // invariants are meaningless: report the panic and stop.
+    let (base, rerun) = match quiet_run(&cfg).and_then(|b| Ok((b, quiet_run(&cfg)?))) {
+        Ok(pair) => pair,
+        Err(message) => {
+            violations.push(Violation::EnginePanic { message });
+            return CheckOutcome {
+                violations,
+                virtual_secs: 0.0,
+                sim_events: 0,
+            };
         }
-    }
-    let base = base.expect("base replay always runs");
+    };
+    let jsonl = |out: &RunOutcome| out.journal.as_ref().expect("traced").to_jsonl();
     let m = &base.metrics;
-    let journal = base.journal.as_ref().expect("traced").to_jsonl();
+    let journal = jsonl(&base);
+    if runs_to_json(std::slice::from_ref(m)) != runs_to_json(std::slice::from_ref(&rerun.metrics)) {
+        violations.push(Violation::RerunDivergence(
+            "serialized metrics differ".to_owned(),
+        ));
+    }
+    if journal != jsonl(&rerun) {
+        violations.push(Violation::RerunDivergence(
+            "journal bytes differ".to_owned(),
+        ));
+    }
+    if base.stats != rerun.stats {
+        violations.push(Violation::RerunDivergence(format!(
+            "fleet stats differ: {:?} vs {:?}",
+            base.stats, rerun.stats
+        )));
+    }
 
     // --- progress watchdog.
     if m.mean_iterations <= 0.0 {

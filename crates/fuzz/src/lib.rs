@@ -13,12 +13,11 @@
 //!   single root `u64` seed (forked [`rog_tensor::rng::DetRng`]
 //!   streams, one per scenario index), emitting fault plans through
 //!   the `rog-fault` script format so every repro is plain text.
-//! * [`check_scenario`] — replays a scenario across compute-thread
-//!   counts and twin topologies, asserting thread-invariance, the
-//!   progress watchdog, byte-ledger sanity, journal↔metrics
-//!   reconciliation, the RSP staleness bound, and the shard/aggregator
-//!   identity twins; failures come back as data ([`Violation`]), never
-//!   panics.
+//! * [`check_scenario`] — replays a scenario twice and across twin
+//!   topologies, asserting run-to-run identity, the progress watchdog,
+//!   byte-ledger sanity, journal↔metrics reconciliation, the RSP
+//!   staleness bound, and the shard/aggregator identity twins; failures
+//!   come back as data ([`Violation`]), never panics.
 //! * [`shrink`] — greedily minimizes a failing scenario (drop script
 //!   lines, clear loss/aggregators/shards/workers/duration) and hands
 //!   back the smallest still-failing [`Scenario`], ready to be dumped
@@ -38,7 +37,7 @@ mod report;
 mod scenario;
 mod shrink;
 
-pub use check::{check_scenario, CheckOutcome, Violation, THREAD_COUNTS};
+pub use check::{check_scenario, CheckOutcome, Violation};
 pub use generator::{ScenarioGen, FAULT_FREE_PREFIX_SECS};
 pub use report::{FuzzReport, ScenarioRecord};
 pub use scenario::{LossSpec, Scenario};

@@ -100,8 +100,8 @@ fn plan_fits(sc: &Scenario) -> bool {
 }
 
 /// Minimizes a failing scenario. Spends at most `max_replays`
-/// differential checks (each check replays the scenario at three
-/// thread counts plus twins). If the input scenario passes, it is
+/// differential checks (each check replays the scenario twice plus
+/// twins). If the input scenario passes, it is
 /// returned unchanged with empty `violations`.
 pub fn shrink(sc: &Scenario, max_replays: usize) -> ShrinkResult {
     fn fails(sc: &Scenario, replays: &mut usize) -> Option<Vec<Violation>> {

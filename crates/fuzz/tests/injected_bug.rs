@@ -10,9 +10,8 @@
 //! observe the widened gate, so the differential check must flag
 //! scenarios whose gate actually engages.
 //!
-//! The gate-slack hook and the compute-thread override are
-//! process-global, so this file holds exactly one `#[test]` — it must
-//! not share a binary with clean-gate tests.
+//! The gate-slack hook is process-global, so this file holds exactly
+//! one `#[test]` — it must not share a binary with clean-gate tests.
 
 use rog_core::gate::testhooks;
 use rog_fuzz::{check_scenario, shrink, Scenario, ScenarioGen};

@@ -14,8 +14,7 @@
 //! [`DetRng`] streams forked from one seed, and the Gilbert–Elliott
 //! state sequence is pre-generated on the same 0.1 s grid as the fade
 //! traces in [`crate::ChannelProfile`] — so a run is bit-reproducible
-//! for a given seed regardless of thread count, exactly like the rest
-//! of the simulation.
+//! for a given seed, exactly like the rest of the simulation.
 
 use std::collections::BTreeMap;
 

@@ -3,9 +3,9 @@
 //! Every event is stamped on the virtual clock (`t`) and carries a
 //! monotone sequence number (`seq`). The wire format is a flat JSON
 //! object per line with a fixed field order, so a journal for a given
-//! (config, seed) is byte-identical across runs, platforms, and
-//! compute-thread counts. Floats are formatted with Rust's shortest
-//! round-trip `Display`, which is deterministic.
+//! (config, seed) is byte-identical across runs and platforms. Floats
+//! are formatted with Rust's shortest round-trip `Display`, which is
+//! deterministic.
 
 use std::fmt::Write as _;
 

@@ -8,7 +8,7 @@
 //! FIFO tie-break. The journal never feeds back into the simulation:
 //! `record` reads its arguments and mutates only journal-private state.
 //! A journal for a fixed (config, seed) is therefore byte-identical
-//! across runs and compute-thread counts.
+//! across runs.
 //!
 //! ## `obs-off`
 //!

@@ -11,10 +11,9 @@
 //!
 //! Because every emission site runs on the single event-loop thread at
 //! points totally ordered by (virtual time, queue sequence), a journal
-//! for a fixed (config, seed) is byte-identical across runs and
-//! compute-thread counts — golden journals are byte-diffable
-//! regression artifacts (see `tests/golden_trace.rs` at the workspace
-//! root).
+//! for a fixed (config, seed) is byte-identical across runs — golden
+//! journals are byte-diffable regression artifacts (see
+//! `tests/golden_trace.rs` at the workspace root).
 //!
 //! Build with the `obs-off` feature to compile the journal out
 //! entirely: [`Journal::enabled`] becomes a const `false`, so every

@@ -71,7 +71,7 @@ impl<E> EventQueue<E> {
 
     /// Total events ever scheduled on this queue (the FIFO sequence
     /// counter). A deterministic progress measure: unlike wall-clock
-    /// rates it is identical across hosts and thread counts.
+    /// rates it is identical across hosts.
     pub fn scheduled(&self) -> u64 {
         self.seq
     }
@@ -96,16 +96,6 @@ impl<E> EventQueue<E> {
     /// Time of the earliest pending event, if any.
     pub fn peek_time(&self) -> Option<Time> {
         self.heap.peek().map(|e| e.time)
-    }
-
-    /// Visits pending events without removing them, in unspecified
-    /// (but deterministic) order.
-    ///
-    /// Lets an engine see which events are already scheduled — e.g. to
-    /// prefetch work for them — without disturbing the `(time, seq)`
-    /// pop order that determinism rests on.
-    pub fn iter(&self) -> impl Iterator<Item = (Time, &E)> {
-        self.heap.iter().map(|e| (e.time, &e.event))
     }
 
     /// Number of pending events.
@@ -172,19 +162,6 @@ mod tests {
         q.push(2.0, ());
         assert_eq!(q.peek_time(), Some(2.0));
         assert_eq!(q.len(), 2);
-    }
-
-    #[test]
-    fn iter_sees_all_events_without_removing() {
-        let mut q = EventQueue::new();
-        q.push(2.0, "b");
-        q.push(1.0, "a");
-        q.push(3.0, "c");
-        let mut seen: Vec<(Time, &str)> = q.iter().map(|(t, &e)| (t, e)).collect();
-        seen.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
-        assert_eq!(seen, vec![(1.0, "a"), (2.0, "b"), (3.0, "c")]);
-        assert_eq!(q.len(), 3);
-        assert_eq!(q.pop(), Some((1.0, "a")));
     }
 
     #[test]

@@ -12,7 +12,6 @@ use rog_sim::{DeviceState, EventQueue, Time, Timeline};
 use rog_tensor::rng::DetRng;
 
 use crate::cluster::{Cluster, DeviceKind};
-use crate::compute::{self, run_job, run_job_into, ComputePlane, DrawJob, PendingDraw};
 use crate::config::ExperimentConfig;
 use crate::metrics::{ByteAccount, MetricsCollector, RunMetrics};
 
@@ -40,8 +39,6 @@ pub struct EngineCtx {
     pub timelines: Vec<Timeline>,
     /// Metrics collector.
     pub collector: MetricsCollector,
-    /// Thread pool for batched gradient draws.
-    pub plane: ComputePlane,
     /// Scheduled fault injections ([`crate::config::ExperimentConfig::resolved_fault_plan`]);
     /// empty when the run has no plan, which costs nothing on the hot
     /// path (`next_fault_time` is `None` and the event loop never sees
@@ -70,8 +67,6 @@ pub struct EngineCtx {
     /// Each worker's model replica (all start from the cluster's
     /// initial model).
     pub(crate) models: Vec<Mlp>,
-    /// Prefetched gradient draws, one slot per worker.
-    pub(crate) pending: Vec<Option<PendingDraw>>,
     /// Recycled gradient-set buffers (all shaped like the model), so
     /// steady-state draws allocate nothing. Zeroed contents never affect
     /// results: every draw overwrites its buffer from zero.
@@ -142,7 +137,6 @@ impl EngineCtx {
             queue: EventQueue::with_capacity(2 * n + 16),
             timelines: vec![Timeline::new(); n],
             collector,
-            plane: ComputePlane::auto(),
             faults,
             offline: vec![false; n],
             done: vec![false; n],
@@ -152,7 +146,6 @@ impl EngineCtx {
             server_down: vec![false; shards],
             journal,
             models,
-            pending: (0..n).map(|_| None).collect(),
             grad_pool: Vec::new(),
             batch_rngs: (0..n).map(|w| root.fork(0x100 + w as u64)).collect(),
             jitter_rngs: (0..n).map(|w| root.fork(0x200 + w as u64)).collect(),
@@ -222,28 +215,20 @@ impl EngineCtx {
         self.computing[w] = false;
     }
 
-    /// A `ComputeDone` timer of worker `w` arrived. Returns `true`,
-    /// after voiding its draw, when the worker that armed it has
-    /// departed since; otherwise the computation is over.
+    /// A `ComputeDone` timer of worker `w` arrived. Returns `true` when
+    /// the worker that armed it has departed since; otherwise the
+    /// computation is over. A swallowed timer still takes the batch
+    /// sample its draw would have taken: the worker's stream advances
+    /// once per timer armed, whether or not the computation survived
+    /// (the pinned artifacts depend on it).
     fn compute_timer_is_stale(&mut self, w: usize) -> bool {
         if self.stale_timers[w] > 0 {
             self.stale_timers[w] -= 1;
-            self.discard_pending(w);
+            self.sample_batch_idxs(w);
             return true;
         }
         self.computing[w] = false;
         false
-    }
-
-    /// Drops a worker's prefetched draw, recycling its buffer.
-    pub(crate) fn discard_pending(&mut self, w: usize) {
-        if let Some(PendingDraw {
-            result: Some((grads, _)),
-            ..
-        }) = self.pending[w].take()
-        {
-            self.recycle_grads(grads);
-        }
     }
 
     /// Journals an injected fault. The record carries a shard scope only
@@ -300,32 +285,12 @@ impl EngineCtx {
         iter
     }
 
-    /// Samples the batch indices for a worker's next gradient draw.
-    ///
-    /// Consumes exactly the RNG the serial engine would consume at event
-    /// time, so prefetching a sample early cannot perturb any stream
-    /// (each worker has its own independent stream).
+    /// Samples the batch indices for a worker's next gradient draw from
+    /// the worker's own stream.
     pub fn sample_batch_idxs(&mut self, worker: usize) -> Vec<usize> {
         let shard = &self.cluster.workload.shards()[worker];
         let batch = self.cluster.devices[worker].batch;
         shard.sample_batch(batch, &mut self.batch_rngs[worker])
-    }
-
-    /// Computes gradients for pre-sampled batch indices on `model`.
-    ///
-    /// Returns the gradient set and its global mean absolute value.
-    pub fn grads_for(&self, worker: usize, model: &Mlp, idxs: &[usize]) -> (GradSet, f32) {
-        run_job(model, &self.cluster.workload.shards()[worker], idxs)
-    }
-
-    /// Like [`EngineCtx::grads_for`] on the worker's own model replica,
-    /// but draws the gradient buffer from the recycle pool instead of
-    /// allocating one.
-    pub fn grads_for_pooled(&mut self, worker: usize, idxs: &[usize]) -> (GradSet, f32) {
-        let mut grads = self.take_grad_buf();
-        let shard = &self.cluster.workload.shards()[worker];
-        let mean_abs = run_job_into(&self.models[worker], shard, idxs, &mut grads);
-        (grads, mean_abs)
     }
 
     /// Pops a recycled gradient buffer, or builds a fresh one (every
@@ -339,44 +304,6 @@ impl EngineCtx {
     /// Returns a consumed gradient set to the recycle pool.
     pub fn recycle_grads(&mut self, grads: GradSet) {
         self.grad_pool.push(grads);
-    }
-
-    /// Computes real gradients for a worker's batch on `model`.
-    ///
-    /// Returns the gradient set and its global mean absolute value.
-    pub fn draw_grads(&mut self, worker: usize, model: &Mlp) -> (GradSet, f32) {
-        let idxs = self.sample_batch_idxs(worker);
-        self.grads_for(worker, model, &idxs)
-    }
-
-    /// Runs a batch of `(worker, model, idxs)` draws on the compute
-    /// plane, returning results in job order.
-    pub fn draw_grads_batch(&self, jobs: &[(usize, &Mlp, &[usize])]) -> Vec<(GradSet, f32)> {
-        let jobs = self.draw_jobs(jobs);
-        self.plane.execute(&jobs)
-    }
-
-    /// Like [`EngineCtx::draw_grads_batch`], but writes gradients into
-    /// the caller's recycled buffers (one per job) and returns only the
-    /// mean `|g|` values.
-    pub fn draw_grads_batch_into(
-        &self,
-        jobs: &[(usize, &Mlp, &[usize])],
-        bufs: &mut [GradSet],
-    ) -> Vec<f32> {
-        let jobs = self.draw_jobs(jobs);
-        self.plane.execute_into(&jobs, bufs)
-    }
-
-    fn draw_jobs<'a>(&'a self, jobs: &[(usize, &'a Mlp, &'a [usize])]) -> Vec<DrawJob<'a>> {
-        let shards = self.cluster.workload.shards();
-        jobs.iter()
-            .map(|&(w, model, idxs)| DrawJob {
-                model,
-                shard: &shards[w],
-                idxs,
-            })
-            .collect()
     }
 
     /// Evaluates the worker's model and records a checkpoint if `iter`
@@ -795,8 +722,7 @@ pub(crate) trait Engine {
 
 /// Runs an engine to the end of its virtual time budget and returns the
 /// number of events dispatched (flow completions, faults, timers) — a
-/// wall-clock-free progress measure, identical across hosts and thread
-/// counts.
+/// wall-clock-free progress measure, identical across hosts.
 ///
 /// Same-instant order: flow completions, then injected faults, then one
 /// queue timer.
@@ -838,10 +764,6 @@ pub(crate) fn drive(e: &mut impl Engine) -> u64 {
             }
             continue;
         }
-        // Pending ComputeDone draws are independent (each worker's
-        // model is frozen until its event fires); batch them on the
-        // compute plane before delivering events.
-        compute::prefetch_draws(ctx);
         match ctx.queue.pop() {
             Some((t, ev)) => {
                 dispatched += 1;
@@ -989,6 +911,7 @@ pub fn relative_model_divergence_flat(models: &[&[f32]]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compute;
     use crate::config::{Environment, ModelScale, Strategy};
     use proptest::prelude::*;
     use rog_models::Task;
@@ -1152,12 +1075,67 @@ mod tests {
     }
 
     #[test]
-    fn draw_grads_matches_model_shapes() {
+    fn take_draw_matches_model_shapes() {
         let mut c = ctx();
-        let model = c.cluster.init_model.clone();
-        let (grads, mean_abs) = c.draw_grads(0, &model);
-        assert_eq!(grads.len(), model.params().len());
+        let (grads, mean_abs) = compute::take_draw(&mut c, 0);
+        assert_eq!(grads.len(), c.cluster.init_model.params().len());
         assert!(mean_abs > 0.0);
+    }
+
+    #[test]
+    fn a_swallowed_compute_timer_takes_exactly_one_batch_sample() {
+        // Worker 1 departs mid-computation and its stale timer pops.
+        let mut e = stub(&cfg(), None);
+        e.ctx.start_compute(1, 0.0);
+        e.ctx.void_compute(1);
+        assert_eq!(drive(&mut e), 1);
+        assert!(e.log.is_empty(), "the timer was swallowed: {:?}", e.log);
+        // The same stream, advanced by one sample and nothing else.
+        let mut sampled = ctx();
+        sampled.sample_batch_idxs(1);
+        let (ga, ma) = compute::take_draw(&mut e.ctx, 1);
+        let (gb, mb) = compute::take_draw(&mut sampled, 1);
+        assert_eq!(ma.to_bits(), mb.to_bits());
+        let bits = |g: &GradSet| -> Vec<u32> {
+            let values = g.iter().flat_map(|m| m.as_slice());
+            values.map(|v| v.to_bits()).collect()
+        };
+        assert_eq!(bits(&ga), bits(&gb));
+    }
+
+    #[test]
+    fn an_outage_and_resync_inside_one_compute_window_trains_on_deterministically() {
+        // Depart at 0.5 s, back at 1.0 s: the resync lands before the
+        // ≈ 2.18 s timer armed at t = 0 pops, so that timer is swallowed
+        // while the rejoined worker's new computation is already running.
+        for strategy in [Strategy::Bsp, Strategy::Rog { threshold: 4 }] {
+            let c = ExperimentConfig {
+                strategy,
+                trace: true,
+                fault_plan: Some(rog_fault::FaultPlan::new().worker_offline(1, 0.5, 1.0)),
+                ..cfg()
+            };
+            let (m, journal, stats) = crate::engine::run_full(&c);
+            if cfg!(not(feature = "obs-off")) {
+                let resynced = journal
+                    .events()
+                    .find(|e| matches!(e.kind, EventKind::ResyncEnd { w: 1, .. }))
+                    .expect("worker 1 rejoined");
+                assert!(resynced.t < 1.5, "{}: resync at {}", m.name, resynced.t);
+            }
+            assert!(m.offline_secs > 0.0, "{}", m.name);
+            assert!(
+                m.mean_iterations >= 5.0,
+                "{}: {}",
+                m.name,
+                m.mean_iterations
+            );
+            let (again, journal_again, stats_again) = crate::engine::run_full(&c);
+            let json = |m: &RunMetrics| serde_json::to_string(m).expect("metrics serialise");
+            assert_eq!(json(&m), json(&again), "{}", m.name);
+            assert_eq!(journal.to_jsonl(), journal_again.to_jsonl(), "{}", m.name);
+            assert_eq!(stats.sim_events, stats_again.sim_events, "{}", m.name);
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Adaptive control for both simulated engines, in one shape: plain
 //! state, a pure decision rule, and the engine applying the result at a
-//! deterministic point, so runs stay byte-identical across thread counts.
+//! deterministic point, so runs stay byte-identical run to run.
 //!
 //! * Row engine (`--auto-threshold`, the `roga` bound, `--codec auto`):
 //!   every N completed cluster iterations ([`Window`]) read a signal —

@@ -508,7 +508,6 @@ impl ModelEngine {
         }
         self.server.record_push(w, iter);
         self.ctx.offline[w] = false;
-        self.ctx.discard_pending(w);
         compute_or_retire(self, w, now);
         // The fast-forwarded version can only open the gate further.
         self.drain_waiting(now);

@@ -347,7 +347,7 @@ pub fn run(cfg: &ExperimentConfig) -> (RunMetrics, rog_obs::Journal, FleetStats)
         codec_auto: codec_choice.is_auto().then(CodecAuto::new),
     };
     // The dispatched-event count is the deterministic progress measure
-    // `bench_fleet` reports, identical across hosts and thread counts.
+    // `bench_fleet` reports, identical across hosts.
     let sim_events = drive(&mut engine);
     let agg = engine.server.agg_stats();
     let stats = FleetStats {
@@ -882,12 +882,6 @@ impl RowEngine {
         self.workers[w]
             .role
             .apply(self.ctx.models[w].params_mut(), &payload);
-        // The model just changed; in pipeline mode a compute may be in
-        // flight for this worker, so any prefetched gradients are stale.
-        // The sampled batch indices stay valid.
-        if let Some(p) = self.ctx.pending[w].as_mut() {
-            p.result = None;
-        }
         self.finish_sub(w, s, now);
     }
 
@@ -973,7 +967,7 @@ impl RowEngine {
     /// Runs every adaptive controller whose window elapsed; called
     /// wherever an iteration completes. Each decision is a pure function
     /// of engine state at this deterministic evaluation point, so runs
-    /// stay byte-identical across thread counts.
+    /// stay byte-identical run to run.
     fn run_controllers(&mut self, now: Time) {
         let n = self.workers.len();
         // Auto-threshold: hysteresis over the cluster stall share of the
@@ -1218,7 +1212,6 @@ impl RowEngine {
         self.server.rejoin(w, n);
         self.ctx.offline[w] = false;
         self.last_pushed[w] = n;
-        self.ctx.discard_pending(w);
         compute_or_retire(self, w, now);
         // The freshly stamped member can only raise min(V).
         self.drain_waiting(now);

@@ -13,9 +13,9 @@ use rog_obs::Journal;
 /// Engine-level scale counters, reported on every [`RunOutcome`].
 ///
 /// These are *measurements of the simulation machinery itself* —
-/// deterministic across hosts and thread counts, and deliberately kept
-/// out of [`RunMetrics`] so the serialized metrics stay byte-identical
-/// to earlier releases. The model-granularity baselines report all
+/// deterministic across hosts, and deliberately kept out of
+/// [`RunMetrics`] so the serialized metrics stay byte-identical to
+/// earlier releases. The model-granularity baselines report all
 /// zeros; only the ROG row engine instruments them.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FleetStats {

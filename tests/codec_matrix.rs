@@ -2,15 +2,10 @@
 //! engine deterministically, the explicit one-bit selection is
 //! byte-identical to the default, and the `auto` selector journals its
 //! per-link switches.
-//!
-//! One `#[test]` drives every scenario and thread count: the
-//! compute-thread override is process-global, so interleaving with
-//! other `#[test]`s would race.
 
 mod common;
 
 use rog::prelude::*;
-use rog::trainer::compute;
 
 fn cfg() -> ExperimentConfig {
     ExperimentConfig {
@@ -59,9 +54,9 @@ fn every_codec_is_deterministic_and_onebit_stays_byte_identical() {
     let onebit_push_bytes =
         push_bytes_per_row(&default_run.journal.as_ref().expect("traced").to_jsonl());
 
-    // --- every rung replays byte-identically across compute-thread
-    // counts and makes progress. The lossy-auto variant exists to give
-    // the selector a stressed link to act on.
+    // --- every rung replays byte-identically and makes progress. The
+    // lossy-auto variant exists to give the selector a stressed link to
+    // act on.
     let mut lossy_auto = cfg();
     lossy_auto.fault_plan = Some(FaultPlan::new().link_loss(1, 15.0, 55.0, 0.6));
     let rungs: Vec<(&str, ExperimentConfig, CodecChoice)> = vec![
@@ -74,30 +69,22 @@ fn every_codec_is_deterministic_and_onebit_stays_byte_identical() {
         ("auto+loss", lossy_auto, CodecChoice::Auto),
     ];
     for (name, scenario, codec) in &rungs {
-        let mut journals = Vec::new();
-        let mut metrics = Vec::new();
-        for threads in [1usize, 2, 8] {
-            compute::set_thread_override(Some(threads));
-            let out = run_traced(scenario, *codec);
-            compute::set_thread_override(None);
-            journals.push((threads, out.journal.as_ref().expect("traced").to_jsonl()));
-            metrics.push(out.metrics);
-        }
-        let (_, reference) = &journals[0];
-        for (threads, jsonl) in &journals[1..] {
-            assert_eq!(
-                jsonl, reference,
-                "{name}: journal differs between 1 and {threads} compute threads"
-            );
-        }
+        let out = run_traced(scenario, *codec);
+        let reference = &out.journal.as_ref().expect("traced").to_jsonl();
+        let again = run_traced(scenario, *codec);
+        assert_eq!(
+            &again.journal.as_ref().expect("traced").to_jsonl(),
+            reference,
+            "{name}: journal differs between two runs"
+        );
         assert!(
-            metrics[0].mean_iterations > 0.0,
+            out.metrics.mean_iterations > 0.0,
             "{name}: run made no progress"
         );
         assert!(
-            metrics[0].name.contains(&format!("+{}", codec.name())),
+            out.metrics.name.contains(&format!("+{}", codec.name())),
             "{name}: run name {} misses the codec tag",
-            metrics[0].name
+            out.metrics.name
         );
 
         // Content-sized rungs genuinely change the wire: the sparse

@@ -39,7 +39,7 @@ pub fn small_cluster_cfg(strategy: Strategy) -> ExperimentConfig {
 /// Small CRUDA dataset has only 150 samples, so fleets larger than
 /// that use the paper-scale dataset (every worker must get a non-empty
 /// data shard); the virtual duration is kept short so 256-worker runs
-/// stay cheap enough to replay at several compute-thread counts.
+/// stay cheap enough to replay.
 pub fn fleet_cluster_cfg(workers: usize, shards: usize) -> ExperimentConfig {
     let model_scale = if workers > 100 {
         ModelScale::Paper
@@ -66,8 +66,7 @@ pub fn fleet_cluster_cfg(workers: usize, shards: usize) -> ExperimentConfig {
 /// full six-model spectrum plus the adaptive-bound ROG hybrid), plus
 /// faulted and lossy ROG variants and a lossy hybrid variant (loss is
 /// what drives its bound). Durations are trimmed to 60 virtual seconds
-/// so the full matrix stays cheap to replay at several compute-thread
-/// counts.
+/// so the full matrix stays cheap to replay.
 pub fn scenario_matrix() -> Vec<(&'static str, ExperimentConfig)> {
     let short = |strategy| ExperimentConfig {
         duration_secs: 60.0,

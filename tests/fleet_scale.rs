@@ -1,15 +1,13 @@
 //! Fleet-scale regression gates: the edge-aggregator tier must be
 //! observationally inert (a hierarchical run is byte-identical to the
 //! flat run once its extra accounting records are stripped), 256-worker
-//! runs must be deterministic and compute-thread invariant, and
-//! aggregator outages must be deterministic and actually stall the
-//! members they sever.
+//! runs must be deterministic, and aggregator outages must be
+//! deterministic and actually stall the members they sever.
 
 mod common;
 
 use common::{fleet_cluster_cfg, scenario_matrix};
 use rog::prelude::*;
-use rog::trainer::compute;
 
 fn traced(cfg: &ExperimentConfig) -> RunOutcome {
     cfg.options().traced(true).run()
@@ -118,37 +116,26 @@ fn hierarchical_topology_is_observationally_inert() {
 }
 
 /// A 256-worker, 4-shard, 8-aggregator run is a pure function of its
-/// config: byte-identical when re-run and at every compute-thread
-/// count. One test drives all thread counts because the override is
-/// process-global.
+/// config: byte-identical when re-run.
 #[test]
-fn fleet_256_is_deterministic_and_thread_invariant() {
+fn fleet_256_is_deterministic() {
     let cfg = ExperimentConfig {
         n_aggregators: 8,
         ..fleet_cluster_cfg(256, 4)
     };
-    compute::set_thread_override(Some(1));
     let base = traced(&cfg);
     let base_journal = base.journal.as_ref().expect("traced").to_jsonl();
     assert!(base.stats.sim_events > 0, "run made no progress");
     assert!(base.stats.peak_version_bytes > 0);
-    for threads in [2usize, 8] {
-        compute::set_thread_override(Some(threads));
-        let again = traced(&cfg);
-        compute::set_thread_override(None);
-        assert_eq!(base.stats, again.stats, "fleet stats differ @ {threads}");
-        assert_same_run_modulo_name(
-            &base.metrics,
-            &again.metrics,
-            &format!("256 workers @ {threads} threads"),
-        );
-        assert_eq!(base.metrics.name, again.metrics.name);
-        assert_eq!(
-            base_journal,
-            again.journal.as_ref().expect("traced").to_jsonl(),
-            "journal differs @ {threads} threads"
-        );
-    }
+    let again = traced(&cfg);
+    assert_eq!(base.stats, again.stats, "fleet stats differ on replay");
+    assert_same_run_modulo_name(&base.metrics, &again.metrics, "256 workers, replay");
+    assert_eq!(base.metrics.name, again.metrics.name);
+    assert_eq!(
+        base_journal,
+        again.journal.as_ref().expect("traced").to_jsonl(),
+        "journal differs on replay"
+    );
 }
 
 /// An aggregator outage stalls exactly its members, deterministically:

@@ -6,10 +6,6 @@
 //! rarely); replaying them on every CI run keeps fixed bugs fixed.
 //! Triage workflow: `rogctl fuzz --replay tests/corpus/<name>.repro`
 //! re-runs one entry with full violation output.
-//!
-//! The differential checker flips the process-global compute-thread
-//! override, so this file holds exactly one `#[test]` — it must not
-//! share a binary with other engine tests.
 
 use std::path::Path;
 

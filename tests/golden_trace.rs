@@ -1,7 +1,7 @@
 //! Golden-trace snapshot tests: the event journal of a (config, seed)
-//! pair is a canonical artifact. Each scenario is regenerated at 1, 2
-//! and 8 compute threads and byte-diffed against the gzipped golden
-//! journal checked into `tests/golden/`.
+//! pair is a canonical artifact. Each scenario is regenerated twice and
+//! byte-diffed against the gzipped golden journal checked into
+//! `tests/golden/`.
 //!
 //! To refresh the goldens after an intentional engine change:
 //!
@@ -15,7 +15,6 @@ use std::path::PathBuf;
 
 use rog::obs::{gzip_compress, gzip_decompress};
 use rog::prelude::*;
-use rog::trainer::compute;
 
 fn golden_path(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -36,32 +35,22 @@ fn scenarios() -> Vec<(&'static str, ExperimentConfig)> {
     vec![("rog_indoor", rog_indoor), ("bsp_loss", bsp_loss)]
 }
 
-/// One test drives every scenario and thread count: the thread override
-/// is process-global, so interleaving with other `#[test]`s would race.
+fn traced_jsonl(cfg: &ExperimentConfig) -> String {
+    let journal = cfg.options().traced(true).run().journal;
+    journal.expect("traced run").to_jsonl()
+}
+
 #[test]
-fn golden_traces_are_byte_stable_across_thread_counts() {
+fn golden_traces_are_byte_stable_run_to_run() {
     let update = std::env::var("ROG_UPDATE_GOLDEN").is_ok();
     for (name, cfg) in scenarios() {
-        let mut journals = Vec::new();
-        for threads in [1usize, 2, 8] {
-            compute::set_thread_override(Some(threads));
-            let journal = cfg
-                .options()
-                .traced(true)
-                .run()
-                .journal
-                .expect("traced run");
-            journals.push((threads, journal.to_jsonl()));
-        }
-        compute::set_thread_override(None);
-        let (_, reference) = &journals[0];
+        let reference = &traced_jsonl(&cfg);
         assert!(!reference.is_empty(), "{name}: traced run emitted nothing");
-        for (threads, jsonl) in &journals[1..] {
-            assert_eq!(
-                jsonl, reference,
-                "{name}: journal differs between 1 and {threads} compute threads"
-            );
-        }
+        assert_eq!(
+            &traced_jsonl(&cfg),
+            reference,
+            "{name}: journal differs between two runs"
+        );
         let path = golden_path(name);
         if update {
             std::fs::write(&path, gzip_compress(reference.as_bytes())).expect("write golden");

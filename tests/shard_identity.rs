@@ -2,24 +2,20 @@
 //! parameter plane through an explicit single-shard [`ShardMap`] must
 //! be indistinguishable — metrics, serialized reports *and* the event
 //! journal — from the pre-shard engine (the default config), for every
-//! strategy in the shared scenario matrix and at several compute-thread
-//! counts. Sharded (>1) ROG runs must additionally be deterministic
-//! and thread-count invariant, and non-ROG strategies must ignore the
-//! shard count entirely.
+//! strategy in the shared scenario matrix. Sharded (>1) ROG runs must
+//! additionally repeat run to run, and non-ROG strategies must ignore
+//! the shard count entirely.
 
 mod common;
 
 use common::{assert_identical_runs, scenario_matrix};
 use rog::prelude::*;
-use rog::trainer::compute;
 
 fn traced(cfg: &ExperimentConfig) -> (RunMetrics, String) {
     let out = cfg.options().traced(true).run();
     (out.metrics, out.journal.expect("traced run").to_jsonl())
 }
 
-/// One test drives every scenario and thread count: the thread override
-/// is process-global, so interleaving with other `#[test]`s would race.
 #[test]
 fn one_shard_is_byte_identical_to_the_unsharded_engine() {
     for (name, cfg) in scenario_matrix() {
@@ -27,22 +23,18 @@ fn one_shard_is_byte_identical_to_the_unsharded_engine() {
             n_shards: 1,
             ..cfg.clone()
         };
-        for threads in [1usize, 2, 8] {
-            compute::set_thread_override(Some(threads));
-            let (base, base_journal) = traced(&cfg);
-            let (one, one_journal) = traced(&sharded_cfg);
-            compute::set_thread_override(None);
-            assert_identical_runs(&base, &one, &format!("{name} @ {threads} threads"));
-            assert_eq!(
-                base_journal, one_journal,
-                "{name} @ {threads} threads: journal differs under an explicit 1-shard map"
-            );
-        }
+        let (base, base_journal) = traced(&cfg);
+        let (one, one_journal) = traced(&sharded_cfg);
+        assert_identical_runs(&base, &one, name);
+        assert_eq!(
+            base_journal, one_journal,
+            "{name}: journal differs under an explicit 1-shard map"
+        );
     }
 }
 
 #[test]
-fn sharded_runs_are_deterministic_and_thread_invariant() {
+fn sharded_runs_are_deterministic() {
     for shards in [2usize, 4] {
         let mut cfg = scenario_matrix()
             .into_iter()
@@ -50,26 +42,16 @@ fn sharded_runs_are_deterministic_and_thread_invariant() {
             .expect("matrix has rog4")
             .1;
         cfg.n_shards = shards;
-        compute::set_thread_override(Some(1));
-        let (serial, serial_journal) = traced(&cfg);
-        compute::set_thread_override(Some(8));
-        let (parallel, parallel_journal) = traced(&cfg);
-        compute::set_thread_override(None);
+        let (first, first_journal) = traced(&cfg);
         let (again, again_journal) = traced(&cfg);
         assert!(
-            serial.name.contains(&format!("+shard{shards}")),
+            first.name.contains(&format!("+shard{shards}")),
             "{}",
-            serial.name
+            first.name
         );
-        assert_identical_runs(
-            &serial,
-            &parallel,
-            &format!("{shards} shards, threads 1 vs 8"),
-        );
-        assert_identical_runs(&serial, &again, &format!("{shards} shards, replay"));
-        assert_eq!(serial_journal, parallel_journal, "{shards} shards: journal");
+        assert_identical_runs(&first, &again, &format!("{shards} shards, replay"));
         assert_eq!(
-            serial_journal, again_journal,
+            first_journal, again_journal,
             "{shards} shards: replay journal"
         );
     }

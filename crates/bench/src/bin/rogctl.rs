@@ -20,7 +20,7 @@ use std::process::ExitCode;
 use rog_bench::cli::{self, CliCommand, CliRun, FuzzOptions};
 use rog_fuzz::{check_scenario, shrink, FuzzReport, Scenario, ScenarioGen, ScenarioRecord};
 use rog_obs::{gzip_compress, gzip_decompress, TraceSummary};
-use rog_trainer::{report, run_with_result, FleetStats, RunMetrics, TransportChoice};
+use rog_trainer::{live, report, FleetStats, RunMetrics, RunOutcome};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -35,8 +35,14 @@ fn main() -> ExitCode {
         CliCommand::Run(run) => run_experiment(&run),
         CliCommand::Trace { run, out } => trace_experiment(&run, &out),
         CliCommand::TraceSummary { path } => summarize_trace(&path),
-        CliCommand::Serve { run, opts } => live_experiment(&run, TransportChoice::Serve(opts)),
-        CliCommand::Join { run, opts } => live_experiment(&run, TransportChoice::Join(opts)),
+        CliCommand::Serve { run, opts } => {
+            let role = format!("serving {} on {}", run.config.name(), opts.listen);
+            live_experiment(&run, &role, || live::serve(&run.config, &opts))
+        }
+        CliCommand::Join { run, opts } => {
+            let role = format!("joining {} at {}", run.config.name(), opts.connect);
+            live_experiment(&run, &role, || live::join(&run.config, &opts))
+        }
         CliCommand::Fuzz(opts) => fuzz_campaign(&opts),
     }
 }
@@ -111,17 +117,16 @@ fn run_experiment(run: &CliRun) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn live_experiment(run: &CliRun, transport: TransportChoice) -> ExitCode {
+/// Runs one role of a socket cluster (`launch` is [`live::serve`] or
+/// [`live::join`]) and prints what the sim path prints.
+fn live_experiment(
+    run: &CliRun,
+    role: &str,
+    launch: impl FnOnce() -> Result<RunOutcome, String>,
+) -> ExitCode {
     warn(run);
-    let role = match &transport {
-        TransportChoice::Serve(opts) => format!("serving {} on {}", run.config.name(), opts.listen),
-        TransportChoice::Join(opts) => {
-            format!("joining {} at {}", run.config.name(), opts.connect)
-        }
-        TransportChoice::Sim => unreachable!("live_experiment is only called for socket runs"),
-    };
     println!("{role} ({:.0} virtual secs) ...", run.config.duration_secs);
-    let outcome = match run_with_result(&run.config.options().transport(transport)) {
+    let outcome = match launch() {
         Ok(outcome) => outcome,
         Err(e) => {
             eprintln!("{e}");

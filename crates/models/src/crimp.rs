@@ -20,7 +20,6 @@
 //! resolution, reproducing the paper's decreasing error curves.
 
 use rog_tensor::rng::DetRng;
-use rog_tensor::Matrix;
 
 use crate::{Dataset, Mlp, Task, Workload};
 
@@ -323,15 +322,7 @@ impl Workload for CrimpWorkload {
     fn learning_rate(&self) -> f32 {
         self.spec.lr
     }
-
-    // Reuse `Matrix` so the import is exercised even if specs change.
 }
-
-// Silence an unused-import lint path: Matrix is used in doc position only
-// when specs change; keep a compile-time reference.
-const _: fn() = || {
-    let _ = std::mem::size_of::<Matrix>;
-};
 
 #[cfg(test)]
 mod tests {

@@ -17,7 +17,6 @@ use std::cell::RefCell;
 
 use rog_tensor::rng::DetRng;
 use rog_tensor::{ops, Matrix, SumOrder};
-use serde::{Deserialize, Serialize};
 
 use crate::data::{Dataset, Targets};
 
@@ -47,7 +46,7 @@ thread_local! {
 }
 
 /// Output-head objective.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Task {
     /// Softmax + cross-entropy over class logits.
     Classification,
@@ -57,7 +56,7 @@ pub enum Task {
 
 /// One convolutional stage: valid convolution (stride 1), ReLU, then
 /// non-overlapping average pooling.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ConvSpec {
     /// Number of output channels (= rows of the kernel matrix).
     pub out_channels: usize,
@@ -67,7 +66,7 @@ pub struct ConvSpec {
     pub pool: usize,
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 enum Arch {
     Dense {
         dims: Vec<usize>,
@@ -95,13 +94,20 @@ enum Arch {
 /// let logits = mlp.forward(&[0.1, 0.2, 0.3, 0.4]);
 /// assert_eq!(logits.len(), 3);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Mlp {
     arch: Arch,
     /// Weight/bias pairs per layer: `[W1, b1, W2, b2, ...]` (conv stages
     /// first for ConvMLP).
     params: Vec<Matrix>,
     task: Task,
+}
+
+/// A model viewed as its parameter matrices ([`Mlp::params`]).
+impl AsRef<[Matrix]> for Mlp {
+    fn as_ref(&self) -> &[Matrix] {
+        &self.params
+    }
 }
 
 /// Output shape after one conv stage.
@@ -209,11 +215,6 @@ impl Mlp {
     /// Mutable access to the parameter matrices.
     pub fn params_mut(&mut self) -> &mut [Matrix] {
         &mut self.params
-    }
-
-    /// Number of scalar parameters.
-    pub fn total_params(&self) -> usize {
-        self.params.iter().map(Matrix::len).sum()
     }
 
     /// Number of parameter rows across all matrices — the granularity
@@ -616,27 +617,6 @@ impl Mlp {
         100.0 * correct as f64 / ys.len() as f64
     }
 
-    /// Serializes the full model (architecture + weights) to JSON —
-    /// the checkpoint format the paper's evaluation uses ("checkpointing
-    /// and validating the training model every 50 iterations").
-    ///
-    /// # Panics
-    ///
-    /// Panics only if serialization fails, which cannot happen for
-    /// these plain data types.
-    pub fn to_json(&self) -> String {
-        serde_json::to_string(self).expect("model serializes")
-    }
-
-    /// Restores a model from [`Mlp::to_json`] output.
-    ///
-    /// # Errors
-    ///
-    /// Returns the underlying `serde_json` error on malformed input.
-    pub fn from_json(json: &str) -> Result<Self, serde_json::Error> {
-        serde_json::from_str(json)
-    }
-
     /// Mean squared error over a regression dataset.
     ///
     /// # Panics
@@ -831,7 +811,6 @@ mod tests {
     fn shapes_and_row_counts() {
         let mlp = Mlp::new(&[4, 8, 3], Task::Classification, &mut DetRng::new(0));
         assert_eq!(mlp.params().len(), 4);
-        assert_eq!(mlp.total_params(), 4 * 8 + 8 + 8 * 3 + 3);
         assert_eq!(mlp.total_rows(), 8 + 1 + 3 + 1);
         assert_eq!(mlp.row_widths().len(), mlp.total_rows());
         assert_eq!(mlp.row_widths()[0], 4);
@@ -1222,17 +1201,6 @@ mod tests {
         let lhs: f32 = px.iter().zip(&g).map(|(a, b)| a * b).sum();
         let rhs: f32 = x.iter().zip(&spread).map(|(a, b)| a * b).sum();
         assert!((lhs - rhs).abs() < 1e-4, "{lhs} vs {rhs}");
-    }
-
-    #[test]
-    fn checkpoint_round_trip_preserves_behaviour() {
-        let mut rng = DetRng::new(21);
-        let net = conv_net(&mut rng);
-        let restored = Mlp::from_json(&net.to_json()).expect("parses");
-        let x = vec![0.25f32; 36];
-        assert_eq!(net.forward(&x), restored.forward(&x));
-        assert_eq!(net.total_rows(), restored.total_rows());
-        assert!(Mlp::from_json("not json").is_err());
     }
 
     #[test]

@@ -10,7 +10,7 @@ use crate::{Dataset, Mlp};
 /// Implemented by [`crate::CrudaWorkload`] (metric: accuracy %, higher is
 /// better) and [`crate::CrimpWorkload`] (metric: trajectory error, lower
 /// is better).
-pub trait Workload {
+pub trait Workload: std::fmt::Debug {
     /// Short name ("cruda", "crimp").
     fn name(&self) -> &'static str;
 

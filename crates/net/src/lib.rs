@@ -73,6 +73,6 @@ pub use channel::{
 pub use loss::{ChunkFate, GeParams, LossConfig, LossModel};
 pub use profile::{ChannelProfile, DistanceProfile, FadeProfile};
 pub use reliability::{
-    BackoffPolicy, DeliveryClass, ReliableProgress, ReliableTransfer, ReorderBuffer, SeqWindow,
+    BackoffPolicy, ReliableProgress, ReliableTransfer, ReorderBuffer, SeqWindow,
 };
 pub use trace::Trace;

@@ -25,15 +25,6 @@ use rog_sim::Time;
 
 use crate::loss::ChunkFate;
 
-/// Which delivery contract a transfer runs under.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DeliveryClass {
-    /// Ack/retransmit until everything arrives exactly once, in order.
-    Reliable,
-    /// Detect-and-drop; loss surfaces as an un-committed payload.
-    BestEffort,
-}
-
 /// Capped exponential backoff schedule for reliable retransmissions.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BackoffPolicy {
@@ -128,12 +119,6 @@ impl SeqWindow {
     /// Lowest sequence number not yet accepted.
     pub fn next_expected(&self) -> u64 {
         self.floor
-    }
-
-    /// True when every number below `n` has been accepted and nothing
-    /// above is outstanding out of order.
-    pub fn contiguous_through(&self, n: u64) -> bool {
-        self.floor >= n && self.seen.is_empty()
     }
 }
 
@@ -291,7 +276,6 @@ mod tests {
         assert_eq!(w.next_expected(), 1);
         assert!(w.accept(1));
         assert_eq!(w.next_expected(), 3);
-        assert!(w.contiguous_through(3));
         assert!(!w.accept(1), "below the floor");
     }
 

@@ -9,88 +9,6 @@
 
 use std::fmt::Write as _;
 
-/// Coarse event family used for the journal's per-category counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Category {
-    /// Run bookkeeping: meta header, state changes, close, run end.
-    Control,
-    /// Iteration begin/end markers.
-    Iteration,
-    /// Staleness-gate waits (enter/exit).
-    Gate,
-    /// Push/pull transfer lifecycle.
-    Transfer,
-    /// Per-row plan contents (importance-ranked row ids).
-    Row,
-    /// Reliability machinery: retransmits and backoff timers.
-    Reliability,
-    /// Loss-model fates observed on delivery reports.
-    Loss,
-    /// Fault-clock transitions.
-    Fault,
-    /// Rejoin resynchronisation transfers.
-    Resync,
-    /// ATP minimum-transmission-amount decisions.
-    Mta,
-    /// Live-transport membership and wire hygiene (socket backend
-    /// only; sim engines never emit these).
-    Transport,
-}
-
-impl Category {
-    /// Number of categories (array-counter width).
-    pub const COUNT: usize = 11;
-
-    /// All categories in display order.
-    pub const ALL: [Category; Category::COUNT] = [
-        Category::Control,
-        Category::Iteration,
-        Category::Gate,
-        Category::Transfer,
-        Category::Row,
-        Category::Reliability,
-        Category::Loss,
-        Category::Fault,
-        Category::Resync,
-        Category::Mta,
-        Category::Transport,
-    ];
-
-    /// Stable index into counter arrays.
-    pub fn index(self) -> usize {
-        match self {
-            Category::Control => 0,
-            Category::Iteration => 1,
-            Category::Gate => 2,
-            Category::Transfer => 3,
-            Category::Row => 4,
-            Category::Reliability => 5,
-            Category::Loss => 6,
-            Category::Fault => 7,
-            Category::Resync => 8,
-            Category::Mta => 9,
-            Category::Transport => 10,
-        }
-    }
-
-    /// Display name.
-    pub fn name(self) -> &'static str {
-        match self {
-            Category::Control => "control",
-            Category::Iteration => "iteration",
-            Category::Gate => "gate",
-            Category::Transfer => "transfer",
-            Category::Row => "row",
-            Category::Reliability => "reliability",
-            Category::Loss => "loss",
-            Category::Fault => "fault",
-            Category::Resync => "resync",
-            Category::Mta => "mta",
-            Category::Transport => "transport",
-        }
-    }
-}
-
 /// One typed journal event.
 ///
 /// Variants map 1:1 to JSONL records; field names below match the wire
@@ -242,35 +160,6 @@ impl EventKind {
             EventKind::PeerUp { .. } => "peer_up",
             EventKind::PeerDown { .. } => "peer_down",
             EventKind::WireDrop { .. } => "wire_drop",
-        }
-    }
-
-    /// Counter category of the event.
-    pub fn category(&self) -> Category {
-        match self {
-            EventKind::Meta { .. }
-            | EventKind::State { .. }
-            | EventKind::Close { .. }
-            | EventKind::AutoThreshold { .. }
-            | EventKind::ThresholdAdapt { .. }
-            | EventKind::CodecSelect { .. }
-            | EventKind::RunEnd { .. } => Category::Control,
-            EventKind::IterBegin { .. } | EventKind::IterEnd { .. } => Category::Iteration,
-            EventKind::GateEnter { .. } | EventKind::GateExit { .. } => Category::Gate,
-            EventKind::PushStart { .. }
-            | EventKind::PushEnd { .. }
-            | EventKind::PullStart { .. }
-            | EventKind::PullEnd { .. }
-            | EventKind::AggMerge { .. } => Category::Transfer,
-            EventKind::RowPush { .. } | EventKind::RowPull { .. } => Category::Row,
-            EventKind::Retransmit { .. } | EventKind::Backoff { .. } => Category::Reliability,
-            EventKind::Loss { .. } => Category::Loss,
-            EventKind::Fault { .. } => Category::Fault,
-            EventKind::ResyncStart { .. } | EventKind::ResyncEnd { .. } => Category::Resync,
-            EventKind::Mta { .. } => Category::Mta,
-            EventKind::PeerUp { .. } | EventKind::PeerDown { .. } | EventKind::WireDrop { .. } => {
-                Category::Transport
-            }
         }
     }
 }
@@ -800,7 +689,7 @@ mod tests {
     }
 
     #[test]
-    fn every_kind_has_distinct_name_and_category() {
+    fn every_kind_has_a_distinct_wire_name() {
         let kinds = vec![
             EventKind::Meta {
                 name: String::new(),
@@ -903,18 +792,5 @@ mod tests {
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), kinds.len(), "duplicate wire name");
-        for k in &kinds {
-            assert!(k.category().index() < Category::COUNT);
-        }
-    }
-
-    #[test]
-    fn category_indices_are_a_permutation() {
-        let mut seen = [false; Category::COUNT];
-        for c in Category::ALL {
-            assert!(!seen[c.index()], "duplicate index for {}", c.name());
-            seen[c.index()] = true;
-        }
-        assert!(seen.iter().all(|&s| s));
     }
 }

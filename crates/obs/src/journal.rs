@@ -1,5 +1,6 @@
-//! The event journal: an allocation-light ring buffer with
-//! per-category counters and gauges, and a JSONL sink.
+//! The event journal: a bounded, allocation-light ring buffer of
+//! events and a JSONL sink. It holds no derived state — totals over a
+//! run's events are [`crate::TraceSummary`]'s job.
 //!
 //! ## Determinism contract
 //!
@@ -9,54 +10,24 @@
 //! `record` reads its arguments and mutates only journal-private state.
 //! A journal for a fixed (config, seed) is therefore byte-identical
 //! across runs.
-//!
-//! ## `obs-off`
-//!
-//! With the `obs-off` feature, [`Journal::enabled`] is a const `false`
-//! and [`Journal::record`] an empty inline stub, so every emission
-//! site guarded by [`crate::obs!`] is dead-code eliminated and hot
-//! paths are bit-identical to a build without the journal.
 
 use std::collections::VecDeque;
 
-use crate::event::{Category, Event, EventKind};
+use crate::event::{Event, EventKind};
 
 /// Default ring-buffer capacity (events). Large enough that the small
 /// golden scenarios never drop; bounded so tracing a long run cannot
 /// exhaust memory.
-pub const DEFAULT_CAPACITY: usize = 1 << 20;
-
-/// Derived gauges maintained incrementally as events are recorded.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct Gauges {
-    /// Total seconds spent waiting at staleness gates.
-    pub gate_wait_total: f64,
-    /// Longest single gate wait (s).
-    pub gate_wait_max: f64,
-    /// Payload bytes reported by `push_end` events.
-    pub bytes_pushed: u64,
-    /// Payload bytes reported by `pull_start` events.
-    pub bytes_pulled: u64,
-    /// Rows re-sent by retransmit events.
-    pub rows_retransmitted: u64,
-    /// Chunks the loss model dropped in flight.
-    pub chunks_lost: u64,
-    /// Chunks delivered but damaged.
-    pub chunks_corrupt: u64,
-}
+const DEFAULT_CAPACITY: usize = 1 << 20;
 
 /// A bounded, deterministic event journal.
 #[derive(Debug, Clone)]
 pub struct Journal {
-    #[cfg_attr(feature = "obs-off", allow(dead_code))]
     enabled: bool,
-    #[cfg_attr(feature = "obs-off", allow(dead_code))]
     capacity: usize,
     events: VecDeque<Event>,
     seq: u64,
     dropped: u64,
-    counts: [u64; Category::COUNT],
-    gauges: Gauges,
 }
 
 impl Default for Journal {
@@ -69,11 +40,6 @@ impl Journal {
     /// A journal that records nothing (`enabled() == false`).
     pub fn disabled() -> Self {
         Self::with_capacity(false, DEFAULT_CAPACITY)
-    }
-
-    /// An enabled journal with the default ring capacity.
-    pub fn enabled_default() -> Self {
-        Self::with_capacity(true, DEFAULT_CAPACITY)
     }
 
     /// A journal that records iff `trace`.
@@ -89,34 +55,22 @@ impl Journal {
             events: VecDeque::new(),
             seq: 0,
             dropped: 0,
-            counts: [0; Category::COUNT],
-            gauges: Gauges::default(),
         }
     }
 
     /// Whether emission sites should construct and record events.
     ///
     /// Guard any non-trivial event construction with this (the
-    /// [`crate::obs!`] macro does it for you); under `obs-off` it is a
-    /// const `false` so guarded sites compile out entirely.
-    #[cfg(not(feature = "obs-off"))]
+    /// [`crate::obs!`] macro does it for you).
     #[inline]
     pub fn enabled(&self) -> bool {
         self.enabled
-    }
-
-    /// Compile-out stub: always `false`.
-    #[cfg(feature = "obs-off")]
-    #[inline(always)]
-    pub fn enabled(&self) -> bool {
-        false
     }
 
     /// Records an event stamped at virtual time `t` with unsharded
     /// scope (no `shard` field on the wire).
     ///
     /// No-op when the journal is disabled.
-    #[cfg(not(feature = "obs-off"))]
     pub fn record(&mut self, t: f64, kind: EventKind) {
         self.record_shard(t, Event::NO_SHARD, kind);
     }
@@ -126,29 +80,9 @@ impl Journal {
     /// unsharded scope).
     ///
     /// No-op when the journal is disabled.
-    #[cfg(not(feature = "obs-off"))]
     pub fn record_shard(&mut self, t: f64, shard: i64, kind: EventKind) {
         if !self.enabled {
             return;
-        }
-        self.counts[kind.category().index()] += 1;
-        match &kind {
-            EventKind::GateExit { waited, .. } => {
-                self.gauges.gate_wait_total += waited;
-                if *waited > self.gauges.gate_wait_max {
-                    self.gauges.gate_wait_max = *waited;
-                }
-            }
-            EventKind::PushEnd { bytes, .. } => self.gauges.bytes_pushed += bytes,
-            EventKind::PullStart { bytes, .. } => self.gauges.bytes_pulled += bytes,
-            EventKind::Retransmit { rows, .. } => {
-                self.gauges.rows_retransmitted += u64::from(*rows);
-            }
-            EventKind::Loss { lost, corrupt, .. } => {
-                self.gauges.chunks_lost += u64::from(*lost);
-                self.gauges.chunks_corrupt += u64::from(*corrupt);
-            }
-            _ => {}
         }
         if self.events.len() == self.capacity {
             self.events.pop_front();
@@ -162,16 +96,6 @@ impl Journal {
         });
         self.seq += 1;
     }
-
-    /// Compile-out stub: does nothing.
-    #[cfg(feature = "obs-off")]
-    #[inline(always)]
-    pub fn record(&mut self, _t: f64, _kind: EventKind) {}
-
-    /// Compile-out stub: does nothing.
-    #[cfg(feature = "obs-off")]
-    #[inline(always)]
-    pub fn record_shard(&mut self, _t: f64, _shard: i64, _kind: EventKind) {}
 
     /// Events currently retained in the ring, oldest first.
     pub fn events(&self) -> impl Iterator<Item = &Event> {
@@ -198,16 +122,6 @@ impl Journal {
         self.seq
     }
 
-    /// Count of events recorded in `cat` (includes evicted events).
-    pub fn count(&self, cat: Category) -> u64 {
-        self.counts[cat.index()]
-    }
-
-    /// Derived gauges.
-    pub fn gauges(&self) -> &Gauges {
-        &self.gauges
-    }
-
     /// Serializes the retained events as JSONL.
     pub fn to_jsonl(&self) -> String {
         let mut out = String::with_capacity(self.events.len() * 64);
@@ -219,8 +133,7 @@ impl Journal {
 }
 
 /// Records an event only when the journal is enabled, keeping event
-/// construction off the hot path (and compiling it out entirely under
-/// `obs-off`).
+/// construction off the hot path.
 ///
 /// ```
 /// use rog_obs::{obs, EventKind, Journal};
@@ -263,60 +176,8 @@ mod tests {
         j.record(1.0, EventKind::IterBegin { w: 0, iter: 1 });
         assert!(j.is_empty());
         assert_eq!(j.recorded(), 0);
-        assert_eq!(j.count(Category::Iteration), 0);
     }
 
-    #[cfg(not(feature = "obs-off"))]
-    #[test]
-    fn counters_and_gauges_accumulate() {
-        let mut j = Journal::new(true);
-        j.record(0.0, EventKind::IterBegin { w: 0, iter: 1 });
-        j.record(
-            1.0,
-            EventKind::GateExit {
-                w: 0,
-                iter: 1,
-                waited: 0.5,
-            },
-        );
-        j.record(
-            2.0,
-            EventKind::GateExit {
-                w: 1,
-                iter: 1,
-                waited: 1.5,
-            },
-        );
-        j.record(
-            3.0,
-            EventKind::PushEnd {
-                w: 0,
-                iter: 1,
-                rows: 4,
-                bytes: 100,
-            },
-        );
-        j.record(
-            3.5,
-            EventKind::Loss {
-                w: 0,
-                lost: 2,
-                corrupt: 1,
-                chunks: 10,
-            },
-        );
-        assert_eq!(j.count(Category::Gate), 2);
-        assert_eq!(j.count(Category::Iteration), 1);
-        assert_eq!(j.count(Category::Transfer), 1);
-        let g = j.gauges();
-        assert!((g.gate_wait_total - 2.0).abs() < 1e-12);
-        assert!((g.gate_wait_max - 1.5).abs() < 1e-12);
-        assert_eq!(g.bytes_pushed, 100);
-        assert_eq!(g.chunks_lost, 2);
-        assert_eq!(g.chunks_corrupt, 1);
-    }
-
-    #[cfg(not(feature = "obs-off"))]
     #[test]
     fn ring_evicts_oldest_and_counts_drops() {
         let mut j = Journal::with_capacity(true, 2);
@@ -328,11 +189,8 @@ mod tests {
         assert_eq!(j.recorded(), 5);
         let seqs: Vec<u64> = j.events().map(|e| e.seq).collect();
         assert_eq!(seqs, vec![3, 4], "oldest evicted first");
-        // Counters survive eviction.
-        assert_eq!(j.count(Category::Iteration), 5);
     }
 
-    #[cfg(not(feature = "obs-off"))]
     #[test]
     fn record_shard_stamps_the_envelope() {
         let mut j = Journal::new(true);
@@ -346,7 +204,6 @@ mod tests {
         assert!(!lines.next().unwrap().contains("shard"));
     }
 
-    #[cfg(not(feature = "obs-off"))]
     #[test]
     fn jsonl_lines_match_event_count() {
         let mut j = Journal::new(true);
@@ -363,22 +220,10 @@ mod tests {
         assert!(out.ends_with('\n'));
     }
 
-    #[cfg(feature = "obs-off")]
-    #[test]
-    fn obs_off_is_always_disabled() {
-        let mut j = Journal::new(true);
-        assert!(!j.enabled());
-        j.record(0.0, EventKind::Close { w: 0 });
-        assert!(j.is_empty());
-    }
-
     #[test]
     fn obs_macro_guards_recording() {
         let mut j = Journal::new(true);
         obs!(j, 0.5, EventKind::IterBegin { w: 1, iter: 2 });
-        #[cfg(not(feature = "obs-off"))]
         assert_eq!(j.len(), 1);
-        #[cfg(feature = "obs-off")]
-        assert!(j.is_empty());
     }
 }

@@ -15,17 +15,17 @@
 //! journals are byte-diffable regression artifacts (see
 //! `tests/golden_trace.rs` at the workspace root).
 //!
-//! Build with the `obs-off` feature to compile the journal out
-//! entirely: [`Journal::enabled`] becomes a const `false`, so every
-//! [`obs!`]-guarded site is dead-code eliminated and engine output is
-//! bit-identical to a build without instrumentation.
+//! The [`Journal`] is a log and holds no derived state; every total
+//! over a run's events is computed in one place, [`TraceSummary`].
+//! A disabled journal ([`Journal::enabled`] `false`) skips every
+//! [`obs!`]-guarded site, and engine output is bit-identical either way.
 
 pub mod event;
 pub mod gz;
 pub mod journal;
 pub mod summary;
 
-pub use event::{Category, Event, EventKind, Record, Val};
+pub use event::{Event, EventKind, Record, Val};
 pub use gz::{crc32, gzip_compress, gzip_decompress};
-pub use journal::{Gauges, Journal, DEFAULT_CAPACITY};
+pub use journal::Journal;
 pub use summary::{TraceSummary, STATE_NAMES};

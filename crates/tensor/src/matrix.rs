@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::gemm::{self, SumOrder};
 use crate::rng::DetRng;
 
@@ -44,7 +42,7 @@ impl std::error::Error for ShapeError {}
 /// assert_eq!(m.get(1, 2), 3.0);
 /// assert_eq!(m.row(0), &[0.0, 0.0, 0.0]);
 /// ```
-#[derive(Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Default, PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,

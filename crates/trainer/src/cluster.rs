@@ -1,7 +1,7 @@
 //! Simulated robot cluster: devices, workload, channel, wire scaling.
 
 use rog_models::batching::dynamic_batches;
-use rog_models::{CrimpSpec, CrimpWorkload, CrudaSpec, CrudaWorkload, Dataset, Mlp, Workload};
+use rog_models::{CrimpSpec, CrudaSpec, Mlp, Workload};
 use rog_net::{Channel, Trace};
 use rog_tensor::rng::DetRng;
 
@@ -28,74 +28,6 @@ pub struct Device {
     pub batch: usize,
 }
 
-/// A built workload: either paradigm behind one enum (object-safe
-/// delegation without boxing).
-#[derive(Debug, Clone)]
-pub enum BuiltWorkload {
-    /// Domain adaptation.
-    Cruda(CrudaWorkload),
-    /// Implicit mapping.
-    Crimp(CrimpWorkload),
-}
-
-impl Workload for BuiltWorkload {
-    fn name(&self) -> &'static str {
-        match self {
-            BuiltWorkload::Cruda(w) => w.name(),
-            BuiltWorkload::Crimp(w) => w.name(),
-        }
-    }
-
-    fn make_model(&self, rng: &mut DetRng) -> Mlp {
-        match self {
-            BuiltWorkload::Cruda(w) => w.make_model(rng),
-            BuiltWorkload::Crimp(w) => w.make_model(rng),
-        }
-    }
-
-    fn shards(&self) -> &[Dataset] {
-        match self {
-            BuiltWorkload::Cruda(w) => w.shards(),
-            BuiltWorkload::Crimp(w) => w.shards(),
-        }
-    }
-
-    fn test_metric(&self, model: &Mlp) -> f64 {
-        match self {
-            BuiltWorkload::Cruda(w) => w.test_metric(model),
-            BuiltWorkload::Crimp(w) => w.test_metric(model),
-        }
-    }
-
-    fn metric_name(&self) -> &'static str {
-        match self {
-            BuiltWorkload::Cruda(w) => w.metric_name(),
-            BuiltWorkload::Crimp(w) => w.metric_name(),
-        }
-    }
-
-    fn metric_higher_better(&self) -> bool {
-        match self {
-            BuiltWorkload::Cruda(w) => w.metric_higher_better(),
-            BuiltWorkload::Crimp(w) => w.metric_higher_better(),
-        }
-    }
-
-    fn base_batch_size(&self) -> usize {
-        match self {
-            BuiltWorkload::Cruda(w) => w.base_batch_size(),
-            BuiltWorkload::Crimp(w) => w.base_batch_size(),
-        }
-    }
-
-    fn learning_rate(&self) -> f32 {
-        match self {
-            BuiltWorkload::Cruda(w) => w.learning_rate(),
-            BuiltWorkload::Crimp(w) => w.learning_rate(),
-        }
-    }
-}
-
 /// Everything an engine needs to run one experiment.
 #[derive(Debug)]
 pub struct Cluster {
@@ -106,7 +38,7 @@ pub struct Cluster {
     /// engines drive directly on the virtual clock.
     pub transport: Channel,
     /// The built workload with one shard per worker.
-    pub workload: BuiltWorkload,
+    pub workload: Box<dyn Workload>,
     /// The shared initial model.
     pub init_model: Mlp,
     /// Multiplier from the synthetic model's compressed row bytes to
@@ -147,24 +79,24 @@ impl Cluster {
 
         // Workload.
         let mut wl_rng = root.fork(0x10);
-        let workload = match (cfg.workload, cfg.model_scale) {
+        let workload: Box<dyn Workload> = match (cfg.workload, cfg.model_scale) {
             (WorkloadKind::Cruda, ModelScale::Paper) => {
-                BuiltWorkload::Cruda(CrudaSpec::paper().build(cfg.n_workers, &mut wl_rng))
+                Box::new(CrudaSpec::paper().build(cfg.n_workers, &mut wl_rng))
             }
             (WorkloadKind::Cruda, ModelScale::Small) => {
-                BuiltWorkload::Cruda(CrudaSpec::small().build(cfg.n_workers, &mut wl_rng))
+                Box::new(CrudaSpec::small().build(cfg.n_workers, &mut wl_rng))
             }
             (WorkloadKind::CrudaConv, ModelScale::Paper) => {
-                BuiltWorkload::Cruda(CrudaSpec::conv_paper().build(cfg.n_workers, &mut wl_rng))
+                Box::new(CrudaSpec::conv_paper().build(cfg.n_workers, &mut wl_rng))
             }
             (WorkloadKind::CrudaConv, ModelScale::Small) => {
-                BuiltWorkload::Cruda(CrudaSpec::conv_small().build(cfg.n_workers, &mut wl_rng))
+                Box::new(CrudaSpec::conv_small().build(cfg.n_workers, &mut wl_rng))
             }
             (WorkloadKind::Crimp, ModelScale::Paper) => {
-                BuiltWorkload::Crimp(CrimpSpec::paper().build(cfg.n_workers, &mut wl_rng))
+                Box::new(CrimpSpec::paper().build(cfg.n_workers, &mut wl_rng))
             }
             (WorkloadKind::Crimp, ModelScale::Small) => {
-                BuiltWorkload::Crimp(CrimpSpec::small().build(cfg.n_workers, &mut wl_rng))
+                Box::new(CrimpSpec::small().build(cfg.n_workers, &mut wl_rng))
             }
         };
 

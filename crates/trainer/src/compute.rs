@@ -6,7 +6,7 @@
 //! instant. Host parallelism lives one level up, across whole runs
 //! (`rog_bench::run_outcomes`).
 
-use rog_models::{Dataset, GradSet, Mlp, Workload};
+use rog_models::{Dataset, GradSet, Mlp};
 
 use crate::engine::common::EngineCtx;
 

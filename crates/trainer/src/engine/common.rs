@@ -3,13 +3,14 @@
 use std::collections::BTreeMap;
 
 use rog_fault::{FaultClock, FaultEvent};
-use rog_models::{GradSet, Mlp, Workload};
+use rog_models::{GradSet, Mlp};
 use rog_net::{
     BackoffPolicy, ChunkFate, FlowEvent, FlowId, FlowSpec, ReliableProgress, ReliableTransfer,
 };
 use rog_obs::{obs, obs_shard, Event, EventKind, Journal};
 use rog_sim::{DeviceState, EventQueue, Time, Timeline};
 use rog_tensor::rng::DetRng;
+use rog_tensor::Matrix;
 
 use crate::cluster::{Cluster, DeviceKind};
 use crate::config::ExperimentConfig;
@@ -61,8 +62,8 @@ pub struct EngineCtx {
     /// have a single entry.
     pub server_down: Vec<bool>,
     /// Deterministic event journal ([`rog_obs`]); disabled unless
-    /// `cfg.trace` is set, and compiled out under the `obs-off`
-    /// feature. Recording never feeds back into the simulation.
+    /// `cfg.trace` is set. Recording never feeds back into the
+    /// simulation.
     pub journal: Journal,
     /// Each worker's model replica (all start from the cluster's
     /// initial model).
@@ -825,10 +826,10 @@ fn squared_distances<const B: usize>(x: &[f32], ys: [&[f32]; B]) -> [f64; B] {
 /// Squared L2 distance from `model` to each of `partners`: per pair,
 /// the per-matrix sums of [`squared_distances`] added in parameter
 /// order.
-fn squared_model_distances<const B: usize>(model: &Mlp, partners: [&Mlp; B]) -> [f64; B] {
+fn squared_model_distances<const B: usize>(model: &[Matrix], partners: [&[Matrix]; B]) -> [f64; B] {
     let mut acc = [0.0f64; B];
-    for (m, x) in model.params().iter().enumerate() {
-        let ys = partners.map(|p| p.params()[m].as_slice());
+    for (m, x) in model.iter().enumerate() {
+        let ys = partners.map(|p| p[m].as_slice());
         for (a, d) in acc.iter_mut().zip(squared_distances(x.as_slice(), ys)) {
             *a += d;
         }
@@ -837,11 +838,11 @@ fn squared_model_distances<const B: usize>(model: &Mlp, partners: [&Mlp; B]) -> 
 }
 
 /// Mean L2 norm of the models' parameters.
-fn mean_parameter_norm(models: &[Mlp]) -> f64 {
+fn mean_parameter_norm<M: AsRef<[Matrix]>>(models: &[M]) -> f64 {
     models
         .iter()
         .map(|m| {
-            m.params()
+            m.as_ref()
                 .iter()
                 .map(|p| f64::from(p.frobenius_norm()).powi(2))
                 .sum::<f64>()
@@ -854,11 +855,13 @@ fn mean_parameter_norm(models: &[Mlp]) -> f64 {
 /// Maximum pairwise L2 distance between models, relative to the mean
 /// parameter norm (0 if fewer than two models).
 ///
-/// All models must share one architecture. The n·(n−1)/2 distances are
-/// computed [`DIVERGENCE_BLOCK`] partners at a time per model (the
-/// remainder one by one): a 256-worker fleet has 32 640 pairs, and one
-/// pair alone is a single latency-bound add chain.
-pub fn relative_model_divergence(models: &[Mlp]) -> f64 {
+/// A model is its parameter matrices (an [`Mlp`], or the one-matrix
+/// model the live cluster makes of a flat parameter vector); all must
+/// share one architecture. The n·(n−1)/2 distances are computed
+/// [`DIVERGENCE_BLOCK`] partners at a time per model (the remainder
+/// one by one): a 256-worker fleet has 32 640 pairs, and one pair alone
+/// is a single latency-bound add chain.
+pub fn relative_model_divergence<M: AsRef<[Matrix]>>(models: &[M]) -> f64 {
     if models.len() < 2 {
         return 0.0;
     }
@@ -867,42 +870,15 @@ pub fn relative_model_divergence(models: &[Mlp]) -> f64 {
     for (i, model) in models.iter().enumerate() {
         let mut blocks = models[i + 1..].chunks_exact(DIVERGENCE_BLOCK);
         for block in &mut blocks {
-            let partners: [&Mlp; DIVERGENCE_BLOCK] = std::array::from_fn(|k| &block[k]);
-            for d in squared_model_distances(model, partners) {
+            let partners: [&[Matrix]; DIVERGENCE_BLOCK] =
+                std::array::from_fn(|k| block[k].as_ref());
+            for d in squared_model_distances(model.as_ref(), partners) {
                 max_d = max_d.max(d.sqrt());
             }
         }
         for partner in blocks.remainder() {
-            let [d] = squared_model_distances(model, [partner]);
+            let [d] = squared_model_distances(model.as_ref(), [partner.as_ref()]);
             max_d = max_d.max(d.sqrt());
-        }
-    }
-    max_d / norm.max(1e-12)
-}
-
-/// [`relative_model_divergence`] on already-flattened parameter
-/// vectors (the live cluster ships models as flat `f32` slices).
-/// Mathematically identical: L2 over the concatenation equals L2 over
-/// the per-matrix decomposition.
-pub fn relative_model_divergence_flat(models: &[&[f32]]) -> f64 {
-    if models.len() < 2 {
-        return 0.0;
-    }
-    let norm: f64 = models
-        .iter()
-        .map(|m| m.iter().map(|&p| f64::from(p).powi(2)).sum::<f64>().sqrt())
-        .sum::<f64>()
-        / models.len() as f64;
-    let mut max_d = 0.0f64;
-    for i in 0..models.len() {
-        for j in (i + 1)..models.len() {
-            let d: f64 = models[i]
-                .iter()
-                .zip(models[j].iter())
-                .map(|(&x, &y)| f64::from(x - y).powi(2))
-                .sum::<f64>()
-                .sqrt();
-            max_d = max_d.max(d);
         }
     }
     max_d / norm.max(1e-12)
@@ -1116,13 +1092,11 @@ mod tests {
                 ..cfg()
             };
             let (m, journal, stats) = crate::engine::run_full(&c);
-            if cfg!(not(feature = "obs-off")) {
-                let resynced = journal
-                    .events()
-                    .find(|e| matches!(e.kind, EventKind::ResyncEnd { w: 1, .. }))
-                    .expect("worker 1 rejoined");
-                assert!(resynced.t < 1.5, "{}: resync at {}", m.name, resynced.t);
-            }
+            let resynced = journal
+                .events()
+                .find(|e| matches!(e.kind, EventKind::ResyncEnd { w: 1, .. }))
+                .expect("worker 1 rejoined");
+            assert!(resynced.t < 1.5, "{}: resync at {}", m.name, resynced.t);
             assert!(m.offline_secs > 0.0, "{}", m.name);
             assert!(
                 m.mean_iterations >= 5.0,
@@ -1176,6 +1150,20 @@ mod tests {
             }
         }
         max_d / mean_parameter_norm(models).max(1e-12)
+    }
+
+    #[test]
+    fn a_flat_parameter_vector_is_a_one_matrix_model() {
+        // What `live::serve` builds from the workers' final models.
+        let flat = |v: &[f32]| [Matrix::from_vec(1, v.len(), v.to_vec()).expect("1 x len")];
+        let models = [
+            flat(&[3.0, 0.0, 0.0]),
+            flat(&[0.0, 4.0, 0.0]),
+            flat(&[3.0, 0.0, 0.0]),
+        ];
+        // Largest distance 5 (models 0 and 1), mean norm (3 + 4 + 3) / 3.
+        assert_eq!(relative_model_divergence(&models), 5.0 / (10.0 / 3.0));
+        assert_eq!(relative_model_divergence(&models[..1]), 0.0);
     }
 
     proptest! {

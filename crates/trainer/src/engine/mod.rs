@@ -19,8 +19,7 @@ use crate::run::FleetStats;
 
 /// Runs one experiment, dispatching on the configured strategy, and
 /// returns its metrics, event journal and engine-level [`FleetStats`].
-/// The journal is empty unless `cfg.trace` is set (or the crate is built
-/// with `obs-off`, which compiles tracing out). The model-granularity
+/// The journal is empty unless `cfg.trace` is set. The model-granularity
 /// baselines report default (all-zero) stats; only the row engine
 /// instruments them.
 pub fn run_full(cfg: &ExperimentConfig) -> (RunMetrics, Journal, FleetStats) {

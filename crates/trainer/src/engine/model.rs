@@ -390,7 +390,7 @@ impl ModelEngine {
             std::mem::replace(&mut self.server.pending[w], self.ctx.models[w].zero_grads());
         let payload = quantize_set(&self.partition, &mut self.server.efs[w], &pending);
         // Stall accounting for ABS (assigned outside the obs! macro so
-        // obs-off builds stay behaviorally identical).
+        // untraced runs stay behaviorally identical).
         self.workers[w].last_gate_wait = now - self.workers[w].gate_entered;
         obs!(
             self.ctx.journal,

@@ -55,8 +55,8 @@ pub mod report;
 mod run;
 pub mod stats;
 
-pub use cluster::{BuiltWorkload, Cluster, Device, DeviceKind};
+pub use cluster::{Cluster, Device, DeviceKind};
 pub use config::{Environment, ExperimentConfig, ModelScale, Strategy, WorkloadKind};
 pub use live::{check_socket_compatible, JoinOptions, ServeOptions};
 pub use metrics::{ByteAccount, Checkpoint, MicroSample, RunMetrics, TimeComposition};
-pub use run::{run_with, run_with_result, FleetStats, RunOptions, RunOutcome, TransportChoice};
+pub use run::{FleetStats, RunOptions, RunOutcome};

@@ -50,10 +50,10 @@ use rog_core::{
     Gate, ImportanceMetric, PushFloor, PushReport, RogWorkerConfig, RowId, ServerRole, ShardMap,
     ShardedServer, WorkerRole,
 };
-use rog_models::Workload;
 use rog_obs::{obs, EventKind, Journal};
 use rog_sim::{DeviceState, Timeline};
 use rog_tensor::rng::DetRng;
+use rog_tensor::Matrix;
 use rog_transport::proto::{chunk_rows, Msg, Row, TraceEv};
 use rog_transport::{
     Delivery, FrameClass, SocketByteCounters, SocketTransport, Transport, TransportError,
@@ -62,7 +62,7 @@ use rog_transport::{
 
 use crate::cluster::{Cluster, DeviceKind};
 use crate::config::{ExperimentConfig, Strategy};
-use crate::engine::common::relative_model_divergence_flat;
+use crate::engine::common::relative_model_divergence;
 use crate::metrics::{ByteAccount, MetricsCollector};
 use crate::run::{FleetStats, RunOutcome};
 
@@ -703,6 +703,7 @@ pub fn serve(cfg: &ExperimentConfig, opts: &ServeOptions) -> Result<RunOutcome, 
         transport,
         mut journal,
         mut members,
+        widths,
         ..
     } = plane;
     stats.peak_version_bytes = role.peak_version_bytes() as u64;
@@ -723,11 +724,14 @@ pub fn serve(cfg: &ExperimentConfig, opts: &ServeOptions) -> Result<RunOutcome, 
         }
     );
 
-    let finals: Vec<&[f32]> = members
-        .iter()
-        .filter_map(|m| m.final_params.as_deref())
+    // A flat parameter vector is a one-matrix model; a peer's vector
+    // of the wrong length is not a model of this run and is left out.
+    let n_params = widths.iter().sum();
+    let finals: Vec<[Matrix; 1]> = members
+        .iter_mut()
+        .filter_map(|m| Some([Matrix::from_vec(1, n_params, m.final_params.take()?).ok()?]))
         .collect();
-    let divergence = relative_model_divergence_flat(&finals);
+    let divergence = relative_model_divergence(&finals);
     let timelines: Vec<Timeline> = members.iter().map(|m| m.timeline.clone()).collect();
     let robot_mask: Vec<bool> = cluster
         .devices

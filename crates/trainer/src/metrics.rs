@@ -4,11 +4,11 @@ use std::collections::BTreeMap;
 
 use rog_energy::PowerModel;
 use rog_sim::{DeviceState, Time, Timeline};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// One evaluation checkpoint (paper: every 50 iterations, averaged over
 /// workers).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct Checkpoint {
     /// Iteration index (per worker).
     pub iter: u64,
@@ -21,7 +21,7 @@ pub struct Checkpoint {
 }
 
 /// Average per-iteration time composition (Figs. 1a / 6a / 7a).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize)]
 pub struct TimeComposition {
     /// Seconds computing (incl. codec).
     pub compute: f64,
@@ -43,7 +43,7 @@ impl TimeComposition {
 
 /// One Fig. 8 micro-event sample, recorded at each push of the observed
 /// worker.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct MicroSample {
     /// Virtual time of the push.
     pub time: Time,
@@ -56,7 +56,7 @@ pub struct MicroSample {
 }
 
 /// Everything measured in one run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct RunMetrics {
     /// Display name ("ROG-4 / cruda / outdoor").
     pub name: String,

@@ -14,15 +14,6 @@ pub fn runs_to_json(runs: &[RunMetrics]) -> String {
     serde_json::to_string_pretty(runs).expect("RunMetrics serializes")
 }
 
-/// Parses runs back from JSON.
-///
-/// # Errors
-///
-/// Returns the underlying `serde_json` error on malformed input.
-pub fn runs_from_json(json: &str) -> Result<Vec<RunMetrics>, serde_json::Error> {
-    serde_json::from_str(json)
-}
-
 /// Linearly interpolated metric at wall-clock time `t` (clamped to the
 /// observed range). Returns `None` if the run has no checkpoints.
 pub fn metric_at_time(run: &RunMetrics, t: f64) -> Option<f64> {
@@ -231,18 +222,6 @@ mod tests {
         let csv = checkpoints_csv(&[r]);
         assert!(csv.lines().count() == 2);
         assert!(csv.contains("X,50,100.0"));
-    }
-
-    #[test]
-    fn json_round_trip_preserves_runs() {
-        let r = run_with(vec![ck(50, 100.0, 60.0, 1000.0)], true);
-        let json = runs_to_json(std::slice::from_ref(&r));
-        let back = runs_from_json(&json).expect("parses");
-        assert_eq!(back.len(), 1);
-        assert_eq!(back[0].checkpoints, r.checkpoints);
-        assert_eq!(back[0].name, r.name);
-        assert_eq!(back[0].composition, r.composition);
-        assert!(runs_from_json("{broken").is_err());
     }
 
     #[test]

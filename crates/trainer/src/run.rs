@@ -1,10 +1,11 @@
 //! The run API: a builder ([`RunOptions`]) over
-//! [`ExperimentConfig`] and a single entry point ([`run_with`])
-//! returning a [`RunOutcome`].
+//! [`ExperimentConfig`] whose [`RunOptions::run`] launches the
+//! simulation and returns a [`RunOutcome`].
 //!
-//! Every launch path — benches, `rogctl`, examples, tests — goes through
-//! `cfg.options()…run()` (or the free function [`run_with`]), and the
-//! outcome always carries the metrics plus an optional journal.
+//! Every simulated launch — benches, `rogctl`, examples, tests — goes
+//! through `cfg.options()…run()`, and the outcome always carries the
+//! metrics plus an optional journal. A live socket role is launched by
+//! calling [`crate::live::serve`] / [`crate::live::join`] directly.
 
 use crate::config::ExperimentConfig;
 use crate::metrics::RunMetrics;
@@ -57,7 +58,7 @@ pub struct RunOutcome {
 /// Builder describing how to launch an experiment.
 ///
 /// Construct via [`ExperimentConfig::options`] or [`RunOptions::new`],
-/// tweak with the chained setters, then call [`RunOptions::run`].
+/// optionally set [`RunOptions::traced`], then call [`RunOptions::run`].
 ///
 /// ```
 /// use rog_trainer::{ExperimentConfig, Strategy};
@@ -75,91 +76,32 @@ pub struct RunOutcome {
 #[derive(Debug, Clone)]
 pub struct RunOptions {
     cfg: ExperimentConfig,
-    traced: bool,
-    transport: TransportChoice,
-}
-
-/// Which transport plane a run executes on.
-///
-/// The default, [`TransportChoice::Sim`], is the deterministic
-/// discrete-event simulation — bit-reproducible, no sockets. The two
-/// socket variants launch one role of a live multi-process cluster
-/// over real UDP/TCP (see [`crate::live`]); they are inherently
-/// non-deterministic and reconciled against sim runs statistically.
-#[derive(Debug, Clone, Default)]
-pub enum TransportChoice {
-    /// In-process deterministic simulation (the default).
-    #[default]
-    Sim,
-    /// Live parameter server: listen for workers, coordinate the run.
-    Serve(crate::live::ServeOptions),
-    /// Live worker: join a server and train for real.
-    Join(crate::live::JoinOptions),
 }
 
 impl RunOptions {
-    /// Wraps a config with default launch options (`traced` follows
+    /// Wraps a config with default launch options (tracing follows
     /// the config's own `trace` flag).
     pub fn new(cfg: ExperimentConfig) -> Self {
-        let traced = cfg.trace;
-        Self {
-            cfg,
-            traced,
-            transport: TransportChoice::Sim,
-        }
+        Self { cfg }
     }
 
     /// Requests (or suppresses) the event journal in the outcome.
     pub fn traced(mut self, traced: bool) -> Self {
-        self.traced = traced;
+        self.cfg.trace = traced;
         self
     }
 
-    /// Selects the transport plane (default: the deterministic sim).
-    pub fn transport(mut self, transport: TransportChoice) -> Self {
-        self.transport = transport;
-        self
-    }
-
-    /// Runs the experiment. Equivalent to [`run_with`]`(&self)`.
+    /// Runs the experiment on the deterministic in-process simulation.
     ///
-    /// # Panics
-    ///
-    /// Panics if a socket transport was selected and the live run
-    /// fails (bad address, config mismatch, join timeout); use
-    /// [`run_with_result`] to handle those errors.
+    /// Tracing only decides whether the journal is recorded and
+    /// returned, never what the engine does.
     pub fn run(&self) -> RunOutcome {
-        run_with(self)
-    }
-}
-
-/// Runs an experiment described by `options` and returns its
-/// [`RunOutcome`].
-///
-/// This is the single launch path; tracing only decides whether the
-/// journal is recorded and returned, never what the engine does.
-pub fn run_with(options: &RunOptions) -> RunOutcome {
-    run_with_result(options).unwrap_or_else(|e| panic!("live run failed: {e}"))
-}
-
-/// [`run_with`] with live-transport errors surfaced as `Err`. The sim
-/// path is infallible; only `Serve`/`Join` can return `Err`.
-pub fn run_with_result(options: &RunOptions) -> Result<RunOutcome, String> {
-    let cfg = ExperimentConfig {
-        trace: options.traced,
-        ..options.cfg.clone()
-    };
-    match &options.transport {
-        TransportChoice::Sim => {
-            let (metrics, journal, stats) = crate::engine::run_full(&cfg);
-            Ok(RunOutcome {
-                metrics,
-                journal: options.traced.then_some(journal),
-                stats,
-            })
+        let (metrics, journal, stats) = crate::engine::run_full(&self.cfg);
+        RunOutcome {
+            metrics,
+            journal: self.cfg.trace.then_some(journal),
+            stats,
         }
-        TransportChoice::Serve(sopts) => crate::live::serve(&cfg, sopts),
-        TransportChoice::Join(jopts) => crate::live::join(&cfg, jopts),
     }
 }
 
@@ -190,8 +132,7 @@ mod tests {
     fn traced_outcome_carries_a_journal() {
         let out = tiny().options().traced(true).run();
         let journal = out.journal.expect("traced run must return a journal");
-        // Under `obs-off` every emission site is compiled out.
-        assert_eq!(journal.recorded() > 0, cfg!(not(feature = "obs-off")));
+        assert!(journal.recorded() > 0);
     }
 
     #[test]

@@ -48,9 +48,8 @@ pub mod prelude {
     pub use rog_net::LossConfig;
     pub use rog_obs::{Journal, TraceSummary};
     pub use rog_trainer::{
-        report, run_with, run_with_result, Environment, ExperimentConfig, FleetStats, JoinOptions,
-        ModelScale, RunMetrics, RunOptions, RunOutcome, ServeOptions, Strategy, TransportChoice,
-        WorkloadKind,
+        report, Environment, ExperimentConfig, FleetStats, JoinOptions, ModelScale, RunMetrics,
+        RunOptions, RunOutcome, ServeOptions, Strategy, WorkloadKind,
     };
     pub use rog_transport::{SocketTransport, Transport};
 }

@@ -6,17 +6,20 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use rog_compress::{CodecState, CompressedRow, OneBitCodec, TopKCodec};
+use rog_compress::{
+    CodecChoice, CodecState, CompressedRow, OneBitCodec, SparseDeltaCodec, TopKCodec,
+};
 use rog_core::mta::mta_fraction;
 use rog_core::{
     ImportanceMetric, ImportanceMode, RankScratch, RogWorker, RogWorkerConfig, RowId, RowPartition,
     ShardMap, ShardedServer,
 };
 use rog_models::{CrudaSpec, Mlp, Task, Workload};
-use rog_net::{Channel, ChannelProfile, FlowSpec, Trace};
+use rog_net::{Channel, ChannelProfile, FlowSpec, LossConfig, Trace};
 use rog_tensor::rng::DetRng;
 use rog_tensor::Matrix;
 use rog_trainer::engine::common::relative_model_divergence;
+use rog_trainer::{Environment, ExperimentConfig, Strategy};
 
 fn bench_compression(c: &mut Criterion) {
     let mut g = c.benchmark_group("compression");
@@ -45,6 +48,19 @@ fn bench_compression(c: &mut Criterion) {
                 ef.restore_into(&OneBitCodec, 0, black_box(row), &mut out);
                 out[0]
             })
+        });
+        // The sparse rung of the same step (a normal row selects ~11 %
+        // of its values, just under the break-even density), and the
+        // plan-time sizing every candidate row pays before it.
+        let mut ef = CodecState::new(&[cols], 0);
+        g.bench_with_input(BenchmarkId::new("ef_cycle_sparse", cols), &row, |b, row| {
+            b.iter(|| {
+                ef.restore_into(&SparseDeltaCodec, 0, black_box(row), &mut out);
+                out[0]
+            })
+        });
+        g.bench_with_input(BenchmarkId::new("sized_sparse", cols), &row, |b, row| {
+            b.iter(|| ef.planned_payload_bytes(&SparseDeltaCodec, 0, black_box(row)))
         });
         let topk = TopKCodec::new(0.01);
         g.bench_with_input(BenchmarkId::new("topk_1pct", cols), &row, |b, row| {
@@ -264,6 +280,28 @@ fn bench_divergence(c: &mut Criterion) {
     g.finish();
 }
 
+fn bench_journal_export(c: &mut Criterion) {
+    // What `rogctl trace --out x.jsonl.gz` does after the run: the
+    // journal of 600 virtual seconds of the default team on the sparse
+    // rung under 10 % burst loss, to JSONL text, to gzip.
+    let cfg = ExperimentConfig {
+        environment: Environment::Indoor,
+        strategy: Strategy::Rog { threshold: 4 },
+        codec: CodecChoice::Sparse,
+        loss: Some(LossConfig::gilbert_elliott(7, 0.10)),
+        duration_secs: 600.0,
+        ..ExperimentConfig::default()
+    };
+    let journal = cfg.options().traced(true).run().journal.expect("traced");
+    let jsonl = journal.to_jsonl();
+    let mut g = c.benchmark_group("journal_export");
+    g.bench_function("to_jsonl", |b| b.iter(|| black_box(&journal).to_jsonl()));
+    g.bench_function("gzip", |b| {
+        b.iter(|| rog_obs::gzip_compress(black_box(jsonl.as_bytes())))
+    });
+    g.finish();
+}
+
 fn bench_server_plane(c: &mut Criterion) {
     // The parameter plane at fleet scale (the `fleet256` cell): the
     // paper-scale CRUDA MLP, 256 workers x 4 shards, one worker's leg
@@ -444,6 +482,7 @@ criterion_group!(
     bench_row_plumbing,
     bench_channel,
     bench_divergence,
+    bench_journal_export,
     bench_server_plane,
     bench_event_queue,
     bench_wire_framing,

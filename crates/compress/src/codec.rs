@@ -32,7 +32,9 @@
 
 use rog_tensor::rng::DetRng;
 
-use crate::onebit::{restore_in_place, CompressedRow};
+use std::cell::RefCell;
+
+use crate::onebit::{class_scale, level, restore_in_place, CompressedRow};
 
 /// Length in bytes of `v` as an LEB128 varint.
 const fn varint_len(v: u64) -> u64 {
@@ -324,20 +326,94 @@ impl SparseDeltaRow {
     }
 }
 
-/// Wire cost of the sparse mode for a given ascending index selection:
-/// the two scales plus one varint per entry carrying `(gap << 1) |
-/// sign`. The sign bit never changes the varint's length (`x` and
-/// `x | 1` have the same bit width for `x = gap << 1`), so the cost is
-/// a function of the indices alone.
-fn sparse_entries_cost(indices: &[u32]) -> u64 {
-    let mut cost = 8u64;
-    let mut next = 0u64;
-    for &i in indices {
-        let gap = u64::from(i) - next;
-        cost += varint_len((gap << 1) | 1);
-        next = u64::from(i) + 1;
+/// What the sparse mode sends of a row, accumulated over its selection
+/// in index order: the gap stream's size and the two class sums.
+#[derive(Default)]
+struct SparseScan {
+    /// Selection threshold: `SPARSE_THRESHOLD_FACTOR ×` the mean |value|.
+    tau: f64,
+    /// One varint per entry carrying `(gap << 1) | sign`. The sign bit
+    /// never changes the varint's length (`x` and `x | 1` have the same
+    /// bit width for `x = gap << 1`), so this is a function of the
+    /// indices alone.
+    entry_bytes: u64,
+    /// One past the last index seen.
+    next: u64,
+    pos_sum: f64,
+    pos_n: u32,
+    neg_sum: f64,
+    neg_n: u32,
+}
+
+impl SparseScan {
+    /// Two passes over `row`: the mean, then the selection.
+    /// Deterministic: pure thresholding, no randomization.
+    fn of(row: &[f32]) -> Self {
+        let mean = row.iter().map(|v| f64::from(v.abs())).sum::<f64>() / row.len() as f64;
+        let mut scan = Self {
+            tau: SPARSE_THRESHOLD_FACTOR * mean,
+            ..Self::default()
+        };
+        for (w, chunk) in row.chunks(64).enumerate() {
+            // The selection as a bit word first: a compare per value
+            // and no branch; then only the selected are visited.
+            let mut word = 0u64;
+            for (b, &v) in chunk.iter().enumerate() {
+                word |= u64::from(scan.selects(v)) << b;
+            }
+            while word != 0 {
+                let b = word.trailing_zeros() as usize;
+                word &= word - 1;
+                let v = chunk[b];
+                scan.index((w * 64 + b) as u64);
+                if v >= 0.0 {
+                    scan.pos_sum += f64::from(v);
+                    scan.pos_n += 1;
+                } else {
+                    scan.neg_sum += f64::from(-v);
+                    scan.neg_n += 1;
+                }
+            }
+        }
+        scan
     }
-    cost
+
+    /// Whether `v` is transmitted. NaN never clears a threshold and
+    /// nothing clears a NaN or infinite one.
+    fn selects(&self, v: f32) -> bool {
+        f64::from(v.abs()) > self.tau
+    }
+
+    fn index(&mut self, i: u64) {
+        self.entry_bytes += varint_len(((i - self.next) << 1) | 1);
+        self.next = i + 1;
+    }
+
+    /// Wire cost of the sparse mode: the two scales plus the entries.
+    fn payload_bytes(&self) -> u64 {
+        8 + self.entry_bytes
+    }
+
+    /// Whether a `cols`-wide row goes out as a dense one-bit row: the
+    /// gap stream would cost at least as much as the bitmap.
+    fn falls_back(&self, cols: usize) -> bool {
+        self.payload_bytes() >= onebit_payload(cols)
+    }
+
+    /// `(scale_pos, scale_neg)`: each selected class's mean magnitude.
+    fn scales(&self) -> (f32, f32) {
+        (
+            class_scale(self.pos_sum, self.pos_n),
+            class_scale(self.neg_sum, self.neg_n),
+        )
+    }
+}
+
+/// Wire cost of the sparse mode for a given ascending index selection.
+fn sparse_entries_cost(indices: &[u32]) -> u64 {
+    let mut scan = SparseScan::default();
+    indices.iter().for_each(|&i| scan.index(u64::from(i)));
+    scan.payload_bytes()
 }
 
 /// Sparse-delta codec: transmit only the values whose magnitude clears
@@ -356,25 +432,6 @@ pub struct SparseDeltaCodec;
 /// row's mean |value|.
 const SPARSE_THRESHOLD_FACTOR: f64 = 2.0;
 
-impl SparseDeltaCodec {
-    /// Indices whose magnitude clears the selection threshold,
-    /// ascending. Deterministic: pure thresholding, no randomization.
-    fn select(&self, adjusted: &[f32]) -> Vec<u32> {
-        if adjusted.is_empty() {
-            return Vec::new();
-        }
-        let mean: f64 =
-            adjusted.iter().map(|v| f64::from(v.abs())).sum::<f64>() / adjusted.len() as f64;
-        let tau = SPARSE_THRESHOLD_FACTOR * mean;
-        adjusted
-            .iter()
-            .enumerate()
-            .filter(|(_, v)| f64::from(v.abs()) > tau)
-            .map(|(i, _)| i as u32)
-            .collect()
-    }
-}
-
 impl RowCodec for SparseDeltaCodec {
     fn name(&self) -> &'static str {
         "sparse"
@@ -390,42 +447,22 @@ impl RowCodec for SparseDeltaCodec {
     }
 
     fn sized_payload_bytes(&self, adjusted: &[f32]) -> u64 {
-        let dense = onebit_payload(adjusted.len());
-        sparse_entries_cost(&self.select(adjusted)).min(dense)
+        let sparse = SparseScan::of(adjusted).payload_bytes();
+        sparse.min(onebit_payload(adjusted.len()))
     }
 
     fn encode(&self, adjusted: &[f32], _rng: &mut DetRng) -> RowCode {
-        let indices = self.select(adjusted);
-        let dense = onebit_payload(adjusted.len());
-        if sparse_entries_cost(&indices) >= dense {
+        let scan = SparseScan::of(adjusted);
+        if scan.falls_back(adjusted.len()) {
             return RowCode::SparseDelta(SparseDeltaRow::Dense(CompressedRow::encode(adjusted)));
         }
-        let (mut pos_sum, mut pos_n, mut neg_sum, mut neg_n) = (0.0f64, 0u32, 0.0f64, 0u32);
-        let positive: Vec<bool> = indices
+        let (scale_pos, scale_neg) = scan.scales();
+        let (indices, positive) = adjusted
             .iter()
-            .map(|&i| {
-                let v = adjusted[i as usize];
-                if v >= 0.0 {
-                    pos_sum += f64::from(v);
-                    pos_n += 1;
-                    true
-                } else {
-                    neg_sum += f64::from(-v);
-                    neg_n += 1;
-                    false
-                }
-            })
-            .collect();
-        let scale_pos = if pos_n > 0 {
-            (pos_sum / f64::from(pos_n)) as f32
-        } else {
-            0.0
-        };
-        let scale_neg = if neg_n > 0 {
-            (neg_sum / f64::from(neg_n)) as f32
-        } else {
-            0.0
-        };
+            .enumerate()
+            .filter(|(_, &v)| scan.selects(v))
+            .map(|(i, &v)| (i as u32, v >= 0.0))
+            .unzip();
         RowCode::SparseDelta(SparseDeltaRow::Sparse {
             cols: adjusted.len(),
             scale_pos,
@@ -433,6 +470,23 @@ impl RowCodec for SparseDeltaCodec {
             indices,
             positive,
         })
+    }
+
+    /// Allocation-free: the scan, then either the one-bit kernel (dense
+    /// fallback) or the two levels and zero written back.
+    fn transcode(&self, row: &mut [f32], _rng: &mut DetRng) {
+        let scan = SparseScan::of(row);
+        if scan.falls_back(row.len()) {
+            return restore_in_place(row);
+        }
+        let (scale_pos, scale_neg) = scan.scales();
+        for v in row {
+            *v = if scan.selects(*v) {
+                level(*v >= 0.0, scale_pos, scale_neg)
+            } else {
+                0.0
+            };
+        }
     }
 }
 
@@ -682,6 +736,12 @@ impl RowCodec for Codec {
     }
 }
 
+thread_local! {
+    /// The residual-adjusted row [`CodecState::planned_payload_bytes`]
+    /// sizes, recycled from call to call.
+    static ADJUSTED: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+}
+
 /// Per-row error-feedback state for a whole model, for any codec, plus
 /// the deterministic RNG stream stochastic codecs draw from.
 ///
@@ -766,12 +826,11 @@ impl CodecState {
             gradient.len(),
             "gradient width mismatch for row {row}"
         );
-        let adjusted: Vec<f32> = gradient
-            .iter()
-            .zip(residual.iter())
-            .map(|(g, r)| g + r)
-            .collect();
-        codec.sized_payload_bytes(&adjusted)
+        ADJUSTED.with_borrow_mut(|adjusted| {
+            adjusted.clear();
+            adjusted.extend(gradient.iter().zip(residual).map(|(g, r)| g + r));
+            codec.sized_payload_bytes(adjusted)
+        })
     }
 
     /// Folds `gradient` into the stored residual of row `row`
@@ -872,20 +931,82 @@ mod tests {
     /// Round `round` of the differential sequence: a normal row bent
     /// into the shapes the sign classes care about — `±0.0` entries,
     /// one class empty, subnormals — and, on round 17 only, `special`.
+    /// Rounds 20–23 are the sparse rung's corners: all `0.0`, all
+    /// `-0.0`, and `ceil(w / 8)` resp. one fewer leading spikes — the
+    /// gap stream costing exactly the bitmap (dense fallback) and one
+    /// byte less (sparse).
     fn shaped_row(w: usize, round: usize, special: Option<f32>, rng: &mut DetRng) -> Vec<f32> {
         let mut g: Vec<f32> = (0..w).map(|_| rng.normal() as f32).collect();
-        match round % 5 {
-            1 => g.iter_mut().step_by(3).for_each(|v| *v *= -0.0),
-            2 => g.iter_mut().for_each(|v| *v = v.abs()),
-            3 => g.iter_mut().for_each(|v| *v = -v.abs()),
-            4 => g.iter_mut().for_each(|v| *v *= 1e-42),
-            _ => {}
+        match round {
+            20 => g.fill(0.0),
+            21 => g.fill(-0.0),
+            22 | 23 => {
+                g.fill(0.0);
+                g[..w.div_ceil(8).saturating_sub(round - 22)].fill(3.0);
+            }
+            _ => match round % 5 {
+                1 => g.iter_mut().step_by(3).for_each(|v| *v *= -0.0),
+                2 => g.iter_mut().for_each(|v| *v = v.abs()),
+                3 => g.iter_mut().for_each(|v| *v = -v.abs()),
+                4 => g.iter_mut().for_each(|v| *v *= 1e-42),
+                _ => {}
+            },
         }
         if let (17, Some(x)) = (round, special) {
             g.iter_mut().step_by(5).for_each(|v| *v = x);
             g.iter_mut().skip(2).step_by(7).for_each(|v| *v = -x);
         }
         g
+    }
+
+    /// The sparse rung as first written — an index list, a flag list
+    /// and a fresh vector per row: the reference the streaming scan
+    /// must match bit for bit.
+    fn select(adjusted: &[f32]) -> Vec<u32> {
+        if adjusted.is_empty() {
+            return Vec::new();
+        }
+        let mean: f64 =
+            adjusted.iter().map(|v| f64::from(v.abs())).sum::<f64>() / adjusted.len() as f64;
+        let tau = SPARSE_THRESHOLD_FACTOR * mean;
+        let over = |(_, v): &(usize, &f32)| f64::from(v.abs()) > tau;
+        let selected = adjusted.iter().enumerate().filter(over);
+        selected.map(|(i, _)| i as u32).collect()
+    }
+
+    fn encode_with_lists(adjusted: &[f32]) -> RowCode {
+        let indices = select(adjusted);
+        if sparse_entries_cost(&indices) >= onebit_payload(adjusted.len()) {
+            return RowCode::SparseDelta(SparseDeltaRow::Dense(CompressedRow::encode(adjusted)));
+        }
+        let (mut pos_sum, mut pos_n, mut neg_sum, mut neg_n) = (0.0f64, 0u32, 0.0f64, 0u32);
+        let mut positive = Vec::new();
+        for &i in &indices {
+            let v = adjusted[i as usize];
+            positive.push(v >= 0.0);
+            if v >= 0.0 {
+                pos_sum += f64::from(v);
+                pos_n += 1;
+            } else {
+                neg_sum += f64::from(-v);
+                neg_n += 1;
+            }
+        }
+        RowCode::SparseDelta(SparseDeltaRow::Sparse {
+            cols: adjusted.len(),
+            scale_pos: if pos_n > 0 {
+                (pos_sum / f64::from(pos_n)) as f32
+            } else {
+                0.0
+            },
+            scale_neg: if neg_n > 0 {
+                (neg_sum / f64::from(neg_n)) as f32
+            } else {
+                0.0
+            },
+            indices,
+            positive,
+        })
     }
 
     /// Bit patterns, with every NaN folded to one: the sign and payload
@@ -902,17 +1023,21 @@ mod tests {
         // The byte-identity anchor. Reference: "encode gradient +
         // residual, keep what decoding misses", written out with its
         // own RNG — through the bit-at-a-time, branch-per-value one-bit
-        // codec for the one-bit rung, through `encode` + `decompress`
-        // for the others. `restore_into` (what the engines run) and
-        // `compress` (what hands out the code) must both reproduce its
-        // restored values, residuals, code and RNG position bit for
-        // bit, on widths crossing the 8- and 64-value boundaries, over
-        // 20 rounds so residuals carry. NaN and ±Inf rows go to the
-        // one-bit rung only (the quantizers divide by the row maximum).
+        // codec for the one-bit rung, the list-building sparse codec
+        // for the sparse rung, `encode` + `decompress` for the others.
+        // `restore_into` (what the engines run) and `compress` (what
+        // hands out the code) must both reproduce its restored values,
+        // residuals, code and RNG position bit for bit, on widths
+        // crossing the 8- and 64-value boundaries, over 24 rounds so
+        // residuals carry. Each raw row also goes through `transcode`
+        // and the sizing on its own, so the shapes reach the codec
+        // unblurred by a residual. NaN and ±Inf rows skip the
+        // quantizers (they divide by the row maximum).
         use crate::onebit::reference::{decompress_per_bit, encode_per_bit};
         for codec in all_codecs() {
             let onebit = codec == Codec::OneBit(OneBitCodec);
-            let specials: &[Option<f32>] = if onebit {
+            let sparse = codec == Codec::Sparse(SparseDeltaCodec);
+            let specials: &[Option<f32>] = if onebit || sparse {
                 &[None, Some(f32::NAN), Some(f32::INFINITY)]
             } else {
                 &[None]
@@ -924,22 +1049,46 @@ mod tests {
                 let mut fused = CodecState::new(&[3, w], 42);
                 let mut coded = fused.clone();
                 let mut rows = DetRng::new(w as u64);
-                for round in 0..20 {
+                for round in 0..24 {
                     let g = shaped_row(w, round, special, &mut rows);
+                    let at = format!("{what} round {round}");
+                    let mut alone = g.clone();
+                    codec.transcode(&mut alone, &mut ref_rng.clone());
+                    let code = codec.encode(&g, &mut ref_rng.clone());
+                    assert_eq!(bits(&alone), bits(&code.decompress()), "{at}");
+                    assert_eq!(codec.sized_payload_bytes(&g), code.payload_bytes(), "{at}");
+                    if sparse {
+                        let dense = onebit_payload(w);
+                        let spelled = sparse_entries_cost(&select(&g)).min(dense);
+                        assert_eq!(codec.sized_payload_bytes(&g), spelled, "{at}");
+                        if w >= 9 && matches!(round, 22 | 23) {
+                            let fell_back = code
+                                == RowCode::SparseDelta(SparseDeltaRow::Dense(
+                                    CompressedRow::encode(&g),
+                                ));
+                            assert_eq!(fell_back, round == 22, "{at}");
+                        }
+                    }
                     let adjusted: Vec<f32> = g.iter().zip(&residual).map(|(g, r)| g + r).collect();
-                    let (want, want_restored) = if onebit {
-                        let c = encode_per_bit(&adjusted);
-                        let restored = decompress_per_bit(&c);
-                        (RowCode::Dense(c), restored)
+                    let want = if onebit {
+                        RowCode::Dense(encode_per_bit(&adjusted))
+                    } else if sparse {
+                        encode_with_lists(&adjusted)
                     } else {
-                        let c = codec.encode(&adjusted, &mut ref_rng);
-                        let restored = c.decompress();
-                        (c, restored)
+                        codec.encode(&adjusted, &mut ref_rng)
+                    };
+                    let want_restored = match &want {
+                        RowCode::Dense(c) => decompress_per_bit(c),
+                        c => c.decompress(),
                     };
                     for ((r, a), d) in residual.iter_mut().zip(&adjusted).zip(&want_restored) {
                         *r = a - d;
                     }
-                    let at = format!("{what} round {round}");
+                    assert_eq!(
+                        fused.planned_payload_bytes(&codec, 1, &g),
+                        want.payload_bytes(),
+                        "{at}"
+                    );
                     let mut restored = vec![7.0f32; w];
                     fused.restore_into(&codec, 1, &g, &mut restored);
                     let code = coded.compress(&codec, 1, &g);

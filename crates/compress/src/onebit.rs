@@ -64,23 +64,26 @@ impl ClassSums {
     /// `(scale_pos, scale_neg)` of the `cols` values seen: each class's
     /// mean magnitude, 0 for an empty class.
     fn scales(&self, cols: usize) -> (f32, f32) {
-        let mean = |sum: f64, n: u32| {
-            if n > 0 {
-                (sum / f64::from(n)) as f32
-            } else {
-                0.0
-            }
-        };
         (
-            mean(self.pos_sum, self.pos_n),
-            mean(self.neg_sum, cols as u32 - self.pos_n),
+            class_scale(self.pos_sum, self.pos_n),
+            class_scale(self.neg_sum, cols as u32 - self.pos_n),
         )
+    }
+}
+
+/// A sign class's reconstruction scale: the mean of its `n` magnitudes,
+/// 0 for an empty class.
+pub(crate) fn class_scale(sum: f64, n: u32) -> f32 {
+    if n > 0 {
+        (sum / f64::from(n)) as f32
+    } else {
+        0.0
     }
 }
 
 /// Pass B of the kernel: what a value of either sign class decodes to.
 #[inline(always)]
-fn level(positive: bool, scale_pos: f32, scale_neg: f32) -> f32 {
+pub(crate) fn level(positive: bool, scale_pos: f32, scale_neg: f32) -> f32 {
     if positive {
         scale_pos
     } else {

@@ -55,18 +55,32 @@ const START_MARKER: [u8; 4] = *b"ROG\x02";
 /// End-of-frame marker.
 const END_MARKER: [u8; 4] = *b"\x03GOR";
 
+/// One CRC32 step per byte value, built at compile time.
+const CRC_TABLE: [u32; 256] = {
+    let mut table = [0u32; 256];
+    let mut n = 0;
+    while n < 256 {
+        let mut crc = n as u32;
+        let mut k = 0;
+        while k < 8 {
+            let mask = (crc & 1).wrapping_neg();
+            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+            k += 1;
+        }
+        table[n] = crc;
+        n += 1;
+    }
+    table
+};
+
 /// CRC32 (IEEE 802.3, reflected polynomial `0xEDB88320`) of `data`.
 ///
-/// Hand-rolled bitwise implementation — the codec runs on control-path
-/// message sizes, and the workspace vendors no checksum crate.
+/// Hand-rolled, one table lookup per byte — every live frame is summed
+/// twice, and the workspace vendors no checksum crate.
 pub fn crc32(data: &[u8]) -> u32 {
     let mut crc: u32 = 0xFFFF_FFFF;
     for &b in data {
-        crc ^= b as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
+        crc = CRC_TABLE[((crc ^ u32::from(b)) & 0xFF) as usize] ^ (crc >> 8);
     }
     !crc
 }

@@ -7,23 +7,32 @@
 //! gzip MTIME field is pinned to zero). The decoder handles stored and
 //! fixed-Huffman blocks, which covers everything the encoder produces.
 
-/// IEEE CRC-32 (reflected polynomial `0xEDB88320`), as used by gzip.
-pub fn crc32(data: &[u8]) -> u32 {
+/// One step of the IEEE CRC-32 per byte value, built at compile time.
+const CRC_TABLE: [u32; 256] = {
     let mut table = [0u32; 256];
-    for (n, entry) in table.iter_mut().enumerate() {
+    let mut n = 0;
+    while n < 256 {
         let mut c = n as u32;
-        for _ in 0..8 {
+        let mut k = 0;
+        while k < 8 {
             c = if c & 1 != 0 {
                 0xEDB8_8320 ^ (c >> 1)
             } else {
                 c >> 1
             };
+            k += 1;
         }
-        *entry = c;
+        table[n] = c;
+        n += 1;
     }
+    table
+};
+
+/// IEEE CRC-32 (reflected polynomial `0xEDB88320`), as used by gzip.
+pub fn crc32(data: &[u8]) -> u32 {
     let mut crc = 0xFFFF_FFFFu32;
     for &b in data {
-        crc = table[((crc ^ u32::from(b)) & 0xFF) as usize] ^ (crc >> 8);
+        crc = CRC_TABLE[((crc ^ u32::from(b)) & 0xFF) as usize] ^ (crc >> 8);
     }
     crc ^ 0xFFFF_FFFF
 }
@@ -35,6 +44,8 @@ const MIN_MATCH: usize = 3;
 const MAX_MATCH: usize = 258;
 const MAX_CHAIN: usize = 64;
 const HASH_BITS: u32 = 15;
+/// "No position" in the hash heads and chain links.
+const NIL: u32 = u32::MAX;
 
 /// Length-code bases for DEFLATE codes 257..=285.
 const LEN_BASE: [u32; 29] = [
@@ -55,65 +66,83 @@ const DIST_EXTRA: [u32; 30] = [
     13,
 ];
 
-struct BitWriter {
-    out: Vec<u8>,
-    bitbuf: u32,
-    nbits: u32,
-}
+/// Bits ready for the writer: the value, LSB first, and its width.
+type Sym = (u32, u32);
 
-impl BitWriter {
-    fn new() -> Self {
-        Self {
-            out: Vec::new(),
-            bitbuf: 0,
-            nbits: 0,
-        }
-    }
-
-    /// Writes `n` bits of `v`, LSB first (DEFLATE's natural order for
-    /// headers and extra bits).
-    fn bits(&mut self, v: u32, n: u32) {
-        self.bitbuf |= (v & ((1 << n) - 1)) << self.nbits;
-        self.nbits += n;
-        while self.nbits >= 8 {
-            self.out.push((self.bitbuf & 0xFF) as u8);
-            self.bitbuf >>= 8;
-            self.nbits -= 8;
-        }
-    }
-
-    /// Writes an `n`-bit Huffman code MSB first.
-    fn huff(&mut self, code: u32, n: u32) {
-        let mut rev = 0u32;
-        for i in 0..n {
-            rev |= ((code >> i) & 1) << (n - 1 - i);
-        }
-        self.bits(rev, n);
-    }
-
-    fn finish(mut self) -> Vec<u8> {
-        if self.nbits > 0 {
-            self.out.push((self.bitbuf & 0xFF) as u8);
-        }
-        self.out
-    }
-}
-
-/// Fixed-table code for a literal/length symbol.
-fn fixed_lit_code(sym: u32) -> (u32, u32) {
-    match sym {
+/// Fixed-table code of a literal/length symbol, bit-reversed: Huffman
+/// codes go out MSB first, everything else in DEFLATE LSB first.
+const fn fixed_lit_sym(sym: u32) -> Sym {
+    let (code, n) = match sym {
         0..=143 => (0x30 + sym, 8),
         144..=255 => (0x190 + (sym - 144), 9),
         256..=279 => (sym - 256, 7),
         _ => (0xC0 + (sym - 280), 8),
-    }
+    };
+    (code.reverse_bits() >> (32 - n), n)
 }
 
-/// Largest code index whose base is `<= v`.
-fn code_for(bases: &[u32], v: u32) -> usize {
-    match bases.binary_search(&v) {
-        Ok(i) => i,
-        Err(i) => i - 1,
+/// Length code and extra bits of every match length, indexed by
+/// `len - MIN_MATCH`.
+const LEN_SYM: [Sym; MAX_MATCH - MIN_MATCH + 1] = {
+    let mut t = [(0, 0); MAX_MATCH - MIN_MATCH + 1];
+    let mut lc = 0;
+    let mut i = 0;
+    while i < t.len() {
+        let len = (i + MIN_MATCH) as u32;
+        while lc + 1 < LEN_BASE.len() && LEN_BASE[lc + 1] <= len {
+            lc += 1;
+        }
+        let (code, n) = fixed_lit_sym(257 + lc as u32);
+        t[i] = (code | (len - LEN_BASE[lc]) << n, n + LEN_EXTRA[lc]);
+        i += 1;
+    }
+    t
+};
+
+/// Distance code (5 bits, bit-reversed) and extra bits of a distance.
+/// Past the first two, each power of two of `dist - 1` spans two codes,
+/// told apart by the bit below its top one.
+fn dist_sym(dist: usize) -> Sym {
+    let d = dist as u32 - 1;
+    let dc = if d < 2 {
+        d
+    } else {
+        let top = d.ilog2();
+        2 * top + (d >> (top - 1) & 1)
+    };
+    let extra = dist as u32 - DIST_BASE[dc as usize];
+    (
+        dc.reverse_bits() >> 27 | extra << 5,
+        5 + DIST_EXTRA[dc as usize],
+    )
+}
+
+/// Appends bits, LSB first, to the tail of a byte vector.
+struct BitWriter {
+    out: Vec<u8>,
+    bitbuf: u64,
+    /// Bits pending in `bitbuf`; below 32 between calls.
+    nbits: u32,
+}
+
+impl BitWriter {
+    /// Writes the low `n <= 32` bits of `v`, which has no bit above them.
+    fn bits(&mut self, (v, n): Sym) {
+        self.bitbuf |= u64::from(v) << self.nbits;
+        self.nbits += n;
+        if self.nbits >= 32 {
+            self.out
+                .extend_from_slice(&(self.bitbuf as u32).to_le_bytes());
+            self.bitbuf >>= 32;
+            self.nbits -= 32;
+        }
+    }
+
+    fn finish(mut self) -> Vec<u8> {
+        let pending = self.nbits.div_ceil(8) as usize;
+        self.out
+            .extend_from_slice(&self.bitbuf.to_le_bytes()[..pending]);
+        self.out
     }
 }
 
@@ -122,85 +151,113 @@ fn hash3(b: &[u8]) -> usize {
         & ((1 << HASH_BITS) - 1)
 }
 
-fn deflate_fixed(data: &[u8]) -> Vec<u8> {
-    let mut w = BitWriter::new();
-    w.bits(1, 1); // BFINAL
-    w.bits(1, 2); // BTYPE = 01: fixed Huffman
-
-    let mut head = vec![usize::MAX; 1 << HASH_BITS];
-    let mut prev = vec![usize::MAX; data.len()];
-    let insert = |head: &mut [usize], prev: &mut [usize], i: usize| {
-        if i + MIN_MATCH <= data.len() {
-            let h = hash3(&data[i..]);
-            prev[i] = head[h];
-            head[h] = i;
+/// Length of the common prefix of two equally long slices, eight bytes
+/// per comparison.
+fn match_len(a: &[u8], b: &[u8]) -> usize {
+    let mut l = 0;
+    for (x, y) in a.chunks_exact(8).zip(b.chunks_exact(8)) {
+        let x = u64::from_le_bytes(x.try_into().expect("chunk of 8"));
+        let y = u64::from_le_bytes(y.try_into().expect("chunk of 8"));
+        if x != y {
+            return l + ((x ^ y).trailing_zeros() / 8) as usize;
         }
+        l += 8;
+    }
+    l + a[l..]
+        .iter()
+        .zip(&b[l..])
+        .take_while(|(x, y)| x == y)
+        .count()
+}
+
+/// Appends to `out` one final DEFLATE block over `data`: fixed Huffman
+/// tables, greedy parse, the first longest match among the 64 most
+/// recent positions with the same three-byte hash.
+///
+/// Positions are kept as `u32` (a journal past 4 GiB would alias; every
+/// candidate is checked against the real bytes, so the stream stays
+/// valid) and the chain links in a ring of `WINDOW` slots: a chain is
+/// left at the first link more than `WINDOW` back, and slot
+/// `p % WINDOW` is next written by position `p + WINDOW`, which enters
+/// the chains only after the search at it — so every link the search
+/// follows still holds what position `p` wrote.
+fn deflate_fixed(data: &[u8], out: Vec<u8>) -> Vec<u8> {
+    let mut w = BitWriter {
+        out,
+        bitbuf: 0,
+        nbits: 0,
     };
+    w.bits((1, 1)); // BFINAL
+    w.bits((1, 2)); // BTYPE = 01: fixed Huffman
+
+    let mut head = vec![NIL; 1 << HASH_BITS];
+    let mut prev = vec![NIL; WINDOW];
+    // Positions with three bytes to hash; the last two are never linked.
+    let hashable = data.len().saturating_sub(MIN_MATCH - 1);
 
     let mut i = 0usize;
     while i < data.len() {
         // Greedy best match at i over the hash chain.
         let mut best_len = 0usize;
         let mut best_dist = 0usize;
-        if i + MIN_MATCH <= data.len() {
+        if i < hashable {
             let limit = (data.len() - i).min(MAX_MATCH);
             let mut cand = head[hash3(&data[i..])];
             let mut chain = 0usize;
-            while cand != usize::MAX && chain < MAX_CHAIN {
-                let dist = i - cand;
-                if dist > WINDOW {
+            while cand != NIL && chain < MAX_CHAIN {
+                let dist = (i as u32).wrapping_sub(cand) as usize;
+                if dist.wrapping_sub(1) >= WINDOW {
                     break;
                 }
-                let mut l = 0usize;
-                while l < limit && data[cand + l] == data[i + l] {
-                    l += 1;
-                }
-                if l > best_len {
-                    best_len = l;
-                    best_dist = dist;
-                    if l == limit {
-                        break;
+                let at = i - dist;
+                // Only a longer match can win, and it agrees at `best_len`.
+                if data[at + best_len] == data[i + best_len] {
+                    let l = match_len(&data[at..at + limit], &data[i..i + limit]);
+                    if l > best_len {
+                        best_len = l;
+                        best_dist = dist;
+                        if l == limit {
+                            break;
+                        }
                     }
                 }
-                cand = prev[cand];
+                cand = prev[cand as usize % WINDOW];
                 chain += 1;
             }
         }
-        if best_len >= MIN_MATCH {
-            let lc = code_for(&LEN_BASE, best_len as u32);
-            let (code, n) = fixed_lit_code(257 + lc as u32);
-            w.huff(code, n);
-            w.bits(best_len as u32 - LEN_BASE[lc], LEN_EXTRA[lc]);
-            let dc = code_for(&DIST_BASE, best_dist as u32);
-            w.huff(dc as u32, 5);
-            w.bits(best_dist as u32 - DIST_BASE[dc], DIST_EXTRA[dc]);
-            for k in i..i + best_len {
-                insert(&mut head, &mut prev, k);
-            }
-            i += best_len;
+        let step = if best_len >= MIN_MATCH {
+            let (len_bits, n) = LEN_SYM[best_len - MIN_MATCH];
+            let (dist_bits, m) = dist_sym(best_dist);
+            w.bits((len_bits | dist_bits << n, n + m));
+            best_len
         } else {
-            let (code, n) = fixed_lit_code(u32::from(data[i]));
-            w.huff(code, n);
-            insert(&mut head, &mut prev, i);
-            i += 1;
+            w.bits(fixed_lit_sym(u32::from(data[i])));
+            1
+        };
+        for k in i..(i + step).min(hashable) {
+            let h = hash3(&data[k..]);
+            prev[k % WINDOW] = head[h];
+            head[h] = k as u32;
         }
+        i += step;
     }
-    let (eob, n) = fixed_lit_code(256);
-    w.huff(eob, n);
+    w.bits(fixed_lit_sym(256));
     w.finish()
 }
 
 /// Compresses `data` into a deterministic gzip member (MTIME = 0).
 pub fn gzip_compress(data: &[u8]) -> Vec<u8> {
-    let mut out = vec![
+    // Journals shrink 2.7- to 5-fold; anything denser grows the vector.
+    let mut out = Vec::with_capacity(data.len() / 2 + 32);
+    out.extend_from_slice(&[
         0x1F, 0x8B, // magic
         0x08, // CM = deflate
         0x00, // FLG
         0x00, 0x00, 0x00, 0x00, // MTIME = 0 for determinism
         0x00, // XFL
         0xFF, // OS = unknown
-    ];
-    out.extend_from_slice(&deflate_fixed(data));
+    ]);
+    let mut out = deflate_fixed(data, out);
     out.extend_from_slice(&crc32(data).to_le_bytes());
     out.extend_from_slice(&(data.len() as u32).to_le_bytes());
     out
@@ -401,6 +458,24 @@ mod tests {
     }
 
     #[test]
+    fn every_length_and_distance_gets_the_code_of_its_base() {
+        // The code is the last one whose base does not exceed the value.
+        let code_for = |bases: &[u32], v: u32| bases.iter().rposition(|&b| b <= v).unwrap();
+        for len in MIN_MATCH..=MAX_MATCH {
+            let lc = code_for(&LEN_BASE, len as u32);
+            let (code, n) = fixed_lit_sym(257 + lc as u32);
+            let extra = (len as u32 - LEN_BASE[lc]) << n;
+            assert_eq!(LEN_SYM[len - MIN_MATCH], (code | extra, n + LEN_EXTRA[lc]));
+        }
+        for dist in 1..=WINDOW {
+            let dc = code_for(&DIST_BASE, dist as u32);
+            let code = (dc as u32).reverse_bits() >> 27;
+            let extra = (dist as u32 - DIST_BASE[dc]) << 5;
+            assert_eq!(dist_sym(dist), (code | extra, 5 + DIST_EXTRA[dc]), "{dist}");
+        }
+    }
+
+    #[test]
     fn roundtrip_empty_and_small() {
         for data in [&b""[..], b"a", b"abc", b"hello world"] {
             let gz = gzip_compress(data);
@@ -451,6 +526,29 @@ mod tests {
     proptest! {
         #[test]
         fn prop_roundtrip(data in proptest::collection::vec(0u8..=255, 0..4096)) {
+            let gz = gzip_compress(&data);
+            prop_assert_eq!(gzip_decompress(&gz).unwrap(), data);
+        }
+
+        /// The matcher's limits: a phrase of 0–3 or 258/259 bytes (too
+        /// short to match; the longest match and one byte more) comes
+        /// back exactly `WINDOW` or `WINDOW + 1` bytes later — the
+        /// farthest reachable link of the ring and the first one past
+        /// it — followed by more than 64 KiB of repetitive text, so
+        /// every ring slot is overwritten at least twice.
+        #[test]
+        fn prop_roundtrip_at_the_matcher_limits(
+            unit in proptest::collection::vec(0u8..=255, 1..8),
+            run in 0usize..6,
+            past_window in 0usize..2,
+        ) {
+            let run = [0, 1, 2, 3, MAX_MATCH, MAX_MATCH + 1][run];
+            let phrase: Vec<u8> = unit.iter().copied().cycle().take(run).collect();
+            let mut data = phrase.clone();
+            // Pseudo-random filler: literals and the odd short match.
+            data.extend((run..WINDOW + past_window).map(|i| ((i * 2_654_435_761) >> 13) as u8));
+            data.extend(&phrase);
+            data.extend(unit.iter().copied().cycle().take(2 * WINDOW + 1000));
             let gz = gzip_compress(&data);
             prop_assert_eq!(gzip_decompress(&gz).unwrap(), data);
         }

@@ -1,11 +1,12 @@
-//! The one-bit error-feedback step works in place — on the stored
-//! residual and the caller's output buffer — so it must not touch the
-//! heap, and a commit of k rows may allocate only what its signature
-//! returns: k payload vectors and the vector that holds them. Asserted
-//! with a counting allocator, which is why this lives in a test binary
-//! of its own (the libraries forbid `unsafe`).
+//! The one-bit and sparse error-feedback steps work in place — on the
+//! stored residual and the caller's output buffer — so they must not
+//! touch the heap, nor may the sparse rung's plan-time sizing once its
+//! scratch row has grown, and a commit of k rows may allocate only what
+//! its signature returns: k payload vectors and the vector that holds
+//! them. Asserted with a counting allocator, which is why this lives in
+//! a test binary of its own (the libraries forbid `unsafe`).
 
-use rog::compress::{CodecState, OneBitCodec};
+use rog::compress::{CodecChoice, CodecState, OneBitCodec, RowCodec, SparseDeltaCodec};
 use rog::core::{ImportanceMetric, RogWorker, RogWorkerConfig, RowId, ShardMap, ShardedServer};
 use rog::tensor::Matrix;
 
@@ -24,39 +25,59 @@ fn params() -> Vec<Matrix> {
     ]
 }
 
+/// Every eleventh value is a spike, so the sparse rung selects some.
 fn grads() -> Vec<Matrix> {
+    let value = |r: usize, c: usize| {
+        ((r * 31 + c) as f32).sin() * if c.is_multiple_of(11) { 9.0 } else { 1.0 }
+    };
     params()
         .iter()
-        .map(|m| Matrix::from_fn(m.rows(), m.cols(), |r, c| ((r * 31 + c) as f32).sin()))
+        .map(|m| Matrix::from_fn(m.rows(), m.cols(), value))
         .collect()
 }
 
-#[test]
-fn the_one_bit_step_does_not_allocate() {
+/// Sizing and stepping rows of several widths, residuals warm: no heap
+/// call once the sizing scratch has grown to the widest row.
+fn step_allocations(codec: &dyn RowCodec) -> u64 {
     let widths = [200usize, 65, 7, 0];
     let mut state = CodecState::new(&widths, 3);
     let rows: Vec<Vec<f32>> = widths
         .iter()
-        .map(|&w| (0..w).map(|i| (i as f32).cos()).collect())
+        .map(|&w| (0..w).map(|i| (i as f32).cos().powi(5)).collect())
         .collect();
     let mut out = vec![0.0f32; 200];
+    state.planned_payload_bytes(codec, 0, &rows[0]);
     let (n, ()) = calls(|| {
         for _ in 0..3 {
             for (i, row) in rows.iter().enumerate() {
-                state.restore_into(&OneBitCodec, i, row, &mut out[..row.len()]);
+                state.planned_payload_bytes(codec, i, row);
+                state.restore_into(codec, i, row, &mut out[..row.len()]);
             }
         }
     });
-    assert_eq!(n, 0, "restore_into allocated {n} times");
     assert!(state.residual(0).iter().any(|&r| r != 0.0));
+    assert!(out.iter().any(|&v| v != 0.0));
+    n
 }
 
 #[test]
-fn a_commit_of_k_rows_allocates_k_payloads_and_their_holder() {
+fn the_one_bit_step_does_not_allocate() {
+    assert_eq!(step_allocations(&OneBitCodec), 0);
+}
+
+#[test]
+fn the_sparse_step_and_its_sizing_do_not_allocate() {
+    assert_eq!(step_allocations(&SparseDeltaCodec), 0);
+}
+
+/// Allocator calls of a `commit_push` and a `commit_pull` of `k` rows
+/// must both be `k + 1`.
+fn commit_allocations(codec: CodecChoice) {
     let ps = params();
-    let mut worker = RogWorker::new(&ps, RogWorkerConfig::new(4, 0.1));
+    let mut worker = RogWorker::new(&ps, RogWorkerConfig::new(4, 0.1).with_codec(codec, 1));
     let map = ShardMap::contiguous(8, 2);
     let mut server = ShardedServer::new(&ps, 2, 4, ImportanceMetric::default(), map);
+    server.configure_codec(codec, 1);
     worker.accumulate(&grads());
     // Shard 0 homes rows 0..4, shard 1 rows 4..8.
     for (shard, ids) in [(0usize, vec![0usize, 2, 3]), (1, vec![4, 5, 6, 7])] {
@@ -69,4 +90,14 @@ fn a_commit_of_k_rows_allocates_k_payloads_and_their_holder() {
         assert_eq!(n, k + 1, "commit_pull of {k} rows");
         assert!(pulled.iter().any(|(_, v)| v.iter().any(|&x| x != 0.0)));
     }
+}
+
+#[test]
+fn a_commit_of_k_rows_allocates_k_payloads_and_their_holder() {
+    commit_allocations(CodecChoice::OneBit);
+}
+
+#[test]
+fn a_sparse_commit_of_k_rows_allocates_the_same() {
+    commit_allocations(CodecChoice::Sparse);
 }

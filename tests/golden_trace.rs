@@ -13,7 +13,7 @@ mod common;
 
 use std::path::PathBuf;
 
-use rog::obs::{gzip_compress, gzip_decompress};
+use rog::obs::{crc32, gzip_compress, gzip_decompress};
 use rog::prelude::*;
 
 fn golden_path(name: &str) -> PathBuf {
@@ -70,4 +70,40 @@ fn golden_traces_are_byte_stable_run_to_run() {
              (ROG_UPDATE_GOLDEN=1 refreshes it if the change is intentional)"
         );
     }
+}
+
+/// The goldens were written by `gzip_compress`, so re-encoding what
+/// they unpack to must give back the file: the encoder's parse, tables
+/// and bit order are pinned byte for byte, not just its round trip.
+#[test]
+fn goldens_re_encode_to_their_own_bytes() {
+    for (name, _) in scenarios() {
+        let golden = std::fs::read(golden_path(name)).expect("read golden");
+        let text = gzip_decompress(&golden).expect("golden gunzips");
+        assert!(
+            gzip_compress(&text) == golden,
+            "{name}: gzip_compress no longer reproduces the golden's bytes"
+        );
+    }
+}
+
+/// The same pin on a journal long enough to leave the 32 KiB window
+/// many times over: the lossy sparse run of the host-cost benchmark's
+/// `lossy-traced` workload, on the small cluster. Length and CRC-32 of
+/// its gzip were computed with the encoder the goldens were written by.
+#[test]
+fn a_megabyte_lossy_journal_gzips_to_the_pinned_bytes() {
+    let mut cfg = common::small_cluster_cfg(Strategy::Rog { threshold: 4 });
+    cfg.environment = Environment::Indoor;
+    cfg.codec = CodecChoice::Sparse;
+    cfg.loss = Some(LossConfig::gilbert_elliott(cfg.seed, 0.10));
+    cfg.duration_secs = 1200.0;
+    let jsonl = traced_jsonl(&cfg);
+    assert!(jsonl.len() >= 1 << 20, "journal is {} bytes", jsonl.len());
+    let gz = gzip_compress(jsonl.as_bytes());
+    assert_eq!(gzip_decompress(&gz).expect("gunzips"), jsonl.as_bytes());
+    assert_eq!(
+        (jsonl.len(), gz.len(), crc32(&gz)),
+        (1_120_569, 231_336, 0x3DFE_203E)
+    );
 }

@@ -269,13 +269,43 @@ fn bench_channel(c: &mut Criterion) {
 fn bench_divergence(c: &mut Criterion) {
     // End-of-run model divergence at fleet scale: 256 replicas of the
     // paper-scale CRUDA MLP (15 576 parameters), 32 640 model pairs.
+    // Independent random models are the search's worst case (no pair
+    // can be ruled out); a fleet's replicas share the pretrained model
+    // and differ in the rows each last pulled, so most pairs are.
     let mut g = c.benchmark_group("divergence");
     let root = DetRng::new(12);
+    let dims = [40, 112, 80, 24];
     let models: Vec<Mlp> = (0..256)
-        .map(|w| Mlp::new(&[40, 112, 80, 24], Task::Classification, &mut root.fork(w)))
+        .map(|w| Mlp::new(&dims, Task::Classification, &mut root.fork(w)))
         .collect();
     g.bench_function("256_paper_models", |b| {
         b.iter(|| relative_model_divergence(black_box(&models)))
+    });
+    // A replica holds each row either as pretrained or as the server
+    // last moved it, having pulled a replica-dependent share of rows.
+    let base = Mlp::new(&dims, Task::Classification, &mut root.fork(256));
+    let mut moved = base.clone();
+    let mut rng = root.fork(257);
+    for v in moved.params_mut().iter_mut().flat_map(|p| p.as_mut_slice()) {
+        *v += rng.normal_with(0.0, 1e-3) as f32;
+    }
+    let fleet: Vec<Mlp> = (0..256)
+        .map(|w| {
+            let mut rng = root.fork(1000 + w);
+            let pulled = 0.5 * rng.uniform().powi(3);
+            let mut m = base.clone();
+            for (p, s) in m.params_mut().iter_mut().zip(moved.params()) {
+                for r in 0..p.rows() {
+                    if rng.chance(pulled) {
+                        p.row_mut(r).copy_from_slice(s.row(r));
+                    }
+                }
+            }
+            m
+        })
+        .collect();
+    g.bench_function("256_fleet_replicas", |b| {
+        b.iter(|| relative_model_divergence(black_box(&fleet)))
     });
     g.finish();
 }

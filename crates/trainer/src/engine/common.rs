@@ -321,6 +321,9 @@ impl EngineCtx {
     /// them with the event journal (with the per-worker `close` markers
     /// and the `run_end` footer a replay needs appended).
     pub fn finish(mut self) -> (RunMetrics, Journal) {
+        // No gradient is drawn past this point: the recycled buffers
+        // make room for the divergence pass's centroid.
+        self.grad_pool = Vec::new();
         let divergence = relative_model_divergence(&self.models);
         let duration = self.cfg.duration_secs;
         for (w, tl) in self.timelines.iter_mut().enumerate() {
@@ -852,36 +855,168 @@ fn mean_parameter_norm<M: AsRef<[Matrix]>>(models: &[M]) -> f64 {
         / models.len() as f64
 }
 
+/// Parameters at or above this magnitude, and non-finite ones, switch
+/// [`PairBound`] off: below it no `f32` difference can overflow.
+const BOUNDED_MAGNITUDE: f32 = (1u128 << 126) as f32;
+
+/// An upper bound on the *computed* distance of every pair of models,
+/// from each model's computed distance to their centroid.
+///
+/// Write `k(a, b)` for what [`squared_model_distances`] and `sqrt`
+/// return for two models of `P` parameters whose differences stay
+/// below 2¹²⁷ in magnitude, and `u = 2⁻⁵³`. Each `f32` difference is
+/// within a factor `1 ± 2⁻²⁴` of the exact one (a subnormal difference
+/// is exact, and none overflows); its square is exact in `f64` (48
+/// significant bits, exponent in range); each square passes through at
+/// most `P − 1` rounded additions of non-negative values and the root
+/// rounds once, so
+///
+/// ```text
+/// (1 − 2⁻²⁴)(1 − u)^((P+1)/2) ‖a − b‖ ≤ k(a, b) ≤ (1 + 2⁻²⁴)(1 + u)^((P+1)/2) ‖a − b‖.
+/// ```
+///
+/// Models below [`BOUNDED_MAGNITUDE`] qualify, and so does their
+/// centroid `c`, summed in `f64` and rounded to `f32` (`|c| ≤ 2¹²⁶`):
+/// `r̂_i = k(c, x_i)`. The triangle inequality
+/// `‖x_i − x_j‖ ≤ ‖x_i − c‖ + ‖x_j − c‖` holds for any point, so
+/// `k(x_i, x_j) ≤ ρ (r̂_i + r̂_j)` with `ln ρ ≤ 2⁻²³ + (P + 1)u` (to
+/// first order; the next terms are below 2⁻⁷⁰). The bound is evaluated as `fl(fl(r̂_i + r̂_j) · fl(1 + s))`,
+/// at worst three roundings down, so it is at least `k(x_i, x_j)` once
+/// `ln(1 + s) − 3u ≥ ln ρ`: with `s = 2⁻²² + 4P·u` the margin is
+/// `2⁻²³ + (3P − 4)u − s²/2 > 0` for every `P < 2⁴⁸`. A pair whose
+/// bound is below a distance already computed cannot be the maximum.
+///
+/// If any parameter is non-finite or at least [`BOUNDED_MAGNITUDE`],
+/// every radius is `+∞`: every bound passes and, radii tied, the search
+/// visits every pair in index order, as the exhaustive loop did.
+struct PairBound {
+    radii: Vec<f64>,
+    scale: f64,
+}
+
+impl PairBound {
+    fn new<M: AsRef<[Matrix]>>(models: &[M]) -> Self {
+        let params: usize = models[0].as_ref().iter().map(Matrix::len).sum();
+        let scale = 1.0 + (2f64.powi(-22) + 4.0 * params as f64 * f64::EPSILON / 2.0);
+        let radii = match centroid(models) {
+            Some(c) => distances_from(&c, models),
+            None => vec![f64::INFINITY; models.len()],
+        };
+        Self { radii, scale }
+    }
+
+    /// At least the computed distance between models `i` and `j`.
+    fn of(&self, i: usize, j: usize) -> f64 {
+        (self.radii[i] + self.radii[j]) * self.scale
+    }
+}
+
+/// The models' mean, summed in `f64` and rounded to `f32`, in the
+/// models' own matrix shapes; `None` if a parameter is non-finite or
+/// at least [`BOUNDED_MAGNITUDE`]. The sums run a stack block of
+/// elements at a time, so the only heap is the centroid itself.
+fn centroid<M: AsRef<[Matrix]>>(models: &[M]) -> Option<Vec<Matrix>> {
+    const BLOCK: usize = 256;
+    let inv = 1.0 / models.len() as f64;
+    let mut bounded = true;
+    let mut centroid: Vec<Matrix> = models[0]
+        .as_ref()
+        .iter()
+        .map(|m| Matrix::zeros(m.rows(), m.cols()))
+        .collect();
+    for (k, c) in centroid.iter_mut().enumerate() {
+        for (b, c) in c.as_mut_slice().chunks_mut(BLOCK).enumerate() {
+            let mut sum = [0.0f64; BLOCK];
+            for model in models {
+                let x = &model.as_ref()[k].as_slice()[b * BLOCK..][..c.len()];
+                for (s, &v) in sum.iter_mut().zip(x) {
+                    *s += f64::from(v);
+                    bounded &= v.abs() < BOUNDED_MAGNITUDE;
+                }
+            }
+            for (c, s) in c.iter_mut().zip(sum) {
+                *c = (s * inv) as f32;
+            }
+        }
+    }
+    bounded.then_some(centroid)
+}
+
+/// The computed distance from `model` to each of `models`,
+/// [`DIVERGENCE_BLOCK`] at a time.
+fn distances_from<M: AsRef<[Matrix]>>(model: &[Matrix], models: &[M]) -> Vec<f64> {
+    let mut out = Vec::with_capacity(models.len());
+    let mut blocks = models.chunks_exact(DIVERGENCE_BLOCK);
+    for block in &mut blocks {
+        let partners: [&[Matrix]; DIVERGENCE_BLOCK] = std::array::from_fn(|k| block[k].as_ref());
+        out.extend(squared_model_distances(model, partners).map(f64::sqrt));
+    }
+    for partner in blocks.remainder() {
+        let [d] = squared_model_distances(model, [partner.as_ref()]);
+        out.push(d.sqrt());
+    }
+    out
+}
+
+/// The largest computed distance between two of `models` (at least
+/// two), and how many pairs were summed to find it.
+///
+/// An exact best-first search: models in descending [`PairBound`]
+/// radius (ties in index order), each against the models after it in
+/// that order while the pair's bound reaches the largest distance so
+/// far — [`DIVERGENCE_BLOCK`] partners per pass while the last of them
+/// still reaches it, then one at a time. Bounds only fall along that
+/// order and the maximum only grows, so the first partner that falls
+/// short ends a model's row, and a row whose first partner falls short
+/// ends the search. Every summed pair has the bits the exhaustive loop
+/// gave it (`fl(a − b) = −fl(b − a)`), and `max` ignores order.
+fn max_pair_distance<M: AsRef<[Matrix]>>(models: &[M]) -> (f64, usize) {
+    let bound = PairBound::new(models);
+    let mut order: Vec<usize> = (0..models.len()).collect();
+    order.sort_by(|&a, &b| bound.radii[b].total_cmp(&bound.radii[a]));
+    let mut max_d = 0.0f64;
+    let mut summed = 0;
+    for (rank, &i) in order.iter().enumerate() {
+        let model = models[i].as_ref();
+        let mut rest = &order[rank + 1..];
+        match rest.first() {
+            Some(&j) if bound.of(i, j) >= max_d => {}
+            _ => break,
+        }
+        while rest.len() >= DIVERGENCE_BLOCK && bound.of(i, rest[DIVERGENCE_BLOCK - 1]) >= max_d {
+            let (block, tail) = rest.split_at(DIVERGENCE_BLOCK);
+            let partners: [&[Matrix]; DIVERGENCE_BLOCK] =
+                std::array::from_fn(|k| models[block[k]].as_ref());
+            for d in squared_model_distances(model, partners) {
+                max_d = max_d.max(d.sqrt());
+            }
+            summed += DIVERGENCE_BLOCK;
+            rest = tail;
+        }
+        for &j in rest {
+            if bound.of(i, j) < max_d {
+                break;
+            }
+            let [d] = squared_model_distances(model, [models[j].as_ref()]);
+            max_d = max_d.max(d.sqrt());
+            summed += 1;
+        }
+    }
+    (max_d, summed)
+}
+
 /// Maximum pairwise L2 distance between models, relative to the mean
 /// parameter norm (0 if fewer than two models).
 ///
 /// A model is its parameter matrices (an [`Mlp`], or the one-matrix
 /// model the live cluster makes of a flat parameter vector); all must
-/// share one architecture. The n·(n−1)/2 distances are computed
-/// [`DIVERGENCE_BLOCK`] partners at a time per model (the remainder
-/// one by one): a 256-worker fleet has 32 640 pairs, and one pair alone
-/// is a single latency-bound add chain.
+/// share one architecture. Of a 256-worker fleet's 32 640 pairs,
+/// [`max_pair_distance`] sums only those that can be the maximum.
 pub fn relative_model_divergence<M: AsRef<[Matrix]>>(models: &[M]) -> f64 {
     if models.len() < 2 {
         return 0.0;
     }
-    let norm = mean_parameter_norm(models);
-    let mut max_d = 0.0f64;
-    for (i, model) in models.iter().enumerate() {
-        let mut blocks = models[i + 1..].chunks_exact(DIVERGENCE_BLOCK);
-        for block in &mut blocks {
-            let partners: [&[Matrix]; DIVERGENCE_BLOCK] =
-                std::array::from_fn(|k| block[k].as_ref());
-            for d in squared_model_distances(model.as_ref(), partners) {
-                max_d = max_d.max(d.sqrt());
-            }
-        }
-        for partner in blocks.remainder() {
-            let [d] = squared_model_distances(model.as_ref(), [partner.as_ref()]);
-            max_d = max_d.max(d.sqrt());
-        }
-    }
-    max_d / norm.max(1e-12)
+    max_pair_distance(models).0 / mean_parameter_norm(models).max(1e-12)
 }
 
 #[cfg(test)]
@@ -1125,8 +1260,9 @@ mod tests {
     }
 
     /// [`relative_model_divergence`] as it was before the blocked
-    /// kernel: one pair at a time, one add chain (the norm is shared).
-    fn one_pair_at_a_time_divergence(models: &[Mlp]) -> f64 {
+    /// kernel and the search: every pair, one at a time, one add chain
+    /// (the norm is shared).
+    fn one_pair_at_a_time_divergence<M: AsRef<[Matrix]>>(models: &[M]) -> f64 {
         if models.len() < 2 {
             return 0.0;
         }
@@ -1134,9 +1270,9 @@ mod tests {
         for i in 0..models.len() {
             for j in (i + 1)..models.len() {
                 let d: f64 = models[i]
-                    .params()
+                    .as_ref()
                     .iter()
-                    .zip(models[j].params())
+                    .zip(models[j].as_ref())
                     .map(|(a, b)| {
                         a.as_slice()
                             .iter()
@@ -1152,38 +1288,208 @@ mod tests {
         max_d / mean_parameter_norm(models).max(1e-12)
     }
 
+    /// One-matrix models: what `live::serve` builds from the workers'
+    /// flat parameter vectors.
+    fn flat(vs: &[Vec<f32>]) -> Vec<[Matrix; 1]> {
+        vs.iter()
+            .map(|v| [Matrix::from_vec(1, v.len(), v.clone()).expect("1 x len")])
+            .collect()
+    }
+
+    /// Asserts the search returns the one-pair loop's bits; returns how
+    /// many pairs it summed.
+    fn summed_exactly<M: AsRef<[Matrix]>>(models: &[M]) -> usize {
+        let got = relative_model_divergence(models);
+        let want = one_pair_at_a_time_divergence(models);
+        assert_eq!(got.to_bits(), want.to_bits(), "{got} vs {want}");
+        if models.len() < 2 {
+            0
+        } else {
+            max_pair_distance(models).1
+        }
+    }
+
+    /// `n` replicas of `base`, as a fleet's replicas end a run: each
+    /// moved by noise of scale `drift` in a replica-dependent,
+    /// heavy-tailed share of its rows, every fifth an exact duplicate
+    /// of its predecessor.
+    fn fleet_like(base: &Mlp, n: usize, drift: f64, root: &DetRng) -> Vec<Mlp> {
+        let mut models: Vec<Mlp> = Vec::with_capacity(n);
+        for w in 0..n {
+            if w % 5 == 4 {
+                models.push(models[w - 1].clone());
+                continue;
+            }
+            let mut rng = root.fork(w as u64);
+            let share = rng.uniform().powi(3);
+            let mut m = base.clone();
+            for p in m.params_mut() {
+                for r in 0..p.rows() {
+                    if rng.chance(share) {
+                        for v in p.row_mut(r) {
+                            *v += rng.normal_with(0.0, drift) as f32;
+                        }
+                    }
+                }
+            }
+            models.push(m);
+        }
+        models
+    }
+
     #[test]
     fn a_flat_parameter_vector_is_a_one_matrix_model() {
-        // What `live::serve` builds from the workers' final models.
-        let flat = |v: &[f32]| [Matrix::from_vec(1, v.len(), v.to_vec()).expect("1 x len")];
-        let models = [
-            flat(&[3.0, 0.0, 0.0]),
-            flat(&[0.0, 4.0, 0.0]),
-            flat(&[3.0, 0.0, 0.0]),
-        ];
+        let models = flat(&[
+            vec![3.0, 0.0, 0.0],
+            vec![0.0, 4.0, 0.0],
+            vec![3.0, 0.0, 0.0],
+        ]);
         // Largest distance 5 (models 0 and 1), mean norm (3 + 4 + 3) / 3.
         assert_eq!(relative_model_divergence(&models), 5.0 / (10.0 / 3.0));
         assert_eq!(relative_model_divergence(&models[..1]), 0.0);
     }
 
+    #[test]
+    fn a_fleet_like_ensemble_sums_under_a_quarter_of_its_pairs() {
+        let root = DetRng::new(5);
+        let base = Mlp::new(&[24, 48, 32, 8], Task::Classification, &mut root.fork(999));
+        let models = fleet_like(&base, 64, 1e-3, &root);
+        let summed = summed_exactly(&models);
+        assert!(summed * 4 < 64 * 63 / 2, "{summed} of 2016 pairs summed");
+    }
+
+    #[test]
+    fn identical_models_sum_every_pair_and_match_the_one_pair_loop() {
+        let base = Mlp::new(&[6, 5, 3], Task::Regression, &mut DetRng::new(8));
+        for n in [2usize, 3, 9, 17] {
+            assert_eq!(summed_exactly(&vec![base.clone(); n]), n * (n - 1) / 2);
+        }
+    }
+
+    #[test]
+    fn non_finite_or_huge_parameters_sum_every_pair_as_before() {
+        let limit = BOUNDED_MAGNITUDE;
+        let specials = [
+            f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            limit,
+            -limit,
+            1.5 * limit,
+            f32::MAX,
+            -f32::MAX,
+        ];
+        for n in [2usize, 3, 9, 17] {
+            let base: Vec<Vec<f32>> = (0..n)
+                .map(|w| (0..5).map(|e| (w * 5 + e) as f32 * 0.25).collect())
+                .collect();
+            for (k, &v) in specials.iter().enumerate() {
+                let mut vs = base.clone();
+                vs[k % n][k % 5] = v;
+                // The same value elsewhere too: ∞ − ∞ is NaN, and ±2¹²⁶
+                // apart overflow as soon as the magnitudes add up.
+                vs[n - 1][k % 5] = -v;
+                assert_eq!(summed_exactly(&flat(&vs)), n * (n - 1) / 2, "{v}");
+            }
+            // Every difference overflows: the maximum is +∞.
+            let mut vs = base.clone();
+            for (w, v) in vs.iter_mut().enumerate() {
+                v[0] = if w % 2 == 0 { f32::MAX } else { -f32::MAX };
+            }
+            assert_eq!(summed_exactly(&flat(&vs)), n * (n - 1) / 2);
+        }
+    }
+
+    #[test]
+    fn magnitudes_just_under_the_limit_and_subnormal_differences_are_searched_exactly() {
+        let under = f32::from_bits(BOUNDED_MAGNITUDE.to_bits() - 1);
+        let tiny = f32::from_bits(1);
+        let rng = &mut DetRng::new(21);
+        for n in [2usize, 3, 8, 9, 17] {
+            // Opposite signs just under 2¹²⁶: differences near 2¹²⁷,
+            // squares near 2²⁵⁴, all finite.
+            let vs: Vec<Vec<f32>> = (0..n)
+                .map(|_| {
+                    (0..4)
+                        .map(|_| under * (rng.uniform() as f32 * 2.0 - 1.0))
+                        .collect()
+                })
+                .collect();
+            summed_exactly(&flat(&vs));
+            // Around zero and around the smallest normal, models a few
+            // subnormal steps apart.
+            for centre in [0.0, f32::MIN_POSITIVE] {
+                let vs: Vec<Vec<f32>> = (0..n)
+                    .map(|_| {
+                        (0..4)
+                            .map(|_| centre + tiny * rng.index(9) as f32)
+                            .collect()
+                    })
+                    .collect();
+                summed_exactly(&flat(&vs));
+            }
+        }
+    }
+
+    #[test]
+    fn the_bound_covers_every_computed_distance() {
+        // Where it is tightest: models on a line through their centroid,
+        // so that ‖x_i − x_j‖ = r_i + r_j and only rounding separates a
+        // computed distance from its bound.
+        let rng = &mut DetRng::new(17);
+        for params in [1usize, 2, 3, 64, 1000] {
+            for trial in 0..300 {
+                let dir: Vec<f64> = (0..params).map(|_| rng.normal()).collect();
+                let scale = 2f64.powi(rng.index(260) as i32 - 160);
+                let n = 2 + trial % 3;
+                let models: Vec<[Matrix; 1]> = flat(
+                    &(0..n)
+                        .map(|_| {
+                            let t = rng.uniform_range(-1.0, 1.0) * scale;
+                            dir.iter().map(|&d| (t * d) as f32).collect()
+                        })
+                        .collect::<Vec<_>>(),
+                );
+                let bound = PairBound::new(&models);
+                for i in 0..n {
+                    for j in (0..n).filter(|&j| j != i) {
+                        let [d] = squared_model_distances(&models[i], [&models[j][..]]);
+                        assert!(
+                            d.sqrt() <= bound.of(i, j),
+                            "{params} params: {} > {}",
+                            d.sqrt(),
+                            bound.of(i, j)
+                        );
+                    }
+                }
+            }
+        }
+    }
+
     proptest! {
-        /// The blocked kernel is a reordering of independent sums only:
-        /// bit-equal to the one-pair loop for every block remainder
-        /// (0 and 1 models, one short block, exactly one block, one
-        /// block plus a remainder, …) and for layers of unequal width.
+        /// The blocked kernel and the search only reorder independent
+        /// sums and skip pairs that cannot be the maximum: bit-equal to
+        /// the one-pair loop for every block remainder (0 and 1 models,
+        /// one short block, exactly one block, one block plus a
+        /// remainder, …) and for layers of unequal width — on
+        /// independent models, where nothing prunes, and on fleet-like
+        /// ones, where most pairs do.
         #[test]
         fn blocked_divergence_is_bitwise_the_one_pair_loop(
             seed in 0u64..u64::MAX,
             dims in proptest::collection::vec(1usize..24, 2..5),
+            drift in 1e-4f64..1.0,
         ) {
             let root = DetRng::new(seed);
-            for n in [0usize, 1, 2, 7, 8, 9, 17] {
+            let base = Mlp::new(&dims, Task::Regression, &mut root.fork(u64::MAX));
+            for n in [0usize, 1, 2, 3, 7, 8, 9, 17, 64] {
                 let models: Vec<Mlp> = (0..n)
                     .map(|w| Mlp::new(&dims, Task::Regression, &mut root.fork(w as u64)))
                     .collect();
                 let got = relative_model_divergence(&models);
                 prop_assert_eq!(got.to_bits(), one_pair_at_a_time_divergence(&models).to_bits());
                 prop_assert_eq!(n < 2, got == 0.0);
+                summed_exactly(&fleet_like(&base, n, drift, &root.fork(n as u64)));
             }
         }
     }

@@ -154,17 +154,6 @@ impl Serialize for &str {
     }
 }
 
-impl Deserialize for &'static str {
-    /// Leaks the parsed string; acceptable for the rare config-name
-    /// fields (`ChannelProfile::name`) this shim exists to support.
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        let s = v
-            .as_str()
-            .ok_or_else(|| DeError::custom("expected string"))?;
-        Ok(Box::leak(s.to_owned().into_boxed_str()))
-    }
-}
-
 impl<T: Serialize> Serialize for Option<T> {
     fn to_value(&self) -> Value {
         match self {

@@ -15,7 +15,7 @@ use rog_core::{
     ShardMap, ShardedServer,
 };
 use rog_models::{CrudaSpec, Mlp, Task, Workload};
-use rog_net::{Channel, ChannelProfile, FlowSpec, LossConfig, Trace};
+use rog_net::{Channel, ChannelProfile, FlowSpec, LossConfig, Trace, TraceStream};
 use rog_tensor::rng::DetRng;
 use rog_tensor::Matrix;
 use rog_trainer::engine::common::relative_model_divergence;
@@ -261,6 +261,30 @@ fn bench_channel(c: &mut Criterion) {
             let events = ch.advance_until(10.0);
             assert!(events.is_empty());
             ch.active_flows()
+        })
+    });
+    // The `fleet256` link set: 1 024 generated links of a 300 s period,
+    // eagerly (what `Cluster::build` once did) against streams read at
+    // every 0.1 s sample of a 120 s run, all links per instant as the
+    // channel reads them.
+    g.bench_function("1024_links_eager_300s", |b| {
+        b.iter(|| {
+            (0..1024)
+                .map(|l| profile.generate_link(100 + l, 300.0))
+                .collect::<Vec<_>>()
+        })
+    });
+    g.bench_function("1024_links_streamed_120s", |b| {
+        b.iter(|| {
+            let mut links: Vec<TraceStream> = (0..1024)
+                .map(|l| profile.link_stream(100 + l, 300.0))
+                .collect();
+            let mut sum = 0.0;
+            for k in 0..1200 {
+                let t = k as f64 * 0.1 + 0.05;
+                sum += links.iter_mut().map(|s| s.value_at(t)).sum::<f64>();
+            }
+            sum
         })
     });
     g.finish();

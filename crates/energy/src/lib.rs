@@ -64,8 +64,8 @@ impl PowerModel {
             DeviceState::Communicate => self.communicate_w,
             DeviceState::Stall => self.stall_w,
             DeviceState::Idle => self.idle_w,
-            // A powered-off / out-of-range device draws nothing from its
-            // battery budget while absent.
+            // A powered-off / out-of-range device draws nothing while
+            // absent.
             DeviceState::Offline => 0.0,
         }
     }
@@ -92,54 +92,6 @@ impl PowerModel {
             .iter()
             .map(|tl| self.energy_joules_between(tl, 0.0, t))
             .sum()
-    }
-}
-
-/// A robot battery: finite energy budget drained by the power model.
-///
-/// The paper motivates ROG with battery preservation ("wastes energy
-/// stalling", Sec. I); this helper turns per-state power into mission
-/// endurance — how long a robot can keep training.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Battery {
-    /// Usable capacity in joules (e.g. a 4S 5000 mAh pack ≈ 266 kJ).
-    pub capacity_j: f64,
-}
-
-impl Battery {
-    /// A typical four-wheel-robot pack (14.8 V × 5 Ah ≈ 266 kJ).
-    pub fn robot_pack() -> Self {
-        Self {
-            capacity_j: 266_000.0,
-        }
-    }
-
-    /// Remaining energy after running `timeline` from a full charge
-    /// (clamped at zero).
-    pub fn remaining_after(&self, model: &PowerModel, timeline: &Timeline) -> f64 {
-        (self.capacity_j - model.energy_joules(timeline)).max(0.0)
-    }
-
-    /// Seconds of training endurance under a steady per-iteration
-    /// composition: `capacity / mean_power`, where mean power is the
-    /// state-weighted average over one iteration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the composition durations are all zero.
-    pub fn endurance_secs(
-        &self,
-        model: &PowerModel,
-        compute_s: f64,
-        communicate_s: f64,
-        stall_s: f64,
-    ) -> f64 {
-        let total = compute_s + communicate_s + stall_s;
-        assert!(total > 0.0, "iteration has zero duration");
-        let energy_per_iter = compute_s * model.compute_w
-            + communicate_s * model.communicate_w
-            + stall_s * model.stall_w;
-        self.capacity_j / energy_per_iter * total
     }
 }
 
@@ -184,35 +136,6 @@ mod tests {
             spanned(DeviceState::Stall, 1.0),
         ];
         assert!((m.cluster_energy_until(&tls, 10.0) - 2.0 * 4.04).abs() < 1e-9);
-    }
-
-    #[test]
-    fn battery_endurance_rewards_less_stall() {
-        let m = PowerModel::jetson_nx();
-        let b = Battery::robot_pack();
-        // Same compute/comm, one with 5 s of stall per iteration.
-        let lean = b.endurance_secs(&m, 2.2, 1.5, 0.5);
-        let stalled = b.endurance_secs(&m, 2.2, 1.5, 5.0);
-        // Stall power is low, so endurance *in seconds* is actually
-        // longer when idling — but endurance in *iterations* (useful
-        // work per battery) is what matters, and stall destroys it:
-        assert!(stalled > lean, "{stalled} vs {lean}");
-        let iters_lean = lean / (2.2 + 1.5 + 0.5);
-        let iters_stalled = stalled / (2.2 + 1.5 + 5.0);
-        assert!(
-            iters_lean > 1.4 * iters_stalled,
-            "{iters_lean} vs {iters_stalled}"
-        );
-    }
-
-    #[test]
-    fn battery_drains_and_clamps() {
-        let m = PowerModel::jetson_nx();
-        let b = Battery { capacity_j: 100.0 };
-        let tl = spanned(DeviceState::Compute, 5.0); // 66.75 J
-        assert!((b.remaining_after(&m, &tl) - 33.25).abs() < 1e-9);
-        let tl = spanned(DeviceState::Compute, 50.0);
-        assert_eq!(b.remaining_after(&m, &tl), 0.0);
     }
 
     #[test]

@@ -14,13 +14,14 @@
 //! the partial chunk is discarded (its bytes are wasted airtime), exactly
 //! like the `socket.settimeout` + unique-marker framing of Sec. V.
 
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 
 use rog_sim::Time;
 
 use crate::loss::{ChunkFate, LossModel};
 use crate::stats::LossEwma;
-use crate::Trace;
+use crate::{Trace, TraceStream};
 
 /// Index of a device's link (assigned by the cluster builder).
 pub type LinkId = usize;
@@ -219,14 +220,64 @@ impl Flow {
     }
 }
 
+/// Where a channel reads its capacity or one link's factor: a replayed
+/// [`Trace`], or a [`TraceStream`] stepped to each time the channel
+/// reads. Both read the same sample at the same time.
+// Nearly every source of a run is generated: boxing the stream would
+// cost an allocation per link and a pointer chase per read.
+#[allow(clippy::large_enum_variant)]
+#[derive(Debug, Clone)]
+pub enum TraceSource {
+    /// Samples held in memory (recorded, or generated eagerly).
+    Replayed(Trace),
+    /// Samples generated as the channel's clock reaches them.
+    Generated(TraceStream),
+}
+
+impl TraceSource {
+    fn value_at(&mut self, t: Time) -> f64 {
+        match self {
+            Self::Replayed(trace) => trace.value_at(t),
+            Self::Generated(stream) => stream.value_at(t),
+        }
+    }
+
+    fn next_breakpoint_after(&self, t: Time) -> Time {
+        match self {
+            Self::Replayed(trace) => trace.next_breakpoint_after(t),
+            Self::Generated(stream) => stream.next_breakpoint_after(t),
+        }
+    }
+}
+
+/// The capacity and per-link sources of a channel.
+#[derive(Debug, Clone)]
+struct Sources {
+    capacity: TraceSource,
+    links: Vec<TraceSource>,
+}
+
+impl Sources {
+    /// `link`'s fade factor at `t`; `1.0` for a link with no source.
+    fn link_factor(&mut self, link: LinkId, t: Time) -> f64 {
+        self.links.get_mut(link).map_or(1.0, |s| s.value_at(t))
+    }
+
+    /// `link`'s un-shared PHY rate at `t` in bit/s.
+    fn phy_rate(&mut self, link: LinkId, t: Time) -> f64 {
+        self.capacity.value_at(t) * self.link_factor(link, t)
+    }
+}
+
 /// The shared wireless channel.
 ///
 /// See the crate docs for the model. All methods take/return absolute
 /// virtual time; time only moves forward via [`Channel::advance_until`].
 #[derive(Debug, Clone)]
 pub struct Channel {
-    capacity: Trace,
-    links: Vec<Trace>,
+    /// Reading a generated source steps it, and the `&self` rate
+    /// estimators read too, hence the cell. Every read is at `now`.
+    sources: RefCell<Sources>,
     /// Live flows in `FlowId` order: ids are handed out monotonically,
     /// so appending keeps the vector sorted.
     flows: Vec<Flow>,
@@ -253,13 +304,27 @@ const EPS: Time = 1e-9;
 /// Byte-resolution tolerance for completion detection.
 const BYTE_TOL: f64 = 0.25;
 
+// A run is built on one thread and may be driven on another
+// (`rog_bench::run_outcomes`); the source cell must not cost `Send`.
+const _: fn() = || {
+    fn send<T: Send>() {}
+    send::<Channel>();
+};
+
 impl Channel {
     /// Creates a channel with a total-capacity trace (bit/s) and one
     /// quality-factor trace per device link.
     pub fn new(capacity: Trace, links: Vec<Trace>) -> Self {
+        Self::from_sources(
+            TraceSource::Replayed(capacity),
+            links.into_iter().map(TraceSource::Replayed).collect(),
+        )
+    }
+
+    /// [`Channel::new`] over sources that may be generated streams.
+    pub fn from_sources(capacity: TraceSource, links: Vec<TraceSource>) -> Self {
         Self {
-            capacity,
-            links,
+            sources: RefCell::new(Sources { capacity, links }),
             flows: Vec::new(),
             rates: Vec::new(),
             fins: Vec::new(),
@@ -395,7 +460,7 @@ impl Channel {
     /// the link's fade factor) — what a passive monitor like `iw` would
     /// report on that device (paper Sec. VI-B).
     pub fn link_rate_bps(&self, link: LinkId) -> f64 {
-        self.capacity.value_at(self.now) * self.link_factor(link, self.now)
+        self.sources.borrow_mut().phy_rate(link, self.now)
     }
 
     /// Instantaneous rate (bytes/s) a flow on `link` would get right now
@@ -414,11 +479,7 @@ impl Channel {
     ///   [`Channel::link_rate_bps`].
     pub fn estimated_rate(&self, link: LinkId) -> f64 {
         let n = (self.flows.len() + 1) as f64;
-        self.capacity.value_at(self.now) * self.link_factor(link, self.now) / 8.0 / n
-    }
-
-    fn link_factor(&self, link: LinkId, t: Time) -> f64 {
-        self.links.get(link).map_or(1.0, |tr| tr.value_at(t))
+        self.link_rate_bps(link) / 8.0 / n
     }
 
     /// Starts a flow at time `start`.
@@ -577,11 +638,12 @@ impl Channel {
             // Segment of constant rates: bounded by trace breakpoints.
             // The same pass leaves each flow's un-shared PHY rate
             // (`capacity × link factor`) in `rates`.
-            let mut seg_end = t.min(self.capacity.next_breakpoint_after(now));
-            let cap = self.capacity.value_at(now);
+            let sources = self.sources.get_mut();
+            let mut seg_end = t.min(sources.capacity.next_breakpoint_after(now));
+            let cap = sources.capacity.value_at(now);
             self.rates.clear();
             for f in &self.flows {
-                let factor = match self.links.get(f.link) {
+                let factor = match sources.links.get_mut(f.link) {
                     Some(link) => {
                         seg_end = seg_end.min(link.next_breakpoint_after(now));
                         link.value_at(now)
@@ -685,6 +747,7 @@ impl Channel {
 mod tests {
     use super::*;
     use crate::loss::{GeParams, LossConfig};
+    use crate::ChannelProfile;
     use proptest::prelude::*;
     use rog_tensor::rng::DetRng;
 
@@ -723,26 +786,28 @@ mod tests {
                     return events;
                 }
                 // Segment of constant rates: bounded by trace breakpoints.
-                let mut seg_end = t.min(self.capacity.next_breakpoint_after(self.now));
+                let src = self.sources.get_mut();
+                let mut seg_end = t.min(src.capacity.next_breakpoint_after(self.now));
                 for f in flows.values() {
-                    if let Some(link) = self.links.get(f.link) {
+                    if let Some(link) = src.links.get(f.link) {
                         seg_end = seg_end.min(link.next_breakpoint_after(self.now));
                     }
                 }
                 // Constant per-flow rates in this segment.
                 let n = flows.len() as f64;
-                let cap = self.capacity.value_at(self.now);
+                let cap = src.capacity.value_at(self.now);
+                let now = self.now;
                 let rates: BTreeMap<FlowId, f64> = match self.sharing {
                     SharingMode::AirtimeFair => flows
                         .iter()
-                        .map(|(&id, f)| (id, cap * self.link_factor(f.link, self.now) / 8.0 / n))
+                        .map(|(&id, f)| (id, cap * src.link_factor(f.link, now) / 8.0 / n))
                         .collect(),
                     SharingMode::ThroughputFair => {
                         // Rate anomaly: equal per-flow throughput set by the
                         // harmonic mean of the stations' PHY rates.
                         let inv_sum: f64 = flows
                             .values()
-                            .map(|f| 1.0 / (cap * self.link_factor(f.link, self.now)).max(1e-3))
+                            .map(|f| 1.0 / (cap * src.link_factor(f.link, now)).max(1e-3))
                             .sum();
                         let common = 1.0 / inv_sum / 8.0;
                         flows.keys().map(|&id| (id, common)).collect()
@@ -1309,41 +1374,132 @@ mod tests {
                 new.set_loss_model(Some(LossModel::build(&cfg, n_links, 30.0)));
             }
             let mut old = new.clone();
-            let mut ids: Vec<FlowId> = Vec::new();
-            for _ in 0..60 {
-                match rng.index(4) {
-                    0 | 1 => {
-                        // One link index past the traces: factor 1.0.
-                        let link = rng.index(n_links + 1);
-                        let chunks: Vec<u64> =
-                            (0..rng.index(12)).map(|_| rng.index(40_000) as u64).collect();
-                        let mut spec = FlowSpec::new(link, chunks);
-                        if rng.chance(0.5) {
-                            spec = spec.with_deadline(new.now() + rng.uniform_range(0.0, 0.5));
-                        }
-                        let id = new.start_flow(new.now(), spec.clone());
-                        prop_assert_eq!(old.start_flow(old.now(), spec), id);
-                        ids.push(id);
+            same_schedule(&mut rng, &mut new, &mut old, n_links, Channel::advance_until_reference)?;
+        }
+
+        /// Generated sources against the eager traces they stand for:
+        /// one random schedule drives a channel over streams (a few
+        /// links replayed, as a mixed store can be) and one over
+        /// `generate` / `generate_link` traces of the same seeds. The
+        /// periods are short, so every source wraps several times.
+        #[test]
+        fn generated_sources_match_eager_traces(
+            seed in 0u64..u64::MAX,
+            n_links in 1usize..=16,
+            lossy in proptest::bool::ANY,
+        ) {
+            let mut rng = DetRng::new(seed);
+            let p = &[
+                ChannelProfile::indoor(),
+                ChannelProfile::outdoor(),
+                ChannelProfile::stable(60e6),
+            ][rng.index(3)];
+            let period = [0.05, 0.7, 2.0][rng.index(3)];
+            let seeds: Vec<u64> = (0..=n_links).map(|_| rng.next_u64()).collect();
+            let mut lazy = Channel::from_sources(
+                TraceSource::Generated(p.capacity_stream(seeds[0], period)),
+                seeds[1..]
+                    .iter()
+                    .map(|&s| if rng.chance(0.2) {
+                        TraceSource::Replayed(p.generate_link(s, period))
+                    } else {
+                        TraceSource::Generated(p.link_stream(s, period))
+                    })
+                    .collect(),
+            );
+            let mut eager = Channel::new(
+                p.generate(seeds[0], period),
+                seeds[1..].iter().map(|&s| p.generate_link(s, period)).collect(),
+            );
+            if lossy {
+                let cfg = LossConfig {
+                    ge: Some(GeParams::bursty(0.1)),
+                    ..LossConfig::iid(seed, 0.1)
+                };
+                lazy.set_loss_model(Some(LossModel::build(&cfg, n_links, 30.0)));
+                eager.set_loss_model(Some(LossModel::build(&cfg, n_links, 30.0)));
+            }
+            same_schedule(&mut rng, &mut lazy, &mut eager, n_links, Channel::advance_until)?;
+            // Then well past three periods, draining every event.
+            let end = lazy.now() + 3.0 * period + 0.1;
+            while lazy.now() < end {
+                let got = lazy.advance_until(end);
+                prop_assert_eq!(&got, &eager.advance_until(end));
+                for e in &got {
+                    prop_assert_eq!(lazy.take_report(e.id), eager.take_report(e.id));
+                }
+                prop_assert_eq!(estimates(&lazy, n_links), estimates(&eager, n_links));
+            }
+            prop_assert_eq!(observables(&lazy), observables(&eager));
+        }
+    }
+
+    /// Every link's (and one past the last's) rate estimates, as bits.
+    fn estimates(ch: &Channel, n_links: usize) -> Vec<[u64; 2]> {
+        (0..=n_links)
+            .map(|l| {
+                [
+                    ch.estimated_rate(l).to_bits(),
+                    ch.link_rate_bps(l).to_bits(),
+                ]
+            })
+            .collect()
+    }
+
+    /// Drives `a` with `advance_until` and `b` with `advance_b` through
+    /// one random start / cancel / advance schedule; everything either
+    /// can report, rate estimates included, must agree bit for bit
+    /// after every call.
+    fn same_schedule(
+        rng: &mut DetRng,
+        a: &mut Channel,
+        b: &mut Channel,
+        n_links: usize,
+        advance_b: fn(&mut Channel, Time) -> Vec<FlowEvent>,
+    ) -> Result<(), TestCaseError> {
+        let mut ids: Vec<FlowId> = Vec::new();
+        for _ in 0..60 {
+            match rng.index(4) {
+                0 | 1 => {
+                    // One link index past the traces: factor 1.0.
+                    let link = rng.index(n_links + 1);
+                    let chunks: Vec<u64> = (0..rng.index(12))
+                        .map(|_| rng.index(40_000) as u64)
+                        .collect();
+                    let mut spec = FlowSpec::new(link, chunks);
+                    if rng.chance(0.5) {
+                        spec = spec.with_deadline(a.now() + rng.uniform_range(0.0, 0.5));
                     }
-                    2 if !ids.is_empty() => {
-                        // Live and long-finished ids alike.
-                        let id = ids[rng.index(ids.len())];
-                        prop_assert_eq!(new.flow_age(id).map(f64::to_bits), old.flow_age(id).map(f64::to_bits));
-                        prop_assert_eq!(new.cancel_flow(id), old.cancel_flow(id));
-                    }
-                    _ => {
-                        let t = new.now() + rng.uniform_range(0.0, 0.3);
-                        let got = new.advance_until(t);
-                        let want = old.advance_until_reference(t);
-                        prop_assert_eq!(got.len(), want.len());
-                        for (g, w) in got.iter().zip(&want) {
-                            prop_assert_eq!((g.id, g.at.to_bits(), g.outcome), (w.id, w.at.to_bits(), w.outcome));
-                            prop_assert_eq!(new.take_report(g.id), old.take_report(w.id));
-                        }
+                    let id = a.start_flow(a.now(), spec.clone());
+                    prop_assert_eq!(b.start_flow(b.now(), spec), id);
+                    ids.push(id);
+                }
+                2 if !ids.is_empty() => {
+                    // Live and long-finished ids alike.
+                    let id = ids[rng.index(ids.len())];
+                    prop_assert_eq!(
+                        a.flow_age(id).map(f64::to_bits),
+                        b.flow_age(id).map(f64::to_bits)
+                    );
+                    prop_assert_eq!(a.cancel_flow(id), b.cancel_flow(id));
+                }
+                _ => {
+                    let t = a.now() + rng.uniform_range(0.0, 0.3);
+                    let got = a.advance_until(t);
+                    let want = advance_b(b, t);
+                    prop_assert_eq!(got.len(), want.len());
+                    for (g, w) in got.iter().zip(&want) {
+                        prop_assert_eq!(
+                            (g.id, g.at.to_bits(), g.outcome),
+                            (w.id, w.at.to_bits(), w.outcome)
+                        );
+                        prop_assert_eq!(a.take_report(g.id), b.take_report(w.id));
                     }
                 }
-                prop_assert_eq!(observables(&new), observables(&old));
             }
+            prop_assert_eq!(observables(a), observables(b));
+            prop_assert_eq!(estimates(a, n_links), estimates(b, n_links));
         }
+        Ok(())
     }
 }

@@ -13,8 +13,10 @@
 //!   paper's iperf recording), used both for total channel capacity in
 //!   bit/s and for per-link quality factors in `[0, 1]`.
 //! * [`ChannelProfile`] — synthetic trace generators calibrated to the
-//!   paper's indoor/outdoor measurements (Fig. 3), plus replay of
-//!   externally recorded traces (the artifact's `tc` replay path).
+//!   paper's indoor/outdoor measurements (Fig. 3), eager or as a
+//!   [`TraceStream`] that generates each sample when first read, plus
+//!   replay of externally recorded traces (the artifact's `tc` replay
+//!   path).
 //! * [`stats`] — the fluctuation statistics used to validate calibration
 //!   and to regenerate Fig. 3's summary numbers.
 //! * [`Channel`] — a shared-airtime channel (802.11 DCF approximation:
@@ -68,10 +70,10 @@ pub mod wire;
 
 pub use channel::{
     shard_link, Channel, DeliveryReport, Flow, FlowEvent, FlowId, FlowOutcome, FlowSpec, LinkId,
-    SharingMode,
+    SharingMode, TraceSource,
 };
 pub use loss::{ChunkFate, GeParams, LossConfig, LossModel};
-pub use profile::{ChannelProfile, DistanceProfile, FadeProfile};
+pub use profile::{ChannelProfile, DistanceProfile, FadeProfile, TraceStream};
 pub use reliability::{
     BackoffPolicy, ReliableProgress, ReliableTransfer, ReorderBuffer, SeqWindow,
 };

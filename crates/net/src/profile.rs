@@ -17,7 +17,7 @@
 use rog_sim::Time;
 use rog_tensor::rng::DetRng;
 
-use crate::Trace;
+use crate::trace::{self, Trace};
 
 /// Slow per-link quality drift from varying communication distance: an
 /// Ornstein-Uhlenbeck (mean-reverting) process with a time constant of
@@ -181,85 +181,203 @@ impl ChannelProfile {
     }
 
     /// Generates a total-capacity trace (bit/s) of at least `duration`
-    /// seconds, deterministically from `seed`.
+    /// seconds, deterministically from `seed`: every sample of
+    /// [`ChannelProfile::capacity_stream`]'s period.
     pub fn generate(&self, seed: u64, duration: Time) -> Trace {
-        let samples = self.generate_process(seed, duration, self.mean_bps, self.channel_fade);
-        Trace::from_samples(self.dt, samples)
+        self.capacity_stream(seed, duration).into_trace()
     }
 
     /// Generates a per-link quality-factor trace in `(0, 1]` of at least
-    /// `duration` seconds.
+    /// `duration` seconds: every sample of
+    /// [`ChannelProfile::link_stream`]'s period.
     ///
     /// The link factor multiplies the capacity share a flow from that
     /// device gets; it models distance/occlusion between one robot and
     /// the parameter-server hotspot.
     pub fn generate_link(&self, seed: u64, duration: Time) -> Trace {
-        let mut samples = self.generate_process(seed, duration, 1.0, self.link_fade);
-        // Long-outage overlay: an independent Markov chain on the same
-        // grid multiplying the base factor, in place — one `Vec` per
-        // link. (Stepping both chains in one loop measured 4–5 % slower:
-        // more state lives across the `ln`/`sin_cos` calls.)
-        let mut rng = DetRng::new(seed ^ 0x00A6E);
-        let outage = self.link_outage;
-        let dist = self.link_distance;
-        // OU discretization over the trace grid.
-        let a = (-self.dt / dist.time_const_s.max(1e-6)).exp();
-        let innov = dist.sigma * (1.0 - a * a).max(0.0).sqrt();
-        let mut d = rng.normal_with(dist.mean, dist.sigma);
-        let mut in_out = false;
-        let mut depth = 1.0;
-        for v in &mut samples {
-            d = dist.mean + a * (d - dist.mean) + rng.normal_with(0.0, innov);
-            let d_clamped = d.clamp(dist.range.0, dist.range.1);
-            if in_out {
-                if rng.chance(outage.exit_prob) {
-                    in_out = false;
-                }
-            } else if rng.chance(outage.enter_prob) {
-                in_out = true;
-                depth = rng.uniform_range(outage.depth.0, outage.depth.1 + 1e-12);
-            }
-            let f = if in_out { depth } else { 1.0 };
-            *v = (*v * f * d_clamped).clamp(1e-3, 1.0);
-        }
-        Trace::from_samples(self.dt, samples)
+        self.link_stream(seed, duration).into_trace()
     }
 
-    fn generate_process(
-        &self,
-        seed: u64,
-        duration: Time,
-        mean: f64,
-        fade: FadeProfile,
-    ) -> Vec<f64> {
-        let n = (duration / self.dt).ceil().max(1.0) as usize + 1;
+    /// The trace [`ChannelProfile::generate`] returns, as a stream that
+    /// generates each sample when it is first read.
+    pub fn capacity_stream(&self, seed: u64, duration: Time) -> TraceStream {
+        TraceStream::new(self, seed, duration, false)
+    }
+
+    /// The trace [`ChannelProfile::generate_link`] returns, as a stream
+    /// that generates each sample when it is first read.
+    pub fn link_stream(&self, seed: u64, duration: Time) -> TraceStream {
+        TraceStream::new(self, seed, duration, true)
+    }
+}
+
+impl FadeProfile {
+    /// One step of the two-state chain; `episode` holds the depth while
+    /// faded. Returns the multiplicative factor for this step.
+    fn step(&self, rng: &mut DetRng, episode: &mut Option<f64>) -> f64 {
+        match *episode {
+            Some(_) if rng.chance(self.exit_prob) => *episode = None,
+            Some(_) => {}
+            None if rng.chance(self.enter_prob) => {
+                *episode = Some(rng.uniform_range(self.depth.0, self.depth.1 + 1e-12));
+            }
+            None => {}
+        }
+        episode.unwrap_or(1.0)
+    }
+}
+
+/// A generated trace read as a cursor: the chains behind
+/// [`ChannelProfile::generate`] / [`ChannelProfile::generate_link`]
+/// stepped one sample at a time, so a reader pays for the samples up to
+/// the time it reads and none is stored.
+///
+/// It reads exactly like the [`Trace`] those return: `value_at(t)` is
+/// sample `(t / dt) as usize % n` over the same `n` samples, sample 0 at
+/// `t <= 0`. Sample `k` depends only on the seed and the samples before
+/// it, never on the period, so stepping forward reproduces the eager
+/// trace bit for bit. A read that wraps or goes backwards restarts the
+/// chains from the seed: slower, never different.
+#[derive(Debug, Clone)]
+pub struct TraceStream {
+    profile: ChannelProfile,
+    seed: u64,
+    link: bool,
+    /// Samples per period.
+    n: usize,
+    /// Samples stepped so far in this period; `value` is the last.
+    stepped: usize,
+    value: f64,
+    chains: Chains,
+}
+
+impl TraceStream {
+    fn new(profile: &ChannelProfile, seed: u64, duration: Time, link: bool) -> Self {
+        Self {
+            profile: profile.clone(),
+            seed,
+            link,
+            n: (duration / profile.dt).ceil().max(1.0) as usize + 1,
+            stepped: 0,
+            value: 0.0,
+            chains: Chains::start(profile, seed, link),
+        }
+    }
+
+    /// Value at time `t`, stepping the chains forward to it.
+    pub fn value_at(&mut self, t: Time) -> f64 {
+        let j = trace::sample_index(self.profile.dt, self.n, t);
+        if j + 1 < self.stepped {
+            // Wrapped or read backwards: start the period again.
+            self.chains = Chains::start(&self.profile, self.seed, self.link);
+            self.stepped = 0;
+        }
+        while self.stepped <= j {
+            self.value = self.chains.step(&self.profile);
+            self.stepped += 1;
+        }
+        self.value
+    }
+
+    /// The first grid breakpoint strictly after `t`, as
+    /// [`Trace::next_breakpoint_after`].
+    pub(crate) fn next_breakpoint_after(&self, t: Time) -> Time {
+        trace::next_breakpoint(self.profile.dt, t)
+    }
+
+    /// Every sample of one period, from a fresh stream.
+    fn into_trace(mut self) -> Trace {
+        let samples = (0..self.n)
+            .map(|_| self.chains.step(&self.profile))
+            .collect();
+        Trace::from_samples(self.profile.dt, samples)
+    }
+}
+
+/// The per-sample state of a generated trace: an AR(1) process around
+/// the mean times a fade chain, and for a link the outage/distance
+/// overlay, an independent chain on the same grid.
+#[derive(Debug, Clone)]
+struct Chains {
+    rng: DetRng,
+    mean: f64,
+    fade: FadeProfile,
+    x: f64,
+    faded: Option<f64>,
+    overlay: Option<Overlay>,
+}
+
+impl Chains {
+    fn start(p: &ChannelProfile, seed: u64, link: bool) -> Self {
+        let (mean, fade) = if link {
+            (1.0, p.link_fade)
+        } else {
+            (p.mean_bps, p.channel_fade)
+        };
         let mut rng = DetRng::new(seed);
-        let mut samples = Vec::with_capacity(n);
         // AR(1) around the mean, started at stationarity.
-        let sigma = self.rel_sigma * mean;
-        let stationary_sigma = if self.ar_coeff < 1.0 {
-            sigma / (1.0 - self.ar_coeff * self.ar_coeff).sqrt()
+        let sigma = p.rel_sigma * mean;
+        let stationary_sigma = if p.ar_coeff < 1.0 {
+            sigma / (1.0 - p.ar_coeff * p.ar_coeff).sqrt()
         } else {
             sigma
         };
-        let mut x = rng.normal_with(mean, stationary_sigma);
-        let mut in_fade = false;
-        let mut fade_depth = 1.0;
-        let floor = self.rel_floor * mean;
-        for _ in 0..n {
-            x = mean + self.ar_coeff * (x - mean) + rng.normal_with(0.0, sigma);
-            if in_fade {
-                if rng.chance(fade.exit_prob) {
-                    in_fade = false;
-                }
-            } else if rng.chance(fade.enter_prob) {
-                in_fade = true;
-                fade_depth = rng.uniform_range(fade.depth.0, fade.depth.1 + 1e-12);
-            }
-            let factor = if in_fade { fade_depth } else { 1.0 };
-            samples.push((x * factor).max(floor));
+        let x = rng.normal_with(mean, stationary_sigma);
+        Self {
+            rng,
+            mean,
+            fade,
+            x,
+            faded: None,
+            overlay: link.then(|| Overlay::start(p, seed)),
         }
-        samples
+    }
+
+    /// The next sample.
+    fn step(&mut self, p: &ChannelProfile) -> f64 {
+        let mean = self.mean;
+        self.x =
+            mean + p.ar_coeff * (self.x - mean) + self.rng.normal_with(0.0, p.rel_sigma * mean);
+        let v = (self.x * self.fade.step(&mut self.rng, &mut self.faded)).max(p.rel_floor * mean);
+        match &mut self.overlay {
+            Some(overlay) => overlay.apply(p, v),
+            None => v,
+        }
+    }
+}
+
+/// Long outages (a Markov chain) times the slow distance drift (an OU
+/// process discretised over the trace grid), multiplied onto a link's
+/// base factor.
+#[derive(Debug, Clone)]
+struct Overlay {
+    rng: DetRng,
+    a: f64,
+    innov: f64,
+    d: f64,
+    out: Option<f64>,
+}
+
+impl Overlay {
+    fn start(p: &ChannelProfile, seed: u64) -> Self {
+        let mut rng = DetRng::new(seed ^ 0x00A6E);
+        let dist = p.link_distance;
+        let a = (-p.dt / dist.time_const_s.max(1e-6)).exp();
+        Self {
+            a,
+            innov: dist.sigma * (1.0 - a * a).max(0.0).sqrt(),
+            d: rng.normal_with(dist.mean, dist.sigma),
+            rng,
+            out: None,
+        }
+    }
+
+    fn apply(&mut self, p: &ChannelProfile, v: f64) -> f64 {
+        let dist = p.link_distance;
+        self.d = dist.mean + self.a * (self.d - dist.mean) + self.rng.normal_with(0.0, self.innov);
+        let d_clamped = self.d.clamp(dist.range.0, dist.range.1);
+        let f = p.link_outage.step(&mut self.rng, &mut self.out);
+        (v * f * d_clamped).clamp(1e-3, 1.0)
     }
 }
 
@@ -328,10 +446,48 @@ mod tests {
         assert!(t.max() - t.min() < 1e-6);
     }
 
+    /// The eager base process as it was: the AR(1) + fade chain for all
+    /// `n` samples into one `Vec`.
+    fn eager_process(
+        p: &ChannelProfile,
+        seed: u64,
+        duration: Time,
+        mean: f64,
+        fade: FadeProfile,
+    ) -> Vec<f64> {
+        let n = (duration / p.dt).ceil().max(1.0) as usize + 1;
+        let mut rng = DetRng::new(seed);
+        let mut samples = Vec::with_capacity(n);
+        let sigma = p.rel_sigma * mean;
+        let stationary_sigma = if p.ar_coeff < 1.0 {
+            sigma / (1.0 - p.ar_coeff * p.ar_coeff).sqrt()
+        } else {
+            sigma
+        };
+        let mut x = rng.normal_with(mean, stationary_sigma);
+        let mut in_fade = false;
+        let mut fade_depth = 1.0;
+        let floor = p.rel_floor * mean;
+        for _ in 0..n {
+            x = mean + p.ar_coeff * (x - mean) + rng.normal_with(0.0, sigma);
+            if in_fade {
+                if rng.chance(fade.exit_prob) {
+                    in_fade = false;
+                }
+            } else if rng.chance(fade.enter_prob) {
+                in_fade = true;
+                fade_depth = rng.uniform_range(fade.depth.0, fade.depth.1 + 1e-12);
+            }
+            let factor = if in_fade { fade_depth } else { 1.0 };
+            samples.push((x * factor).max(floor));
+        }
+        samples
+    }
+
     /// `generate_link` as it was: the base process into a trace of its
     /// own, then the overlay into a second `Vec`.
     fn two_vec_link(p: &ChannelProfile, seed: u64, duration: Time) -> Trace {
-        let base = Trace::from_samples(p.dt, p.generate_process(seed, duration, 1.0, p.link_fade));
+        let base = Trace::from_samples(p.dt, eager_process(p, seed, duration, 1.0, p.link_fade));
         let mut rng = DetRng::new(seed ^ 0x00A6E);
         let outage = p.link_outage;
         let dist = p.link_distance;
@@ -361,18 +517,61 @@ mod tests {
         Trace::from_samples(base.dt(), overlaid)
     }
 
+    /// Reads `stream` the way a channel can: at `t <= 0`, forward in
+    /// irregular steps through three and a half periods (three wraps),
+    /// and once backwards inside a period. Every read must be the eager
+    /// trace's, bit for bit.
+    fn assert_reads_match(eager: &Trace, stream: &mut TraceStream, rng: &mut DetRng) {
+        let mut check = |t: Time| {
+            assert_eq!(
+                stream.value_at(t).to_bits(),
+                eager.value_at(t).to_bits(),
+                "t = {t}"
+            );
+            assert_eq!(
+                stream.next_breakpoint_after(t).to_bits(),
+                eager.next_breakpoint_after(t).to_bits()
+            );
+        };
+        let period = eager.duration();
+        check(-1.0);
+        check(0.0);
+        let (mut t, mut went_back) = (0.0, false);
+        while t < 3.5 * period {
+            t += eager.dt() * rng.uniform_range(0.0, 2.5);
+            check(t);
+            if !went_back && t > 0.5 * period {
+                check(t - 0.3 * period);
+                check(t);
+                went_back = true;
+            }
+        }
+        check(-0.5);
+    }
+
     #[test]
-    fn in_place_link_overlay_is_bitwise_the_two_vec_one() {
+    fn streams_are_bitwise_the_eager_two_vec_traces() {
         let bits = |t: &Trace| t.samples().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let mut rng = DetRng::new(0x5EED);
         for p in [
             ChannelProfile::indoor(),
             ChannelProfile::outdoor(),
             ChannelProfile::stable(100e6),
         ] {
-            for duration in [0.05, 1.0, 120.0, 300.0] {
+            for duration in [0.05, 1.0, 120.0, 300.0, 2000.0] {
                 for seed in [0, 7, 0x00A6E] {
-                    let link = p.generate_link(seed, duration);
-                    assert_eq!(bits(&link), bits(&two_vec_link(&p, seed, duration)));
+                    let capacity = Trace::from_samples(
+                        p.dt,
+                        eager_process(&p, seed, duration, p.mean_bps, p.channel_fade),
+                    );
+                    assert_eq!(bits(&p.generate(seed, duration)), bits(&capacity));
+                    let mut stream = p.capacity_stream(seed, duration);
+                    assert_reads_match(&capacity, &mut stream, &mut rng);
+
+                    let link = two_vec_link(&p, seed, duration);
+                    assert_eq!(bits(&p.generate_link(seed, duration)), bits(&link));
+                    let mut stream = p.link_stream(seed, duration);
+                    assert_reads_match(&link, &mut stream, &mut rng);
                 }
             }
         }

@@ -60,11 +60,7 @@ impl Trace {
 
     /// Value at time `t` (wrapping past the end; clamped at negative `t`).
     pub fn value_at(&self, t: Time) -> f64 {
-        if t <= 0.0 {
-            return self.samples[0];
-        }
-        let idx = (t / self.dt) as usize % self.samples.len();
-        self.samples[idx]
+        self.samples[sample_index(self.dt, self.samples.len(), t)]
     }
 
     /// The first grid breakpoint strictly after `t`.
@@ -72,14 +68,7 @@ impl Trace {
     /// Between consecutive breakpoints the value is constant, so channel
     /// integration only needs to look at these instants.
     pub fn next_breakpoint_after(&self, t: Time) -> Time {
-        let steps = (t / self.dt).floor() + 1.0;
-        let bp = steps * self.dt;
-        // Guard against t sitting exactly on a breakpoint within float noise.
-        if bp <= t + 1e-12 {
-            bp + self.dt
-        } else {
-            bp
-        }
+        next_breakpoint(self.dt, t)
     }
 
     /// Mean of the samples.
@@ -99,10 +88,27 @@ impl Trace {
             .cloned()
             .fold(f64::NEG_INFINITY, f64::max)
     }
+}
 
-    /// Applies `f` to every sample, returning a new trace.
-    pub fn map(&self, f: impl Fn(f64) -> f64) -> Trace {
-        Trace::from_samples(self.dt, self.samples.iter().map(|&v| f(v)).collect())
+/// Which of `n` samples on a `dt` grid holds at time `t`: wrapping past
+/// the end, sample 0 at `t <= 0`. Shared by [`Trace`] and the generated
+/// [`TraceStream`](crate::TraceStream), so both read the same sample.
+pub(crate) fn sample_index(dt: Time, n: usize, t: Time) -> usize {
+    if t <= 0.0 {
+        0
+    } else {
+        (t / dt) as usize % n
+    }
+}
+
+/// The first breakpoint of a `dt` grid strictly after `t`.
+pub(crate) fn next_breakpoint(dt: Time, t: Time) -> Time {
+    let bp = ((t / dt).floor() + 1.0) * dt;
+    // Guard against t sitting exactly on a breakpoint within float noise.
+    if bp <= t + 1e-12 {
+        bp + dt
+    } else {
+        bp
     }
 }
 
@@ -143,12 +149,6 @@ mod tests {
         assert_eq!(t.min(), 1.0);
         assert_eq!(t.max(), 3.0);
         assert_eq!(t.duration(), 2.0);
-    }
-
-    #[test]
-    fn map_transforms_samples() {
-        let t = Trace::from_samples(1.0, vec![1.0, 2.0]).map(|v| v * 10.0);
-        assert_eq!(t.samples(), &[10.0, 20.0]);
     }
 
     #[test]

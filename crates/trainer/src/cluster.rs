@@ -2,7 +2,7 @@
 
 use rog_models::batching::dynamic_batches;
 use rog_models::{CrimpSpec, CrudaSpec, Mlp, Workload};
-use rog_net::{Channel, Trace};
+use rog_net::{Channel, TraceSource};
 use rog_tensor::rng::DetRng;
 
 use crate::config::{ExperimentConfig, ModelScale, WorkloadKind};
@@ -123,22 +123,27 @@ impl Cluster {
         // the layout and the RNG stream offsets collapse to the
         // historical one-link-per-worker channel, keeping single-shard
         // runs bit-identical; extra shard links draw from a disjoint
-        // fork range so shard 0's stream never shifts. Traces are
-        // generated long enough to cover the run and wrap thereafter.
+        // fork range so shard 0's stream never shifts. A generated
+        // trace is a stream with a period of `trace_len`: no sample
+        // exists until the channel reads it, and reads past the period
+        // wrap.
         let profile = cfg.environment.profile();
         let trace_len = cfg.duration_secs.clamp(300.0, 1800.0);
         let shards = cfg.effective_shards();
-        let capacity = cfg
-            .capacity_trace
-            .clone()
-            .unwrap_or_else(|| profile.generate(root.fork(0x50).seed(), trace_len));
-        let mut links: Vec<Trace> = Vec::with_capacity(cfg.n_workers * shards);
+        let capacity = match &cfg.capacity_trace {
+            Some(trace) => TraceSource::Replayed(trace.clone()),
+            None => {
+                let seed = root.fork(0x50).seed();
+                TraceSource::Generated(profile.capacity_stream(seed, trace_len))
+            }
+        };
+        let mut links: Vec<TraceSource> = Vec::with_capacity(cfg.n_workers * shards);
         match &cfg.link_traces {
             Some(traces) => {
                 assert!(!traces.is_empty(), "link_traces must not be empty");
                 for w in 0..cfg.n_workers {
                     for _s in 0..shards {
-                        links.push(traces[w % traces.len()].clone());
+                        links.push(TraceSource::Replayed(traces[w % traces.len()].clone()));
                     }
                 }
             }
@@ -150,12 +155,13 @@ impl Cluster {
                         } else {
                             0x6000 + (w as u64) * 0x40 + s as u64
                         };
-                        links.push(profile.generate_link(root.fork(fork).seed(), trace_len));
+                        let seed = root.fork(fork).seed();
+                        links.push(TraceSource::Generated(profile.link_stream(seed, trace_len)));
                     }
                 }
             }
         }
-        let transport = Channel::new(capacity, links).with_sharing(cfg.mac_sharing);
+        let transport = Channel::from_sources(capacity, links).with_sharing(cfg.mac_sharing);
 
         // Initial shared model and wire scaling.
         let init_model = workload.make_model(&mut root.fork(0x20));

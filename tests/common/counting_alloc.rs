@@ -62,6 +62,14 @@ pub fn calls<T>(f: impl FnOnce() -> T) -> (u64, T) {
     (CALLS.with(Cell::get) - before, out)
 }
 
+/// The bytes this thread holds once `f` has returned, over what it held
+/// when `f` began: what `f`'s result keeps on the heap.
+pub fn retained_bytes<T>(f: impl FnOnce() -> T) -> (usize, T) {
+    let before = LIVE.with(Cell::get);
+    let out = f();
+    (LIVE.with(Cell::get).saturating_sub(before), out)
+}
+
 /// The most bytes this thread held at once while `f` ran, over what it
 /// held when `f` began.
 pub fn peak_live_bytes<T>(f: impl FnOnce() -> T) -> (usize, T) {

@@ -87,9 +87,13 @@ impl PowerModel {
     }
 
     /// Total energy of a cluster of timelines up to `t`.
-    pub fn cluster_energy_until(&self, timelines: &[Timeline], t: Time) -> f64 {
+    pub fn cluster_energy_until<'a>(
+        &self,
+        timelines: impl IntoIterator<Item = &'a Timeline>,
+        t: Time,
+    ) -> f64 {
         timelines
-            .iter()
+            .into_iter()
             .map(|tl| self.energy_joules_between(tl, 0.0, t))
             .sum()
     }

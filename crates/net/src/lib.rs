@@ -74,7 +74,5 @@ pub use channel::{
 };
 pub use loss::{ChunkFate, GeParams, LossConfig, LossModel};
 pub use profile::{ChannelProfile, DistanceProfile, FadeProfile, TraceStream};
-pub use reliability::{
-    BackoffPolicy, ReliableProgress, ReliableTransfer, ReorderBuffer, SeqWindow,
-};
+pub use reliability::{BackoffPolicy, ReliableProgress, ReliableTransfer, SeqWindow};
 pub use trace::Trace;

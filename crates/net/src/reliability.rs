@@ -5,11 +5,12 @@
 //! and droppable gradient payload. We do the same:
 //!
 //! * **Reliable** — control, version vectors, and model-resync bulk.
-//!   Acknowledged, retransmitted after a virtual-clock timeout with
-//!   capped exponential backoff, deduplicated at the receiver by a
-//!   sequence window, reordered back into sequence. Exactly-once,
-//!   in-order (property-tested under arbitrary seeded loss /
-//!   duplication / reordering schedules).
+//!   In the sim, [`ReliableTransfer`] rounds: the chunks a round lost
+//!   are resent after a virtual-clock backoff (capped exponential)
+//!   until every chunk has landed once. On the socket path the class
+//!   rides TCP, which orders itself; [`SeqWindow`] dedups the datagram
+//!   lane, accepting each sequence number exactly once (property-tested
+//!   under seeded loss / duplication / reordering / retransmission).
 //! * **Best-effort** — gradient rows. A damaged or missing row is
 //!   simply *not committed*: its error-feedback residual keeps
 //!   accumulating on the worker and its version entry ages toward
@@ -122,46 +123,6 @@ impl SeqWindow {
     }
 }
 
-/// Receiver-side resequencing: buffers out-of-order arrivals and
-/// releases items in strict sequence order.
-#[derive(Debug, Clone, Default)]
-pub struct ReorderBuffer<T> {
-    next: u64,
-    held: std::collections::BTreeMap<u64, T>,
-}
-
-impl<T> ReorderBuffer<T> {
-    /// Creates an empty buffer expecting sequence number 0 first.
-    pub fn new() -> Self {
-        Self {
-            next: 0,
-            held: std::collections::BTreeMap::new(),
-        }
-    }
-
-    /// Inserts an accepted item and returns every item that is now
-    /// deliverable in order (possibly empty if a gap remains).
-    pub fn push(&mut self, seq: u64, item: T) -> Vec<T> {
-        self.held.insert(seq, item);
-        let mut ready = Vec::new();
-        while let Some(item) = self.held.remove(&self.next) {
-            ready.push(item);
-            self.next += 1;
-        }
-        ready
-    }
-
-    /// Sequence number of the next in-order delivery.
-    pub fn next_in_order(&self) -> u64 {
-        self.next
-    }
-
-    /// Number of items parked waiting for a gap to fill.
-    pub fn parked(&self) -> usize {
-        self.held.len()
-    }
-}
-
 /// Progress verdict after feeding one round's fates to a
 /// [`ReliableTransfer`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -212,11 +173,6 @@ impl ReliableTransfer {
     /// Number of chunks still outstanding.
     pub fn pending_count(&self) -> usize {
         self.outstanding.len()
-    }
-
-    /// Retransmission round this transfer is on (0 = first attempt).
-    pub fn attempt(&self) -> u32 {
-        self.attempt
     }
 
     /// Folds in one round's delivery fates. `fates[i]` corresponds to
@@ -318,17 +274,6 @@ mod tests {
     }
 
     #[test]
-    fn reorder_buffer_releases_in_order() {
-        let mut rb = ReorderBuffer::new();
-        assert!(rb.push(2, "c").is_empty());
-        assert!(rb.push(1, "b").is_empty());
-        assert_eq!(rb.parked(), 2);
-        assert_eq!(rb.push(0, "a"), vec!["a", "b", "c"]);
-        assert_eq!(rb.next_in_order(), 3);
-        assert_eq!(rb.parked(), 0);
-    }
-
-    #[test]
     fn reliable_transfer_retries_only_survivors() {
         let mut t = ReliableTransfer::new(vec![10, 20, 30], BackoffPolicy::default());
         assert_eq!(t.pending_chunks(), vec![10, 20, 30]);
@@ -359,115 +304,45 @@ mod tests {
         assert_eq!(t.on_round(None, 2), ReliableProgress::Done);
     }
 
-    /// Full sender/receiver simulation of the reliable class over an
-    /// adversarial network that loses, duplicates, and reorders frames
-    /// (and their acks) according to a seeded schedule.
-    ///
-    /// Returns the receiver's delivered payload sequence.
-    fn simulate_reliable(n_msgs: u64, seed: u64, loss: f64, dup: f64, reorder: f64) -> Vec<u64> {
-        let mut rng = DetRng::new(seed);
-        let policy = BackoffPolicy {
-            base: 0.05,
-            factor: 2.0,
-            cap: 0.5,
-        };
-        // Sender: per-seq (attempts, next retransmit time). Receiver:
-        // dedup window + reorder buffer. The "network" is a bag of
-        // (arrival_time, seq) data frames and (arrival_time, cum_ack)
-        // ack frames.
-        let mut unacked: std::collections::BTreeMap<u64, (u32, f64)> =
-            (0..n_msgs).map(|s| (s, (0, 0.0))).collect();
-        let mut window = SeqWindow::new();
-        let mut buffer: ReorderBuffer<u64> = ReorderBuffer::new();
-        let mut delivered = Vec::new();
-        let mut in_flight: Vec<(f64, bool, u64)> = Vec::new(); // (t, is_ack, value)
-        let mut now = 0.0f64;
-        for _ in 0..200_000u32 {
-            if unacked.is_empty() {
-                break;
-            }
-            // Transmit everything due.
-            let due: Vec<u64> = unacked
-                .iter()
-                .filter(|(_, &(_, t))| t <= now)
-                .map(|(&s, _)| s)
-                .collect();
-            for seq in due {
-                let e = unacked.get_mut(&seq).expect("due seq");
-                e.0 += 1;
-                e.1 = now + policy.delay(e.0);
-                let copies = 1 + usize::from(rng.chance(dup));
-                for _ in 0..copies {
-                    if rng.chance(loss) {
-                        continue;
-                    }
-                    let delay = 0.01
-                        + if rng.chance(reorder) {
-                            rng.uniform() * 0.2
-                        } else {
-                            0.0
-                        };
-                    in_flight.push((now + delay, false, seq));
-                }
-            }
-            // Advance to the next arrival or retransmit timer.
-            let t_arr = in_flight
-                .iter()
-                .map(|&(t, _, _)| t)
-                .fold(f64::INFINITY, f64::min);
-            let t_rtx = unacked
-                .values()
-                .map(|&(_, t)| t)
-                .fold(f64::INFINITY, f64::min);
-            now = t_arr.min(t_rtx).max(now + 1e-6);
-            // Deliver arrivals at `now` in deterministic order.
-            let mut arriving: Vec<(f64, bool, u64)> = Vec::new();
-            in_flight.retain(|&e| {
-                if e.0 <= now {
-                    arriving.push(e);
-                    false
-                } else {
-                    true
-                }
-            });
-            arriving.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-            for (_, is_ack, value) in arriving {
-                if is_ack {
-                    // Cumulative ack: everything below `value` is done.
-                    unacked.retain(|&s, _| s >= value);
-                } else {
-                    if window.accept(value) {
-                        delivered.extend(buffer.push(value, value));
-                    }
-                    // Ack even duplicates (the original ack may have
-                    // been lost); acks traverse the same lossy path.
-                    if !rng.chance(loss) {
-                        in_flight.push((now + 0.01, true, window.next_expected()));
-                    }
-                }
-            }
-        }
-        assert!(unacked.is_empty(), "transfer did not complete: {unacked:?}");
-        delivered
-    }
-
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// Exactly-once, in-order delivery under any seeded
-        /// loss/duplication/reordering schedule (loss capped below 1
-        /// so the transfer terminates).
+        /// Exactly once: under any seeded schedule of losses,
+        /// duplicates and reorderings, with every number resent until
+        /// its ack (itself losable) gets back, an unbounded window
+        /// accepts each sequence number once and its floor ends past
+        /// the last.
         #[test]
-        fn reliable_delivery_is_exactly_once_in_order(
-            n_msgs in 1u64..30,
+        fn seq_window_accepts_every_number_exactly_once(
+            n_msgs in 1usize..30,
             seed in 0u64..u64::MAX,
             loss in 0.0f64..0.9,
             dup in 0.0f64..0.5,
             reorder in 0.0f64..0.5,
         ) {
-            let delivered = simulate_reliable(n_msgs, seed, loss, dup, reorder);
-            let expect: Vec<u64> = (0..n_msgs).collect();
-            prop_assert_eq!(delivered, expect);
+            let mut rng = DetRng::new(seed);
+            let mut window = SeqWindow::new();
+            let (mut accepted, mut acked) = (vec![0u32; n_msgs], vec![false; n_msgs]);
+            while acked.contains(&false) {
+                // One round: every unacked number goes out, some twice;
+                // what survives arrives in a shuffled order.
+                let mut arriving: Vec<(f64, usize)> = Vec::new();
+                for seq in (0..n_msgs).filter(|&s| !acked[s]) {
+                    for _ in 0..1 + usize::from(rng.chance(dup)) {
+                        if !rng.chance(loss) {
+                            let late = if rng.chance(reorder) { rng.uniform() } else { 0.0 };
+                            arriving.push((late, seq));
+                        }
+                    }
+                }
+                arriving.sort_by(|a, b| a.0.total_cmp(&b.0));
+                for (_, seq) in arriving {
+                    accepted[seq] += u32::from(window.accept(seq as u64));
+                    acked[seq] |= !rng.chance(loss);
+                }
+            }
+            prop_assert!(accepted.iter().all(|&n| n == 1), "{accepted:?}");
+            prop_assert_eq!(window.next_expected(), n_msgs as u64);
         }
 
         /// The round-based transfer used by the engines terminates and

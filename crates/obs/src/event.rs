@@ -123,8 +123,9 @@ pub enum EventKind {
     PeerUp { w: u32 },
     /// Live cluster: peer `w` left (Bye) or its reliable lane closed.
     PeerDown { w: u32 },
-    /// Live cluster: a datagram from peer `w` was dropped at the wire
-    /// (`kind` is "crc" or "dup").
+    /// Live cluster: something peer `w` sent was dropped at the wire
+    /// (`kind` is "crc", "dup" or "proto") or refused by the server's
+    /// record ("trace": a time its timeline cannot take).
     WireDrop { w: u32, kind: &'static str },
 }
 

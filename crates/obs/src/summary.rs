@@ -195,14 +195,14 @@ impl TraceSummary {
 
     /// Cluster residency for `state` (index into [`STATE_NAMES`]),
     /// summed over devices in index order — the same summation order
-    /// `MetricsCollector::finish` uses over timelines.
+    /// `RunRecord::finish` (`rog-trainer`) uses over timelines.
     pub fn cluster_residency(&self, state: usize) -> f64 {
         self.residency.iter().map(|r| r[state]).sum()
     }
 
     /// Per-iteration composition `[compute, communicate, stall,
     /// offline]`, computed with the exact arithmetic of
-    /// `MetricsCollector::finish` (zero when no iterations ran).
+    /// `RunRecord::finish` (zero when no iterations ran).
     pub fn composition(&self) -> [f64; 4] {
         if self.iters == 0 {
             return [0.0; 4];

@@ -140,6 +140,11 @@ impl Timeline {
         self.open.map(|(s, _)| s)
     }
 
+    /// When the open span started, if one is open.
+    pub fn open_since(&self) -> Option<Time> {
+        self.open.map(|(_, start)| start)
+    }
+
     /// Total closed time spent in `state`.
     pub fn time_in(&self, state: DeviceState) -> Time {
         self.spans

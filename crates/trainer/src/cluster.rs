@@ -1,7 +1,7 @@
 //! Simulated robot cluster: devices, workload, channel, wire scaling.
 
 use rog_models::batching::dynamic_batches;
-use rog_models::{CrimpSpec, CrudaSpec, Mlp, Workload};
+use rog_models::{CrimpSpec, CrudaSpec, Dataset, Mlp, Workload};
 use rog_net::{Channel, TraceSource};
 use rog_tensor::rng::DetRng;
 
@@ -204,6 +204,54 @@ impl Cluster {
     }
 }
 
+/// One worker's compute model: its batch and jitter streams, what an
+/// iteration's computation costs and when it evaluates. The sim engines
+/// and a live worker draw from the same model, so a live worker samples
+/// the batches its sim twin would.
+#[derive(Debug)]
+pub struct WorkerDraws {
+    batch: usize,
+    batch_rng: DetRng,
+    jitter_rng: DetRng,
+    /// Base compute seconds at this run's batch scale.
+    base: f64,
+    codec: f64,
+    eval_every: u64,
+}
+
+impl WorkerDraws {
+    /// Worker `w`'s model in `cluster`, built from `cfg`.
+    pub fn new(cfg: &ExperimentConfig, cluster: &Cluster, w: usize) -> Self {
+        let root = DetRng::new(cfg.seed);
+        Self {
+            batch: cluster.devices[w].batch,
+            batch_rng: root.fork(0x100 + w as u64),
+            jitter_rng: root.fork(0x200 + w as u64),
+            base: cfg.base_compute_secs() * cfg.batch_scale,
+            codec: cfg.codec_secs(),
+            eval_every: cfg.eval_every,
+        }
+    }
+
+    /// Samples the batch indices of the next gradient draw from `shard`
+    /// (the worker's own).
+    pub fn sample_batch(&mut self, shard: &Dataset) -> Vec<usize> {
+        shard.sample_batch(self.batch, &mut self.batch_rng)
+    }
+
+    /// Draws one iteration's computation time: base compute scaled by
+    /// batch, plus codec cost, plus ~2 % jitter.
+    pub fn compute_secs(&mut self) -> f64 {
+        let jitter = self.jitter_rng.normal_with(0.0, 0.02 * self.base);
+        (self.base + self.codec + jitter).max(0.05)
+    }
+
+    /// Whether the worker evaluates its model on completing `iter`.
+    pub fn evaluates_at(&self, iter: u64) -> bool {
+        iter > 0 && iter.is_multiple_of(self.eval_every)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -274,5 +322,16 @@ mod tests {
     fn shards_match_worker_count() {
         let c = Cluster::build(&small_cfg());
         assert_eq!(c.workload.shards().len(), 3);
+    }
+
+    #[test]
+    fn compute_secs_is_near_base_plus_codec() {
+        let cfg = small_cfg();
+        let mut draws = WorkerDraws::new(&cfg, &Cluster::build(&cfg), 0);
+        let want = cfg.base_compute_secs() + cfg.codec_secs();
+        for _ in 0..20 {
+            let t = draws.compute_secs();
+            assert!((t - want).abs() < 0.3 * want, "draw {t} vs {want}");
+        }
     }
 }

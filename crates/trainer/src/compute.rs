@@ -15,14 +15,6 @@ use crate::engine::common::EngineCtx;
 /// (ROADMAP item 6 lists it for deletion there); nothing else may.
 pub fn set_thread_override(_threads: Option<usize>) {}
 
-/// Runs one draw, returning the gradient set and its global mean
-/// absolute value.
-pub fn run_job(model: &Mlp, shard: &Dataset, idxs: &[usize]) -> (GradSet, f32) {
-    let mut grads = model.zero_grads();
-    let mean_abs = run_job_into(model, shard, idxs, &mut grads);
-    (grads, mean_abs)
-}
-
 /// Runs one draw into a recycled parameter-shaped buffer (zeroed
 /// first), returning the global mean absolute gradient value.
 pub fn run_job_into(model: &Mlp, shard: &Dataset, idxs: &[usize], grads: &mut GradSet) -> f32 {
@@ -41,9 +33,9 @@ pub fn run_job_into(model: &Mlp, shard: &Dataset, idxs: &[usize], grads: &mut Gr
 /// replica into a buffer from the recycle pool (hand it back with
 /// [`EngineCtx::recycle_grads`]).
 pub fn take_draw(ctx: &mut EngineCtx, worker: usize) -> (GradSet, f32) {
-    let idxs = ctx.sample_batch_idxs(worker);
     let mut grads = ctx.take_grad_buf();
     let shard = &ctx.cluster.workload.shards()[worker];
+    let idxs = ctx.draws[worker].sample_batch(shard);
     let mean_abs = run_job_into(&ctx.models[worker], shard, &idxs, &mut grads);
     (grads, mean_abs)
 }

@@ -1,6 +1,7 @@
 //! Experiment configuration.
 
 use rog_compress::CodecChoice;
+use rog_core::{ImportanceMetric, ImportanceWeights};
 use rog_fault::{ChurnProfile, FaultPlan};
 use rog_net::{ChannelProfile, LossConfig, LossModel, SharingMode, Trace};
 
@@ -396,6 +397,15 @@ impl ExperimentConfig {
                 &ChurnProfile::default(),
             )
         })
+    }
+
+    /// The row-importance metric workers rank by: the paper's weights
+    /// unless `importance_weights` overrides them.
+    pub fn importance(&self) -> ImportanceMetric {
+        match self.importance_weights {
+            Some((f1, f2)) => ImportanceMetric::new(ImportanceWeights { f1, f2 }),
+            None => ImportanceMetric::default(),
+        }
     }
 
     /// Gradient-computation seconds on a robot at batch scale 1,

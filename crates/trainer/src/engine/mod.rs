@@ -3,8 +3,8 @@
 //! [`model`] runs the model-granularity baselines (BSP / SSP / FLOWN /
 //! DSSP / ABS), [`row`] runs ROG (RSP + ATP) and the adaptive-bound
 //! hybrid. Both share [`common::EngineCtx`]: the
-//! simulated cluster, the deterministic event queue, per-device state
-//! timelines and the metrics collector.
+//! simulated cluster, the deterministic event queue, each worker's
+//! draw model and the run record (per-device state timelines).
 
 pub mod common;
 mod control;

@@ -1,10 +1,16 @@
-//! Run measurements: checkpoints, time composition, energy, micro-events.
+//! Run measurements (checkpoints, time composition, energy, micro-events)
+//! and the run record that engines and live processes write them through.
 
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 use rog_energy::PowerModel;
+use rog_obs::{obs, EventKind, Journal};
 use rog_sim::{DeviceState, Time, Timeline};
 use serde::Serialize;
+
+use crate::cluster::{Cluster, DeviceKind};
+use crate::config::ExperimentConfig;
 
 /// One evaluation checkpoint (paper: every 50 iterations, averaged over
 /// workers).
@@ -100,7 +106,7 @@ pub struct RunMetrics {
     pub final_model_divergence: f64,
 }
 
-/// Channel byte accounting handed to [`MetricsCollector::finish`]:
+/// Channel byte accounting handed to [`RunRecord::finish`]:
 /// each class from the channel's conservation identity
 /// `useful + wasted + lost + corrupt == offered`.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -115,48 +121,124 @@ pub struct ByteAccount {
     pub corrupt: f64,
 }
 
-/// Collects per-worker events during a run and assembles [`RunMetrics`].
+/// The record of one run as one process sees it, and the only writer of
+/// the journal's run frame: `meta`, `state`, `iter_begin`, `iter_end`,
+/// `close` and `run_end`.
+///
+/// It owns a state timeline, an iteration count and a closed flag per
+/// device, the evaluation checkpoints and the micro-event samples. Both
+/// sim engines, `live::serve` (every worker, from what they stream) and
+/// `live::join` (its own worker) write to one, passing their journal per
+/// call. A state change is journaled only
+/// when the timeline takes it, so a journal replays to exactly the
+/// timelines [`RunRecord::finish`] assembles [`RunMetrics`] from.
 #[derive(Debug)]
-pub struct MetricsCollector {
+pub struct RunRecord {
     name: String,
     metric_name: String,
     metric_higher_better: bool,
     power: PowerModel,
+    /// Worker index of device 0 (a live worker records only itself).
+    first: usize,
+    timelines: Vec<Timeline>,
+    /// Which devices count toward energy (the paper measures robots).
+    robot: Vec<bool>,
+    /// Devices whose timeline was closed; they take no state after.
+    closed: Vec<bool>,
+    /// Completed iterations per device.
+    iterations: Vec<u64>,
     /// Checkpoint samples: iter → (time, metric) per worker.
     samples: BTreeMap<u64, Vec<(Time, f64)>>,
-    /// Completed iterations per worker.
-    iterations: Vec<u64>,
     micro: Vec<MicroSample>,
 }
 
-impl MetricsCollector {
-    /// Creates a collector for `n_workers`.
-    pub fn new(
-        name: String,
-        metric_name: String,
-        metric_higher_better: bool,
-        n_workers: usize,
+impl RunRecord {
+    /// Opens the record of `cfg`'s run over the workers `devices` of
+    /// `cluster` — all of them for an engine or the server, its own for
+    /// a live worker — and writes the journal's `meta` header.
+    pub fn open(
+        cfg: &ExperimentConfig,
+        cluster: &Cluster,
+        devices: Range<usize>,
+        journal: &mut Journal,
     ) -> Self {
+        let (name, seed) = (cfg.name(), cfg.seed);
+        obs!(journal, 0.0, EventKind::Meta { name, seed });
+        let n = devices.len();
         Self {
-            name,
-            metric_name,
-            metric_higher_better,
+            name: cfg.name(),
+            metric_name: cluster.workload.metric_name().to_owned(),
+            metric_higher_better: cluster.workload.metric_higher_better(),
             power: PowerModel::jetson_nx(),
+            first: devices.start,
+            timelines: vec![Timeline::new(); n],
+            robot: cluster.devices[devices]
+                .iter()
+                .map(|d| d.kind == DeviceKind::Robot)
+                .collect(),
+            closed: vec![false; n],
+            iterations: vec![0; n],
             samples: BTreeMap::new(),
-            iterations: vec![0; n_workers],
             micro: Vec::new(),
         }
     }
 
-    /// Records a worker's evaluation at a checkpoint.
-    pub fn record_eval(&mut self, worker: usize, iter: u64, time: Time, metric: f64) {
-        let _ = worker;
-        self.samples.entry(iter).or_default().push((time, metric));
+    /// Whether worker `w`'s timeline can take a record at `t`: finite
+    /// and not before its open span. What a peer streams is checked
+    /// against this before it is recorded.
+    pub fn admits(&self, w: usize, t: Time) -> bool {
+        t.is_finite()
+            && self.timelines[w - self.first]
+                .open_since()
+                .is_none_or(|since| t >= since)
     }
 
-    /// Records that a worker completed an iteration.
-    pub fn record_iteration(&mut self, worker: usize) {
-        self.iterations[worker] += 1;
+    /// Worker `w` enters `state` at `t`. Journaled, and `true`, only when
+    /// the timeline takes it: a repeated state, or any state after the
+    /// device closed, changes nothing.
+    pub fn set_state(
+        &mut self,
+        w: usize,
+        t: Time,
+        state: DeviceState,
+        journal: &mut Journal,
+    ) -> bool {
+        let d = w - self.first;
+        let taken = !self.closed[d] && self.timelines[d].set_state(t, state);
+        if taken {
+            let (w, state) = (w as u32, state.name());
+            obs!(journal, t, EventKind::State { w, state });
+        }
+        taken
+    }
+
+    /// Worker `w` begins iteration `iter` at `t`.
+    pub fn iter_begin(&self, w: usize, iter: u64, t: Time, journal: &mut Journal) {
+        obs!(journal, t, EventKind::IterBegin { w: w as u32, iter });
+    }
+
+    /// Worker `w` completed iteration `iter` at `t`.
+    pub fn iter_end(&mut self, w: usize, iter: u64, t: Time, journal: &mut Journal) {
+        self.iterations[w - self.first] += 1;
+        obs!(journal, t, EventKind::IterEnd { w: w as u32, iter });
+    }
+
+    /// Closes worker `w`'s timeline at `t`; the device takes no state
+    /// after. Journaled, and `true`, only when a span was open.
+    pub fn close(&mut self, w: usize, t: Time, journal: &mut Journal) -> bool {
+        let d = w - self.first;
+        self.closed[d] = true;
+        let open = self.timelines[d].current_state().is_some();
+        if open {
+            self.timelines[d].close(t);
+            obs!(journal, t, EventKind::Close { w: w as u32 });
+        }
+        open
+    }
+
+    /// Records a worker's evaluation at a checkpoint.
+    pub fn record_eval(&mut self, iter: u64, time: Time, metric: f64) {
+        self.samples.entry(iter).or_default().push((time, metric));
     }
 
     /// Records a micro-event sample.
@@ -164,32 +246,41 @@ impl MetricsCollector {
         self.micro.push(sample);
     }
 
-    /// Iterations completed so far, summed over workers — the divisor
-    /// the per-iteration composition uses.
-    pub fn total_iterations(&self) -> u64 {
-        self.iterations.iter().sum()
+    /// The per-device timelines so far (closed spans only).
+    pub fn timelines(&self) -> &[Timeline] {
+        &self.timelines
     }
 
-    /// Assembles the final metrics from the closed per-worker timelines.
-    ///
-    /// `robot_mask[w]` selects which workers count toward the energy
-    /// figure (the paper measures robots); `final_model_divergence` is
-    /// the engine-computed relative divergence between worker models.
+    /// Closes every open timeline at `duration.max(end_time)` (a span
+    /// opened past that closes where it opened), writes the `run_end`
+    /// footer and assembles the run's metrics. `final_model_divergence`
+    /// is the caller's relative divergence between worker models.
     pub fn finish(
-        self,
-        timelines: &[Timeline],
-        robot_mask: &[bool],
+        mut self,
         duration: Time,
         bytes: ByteAccount,
         final_model_divergence: f64,
+        journal: &mut Journal,
     ) -> RunMetrics {
-        let robot_tls: Vec<Timeline> = timelines
-            .iter()
-            .zip(robot_mask)
-            .filter(|(_, &r)| r)
-            .map(|(t, _)| t.clone())
-            .collect();
-        let total_energy_j = self.power.cluster_energy_until(&robot_tls, duration);
+        for d in 0..self.timelines.len() {
+            let tl = &self.timelines[d];
+            if let Some(since) = tl.open_since() {
+                let t_close = duration.max(tl.end_time()).max(since);
+                self.close(self.first + d, t_close, journal);
+            }
+        }
+        let iters: u64 = self.iterations.iter().sum();
+        obs!(journal, duration, EventKind::RunEnd { iters, duration });
+
+        let timelines = &self.timelines;
+        let robots = || {
+            timelines
+                .iter()
+                .zip(&self.robot)
+                .filter(|(_, &r)| r)
+                .map(|(t, _)| t)
+        };
+        let total_energy_j = self.power.cluster_energy_until(robots(), duration);
 
         // Under ASP-like strategies a straggler can drag the *mean* time
         // of an early checkpoint past that of a later one (later
@@ -203,7 +294,7 @@ impl MetricsCollector {
             let time = pts.iter().map(|(t, _)| t).sum::<f64>() / n;
             let metric = pts.iter().map(|(_, m)| m).sum::<f64>() / n;
             energy_frontier = energy_frontier.max(time);
-            let energy_j = self.power.cluster_energy_until(&robot_tls, energy_frontier);
+            let energy_j = self.power.cluster_energy_until(robots(), energy_frontier);
             checkpoints.push(Checkpoint {
                 iter,
                 time,
@@ -212,13 +303,12 @@ impl MetricsCollector {
             });
         }
 
-        let total_iters: u64 = self.iterations.iter().sum();
-        let mean_iterations = total_iters as f64 / self.iterations.len() as f64;
-        let composition = if total_iters == 0 {
+        let mean_iterations = iters as f64 / self.iterations.len() as f64;
+        let composition = if iters == 0 {
             TimeComposition::default()
         } else {
             let sum = |s: DeviceState| {
-                (timelines.iter().map(|t| t.time_in(s)).sum::<f64>() / total_iters as f64).max(0.0)
+                (timelines.iter().map(|t| t.time_in(s)).sum::<f64>() / iters as f64).max(0.0)
             };
             TimeComposition {
                 compute: sum(DeviceState::Compute),
@@ -255,28 +345,46 @@ impl MetricsCollector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::ModelScale;
+    use proptest::prelude::*;
+    use rog_obs::TraceSummary;
 
-    fn collector() -> MetricsCollector {
-        MetricsCollector::new("test".into(), "accuracy %".into(), true, 2)
+    /// A record over `n` workers, the last `laptops` of them laptops.
+    fn open(n: usize, laptops: usize, journal: &mut Journal) -> RunRecord {
+        let cfg = ExperimentConfig {
+            model_scale: ModelScale::Small,
+            n_workers: n,
+            n_laptop_workers: laptops,
+            ..ExperimentConfig::default()
+        };
+        RunRecord::open(&cfg, &Cluster::build(&cfg), 0..n, journal)
     }
 
-    fn timeline(compute: f64, stall: f64) -> Timeline {
-        let mut tl = Timeline::new();
-        tl.set_state(0.0, DeviceState::Compute);
-        tl.set_state(compute, DeviceState::Stall);
-        tl.close(compute + stall);
-        tl
+    /// Worker `w` computes for `compute` s from 0, then stalls for
+    /// `stall` s.
+    fn span(r: &mut RunRecord, w: usize, compute: f64, stall: f64) {
+        let j = &mut Journal::disabled();
+        r.set_state(w, 0.0, DeviceState::Compute, j);
+        r.set_state(w, compute, DeviceState::Stall, j);
+        r.close(w, compute + stall, j);
+    }
+
+    fn finish(r: RunRecord, duration: Time) -> RunMetrics {
+        let j = &mut Journal::disabled();
+        r.finish(duration, ByteAccount::default(), 0.0, j)
     }
 
     #[test]
     fn checkpoints_average_across_workers() {
-        let mut c = collector();
-        c.record_eval(0, 50, 10.0, 60.0);
-        c.record_eval(1, 50, 12.0, 64.0);
-        c.record_iteration(0);
-        c.record_iteration(1);
-        let tls = [timeline(5.0, 1.0), timeline(5.0, 3.0)];
-        let m = c.finish(&tls, &[true, true], 20.0, ByteAccount::default(), 0.0);
+        let mut r = open(2, 0, &mut Journal::disabled());
+        let j = &mut Journal::disabled();
+        r.record_eval(50, 10.0, 60.0);
+        r.record_eval(50, 12.0, 64.0);
+        r.iter_end(0, 1, 5.0, j);
+        r.iter_end(1, 1, 5.0, j);
+        span(&mut r, 0, 5.0, 1.0);
+        span(&mut r, 1, 5.0, 3.0);
+        let m = finish(r, 20.0);
         assert_eq!(m.checkpoints.len(), 1);
         let ck = m.checkpoints[0];
         assert_eq!(ck.iter, 50);
@@ -287,13 +395,15 @@ mod tests {
 
     #[test]
     fn composition_divides_by_total_iterations() {
-        let mut c = collector();
-        for _ in 0..5 {
-            c.record_iteration(0);
-            c.record_iteration(1);
+        let mut r = open(2, 0, &mut Journal::disabled());
+        let j = &mut Journal::disabled();
+        for i in 1..=5 {
+            r.iter_end(0, i, 1.0, j);
+            r.iter_end(1, i, 1.0, j);
         }
-        let tls = [timeline(10.0, 2.0), timeline(10.0, 4.0)];
-        let m = c.finish(&tls, &[true, true], 20.0, ByteAccount::default(), 0.0);
+        span(&mut r, 0, 10.0, 2.0);
+        span(&mut r, 1, 10.0, 4.0);
+        let m = finish(r, 20.0);
         // 20 s compute over 10 iterations → 2 s/iter.
         assert!((m.composition.compute - 2.0).abs() < 1e-9);
         assert!((m.composition.stall - 0.6).abs() < 1e-9);
@@ -302,22 +412,64 @@ mod tests {
 
     #[test]
     fn energy_counts_only_robots() {
-        let mut c = collector();
-        c.record_iteration(0);
-        let tls = [timeline(10.0, 0.0), timeline(10.0, 0.0)];
-        let both = c.finish(&tls, &[true, true], 10.0, ByteAccount::default(), 0.0);
-        let mut c = collector();
-        c.record_iteration(0);
-        let one = c.finish(&tls, &[true, false], 10.0, ByteAccount::default(), 0.0);
-        assert!((both.total_energy_j - 2.0 * one.total_energy_j).abs() < 1e-6);
+        let run = |laptops| {
+            let mut r = open(2, laptops, &mut Journal::disabled());
+            span(&mut r, 0, 10.0, 0.0);
+            span(&mut r, 1, 10.0, 0.0);
+            finish(r, 10.0).total_energy_j
+        };
+        let (both, one) = (run(0), run(1));
+        assert!((both - 2.0 * one).abs() < 1e-6);
     }
 
     #[test]
     fn empty_run_has_zero_composition() {
-        let c = collector();
-        let tls = [Timeline::new(), Timeline::new()];
-        let m = c.finish(&tls, &[true, true], 0.0, ByteAccount::default(), 0.0);
+        let m = finish(open(2, 0, &mut Journal::disabled()), 0.0);
         assert_eq!(m.composition.total(), 0.0);
         assert!(m.checkpoints.is_empty());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Any calls on any devices (repeated states, zero-length spans,
+        /// calls after `close`, spans open at or past the end) journal a
+        /// frame that replays to the assembled composition bit for bit.
+        #[test]
+        fn the_journal_replays_to_the_assembled_composition(
+            n in 2usize..5,
+            calls in proptest::collection::vec((0usize..4, 0u8..4, 0u8..3, 0usize..5), 0..120),
+            end in 0u8..40,
+        ) {
+            let mut journal = Journal::new(true);
+            let mut r = open(n, 0, &mut journal);
+            let (mut t, mut iters) = (0.0, 0u64);
+            for (w, op, dt, s) in calls {
+                let w = w % n;
+                t += f64::from(dt) * 0.1;
+                match op {
+                    0 => {
+                        r.set_state(w, t, DeviceState::ALL[s], &mut journal);
+                    }
+                    1 => r.iter_begin(w, iters + 1, t, &mut journal),
+                    2 => {
+                        iters += 1;
+                        r.iter_end(w, iters, t, &mut journal);
+                    }
+                    _ => {
+                        r.close(w, t, &mut journal);
+                    }
+                }
+            }
+            let m = r.finish(f64::from(end) * 0.3, ByteAccount::default(), 0.0, &mut journal);
+            let summary = TraceSummary::from_jsonl(&journal.to_jsonl()).expect("parses");
+            let c = m.composition;
+            let bits = |v: [f64; 4]| v.map(f64::to_bits);
+            prop_assert_eq!(
+                bits(summary.composition()),
+                bits([c.compute, c.communicate, c.stall, c.offline])
+            );
+            prop_assert_eq!(summary.iters, iters);
+        }
     }
 }

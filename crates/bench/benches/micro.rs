@@ -118,26 +118,34 @@ fn bench_importance(c: &mut Criterion) {
 fn bench_kernels(c: &mut Criterion) {
     // The hot-path linear algebra of the batched dense backward: the
     // forward `acts · Wᵀ` (matmul_transb), the backward `dz · W`
-    // (matmul), and the per-sample outer-product gradient accumulate.
+    // (matmul), and the batched outer-product gradient accumulate.
     let mut g = c.benchmark_group("kernels");
     let mut rng = DetRng::new(4);
     // Two synthetic shapes, then the three layers of the paper CRUDA
-    // MLP at the robot batch (24) and the pretrain batch (48).
+    // MLP at the robot batch (24) and the pretrain batch (48), each `dz`
+    // as non-zero as in training: behind the two ReLUs 49 % and 28 %,
+    // the softmax output's dense.
     let shapes = [
-        (32usize, 96usize, 64usize),
-        (64, 256, 256),
-        (24, 40, 112),
-        (24, 112, 80),
-        (24, 80, 24),
-        (48, 40, 112),
-        (48, 112, 80),
-        (48, 80, 24),
+        (32usize, 96usize, 64usize, 1.0),
+        (64, 256, 256, 1.0),
+        (24, 40, 112, 0.49),
+        (24, 112, 80, 0.28),
+        (24, 80, 24, 1.0),
+        (48, 40, 112, 0.49),
+        (48, 112, 80, 0.28),
+        (48, 80, 24, 1.0),
     ];
-    for &(batch, n_in, n_out) in &shapes {
+    for &(batch, n_in, n_out, density) in &shapes {
         let label = format!("{batch}x{n_in}x{n_out}");
         let acts = Matrix::from_fn(batch, n_in, |_, _| rng.normal() as f32);
         let w = Matrix::from_fn(n_out, n_in, |_, _| rng.normal() as f32);
-        let dz = Matrix::from_fn(batch, n_out, |_, _| rng.normal() as f32);
+        let dz = Matrix::from_fn(batch, n_out, |_, _| {
+            if rng.chance(density) {
+                rng.normal() as f32
+            } else {
+                0.0
+            }
+        });
         g.bench_with_input(
             BenchmarkId::new("matmul_transb", &label),
             &(&acts, &w),
@@ -154,9 +162,7 @@ fn bench_kernels(c: &mut Criterion) {
             &(&dz, &acts),
             |b, (dz, acts)| {
                 b.iter(|| {
-                    for r in 0..batch {
-                        gw.add_outer(black_box(dz.row(r)), black_box(acts.row(r)), 0.03125);
-                    }
+                    gw.add_outer_batch(black_box(dz), black_box(acts), 0.03125);
                     gw.row(0)[0]
                 })
             },
@@ -174,9 +180,30 @@ fn bench_kernels(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::new("dense_step", batch), &idxs, |b, idxs| {
             b.iter(|| model.loss_and_grad_into(shard, black_box(idxs), &mut grads))
         });
+        // A new batch every draw, as in training: `dense_step` repeats
+        // one, and the branch predictor learns its ReLU masks.
+        let pool: Vec<Vec<usize>> = (0..256)
+            .map(|_| shard.sample_batch(batch, &mut rng))
+            .collect();
+        g.bench_with_input(
+            BenchmarkId::new("dense_step_fresh", batch),
+            &pool,
+            |b, pool| {
+                let mut fresh = pool.iter().cycle();
+                b.iter(|| {
+                    let idxs = fresh.next().expect("a cycle never ends");
+                    model.loss_and_grad_into(shard, black_box(idxs), &mut grads)
+                })
+            },
+        );
     }
     g.bench_function("eval/paper", |b| {
         b.iter(|| black_box(&model).accuracy_percent(wl.target_test()))
+    });
+    // What every run's set-up pays: both domains synthesised, the
+    // Dirichlet split and 900 pretraining steps at batch 48.
+    g.bench_function("pretrain/cruda_paper", |b| {
+        b.iter(|| CrudaSpec::paper().build(4, &mut DetRng::new(7)))
     });
     g.finish();
 }

@@ -419,10 +419,11 @@ impl Mlp {
 
     /// Batched dense backward pass: the whole batch flows through every
     /// layer as one `batch x width` matrix, so the hot loops are the
-    /// [`Matrix::matmul_transb_into`] / [`Matrix::matmul_into`] kernels
-    /// instead of per-sample matvecs. Weight and bias gradients still
-    /// accumulate sample-by-sample (`dW += dz_r ⊗ a_r`), preserving the
-    /// element-wise accumulation order of a per-sample sweep.
+    /// [`Matrix::matmul_transb_into`], [`Matrix::add_outer_batch`] and
+    /// [`Matrix::matmul_into`] kernels instead of per-sample matvecs.
+    /// Weight and bias gradients still sum sample by sample
+    /// (`dW += dz_r ⊗ a_r`), the element-wise order of a per-sample
+    /// sweep.
     fn backward_dense_batch(
         &self,
         s: &mut DenseScratch,
@@ -463,11 +464,10 @@ impl Mlp {
         }
         for l in (0..n_layers).rev() {
             let (left, right) = grads.split_at_mut(2 * l + 1);
-            let gw = &mut left[2 * l];
-            let gb = &mut right[0];
+            left[2 * l].add_outer_batch(dz, &acts[l], scale);
+            let gb = right[0].row_mut(0);
             for r in 0..b {
-                gw.add_outer(dz.row(r), acts[l].row(r), scale);
-                for (g, d) in gb.row_mut(0).iter_mut().zip(dz.row(r)) {
+                for (g, d) in gb.iter_mut().zip(dz.row(r)) {
                     *g += d * scale;
                 }
             }
@@ -933,9 +933,21 @@ mod tests {
         let _ = mlp.loss_and_grad(&data, &[0]);
     }
 
-    /// `backward_dense_batch` as it was before the panel kernel and the
-    /// reused scratch: fresh matrices per layer, the pre-activations
-    /// cloned for the ReLU mask. The oracle of the test below.
+    /// `y += s * x` only for a non-zero `s`: the inner loop the
+    /// weight-gradient and `dz · W` loops below were written with.
+    fn skipping_axpy(y: &mut [f32], x: &[f32], s: f32) {
+        if s != 0.0 {
+            for (yv, xv) in y.iter_mut().zip(x) {
+                *yv += s * xv;
+            }
+        }
+    }
+
+    /// `backward_dense_batch` as it was before the panel kernel, the
+    /// reused scratch and the compacting backward kernel: fresh matrices
+    /// per layer, the pre-activations cloned for the ReLU mask, the
+    /// per-sample `add_outer` and the i-k-j `dz · W` spelled out. The
+    /// oracle of the test below.
     fn backward_dense_batch_before(
         mlp: &Mlp,
         data: &Dataset,
@@ -995,13 +1007,21 @@ mod tests {
             let gw = &mut left[2 * l];
             let gb = &mut right[0];
             for r in 0..b {
-                gw.add_outer(dz.row(r), acts[l].row(r), scale);
+                for (o, &d) in dz.row(r).iter().enumerate() {
+                    skipping_axpy(gw.row_mut(o), acts[l].row(r), d * scale);
+                }
                 for (g, d) in gb.row_mut(0).iter_mut().zip(dz.row(r)) {
                     *g += d * scale;
                 }
             }
             if l > 0 {
-                let mut da = dz.matmul(&mlp.params[2 * l]);
+                let w = &mlp.params[2 * l];
+                let mut da = Matrix::zeros(b, w.cols());
+                for r in 0..b {
+                    for (k, &d) in dz.row(r).iter().enumerate() {
+                        skipping_axpy(da.row_mut(r), w.row(k), d);
+                    }
+                }
                 for r in 0..b {
                     ops::relu_backward(pres[l - 1].row(r), da.row_mut(r));
                 }
@@ -1033,8 +1053,9 @@ mod tests {
             cases.push((model, wl.shards()[0].clone(), wl.shards()[1].clone()));
         }
         // Shapes alternate on one thread, so the scratch is reshaped
-        // between every pair of calls.
-        for batch in [1usize, 7, 23, 49] {
+        // between every pair of calls; 70 samples overflow one stack
+        // chunk of weight-gradient terms.
+        for batch in [1usize, 7, 23, 49, 70] {
             for (model, shard, test) in &cases {
                 let idxs = shard.sample_batch(batch, &mut rng);
                 let mut got = model.zero_grads();

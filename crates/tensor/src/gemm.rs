@@ -1,7 +1,10 @@
-//! The one `A · Wᵀ` kernel: `W` packed into output-major panels, one
-//! SIMD lane per output, and inside each lane exactly the partial sums
-//! of the scalar dot product the caller has to reproduce — so a result
-//! is bit-identical to its scalar ancestor, not merely close.
+//! The two dense kernels, each bit-identical to its scalar ancestor, not
+//! merely close. The forward `A · Wᵀ`: `W` packed into output-major
+//! panels, one SIMD lane per output, and inside each lane exactly the
+//! partial sums of the scalar dot product the caller has to reproduce.
+//! The backward [`add_scaled_rows`]: per output row, the non-zero terms
+//! compacted without a branch, then summed in order into register
+//! blocks.
 
 use crate::ops;
 
@@ -9,6 +12,9 @@ use crate::ops;
 /// sum, so the four partial sums a pass keeps live fill eight of the
 /// sixteen the baseline x86-64 target has and nothing spills.
 const LANES: usize = 8;
+
+/// `(scalar, row offset)` terms one compaction pass keeps on the stack.
+const TERMS: usize = 64;
 
 /// The scalar summation order every output of the panel kernel
 /// reproduces bit for bit.
@@ -147,9 +153,75 @@ fn panel_dot<const U: usize>(a: &[f32], panel: &[f32]) -> [f32; LANES] {
     sums
 }
 
+/// `out_o += scalar(o, t) · x_t` for every `w`-wide row `o` of `out`
+/// and, in order, every `w`-wide row `t` of `x` whose scalar is not
+/// zero — per element the IEEE operations of
+/// `if s != 0.0 { y += s * x }` over `t`, which is how the dense
+/// backward was written (`-0.0` is skipped, NaN kept).
+///
+/// That branch mispredicts on fresh ReLU masks, so each output row
+/// first writes every term to a stack chunk and advances only past the
+/// non-zero ones, then adds the kept terms into 32/16/8-wide column
+/// blocks held in registers.
+pub(crate) fn add_scaled_rows(
+    out: &mut [f32],
+    x: &[f32],
+    w: usize,
+    scalar: impl Fn(usize, usize) -> f32,
+) {
+    if w == 0 {
+        return;
+    }
+    let n_terms = x.len() / w;
+    let mut kept = [(0.0f32, 0usize); TERMS];
+    for (o, orow) in out.chunks_exact_mut(w).enumerate() {
+        for first in (0..n_terms).step_by(TERMS) {
+            let mut n = 0;
+            for t in first..n_terms.min(first + TERMS) {
+                let s = scalar(o, t);
+                kept[n] = (s, t * w);
+                n += usize::from(s != 0.0);
+            }
+            let kept = &kept[..n];
+            let mut c = 0;
+            while c + 32 <= w {
+                add_block::<32>(orow, c, kept, x);
+                c += 32;
+            }
+            if c + 16 <= w {
+                add_block::<16>(orow, c, kept, x);
+                c += 16;
+            }
+            if c + 8 <= w {
+                add_block::<8>(orow, c, kept, x);
+                c += 8;
+            }
+            for c in c..w {
+                add_block::<1>(orow, c, kept, x);
+            }
+        }
+    }
+}
+
+/// Adds every kept term's columns `c..c + B` into `orow`, summing in a
+/// local the optimiser keeps in registers up to the one store.
+#[inline(always)]
+fn add_block<const B: usize>(orow: &mut [f32], c: usize, kept: &[(f32, usize)], x: &[f32]) {
+    let out = &mut orow[c..c + B];
+    let mut acc = [0.0f32; B];
+    acc.copy_from_slice(out);
+    for &(s, off) in kept {
+        for (a, &v) in acc.iter_mut().zip(&x[off + c..off + c + B]) {
+            *a += s * v;
+        }
+    }
+    out.copy_from_slice(&acc);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::DetRng;
     use crate::Matrix;
 
     /// The four-output block the training forward used before the
@@ -265,6 +337,105 @@ mod tests {
                                 assert!((x - y).abs() < 2e-2, "k={k} n={n}: {x} vs {y}");
                             }
                         }
+                    }
+                }
+            }
+        }
+    }
+
+    /// `Matrix::add_outer` as it was: one branch per row of `gw`.
+    fn add_outer_by_branch(gw: &mut Matrix, a: &[f32], b: &[f32], scale: f32) {
+        for (r, &av) in a.iter().enumerate() {
+            let s = av * scale;
+            if s != 0.0 {
+                for (w, &bv) in gw.row_mut(r).iter_mut().zip(b) {
+                    *w += s * bv;
+                }
+            }
+        }
+    }
+
+    /// `Matrix::matmul_into` as it was: the i-k-j loop, one `axpy` per
+    /// non-zero scalar.
+    fn matmul_by_axpy(a: &Matrix, w: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(a.rows(), w.cols());
+        for i in 0..a.rows() {
+            for (k, &av) in a.row(i).iter().enumerate() {
+                if av != 0.0 {
+                    for (o, &v) in out.row_mut(i).iter_mut().zip(w.row(k)) {
+                        *o += av * v;
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    /// Entries non-zero with probability `density`; with `specials`,
+    /// about one in eleven is an IEEE corner case instead: `-0.0`, a
+    /// subnormal, a scalar whose product with `1e-20` underflows to
+    /// zero, NaN or an infinity.
+    fn sparse(rows: usize, cols: usize, density: f64, specials: bool, rng: &mut DetRng) -> Matrix {
+        const ODD: [f32; 7] = [
+            -0.0,
+            1.0e-41,
+            -3.0e-39,
+            1.0e-30,
+            f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+        ];
+        Matrix::from_fn(rows, cols, |_, _| {
+            if specials && rng.chance(1.0 / 11.0) {
+                ODD[rng.index(ODD.len())]
+            } else if rng.chance(density) {
+                rng.normal() as f32
+            } else {
+                0.0
+            }
+        })
+    }
+
+    #[test]
+    fn backward_kernel_is_bit_identical_to_its_branching_loops() {
+        let mut rng = DetRng::new(28);
+        let mut got = Matrix::default();
+        // 150 terms fill two stack chunks and part of a third.
+        for terms in [1, 2, 7, 24, 48, 49, 150] {
+            for w in 0..=70 {
+                let n = 1 + (w + terms) % 5;
+                for density in [0.0, 0.28, 0.49, 1.0] {
+                    for specials in [false, true] {
+                        let case = format!("terms={terms} w={w} density={density} {specials}");
+                        let x = sparse(terms, w, 1.0, specials, &mut rng);
+                        // The weight gradient: `dz` (terms x n) against
+                        // activations `x`, onto a non-zero start.
+                        let dz = sparse(terms, n, density, specials, &mut rng);
+                        let start = sparse(n, w, 0.5, specials, &mut rng);
+                        for scale in [0.03125, 1.0e-20] {
+                            let mut want = start.clone();
+                            for r in 0..terms {
+                                add_outer_by_branch(&mut want, dz.row(r), x.row(r), scale);
+                            }
+                            let mut batch = start.clone();
+                            batch.add_outer_batch(&dz, &x, scale);
+                            assert!(same_bits(batch.as_slice(), want.as_slice()), "dW {case}");
+                            let mut one = start.clone();
+                            for r in 0..terms {
+                                one.add_outer(dz.row(r), x.row(r), scale);
+                            }
+                            assert!(same_bits(one.as_slice(), want.as_slice()), "outer {case}");
+                        }
+                        // `dz · W` with `x` as `W` (n x terms times
+                        // terms x w), and its one-row form `matvec_t`.
+                        let dz = sparse(n, terms, density, specials, &mut rng);
+                        let want = matmul_by_axpy(&dz, &x);
+                        got.as_mut_slice().fill(f32::NAN);
+                        dz.matmul_into(&x, &mut got);
+                        assert_eq!(got.shape(), (n, w));
+                        assert!(same_bits(got.as_slice(), want.as_slice()), "dA {case}");
+                        let y = x.matvec_t(dz.row(0));
+                        assert!(same_bits(&y, want.row(0)), "matvec_t {case}");
                     }
                 }
             }

@@ -213,20 +213,14 @@ impl Matrix {
     pub fn matvec_t(&self, x: &[f32]) -> Vec<f32> {
         assert_eq!(x.len(), self.rows, "matvec_t dimension mismatch");
         let mut y = vec![0.0; self.cols];
-        for (r, row) in self.iter_rows().enumerate() {
-            let s = x[r];
-            if s != 0.0 {
-                for (yc, a) in y.iter_mut().zip(row) {
-                    *yc += s * a;
-                }
-            }
-        }
+        gemm::add_scaled_rows(&mut y, &self.data, self.cols, |_, r| x[r]);
         y
     }
 
     /// Accumulates the outer product: `self += scale * a * b^T`.
     ///
     /// Used for gradient accumulation in backprop (`dW += dy ⊗ x`).
+    /// Rows whose `a[r] * scale` is zero are skipped.
     ///
     /// # Panics
     ///
@@ -234,15 +228,25 @@ impl Matrix {
     pub fn add_outer(&mut self, a: &[f32], b: &[f32], scale: f32) {
         assert_eq!(a.len(), self.rows, "add_outer row mismatch");
         assert_eq!(b.len(), self.cols, "add_outer col mismatch");
-        for (r, &av) in a.iter().enumerate() {
-            let s = av * scale;
-            if s != 0.0 {
-                let row = &mut self.data[r * self.cols..(r + 1) * self.cols];
-                for (w, &bv) in row.iter_mut().zip(b) {
-                    *w += s * bv;
-                }
-            }
-        }
+        gemm::add_scaled_rows(&mut self.data, b, self.cols, |r, _| a[r] * scale);
+    }
+
+    /// [`Matrix::add_outer`] of every row pair in order,
+    /// `self += scale * Σ_r a_r ⊗ b_r`: bit for bit the per-sample loop,
+    /// as the batched weight gradient `dW += scale * dZᵀ · A`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `a.rows() != b.rows()`, `a.cols() != self.rows()` or
+    /// `b.cols() != self.cols()`.
+    pub fn add_outer_batch(&mut self, a: &Matrix, b: &Matrix, scale: f32) {
+        assert_eq!(a.rows, b.rows, "add_outer_batch batch mismatch");
+        assert_eq!(a.cols, self.rows, "add_outer_batch row mismatch");
+        assert_eq!(b.cols, self.cols, "add_outer_batch col mismatch");
+        let n = a.cols;
+        gemm::add_scaled_rows(&mut self.data, &b.data, self.cols, |o, r| {
+            a.data[r * n + o] * scale
+        });
     }
 
     /// `self += scale * other`, element-wise.
@@ -327,11 +331,10 @@ impl Matrix {
     /// `out = self * other` (row-major matrix product), `out` reshaped
     /// to fit.
     ///
-    /// Uses the i-k-j loop order: each scalar of a row of `self` streams
-    /// a contiguous row of `other` into a contiguous row of the output
-    /// (an `axpy` per inner step), so no operand is ever walked with a
-    /// stride. Zero scalars are skipped, which makes the ReLU-sparse
-    /// backward pass (`dA = dZ * W`) cheaper for free.
+    /// Each output row sums, in `k` order, the rows of `other` scaled
+    /// by the non-zero scalars of the same row of `self`: the i-k-j
+    /// loop, with zero scalars skipped, which makes the ReLU-sparse
+    /// backward pass (`dA = dZ * W`) cheaper.
     ///
     /// # Panics
     ///
@@ -340,15 +343,10 @@ impl Matrix {
         assert_eq!(self.cols, other.rows, "matmul inner dimension mismatch");
         out.reshape(self.rows, other.cols);
         out.fill_zero();
-        let n = other.cols;
-        for (i, a) in self.iter_rows().enumerate() {
-            let orow = &mut out.data[i * n..(i + 1) * n];
-            for (k, &av) in a.iter().enumerate() {
-                if av != 0.0 {
-                    crate::ops::axpy(orow, other.row(k), av);
-                }
-            }
-        }
+        let k = self.cols;
+        gemm::add_scaled_rows(&mut out.data, &other.data, other.cols, |i, t| {
+            self.data[i * k + t]
+        });
     }
 
     /// [`Matrix::matmul_into`] with a fresh output.

@@ -31,19 +31,6 @@ pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     ((acc[0] + acc[4]) + (acc[1] + acc[5])) + ((acc[2] + acc[6]) + (acc[3] + acc[7])) + tail
 }
 
-/// `y += s * x` (scaled accumulate); the inner loop of `matmul` and the
-/// outer-product accumulate.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-pub fn axpy(y: &mut [f32], x: &[f32], s: f32) {
-    assert_eq!(y.len(), x.len(), "axpy length mismatch");
-    for (yv, xv) in y.iter_mut().zip(x) {
-        *yv += s * xv;
-    }
-}
-
 /// Sum of absolute values with four independent accumulators.
 pub fn sum_abs(xs: &[f32]) -> f32 {
     let mut acc = [0.0f32; 4];
@@ -209,13 +196,6 @@ mod tests {
                 dot(&a, &b)
             );
         }
-    }
-
-    #[test]
-    fn axpy_accumulates_scaled() {
-        let mut y = vec![1.0, 2.0, 3.0];
-        axpy(&mut y, &[1.0, 0.0, -1.0], 2.0);
-        assert_eq!(y, vec![3.0, 2.0, 1.0]);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! touch the heap and an evaluation's allocator calls must not grow
 //! with the dataset. Counted like `tests/commit_alloc.rs`.
 
-use rog::models::{CrudaSpec, Dataset, Workload};
+use rog::models::{CrimpSpec, CrudaSpec, Dataset, Workload};
 use rog::tensor::rng::DetRng;
 
 #[path = "common/counting_alloc.rs"]
@@ -16,22 +16,32 @@ static ALLOC: Counting = Counting;
 #[test]
 fn a_warm_gradient_draw_does_not_allocate() {
     let mut rng = DetRng::new(5);
-    let wl = CrudaSpec::paper().build(2, &mut rng);
-    let model = wl.make_model(&mut rng);
-    let shard = &wl.shards()[0];
-    let mut grads = model.zero_grads();
-    let batches: Vec<Vec<usize>> = [48, 24, 48]
-        .iter()
-        .map(|&b| shard.sample_batch(b, &mut rng))
-        .collect();
-    model.loss_and_grad_into(shard, &batches[0], &mut grads);
-    let (n, ()) = calls(|| {
-        for idxs in &batches {
-            model.loss_and_grad_into(shard, idxs, &mut grads);
-        }
-    });
-    assert_eq!(n, 0, "warm loss_and_grad_into allocated {n} times");
-    assert!(grads[0].as_slice().iter().any(|&g| g != 0.0));
+    // The CRUDA classifier and CRIMP's regression head; 70 samples
+    // overflow one stack chunk of weight-gradient terms.
+    let workloads: [Box<dyn Workload>; 2] = [
+        Box::new(CrudaSpec::paper().build(2, &mut rng)),
+        Box::new(CrimpSpec::paper().build(2, &mut rng)),
+    ];
+    for wl in &workloads {
+        let model = wl.make_model(&mut rng);
+        let shard = &wl.shards()[0];
+        let mut grads = model.zero_grads();
+        let batches: Vec<Vec<usize>> = [70, 24, 48, 70]
+            .iter()
+            .map(|&b| shard.sample_batch(b, &mut rng))
+            .collect();
+        // `dz` and the logits trade buffers every draw, so each must
+        // have held the largest batch once: warm with the same draws.
+        let draws = |grads: &mut Vec<_>| {
+            for idxs in &batches {
+                model.loss_and_grad_into(shard, idxs, grads);
+            }
+        };
+        draws(&mut grads);
+        let (n, ()) = calls(|| draws(&mut grads));
+        assert_eq!(n, 0, "warm loss_and_grad_into allocated {n} times");
+        assert!(grads[0].as_slice().iter().any(|&g| g != 0.0));
+    }
 }
 
 #[test]

@@ -386,8 +386,11 @@ fn bench_journal_export(c: &mut Criterion) {
 fn bench_server_plane(c: &mut Criterion) {
     // The parameter plane at fleet scale (the `fleet256` cell): the
     // paper-scale CRUDA MLP, 256 workers x 4 shards, one worker's leg
-    // to shard 0 — every row of the shard averaged into 256 pending
-    // copies, then ranked for and drained by one destination worker.
+    // to shard 0 — every row of the shard averaged into each distinct
+    // pending copy, then ranked for and drained by one destination
+    // worker. The plane is first brought to the shape `fleet256`
+    // measures (≈ 9 distinct copies per row): nine drain epochs, each
+    // draining every ninth worker and then taking one push.
     let mut g = c.benchmark_group("server_plane");
     let model = Mlp::new(
         &[40, 112, 80, 24],
@@ -409,6 +412,13 @@ fn bench_server_plane(c: &mut Criterion) {
     let imp = ImportanceMetric::default();
     let mut plane = ShardedServer::new(model.params(), 256, 4, imp, map);
     let mut iter = 0u64;
+    for epoch in 0..9 {
+        for w in (epoch..256).step_by(9) {
+            plane.commit_pull(0, w, &ids);
+        }
+        iter += 1;
+        plane.on_push(0, epoch, iter, &mut leg);
+    }
     g.bench_function("on_push_leg", |b| {
         b.iter(|| {
             iter += 1;

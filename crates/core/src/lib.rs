@@ -15,7 +15,8 @@
 //!   SSP gate the model-granularity baselines run behind.
 //!   [`ShardedServer`] is the parameter server itself (Algorithm 2):
 //!   per-worker pending copies of the averaged gradients, kept per row
-//!   and therefore shardable by row with no change to any value.
+//!   and therefore shardable by row with no change to any value, and
+//!   stored once per cohort of workers whose copies are bit-identical.
 //!   RSP provably retains SSP's convergence guarantee —
 //!   [`convergence::rsp_regret_bound`] computes the Theorem 1 bound and
 //!   the crate's tests exercise it on a convex problem.

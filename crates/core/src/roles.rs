@@ -249,6 +249,9 @@ pub struct ServerRole {
     /// Edge-aggregation tier (`None`: workers reach the shards
     /// directly). Accounting only.
     agg: Option<AggregatorPlane>,
+    /// Row ids of the push being folded into an aggregator window,
+    /// reused across ingests.
+    agg_ids: Vec<usize>,
     /// Pull requests waiting at a shard's gate, with their iteration.
     parked: Vec<(LegId, u64)>,
     /// Row-major by worker.
@@ -263,6 +266,7 @@ impl ServerRole {
         Self {
             trackers: vec![MtaTimeTracker::new(n, 1.0); n_shards],
             agg,
+            agg_ids: Vec::new(),
             parked: Vec::new(),
             legs: vec![ServerLeg::default(); n * n_shards],
             peak_version_bytes: 0,
@@ -377,8 +381,9 @@ impl ServerRole {
     pub fn ingest(&mut self, (w, s): LegId, n: u64, rows: &mut [(RowId, Vec<f32>)]) -> bool {
         let min_before = self.server.versions(s).global_min();
         if let Some(plane) = self.agg.as_mut() {
-            let ids: Vec<usize> = rows.iter().map(|(id, _)| id.0).collect();
-            plane.on_member_push(w, s, &ids, n);
+            self.agg_ids.clear();
+            self.agg_ids.extend(rows.iter().map(|(id, _)| id.0));
+            plane.on_member_push(w, s, &self.agg_ids, n);
         }
         self.server.on_push(s, w, n, rows);
         self.peak_version_bytes = self

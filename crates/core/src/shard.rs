@@ -16,11 +16,18 @@
 //! homed elsewhere.
 //!
 //! [`ShardMap`] is the deterministic row→shard assignment (contiguous
-//! ranges); [`ShardedServer`] owns one private `Shard` per shard — flat
-//! per-worker buffers indexed by row offset, one layout and one
-//! construction path for any shard count — and speaks global row ids
-//! throughout. Finding a row is index arithmetic, never a float
-//! operation, so shard count never perturbs values.
+//! ranges); [`ShardedServer`] owns one private `Shard` per shard, one
+//! layout and one construction path for any shard count, and speaks
+//! global row ids throughout. Finding a row is index arithmetic, never
+//! a float operation, so shard count never perturbs values.
+//!
+//! The per-worker copies are held by *cohort*, not by worker: workers
+//! whose copies of a row are bit-identical (they were last drained at
+//! the same push of that row, and have been active since) read one
+//! shared copy, and a push is averaged into each distinct copy once.
+//! The copy is the same `f32` sum in the same order a private buffer
+//! would hold, so every worker sees the bits the flat per-worker layout
+//! gave; that layout survives as the store's test oracle.
 
 use std::ops::Range;
 
@@ -130,18 +137,256 @@ impl ShardMap {
     }
 }
 
+/// What one pending copy of a row carries besides its values.
+#[derive(Debug, Clone, Copy)]
+struct CopyMeta {
+    /// Freshest iteration contributing to the copy (0 = no pending
+    /// content).
+    fresh: u64,
+    /// Workers reading the copy (0 = free).
+    readers: u32,
+    /// Whether pushes reach the copy: its readers are active. Readers
+    /// of one copy always share activity; a free copy is not live.
+    live: bool,
+}
+
+/// One row's pending copies: each distinct `ḡ^r` of the row once, with
+/// the number of workers reading it.
+///
+/// Invariants: every copy with readers is their bit-exact flat copy;
+/// `zero`, if set, is live, all `+0.0`, has `fresh == 0` and has taken
+/// no push since it was made, so a drained active worker may join it;
+/// an inactive worker reads a copy of its own.
+#[derive(Debug, Clone)]
+struct RowCopies {
+    width: usize,
+    /// Copy `c` occupies `values[c * width..(c + 1) * width]`.
+    values: Vec<f32>,
+    meta: Vec<CopyMeta>,
+    /// Copies without readers, reused before the store grows.
+    free: Vec<usize>,
+    /// The row's zero copy, if it has one.
+    zero: Option<usize>,
+}
+
+impl RowCopies {
+    /// One zero copy read by all `n_workers`, with room for the copy
+    /// the first drain splits off it.
+    fn new(width: usize, n_workers: usize) -> Self {
+        let room = n_workers.min(2);
+        let mut values = Vec::with_capacity(room * width);
+        values.resize(width, 0.0);
+        let mut meta = Vec::with_capacity(room);
+        meta.push(CopyMeta {
+            fresh: 0,
+            readers: u32::try_from(n_workers).expect("fewer than 2^32 workers"),
+            live: true,
+        });
+        Self {
+            width,
+            values,
+            meta,
+            free: Vec::new(),
+            zero: Some(0),
+        }
+    }
+
+    fn span(&self, c: usize) -> Range<usize> {
+        c * self.width..(c + 1) * self.width
+    }
+
+    /// A copy for one reader with `fresh == 0`, free or new; its values
+    /// are the caller's to set.
+    fn take(&mut self, live: bool) -> usize {
+        let meta = CopyMeta {
+            fresh: 0,
+            readers: 1,
+            live,
+        };
+        if let Some(c) = self.free.pop() {
+            self.meta[c] = meta;
+            return c;
+        }
+        self.meta.push(meta);
+        self.values.resize(self.values.len() + self.width, 0.0);
+        self.meta.len() - 1
+    }
+
+    fn leave(&mut self, c: usize) {
+        let meta = &mut self.meta[c];
+        meta.readers -= 1;
+        if meta.readers == 0 {
+            meta.live = false;
+            self.free.push(c);
+        }
+    }
+
+    /// Averages a push into every live copy, each once.
+    fn push(&mut self, values: &[f32], inv: f32, n: u64) {
+        let width = self.width;
+        for (c, meta) in self.meta.iter_mut().enumerate() {
+            if meta.live {
+                let copy = &mut self.values[c * width..(c + 1) * width];
+                for (d, v) in copy.iter_mut().zip(values) {
+                    *d += v * inv;
+                }
+                meta.fresh = meta.fresh.max(n);
+            }
+        }
+        self.zero = None;
+    }
+
+    /// Drains a reader of copy `c` and returns the zeroed copy it reads
+    /// next: the row's zero copy if the reader is `live`, else one of
+    /// its own (a departed worker never joins a live copy).
+    fn drain(&mut self, c: usize, live: bool) -> usize {
+        if live && self.zero == Some(c) {
+            return c;
+        }
+        self.leave(c);
+        if let Some(z) = self.zero.filter(|_| live) {
+            self.meta[z].readers += 1;
+            return z;
+        }
+        let z = self.take(live);
+        let span = self.span(z);
+        self.values[span].fill(0.0);
+        if live {
+            self.zero = Some(z);
+        }
+        z
+    }
+
+    /// A reader of the live copy `c` departs: returns the copy, now
+    /// its own, that keeps its values and that pushes no longer reach.
+    fn freeze(&mut self, c: usize) -> usize {
+        if self.meta[c].readers == 1 {
+            self.meta[c].live = false;
+            if self.zero == Some(c) {
+                self.zero = None;
+            }
+            return c;
+        }
+        self.meta[c].readers -= 1;
+        let fresh = self.meta[c].fresh;
+        let d = self.take(false);
+        self.meta[d].fresh = fresh;
+        let span = self.span(c);
+        self.values.copy_within(span, d * self.width);
+        d
+    }
+}
+
+/// Algorithm 2's pending copies `ḡ^r` for the rows of one shard, held
+/// by cohort ([`RowCopies`]).
+#[derive(Debug, Clone)]
+struct CohortStore {
+    rows: Vec<RowCopies>,
+    /// `slots[w * rows.len() + l]` = the copy of row `l` worker `w`
+    /// reads.
+    slots: Vec<u32>,
+}
+
+impl CohortStore {
+    fn new(widths: &[usize], n_workers: usize) -> Self {
+        Self {
+            rows: widths
+                .iter()
+                .map(|&w| RowCopies::new(w, n_workers))
+                .collect(),
+            slots: vec![0; n_workers * widths.len()],
+        }
+    }
+
+    fn width(&self, local: usize) -> usize {
+        self.rows[local].width
+    }
+
+    /// Copies know their own liveness; `_active` is the flat oracle's.
+    fn push(&mut self, local: usize, values: &[f32], inv: f32, n: u64, _active: &[bool]) {
+        self.rows[local].push(values, inv, n);
+    }
+
+    /// Worker `w`'s pending values of row `local` and their freshness.
+    fn get(&self, w: usize, local: usize) -> (&[f32], u64) {
+        let row = &self.rows[local];
+        let c = self.slots[w * self.rows.len() + local] as usize;
+        (&row.values[row.span(c)], row.meta[c].fresh)
+    }
+
+    fn drain(&mut self, w: usize, local: usize, active: bool) {
+        let slot = &mut self.slots[w * self.rows.len() + local];
+        *slot = self.rows[local].drain(*slot as usize, active) as u32;
+    }
+
+    /// Worker `w`, active until now, departs.
+    fn freeze(&mut self, w: usize) {
+        let slots = &mut self.slots[w * self.rows.len()..][..self.rows.len()];
+        for (row, slot) in self.rows.iter_mut().zip(slots) {
+            *slot = row.freeze(*slot as usize) as u32;
+        }
+    }
+
+    fn copies(&self) -> usize {
+        self.rows.iter().map(|r| r.meta.len() - r.free.len()).sum()
+    }
+}
+
+/// The pending-copy store of a shard; tests can swap in the flat
+/// per-worker store the cohort store replaced, as its oracle.
+#[derive(Debug, Clone)]
+enum Pending {
+    Cohort(CohortStore),
+    #[cfg(test)]
+    Flat(tests::FlatStore),
+}
+
+/// Runs `$body` with `$s` bound to whichever store `$pending` holds.
+macro_rules! with_store {
+    ($pending:expr, $s:ident => $body:expr) => {
+        match $pending {
+            Pending::Cohort($s) => $body,
+            #[cfg(test)]
+            Pending::Flat($s) => $body,
+        }
+    };
+}
+
+impl Pending {
+    fn width(&self, local: usize) -> usize {
+        with_store!(self, s => s.width(local))
+    }
+
+    fn push(&mut self, local: usize, values: &[f32], inv: f32, n: u64, active: &[bool]) {
+        with_store!(self, s => s.push(local, values, inv, n, active))
+    }
+
+    fn get(&self, w: usize, local: usize) -> (&[f32], u64) {
+        with_store!(self, s => s.get(w, local))
+    }
+
+    /// Zeroes worker `w`'s copy of row `local` (`active`: whether `w`
+    /// is a member).
+    fn drain(&mut self, w: usize, local: usize, active: bool) {
+        with_store!(self, s => s.drain(w, local, active))
+    }
+
+    fn freeze(&mut self, w: usize) {
+        with_store!(self, s => s.freeze(w))
+    }
+
+    fn copies(&self) -> usize {
+        with_store!(self, s => s.copies())
+    }
+}
+
 /// What Algorithm 2 keeps for the rows homed on one shard, in
 /// shard-local order.
 #[derive(Debug, Clone)]
 struct Shard {
-    /// Row `l` occupies `offsets[l]..offsets[l + 1]` of a pending copy.
-    offsets: Vec<usize>,
-    /// `pending[r]` = averaged gradients pending for worker `r`, the
-    /// shard's rows back to back.
-    pending: Vec<Vec<f32>>,
-    /// `fresh[r][l]` = freshest iteration contributing to row `l` of
-    /// `r`'s copy (0 = no pending content).
-    fresh: Vec<Vec<u64>>,
+    /// Averaged gradients pending for each worker (`ḡ^r`), with the
+    /// freshest iteration contributing to each row.
+    pending: Pending,
     /// `v_i^r` version storage.
     versions: RowVersionStore,
     /// Per-destination-worker compression residuals for pulls.
@@ -151,21 +396,11 @@ struct Shard {
 impl Shard {
     /// Zeroed state for rows of the given widths.
     fn new(widths: &[usize], n_workers: usize) -> Self {
-        let mut offsets = vec![0];
-        for w in widths {
-            offsets.push(offsets[offsets.len() - 1] + w);
-        }
         Self {
-            pending: vec![vec![0.0; offsets[widths.len()]]; n_workers],
-            fresh: vec![vec![0; widths.len()]; n_workers],
+            pending: Pending::Cohort(CohortStore::new(widths, n_workers)),
             versions: RowVersionStore::new(n_workers, widths.len()),
             states: vec![CodecState::new(widths, 0); n_workers],
-            offsets,
         }
-    }
-
-    fn span(&self, local: usize) -> Range<usize> {
-        self.offsets[local]..self.offsets[local + 1]
     }
 }
 
@@ -195,6 +430,8 @@ pub struct ShardedServer {
     scratch: RankScratch,
     /// Per-row mean-|ḡ| buffer, reused across pull plans.
     mean_abs_buf: Vec<f32>,
+    /// Per-row freshness buffer, reused across pull plans.
+    fresh_buf: Vec<u64>,
     /// Importance order buffer, reused across pull plans.
     ranked_buf: Vec<RowId>,
 }
@@ -249,6 +486,7 @@ impl ShardedServer {
             nonfinite_dropped: 0,
             scratch: RankScratch::default(),
             mean_abs_buf: Vec::new(),
+            fresh_buf: Vec::new(),
             ranked_buf: Vec::new(),
         }
     }
@@ -333,8 +571,11 @@ impl ShardedServer {
     ///
     /// Panics if `worker` is out of range.
     pub fn deactivate_worker(&mut self, worker: usize) {
-        self.active[worker] = false;
+        let was_active = std::mem::replace(&mut self.active[worker], false);
         for shard in &mut self.shards {
+            if was_active {
+                shard.pending.freeze(worker);
+            }
             shard.versions.set_active(worker, false);
         }
     }
@@ -351,8 +592,9 @@ impl ShardedServer {
     pub fn rejoin_worker(&mut self, worker: usize, iter: u64) {
         self.active[worker] = true;
         for shard in &mut self.shards {
-            shard.pending[worker].fill(0.0);
-            shard.fresh[worker].fill(0);
+            for local in 0..shard.versions.n_rows() {
+                shard.pending.drain(worker, local, true);
+            }
             shard.states[worker].reset();
             shard.versions.stamp_worker(worker, iter);
             shard.versions.set_active(worker, true);
@@ -375,13 +617,21 @@ impl ShardedServer {
         self.shards.iter().map(|s| s.versions.memory_bytes()).sum()
     }
 
+    /// Distinct pending copies held over every row of every shard:
+    /// between one per row (every worker drained at the same pushes)
+    /// and `n_workers` per row.
+    pub fn pending_copies(&self) -> usize {
+        self.shards.iter().map(|s| s.pending.copies()).sum()
+    }
+
     /// Receives row gradients of iteration `n` that worker `from`
     /// pushed to `shard`: averages them into every *active* worker's
     /// pending copy and updates the version storage (Algorithm 2 lines
     /// 2–6). Under full membership this is the paper's `1/n_workers`
     /// averaging exactly; when members have departed, the divisor is
     /// the active count, so the expected gradient magnitude is
-    /// preserved for the survivors.
+    /// preserved for the survivors. The cost is one add per distinct
+    /// copy of each row, not per worker.
     ///
     /// NaN/Inf values are zeroed in `rows` before they are added (and
     /// counted in [`ShardedServer::nonfinite_dropped`]): on a lossy link
@@ -399,22 +649,13 @@ impl ShardedServer {
         for (id, values) in rows {
             assert_eq!(self.map.shard_of(*id), shard, "{id} not homed on {shard}");
             let local = self.map.to_local(*id).0;
-            let span = state.span(local);
-            assert_eq!(values.len(), span.len(), "payload width mismatch for {id}");
+            let width = state.pending.width(local);
+            assert_eq!(values.len(), width, "payload width mismatch for {id}");
             for v in values.iter_mut().filter(|v| !v.is_finite()) {
                 *v = 0.0;
                 self.nonfinite_dropped += 1;
             }
-            for (r, pending) in state.pending.iter_mut().enumerate() {
-                if !self.active[r] {
-                    continue;
-                }
-                for (d, v) in pending[span.clone()].iter_mut().zip(values.iter()) {
-                    *d += v * inv;
-                }
-                let fresh = &mut state.fresh[r][local];
-                *fresh = (*fresh).max(n);
-            }
+            state.pending.push(local, values, inv, n, &self.active);
             state.versions.record_push(from, local, n);
         }
     }
@@ -432,23 +673,23 @@ impl ShardedServer {
     /// `worker`, ranked by the server-mode importance metric (fresh,
     /// large-magnitude rows first). Allocation-free in steady state.
     pub fn plan_pull_into(&mut self, shard: usize, worker: usize, out: &mut Vec<RowId>) {
-        let state = &self.shards[shard];
-        let (pending, fresh) = (&state.pending[worker], &state.fresh[worker]);
+        let pending = &self.shards[shard].pending;
+        let globals = self.map.rows_of(shard);
         self.mean_abs_buf.clear();
-        self.mean_abs_buf.extend(
-            state
-                .offsets
-                .windows(2)
-                .map(|o| ops::mean_abs(&pending[o[0]..o[1]])),
-        );
+        self.fresh_buf.clear();
+        for local in 0..globals.len() {
+            let (values, fresh) = pending.get(worker, local);
+            self.mean_abs_buf.push(ops::mean_abs(values));
+            self.fresh_buf.push(fresh);
+        }
         self.importance.rank_into(
             ImportanceMode::Server,
             &self.mean_abs_buf,
-            fresh,
+            &self.fresh_buf,
             &mut self.scratch,
             &mut self.ranked_buf,
         );
-        let globals = self.map.rows_of(shard);
+        let fresh = &self.fresh_buf;
         out.clear();
         out.extend(
             self.ranked_buf
@@ -463,7 +704,7 @@ impl ShardedServer {
     /// worker in scope (e.g. resync model transfers, which are dense).
     pub fn payload_bytes(&self, id: RowId) -> u64 {
         let state = &self.shards[self.map.shard_of(id)];
-        OneBitCodec.payload_bytes(state.span(self.map.to_local(id).0).len())
+        OneBitCodec.payload_bytes(state.pending.width(self.map.to_local(id).0))
     }
 
     /// Payload size of one row on the link to `worker`, as that link's
@@ -476,11 +717,8 @@ impl ShardedServer {
     pub fn payload_bytes_for(&self, worker: usize, id: RowId) -> u64 {
         let state = &self.shards[self.map.shard_of(id)];
         let local = self.map.to_local(id).0;
-        state.states[worker].planned_payload_bytes(
-            &self.codecs[worker],
-            local,
-            &state.pending[worker][state.span(local)],
-        )
+        let (values, _) = state.pending.get(worker, local);
+        state.states[worker].planned_payload_bytes(&self.codecs[worker], local, values)
     }
 
     /// Commits a pull of `rows` from `shard`: compresses
@@ -494,16 +732,14 @@ impl ShardedServer {
         rows: &[RowId],
     ) -> Vec<(RowId, Vec<f32>)> {
         let state = &mut self.shards[shard];
-        let codec = &self.codecs[worker];
+        let (codec, active) = (&self.codecs[worker], self.active[worker]);
         rows.iter()
             .map(|&id| {
                 let local = self.map.to_local(id).0;
-                let span = state.span(local);
-                let row = &mut state.pending[worker][span];
+                let (row, _) = state.pending.get(worker, local);
                 let mut restored = vec![0.0; row.len()];
                 state.states[worker].restore_into(codec, local, row, &mut restored);
-                row.fill(0.0);
-                state.fresh[worker][local] = 0;
+                state.pending.drain(worker, local, active);
                 (id, restored)
             })
             .collect()
@@ -513,6 +749,100 @@ impl ShardedServer {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The flat store the cohort store replaced, kept as its oracle:
+    /// one full copy of the shard's rows per worker.
+    #[derive(Debug, Clone)]
+    pub(super) struct FlatStore {
+        /// Row `l` occupies `offsets[l]..offsets[l + 1]` of a copy.
+        offsets: Vec<usize>,
+        /// `pending[r]` = worker `r`'s copy, the rows back to back.
+        pending: Vec<Vec<f32>>,
+        /// `fresh[r][l]` = freshest iteration contributing to row `l`
+        /// of `r`'s copy (0 = no pending content).
+        fresh: Vec<Vec<u64>>,
+    }
+
+    impl FlatStore {
+        fn new(widths: &[usize], n_workers: usize) -> Self {
+            let mut offsets = vec![0];
+            for w in widths {
+                offsets.push(offsets[offsets.len() - 1] + w);
+            }
+            Self {
+                pending: vec![vec![0.0; offsets[widths.len()]]; n_workers],
+                fresh: vec![vec![0; widths.len()]; n_workers],
+                offsets,
+            }
+        }
+
+        fn span(&self, local: usize) -> Range<usize> {
+            self.offsets[local]..self.offsets[local + 1]
+        }
+
+        pub(super) fn width(&self, local: usize) -> usize {
+            self.span(local).len()
+        }
+
+        pub(super) fn push(
+            &mut self,
+            local: usize,
+            values: &[f32],
+            inv: f32,
+            n: u64,
+            active: &[bool],
+        ) {
+            let span = self.span(local);
+            for (r, pending) in self.pending.iter_mut().enumerate() {
+                if !active[r] {
+                    continue;
+                }
+                for (d, v) in pending[span.clone()].iter_mut().zip(values) {
+                    *d += v * inv;
+                }
+                let fresh = &mut self.fresh[r][local];
+                *fresh = (*fresh).max(n);
+            }
+        }
+
+        pub(super) fn get(&self, w: usize, local: usize) -> (&[f32], u64) {
+            (&self.pending[w][self.span(local)], self.fresh[w][local])
+        }
+
+        pub(super) fn drain(&mut self, w: usize, local: usize, _active: bool) {
+            let span = self.span(local);
+            self.pending[w][span].fill(0.0);
+            self.fresh[w][local] = 0;
+        }
+
+        pub(super) fn freeze(&mut self, _w: usize) {}
+
+        pub(super) fn copies(&self) -> usize {
+            self.fresh.iter().map(Vec::len).sum()
+        }
+    }
+
+    impl ShardedServer {
+        /// The same (untouched) plane over the flat store.
+        fn with_flat_store(mut self) -> Self {
+            let n_workers = self.n_workers();
+            for shard in &mut self.shards {
+                let widths: Vec<usize> = (0..shard.versions.n_rows())
+                    .map(|l| shard.pending.width(l))
+                    .collect();
+                shard.pending = Pending::Flat(FlatStore::new(&widths, n_workers));
+            }
+            self
+        }
+
+        /// `worker`'s pending copy of `shard`'s rows, back to back.
+        fn pending(&self, shard: usize, worker: usize) -> Vec<f32> {
+            let pending = &self.shards[shard].pending;
+            (0..self.map.shard_rows(shard))
+                .flat_map(|l| pending.get(worker, l).0.iter().copied())
+                .collect()
+        }
+    }
 
     fn params() -> Vec<Matrix> {
         vec![Matrix::zeros(4, 3), Matrix::zeros(3, 2)]
@@ -592,7 +922,7 @@ mod tests {
         );
         assert_eq!(s.nonfinite_dropped(), 3);
         // The finite values landed (averaged by 1/2), the poison did not.
-        assert_eq!(s.shards[0].pending[1][..6], [0.5, 0.0, 0.0, 0.0, 1.0, 1.5]);
+        assert_eq!(s.pending(0, 1)[..6], [0.5, 0.0, 0.0, 0.0, 1.0, 1.5]);
         let payloads = s.commit_pull(0, 1, &[RowId(0), RowId(1)]);
         for (_, values) in &payloads {
             assert!(values.iter().all(|v| v.is_finite()), "{values:?}");
@@ -685,9 +1015,10 @@ mod tests {
         assert!(!s.is_active(2));
         assert!(s.gate_ok(0, 5), "gate recomputed over the active set");
         // Pushes now average over 2 and skip the departed copy.
-        let before = s.shards[0].pending.clone();
+        let copies = |s: &ShardedServer| (0..3).map(|w| s.pending(0, w)).collect::<Vec<_>>();
+        let before = copies(&s);
         s.on_push(0, 0, 6, &mut [(RowId(0), vec![2.0, 2.0, 2.0])]);
-        let after = &s.shards[0].pending;
+        let after = copies(&s);
         assert_eq!(after[2], before[2], "nothing for the departed");
         assert!((after[1][0] - before[1][0] - 1.0).abs() < 1e-5, "2.0 / 2");
         s.deactivate_worker(2); // idempotent
@@ -706,7 +1037,7 @@ mod tests {
         assert!(s.is_active(1));
         assert_eq!(s.active_workers(), 2);
         assert!(plan_pull(&mut s, 0, 1).is_empty(), "stale copy discarded");
-        assert!(s.shards[0].pending[1].iter().all(|&v| v == 0.0));
+        assert!(s.pending(0, 1).iter().all(|&v| v == 0.0));
         // Versions fast-forwarded: the rejoiner does not re-pin the gate.
         assert!(s.gate_ok(0, 9));
         assert_eq!(s.versions(0).global_min(), 9);
@@ -718,7 +1049,7 @@ mod tests {
         // arithmetically identical to the pre-membership 1/n averaging.
         let mut s = plane(4, 4, 1);
         s.on_push(0, 0, 1, &mut [(RowId(0), vec![4.0, 8.0, 12.0])]);
-        assert_eq!(s.shards[0].pending[3][..3], [1.0, 2.0, 3.0]);
+        assert_eq!(s.pending(0, 3)[..3], [1.0, 2.0, 3.0]);
     }
 
     #[test]
@@ -765,8 +1096,7 @@ mod tests {
         use super::*;
         use proptest::prelude::*;
 
-        /// One step of a random history, applied to a 1-shard and a
-        /// k-shard plane alike.
+        /// One step of a random history, applied to two planes alike.
         #[derive(Debug, Clone, Copy)]
         enum Op {
             /// `from` pushes the rows selected by `mask` at its next
@@ -784,6 +1114,11 @@ mod tests {
                 w: usize,
                 take: usize,
             },
+            /// `w` pulls the rows selected by `mask`, pending or not.
+            CommitRows {
+                w: usize,
+                mask: u64,
+            },
             Deactivate {
                 w: usize,
             },
@@ -794,12 +1129,19 @@ mod tests {
             SetThreshold {
                 t: u32,
             },
+            SetCodec {
+                w: usize,
+                codec: CodecChoice,
+            },
         }
 
-        /// Pushes dominate, as in a real run; membership and threshold
-        /// moves are the tail.
+        /// Pushes dominate, as in a real run; membership, threshold and
+        /// codec moves are the tail. `kind` is drawn from `0..14`.
         fn decode((kind, w, x, salt): (usize, usize, u64, u32), n_workers: usize) -> Op {
             let w = w % n_workers;
+            // Deterministic rungs only: a stochastic one draws from a
+            // stream per (shard, worker), which shard count does move.
+            let rungs = [CodecChoice::OneBit, CodecChoice::Sparse];
             match kind {
                 0..=4 => Op::Push {
                     from: w,
@@ -813,8 +1155,47 @@ mod tests {
                 },
                 8 => Op::Deactivate { w },
                 9 => Op::Rejoin { w, iter: x % 40 },
-                _ => Op::SetThreshold { t: salt % 6 },
+                10 => Op::SetThreshold { t: salt % 6 },
+                11 => Op::SetCodec {
+                    w,
+                    codec: rungs[x as usize % rungs.len()],
+                },
+                _ => Op::CommitRows { w, mask: x },
             }
+        }
+
+        /// The rows of `rows` selected by `mask`.
+        fn selected(rows: &[usize], mask: u64) -> Vec<RowId> {
+            rows.iter()
+                .filter(|&&r| mask >> (r % 64) & 1 == 1)
+                .map(|&r| RowId(r))
+                .collect()
+        }
+
+        /// A push of the rows of `rows` selected by `mask`.
+        fn push_rows(
+            widths: &[usize],
+            rows: &[usize],
+            mask: u64,
+            salt: u32,
+        ) -> Vec<(RowId, Vec<f32>)> {
+            selected(rows, mask)
+                .into_iter()
+                .map(|id| {
+                    (
+                        id,
+                        (0..widths[id.0]).map(|c| value(id.0, c, salt)).collect(),
+                    )
+                })
+                .collect()
+        }
+
+        /// Pulled rows as bits, so NaN and `-0.0` compare exactly.
+        fn bits(pulled: &[(RowId, Vec<f32>)]) -> Vec<(RowId, Vec<u32>)> {
+            pulled
+                .iter()
+                .map(|(id, v)| (*id, v.iter().map(|f| f.to_bits()).collect()))
+                .collect()
         }
 
         /// A deterministic gradient value with the odd NaN/Inf in it.
@@ -838,13 +1219,13 @@ mod tests {
             s: usize,
             w: usize,
         ) -> Vec<RowId> {
-            let state = &one.shards[0];
+            let pending = &one.shards[0].pending;
             let globals = sharded.map().rows_of(s);
             let mean_abs: Vec<f32> = globals
                 .iter()
-                .map(|&r| ops::mean_abs(&state.pending[w][state.span(r)]))
+                .map(|&r| ops::mean_abs(pending.get(w, r).0))
                 .collect();
-            let fresh: Vec<u64> = globals.iter().map(|&r| state.fresh[w][r]).collect();
+            let fresh: Vec<u64> = globals.iter().map(|&r| pending.get(w, r).1).collect();
             ImportanceMetric::default()
                 .rank(ImportanceMode::Server, &mean_abs, &fresh)
                 .into_iter()
@@ -862,11 +1243,12 @@ mod tests {
             fn k_shards_match_one_shard_on_any_history(
                 shapes in proptest::collection::vec((1..4usize, 1..6usize), 2..5),
                 n_workers in 1..7usize,
-                raw in proptest::collection::vec((0..11usize, 0..6usize, 0..u64::MAX, 0..u32::MAX), 1..60),
+                raw in proptest::collection::vec((0..14usize, 0..6usize, 0..u64::MAX, 0..u32::MAX), 1..60),
             ) {
                 let params: Vec<Matrix> = shapes.iter().map(|&(r, c)| Matrix::zeros(r, c)).collect();
                 let widths = RowPartition::of_params(&params).widths().to_vec();
                 let n_rows = widths.len();
+                let all: Vec<usize> = (0..n_rows).collect();
                 for k in [2, 3, 5].into_iter().filter(|&k| k <= n_rows) {
                     let build = |k| ShardedServer::new(
                         &params,
@@ -881,10 +1263,7 @@ mod tests {
                         match decode(draw, n_workers) {
                             Op::Push { from, mask, salt } => {
                                 iters[from] += 1 + u64::from(salt % 3);
-                                let rows: Vec<(RowId, Vec<f32>)> = (0..n_rows)
-                                    .filter(|r| mask >> (r % 64) & 1 == 1)
-                                    .map(|r| (RowId(r), (0..widths[r]).map(|c| value(r, c, salt)).collect()))
-                                    .collect();
+                                let rows = push_rows(&widths, &all, mask, salt);
                                 one.on_push(0, from, iters[from], &mut rows.clone());
                                 for s in 0..k {
                                     let mut leg: Vec<_> = rows
@@ -911,13 +1290,14 @@ mod tests {
                                     let mut plan = plan_pull(&mut many, s, w);
                                     plan.truncate(take);
                                     let got = many.commit_pull(s, w, &plan);
-                                    let want = one.commit_pull(0, w, &plan);
-                                    prop_assert_eq!(got.len(), want.len());
-                                    for ((gi, g), (wi, v)) in got.iter().zip(&want) {
-                                        prop_assert_eq!(gi, wi);
-                                        let bits = |x: &[f32]| x.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
-                                        prop_assert_eq!(bits(g), bits(v), "{} to worker {}", gi, w);
-                                    }
+                                    prop_assert_eq!(bits(&got), bits(&one.commit_pull(0, w, &plan)));
+                                }
+                            }
+                            Op::CommitRows { w, mask } => {
+                                for s in 0..k {
+                                    let rows = selected(many.map().rows_of(s), mask);
+                                    let got = many.commit_pull(s, w, &rows);
+                                    prop_assert_eq!(bits(&got), bits(&one.commit_pull(0, w, &rows)));
                                 }
                             }
                             Op::Deactivate { w } => {
@@ -932,6 +1312,10 @@ mod tests {
                                 one.set_threshold(t);
                                 many.set_threshold(t);
                             }
+                            Op::SetCodec { w, codec } => {
+                                one.set_codec(w, codec.build());
+                                many.set_codec(w, codec.build());
+                            }
                         }
                         prop_assert_eq!(one.nonfinite_dropped(), many.nonfinite_dropped());
                         prop_assert_eq!(one.active_workers(), many.active_workers());
@@ -940,6 +1324,102 @@ mod tests {
                             prop_assert_eq!(all, one.gate_ok(0, pushed), "gate at {}", pushed);
                         }
                     }
+                }
+            }
+
+            /// The cohort store is the flat store it replaced, bit for
+            /// bit: after every step of any history — pushes with
+            /// NaN/±Inf in them, plans, partial commits (to departed
+            /// workers too), departures, rejoins, threshold moves and
+            /// codec switches (sparse sizing reads the pending copy) —
+            /// both planes hold the same pending bits and freshness for
+            /// every worker, plan the same pulls, size every row alike,
+            /// pull the same bits and agree on faults and gates.
+            #[test]
+            fn cohort_store_matches_the_flat_store(
+                shapes in proptest::collection::vec((1..4usize, 1..6usize), 1..5),
+                n_workers in 1..10usize,
+                n_shards in 1..4usize,
+                raw in proptest::collection::vec((0..14usize, 0..9usize, 0..u64::MAX, 0..u32::MAX), 1..80),
+            ) {
+                let params: Vec<Matrix> = shapes.iter().map(|&(r, c)| Matrix::zeros(r, c)).collect();
+                let widths = RowPartition::of_params(&params).widths().to_vec();
+                let n_rows = widths.len();
+                let k = n_shards.min(n_rows);
+                let build = || {
+                    let map = ShardMap::contiguous(n_rows, k);
+                    let mut s = ShardedServer::new(&params, n_workers, 2, ImportanceMetric::default(), map);
+                    s.configure_codec(CodecChoice::OneBit, 5);
+                    s
+                };
+                let (mut cohort, mut flat) = (build(), build().with_flat_store());
+                let mut iters = vec![0u64; n_workers];
+                for &draw in &raw {
+                    match decode(draw, n_workers) {
+                        Op::Push { from, mask, salt } => {
+                            iters[from] += 1 + u64::from(salt % 3);
+                            for s in 0..k {
+                                let leg = push_rows(&widths, cohort.map().rows_of(s), mask, salt);
+                                cohort.on_push(s, from, iters[from], &mut leg.clone());
+                                flat.on_push(s, from, iters[from], &mut leg.clone());
+                            }
+                        }
+                        // Every plan is compared after every step.
+                        Op::PlanPull { .. } => {}
+                        Op::CommitPull { w, take } => {
+                            for s in 0..k {
+                                let mut plan = plan_pull(&mut flat, s, w);
+                                plan.truncate(take);
+                                let got = cohort.commit_pull(s, w, &plan);
+                                prop_assert_eq!(bits(&got), bits(&flat.commit_pull(s, w, &plan)));
+                            }
+                        }
+                        Op::CommitRows { w, mask } => {
+                            for s in 0..k {
+                                let rows = selected(cohort.map().rows_of(s), mask);
+                                let got = cohort.commit_pull(s, w, &rows);
+                                prop_assert_eq!(bits(&got), bits(&flat.commit_pull(s, w, &rows)));
+                            }
+                        }
+                        Op::Deactivate { w } => {
+                            cohort.deactivate_worker(w);
+                            flat.deactivate_worker(w);
+                        }
+                        Op::Rejoin { w, iter } => {
+                            cohort.rejoin_worker(w, iter);
+                            flat.rejoin_worker(w, iter);
+                        }
+                        Op::SetThreshold { t } => {
+                            cohort.set_threshold(t);
+                            flat.set_threshold(t);
+                        }
+                        Op::SetCodec { w, codec } => {
+                            cohort.set_codec(w, codec.build());
+                            flat.set_codec(w, codec.build());
+                        }
+                    }
+                    prop_assert_eq!(cohort.nonfinite_dropped(), flat.nonfinite_dropped());
+                    for s in 0..k {
+                        for pushed in 0..12 {
+                            prop_assert_eq!(cohort.gate_ok(s, pushed), flat.gate_ok(s, pushed));
+                        }
+                        let globals = cohort.map().rows_of(s).to_vec();
+                        for w in 0..n_workers {
+                            prop_assert_eq!(plan_pull(&mut cohort, s, w), plan_pull(&mut flat, s, w));
+                            for (l, &r) in globals.iter().enumerate() {
+                                let (got, got_fresh) = cohort.shards[s].pending.get(w, l);
+                                let (want, want_fresh) = flat.shards[s].pending.get(w, l);
+                                let bits = |x: &[f32]| x.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+                                prop_assert_eq!(bits(got), bits(want), "row {} of worker {}", r, w);
+                                prop_assert_eq!(got_fresh, want_fresh);
+                                prop_assert_eq!(
+                                    cohort.payload_bytes_for(w, RowId(r)),
+                                    flat.payload_bytes_for(w, RowId(r))
+                                );
+                            }
+                        }
+                    }
+                    prop_assert!(cohort.pending_copies() <= n_workers * n_rows);
                 }
             }
         }

@@ -3,11 +3,15 @@
 //! touch the heap, nor may the sparse rung's plan-time sizing once its
 //! scratch row has grown, and a commit of k rows may allocate only what
 //! its signature returns: k payload vectors and the vector that holds
-//! them. Asserted with a counting allocator, which is why this lives in
+//! them; a warm server ingest allocates nothing. Asserted with a
+//! counting allocator, which is why this lives in
 //! a test binary of its own (the libraries forbid `unsafe`).
 
 use rog::compress::{CodecChoice, CodecState, OneBitCodec, RowCodec, SparseDeltaCodec};
-use rog::core::{ImportanceMetric, RogWorker, RogWorkerConfig, RowId, ShardMap, ShardedServer};
+use rog::core::{
+    AggregatorMap, AggregatorPlane, ImportanceMetric, RogWorker, RogWorkerConfig, RowId,
+    ServerRole, ShardMap, ShardedServer,
+};
 use rog::tensor::Matrix;
 
 #[path = "common/counting_alloc.rs"]
@@ -100,4 +104,33 @@ fn a_commit_of_k_rows_allocates_k_payloads_and_their_holder() {
 #[test]
 fn a_sparse_commit_of_k_rows_allocates_the_same() {
     commit_allocations(CodecChoice::Sparse);
+}
+
+/// Once every member has pushed (its version clock and its aggregator
+/// window exist), ingesting a push allocates nothing: the window reads
+/// the role's reused row-id buffer, and each row is averaged into the
+/// copies the shard already holds.
+#[test]
+fn a_warm_aggregated_ingest_does_not_allocate() {
+    let ps = params();
+    let server = ShardedServer::new(
+        &ps,
+        4,
+        4,
+        ImportanceMetric::default(),
+        ShardMap::contiguous(8, 2),
+    );
+    let agg = AggregatorPlane::new(AggregatorMap::contiguous(4, 2), 2, 8);
+    let mut role = ServerRole::new(server, Some(agg));
+    let mut rows: Vec<(RowId, Vec<f32>)> = (0..4).map(|r| (RowId(r), vec![0.5; 200])).collect();
+    for w in 0..4 {
+        role.ingest((w, 0), 1, &mut rows);
+    }
+    let (n, ()) = calls(|| {
+        for w in 0..4 {
+            role.ingest((w, 0), 1, &mut rows);
+        }
+    });
+    assert_eq!(n, 0);
+    assert_eq!(role.agg_stats().raw_rows, 0, "nothing flushed yet");
 }

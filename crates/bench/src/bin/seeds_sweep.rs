@@ -6,7 +6,7 @@
 //! robustness check a physical testbed cannot afford (paper runs each
 //! configuration once).
 
-use rog_bench::{duration, header, write_artifact};
+use rog_bench::{duration, header, run_all, write_artifact};
 use rog_trainer::{stats, Environment, ExperimentConfig, Strategy, WorkloadKind};
 
 fn main() {
@@ -27,14 +27,18 @@ fn main() {
         Strategy::Rog { threshold: 4 },
         Strategy::Rog { threshold: 20 },
     ] {
-        let cfg = ExperimentConfig {
-            workload: WorkloadKind::Cruda,
-            environment: Environment::Outdoor,
-            strategy,
-            duration_secs: dur,
-            ..ExperimentConfig::default()
-        };
-        let runs = stats::run_seeds(&cfg, &seeds);
+        let configs: Vec<ExperimentConfig> = seeds
+            .iter()
+            .map(|&seed| ExperimentConfig {
+                workload: WorkloadKind::Cruda,
+                environment: Environment::Outdoor,
+                strategy,
+                duration_secs: dur,
+                seed,
+                ..ExperimentConfig::default()
+            })
+            .collect();
+        let runs = run_all(&configs);
         let iters = stats::iterations(&runs);
         let stall = stats::stall(&runs);
         let acc = stats::metric_at_time(&runs, dur);

@@ -13,8 +13,8 @@
 //!   the bound semantics both sides, the fuzzer and the invariant
 //!   suites agree on are the predicates in [`gate`], next to the coarse
 //!   SSP gate the model-granularity baselines run behind.
-//!   [`ShardedServer`] is the parameter server itself (Algorithm 2):
-//!   per-worker pending copies of the averaged gradients, kept per row
+//!   [`ShardedServer`] is the parameter server itself (Algorithm 2), for
+//!   ROG and the baselines alike: per-worker pending copies of the averaged gradients, kept per row
 //!   and therefore shardable by row with no change to any value, and
 //!   stored once per cohort of workers whose copies are bit-identical.
 //!   RSP provably retains SSP's convergence guarantee —

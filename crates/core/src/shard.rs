@@ -28,6 +28,12 @@
 //! The copy is the same `f32` sum in the same order a private buffer
 //! would hold, so every worker sees the bits the flat per-worker layout
 //! gave; that layout survives as the store's test oracle.
+//!
+//! The plane serves both engines. The row engine pushes and pulls
+//! ranked row subsets per shard; the model-granularity baselines
+//! (BSP, SSP, ASP, FLOWN, DSSP, ABS) run one shard and push and drain
+//! the whole model's rows each iteration, gating on its `min(V)` with
+//! their own per-worker bounds.
 
 use std::ops::Range;
 
@@ -410,7 +416,9 @@ impl Shard {
 /// Each shard has its own pending copies, error feedback and
 /// [`RowVersionStore`] (and so its own RSP gate); membership, the
 /// staleness threshold and each link's codec are uniform across shards
-/// and held once. All methods speak global [`RowId`]s.
+/// and held once. All methods speak global [`RowId`]s. It is the one
+/// server state of every strategy: ROG's row engine drives it through
+/// [`crate::ServerRole`], the model-granularity engine directly.
 #[derive(Debug, Clone)]
 pub struct ShardedServer {
     map: ShardMap,
@@ -721,28 +729,43 @@ impl ShardedServer {
         state.states[worker].planned_payload_bytes(&self.codecs[worker], local, values)
     }
 
-    /// Commits a pull of `rows` from `shard`: compresses
-    /// (per-destination error feedback), drains the delivered rows from
-    /// `worker`'s pending copy (Algorithm 2 lines 12–13), and returns
-    /// the values the worker receives.
+    /// [`ShardedServer::commit_pull_into`] into a fresh vector: one
+    /// allocation for the holder and one per row payload.
     pub fn commit_pull(
         &mut self,
         shard: usize,
         worker: usize,
         rows: &[RowId],
     ) -> Vec<(RowId, Vec<f32>)> {
+        let mut out = Vec::with_capacity(rows.len());
+        self.commit_pull_into(shard, worker, rows, &mut out);
+        out
+    }
+
+    /// Commits a pull of `rows` from `shard`: compresses
+    /// (per-destination error feedback), drains the delivered rows from
+    /// `worker`'s pending copy (Algorithm 2 lines 12–13), and writes the
+    /// values the worker receives into `out`, one entry per row in
+    /// order. `out`'s row vectors are reused: the payloads allocate
+    /// nothing when no row is wider than at the last drain into `out`.
+    pub fn commit_pull_into(
+        &mut self,
+        shard: usize,
+        worker: usize,
+        rows: &[RowId],
+        out: &mut Vec<(RowId, Vec<f32>)>,
+    ) {
+        out.resize_with(rows.len(), || (RowId(0), Vec::new()));
         let state = &mut self.shards[shard];
         let (codec, active) = (&self.codecs[worker], self.active[worker]);
-        rows.iter()
-            .map(|&id| {
-                let local = self.map.to_local(id).0;
-                let (row, _) = state.pending.get(worker, local);
-                let mut restored = vec![0.0; row.len()];
-                state.states[worker].restore_into(codec, local, row, &mut restored);
-                state.pending.drain(worker, local, active);
-                (id, restored)
-            })
-            .collect()
+        for (&id, (slot, restored)) in rows.iter().zip(out.iter_mut()) {
+            let local = self.map.to_local(id).0;
+            let (row, _) = state.pending.get(worker, local);
+            restored.resize(row.len(), 0.0);
+            state.states[worker].restore_into(codec, local, row, restored);
+            state.pending.drain(worker, local, active);
+            *slot = id;
+        }
     }
 }
 

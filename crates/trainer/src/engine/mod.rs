@@ -20,8 +20,9 @@ use crate::run::FleetStats;
 /// Runs one experiment, dispatching on the configured strategy, and
 /// returns its metrics, event journal and engine-level [`FleetStats`].
 /// The journal is empty unless `cfg.trace` is set. The model-granularity
-/// baselines report default (all-zero) stats; only the row engine
-/// instruments them.
+/// baselines report only what their parameter plane counts
+/// (`nonfinite_dropped`); the event, version and aggregator counters
+/// are the row engine's and read zero for them.
 pub fn run_full(cfg: &ExperimentConfig) -> (RunMetrics, Journal, FleetStats) {
     match cfg.strategy {
         Strategy::Bsp
@@ -29,10 +30,7 @@ pub fn run_full(cfg: &ExperimentConfig) -> (RunMetrics, Journal, FleetStats) {
         | Strategy::Asp
         | Strategy::Flown { .. }
         | Strategy::Dssp { .. }
-        | Strategy::Abs { .. } => {
-            let (metrics, journal) = model::run(cfg);
-            (metrics, journal, FleetStats::default())
-        }
+        | Strategy::Abs { .. } => model::run(cfg),
         Strategy::Rog { .. } | Strategy::RogAdaptive { .. } => row::run(cfg),
     }
 }

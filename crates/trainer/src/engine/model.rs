@@ -7,21 +7,29 @@
 //! worker stalls. All pushes and pulls contend for the shared wireless
 //! channel, so one straggling transmission stalls everyone at the gate —
 //! the straggler effect ROG eliminates.
+//!
+//! The server is rog-core's parameter plane with one shard and the
+//! one-bit codec, the store ROG's row engine runs on: pushes, drains,
+//! rejoins and `min(V)` all go through [`ShardedServer`]. Only *when* a
+//! pull is granted is the engine's own ([`gate::may_proceed`] with a
+//! bound per worker, as FLOWN and DSSP assign them); membership is
+//! static, so every push is averaged over all workers.
 
 use rog_compress::{CodecState, OneBitCodec, RowCodec};
-use rog_core::{gate, RowId, RowPartition};
+use rog_core::{gate, ImportanceMetric, RowId, RowPartition, ShardMap, ShardedServer};
 use rog_fault::FaultEvent;
 use rog_models::GradSet;
 use rog_net::{FlowEvent, FlowOutcome};
 use rog_obs::{obs, EventKind};
 use rog_sim::{DeviceState, Time};
-use rog_tensor::{ops, Matrix};
+use rog_tensor::ops;
 
 use crate::compute;
 use crate::config::ExperimentConfig;
 use crate::engine::common::{compute_or_retire, drive, Engine, EngineCtx, FlowTable};
 use crate::engine::control::{GateControl, Round};
 use crate::metrics::RunMetrics;
+use crate::run::FleetStats;
 
 struct WState {
     /// Completed iterations (currently computing `iter + 1`).
@@ -39,45 +47,19 @@ struct WState {
     /// accounting).
     last_gate_wait: f64,
     /// The transfer to restart from scratch once connectivity returns
-    /// after a fault (a pull's drained averaged gradients ride along; a
-    /// push's `grads` are still held). Model-granularity strategies keep
-    /// *static* membership — a departed worker's version pins the
-    /// SSP/BSP gate until it rejoins, which is exactly the fragility
-    /// ROG's dynamic membership removes.
+    /// after a fault (a pull's drained averaged gradients stay in the
+    /// worker's payload buffer; a push's `grads` are still held).
+    /// Model-granularity strategies keep *static* membership — a
+    /// departed worker's version pins the SSP/BSP gate until it
+    /// rejoins, which is exactly the fragility ROG's dynamic membership
+    /// removes.
     resume: Option<FlowCtx>,
-}
-
-struct Server {
-    /// Per-worker pending averaged gradients.
-    pending: Vec<GradSet>,
-    /// Latest pushed iteration per worker (monotonic).
-    versions: Vec<u64>,
-    /// Per-destination pull compression residuals.
-    efs: Vec<CodecState>,
-    /// Workers whose pull awaits the gate; stores their pushed iter.
-    waiting: Vec<usize>,
-    thresholds: Vec<u32>,
-}
-
-impl Server {
-    /// Iteration of the slowest pusher.
-    fn min_version(&self) -> u64 {
-        *self.versions.iter().min().expect("at least one worker")
-    }
-
-    /// How far `w` is ahead of the slowest pusher.
-    fn lead(&self, w: usize) -> u64 {
-        self.versions[w] - self.min_version()
-    }
-
-    fn record_push(&mut self, w: usize, iter: u64) {
-        self.versions[w] = self.versions[w].max(iter);
-    }
 }
 
 enum FlowCtx {
     Push(usize),
-    Pull(usize, GradSet),
+    /// The worker's drained gradients wait in its payload buffer.
+    Pull(usize),
     /// Full-model transfer bringing a rejoining worker back in sync.
     Resync(usize),
 }
@@ -85,7 +67,7 @@ enum FlowCtx {
 impl FlowCtx {
     fn worker(&self) -> usize {
         match self {
-            FlowCtx::Push(w) | FlowCtx::Pull(w, _) | FlowCtx::Resync(w) => *w,
+            FlowCtx::Push(w) | FlowCtx::Pull(w) | FlowCtx::Resync(w) => *w,
         }
     }
 }
@@ -93,9 +75,15 @@ impl FlowCtx {
 struct ModelEngine {
     ctx: EngineCtx,
     workers: Vec<WState>,
-    server: Server,
-    /// Rewrites `server.thresholds` after every push; `None` for the
-    /// fixed bounds (BSP/SSP/ASP). DSSP/ABS changes are journaled as
+    /// Algorithm 2's server state: pending copies, pull residuals and
+    /// version store, one shard holding every row.
+    plane: ShardedServer,
+    /// Workers whose pull awaits the gate.
+    waiting: Vec<usize>,
+    /// Each worker's staleness bound.
+    thresholds: Vec<u32>,
+    /// Rewrites `thresholds` after every push; `None` for the fixed
+    /// bounds (BSP/SSP/ASP). DSSP/ABS changes are journaled as
     /// `threshold_adapt` events so the instantaneous bound is
     /// observable and replayable. The journaled value never narrows
     /// below a granted-but-unpushed iteration's lead (see
@@ -111,15 +99,23 @@ struct ModelEngine {
     /// training.
     flows: FlowTable<FlowCtx>,
     partition: RowPartition,
+    /// Every row in global order: what each push and pull carries.
+    rows: Vec<RowId>,
+    /// The push being ingested, filled in place by the pusher's error
+    /// feedback.
+    push_buf: Vec<(RowId, Vec<f32>)>,
+    /// Each worker's last granted pull, drained at grant time and
+    /// applied when its transfer lands.
+    payloads: Vec<Vec<(RowId, Vec<f32>)>>,
     model_wire_bytes: u64,
 }
 
 /// Runs one model-granularity experiment, returning the event journal
-/// alongside the metrics.
-pub fn run(cfg: &ExperimentConfig) -> (RunMetrics, rog_obs::Journal) {
+/// and the plane's ingest counter alongside the metrics.
+pub fn run(cfg: &ExperimentConfig) -> (RunMetrics, rog_obs::Journal, FleetStats) {
     let ctx = EngineCtx::new(cfg);
     let n = cfg.n_workers;
-    let init = ctx.cluster.init_model.clone();
+    let init = &ctx.cluster.init_model;
     let widths = init.row_widths();
     let partition = RowPartition::of_params(init.params());
     // Model-granularity baselines always ship the dense one-bit model
@@ -127,10 +123,20 @@ pub fn run(cfg: &ExperimentConfig) -> (RunMetrics, rog_obs::Journal) {
     let model_wire_bytes = ctx
         .cluster
         .scaled_model_bytes(widths.iter().map(|&w| OneBitCodec.payload_bytes(w)));
-    let zero: GradSet = init
-        .params()
+    let rows: Vec<RowId> = (0..partition.n_rows()).map(RowId).collect();
+    // The plane's default codec is one-bit with seed-0 residuals, the
+    // workers' push codec; its uniform threshold is never consulted
+    // (the gate below bounds each worker on its own).
+    let plane = ShardedServer::new(
+        init.params(),
+        n,
+        0,
+        ImportanceMetric::default(),
+        ShardMap::contiguous(rows.len(), 1),
+    );
+    let push_buf = rows
         .iter()
-        .map(|m| Matrix::zeros(m.rows(), m.cols()))
+        .map(|&id| (id, vec![0.0; partition.width(id)]))
         .collect();
     // One-bit never draws from the state's RNG: the seed is immaterial.
     let ef = CodecState::new(&widths, 0);
@@ -147,26 +153,29 @@ pub fn run(cfg: &ExperimentConfig) -> (RunMetrics, rog_obs::Journal) {
         })
         .collect();
     let (fixed, control) = GateControl::for_strategy(cfg.strategy, n, model_wire_bytes);
-    let server = Server {
-        pending: vec![zero; n],
-        versions: vec![0; n],
-        efs: vec![ef; n],
-        waiting: Vec::new(),
-        thresholds: vec![fixed; n],
-    };
     let mut engine = ModelEngine {
         ctx,
         workers,
-        server,
+        plane,
+        waiting: Vec::new(),
+        thresholds: vec![fixed; n],
         control,
         journaled_thr: vec![None; n],
         flows: FlowTable::new(n),
         partition,
+        rows,
+        push_buf,
+        payloads: vec![Vec::new(); n],
         model_wire_bytes,
     };
     engine.refresh_thresholds(0.0);
     drive(&mut engine);
-    engine.ctx.finish()
+    let stats = FleetStats {
+        nonfinite_dropped: engine.plane.nonfinite_dropped(),
+        ..FleetStats::default()
+    };
+    let (metrics, journal) = engine.ctx.finish();
+    (metrics, journal, stats)
 }
 
 impl Engine for ModelEngine {
@@ -193,7 +202,7 @@ impl Engine for ModelEngine {
         };
         match flow {
             FlowCtx::Push(w) => self.on_push_done(w, ev.at),
-            FlowCtx::Pull(w, payload) => self.on_pull_done(w, payload, ev.at),
+            FlowCtx::Pull(w) => self.on_pull_done(w, ev.at),
             FlowCtx::Resync(w) => self.finish_resync(w, ev.at),
         }
     }
@@ -223,11 +232,18 @@ impl Engine for ModelEngine {
 }
 
 impl ModelEngine {
+    /// The iteration worker `w` last pushed or resynced to: a
+    /// whole-model push stamps every row alike, so row 0 speaks for the
+    /// model.
+    fn version(&self, w: usize) -> u64 {
+        self.plane.versions(0).get(w, 0)
+    }
+
     fn refresh_thresholds(&mut self, now: Time) {
         let Some(control) = &mut self.control else {
             return;
         };
-        control.assign(&mut self.server.thresholds);
+        control.assign(&mut self.thresholds);
         // FLOWN's schedule is not journaled (no checker replays it).
         if matches!(control, GateControl::Flown(_)) {
             return;
@@ -240,13 +256,13 @@ impl ModelEngine {
         // bound in force at its own timestamp. Gating itself always
         // uses the raw policy thresholds, so a waiting worker is never
         // released early by its own lead.
-        let min = self.server.min_version();
+        let min = self.plane.versions(0).global_min();
         for w in 0..self.workers.len() {
-            let raw = self.server.thresholds[w];
-            let journaled = if self.server.waiting.contains(&w) {
+            let raw = self.thresholds[w];
+            let journaled = if self.waiting.contains(&w) {
                 raw
             } else {
-                let lead = self.server.versions[w] - min;
+                let lead = self.version(w) - min;
                 raw.max(u32::try_from(lead).unwrap_or(u32::MAX))
             };
             if self.journaled_thr[w] != Some(journaled) {
@@ -279,7 +295,7 @@ impl ModelEngine {
         self.workers[w].push_started = now;
         // Model granularity pushes the whole model: every row is
         // mandatory, there is no MTA budget.
-        let rows = self.partition.n_rows() as u32;
+        let rows = self.rows.len() as u32;
         obs!(
             self.ctx.journal,
             now,
@@ -297,23 +313,20 @@ impl ModelEngine {
     }
 
     fn on_push_done(&mut self, w: usize, now: Time) {
-        let n_workers = self.workers.len();
         let pushed_iter = self.workers[w].iter + 1;
-        // Quantize the pushed gradients (error feedback on the worker).
+        // Quantize the pushed gradients (error feedback on the worker)
+        // and average them into every worker's pending copy.
         let grads = self.workers[w]
             .grads
             .take()
             .expect("gradients were computed");
-        let quantized = quantize_set(&self.partition, &mut self.workers[w].ef, &grads);
-        self.ctx.recycle_grads(grads);
-        // Average into every worker's pending copy.
-        let inv = 1.0 / n_workers as f32;
-        for pend in &mut self.server.pending {
-            for (p, q) in pend.iter_mut().zip(&quantized) {
-                p.add_scaled(q, inv).expect("shapes match");
-            }
+        let ef = &mut self.workers[w].ef;
+        for (id, values) in &mut self.push_buf {
+            let r = self.partition.locate(*id);
+            ef.restore_into(&OneBitCodec, id.0, grads[r.matrix].row(r.row), values);
         }
-        self.server.record_push(w, pushed_iter);
+        self.ctx.recycle_grads(grads);
+        self.plane.on_push(0, w, pushed_iter, &mut self.push_buf);
         // Bandwidth estimate for FLOWN; round accounting for DSSP/ABS.
         let ws = &mut self.workers[w];
         let round = Round {
@@ -333,21 +346,22 @@ impl ModelEngine {
             EventKind::PushEnd {
                 w: w as u32,
                 iter: pushed_iter,
-                rows: self.partition.n_rows() as u32,
+                rows: self.rows.len() as u32,
                 bytes: self.model_wire_bytes,
             }
         );
         // This worker now waits for its pull.
-        self.server.waiting.push(w);
+        self.waiting.push(w);
         self.workers[w].gate_entered = now;
+        let min = self.plane.versions(0).global_min();
         obs!(
             self.ctx.journal,
             now,
             EventKind::GateEnter {
                 w: w as u32,
                 iter: pushed_iter,
-                min: self.server.min_version(),
-                lead: self.server.lead(w),
+                min,
+                lead: self.version(w) - min,
                 row: -1,
             }
         );
@@ -360,27 +374,25 @@ impl ModelEngine {
             return;
         }
         let mut still_waiting = Vec::new();
-        let waiting = std::mem::take(&mut self.server.waiting);
-        let min = self.server.min_version();
+        let waiting = std::mem::take(&mut self.waiting);
+        let min = self.plane.versions(0).global_min();
         for w in waiting {
-            let t = self.server.thresholds[w];
             if !self.ctx.offline[w]
                 && !self.ctx.link_down[w]
-                && gate::may_proceed(self.server.versions[w], min, t)
+                && gate::may_proceed(self.version(w), min, self.thresholds[w])
             {
                 self.grant_pull(w, now);
             } else {
                 still_waiting.push(w);
             }
         }
-        self.server.waiting = still_waiting;
+        self.waiting = still_waiting;
     }
 
     fn grant_pull(&mut self, w: usize, now: Time) {
         // Quantize and drain this worker's pending copy.
-        let pending =
-            std::mem::replace(&mut self.server.pending[w], self.ctx.models[w].zero_grads());
-        let payload = quantize_set(&self.partition, &mut self.server.efs[w], &pending);
+        self.plane
+            .commit_pull_into(0, w, &self.rows, &mut self.payloads[w]);
         // Stall accounting for ABS (assigned outside the obs! macro so
         // untraced runs stay behaviorally identical).
         self.workers[w].last_gate_wait = now - self.workers[w].gate_entered;
@@ -403,10 +415,10 @@ impl ModelEngine {
             }
         );
         self.ctx.set_state(w, now, DeviceState::Communicate);
-        self.start_transfer(w, now, FlowCtx::Pull(w, payload));
+        self.start_transfer(w, now, FlowCtx::Pull(w));
     }
 
-    fn on_pull_done(&mut self, w: usize, payload: GradSet, now: Time) {
+    fn on_pull_done(&mut self, w: usize, now: Time) {
         obs!(
             self.ctx.journal,
             now,
@@ -416,11 +428,9 @@ impl ModelEngine {
             }
         );
         let lr = self.ctx.cluster.lr;
-        let model = &mut self.ctx.models[w];
-        for (mi, g) in payload.iter().enumerate() {
-            for r in 0..g.rows() {
-                ops::sgd_row(model.params_mut()[mi].row_mut(r), g.row(r), lr);
-            }
+        let params = self.ctx.models[w].params_mut();
+        for (id, g) in &self.payloads[w] {
+            ops::sgd_row(self.partition.row_mut(params, *id), g, lr);
         }
         self.workers[w].iter += 1;
         self.ctx.end_iteration(w, self.workers[w].iter, now);
@@ -445,7 +455,7 @@ impl ModelEngine {
         // membership, so the departed worker pins the BSP/SSP gate until
         // it rejoins (the fragility ROG's membership protocol removes).
         self.flows.sever(&mut self.ctx, w);
-        self.server.waiting.retain(|&x| x != w);
+        self.waiting.retain(|&x| x != w);
         self.ctx.void_compute(w);
         let ws = &mut self.workers[w];
         ws.grads = None;
@@ -472,9 +482,9 @@ impl ModelEngine {
 
     /// Completes a rejoin: adopt the most advanced online peer's model
     /// (ties to the lowest index), reset compression residuals on both
-    /// ends, drop the stale averaged gradients the
-    /// server still held for this worker, and fast-forward its version
-    /// so the gate reflects the adopted iteration.
+    /// ends, drop the stale averaged gradients the server still held
+    /// for this worker, and fast-forward its version so the gate
+    /// reflects the adopted iteration.
     fn finish_resync(&mut self, w: usize, now: Time) {
         let iter = self
             .ctx
@@ -487,11 +497,7 @@ impl ModelEngine {
         // The outage is not an iteration round; restart the round clock
         // so DSSP's rate estimate only sees time spent training.
         ws.round_started = now;
-        self.server.efs[w].reset();
-        for m in &mut self.server.pending[w] {
-            m.fill_zero();
-        }
-        self.server.record_push(w, iter);
+        self.plane.rejoin_worker(w, iter);
         self.ctx.offline[w] = false;
         compute_or_retire(self, w, now);
         // The fast-forwarded version can only open the gate further.
@@ -570,7 +576,7 @@ impl ModelEngine {
         }
         match self.workers[w].resume.take() {
             Some(FlowCtx::Push(_)) => self.start_push(w, now),
-            Some(pull @ FlowCtx::Pull(..)) => {
+            Some(pull @ FlowCtx::Pull(_)) => {
                 self.ctx.set_state(w, now, DeviceState::Communicate);
                 self.start_transfer(w, now, pull);
             }
@@ -578,26 +584,6 @@ impl ModelEngine {
             None => {}
         }
     }
-}
-
-/// Quantizes a gradient set row-by-row with error feedback, returning the
-/// values the receiver reconstructs.
-fn quantize_set(partition: &RowPartition, ef: &mut CodecState, set: &GradSet) -> GradSet {
-    let mut out: GradSet = set
-        .iter()
-        .map(|m| Matrix::zeros(m.rows(), m.cols()))
-        .collect();
-    for i in 0..partition.n_rows() {
-        let id = RowId(i);
-        let r = partition.locate(id);
-        ef.restore_into(
-            &OneBitCodec,
-            i,
-            set[r.matrix].row(r.row),
-            out[r.matrix].row_mut(r.row),
-        );
-    }
-    out
 }
 
 #[cfg(test)]

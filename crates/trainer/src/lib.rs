@@ -10,11 +10,13 @@
 //! Two engines share the substrate:
 //!
 //! * [`engine::model`] drives the model-granularity baselines (BSP, SSP,
-//!   ASP, FLOWN, DSSP, ABS): whole-model pushes and pulls behind the SSP
-//!   gate ([`rog_core::gate::may_proceed`]), with per-worker thresholds
-//!   that are a constant of the strategy or rewritten after every push
-//!   by the FLOWN/DSSP/ABS rule in `engine/control.rs` — the one module
-//!   that also holds the row engine's controllers.
+//!   ASP, FLOWN, DSSP, ABS): whole-model pushes and pulls through a
+//!   one-shard [`rog_core::ShardedServer`], the row engine's plane,
+//!   behind the SSP gate ([`rog_core::gate::may_proceed`]), with
+//!   per-worker thresholds that are a constant of the strategy or
+//!   rewritten after every push by the FLOWN/DSSP/ABS rule in
+//!   `engine/control.rs` — the one module that also holds the row
+//!   engine's controllers.
 //! * [`engine::row`] drives ROG: per-row speculative transmission with
 //!   MTA continuation, the shared MTA-time budget, importance-ordered
 //!   rows and the RSP gate, by driving [`rog_core::WorkerRole`] /

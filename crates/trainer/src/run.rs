@@ -16,8 +16,9 @@ use rog_obs::Journal;
 /// These are *measurements of the simulation machinery itself* —
 /// deterministic across hosts, and deliberately kept out of
 /// [`RunMetrics`] so the serialized metrics stay byte-identical to
-/// earlier releases. The model-granularity baselines report all
-/// zeros; only the ROG row engine instruments them.
+/// earlier releases. The model-granularity baselines fill in only
+/// `nonfinite_dropped`, from the parameter plane they share with the
+/// ROG row engine; the other counters are the row engine's.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FleetStats {
     /// Events dispatched by the engine's event loop (flow completions,
@@ -50,8 +51,8 @@ pub struct RunOutcome {
     pub metrics: RunMetrics,
     /// The event journal — `Some` iff the run was traced.
     pub journal: Option<Journal>,
-    /// Engine-level scale counters (always present; zero for the
-    /// model-granularity baselines).
+    /// Engine-level scale counters (always present; the
+    /// model-granularity baselines report only `nonfinite_dropped`).
     pub stats: FleetStats,
 }
 

@@ -3,9 +3,10 @@
 //! The paper reports single runs per configuration (a real robot team is
 //! expensive); the simulator is not, so headline comparisons can carry
 //! confidence. Every run is deterministic per seed — a sweep is exactly
-//! reproducible.
+//! reproducible. This module only aggregates; the runs themselves are
+//! launched by the caller (`rog_bench::run_all` fans seeds out over
+//! threads).
 
-use crate::config::ExperimentConfig;
 use crate::metrics::RunMetrics;
 use crate::report;
 
@@ -48,23 +49,6 @@ impl std::fmt::Display for Aggregate {
     }
 }
 
-/// Runs the same config under each seed (sequentially; each run is
-/// already deterministic).
-pub fn run_seeds(cfg: &ExperimentConfig, seeds: &[u64]) -> Vec<RunMetrics> {
-    seeds
-        .iter()
-        .map(|&seed| {
-            ExperimentConfig {
-                seed,
-                ..cfg.clone()
-            }
-            .options()
-            .run()
-            .metrics
-        })
-        .collect()
-}
-
 /// Mean ± std of the metric at wall-clock time `t` across runs.
 pub fn metric_at_time(runs: &[RunMetrics], t: f64) -> Aggregate {
     Aggregate::of(runs.iter().filter_map(|r| report::metric_at_time(r, t)))
@@ -80,19 +64,10 @@ pub fn stall(runs: &[RunMetrics]) -> Aggregate {
     Aggregate::of(runs.iter().map(|r| r.composition.stall))
 }
 
-/// Mean ± std of energy (J) to reach `target`; runs that never reach it
-/// are skipped (their count shows in `n`).
-pub fn energy_to_reach(runs: &[RunMetrics], target: f64) -> Aggregate {
-    Aggregate::of(
-        runs.iter()
-            .filter_map(|r| report::energy_to_reach(r, target)),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{Environment, ModelScale, Strategy, WorkloadKind};
+    use crate::config::{Environment, ExperimentConfig, ModelScale, Strategy, WorkloadKind};
 
     #[test]
     fn aggregate_math() {
@@ -115,21 +90,25 @@ mod tests {
 
     #[test]
     fn seed_sweep_produces_distinct_deterministic_runs() {
-        let cfg = ExperimentConfig {
-            workload: WorkloadKind::Cruda,
-            environment: Environment::Stable,
-            strategy: Strategy::Rog { threshold: 4 },
-            model_scale: ModelScale::Small,
-            n_workers: 2,
-            duration_secs: 60.0,
-            eval_every: 5,
-            ..ExperimentConfig::default()
+        let run = |seed| {
+            ExperimentConfig {
+                workload: WorkloadKind::Cruda,
+                environment: Environment::Stable,
+                strategy: Strategy::Rog { threshold: 4 },
+                model_scale: ModelScale::Small,
+                n_workers: 2,
+                duration_secs: 60.0,
+                eval_every: 5,
+                seed,
+                ..ExperimentConfig::default()
+            }
+            .options()
+            .run()
+            .metrics
         };
-        let runs = run_seeds(&cfg, &[1, 2]);
-        assert_eq!(runs.len(), 2);
+        let runs = [run(1), run(2)];
         assert_ne!(runs[0].checkpoints, runs[1].checkpoints);
-        let again = run_seeds(&cfg, &[1]);
-        assert_eq!(runs[0].checkpoints, again[0].checkpoints);
+        assert_eq!(runs[0].checkpoints, run(1).checkpoints);
         let it = iterations(&runs);
         assert_eq!(it.n, 2);
         assert!(it.mean > 0.0);

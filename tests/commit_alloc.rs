@@ -3,7 +3,8 @@
 //! touch the heap, nor may the sparse rung's plan-time sizing once its
 //! scratch row has grown, and a commit of k rows may allocate only what
 //! its signature returns: k payload vectors and the vector that holds
-//! them; a warm server ingest allocates nothing. Asserted with a
+//! them; a warm server ingest allocates nothing, nor does a warm drain
+//! into the caller's reused payload buffers. Asserted with a
 //! counting allocator, which is why this lives in
 //! a test binary of its own (the libraries forbid `unsafe`).
 
@@ -104,6 +105,38 @@ fn a_commit_of_k_rows_allocates_k_payloads_and_their_holder() {
 #[test]
 fn a_sparse_commit_of_k_rows_allocates_the_same() {
     commit_allocations(CodecChoice::Sparse);
+}
+
+/// The model-granularity engine's drain: every worker pulls every row
+/// each round. From the second round on, `commit_pull_into` reuses the
+/// payload vectors of the last and the cohort store reuses the copies
+/// the last round freed, so a drain touches no heap.
+#[test]
+fn a_warm_commit_pull_into_does_not_allocate() {
+    let ps = params();
+    let map = ShardMap::contiguous(8, 1);
+    let mut server = ShardedServer::new(&ps, 2, 4, ImportanceMetric::default(), map);
+    let g = grads();
+    let mut pushed: Vec<(RowId, Vec<f32>)> = g
+        .iter()
+        .flat_map(|m| (0..m.rows()).map(move |r| m.row(r).to_vec()))
+        .enumerate()
+        .map(|(i, v)| (RowId(i), v))
+        .collect();
+    let ids: Vec<RowId> = pushed.iter().map(|(id, _)| *id).collect();
+    let mut outs = [Vec::new(), Vec::new()];
+    for round in 1..=2u64 {
+        for w in 0..2 {
+            server.on_push(0, w, round, &mut pushed);
+        }
+        let (n, ()) = calls(|| {
+            for (w, out) in outs.iter_mut().enumerate() {
+                server.commit_pull_into(0, w, &ids, out);
+            }
+        });
+        assert_eq!(n == 0, round == 2, "round {round}: {n} allocator calls");
+    }
+    assert!(outs[1].iter().any(|(_, v)| v.iter().any(|&x| x != 0.0)));
 }
 
 /// Once every member has pushed (its version clock and its aggregator

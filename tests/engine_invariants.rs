@@ -4,6 +4,7 @@
 mod common;
 
 use rog::net::Trace;
+use rog::obs::crc32;
 use rog::prelude::*;
 use rog::tensor::rng::DetRng;
 
@@ -170,6 +171,83 @@ fn model_divergence_is_bounded_by_the_gate() {
     assert!(rog < 0.25, "ROG divergence should be bounded: {rog}");
     assert!(asp < 1.0, "ASP should not explode on a short run: {asp}");
     assert!(bsp <= rog + 0.05, "BSP {bsp} vs ROG {rog}");
+}
+
+/// Every model-granularity baseline on four workers outdoors, under
+/// 10 % burst loss, a worker outage, a link blackout and a server
+/// restart, pinned bit for bit: the CRC-32 of the JSONL journal, a
+/// CRC-32 over the bits of every checkpoint metric, and the bits of
+/// `final_model_divergence`. The constants were taken from the engine
+/// that kept its own per-worker pending copies, pull residuals and
+/// version vector, so they hold the parameter plane to that engine's
+/// arithmetic on every fault path.
+#[test]
+fn faulted_lossy_baselines_are_pinned_bit_for_bit() {
+    const PINNED: [(&str, u32, u32, u64); 6] = [
+        ("BSP", 0x33B7_7417, 0xF56B_ED58, 0x3F8C_D83E_0BD4_814C),
+        ("SSP-4", 0xBEC4_1E5D, 0x621A_D0D6, 0x3F95_86CB_5421_CCE8),
+        ("ASP", 0x185A_2300, 0xA122_3436, 0x3F99_55DA_B436_8034),
+        ("FLOWN", 0x8E7D_9C70, 0x2C3E_22FD, 0x3F87_4F61_0980_653E),
+        ("DSSP-1..8", 0x4100_603E, 0x00EC_FF98, 0x3F90_968C_7784_83D8),
+        ("ABS-1..8", 0xD8B9_B2B5, 0xFDCF_B50A, 0x3F96_016B_D36D_657B),
+    ];
+    let strategies = [
+        Strategy::Bsp,
+        Strategy::Ssp { threshold: 4 },
+        Strategy::Asp,
+        Strategy::Flown {
+            min_threshold: 2,
+            max_threshold: 12,
+        },
+        Strategy::Dssp {
+            min_threshold: 1,
+            max_threshold: 8,
+        },
+        Strategy::Abs {
+            min_threshold: 1,
+            max_threshold: 8,
+        },
+    ];
+    let plan = FaultPlan::new()
+        .worker_offline(2, 150.0, 330.0)
+        .link_blackout(1, 240.0, 300.0)
+        .server_restart(500.0, 560.0);
+    let got: Vec<(String, u32, u32, u64)> = strategies
+        .into_iter()
+        .map(|strategy| {
+            let mut cfg = ExperimentConfig {
+                strategy,
+                n_workers: 4,
+                n_laptop_workers: 0,
+                duration_secs: 900.0,
+                eval_every: 2,
+                fault_plan: Some(plan.clone()),
+                ..base()
+            };
+            cfg.loss = Some(LossConfig::gilbert_elliott(cfg.seed, 0.10));
+            let out = cfg.options().traced(true).run();
+            assert_eq!(out.stats.nonfinite_dropped, 0, "{}", strategy.name());
+            let m = &out.metrics;
+            assert!(!m.checkpoints.is_empty(), "{}", strategy.name());
+            let metric_bits: Vec<u8> = m
+                .checkpoints
+                .iter()
+                .flat_map(|c| c.metric.to_bits().to_le_bytes())
+                .collect();
+            let jsonl = out.journal.expect("traced run").to_jsonl();
+            (
+                strategy.name(),
+                crc32(jsonl.as_bytes()),
+                crc32(&metric_bits),
+                m.final_model_divergence.to_bits(),
+            )
+        })
+        .collect();
+    let want: Vec<(String, u32, u32, u64)> = PINNED
+        .iter()
+        .map(|&(name, j, c, d)| (name.to_owned(), j, c, d))
+        .collect();
+    assert_eq!(got, want);
 }
 
 #[test]

@@ -1,48 +1,21 @@
-//! The SSP staleness gate and ROG's row-granular (RSP) refinement of it.
+//! ROG's row-granulated staleness gate (RSP, paper Sec. IV), which is
+//! also every baseline's SSP gate.
 //!
-//! In SSP a worker that has finished iteration `n` may *proceed to*
-//! iteration `n + 1` only if it would not run more than `threshold`
-//! iterations ahead of the slowest worker; otherwise it stalls at the
-//! barrier until stragglers catch up. BSP is the special case
-//! `threshold == 0` (everyone advances in lockstep).
-
-/// Whether a worker that has pushed through iteration `pushed` may start
-/// its next iteration under `threshold`, given the slowest worker's
-/// pushed iteration `min`.
-///
-/// # Example
-///
-/// ```
-/// use rog_core::gate;
-///
-/// // Worker at 4, slowest at 1: starting iteration 5 would lead by 4 > 2.
-/// assert!(!gate::may_proceed(4, 1, 2));
-/// // With threshold 4 it may.
-/// assert!(gate::may_proceed(4, 1, 4));
-/// // The slowest worker may always proceed.
-/// assert!(gate::may_proceed(1, 1, 0));
-/// ```
-pub fn may_proceed(pushed: u64, min: u64, threshold: u32) -> bool {
-    pushed <= min + u64::from(threshold)
-}
-
-// --------------------------------------------------------------- RSP
-//
-// ROG's row-granulated SP (paper Sec. IV) is a *two-level* staleness
-// contract, and these predicates are its single source of truth: the
-// roles, the parameter server's `RowVersionStore`, the fuzz harness
-// and the invariant test suites must
-// all agree on the bound semantics, in particular on the
-// `threshold == 0` clamp below.
-//
-// Under a row-sharded parameter plane (`ShardedServer`) these
-// predicates compose per shard: each shard evaluates the RSP gate over
-// the versions of the rows *it* owns, so a worker blocks only on the
-// shard homing the mandatory row, never on an unrelated shard's
-// stragglers. Because the bounds are per-row to begin with, the
-// conjunction of the per-shard gates over a disjoint row cover is
-// exactly the single-server gate — which is what keeps one-shard runs
-// bit-identical.
+//! RSP is a *two-level* contract, and these predicates are its single
+//! source of truth for the roles, the `RowVersionStore`, the fuzz
+//! harness and the invariant suites — the `threshold == 0` clamp
+//! included. Under a sharded plane each shard gates over its own rows;
+//! the bounds being per row, the shards' gates over a disjoint row
+//! cover are exactly the single-server gate.
+//!
+//! SSP with bound `t` lets a worker that pushed iteration `n` pull
+//! while `n <= min + t` (`min`: the slowest worker's pushed iteration;
+//! BSP is `t = 0`, ASP has no bound). With every row pushed every
+//! iteration `min(V)` is that `min`, and [`rsp_may_pull`] at threshold
+//! `t + 1` admits exactly those leads, so the baselines store SSP `t`
+//! as RSP threshold `t + 1`, saturating. The one lead saturation
+//! refuses is `u32::MAX` under ASP: four billion iterations ahead of
+//! the slowest worker, which no run reaches.
 
 /// The effective RSP staleness bound for `threshold`.
 ///
@@ -106,31 +79,19 @@ pub mod testhooks {
 mod tests {
     use super::*;
 
-    #[test]
-    fn bsp_is_lockstep() {
-        // Under threshold 0, a worker may only be one iteration ahead of
-        // the slowest pusher.
-        assert!(may_proceed(1, 1, 0));
-        assert!(!may_proceed(2, 1, 0));
+    /// SSP's gate with bound `t`, spelled out: the oracle of the
+    /// identity with the row gate at `t + 1`.
+    fn ssp_admits(pushed: u64, min: u64, t: u32) -> bool {
+        pushed <= min + u64::from(t)
     }
 
     #[test]
-    fn ssp_allows_bounded_lead() {
-        // The worker would be computing iteration 6 while the slowest has
-        // pushed only 2 — a lead of 4 iterations, admissible only when
-        // `threshold + 1 >= 4`.
-        assert!(!may_proceed(5, 2, 2));
-        assert!(may_proceed(5, 2, 3));
-    }
-
-    #[test]
-    fn fresh_cluster_can_start() {
-        assert!(may_proceed(0, 0, 0));
-    }
-
-    #[test]
-    fn asp_never_gates() {
-        assert!(may_proceed(1_000_000, 0, u32::MAX));
+    fn asp_saturates_only_at_a_lead_of_u32_max() {
+        let (t, max) = (u32::MAX, u64::from(u32::MAX));
+        for lead in [0, 1 << 20, max - 1, max, max + 1] {
+            let admits = rsp_may_pull(7, 7 + lead, t.saturating_add(1));
+            assert_eq!(admits, ssp_admits(7 + lead, 7, t) && lead != max);
+        }
     }
 
     #[test]
@@ -304,8 +265,35 @@ mod tests {
                 let pushed = global_min + lead;
                 if rsp_may_pull(global_min, pushed, threshold) {
                     prop_assert!(
-                        may_proceed(pushed, global_min, threshold),
+                        ssp_admits(pushed, global_min, threshold),
                         "RSP admitted lead {lead} at threshold {threshold} but SSP refused"
+                    );
+                }
+            }
+
+            /// SSP's bound `t` is RSP threshold `t + 1` for every
+            /// `t < u32::MAX`: the same leads pass on both sides of the
+            /// boundary and far from it.
+            #[test]
+            fn prop_ssp_t_is_rsp_t_plus_one(
+                pick in 0u8..3,
+                raw in 0u32..u32::MAX,
+                global_min in 0u64..1 << 40,
+                far in 0u64..1 << 34,
+            ) {
+                // Small bounds, bounds just below `u32::MAX`, any bound.
+                let t = match pick {
+                    0 => raw % 4,
+                    1 => u32::MAX - 1 - raw % 4,
+                    _ => raw,
+                };
+                let edge = u64::from(t);
+                for lead in [edge.saturating_sub(1), edge, edge + 1, edge + 2, far] {
+                    let pushed = global_min + lead;
+                    prop_assert_eq!(
+                        ssp_admits(pushed, global_min, t),
+                        rsp_may_pull(global_min, pushed, t + 1),
+                        "lead {} at SSP bound {}", lead, t
                     );
                 }
             }

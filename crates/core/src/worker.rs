@@ -202,22 +202,29 @@ impl RogWorker {
             .planned_payload_bytes(&self.codec, id.0, self.partition.row(&self.accum, id))
     }
 
+    /// [`RogWorker::commit_push_into`] into a fresh vector: one
+    /// allocation for the holder and one per row payload.
+    pub fn commit_push(&mut self, rows: &[RowId], n: u64) -> Vec<(RowId, Vec<f32>)> {
+        let mut out = Vec::with_capacity(rows.len());
+        self.commit_push_into(rows, n, &mut out);
+        out
+    }
+
     /// Commits a push: compresses the accumulated gradients of the rows
     /// actually delivered (error feedback retained), zeroes their
     /// accumulation and stamps their push iteration (Algorithm 1 lines
-    /// 9–12). Returns the values the server receives.
-    pub fn commit_push(&mut self, rows: &[RowId], n: u64) -> Vec<(RowId, Vec<f32>)> {
-        rows.iter()
-            .map(|&id| {
-                let row = self.partition.row_mut(&mut self.accum, id);
-                let mut restored = vec![0.0; row.len()];
-                self.state
-                    .restore_into(&self.codec, id.0, row, &mut restored);
-                row.fill(0.0);
-                self.iters[id.0] = n;
-                (id, restored)
-            })
-            .collect()
+    /// 9–12). Writes the values the server receives into `out`, one
+    /// entry per row, reusing its row vectors.
+    pub fn commit_push_into(&mut self, rows: &[RowId], n: u64, out: &mut Vec<(RowId, Vec<f32>)>) {
+        out.resize_with(rows.len(), || (RowId(0), Vec::new()));
+        for (&id, (slot, restored)) in rows.iter().zip(out.iter_mut()) {
+            let row = self.partition.row_mut(&mut self.accum, id);
+            restored.resize(row.len(), 0.0);
+            self.state.restore_into(&self.codec, id.0, row, restored);
+            row.fill(0.0);
+            self.iters[id.0] = n;
+            *slot = id;
+        }
     }
 
     /// Applies pulled averaged gradients to the model parameters

@@ -1,10 +1,11 @@
 //! Event-driven training engines.
 //!
-//! [`model`] runs the model-granularity baselines (BSP / SSP / FLOWN /
-//! DSSP / ABS), [`row`] runs ROG (RSP + ATP) and the adaptive-bound
-//! hybrid. Both share [`common::EngineCtx`]: the
-//! simulated cluster, the deterministic event queue, each worker's
-//! draw model and the run record (per-device state timelines).
+//! [`model`] runs the model-granularity baselines (BSP / SSP / ASP /
+//! FLOWN / DSSP / ABS), [`row`] runs ROG (RSP + ATP) and the
+//! adaptive-bound hybrid; both drive rog-core's worker and server roles.
+//! Both share [`common::EngineCtx`]: the simulated cluster, the
+//! deterministic event queue, each worker's draw model and the run
+//! record (per-device state timelines).
 
 pub mod common;
 mod control;

@@ -234,6 +234,8 @@ struct RowEngine {
     flows: FlowTable<FlowCtx>,
     /// Last pushed iteration per worker (micro-event staleness).
     last_pushed: Vec<u64>,
+    /// The rows of the push being ingested, reused across legs.
+    push_buf: Vec<(RowId, Vec<f32>)>,
     /// Compressed whole-model wire size, for rejoin resync transfers.
     model_wire_bytes: u64,
     /// Invariant watchdog: the last observed per-shard min(V), which may
@@ -332,6 +334,7 @@ pub fn run(cfg: &ExperimentConfig) -> (RunMetrics, rog_obs::Journal, FleetStats)
         server: ServerRole::new(server, agg_plane),
         flows: FlowTable::new(n),
         last_pushed: vec![0; n],
+        push_buf: Vec::new(),
         model_wire_bytes,
         #[cfg(debug_assertions)]
         last_global_min: vec![0; n_shards],
@@ -763,8 +766,10 @@ impl RowEngine {
         // only the rows whose chunks survived land.
         let lossy = self.ctx.cluster.transport.loss_enabled();
         let landed = self.workers[w].subs[s].push.landed(lossy);
-        let mut payloads = self.workers[w].role.commit_landed(&landed, n);
-        let min_advanced = self.server.ingest((w, s), n, &mut payloads);
+        self.workers[w]
+            .role
+            .commit_landed_into(&landed, n, &mut self.push_buf);
+        let min_advanced = self.server.ingest((w, s), n, &mut self.push_buf);
         #[cfg(debug_assertions)]
         self.check_version_invariants(s, n);
         let sent = PushReport {

@@ -7,21 +7,21 @@
 //! (statistical efficiency), metric-vs-wall-clock, per-iteration time
 //! composition (compute / communicate / stall) and energy.
 //!
-//! Two engines share the substrate:
+//! Two engines share the substrate and drive the same roles,
+//! [`rog_core::WorkerRole`] and [`rog_core::ServerRole`]:
 //!
 //! * [`engine::model`] drives the model-granularity baselines (BSP, SSP,
 //!   ASP, FLOWN, DSSP, ABS): whole-model pushes and pulls through a
 //!   one-shard [`rog_core::ShardedServer`], the row engine's plane,
-//!   behind the SSP gate ([`rog_core::gate::may_proceed`]), with
-//!   per-worker thresholds that are a constant of the strategy or
-//!   rewritten after every push by the FLOWN/DSSP/ABS rule in
-//!   `engine/control.rs` — the one module that also holds the row
-//!   engine's controllers.
+//!   behind the row gate ([`rog_core::gate::rsp_may_pull`]) with a
+//!   bound per worker — SSP `t` as RSP threshold `t + 1` — that is a
+//!   constant of the strategy or rewritten after every push by the
+//!   FLOWN/DSSP/ABS rule in `engine/control.rs`, the one module that
+//!   also holds the row engine's controllers.
 //! * [`engine::row`] drives ROG: per-row speculative transmission with
 //!   MTA continuation, the shared MTA-time budget, importance-ordered
-//!   rows and the RSP gate, by driving [`rog_core::WorkerRole`] /
-//!   [`rog_core::ServerRole`] (which own the [`rog_core::RogWorker`]s
-//!   and the [`rog_core::ShardedServer`] plane).
+//!   rows and the RSP gate; the roles own the [`rog_core::RogWorker`]s
+//!   and the plane.
 //!
 //! "Tens of lines of code to apply" (paper Sec. I): running a full
 //! experiment is a config plus one call:

@@ -3,8 +3,8 @@
 //! touch the heap, nor may the sparse rung's plan-time sizing once its
 //! scratch row has grown, and a commit of k rows may allocate only what
 //! its signature returns: k payload vectors and the vector that holds
-//! them; a warm server ingest allocates nothing, nor does a warm drain
-//! into the caller's reused payload buffers. Asserted with a
+//! them; a warm server ingest allocates nothing, nor does a warm commit
+//! or drain into the caller's reused row buffers. Asserted with a
 //! counting allocator, which is why this lives in
 //! a test binary of its own (the libraries forbid `unsafe`).
 
@@ -105,6 +105,26 @@ fn a_commit_of_k_rows_allocates_k_payloads_and_their_holder() {
 #[test]
 fn a_sparse_commit_of_k_rows_allocates_the_same() {
     commit_allocations(CodecChoice::Sparse);
+}
+
+/// Both engines commit a push through `commit_push_into`: a whole-model
+/// commit into the buffer of the last one touches no heap, and every
+/// commit into the reused buffer, narrower rows included, writes what
+/// `commit_push` returns.
+#[test]
+fn a_warm_whole_model_commit_does_not_allocate() {
+    let mut worker = RogWorker::new(&params(), RogWorkerConfig::new(4, 0.1));
+    let mut twin = worker.clone();
+    let all: Vec<RowId> = (0..8).map(RowId).collect();
+    let mut out = Vec::new();
+    for (n, ids) in [(1, &all[..]), (2, &all[..]), (3, &all[5..])] {
+        worker.accumulate(&grads());
+        twin.accumulate(&grads());
+        let (k, ()) = calls(|| worker.commit_push_into(ids, n, &mut out));
+        assert_eq!(k == 0, n > 1, "commit {n}: {k} allocator calls");
+        assert_eq!(out, twin.commit_push(ids, n));
+    }
+    assert!(out.iter().any(|(_, v)| v.iter().any(|&x| x != 0.0)));
 }
 
 /// The model-granularity engine's drain: every worker pulls every row

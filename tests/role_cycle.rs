@@ -370,6 +370,60 @@ fn a_parked_worker_departs_and_rejoins_through_the_roles() {
     assert!(depart_and_rejoin(6).0 != a.0, "the seed must matter");
 }
 
+/// A whole-model push of iteration `n` by `w`, then its gate check.
+fn push_all(server: &mut ServerRole, w: usize, n: u64) -> Gate {
+    let mut rows: Vec<(RowId, Vec<f32>)> = params()
+        .iter()
+        .flat_map(|m| (0..m.rows()).map(|_| vec![0.5; m.cols()]))
+        .enumerate()
+        .map(|(i, v)| (RowId(i), v))
+        .collect();
+    server.ingest((w, 0), n, &mut rows);
+    server.retry((w, 0), n, true)
+}
+
+/// A release scan; returns the workers it granted.
+fn release_all(server: &mut ServerRole) -> Vec<usize> {
+    let parked = server.take_parked();
+    parked
+        .into_iter()
+        .filter(|&(leg, n)| server.retry(leg, n, true) == Gate::Granted)
+        .map(|((w, _), _)| w)
+        .collect()
+}
+
+/// FLOWN and DSSP bound each worker on its own: at the same `min(V)`
+/// and the same lead one worker is parked and the other granted, and
+/// moving one worker's bound releases that worker alone.
+#[test]
+fn each_worker_is_parked_and_released_by_its_own_bound() {
+    let ps = params();
+    let n_rows = ps.iter().map(Matrix::rows).sum();
+    let imp = ImportanceMetric::default();
+    let map = ShardMap::contiguous(n_rows, 1);
+    let mut server = ServerRole::new(ShardedServer::new(&ps, 3, THRESHOLD, imp, map), None);
+    // SSP bound `t` is RSP threshold `t + 1`: worker 0 runs BSP, worker
+    // 1 SSP 2; worker 2 has not pushed and holds `min(V)` at 0.
+    server.set_bound(0, 1);
+    server.set_bound(1, 3);
+    assert_eq!(push_all(&mut server, 0, 1), Gate::Parked);
+    assert_eq!(push_all(&mut server, 1, 1), Gate::Granted, "lead 1 <= 2");
+    assert_eq!(push_all(&mut server, 1, 2), Gate::Granted, "lead 2 <= 2");
+    assert_eq!(push_all(&mut server, 1, 3), Gate::Parked, "lead 3 > 2");
+    assert_eq!(release_all(&mut server), Vec::<usize>::new());
+    // Widening worker 1's bound to SSP 3 releases worker 1 only.
+    server.set_bound(1, 4);
+    assert_eq!(release_all(&mut server), vec![1]);
+    assert!(server.is_parked((0, 0)));
+    // The straggler's push lifts `min(V)` to 1: now BSP admits worker 0.
+    assert_eq!(push_all(&mut server, 2, 1), Gate::Granted);
+    assert_eq!(release_all(&mut server), vec![0]);
+    // A uniform threshold (ROG's) overrides both.
+    let mut journal = Journal::disabled();
+    server.set_threshold(1, 0.0, &mut journal);
+    assert_eq!(push_all(&mut server, 1, 4), Gate::Parked, "lead 3 at RSP 1");
+}
+
 #[test]
 fn a_nonfinite_row_is_counted_at_ingest_and_never_reaches_a_pull() {
     let ps = params();

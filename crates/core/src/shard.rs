@@ -514,7 +514,8 @@ impl ShardedServer {
         self.active.len()
     }
 
-    /// The staleness threshold.
+    /// The uniform staleness threshold: [`Self::gate_ok`]'s bound and the
+    /// MTA target of a pull the row engine grants.
     pub fn threshold(&self) -> u32 {
         self.threshold
     }
@@ -668,9 +669,11 @@ impl ShardedServer {
         }
     }
 
-    /// Per-shard RSP gate (Algorithm 2 lines 7–9): may a worker whose
-    /// push to `shard` carried iteration `pushed_iter` be served that
-    /// shard's pull now?
+    /// Per-shard RSP gate (Algorithm 2 lines 7–9) at the uniform
+    /// threshold: may a worker whose push to `shard` carried iteration
+    /// `pushed_iter` be served that shard's pull now? No driver asks it:
+    /// [`crate::ServerRole::retry`] gates each worker at its own bound,
+    /// which FLOWN/DSSP/ABS move apart from this threshold.
     pub fn gate_ok(&self, shard: usize, pushed_iter: u64) -> bool {
         self.shards[shard]
             .versions

@@ -39,7 +39,7 @@ pub struct EngineCtx {
     pub(crate) record: RunRecord,
     /// Scheduled fault injections ([`crate::config::ExperimentConfig::resolved_fault_plan`]);
     /// empty when the run has no plan, which costs nothing on the hot
-    /// path (`next_fault_time` is `None` and the event loop never sees
+    /// path (`faults.next_time()` is `None` and the event loop never sees
     /// a fault).
     pub faults: FaultClock,
     /// Workers currently powered off / out of range.
@@ -138,18 +138,6 @@ impl EngineCtx {
     /// The virtual time budget.
     pub fn duration(&self) -> Time {
         self.cfg.duration_secs
-    }
-
-    /// Virtual time of the next scheduled fault, if any. `None` for a
-    /// fault-free run, keeping the event-loop horizon untouched.
-    pub fn next_fault_time(&self) -> Option<Time> {
-        self.faults.next_time()
-    }
-
-    /// Consumes every fault due at or before `now`, in schedule order
-    /// (recoveries before failures at the same instant).
-    pub fn pop_due_faults(&mut self, now: Time) -> Vec<FaultEvent> {
-        self.faults.pop_due(now)
     }
 
     /// Whether any parameter-server shard is currently down.
@@ -677,7 +665,7 @@ pub(crate) fn drive(e: &mut impl Engine) -> u64 {
             .queue
             .peek_time()
             .unwrap_or(f64::INFINITY)
-            .min(ctx.next_fault_time().unwrap_or(f64::INFINITY))
+            .min(ctx.faults.next_time().unwrap_or(f64::INFINITY))
             .min(duration);
         let evs = ctx.cluster.transport.advance_until(horizon);
         let now = ctx.cluster.transport.now();
@@ -692,9 +680,9 @@ pub(crate) fn drive(e: &mut impl Engine) -> u64 {
         if now >= duration - 1e-9 {
             break;
         }
-        // Injected faults fire before timers at the same instant
-        // (flow completions were already delivered above).
-        let faults = ctx.pop_due_faults(now);
+        // Injected faults fire before timers at the same instant (flow
+        // completions were already delivered above), recoveries first.
+        let faults = ctx.faults.pop_due(now);
         if !faults.is_empty() {
             dispatched += faults.len() as u64;
             for f in faults {
@@ -719,7 +707,7 @@ pub(crate) fn drive(e: &mut impl Engine) -> u64 {
                 // No timers and no flow finished before the horizon:
                 // if flows are in flight the next loop advances them;
                 // otherwise nothing can ever happen again.
-                if ctx.cluster.transport.active_flows() == 0 && ctx.next_fault_time().is_none() {
+                if ctx.cluster.transport.active_flows() == 0 && ctx.faults.next_time().is_none() {
                     break;
                 }
             }

@@ -543,7 +543,7 @@ fn bench_granularity_ablation(c: &mut Criterion) {
     // Sec. III-A: management overhead at element / row / layer
     // granularity. The benchmark measures ranking cost at each
     // granularity for the same 16.95M-element model; the wire-overhead
-    // ratios are printed by the fig/table binaries.
+    // ratios are printed by `rogctl figure ablation_granularity`.
     let mut g = c.benchmark_group("granularity_ablation");
     let metric = ImportanceMetric::default();
     let mut rng = DetRng::new(3);

@@ -12,12 +12,14 @@
 //! table; `rogctl serve` / `rogctl join` run the same experiment over
 //! real UDP/TCP sockets, one process per role; `rogctl fuzz` drives a
 //! seeded scenario campaign through the differential invariant
-//! harness.
+//! harness; `rogctl figure <name>` runs one experiment of the paper's
+//! evaluation (`rog_bench::experiments`).
 
 use std::path::Path;
 use std::process::ExitCode;
 
 use rog_bench::cli::{self, CliCommand, CliRun, FuzzOptions};
+use rog_bench::experiments;
 use rog_fuzz::{check_scenario, shrink, FuzzReport, Scenario, ScenarioGen, ScenarioRecord};
 use rog_obs::{gzip_compress, gzip_decompress, TraceSummary};
 use rog_trainer::{live, report, FleetStats, RunMetrics, RunOutcome};
@@ -44,6 +46,11 @@ fn main() -> ExitCode {
             live_experiment(&run, &role, || live::join(&run.config, &opts))
         }
         CliCommand::Fuzz(opts) => fuzz_campaign(&opts),
+        CliCommand::Figure { name, ctx } => {
+            let (_, run) = experiments::find(name).expect("parse_command checked the name");
+            run(&ctx);
+            ExitCode::SUCCESS
+        }
     }
 }
 

@@ -13,6 +13,8 @@ use rog_trainer::{
     Strategy, WorkloadKind,
 };
 
+use crate::experiments::{self, Ctx, EXPERIMENTS};
+
 /// A parsed `rogctl` invocation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CliRun {
@@ -63,6 +65,13 @@ pub enum CliCommand {
     /// Run a seeded fuzz campaign (or replay a `.repro` corpus)
     /// through the differential invariant harness.
     Fuzz(FuzzOptions),
+    /// Run one entry of the experiment table ([`experiments::EXPERIMENTS`]).
+    Figure {
+        /// The entry's name (checked at parse time).
+        name: &'static str,
+        /// Its `--quick` / `--seed` flags.
+        ctx: Ctx,
+    },
 }
 
 /// Options for the `rogctl fuzz` campaign driver.
@@ -124,6 +133,15 @@ fn parsed<T: std::str::FromStr>(flag: &str, value: &str, what: &str) -> Result<T
 
 fn err(msg: impl Into<String>) -> CliError {
     CliError(msg.into())
+}
+
+/// A `figure` parse error: `msg`, the usage line and every valid name.
+fn figure_err(msg: &str) -> CliError {
+    let names: Vec<&str> = EXPERIMENTS.iter().map(|&(name, _)| name).collect();
+    err(format!(
+        "{msg}\nusage: rogctl figure <name> [--quick] [--seed <n>]\nnames: {}",
+        names.join(" ")
+    ))
 }
 
 /// Finite and `> 0` (NaN fails, not just `<= 0`).
@@ -222,6 +240,13 @@ Subcommands:
       generating. --json writes the wall-clock-free campaign report;
       two runs of the same campaign produce byte-identical reports.
       Exits non-zero when any scenario fails.
+  rogctl figure <name> [--quick] [--seed <n>]
+      Run one experiment of the paper's evaluation: a figure, a table,
+      an ablation, an extension or a BENCH_*.json matrix. It prints
+      its tables and writes CSVs under results/ (the bench_* matrices
+      write BENCH_<name>.json to the working directory). --quick runs
+      the shortened smoke variant; --seed seeds the bench_* matrices
+      (default 1). A wrong name lists every valid one.
 ";
 
 /// Parses a full `rogctl` command line (without the program name),
@@ -336,6 +361,38 @@ pub fn parse_command(args: &[String]) -> Result<CliCommand, CliError> {
                 return Err(err("--count must be >= 1 (or pass --replay)"));
             }
             Ok(CliCommand::Fuzz(opts))
+        }
+        Some("figure") => {
+            let mut ctx = Ctx::default();
+            let mut names = Vec::new();
+            let mut it = args[1..].iter();
+            while let Some(a) = it.next() {
+                match a.as_str() {
+                    "--quick" => ctx.quick = true,
+                    "--seed" => {
+                        let v = it
+                            .next()
+                            .ok_or_else(|| figure_err("--seed expects a value"))?;
+                        ctx.seed = v.parse().map_err(|_| {
+                            figure_err(&format!("--seed expects an integer, got '{v}'"))
+                        })?;
+                    }
+                    flag if flag.starts_with('-') => {
+                        return Err(figure_err(&format!("unknown figure flag '{flag}'")))
+                    }
+                    name => names.push(name),
+                }
+            }
+            match names[..] {
+                [name] => experiments::find(name)
+                    .map(|&(name, _)| CliCommand::Figure { name, ctx })
+                    .ok_or_else(|| figure_err(&format!("unknown experiment '{name}'"))),
+                [] => Err(figure_err("figure expects an experiment name")),
+                _ => Err(figure_err(&format!(
+                    "figure expects one experiment name, got '{}'",
+                    names.join(" ")
+                ))),
+            }
         }
         _ => Ok(CliCommand::Run(parse(args)?)),
     }
@@ -961,6 +1018,38 @@ mod tests {
         assert!(parse_command(&args("fuzz --seed banana")).is_err());
         assert!(parse_command(&args("fuzz --max-duration -3")).is_err());
         assert!(parse_command(&args("fuzz --strategy rog:4")).is_err());
+    }
+
+    #[test]
+    fn figure_rejects_bad_input_listing_every_name() {
+        for (input, reason) in [
+            ("figure", "expects an experiment name"),
+            ("figure fig2_nope", "unknown experiment 'fig2_nope'"),
+            ("figure --quick", "expects an experiment name"),
+            (
+                "figure fig1_cruda_outdoor --quik",
+                "unknown figure flag '--quik'",
+            ),
+            (
+                "figure bench_sync --seed abc",
+                "--seed expects an integer, got 'abc'",
+            ),
+            (
+                "figure bench_sync --seed -1",
+                "--seed expects an integer, got '-1'",
+            ),
+            ("figure bench_sync --seed", "--seed expects a value"),
+            (
+                "figure table1_mta table2_setup",
+                "expects one experiment name",
+            ),
+        ] {
+            let e = parse_command(&args(input)).expect_err(input).to_string();
+            assert!(e.contains(reason), "{input}: {e}");
+            for (name, _) in EXPERIMENTS {
+                assert!(e.contains(name), "{input}: {name} missing from {e}");
+            }
+        }
     }
 
     #[test]

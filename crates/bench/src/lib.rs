@@ -1,46 +1,23 @@
-//! Experiment-runner helpers shared by the figure/table binaries.
+//! The experiment runner behind `rogctl`: its argument parser ([`cli`]),
+//! the table of the paper's experiments ([`experiments`], run by
+//! `rogctl figure <name>`) and the helpers its entries share.
 //!
-//! Each binary in `src/bin/` regenerates one table or figure of the
-//! paper (see `DESIGN.md` for the index). Binaries accept `--quick` to
-//! run a shortened smoke version, print their results as text
-//! tables/series, and write CSV files under `results/`.
+//! Each entry regenerates one table or figure of the paper, an
+//! ablation, an extension or a `BENCH_*.json` matrix (see `DESIGN.md`
+//! for the index). Entries accept `--quick` to run a shortened smoke
+//! version, print their results as text tables/series, and write CSV
+//! files under `results/`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cli;
+pub mod experiments;
 
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use rog_trainer::{
-    report, Environment, ExperimentConfig, RunMetrics, RunOutcome, Strategy, WorkloadKind,
-};
-
-/// Whether `--quick` was passed (shortened smoke run).
-pub fn quick() -> bool {
-    std::env::args().any(|a| a == "--quick")
-}
-
-/// Duration helper: `full` seconds normally, `quick_secs` with
-/// `--quick`.
-pub fn duration(full: f64, quick_secs: f64) -> f64 {
-    if quick() {
-        quick_secs
-    } else {
-        full
-    }
-}
-
-/// The `--seed <n>` argument of the `bench_*` matrices (default 1).
-pub fn arg_seed() -> u64 {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == "--seed")
-        .and_then(|i| args.get(i + 1))
-        .map(|v| v.parse().expect("--seed expects an integer"))
-        .unwrap_or(1)
-}
+use rog_trainer::{report, ExperimentConfig, RunMetrics, RunOutcome};
 
 /// Runs several experiment configs concurrently (each run is
 /// self-contained and deterministic, so threading does not affect
@@ -64,37 +41,6 @@ pub fn run_all(configs: &[ExperimentConfig]) -> Vec<RunMetrics> {
         .into_iter()
         .map(|o| o.metrics)
         .collect()
-}
-
-/// Runs the six-strategy comparison of Fig. 1, 6 and 7 — BSP, SSP-4,
-/// SSP-20, FLOWN, ROG-4, ROG-20 — on one workload and environment.
-pub fn six_strategy_runs(
-    workload: WorkloadKind,
-    environment: Environment,
-    dur: f64,
-) -> Vec<RunMetrics> {
-    let strategies = [
-        Strategy::Bsp,
-        Strategy::Ssp { threshold: 4 },
-        Strategy::Ssp { threshold: 20 },
-        Strategy::Flown {
-            min_threshold: 2,
-            max_threshold: 20,
-        },
-        Strategy::Rog { threshold: 4 },
-        Strategy::Rog { threshold: 20 },
-    ];
-    let configs: Vec<ExperimentConfig> = strategies
-        .iter()
-        .map(|&strategy| ExperimentConfig {
-            workload,
-            environment,
-            strategy,
-            duration_secs: dur,
-            ..ExperimentConfig::default()
-        })
-        .collect();
-    run_all(&configs)
 }
 
 /// The ROG runs (`rog`) or the baseline runs of a comparison.
@@ -145,6 +91,14 @@ pub fn write_artifact(name: &str, content: &str) {
 /// Prints a section header.
 pub fn header(title: &str) {
     println!("\n=== {title} ===");
+}
+
+/// Prints a section header and `body`, and writes `body` to
+/// `results/<file>`.
+pub(crate) fn section(title: &str, file: &str, body: &str) {
+    header(title);
+    print!("{body}");
+    write_artifact(file, body);
 }
 
 /// `n` evenly spaced probe times ending at `dur`.
@@ -239,31 +193,22 @@ pub fn four_panel_report(fig: u32, runs: &[RunMetrics], dur: f64) {
         )
     };
 
-    header(&format!(
-        "Fig. {fig}a — average time composition of a training iteration (s)"
-    ));
-    let comp = report::composition_table(runs);
-    print!("{comp}");
-    write_artifact(&format!("fig{fig}a_composition.csv"), &comp);
+    section(
+        &format!("Fig. {fig}a — average time composition of a training iteration (s)"),
+        &format!("fig{fig}a_composition.csv"),
+        &report::composition_table(runs),
+    );
+    section(
+        &format!("Fig. {fig}b — statistical efficiency ({metric_name} vs iteration)"),
+        &format!("fig{fig}b_{b_file}.csv"),
+        &series_at_iterations(runs, &iteration_probes(runs)),
+    );
+    section(
+        &format!("Fig. {fig}c — {metric_name} vs wall-clock time (s)"),
+        &format!("fig{fig}c_{c_file}.csv"),
+        &series_at_times(runs, &time_probes(dur, 12)),
+    );
 
-    header(&format!(
-        "Fig. {fig}b — statistical efficiency ({metric_name} vs iteration)"
-    ));
-    let iters = iteration_probes(runs);
-    let b = series_at_iterations(runs, &iters);
-    print!("{b}");
-    write_artifact(&format!("fig{fig}b_{b_file}.csv"), &b);
-
-    header(&format!(
-        "Fig. {fig}c — {metric_name} vs wall-clock time (s)"
-    ));
-    let c = series_at_times(runs, &time_probes(dur, 12));
-    print!("{c}");
-    write_artifact(&format!("fig{fig}c_{c_file}.csv"), &c);
-
-    header(&format!(
-        "Fig. {fig}d — energy (J) to reach {d_noun} targets"
-    ));
     let finals = runs
         .iter()
         .flat_map(|r| r.checkpoints.last().map(|c| c.metric));
@@ -291,8 +236,11 @@ pub fn four_panel_report(fig: u32, runs: &[RunMetrics], dur: f64) {
         }
         d.push('\n');
     }
-    print!("{d}");
-    write_artifact(&format!("fig{fig}d_{d_file}.csv"), &d);
+    section(
+        &format!("Fig. {fig}d — energy (J) to reach {d_noun} targets"),
+        &format!("fig{fig}d_{d_file}.csv"),
+        &d,
+    );
 }
 
 /// Formats a float for a `BENCH_*.json` artifact: non-finite values
@@ -384,30 +332,12 @@ impl JsonCell {
     }
 }
 
-/// Renders cells as the body of a JSON array (no surrounding
-/// brackets), one object per cell.
+/// Renders cells as a JSON array at the artifacts' top-level indent,
+/// one object per cell.
 pub fn cells_json(cells: &[JsonCell]) -> String {
     let rows: Vec<String> = cells
         .iter()
         .map(|c| format!("    {{\n{}\n    }}", c.0.join(",\n")))
         .collect();
-    rows.join(",\n")
-}
-
-/// Writes `BENCH_<bench>.json` to the working directory and reports it.
-pub fn write_bench_json(bench: &str, json: &str) {
-    let path = format!("BENCH_{bench}.json");
-    fs::write(&path, json).unwrap_or_else(|e| panic!("write {path}: {e}"));
-    println!("  -> wrote {path}");
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn duration_honors_quick_flag() {
-        // No --quick in the test harness args.
-        assert_eq!(duration(100.0, 10.0), 100.0);
-    }
+    format!("[\n{}\n  ]", rows.join(",\n"))
 }

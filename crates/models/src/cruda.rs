@@ -70,7 +70,7 @@ pub struct CrudaSpec {
 }
 
 impl CrudaSpec {
-    /// Default evaluation-scale spec (used by the experiment binaries).
+    /// Default evaluation-scale spec (used by the `rogctl figure` experiments).
     pub fn paper() -> Self {
         Self {
             classes: 24,

@@ -11,7 +11,7 @@
 //! We model a trace as an AR(1) (Gauss-Markov) process around a mean,
 //! multiplied by a two-state Markov fade process (line-of-sight vs
 //! occluded). The calibration tests in this crate and the Fig. 3
-//! experiment binary verify the generated traces reproduce the paper's
+//! experiment (`rogctl figure fig3_bandwidth`) verify the generated traces reproduce the paper's
 //! fluctuation statistics.
 
 use rog_sim::Time;

@@ -117,7 +117,7 @@ impl LossEwma {
     }
 }
 
-/// Summary row used by the Fig. 3 experiment binary.
+/// Summary row used by the Fig. 3 experiment (`rogctl figure fig3_bandwidth`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceSummary {
     /// Mean capacity in bit/s.

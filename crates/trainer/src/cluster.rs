@@ -128,12 +128,11 @@ impl Cluster {
         // exists until the channel reads it, and reads past the period
         // wrap.
         let profile = cfg.environment.profile();
-        let trace_len = cfg.duration_secs.clamp(300.0, 1800.0);
         let shards = cfg.effective_shards();
         let capacity = match &cfg.capacity_trace {
             Some(trace) => TraceSource::Replayed(trace.clone()),
             None => {
-                let seed = root.fork(0x50).seed();
+                let (seed, trace_len) = generated_trace(cfg, None);
                 TraceSource::Generated(profile.capacity_stream(seed, trace_len))
             }
         };
@@ -150,12 +149,7 @@ impl Cluster {
             None => {
                 for w in 0..cfg.n_workers {
                     for s in 0..shards {
-                        let fork = if s == 0 {
-                            0x60 + w as u64
-                        } else {
-                            0x6000 + (w as u64) * 0x40 + s as u64
-                        };
-                        let seed = root.fork(fork).seed();
+                        let (seed, trace_len) = generated_trace(cfg, Some((w, s)));
                         links.push(TraceSource::Generated(profile.link_stream(seed, trace_len)));
                     }
                 }
@@ -202,6 +196,23 @@ impl Cluster {
     pub fn scaled_model_bytes(&self, payloads: impl Iterator<Item = u64>) -> u64 {
         payloads.map(|p| self.scaled_row_bytes(p)).sum::<u64>() + rog_net::wire::message_overhead()
     }
+}
+
+/// The `(seed, period)` of a generated trace of `cfg`'s channel: the
+/// capacity trace for `link` `None`, else the (worker, shard) link.
+/// [`Cluster::build`] streams from these; a caller that records the
+/// same traces eagerly (`ChannelProfile::generate` / `generate_link`)
+/// takes them from here too. Shard 0's links keep the historical
+/// one-link-per-worker salts, so single-shard runs stay bit-identical;
+/// extra shard links draw from a disjoint fork range.
+pub fn generated_trace(cfg: &ExperimentConfig, link: Option<(usize, usize)>) -> (u64, f64) {
+    let fork = match link {
+        None => 0x50,
+        Some((w, 0)) => 0x60 + w as u64,
+        Some((w, s)) => 0x6000 + (w as u64) * 0x40 + s as u64,
+    };
+    let seed = DetRng::new(cfg.seed).fork(fork).seed();
+    (seed, cfg.duration_secs.clamp(300.0, 1800.0))
 }
 
 /// One worker's compute model: its batch and jitter streams, what an

@@ -138,7 +138,7 @@ impl Strategy {
 /// Problem size: the evaluation-scale specs or tiny test-scale specs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ModelScale {
-    /// Evaluation scale (used by the experiment binaries).
+    /// Evaluation scale (used by the `rogctl figure` experiments).
     Paper,
     /// Tiny scale for unit/integration tests.
     Small,

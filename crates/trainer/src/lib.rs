@@ -57,7 +57,7 @@ pub mod report;
 mod run;
 pub mod stats;
 
-pub use cluster::{Cluster, Device, DeviceKind};
+pub use cluster::{generated_trace, Cluster, Device, DeviceKind};
 pub use config::{Environment, ExperimentConfig, ModelScale, Strategy, WorkloadKind};
 pub use live::{check_socket_compatible, JoinOptions, ServeOptions};
 pub use metrics::{ByteAccount, Checkpoint, MicroSample, RunMetrics, TimeComposition};

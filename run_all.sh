@@ -10,9 +10,10 @@ cd "$(dirname "$0")"
 
 QUICK="${1:-}"
 
-cargo build --release -p rog-bench
+cargo build --release -p rog-bench --bin rogctl
 
-BINS=(
+# Entries of the experiment table (crates/bench/src/experiments.rs).
+NAMES=(
   table1_mta
   table2_setup
   table3_power
@@ -33,10 +34,10 @@ BINS=(
 )
 
 mkdir -p results
-for b in "${BINS[@]}"; do
+for b in "${NAMES[@]}"; do
   echo "=== $b ==="
   # shellcheck disable=SC2086
-  ./target/release/"$b" $QUICK | tee "results/${b}_console.txt"
+  ./target/release/rogctl figure "$b" $QUICK | tee "results/${b}_console.txt"
 done
 
 echo

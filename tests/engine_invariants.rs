@@ -6,7 +6,7 @@ mod common;
 use rog::net::Trace;
 use rog::obs::crc32;
 use rog::prelude::*;
-use rog::tensor::rng::DetRng;
+use rog::trainer::generated_trace;
 
 fn base() -> ExperimentConfig {
     ExperimentConfig {
@@ -272,12 +272,14 @@ fn replayed_traces_reproduce_generated_runs() {
     let cfg = base();
     let reference = cfg.options().run().metrics;
     // Regenerate the same traces the cluster builder derives.
-    let root = DetRng::new(cfg.seed);
     let profile = cfg.environment.profile();
-    let trace_len: f64 = 300.0;
-    let capacity = profile.generate(root.fork(0x50).seed(), trace_len);
+    let (seed, len) = generated_trace(&cfg, None);
+    let capacity = profile.generate(seed, len);
     let links: Vec<Trace> = (0..3)
-        .map(|w| profile.generate_link(root.fork(0x60 + w as u64).seed(), trace_len))
+        .map(|w| {
+            let (seed, len) = generated_trace(&cfg, Some((w, 0)));
+            profile.generate_link(seed, len)
+        })
         .collect();
     // CSV round trip.
     let capacity = io::trace_from_csv(&io::trace_to_csv(&capacity)).expect("parses");

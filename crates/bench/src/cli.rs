@@ -8,10 +8,7 @@ use std::fmt;
 use rog_compress::CodecChoice;
 use rog_fault::FaultPlan;
 use rog_net::{LossConfig, SharingMode};
-use rog_trainer::{
-    check_socket_compatible, Environment, ExperimentConfig, JoinOptions, ModelScale, ServeOptions,
-    Strategy, WorkloadKind,
-};
+use rog_trainer::{check_socket_compatible, ExperimentConfig, JoinOptions, ServeOptions, Strategy};
 
 use crate::experiments::{self, Ctx, EXPERIMENTS};
 
@@ -188,10 +185,13 @@ as a codec_select event). topk keeps the top 10% values per row
 
 Fault injection: --fault-plan loads a script of
 'offline <w> <start> <end>' / 'blackout <w> <start> <end>' /
-'server-restart [<shard>] <start> <end>' /
+'server-restart [<shard>] <start> <end>' / 'agg-restart <a> <start> <end>' /
 'loss <link> <start> <end> <rate>' lines; --fault-seed generates a
 deterministic churn plan instead (ignored if a plan file is given).
 A shard-less server-restart line defaults to shard 0 with a warning.
+A run no engine can execute is refused with a one-line reason: a
+plan target outside the run, min > max in a strategy's bounds
+(roga also needs min >= 1), more aggregators than workers.
 
 Packet loss: --loss adds seeded i.i.d. per-chunk loss, --loss-burst
 adds a Gilbert-Elliott bursty process with the given mean loss rate,
@@ -431,36 +431,16 @@ pub fn parse(args: &[String]) -> Result<CliRun, CliError> {
                 .ok_or_else(|| err(format!("{flag} expects a value")))
         };
         match flag.as_str() {
-            "--workload" => {
-                cfg.workload = match value()?.as_str() {
-                    "cruda" => WorkloadKind::Cruda,
-                    "cruda-conv" => WorkloadKind::CrudaConv,
-                    "crimp" => WorkloadKind::Crimp,
-                    other => return Err(err(format!("unknown workload '{other}'"))),
-                }
-            }
-            "--env" => {
-                cfg.environment = match value()?.as_str() {
-                    "indoor" => Environment::Indoor,
-                    "outdoor" => Environment::Outdoor,
-                    "stable" => Environment::Stable,
-                    other => return Err(err(format!("unknown environment '{other}'"))),
-                }
-            }
-            "--strategy" => cfg.strategy = parse_strategy(value()?)?,
+            "--workload" => cfg.workload = value()?.parse().map_err(err)?,
+            "--env" => cfg.environment = value()?.parse().map_err(err)?,
+            "--strategy" => cfg.strategy = value()?.parse().map_err(err)?,
             "--duration" => cfg.duration_secs = parsed(flag, value()?, "seconds")?,
             "--workers" => cfg.n_workers = parsed(flag, value()?, "a count")?,
             "--laptops" => cfg.n_laptop_workers = parsed(flag, value()?, "a count")?,
             "--batch-scale" => cfg.batch_scale = parsed(flag, value()?, "a number")?,
             "--eval-every" => cfg.eval_every = parsed(flag, value()?, "an iteration count")?,
             "--seed" => cfg.seed = parsed(flag, value()?, "an integer")?,
-            "--scale" => {
-                cfg.model_scale = match value()?.as_str() {
-                    "paper" => ModelScale::Paper,
-                    "small" => ModelScale::Small,
-                    other => return Err(err(format!("unknown scale '{other}'"))),
-                }
-            }
+            "--scale" => cfg.model_scale = value()?.parse().map_err(err)?,
             "--mac" => {
                 cfg.mac_sharing = match value()?.as_str() {
                     "airtime" => SharingMode::AirtimeFair,
@@ -507,7 +487,7 @@ pub fn parse(args: &[String]) -> Result<CliRun, CliError> {
             other => return Err(err(format!("unknown flag '{other}'\n\n{USAGE}"))),
         }
     }
-    check_ranges(&cfg)?;
+    cfg.check().map_err(err)?;
     if iid_loss.is_some() || burst_loss.is_some() || corrupt.is_some() {
         for (flag, rate) in [
             ("--loss", iid_loss),
@@ -533,12 +513,6 @@ pub fn parse(args: &[String]) -> Result<CliRun, CliError> {
         return Err(err(
             "--loss-seed requires --loss, --loss-burst or --corrupt",
         ));
-    }
-    if cfg.n_aggregators > cfg.n_workers {
-        return Err(err(format!(
-            "--aggregators {} exceeds --workers {}",
-            cfg.n_aggregators, cfg.n_workers
-        )));
     }
     if cfg.auto_threshold && matches!(cfg.strategy, Strategy::RogAdaptive { .. }) {
         return Err(err(
@@ -567,80 +541,10 @@ pub fn parse(args: &[String]) -> Result<CliRun, CliError> {
     }
 }
 
-/// Rejects run-flag values the cluster builder or the engines cannot
-/// take: one message per rule, naming the flag and the offending value.
-fn check_ranges(cfg: &ExperimentConfig) -> Result<(), CliError> {
-    if cfg.n_workers == 0 {
-        return Err(err("--workers 0: need at least one worker"));
-    }
-    if cfg.n_laptop_workers > cfg.n_workers {
-        return Err(err(format!(
-            "--laptops {} exceeds --workers {}",
-            cfg.n_laptop_workers, cfg.n_workers
-        )));
-    }
-    if !positive(cfg.duration_secs) {
-        return Err(err(format!(
-            "--duration {} must be finite and > 0",
-            cfg.duration_secs
-        )));
-    }
-    if !positive(cfg.batch_scale) {
-        return Err(err(format!(
-            "--batch-scale {} must be finite and > 0",
-            cfg.batch_scale
-        )));
-    }
-    if cfg.eval_every == 0 {
-        return Err(err("--eval-every 0: must be >= 1"));
-    }
-    Ok(())
-}
-
-fn parse_strategy(s: &str) -> Result<Strategy, CliError> {
-    let parts: Vec<&str> = s.split(':').collect();
-    match parts.as_slice() {
-        ["bsp"] => Ok(Strategy::Bsp),
-        ["asp"] => Ok(Strategy::Asp),
-        ["ssp", t] => Ok(Strategy::Ssp {
-            threshold: t.parse().map_err(|_| err("ssp:<t> expects an integer"))?,
-        }),
-        ["rog", t] => Ok(Strategy::Rog {
-            threshold: t.parse().map_err(|_| err("rog:<t> expects an integer"))?,
-        }),
-        ["flown", lo, hi] => Ok(Strategy::Flown {
-            min_threshold: lo.parse().map_err(|_| err("flown:<min>:<max>"))?,
-            max_threshold: hi.parse().map_err(|_| err("flown:<min>:<max>"))?,
-        }),
-        ["dssp", lo, hi] => Ok(Strategy::Dssp {
-            min_threshold: lo.parse().map_err(|_| err("dssp:<min>:<max>"))?,
-            max_threshold: hi.parse().map_err(|_| err("dssp:<min>:<max>"))?,
-        }),
-        ["abs", lo, hi] => Ok(Strategy::Abs {
-            min_threshold: lo.parse().map_err(|_| err("abs:<min>:<max>"))?,
-            max_threshold: hi.parse().map_err(|_| err("abs:<min>:<max>"))?,
-        }),
-        ["roga", lo, hi] => {
-            let min: u32 = lo.parse().map_err(|_| err("roga:<min>:<max>"))?;
-            let max: u32 = hi.parse().map_err(|_| err("roga:<min>:<max>"))?;
-            if min < 1 || min > max {
-                return Err(err("roga:<min>:<max> expects 1 <= min <= max"));
-            }
-            Ok(Strategy::RogAdaptive {
-                min_threshold: min,
-                max_threshold: max,
-            })
-        }
-        _ => Err(err(format!(
-            "unknown strategy '{s}' (bsp | asp | ssp:<t> | flown:<min>:<max> | \
-             dssp:<min>:<max> | abs:<min>:<max> | rog:<t> | roga:<min>:<max>)"
-        ))),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rog_trainer::{Environment, ModelScale, WorkloadKind};
 
     fn args(s: &str) -> Vec<String> {
         s.split_whitespace().map(String::from).collect()
@@ -678,48 +582,6 @@ mod tests {
         assert!(c.pipeline && c.auto_threshold && c.record_micro);
         assert_eq!(run.csv_out.as_deref(), Some("out.csv"));
         assert_eq!(run.json_out.as_deref(), Some("out.json"));
-    }
-
-    #[test]
-    fn strategy_variants_parse() {
-        assert_eq!(parse_strategy("bsp").unwrap(), Strategy::Bsp);
-        assert_eq!(parse_strategy("asp").unwrap(), Strategy::Asp);
-        assert_eq!(
-            parse_strategy("ssp:20").unwrap(),
-            Strategy::Ssp { threshold: 20 }
-        );
-        assert_eq!(
-            parse_strategy("flown:2:20").unwrap(),
-            Strategy::Flown {
-                min_threshold: 2,
-                max_threshold: 20
-            }
-        );
-        assert_eq!(
-            parse_strategy("dssp:1:8").unwrap(),
-            Strategy::Dssp {
-                min_threshold: 1,
-                max_threshold: 8
-            }
-        );
-        assert_eq!(
-            parse_strategy("abs:1:6").unwrap(),
-            Strategy::Abs {
-                min_threshold: 1,
-                max_threshold: 6
-            }
-        );
-        assert_eq!(
-            parse_strategy("roga:1:8").unwrap(),
-            Strategy::RogAdaptive {
-                min_threshold: 1,
-                max_threshold: 8
-            }
-        );
-        assert!(parse_strategy("ssp").is_err());
-        assert!(parse_strategy("nope:1").is_err());
-        assert!(parse_strategy("roga:0:8").is_err());
-        assert!(parse_strategy("roga:5:2").is_err());
     }
 
     #[test]
@@ -765,6 +627,37 @@ mod tests {
         for boundary in ["--workers 1 --laptops 1", "--eval-every 1"] {
             assert!(parse(&args(boundary)).is_ok(), "{boundary}");
         }
+    }
+
+    #[test]
+    fn runs_no_engine_can_execute_are_refused_with_a_reason() {
+        let refused = |line: &str, reason: &str| {
+            let e = parse(&args(line)).expect_err(line).to_string();
+            assert!(e.contains(reason) && !e.contains('\n'), "{line}: {e}");
+        };
+        for (bounds, floor) in [
+            ("dssp:8:1", 0),
+            ("flown:9:2", 0),
+            ("abs:6:1", 0),
+            ("roga:0:8", 1),
+        ] {
+            let reason = format!("--strategy {bounds} expects {floor} <= min <= max");
+            refused(&format!("--strategy {bounds}"), &reason);
+        }
+        let plan = std::env::temp_dir().join("rogctl_cli_test_out_of_range_plan.txt");
+        for (script, target) in [
+            ("offline 9 10 20", "worker 9 but the run has 4 workers"),
+            ("loss 9 1 5 0.5", "worker 9 but the run has 4 workers"),
+            ("server-restart 2 10 20", "shard 2 but the run has 1 shards"),
+            ("agg-restart 0 1 5", "aggregator 0 but the run has 0"),
+        ] {
+            std::fs::write(&plan, script).expect("write plan");
+            refused(
+                &format!("--workers 4 --fault-plan {}", plan.display()),
+                target,
+            );
+        }
+        std::fs::remove_file(&plan).ok();
     }
 
     #[test]

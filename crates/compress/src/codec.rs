@@ -83,22 +83,6 @@ pub enum CodecChoice {
 }
 
 impl CodecChoice {
-    /// Parses a CLI/journal codec name.
-    ///
-    /// Accepts `onebit`, `sparse`, `q2`, `q4`, `q8`, `topk`, `auto`.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "onebit" => Some(Self::OneBit),
-            "sparse" => Some(Self::Sparse),
-            "q2" => Some(Self::Quant { bits: 2 }),
-            "q4" => Some(Self::Quant { bits: 4 }),
-            "q8" => Some(Self::Quant { bits: 8 }),
-            "topk" => Some(Self::TopK { keep_milli: 100 }),
-            "auto" => Some(Self::Auto),
-            _ => None,
-        }
-    }
-
     /// The canonical CLI/journal name of this choice.
     pub const fn name(self) -> &'static str {
         match self {
@@ -136,11 +120,22 @@ impl std::fmt::Display for CodecChoice {
     }
 }
 
+/// Parses a CLI/journal codec name: `onebit`, `sparse`, `q2`, `q4`,
+/// `q8`, `topk`, `auto`.
 impl std::str::FromStr for CodecChoice {
     type Err = String;
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        Self::parse(s).ok_or_else(|| format!("unknown codec {s:?}"))
+        match s {
+            "onebit" => Ok(Self::OneBit),
+            "sparse" => Ok(Self::Sparse),
+            "q2" => Ok(Self::Quant { bits: 2 }),
+            "q4" => Ok(Self::Quant { bits: 4 }),
+            "q8" => Ok(Self::Quant { bits: 8 }),
+            "topk" => Ok(Self::TopK { keep_milli: 100 }),
+            "auto" => Ok(Self::Auto),
+            _ => Err(format!("unknown codec {s:?}")),
+        }
     }
 }
 
@@ -912,12 +907,11 @@ mod tests {
     #[test]
     fn choice_names_round_trip_through_parse() {
         for name in ["onebit", "sparse", "q2", "q4", "q8", "topk", "auto"] {
-            let c = CodecChoice::parse(name).expect(name);
+            let c: CodecChoice = name.parse().expect(name);
             assert_eq!(c.name(), name);
-            assert_eq!(name.parse::<CodecChoice>().unwrap(), c);
         }
-        assert!(CodecChoice::parse("q3").is_none());
-        assert!(CodecChoice::parse("gzip").is_none());
+        assert!("q3".parse::<CodecChoice>().is_err());
+        assert!("gzip".parse::<CodecChoice>().is_err());
         assert_eq!(CodecChoice::default(), CodecChoice::OneBit);
     }
 

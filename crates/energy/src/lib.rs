@@ -86,7 +86,8 @@ impl PowerModel {
             .sum()
     }
 
-    /// Total energy of a cluster of timelines up to `t`.
+    /// Total energy of a cluster of timelines up to `t`; `+0.0` for
+    /// none (an empty `f64` sum is `-0.0`).
     pub fn cluster_energy_until<'a>(
         &self,
         timelines: impl IntoIterator<Item = &'a Timeline>,
@@ -95,7 +96,7 @@ impl PowerModel {
         timelines
             .into_iter()
             .map(|tl| self.energy_joules_between(tl, 0.0, t))
-            .sum()
+            .fold(0.0, |sum, e| sum + e)
     }
 }
 

@@ -153,28 +153,8 @@ impl Scenario {
         out.push_str("# rog-fuzz scenario v1\n");
         out.push_str(&format!("gen-seed {}\n", self.gen_seed));
         out.push_str(&format!("index {}\n", self.index));
-        let strat = match self.strategy {
-            Strategy::Bsp => "bsp".to_owned(),
-            Strategy::Ssp { threshold } => format!("ssp {threshold}"),
-            Strategy::Asp => "asp".to_owned(),
-            Strategy::Flown {
-                min_threshold,
-                max_threshold,
-            } => format!("flown {min_threshold} {max_threshold}"),
-            Strategy::Dssp {
-                min_threshold,
-                max_threshold,
-            } => format!("dssp {min_threshold} {max_threshold}"),
-            Strategy::Abs {
-                min_threshold,
-                max_threshold,
-            } => format!("abs {min_threshold} {max_threshold}"),
-            Strategy::Rog { threshold } => format!("rog {threshold}"),
-            Strategy::RogAdaptive {
-                min_threshold,
-                max_threshold,
-            } => format!("roga {min_threshold} {max_threshold}"),
-        };
+        // `spec()` with `:` written as a space (`strategy roga 1 8`).
+        let strat = self.strategy.spec().replace(':', " ");
         out.push_str(&format!("strategy {strat}\n"));
         out.push_str(&format!("workers {}\n", self.n_workers));
         out.push_str(&format!("shards {}\n", self.n_shards));
@@ -254,41 +234,8 @@ impl Scenario {
             match fields.as_slice() {
                 ["gen-seed", v] => gen_seed = Some(parse_u64(v)?),
                 ["index", v] => index = Some(parse_u64(v)?),
-                ["strategy", "bsp"] => strategy = Some(Strategy::Bsp),
-                ["strategy", "asp"] => strategy = Some(Strategy::Asp),
-                ["strategy", "ssp", t] => {
-                    strategy = Some(Strategy::Ssp {
-                        threshold: parse_u64(t)? as u32,
-                    })
-                }
-                ["strategy", "rog", t] => {
-                    strategy = Some(Strategy::Rog {
-                        threshold: parse_u64(t)? as u32,
-                    })
-                }
-                ["strategy", "flown", lo, hi] => {
-                    strategy = Some(Strategy::Flown {
-                        min_threshold: parse_u64(lo)? as u32,
-                        max_threshold: parse_u64(hi)? as u32,
-                    })
-                }
-                ["strategy", "dssp", lo, hi] => {
-                    strategy = Some(Strategy::Dssp {
-                        min_threshold: parse_u64(lo)? as u32,
-                        max_threshold: parse_u64(hi)? as u32,
-                    })
-                }
-                ["strategy", "abs", lo, hi] => {
-                    strategy = Some(Strategy::Abs {
-                        min_threshold: parse_u64(lo)? as u32,
-                        max_threshold: parse_u64(hi)? as u32,
-                    })
-                }
-                ["strategy", "roga", lo, hi] => {
-                    strategy = Some(Strategy::RogAdaptive {
-                        min_threshold: parse_u64(lo)? as u32,
-                        max_threshold: parse_u64(hi)? as u32,
-                    })
+                ["strategy", words @ ..] if !line.contains(':') => {
+                    strategy = Some(words.join(":").parse().map_err(|e: String| at(&e))?)
                 }
                 ["workers", v] => n_workers = Some(parse_usize(v)?),
                 ["shards", v] => n_shards = Some(parse_usize(v)?),
@@ -296,14 +243,7 @@ impl Scenario {
                 ["codec", v] => {
                     codec = Some(v.parse::<CodecChoice>().map_err(|_| at("unknown codec"))?);
                 }
-                ["environment", v] => {
-                    environment = Some(match *v {
-                        "indoor" => Environment::Indoor,
-                        "outdoor" => Environment::Outdoor,
-                        "stable" => Environment::Stable,
-                        _ => return Err(at("unknown environment")),
-                    })
-                }
+                ["environment", v] => environment = Some(v.parse().map_err(|e: String| at(&e))?),
                 ["duration", v] => duration_secs = Some(parse_f64(v)?),
                 ["run-seed", v] => run_seed = Some(parse_u64(v)?),
                 ["loss", "none"] => loss = Some(None),
@@ -345,8 +285,10 @@ impl Scenario {
             script: script.ok_or_else(|| need("script-begin"))?,
         };
         // Surface a broken fault script (with its own line diagnostics)
-        // at parse time, not at replay time.
+        // or a run no engine can execute at parse time, not as an engine
+        // failure at replay time.
         sc.fault_plan().map_err(|e| e.to_string())?;
+        sc.config().check()?;
         Ok(sc)
     }
 }
@@ -473,6 +415,17 @@ mod tests {
             Scenario::parse(&text.replace("aggregators 1\n", "aggregators 1\ncodec banana\n"))
                 .unwrap_err()
                 .contains("unknown codec")
+        );
+    }
+
+    #[test]
+    fn parse_rejects_runs_no_engine_can_execute() {
+        let text = sample().to_repro().replace("workers 3", "workers 4");
+        let refused = |from: &str, to: &str| Scenario::parse(&text.replace(from, to)).unwrap_err();
+        assert!(refused("strategy rog 4", "strategy ssp 4294967297").contains("u32 integers"));
+        assert!(refused("strategy rog 4", "strategy dssp 8 1").contains("dssp:8:1 expects"));
+        assert!(
+            refused("offline 1 12.5 20", "offline 9 10 20").contains("worker 9 but the run has 4")
         );
     }
 

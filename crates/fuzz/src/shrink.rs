@@ -85,18 +85,10 @@ fn knob_candidates(sc: &Scenario) -> Vec<Scenario> {
 /// A knob candidate may strand script lines that referenced the
 /// removed dimension (an `agg-restart` after aggregators went, a
 /// worker index beyond the shrunk fleet, a shard beyond the shrunk
-/// plane). Those scenarios would fail the engine's plan validation for
-/// the wrong reason, so they are skipped rather than checked.
+/// plane). Such a scenario is no valid repro — [`Scenario::parse`]
+/// refuses it — so it is skipped rather than checked.
 fn plan_fits(sc: &Scenario) -> bool {
-    let Ok(plan) = sc.fault_plan() else {
-        return false;
-    };
-    let cfg = sc.config();
-    plan.max_worker().is_none_or(|w| w < cfg.n_workers)
-        && plan.max_shard().is_none_or(|s| s < cfg.effective_shards())
-        && plan
-            .max_aggregator()
-            .is_none_or(|a| a < cfg.effective_aggregators())
+    Scenario::parse(&sc.to_repro()).is_ok()
 }
 
 /// Minimizes a failing scenario. Spends at most `max_replays`

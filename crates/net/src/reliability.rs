@@ -26,34 +26,18 @@ use rog_sim::Time;
 
 use crate::loss::ChunkFate;
 
-/// Capped exponential backoff schedule for reliable retransmissions.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BackoffPolicy {
-    /// Delay before the first retransmission (seconds).
-    pub base: Time,
-    /// Multiplier applied per further attempt.
-    pub factor: f64,
-    /// Ceiling on the delay.
-    pub cap: Time,
-}
+/// Delay before the first retransmission (seconds).
+const BACKOFF_BASE: Time = 0.1;
+/// Multiplier applied per further attempt.
+const BACKOFF_FACTOR: f64 = 2.0;
+/// Ceiling on the delay.
+const BACKOFF_CAP: Time = 2.0;
 
-impl Default for BackoffPolicy {
-    fn default() -> Self {
-        Self {
-            base: 0.1,
-            factor: 2.0,
-            cap: 2.0,
-        }
-    }
-}
-
-impl BackoffPolicy {
-    /// Delay before retransmission number `attempt` (1-based: the
-    /// first retransmission waits `base`).
-    pub fn delay(&self, attempt: u32) -> Time {
-        let exp = attempt.saturating_sub(1).min(63);
-        (self.base * self.factor.powi(exp as i32)).min(self.cap)
-    }
+/// Capped exponential backoff: the delay before retransmission number
+/// `attempt` (1-based: the first retransmission waits the base).
+fn delay(attempt: u32) -> Time {
+    let exp = attempt.saturating_sub(1).min(63);
+    (BACKOFF_BASE * BACKOFF_FACTOR.powi(exp as i32)).min(BACKOFF_CAP)
 }
 
 /// Receiver-side duplicate suppression over sequence numbers.
@@ -150,18 +134,16 @@ pub struct ReliableTransfer {
     /// Indices (into the original chunk list) still outstanding.
     outstanding: Vec<usize>,
     attempt: u32,
-    policy: BackoffPolicy,
 }
 
 impl ReliableTransfer {
     /// Starts a transfer of `chunks` (byte sizes, transmission order).
-    pub fn new(chunks: Vec<u64>, policy: BackoffPolicy) -> Self {
+    pub fn new(chunks: Vec<u64>) -> Self {
         let outstanding = (0..chunks.len()).collect();
         Self {
             sizes: chunks,
             outstanding,
             attempt: 0,
-            policy,
         }
     }
 
@@ -170,27 +152,17 @@ impl ReliableTransfer {
         self.outstanding.iter().map(|&i| self.sizes[i]).collect()
     }
 
-    /// Number of chunks still outstanding.
-    pub fn pending_count(&self) -> usize {
-        self.outstanding.len()
-    }
-
     /// Folds in one round's delivery fates. `fates[i]` corresponds to
     /// the `i`-th chunk of [`ReliableTransfer::pending_chunks`]; a
     /// missing fate (flow cut short) counts as not delivered. `None`
-    /// fates — no loss model — mean everything transmitted arrived.
-    pub fn on_round(
-        &mut self,
-        fates: Option<&[ChunkFate]>,
-        transmitted: usize,
-    ) -> ReliableProgress {
+    /// fates — no loss model — mean everything arrived.
+    pub fn on_round(&mut self, fates: Option<&[ChunkFate]>) -> ReliableProgress {
         let survivors: Vec<usize> = self
             .outstanding
             .iter()
             .enumerate()
             .filter(|&(round_i, _)| {
-                round_i >= transmitted
-                    || fates.is_some_and(|fs| !fs.get(round_i).is_some_and(|f| f.intact()))
+                fates.is_some_and(|fs| !fs.get(round_i).is_some_and(|f| f.intact()))
             })
             .map(|(_, &chunk)| chunk)
             .collect();
@@ -200,7 +172,7 @@ impl ReliableTransfer {
         } else {
             self.attempt += 1;
             ReliableProgress::Retry {
-                delay: self.policy.delay(self.attempt),
+                delay: delay(self.attempt),
             }
         }
     }
@@ -214,12 +186,11 @@ mod tests {
 
     #[test]
     fn backoff_grows_then_caps() {
-        let p = BackoffPolicy::default();
-        assert!((p.delay(1) - 0.1).abs() < 1e-12);
-        assert!((p.delay(2) - 0.2).abs() < 1e-12);
-        assert!((p.delay(3) - 0.4).abs() < 1e-12);
-        assert!((p.delay(10) - 2.0).abs() < 1e-12, "capped");
-        assert!((p.delay(63) - 2.0).abs() < 1e-12, "no overflow");
+        assert!((delay(1) - 0.1).abs() < 1e-12);
+        assert!((delay(2) - 0.2).abs() < 1e-12);
+        assert!((delay(3) - 0.4).abs() < 1e-12);
+        assert!((delay(10) - 2.0).abs() < 1e-12, "capped");
+        assert!((delay(63) - 2.0).abs() < 1e-12, "no overflow");
     }
 
     #[test]
@@ -275,33 +246,33 @@ mod tests {
 
     #[test]
     fn reliable_transfer_retries_only_survivors() {
-        let mut t = ReliableTransfer::new(vec![10, 20, 30], BackoffPolicy::default());
+        let mut t = ReliableTransfer::new(vec![10, 20, 30]);
         assert_eq!(t.pending_chunks(), vec![10, 20, 30]);
         // Middle chunk lost, rest intact.
         let fates = [ChunkFate::Delivered, ChunkFate::Lost, ChunkFate::Delivered];
-        match t.on_round(Some(&fates), 3) {
+        match t.on_round(Some(&fates)) {
             ReliableProgress::Retry { delay } => assert!((delay - 0.1).abs() < 1e-12),
             other => panic!("unexpected {other:?}"),
         }
         assert_eq!(t.pending_chunks(), vec![20]);
         // Flow cut before the chunk even went out: still outstanding.
         assert_eq!(
-            t.on_round(Some(&[]), 0),
+            t.on_round(Some(&[])),
             ReliableProgress::Retry { delay: 0.2 }
         );
         assert_eq!(t.pending_chunks(), vec![20]);
         // Finally delivered.
         assert_eq!(
-            t.on_round(Some(&[ChunkFate::Delivered]), 1),
+            t.on_round(Some(&[ChunkFate::Delivered])),
             ReliableProgress::Done
         );
-        assert_eq!(t.pending_count(), 0);
+        assert!(t.pending_chunks().is_empty());
     }
 
     #[test]
     fn no_loss_model_means_transmitted_is_delivered() {
-        let mut t = ReliableTransfer::new(vec![5, 5], BackoffPolicy::default());
-        assert_eq!(t.on_round(None, 2), ReliableProgress::Done);
+        let mut t = ReliableTransfer::new(vec![5, 5]);
+        assert_eq!(t.on_round(None), ReliableProgress::Done);
     }
 
     proptest! {
@@ -355,7 +326,7 @@ mod tests {
         ) {
             let mut rng = DetRng::new(seed);
             let sizes: Vec<u64> = (1..=n_chunks as u64).collect();
-            let mut t = ReliableTransfer::new(sizes.clone(), BackoffPolicy::default());
+            let mut t = ReliableTransfer::new(sizes.clone());
             let mut delivered_bytes = 0u64;
             let mut rounds = 0u32;
             loop {
@@ -372,7 +343,7 @@ mod tests {
                     .filter(|(_, f)| f.intact())
                     .map(|(&s, _)| s)
                     .sum::<u64>();
-                match t.on_round(Some(&fates), pending.len()) {
+                match t.on_round(Some(&fates)) {
                     ReliableProgress::Done => break,
                     ReliableProgress::Retry { delay } => prop_assert!(delay > 0.0),
                 }

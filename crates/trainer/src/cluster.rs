@@ -55,14 +55,12 @@ impl Cluster {
     ///
     /// # Panics
     ///
-    /// Panics if the config is inconsistent (zero workers, more laptops
-    /// than workers).
+    /// Panics with [`ExperimentConfig::check`]'s reason if the run
+    /// cannot execute.
     pub fn build(cfg: &ExperimentConfig) -> Self {
-        assert!(cfg.n_workers > 0, "need at least one worker");
-        assert!(
-            cfg.n_laptop_workers <= cfg.n_workers,
-            "more laptop workers than workers"
-        );
+        if let Err(reason) = cfg.check() {
+            panic!("{reason}");
+        }
         let root = DetRng::new(cfg.seed);
 
         // Devices: robots first, laptops last (paper: 3 robots + 1

@@ -1,4 +1,8 @@
-//! Experiment configuration.
+//! Experiment configuration: the one text form of each run enum
+//! (`FromStr`, [`Strategy::spec`]) and the one admission check of a
+//! run ([`ExperimentConfig::check`]).
+
+use std::str::FromStr;
 
 use rog_compress::CodecChoice;
 use rog_core::{ImportanceMetric, ImportanceWeights};
@@ -17,6 +21,30 @@ pub enum WorkloadKind {
     Crimp,
 }
 
+impl WorkloadKind {
+    const ALL: [Self; 3] = [Self::Cruda, Self::CrudaConv, Self::Crimp];
+
+    /// Display name, also the `rogctl --workload` word.
+    pub fn name(&self) -> &'static str {
+        match self {
+            WorkloadKind::Cruda => "cruda",
+            WorkloadKind::CrudaConv => "cruda-conv",
+            WorkloadKind::Crimp => "crimp",
+        }
+    }
+}
+
+impl FromStr for WorkloadKind {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, String> {
+        Self::ALL
+            .into_iter()
+            .find(|w| w.name() == s)
+            .ok_or_else(|| format!("unknown workload '{s}'"))
+    }
+}
+
 /// Wireless environment (paper Sec. VI, "Experiment Environments").
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Environment {
@@ -29,6 +57,8 @@ pub enum Environment {
 }
 
 impl Environment {
+    const ALL: [Self; 3] = [Self::Indoor, Self::Outdoor, Self::Stable];
+
     /// The channel profile of this environment.
     pub fn profile(&self) -> ChannelProfile {
         match self {
@@ -38,13 +68,24 @@ impl Environment {
         }
     }
 
-    /// Display name.
+    /// Display name, also the `rogctl --env` word.
     pub fn name(&self) -> &'static str {
         match self {
             Environment::Indoor => "indoor",
             Environment::Outdoor => "outdoor",
             Environment::Stable => "stable",
         }
+    }
+}
+
+impl FromStr for Environment {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, String> {
+        Self::ALL
+            .into_iter()
+            .find(|e| e.name() == s)
+            .ok_or_else(|| format!("unknown environment '{s}'"))
     }
 }
 
@@ -107,24 +148,13 @@ impl Strategy {
     /// journal headers, and bench JSON rows stay unique across
     /// differently-bounded instances of the same model.
     pub fn name(&self) -> String {
-        match self {
-            Strategy::Bsp => "BSP".to_owned(),
-            Strategy::Ssp { threshold } => format!("SSP-{threshold}"),
-            Strategy::Asp => "ASP".to_owned(),
-            Strategy::Flown { .. } => "FLOWN".to_owned(),
-            Strategy::Dssp {
-                min_threshold,
-                max_threshold,
-            } => format!("DSSP-{min_threshold}..{max_threshold}"),
-            Strategy::Abs {
-                min_threshold,
-                max_threshold,
-            } => format!("ABS-{min_threshold}..{max_threshold}"),
-            Strategy::Rog { threshold } => format!("ROG-{threshold}"),
-            Strategy::RogAdaptive {
-                min_threshold,
-                max_threshold,
-            } => format!("ROGA-{min_threshold}..{max_threshold}"),
+        // The spec in capitals, `-` before the bound and `..` inside a
+        // range; FLOWN's legend carries no range.
+        let spec = self.spec().to_uppercase();
+        match spec.split_once(':') {
+            _ if matches!(self, Strategy::Flown { .. }) => "FLOWN".to_owned(),
+            Some((word, bound)) => format!("{word}-{}", bound.replace(':', "..")),
+            None => spec,
         }
     }
 
@@ -132,6 +162,96 @@ impl Strategy {
     /// adaptive-bound hybrid) rather than a model-granularity baseline.
     pub fn is_row_granular(&self) -> bool {
         matches!(self, Strategy::Rog { .. } | Strategy::RogAdaptive { .. })
+    }
+
+    /// The `rogctl --strategy` text of this strategy (`ssp:4`,
+    /// `roga:1:8`); [`Strategy::from_str`] inverts it.
+    pub fn spec(&self) -> String {
+        let word = match self {
+            Strategy::Bsp => "bsp",
+            Strategy::Asp => "asp",
+            Strategy::Ssp { .. } => "ssp",
+            Strategy::Rog { .. } => "rog",
+            Strategy::Flown { .. } => "flown",
+            Strategy::Dssp { .. } => "dssp",
+            Strategy::Abs { .. } => "abs",
+            Strategy::RogAdaptive { .. } => "roga",
+        };
+        match (*self, self.bound_range()) {
+            (Strategy::Ssp { threshold: t } | Strategy::Rog { threshold: t }, _) => {
+                format!("{word}:{t}")
+            }
+            (_, Some((lo, hi))) => format!("{word}:{lo}:{hi}"),
+            (_, None) => word.to_owned(),
+        }
+    }
+
+    /// `(min, max)` of a strategy whose bound moves at runtime.
+    fn bound_range(&self) -> Option<(u32, u32)> {
+        match *self {
+            Strategy::Flown {
+                min_threshold: lo,
+                max_threshold: hi,
+            }
+            | Strategy::Dssp {
+                min_threshold: lo,
+                max_threshold: hi,
+            }
+            | Strategy::Abs {
+                min_threshold: lo,
+                max_threshold: hi,
+            }
+            | Strategy::RogAdaptive {
+                min_threshold: lo,
+                max_threshold: hi,
+            } => Some((lo, hi)),
+            Strategy::Bsp | Strategy::Asp | Strategy::Ssp { .. } | Strategy::Rog { .. } => None,
+        }
+    }
+}
+
+/// The grammar only: `bsp | asp | ssp:<t> | rog:<t> |
+/// flown|dssp|abs|roga:<min>:<max>` with `u32` numbers. Whether the
+/// bounds make a runnable strategy is [`ExperimentConfig::check`]'s
+/// question.
+impl FromStr for Strategy {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, String> {
+        let mut words = s.split(':');
+        let word = words.next().unwrap_or_default();
+        let nums = words
+            .map(str::parse)
+            .collect::<Result<Vec<u32>, _>>()
+            .map_err(|_| format!("strategy '{s}': thresholds are u32 integers"))?;
+        Ok(match (word, nums.as_slice()) {
+            ("bsp", []) => Strategy::Bsp,
+            ("asp", []) => Strategy::Asp,
+            ("ssp", &[threshold]) => Strategy::Ssp { threshold },
+            ("rog", &[threshold]) => Strategy::Rog { threshold },
+            ("flown", &[min_threshold, max_threshold]) => Strategy::Flown {
+                min_threshold,
+                max_threshold,
+            },
+            ("dssp", &[min_threshold, max_threshold]) => Strategy::Dssp {
+                min_threshold,
+                max_threshold,
+            },
+            ("abs", &[min_threshold, max_threshold]) => Strategy::Abs {
+                min_threshold,
+                max_threshold,
+            },
+            ("roga", &[min_threshold, max_threshold]) => Strategy::RogAdaptive {
+                min_threshold,
+                max_threshold,
+            },
+            _ => {
+                return Err(format!(
+                    "unknown strategy '{s}' (bsp | asp | ssp:<t> | flown:<min>:<max> | \
+                     dssp:<min>:<max> | abs:<min>:<max> | rog:<t> | roga:<min>:<max>)"
+                ))
+            }
+        })
     }
 }
 
@@ -142,6 +262,18 @@ pub enum ModelScale {
     Paper,
     /// Tiny scale for unit/integration tests.
     Small,
+}
+
+impl FromStr for ModelScale {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, String> {
+        match s {
+            "paper" => Ok(ModelScale::Paper),
+            "small" => Ok(ModelScale::Small),
+            _ => Err(format!("unknown scale '{s}'")),
+        }
+    }
 }
 
 /// Full description of one training run.
@@ -299,13 +431,69 @@ impl ExperimentConfig {
             },
             if faulty { "+faults" } else { "" },
             if self.loss_active() { "+loss" } else { "" },
-            match self.workload {
-                WorkloadKind::Cruda => "cruda",
-                WorkloadKind::CrudaConv => "cruda-conv",
-                WorkloadKind::Crimp => "crimp",
-            },
+            self.workload.name(),
             self.environment.name()
         )
+    }
+
+    /// Whether this run can execute: every rule the cluster builder and
+    /// the engines rely on, checked once. `rogctl` and `.repro` parsing
+    /// return the error; [`crate::Cluster::build`], which every
+    /// simulated, live and benchmark run goes through, panics with it.
+    /// Each message names the `rogctl` flag or the fault-plan target.
+    ///
+    /// # Errors
+    ///
+    /// The first rule the run breaks, as one printable line.
+    pub fn check(&self) -> Result<(), String> {
+        let positive = |x: f64| x.is_finite() && x > 0.0;
+        let (workers, laptops) = (self.n_workers, self.n_laptop_workers);
+        let (secs, scale) = (self.duration_secs, self.batch_scale);
+        let aggs = self.effective_aggregators();
+        if workers == 0 {
+            return Err("--workers 0: need at least one worker".into());
+        }
+        if laptops > workers {
+            return Err(format!("--laptops {laptops} exceeds --workers {workers}"));
+        }
+        if !positive(secs) {
+            return Err(format!("--duration {secs} must be finite and > 0"));
+        }
+        if !positive(scale) {
+            return Err(format!("--batch-scale {scale} must be finite and > 0"));
+        }
+        if self.eval_every == 0 {
+            return Err("--eval-every 0: must be >= 1".into());
+        }
+        if aggs > workers {
+            return Err(format!("--aggregators {aggs} exceeds --workers {workers}"));
+        }
+        if let Some((min, max)) = self.strategy.bound_range() {
+            // The adaptive-bound hybrid starts at `min` on the row gate,
+            // which needs a bound of at least one.
+            let floor = u32::from(matches!(self.strategy, Strategy::RogAdaptive { .. }));
+            if min < floor || min > max {
+                let spec = self.strategy.spec();
+                return Err(format!("--strategy {spec} expects {floor} <= min <= max"));
+            }
+        }
+        let plan = self.fault_plan.as_ref();
+        for (target, max, n) in [
+            ("worker", plan.and_then(FaultPlan::max_worker), workers),
+            (
+                "shard",
+                plan.and_then(FaultPlan::max_shard),
+                self.effective_shards(),
+            ),
+            ("aggregator", plan.and_then(FaultPlan::max_aggregator), aggs),
+        ] {
+            if let Some(max) = max.filter(|&m| m >= n) {
+                return Err(format!(
+                    "fault plan targets {target} {max} but the run has {n} {target}s"
+                ));
+            }
+        }
+        Ok(())
     }
 
     /// The shard count this run actually uses: `n_shards`, floored at
@@ -463,6 +651,72 @@ mod tests {
             "FLOWN"
         );
         assert_eq!(Strategy::Rog { threshold: 4 }.name(), "ROG-4");
+    }
+
+    #[test]
+    fn strategy_variants_parse() {
+        for (text, name) in [
+            ("bsp", "BSP"),
+            ("asp", "ASP"),
+            ("ssp:20", "SSP-20"),
+            ("flown:2:20", "FLOWN"),
+            ("dssp:1:8", "DSSP-1..8"),
+            ("abs:1:6", "ABS-1..6"),
+            ("roga:1:8", "ROGA-1..8"),
+        ] {
+            let s: Strategy = text.parse().expect(text);
+            assert_eq!((s.name(), s.spec()), (name.to_owned(), text.to_owned()));
+        }
+        // Malformed text is the grammar's to reject...
+        for bad in ["ssp", "nope:1", "ssp:4294967297", "rog:-1", "bsp:1"] {
+            assert!(bad.parse::<Strategy>().is_err(), "{bad}");
+        }
+        // ...bounds no engine can run are `check`'s, naming the flag.
+        let check = |text: &str| {
+            let strategy = text.parse().expect(text);
+            ExperimentConfig {
+                strategy,
+                ..ExperimentConfig::default()
+            }
+            .check()
+        };
+        for bad in ["roga:0:8", "roga:5:2", "dssp:8:1", "flown:9:2", "abs:6:1"] {
+            let e = check(bad).expect_err(bad);
+            assert!(e.starts_with(&format!("--strategy {bad} ")), "{e}");
+        }
+        for ok in ["roga:1:1", "dssp:0:0", "flown:3:3"] {
+            assert_eq!(check(ok), Ok(()), "{ok}");
+        }
+    }
+
+    #[test]
+    fn enum_words_parse_back() {
+        for w in WorkloadKind::ALL {
+            assert_eq!(w.name().parse(), Ok(w));
+        }
+        for e in Environment::ALL {
+            assert_eq!(e.name().parse(), Ok(e));
+        }
+        assert_eq!("paper".parse(), Ok(ModelScale::Paper));
+        assert!("huge".parse::<ModelScale>().is_err());
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn strategy_spec_round_trips(a in 0u32..=u32::MAX, b in 0u32..=u32::MAX) {
+            for s in [
+                Strategy::Bsp,
+                Strategy::Asp,
+                Strategy::Ssp { threshold: a },
+                Strategy::Rog { threshold: a },
+                Strategy::Flown { min_threshold: a, max_threshold: b },
+                Strategy::Dssp { min_threshold: a, max_threshold: b },
+                Strategy::Abs { min_threshold: a, max_threshold: b },
+                Strategy::RogAdaptive { min_threshold: a, max_threshold: b },
+            ] {
+                proptest::prop_assert_eq!(s.spec().parse::<Strategy>(), Ok(s));
+            }
+        }
     }
 
     #[test]

@@ -4,9 +4,7 @@ use std::collections::BTreeMap;
 
 use rog_fault::{FaultClock, FaultEvent};
 use rog_models::{GradSet, Mlp};
-use rog_net::{
-    BackoffPolicy, ChunkFate, FlowEvent, FlowId, FlowSpec, ReliableProgress, ReliableTransfer,
-};
+use rog_net::{ChunkFate, FlowEvent, FlowId, FlowSpec, ReliableProgress, ReliableTransfer};
 use rog_obs::{obs, obs_shard, Event, EventKind, Journal};
 use rog_sim::{DeviceState, EventQueue, Time};
 use rog_tensor::Matrix;
@@ -82,32 +80,7 @@ impl EngineCtx {
         if let Some(model) = cfg.resolved_loss_model(plan.as_ref()) {
             cluster.transport.set_loss_model(Some(model));
         }
-        let shards = cfg.effective_shards();
-        let faults = match plan {
-            Some(plan) => {
-                if let Some(max_w) = plan.max_worker() {
-                    assert!(
-                        max_w < n,
-                        "fault plan targets worker {max_w} but the run has {n} workers"
-                    );
-                }
-                if let Some(max_s) = plan.max_shard() {
-                    assert!(
-                        max_s < shards,
-                        "fault plan targets shard {max_s} but the run has {shards} shards"
-                    );
-                }
-                if let Some(max_a) = plan.max_aggregator() {
-                    let aggs = cfg.effective_aggregators();
-                    assert!(
-                        max_a < aggs,
-                        "fault plan targets aggregator {max_a} but the run has {aggs} aggregators"
-                    );
-                }
-                plan.schedule()
-            }
-            None => FaultClock::default(),
-        };
+        let faults = plan.map_or_else(FaultClock::default, |plan| plan.schedule());
         let models = vec![cluster.init_model.clone(); n];
         let mut journal = Journal::new(cfg.trace);
         let record = RunRecord::open(cfg, &cluster, 0..n, &mut journal);
@@ -127,7 +100,7 @@ impl EngineCtx {
             computing: vec![false; n],
             stale_timers: vec![0; n],
             link_down: vec![false; n],
-            server_down: vec![false; shards],
+            server_down: vec![false; cfg.effective_shards()],
             journal,
             models,
             grad_pool: Vec::new(),
@@ -363,10 +336,7 @@ impl<C> ReliableSlot<C> {
         }
         let chunks = segment_chunks(bytes);
         self.void_retry();
-        self.retx = Some(ReliableTransfer::new(
-            chunks.clone(),
-            BackoffPolicy::default(),
-        ));
+        self.retx = Some(ReliableTransfer::new(chunks.clone()));
         chunks
     }
 
@@ -375,8 +345,7 @@ impl<C> ReliableSlot<C> {
         let Some(retx) = self.retx.as_mut() else {
             return ReliableRound::Done(flow);
         };
-        let transmitted = retx.pending_count();
-        match retx.on_round(fates, transmitted) {
+        match retx.on_round(fates) {
             ReliableProgress::Done => {
                 self.retx = None;
                 ReliableRound::Done(flow)

@@ -414,12 +414,17 @@ mod tests {
     fn energy_counts_only_robots() {
         let run = |laptops| {
             let mut r = open(2, laptops, &mut Journal::disabled());
+            r.record_eval(50, 10.0, 60.0);
             span(&mut r, 0, 10.0, 0.0);
             span(&mut r, 1, 10.0, 0.0);
-            finish(r, 10.0).total_energy_j
+            finish(r, 10.0)
         };
-        let (both, one) = (run(0), run(1));
+        let (both, one) = (run(0).total_energy_j, run(1).total_energy_j);
         assert!((both - 2.0 * one).abs() < 1e-6);
+        // No robot spends nothing: +0 J, not an empty sum's -0.
+        let laptops = run(2);
+        assert!(laptops.total_energy_j == 0.0 && laptops.total_energy_j.is_sign_positive());
+        assert!(laptops.checkpoints[0].energy_j.is_sign_positive());
     }
 
     #[test]

@@ -54,12 +54,6 @@ fn main() -> ExitCode {
     }
 }
 
-fn warn(run: &CliRun) {
-    for w in &run.warnings {
-        eprintln!("warning: {w}");
-    }
-}
-
 /// The server repairs NaN/Inf gradient values at ingest rather than
 /// spreading them; a run that needed it says so.
 fn report_ingest_faults(stats: &FleetStats) {
@@ -92,7 +86,6 @@ fn export(run: &CliRun, metrics: &RunMetrics) {
 }
 
 fn run_experiment(run: &CliRun) -> ExitCode {
-    warn(run);
     println!(
         "running {} for {:.0}s ...",
         run.config.name(),
@@ -131,7 +124,6 @@ fn live_experiment(
     role: &str,
     launch: impl FnOnce() -> Result<RunOutcome, String>,
 ) -> ExitCode {
-    warn(run);
     println!("{role} ({:.0} virtual secs) ...", run.config.duration_secs);
     let outcome = match launch() {
         Ok(outcome) => outcome,
@@ -158,7 +150,6 @@ fn live_experiment(
 }
 
 fn trace_experiment(run: &CliRun, out: &str) -> ExitCode {
-    warn(run);
     println!(
         "tracing {} for {:.0}s ...",
         run.config.name(),

@@ -21,10 +21,6 @@ pub struct CliRun {
     pub csv_out: Option<String>,
     /// Write run-metrics JSON here.
     pub json_out: Option<String>,
-    /// Accepted-but-suspicious input, e.g. a shard-less
-    /// `server-restart` fault-script line; the binary prints these to
-    /// stderr before running.
-    pub warnings: Vec<String>,
 }
 
 /// A parsed `rogctl` command (run by default, or a trace subcommand).
@@ -185,10 +181,10 @@ as a codec_select event). topk keeps the top 10% values per row
 
 Fault injection: --fault-plan loads a script of
 'offline <w> <start> <end>' / 'blackout <w> <start> <end>' /
-'server-restart [<shard>] <start> <end>' / 'agg-restart <a> <start> <end>' /
+'server-restart <shard> <start> <end>' / 'agg-restart <a> <start> <end>' /
 'loss <link> <start> <end> <rate>' lines; --fault-seed generates a
 deterministic churn plan instead (ignored if a plan file is given).
-A shard-less server-restart line defaults to shard 0 with a warning.
+Shard 0 is the whole server of an unsharded run.
 A run no engine can execute is refused with a one-line reason: a
 plan target outside the run, min > max in a strategy's bounds
 (roga also needs min >= 1), more aggregators than workers.
@@ -423,7 +419,6 @@ pub fn parse(args: &[String]) -> Result<CliRun, CliError> {
     let mut burst_loss: Option<f64> = None;
     let mut corrupt: Option<f64> = None;
     let mut loss_seed: Option<u64> = None;
-    let mut warnings = Vec::new();
     let mut it = args.iter();
     while let Some(flag) = it.next() {
         let mut value = || {
@@ -467,13 +462,8 @@ pub fn parse(args: &[String]) -> Result<CliRun, CliError> {
                 let path = value()?;
                 let text = std::fs::read_to_string(path)
                     .map_err(|e| err(format!("cannot read fault plan '{path}': {e}")))?;
-                let (plan, plan_warnings) = FaultPlan::parse_with_warnings(&text)
+                let plan = FaultPlan::parse(&text)
                     .map_err(|e| err(format!("fault plan '{path}': {e}")))?;
-                warnings.extend(
-                    plan_warnings
-                        .into_iter()
-                        .map(|w| format!("fault plan '{path}': {w}")),
-                );
                 cfg.fault_plan = Some(plan);
             }
             "--fault-seed" => cfg.fault_seed = Some(parsed(flag, value()?, "an integer")?),
@@ -531,7 +521,6 @@ pub fn parse(args: &[String]) -> Result<CliRun, CliError> {
             config: cfg,
             csv_out,
             json_out,
-            warnings,
         })
     } else {
         Err(err(
@@ -675,7 +664,6 @@ mod tests {
     fn shards_flag_parses_into_the_config() {
         let run = parse(&args("--strategy rog:4 --shards 4")).expect("parses");
         assert_eq!(run.config.n_shards, 4);
-        assert!(run.warnings.is_empty());
         assert_eq!(parse(&[]).expect("empty").config.n_shards, 1);
         assert!(parse(&args("--strategy rog:4 --shards 0")).is_err());
         assert!(parse(&args("--strategy rog:4 --shards banana")).is_err());
@@ -735,7 +723,7 @@ mod tests {
     #[test]
     fn fault_plan_file_parses_into_the_config() {
         let path = std::env::temp_dir().join("rogctl_cli_test_plan.txt");
-        std::fs::write(&path, "offline 1 40 80\nserver-restart 200 210\n").expect("write plan");
+        std::fs::write(&path, "offline 1 40 80\nserver-restart 0 200 210\n").expect("write plan");
         let run = parse(&args(&format!("--fault-plan {}", path.display()))).expect("parses");
         let plan = run.config.fault_plan.expect("plan loaded");
         assert_eq!(plan.windows().len(), 2);
@@ -743,13 +731,10 @@ mod tests {
             plan.windows()[0].kind,
             rog_fault::FaultKind::WorkerOffline(1)
         );
-        assert_eq!(
-            run.warnings.len(),
-            1,
-            "shard-less server-restart carries a warning: {:?}",
-            run.warnings
-        );
-        assert!(run.warnings[0].contains("defaults to shard 0"));
+        std::fs::write(&path, "offline 1 40 80\nserver-restart 200 210\n").expect("write plan");
+        let e = parse(&args(&format!("--fault-plan {}", path.display()))).unwrap_err();
+        assert!(e.to_string().contains("line 2"), "{e}");
+        assert!(e.to_string().contains("server-restart <shard>"), "{e}");
         std::fs::remove_file(&path).ok();
     }
 

@@ -37,8 +37,8 @@ use rog_sim::Time;
 use rog_tensor::Matrix;
 
 use crate::{
-    gate, mta, AggregatorMap, AggregatorPlane, AggregatorStats, MtaTimeTracker, RogWorker,
-    RogWorkerConfig, RowId, ShardMap, ShardedServer,
+    gate, mta, AggregatorPlane, AggregatorStats, MtaTimeTracker, RogWorker, RogWorkerConfig, RowId,
+    ShardMap, ShardedServer,
 };
 
 /// One worker's leg to one parameter shard: `(worker, shard)`.
@@ -306,11 +306,6 @@ impl ServerRole {
     /// a corrupted payload got past the link's CRC or a worker diverged.
     pub fn nonfinite_dropped(&self) -> u64 {
         self.server.nonfinite_dropped()
-    }
-
-    /// The aggregator topology, if any.
-    pub fn agg_map(&self) -> Option<&AggregatorMap> {
-        self.agg.as_ref().map(AggregatorPlane::map)
     }
 
     /// Aggregation-tier counters (zero without a tier).

@@ -14,11 +14,7 @@
 //! ```
 //!
 //! `server-restart <shard> <t0> <t1>` takes the server shard down
-//! during `[t0, t1)`. The legacy two-argument form `server-restart
-//! <t0> <t1>` is still accepted and defaults to shard 0 — with a
-//! warning from [`FaultPlan::parse_with_warnings`], because silently
-//! reading it as a cluster-wide outage under a sharded plane would be
-//! wrong.
+//! during `[t0, t1)` (shard 0 is the whole server of an unsharded run).
 //!
 //! The `loss <link> <t0> <t1> <rate>` directive adds `rate` extra
 //! chunk-loss probability on that worker's link during `[t0, t1)`;
@@ -37,48 +33,27 @@ enum ScriptEntry {
 }
 
 impl FaultPlan {
-    /// Parses the script format described in the module docs,
-    /// discarding any warnings. See
-    /// [`FaultPlan::parse_with_warnings`].
+    /// Parses the script format described in the module docs.
     ///
     /// # Errors
     ///
     /// Returns a [`FaultPlanError`] naming the offending line on an
     /// unknown directive, a malformed number, or an invalid window.
     pub fn parse(text: &str) -> Result<Self, FaultPlanError> {
-        Self::parse_with_warnings(text).map(|(plan, _)| plan)
-    }
-
-    /// Parses the script format described in the module docs and also
-    /// returns human-readable warnings for accepted-but-suspicious
-    /// lines — currently the shard-less `server-restart <t0> <t1>`
-    /// form, which defaults to shard 0.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`FaultPlanError`] naming the offending line on an
-    /// unknown directive, a malformed number, or an invalid window.
-    pub fn parse_with_warnings(text: &str) -> Result<(Self, Vec<String>), FaultPlanError> {
         let mut plan = FaultPlan::new();
-        let mut warnings = Vec::new();
         for (idx, raw) in text.lines().enumerate() {
             let line = raw.split('#').next().unwrap_or("").trim();
             if line.is_empty() {
                 continue;
             }
             let fields: Vec<&str> = line.split_whitespace().collect();
-            let (entry, warning) =
-                parse_line(&fields).map_err(|e| FaultPlanError::new(e).with_line(idx + 1, raw))?;
-            if let Some(w) = warning {
-                warnings.push(format!("line {}: {}", idx + 1, w));
-            }
-            match entry {
+            match parse_line(&fields).map_err(|e| FaultPlanError::new(e).with_line(idx + 1, raw))? {
                 ScriptEntry::Fault(window) => plan.try_push(window),
                 ScriptEntry::Loss(window) => plan.try_push_loss(window),
             }
             .map_err(|e| e.with_line(idx + 1, raw))?;
         }
-        Ok((plan, warnings))
+        Ok(plan)
     }
 
     /// Renders the plan back into the script format. Round-trips through
@@ -113,7 +88,7 @@ impl FaultPlan {
     }
 }
 
-fn parse_line(fields: &[&str]) -> Result<(ScriptEntry, Option<String>), String> {
+fn parse_line(fields: &[&str]) -> Result<ScriptEntry, String> {
     let num = |s: &str| -> Result<f64, String> {
         s.parse::<f64>().map_err(|_| format!("bad number `{s}`"))
     };
@@ -141,20 +116,10 @@ fn parse_line(fields: &[&str]) -> Result<(ScriptEntry, Option<String>), String> 
             start: num(s)?,
             end: num(e)?,
         }),
-        ["server-restart", s, e] => {
-            let entry = ScriptEntry::Fault(FaultWindow {
-                kind: FaultKind::ServerOutage(0),
-                start: num(s)?,
-                end: num(e)?,
-            });
-            return Ok((
-                entry,
-                Some(
-                    "`server-restart` with no shard argument defaults to shard 0 \
-                     (use `server-restart <shard> <t0> <t1>`)"
-                        .to_string(),
-                ),
-            ));
+        ["server-restart", ..] => {
+            return Err("`server-restart` takes a shard: \
+                 `server-restart <shard> <t0> <t1>`"
+                .to_string())
         }
         ["agg-restart", a, s, e] => ScriptEntry::Fault(FaultWindow {
             kind: FaultKind::AggregatorOutage(
@@ -178,7 +143,7 @@ fn parse_line(fields: &[&str]) -> Result<(ScriptEntry, Option<String>), String> 
         }
         [] => unreachable!("blank lines filtered by caller"),
     };
-    Ok((entry, None))
+    Ok(entry)
 }
 
 #[cfg(test)]
@@ -191,7 +156,7 @@ offline 2 40 80
 offline 2 140 180   # second dropout
 blackout 1 60 75
 
-server-restart 200 210
+server-restart 0 200 210
 loss 1 100 160 0.3  # interference burst
 loss 3 0 600 0.05
 ";
@@ -221,34 +186,26 @@ loss 3 0 600 0.05
     fn round_trips_through_script_text() {
         let plan = FaultPlan::parse(SCRIPT).expect("valid script");
         let text = plan.to_script();
-        assert!(
-            text.contains("server-restart 0 200 210\n"),
-            "rendered form is shard-explicit: {text}"
-        );
-        let (again, warnings) = FaultPlan::parse_with_warnings(&text).expect("round-trip");
-        assert_eq!(plan, again);
-        assert!(warnings.is_empty(), "rendered scripts are warning-free");
+        assert!(text.contains("server-restart 0 200 210\n"), "{text}");
+        assert_eq!(plan, FaultPlan::parse(&text).expect("round-trip"));
     }
 
     #[test]
-    fn shardless_server_restart_defaults_to_shard_zero_with_warning() {
-        let (plan, warnings) =
-            FaultPlan::parse_with_warnings("server-restart 200 210").expect("legacy form");
-        assert_eq!(plan.windows()[0].kind, FaultKind::ServerOutage(0));
-        assert_eq!(warnings.len(), 1);
-        assert!(warnings[0].contains("line 1"), "{warnings:?}");
-        assert!(warnings[0].contains("defaults to shard 0"), "{warnings:?}");
-        // The plain parser accepts the same script silently.
-        assert_eq!(FaultPlan::parse("server-restart 200 210").unwrap(), plan);
+    fn shardless_server_restart_is_refused_with_its_line_and_the_shard_form() {
+        let err = FaultPlan::parse("offline 1 0 10\nserver-restart 200 210").unwrap_err();
+        assert_eq!(err.line(), Some(2));
+        assert!(
+            err.message().contains("`server-restart <shard> <t0> <t1>`"),
+            "{err}"
+        );
     }
 
     #[test]
     fn shard_explicit_server_restart_parses_and_round_trips() {
-        let (plan, warnings) = FaultPlan::parse_with_warnings(
+        let plan = FaultPlan::parse(
             "server-restart 2 50 60\nserver-restart 0 55 70  # overlap ok across shards",
         )
         .expect("shard form");
-        assert!(warnings.is_empty(), "{warnings:?}");
         assert_eq!(plan.windows()[0].kind, FaultKind::ServerOutage(2));
         assert_eq!(plan.windows()[1].kind, FaultKind::ServerOutage(0));
         assert_eq!(plan.max_shard(), Some(2));
@@ -345,90 +302,21 @@ loss 3 0 600 0.05
 
     mod roundtrip_proptests {
         use super::*;
+        use crate::plan::tests::random_plan;
         use proptest::prelude::*;
-        use rog_tensor::rng::DetRng;
-
-        /// Builds a random — but valid — plan from one seed, exercising
-        /// every expressible directive: all four fault kinds plus loss
-        /// windows, with awkward fractional times and rates.
-        fn random_plan(seed: u64) -> FaultPlan {
-            let mut rng = DetRng::new(seed ^ 0x5eed_f007);
-            let mut plan = FaultPlan::new();
-            let n = 1 + rng.index(12);
-            for _ in 0..n {
-                // Times deliberately include long-decimal floats (the
-                // raw uniform draw) and not just round grid points: the
-                // script must survive `{}` formatting byte-for-byte.
-                let start = match rng.index(3) {
-                    0 => rng.index(500) as f64,
-                    1 => (rng.index(5000) as f64) / 10.0,
-                    _ => rng.uniform_range(0.0, 500.0),
-                };
-                let dur = match rng.index(3) {
-                    0 => 1.0 + rng.index(60) as f64,
-                    1 => 0.125 + (rng.index(400) as f64) / 8.0,
-                    _ => rng.uniform_range(1e-6, 60.0),
-                };
-                let idx = rng.index(8);
-                let res = match rng.index(5) {
-                    0 => plan.try_push(FaultWindow {
-                        kind: FaultKind::WorkerOffline(idx),
-                        start,
-                        end: start + dur,
-                    }),
-                    1 => plan.try_push(FaultWindow {
-                        kind: FaultKind::LinkBlackout(idx),
-                        start,
-                        end: start + dur,
-                    }),
-                    2 => plan.try_push(FaultWindow {
-                        kind: FaultKind::ServerOutage(idx % 4),
-                        start,
-                        end: start + dur,
-                    }),
-                    3 => plan.try_push(FaultWindow {
-                        kind: FaultKind::AggregatorOutage(idx % 4),
-                        start,
-                        end: start + dur,
-                    }),
-                    _ => {
-                        let rate = match rng.index(3) {
-                            0 => (rng.index(101) as f64) / 100.0,
-                            1 => 1.0,
-                            _ => rng.uniform(),
-                        };
-                        plan.try_push_loss(LossWindow {
-                            link: idx,
-                            start,
-                            end: start + dur,
-                            rate,
-                        })
-                    }
-                };
-                // Overlaps with an earlier same-kind window are the
-                // only admissible rejection; everything else is a bug
-                // in the generator above.
-                if let Err(e) = res {
-                    assert!(e.message().contains("overlaps"), "{e}");
-                }
-            }
-            plan
-        }
 
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(256))]
             /// Every expressible plan round-trips `to_script` →
-            /// `parse_with_warnings` into an equal plan, an identical
-            /// re-rendered script, and zero warnings. The scenario
-            /// generator in `rog-fuzz` leans on this: a shrunk repro
-            /// is exchanged exclusively as script text.
+            /// `parse` into an equal plan and an identical re-rendered
+            /// script. The scenario generator in `rog-fuzz` leans on
+            /// this: a shrunk repro is exchanged exclusively as script
+            /// text.
             #[test]
             fn every_expressible_plan_round_trips(seed in 0u64..512) {
                 let plan = random_plan(seed);
                 let text = plan.to_script();
-                let (again, warnings) =
-                    FaultPlan::parse_with_warnings(&text).expect("rendered scripts parse");
-                prop_assert!(warnings.is_empty(), "warnings: {warnings:?}");
+                let again = FaultPlan::parse(&text).expect("rendered scripts parse");
                 prop_assert_eq!(&again, &plan);
                 prop_assert_eq!(again.to_script(), text);
             }

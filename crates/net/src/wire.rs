@@ -27,6 +27,8 @@
 //!   28+n    4  end marker    b"\x03GOR"           ┘
 //! ```
 
+use rog_obs::crc32;
+
 /// Unique marker bytes at the start of a framed transmission.
 pub const FRAME_START_BYTES: u64 = 8;
 
@@ -54,36 +56,6 @@ pub const fn framed_row_bytes(payload_bytes: u64) -> u64 {
 const START_MARKER: [u8; 4] = *b"ROG\x02";
 /// End-of-frame marker.
 const END_MARKER: [u8; 4] = *b"\x03GOR";
-
-/// One CRC32 step per byte value, built at compile time.
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
-    let mut n = 0;
-    while n < 256 {
-        let mut crc = n as u32;
-        let mut k = 0;
-        while k < 8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-            k += 1;
-        }
-        table[n] = crc;
-        n += 1;
-    }
-    table
-};
-
-/// CRC32 (IEEE 802.3, reflected polynomial `0xEDB88320`) of `data`.
-///
-/// Hand-rolled, one table lookup per byte — every live frame is summed
-/// twice, and the workspace vendors no checksum crate.
-pub fn crc32(data: &[u8]) -> u32 {
-    let mut crc: u32 = 0xFFFF_FFFF;
-    for &b in data {
-        crc = CRC_TABLE[((crc ^ u32::from(b)) & 0xFF) as usize] ^ (crc >> 8);
-    }
-    !crc
-}
 
 /// Which reliability class a frame travels under (see
 /// [`crate::reliability`]).
@@ -244,17 +216,6 @@ mod tests {
             attempt: 3,
             iter: 123_456_789_012,
         }
-    }
-
-    #[test]
-    fn crc32_matches_known_vectors() {
-        // Standard IEEE check values.
-        assert_eq!(crc32(b""), 0x0000_0000);
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(
-            crc32(b"The quick brown fox jumps over the lazy dog"),
-            0x414F_A339
-        );
     }
 
     #[test]

@@ -28,7 +28,8 @@ const CRC_TABLE: [u32; 256] = {
     table
 };
 
-/// IEEE CRC-32 (reflected polynomial `0xEDB88320`), as used by gzip.
+/// IEEE CRC-32 (reflected polynomial `0xEDB88320`), as used by gzip
+/// and by the wire frames of `rog-net`.
 pub fn crc32(data: &[u8]) -> u32 {
     let mut crc = 0xFFFF_FFFFu32;
     for &b in data {
@@ -455,6 +456,10 @@ mod tests {
         assert_eq!(crc32(b""), 0);
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b"hello"), 0x3610_A686);
+        assert_eq!(
+            crc32(b"The quick brown fox jumps over the lazy dog"),
+            0x414F_A339
+        );
     }
 
     #[test]

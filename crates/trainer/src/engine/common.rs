@@ -2,9 +2,13 @@
 
 use std::collections::BTreeMap;
 
+use rog_compress::{OneBitCodec, RowCodec};
+use rog_core::AggregatorMap;
 use rog_fault::{FaultClock, FaultEvent};
 use rog_models::{GradSet, Mlp};
-use rog_net::{ChunkFate, FlowEvent, FlowId, FlowSpec, ReliableProgress, ReliableTransfer};
+use rog_net::{
+    shard_link, ChunkFate, FlowEvent, FlowId, FlowSpec, ReliableProgress, ReliableTransfer,
+};
 use rog_obs::{obs, obs_shard, Event, EventKind, Journal};
 use rog_sim::{DeviceState, EventQueue, Time};
 use rog_tensor::Matrix;
@@ -40,7 +44,8 @@ pub struct EngineCtx {
     /// path (`faults.next_time()` is `None` and the event loop never sees
     /// a fault).
     pub faults: FaultClock,
-    /// Workers currently powered off / out of range.
+    /// Workers out of the membership: set when the device departs,
+    /// cleared when its rejoin resync lands.
     pub offline: Vec<bool>,
     /// Workers that reached the end of the time budget.
     pub(crate) done: Vec<bool>,
@@ -56,6 +61,20 @@ pub struct EngineCtx {
     /// Length is [`ExperimentConfig::effective_shards`]; unsharded runs
     /// have a single entry.
     pub server_down: Vec<bool>,
+    /// Per-aggregator outage flags; a downed aggregator severs all its
+    /// member workers from the parameter plane at once.
+    agg_down: Vec<bool>,
+    /// Which edge aggregator fronts each worker; `None` in a flat
+    /// worker→server topology.
+    pub(crate) agg_map: Option<AggregatorMap>,
+    /// Departed workers whose rejoin resync waits for their path and
+    /// every shard to come back.
+    resync_pending: Vec<bool>,
+    /// Wire size of a whole model: every rejoin resync, and every
+    /// transfer of the model-granularity baselines. Both ship the dense
+    /// one-bit model (a rejoiner's residuals were just reset, so there
+    /// is no content to size against; the codec ladder is row-granular).
+    pub(crate) model_wire_bytes: u64,
     /// Deterministic event journal ([`rog_obs`]); disabled unless
     /// `cfg.trace` is set. Recording never feeds back into the
     /// simulation.
@@ -85,6 +104,14 @@ impl EngineCtx {
         let mut journal = Journal::new(cfg.trace);
         let record = RunRecord::open(cfg, &cluster, 0..n, &mut journal);
         let draws = (0..n).map(|w| WorkerDraws::new(cfg, &cluster, w)).collect();
+        let n_aggs = cfg.effective_aggregators();
+        let model_wire_bytes = cluster.scaled_model_bytes(
+            cluster
+                .init_model
+                .row_widths()
+                .iter()
+                .map(|&w| OneBitCodec.payload_bytes(w)),
+        );
         Self {
             cfg: cfg.clone(),
             cluster,
@@ -101,6 +128,10 @@ impl EngineCtx {
             stale_timers: vec![0; n],
             link_down: vec![false; n],
             server_down: vec![false; cfg.effective_shards()],
+            agg_down: vec![false; n_aggs],
+            agg_map: (n_aggs > 0).then(|| AggregatorMap::contiguous(n, n_aggs)),
+            resync_pending: vec![false; n],
+            model_wire_bytes,
             journal,
             models,
             grad_pool: Vec::new(),
@@ -116,6 +147,45 @@ impl EngineCtx {
     /// Whether any parameter-server shard is currently down.
     pub fn any_server_down(&self) -> bool {
         self.server_down.iter().any(|&d| d)
+    }
+
+    /// Whether `w`'s path to the parameter plane is severed: its own
+    /// link is blacked out, or its fronting aggregator is down. Every
+    /// connectivity decision goes through this, so an aggregator outage
+    /// behaves exactly like a blackout of all its members at once.
+    fn path_blocked(&self, w: usize) -> bool {
+        self.link_down[w]
+            || self
+                .agg_map
+                .as_ref()
+                .is_some_and(|m| self.agg_down[m.agg_of(w)])
+    }
+
+    /// The workers fronted by aggregator `a`.
+    fn agg_members(&self, a: usize) -> Vec<usize> {
+        self.agg_map
+            .as_ref()
+            .expect("aggregator faults are validated against the topology")
+            .members(a)
+            .to_vec()
+    }
+
+    /// Whether worker `w` and shard `s` can exchange a pull right now:
+    /// the `reach` of a release scan.
+    pub(crate) fn reachable(&self, w: usize, s: usize) -> bool {
+        !self.offline[w] && !self.path_blocked(w) && !self.server_down[s]
+    }
+
+    /// Whether worker `w` may start a push: its path is up and at least
+    /// one shard is (a cycle skips the shards that are down).
+    pub(crate) fn can_push(&self, w: usize) -> bool {
+        !self.path_blocked(w) && self.server_down.contains(&false)
+    }
+
+    /// Whether worker `w` may start its rejoin resync: its path is up
+    /// and every shard is (the resync carries whole-model state).
+    fn can_resync(&self, w: usize) -> bool {
+        !self.path_blocked(w) && !self.any_server_down()
     }
 
     /// Marks a worker's state at time `t` in the run's record.
@@ -134,7 +204,7 @@ impl EngineCtx {
 
     /// The device running worker `w`'s computation departed: its queued
     /// `ComputeDone` timer (if any) is swallowed on arrival.
-    pub(crate) fn void_compute(&mut self, w: usize) {
+    fn void_compute(&mut self, w: usize) {
         if self.computing[w] {
             self.stale_timers[w] += 1;
         }
@@ -180,35 +250,6 @@ impl EngineCtx {
                     .map_or(-1, |w| w as i64),
             }
         );
-    }
-
-    /// Rejoin: worker `w` adopts the model of the most advanced online
-    /// peer (ties break to the lowest index) — the closest stand-in the
-    /// simulation has for the server streaming its current model; any
-    /// choice within the staleness bound is admissible. Journals and
-    /// returns the adopted iteration (`w`'s own when it is alone).
-    pub(crate) fn adopt_most_advanced_peer(
-        &mut self,
-        w: usize,
-        now: Time,
-        iter_of: impl Fn(usize) -> u64,
-    ) -> u64 {
-        let mut reference: Option<usize> = None;
-        for i in (0..self.models.len()).filter(|&i| i != w && !self.offline[i]) {
-            if reference.is_none_or(|r| iter_of(i) > iter_of(r)) {
-                reference = Some(i);
-            }
-        }
-        if let Some(r) = reference {
-            self.models[w] = self.models[r].clone();
-        }
-        let iter = iter_of(reference.unwrap_or(w));
-        obs!(
-            self.journal,
-            now,
-            EventKind::ResyncEnd { w: w as u32, iter }
-        );
-        iter
     }
 
     /// Pops a recycled gradient buffer, or builds a fresh one (every
@@ -432,9 +473,20 @@ impl<C> FlowTable<C> {
         Some(flow)
     }
 
-    /// Transfers worker `w` has on the air.
-    pub(crate) fn in_flight(&self, w: usize) -> u32 {
-        self.in_flight[w]
+    /// Sets worker `w`'s state after its transfers changed: `Compute`
+    /// while a gradient computation runs (pipeline mode),
+    /// `Communicate` while transfers to other shards are still on the
+    /// air — one stalled or finished leg must not misattribute the whole
+    /// device's time — and `fallback` otherwise.
+    pub(crate) fn settle(&self, ctx: &mut EngineCtx, w: usize, now: Time, fallback: DeviceState) {
+        let state = if ctx.computing[w] {
+            DeviceState::Compute
+        } else if self.in_flight[w] > 0 {
+            DeviceState::Communicate
+        } else {
+            fallback
+        };
+        ctx.set_state(w, now, state);
     }
 
     /// Cancels every in-flight transfer `doomed` selects (by owner and
@@ -442,7 +494,7 @@ impl<C> FlowTable<C> {
     /// caller can decide what (if anything) resumes. Cancelled
     /// transfers acknowledge nothing: every byte already on the air is
     /// wasted and any retransmission starts from scratch.
-    pub(crate) fn cancel_where(
+    fn cancel_where(
         &mut self,
         ctx: &mut EngineCtx,
         doomed: impl Fn(usize, &C) -> bool,
@@ -475,30 +527,10 @@ impl<C> FlowTable<C> {
     /// are cancelled and its reliable transfer abandoned. Returns the
     /// contexts of everything that was on the air or parked in a
     /// retransmit backoff (which has no flow to cancel).
-    pub(crate) fn sever(&mut self, ctx: &mut EngineCtx, w: usize) -> Vec<C> {
+    fn sever(&mut self, ctx: &mut EngineCtx, w: usize) -> Vec<C> {
         let mut cut = self.cancel_flows_of(ctx, w);
         cut.extend(self.clear_retx(w));
         cut
-    }
-
-    /// Starts the full-model transfer that brings rejoining worker `w`
-    /// back in sync before it may train again.
-    pub(crate) fn begin_resync(
-        &mut self,
-        ctx: &mut EngineCtx,
-        now: Time,
-        w: usize,
-        link: usize,
-        bytes: u64,
-        flow: C,
-    ) {
-        obs!(
-            ctx.journal,
-            now,
-            EventKind::ResyncStart { w: w as u32, bytes }
-        );
-        ctx.set_state(w, now, DeviceState::Communicate);
-        self.start_reliable(ctx, now, w, link, bytes, flow);
     }
 
     /// Starts a reliable-class transfer of `bytes` for worker `w` over
@@ -594,26 +626,52 @@ impl<C> FlowTable<C> {
     /// Abandons worker `w`'s reliable transfer at a fault site,
     /// returning the flow context that was parked in backoff (it has no
     /// flow to cancel) so the caller can mark what resumes.
-    pub(crate) fn clear_retx(&mut self, w: usize) -> Option<C> {
+    fn clear_retx(&mut self, w: usize) -> Option<C> {
         self.reliable[w].clear()
     }
 }
 
-/// What the shared event loop ([`drive`]) dispatches into: the hooks
-/// each engine fills in with its own protocol.
+/// What the shared fault lifecycle needs to know about an engine's
+/// flow context.
+pub(crate) trait Transfer {
+    /// Worker `w`'s rejoin resync.
+    fn resync(w: usize) -> Self;
+    /// The shard the transfer talks to; `None` for a rejoin resync,
+    /// which carries whole-model state and so needs every shard.
+    fn shard(&self) -> Option<usize>;
+}
+
+/// What the shared event loop ([`drive`]) and fault lifecycle
+/// ([`apply_fault`]) dispatch into: the hooks each engine fills in with
+/// its own protocol.
 pub(crate) trait Engine {
     /// What the engine remembers about one in-flight transfer.
-    type Flow;
+    type Flow: Transfer;
     /// The shared substrate and the in-flight transfer table.
     fn parts(&mut self) -> (&mut EngineCtx, &mut FlowTable<Self::Flow>);
     /// Starts worker `w`'s next gradient computation at `now`.
     fn start_compute(&mut self, w: usize, now: Time);
     /// An in-flight transfer finished (or hit its deadline).
     fn on_flow(&mut self, flow: Self::Flow, ev: FlowEvent);
-    /// An injected fault fired.
-    fn on_fault(&mut self, f: FaultEvent, now: Time);
     /// Worker `w`'s gradient computation finished.
     fn on_compute_done(&mut self, w: usize, now: Time);
+    /// Iterations worker `w` has completed (what a rejoiner adopts).
+    fn iteration(&self, w: usize) -> u64;
+    /// Worker `w` departed (its flows are severed, its timer voided):
+    /// what its cycle and the parameter plane forget.
+    fn depart(&mut self, w: usize, now: Time);
+    /// A fault cut worker `w`'s `flow` (never a resync): mark what it
+    /// restarts as.
+    fn suspend(&mut self, w: usize, flow: Self::Flow);
+    /// Online worker `w`'s path is up again: restart what it suspended,
+    /// to the extent the shards are.
+    fn resume(&mut self, w: usize, now: Time);
+    /// The release scan: every parked request the engine can reach is
+    /// put to its gate again.
+    fn drain_waiting(&mut self, now: Time);
+    /// Worker `w`'s rejoin resync landed and it adopted iteration `n`:
+    /// the engine's part of the rejoin.
+    fn rejoin(&mut self, w: usize, n: u64, now: Time);
 }
 
 /// Runs an engine to the end of its virtual time budget and returns the
@@ -655,8 +713,7 @@ pub(crate) fn drive(e: &mut impl Engine) -> u64 {
         if !faults.is_empty() {
             dispatched += faults.len() as u64;
             for f in faults {
-                e.parts().0.journal_fault(f, now);
-                e.on_fault(f, now);
+                apply_fault(e, f, now);
             }
             continue;
         }
@@ -696,6 +753,192 @@ pub(crate) fn compute_or_retire(e: &mut impl Engine, w: usize, now: Time) {
         ctx.done[w] = true;
         ctx.set_state(w, now, DeviceState::Idle);
     }
+}
+
+/// Flips one outage mask entry on a fault edge. A plan's edges of one
+/// target alternate down, up, down (`FaultPlan::try_push` refuses
+/// overlapping windows of a kind, and the clock orders recoveries first
+/// at a shared instant), so the entry always changes.
+fn flip(mask: &mut [bool], i: usize, down: bool) {
+    debug_assert_ne!(mask[i], down, "fault edges of one target alternate");
+    mask[i] = down;
+}
+
+/// Applies one injected fault: journals it, moves the connectivity
+/// masks and runs the fault lifecycle both engines share. The engine's
+/// hooks hold only what its cycle suspends and resumes.
+fn apply_fault(e: &mut impl Engine, f: FaultEvent, now: Time) {
+    let (ctx, flows) = e.parts();
+    ctx.journal_fault(f, now);
+    match f {
+        FaultEvent::WorkerDown(w) => {
+            // A worker still out of the membership (the rejoin resync of
+            // an earlier outage in flight or pending) has nothing left
+            // to lose: the new window passes unnoticed, and its end
+            // finds the worker back.
+            if ctx.offline[w] {
+                return;
+            }
+            ctx.offline[w] = true;
+            // Every in-flight transfer dies with the device; nothing
+            // resumes (the rejoin rebuilds the cycle from the resynced
+            // model instead).
+            flows.sever(ctx, w);
+            ctx.void_compute(w);
+            ctx.set_state(w, now, DeviceState::Offline);
+            e.depart(w, now);
+        }
+        FaultEvent::WorkerUp(w) => {
+            if !ctx.offline[w] {
+                return;
+            }
+            if ctx.can_resync(w) {
+                start_resync(e, w, now);
+            } else {
+                // Powered on but unreachable: resync once the path and
+                // every shard are back.
+                ctx.resync_pending[w] = true;
+            }
+        }
+        FaultEvent::BlackoutStart(w) => {
+            flip(&mut ctx.link_down, w, true);
+            sever(e, w, now);
+        }
+        FaultEvent::BlackoutEnd(w) => {
+            flip(&mut ctx.link_down, w, false);
+            resume(e, w, now);
+            e.drain_waiting(now);
+        }
+        FaultEvent::AggregatorDown(a) => {
+            // The members' own radios stay up: `link_down` is untouched
+            // and `path_blocked` composes the two masks.
+            flip(&mut ctx.agg_down, a, true);
+            for w in ctx.agg_members(a) {
+                sever(e, w, now);
+            }
+        }
+        FaultEvent::AggregatorUp(a) => {
+            flip(&mut ctx.agg_down, a, false);
+            for w in ctx.agg_members(a) {
+                resume(e, w, now);
+            }
+            e.drain_waiting(now);
+        }
+        FaultEvent::ServerDown(s) => {
+            flip(&mut ctx.server_down, s, true);
+            // Flows to the failed shard die; resyncs carry whole-model
+            // state and need every shard, so they die with it too, as
+            // does every reliable retransmit parked in its backoff.
+            let cut = flows.cancel_where(ctx, |_, c| c.shard().is_none_or(|cs| cs == s));
+            for (w, flow) in cut {
+                suspend(e, w, flow);
+                let (ctx, flows) = e.parts();
+                if !ctx.offline[w] && !ctx.done[w] {
+                    flows.settle(ctx, w, now, DeviceState::Stall);
+                }
+            }
+            for w in 0..e.parts().0.cfg.n_workers {
+                if let Some(flow) = e.parts().1.clear_retx(w) {
+                    suspend(e, w, flow);
+                }
+            }
+        }
+        FaultEvent::ServerUp(s) => {
+            flip(&mut ctx.server_down, s, false);
+            for w in 0..ctx.cfg.n_workers {
+                if !e.parts().0.path_blocked(w) {
+                    resume(e, w, now);
+                }
+            }
+            e.drain_waiting(now);
+        }
+    }
+}
+
+/// Worker `w`'s path to the parameter plane went down: whatever it had
+/// on the air, or parked in a retransmit backoff, dies and is marked to
+/// restart when the path returns; an idle worker stalls.
+fn sever(e: &mut impl Engine, w: usize, now: Time) {
+    let (ctx, flows) = e.parts();
+    for flow in flows.sever(ctx, w) {
+        suspend(e, w, flow);
+    }
+    let (ctx, flows) = e.parts();
+    if !ctx.offline[w] && !ctx.done[w] {
+        flows.settle(ctx, w, now, DeviceState::Stall);
+    }
+}
+
+/// Marks what a cut transfer restarts as: a resync waits in
+/// [`EngineCtx`], everything else is the engine's to resume.
+fn suspend<E: Engine>(e: &mut E, w: usize, flow: E::Flow) {
+    if flow.shard().is_none() {
+        e.parts().0.resync_pending[w] = true;
+    } else {
+        e.suspend(w, flow);
+    }
+}
+
+/// Restarts whatever worker `w` had suspended, to the extent its path
+/// and the parameter shards are reachable again.
+fn resume(e: &mut impl Engine, w: usize, now: Time) {
+    let ctx = e.parts().0;
+    if ctx.offline[w] {
+        if ctx.resync_pending[w] && ctx.can_resync(w) {
+            start_resync(e, w, now);
+        }
+        return;
+    }
+    if !ctx.path_blocked(w) {
+        e.resume(w, now);
+    }
+}
+
+/// Starts the reliable-class full-model transfer that brings departed
+/// worker `w` back in sync before it may train again, over its link to
+/// shard 0.
+fn start_resync<E: Engine>(e: &mut E, w: usize, now: Time) {
+    let (ctx, flows) = e.parts();
+    ctx.resync_pending[w] = false;
+    let bytes = ctx.model_wire_bytes;
+    obs!(
+        ctx.journal,
+        now,
+        EventKind::ResyncStart { w: w as u32, bytes }
+    );
+    ctx.set_state(w, now, DeviceState::Communicate);
+    let link = shard_link(w, ctx.server_down.len(), 0);
+    flows.start_reliable(ctx, now, w, link, bytes, E::Flow::resync(w));
+}
+
+/// Worker `w`'s rejoin resync landed. It adopts the model of the most
+/// advanced online peer (ties break to the lowest index) — the closest
+/// stand-in the simulation has for the server streaming its current
+/// model; any choice within the staleness bound is admissible — or
+/// keeps its own when alone. The engine takes its part of the rejoin at
+/// the adopted iteration, and the worker is back in the membership:
+/// it trains on, and its fast-forwarded version can only open the gates
+/// further.
+pub(crate) fn finish_rejoin(e: &mut impl Engine, w: usize, now: Time) {
+    let mut reference: Option<(usize, u64)> = None;
+    for i in 0..e.parts().0.cfg.n_workers {
+        if i != w && !e.parts().0.offline[i] {
+            let iter = e.iteration(i);
+            if reference.is_none_or(|(_, best)| iter > best) {
+                reference = Some((i, iter));
+            }
+        }
+    }
+    let iter = reference.map_or_else(|| e.iteration(w), |(_, iter)| iter);
+    let ctx = e.parts().0;
+    if let Some((r, _)) = reference {
+        ctx.models[w] = ctx.models[r].clone();
+    }
+    obs!(ctx.journal, now, EventKind::ResyncEnd { w: w as u32, iter });
+    e.rejoin(w, iter, now);
+    e.parts().0.offline[w] = false;
+    compute_or_retire(e, w, now);
+    e.drain_waiting(now);
 }
 
 /// Partners handled per pass over one model in
@@ -938,12 +1181,20 @@ mod tests {
 
     /// An engine that only logs what [`drive`] dispatches. When `at` is
     /// set, worker 0 arms a timer and a deadline-cut flow for that
-    /// instant.
+    /// instant, plus a flow too long to end that a fault can cut. A
+    /// cut flow and a release scan log as faults.
     struct Stub {
         ctx: EngineCtx,
         flows: FlowTable<()>,
         at: Option<Time>,
         log: Vec<(&'static str, Time)>,
+    }
+
+    impl Transfer for () {
+        fn resync(_: usize) {}
+        fn shard(&self) -> Option<usize> {
+            Some(0)
+        }
     }
 
     impl Engine for Stub {
@@ -956,17 +1207,28 @@ mod tests {
                 self.ctx.queue.push(at, Ev::ComputeDone(0));
                 let spec = FlowSpec::new(0, vec![u64::MAX / 4]).with_deadline(at);
                 self.flows.start(&mut self.ctx, now, 0, spec, ());
+                let spec = FlowSpec::new(0, vec![u64::MAX / 4]);
+                self.flows.start(&mut self.ctx, now, 0, spec, ());
             }
         }
         fn on_flow(&mut self, (): (), ev: FlowEvent) {
             self.log.push(("flow", ev.at));
         }
-        fn on_fault(&mut self, _: FaultEvent, now: Time) {
-            self.log.push(("fault", now));
-        }
         fn on_compute_done(&mut self, _: usize, now: Time) {
             self.log.push(("timer", now));
         }
+        fn iteration(&self, _: usize) -> u64 {
+            0
+        }
+        fn depart(&mut self, _: usize, _: Time) {}
+        fn suspend(&mut self, _: usize, (): ()) {
+            self.log.push(("fault", self.ctx.cluster.transport.now()));
+        }
+        fn resume(&mut self, _: usize, _: Time) {}
+        fn drain_waiting(&mut self, now: Time) {
+            self.log.push(("fault", now));
+        }
+        fn rejoin(&mut self, _: usize, _: u64, _: Time) {}
     }
 
     fn stub(cfg: &ExperimentConfig, at: Option<Time>) -> Stub {

@@ -4,8 +4,9 @@
 //! FLOWN / DSSP / ABS), [`row`] runs ROG (RSP + ATP) and the
 //! adaptive-bound hybrid; both drive rog-core's worker and server roles.
 //! Both share [`common::EngineCtx`]: the simulated cluster, the
-//! deterministic event queue, each worker's draw model and the run
-//! record (per-device state timelines).
+//! deterministic event queue, each worker's draw model, the run record
+//! (per-device state timelines) and the connectivity state the one
+//! fault lifecycle in [`common`] moves.
 
 pub mod common;
 mod control;

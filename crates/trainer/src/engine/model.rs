@@ -19,18 +19,18 @@
 //! no role step that journals, whose `row_push`/`row_pull`/`mta`
 //! records the baselines' journal never had.
 
-use rog_compress::{OneBitCodec, RowCodec};
 use rog_core::{
     Gate, ImportanceMetric, RogWorkerConfig, RowId, ServerRole, ShardMap, ShardedServer, WorkerRole,
 };
-use rog_fault::FaultEvent;
 use rog_net::{FlowEvent, FlowOutcome};
 use rog_obs::{obs, EventKind};
 use rog_sim::{DeviceState, Time};
 
 use crate::compute;
 use crate::config::ExperimentConfig;
-use crate::engine::common::{compute_or_retire, drive, Engine, EngineCtx, FlowTable};
+use crate::engine::common::{
+    compute_or_retire, drive, finish_rejoin, Engine, EngineCtx, FlowTable, Transfer,
+};
 use crate::engine::control::{GateControl, Round};
 use crate::metrics::RunMetrics;
 use crate::run::FleetStats;
@@ -49,10 +49,10 @@ struct WState {
     /// How long the last granted pull waited at the gate (ABS's stall
     /// accounting).
     last_gate_wait: f64,
-    /// The transfer to restart from scratch once connectivity returns
-    /// after a fault. Membership is *static*: a departed worker's
-    /// version pins the SSP/BSP gate until it rejoins — the fragility
-    /// ROG's dynamic membership removes.
+    /// The push or pull to restart from scratch once connectivity
+    /// returns after a fault. Membership is *static*: a departed
+    /// worker's version pins the SSP/BSP gate until it rejoins — the
+    /// fragility ROG's dynamic membership removes.
     resume: Option<FlowCtx>,
 }
 
@@ -68,6 +68,20 @@ impl FlowCtx {
     fn worker(&self) -> usize {
         match self {
             FlowCtx::Push(w) | FlowCtx::Pull(w) | FlowCtx::Resync(w) => *w,
+        }
+    }
+}
+
+impl Transfer for FlowCtx {
+    fn resync(w: usize) -> Self {
+        FlowCtx::Resync(w)
+    }
+
+    /// Every push and pull talks to the one shard.
+    fn shard(&self) -> Option<usize> {
+        match self {
+            FlowCtx::Push(_) | FlowCtx::Pull(_) => Some(0),
+            FlowCtx::Resync(_) => None,
         }
     }
 }
@@ -101,7 +115,6 @@ struct ModelEngine {
     /// ingested from it; its granted pull is drained into it at grant
     /// time and applied when the transfer lands.
     payloads: Vec<Vec<(RowId, Vec<f32>)>>,
-    model_wire_bytes: u64,
 }
 
 /// Runs one model-granularity experiment, returning the event journal
@@ -110,14 +123,8 @@ pub fn run(cfg: &ExperimentConfig) -> (RunMetrics, rog_obs::Journal, FleetStats)
     let ctx = EngineCtx::new(cfg);
     let n = cfg.n_workers;
     let init = &ctx.cluster.init_model;
-    let widths = init.row_widths();
-    // Model-granularity baselines always ship the dense one-bit model
-    // (the codec ladder is a row-granular feature).
-    let model_wire_bytes = ctx
-        .cluster
-        .scaled_model_bytes(widths.iter().map(|&w| OneBitCodec.payload_bytes(w)));
-    let rows: Vec<RowId> = (0..widths.len()).map(RowId).collect();
-    let (fixed, control) = GateControl::for_strategy(cfg.strategy, n, model_wire_bytes);
+    let rows: Vec<RowId> = (0..init.row_widths().len()).map(RowId).collect();
+    let (fixed, control) = GateControl::for_strategy(cfg.strategy, n, ctx.model_wire_bytes);
     // Both ends run the default one-bit codec with seed-0 residuals (it
     // never draws from them); the plane's threshold seeds every gate
     // bound. A worker's own threshold is unread: the baselines never rank.
@@ -149,7 +156,6 @@ pub fn run(cfg: &ExperimentConfig) -> (RunMetrics, rog_obs::Journal, FleetStats)
         flows: FlowTable::new(n),
         rows,
         payloads: vec![Vec::new(); n],
-        model_wire_bytes,
     };
     engine.refresh_thresholds(0.0);
     drive(&mut engine);
@@ -186,21 +192,7 @@ impl Engine for ModelEngine {
         match flow {
             FlowCtx::Push(w) => self.on_push_done(w, ev.at),
             FlowCtx::Pull(w) => self.on_pull_done(w, ev.at),
-            FlowCtx::Resync(w) => self.finish_resync(w, ev.at),
-        }
-    }
-
-    fn on_fault(&mut self, f: FaultEvent, now: Time) {
-        match f {
-            FaultEvent::WorkerDown(w) => self.on_worker_down(w, now),
-            FaultEvent::WorkerUp(w) => self.on_worker_up(w, now),
-            FaultEvent::BlackoutStart(w) => self.on_blackout_start(w, now),
-            FaultEvent::BlackoutEnd(w) => self.on_blackout_end(w, now),
-            FaultEvent::ServerDown(s) => self.on_server_down(s, now),
-            FaultEvent::ServerUp(s) => self.on_server_up(s, now),
-            FaultEvent::AggregatorDown(_) | FaultEvent::AggregatorUp(_) => unreachable!(
-                "aggregator faults are rejected for baseline strategies at engine construction"
-            ),
+            FlowCtx::Resync(w) => finish_rejoin(self, w, ev.at),
         }
     }
 
@@ -212,6 +204,66 @@ impl Engine for ModelEngine {
             control.on_gradient(w, f64::from(mean_abs));
         }
         self.start_push(w, now);
+    }
+
+    fn iteration(&self, w: usize) -> u64 {
+        self.workers[w].iter
+    }
+
+    /// The departed worker's parked pull and suspended transfer go (its
+    /// accumulated gradients go at the rejoin). Its version row is NOT
+    /// aged out: the baselines have static membership, so the departed
+    /// worker pins the BSP/SSP gate until it rejoins, and no release
+    /// scan runs.
+    fn depart(&mut self, w: usize, _: Time) {
+        self.server.withdraw(w);
+        self.workers[w].resume = None;
+    }
+
+    fn suspend(&mut self, w: usize, flow: FlowCtx) {
+        self.workers[w].resume = Some(flow);
+    }
+
+    /// Nothing resumes while the server is down.
+    fn resume(&mut self, w: usize, now: Time) {
+        if self.ctx.any_server_down() {
+            return;
+        }
+        match self.workers[w].resume.take() {
+            Some(FlowCtx::Push(_)) => self.start_push(w, now),
+            // A cut pull resends the payload drained at its grant.
+            Some(pull) => {
+                self.ctx.set_state(w, now, DeviceState::Communicate);
+                self.start_transfer(w, now, pull);
+            }
+            None => {}
+        }
+    }
+
+    fn drain_waiting(&mut self, now: Time) {
+        if self.ctx.any_server_down() {
+            return;
+        }
+        for ((w, s), n) in self.server.take_parked() {
+            if self.server.retry((w, s), n, self.ctx.reachable(w, s)) == Gate::Granted {
+                self.grant_pull(w, now);
+            }
+        }
+    }
+
+    /// Drops the lost lineage's accumulated gradients and residuals on
+    /// both ends and the stale averaged gradients the server still held
+    /// for this worker, and fast-forwards its version so the gate
+    /// reflects the adopted iteration.
+    fn rejoin(&mut self, w: usize, n: u64, now: Time) {
+        let ws = &mut self.workers[w];
+        ws.iter = n;
+        ws.role.rejoin(n);
+        ws.resume = None;
+        // The outage is not an iteration round; restart the round clock
+        // so DSSP's rate estimate only sees time spent training.
+        ws.round_started = now;
+        self.server.rejoin(w, n);
     }
 }
 
@@ -270,13 +322,14 @@ impl ModelEngine {
 
     /// Puts one whole-model transfer of worker `w` on its link.
     fn start_transfer(&mut self, w: usize, now: Time, flow: FlowCtx) {
+        let bytes = self.ctx.model_wire_bytes;
         self.flows
-            .start_reliable(&mut self.ctx, now, w, w, self.model_wire_bytes, flow);
+            .start_reliable(&mut self.ctx, now, w, w, bytes, flow);
     }
 
     /// Starts (or, after a fault, parks) the whole-model push transfer.
     fn start_push(&mut self, w: usize, now: Time) {
-        if self.ctx.any_server_down() || self.ctx.link_down[w] {
+        if !self.ctx.can_push(w) {
             self.workers[w].resume = Some(FlowCtx::Push(w));
             self.ctx.set_state(w, now, DeviceState::Stall);
             return;
@@ -327,7 +380,7 @@ impl ModelEngine {
                 w: w as u32,
                 iter: pushed_iter,
                 rows: self.rows.len() as u32,
-                bytes: self.model_wire_bytes,
+                bytes: self.ctx.model_wire_bytes,
             }
         );
         // This worker now waits for its pull, behind the earlier
@@ -348,18 +401,6 @@ impl ModelEngine {
         );
         self.ctx.set_state(w, now, DeviceState::Stall);
         self.drain_waiting(now);
-    }
-
-    fn drain_waiting(&mut self, now: Time) {
-        if self.ctx.any_server_down() {
-            return;
-        }
-        for ((w, s), n) in self.server.take_parked() {
-            let reach = !self.ctx.offline[w] && !self.ctx.link_down[w];
-            if self.server.retry((w, s), n, reach) == Gate::Granted {
-                self.grant_pull(w, now);
-            }
-        }
     }
 
     fn grant_pull(&mut self, w: usize, now: Time) {
@@ -384,7 +425,7 @@ impl ModelEngine {
             EventKind::PullStart {
                 w: w as u32,
                 iter: self.workers[w].iter + 1,
-                bytes: self.model_wire_bytes,
+                bytes: self.ctx.model_wire_bytes,
             }
         );
         self.ctx.set_state(w, now, DeviceState::Communicate);
@@ -406,148 +447,6 @@ impl ModelEngine {
         ws.iter += 1;
         self.ctx.end_iteration(w, ws.iter, now);
         compute_or_retire(self, w, now);
-    }
-
-    // ----- fault injection ------------------------------------------------
-
-    fn on_worker_down(&mut self, w: usize, now: Time) {
-        if self.ctx.offline[w] {
-            return;
-        }
-        self.ctx.offline[w] = true;
-        // State dies with the device: in-flight transfers and any parked
-        // resume are dropped (its accumulated gradients go at the
-        // rejoin). Its version row is NOT aged out — model-granularity
-        // baselines have static membership, so the departed worker pins
-        // the BSP/SSP gate until it rejoins (the fragility ROG's
-        // membership protocol removes).
-        self.flows.sever(&mut self.ctx, w);
-        self.server.withdraw(w);
-        self.ctx.void_compute(w);
-        self.workers[w].resume = None;
-        self.ctx.set_state(w, now, DeviceState::Offline);
-    }
-
-    fn on_worker_up(&mut self, w: usize, now: Time) {
-        if !self.ctx.offline[w] {
-            return;
-        }
-        if self.ctx.any_server_down() || self.ctx.link_down[w] {
-            self.workers[w].resume = Some(FlowCtx::Resync(w));
-            return;
-        }
-        self.begin_resync(w, now);
-    }
-
-    fn begin_resync(&mut self, w: usize, now: Time) {
-        let bytes = self.model_wire_bytes;
-        self.flows
-            .begin_resync(&mut self.ctx, now, w, w, bytes, FlowCtx::Resync(w));
-    }
-
-    /// Completes a rejoin: adopt the most advanced online peer's model
-    /// (ties to the lowest index), drop the lost lineage's accumulated
-    /// gradients and residuals on both ends and the stale averaged
-    /// gradients the server still held for this worker, and
-    /// fast-forward its version so the gate reflects the adopted
-    /// iteration.
-    fn finish_resync(&mut self, w: usize, now: Time) {
-        let iter = self
-            .ctx
-            .adopt_most_advanced_peer(w, now, |i| self.workers[i].iter);
-        let ws = &mut self.workers[w];
-        ws.iter = iter;
-        ws.role.rejoin(iter);
-        ws.resume = None;
-        // The outage is not an iteration round; restart the round clock
-        // so DSSP's rate estimate only sees time spent training.
-        ws.round_started = now;
-        self.server.rejoin(w, iter);
-        self.ctx.offline[w] = false;
-        compute_or_retire(self, w, now);
-        // The fast-forwarded version can only open the gate further.
-        self.drain_waiting(now);
-    }
-
-    fn on_blackout_start(&mut self, w: usize, now: Time) {
-        if self.ctx.link_down[w] {
-            return;
-        }
-        self.ctx.link_down[w] = true;
-        // Retransmit-from-scratch on recovery.
-        for ctx in self.flows.sever(&mut self.ctx, w) {
-            self.workers[w].resume = Some(ctx);
-        }
-        if !self.ctx.offline[w] && !self.ctx.done[w] && !self.ctx.computing[w] {
-            self.ctx.set_state(w, now, DeviceState::Stall);
-        }
-    }
-
-    fn on_blackout_end(&mut self, w: usize, now: Time) {
-        if !self.ctx.link_down[w] {
-            return;
-        }
-        self.ctx.link_down[w] = false;
-        if !self.ctx.any_server_down() {
-            self.resume_worker(w, now);
-            self.drain_waiting(now);
-        }
-    }
-
-    /// The (single logical) parameter server went down. Baselines have
-    /// no sharding, so `shard` is always 0 here; the per-shard flag
-    /// vector exists for the row engine.
-    fn on_server_down(&mut self, shard: usize, now: Time) {
-        if self.ctx.server_down[shard] {
-            return;
-        }
-        self.ctx.server_down[shard] = true;
-        for (w, ctx) in self.flows.cancel_where(&mut self.ctx, |_, _| true) {
-            self.workers[w].resume = Some(ctx);
-            if !self.ctx.offline[w] && !self.ctx.done[w] && !self.ctx.computing[w] {
-                self.ctx.set_state(w, now, DeviceState::Stall);
-            }
-        }
-        for w in 0..self.workers.len() {
-            if let Some(ctx) = self.flows.clear_retx(w) {
-                self.workers[w].resume = Some(ctx);
-            }
-        }
-    }
-
-    fn on_server_up(&mut self, shard: usize, now: Time) {
-        if !self.ctx.server_down[shard] {
-            return;
-        }
-        self.ctx.server_down[shard] = false;
-        if self.ctx.any_server_down() {
-            return;
-        }
-        for w in 0..self.workers.len() {
-            if !self.ctx.link_down[w] {
-                self.resume_worker(w, now);
-            }
-        }
-        self.drain_waiting(now);
-    }
-
-    fn resume_worker(&mut self, w: usize, now: Time) {
-        if self.ctx.offline[w] {
-            if matches!(self.workers[w].resume, Some(FlowCtx::Resync(_))) {
-                self.workers[w].resume = None;
-                self.begin_resync(w, now);
-            }
-            return;
-        }
-        match self.workers[w].resume.take() {
-            Some(FlowCtx::Push(_)) => self.start_push(w, now),
-            Some(pull @ FlowCtx::Pull(_)) => {
-                self.ctx.set_state(w, now, DeviceState::Communicate);
-                self.start_transfer(w, now, pull);
-            }
-            Some(FlowCtx::Resync(_)) => self.begin_resync(w, now),
-            None => {}
-        }
     }
 }
 

@@ -95,22 +95,6 @@ fn bench_importance(c: &mut Criterion) {
                 out.len()
             })
         });
-        // Partial selection: only the k best rows fit the budget, so the
-        // O(n + k log k) path skips sorting the ~33k-row tail.
-        let k = (rows / 16).max(1);
-        g.bench_with_input(BenchmarkId::new("rank_top_k_into", rows), &k, |b, &k| {
-            b.iter(|| {
-                metric.rank_top_k_into(
-                    ImportanceMode::Worker,
-                    black_box(&mags),
-                    black_box(&iters),
-                    k,
-                    &mut scratch,
-                    &mut out,
-                );
-                out.len()
-            })
-        });
     }
     g.finish();
 }

@@ -8,7 +8,7 @@ use std::fmt;
 use rog_compress::CodecChoice;
 use rog_fault::FaultPlan;
 use rog_net::{LossConfig, SharingMode};
-use rog_trainer::{check_socket_compatible, ExperimentConfig, JoinOptions, ServeOptions, Strategy};
+use rog_trainer::{check_socket_compatible, ExperimentConfig, JoinOptions, ServeOptions};
 
 use crate::experiments::{self, Ctx, EXPERIMENTS};
 
@@ -504,12 +504,6 @@ pub fn parse(args: &[String]) -> Result<CliRun, CliError> {
             "--loss-seed requires --loss, --loss-burst or --corrupt",
         ));
     }
-    if cfg.auto_threshold && matches!(cfg.strategy, Strategy::RogAdaptive { .. }) {
-        return Err(err(
-            "--auto-threshold conflicts with roga:<min>:<max> (the adaptive bound is \
-             already a threshold controller)",
-        ));
-    }
     if cfg.strategy.is_row_granular()
         || (!cfg.pipeline
             && !cfg.auto_threshold
@@ -533,7 +527,7 @@ pub fn parse(args: &[String]) -> Result<CliRun, CliError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rog_trainer::{Environment, ModelScale, WorkloadKind};
+    use rog_trainer::{Environment, ModelScale, Strategy, WorkloadKind};
 
     fn args(s: &str) -> Vec<String> {
         s.split_whitespace().map(String::from).collect()
@@ -613,7 +607,9 @@ mod tests {
                 assert!(e.contains(flag), "{sub} {input}: {e}");
             }
         }
-        for boundary in ["--workers 1 --laptops 1", "--eval-every 1"] {
+        // The small CRIMP model has 27 rows, and every shard owns one.
+        let shards = "--workload crimp --scale small --strategy rog:4 --shards 27";
+        for boundary in ["--workers 1 --laptops 1", "--eval-every 1", shards] {
             assert!(parse(&args(boundary)).is_ok(), "{boundary}");
         }
     }
@@ -633,6 +629,14 @@ mod tests {
             let reason = format!("--strategy {bounds} expects {floor} <= min <= max");
             refused(&format!("--strategy {bounds}"), &reason);
         }
+        refused(
+            "--workload crimp --scale small --strategy rog:4 --shards 28",
+            "--shards 28 exceeds the model's 27 rows",
+        );
+        refused(
+            "--strategy roga:1:8 --auto-threshold",
+            "--auto-threshold conflicts with --strategy roga:1:8",
+        );
         let plan = std::env::temp_dir().join("rogctl_cli_test_out_of_range_plan.txt");
         for (script, target) in [
             ("offline 9 10 20", "worker 9 but the run has 4 workers"),

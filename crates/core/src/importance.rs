@@ -11,9 +11,9 @@
 
 use crate::RowId;
 
-/// Reusable scratch for [`ImportanceMetric::rank_into`] and
-/// [`ImportanceMetric::rank_top_k_into`]: the per-row score buffer stays
-/// allocated across calls, so steady-state ranking allocates nothing.
+/// Reusable scratch for [`ImportanceMetric::rank_into`]: the per-row
+/// score buffer stays allocated across calls, so steady-state ranking
+/// allocates nothing.
 #[derive(Debug, Clone, Default)]
 pub struct RankScratch {
     scores: Vec<f64>,
@@ -87,62 +87,12 @@ impl ImportanceMetric {
         scratch: &mut RankScratch,
         out: &mut Vec<RowId>,
     ) {
-        let n = self.prepare(mode, mean_abs, iters, scratch, out);
-        if n == 0 {
-            return;
-        }
-        let scores = &scratch.scores;
-        out.sort_unstable_by(|a, b| Self::by_score(scores, *a, *b));
-    }
-
-    /// Ranks only the `k` most important rows (`O(n + k log k)` instead
-    /// of a full `O(n log n)` sort): the result is exactly the first `k`
-    /// entries of [`ImportanceMetric::rank_into`]'s order. Use when a
-    /// transmission budget caps the rows that can possibly be sent.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slices have different lengths.
-    pub fn rank_top_k_into(
-        &self,
-        mode: ImportanceMode,
-        mean_abs: &[f32],
-        iters: &[u64],
-        k: usize,
-        scratch: &mut RankScratch,
-        out: &mut Vec<RowId>,
-    ) {
-        let n = self.prepare(mode, mean_abs, iters, scratch, out);
-        if n == 0 || k == 0 {
-            out.clear();
-            return;
-        }
-        let scores = &scratch.scores;
-        if k < n {
-            // Partition: everything before index k ranks at or above
-            // everything after it under the (score desc, id asc) order.
-            out.select_nth_unstable_by(k, |a, b| Self::by_score(scores, *a, *b));
-            out.truncate(k);
-        }
-        out.sort_unstable_by(|a, b| Self::by_score(scores, *a, *b));
-    }
-
-    /// Fills `scratch.scores` and seeds `out` with the identity
-    /// permutation; returns the row count.
-    fn prepare(
-        &self,
-        mode: ImportanceMode,
-        mean_abs: &[f32],
-        iters: &[u64],
-        scratch: &mut RankScratch,
-        out: &mut Vec<RowId>,
-    ) -> usize {
         assert_eq!(mean_abs.len(), iters.len(), "importance input mismatch");
         let n = mean_abs.len();
         out.clear();
         scratch.scores.clear();
         if n == 0 {
-            return 0;
+            return;
         }
         let max_abs = mean_abs.iter().cloned().fold(0.0f32, f32::max).max(1e-12);
         let min_iter = iters.iter().copied().min().unwrap_or(0);
@@ -157,7 +107,8 @@ impl ImportanceMetric {
             self.weights.f1 * mag + self.weights.f2 * version_term
         }));
         out.extend((0..n).map(RowId));
-        n
+        let scores = &scratch.scores;
+        out.sort_unstable_by(|a, b| Self::by_score(scores, *a, *b));
     }
 
     /// Score-descending, id-ascending total order (unique ids make ties
@@ -221,27 +172,6 @@ mod tests {
         let m = ImportanceMetric::default();
         let order = m.rank(ImportanceMode::Worker, &[0.5; 4], &[1; 4]);
         assert_eq!(order, vec![RowId(0), RowId(1), RowId(2), RowId(3)]);
-    }
-
-    #[test]
-    fn top_k_is_prefix_of_full_rank() {
-        let m = ImportanceMetric::default();
-        let mags: Vec<f32> = (0..57).map(|i| ((i * 31 + 7) % 57) as f32 / 57.0).collect();
-        let iters: Vec<u64> = (0..57).map(|i| (i * 13 + 5) % 23).collect();
-        let full = m.rank(ImportanceMode::Worker, &mags, &iters);
-        let mut scratch = RankScratch::default();
-        let mut out = Vec::new();
-        for k in [0usize, 1, 7, 56, 57, 100] {
-            m.rank_top_k_into(
-                ImportanceMode::Worker,
-                &mags,
-                &iters,
-                k,
-                &mut scratch,
-                &mut out,
-            );
-            assert_eq!(out, full[..k.min(full.len())], "k={k}");
-        }
     }
 
     #[test]

@@ -130,6 +130,12 @@ impl CrimpSpec {
         }
     }
 
+    /// Parameter rows of the built workload's model (each layer's weight
+    /// rows plus its bias row), from the layer shapes alone.
+    pub fn model_rows(&self) -> usize {
+        self.hidden.iter().chain(&[1]).map(|out| out + 1).sum()
+    }
+
     /// Builds the workload for `n_workers`.
     ///
     /// # Panics

@@ -173,6 +173,20 @@ impl CrudaSpec {
         }
     }
 
+    /// Parameter rows of the model [`Self::build`] makes (each layer's
+    /// weight rows plus its bias row), from the layer shapes alone.
+    pub fn model_rows(&self) -> usize {
+        let convs = match &self.arch {
+            CrudaArch::Dense => &[][..],
+            CrudaArch::ConvMlp { convs, .. } => convs,
+        };
+        let widths = convs
+            .iter()
+            .map(|c| c.out_channels)
+            .chain(self.hidden.iter().copied());
+        widths.chain([self.classes]).map(|out| out + 1).sum()
+    }
+
     /// Builds the workload for `n_workers`, deterministically from `rng`.
     ///
     /// This synthesizes both domains, pretrains the model on the source

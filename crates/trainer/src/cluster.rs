@@ -77,25 +77,9 @@ impl Cluster {
 
         // Workload.
         let mut wl_rng = root.fork(0x10);
-        let workload: Box<dyn Workload> = match (cfg.workload, cfg.model_scale) {
-            (WorkloadKind::Cruda, ModelScale::Paper) => {
-                Box::new(CrudaSpec::paper().build(cfg.n_workers, &mut wl_rng))
-            }
-            (WorkloadKind::Cruda, ModelScale::Small) => {
-                Box::new(CrudaSpec::small().build(cfg.n_workers, &mut wl_rng))
-            }
-            (WorkloadKind::CrudaConv, ModelScale::Paper) => {
-                Box::new(CrudaSpec::conv_paper().build(cfg.n_workers, &mut wl_rng))
-            }
-            (WorkloadKind::CrudaConv, ModelScale::Small) => {
-                Box::new(CrudaSpec::conv_small().build(cfg.n_workers, &mut wl_rng))
-            }
-            (WorkloadKind::Crimp, ModelScale::Paper) => {
-                Box::new(CrimpSpec::paper().build(cfg.n_workers, &mut wl_rng))
-            }
-            (WorkloadKind::Crimp, ModelScale::Small) => {
-                Box::new(CrimpSpec::small().build(cfg.n_workers, &mut wl_rng))
-            }
+        let workload: Box<dyn Workload> = match WorkloadSpec::of(cfg) {
+            WorkloadSpec::Cruda(spec) => Box::new(spec.build(cfg.n_workers, &mut wl_rng)),
+            WorkloadSpec::Crimp(spec) => Box::new(spec.build(cfg.n_workers, &mut wl_rng)),
         };
 
         let base_batch = (workload.base_batch_size() as f64 * cfg.batch_scale)
@@ -137,7 +121,6 @@ impl Cluster {
         let mut links: Vec<TraceSource> = Vec::with_capacity(cfg.n_workers * shards);
         match &cfg.link_traces {
             Some(traces) => {
-                assert!(!traces.is_empty(), "link_traces must not be empty");
                 for w in 0..cfg.n_workers {
                     for _s in 0..shards {
                         links.push(TraceSource::Replayed(traces[w % traces.len()].clone()));
@@ -193,6 +176,36 @@ impl Cluster {
     /// Scaled wire bytes of a whole-model message (baselines).
     pub fn scaled_model_bytes(&self, payloads: impl Iterator<Item = u64>) -> u64 {
         payloads.map(|p| self.scaled_row_bytes(p)).sum::<u64>() + rog_net::wire::message_overhead()
+    }
+}
+
+/// A workload spec at one scale: what [`Cluster::build`] builds, and
+/// what [`ExperimentConfig::check`] sizes the model from without
+/// building any data.
+pub(crate) enum WorkloadSpec {
+    Cruda(CrudaSpec),
+    Crimp(CrimpSpec),
+}
+
+impl WorkloadSpec {
+    /// `cfg`'s workload at `cfg`'s scale.
+    pub(crate) fn of(cfg: &ExperimentConfig) -> Self {
+        match (cfg.workload, cfg.model_scale) {
+            (WorkloadKind::Cruda, ModelScale::Paper) => Self::Cruda(CrudaSpec::paper()),
+            (WorkloadKind::Cruda, ModelScale::Small) => Self::Cruda(CrudaSpec::small()),
+            (WorkloadKind::CrudaConv, ModelScale::Paper) => Self::Cruda(CrudaSpec::conv_paper()),
+            (WorkloadKind::CrudaConv, ModelScale::Small) => Self::Cruda(CrudaSpec::conv_small()),
+            (WorkloadKind::Crimp, ModelScale::Paper) => Self::Crimp(CrimpSpec::paper()),
+            (WorkloadKind::Crimp, ModelScale::Small) => Self::Crimp(CrimpSpec::small()),
+        }
+    }
+
+    /// Parameter rows of the workload's model.
+    pub(crate) fn model_rows(&self) -> usize {
+        match self {
+            Self::Cruda(spec) => spec.model_rows(),
+            Self::Crimp(spec) => spec.model_rows(),
+        }
     }
 }
 
@@ -331,6 +344,29 @@ mod tests {
     fn shards_match_worker_count() {
         let c = Cluster::build(&small_cfg());
         assert_eq!(c.workload.shards().len(), 3);
+    }
+
+    #[test]
+    fn spec_row_counts_match_the_built_models() {
+        for workload in [
+            WorkloadKind::Cruda,
+            WorkloadKind::CrudaConv,
+            WorkloadKind::Crimp,
+        ] {
+            for model_scale in [ModelScale::Small, ModelScale::Paper] {
+                let cfg = ExperimentConfig {
+                    workload,
+                    model_scale,
+                    ..small_cfg()
+                };
+                let built = Cluster::build(&cfg).init_model.total_rows();
+                assert_eq!(
+                    WorkloadSpec::of(&cfg).model_rows(),
+                    built,
+                    "{workload:?} {model_scale:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -9,6 +9,8 @@ use rog_core::{ImportanceMetric, ImportanceWeights};
 use rog_fault::{ChurnProfile, FaultPlan};
 use rog_net::{ChannelProfile, LossConfig, LossModel, SharingMode, Trace};
 
+use crate::cluster::WorkloadSpec;
+
 /// Which workload to train (paper Sec. VI, "Experiment Scenarios").
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WorkloadKind {
@@ -449,7 +451,7 @@ impl ExperimentConfig {
         let positive = |x: f64| x.is_finite() && x > 0.0;
         let (workers, laptops) = (self.n_workers, self.n_laptop_workers);
         let (secs, scale) = (self.duration_secs, self.batch_scale);
-        let aggs = self.effective_aggregators();
+        let (aggs, shards) = (self.effective_aggregators(), self.effective_shards());
         if workers == 0 {
             return Err("--workers 0: need at least one worker".into());
         }
@@ -477,14 +479,26 @@ impl ExperimentConfig {
                 return Err(format!("--strategy {spec} expects {floor} <= min <= max"));
             }
         }
+        if self.auto_threshold && matches!(self.strategy, Strategy::RogAdaptive { .. }) {
+            return Err(format!(
+                "--auto-threshold conflicts with --strategy {} (the adaptive bound is \
+                 already a threshold controller)",
+                self.strategy.spec()
+            ));
+        }
+        let rows = WorkloadSpec::of(self).model_rows();
+        if shards > rows {
+            return Err(format!(
+                "--shards {shards} exceeds the model's {rows} rows (each shard owns at least one)"
+            ));
+        }
+        if self.link_traces.as_ref().is_some_and(Vec::is_empty) {
+            return Err("link trace replay needs at least one trace".into());
+        }
         let plan = self.fault_plan.as_ref();
         for (target, max, n) in [
             ("worker", plan.and_then(FaultPlan::max_worker), workers),
-            (
-                "shard",
-                plan.and_then(FaultPlan::max_shard),
-                self.effective_shards(),
-            ),
+            ("shard", plan.and_then(FaultPlan::max_shard), shards),
             ("aggregator", plan.and_then(FaultPlan::max_aggregator), aggs),
         ] {
             if let Some(max) = max.filter(|&m| m >= n) {
@@ -687,6 +701,16 @@ mod tests {
         for ok in ["roga:1:1", "dssp:0:0", "flown:3:3"] {
             assert_eq!(check(ok), Ok(()), "{ok}");
         }
+    }
+
+    #[test]
+    fn check_refuses_an_empty_link_trace_replay() {
+        let cfg = ExperimentConfig {
+            link_traces: Some(vec![]),
+            ..ExperimentConfig::default()
+        };
+        let reason = "link trace replay needs at least one trace";
+        assert_eq!(cfg.check(), Err(reason.to_owned()));
     }
 
     #[test]

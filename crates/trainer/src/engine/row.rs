@@ -7,9 +7,11 @@
 //! the flow before MTA (or before the RSP-mandatory rows) got through,
 //! the worker continues transmitting exactly up to that target — it is a
 //! straggler this round, and its measured time updates the shared budget.
-//! Fast workers instead fit *all* their rows inside the budget. The
-//! server applies the RSP gate before granting pulls, which are
-//! speculatively transmitted the same way.
+//! Fast workers instead fit *all* their rows inside the budget. Under a
+//! loss model a lost row is best-effort and simply not committed, except
+//! the RSP-mandatory ones: the same leg retransmits those until they
+//! land. The server applies the RSP gate before granting pulls, which
+//! are speculatively transmitted the same way (all best-effort).
 //!
 //! The parameter plane is row-sharded ([`ShardedServer`]): each shard
 //! owns a contiguous row range with its own version store, MTA budget
@@ -23,8 +25,8 @@ use std::ops::Range;
 
 use rog_compress::RowCodec;
 use rog_core::{
-    AggregatorPlane, Gate, PushReport, RogWorkerConfig, RowId, ServerRole, ShardMap, ShardedServer,
-    WorkerRole,
+    AggregatorPlane, Gate, LegId, PushReport, RogWorkerConfig, RowId, ServerRole, ShardMap,
+    ShardedServer, WorkerRole,
 };
 use rog_net::{shard_link, DeliveryReport, FlowEvent, FlowOutcome, FlowSpec};
 use rog_obs::{obs, obs_shard, EventKind};
@@ -39,11 +41,12 @@ use crate::engine::control::{link_stress, AdaptiveBound, AutoThreshold, CodecAut
 use crate::metrics::{MicroSample, RunMetrics};
 use crate::run::FleetStats;
 
-/// One direction (push or pull) of a shard leg: the speculative
-/// transmission of a ranked row plan (ATP). The first flow carries the
-/// whole plan under the shard's MTA-time budget as its deadline; if the
-/// deadline cuts it short of `target`, a second flow without a deadline
-/// carries exactly the rows up to `target`.
+/// One direction (push or pull) of a shard leg: the transmission of a
+/// ranked row plan (ATP) in rounds. The speculative round carries the
+/// whole plan under the shard's MTA-time budget; if that deadline cuts
+/// it short of `target`, a continuation carries exactly the rows up to
+/// `target`. Under a loss model, retransmit rounds then resend the
+/// must-land rows that did not arrive intact until they have.
 #[derive(Default)]
 struct Leg {
     /// Rows to transmit, in rank order.
@@ -53,63 +56,81 @@ struct Leg {
     /// Rows that must be transmitted before the leg may end (the MTA,
     /// and on a push any longer RSP-mandatory prefix).
     target: usize,
-    /// Transmitted rows that actually arrived intact (loss model
-    /// installed only; rows are best-effort, so a lost push row is
-    /// simply not committed and ages toward the RSP bound, and a lost
-    /// pull row stays pending on the server).
+    /// Length of the prefix of `plan` that must land: a push's
+    /// RSP-mandatory rows (a worker at the bound blocks every peer's
+    /// pull). Other rows are best-effort: a lost push row is not
+    /// committed and ages toward the bound, a lost pull row stays
+    /// pending on the server.
+    must_land: usize,
+    /// Transmitted rows that arrived intact (loss model installed only).
     intact: Vec<RowId>,
+    /// The must-land rows the current retransmit round carries.
+    resend: Vec<RowId>,
 }
 
-/// What a [`Leg`] does after one of its flows left the air.
-#[derive(Debug, PartialEq, Eq)]
-enum LegRound {
-    /// Straggler this round: keep transmitting these plan positions,
-    /// without a deadline.
-    Continue(Range<usize>),
-    /// The transmission is over; [`Leg::landed`] has the rows.
-    Finished,
+/// One flow of a [`Leg`]; only the speculative one has a deadline.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Round {
+    Speculative,
+    Continuation,
+    Retransmit,
 }
 
 impl Leg {
     /// Arms the leg for a fresh transmission of its plan.
-    fn begin(&mut self, target: usize) {
+    fn begin(&mut self, target: usize, must_land: usize) {
         self.target = target;
+        self.must_land = must_land;
         self.delivered = 0;
         self.intact.clear();
+        self.resend.clear();
     }
 
-    /// Accounts one finished flow (`cont`: the continuation flow) and
-    /// its delivery report (`None` without a loss model: every
-    /// transmitted row counts, the pre-loss fast path).
+    /// The rows `round` carries, while it is the leg's current round.
+    fn rows(&self, round: Round) -> &[RowId] {
+        match round {
+            Round::Speculative => &self.plan,
+            Round::Continuation => &self.plan[self.delivered..self.target],
+            Round::Retransmit => &self.resend,
+        }
+    }
+
+    /// Accounts one finished round and its delivery report (there is one
+    /// exactly when a loss model is installed) and returns the next
+    /// round, or `None` once [`Leg::landed`] has the rows.
     fn on_leg_round(
         &mut self,
-        cont: bool,
+        round: Round,
         outcome: &FlowOutcome,
         report: Option<&DeliveryReport>,
-    ) -> LegRound {
-        let delivered_now = match *outcome {
-            FlowOutcome::Completed if cont => self.target - self.delivered,
-            FlowOutcome::Completed => self.plan.len(),
+    ) -> Option<Round> {
+        let sent = match *outcome {
+            FlowOutcome::Completed => self.rows(round).len(),
             FlowOutcome::DeadlineReached { chunks_done, .. } => chunks_done,
             FlowOutcome::Cancelled { .. } => {
                 unreachable!("cancelled flows are reaped at the fault site")
             }
         };
         if let Some(report) = report {
-            let sent = &self.plan[self.delivered..self.delivered + delivered_now];
-            self.intact.extend(
-                sent.iter()
-                    .enumerate()
-                    .filter(|&(i, _)| report.intact(i))
-                    .map(|(_, &id)| id),
-            );
+            for i in (0..sent).filter(|&i| report.intact(i)) {
+                let id = self.rows(round)[i];
+                self.intact.push(id);
+            }
         }
-        self.delivered += delivered_now;
-        if !cont && self.delivered < self.target {
-            LegRound::Continue(self.delivered..self.target)
-        } else {
-            LegRound::Finished
+        if round != Round::Retransmit {
+            self.delivered += sent;
         }
+        if round == Round::Speculative && self.delivered < self.target {
+            return Some(Round::Continuation);
+        }
+        // Without a loss model every transmitted row landed.
+        report?;
+        let intact = &self.intact;
+        let must_land = &self.plan[..self.must_land.min(self.delivered)];
+        self.resend.clear();
+        self.resend
+            .extend(must_land.iter().filter(|id| !intact.contains(id)));
+        (!self.resend.is_empty()).then_some(Round::Retransmit)
     }
 
     /// The rows that got through: the intact ones under a loss model,
@@ -131,14 +152,6 @@ struct SubState {
     /// (the RSP-mandatory rows form a prefix).
     push: Leg,
     push_started: Time,
-    /// Mandatory rows lost in flight, currently being retransmitted.
-    /// Mandatory rows are the gate's contract — a worker at the
-    /// staleness bound blocks every peer's pull — so unlike the
-    /// best-effort bulk they are retransmitted within the cycle until
-    /// they land.
-    push_retry: Vec<RowId>,
-    /// Length of the RSP-mandatory prefix of the push plan.
-    push_mandatory: usize,
     pull: Leg,
     /// Action to take on this leg once connectivity returns after a
     /// fault cancelled its in-flight transfer.
@@ -183,25 +196,15 @@ enum SubResume {
 
 #[derive(Debug, Clone, Copy)]
 enum FlowCtx {
-    Push {
+    /// One round of a shard leg's push (or, with `pull`, its pull).
+    Leg {
         w: usize,
         s: usize,
-        cont: bool,
-    },
-    /// In-cycle retransmit of mandatory push rows the loss model ate.
-    PushRetry {
-        w: usize,
-        s: usize,
-    },
-    Pull {
-        w: usize,
-        s: usize,
-        cont: bool,
+        pull: bool,
+        round: Round,
     },
     /// Full-model transfer bringing a rejoining worker back in sync.
-    Resync {
-        w: usize,
-    },
+    Resync { w: usize },
 }
 
 impl Transfer for FlowCtx {
@@ -211,9 +214,7 @@ impl Transfer for FlowCtx {
 
     fn shard(&self) -> Option<usize> {
         match *self {
-            FlowCtx::Push { s, .. } | FlowCtx::PushRetry { s, .. } | FlowCtx::Pull { s, .. } => {
-                Some(s)
-            }
+            FlowCtx::Leg { s, .. } => Some(s),
             FlowCtx::Resync { .. } => None,
         }
     }
@@ -355,9 +356,7 @@ impl Engine for RowEngine {
 
     fn on_flow(&mut self, flow: FlowCtx, ev: FlowEvent) {
         match flow {
-            FlowCtx::Push { w, s, cont } => self.on_leg_flow(w, s, false, cont, ev),
-            FlowCtx::PushRetry { w, s } => self.on_push_retry_flow(w, s, ev),
-            FlowCtx::Pull { w, s, cont } => self.on_leg_flow(w, s, true, cont, ev),
+            FlowCtx::Leg { w, s, pull, round } => self.on_leg_flow(w, s, pull, round, ev),
             FlowCtx::Resync { w } => {
                 debug_assert!(
                     matches!(ev.outcome, FlowOutcome::Completed),
@@ -408,7 +407,7 @@ impl Engine for RowEngine {
     fn suspend(&mut self, w: usize, flow: FlowCtx) {
         if let Some(s) = flow.shard() {
             self.workers[w].subs[s].resume = Some(match flow {
-                FlowCtx::Pull { .. } => SubResume::PullGate,
+                FlowCtx::Leg { pull: true, .. } => SubResume::PullGate,
                 _ => SubResume::Push,
             });
         }
@@ -467,16 +466,6 @@ impl RowEngine {
     /// The staleness bound every shard's gate currently enforces.
     fn threshold(&self) -> u32 {
         self.server.server().threshold()
-    }
-
-    fn scaled_chunks(&self, ws: &WState, rows: &[RowId]) -> Vec<u64> {
-        rows.iter()
-            .map(|&id| {
-                self.ctx
-                    .cluster
-                    .scaled_row_bytes(ws.role.worker().payload_bytes(id))
-            })
-            .collect()
     }
 
     /// Pipeline mode: an iteration completes at each compute; gradients
@@ -566,46 +555,42 @@ impl RowEngine {
         let sub = &mut ws.subs[s];
         let floor = ws.role.start_leg(s, &sub.push.plan, n);
         sub.resume = None;
-        sub.push.begin(floor.floor);
-        sub.push_mandatory = floor.mandatory;
+        sub.push.begin(floor.floor, floor.mandatory);
         sub.push_started = now;
-        sub.push_retry.clear();
         let journal = &mut self.ctx.journal;
         let budget = self
             .server
             .push_start((w, s), n, floor, &sub.push.plan, now, journal);
-        let chunks = self.leg_chunks(w, s, false, 0..floor.rows);
+        let chunks = self.row_chunks(w, false, &self.workers[w].subs[s].push.plan);
         self.flows
             .settle(&mut self.ctx, w, now, DeviceState::Communicate);
-        self.start_leg_flow(w, s, false, now, chunks, Some(now + budget));
+        let deadline = Some(now + budget);
+        self.start_round((w, s), false, Round::Speculative, now, chunks, deadline);
     }
 
-    /// Wire sizes of positions `rows` of a leg's plan: a push row is
-    /// sized by the worker's codec state, a pull row by the server's
-    /// per-destination state.
-    fn leg_chunks(&self, w: usize, s: usize, pull: bool, rows: Range<usize>) -> Vec<u64> {
-        let ws = &self.workers[w];
-        if pull {
-            ws.subs[s].pull.plan[rows]
-                .iter()
-                .map(|&id| {
-                    self.ctx
-                        .cluster
-                        .scaled_row_bytes(self.server.server().payload_bytes_for(w, id))
-                })
-                .collect()
-        } else {
-            self.scaled_chunks(ws, &ws.subs[s].push.plan[rows])
-        }
+    /// Wire sizes of `rows`: a push row is sized by worker `w`'s codec
+    /// state, a pull row by the server's per-destination state.
+    fn row_chunks(&self, w: usize, pull: bool, rows: &[RowId]) -> Vec<u64> {
+        rows.iter()
+            .map(|&id| {
+                let bytes = if pull {
+                    self.server.server().payload_bytes_for(w, id)
+                } else {
+                    self.workers[w].role.worker().payload_bytes(id)
+                };
+                self.ctx.cluster.scaled_row_bytes(bytes)
+            })
+            .collect()
     }
 
-    /// Puts one flow of a leg on the worker↔shard link: the first,
-    /// speculative one under `deadline`, the continuation without.
-    fn start_leg_flow(
+    /// Puts one round of a leg on the worker↔shard link; only the
+    /// speculative round has a `deadline`, the end of the shard's
+    /// MTA-time budget.
+    fn start_round(
         &mut self,
-        w: usize,
-        s: usize,
+        (w, s): LegId,
         pull: bool,
+        round: Round,
         now: Time,
         chunks: Vec<u64>,
         deadline: Option<Time>,
@@ -614,12 +599,7 @@ impl RowEngine {
         if let Some(deadline) = deadline {
             spec = spec.with_deadline(deadline);
         }
-        let cont = deadline.is_none();
-        let flow = if pull {
-            FlowCtx::Pull { w, s, cont }
-        } else {
-            FlowCtx::Push { w, s, cont }
-        };
+        let flow = FlowCtx::Leg { w, s, pull, round };
         self.flows.start(&mut self.ctx, now, w, spec, flow);
     }
 
@@ -643,95 +623,38 @@ impl RowEngine {
         }
     }
 
-    /// One flow of a speculative leg left the air: bank what it
-    /// delivered, then continue to the target or end the transmission.
-    fn on_leg_flow(&mut self, w: usize, s: usize, pull: bool, cont: bool, ev: FlowEvent) {
+    /// One round of a leg left the air: bank what it delivered, then
+    /// send the next round or end the transmission. A retransmit round
+    /// resends the must-land rows the loss model ate (progress is
+    /// guaranteed: per-chunk loss probability is capped below 1).
+    fn on_leg_flow(&mut self, w: usize, s: usize, pull: bool, round: Round, ev: FlowEvent) {
         let report = self.ctx.cluster.transport.take_report(ev.id);
         self.journal_loss(w, s, ev.at, report.as_ref());
         let sub = &mut self.workers[w].subs[s];
         let leg = if pull { &mut sub.pull } else { &mut sub.push };
-        match leg.on_leg_round(cont, &ev.outcome, report.as_ref()) {
-            LegRound::Continue(rest) => {
-                let chunks = self.leg_chunks(w, s, pull, rest);
-                self.start_leg_flow(w, s, pull, ev.at, chunks, None);
-            }
-            LegRound::Finished if pull => self.finish_pull_sub(w, s, ev.at),
-            LegRound::Finished => self.maybe_finish_push(w, s, ev.at),
-        }
-    }
-
-    /// Ends a push leg — unless mandatory rows were lost in flight, in
-    /// which case they retransmit first. Best-effort applies to the
-    /// bulk of the gradient rows only: a mandatory row sits at the RSP
-    /// staleness bound, and dropping it would stall every peer at the
-    /// gate until this worker's *next* push, so the transport keeps
-    /// resending it until it lands (progress is guaranteed: per-chunk
-    /// loss probability is capped below 1).
-    fn maybe_finish_push(&mut self, w: usize, s: usize, now: Time) {
-        if self.ctx.cluster.transport.loss_enabled() {
-            let missing = self.missing_mandatory(w, s);
-            if !missing.is_empty() {
-                obs_shard!(
-                    self.ctx.journal,
-                    now,
-                    self.server.tag(s),
-                    EventKind::Retransmit {
-                        w: w as u32,
-                        rows: missing.len() as u32,
-                        class: "mandatory",
-                    }
-                );
-                let chunks = {
-                    let ws = &self.workers[w];
-                    self.scaled_chunks(ws, &missing)
-                };
-                self.workers[w].subs[s].push_retry = missing;
-                let link = shard_link(w, self.n_shards, s);
-                self.flows.start(
-                    &mut self.ctx,
-                    now,
-                    w,
-                    FlowSpec::new(link, chunks),
-                    FlowCtx::PushRetry { w, s },
-                );
-                return;
-            }
-        }
-        self.finish_push_sub(w, s, now);
-    }
-
-    /// Mandatory-prefix rows of one leg that have not yet arrived intact.
-    fn missing_mandatory(&self, w: usize, s: usize) -> Vec<RowId> {
+        let Some(next) = leg.on_leg_round(round, &ev.outcome, report.as_ref()) else {
+            return if pull {
+                self.finish_pull_sub(w, s, ev.at)
+            } else {
+                self.finish_push_sub(w, s, ev.at)
+            };
+        };
         let sub = &self.workers[w].subs[s];
-        sub.push.plan[..sub.push_mandatory.min(sub.push.delivered)]
-            .iter()
-            .copied()
-            .filter(|id| !sub.push.intact.contains(id))
-            .collect()
-    }
-
-    /// A mandatory-row retransmit round finished: bank the survivors and
-    /// go around again if the loss model ate some of them too.
-    fn on_push_retry_flow(&mut self, w: usize, s: usize, ev: FlowEvent) {
-        debug_assert!(
-            matches!(ev.outcome, FlowOutcome::Completed),
-            "retry rounds have no deadline"
-        );
-        let report = self.ctx.cluster.transport.take_report(ev.id);
-        let retry = std::mem::take(&mut self.workers[w].subs[s].push_retry);
-        self.journal_loss(w, s, ev.at, report.as_ref());
-        let intact = &mut self.workers[w].subs[s].push.intact;
-        match report {
-            Some(rep) => intact.extend(
-                retry
-                    .iter()
-                    .enumerate()
-                    .filter(|&(i, _)| rep.intact(i))
-                    .map(|(_, &id)| id),
-            ),
-            None => intact.extend(retry.iter().copied()),
+        let leg = if pull { &sub.pull } else { &sub.push };
+        if next == Round::Retransmit {
+            obs_shard!(
+                self.ctx.journal,
+                ev.at,
+                self.server.tag(s),
+                EventKind::Retransmit {
+                    w: w as u32,
+                    rows: leg.resend.len() as u32,
+                    class: "mandatory",
+                }
+            );
         }
-        self.maybe_finish_push(w, s, ev.at);
+        let chunks = self.row_chunks(w, pull, leg.rows(next));
+        self.start_round((w, s), pull, next, ev.at, chunks, None);
     }
 
     fn finish_push_sub(&mut self, w: usize, s: usize, now: Time) {
@@ -750,12 +673,13 @@ impl RowEngine {
         // which changes a content-sized codec's payloads (one-bit sizes
         // are width-only, so the ordering is immaterial there).
         let bytes: u64 = if self.ctx.journal.enabled() {
-            self.leg_chunks(w, s, false, 0..delivered).iter().sum()
+            let plan = &self.workers[w].subs[s].push.plan;
+            self.row_chunks(w, false, &plan[..delivered]).iter().sum()
         } else {
             0
         };
-        // Gradient rows are best-effort: with a loss model installed
-        // only the rows whose chunks survived land.
+        // With a loss model installed only the rows whose chunks
+        // survived land (the must-land ones after their retransmits).
         let lossy = self.ctx.cluster.transport.loss_enabled();
         let landed = self.workers[w].subs[s].push.landed(lossy);
         self.workers[w]
@@ -818,14 +742,12 @@ impl RowEngine {
         let journal = &mut self.ctx.journal;
         let pull = &mut self.workers[w].subs[s].pull;
         let target = self.server.grant((w, s), now, journal, &mut pull.plan);
-        let n_rows = pull.plan.len();
-        if n_rows == 0 {
+        if pull.plan.is_empty() {
             self.finish_sub(w, s, now);
             return;
         }
-        pull.begin(target);
-        let budget = self.server.budget(s);
-        let chunks = self.leg_chunks(w, s, true, 0..n_rows);
+        pull.begin(target, 0);
+        let chunks = self.row_chunks(w, true, &self.workers[w].subs[s].pull.plan);
         self.server.pull_start(
             (w, s),
             &self.workers[w].subs[s].pull.plan,
@@ -835,7 +757,8 @@ impl RowEngine {
         );
         self.flows
             .settle(&mut self.ctx, w, now, DeviceState::Communicate);
-        self.start_leg_flow(w, s, true, now, chunks, Some(now + budget));
+        let deadline = Some(now + self.server.budget(s));
+        self.start_round((w, s), true, Round::Speculative, now, chunks, deadline);
     }
 
     /// A pull leg's transmission ended: commit and apply what arrived.
@@ -1153,6 +1076,7 @@ impl RowEngine {
 mod tests {
     use super::*;
     use crate::config::{Environment, ModelScale, WorkloadKind};
+    use rog_net::ChunkFate;
 
     fn run_metrics(cfg: &ExperimentConfig) -> RunMetrics {
         run(cfg).0
@@ -1173,12 +1097,12 @@ mod tests {
         }
     }
 
-    fn leg(rows: usize, target: usize) -> Leg {
+    fn leg(rows: usize, target: usize, must_land: usize) -> Leg {
         let mut leg = Leg {
             plan: (0..rows).map(RowId).collect(),
             ..Leg::default()
         };
-        leg.begin(target);
+        leg.begin(target, must_land);
         leg
     }
 
@@ -1189,58 +1113,82 @@ mod tests {
         }
     }
 
+    const DONE: FlowOutcome = FlowOutcome::Completed;
+
     #[test]
     fn leg_that_fits_its_deadline_delivers_the_whole_plan() {
-        let mut l = leg(10, 4);
-        assert_eq!(
-            l.on_leg_round(false, &FlowOutcome::Completed, None),
-            LegRound::Finished
-        );
+        let mut l = leg(10, 4, 2);
+        assert_eq!(l.on_leg_round(Round::Speculative, &DONE, None), None);
         assert_eq!(l.landed(false).len(), 10);
     }
 
     #[test]
     fn leg_cut_below_its_target_continues_exactly_to_it() {
-        let mut l = leg(10, 4);
-        assert_eq!(
-            l.on_leg_round(false, &cut_at(1), None),
-            LegRound::Continue(1..4)
-        );
-        assert_eq!(
-            l.on_leg_round(true, &FlowOutcome::Completed, None),
-            LegRound::Finished
-        );
+        let mut l = leg(10, 4, 2);
+        let next = l.on_leg_round(Round::Speculative, &cut_at(1), None);
+        assert_eq!(next, Some(Round::Continuation));
+        assert_eq!(l.rows(Round::Continuation), [RowId(1), RowId(2), RowId(3)]);
+        assert_eq!(l.on_leg_round(Round::Continuation, &DONE, None), None);
         assert_eq!(l.landed(false), [RowId(0), RowId(1), RowId(2), RowId(3)]);
     }
 
     #[test]
     fn leg_cut_at_or_above_its_target_is_finished() {
-        let mut l = leg(10, 4);
-        assert_eq!(l.on_leg_round(false, &cut_at(6), None), LegRound::Finished);
+        let mut l = leg(10, 4, 2);
+        assert_eq!(l.on_leg_round(Round::Speculative, &cut_at(6), None), None);
         assert_eq!(l.landed(false).len(), 6);
+    }
+
+    /// Drives `l` through lossy `rounds` (each: the round, its outcome,
+    /// its chunks' fates and the next round it must report) and returns
+    /// what landed.
+    fn drive_lossy(
+        mut l: Leg,
+        rounds: &[(Round, FlowOutcome, &[ChunkFate], Option<Round>)],
+    ) -> Vec<RowId> {
+        for (round, outcome, fates, next) in rounds {
+            let report = DeliveryReport {
+                link: 0,
+                fates: fates.to_vec(),
+                lost_bytes: 0,
+                corrupt_bytes: 0,
+            };
+            assert_eq!(
+                l.on_leg_round(*round, outcome, Some(&report)),
+                *next,
+                "{round:?}"
+            );
+        }
+        l.landed(true)
     }
 
     #[test]
     fn lossy_leg_lands_only_the_intact_rows_of_both_flows() {
         use rog_net::ChunkFate::{Corrupt, Delivered, Lost};
-        let report = |fates: &[rog_net::ChunkFate]| DeliveryReport {
-            link: 0,
-            fates: fates.to_vec(),
-            lost_bytes: 0,
-            corrupt_bytes: 0,
-        };
-        let mut l = leg(6, 4);
-        let first = report(&[Delivered, Lost]);
+        use Round::{Continuation as Cont, Retransmit as Resend, Speculative as Spec};
+        let first: &[_] = &[Delivered, Lost];
+        // Nothing must land (a pull, or a push with no row at the bound):
+        // the intact chunk of each flow lands, the lost rows stay lost.
+        let rounds = [
+            (Spec, cut_at(2), first, Some(Cont)),
+            (Cont, DONE, &[Corrupt, Delivered], None),
+        ];
+        assert_eq!(drive_lossy(leg(6, 4, 0), &rounds), [RowId(0), RowId(3)]);
+        // Rows 0..3 must land: lost rows 1 and 2 go out again, in rank
+        // order, until each has landed; best-effort row 3 never does.
+        let rounds = [
+            (Spec, cut_at(2), first, Some(Cont)),
+            (Cont, DONE, &[Corrupt, Lost], Some(Resend)),
+            (Resend, DONE, &[Lost, Delivered], Some(Resend)),
+            (Resend, DONE, &[Delivered], None),
+        ];
         assert_eq!(
-            l.on_leg_round(false, &cut_at(2), Some(&first)),
-            LegRound::Continue(2..4)
+            drive_lossy(leg(6, 4, 3), &rounds),
+            [RowId(0), RowId(2), RowId(1)]
         );
-        let second = report(&[Corrupt, Delivered]);
-        assert_eq!(
-            l.on_leg_round(true, &FlowOutcome::Completed, Some(&second)),
-            LegRound::Finished
-        );
-        assert_eq!(l.landed(true), [RowId(0), RowId(3)]);
+        // Lost best-effort rows behind a landed must-land row: no resend.
+        let rounds = [(Spec, DONE, &[Delivered, Lost, Corrupt, Delivered][..], None)];
+        assert_eq!(drive_lossy(leg(4, 4, 1), &rounds), [RowId(0), RowId(3)]);
     }
 
     #[test]

@@ -11,8 +11,8 @@ use rog_compress::{
 };
 use rog_core::mta::mta_fraction;
 use rog_core::{
-    ImportanceMetric, ImportanceMode, RankScratch, RogWorker, RogWorkerConfig, RowId, RowPartition,
-    ShardMap, ShardedServer,
+    ImportanceMetric, ImportanceMode, RankScratch, RogWorker, RogWorkerConfig, RowBatch, RowId,
+    RowPartition, ShardMap, ShardedServer,
 };
 use rog_models::{CrudaSpec, Mlp, Task, Workload};
 use rog_net::{Channel, ChannelProfile, FlowSpec, LossConfig, Trace, TraceStream};
@@ -224,8 +224,9 @@ fn bench_row_plumbing(c: &mut Criterion) {
         .map(|m| Matrix::from_fn(m.rows(), m.cols(), |r, c| ((r + c) % 5) as f32 * 0.1))
         .collect();
     worker.accumulate(&grads);
+    let mut plan = Vec::new();
     g.bench_function("plan_push_full_model", |b| {
-        b.iter(|| worker.plan_push(black_box(3)))
+        b.iter(|| worker.plan_push_into(black_box(3), &mut plan))
     });
     g.finish();
 }
@@ -384,7 +385,7 @@ fn bench_server_plane(c: &mut Criterion) {
     let partition = RowPartition::of_params(model.params());
     let map = ShardMap::contiguous(partition.n_rows(), 4);
     let ids: Vec<RowId> = map.rows_of(0).iter().map(|&r| RowId(r)).collect();
-    let mut leg: Vec<(RowId, Vec<f32>)> = ids
+    let mut leg: RowBatch = ids
         .iter()
         .map(|&id| {
             (

@@ -9,7 +9,7 @@
 //!   workers, and of different rows within one worker, may each diverge
 //!   by at most the staleness threshold. Implemented by
 //!   [`RowVersionStore`] (parameter-server side, Algo 2 lines 7–9) and
-//!   the mandatory-row rule of [`RogWorker::plan_push`] (worker side);
+//!   the mandatory-row rule of [`RogWorker::plan_push_into`] (worker side);
 //!   the bound semantics both sides, the fuzzer and the invariant
 //!   suites agree on are the predicates in [`gate`], next to the coarse
 //!   SSP gate the model-granularity baselines run behind.
@@ -59,7 +59,7 @@ pub use importance::{ImportanceMetric, ImportanceMode, ImportanceWeights, RankSc
 pub use mta_time::MtaTimeTracker;
 pub use optimizer::{RogOptimizer, RogSession, StepReport};
 pub use roles::{Gate, LegId, PushFloor, PushReport, ServerRole, WorkerRole};
-pub use rows::{RowId, RowPartition, RowRef};
+pub use rows::{RowBatch, RowId, RowPartition, RowRef};
 pub use shard::{ShardMap, ShardedServer};
 pub use version::RowVersionStore;
 pub use worker::{RogWorker, RogWorkerConfig};

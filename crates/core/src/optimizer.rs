@@ -46,7 +46,8 @@ use rog_tensor::Matrix;
 use rog_obs::Journal;
 
 use crate::{
-    Gate, ImportanceMetric, RogWorkerConfig, RowId, ServerRole, ShardMap, ShardedServer, WorkerRole,
+    Gate, ImportanceMetric, RogWorkerConfig, RowBatch, RowId, ServerRole, ShardMap, ShardedServer,
+    WorkerRole,
 };
 
 /// What one [`RogOptimizer::step`] did.
@@ -118,6 +119,7 @@ impl RogSession {
             rank,
             iter: 0,
             plan: Vec::new(),
+            rows: RowBatch::default(),
         }
     }
 }
@@ -131,6 +133,8 @@ pub struct RogOptimizer {
     iter: u64,
     /// Push plan, then pull plan, of the step in progress.
     plan: Vec<RowId>,
+    /// Pushed rows, then pulled rows, of the step in progress.
+    rows: RowBatch,
 }
 
 impl RogOptimizer {
@@ -168,16 +172,17 @@ impl RogOptimizer {
         let ranked = self.role.ranked(server.server().map());
         self.plan.extend(ranked.map(|(_, id)| id));
         let admitted = self.role.start_leg(0, &self.plan, n).admit(budget_rows);
-        let mut sent = self.role.commit_landed(&self.plan[..admitted], n);
+        let rows = &mut self.rows;
+        self.role.commit_landed(&self.plan[..admitted], n, rows);
         let leg = (self.rank, 0);
-        server.ingest(leg, n, &mut sent);
+        server.ingest(leg, n, rows);
         let gate_open = server.enter_gate(leg, n, 0.0, &mut journal) == Gate::Granted;
         let pulled = if gate_open {
             server.grant(leg, 0.0, &mut journal, &mut self.plan);
-            let payload = server.settle_pull(leg, &self.plan, 0.0, &mut journal);
+            server.settle_pull(leg, &self.plan, 0.0, &mut journal, rows);
             drop(server);
-            self.role.apply(params, &payload);
-            payload.len()
+            self.role.apply(params, rows);
+            rows.len()
         } else {
             server.withdraw(self.rank);
             0

@@ -4,7 +4,7 @@
 //! [`WorkerRole`] and [`ServerRole`] hold every decision of one
 //! push/pull cycle and nothing about how bytes move or what time it
 //! is: timestamps and a [`Journal`] go in, small `Copy` verdicts
-//! ([`PushFloor`], [`Gate`]) and caller-owned row buffers come out.
+//! ([`PushFloor`], [`Gate`]) and caller-owned [`RowBatch`]es come out.
 //! Four drivers run them — the simulated row engine (speculative
 //! flows under deadlines, loss, faults), the socket path (`serve` hosts
 //! the server role, each `join` one worker role), the synchronous
@@ -24,7 +24,7 @@
 //!
 //! The baselines (BSP/SSP/ASP/FLOWN/DSSP/ABS) put every row in every
 //! leg and call only unjournaled steps — `accumulate`,
-//! `commit_landed_into`, `apply`, `rejoin`; `ingest`, `retry`,
+//! `commit_landed`, `apply`, `rejoin`; `ingest`, `retry`,
 //! `take_parked`, `drain_into`, `withdraw`, `bound`, `set_bound`,
 //! `rejoin` — as a `row_push`, `row_pull`, `mta` or `auto_threshold`
 //! record was never in their journal. They gate each worker at its own
@@ -37,8 +37,8 @@ use rog_sim::Time;
 use rog_tensor::Matrix;
 
 use crate::{
-    gate, mta, AggregatorPlane, AggregatorStats, MtaTimeTracker, RogWorker, RogWorkerConfig, RowId,
-    ShardMap, ShardedServer,
+    gate, mta, AggregatorPlane, AggregatorStats, MtaTimeTracker, RogWorker, RogWorkerConfig,
+    RowBatch, RowId, ShardMap, ShardedServer,
 };
 
 /// One worker's leg to one parameter shard: `(worker, shard)`.
@@ -209,17 +209,12 @@ impl WorkerRole {
     }
 
     /// Commits only what landed: compresses (error feedback kept),
-    /// zeroes and stamps exactly the rows in `landed`, returning what
-    /// the server receives. A row that did not land keeps its
+    /// zeroes and stamps exactly the rows in `landed`, writing what the
+    /// server receives into `out`. A row that did not land keeps its
     /// accumulated gradient and its stale iteration, so it ages toward
     /// the bound and re-ranks as mandatory.
-    pub fn commit_landed(&mut self, landed: &[RowId], n: u64) -> Vec<(RowId, Vec<f32>)> {
-        self.worker.commit_push(landed, n)
-    }
-
-    /// [`Self::commit_landed`] into the caller's reused row buffer.
-    pub fn commit_landed_into(&mut self, rows: &[RowId], n: u64, out: &mut Vec<(RowId, Vec<f32>)>) {
-        self.worker.commit_push_into(rows, n, out);
+    pub fn commit_landed(&mut self, landed: &[RowId], n: u64, out: &mut RowBatch) {
+        self.worker.commit_push_into(landed, n, out);
     }
 
     /// Marks shard `s`'s push finished; `true` once every engaged leg
@@ -231,7 +226,7 @@ impl WorkerRole {
 
     /// Applies pulled averaged gradients to `params` (Algorithm 1 lines
     /// 13–17).
-    pub fn apply(&mut self, params: &mut [Matrix], rows: &[(RowId, Vec<f32>)]) {
+    pub fn apply(&mut self, params: &mut [Matrix], rows: &RowBatch) {
         self.worker.apply_pulled(params, rows);
     }
 
@@ -390,11 +385,11 @@ impl ServerRole {
     /// worker's pending copy and raises the versions. Returns whether
     /// the shard's `min(V)` advanced — the only push outcome that can
     /// change a parked request's verdict.
-    pub fn ingest(&mut self, (w, s): LegId, n: u64, rows: &mut [(RowId, Vec<f32>)]) -> bool {
+    pub fn ingest(&mut self, (w, s): LegId, n: u64, rows: &mut RowBatch) -> bool {
         let min_before = self.server.versions(s).global_min();
         if let Some(plane) = self.agg.as_mut() {
             self.agg_ids.clear();
-            self.agg_ids.extend(rows.iter().map(|(id, _)| id.0));
+            self.agg_ids.extend(rows.ids().iter().map(|id| id.0));
             plane.on_member_push(w, s, &self.agg_ids, n);
         }
         self.server.on_push(s, w, n, rows);
@@ -456,10 +451,13 @@ impl ServerRole {
         self.retry(leg, n, true)
     }
 
-    /// Starts a release scan: hands out every parked request, each to
-    /// be put through [`Self::retry`] in order.
-    pub fn take_parked(&mut self) -> Vec<(LegId, u64)> {
-        std::mem::take(&mut self.parked)
+    /// Starts a release scan: moves every parked request into `scan`,
+    /// each to be put through [`Self::retry`] in order. `scan`'s old
+    /// buffer becomes the parked list, so a driver that keeps one scan
+    /// buffer makes neither list regrow.
+    pub fn take_parked(&mut self, scan: &mut Vec<(LegId, u64)>) {
+        scan.clear();
+        std::mem::swap(&mut self.parked, scan);
     }
 
     /// (Re-)checks one request: granted if the driver can currently
@@ -548,29 +546,27 @@ impl ServerRole {
 
     /// The pull ended with `landed` delivered: drains exactly those rows
     /// from the worker's pending copy (Algorithm 2 lines 12–13) and
-    /// returns their values. A row that did not land stays pending and
-    /// re-ranks into a later pull.
+    /// writes their values into `out`. A row that did not land stays
+    /// pending and re-ranks into a later pull.
     pub fn settle_pull(
         &mut self,
         leg: LegId,
         landed: &[RowId],
         now: Time,
         journal: &mut Journal,
-    ) -> Vec<(RowId, Vec<f32>)> {
+        out: &mut RowBatch,
+    ) {
         let (w, s) = leg;
         let end = EventKind::PullEnd {
             w: w as u32,
             iter: self.leg(leg).iter,
         };
         obs_shard!(journal, now, self.tag(s), end);
-        let mut out = Vec::with_capacity(landed.len());
-        self.drain_into(leg, landed, &mut out);
-        out
+        self.drain_into(leg, landed, out);
     }
 
-    /// [`Self::settle_pull`]'s drain into the caller's reused row
-    /// buffer, unjournaled.
-    pub fn drain_into(&mut self, (w, s): LegId, rows: &[RowId], out: &mut Vec<(RowId, Vec<f32>)>) {
+    /// [`Self::settle_pull`]'s drain, unjournaled.
+    pub fn drain_into(&mut self, (w, s): LegId, rows: &[RowId], out: &mut RowBatch) {
         self.server.commit_pull_into(s, w, rows, out);
     }
 

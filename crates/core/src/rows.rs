@@ -20,6 +20,115 @@ impl fmt::Display for RowId {
     }
 }
 
+/// Row payloads packed into one buffer: the row ids, where each row
+/// ends, and every row's values back to back. It is what a push or a
+/// pull carries between the roles. [`RowBatch::clear`] keeps every
+/// capacity, so a batch reused across commits stops touching the heap
+/// once it has held the largest one, however the row count moves from
+/// one round to the next.
+///
+/// # Example
+///
+/// ```
+/// use rog_core::{RowBatch, RowId};
+///
+/// let mut batch = RowBatch::default();
+/// batch.push_row(RowId(3), 2).copy_from_slice(&[1.0, 2.0]);
+/// batch.push_row(RowId(0), 1)[0] = 5.0;
+/// let rows: Vec<_> = batch.iter().collect();
+/// assert_eq!(rows, [(RowId(3), &[1.0, 2.0][..]), (RowId(0), &[5.0][..])]);
+/// ```
+#[derive(Debug, Clone, Default)]
+pub struct RowBatch {
+    ids: Vec<RowId>,
+    /// Row `i` occupies `values[ends[i - 1]..ends[i]]` (from 0 for the
+    /// first row).
+    ends: Vec<usize>,
+    /// Never shorter than any batch it held: what lies past the last
+    /// row's end is left over from an earlier one.
+    values: Vec<f32>,
+}
+
+impl RowBatch {
+    /// Empties the batch, keeping its capacity and its values buffer, so
+    /// refilling it neither allocates nor clears memory.
+    pub fn clear(&mut self) {
+        self.ids.clear();
+        self.ends.clear();
+    }
+
+    fn end(&self) -> usize {
+        self.ends.last().copied().unwrap_or(0)
+    }
+
+    /// Makes room for `rows` more rows holding `values` more values.
+    pub fn reserve(&mut self, rows: usize, values: usize) {
+        self.ids.reserve(rows);
+        self.ends.reserve(rows);
+        let end = self.end() + values;
+        self.values.reserve(end.saturating_sub(self.values.len()));
+    }
+
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.ids.len()
+    }
+
+    /// Whether the batch holds no row.
+    pub fn is_empty(&self) -> bool {
+        self.ids.is_empty()
+    }
+
+    /// The row ids, in order.
+    pub fn ids(&self) -> &[RowId] {
+        &self.ids
+    }
+
+    /// Appends row `id` with `width` values and returns them for the
+    /// caller to overwrite: they are not cleared, so they hold zeroes or
+    /// what an earlier batch left there.
+    pub fn push_row(&mut self, id: RowId, width: usize) -> &mut [f32] {
+        let (start, end) = (self.end(), self.end() + width);
+        if self.values.len() < end {
+            self.values.resize(end, 0.0);
+        }
+        self.ids.push(id);
+        self.ends.push(end);
+        &mut self.values[start..end]
+    }
+
+    /// The rows with their values, in order.
+    pub fn iter(&self) -> impl Iterator<Item = (RowId, &[f32])> {
+        let mut start = 0;
+        self.ids.iter().zip(&self.ends).map(move |(&id, &end)| {
+            let values = &self.values[start..end];
+            start = end;
+            (id, values)
+        })
+    }
+
+    /// The rows with their values to change, in order.
+    pub fn iter_mut(&mut self) -> impl Iterator<Item = (RowId, &mut [f32])> {
+        let (mut rest, mut start) = (self.values.as_mut_slice(), 0);
+        self.ids.iter().zip(&self.ends).map(move |(&id, &end)| {
+            let (values, tail) = std::mem::take(&mut rest).split_at_mut(end - start);
+            (rest, start) = (tail, end);
+            (id, values)
+        })
+    }
+}
+
+impl<V: AsRef<[f32]>> FromIterator<(RowId, V)> for RowBatch {
+    fn from_iter<I: IntoIterator<Item = (RowId, V)>>(rows: I) -> Self {
+        let mut batch = Self::default();
+        for (id, values) in rows {
+            let values = values.as_ref();
+            batch.push_row(id, values.len()).copy_from_slice(values);
+        }
+        batch
+    }
+}
+
 /// Location of a global row inside the parameter list.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RowRef {

@@ -41,7 +41,9 @@ use rog_compress::{Codec, CodecChoice, CodecState, OneBitCodec, RowCodec};
 use rog_tensor::rng::DetRng;
 use rog_tensor::{ops, Matrix};
 
-use crate::{ImportanceMetric, ImportanceMode, RankScratch, RowId, RowPartition, RowVersionStore};
+use crate::{
+    ImportanceMetric, ImportanceMode, RankScratch, RowBatch, RowId, RowPartition, RowVersionStore,
+};
 
 /// Deterministic assignment of global rows to parameter-server shards.
 ///
@@ -651,13 +653,13 @@ impl ShardedServer {
     ///
     /// Panics if `from` or a row is out of range, a row is not homed on
     /// `shard`, or a row payload has the wrong width.
-    pub fn on_push(&mut self, shard: usize, from: usize, n: u64, rows: &mut [(RowId, Vec<f32>)]) {
+    pub fn on_push(&mut self, shard: usize, from: usize, n: u64, rows: &mut RowBatch) {
         assert!(from < self.n_workers(), "worker out of range");
         let inv = 1.0 / self.active_workers().max(1) as f32;
         let state = &mut self.shards[shard];
-        for (id, values) in rows {
-            assert_eq!(self.map.shard_of(*id), shard, "{id} not homed on {shard}");
-            let local = self.map.to_local(*id).0;
+        for (id, values) in rows.iter_mut() {
+            assert_eq!(self.map.shard_of(id), shard, "{id} not homed on {shard}");
+            let local = self.map.to_local(id).0;
             let width = state.pending.width(local);
             assert_eq!(values.len(), width, "payload width mismatch for {id}");
             for v in values.iter_mut().filter(|v| !v.is_finite()) {
@@ -732,42 +734,37 @@ impl ShardedServer {
         state.states[worker].planned_payload_bytes(&self.codecs[worker], local, values)
     }
 
-    /// [`ShardedServer::commit_pull_into`] into a fresh vector: one
-    /// allocation for the holder and one per row payload.
-    pub fn commit_pull(
-        &mut self,
-        shard: usize,
-        worker: usize,
-        rows: &[RowId],
-    ) -> Vec<(RowId, Vec<f32>)> {
-        let mut out = Vec::with_capacity(rows.len());
+    /// [`ShardedServer::commit_pull_into`] into a fresh batch.
+    pub fn commit_pull(&mut self, shard: usize, worker: usize, rows: &[RowId]) -> RowBatch {
+        let mut out = RowBatch::default();
         self.commit_pull_into(shard, worker, rows, &mut out);
         out
     }
 
     /// Commits a pull of `rows` from `shard`: compresses
     /// (per-destination error feedback), drains the delivered rows from
-    /// `worker`'s pending copy (Algorithm 2 lines 12–13), and writes the
-    /// values the worker receives into `out`, one entry per row in
-    /// order. `out`'s row vectors are reused: the payloads allocate
-    /// nothing when no row is wider than at the last drain into `out`.
+    /// `worker`'s pending copy (Algorithm 2 lines 12–13), and replaces
+    /// `out`'s rows with the values the worker receives, in order.
     pub fn commit_pull_into(
         &mut self,
         shard: usize,
         worker: usize,
         rows: &[RowId],
-        out: &mut Vec<(RowId, Vec<f32>)>,
+        out: &mut RowBatch,
     ) {
-        out.resize_with(rows.len(), || (RowId(0), Vec::new()));
         let state = &mut self.shards[shard];
-        let (codec, active) = (&self.codecs[worker], self.active[worker]);
-        for (&id, (slot, restored)) in rows.iter().zip(out.iter_mut()) {
-            let local = self.map.to_local(id).0;
+        let (map, codec, active) = (&self.map, &self.codecs[worker], self.active[worker]);
+        let values = rows
+            .iter()
+            .map(|&id| state.pending.width(map.to_local(id).0));
+        out.clear();
+        out.reserve(rows.len(), values.sum());
+        for &id in rows {
+            let local = map.to_local(id).0;
             let (row, _) = state.pending.get(worker, local);
-            restored.resize(row.len(), 0.0);
+            let restored = out.push_row(id, row.len());
             state.states[worker].restore_into(codec, local, row, restored);
             state.pending.drain(worker, local, active);
-            *slot = id;
         }
     }
 }
@@ -892,8 +889,12 @@ mod tests {
         out
     }
 
+    fn batch<const N: usize>(rows: [(RowId, Vec<f32>); N]) -> RowBatch {
+        rows.into_iter().collect()
+    }
+
     /// Every row of the model carrying `1.0`s.
-    fn all_rows() -> Vec<(RowId, Vec<f32>)> {
+    fn all_rows() -> RowBatch {
         (0..7)
             .map(|r| (RowId(r), vec![1.0; if r < 4 { 3 } else { 2 }]))
             .collect()
@@ -941,40 +942,40 @@ mod tests {
             0,
             0,
             1,
-            &mut [
+            &mut batch([
                 (RowId(0), vec![1.0, f32::NAN, f32::INFINITY]),
                 (RowId(1), vec![f32::NEG_INFINITY, 2.0, 3.0]),
-            ],
+            ]),
         );
         assert_eq!(s.nonfinite_dropped(), 3);
         // The finite values landed (averaged by 1/2), the poison did not.
         assert_eq!(s.pending(0, 1)[..6], [0.5, 0.0, 0.0, 0.0, 1.0, 1.5]);
         let payloads = s.commit_pull(0, 1, &[RowId(0), RowId(1)]);
-        for (_, values) in &payloads {
+        for (_, values) in payloads.iter() {
             assert!(values.iter().all(|v| v.is_finite()), "{values:?}");
         }
         // A clean push leaves the counter alone.
-        s.on_push(0, 1, 1, &mut [(RowId(0), vec![1.0, 1.0, 1.0])]);
+        s.on_push(0, 1, 1, &mut batch([(RowId(0), vec![1.0, 1.0, 1.0])]));
         assert_eq!(s.nonfinite_dropped(), 3);
     }
 
     #[test]
     fn push_is_averaged_into_every_copy() {
         let mut s = plane(4, 4, 1);
-        s.on_push(0, 0, 1, &mut [(RowId(0), vec![4.0, 8.0, 12.0])]);
+        s.on_push(0, 0, 1, &mut batch([(RowId(0), vec![4.0, 8.0, 12.0])]));
         for w in 0..4 {
             assert_eq!(plan_pull(&mut s, 0, w), vec![RowId(0)]);
         }
         // The one-bit code keeps the mean magnitude: (1 + 2 + 3) / 3.
         let out = s.commit_pull(0, 1, &[RowId(0)]);
-        let mean: f32 = out[0].1.iter().sum::<f32>() / 3.0;
+        let mean: f32 = out.iter().next().unwrap().1.iter().sum::<f32>() / 3.0;
         assert!((mean - 2.0).abs() < 0.8, "mean {mean}");
     }
 
     #[test]
     fn pull_drains_only_that_workers_copy() {
         let mut s = plane(2, 4, 1);
-        s.on_push(0, 0, 1, &mut [(RowId(1), vec![2.0, 2.0, 2.0])]);
+        s.on_push(0, 0, 1, &mut batch([(RowId(1), vec![2.0, 2.0, 2.0])]));
         let _ = s.commit_pull(0, 0, &[RowId(1)]);
         assert!(plan_pull(&mut s, 0, 0).is_empty());
         assert_eq!(plan_pull(&mut s, 0, 1), vec![RowId(1)]);
@@ -985,11 +986,18 @@ mod tests {
         // Multiple pushes from different workers; drain both copies and
         // compare totals (modulo bounded compression residual).
         let mut s = plane(2, 4, 1);
-        s.on_push(0, 0, 1, &mut [(RowId(0), vec![1.0, 2.0, 3.0])]);
-        s.on_push(0, 1, 1, &mut [(RowId(0), vec![3.0, 2.0, 1.0])]);
-        let a: Vec<f32> = s.commit_pull(0, 0, &[RowId(0)]).remove(0).1;
-        let b: Vec<f32> = s.commit_pull(0, 1, &[RowId(0)]).remove(0).1;
-        for (x, y) in a.iter().zip(&b) {
+        s.on_push(0, 0, 1, &mut batch([(RowId(0), vec![1.0, 2.0, 3.0])]));
+        s.on_push(0, 1, 1, &mut batch([(RowId(0), vec![3.0, 2.0, 1.0])]));
+        let a = s.commit_pull(0, 0, &[RowId(0)]);
+        let b = s.commit_pull(0, 1, &[RowId(0)]);
+        for (x, y) in a
+            .iter()
+            .next()
+            .unwrap()
+            .1
+            .iter()
+            .zip(b.iter().next().unwrap().1)
+        {
             assert!((x - y).abs() < 1.0, "copies diverge: {x} vs {y}");
         }
     }
@@ -1013,8 +1021,8 @@ mod tests {
     #[test]
     fn plan_pull_prefers_fresh_rows() {
         let mut s = plane(1, 8, 1);
-        s.on_push(0, 0, 1, &mut [(RowId(0), vec![0.5, 0.5, 0.5])]);
-        s.on_push(0, 0, 5, &mut [(RowId(1), vec![0.5, 0.5, 0.5])]);
+        s.on_push(0, 0, 1, &mut batch([(RowId(0), vec![0.5, 0.5, 0.5])]));
+        s.on_push(0, 0, 5, &mut batch([(RowId(1), vec![0.5, 0.5, 0.5])]));
         let plan = plan_pull(&mut s, 0, 0);
         assert_eq!(plan[0], RowId(1), "fresher row first: {plan:?}");
     }
@@ -1023,7 +1031,7 @@ mod tests {
     #[should_panic(expected = "payload width mismatch")]
     fn wrong_width_payload_panics() {
         let mut s = plane(1, 4, 1);
-        s.on_push(0, 0, 1, &mut [(RowId(0), vec![1.0])]);
+        s.on_push(0, 0, 1, &mut batch([(RowId(0), vec![1.0])]));
     }
 
     #[test]
@@ -1043,7 +1051,7 @@ mod tests {
         // Pushes now average over 2 and skip the departed copy.
         let copies = |s: &ShardedServer| (0..3).map(|w| s.pending(0, w)).collect::<Vec<_>>();
         let before = copies(&s);
-        s.on_push(0, 0, 6, &mut [(RowId(0), vec![2.0, 2.0, 2.0])]);
+        s.on_push(0, 0, 6, &mut batch([(RowId(0), vec![2.0, 2.0, 2.0])]));
         let after = copies(&s);
         assert_eq!(after[2], before[2], "nothing for the departed");
         assert!((after[1][0] - before[1][0] - 1.0).abs() < 1e-5, "2.0 / 2");
@@ -1074,16 +1082,14 @@ mod tests {
         // The zero-cost invariant: with nobody departed, on_push must be
         // arithmetically identical to the pre-membership 1/n averaging.
         let mut s = plane(4, 4, 1);
-        s.on_push(0, 0, 1, &mut [(RowId(0), vec![4.0, 8.0, 12.0])]);
+        s.on_push(0, 0, 1, &mut batch([(RowId(0), vec![4.0, 8.0, 12.0])]));
         assert_eq!(s.pending(0, 3)[..3], [1.0, 2.0, 3.0]);
     }
 
     #[test]
     fn per_shard_gate_is_independent() {
         let mut s = plane(2, 1, 2);
-        let shard0 = || -> Vec<(RowId, Vec<f32>)> {
-            all_rows().into_iter().filter(|(id, _)| id.0 < 4).collect()
-        };
+        let shard0 = || -> RowBatch { all_rows().iter().filter(|(id, _)| id.0 < 4).collect() };
         // Worker 0 pushes only shard-0 rows at iteration 3; worker 1 has
         // pushed nothing anywhere.
         s.on_push(0, 0, 3, &mut shard0());
@@ -1115,7 +1121,7 @@ mod tests {
     fn pushing_a_foreign_row_panics() {
         let mut s = plane(1, 2, 2);
         let foreign = s.map().rows_of(1)[0];
-        s.on_push(0, 0, 1, &mut [(RowId(foreign), vec![1.0, 1.0])]);
+        s.on_push(0, 0, 1, &mut batch([(RowId(foreign), vec![1.0, 1.0])]));
     }
 
     mod shard_count_props {
@@ -1199,28 +1205,21 @@ mod tests {
         }
 
         /// A push of the rows of `rows` selected by `mask`.
-        fn push_rows(
-            widths: &[usize],
-            rows: &[usize],
-            mask: u64,
-            salt: u32,
-        ) -> Vec<(RowId, Vec<f32>)> {
+        fn push_rows(widths: &[usize], rows: &[usize], mask: u64, salt: u32) -> RowBatch {
             selected(rows, mask)
                 .into_iter()
                 .map(|id| {
-                    (
-                        id,
-                        (0..widths[id.0]).map(|c| value(id.0, c, salt)).collect(),
-                    )
+                    let row: Vec<f32> = (0..widths[id.0]).map(|c| value(id.0, c, salt)).collect();
+                    (id, row)
                 })
                 .collect()
         }
 
         /// Pulled rows as bits, so NaN and `-0.0` compare exactly.
-        fn bits(pulled: &[(RowId, Vec<f32>)]) -> Vec<(RowId, Vec<u32>)> {
+        fn bits(pulled: &RowBatch) -> Vec<(RowId, Vec<u32>)> {
             pulled
                 .iter()
-                .map(|(id, v)| (*id, v.iter().map(|f| f.to_bits()).collect()))
+                .map(|(id, v)| (id, v.iter().map(|f| f.to_bits()).collect()))
                 .collect()
         }
 
@@ -1292,10 +1291,9 @@ mod tests {
                                 let rows = push_rows(&widths, &all, mask, salt);
                                 one.on_push(0, from, iters[from], &mut rows.clone());
                                 for s in 0..k {
-                                    let mut leg: Vec<_> = rows
+                                    let mut leg: RowBatch = rows
                                         .iter()
                                         .filter(|(id, _)| many.map().shard_of(*id) == s)
-                                        .cloned()
                                         .collect();
                                     many.on_push(s, from, iters[from], &mut leg);
                                 }

@@ -15,7 +15,7 @@
 use rog_compress::{Codec, CodecChoice, CodecState};
 use rog_tensor::{ops, Matrix};
 
-use crate::{ImportanceMetric, ImportanceMode, RankScratch, RowId, RowPartition};
+use crate::{ImportanceMetric, ImportanceMode, RankScratch, RowBatch, RowId, RowPartition};
 
 /// Configuration of a ROG worker.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -162,14 +162,7 @@ impl RogWorker {
     /// mode), with RSP's worker-level staleness rule applied: rows whose
     /// staleness would reach the threshold if skipped are *mandatory* and
     /// are placed first (stalest first), ahead of the importance order.
-    pub fn plan_push(&mut self, n: u64) -> Vec<RowId> {
-        let mut out = Vec::new();
-        self.plan_push_into(n, &mut out);
-        out
-    }
-
-    /// Allocation-free variant of [`RogWorker::plan_push`]: writes the
-    /// plan into `out`, reusing the worker's internal ranking buffers.
+    /// Writes the plan into `out`, reusing the worker's ranking buffers.
     pub fn plan_push_into(&mut self, n: u64, out: &mut Vec<RowId>) {
         let mut mean_abs = std::mem::take(&mut self.mean_abs_buf);
         let mut ranked = std::mem::take(&mut self.ranked_buf);
@@ -202,10 +195,9 @@ impl RogWorker {
             .planned_payload_bytes(&self.codec, id.0, self.partition.row(&self.accum, id))
     }
 
-    /// [`RogWorker::commit_push_into`] into a fresh vector: one
-    /// allocation for the holder and one per row payload.
-    pub fn commit_push(&mut self, rows: &[RowId], n: u64) -> Vec<(RowId, Vec<f32>)> {
-        let mut out = Vec::with_capacity(rows.len());
+    /// [`RogWorker::commit_push_into`] into a fresh batch.
+    pub fn commit_push(&mut self, rows: &[RowId], n: u64) -> RowBatch {
+        let mut out = RowBatch::default();
         self.commit_push_into(rows, n, &mut out);
         out
     }
@@ -213,17 +205,20 @@ impl RogWorker {
     /// Commits a push: compresses the accumulated gradients of the rows
     /// actually delivered (error feedback retained), zeroes their
     /// accumulation and stamps their push iteration (Algorithm 1 lines
-    /// 9–12). Writes the values the server receives into `out`, one
-    /// entry per row, reusing its row vectors.
-    pub fn commit_push_into(&mut self, rows: &[RowId], n: u64, out: &mut Vec<(RowId, Vec<f32>)>) {
-        out.resize_with(rows.len(), || (RowId(0), Vec::new()));
-        for (&id, (slot, restored)) in rows.iter().zip(out.iter_mut()) {
+    /// 9–12). Replaces `out`'s rows with the values the server
+    /// receives, in order.
+    pub fn commit_push_into(&mut self, rows: &[RowId], n: u64, out: &mut RowBatch) {
+        out.clear();
+        out.reserve(
+            rows.len(),
+            rows.iter().map(|&id| self.partition.width(id)).sum(),
+        );
+        for &id in rows {
             let row = self.partition.row_mut(&mut self.accum, id);
-            restored.resize(row.len(), 0.0);
+            let restored = out.push_row(id, row.len());
             self.state.restore_into(&self.codec, id.0, row, restored);
             row.fill(0.0);
             self.iters[id.0] = n;
-            *slot = id;
         }
     }
 
@@ -233,9 +228,9 @@ impl RogWorker {
     /// # Panics
     ///
     /// Panics if shapes do not match.
-    pub fn apply_pulled(&mut self, params: &mut [Matrix], rows: &[(RowId, Vec<f32>)]) {
-        for (id, g) in rows {
-            let r = self.partition.locate(*id);
+    pub fn apply_pulled(&mut self, params: &mut [Matrix], rows: &RowBatch) {
+        for (id, g) in rows.iter() {
+            let r = self.partition.locate(id);
             ops::sgd_row(params[r.matrix].row_mut(r.row), g, self.cfg.lr);
         }
     }
@@ -294,7 +289,8 @@ mod tests {
     fn plan_push_orders_by_magnitude_initially() {
         let mut w = RogWorker::new(&params(), RogWorkerConfig::new(4, 0.1));
         w.accumulate(&grads(1.0));
-        let plan = w.plan_push(1);
+        let mut plan = Vec::new();
+        w.plan_push_into(1, &mut plan);
         assert_eq!(plan.len(), 4);
         // Row 2 (values 3.0) has the largest magnitude.
         assert_eq!(plan[0], RowId(2));
@@ -318,14 +314,14 @@ mod tests {
         w.accumulate(&grads(1.0));
         let g_before: Vec<f32> = vec![1.0; 4];
         let sent = w.commit_push(&[RowId(0)], 1);
-        let restored = &sent[0].1;
+        let restored = sent.iter().next().unwrap().1;
         // Residual + restored == original row.
         // Push again with fresh gradients; the residual rides along.
         w.accumulate(&grads(1.0));
         let sent2 = w.commit_push(&[RowId(0)], 2);
         let total_restored: Vec<f32> = restored
             .iter()
-            .zip(&sent2[0].1)
+            .zip(sent2.iter().next().unwrap().1)
             .map(|(a, b)| a + b)
             .collect();
         // Across two rounds, delivered ≈ total gradient (2 rounds of 1.0)
@@ -345,7 +341,8 @@ mod tests {
         w.commit_push(&[RowId(0), RowId(2), RowId(3)], 2);
         w.accumulate(&grads(0.001)); // row 1 now has small gradients
                                      // At iteration 3 row 1 has staleness 3 >= threshold: mandatory.
-        let plan = w.plan_push(3);
+        let mut plan = Vec::new();
+        w.plan_push_into(3, &mut plan);
         assert_eq!(plan[0], RowId(1), "stale row must be first: {plan:?}");
     }
 
@@ -353,7 +350,8 @@ mod tests {
     fn apply_pulled_is_sgd() {
         let mut ps = params();
         let mut w = RogWorker::new(&ps, RogWorkerConfig::new(4, 0.5));
-        w.apply_pulled(&mut ps, &[(RowId(0), vec![1.0, 2.0, 3.0, 4.0])]);
+        let pulled = [(RowId(0), [1.0, 2.0, 3.0, 4.0])].into_iter().collect();
+        w.apply_pulled(&mut ps, &pulled);
         assert_eq!(ps[0].row(0), &[-0.5, -1.0, -1.5, -2.0]);
     }
 

@@ -10,7 +10,7 @@
 //!
 //! The decisions are rog-core's roles on a one-shard plane, every row in
 //! every leg: a [`WorkerRole`] per worker (`accumulate`,
-//! `commit_landed_into`, `apply`, `rejoin`) and a [`ServerRole`]
+//! `commit_landed`, `apply`, `rejoin`) and a [`ServerRole`]
 //! (`ingest`, `retry`, `take_parked`, `drain_into`, `withdraw`,
 //! `bound`, `set_bound`, `rejoin`) gating each worker at its own bound,
 //! SSP `t` as RSP threshold `t + 1`. Model-granular and the engine's
@@ -20,7 +20,8 @@
 //! records the baselines' journal never had.
 
 use rog_core::{
-    Gate, ImportanceMetric, RogWorkerConfig, RowId, ServerRole, ShardMap, ShardedServer, WorkerRole,
+    Gate, ImportanceMetric, LegId, RogWorkerConfig, RowBatch, RowId, ServerRole, ShardMap,
+    ShardedServer, WorkerRole,
 };
 use rog_net::{FlowEvent, FlowOutcome};
 use rog_obs::{obs, EventKind};
@@ -58,7 +59,7 @@ struct WState {
 
 enum FlowCtx {
     Push(usize),
-    /// The worker's drained gradients wait in its row buffer.
+    /// The worker's drained gradients wait in its row batch.
     Pull(usize),
     /// Full-model transfer bringing a rejoining worker back in sync.
     Resync(usize),
@@ -111,10 +112,12 @@ struct ModelEngine {
     flows: FlowTable<FlowCtx>,
     /// Every row in global order: what each push and pull carries.
     rows: Vec<RowId>,
-    /// Each worker's row buffer: its push is committed into it and
+    /// Each worker's row batch: its push is committed into it and
     /// ingested from it; its granted pull is drained into it at grant
     /// time and applied when the transfer lands.
-    payloads: Vec<Vec<(RowId, Vec<f32>)>>,
+    payloads: Vec<RowBatch>,
+    /// The parked pulls a release scan re-checks, reused across scans.
+    scan: Vec<(LegId, u64)>,
 }
 
 /// Runs one model-granularity experiment, returning the event journal
@@ -155,7 +158,8 @@ pub fn run(cfg: &ExperimentConfig) -> (RunMetrics, rog_obs::Journal, FleetStats)
         journaled_thr: vec![None; n],
         flows: FlowTable::new(n),
         rows,
-        payloads: vec![Vec::new(); n],
+        payloads: vec![RowBatch::default(); n],
+        scan: Vec::new(),
     };
     engine.refresh_thresholds(0.0);
     drive(&mut engine);
@@ -244,11 +248,14 @@ impl Engine for ModelEngine {
         if self.ctx.any_server_down() {
             return;
         }
-        for ((w, s), n) in self.server.take_parked() {
+        let mut scan = std::mem::take(&mut self.scan);
+        self.server.take_parked(&mut scan);
+        for &((w, s), n) in &scan {
             if self.server.retry((w, s), n, self.ctx.reachable(w, s)) == Gate::Granted {
                 self.grant_pull(w, now);
             }
         }
+        self.scan = scan;
     }
 
     /// Drops the lost lineage's accumulated gradients and residuals on
@@ -359,7 +366,7 @@ impl ModelEngine {
         // The pusher's error feedback, averaged into every worker's
         // pending copy.
         let (ws, buf) = (&mut self.workers[w], &mut self.payloads[w]);
-        ws.role.commit_landed_into(&self.rows, pushed_iter, buf);
+        ws.role.commit_landed(&self.rows, pushed_iter, buf);
         self.server.ingest((w, 0), pushed_iter, buf);
         // Bandwidth estimate for FLOWN; round accounting for DSSP/ABS.
         let round = Round {

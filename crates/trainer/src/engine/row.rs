@@ -25,8 +25,8 @@ use std::ops::Range;
 
 use rog_compress::RowCodec;
 use rog_core::{
-    AggregatorPlane, Gate, LegId, PushReport, RogWorkerConfig, RowId, ServerRole, ShardMap,
-    ShardedServer, WorkerRole,
+    AggregatorPlane, Gate, LegId, PushReport, RogWorkerConfig, RowBatch, RowId, ServerRole,
+    ShardMap, ShardedServer, WorkerRole,
 };
 use rog_net::{shard_link, DeliveryReport, FlowEvent, FlowOutcome, FlowSpec};
 use rog_obs::{obs, obs_shard, EventKind};
@@ -135,11 +135,11 @@ impl Leg {
 
     /// The rows that got through: the intact ones under a loss model,
     /// otherwise everything transmitted.
-    fn landed(&mut self, lossy: bool) -> Vec<RowId> {
+    fn landed(&self, lossy: bool) -> &[RowId] {
         if lossy {
-            std::mem::take(&mut self.intact)
+            &self.intact
         } else {
-            self.plan[..self.delivered].to_vec()
+            &self.plan[..self.delivered]
         }
     }
 }
@@ -230,8 +230,11 @@ struct RowEngine {
     flows: FlowTable<FlowCtx>,
     /// Last pushed iteration per worker (micro-event staleness).
     last_pushed: Vec<u64>,
-    /// The rows of the push being ingested, reused across legs.
-    push_buf: Vec<(RowId, Vec<f32>)>,
+    /// The rows of the push being ingested or of the pull being
+    /// applied, reused across legs.
+    rows: RowBatch,
+    /// The parked pulls a release scan re-checks, reused across scans.
+    scan: Vec<(LegId, u64)>,
     /// Invariant watchdog: the last observed per-shard min(V), which may
     /// never regress.
     #[cfg(debug_assertions)]
@@ -313,7 +316,8 @@ pub fn run(cfg: &ExperimentConfig) -> (RunMetrics, rog_obs::Journal, FleetStats)
         server: ServerRole::new(server, agg_plane),
         flows: FlowTable::new(n),
         last_pushed: vec![0; n],
-        push_buf: Vec::new(),
+        rows: RowBatch::default(),
+        scan: Vec::new(),
         #[cfg(debug_assertions)]
         last_global_min: vec![0; n_shards],
         #[cfg(debug_assertions)]
@@ -427,11 +431,14 @@ impl Engine for RowEngine {
     }
 
     fn drain_waiting(&mut self, now: Time) {
-        for ((w, s), n) in self.server.take_parked() {
+        let mut scan = std::mem::take(&mut self.scan);
+        self.server.take_parked(&mut scan);
+        for &((w, s), n) in &scan {
             if self.server.retry((w, s), n, self.ctx.reachable(w, s)) == Gate::Granted {
                 self.grant_pull(w, s, now);
             }
         }
+        self.scan = scan;
     }
 
     /// Error-feedback residuals are reset (the paper's defined policy:
@@ -681,11 +688,10 @@ impl RowEngine {
         // With a loss model installed only the rows whose chunks
         // survived land (the must-land ones after their retransmits).
         let lossy = self.ctx.cluster.transport.loss_enabled();
-        let landed = self.workers[w].subs[s].push.landed(lossy);
-        self.workers[w]
-            .role
-            .commit_landed_into(&landed, n, &mut self.push_buf);
-        let min_advanced = self.server.ingest((w, s), n, &mut self.push_buf);
+        let ws = &mut self.workers[w];
+        let landed = ws.subs[s].push.landed(lossy);
+        ws.role.commit_landed(landed, n, &mut self.rows);
+        let min_advanced = self.server.ingest((w, s), n, &mut self.rows);
         #[cfg(debug_assertions)]
         self.check_version_invariants(s, n);
         let sent = PushReport {
@@ -766,13 +772,11 @@ impl RowEngine {
         // Intact rows only under a loss model: a dropped pull row stays
         // pending on the server instead of being silently consumed.
         let lossy = self.ctx.cluster.transport.loss_enabled();
-        let rows = self.workers[w].subs[s].pull.landed(lossy);
-        let payload = self
-            .server
-            .settle_pull((w, s), &rows, now, &mut self.ctx.journal);
-        self.workers[w]
-            .role
-            .apply(self.ctx.models[w].params_mut(), &payload);
+        let ws = &mut self.workers[w];
+        let (journal, rows) = (&mut self.ctx.journal, &mut self.rows);
+        let landed = ws.subs[s].pull.landed(lossy);
+        self.server.settle_pull((w, s), landed, now, journal, rows);
+        ws.role.apply(self.ctx.models[w].params_mut(), rows);
         self.finish_sub(w, s, now);
     }
 
@@ -1159,7 +1163,7 @@ mod tests {
                 "{round:?}"
             );
         }
-        l.landed(true)
+        l.landed(true).to_vec()
     }
 
     #[test]

@@ -49,8 +49,8 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use rog_core::{
-    Gate, PushFloor, PushReport, RogWorkerConfig, RowId, ServerRole, ShardMap, ShardedServer,
-    WorkerRole,
+    Gate, PushFloor, PushReport, RogWorkerConfig, RowBatch, RowId, ServerRole, ShardMap,
+    ShardedServer, WorkerRole,
 };
 use rog_obs::{obs, EventKind, Journal};
 use rog_sim::DeviceState;
@@ -267,14 +267,9 @@ fn admit_worker(
     Ok(worker_udp)
 }
 
-fn to_row_ids(rows: Vec<Row>) -> Vec<(RowId, Vec<f32>)> {
-    rows.into_iter()
-        .map(|(id, v)| (RowId(id as usize), v))
-        .collect()
-}
-
-fn from_row_ids(rows: Vec<(RowId, Vec<f32>)>) -> Vec<Row> {
-    rows.into_iter().map(|(id, v)| (id.0 as u32, v)).collect()
+/// A batch's rows as the wire carries them.
+fn wire_rows(batch: &RowBatch) -> impl Iterator<Item = Row> + '_ {
+    batch.iter().map(|(id, v)| (id.0 as u32, v.to_vec()))
 }
 
 impl From<SocketByteCounters> for ByteAccount {
@@ -407,22 +402,24 @@ impl Plane {
     fn on_push_rows(&mut self, w: usize, iter: u64, rows: Vec<Row>, opener: bool, now: f64) {
         self.members[w].open_push(iter, now);
         let map = self.role.server().map();
-        let mut legs = vec![Vec::new(); map.n_shards()];
+        let mut legs = vec![RowBatch::default(); map.n_shards()];
         // A row that is not one of the model's is hostile or torn.
-        for (id, v) in to_row_ids(rows) {
+        for (id, v) in &rows {
+            let id = RowId(*id as usize);
             if self.widths.get(id.0) == Some(&v.len()) {
-                legs[map.shard_of(id)].push((id, v));
+                legs[map.shard_of(id)]
+                    .push_row(id, v.len())
+                    .copy_from_slice(v);
             }
         }
         let mut advanced = false;
         for (s, leg) in legs.iter_mut().enumerate() {
             let plane = self.role.server();
-            let bytes: u64 = leg.iter().map(|&(id, _)| plane.payload_bytes(id)).sum();
+            let bytes: u64 = leg.ids().iter().map(|&id| plane.payload_bytes(id)).sum();
             if opener {
-                let ids: Vec<RowId> = leg.iter().map(|&(id, _)| id).collect();
-                let floor = PushFloor::new(plane.map().shard_rows(s), ids.len(), plane.threshold());
+                let floor = PushFloor::new(plane.map().shard_rows(s), leg.len(), plane.threshold());
                 self.role
-                    .push_start((w, s), iter, floor, &ids, now, &mut self.journal);
+                    .push_start((w, s), iter, floor, leg.ids(), now, &mut self.journal);
             }
             if iter == self.members[w].push_iter {
                 let got = &mut self.members[w].received[s];
@@ -464,7 +461,9 @@ impl Plane {
 
     /// Release scan (after `min(V)` advanced or a member left).
     fn release(&mut self, now: f64) {
-        for ((w, s), n) in self.role.take_parked() {
+        let mut scan = Vec::new();
+        self.role.take_parked(&mut scan);
+        for ((w, s), n) in scan {
             if self.role.retry((w, s), n, true) == Gate::Granted {
                 self.serve_pull(w, s, now);
             }
@@ -480,9 +479,11 @@ impl Plane {
         let bytes = plan.iter().map(|&id| plane.payload_bytes_for(w, id)).sum();
         self.role
             .pull_start(leg, &plan, bytes, now, &mut self.journal);
-        let fresh = self.role.settle_pull(leg, &plan, now, &mut self.journal);
+        let mut fresh = RowBatch::default();
+        self.role
+            .settle_pull(leg, &plan, now, &mut self.journal, &mut fresh);
         let sent = fresh.len() as u32;
-        for rows in chunk_rows(from_row_ids(fresh), MAX_DATAGRAM_PAYLOAD) {
+        for rows in chunk_rows(wire_rows(&fresh).collect(), MAX_DATAGRAM_PAYLOAD) {
             let _ = send_msg(&mut self.transport, w, iter, &Msg::PullRows { rows });
         }
         self.send_done(w, iter, s, sent);
@@ -840,6 +841,7 @@ pub fn join(cfg: &ExperimentConfig, opts: &JoinOptions) -> Result<RunOutcome, St
     let mut role = WorkerRole::new(model.params(), wcfg, n_shards);
     let leg_cap = opts.push_cap.div_ceil(n_shards);
     let mut plans: Vec<Vec<RowId>> = vec![Vec::new(); n_shards];
+    let mut sent = RowBatch::default();
     let mut draws = WorkerDraws::new(cfg, &cluster, w);
     let mut grads = model.zero_grads();
 
@@ -909,9 +911,10 @@ pub fn join(cfg: &ExperimentConfig, opts: &JoinOptions) -> Result<RunOutcome, St
         for (s, plan) in plans.iter().enumerate() {
             let floor = role.start_leg(s, plan, iter);
             let admitted = floor.admit(Some(leg_cap));
-            let mut rows = from_row_ids(role.commit_landed(&plan[..admitted], iter));
-            bulk.extend(rows.split_off(floor.mandatory));
-            mandatory.append(&mut rows);
+            role.commit_landed(&plan[..admitted], iter, &mut sent);
+            let mut rows = wire_rows(&sent);
+            mandatory.extend(rows.by_ref().take(floor.mandatory));
+            bulk.extend(rows);
         }
         let worker = w as u32;
         let opener = Msg::PushRows {
@@ -942,7 +945,8 @@ pub fn join(cfg: &ExperimentConfig, opts: &JoinOptions) -> Result<RunOutcome, St
                 match m {
                     Msg::PullRows { rows } => {
                         heard = true;
-                        role.apply(model.params_mut(), &to_row_ids(rows));
+                        let rows = rows.iter().map(|(id, v)| (RowId(*id as usize), v));
+                        role.apply(model.params_mut(), &rows.collect());
                     }
                     Msg::PullDone { iter: i, shard, .. }
                         if i == iter && (shard as usize) < n_shards =>

@@ -12,7 +12,7 @@
 //! cargo run --example custom_strategy
 //! ```
 
-use rog::core::{Gate, RogWorkerConfig, ServerRole, ShardMap, ShardedServer, WorkerRole};
+use rog::core::{Gate, RogWorkerConfig, RowBatch, ServerRole, ShardMap, ShardedServer, WorkerRole};
 use rog::models::{CrudaSpec, Workload};
 use rog::obs::Journal;
 use rog::tensor::rng::DetRng;
@@ -41,6 +41,7 @@ fn main() {
     let mut server = ServerRole::new(plane, None);
     let mut journal = Journal::disabled();
     let mut plan = Vec::new();
+    let mut rows = RowBatch::default();
     println!("model has {n_rows} rows; RSP threshold {threshold}");
 
     let mut rng = DetRng::new(9);
@@ -60,8 +61,8 @@ fn main() {
             plan.extend(workers[w].ranked(&map).map(|(_, id)| id));
             let floor = workers[w].start_leg(0, &plan, iter);
             let delivered = floor.admit((w == 1).then_some(0));
-            let mut sent = workers[w].commit_landed(&plan[..delivered], iter);
-            server.ingest((w, 0), iter, &mut sent);
+            workers[w].commit_landed(&plan[..delivered], iter, &mut rows);
+            server.ingest((w, 0), iter, &mut rows);
             println!(
                 "iter {iter}: worker {w} pushed {delivered}/{} rows (stalest row now {} iters old)",
                 floor.rows,
@@ -75,8 +76,8 @@ fn main() {
             match server.enter_gate((w, 0), iter, 0.0, &mut journal) {
                 Gate::Granted => {
                     let take = server.grant((w, 0), 0.0, &mut journal, &mut plan);
-                    let payload = server.settle_pull((w, 0), &plan[..take], 0.0, &mut journal);
-                    workers[w].apply(models[w].params_mut(), &payload);
+                    server.settle_pull((w, 0), &plan[..take], 0.0, &mut journal, &mut rows);
+                    workers[w].apply(models[w].params_mut(), &rows);
                 }
                 Gate::Parked => {
                     server.withdraw(w);

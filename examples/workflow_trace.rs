@@ -12,7 +12,9 @@
 //! cargo run --example workflow_trace
 //! ```
 
-use rog::core::{mta, Gate, RogWorkerConfig, ServerRole, ShardMap, ShardedServer, WorkerRole};
+use rog::core::{
+    mta, Gate, RogWorkerConfig, RowBatch, ServerRole, ShardMap, ShardedServer, WorkerRole,
+};
 use rog::obs::Journal;
 use rog::tensor::rng::DetRng;
 use rog::tensor::Matrix;
@@ -33,6 +35,7 @@ fn main() {
     // This walkthrough has no clock: every record would carry t = 0.
     let mut journal = Journal::disabled();
     let mut plan = Vec::new();
+    let mut rows = RowBatch::default();
     let mta_rows = mta::mta_rows(n_rows, threshold);
     println!(
         "model: {n_rows} rows | RSP threshold {threshold} | MTA {:.0}% = {mta_rows} rows\n",
@@ -64,8 +67,8 @@ fn main() {
             plan.extend(workers[w].ranked(&map).map(|(_, id)| id));
             let floor = workers[w].start_leg(0, &plan, round);
             let admitted = floor.admit((w == 2).then_some(0));
-            let mut sent = workers[w].commit_landed(&plan[..admitted], round);
-            server.ingest((w, 0), round, &mut sent);
+            workers[w].commit_landed(&plan[..admitted], round, &mut rows);
+            server.ingest((w, 0), round, &mut rows);
 
             let pushed: Vec<String> = plan[..admitted].iter().map(|r| r.0.to_string()).collect();
             println!(
@@ -80,8 +83,8 @@ fn main() {
             match server.enter_gate((w, 0), round, 0.0, &mut journal) {
                 Gate::Granted => {
                     let take = server.grant((w, 0), 0.0, &mut journal, &mut plan);
-                    let payload = server.settle_pull((w, 0), &plan[..take], 0.0, &mut journal);
-                    workers[w].apply(&mut models[w], &payload);
+                    server.settle_pull((w, 0), &plan[..take], 0.0, &mut journal, &mut rows);
+                    workers[w].apply(&mut models[w], &rows);
                     println!("           gate open → pulled {take} rows");
                 }
                 Gate::Parked => {

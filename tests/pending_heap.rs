@@ -7,7 +7,9 @@
 //! allocator, hence a test binary of its own.
 
 use rog::compress::CodecState;
-use rog::core::{ImportanceMetric, RowId, RowPartition, RowVersionStore, ShardMap, ShardedServer};
+use rog::core::{
+    ImportanceMetric, RowBatch, RowId, RowPartition, RowVersionStore, ShardMap, ShardedServer,
+};
 use rog::models::{Mlp, Task};
 use rog::tensor::rng::DetRng;
 
@@ -44,7 +46,7 @@ fn fleet() -> (ShardedServer, RowPartition) {
 }
 
 /// Every row of shard `s`, as one push.
-fn leg(server: &ShardedServer, partition: &RowPartition, s: usize) -> Vec<(RowId, Vec<f32>)> {
+fn leg(server: &ShardedServer, partition: &RowPartition, s: usize) -> RowBatch {
     let rows = server.map().rows_of(s).iter().map(|&r| RowId(r));
     rows.map(|id| {
         (

@@ -6,8 +6,8 @@
 
 use rog::core::gate;
 use rog::core::{
-    Gate, ImportanceMetric, LegId, PushReport, RogWorkerConfig, RowId, ServerRole, ShardMap,
-    ShardedServer, WorkerRole,
+    Gate, ImportanceMetric, LegId, PushReport, RogWorkerConfig, RowBatch, RowId, ServerRole,
+    ShardMap, ShardedServer, WorkerRole,
 };
 use rog::obs::Journal;
 use rog::tensor::rng::DetRng;
@@ -126,7 +126,8 @@ impl Cluster {
                 .filter(|&i| i < floor.mandatory || self.rng.uniform() >= self.drop_rate)
                 .map(|i| plan[i])
                 .collect();
-            let mut rows = self.workers[w].commit_landed(&landed, n);
+            let mut rows = RowBatch::default();
+            self.workers[w].commit_landed(&landed, n, &mut rows);
             let advanced = self.server.ingest((w, s), n, &mut rows);
             let sent = PushReport {
                 rows: admitted,
@@ -154,7 +155,7 @@ impl Cluster {
 
     /// Release scan, as a driver runs it when `min(V)` advanced.
     fn release(&mut self) {
-        for (leg, n) in self.server.take_parked() {
+        for (leg, n) in parked(&mut self.server) {
             if !self.reachable[leg.0] {
                 self.server.retry(leg, n, false);
                 continue;
@@ -170,7 +171,7 @@ impl Cluster {
     /// "Released exactly when `min(V)` admits it": after every event,
     /// whatever is still parked must still be refused (or unreachable).
     fn assert_nothing_parked_is_admissible(&mut self) {
-        for (leg, n) in self.server.take_parked() {
+        for (leg, n) in parked(&mut self.server) {
             assert!(
                 !self.reachable[leg.0] || !gate::rsp_may_pull(self.min(leg.1), n, THRESHOLD),
                 "leg {leg:?} iter {n} sits parked although the gate admits it"
@@ -190,7 +191,9 @@ impl Cluster {
             .copied()
             .filter(|_| self.rng.uniform() >= self.drop_rate)
             .collect();
-        let payload = self.server.settle_pull((w, s), &landed, now, journal);
+        let mut payload = RowBatch::default();
+        self.server
+            .settle_pull((w, s), &landed, now, journal, &mut payload);
         self.workers[w].apply(&mut self.models[w], &payload);
         if self.workers[w].finish_leg(s) {
             self.waiting[w] = false;
@@ -266,7 +269,8 @@ fn a_dropped_row_keeps_its_mass_and_comes_back_mandatory() {
             // At the bound the row leads the plan and rides the reliable
             // class: it lands, with everything it accumulated meanwhile.
             assert_eq!(n, u64::from(THRESHOLD), "mandatory exactly at the bound");
-            let sent = w.commit_landed(&plan[..floor.floor], n);
+            let mut sent = RowBatch::default();
+            w.commit_landed(&plan[..floor.floor], n, &mut sent);
             let (_, values) = sent.iter().find(|(id, _)| *id == victim).expect("sent");
             assert!(values.iter().any(|v| *v != 0.0), "the mass was carried");
             assert_eq!(w.worker().row_iters()[victim.0], n);
@@ -275,7 +279,7 @@ fn a_dropped_row_keeps_its_mass_and_comes_back_mandatory() {
         }
         let landed: Vec<RowId> = plan.iter().copied().filter(|&id| id != victim).collect();
         let before = w.worker().row_mean_abs()[victim.0];
-        w.commit_landed(&landed, n);
+        w.commit_landed(&landed, n, &mut RowBatch::default());
         // Not committed: stale iteration kept, accumulated gradient kept.
         assert_eq!(w.worker().row_iters()[victim.0], 0);
         assert_eq!(w.worker().row_mean_abs()[victim.0], before);
@@ -372,7 +376,7 @@ fn a_parked_worker_departs_and_rejoins_through_the_roles() {
 
 /// A whole-model push of iteration `n` by `w`, then its gate check.
 fn push_all(server: &mut ServerRole, w: usize, n: u64) -> Gate {
-    let mut rows: Vec<(RowId, Vec<f32>)> = params()
+    let mut rows: RowBatch = params()
         .iter()
         .flat_map(|m| (0..m.rows()).map(|_| vec![0.5; m.cols()]))
         .enumerate()
@@ -382,10 +386,16 @@ fn push_all(server: &mut ServerRole, w: usize, n: u64) -> Gate {
     server.retry((w, 0), n, true)
 }
 
+/// Every parked request, taken out for a release scan.
+fn parked(server: &mut ServerRole) -> Vec<(LegId, u64)> {
+    let mut scan = Vec::new();
+    server.take_parked(&mut scan);
+    scan
+}
+
 /// A release scan; returns the workers it granted.
 fn release_all(server: &mut ServerRole) -> Vec<usize> {
-    let parked = server.take_parked();
-    parked
+    parked(server)
         .into_iter()
         .filter(|&(leg, n)| server.retry(leg, n, true) == Gate::Granted)
         .map(|((w, _), _)| w)
@@ -432,10 +442,12 @@ fn a_nonfinite_row_is_counted_at_ingest_and_never_reaches_a_pull() {
     let map = ShardMap::contiguous(n_rows, 1);
     let mut server = ServerRole::new(ShardedServer::new(&ps, 2, THRESHOLD, imp, map), None);
     let mut journal = Journal::disabled();
-    let mut rows = vec![
+    let mut rows: RowBatch = [
         (RowId(0), vec![2.0, f32::NAN, f32::INFINITY, -2.0]),
         (RowId(1), vec![1.0; 4]),
-    ];
+    ]
+    .into_iter()
+    .collect();
     server.ingest((0, 0), 1, &mut rows);
     assert_eq!(server.nonfinite_dropped(), 2);
 
@@ -444,8 +456,9 @@ fn a_nonfinite_row_is_counted_at_ingest_and_never_reaches_a_pull() {
     let mut plan = Vec::new();
     server.grant(leg, 0.0, &mut journal, &mut plan);
     assert!(plan.contains(&RowId(0)) && plan.contains(&RowId(1)));
-    let pulled = server.settle_pull(leg, &plan, 0.0, &mut journal);
-    for (id, values) in &pulled {
+    let mut pulled = RowBatch::default();
+    server.settle_pull(leg, &plan, 0.0, &mut journal, &mut pulled);
+    for (id, values) in pulled.iter() {
         assert!(values.iter().all(|v| v.is_finite()), "{id}: {values:?}");
     }
     let (_, poisoned) = pulled.iter().find(|(id, _)| *id == RowId(0)).expect("sent");
@@ -454,6 +467,10 @@ fn a_nonfinite_row_is_counted_at_ingest_and_never_reaches_a_pull() {
         "the finite values landed"
     );
     // A clean push leaves the counter alone.
-    server.ingest((1, 0), 1, &mut [(RowId(1), vec![1.0; 4])]);
+    server.ingest(
+        (1, 0),
+        1,
+        &mut [(RowId(1), vec![1.0; 4])].into_iter().collect(),
+    );
     assert_eq!(server.nonfinite_dropped(), 2);
 }

@@ -6,7 +6,8 @@
 
 use proptest::prelude::*;
 use rog::core::{
-    Gate, ImportanceMetric, RogWorkerConfig, RowId, ServerRole, ShardMap, ShardedServer, WorkerRole,
+    Gate, ImportanceMetric, RogWorkerConfig, RowBatch, RowId, ServerRole, ShardMap, ShardedServer,
+    WorkerRole,
 };
 use rog::obs::Journal;
 use rog::tensor::rng::DetRng;
@@ -76,7 +77,7 @@ proptest! {
             // Adversarial channel: deliver between the floor and all.
             let floor = plan_push(&mut worker, iter, &mut plan);
             let extra = ((plan.len() - floor) as f64 * cut_bias * rng.uniform()) as usize;
-            worker.commit_landed(&plan[..floor + extra], iter);
+            worker.commit_landed(&plan[..floor + extra], iter, &mut RowBatch::default());
             let staleness = worker.worker().max_row_staleness(iter);
             prop_assert!(
                 staleness < u64::from(threshold),
@@ -98,6 +99,7 @@ proptest! {
             (0..n_workers).map(|_| worker(threshold, 0.01)).collect();
         let mut journal = Journal::disabled();
         let mut plan = Vec::new();
+        let mut rows = RowBatch::default();
         let mut rng = DetRng::new(seed);
         let mut iters = vec![0u64; n_workers];
         for _round in 0..60 {
@@ -106,14 +108,14 @@ proptest! {
             let next = iters[w] + 1;
             workers[w].accumulate(&random_grads(&mut rng));
             let floor = plan_push(&mut workers[w], next, &mut plan);
-            let mut sent = workers[w].commit_landed(&plan[..floor], next);
-            server.ingest((w, 0), next, &mut sent);
+            workers[w].commit_landed(&plan[..floor], next, &mut rows);
+            server.ingest((w, 0), next, &mut rows);
             iters[w] = next;
             match server.enter_gate((w, 0), next, 0.0, &mut journal) {
                 Gate::Granted => {
                     let take = server.grant((w, 0), 0.0, &mut journal, &mut plan).max(1);
                     let take = take.min(plan.len());
-                    let _ = server.settle_pull((w, 0), &plan[..take], 0.0, &mut journal);
+                    server.settle_pull((w, 0), &plan[..take], 0.0, &mut journal, &mut rows);
                 }
                 Gate::Parked => {
                     // Verify the lead is genuinely at the threshold; this
@@ -147,11 +149,12 @@ fn all_workers_apply_the_same_totals() {
     for iter in 1..=30u64 {
         worker.accumulate(&random_grads(&mut rng));
         plan_push(&mut worker, iter, &mut plan);
-        let mut sent = worker.commit_landed(&plan, iter);
-        server.ingest((0, 0), iter, &mut sent);
+        let mut rows = RowBatch::default();
+        worker.commit_landed(&plan, iter, &mut rows);
+        server.ingest((0, 0), iter, &mut rows);
         for (dst, inbox) in received.iter_mut().enumerate() {
-            let payload = server.settle_pull((dst, 0), &all_rows, 0.0, &mut journal);
-            let flat: f32 = payload.iter().flat_map(|(_, v)| v.iter()).sum();
+            server.settle_pull((dst, 0), &all_rows, 0.0, &mut journal, &mut rows);
+            let flat: f32 = rows.iter().flat_map(|(_, v)| v.iter()).sum();
             inbox.push(flat);
         }
     }

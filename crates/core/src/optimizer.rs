@@ -69,7 +69,6 @@ pub struct RogSession {
     server: Arc<Mutex<ServerRole>>,
     template: Vec<(usize, usize)>,
     n_workers: usize,
-    threshold: u32,
 }
 
 impl RogSession {
@@ -92,7 +91,6 @@ impl RogSession {
             server: Arc::new(Mutex::new(ServerRole::new(server, None))),
             template: params.iter().map(Matrix::shape).collect(),
             n_workers,
-            threshold,
         }
     }
 
@@ -113,9 +111,10 @@ impl RogSession {
             .iter()
             .map(|&(r, c)| Matrix::zeros(r, c))
             .collect();
+        let bound = self.server.lock().bound(rank);
         RogOptimizer {
             server: Arc::clone(&self.server),
-            role: WorkerRole::new(&params, RogWorkerConfig::new(self.threshold, lr), 1),
+            role: WorkerRole::new(&params, RogWorkerConfig::new(bound, lr), 1),
             rank,
             iter: 0,
             plan: Vec::new(),

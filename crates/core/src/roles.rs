@@ -22,17 +22,19 @@
 //! release scan ([`ServerRole::take_parked`] + [`ServerRole::retry`])
 //! whenever `min(V)`, the bound, membership or reachability moved.
 //!
+//! [`ServerRole`] owns every worker's staleness bound: the plane's
+//! threshold only seeds it, and [`ServerRole::set_bound`] is its one
+//! setter. A driver that moves a bound journals the move itself.
+//!
 //! The baselines (BSP/SSP/ASP/FLOWN/DSSP/ABS) put every row in every
 //! leg and call only unjournaled steps — `accumulate`,
 //! `commit_landed`, `apply`, `rejoin`; `ingest`, `retry`,
 //! `take_parked`, `drain_into`, `withdraw`, `bound`, `set_bound`,
-//! `rejoin` — as a `row_push`, `row_pull`, `mta` or `auto_threshold`
-//! record was never in their journal. They gate each worker at its own
-//! bound, so the plane's uniform threshold goes stale under
-//! FLOWN/DSSP/ABS: [`ShardedServer::gate_ok`] is no verdict of theirs.
+//! `rejoin` — as a `row_push`, `row_pull` or `mta` record was never in
+//! their journal.
 
 use rog_compress::Codec;
-use rog_obs::{obs, obs_shard, Event, EventKind, Journal};
+use rog_obs::{obs_shard, Event, EventKind, Journal};
 use rog_sim::Time;
 use rog_tensor::Matrix;
 
@@ -263,7 +265,8 @@ pub struct ServerRole {
     agg_ids: Vec<usize>,
     /// Pull requests waiting at a shard's gate, with their iteration.
     parked: Vec<(LegId, u64)>,
-    /// Each worker's RSP threshold at the gate.
+    /// Each worker's RSP threshold: its gate bound and its pulls' MTA
+    /// target. The one copy every driver reads and moves.
     bounds: Vec<u32>,
     /// Row-major by worker.
     legs: Vec<ServerLeg>,
@@ -518,7 +521,7 @@ impl ServerRole {
         if plan.is_empty() {
             return 0;
         }
-        mta::mta_rows(self.server.map().shard_rows(s), self.server.threshold()).min(plan.len())
+        mta::mta_rows(self.server.map().shard_rows(s), self.bounds[w]).min(plan.len())
     }
 
     /// The granted pull of `plan` (`bytes` on the wire) starts.
@@ -570,16 +573,9 @@ impl ServerRole {
         self.server.commit_pull_into(s, w, rows, out);
     }
 
-    /// Switches every worker's gate to a new staleness bound. Follow
-    /// with a release scan: a loosened gate may admit parked requests.
-    pub fn set_threshold(&mut self, threshold: u32, now: Time, journal: &mut Journal) {
-        obs!(journal, now, EventKind::AutoThreshold { threshold });
-        self.server.set_threshold(threshold);
-        self.bounds.fill(threshold);
-    }
-
-    /// Gates worker `w` alone at `bound`, unjournaled (follow with a
-    /// release scan). SSP's bound `t` is RSP threshold `t + 1`.
+    /// Gates worker `w` at `bound` and sizes its pulls' MTA by it,
+    /// unjournaled (follow with a release scan: a loosened gate may
+    /// admit parked requests). SSP's bound `t` is RSP threshold `t + 1`.
     pub fn set_bound(&mut self, w: usize, bound: u32) {
         self.bounds[w] = bound;
     }

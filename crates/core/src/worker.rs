@@ -15,7 +15,7 @@
 use rog_compress::{Codec, CodecChoice, CodecState};
 use rog_tensor::{ops, Matrix};
 
-use crate::{ImportanceMetric, ImportanceMode, RankScratch, RowBatch, RowId, RowPartition};
+use crate::{gate, ImportanceMetric, ImportanceMode, RankScratch, RowBatch, RowId, RowPartition};
 
 /// Configuration of a ROG worker.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -175,9 +175,8 @@ impl RogWorker {
             &mut scratch,
             &mut ranked,
         );
-        let t = u64::from(self.cfg.threshold.max(1));
-        let iters = &self.iters;
-        let is_mandatory = |id: RowId| n.saturating_sub(iters[id.0]) >= t;
+        let (iters, t) = (&self.iters, self.cfg.threshold);
+        let is_mandatory = |id: RowId| gate::row_is_mandatory(iters[id.0], n, t);
         out.clear();
         out.extend(ranked.iter().copied().filter(|&id| is_mandatory(id)));
         out.sort_unstable_by_key(|&id| (iters[id.0], id.0));

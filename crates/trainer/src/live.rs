@@ -417,7 +417,8 @@ impl Plane {
             let plane = self.role.server();
             let bytes: u64 = leg.ids().iter().map(|&id| plane.payload_bytes(id)).sum();
             if opener {
-                let floor = PushFloor::new(plane.map().shard_rows(s), leg.len(), plane.threshold());
+                let bound = self.role.bound(w);
+                let floor = PushFloor::new(plane.map().shard_rows(s), leg.len(), bound);
                 self.role
                     .push_start((w, s), iter, floor, leg.ids(), now, &mut self.journal);
             }

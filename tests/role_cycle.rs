@@ -4,7 +4,7 @@
 //! (mandatory prefix reliable, bulk best-effort, pull request parked on
 //! the server until `min(V)` admits it), made deterministic.
 
-use rog::core::gate;
+use rog::core::{gate, mta};
 use rog::core::{
     Gate, ImportanceMetric, LegId, PushReport, RogWorkerConfig, RowBatch, RowId, ServerRole,
     ShardMap, ShardedServer, WorkerRole,
@@ -428,10 +428,47 @@ fn each_worker_is_parked_and_released_by_its_own_bound() {
     // The straggler's push lifts `min(V)` to 1: now BSP admits worker 0.
     assert_eq!(push_all(&mut server, 2, 1), Gate::Granted);
     assert_eq!(release_all(&mut server), vec![0]);
-    // A uniform threshold (ROG's) overrides both.
-    let mut journal = Journal::disabled();
-    server.set_threshold(1, 0.0, &mut journal);
+    // A uniform threshold (ROG's) is every worker's bound moved at once.
+    for w in 0..3 {
+        server.set_bound(w, 1);
+    }
     assert_eq!(push_all(&mut server, 1, 4), Gate::Parked, "lead 3 at RSP 1");
+}
+
+/// A worker's bound also sizes its pulls: after `set_bound(w, b)` the
+/// grant's MTA is `mta_rows(shard_rows, b)`, capped at the plan length.
+#[test]
+fn a_grant_sizes_the_pull_by_the_workers_own_bound() {
+    let ps = params();
+    let n_rows = ps.iter().map(Matrix::rows).sum();
+    let plane = |n| {
+        let map = ShardMap::contiguous(n_rows, 1);
+        ServerRole::new(
+            ShardedServer::new(&ps, n, THRESHOLD, ImportanceMetric::default(), map),
+            None,
+        )
+    };
+    let mut journal = Journal::disabled();
+    let mut plan = Vec::new();
+    for bound in [1, 2, THRESHOLD, 8] {
+        let mut server = plane(2);
+        server.set_bound(0, bound);
+        assert_eq!(push_all(&mut server, 1, 1), Gate::Granted);
+        assert_eq!(push_all(&mut server, 0, 1), Gate::Granted);
+        let must = server.grant((0, 0), 0.0, &mut journal, &mut plan);
+        assert_eq!(plan.len(), n_rows);
+        assert_eq!(must, mta::mta_rows(n_rows, bound), "bound {bound}");
+    }
+    // Two pending rows: the MTA of the shard's rows is past the plan.
+    let mut server = plane(2);
+    server.set_bound(0, 4);
+    let mut two: RowBatch = [(RowId(0), vec![1.0; 4]), (RowId(1), vec![1.0; 4])]
+        .into_iter()
+        .collect();
+    server.ingest((1, 0), 1, &mut two);
+    assert_eq!(server.retry((0, 0), 1, true), Gate::Granted);
+    assert_eq!(server.grant((0, 0), 0.0, &mut journal, &mut plan), 2);
+    assert!(mta::mta_rows(n_rows, 4) > 2);
 }
 
 #[test]

@@ -772,26 +772,24 @@ fn apply_fault(e: &mut impl Engine, f: FaultEvent, now: Time) {
     ctx.journal_fault(f, now);
     match f {
         FaultEvent::WorkerDown(w) => {
-            // A worker still out of the membership (the rejoin resync of
-            // an earlier outage in flight or pending) has nothing left
-            // to lose: the new window passes unnoticed, and its end
-            // finds the worker back.
-            if ctx.offline[w] {
-                return;
-            }
-            ctx.offline[w] = true;
             // Every in-flight transfer dies with the device; nothing
             // resumes (the rejoin rebuilds the cycle from the resynced
             // model instead).
             flows.sever(ctx, w);
-            ctx.void_compute(w);
             ctx.set_state(w, now, DeviceState::Offline);
+            if ctx.offline[w] {
+                // Still out from an earlier outage: that window's rejoin
+                // resync, cut above or still pending, is void. This
+                // window's return starts the one resync.
+                ctx.resync_pending[w] = false;
+                return;
+            }
+            ctx.offline[w] = true;
+            ctx.void_compute(w);
             e.depart(w, now);
         }
         FaultEvent::WorkerUp(w) => {
-            if !ctx.offline[w] {
-                return;
-            }
+            debug_assert!(ctx.offline[w], "worker {w} returns from no outage");
             if ctx.can_resync(w) {
                 start_resync(e, w, now);
             } else {
@@ -920,6 +918,7 @@ fn start_resync<E: Engine>(e: &mut E, w: usize, now: Time) {
 /// it trains on, and its fast-forwarded version can only open the gates
 /// further.
 pub(crate) fn finish_rejoin(e: &mut impl Engine, w: usize, now: Time) {
+    debug_assert!(e.parts().0.offline[w], "worker {w} rejoins twice");
     let mut reference: Option<(usize, u64)> = None;
     for i in 0..e.parts().0.cfg.n_workers {
         if i != w && !e.parts().0.offline[i] {

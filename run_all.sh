@@ -3,7 +3,7 @@
 # extension experiments, mirroring the artifact's run_all.sh. Results
 # land in results/ (CSV + console transcripts).
 #
-#   bash run_all.sh            # full-length runs (tens of minutes)
+#   bash run_all.sh            # full-length runs (about 100 s on two cores)
 #   bash run_all.sh --quick    # shortened smoke runs
 set -euo pipefail
 cd "$(dirname "$0")"

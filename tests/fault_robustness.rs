@@ -70,3 +70,53 @@ fn dynamic_membership_beats_static_membership_under_churn() {
         bsp_run.stall_secs
     );
 }
+
+/// Worker 3 leaves twice, and its first rejoin resync (about 99 s in
+/// an outdoor fade) is still on the air when the second outage starts.
+/// The departure cuts that resync and the second return starts the one
+/// resync that lands: two resyncs landing on one rejoin used to drive
+/// one shard leg twice and panic. `bench_fault`'s churn cell.
+#[test]
+fn a_departure_during_a_rejoin_resync_cuts_it_and_one_resync_lands() {
+    use rog::obs::EventKind;
+    let plan = FaultPlan::new()
+        .worker_offline(3, 349.54, 357.54)
+        .worker_offline(3, 405.72, 413.72);
+    let (rog, roga) = (
+        Strategy::Rog { threshold: 4 },
+        Strategy::RogAdaptive {
+            min_threshold: 1,
+            max_threshold: 8,
+        },
+    );
+    for (strategy, shards, aggregators) in [(rog, 1, 0), (roga, 1, 0), (rog, 2, 2)] {
+        let cfg = ExperimentConfig {
+            workload: WorkloadKind::Cruda,
+            environment: Environment::Outdoor,
+            strategy,
+            duration_secs: 600.0,
+            eval_every: 10,
+            n_shards: shards,
+            n_aggregators: aggregators,
+            fault_plan: Some(plan.clone()),
+            ..ExperimentConfig::default()
+        };
+        let out = cfg.options().traced(true).run();
+        let journal = out.journal.expect("traced run");
+        let resyncs = |start: bool| -> Vec<f64> {
+            journal
+                .events()
+                .filter(|e| match e.kind {
+                    EventKind::ResyncStart { w, .. } => start && w == 3,
+                    EventKind::ResyncEnd { w, .. } => !start && w == 3,
+                    _ => false,
+                })
+                .map(|e| e.t)
+                .collect()
+        };
+        let name = cfg.name();
+        assert_eq!(resyncs(true), vec![357.54, 413.72], "{name}");
+        let ends = resyncs(false);
+        assert!(ends.len() == 1 && ends[0] > 413.72, "{name}: {ends:?}");
+    }
+}

@@ -27,6 +27,9 @@
 //!   staleness bound (static for BSP/SSP/ROG, replayed from the
 //!   journal's threshold-adaptation events for DSSP/ABS and the
 //!   adaptive-bound ROG hybrid).
+//! * **Outage residency** — a worker journals no `push_start` or
+//!   `row_push` between its `worker_down` fault record and the next
+//!   `worker_up`.
 //! * **Topology twins** — `n_shards = 0` replays byte-identically to
 //!   `n_shards = 1` (the documented pre-shard identity), and a
 //!   hierarchical run matches its flat twin once aggregator accounting
@@ -68,6 +71,8 @@ pub enum Violation {
     StalenessExceeded(String),
     /// A `codec_select` event broke the selector's replay contract.
     CodecSelect(String),
+    /// A worker journaled a push inside one of its outage windows.
+    OutageResidency(String),
     /// `n_shards = 0` diverged from `n_shards = 1`.
     ShardTwinDivergence(String),
     /// The hierarchical run diverged from its flat twin.
@@ -85,6 +90,7 @@ impl Violation {
             Violation::Reconciliation(_) => "reconciliation",
             Violation::StalenessExceeded(_) => "staleness_exceeded",
             Violation::CodecSelect(_) => "codec_select",
+            Violation::OutageResidency(_) => "outage_residency",
             Violation::ShardTwinDivergence(_) => "shard_twin",
             Violation::HierarchyTwinDivergence(_) => "hierarchy_twin",
         }
@@ -101,6 +107,7 @@ impl std::fmt::Display for Violation {
             Violation::Reconciliation(d) => write!(f, "journal/metrics reconciliation: {d}"),
             Violation::StalenessExceeded(d) => write!(f, "staleness exceeded: {d}"),
             Violation::CodecSelect(d) => write!(f, "codec selection: {d}"),
+            Violation::OutageResidency(d) => write!(f, "outage residency: {d}"),
             Violation::ShardTwinDivergence(d) => write!(f, "shard-0 vs shard-1 twin: {d}"),
             Violation::HierarchyTwinDivergence(d) => write!(f, "hierarchical vs flat twin: {d}"),
         }
@@ -391,6 +398,40 @@ fn check_staleness(sc: &Scenario, journal: &str, violations: &mut Vec<Violation>
     }
 }
 
+/// The outage residency invariant, observed from the journal: between
+/// a worker's `worker_down` fault record and the next `worker_up` it
+/// journals no `push_start` or `row_push`. A push record or worker
+/// fault without its `w` is malformed. Returns the first line that
+/// breaks the rule.
+fn replay_residency(journal: &str) -> Result<(), String> {
+    let mut down: Vec<bool> = Vec::new();
+    for line in journal.lines() {
+        let push = line.contains("\"ev\":\"push_start\"") || line.contains("\"ev\":\"row_push\"");
+        if !push && !line.contains("\"ev\":\"fault\"") {
+            continue;
+        }
+        let rec = Record::parse(line).map_err(|e| format!("{e}: {line}"))?;
+        let edge = match (push, rec.str("kind")) {
+            (true, _) => None,
+            (false, Some("worker_down")) => Some(true),
+            (false, Some("worker_up")) => Some(false),
+            _ => continue,
+        };
+        let w = rec
+            .num("w")
+            .ok_or_else(|| format!("record lacks `w`: {line}"))? as usize;
+        if down.len() <= w {
+            down.resize(w + 1, false);
+        }
+        match edge {
+            Some(edge) => down[w] = edge,
+            None if down[w] => return Err(format!("worker {w} pushes while down: {line}")),
+            None => {}
+        }
+    }
+    Ok(())
+}
+
 /// The codec-selector replay contract, observed from the journal:
 /// `codec_select` events may only appear when the scenario's effective
 /// codec is `auto`, each names a worker inside the fleet and one of
@@ -522,6 +563,11 @@ pub fn check_scenario(sc: &Scenario) -> CheckOutcome {
 
     // --- codec-selector replay contract.
     check_codec_select(sc, &journal, &mut violations);
+
+    // --- no push from a worker inside its outage.
+    if let Err(e) = replay_residency(&journal) {
+        violations.push(Violation::OutageResidency(e));
+    }
 
     // --- topology twins (row-granular strategies only).
     if sc.strategy.is_row_granular() {
@@ -695,6 +741,36 @@ mod tests {
             (roga, rec("auto_threshold", "")),
         ] {
             assert!(replay_staleness(strategy, &bad).is_err(), "{bad}");
+        }
+    }
+
+    #[test]
+    fn a_push_inside_an_outage_window_breaks_residency() {
+        let fault = |kind: &str, w: i64| {
+            format!("{{\"t\":1.0,\"ev\":\"fault\",\"kind\":\"{kind}\",\"w\":{w}}}")
+        };
+        let push = |ev: &str, w: u32| format!("{{\"t\":2.0,\"ev\":\"{ev}\",\"w\":{w}}}");
+        let journal = |lines: &[String]| lines.join("\n");
+        let (down, up) = (fault("worker_down", 1), fault("worker_up", 1));
+        for ok in [
+            journal(&[
+                down.clone(),
+                push("push_start", 0),
+                up.clone(),
+                push("push_start", 1),
+            ]),
+            journal(&[fault("server_down", -1), push("row_push", 1)]),
+            journal(&[down.clone(), up.clone(), push("row_push", 1)]),
+        ] {
+            assert_eq!(replay_residency(&ok), Ok(()), "{ok}");
+        }
+        for bad in [
+            journal(&[down.clone(), push("push_start", 1), up.clone()]),
+            journal(&[down.clone(), push("row_push", 1)]),
+            journal(&[down.clone(), up, down, push("push_start", 1)]),
+            "{\"t\":2.0,\"ev\":\"push_start\"}".to_owned(),
+        ] {
+            assert!(replay_residency(&bad).is_err(), "{bad}");
         }
     }
 }

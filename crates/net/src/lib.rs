@@ -35,9 +35,10 @@
 //!   [`Channel::advance_until`]; finished flows yield a
 //!   [`DeliveryReport`] of per-chunk fates.
 //! * [`reliability`] — the two delivery classes built on top: reliable
-//!   (ack + backoff retransmit + dedup, for control and model-resync
-//!   traffic) and best-effort (detect-and-drop, for gradient rows that
-//!   RSP's staleness gate can absorb).
+//!   (backoff retransmit in the sim engines, TCP on sockets, and the
+//!   [`SeqWindow`] dedup, for control and model-resync traffic) and
+//!   best-effort (detect-and-drop, for gradient rows that RSP's
+//!   staleness gate can absorb).
 //!
 //! # Example
 //!
@@ -74,5 +75,5 @@ pub use channel::{
 };
 pub use loss::{ChunkFate, GeParams, LossConfig, LossModel};
 pub use profile::{ChannelProfile, DistanceProfile, FadeProfile, TraceStream};
-pub use reliability::{ReliableProgress, ReliableTransfer, SeqWindow};
+pub use reliability::SeqWindow;
 pub use trace::Trace;

@@ -5,40 +5,20 @@
 //! and droppable gradient payload. We do the same:
 //!
 //! * **Reliable** — control, version vectors, and model-resync bulk.
-//!   In the sim, [`ReliableTransfer`] rounds: the chunks a round lost
-//!   are resent after a virtual-clock backoff (capped exponential)
-//!   until every chunk has landed once. On the socket path the class
-//!   rides TCP, which orders itself; [`SeqWindow`] dedups the datagram
-//!   lane, accepting each sequence number exactly once (property-tested
-//!   under seeded loss / duplication / reordering / retransmission).
+//!   In the sim, the engines' one per-worker reliable slot
+//!   (`rog_trainer`'s `engine/common.rs`) resends the 64 KiB segments
+//!   a round lost after a virtual-clock backoff (capped exponential)
+//!   until every segment has landed once, reading each round's fates
+//!   from the channel's [`crate::DeliveryReport`]. On the socket path
+//!   the class rides TCP, which orders itself; [`SeqWindow`] dedups the
+//!   datagram lane, accepting each sequence number exactly once
+//!   (property-tested under seeded loss / duplication / reordering /
+//!   retransmission).
 //! * **Best-effort** — gradient rows. A damaged or missing row is
 //!   simply *not committed*: its error-feedback residual keeps
 //!   accumulating on the worker and its version entry ages toward
 //!   RSP's staleness bound, so the gate — not the transport — bounds
 //!   the damage. No acks, no retransmission, no head-of-line blocking.
-//!
-//! The engines drive reliable transfers round-by-round through
-//! [`ReliableTransfer`]: start a flow for the outstanding chunks, feed
-//! the resulting [`crate::DeliveryReport`] back, and either finish or
-//! wait out a backoff delay before retransmitting the survivors.
-
-use rog_sim::Time;
-
-use crate::loss::ChunkFate;
-
-/// Delay before the first retransmission (seconds).
-const BACKOFF_BASE: Time = 0.1;
-/// Multiplier applied per further attempt.
-const BACKOFF_FACTOR: f64 = 2.0;
-/// Ceiling on the delay.
-const BACKOFF_CAP: Time = 2.0;
-
-/// Capped exponential backoff: the delay before retransmission number
-/// `attempt` (1-based: the first retransmission waits the base).
-fn delay(attempt: u32) -> Time {
-    let exp = attempt.saturating_sub(1).min(63);
-    (BACKOFF_BASE * BACKOFF_FACTOR.powi(exp as i32)).min(BACKOFF_CAP)
-}
 
 /// Receiver-side duplicate suppression over sequence numbers.
 ///
@@ -107,91 +87,11 @@ impl SeqWindow {
     }
 }
 
-/// Progress verdict after feeding one round's fates to a
-/// [`ReliableTransfer`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum ReliableProgress {
-    /// Every chunk has been delivered intact; the transfer is over.
-    Done,
-    /// Some chunks were lost or corrupt; retransmit the survivors
-    /// after waiting `delay` (capped exponential backoff).
-    Retry {
-        /// Backoff delay before the retransmission flow starts.
-        delay: Time,
-    },
-}
-
-/// Sender-side state of one reliable multi-chunk transfer.
-///
-/// Round-based: each round puts the outstanding chunks on the air as
-/// one flow; the delivery report marks each as arrived or not; lost
-/// chunks carry over to the next round after a backoff delay. The
-/// loss model's per-chunk loss probability is capped below 1, so a
-/// transfer always terminates.
-#[derive(Debug, Clone)]
-pub struct ReliableTransfer {
-    sizes: Vec<u64>,
-    /// Indices (into the original chunk list) still outstanding.
-    outstanding: Vec<usize>,
-    attempt: u32,
-}
-
-impl ReliableTransfer {
-    /// Starts a transfer of `chunks` (byte sizes, transmission order).
-    pub fn new(chunks: Vec<u64>) -> Self {
-        let outstanding = (0..chunks.len()).collect();
-        Self {
-            sizes: chunks,
-            outstanding,
-            attempt: 0,
-        }
-    }
-
-    /// Byte sizes of the chunks to put on the air this round.
-    pub fn pending_chunks(&self) -> Vec<u64> {
-        self.outstanding.iter().map(|&i| self.sizes[i]).collect()
-    }
-
-    /// Folds in one round's delivery fates. `fates[i]` corresponds to
-    /// the `i`-th chunk of [`ReliableTransfer::pending_chunks`]; a
-    /// missing fate (flow cut short) counts as not delivered. `None`
-    /// fates — no loss model — mean everything arrived.
-    pub fn on_round(&mut self, fates: Option<&[ChunkFate]>) -> ReliableProgress {
-        let survivors: Vec<usize> = self
-            .outstanding
-            .iter()
-            .enumerate()
-            .filter(|&(round_i, _)| {
-                fates.is_some_and(|fs| !fs.get(round_i).is_some_and(|f| f.intact()))
-            })
-            .map(|(_, &chunk)| chunk)
-            .collect();
-        self.outstanding = survivors;
-        if self.outstanding.is_empty() {
-            ReliableProgress::Done
-        } else {
-            self.attempt += 1;
-            ReliableProgress::Retry {
-                delay: delay(self.attempt),
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
     use rog_tensor::rng::DetRng;
-
-    #[test]
-    fn backoff_grows_then_caps() {
-        assert!((delay(1) - 0.1).abs() < 1e-12);
-        assert!((delay(2) - 0.2).abs() < 1e-12);
-        assert!((delay(3) - 0.4).abs() < 1e-12);
-        assert!((delay(10) - 2.0).abs() < 1e-12, "capped");
-        assert!((delay(63) - 2.0).abs() < 1e-12, "no overflow");
-    }
 
     #[test]
     fn seq_window_accepts_each_number_once() {
@@ -244,37 +144,6 @@ mod tests {
         assert_eq!(w.next_expected(), 200);
     }
 
-    #[test]
-    fn reliable_transfer_retries_only_survivors() {
-        let mut t = ReliableTransfer::new(vec![10, 20, 30]);
-        assert_eq!(t.pending_chunks(), vec![10, 20, 30]);
-        // Middle chunk lost, rest intact.
-        let fates = [ChunkFate::Delivered, ChunkFate::Lost, ChunkFate::Delivered];
-        match t.on_round(Some(&fates)) {
-            ReliableProgress::Retry { delay } => assert!((delay - 0.1).abs() < 1e-12),
-            other => panic!("unexpected {other:?}"),
-        }
-        assert_eq!(t.pending_chunks(), vec![20]);
-        // Flow cut before the chunk even went out: still outstanding.
-        assert_eq!(
-            t.on_round(Some(&[])),
-            ReliableProgress::Retry { delay: 0.2 }
-        );
-        assert_eq!(t.pending_chunks(), vec![20]);
-        // Finally delivered.
-        assert_eq!(
-            t.on_round(Some(&[ChunkFate::Delivered])),
-            ReliableProgress::Done
-        );
-        assert!(t.pending_chunks().is_empty());
-    }
-
-    #[test]
-    fn no_loss_model_means_transmitted_is_delivered() {
-        let mut t = ReliableTransfer::new(vec![5, 5]);
-        assert_eq!(t.on_round(None), ReliableProgress::Done);
-    }
-
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -314,41 +183,6 @@ mod tests {
             }
             prop_assert!(accepted.iter().all(|&n| n == 1), "{accepted:?}");
             prop_assert_eq!(window.next_expected(), n_msgs as u64);
-        }
-
-        /// The round-based transfer used by the engines terminates and
-        /// covers every chunk exactly once under seeded loss.
-        #[test]
-        fn reliable_transfer_terminates_and_covers_all_chunks(
-            n_chunks in 1usize..40,
-            seed in 0u64..u64::MAX,
-            loss in 0.0f64..0.9,
-        ) {
-            let mut rng = DetRng::new(seed);
-            let sizes: Vec<u64> = (1..=n_chunks as u64).collect();
-            let mut t = ReliableTransfer::new(sizes.clone());
-            let mut delivered_bytes = 0u64;
-            let mut rounds = 0u32;
-            loop {
-                rounds += 1;
-                prop_assert!(rounds < 10_000, "transfer livelocked");
-                let pending = t.pending_chunks();
-                let fates: Vec<ChunkFate> = pending
-                    .iter()
-                    .map(|_| if rng.chance(loss) { ChunkFate::Lost } else { ChunkFate::Delivered })
-                    .collect();
-                delivered_bytes += pending
-                    .iter()
-                    .zip(&fates)
-                    .filter(|(_, f)| f.intact())
-                    .map(|(&s, _)| s)
-                    .sum::<u64>();
-                match t.on_round(Some(&fates)) {
-                    ReliableProgress::Done => break,
-                    ReliableProgress::Retry { delay } => prop_assert!(delay > 0.0),
-                }
-            }
-            prop_assert_eq!(delivered_bytes, sizes.iter().sum::<u64>());
         }
     }
 }

@@ -6,9 +6,7 @@ use rog_compress::{OneBitCodec, RowCodec};
 use rog_core::AggregatorMap;
 use rog_fault::{FaultClock, FaultEvent};
 use rog_models::{GradSet, Mlp};
-use rog_net::{
-    shard_link, ChunkFate, FlowEvent, FlowId, FlowSpec, ReliableProgress, ReliableTransfer,
-};
+use rog_net::{shard_link, ChunkFate, DeliveryReport, FlowEvent, FlowId, FlowSpec};
 use rog_obs::{obs, obs_shard, Event, EventKind, Journal};
 use rog_sim::{DeviceState, EventQueue, Time};
 use rog_tensor::Matrix;
@@ -193,6 +191,33 @@ impl EngineCtx {
         self.record.set_state(worker, t, state, &mut self.journal);
     }
 
+    /// Journals the chunks a finished flow round of worker `w` lost to
+    /// the loss model, if any, in journal scope `shard`.
+    pub(crate) fn journal_loss(
+        &mut self,
+        w: usize,
+        shard: i64,
+        at: Time,
+        report: Option<&DeliveryReport>,
+    ) {
+        let Some(report) = report else { return };
+        let lost = report.lost_chunks();
+        let corrupt = report.corrupt_chunks();
+        if lost + corrupt > 0 {
+            obs_shard!(
+                self.journal,
+                at,
+                shard,
+                EventKind::Loss {
+                    w: w as u32,
+                    lost: lost as u32,
+                    corrupt: corrupt as u32,
+                    chunks: report.fates.len() as u32,
+                }
+            );
+        }
+    }
+
     /// Starts a worker's compute phase of iteration `iter` at `t`.
     pub fn start_compute(&mut self, worker: usize, iter: u64, t: Time) {
         self.record.iter_begin(worker, iter, t, &mut self.journal);
@@ -328,6 +353,14 @@ fn segment_chunks(total: u64) -> Vec<u64> {
     out
 }
 
+/// Capped exponential backoff: the delay before retransmission number
+/// `attempt` (1-based: the first waits 0.1 s, each further one twice
+/// as long, never more than 2 s).
+fn backoff(attempt: u32) -> Time {
+    let exp = attempt.saturating_sub(1).min(63);
+    (0.1 * 2f64.powi(exp as i32)).min(2.0)
+}
+
 /// Verdict on one finished round of a reliable transfer.
 enum ReliableRound<C> {
     /// Every chunk landed; the flow's context is handed back.
@@ -341,12 +374,20 @@ enum ReliableRound<C> {
 /// resyncs; every whole-model transfer of the baselines) that is resent
 /// after a backoff until it lands, where best-effort rows are simply
 /// not committed. At most one such transfer runs per worker.
+///
+/// Round-based: each round puts the outstanding chunks on the air as
+/// one flow, the delivery report marks each as arrived or not, and the
+/// lost ones carry over to the next round. The loss model's per-chunk
+/// loss probability is capped below 1, so a transfer always terminates.
 struct ReliableSlot<C> {
     /// The link the transfer runs on.
     link: usize,
-    /// Retransmit state; `None` without a loss model, where the
-    /// single-chunk transfer always lands whole.
-    retx: Option<ReliableTransfer>,
+    /// Byte sizes of the chunks still to land, in transmission order;
+    /// empty without a loss model, where the single-chunk transfer
+    /// always lands whole.
+    outstanding: Vec<u64>,
+    /// Rounds that lost chunks so far (the backoff exponent).
+    attempt: u32,
     /// Flow context parked while its retransmit backoff runs.
     parked: Option<C>,
     /// Whether a `NetRetry` timer is queued.
@@ -359,7 +400,8 @@ impl<C> ReliableSlot<C> {
     fn new() -> Self {
         Self {
             link: 0,
-            retx: None,
+            outstanding: Vec::new(),
+            attempt: 0,
             parked: None,
             retry_armed: false,
             stale_retries: 0,
@@ -368,34 +410,36 @@ impl<C> ReliableSlot<C> {
 
     /// Begins a transfer of `bytes` over `link` and returns the chunks
     /// of its first round. With a loss model installed the payload is
-    /// segmented and tracked by a fresh [`ReliableTransfer`]; without
-    /// one, the pre-loss single-chunk flow is byte-identical.
+    /// segmented and tracked; without one, the pre-loss single-chunk
+    /// flow is byte-identical.
     fn begin(&mut self, lossy: bool, link: usize, bytes: u64) -> Vec<u64> {
         self.link = link;
         if !lossy {
             return vec![bytes];
         }
-        let chunks = segment_chunks(bytes);
         self.void_retry();
-        self.retx = Some(ReliableTransfer::new(chunks.clone()));
-        chunks
+        self.outstanding = segment_chunks(bytes);
+        self.attempt = 0;
+        self.outstanding.clone()
     }
 
-    /// Folds in the fates of the round that just finished.
+    /// Folds in the fates of the round that just finished: `fates[i]`
+    /// is the `i`-th outstanding chunk's, a missing fate (flow cut
+    /// short) counts as not delivered, and `None` (no loss model)
+    /// means everything arrived.
     fn on_round(&mut self, fates: Option<&[ChunkFate]>, flow: C) -> ReliableRound<C> {
-        let Some(retx) = self.retx.as_mut() else {
+        let mut fates = fates.map(<[ChunkFate]>::iter);
+        self.outstanding.retain(|_| {
+            fates
+                .as_mut()
+                .is_some_and(|fs| !fs.next().is_some_and(|f| f.intact()))
+        });
+        if self.outstanding.is_empty() {
             return ReliableRound::Done(flow);
-        };
-        match retx.on_round(fates) {
-            ReliableProgress::Done => {
-                self.retx = None;
-                ReliableRound::Done(flow)
-            }
-            ReliableProgress::Retry { delay } => {
-                self.parked = Some(flow);
-                ReliableRound::Retry(delay)
-            }
         }
+        self.attempt += 1;
+        self.parked = Some(flow);
+        ReliableRound::Retry(backoff(self.attempt))
     }
 
     /// Voids a queued backoff timer (it is swallowed on arrival).
@@ -416,18 +460,14 @@ impl<C> ReliableSlot<C> {
         }
         self.retry_armed = false;
         let flow = self.parked.take()?;
-        let retx = self
-            .retx
-            .as_ref()
-            .expect("parked retry implies transfer state");
-        Some((retx.pending_chunks(), flow))
+        Some((self.outstanding.clone(), flow))
     }
 
     /// Abandons the transfer (fault site), returning the parked context
     /// if its backoff was running.
     fn clear(&mut self) -> Option<C> {
         self.void_retry();
-        self.retx = None;
+        self.outstanding.clear();
         self.parked.take()
     }
 }
@@ -529,7 +569,7 @@ impl<C> FlowTable<C> {
     /// retransmit backoff (which has no flow to cancel).
     fn sever(&mut self, ctx: &mut EngineCtx, w: usize) -> Vec<C> {
         let mut cut = self.cancel_flows_of(ctx, w);
-        cut.extend(self.clear_retx(w));
+        cut.extend(self.reliable[w].clear());
         cut
     }
 
@@ -561,49 +601,35 @@ impl<C> FlowTable<C> {
         flow: C,
     ) -> Option<C> {
         let report = ctx.cluster.transport.take_report(ev.id);
+        // Reliable flows have no deadline: a round loses chunks exactly
+        // when it has some to resend.
+        ctx.journal_loss(w, Event::NO_SHARD, ev.at, report.as_ref());
         let fates = report.as_ref().map(|r| r.fates.as_slice());
-        match self.reliable[w].on_round(fates, flow) {
-            ReliableRound::Done(flow) => Some(flow),
-            ReliableRound::Retry(delay) => {
-                // Chunks died in flight: the whole transfer blocks on
-                // the backed-off retransmit (the reliable class has
-                // nothing to degrade to), stalling this worker.
-                if let Some(r) = report.as_ref() {
-                    obs!(
-                        ctx.journal,
-                        ev.at,
-                        EventKind::Loss {
-                            w: w as u32,
-                            lost: r.lost_chunks() as u32,
-                            corrupt: r.corrupt_chunks() as u32,
-                            chunks: r.fates.len() as u32,
-                        }
-                    );
-                }
-                obs!(
-                    ctx.journal,
-                    ev.at,
-                    EventKind::Backoff {
-                        w: w as u32,
-                        until: ev.at + delay,
-                    }
-                );
-                ctx.set_state(w, ev.at, DeviceState::Stall);
-                self.schedule_retry(ctx, w, ev.at + delay);
-                None
+        let slot = &mut self.reliable[w];
+        let delay = match slot.on_round(fates, flow) {
+            ReliableRound::Done(flow) => return Some(flow),
+            ReliableRound::Retry(delay) => delay,
+        };
+        // The whole transfer blocks on the backed-off retransmit (the
+        // reliable class has nothing to degrade to), stalling this
+        // worker.
+        obs!(
+            ctx.journal,
+            ev.at,
+            EventKind::Backoff {
+                w: w as u32,
+                until: ev.at + delay,
             }
-        }
-    }
-
-    /// Arms the backoff timer for a worker's reliable retransmit.
-    fn schedule_retry(&mut self, ctx: &mut EngineCtx, w: usize, at: Time) {
-        ctx.queue.push(at, Ev::NetRetry(w));
-        self.reliable[w].retry_armed = true;
+        );
+        ctx.set_state(w, ev.at, DeviceState::Stall);
+        ctx.queue.push(ev.at + delay, Ev::NetRetry(w));
+        slot.retry_armed = true;
+        None
     }
 
     /// A reliable-class backoff expired: resend the outstanding chunks.
     /// Every path-down transition abandons the slot through
-    /// [`FlowTable::clear_retx`], which voids the timer, so a timer that
+    /// [`ReliableSlot::clear`], which voids the timer, so a timer that
     /// fires here always finds its path up.
     fn on_net_retry(&mut self, ctx: &mut EngineCtx, w: usize, now: Time) {
         let Some((chunks, flow)) = self.reliable[w].expire() else {
@@ -621,13 +647,6 @@ impl<C> FlowTable<C> {
         ctx.set_state(w, now, DeviceState::Communicate);
         let link = self.reliable[w].link;
         self.start(ctx, now, w, FlowSpec::new(link, chunks), flow);
-    }
-
-    /// Abandons worker `w`'s reliable transfer at a fault site,
-    /// returning the flow context that was parked in backoff (it has no
-    /// flow to cancel) so the caller can mark what resumes.
-    fn clear_retx(&mut self, w: usize) -> Option<C> {
-        self.reliable[w].clear()
     }
 }
 
@@ -836,7 +855,7 @@ fn apply_fault(e: &mut impl Engine, f: FaultEvent, now: Time) {
                 }
             }
             for w in 0..e.parts().0.cfg.n_workers {
-                if let Some(flow) = e.parts().1.clear_retx(w) {
+                if let Some(flow) = e.parts().1.reliable[w].clear() {
                     suspend(e, w, flow);
                 }
             }
@@ -1266,10 +1285,22 @@ mod tests {
     }
 
     #[test]
+    fn backoff_grows_then_caps() {
+        assert!((backoff(1) - 0.1).abs() < 1e-12);
+        assert!((backoff(2) - 0.2).abs() < 1e-12);
+        assert!((backoff(3) - 0.4).abs() < 1e-12);
+        assert!((backoff(10) - 2.0).abs() < 1e-12, "capped");
+        assert!((backoff(63) - 2.0).abs() < 1e-12, "no overflow");
+    }
+
+    #[test]
     fn lossless_reliable_transfer_is_one_untracked_chunk() {
         let mut slot = ReliableSlot::<()>::new();
         assert_eq!(slot.begin(false, 3, 200_000), [200_000]);
-        assert!(slot.retx.is_none());
+        assert!(slot.outstanding.is_empty());
+        assert!(matches!(slot.on_round(None, ()), ReliableRound::Done(())));
+        // No fates at all means no loss model: everything arrived.
+        slot.begin(true, 3, 200_000);
         assert!(matches!(slot.on_round(None, ()), ReliableRound::Done(())));
     }
 
@@ -1319,14 +1350,21 @@ mod tests {
         let ReliableRound::Retry(d2) = slot.on_round(Some(&[Delivered, Lost]), ()) else {
             panic!("one chunk is still missing");
         };
-        assert!(d2 > d1, "backoff grows: {d1} -> {d2}");
         let (third, ()) = slot.expire().expect("parked");
         assert_eq!(third, [10]);
+        // A round cut before the chunk went out: a missing fate is not
+        // a delivery.
+        let ReliableRound::Retry(d3) = slot.on_round(Some(&[]), ()) else {
+            panic!("the chunk never went out");
+        };
+        assert_eq!([d1, d2, d3], [0.1, 0.2, 0.4], "backoff grows");
+        let (fourth, ()) = slot.expire().expect("parked");
+        assert_eq!(fourth, [10]);
         assert!(matches!(
             slot.on_round(Some(&[Delivered]), ()),
             ReliableRound::Done(())
         ));
-        assert!(slot.retx.is_none());
+        assert!(slot.outstanding.is_empty());
     }
 
     #[test]
@@ -1611,6 +1649,40 @@ mod tests {
     }
 
     proptest! {
+        /// Under any seeded loss a reliable transfer terminates and
+        /// lands every byte exactly once: each round resends only the
+        /// segments still missing.
+        #[test]
+        fn reliable_slot_terminates_and_covers_all_chunks(
+            bytes in 0u64..40 * RELIABLE_SEGMENT_BYTES,
+            seed in 0u64..u64::MAX,
+            loss in 0.0f64..0.9,
+        ) {
+            let mut rng = DetRng::new(seed);
+            let mut slot = ReliableSlot::<()>::new();
+            let mut pending = slot.begin(true, 0, bytes);
+            let mut delivered = 0u64;
+            for round in 1.. {
+                prop_assert!(round < 10_000, "transfer livelocked");
+                let fates: Vec<ChunkFate> = pending
+                    .iter()
+                    .map(|_| if rng.chance(loss) { ChunkFate::Lost } else { ChunkFate::Delivered })
+                    .collect();
+                delivered += pending
+                    .iter()
+                    .zip(&fates)
+                    .filter(|(_, f)| f.intact())
+                    .map(|(&s, _)| s)
+                    .sum::<u64>();
+                match slot.on_round(Some(&fates), ()) {
+                    ReliableRound::Done(()) => break,
+                    ReliableRound::Retry(delay) => prop_assert!(delay > 0.0),
+                }
+                pending = slot.expire().expect("parked").0;
+            }
+            prop_assert_eq!(delivered, bytes);
+        }
+
         /// The blocked kernel and the search only reorder independent
         /// sums and skip pairs that cannot be the maximum: bit-equal to
         /// the one-pair loop for every block remainder (0 and 1 models,

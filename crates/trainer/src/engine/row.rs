@@ -610,33 +610,14 @@ impl RowEngine {
         self.flows.start(&mut self.ctx, now, w, spec, flow);
     }
 
-    /// Journals the chunks a flow round lost to the loss model, if any.
-    fn journal_loss(&mut self, w: usize, s: usize, at: Time, report: Option<&DeliveryReport>) {
-        let Some(report) = report else { return };
-        let lost = report.lost_chunks();
-        let corrupt = report.corrupt_chunks();
-        if lost + corrupt > 0 {
-            obs_shard!(
-                self.ctx.journal,
-                at,
-                self.server.tag(s),
-                EventKind::Loss {
-                    w: w as u32,
-                    lost: lost as u32,
-                    corrupt: corrupt as u32,
-                    chunks: report.fates.len() as u32,
-                }
-            );
-        }
-    }
-
     /// One round of a leg left the air: bank what it delivered, then
     /// send the next round or end the transmission. A retransmit round
     /// resends the must-land rows the loss model ate (progress is
     /// guaranteed: per-chunk loss probability is capped below 1).
     fn on_leg_flow(&mut self, w: usize, s: usize, pull: bool, round: Round, ev: FlowEvent) {
         let report = self.ctx.cluster.transport.take_report(ev.id);
-        self.journal_loss(w, s, ev.at, report.as_ref());
+        self.ctx
+            .journal_loss(w, self.server.tag(s), ev.at, report.as_ref());
         let sub = &mut self.workers[w].subs[s];
         let leg = if pull { &mut sub.pull } else { &mut sub.push };
         let Some(next) = leg.on_leg_round(round, &ev.outcome, report.as_ref()) else {

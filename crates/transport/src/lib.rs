@@ -8,8 +8,8 @@
 //! link-level delivery estimate in the units the ATP planner consumes.
 //! It is the seam of the *live* plane only: the simulated engines model
 //! the same two classes on the virtual clock by driving
-//! [`rog_net::Channel`] and [`rog_net::ReliableTransfer`] directly and
-//! never go through this crate.
+//! [`rog_net::Channel`] directly (the reliable class is the engines'
+//! per-worker retransmit slot) and never go through this crate.
 //!
 //! [`SocketTransport`] is the one implementation: blocking `std::net`
 //! sockets, UDP for the best-effort class (reusing the seq+CRC32

@@ -39,7 +39,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use rog_core::gate;
 use rog_fault::FaultKind;
-use rog_obs::{Record, TraceSummary};
+use rog_obs::{Event, Record, TraceSummary};
 use rog_trainer::report::runs_to_json;
 use rog_trainer::{ExperimentConfig, RunMetrics, RunOutcome, Strategy};
 
@@ -306,7 +306,17 @@ enum StalenessBound {
 /// `auto_threshold` records for DSSP/ABS and the adaptive-bound ROG
 /// hybrid. Returns how many `gate_enter` records were checked, or the
 /// first line that breaks the bound. ASP is unbounded and FLOWN adapts
-/// without journaling its bound, so for both nothing is checked. A
+/// without journaling its bound, so for both nothing is checked.
+///
+/// A shard's `gate_enter` records go unchecked from the shard's first
+/// `server_down` record on (matched by journal scope; unsharded, the
+/// one server): a cycle skips a shard that is down, and that shard's
+/// rows then legitimately age past the bound. The engine's debug
+/// watchdog has no exact journal form. It stops checking the whole run
+/// at the first skipped shard, and the journal records outages, not
+/// skips. So the replay exempts only the shard that was down, and
+/// holds every other shard to the bound. Aggregator outages exempt
+/// nothing: their members stall, but skip no shard. A
 /// record the bound depends on must parse and carry its fields: a
 /// `gate_enter` its `lead` (and its `w` under a per-worker bound), a
 /// `threshold_adapt` its `w` and `threshold`, an `auto_threshold` its
@@ -335,8 +345,14 @@ pub fn replay_staleness(strategy: Strategy, journal: &str) -> Result<usize, Stri
         rec.num(key)
             .ok_or_else(|| format!("record lacks `{key}`: {line}"))
     };
+    let scope = |rec: &Record| rec.num("shard").map_or(Event::NO_SHARD, |s| s as i64);
+    let mut been_down: Vec<i64> = Vec::new();
     let mut gates = 0;
     for line in journal.lines() {
+        if line.contains("\"kind\":\"server_down\"") {
+            been_down.push(scope(&parse(line)?));
+            continue;
+        }
         if line.contains("\"ev\":\"threshold_adapt\"") {
             if let StalenessBound::PerWorker { thr, initial } = &mut bound {
                 let rec = parse(line)?;
@@ -358,6 +374,9 @@ pub fn replay_staleness(strategy: Strategy, journal: &str) -> Result<usize, Stri
             continue;
         }
         let rec = parse(line)?;
+        if been_down.contains(&scope(&rec)) {
+            continue;
+        }
         let lead = field(&rec, "lead", line)? as u64;
         let limit = match &bound {
             StalenessBound::Fixed(b) => *b,
@@ -379,20 +398,8 @@ pub fn replay_staleness(strategy: Strategy, journal: &str) -> Result<usize, Stri
 }
 
 /// The staleness invariant, observed from the journal
-/// ([`replay_staleness`]). Plans that take a shard or an aggregator
-/// down are skipped: a skipped shard legitimately ages rows past the
-/// bound (the engine's own watchdog excludes it too).
+/// ([`replay_staleness`]), under every fault plan.
 fn check_staleness(sc: &Scenario, journal: &str, violations: &mut Vec<Violation>) {
-    let plan = sc.fault_plan().expect("scenario script must be valid");
-    let outage = plan.windows().iter().any(|w| {
-        matches!(
-            w.kind,
-            FaultKind::ServerOutage(_) | FaultKind::AggregatorOutage(_)
-        )
-    });
-    if outage {
-        return;
-    }
     if let Err(e) = replay_staleness(sc.strategy, journal) {
         violations.push(Violation::StalenessExceeded(e));
     }
@@ -742,6 +749,26 @@ mod tests {
         ] {
             assert!(replay_staleness(strategy, &bad).is_err(), "{bad}");
         }
+    }
+
+    #[test]
+    fn a_shard_outage_exempts_only_that_shard_from_then_on() {
+        let rog = Strategy::Rog { threshold: 1 };
+        let rec = |ev: &str, fields: String| format!("{{\"t\":1.0,\"ev\":\"{ev}\"{fields}}}");
+        let down = |scope: &str| {
+            rec(
+                "fault",
+                format!("{scope},\"kind\":\"server_down\",\"w\":-1"),
+            )
+        };
+        let over = |scope: &str| rec("gate_enter", format!("{scope},\"w\":0,\"lead\":9"));
+        let (one, zero) = (",\"shard\":1", ",\"shard\":0");
+        let replay = |lines: [String; 2]| replay_staleness(rog, &lines.join("\n"));
+        assert_eq!(replay([down(one), over(one)]), Ok(0));
+        assert!(replay([down(one), over(zero)]).is_err());
+        // Unsharded: the one server's outage exempts what follows it.
+        assert_eq!(replay([down(""), over("")]), Ok(0));
+        assert!(replay([over(""), down("")]).is_err());
     }
 
     #[test]

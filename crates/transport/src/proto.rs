@@ -295,7 +295,9 @@ impl<'a> Reader<'a> {
 
     fn rows(&mut self) -> Result<Vec<Row>, ProtoError> {
         let n = self.len(MAX_ROWS)?;
-        let mut rows = Vec::with_capacity(n.min(4096));
+        // Reserve no more rows than the bytes left can encode (an id
+        // and a width, 8 bytes, per row), whatever the header claims.
+        let mut rows = Vec::with_capacity(n.min((self.b.len() - self.i) / 8));
         for _ in 0..n {
             let id = self.u32()?;
             let payload = self.f32s(MAX_ROW_WIDTH)?;
@@ -518,6 +520,7 @@ pub fn chunk_rows(rows: Vec<Row>, max_payload: usize) -> Vec<Vec<Row>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn roundtrip(m: Msg) {
         let enc = m.encode();
@@ -601,6 +604,97 @@ mod tests {
             Msg::decode(&hostile),
             Err(ProtoError::TooLarge(u64::from(u32::MAX)))
         );
+    }
+
+    /// Message `kind` (0..15: every variant, `Trace` once per event)
+    /// built from the drawn fields.
+    fn arb_msg(kind: u8, w: u32, n: u64, (x, y): (f64, f64), text: &[u32], rows: Vec<Row>) -> Msg {
+        let text: String = text.iter().filter_map(|&c| char::from_u32(c)).collect();
+        let trace = |ev| Msg::Trace {
+            worker: w,
+            t: x,
+            ev,
+        };
+        match kind {
+            0 => Msg::Join {
+                cfg_name: text.clone(),
+                udp: text,
+            },
+            1 => Msg::Welcome {
+                worker: w,
+                n_workers: w ^ 1,
+                threshold: n as u32,
+                speedup: x,
+                duration: y,
+                udp: text,
+            },
+            2 => Msg::Start,
+            3 => Msg::PushRows {
+                worker: w,
+                iter: n,
+                rows,
+            },
+            4 => Msg::PullReq { worker: w, iter: n },
+            5 => Msg::PullRows { rows },
+            6 => Msg::PullDone {
+                iter: n,
+                shard: w,
+                sent: n as u32,
+            },
+            7 => Msg::Checkpoint {
+                worker: w,
+                iter: n,
+                time: x,
+                metric: y,
+            },
+            8 => trace(TraceEv::State(n as u8)),
+            9 => trace(TraceEv::IterBegin(n)),
+            10 => trace(TraceEv::IterEnd(n)),
+            11 => trace(TraceEv::Close),
+            12 => Msg::Done,
+            13 => Msg::FinalModel {
+                worker: w,
+                iters: n,
+                params: rows.into_iter().flat_map(|(_, r)| r).collect(),
+            },
+            _ => Msg::Bye { worker: w },
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The decoder is total: arbitrary bytes, with or without a
+        /// known tag in front, produce a message or a typed error,
+        /// never a panic.
+        #[test]
+        fn random_bytes_never_panic(
+            tag in 0u8..16,
+            buf in proptest::collection::vec(0u8..=255, 0..256),
+        ) {
+            let _ = Msg::decode(&buf);
+            let _ = Msg::decode(&[&[tag][..], &buf].concat());
+        }
+
+        /// Every message decodes back to itself from its own encoding,
+        /// and no strict prefix of that encoding decodes at all.
+        #[test]
+        fn arbitrary_messages_roundtrip(
+            kind in 0u8..15,
+            ids in (0u32..=u32::MAX, 0u64..=u64::MAX),
+            floats in (-1e300f64..1e300, -1e300f64..1e300),
+            text in proptest::collection::vec(0u32..0x11_0000, 0..12),
+            rows in proptest::collection::vec(
+                (0u32..=u32::MAX, proptest::collection::vec(-1e30f32..1e30, 0..6)),
+                0..6,
+            ),
+            cut in 0usize..4096,
+        ) {
+            let m = arb_msg(kind, ids.0, ids.1, floats, &text, rows);
+            let enc = m.encode();
+            prop_assert_eq!(Msg::decode(&enc), Ok(m));
+            prop_assert!(Msg::decode(&enc[..cut % enc.len()]).is_err());
+        }
     }
 
     #[test]

@@ -160,15 +160,17 @@ fn bench_kernels(c: &mut Criterion) {
     let shard = &wl.shards()[0];
     let mut grads = model.zero_grads();
     for batch in [24usize, 48] {
-        let idxs = shard.sample_batch(batch, &mut rng);
+        let mut idxs = Vec::new();
+        shard.sample_batch_into(batch, &mut rng, &mut idxs);
         g.bench_with_input(BenchmarkId::new("dense_step", batch), &idxs, |b, idxs| {
             b.iter(|| model.loss_and_grad_into(shard, black_box(idxs), &mut grads))
         });
         // A new batch every draw, as in training: `dense_step` repeats
         // one, and the branch predictor learns its ReLU masks.
-        let pool: Vec<Vec<usize>> = (0..256)
-            .map(|_| shard.sample_batch(batch, &mut rng))
-            .collect();
+        let mut pool = vec![Vec::new(); 256];
+        for idxs in &mut pool {
+            shard.sample_batch_into(batch, &mut rng, idxs);
+        }
         g.bench_with_input(
             BenchmarkId::new("dense_step_fresh", batch),
             &pool,

@@ -20,6 +20,7 @@
 //! resolution, reproducing the paper's decreasing error curves.
 
 use rog_tensor::rng::DetRng;
+use rog_tensor::Matrix;
 
 use crate::{Dataset, Mlp, Task, Workload};
 
@@ -167,16 +168,16 @@ impl CrimpSpec {
         // Observation samples along the trajectory, in pose order so the
         // contiguous split mirrors the paper's sequence split.
         let mut obs_rng = rng.fork(0x0B5);
-        let mut xs = Vec::new();
-        let mut ys = Vec::new();
-        for &(px, py) in &trajectory {
-            for _ in 0..self.samples_per_pose {
-                let dx = obs_rng.uniform_range(-self.obs_radius, self.obs_radius);
-                let dy = obs_rng.uniform_range(-self.obs_radius, self.obs_radius);
-                let (wx, wy) = (px + dx, py + dy);
-                xs.push(featurize(wx, wy, &freqs));
-                ys.push(vec![scene.field(wx, wy) as f32]);
-            }
+        let n = self.poses * self.samples_per_pose;
+        let mut xs = Matrix::zeros(n, 2 + 2 * self.fourier);
+        let mut ys = Matrix::zeros(n, 1);
+        for r in 0..n {
+            let (px, py) = trajectory[r / self.samples_per_pose];
+            let dx = obs_rng.uniform_range(-self.obs_radius, self.obs_radius);
+            let dy = obs_rng.uniform_range(-self.obs_radius, self.obs_radius);
+            let (wx, wy) = (px + dx, py + dy);
+            featurize(wx, wy, &freqs, xs.row_mut(r));
+            ys.set(r, 0, scene.field(wx, wy) as f32);
         }
         let train = Dataset::regression(xs, ys);
         let shards = train.contiguous_shards(n_workers);
@@ -196,17 +197,16 @@ impl CrimpSpec {
     }
 }
 
-/// Random-Fourier featurization of a world point.
-fn featurize(x: f64, y: f64, freqs: &[(f64, f64)]) -> Vec<f32> {
-    let mut f = Vec::with_capacity(2 + 2 * freqs.len());
-    f.push(x as f32);
-    f.push(y as f32);
-    for &(fx, fy) in freqs {
+/// Random-Fourier featurization of a world point into `f`
+/// (`2 + 2 * freqs.len()` values).
+fn featurize(x: f64, y: f64, freqs: &[(f64, f64)], f: &mut [f32]) {
+    f[0] = x as f32;
+    f[1] = y as f32;
+    for (&(fx, fy), pair) in freqs.iter().zip(f[2..].chunks_exact_mut(2)) {
         let phase = std::f64::consts::TAU * (fx * x + fy * y);
-        f.push(phase.sin() as f32);
-        f.push(phase.cos() as f32);
+        pair[0] = phase.sin() as f32;
+        pair[1] = phase.cos() as f32;
     }
-    f
 }
 
 /// The built CRIMP workload (see module docs).
@@ -251,10 +251,12 @@ impl CrimpWorkload {
             let hi = r + 2;
             let side = (hi - lo + 1) as usize;
             let mut pred = vec![0.0f32; side * side];
+            let mut feat = vec![0.0f32; self.input_dim()];
             for ix in lo..=hi {
                 for iy in lo..=hi {
                     let (wx, wy) = (px + ix as f64 * h, py + iy as f64 * h);
-                    let out = model.forward(&featurize(wx, wy, &self.freqs));
+                    featurize(wx, wy, &self.freqs, &mut feat);
+                    let out = model.forward(&feat);
                     pred[((ix - lo) as usize) * side + (iy - lo) as usize] = out[0];
                 }
             }
@@ -367,8 +369,9 @@ mod tests {
         let shard = &wl.shards()[0];
         let mut rng = DetRng::new(6);
         let mut grads = model.zero_grads();
+        let mut batch = Vec::new();
         for _ in 0..400 {
-            let batch = shard.sample_batch(24, &mut rng);
+            shard.sample_batch_into(24, &mut rng, &mut batch);
             model.loss_and_grad_into(shard, &batch, &mut grads);
             for (p, g) in model.params_mut().iter_mut().zip(&grads) {
                 p.add_scaled(g, -wl.learning_rate()).expect("shapes match");

@@ -16,7 +16,7 @@
 //! exactly mirroring the paper's accuracy-recovery curves.
 
 use rog_tensor::rng::DetRng;
-use rog_tensor::Matrix;
+use rog_tensor::{ops, Matrix};
 
 use crate::{ConvSpec, Dataset, Mlp, Task, Workload};
 
@@ -245,47 +245,33 @@ impl CrudaSpec {
             .collect();
         let fog = shift * 0.45;
 
-        let mut draw = |rng: &mut DetRng, class: usize, shifted: bool| -> Vec<f32> {
-            let mean = &means[class];
-            let clean: Vec<f32> = mean
-                .iter()
-                .map(|m| m + self.within_std * rng.normal() as f32)
-                .collect();
-            if !shifted {
-                return clean;
-            }
-            let mut x = distort.matvec(&clean);
-            for ((xv, o), f) in x.iter_mut().zip(&offset).zip(&fog_target) {
-                *xv = (1.0 - fog) * (*xv + o) + fog * f + shift * 0.3 * rng.normal() as f32;
-            }
-            x
-        };
-
-        let make_set = |rng: &mut DetRng,
-                        per_class: usize,
-                        shifted: bool,
-                        draw: &mut dyn FnMut(&mut DetRng, usize, bool) -> Vec<f32>|
-         -> Dataset {
-            let mut xs = Vec::with_capacity(per_class * self.classes);
-            let mut ys = Vec::with_capacity(per_class * self.classes);
-            for class in 0..self.classes {
-                for _ in 0..per_class {
-                    xs.push(draw(rng, class, shifted));
-                    ys.push(class);
+        // Each sample is written into its row of the set's input matrix;
+        // a shifted one draws its clean point into `clean` first, and its
+        // row is `distort`'s matvec of it, dot product by dot product.
+        let mut clean = vec![0.0f32; self.dim];
+        let mut make_set = |rng: &mut DetRng, per_class: usize, shifted: bool| -> Dataset {
+            let mut xs = Matrix::zeros(per_class * self.classes, self.dim);
+            for r in 0..xs.rows() {
+                let x = xs.row_mut(r);
+                let drawn = if shifted { &mut clean[..] } else { &mut *x };
+                for (v, m) in drawn.iter_mut().zip(&means[r / per_class]) {
+                    *v = m + self.within_std * rng.normal() as f32;
+                }
+                if !shifted {
+                    continue;
+                }
+                let parts = x.iter_mut().zip(distort.iter_rows());
+                for (((xv, row), o), f) in parts.zip(&offset).zip(&fog_target) {
+                    let mixed = ops::dot(row, &clean);
+                    *xv = (1.0 - fog) * (mixed + o) + fog * f + shift * 0.3 * rng.normal() as f32;
                 }
             }
+            let ys = (0..xs.rows()).map(|r| r / per_class).collect();
             Dataset::labeled(xs, ys)
         };
 
-        let source_train = make_set(
-            &mut data_rng.fork(1),
-            self.train_per_class,
-            false,
-            &mut draw,
-        );
-        let source_test = make_set(&mut data_rng.fork(2), self.test_per_class, false, &mut draw);
-        let target_train = make_set(&mut data_rng.fork(3), self.train_per_class, true, &mut draw);
-        let target_test = make_set(&mut data_rng.fork(4), self.test_per_class, true, &mut draw);
+        let source_train = make_set(&mut data_rng.fork(1), self.train_per_class, false);
+        let source_test = make_set(&mut data_rng.fork(2), self.test_per_class, false);
 
         // Pretrain on the source domain.
         let mut model = match &self.arch {
@@ -306,16 +292,24 @@ impl CrudaSpec {
         };
         let mut pre_rng = rng.fork(0x9E7);
         let mut grads = model.zero_grads();
+        let mut batch = Vec::with_capacity(self.pretrain_batch);
         for _ in 0..self.pretrain_steps {
-            let batch = source_train.sample_batch(self.pretrain_batch, &mut pre_rng);
+            source_train.sample_batch_into(self.pretrain_batch, &mut pre_rng, &mut batch);
             model.loss_and_grad_into(&source_train, &batch, &mut grads);
             for (p, g) in model.params_mut().iter_mut().zip(&grads) {
                 p.add_scaled(g, -self.pretrain_lr).expect("shapes match");
             }
         }
+        drop(source_train);
 
+        // Every set draws from its own fork of `data_rng`, so making the
+        // shifted sets after pretraining moves no bit; the source and
+        // target training pools are never live at once.
+        let target_train = make_set(&mut data_rng.fork(3), self.train_per_class, true);
         let shards =
             target_train.dirichlet_shards(n_workers, self.dirichlet_alpha, &mut rng.fork(0x5A));
+        drop(target_train);
+        let target_test = make_set(&mut data_rng.fork(4), self.test_per_class, true);
 
         CrudaWorkload {
             spec: self.clone(),
@@ -447,8 +441,9 @@ mod tests {
         let before = wl.test_metric(&model);
         let shard = &wl.shards()[0];
         let mut rng = DetRng::new(3);
+        let mut batch = Vec::new();
         for _ in 0..250 {
-            let batch = shard.sample_batch(16, &mut rng);
+            shard.sample_batch_into(16, &mut rng, &mut batch);
             let (_, grads, _) = model.loss_and_grad(shard, &batch);
             for (p, g) in model.params_mut().iter_mut().zip(&grads) {
                 p.add_scaled(g, -wl.learning_rate()).expect("shapes match");
@@ -484,8 +479,9 @@ mod tests {
         let full = CrudaSpec::conv_small().build(1, &mut DetRng::new(4));
         let shard = &full.shards()[0];
         let mut rng = DetRng::new(5);
+        let mut batch = Vec::new();
         for _ in 0..150 {
-            let batch = shard.sample_batch(16, &mut rng);
+            shard.sample_batch_into(16, &mut rng, &mut batch);
             let (_, grads, _) = model.loss_and_grad(shard, &batch);
             for (p, g) in model.params_mut().iter_mut().zip(&grads) {
                 p.add_scaled(g, -full.learning_rate())

@@ -1,29 +1,32 @@
 //! Dataset container and non-IID sharding.
 
 use rog_tensor::rng::DetRng;
+use rog_tensor::Matrix;
 
 /// Supervision targets: class labels or regression values.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Targets {
     /// One class index per sample.
     Labels(Vec<usize>),
-    /// One value vector per sample.
-    Values(Vec<Vec<f32>>),
+    /// One value row per sample.
+    Values(Matrix),
 }
 
 impl Targets {
     fn len(&self) -> usize {
         match self {
             Targets::Labels(v) => v.len(),
-            Targets::Values(v) => v.len(),
+            Targets::Values(v) => v.rows(),
         }
     }
 }
 
-/// An in-memory dataset of feature vectors plus targets.
+/// An in-memory dataset: one row-major input matrix (sample `i` is
+/// row `i`) plus targets, so a dataset is a few allocations whatever
+/// its sample count, and a shard copies its rows into one matrix.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Dataset {
-    xs: Vec<Vec<f32>>,
+    xs: Matrix,
     /// The supervision targets (public for loss dispatch).
     pub targets: Targets,
 }
@@ -34,31 +37,32 @@ impl Dataset {
     /// # Panics
     ///
     /// Panics if lengths differ.
-    pub fn labeled(xs: Vec<Vec<f32>>, ys: Vec<usize>) -> Self {
+    pub fn labeled(xs: Matrix, ys: Vec<usize>) -> Self {
         let targets = Targets::Labels(ys);
-        assert_eq!(xs.len(), targets.len(), "inputs/labels length mismatch");
+        assert_eq!(xs.rows(), targets.len(), "inputs/labels length mismatch");
         Self { xs, targets }
     }
 
-    /// Creates a regression dataset.
+    /// Creates a regression dataset: row `i` of `ys` is sample `i`'s
+    /// target.
     ///
     /// # Panics
     ///
     /// Panics if lengths differ.
-    pub fn regression(xs: Vec<Vec<f32>>, ys: Vec<Vec<f32>>) -> Self {
+    pub fn regression(xs: Matrix, ys: Matrix) -> Self {
         let targets = Targets::Values(ys);
-        assert_eq!(xs.len(), targets.len(), "inputs/values length mismatch");
+        assert_eq!(xs.rows(), targets.len(), "inputs/values length mismatch");
         Self { xs, targets }
     }
 
     /// Number of samples.
     pub fn len(&self) -> usize {
-        self.xs.len()
+        self.xs.rows()
     }
 
     /// Whether the dataset is empty.
     pub fn is_empty(&self) -> bool {
-        self.xs.is_empty()
+        self.len() == 0
     }
 
     /// Feature vector of sample `i`.
@@ -67,7 +71,7 @@ impl Dataset {
     ///
     /// Panics if out of range.
     pub fn input(&self, i: usize) -> &[f32] {
-        &self.xs[i]
+        self.xs.row(i)
     }
 
     /// Label of sample `i` for labeled datasets.
@@ -78,15 +82,38 @@ impl Dataset {
         }
     }
 
-    /// Draws a batch of `size` sample indices uniformly with replacement.
+    /// [`Self::sample_batch_into`] into a fresh vector, for the frozen
+    /// `benchmark/`; the workspace samples into reused buffers.
+    pub fn sample_batch(&self, size: usize, rng: &mut DetRng) -> Vec<usize> {
+        let mut idxs = Vec::new();
+        self.sample_batch_into(size, rng, &mut idxs);
+        idxs
+    }
+
+    /// Replaces `idxs` with a batch of `size` sample indices drawn
+    /// uniformly with replacement; a buffer that has held `size`
+    /// indices before is not reallocated.
     ///
     /// # Panics
     ///
     /// Panics if the dataset is empty or `size == 0`.
-    pub fn sample_batch(&self, size: usize, rng: &mut DetRng) -> Vec<usize> {
+    pub fn sample_batch_into(&self, size: usize, rng: &mut DetRng, idxs: &mut Vec<usize>) {
         assert!(!self.is_empty(), "cannot sample from an empty dataset");
         assert!(size > 0, "batch size must be positive");
-        (0..size).map(|_| rng.index(self.xs.len())).collect()
+        idxs.clear();
+        idxs.extend((0..size).map(|_| rng.index(self.len())));
+    }
+
+    /// The samples `idxs`, in order, as a dataset of their own.
+    fn subset(&self, idxs: impl ExactSizeIterator<Item = usize> + Clone) -> Dataset {
+        let targets = match &self.targets {
+            Targets::Labels(v) => Targets::Labels(idxs.clone().map(|i| v[i]).collect()),
+            Targets::Values(v) => Targets::Values(gather(v, idxs.clone())),
+        };
+        Dataset {
+            xs: gather(&self.xs, idxs),
+            targets,
+        }
     }
 
     /// Splits a labeled dataset into `n_shards` non-IID shards using a
@@ -111,28 +138,39 @@ impl Dataset {
             "fewer samples than shards: {} < {n_shards}",
             self.len()
         );
-        let n_classes = ys.iter().copied().max().map_or(0, |m| m + 1);
-        let mut shard_idxs: Vec<Vec<usize>> = vec![Vec::new(); n_shards];
-        for class in 0..n_classes {
-            let members: Vec<usize> = (0..ys.len()).filter(|&i| ys[i] == class).collect();
-            if members.is_empty() {
-                continue;
-            }
+        // The samples grouped by class, in index order within a class;
+        // each class's Dirichlet cut is one range of `order` per shard.
+        // The cuts are sized first, so every shard fills one exact
+        // allocation whatever the sample count.
+        let mut order: Vec<usize> = (0..ys.len()).collect();
+        order.sort_unstable_by_key(|&i| (ys[i], i));
+        let mut cuts = Vec::new();
+        let mut sizes = vec![0usize; n_shards];
+        let mut first = 0;
+        while first < order.len() {
+            let class = ys[order[first]];
+            let members = order[first..].partition_point(|&i| ys[i] == class);
             let probs = rng.dirichlet(n_shards, alpha);
             // Convert proportions to cumulative boundaries over members.
-            let mut cum = 0.0;
-            let mut boundaries = Vec::with_capacity(n_shards);
-            for p in &probs {
+            let (mut cum, mut start) = (0.0, 0);
+            for (s, p) in probs.iter().enumerate() {
                 cum += p;
-                boundaries.push((cum * members.len() as f64).round() as usize);
-            }
-            *boundaries.last_mut().expect("non-empty") = members.len();
-            let mut start = 0;
-            for (s, &end) in boundaries.iter().enumerate() {
+                let end = if s + 1 == n_shards {
+                    members
+                } else {
+                    (cum * members as f64).round() as usize
+                };
                 let end = end.max(start);
-                shard_idxs[s].extend(&members[start..end]);
+                cuts.push((s, first + start..first + end));
+                sizes[s] += end - start;
                 start = end;
             }
+            first += members;
+        }
+        let mut shard_idxs: Vec<Vec<usize>> =
+            sizes.iter().map(|&n| Vec::with_capacity(n)).collect();
+        for (s, cut) in cuts {
+            shard_idxs[s].extend_from_slice(&order[cut]);
         }
         // Backfill empty shards.
         let mut donor = 0usize;
@@ -147,13 +185,8 @@ impl Dataset {
             }
         }
         shard_idxs
-            .into_iter()
-            .map(|idxs| {
-                Dataset::labeled(
-                    idxs.iter().map(|&i| self.xs[i].clone()).collect(),
-                    idxs.iter().map(|&i| ys[i]).collect(),
-                )
-            })
+            .iter()
+            .map(|idxs| self.subset(idxs.iter().copied()))
             .collect()
     }
 
@@ -173,18 +206,18 @@ impl Dataset {
         );
         let n = self.len();
         (0..n_shards)
-            .map(|s| {
-                let start = s * n / n_shards;
-                let end = (s + 1) * n / n_shards;
-                let xs = self.xs[start..end].to_vec();
-                let targets = match &self.targets {
-                    Targets::Labels(v) => Targets::Labels(v[start..end].to_vec()),
-                    Targets::Values(v) => Targets::Values(v[start..end].to_vec()),
-                };
-                Dataset { xs, targets }
-            })
+            .map(|s| self.subset(s * n / n_shards..(s + 1) * n / n_shards))
             .collect()
     }
+}
+
+/// The rows `idxs` of `m`, in order, as one matrix.
+fn gather(m: &Matrix, idxs: impl ExactSizeIterator<Item = usize>) -> Matrix {
+    let mut out = Matrix::zeros(idxs.len(), m.cols());
+    for (r, i) in idxs.enumerate() {
+        out.row_mut(r).copy_from_slice(m.row(i));
+    }
+    out
 }
 
 #[cfg(test)]
@@ -193,7 +226,7 @@ mod tests {
 
     fn dataset(n: usize, classes: usize) -> Dataset {
         Dataset::labeled(
-            (0..n).map(|i| vec![i as f32]).collect(),
+            Matrix::from_fn(n, 1, |i, _| i as f32),
             (0..n).map(|i| i % classes).collect(),
         )
     }
@@ -203,10 +236,32 @@ mod tests {
         let d = dataset(10, 2);
         let mut r1 = DetRng::new(3);
         let mut r2 = DetRng::new(3);
-        let b1 = d.sample_batch(6, &mut r1);
-        let b2 = d.sample_batch(6, &mut r2);
+        let (mut b1, mut b2) = (vec![7; 9], Vec::new());
+        d.sample_batch_into(6, &mut r1, &mut b1);
+        d.sample_batch_into(6, &mut r2, &mut b2);
         assert_eq!(b1, b2);
+        assert_eq!(b1.len(), 6);
         assert!(b1.iter().all(|&i| i < 10));
+    }
+
+    #[test]
+    #[should_panic(expected = "ragged rows: row 1 vs row 0")]
+    fn a_ragged_dataset_is_refused_where_it_is_built() {
+        let _ = Dataset::labeled(Matrix::from_rows(&[vec![0.0, 1.0], vec![2.0]]), vec![0, 1]);
+    }
+
+    #[test]
+    fn regression_shards_keep_their_value_rows() {
+        let d = Dataset::regression(
+            Matrix::from_fn(5, 2, |r, c| (r * 2 + c) as f32),
+            Matrix::from_fn(5, 1, |r, _| -(r as f32)),
+        );
+        let shards = d.contiguous_shards(2);
+        assert_eq!(shards[1].input(0), &[4.0, 5.0]);
+        let Targets::Values(ys) = &shards[1].targets else {
+            unreachable!()
+        };
+        assert_eq!(ys.as_slice(), &[-2.0, -3.0, -4.0]);
     }
 
     #[test]
@@ -255,7 +310,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "requires labels")]
     fn dirichlet_on_regression_panics() {
-        let d = Dataset::regression(vec![vec![0.0]], vec![vec![0.0]]);
+        let d = Dataset::regression(Matrix::zeros(1, 1), Matrix::zeros(1, 1));
         let _ = d.dirichlet_shards(1, 1.0, &mut DetRng::new(0));
     }
 }

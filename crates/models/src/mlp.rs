@@ -370,7 +370,7 @@ impl Mlp {
                 (loss, d, ok)
             }
             (Targets::Values(ys), Task::Regression) => {
-                let y = &ys[i];
+                let y = ys.row(i);
                 assert_eq!(y.len(), out.len(), "target width mismatch");
                 let k = out.len() as f32;
                 let loss = ops::sq_dist(out, y) / k;
@@ -450,7 +450,7 @@ impl Mlp {
             }
             (Targets::Values(ys), Task::Regression) => {
                 for (r, &i) in idxs.iter().enumerate() {
-                    let y = &ys[i];
+                    let y = ys.row(i);
                     let row = dz.row_mut(r);
                     assert_eq!(y.len(), row.len(), "target width mismatch");
                     let k = row.len() as f32;
@@ -626,12 +626,12 @@ impl Mlp {
         let Targets::Values(ys) = &data.targets else {
             panic!("mse requires value targets");
         };
-        assert!(!ys.is_empty(), "empty dataset");
+        assert!(!data.is_empty(), "empty dataset");
         let mut total = 0.0f64;
         self.for_each_output(data, |i, out| {
-            total += ops::sq_dist(out, &ys[i]) as f64 / out.len() as f64;
+            total += ops::sq_dist(out, ys.row(i)) as f64 / out.len() as f64;
         });
-        total / ys.len() as f64
+        total / data.len() as f64
     }
 }
 
@@ -798,12 +798,7 @@ mod tests {
 
     fn tiny_dataset() -> Dataset {
         // Two linearly separable classes in 2-D.
-        let xs = vec![
-            vec![1.0, 0.0],
-            vec![0.9, 0.1],
-            vec![0.0, 1.0],
-            vec![0.1, 0.9],
-        ];
+        let xs = Matrix::from_rows(&[[1.0, 0.0], [0.9, 0.1], [0.0, 1.0], [0.1, 0.9]]);
         Dataset::labeled(xs, vec![0, 0, 1, 1])
     }
 
@@ -860,8 +855,8 @@ mod tests {
         let mut rng = DetRng::new(6);
         let mlp = Mlp::new(&[2, 4, 1], Task::Regression, &mut rng);
         let data = Dataset::regression(
-            vec![vec![0.5, -0.5], vec![1.0, 1.0]],
-            vec![vec![1.0], vec![-1.0]],
+            Matrix::from_rows(&[[0.5, -0.5], [1.0, 1.0]]),
+            Matrix::from_rows(&[[1.0], [-1.0]]),
         );
         let (_, grads, _) = mlp.loss_and_grad(&data, &[0, 1]);
         let eps = 1e-3f32;
@@ -899,8 +894,8 @@ mod tests {
     fn loss_decreases_under_regression_training() {
         let mut rng = DetRng::new(8);
         let mut mlp = Mlp::new(&[1, 8, 1], Task::Regression, &mut rng);
-        let xs: Vec<Vec<f32>> = (0..16).map(|i| vec![i as f32 / 8.0 - 1.0]).collect();
-        let ys: Vec<Vec<f32>> = xs.iter().map(|x| vec![x[0] * x[0]]).collect();
+        let xs = Matrix::from_fn(16, 1, |i, _| i as f32 / 8.0 - 1.0);
+        let ys = Matrix::from_fn(16, 1, |i, _| xs.get(i, 0) * xs.get(i, 0));
         let data = Dataset::regression(xs, ys);
         let idxs: Vec<usize> = (0..16).collect();
         let before = mlp.mse(&data);
@@ -991,7 +986,7 @@ mod tests {
             }
             (Targets::Values(ys), Task::Regression) => {
                 for (r, &i) in idxs.iter().enumerate() {
-                    let y = &ys[i];
+                    let y = ys.row(i);
                     let row = dz.row_mut(r);
                     let k = row.len() as f32;
                     total_loss += ops::sq_dist(row, y) / k;
@@ -1055,9 +1050,10 @@ mod tests {
         // Shapes alternate on one thread, so the scratch is reshaped
         // between every pair of calls; 70 samples overflow one stack
         // chunk of weight-gradient terms.
+        let mut idxs = Vec::new();
         for batch in [1usize, 7, 23, 49, 70] {
             for (model, shard, test) in &cases {
-                let idxs = shard.sample_batch(batch, &mut rng);
+                shard.sample_batch_into(batch, &mut rng, &mut idxs);
                 let mut got = model.zero_grads();
                 let (loss, correct) = model.loss_and_grad_into(shard, &idxs, &mut got);
                 let inv_n = 1.0 / batch as f32;
@@ -1086,13 +1082,13 @@ mod tests {
                         assert_eq!(model.accuracy_percent(test).to_bits(), want.to_bits());
                     }
                     Targets::Values(ys) => {
-                        let total: f64 = (0..ys.len())
+                        let total: f64 = (0..test.len())
                             .map(|i| {
                                 let out = model.forward(test.input(i));
-                                ops::sq_dist(&out, &ys[i]) as f64 / out.len() as f64
+                                ops::sq_dist(&out, ys.row(i)) as f64 / out.len() as f64
                             })
                             .sum();
-                        let want = total / ys.len() as f64;
+                        let want = total / test.len() as f64;
                         assert_eq!(model.mse(test).to_bits(), want.to_bits());
                     }
                 }
@@ -1133,7 +1129,7 @@ mod tests {
             xs.push(img);
             ys.push(class);
         }
-        Dataset::labeled(xs, ys)
+        Dataset::labeled(Matrix::from_rows(&xs), ys)
     }
 
     #[test]

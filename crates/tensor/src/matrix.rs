@@ -99,6 +99,21 @@ impl Matrix {
         Ok(Self { rows, cols, data })
     }
 
+    /// Stacks equal-width rows into a matrix (`0 x 0` for no rows).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the rows are ragged.
+    pub fn from_rows<R: AsRef<[f32]>>(rows: &[R]) -> Self {
+        let cols = rows.first().map_or(0, |r| r.as_ref().len());
+        let mut data = Vec::with_capacity(rows.len() * cols);
+        for (i, row) in rows.iter().map(AsRef::as_ref).enumerate() {
+            assert_eq!(row.len(), cols, "ragged rows: row {i} vs row 0");
+            data.extend_from_slice(row);
+        }
+        Self::from_vec(rows.len(), cols, data).expect("every row is cols wide")
+    }
+
     /// Creates a matrix of i.i.d. normal samples with standard deviation `std`.
     pub fn randn(rows: usize, cols: usize, std: f32, rng: &mut DetRng) -> Self {
         let mut m = Self::zeros(rows, cols);
@@ -378,6 +393,14 @@ mod tests {
         assert!(Matrix::from_vec(2, 2, vec![1.0; 4]).is_ok());
         let err = Matrix::from_vec(2, 2, vec![1.0; 3]).unwrap_err();
         assert!(err.to_string().contains("shape mismatch"));
+    }
+
+    #[test]
+    fn from_rows_stacks_in_order() {
+        let m = Matrix::from_rows(&[[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]);
+        assert_eq!(m.shape(), (3, 2));
+        assert_eq!(m.row(2), &[5.0, 6.0]);
+        assert_eq!(Matrix::from_rows::<[f32; 0]>(&[]).shape(), (0, 0));
     }
 
     #[test]

@@ -229,11 +229,13 @@ pub fn generated_trace(cfg: &ExperimentConfig, link: Option<(usize, usize)>) -> 
 /// One worker's compute model: its batch and jitter streams, what an
 /// iteration's computation costs and when it evaluates. The sim engines
 /// and a live worker draw from the same model, so a live worker samples
-/// the batches its sim twin would.
+/// the batches its sim twin would. It owns the buffer its batch indices
+/// are drawn into, so a draw after the first allocates nothing.
 #[derive(Debug)]
 pub struct WorkerDraws {
     batch: usize,
     batch_rng: DetRng,
+    idxs: Vec<usize>,
     jitter_rng: DetRng,
     /// Base compute seconds at this run's batch scale.
     base: f64,
@@ -248,6 +250,7 @@ impl WorkerDraws {
         Self {
             batch: cluster.devices[w].batch,
             batch_rng: root.fork(0x100 + w as u64),
+            idxs: Vec::new(),
             jitter_rng: root.fork(0x200 + w as u64),
             base: cfg.base_compute_secs() * cfg.batch_scale,
             codec: cfg.codec_secs(),
@@ -256,9 +259,10 @@ impl WorkerDraws {
     }
 
     /// Samples the batch indices of the next gradient draw from `shard`
-    /// (the worker's own).
-    pub fn sample_batch(&mut self, shard: &Dataset) -> Vec<usize> {
-        shard.sample_batch(self.batch, &mut self.batch_rng)
+    /// (the worker's own) into the owned buffer, and lends them.
+    pub fn next_batch(&mut self, shard: &Dataset) -> &[usize] {
+        shard.sample_batch_into(self.batch, &mut self.batch_rng, &mut self.idxs);
+        &self.idxs
     }
 
     /// Draws one iteration's computation time: base compute scaled by

@@ -35,7 +35,7 @@ pub fn run_job_into(model: &Mlp, shard: &Dataset, idxs: &[usize], grads: &mut Gr
 pub fn take_draw(ctx: &mut EngineCtx, worker: usize) -> (GradSet, f32) {
     let mut grads = ctx.take_grad_buf();
     let shard = &ctx.cluster.workload.shards()[worker];
-    let idxs = ctx.draws[worker].sample_batch(shard);
-    let mean_abs = run_job_into(&ctx.models[worker], shard, &idxs, &mut grads);
+    let idxs = ctx.draws[worker].next_batch(shard);
+    let mean_abs = run_job_into(&ctx.models[worker], shard, idxs, &mut grads);
     (grads, mean_abs)
 }

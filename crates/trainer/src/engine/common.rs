@@ -245,7 +245,7 @@ impl EngineCtx {
     fn compute_timer_is_stale(&mut self, w: usize) -> bool {
         if self.stale_timers[w] > 0 {
             self.stale_timers[w] -= 1;
-            self.draws[w].sample_batch(&self.cluster.workload.shards()[w]);
+            self.draws[w].next_batch(&self.cluster.workload.shards()[w]);
             return true;
         }
         self.computing[w] = false;
@@ -1385,7 +1385,7 @@ mod tests {
         assert!(e.log.is_empty(), "the timer was swallowed: {:?}", e.log);
         // The same stream, advanced by one sample and nothing else.
         let mut sampled = ctx();
-        sampled.draws[1].sample_batch(&sampled.cluster.workload.shards()[1]);
+        sampled.draws[1].next_batch(&sampled.cluster.workload.shards()[1]);
         let (ga, ma) = compute::take_draw(&mut e.ctx, 1);
         let (gb, mb) = compute::take_draw(&mut sampled, 1);
         assert_eq!(ma.to_bits(), mb.to_bits());

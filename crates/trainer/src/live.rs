@@ -886,8 +886,8 @@ pub fn join(cfg: &ExperimentConfig, opts: &JoinOptions) -> Result<RunOutcome, St
         lw.emit(TraceEv::IterBegin(iter));
         let compute_start = Instant::now();
         let shard = &cluster.workload.shards()[w];
-        let idxs = draws.sample_batch(shard);
-        crate::compute::run_job_into(&model, shard, &idxs, &mut grads);
+        let idxs = draws.next_batch(shard);
+        crate::compute::run_job_into(&model, shard, idxs, &mut grads);
         let compute_secs = draws.compute_secs();
         // The paced budget covers the real gradient computation too:
         // sleep only the remainder, so the virtual compute span equals

@@ -45,11 +45,12 @@ fn main() {
     println!("model has {n_rows} rows; RSP threshold {threshold}");
 
     let mut rng = DetRng::new(9);
+    let mut batch = Vec::new();
     for iter in 1..=6u64 {
         for w in 0..2 {
             // Compute a real gradient on this worker's shard.
             let shard = &workload.shards()[w];
-            let batch = shard.sample_batch(16, &mut rng);
+            shard.sample_batch_into(16, &mut rng, &mut batch);
             let (_, grads, _) = models[w].loss_and_grad(shard, &batch);
             workers[w].accumulate(&grads);
 

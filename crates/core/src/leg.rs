@@ -1,0 +1,246 @@
+//! One direction of one shard leg, transmitted in rounds: ATP's
+//! speculative transmission (Algorithm 1) with a must-land prefix.
+
+use crate::RowId;
+
+/// One round of a [`Leg`]; only the speculative one has a deadline.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Round {
+    /// The whole plan, under the shard's MTA-time budget.
+    Speculative,
+    /// The rows the deadline cut off, up to the leg's target.
+    Continuation,
+    /// The must-land rows that did not arrive intact.
+    Retransmit,
+}
+
+/// One direction (push or pull) of a shard leg: the transmission of a
+/// ranked row plan (ATP) in rounds. The speculative round carries the
+/// whole plan under the shard's MTA-time budget; if that deadline cuts
+/// it short of `target`, a continuation carries exactly the rows up to
+/// `target`. When rounds report fates, retransmit rounds then resend
+/// the must-land rows that did not arrive intact until they have.
+/// [`crate::WorkerRole`] owns the pushes, [`crate::ServerRole`] the
+/// pulls; a driver reports each round through them.
+#[derive(Debug, Clone, Default)]
+pub struct Leg {
+    /// Rows to transmit, in rank order.
+    plan: Vec<RowId>,
+    /// Length of the prefix of `plan` transmitted so far.
+    delivered: usize,
+    /// Rows that must be transmitted before the leg may end (the MTA,
+    /// and on a push any longer RSP-mandatory prefix).
+    target: usize,
+    /// Length of the prefix of `plan` that must land: a push's
+    /// RSP-mandatory rows (a worker at the bound blocks every peer's
+    /// pull). Other rows are best-effort: a lost push row is not
+    /// committed and ages toward the bound, a lost pull row stays
+    /// pending on the server.
+    must_land: usize,
+    /// A round reported fates: only `intact` rows landed.
+    fated: bool,
+    /// Transmitted rows that arrived intact, in landing order.
+    intact: Vec<RowId>,
+    /// Which plan positions are in `intact`.
+    landed: Vec<bool>,
+    /// The must-land rows the current retransmit round carries, and
+    /// their plan positions.
+    resend: Vec<RowId>,
+    resend_at: Vec<usize>,
+}
+
+impl Leg {
+    /// The plan, for its owner to refill before [`Self::begin`].
+    pub(crate) fn plan_mut(&mut self) -> &mut Vec<RowId> {
+        &mut self.plan
+    }
+
+    /// Arms the leg for a fresh transmission of its plan.
+    pub(crate) fn begin(&mut self, target: usize, must_land: usize) {
+        self.target = target;
+        self.must_land = must_land;
+        self.delivered = 0;
+        self.fated = false;
+        self.intact.clear();
+        self.resend.clear();
+        self.resend_at.clear();
+    }
+
+    /// Rows to transmit, in rank order.
+    pub fn plan(&self) -> &[RowId] {
+        &self.plan
+    }
+
+    /// Length of the prefix of the plan transmitted so far.
+    pub fn delivered(&self) -> usize {
+        self.delivered
+    }
+
+    /// The rows `round` carries, while it is the leg's current round.
+    pub fn rows(&self, round: Round) -> &[RowId] {
+        match round {
+            Round::Speculative => &self.plan,
+            Round::Continuation => &self.plan[self.delivered..self.target],
+            Round::Retransmit => &self.resend,
+        }
+    }
+
+    /// Accounts one finished round: its first `sent` rows went out, and
+    /// `intact[i]` says whether its row `i` arrived (a row past the end
+    /// did not). Without fates (for every round of the leg) every row
+    /// sent counts as landed. Returns the next round, or `None` once
+    /// [`Self::landed`] has the rows.
+    pub(crate) fn on_round(
+        &mut self,
+        round: Round,
+        sent: usize,
+        intact: Option<&[bool]>,
+    ) -> Option<Round> {
+        if let Some(intact) = intact {
+            if !self.fated {
+                self.fated = true;
+                self.landed.clear();
+                self.landed.resize(self.plan.len(), false);
+            }
+            for i in (0..sent).filter(|&i| intact.get(i) == Some(&true)) {
+                let at = match round {
+                    Round::Retransmit => self.resend_at[i],
+                    _ => self.delivered + i,
+                };
+                self.landed[at] = true;
+                self.intact.push(self.plan[at]);
+            }
+        }
+        if round != Round::Retransmit {
+            self.delivered += sent;
+        }
+        if round == Round::Speculative && self.delivered < self.target {
+            return Some(Round::Continuation);
+        }
+        if !self.fated {
+            return None;
+        }
+        self.resend.clear();
+        self.resend_at.clear();
+        for at in 0..self.must_land.min(self.delivered) {
+            if !self.landed[at] {
+                self.resend.push(self.plan[at]);
+                self.resend_at.push(at);
+            }
+        }
+        (!self.resend.is_empty()).then_some(Round::Retransmit)
+    }
+
+    /// The rows that got through: the intact ones when rounds reported
+    /// fates, otherwise everything transmitted.
+    pub fn landed(&self) -> &[RowId] {
+        if self.fated {
+            &self.intact
+        } else {
+            &self.plan[..self.delivered]
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn leg(rows: usize, target: usize, must_land: usize) -> Leg {
+        let mut leg = Leg {
+            plan: (0..rows).map(RowId).collect(),
+            ..Leg::default()
+        };
+        leg.begin(target, must_land);
+        leg
+    }
+
+    /// Where a deadline cut a round (`DONE`: it completed).
+    type Cut = Option<usize>;
+
+    fn cut_at(chunks_done: usize) -> Cut {
+        Some(chunks_done)
+    }
+
+    const DONE: Cut = None;
+
+    fn on_leg_round(l: &mut Leg, round: Round, cut: Cut, fates: Option<&[bool]>) -> Option<Round> {
+        let sent = cut.unwrap_or(l.rows(round).len());
+        l.on_round(round, sent, fates)
+    }
+
+    #[test]
+    fn leg_that_fits_its_deadline_delivers_the_whole_plan() {
+        let mut l = leg(10, 4, 2);
+        assert_eq!(on_leg_round(&mut l, Round::Speculative, DONE, None), None);
+        assert_eq!(l.landed().len(), 10);
+    }
+
+    #[test]
+    fn leg_cut_below_its_target_continues_exactly_to_it() {
+        let mut l = leg(10, 4, 2);
+        let next = on_leg_round(&mut l, Round::Speculative, cut_at(1), None);
+        assert_eq!(next, Some(Round::Continuation));
+        assert_eq!(l.rows(Round::Continuation), [RowId(1), RowId(2), RowId(3)]);
+        assert_eq!(on_leg_round(&mut l, Round::Continuation, DONE, None), None);
+        assert_eq!(l.landed(), [RowId(0), RowId(1), RowId(2), RowId(3)]);
+    }
+
+    #[test]
+    fn leg_cut_at_or_above_its_target_is_finished() {
+        let mut l = leg(10, 4, 2);
+        assert_eq!(
+            on_leg_round(&mut l, Round::Speculative, cut_at(6), None),
+            None
+        );
+        assert_eq!(l.landed().len(), 6);
+    }
+
+    /// A chunk's fate on a lossy link.
+    #[derive(Clone, Copy, PartialEq)]
+    enum Fate {
+        Delivered,
+        Lost,
+        Corrupt,
+    }
+
+    /// Drives `l` through lossy `rounds` (each: the round, its outcome,
+    /// its chunks' fates and the next round it must report) and returns
+    /// what landed.
+    fn drive_lossy(mut l: Leg, rounds: &[(Round, Cut, &[Fate], Option<Round>)]) -> Vec<RowId> {
+        for (round, cut, fates, next) in rounds {
+            let intact: Vec<bool> = fates.iter().map(|&f| f == Fate::Delivered).collect();
+            let got = on_leg_round(&mut l, *round, *cut, Some(&intact));
+            assert_eq!(got, *next, "{round:?}");
+        }
+        l.landed().to_vec()
+    }
+    #[test]
+    fn lossy_leg_lands_only_the_intact_rows_of_both_flows() {
+        use Fate::{Corrupt, Delivered, Lost};
+        use Round::{Continuation as Cont, Retransmit as Resend, Speculative as Spec};
+        let first: &[_] = &[Delivered, Lost];
+        // Nothing must land (a pull, or a push with no row at the bound):
+        // the intact chunk of each flow lands, the lost rows stay lost.
+        let rounds = [
+            (Spec, cut_at(2), first, Some(Cont)),
+            (Cont, DONE, &[Corrupt, Delivered], None),
+        ];
+        assert_eq!(drive_lossy(leg(6, 4, 0), &rounds), [RowId(0), RowId(3)]);
+        // Rows 0..3 must land: lost rows 1 and 2 go out again, in rank
+        // order, until each has landed; best-effort row 3 never does.
+        let rounds = [
+            (Spec, cut_at(2), first, Some(Cont)),
+            (Cont, DONE, &[Corrupt, Lost], Some(Resend)),
+            (Resend, DONE, &[Lost, Delivered], Some(Resend)),
+            (Resend, DONE, &[Delivered], None),
+        ];
+        assert_eq!(
+            drive_lossy(leg(6, 4, 3), &rounds),
+            [RowId(0), RowId(2), RowId(1)]
+        );
+        // Lost best-effort rows behind a landed must-land row: no resend.
+        let rounds = [(Spec, DONE, &[Delivered, Lost, Corrupt, Delivered][..], None)];
+        assert_eq!(drive_lossy(leg(4, 4, 1), &rounds), [RowId(0), RowId(3)]);
+    }
+}

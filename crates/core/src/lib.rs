@@ -23,8 +23,8 @@
 //!
 //! * **ATP (Adaptive Transmission Protocol)** — [`ImportanceMetric`]
 //!   (Algo 3) ranks rows by gradient magnitude plus staleness pressure,
-//!   and speculative transmission (Algo 4) sends rows in that order
-//!   under a shared time budget: [`mta::mta_fraction`] gives the minimum
+//!   and speculative transmission (Algo 4, [`Leg`]) sends rows in that
+//!   order under a shared time budget: [`mta::mta_fraction`] gives the minimum
 //!   transmission amount that keeps RSP satisfiable (Table I), and
 //!   [`MtaTimeTracker`] maintains the cross-device MTA-time estimate
 //!   that aligns every device's transmission time.
@@ -45,6 +45,7 @@ mod aggregator;
 pub mod convergence;
 pub mod gate;
 mod importance;
+mod leg;
 pub mod mta;
 mod mta_time;
 mod optimizer;
@@ -56,6 +57,7 @@ mod worker;
 
 pub use aggregator::{AggregatorMap, AggregatorPlane, AggregatorStats, MergeSummary};
 pub use importance::{ImportanceMetric, ImportanceMode, ImportanceWeights, RankScratch};
+pub use leg::{Leg, Round};
 pub use mta_time::MtaTimeTracker;
 pub use optimizer::{RogOptimizer, RogSession, StepReport};
 pub use roles::{Gate, LegId, PushFloor, PushReport, ServerRole, WorkerRole};

@@ -46,7 +46,7 @@ use rog_tensor::Matrix;
 use rog_obs::Journal;
 
 use crate::{
-    Gate, ImportanceMetric, RogWorkerConfig, RowBatch, RowId, ServerRole, ShardMap, ShardedServer,
+    Gate, ImportanceMetric, RogWorkerConfig, Round, RowBatch, ServerRole, ShardMap, ShardedServer,
     WorkerRole,
 };
 
@@ -117,7 +117,6 @@ impl RogSession {
             role: WorkerRole::new(&params, RogWorkerConfig::new(bound, lr), 1),
             rank,
             iter: 0,
-            plan: Vec::new(),
             rows: RowBatch::default(),
         }
     }
@@ -130,8 +129,6 @@ pub struct RogOptimizer {
     role: WorkerRole,
     rank: usize,
     iter: u64,
-    /// Push plan, then pull plan, of the step in progress.
-    plan: Vec<RowId>,
     /// Pushed rows, then pulled rows, of the step in progress.
     rows: RowBatch,
 }
@@ -164,21 +161,22 @@ impl RogOptimizer {
         let n = self.iter + 1;
         // Nothing is recorded: the journal belongs to the timed drivers.
         let mut journal = Journal::disabled();
+        // One round per leg without fates: every row sent lands at once.
         self.role.accumulate(grads);
-        self.role.rank(n);
         let mut server = self.server.lock();
-        self.plan.clear();
-        let ranked = self.role.ranked(server.server().map());
-        self.plan.extend(ranked.map(|(_, id)| id));
-        let admitted = self.role.start_leg(0, &self.plan, n).admit(budget_rows);
+        self.role.plan(n, server.server().map());
+        let admitted = self.role.floor(0).admit(budget_rows);
+        self.role.push_round(0, Round::Speculative, admitted, None);
         let rows = &mut self.rows;
-        self.role.commit_landed(&self.plan[..admitted], n, rows);
+        self.role.commit_push(0, n, rows);
         let leg = (self.rank, 0);
         server.ingest(leg, n, rows);
         let gate_open = server.enter_gate(leg, n, 0.0, &mut journal) == Gate::Granted;
         let pulled = if gate_open {
-            server.grant(leg, 0.0, &mut journal, &mut self.plan);
-            server.settle_pull(leg, &self.plan, 0.0, &mut journal, rows);
+            server.grant(leg, 0.0, &mut journal);
+            let all = server.pull_leg(leg).plan().len();
+            server.pull_round(leg, Round::Speculative, all, None);
+            server.settle_pull(leg, 0.0, &mut journal, rows);
             drop(server);
             self.role.apply(params, rows);
             rows.len()

@@ -17,10 +17,11 @@
 //! handshake, pacing, socket polling, (de)serialisation and telemetry.
 //! A worker pushes its mandatory prefix reliably and the bulk
 //! best-effort, then asks for the pull; the request waits *on the
-//! server* until `min(V)` admits it. The wire has no acks, so both
-//! sides treat what they sent as landed (a dropped best-effort row
-//! loses its gradient mass, where the sim keeps it) and neither
-//! direction is paced to the MTA-time budget.
+//! server* until `min(V)` admits it. The wire has no acks, so each
+//! push and pull leg is reported to its role's `Leg` as one round
+//! without fates, which counts every row sent as landed (a dropped
+//! best-effort row loses its gradient mass, where the sim keeps it),
+//! and neither direction is paced to the MTA-time budget.
 //!
 //! # Virtual clock
 //!
@@ -49,7 +50,7 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use rog_core::{
-    Gate, PushFloor, PushReport, RogWorkerConfig, RowBatch, RowId, ServerRole, ShardMap,
+    Gate, PushFloor, PushReport, RogWorkerConfig, Round, RowBatch, RowId, ServerRole, ShardMap,
     ShardedServer, WorkerRole,
 };
 use rog_obs::{obs, EventKind, Journal};
@@ -474,15 +475,16 @@ impl Plane {
     /// Sends `w` the granted pull of shard `s`.
     fn serve_pull(&mut self, w: usize, s: usize, now: f64) {
         let (leg, iter) = ((w, s), self.members[w].pull_iter);
-        let mut plan = Vec::new();
-        self.role.grant(leg, now, &mut self.journal, &mut plan);
+        self.role.grant(leg, now, &mut self.journal);
+        let plan = self.role.pull_leg(leg).plan();
         let plane = self.role.server();
         let bytes = plan.iter().map(|&id| plane.payload_bytes_for(w, id)).sum();
-        self.role
-            .pull_start(leg, &plan, bytes, now, &mut self.journal);
+        let all = plan.len();
+        let journal = &mut self.journal;
+        self.role.pull_start(leg, bytes, now, journal);
+        self.role.pull_round(leg, Round::Speculative, all, None);
         let mut fresh = RowBatch::default();
-        self.role
-            .settle_pull(leg, &plan, now, &mut self.journal, &mut fresh);
+        self.role.settle_pull(leg, now, journal, &mut fresh);
         let sent = fresh.len() as u32;
         for rows in chunk_rows(wire_rows(&fresh).collect(), MAX_DATAGRAM_PAYLOAD) {
             let _ = send_msg(&mut self.transport, w, iter, &Msg::PullRows { rows });
@@ -841,7 +843,6 @@ pub fn join(cfg: &ExperimentConfig, opts: &JoinOptions) -> Result<RunOutcome, St
     let map = ShardMap::contiguous(model.row_widths().len(), n_shards);
     let mut role = WorkerRole::new(model.params(), wcfg, n_shards);
     let leg_cap = opts.push_cap.div_ceil(n_shards);
-    let mut plans: Vec<Vec<RowId>> = vec![Vec::new(); n_shards];
     let mut sent = RowBatch::default();
     let mut draws = WorkerDraws::new(cfg, &cluster, w);
     let mut grads = model.zero_grads();
@@ -902,17 +903,12 @@ pub fn join(cfg: &ExperimentConfig, opts: &JoinOptions) -> Result<RunOutcome, St
         // best-effort datagrams.
         lw.set_state(DeviceState::Communicate);
         role.accumulate(&grads);
-        role.rank(iter);
-        role.disengage();
-        plans.iter_mut().for_each(Vec::clear);
-        for (s, id) in role.ranked(&map) {
-            plans[s].push(id);
-        }
+        role.plan(iter, &map);
         let (mut mandatory, mut bulk) = (Vec::new(), Vec::new());
-        for (s, plan) in plans.iter().enumerate() {
-            let floor = role.start_leg(s, plan, iter);
-            let admitted = floor.admit(Some(leg_cap));
-            role.commit_landed(&plan[..admitted], iter, &mut sent);
+        for s in 0..n_shards {
+            let floor = role.floor(s);
+            role.push_round(s, Round::Speculative, floor.admit(Some(leg_cap)), None);
+            role.commit_push(s, iter, &mut sent);
             let mut rows = wire_rows(&sent);
             mandatory.extend(rows.by_ref().take(floor.mandatory));
             bulk.extend(rows);

@@ -12,7 +12,9 @@
 //! cargo run --example custom_strategy
 //! ```
 
-use rog::core::{Gate, RogWorkerConfig, RowBatch, ServerRole, ShardMap, ShardedServer, WorkerRole};
+use rog::core::{
+    Gate, RogWorkerConfig, Round, RowBatch, ServerRole, ShardMap, ShardedServer, WorkerRole,
+};
 use rog::models::{CrudaSpec, Workload};
 use rog::obs::Journal;
 use rog::tensor::rng::DetRng;
@@ -40,7 +42,6 @@ fn main() {
     );
     let mut server = ServerRole::new(plane, None);
     let mut journal = Journal::disabled();
-    let mut plan = Vec::new();
     let mut rows = RowBatch::default();
     println!("model has {n_rows} rows; RSP threshold {threshold}");
 
@@ -57,12 +58,11 @@ fn main() {
             // Rank rows; pretend the channel only let a prefix through.
             // Worker 1 has the worse link and only fits the floor: the
             // MTA or the RSP-mandatory prefix, whichever is longer.
-            workers[w].rank(iter);
-            plan.clear();
-            plan.extend(workers[w].ranked(&map).map(|(_, id)| id));
-            let floor = workers[w].start_leg(0, &plan, iter);
+            workers[w].plan(iter, &map);
+            let floor = workers[w].floor(0);
             let delivered = floor.admit((w == 1).then_some(0));
-            workers[w].commit_landed(&plan[..delivered], iter, &mut rows);
+            workers[w].push_round(0, Round::Speculative, delivered, None);
+            workers[w].commit_push(0, iter, &mut rows);
             server.ingest((w, 0), iter, &mut rows);
             println!(
                 "iter {iter}: worker {w} pushed {delivered}/{} rows (stalest row now {} iters old)",
@@ -76,8 +76,9 @@ fn main() {
             // stall (a transport would leave the request parked).
             match server.enter_gate((w, 0), iter, 0.0, &mut journal) {
                 Gate::Granted => {
-                    let take = server.grant((w, 0), 0.0, &mut journal, &mut plan);
-                    server.settle_pull((w, 0), &plan[..take], 0.0, &mut journal, &mut rows);
+                    let take = server.grant((w, 0), 0.0, &mut journal);
+                    server.pull_round((w, 0), Round::Speculative, take, None);
+                    server.settle_pull((w, 0), 0.0, &mut journal, &mut rows);
                     workers[w].apply(models[w].params_mut(), &rows);
                 }
                 Gate::Parked => {

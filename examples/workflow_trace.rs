@@ -13,7 +13,7 @@
 //! ```
 
 use rog::core::{
-    mta, Gate, RogWorkerConfig, RowBatch, ServerRole, ShardMap, ShardedServer, WorkerRole,
+    mta, Gate, RogWorkerConfig, Round, RowBatch, ServerRole, ShardMap, ShardedServer, WorkerRole,
 };
 use rog::obs::Journal;
 use rog::tensor::rng::DetRng;
@@ -34,7 +34,6 @@ fn main() {
     let mut server = ServerRole::new(plane, None);
     // This walkthrough has no clock: every record would carry t = 0.
     let mut journal = Journal::disabled();
-    let mut plan = Vec::new();
     let mut rows = RowBatch::default();
     let mta_rows = mta::mta_rows(n_rows, threshold);
     println!(
@@ -62,15 +61,14 @@ fn main() {
 
             // "Transmit": worker 2's link admits only the floor
             // (MTA or the RSP-mandatory prefix, whichever is longer).
-            workers[w].rank(round);
-            plan.clear();
-            plan.extend(workers[w].ranked(&map).map(|(_, id)| id));
-            let floor = workers[w].start_leg(0, &plan, round);
-            let admitted = floor.admit((w == 2).then_some(0));
-            workers[w].commit_landed(&plan[..admitted], round, &mut rows);
+            workers[w].plan(round, &map);
+            let admitted = workers[w].floor(0).admit((w == 2).then_some(0));
+            workers[w].push_round(0, Round::Speculative, admitted, None);
+            workers[w].commit_push(0, round, &mut rows);
             server.ingest((w, 0), round, &mut rows);
 
-            let pushed: Vec<String> = plan[..admitted].iter().map(|r| r.0.to_string()).collect();
+            let landed = workers[w].push_leg(0).landed();
+            let pushed: Vec<String> = landed.iter().map(|r| r.0.to_string()).collect();
             println!(
                 "  worker {w}: pushed {:>2}/{} rows [{}], stalest own row {} iters behind",
                 admitted,
@@ -82,8 +80,9 @@ fn main() {
             // RSP gate, then pull.
             match server.enter_gate((w, 0), round, 0.0, &mut journal) {
                 Gate::Granted => {
-                    let take = server.grant((w, 0), 0.0, &mut journal, &mut plan);
-                    server.settle_pull((w, 0), &plan[..take], 0.0, &mut journal, &mut rows);
+                    let take = server.grant((w, 0), 0.0, &mut journal);
+                    server.pull_round((w, 0), Round::Speculative, take, None);
+                    server.settle_pull((w, 0), 0.0, &mut journal, &mut rows);
                     workers[w].apply(&mut models[w], &rows);
                     println!("           gate open → pulled {take} rows");
                 }

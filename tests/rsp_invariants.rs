@@ -6,8 +6,8 @@
 
 use proptest::prelude::*;
 use rog::core::{
-    Gate, ImportanceMetric, RogWorkerConfig, RowBatch, RowId, ServerRole, ShardMap, ShardedServer,
-    WorkerRole,
+    Gate, ImportanceMetric, PushFloor, RogWorkerConfig, Round, RowBatch, RowId, ServerRole,
+    ShardMap, ShardedServer, WorkerRole,
 };
 use rog::obs::Journal;
 use rog::tensor::rng::DetRng;
@@ -39,15 +39,16 @@ fn server(n_workers: usize, threshold: u32) -> ServerRole {
     )
 }
 
-/// Ranks worker `w`'s push of `iter` into `plan` and returns its floor.
-fn plan_push(w: &mut WorkerRole, iter: u64, plan: &mut Vec<RowId>) -> usize {
-    w.rank(iter);
-    plan.clear();
-    plan.extend(
-        w.ranked(&ShardMap::contiguous(n_rows(), 1))
-            .map(|(_, id)| id),
-    );
-    w.start_leg(0, plan, iter).floor
+/// Plans worker `w`'s push of `iter` and returns its floor.
+fn plan_push(w: &mut WorkerRole, iter: u64) -> PushFloor {
+    w.plan(iter, &ShardMap::contiguous(n_rows(), 1));
+    w.floor(0)
+}
+
+/// The first `sent` rows of `w`'s plan land; commits them into `out`.
+fn push(w: &mut WorkerRole, sent: usize, iter: u64, out: &mut RowBatch) {
+    w.push_round(0, Round::Speculative, sent, None);
+    w.commit_push(0, iter, out);
 }
 
 fn random_grads(rng: &mut DetRng) -> Vec<Matrix> {
@@ -70,14 +71,13 @@ proptest! {
         cut_bias in 0.0f64..1.0,
     ) {
         let mut worker = worker(threshold, 0.01);
-        let mut plan = Vec::new();
         let mut rng = DetRng::new(seed);
         for iter in 1..=40u64 {
             worker.accumulate(&random_grads(&mut rng));
             // Adversarial channel: deliver between the floor and all.
-            let floor = plan_push(&mut worker, iter, &mut plan);
-            let extra = ((plan.len() - floor) as f64 * cut_bias * rng.uniform()) as usize;
-            worker.commit_landed(&plan[..floor + extra], iter, &mut RowBatch::default());
+            let PushFloor { rows, floor, .. } = plan_push(&mut worker, iter);
+            let extra = ((rows - floor) as f64 * cut_bias * rng.uniform()) as usize;
+            push(&mut worker, floor + extra, iter, &mut RowBatch::default());
             let staleness = worker.worker().max_row_staleness(iter);
             prop_assert!(
                 staleness < u64::from(threshold),
@@ -98,7 +98,6 @@ proptest! {
         let mut workers: Vec<WorkerRole> =
             (0..n_workers).map(|_| worker(threshold, 0.01)).collect();
         let mut journal = Journal::disabled();
-        let mut plan = Vec::new();
         let mut rows = RowBatch::default();
         let mut rng = DetRng::new(seed);
         let mut iters = vec![0u64; n_workers];
@@ -107,15 +106,16 @@ proptest! {
             let w = rng.index(n_workers);
             let next = iters[w] + 1;
             workers[w].accumulate(&random_grads(&mut rng));
-            let floor = plan_push(&mut workers[w], next, &mut plan);
-            workers[w].commit_landed(&plan[..floor], next, &mut rows);
+            let floor = plan_push(&mut workers[w], next).floor;
+            push(&mut workers[w], floor, next, &mut rows);
             server.ingest((w, 0), next, &mut rows);
             iters[w] = next;
             match server.enter_gate((w, 0), next, 0.0, &mut journal) {
                 Gate::Granted => {
-                    let take = server.grant((w, 0), 0.0, &mut journal, &mut plan).max(1);
-                    let take = take.min(plan.len());
-                    server.settle_pull((w, 0), &plan[..take], 0.0, &mut journal, &mut rows);
+                    let take = server.grant((w, 0), 0.0, &mut journal).max(1);
+                    let take = take.min(server.pull_leg((w, 0)).plan().len());
+                    server.pull_round((w, 0), Round::Speculative, take, None);
+                    server.settle_pull((w, 0), 0.0, &mut journal, &mut rows);
                 }
                 Gate::Parked => {
                     // Verify the lead is genuinely at the threshold; this
@@ -140,20 +140,18 @@ fn all_workers_apply_the_same_totals() {
     let mut server = server(2, 4);
     let mut worker = worker(4, 1.0);
     let all_rows: Vec<RowId> = (0..n_rows()).map(RowId).collect();
-    let mut journal = Journal::disabled();
-    let mut plan = Vec::new();
     let mut rng = DetRng::new(42);
     // One producer pushes everything each round; both consumers drain
     // fully each round.
     let mut received: Vec<Vec<f32>> = vec![vec![], vec![]];
     for iter in 1..=30u64 {
         worker.accumulate(&random_grads(&mut rng));
-        plan_push(&mut worker, iter, &mut plan);
+        let all = plan_push(&mut worker, iter).rows;
         let mut rows = RowBatch::default();
-        worker.commit_landed(&plan, iter, &mut rows);
+        push(&mut worker, all, iter, &mut rows);
         server.ingest((0, 0), iter, &mut rows);
         for (dst, inbox) in received.iter_mut().enumerate() {
-            server.settle_pull((dst, 0), &all_rows, 0.0, &mut journal, &mut rows);
+            server.drain_into((dst, 0), &all_rows, &mut rows);
             let flat: f32 = rows.iter().flat_map(|(_, v)| v.iter()).sum();
             inbox.push(flat);
         }

@@ -589,8 +589,9 @@ impl ShardedServer {
     /// Readmits `worker` after a cold resync at iteration `iter`: its
     /// stale pending copy and pull residuals are discarded (the model it
     /// adopted already reflects those gradients), and its version rows
-    /// are fast-forwarded to `iter` so it re-enters the RSP bound
-    /// exactly as fresh as the model it resynced to.
+    /// are fast-forwarded to `iter`, or to a shard's `min(V)` where the
+    /// survivors moved past `iter` meanwhile: a rejoin never lowers
+    /// `min(V)`, so no survivor's next push lands beyond its bound.
     ///
     /// # Panics
     ///
@@ -602,7 +603,8 @@ impl ShardedServer {
                 shard.pending.drain(worker, local, true);
             }
             shard.states[worker].reset();
-            shard.versions.stamp_worker(worker, iter);
+            let at = iter.max(shard.versions.global_min());
+            shard.versions.stamp_worker(worker, at);
             shard.versions.set_active(worker, true);
         }
     }

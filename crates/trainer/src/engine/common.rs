@@ -934,8 +934,10 @@ fn start_resync<E: Engine>(e: &mut E, w: usize, now: Time) {
 /// model; any choice within the staleness bound is admissible — or
 /// keeps its own when alone. The engine takes its part of the rejoin at
 /// the adopted iteration, and the worker is back in the membership:
-/// it trains on, and its fast-forwarded version can only open the gates
-/// further.
+/// it trains on. Its version rows restart at the adopted iteration or
+/// at `min(V)`, whichever is later (a peer that pushed iteration
+/// `n + 1` and waits on its pull has completed only `n`), so the rejoin
+/// can only open the gates further.
 pub(crate) fn finish_rejoin(e: &mut impl Engine, w: usize, now: Time) {
     debug_assert!(e.parts().0.offline[w], "worker {w} rejoins twice");
     let mut reference: Option<(usize, u64)> = None;

@@ -334,6 +334,96 @@ fn faulted_lossy_back_to_back_runs_are_pinned_bit_for_bit() {
     assert_eq!(got, want);
 }
 
+/// The content-sized codec's row cycle, pinned bit for bit with the
+/// digest of [`faulted_lossy_baselines_are_pinned_bit_for_bit`]: ROG-4
+/// on four workers outdoors under 10 % burst loss, with the sparse rung
+/// sequential, pipelined and on two shards, and with `--codec auto`
+/// under a loss window on one link, sequential and pipelined. The
+/// sparse rung sizes a row by its contents, so these runs move when a
+/// row is sized against state older than the state it is sent from:
+/// an accumulate into a pipelined push, another worker's push into a
+/// shard mid-pull, or a codec switch mid-leg. The constants were taken
+/// from the engine that sized every row afresh at each read.
+#[test]
+fn content_sized_runs_are_pinned_bit_for_bit() {
+    const PINNED: [(&str, u32, u32, u64); 5] = [
+        ("sparse", 0xCF99_3332, 0xA971_7462, 0x3FA9_1F34_89E8_4246),
+        (
+            "sparse pipelined",
+            0x8011_6777,
+            0x6007_6378,
+            0x3FA7_B3B8_733B_4501,
+        ),
+        (
+            "sparse 2 shards",
+            0x3BAD_033F,
+            0x0A0D_6539,
+            0x3F9E_852C_7EEC_7D0A,
+        ),
+        ("auto", 0xBAA6_23D3, 0x1D88_18F5, 0x3F94_90A4_1A47_560E),
+        (
+            "auto pipelined",
+            0xDDCD_6225,
+            0x2560_C49A,
+            0x3FB3_BD55_374B_9D2E,
+        ),
+    ];
+    // (label, codec, shards, pipeline)
+    let runs = [
+        ("sparse", CodecChoice::Sparse, 1, false),
+        ("sparse pipelined", CodecChoice::Sparse, 1, true),
+        ("sparse 2 shards", CodecChoice::Sparse, 2, false),
+        ("auto", CodecChoice::Auto, 1, false),
+        ("auto pipelined", CodecChoice::Auto, 1, true),
+    ];
+    let got: Vec<(String, u32, u32, u64)> = runs
+        .into_iter()
+        .map(|(label, codec, n_shards, pipeline)| {
+            let auto = codec.is_auto();
+            let mut cfg = ExperimentConfig {
+                strategy: Strategy::Rog { threshold: 4 },
+                codec,
+                n_workers: 4,
+                n_laptop_workers: 0,
+                duration_secs: 900.0,
+                eval_every: 2,
+                n_shards,
+                pipeline,
+                fault_plan: auto.then(|| FaultPlan::new().link_loss(1, 100.0, 400.0, 0.5)),
+                ..base()
+            };
+            cfg.loss = Some(LossConfig::gilbert_elliott(cfg.seed, 0.10));
+            let out = cfg.options().traced(true).run();
+            assert_eq!(out.stats.nonfinite_dropped, 0, "{label}");
+            let m = &out.metrics;
+            assert!(!m.checkpoints.is_empty(), "{label}");
+            let metric_bits: Vec<u8> = m
+                .checkpoints
+                .iter()
+                .flat_map(|c| c.metric.to_bits().to_le_bytes())
+                .collect();
+            let jsonl = out.journal.expect("traced run").to_jsonl();
+            if auto {
+                assert!(
+                    jsonl.contains("\"ev\":\"codec_select\""),
+                    "{label}: no codec switch"
+                );
+            }
+            (
+                label.to_owned(),
+                crc32(jsonl.as_bytes()),
+                crc32(&metric_bits),
+                m.final_model_divergence.to_bits(),
+            )
+        })
+        .collect();
+    let want: Vec<(String, u32, u32, u64)> = PINNED
+        .iter()
+        .map(|&(name, j, c, d)| (name.to_owned(), j, c, d))
+        .collect();
+    assert_eq!(got, want);
+}
+
 #[test]
 fn conv_workload_runs_distributed() {
     let m = ExperimentConfig {

@@ -1,7 +1,14 @@
 //! One direction of one shard leg, transmitted in rounds: ATP's
 //! speculative transmission (Algorithm 1) with a must-land prefix.
 
+use std::ops::Range;
+
 use crate::RowId;
+
+/// A row's payload bytes as a [`Leg`] keeps them.
+fn narrow(bytes: u64) -> u32 {
+    u32::try_from(bytes).expect("a row's payload fits in 4 GiB")
+}
 
 /// One round of a [`Leg`]; only the speculative one has a deadline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -22,10 +29,24 @@ pub enum Round {
 /// the must-land rows that did not arrive intact until they have.
 /// [`crate::WorkerRole`] owns the pushes, [`crate::ServerRole`] the
 /// pulls; a driver reports each round through them.
+///
+/// The leg sizes its rows once, when it opens: each plan position's
+/// payload bytes, as its owner's codec state frames the row then. Every
+/// round reads those sizes. Only a content-sized codec's sizes can go
+/// stale while the leg is in the air; the owner then marks the leg
+/// stale, and from that point each read re-sizes exactly the rows it
+/// reads.
 #[derive(Debug, Clone, Default)]
 pub struct Leg {
     /// Rows to transmit, in rank order.
     plan: Vec<RowId>,
+    /// Payload bytes of each plan position, taken when the leg opened
+    /// (a row's payload is far below 4 GiB, and a fleet holds thousands
+    /// of legs).
+    sizes: Vec<u32>,
+    /// What the sizes hang on (row contents, the codec) may have moved
+    /// since they were taken.
+    stale: bool,
     /// Length of the prefix of `plan` transmitted so far.
     delivered: usize,
     /// Rows that must be transmitted before the leg may end (the MTA,
@@ -55,8 +76,18 @@ impl Leg {
         &mut self.plan
     }
 
-    /// Arms the leg for a fresh transmission of its plan.
-    pub(crate) fn begin(&mut self, target: usize, must_land: usize) {
+    /// Arms the leg for a fresh transmission of its plan, taking each
+    /// row's payload bytes from `size`.
+    pub(crate) fn begin(
+        &mut self,
+        target: usize,
+        must_land: usize,
+        size: impl FnMut(RowId) -> u64,
+    ) {
+        self.sizes.clear();
+        self.sizes
+            .extend(self.plan.iter().copied().map(size).map(narrow));
+        self.stale = false;
         self.target = target;
         self.must_land = must_land;
         self.delivered = 0;
@@ -83,6 +114,56 @@ impl Leg {
             Round::Continuation => &self.plan[self.delivered..self.target],
             Round::Retransmit => &self.resend,
         }
+    }
+
+    /// The state the leg's sizes were taken from moved (rows
+    /// accumulated or ingested, a codec switched, a rejoin reset it):
+    /// every later read re-sizes the rows it reads.
+    pub(crate) fn unsize(&mut self) {
+        self.stale = true;
+    }
+
+    /// Payload bytes of the rows `round` carries, parallel to
+    /// [`Self::rows`]; re-taken from `size` if the leg is stale.
+    pub(crate) fn round_sizes(
+        &mut self,
+        round: Round,
+        size: impl FnMut(RowId) -> u64,
+    ) -> impl Iterator<Item = u64> + '_ {
+        match round {
+            Round::Speculative => self.sized(0..self.plan.len(), false, size),
+            Round::Continuation => self.sized(self.delivered..self.target, false, size),
+            Round::Retransmit => self.sized(0..0, true, size),
+        }
+    }
+
+    /// Payload bytes of every row transmitted so far, in plan order;
+    /// re-taken from `size` if the leg is stale.
+    pub(crate) fn sent_sizes(
+        &mut self,
+        size: impl FnMut(RowId) -> u64,
+    ) -> impl Iterator<Item = u64> + '_ {
+        self.sized(0..self.delivered, false, size)
+    }
+
+    /// The sizes of plan positions `span`, then of the current
+    /// retransmit round's positions if `resend`, each re-taken from
+    /// `size` first if the leg is stale.
+    fn sized(
+        &mut self,
+        span: Range<usize>,
+        resend: bool,
+        mut size: impl FnMut(RowId) -> u64,
+    ) -> impl Iterator<Item = u64> + '_ {
+        let picks = if resend { &self.resend_at[..] } else { &[] };
+        let at = span.chain(picks.iter().copied());
+        if self.stale {
+            for i in at.clone() {
+                self.sizes[i] = narrow(size(self.plan[i]));
+            }
+        }
+        let sizes = &self.sizes;
+        at.map(move |i| u64::from(sizes[i]))
     }
 
     /// Accounts one finished round: its first `sent` rows went out, and
@@ -146,13 +227,50 @@ impl Leg {
 mod tests {
     use super::*;
 
+    /// Row `i` is `i + 1` bytes, its size at the leg's opening.
+    fn opening_size(id: RowId) -> u64 {
+        id.0 as u64 + 1
+    }
+
     fn leg(rows: usize, target: usize, must_land: usize) -> Leg {
         let mut leg = Leg {
             plan: (0..rows).map(RowId).collect(),
             ..Leg::default()
         };
-        leg.begin(target, must_land);
+        leg.begin(target, must_land, opening_size);
         leg
+    }
+
+    #[test]
+    fn rounds_read_the_opening_sizes_until_the_leg_is_unsized() {
+        let mut l = leg(6, 4, 2);
+        let fresh = |_: RowId| -> u64 { panic!("an unmoved leg re-sizes nothing") };
+        let sizes = l.round_sizes(Round::Speculative, fresh).collect::<Vec<_>>();
+        assert_eq!(sizes, [1, 2, 3, 4, 5, 6]);
+        // Cut after two rows, the first lost: the leg continues to its
+        // target, then resends the lost must-land row.
+        let next = l.on_round(Round::Speculative, 2, Some(&[false, true]));
+        assert_eq!(next, Some(Round::Continuation));
+        assert_eq!(l.sent_sizes(fresh).collect::<Vec<_>>(), [1, 2]);
+        l.unsize();
+        let moved = |id: RowId| 100 + id.0 as u64;
+        let sizes = l
+            .round_sizes(Round::Continuation, moved)
+            .collect::<Vec<_>>();
+        assert_eq!(sizes, [102, 103]);
+        let next = l.on_round(Round::Continuation, 2, Some(&[true, true]));
+        assert_eq!(next, Some(Round::Retransmit));
+        let sizes = l.round_sizes(Round::Retransmit, moved).collect::<Vec<_>>();
+        assert_eq!(sizes, [100]);
+        assert_eq!(
+            l.sent_sizes(moved).collect::<Vec<_>>(),
+            [100, 101, 102, 103]
+        );
+        // Reopening takes every size afresh and trusts them again.
+        l.begin(4, 2, opening_size);
+        assert_eq!(l.sent_sizes(fresh).count(), 0);
+        let sizes = l.round_sizes(Round::Speculative, fresh).collect::<Vec<_>>();
+        assert_eq!(sizes, [1, 2, 3, 4, 5, 6]);
     }
 
     /// Where a deadline cut a round (`DONE`: it completed).

@@ -39,7 +39,7 @@
 //! `rejoin` — as a `row_push`, `row_pull` or `mta` record was never in
 //! their journal.
 
-use rog_compress::Codec;
+use rog_compress::{Codec, RowCodec};
 use rog_obs::{obs_shard, Event, EventKind, Journal};
 use rog_sim::Time;
 use rog_tensor::Matrix;
@@ -163,9 +163,14 @@ impl WorkerRole {
     }
 
     /// Adds freshly computed gradients to the accumulated gradients
-    /// (Algorithm 1 line 3).
+    /// (Algorithm 1 line 3). Under a content-sized codec this moves the
+    /// size of every row a push leg in the air still sends (pipelining
+    /// accumulates mid-leg), so the legs re-size what they read next.
     pub fn accumulate(&mut self, grads: &[Matrix]) {
         self.worker.accumulate(grads);
+        if self.worker.codec().is_content_sized() {
+            self.legs.iter_mut().for_each(|l| l.push.unsize());
+        }
     }
 
     /// Changes the staleness bound; the mandatory-row rule uses the new
@@ -174,9 +179,11 @@ impl WorkerRole {
         self.worker.set_threshold(threshold);
     }
 
-    /// Switches the push codec (error-feedback residuals carry over).
+    /// Switches the push codec (error-feedback residuals carry over);
+    /// the push legs in the air re-size what they read next.
     pub fn set_codec(&mut self, codec: Codec) {
         self.worker.set_codec(codec);
+        self.legs.iter_mut().for_each(|l| l.push.unsize());
     }
 
     /// The worker adopted a peer's model at iteration `n` after a
@@ -209,9 +216,11 @@ impl WorkerRole {
 
     /// Opens shard `s`'s leg on its rows of the ranked plan with its
     /// floor: `max(MTA, mandatory)` rows must go out, the mandatory
-    /// prefix must land.
+    /// prefix must land. The leg sizes every row as the worker's codec
+    /// frames it now.
     fn open(&mut self, s: usize, n: u64, map: &ShardMap) {
-        let (threshold, row_iters) = (self.worker.config().threshold, self.worker.row_iters());
+        let worker = &self.worker;
+        let (threshold, row_iters) = (worker.config().threshold, worker.row_iters());
         let leg = &mut self.legs[s];
         let plan = leg.push.plan_mut();
         plan.clear();
@@ -221,7 +230,8 @@ impl WorkerRole {
             .take_while(|&&id| gate::row_is_mandatory(row_iters[id.0], n, threshold))
             .count();
         leg.floor = PushFloor::new(plan.len(), mandatory, threshold);
-        leg.push.begin(leg.floor.floor, leg.floor.mandatory);
+        let size = |id| worker.payload_bytes(id);
+        leg.push.begin(leg.floor.floor, leg.floor.mandatory, size);
         leg.phase = Phase::Pushing;
     }
 
@@ -251,6 +261,25 @@ impl WorkerRole {
     /// Shard `s`'s push leg.
     pub fn push_leg(&self, s: usize) -> &Leg {
         &self.legs[s].push
+    }
+
+    /// Payload bytes of the rows `round` of shard `s`'s push carries,
+    /// parallel to [`Leg::rows`]: the sizes the leg opened with, or
+    /// fresh ones once the worker's state moved under it.
+    pub fn push_sizes(&mut self, s: usize, round: Round) -> impl Iterator<Item = u64> + '_ {
+        let worker = &self.worker;
+        self.legs[s]
+            .push
+            .round_sizes(round, move |id| worker.payload_bytes(id))
+    }
+
+    /// Payload bytes of every row shard `s`'s push has transmitted so
+    /// far, in plan order, sized like [`Self::push_sizes`].
+    pub fn sent_sizes(&mut self, s: usize) -> impl Iterator<Item = u64> + '_ {
+        let worker = &self.worker;
+        self.legs[s]
+            .push
+            .sent_sizes(move |id| worker.payload_bytes(id))
     }
 
     /// One round of shard `s`'s push ended: `sent` of its rows went out,
@@ -363,9 +392,10 @@ impl ServerRole {
     }
 
     /// Switches the pull codec of the link to `w` (residuals carry
-    /// over).
+    /// over); `w`'s pull legs in the air re-size what they read next.
     pub fn set_codec(&mut self, w: usize, codec: Codec) {
         self.server.set_codec(w, codec);
+        self.unsize_pulls_of(w);
     }
 
     /// NaN/Inf gradient values zeroed at ingest so far: non-zero means
@@ -412,6 +442,14 @@ impl ServerRole {
     fn leg(&mut self, leg: LegId) -> &mut ServerLeg {
         let i = self.slot(leg);
         &mut self.legs[i]
+    }
+
+    /// Worker `w`'s pending rows, residuals or codec moved: its pull
+    /// legs re-size what they read next.
+    fn unsize_pulls_of(&mut self, w: usize) {
+        let n_shards = self.server.n_shards();
+        let legs = &mut self.legs[w * n_shards..(w + 1) * n_shards];
+        legs.iter_mut().for_each(|l| l.pull.unsize());
     }
 
     /// `leg`'s pull.
@@ -464,7 +502,9 @@ impl ServerRole {
     /// member's aggregator window, averages them into every active
     /// worker's pending copy and raises the versions. Returns whether
     /// the shard's `min(V)` advanced — the only push outcome that can
-    /// change a parked request's verdict.
+    /// change a parked request's verdict. The pending rows moved, so
+    /// every pull leg on the shard whose link codec is content-sized
+    /// re-sizes what it reads next.
     pub fn ingest(&mut self, (w, s): LegId, n: u64, rows: &mut RowBatch) -> bool {
         let min_before = self.server.versions(s).global_min();
         if let Some(plane) = self.agg.as_mut() {
@@ -473,6 +513,12 @@ impl ServerRole {
             plane.on_member_push(w, s, &self.agg_ids, n);
         }
         self.server.on_push(s, w, n, rows);
+        let n_shards = self.server.n_shards();
+        for v in 0..self.server.n_workers() {
+            if self.server.codec(v).is_content_sized() {
+                self.legs[v * n_shards + s].pull.unsize();
+            }
+        }
         self.peak_version_bytes = self
             .peak_version_bytes
             .max(self.server.version_store_bytes());
@@ -559,8 +605,9 @@ impl ServerRole {
     }
 
     /// Grants `leg`'s pull: closes the member's aggregator window,
-    /// opens the pull leg with the ranked pull plan and returns how many
-    /// of its rows must get through (the MTA of the shard's rows).
+    /// opens the pull leg with the ranked pull plan, each row sized as
+    /// the link's codec frames it now, and returns how many of its rows
+    /// must get through (the MTA of the shard's rows).
     pub fn grant(&mut self, leg: LegId, now: Time, journal: &mut Journal) -> usize {
         let (w, s) = leg;
         let tag = self.tag(s);
@@ -593,8 +640,20 @@ impl ServerRole {
         let pull = &mut self.legs[i].pull;
         self.server.plan_pull_into(s, w, pull.plan_mut());
         let target = mta_rows.min(pull.plan().len());
-        pull.begin(target, 0);
+        let server = &self.server;
+        pull.begin(target, 0, |id| server.payload_bytes_for(w, id));
         target
+    }
+
+    /// Payload bytes of the rows `round` of `leg`'s pull carries,
+    /// parallel to [`Leg::rows`]: the sizes the grant took, or fresh
+    /// ones once the worker's pending rows or link codec moved.
+    pub fn pull_sizes(&mut self, (w, s): LegId, round: Round) -> impl Iterator<Item = u64> + '_ {
+        let i = self.slot((w, s));
+        let server = &self.server;
+        self.legs[i]
+            .pull
+            .round_sizes(round, move |id| server.payload_bytes_for(w, id))
     }
 
     /// The granted pull (`bytes` on the wire) starts.
@@ -681,5 +740,6 @@ impl ServerRole {
     /// release scan: the new member can only raise it).
     pub fn rejoin(&mut self, w: usize, n: u64) {
         self.server.rejoin_worker(w, n);
+        self.unsize_pulls_of(w);
     }
 }

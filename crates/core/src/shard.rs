@@ -549,6 +549,11 @@ impl ShardedServer {
         self.codecs[worker] = codec;
     }
 
+    /// The pull codec of the link to `worker`.
+    pub(crate) fn codec(&self, worker: usize) -> &Codec {
+        &self.codecs[worker]
+    }
+
     /// Number of NaN/Inf gradient values zeroed at push ingest so far.
     pub fn nonfinite_dropped(&self) -> u64 {
         self.nonfinite_dropped
@@ -710,9 +715,10 @@ impl ShardedServer {
         );
     }
 
-    /// Width-only payload size of one row on the wire — the one-bit /
-    /// dense bound, kept for sizing paths that have no destination
-    /// worker in scope (e.g. resync model transfers, which are dense).
+    /// Width-only payload size of one row on the wire: the one-bit
+    /// bound. Its one caller is live `serve`'s push accounting (the
+    /// socket path runs one-bit only); the resync sizes its model with
+    /// `OneBitCodec` itself (`engine/common.rs`).
     pub fn payload_bytes(&self, id: RowId) -> u64 {
         let state = &self.shards[self.map.shard_of(id)];
         OneBitCodec.payload_bytes(state.pending.width(self.map.to_local(id).0))

@@ -68,6 +68,8 @@ pub struct FlowSpec {
     /// Which device's link carries the flow.
     pub link: LinkId,
     /// Byte size of each chunk, in transmission order (framing included).
+    /// The channel keeps this buffer for the flow's running totals, so
+    /// one spare slot of capacity spares it an allocation.
     pub chunks: Vec<u64>,
     /// Absolute virtual time at which to cut the flow, if any.
     pub deadline: Option<Time>,
@@ -505,13 +507,14 @@ impl Channel {
         if let Some(d) = spec.deadline {
             assert!(d >= self.now - EPS, "deadline is already in the past");
         }
-        let mut prefix = Vec::with_capacity(spec.chunks.len() + 1);
+        // The running totals take over the chunk list's buffer.
+        let n_chunks = spec.chunks.len();
+        let mut prefix = spec.chunks;
         let mut acc = 0u64;
-        prefix.push(0);
-        for &c in &spec.chunks {
-            acc += c;
-            prefix.push(acc);
+        for c in &mut prefix {
+            acc += std::mem::replace(c, acc);
         }
+        prefix.push(acc);
         let id = FlowId(self.next_id);
         self.next_id += 1;
         self.flows.push(Flow {
@@ -523,11 +526,7 @@ impl Channel {
             started_at: self.now,
             // One fate per chunk at most: sized here so that drawing
             // them never allocates inside `advance_until`.
-            fates: Vec::with_capacity(if self.loss.is_some() {
-                spec.chunks.len()
-            } else {
-                0
-            }),
+            fates: Vec::with_capacity(if self.loss.is_some() { n_chunks } else { 0 }),
         });
         id
     }

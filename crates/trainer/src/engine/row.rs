@@ -27,7 +27,7 @@ use std::ops::Range;
 
 use rog_compress::RowCodec;
 use rog_core::{
-    gate, AggregatorPlane, Gate, Leg, LegId, PushReport, RogWorkerConfig, Round, RowBatch, RowId,
+    gate, AggregatorPlane, Gate, Leg, LegId, PushReport, RogWorkerConfig, Round, RowBatch,
     ServerRole, ShardMap, ShardedServer, WorkerRole,
 };
 use rog_net::{shard_link, FlowEvent, FlowOutcome, FlowSpec};
@@ -457,30 +457,21 @@ impl RowEngine {
         self.start_round((w, s), false, Round::Speculative, now);
     }
 
-    /// Wire sizes of `rows`: a push row is sized by worker `w`'s codec
-    /// state, a pull row by the server's per-destination state.
-    fn row_sizes<'a>(
-        &'a self,
-        w: usize,
-        pull: bool,
-        rows: &'a [RowId],
-    ) -> impl Iterator<Item = u64> + 'a {
-        rows.iter().map(move |&id| {
-            let bytes = if pull {
-                self.server.server().payload_bytes_for(w, id)
-            } else {
-                self.workers[w].role.worker().payload_bytes(id)
-            };
-            self.ctx.cluster.scaled_row_bytes(bytes)
-        })
-    }
-
-    /// Puts one round of a leg on the worker↔shard link; only the
+    /// Puts one round of a leg on the worker↔shard link, one chunk per
+    /// row at the wire size of the payload the leg sized; only the
     /// speculative round has a deadline, the end of the shard's
     /// MTA-time budget.
     fn start_round(&mut self, (w, s): LegId, pull: bool, round: Round, now: Time) {
-        let chunks = self.row_sizes(w, pull, self.leg((w, s), pull).rows(round));
-        let chunks = chunks.collect();
+        // A spare slot: the channel keeps the buffer for its totals.
+        let mut chunks = Vec::with_capacity(self.leg((w, s), pull).rows(round).len() + 1);
+        let cluster = &self.ctx.cluster;
+        let wire = |bytes| cluster.scaled_row_bytes(bytes);
+        if pull {
+            chunks.extend(self.server.pull_sizes((w, s), round).map(wire));
+        } else {
+            let role = &mut self.workers[w].role;
+            chunks.extend(role.push_sizes(s, round).map(wire));
+        }
         let mut spec = FlowSpec::new(shard_link(w, self.n_shards, s), chunks);
         if round == Round::Speculative {
             spec = spec.with_deadline(now + self.server.budget(s));
@@ -551,13 +542,22 @@ impl RowEngine {
         let n = self.workers[w].comm_iter;
         let delivered = self.workers[w].role.push_leg(s).delivered();
         let secs = (now - self.workers[w].subs[s].push_started).max(1e-6);
-        // Journal byte sizes are captured before the commit below:
-        // committing zeroes the accumulator and rolls the residuals,
-        // which changes a content-sized codec's payloads (one-bit sizes
-        // are width-only, so the ordering is immaterial there).
+        // The journal's bytes are the leg's sizes of the rows it sent,
+        // read before the commit below zeroes the accumulator and rolls
+        // the residuals. A pipelined push sized its rows when each round
+        // started, but commits the accumulator as it stands now, with
+        // the gradients computed while the rows were in the air: after
+        // such an accumulate the leg re-sizes here, so under a
+        // content-sized codec `push_end.bytes` is the size at commit
+        // time, not the bytes that were on the wire. The pins hold this;
+        // encoding at leg open would make the two agree (DESIGN.md,
+        // *Engine structure*).
         let bytes: u64 = if self.ctx.journal.enabled() {
-            let plan = self.workers[w].role.push_leg(s).plan();
-            self.row_sizes(w, false, &plan[..delivered]).sum()
+            let cluster = &self.ctx.cluster;
+            let role = &mut self.workers[w].role;
+            role.sent_sizes(s)
+                .map(|b| cluster.scaled_row_bytes(b))
+                .sum()
         } else {
             0
         };
@@ -622,12 +622,13 @@ impl RowEngine {
 
     fn grant_pull(&mut self, w: usize, s: usize, now: Time) {
         self.server.grant((w, s), now, &mut self.ctx.journal);
-        let plan = self.server.pull_leg((w, s)).plan();
-        if plan.is_empty() {
+        if self.server.pull_leg((w, s)).plan().is_empty() {
             self.finish_sub(w, s, now);
             return;
         }
-        let bytes = self.row_sizes(w, true, plan).sum();
+        let cluster = &self.ctx.cluster;
+        let sizes = self.server.pull_sizes((w, s), Round::Speculative);
+        let bytes = sizes.map(|b| cluster.scaled_row_bytes(b)).sum();
         self.server
             .pull_start((w, s), bytes, now, &mut self.ctx.journal);
         self.flows

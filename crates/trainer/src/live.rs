@@ -476,10 +476,8 @@ impl Plane {
     fn serve_pull(&mut self, w: usize, s: usize, now: f64) {
         let (leg, iter) = ((w, s), self.members[w].pull_iter);
         self.role.grant(leg, now, &mut self.journal);
-        let plan = self.role.pull_leg(leg).plan();
-        let plane = self.role.server();
-        let bytes = plan.iter().map(|&id| plane.payload_bytes_for(w, id)).sum();
-        let all = plan.len();
+        let bytes = self.role.pull_sizes(leg, Round::Speculative).sum();
+        let all = self.role.pull_leg(leg).plan().len();
         let journal = &mut self.journal;
         self.role.pull_start(leg, bytes, now, journal);
         self.role.pull_round(leg, Round::Speculative, all, None);

@@ -4,6 +4,7 @@
 //! lost mandatory rows until they land, the pull request parks on the
 //! server until `min(V)` admits it — made deterministic.
 
+use rog::compress::CodecChoice;
 use rog::core::{gate, mta};
 use rog::core::{
     Gate, ImportanceMetric, LegId, PushReport, RogWorkerConfig, Round, RowBatch, RowId, ServerRole,
@@ -544,4 +545,124 @@ fn a_nonfinite_row_is_counted_at_ingest_and_never_reaches_a_pull() {
         &mut [(RowId(1), vec![1.0; 4])].into_iter().collect(),
     );
     assert_eq!(server.nonfinite_dropped(), 2);
+}
+
+/// A model of 64-wide rows, so a sparse-delta row's size tracks how
+/// many values stand out in it (a one-bit row is 16 bytes).
+fn wide_params() -> Vec<Matrix> {
+    vec![Matrix::zeros(6, 64), Matrix::zeros(3, 64)]
+}
+
+/// Gradients with one spike per row, at column `at` shifted by the row.
+fn spikes(at: usize) -> Vec<Matrix> {
+    wide_params()
+        .iter()
+        .map(|m| Matrix::from_fn(m.rows(), m.cols(), |r, c| f32::from(c == (at + 5 * r) % 64)))
+        .collect()
+}
+
+/// The sizes `handed` for the rows of a round equal a fresh sizing of
+/// those rows, and differ from `before` (the rows' sizes before the
+/// state under the leg moved), so the check saw the move.
+fn assert_fresh(handed: Vec<u64>, fresh: Vec<u64>, before: &[u64], what: &str) {
+    assert_eq!(handed, fresh, "{what}: the leg handed out stale sizes");
+    assert_ne!(
+        fresh, before,
+        "{what}: the state under the leg did not move"
+    );
+}
+
+/// At every round, the sizes a sparse-codec leg hands out equal a fresh
+/// `payload_bytes` / `payload_bytes_for` of the rows the round carries:
+/// after an accumulate or a codec switch in the middle of a push, and
+/// after another worker's push into the shard, a rejoin or a codec
+/// switch in the middle of a pull. Each move hits a leg whose sizes
+/// were still good, so no earlier move hides a missing re-size.
+#[test]
+fn a_leg_hands_out_the_sizes_of_the_state_it_sends_from() {
+    let ps = wide_params();
+    let n_rows: usize = ps.iter().map(Matrix::rows).sum();
+    let map = ShardMap::contiguous(n_rows, 1);
+    let mut plane = ShardedServer::new(&ps, 2, THRESHOLD, ImportanceMetric::default(), map.clone());
+    plane.configure_codec(CodecChoice::Sparse, 1);
+    let mut server = ServerRole::new(plane, None);
+    let cfg = RogWorkerConfig::new(THRESHOLD, 0.05).with_codec(CodecChoice::Sparse, 1);
+    let mut w = WorkerRole::new(&ps, cfg, 1);
+    let onebit = CodecChoice::OneBit.build();
+
+    // The pushes: at the bound every row is mandatory, so a round cut
+    // after two rows continues, and the lost first row is resent.
+    let n = u64::from(THRESHOLD);
+    let fresh = |w: &WorkerRole, round| -> Vec<u64> {
+        let rows = w.push_leg(0).rows(round);
+        rows.iter()
+            .map(|&id| w.worker().payload_bytes(id))
+            .collect()
+    };
+    w.accumulate(&spikes(0));
+    for moved in ["accumulate", "push codec"] {
+        w.plan(n, &map);
+        let handed: Vec<u64> = w.push_sizes(0, Round::Speculative).collect();
+        assert_eq!(handed, fresh(&w, Round::Speculative), "{moved}");
+        let next = w.push_round(0, Round::Speculative, 2, Some(&[false, true]));
+        assert_eq!(next, Some(Round::Continuation));
+        let before = fresh(&w, Round::Continuation);
+        match moved {
+            "accumulate" => w.accumulate(&spikes(9)),
+            _ => w.set_codec(onebit),
+        }
+        let handed = w.push_sizes(0, Round::Continuation).collect();
+        assert_fresh(handed, fresh(&w, Round::Continuation), &before, moved);
+        let intact = vec![true; n_rows - 2];
+        let next = w.push_round(0, Round::Continuation, n_rows - 2, Some(&intact));
+        assert_eq!(next, Some(Round::Retransmit));
+        let handed: Vec<u64> = w.push_sizes(0, Round::Retransmit).collect();
+        assert_eq!(handed, fresh(&w, Round::Retransmit), "{moved}");
+        let sent: Vec<u64> = w.sent_sizes(0).collect();
+        let plan = w.push_leg(0).plan();
+        let want: Vec<u64> = plan
+            .iter()
+            .map(|&id| w.worker().payload_bytes(id))
+            .collect();
+        assert_eq!(sent, want, "{moved}: the journal's bytes");
+    }
+
+    // The pulls: worker 0 pushed spikes, worker 1's pull is cut after
+    // one row and continues to its MTA target.
+    let mut journal = Journal::disabled();
+    let mut rows: RowBatch = (0..n_rows).map(|i| (RowId(i), vec![0.0; 64])).collect();
+    let mut push = |server: &mut ServerRole, at: usize| {
+        for (i, (_, v)) in rows.iter_mut().enumerate() {
+            v.fill(0.0);
+            v[(at + 3 * i) % 64] = 1.0;
+        }
+        server.ingest((0, 0), 1, &mut rows);
+    };
+    let fresh = |server: &ServerRole, round| -> Vec<u64> {
+        let rows = server.pull_leg((1, 0)).rows(round);
+        let plane = server.server();
+        rows.iter()
+            .map(|&id| plane.payload_bytes_for(1, id))
+            .collect()
+    };
+    push(&mut server, 0);
+    for moved in ["ingest", "rejoin", "pull codec"] {
+        let target = server.grant((1, 0), 0.0, &mut journal);
+        assert!(target > 1, "{moved}: the pull must continue");
+        let handed: Vec<u64> = server.pull_sizes((1, 0), Round::Speculative).collect();
+        assert_eq!(handed, fresh(&server, Round::Speculative), "{moved}");
+        let next = server.pull_round((1, 0), Round::Speculative, 1, None);
+        assert_eq!(next, Some(Round::Continuation));
+        let before = fresh(&server, Round::Continuation);
+        match moved {
+            "ingest" => push(&mut server, 40),
+            "rejoin" => server.rejoin(1, 1),
+            _ => server.set_codec(1, onebit),
+        }
+        let handed = server.pull_sizes((1, 0), Round::Continuation).collect();
+        assert_fresh(handed, fresh(&server, Round::Continuation), &before, moved);
+        server.pull_round((1, 0), Round::Continuation, target - 1, None);
+        server.settle_pull((1, 0), 0.0, &mut journal, &mut RowBatch::default());
+        push(&mut server, 20);
+    }
 }

@@ -1,5 +1,6 @@
 //! One direction of one shard leg, transmitted in rounds: ATP's
-//! speculative transmission (Algorithm 1) with a must-land prefix.
+//! speculative transmission (Algorithm 1) with a must-land prefix. A
+//! reliable transfer is the same machine with every unit must-land.
 
 use std::ops::Range;
 
@@ -13,7 +14,8 @@ fn narrow(bytes: u64) -> u32 {
 /// One round of a [`Leg`]; only the speculative one has a deadline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Round {
-    /// The whole plan, under the shard's MTA-time budget.
+    /// The whole plan, under the shard's MTA-time budget (a reliable
+    /// transfer has none).
     Speculative,
     /// The rows the deadline cut off, up to the leg's target.
     Continuation,
@@ -28,7 +30,9 @@ pub enum Round {
 /// `target`. When rounds report fates, retransmit rounds then resend
 /// the must-land rows that did not arrive intact until they have.
 /// [`crate::WorkerRole`] owns the pushes, [`crate::ServerRole`] the
-/// pulls; a driver reports each round through them.
+/// pulls; a driver reports each round through them. A reliable
+/// transfer ([`Self::open_must_land`]) is a leg of payload units that
+/// all must land; its driver reports each round itself.
 ///
 /// The leg sizes its rows once, when it opens: each plan position's
 /// payload bytes, as its owner's codec state frames the row then. Every
@@ -97,6 +101,17 @@ impl Leg {
         self.resend_at.clear();
     }
 
+    /// Opens a transfer of `units` units that must all land, with no
+    /// deadline: plan position `i` is unit `i`, carried as `RowId(i)`,
+    /// of `size(RowId(i))` bytes. The speculative round carries every
+    /// unit; each retransmit round carries the units still missing, in
+    /// plan order.
+    pub fn open_must_land(&mut self, units: usize, size: impl FnMut(RowId) -> u64) {
+        self.plan.clear();
+        self.plan.extend((0..units).map(RowId));
+        self.begin(units, units, size);
+    }
+
     /// Rows to transmit, in rank order.
     pub fn plan(&self) -> &[RowId] {
         &self.plan
@@ -125,7 +140,7 @@ impl Leg {
 
     /// Payload bytes of the rows `round` carries, parallel to
     /// [`Self::rows`]; re-taken from `size` if the leg is stale.
-    pub(crate) fn round_sizes(
+    pub fn round_sizes(
         &mut self,
         round: Round,
         size: impl FnMut(RowId) -> u64,
@@ -171,7 +186,7 @@ impl Leg {
     /// did not). Without fates (for every round of the leg) every row
     /// sent counts as landed. Returns the next round, or `None` once
     /// [`Self::landed`] has the rows.
-    pub(crate) fn on_round(
+    pub fn on_round(
         &mut self,
         round: Round,
         sent: usize,
@@ -226,6 +241,8 @@ impl Leg {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rog_tensor::rng::DetRng;
 
     /// Row `i` is `i + 1` bytes, its size at the leg's opening.
     fn opening_size(id: RowId) -> u64 {
@@ -360,5 +377,40 @@ mod tests {
         // Lost best-effort rows behind a landed must-land row: no resend.
         let rounds = [(Spec, DONE, &[Delivered, Lost, Corrupt, Delivered][..], None)];
         assert_eq!(drive_lossy(leg(4, 4, 1), &rounds), [RowId(0), RowId(3)]);
+    }
+
+    proptest! {
+        /// Under any seeded loss a leg whose units all must land (a
+        /// reliable transfer) terminates and lands every unit exactly
+        /// once: each retransmit round carries exactly the units still
+        /// missing, in plan order, at their opening sizes.
+        #[test]
+        fn must_land_leg_terminates_and_lands_every_unit_once(
+            units in 0usize..40,
+            seed in 0u64..u64::MAX,
+            loss in 0.0f64..0.9,
+        ) {
+            let mut rng = DetRng::new(seed);
+            let mut l = Leg::default();
+            l.open_must_land(units, opening_size);
+            let mut landed = vec![0u32; units];
+            let mut round = Round::Speculative;
+            for n in 1.. {
+                prop_assert!(n < 10_000, "leg livelocked");
+                let missing: Vec<RowId> = (0..units).filter(|&u| landed[u] == 0).map(RowId).collect();
+                prop_assert_eq!(l.rows(round), &missing[..]);
+                let sizes: Vec<u64> = l.round_sizes(round, |_| unreachable!("never unsized")).collect();
+                prop_assert_eq!(sizes, missing.iter().copied().map(opening_size).collect::<Vec<_>>());
+                let intact: Vec<bool> = missing.iter().map(|_| !rng.chance(loss)).collect();
+                for (id, _) in missing.iter().zip(&intact).filter(|(_, &ok)| ok) {
+                    landed[id.0] += 1;
+                }
+                let Some(next) = l.on_round(round, missing.len(), Some(&intact)) else { break };
+                prop_assert_eq!(next, Round::Retransmit);
+                round = next;
+            }
+            prop_assert!(landed.iter().all(|&n| n == 1), "{:?}", landed);
+            prop_assert_eq!(l.landed().len(), units);
+        }
     }
 }

@@ -23,7 +23,7 @@ use rog_core::{
     Gate, ImportanceMetric, LegId, RogWorkerConfig, RowBatch, RowId, ServerRole, ShardMap,
     ShardedServer, WorkerRole,
 };
-use rog_net::{FlowEvent, FlowOutcome};
+use rog_net::FlowEvent;
 use rog_obs::{obs, EventKind};
 use rog_sim::{DeviceState, Time};
 
@@ -183,10 +183,6 @@ impl Engine for ModelEngine {
     }
 
     fn on_flow(&mut self, flow: FlowCtx, ev: FlowEvent) {
-        debug_assert!(
-            matches!(ev.outcome, FlowOutcome::Completed),
-            "model flows have no deadline and cancels are reaped early"
-        );
         let w = flow.worker();
         let Some(flow) = self.flows.on_reliable_round(&mut self.ctx, w, &ev, flow) else {
             // Backing off; through the gate the stall eventually

@@ -127,8 +127,6 @@ struct RowEngine {
     rows: RowBatch,
     /// The parked pulls a release scan re-checks, reused across scans.
     scan: Vec<(LegId, u64)>,
-    /// Which rows of a leg round arrived intact, reused across rounds.
-    intact: Vec<bool>,
     /// Invariant watchdog: the last observed per-shard min(V), which may
     /// never regress.
     #[cfg(debug_assertions)]
@@ -210,7 +208,6 @@ pub fn run(cfg: &ExperimentConfig) -> (RunMetrics, rog_obs::Journal, FleetStats)
         last_pushed: vec![0; n],
         rows: RowBatch::default(),
         scan: Vec::new(),
-        intact: Vec::new(),
         #[cfg(debug_assertions)]
         last_global_min: vec![0; n_shards],
         #[cfg(debug_assertions)]
@@ -255,17 +252,10 @@ impl Engine for RowEngine {
         match flow {
             FlowCtx::Leg { w, s, pull, round } => self.on_leg_flow(w, s, pull, round, ev),
             FlowCtx::Resync { w } => {
-                debug_assert!(
-                    matches!(ev.outcome, FlowOutcome::Completed),
-                    "resync flows have no deadline"
-                );
                 // Acknowledge the surviving chunks and either complete
                 // the rejoin or back off and retransmit.
-                if self
-                    .flows
-                    .on_reliable_round(&mut self.ctx, w, &ev, flow)
-                    .is_some()
-                {
+                let landed = self.flows.on_reliable_round(&mut self.ctx, w, &ev, flow);
+                if landed.is_some() {
                     finish_rejoin(self, w, ev.at);
                 }
             }
@@ -495,9 +485,6 @@ impl RowEngine {
     /// rows the loss model ate (progress is guaranteed: per-chunk loss
     /// probability is capped below 1).
     fn on_leg_flow(&mut self, w: usize, s: usize, pull: bool, round: Round, ev: FlowEvent) {
-        let report = self.ctx.cluster.transport.take_report(ev.id);
-        self.ctx
-            .journal_loss(w, self.server.tag(s), ev.at, report.as_ref());
         let sent = match ev.outcome {
             FlowOutcome::Completed => self.leg((w, s), pull).rows(round).len(),
             FlowOutcome::DeadlineReached { chunks_done, .. } => chunks_done,
@@ -505,11 +492,7 @@ impl RowEngine {
                 unreachable!("cancelled flows are reaped at the fault site")
             }
         };
-        let intact = report.map(|report| {
-            self.intact.clear();
-            self.intact.extend(report.fates.iter().map(|f| f.intact()));
-            &self.intact[..]
-        });
+        let intact = self.ctx.take_fates(w, self.server.tag(s), &ev);
         let next = if pull {
             self.server.pull_round((w, s), round, sent, intact)
         } else {

@@ -173,6 +173,12 @@ fn model_divergence_is_bounded_by_the_gate() {
     assert!(bsp <= rog + 0.05, "BSP {bsp} vs ROG {rog}");
 }
 
+/// Whether a journal holds a reliable transfer's backoff and
+/// retransmit: the run took the reliable class's lossy path.
+fn backs_off(jsonl: &str) -> bool {
+    jsonl.contains("\"ev\":\"backoff\"") && jsonl.contains("\"class\":\"reliable\"")
+}
+
 /// Every model-granularity baseline on four workers outdoors, under
 /// 10 % burst loss, a worker outage, a link blackout and a server
 /// restart, pinned bit for bit: the CRC-32 of the JSONL journal, a
@@ -180,7 +186,8 @@ fn model_divergence_is_bounded_by_the_gate() {
 /// `final_model_divergence`. The constants were taken from the engine
 /// that kept its own per-worker pending copies, pull residuals and
 /// version vector, so they hold the parameter plane to that engine's
-/// arithmetic on every fault path.
+/// arithmetic on every fault path. Every run loses segments of a
+/// reliable transfer and resends them after a backoff.
 #[test]
 fn faulted_lossy_baselines_are_pinned_bit_for_bit() {
     const PINNED: [(&str, u32, u32, u64); 6] = [
@@ -235,6 +242,11 @@ fn faulted_lossy_baselines_are_pinned_bit_for_bit() {
                 .flat_map(|c| c.metric.to_bits().to_le_bytes())
                 .collect();
             let jsonl = out.journal.expect("traced run").to_jsonl();
+            assert!(
+                backs_off(&jsonl),
+                "{}: no reliable retransmit",
+                strategy.name()
+            );
             (
                 strategy.name(),
                 crc32(jsonl.as_bytes()),
@@ -319,6 +331,10 @@ fn faulted_lossy_back_to_back_runs_are_pinned_bit_for_bit() {
                 .flat_map(|c| c.metric.to_bits().to_le_bytes())
                 .collect();
             let jsonl = out.journal.expect("traced run").to_jsonl();
+            // One ROG resync and the model engine lose segments and resend.
+            if matches!(label, "ROG-4 2x2" | "SSP-4") {
+                assert!(backs_off(&jsonl), "{label}: no reliable retransmit");
+            }
             (
                 label.to_owned(),
                 crc32(jsonl.as_bytes()),

@@ -188,3 +188,52 @@ fn a_voided_backoff_timer_never_fires_in_place_of_the_rearmed_one() {
     assert!(retransmits > 50, "{retransmits} retransmits");
     assert!(outlived > 0, "no voided timer outlived a re-armed one");
 }
+
+/// A compute timer fires for the computation that armed it. Worker 1
+/// departs 10 ms into its first computation and is back, resynced, at
+/// about 0.19 s; its new computation then ends before the voided one
+/// would have. A voided timer firing in place of the re-armed one
+/// stretched that computation to the old timer's end. The same
+/// computation, drawn after an outage that outlasts the voided timer,
+/// is the reference: both are the worker's second draw.
+#[test]
+fn a_voided_compute_timer_never_fires_in_place_of_the_rearmed_one() {
+    use rog::obs::{EventKind, Journal};
+    // The length of worker 1's first computation after its rejoin.
+    let rejoined_compute = |seed: u64, back: f64| -> f64 {
+        let cfg = ExperimentConfig {
+            workload: WorkloadKind::Cruda,
+            environment: Environment::Stable,
+            strategy: Strategy::Bsp,
+            n_workers: 2,
+            n_laptop_workers: 0,
+            batch_scale: 4.0,
+            duration_secs: 40.0,
+            seed,
+            fault_plan: Some(FaultPlan::new().worker_offline(1, 0.01, back)),
+            ..ExperimentConfig::default()
+        };
+        let journal: Journal = cfg.options().traced(true).run().journal.expect("traced");
+        let mut rejoined = false;
+        let mut started = None;
+        for e in journal.events() {
+            match e.kind {
+                EventKind::ResyncEnd { w: 1, .. } => rejoined = true,
+                EventKind::State { w: 1, state } if rejoined => match started {
+                    None if state == "compute" => started = Some(e.t),
+                    Some(t) => return e.t - t,
+                    None => {}
+                },
+                _ => {}
+            }
+        }
+        panic!("seed {seed}: worker 1 never finished a computation after its rejoin")
+    };
+    for seed in [2, 6, 7, 9] {
+        let (short, long) = (rejoined_compute(seed, 0.02), rejoined_compute(seed, 9.0));
+        assert!(
+            (short - long).abs() < 1e-9,
+            "seed {seed}: {short} s vs {long} s"
+        );
+    }
+}

@@ -60,7 +60,7 @@ pub use importance::{ImportanceMetric, ImportanceMode, ImportanceWeights, RankSc
 pub use leg::{Leg, Round};
 pub use mta_time::MtaTimeTracker;
 pub use optimizer::{RogOptimizer, RogSession, StepReport};
-pub use roles::{Gate, LegId, PushFloor, PushReport, ServerRole, WorkerRole};
+pub use roles::{Gate, LegId, PushFloor, PushReport, Restart, ServerRole, WorkerRole};
 pub use rows::{RowBatch, RowId, RowPartition, RowRef};
 pub use shard::{ShardMap, ShardedServer};
 pub use version::RowVersionStore;

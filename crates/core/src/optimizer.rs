@@ -164,7 +164,8 @@ impl RogOptimizer {
         // One round per leg without fates: every row sent lands at once.
         self.role.accumulate(grads);
         let mut server = self.server.lock();
-        self.role.plan(n, server.server().map());
+        self.role
+            .plan(n, server.server().map(), server.bound(self.rank));
         let admitted = self.role.floor(0).admit(budget_rows);
         self.role.push_round(0, Round::Speculative, admitted, None);
         let rows = &mut self.rows;

@@ -28,9 +28,19 @@
 //! release scan ([`ServerRole::take_parked`] + [`ServerRole::retry`])
 //! whenever `min(V)`, the bound, membership or reachability moved.
 //!
+//! The worker role keeps its whole cycle: the iteration it pushes, each
+//! leg's phase, and what a fault left to restart. A driver reports a
+//! leg cut in the air ([`WorkerRole::cut`]) or a cycle with no path to
+//! start on ([`WorkerRole::park`]); once the path and the shard are up,
+//! [`WorkerRole::restart`] says how the cycle resumes there ([`Restart`],
+//! read off the phase the cut left the leg in), and
+//! [`WorkerRole::busy`] whether a cycle is in flight.
+//!
 //! [`ServerRole`] owns every worker's staleness bound: the plane's
 //! threshold only seeds it, and [`ServerRole::set_bound`] is its one
-//! setter. A driver that moves a bound journals the move itself.
+//! setter; [`WorkerRole::plan`] and [`WorkerRole::replan`] take the
+//! worker's bound from [`ServerRole::bound`]. A driver that moves a
+//! bound journals the move itself.
 //!
 //! The baselines (BSP/SSP/ASP/FLOWN/DSSP/ABS) put every row in every
 //! leg and call only unjournaled steps — `accumulate`,
@@ -116,6 +126,22 @@ pub struct PushReport {
     pub secs: Time,
 }
 
+/// How the cycle resumes on a shard once the worker's path and the
+/// shard are up again ([`WorkerRole::restart`]). A cut transfer
+/// acknowledged nothing, so each restarts its phase.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Restart {
+    /// The cycle was parked, or every engaged leg was cut in its push:
+    /// plan it again ([`WorkerRole::plan`] clears every mark).
+    Cycle,
+    /// Only this leg was cut in its push: [`WorkerRole::replan`] it at
+    /// the cycle's iteration; the other legs keep theirs.
+    Push,
+    /// This leg was cut in its pull: re-enter the shard's gate (the
+    /// pull plan is recomputed at grant time).
+    Gate,
+}
+
 /// Where one shard leg stands in the worker's current cycle.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 enum Phase {
@@ -128,20 +154,26 @@ enum Phase {
 }
 
 /// One shard's leg of the worker's current cycle: its push, the floor
-/// it opened with, and where it stands.
+/// it opened with, where it stands, and whether a fault cut it.
 #[derive(Debug, Clone, Default)]
 struct WorkerLeg {
     push: Leg,
     floor: PushFloor,
     phase: Phase,
+    cut: bool,
 }
 
 /// The worker half of the row cycle (Algorithm 1) around a
-/// [`RogWorker`]: the cycle's ranked plan, each shard's push [`Leg`]
-/// with its floor, and which legs of the cycle are still open.
+/// [`RogWorker`]: the cycle's iteration and ranked plan, each shard's
+/// push [`Leg`] with its floor, which legs of the cycle are still open,
+/// and what a fault left to restart.
 #[derive(Debug, Clone)]
 pub struct WorkerRole {
     worker: RogWorker,
+    /// The iteration the current (or last) cycle pushes.
+    iter: u64,
+    /// The cycle was parked before any leg could start.
+    parked: bool,
     /// The cycle's globally ranked plan.
     ranked: Vec<RowId>,
     legs: Vec<WorkerLeg>,
@@ -152,6 +184,8 @@ impl WorkerRole {
     pub fn new(params: &[Matrix], cfg: RogWorkerConfig, n_shards: usize) -> Self {
         Self {
             worker: RogWorker::new(params, cfg),
+            iter: 0,
+            parked: false,
             ranked: Vec::new(),
             legs: vec![WorkerLeg::default(); n_shards],
         }
@@ -173,12 +207,6 @@ impl WorkerRole {
         }
     }
 
-    /// Changes the staleness bound; the mandatory-row rule uses the new
-    /// value from the next [`Self::plan`].
-    pub fn set_threshold(&mut self, threshold: u32) {
-        self.worker.set_threshold(threshold);
-    }
-
     /// Switches the push codec (error-feedback residuals carry over);
     /// the push legs in the air re-size what they read next.
     pub fn set_codec(&mut self, codec: Codec) {
@@ -193,46 +221,72 @@ impl WorkerRole {
     pub fn rejoin(&mut self, n: u64) {
         self.worker.reset_for_rejoin(n);
         self.disengage();
+        self.iter = n;
     }
 
-    /// Starts the cycle pushing iteration `n`: ranks every row
-    /// (mandatory rows first, stalest first, then by importance), gives
-    /// each shard leg its rows in rank order, so a leg's mandatory rows
-    /// stay a prefix of its plan, and opens every leg with its floor.
-    pub fn plan(&mut self, n: u64, map: &ShardMap) {
-        self.worker.plan_push_into(n, &mut self.ranked);
+    /// Starts the cycle pushing iteration `n` under staleness bound
+    /// `bound` (the worker's, as [`ServerRole::bound`] holds it): ranks
+    /// every row (mandatory rows first, stalest first, then by
+    /// importance), gives each shard leg its rows in rank order, so a
+    /// leg's mandatory rows stay a prefix of its plan, and opens every
+    /// leg with its floor.
+    pub fn plan(&mut self, n: u64, map: &ShardMap, bound: u32) {
+        self.iter = n;
+        self.parked = false;
+        self.worker.plan_push_at(n, bound, &mut self.ranked);
         for s in 0..self.legs.len() {
-            self.open(s, n, map);
+            self.open(s, map, bound);
         }
     }
 
-    /// Re-plans shard `s`'s leg of the cycle pushing iteration `n`
-    /// against the latest gradients and reopens it (a fault cut its
-    /// push; the other legs keep theirs).
-    pub fn replan(&mut self, s: usize, n: u64, map: &ShardMap) {
-        self.worker.plan_push_into(n, &mut self.ranked);
-        self.open(s, n, map);
+    /// Re-plans shard `s`'s leg of the current cycle against the latest
+    /// gradients and reopens it (a fault cut its push; the other legs
+    /// keep theirs).
+    pub fn replan(&mut self, s: usize, map: &ShardMap, bound: u32) {
+        self.worker.plan_push_at(self.iter, bound, &mut self.ranked);
+        self.open(s, map, bound);
     }
 
     /// Opens shard `s`'s leg on its rows of the ranked plan with its
     /// floor: `max(MTA, mandatory)` rows must go out, the mandatory
     /// prefix must land. The leg sizes every row as the worker's codec
     /// frames it now.
-    fn open(&mut self, s: usize, n: u64, map: &ShardMap) {
-        let worker = &self.worker;
-        let (threshold, row_iters) = (worker.config().threshold, worker.row_iters());
+    fn open(&mut self, s: usize, map: &ShardMap, bound: u32) {
+        let (worker, n) = (&self.worker, self.iter);
+        let row_iters = worker.row_iters();
         let leg = &mut self.legs[s];
         let plan = leg.push.plan_mut();
         plan.clear();
         plan.extend(self.ranked.iter().filter(|&&id| map.shard_of(id) == s));
         let mandatory = plan
             .iter()
-            .take_while(|&&id| gate::row_is_mandatory(row_iters[id.0], n, threshold))
+            .take_while(|&&id| gate::row_is_mandatory(row_iters[id.0], n, bound))
             .count();
-        leg.floor = PushFloor::new(plan.len(), mandatory, threshold);
+        leg.floor = PushFloor::new(plan.len(), mandatory, bound);
         let size = |id| worker.payload_bytes(id);
         leg.push.begin(leg.floor.floor, leg.floor.mandatory, size);
         leg.phase = Phase::Pushing;
+        leg.cut = false;
+    }
+
+    /// Parks the cycle pushing iteration `n` before any leg starts (the
+    /// worker has no path to push through): it restarts as a whole
+    /// ([`Restart::Cycle`]).
+    pub fn park(&mut self, n: u64) {
+        self.iter = n;
+        self.parked = true;
+    }
+
+    /// The iteration the current (or last) cycle pushes.
+    pub fn cycle_iter(&self) -> u64 {
+        self.iter
+    }
+
+    /// Whether a cycle is in flight: parked, or some leg has not
+    /// finished.
+    pub fn busy(&self) -> bool {
+        let open = |l: &WorkerLeg| matches!(l.phase, Phase::Pushing | Phase::Pushed);
+        self.parked || self.legs.iter().any(open)
     }
 
     /// Takes shard `s`'s leg out of the cycle before it starts (its
@@ -242,10 +296,37 @@ impl WorkerRole {
         self.legs[s].phase = Phase::Out;
     }
 
-    /// Takes every leg out of the cycle it was part of (the worker
-    /// departed or rejoined).
+    /// A fault cut shard `s`'s leg in the air: it waits for
+    /// [`Self::restart`].
+    pub fn cut(&mut self, s: usize) {
+        self.legs[s].cut = true;
+    }
+
+    /// Takes what waits on shard `s` once the worker's path and the
+    /// shard are up again: how the cycle resumes there, from where the
+    /// cut left the leg, or `None` if nothing waits.
+    pub fn restart(&mut self, s: usize) -> Option<Restart> {
+        let whole = |l: &WorkerLeg| l.phase == Phase::Out || (l.cut && l.phase == Phase::Pushing);
+        let verdict = match (self.legs[s].cut, self.legs[s].phase) {
+            _ if self.parked => Restart::Cycle,
+            (false, _) => return None,
+            (true, Phase::Pushed) => Restart::Gate,
+            _ if self.legs.iter().all(whole) => Restart::Cycle,
+            _ => Restart::Push,
+        };
+        self.parked = false;
+        self.legs[s].cut = false;
+        Some(verdict)
+    }
+
+    /// Takes every leg out of the cycle it was part of and forgets what
+    /// waited to restart (the worker departed or rejoined).
     pub fn disengage(&mut self) {
-        self.legs.iter_mut().for_each(|l| l.phase = Phase::Out);
+        self.parked = false;
+        for l in &mut self.legs {
+            l.phase = Phase::Out;
+            l.cut = false;
+        }
     }
 
     /// Whether shard `s` takes part in the current cycle.
@@ -341,6 +422,7 @@ impl WorkerRole {
 struct ServerLeg {
     iter: u64,
     mta_rows: usize,
+    push_started: Time,
     gate_entered: Time,
     pull: Leg,
 }
@@ -473,6 +555,7 @@ impl ServerRole {
         let state = self.leg(leg);
         state.iter = n;
         state.mta_rows = floor.mta_rows;
+        state.push_started = now;
         let (w, tag, budget) = (leg.0 as u32, self.tag(leg.1), self.budget(leg.1));
         let start = EventKind::PushStart {
             w,
@@ -523,6 +606,11 @@ impl ServerRole {
             .peak_version_bytes
             .max(self.server.version_store_bytes());
         self.server.versions(s).global_min() > min_before
+    }
+
+    /// When `leg`'s last push started ([`Self::push_start`]).
+    pub fn push_started(&self, leg: LegId) -> Time {
+        self.legs[self.slot(leg)].push_started
     }
 
     /// The push of iteration `n` on `leg` left the air: updates the

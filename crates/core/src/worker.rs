@@ -107,12 +107,6 @@ impl RogWorker {
         &self.cfg
     }
 
-    /// Changes the staleness threshold (auto-threshold extension); the
-    /// mandatory-row rule uses the new value from the next push plan.
-    pub fn set_threshold(&mut self, threshold: u32) {
-        self.cfg.threshold = threshold;
-    }
-
     /// The active row codec.
     pub fn codec(&self) -> &Codec {
         &self.codec
@@ -164,6 +158,12 @@ impl RogWorker {
     /// are placed first (stalest first), ahead of the importance order.
     /// Writes the plan into `out`, reusing the worker's ranking buffers.
     pub fn plan_push_into(&mut self, n: u64, out: &mut Vec<RowId>) {
+        self.plan_push_at(n, self.cfg.threshold, out);
+    }
+
+    /// [`Self::plan_push_into`] under staleness threshold `t` in place
+    /// of the configured one.
+    pub fn plan_push_at(&mut self, n: u64, t: u32, out: &mut Vec<RowId>) {
         let mut mean_abs = std::mem::take(&mut self.mean_abs_buf);
         let mut ranked = std::mem::take(&mut self.ranked_buf);
         let mut scratch = std::mem::take(&mut self.scratch);
@@ -175,7 +175,7 @@ impl RogWorker {
             &mut scratch,
             &mut ranked,
         );
-        let (iters, t) = (&self.iters, self.cfg.threshold);
+        let iters = &self.iters;
         let is_mandatory = |id: RowId| gate::row_is_mandatory(iters[id.0], n, t);
         out.clear();
         out.extend(ranked.iter().copied().filter(|&id| is_mandatory(id)));

@@ -148,12 +148,6 @@ pub struct DeliveryReport {
 }
 
 impl DeliveryReport {
-    /// Whether chunk `i` arrived usable (chunks beyond the report are
-    /// chunks that were never transmitted, reported as not intact).
-    pub fn intact(&self, i: usize) -> bool {
-        self.fates.get(i).is_some_and(|f| f.intact())
-    }
-
     /// Number of chunks that were lost or corrupt.
     pub fn bad_chunks(&self) -> usize {
         self.fates.iter().filter(|f| !f.intact()).count()

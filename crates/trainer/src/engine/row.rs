@@ -27,7 +27,7 @@ use std::ops::Range;
 
 use rog_compress::RowCodec;
 use rog_core::{
-    gate, AggregatorPlane, Gate, Leg, LegId, PushReport, RogWorkerConfig, Round, RowBatch,
+    gate, AggregatorPlane, Gate, Leg, LegId, PushReport, Restart, RogWorkerConfig, Round, RowBatch,
     ServerRole, ShardMap, ShardedServer, WorkerRole,
 };
 use rog_net::{shard_link, FlowEvent, FlowOutcome, FlowSpec};
@@ -43,47 +43,16 @@ use crate::engine::control::{link_stress, AdaptiveBound, AutoThreshold, CodecAut
 use crate::metrics::{MicroSample, RunMetrics};
 use crate::run::FleetStats;
 
-/// The transmission times of one shard's leg of a worker's push/pull
-/// cycle (the legs themselves — plans, floors, rounds, phase — are the
-/// roles').
-#[derive(Default)]
-struct SubState {
-    push_started: Time,
-    /// Action to take on this leg once connectivity returns after a
-    /// fault cancelled its in-flight transfer.
-    resume: Option<SubResume>,
-}
-
+/// A worker's pipeline scheduling; its cycle (iteration, legs, what a
+/// fault left to restart) is its role's.
 struct WState {
     role: WorkerRole,
     /// Completed iterations (currently working on `iter + 1`).
     iter: u64,
-    /// A push/pull cycle is in flight (pipeline mode).
-    comm_busy: bool,
-    /// Iteration the in-flight comm cycle is pushing.
-    comm_iter: u64,
     /// Last iteration whose pull has been applied (pipeline mode).
     applied_iter: u64,
     /// Compute is paused waiting for the comm pipeline to catch up.
     pipe_waiting: bool,
-    /// The cycle was parked before any leg could start: its push
-    /// restarts once connectivity returns.
-    resume_push: bool,
-    /// Per-shard legs of the current cycle.
-    subs: Vec<SubState>,
-}
-
-/// What one suspended shard leg restarts as once connectivity returns.
-/// Cancelled transfers acknowledge nothing (retransmit-from-scratch
-/// semantics), so each variant restarts its phase rather than splicing
-/// a partial one.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum SubResume {
-    /// Restart this leg's push.
-    Push,
-    /// Re-enter this shard's RSP gate wait; the pull plan is recomputed
-    /// at grant time, so nothing is lost.
-    PullGate,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -183,12 +152,8 @@ pub fn run(cfg: &ExperimentConfig) -> (RunMetrics, rog_obs::Journal, FleetStats)
                 n_shards,
             ),
             iter: 0,
-            comm_busy: false,
-            comm_iter: 0,
             applied_iter: 0,
             pipe_waiting: false,
-            resume_push: false,
-            subs: (0..n_shards).map(|_| SubState::default()).collect(),
         })
         .collect();
     let map = ShardMap::contiguous(init.row_widths().len(), n_shards);
@@ -280,7 +245,7 @@ impl Engine for RowEngine {
 
     fn depart(&mut self, w: usize, now: Time) {
         let ws = &mut self.workers[w];
-        ws.reset_cycle();
+        ws.pipe_waiting = false;
         ws.role.disengage();
         self.server.deactivate(w);
         // The departed worker's frozen rows age out of min(V): gated
@@ -289,26 +254,44 @@ impl Engine for RowEngine {
         self.drain_waiting(now);
     }
 
-    /// `comm_busy` stays true for a suspended cycle, so pipeline mode
-    /// cannot start a second cycle on top of it.
+    /// A cut leg keeps its phase, so the role stays busy and pipeline
+    /// mode cannot start a second cycle on top of it.
     fn suspend(&mut self, w: usize, flow: FlowCtx) {
         if let Some(s) = flow.shard() {
-            self.workers[w].subs[s].resume = Some(match flow {
-                FlowCtx::Leg { pull: true, .. } => SubResume::PullGate,
-                _ => SubResume::Push,
-            });
+            self.workers[w].role.cut(s);
         }
     }
 
+    /// Restarts what waits on each shard that is up, as the role says.
+    /// A parked cycle, or one whose every engaged leg was cut in its
+    /// push (single-shard runs, link blackouts), restarts whole through
+    /// `begin_push`, re-planning against the latest gradients — the
+    /// legacy single-server semantics. A partially cut cycle (other legs
+    /// kept flowing or already finished) replans only the cut shard's
+    /// rows at the cycle's pinned iteration.
     fn resume(&mut self, w: usize, now: Time) {
-        if self.workers[w].resume_push && self.ctx.can_push(w) {
-            self.workers[w].resume_push = false;
-            let n = self.restart_iter(w);
-            self.begin_push(w, now, n);
-        }
         for s in 0..self.n_shards {
-            if !self.ctx.server_down[s] {
-                self.resume_sub(w, s, now);
+            if self.ctx.server_down[s] {
+                continue;
+            }
+            match self.workers[w].role.restart(s) {
+                None => {}
+                Some(Restart::Cycle) => {
+                    // The iteration being worked on — except in pipeline
+                    // mode, where compute kept running during the outage.
+                    let n = self.workers[w].iter + u64::from(!self.pipeline);
+                    self.begin_push(w, now, n);
+                }
+                Some(Restart::Push) => {
+                    let (map, bound) = (self.server.server().map(), self.server.bound(w));
+                    self.workers[w].role.replan(s, map, bound);
+                    self.start_push_sub(w, s, now);
+                }
+                Some(Restart::Gate) => {
+                    let n = self.workers[w].role.cycle_iter();
+                    self.flows.settle(&mut self.ctx, w, now, DeviceState::Stall);
+                    self.server.retry((w, s), n, false);
+                }
             }
         }
     }
@@ -332,23 +315,10 @@ impl Engine for RowEngine {
         let ws = &mut self.workers[w];
         ws.iter = n;
         ws.applied_iter = n;
-        ws.comm_iter = n;
-        ws.reset_cycle();
+        ws.pipe_waiting = false;
         ws.role.rejoin(n);
         self.server.rejoin(w, n);
         self.last_pushed[w] = n;
-    }
-}
-
-impl WState {
-    /// Forgets the cycle in flight and everything it suspended.
-    fn reset_cycle(&mut self) {
-        self.comm_busy = false;
-        self.pipe_waiting = false;
-        self.resume_push = false;
-        for sub in &mut self.subs {
-            sub.resume = None;
-        }
     }
 }
 
@@ -368,7 +338,7 @@ impl RowEngine {
         let (grads, _) = compute::take_draw(&mut self.ctx, w);
         self.workers[w].role.accumulate(&grads);
         self.ctx.recycle_grads(grads);
-        if !self.workers[w].comm_busy {
+        if !self.workers[w].role.busy() {
             self.begin_push(w, now, n);
         }
         self.maybe_continue_compute(w, now);
@@ -378,7 +348,7 @@ impl RowEngine {
     fn maybe_continue_compute(&mut self, w: usize, now: Time) {
         if now >= self.ctx.duration() {
             self.ctx.done[w] = true;
-            if !self.workers[w].comm_busy {
+            if !self.workers[w].role.busy() {
                 self.ctx.set_state(w, now, DeviceState::Idle);
             }
             return;
@@ -403,20 +373,12 @@ impl RowEngine {
         if !self.ctx.can_push(w) {
             // Nothing to transmit through: park the whole cycle; a
             // recovery event restarts it via `Engine::resume`.
-            let ws = &mut self.workers[w];
-            ws.comm_busy = true;
-            ws.comm_iter = n;
-            ws.resume_push = true;
+            self.workers[w].role.park(n);
             self.flows.settle(&mut self.ctx, w, now, DeviceState::Stall);
             return;
         }
-        let ws = &mut self.workers[w];
-        ws.comm_busy = true;
-        ws.comm_iter = n;
-        ws.role.plan(n, self.server.server().map());
-        for sub in &mut ws.subs {
-            sub.resume = None;
-        }
+        let (map, bound) = (self.server.server().map(), self.server.bound(w));
+        self.workers[w].role.plan(n, map, bound);
         for s in 0..self.n_shards {
             if self.ctx.server_down[s] {
                 // This shard's rows stay accumulated and age toward the
@@ -428,18 +390,15 @@ impl RowEngine {
                 }
                 continue;
             }
-            self.start_push_sub(w, s, now, n);
+            self.start_push_sub(w, s, now);
         }
     }
 
     /// Starts one shard leg's speculative push (the role has planned and
     /// opened the leg).
-    fn start_push_sub(&mut self, w: usize, s: usize, now: Time, n: u64) {
-        let ws = &mut self.workers[w];
-        let sub = &mut ws.subs[s];
-        sub.resume = None;
-        sub.push_started = now;
-        let (floor, plan) = (ws.role.floor(s), ws.role.push_leg(s).plan());
+    fn start_push_sub(&mut self, w: usize, s: usize, now: Time) {
+        let role = &self.workers[w].role;
+        let (n, floor, plan) = (role.cycle_iter(), role.floor(s), role.push_leg(s).plan());
         let journal = &mut self.ctx.journal;
         self.server.push_start((w, s), n, floor, plan, now, journal);
         self.flows
@@ -522,9 +481,9 @@ impl RowEngine {
 
     fn finish_push_sub(&mut self, w: usize, s: usize, now: Time) {
         // The iteration this cycle pushes (`iter + 1` when sequential).
-        let n = self.workers[w].comm_iter;
+        let n = self.workers[w].role.cycle_iter();
         let delivered = self.workers[w].role.push_leg(s).delivered();
-        let secs = (now - self.workers[w].subs[s].push_started).max(1e-6);
+        let secs = (now - self.server.push_started((w, s))).max(1e-6);
         // The journal's bytes are the leg's sizes of the rows it sent,
         // read before the commit below zeroes the accumulator and rolls
         // the residuals. A pipelined push sized its rows when each round
@@ -642,11 +601,9 @@ impl RowEngine {
 
     fn complete_cycle(&mut self, w: usize, now: Time) {
         if self.pipeline {
-            let applied = self.workers[w].comm_iter;
             let ws = &mut self.workers[w];
-            ws.applied_iter = applied;
-            ws.comm_busy = false;
-            let latest = ws.iter;
+            ws.applied_iter = ws.role.cycle_iter();
+            let (applied, latest) = (ws.applied_iter, ws.iter);
             if latest > applied {
                 // Fresh gradients accumulated during the cycle: keep the
                 // pipe full.
@@ -703,9 +660,8 @@ impl RowEngine {
         }
         let kind = EventKind::AutoThreshold { threshold };
         obs!(self.ctx.journal, now, kind);
-        for (w, ws) in self.workers.iter_mut().enumerate() {
+        for w in 0..self.workers.len() {
             self.server.set_bound(w, threshold);
-            ws.role.set_threshold(threshold);
         }
         // A loosened gate may unblock waiting pulls immediately.
         self.drain_waiting(now);
@@ -819,7 +775,7 @@ impl RowEngine {
             // Highest iteration this worker can push without a new pull
             // grant: the cycle it is computing or pushing now, plus one
             // more once the current cycle's pulls have been granted.
-            let next = ws.iter.max(ws.comm_iter) + 1;
+            let next = ws.iter.max(ws.role.cycle_iter()) + 1;
             for s in 0..self.n_shards {
                 if self.server.is_parked((w, s)) {
                     continue;
@@ -859,61 +815,6 @@ impl RowEngine {
                 pushed_iter <= min + bound,
                 "staleness bound violated on shard {s}: pushed iter {pushed_iter}, min {min}, bound {bound}"
             );
-        }
-    }
-
-    // ----- fault recovery -------------------------------------------------
-
-    /// The iteration a cycle restarted after an outage pushes: the one
-    /// being worked on — except in pipeline mode, where compute kept
-    /// running during the outage and the restart re-plans against the
-    /// latest accumulated gradients.
-    fn restart_iter(&self, w: usize) -> u64 {
-        if self.pipeline {
-            self.workers[w].iter
-        } else {
-            self.workers[w].iter + 1
-        }
-    }
-
-    /// Restarts one shard's suspended leg. When every engaged leg was
-    /// cut (single-shard runs, link blackouts), the whole cycle restarts
-    /// through `begin_push`, re-planning against the latest gradients —
-    /// the legacy single-server semantics. A partially cut cycle (other
-    /// legs kept flowing or already finished) replans only this shard's
-    /// rows at the cycle's pinned iteration.
-    fn resume_sub(&mut self, w: usize, s: usize, now: Time) {
-        let Some(kind) = self.workers[w].subs[s].resume else {
-            return;
-        };
-        match kind {
-            SubResume::Push => {
-                let ws = &self.workers[w];
-                let whole = ws
-                    .subs
-                    .iter()
-                    .enumerate()
-                    .all(|(s, sp)| !ws.role.engaged(s) || sp.resume == Some(SubResume::Push));
-                if whole {
-                    for sub in &mut self.workers[w].subs {
-                        sub.resume = None;
-                    }
-                    let n = self.restart_iter(w);
-                    self.begin_push(w, now, n);
-                } else {
-                    let ws = &mut self.workers[w];
-                    ws.subs[s].resume = None;
-                    let n = ws.comm_iter;
-                    ws.role.replan(s, n, self.server.server().map());
-                    self.start_push_sub(w, s, now, n);
-                }
-            }
-            SubResume::PullGate => {
-                self.workers[w].subs[s].resume = None;
-                let n = self.workers[w].comm_iter;
-                self.flows.settle(&mut self.ctx, w, now, DeviceState::Stall);
-                self.server.retry((w, s), n, false);
-            }
         }
     }
 }

@@ -901,7 +901,7 @@ pub fn join(cfg: &ExperimentConfig, opts: &JoinOptions) -> Result<RunOutcome, St
         // best-effort datagrams.
         lw.set_state(DeviceState::Communicate);
         role.accumulate(&grads);
-        role.plan(iter, &map);
+        role.plan(iter, &map, threshold);
         let (mut mandatory, mut bulk) = (Vec::new(), Vec::new());
         for s in 0..n_shards {
             let floor = role.floor(s);

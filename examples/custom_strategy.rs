@@ -58,7 +58,7 @@ fn main() {
             // Rank rows; pretend the channel only let a prefix through.
             // Worker 1 has the worse link and only fits the floor: the
             // MTA or the RSP-mandatory prefix, whichever is longer.
-            workers[w].plan(iter, &map);
+            workers[w].plan(iter, &map, server.bound(w));
             let floor = workers[w].floor(0);
             let delivered = floor.admit((w == 1).then_some(0));
             workers[w].push_round(0, Round::Speculative, delivered, None);

@@ -61,7 +61,7 @@ fn main() {
 
             // "Transmit": worker 2's link admits only the floor
             // (MTA or the RSP-mandatory prefix, whichever is longer).
-            workers[w].plan(round, &map);
+            workers[w].plan(round, &map, server.bound(w));
             let admitted = workers[w].floor(0).admit((w == 2).then_some(0));
             workers[w].push_round(0, Round::Speculative, admitted, None);
             workers[w].commit_push(0, round, &mut rows);

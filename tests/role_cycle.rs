@@ -7,8 +7,8 @@
 use rog::compress::CodecChoice;
 use rog::core::{gate, mta};
 use rog::core::{
-    Gate, ImportanceMetric, LegId, PushReport, RogWorkerConfig, Round, RowBatch, RowId, ServerRole,
-    ShardMap, ShardedServer, WorkerRole,
+    Gate, ImportanceMetric, LegId, PushReport, Restart, RogWorkerConfig, Round, RowBatch, RowId,
+    ServerRole, ShardMap, ShardedServer, WorkerRole,
 };
 use rog::obs::Journal;
 use rog::tensor::rng::DetRng;
@@ -112,13 +112,14 @@ impl Cluster {
             .map(|m| Matrix::randn(m.rows(), m.cols(), 1.0, &mut self.rng))
             .collect();
         self.workers[w].accumulate(&grads);
-        self.workers[w].plan(n, &self.map);
+        self.workers[w].plan(n, &self.map, self.server.bound(w));
         self.waiting[w] = true;
         for s in 0..N_SHARDS {
             let floor = self.workers[w].floor(s);
             let plan = self.workers[w].push_leg(s).plan();
             let (now, journal) = (self.now, &mut self.journal);
             self.server.push_start((w, s), n, floor, plan, now, journal);
+            assert_eq!(self.server.push_started((w, s)), now);
             // Each row of every round survives the schedule or does not;
             // the leg resends the lost mandatory rows until they land.
             let admitted = floor.admit(Some(floor.floor + 2));
@@ -263,7 +264,7 @@ fn a_dropped_row_keeps_its_mass_and_comes_back_mandatory() {
             .map(|m| Matrix::randn(m.rows(), m.cols(), 1.0, &mut rng))
             .collect();
         w.accumulate(&grads);
-        w.plan(n, &map);
+        w.plan(n, &map, THRESHOLD);
         let plan = w.push_leg(0).plan();
         let at = plan.iter().position(|&id| id == victim).expect("ranked");
         let intact: Vec<bool> = plan.iter().map(|&id| id != victim).collect();
@@ -601,7 +602,7 @@ fn a_leg_hands_out_the_sizes_of_the_state_it_sends_from() {
     };
     w.accumulate(&spikes(0));
     for moved in ["accumulate", "push codec"] {
-        w.plan(n, &map);
+        w.plan(n, &map, THRESHOLD);
         let handed: Vec<u64> = w.push_sizes(0, Round::Speculative).collect();
         assert_eq!(handed, fresh(&w, Round::Speculative), "{moved}");
         let next = w.push_round(0, Round::Speculative, 2, Some(&[false, true]));
@@ -664,5 +665,127 @@ fn a_leg_hands_out_the_sizes_of_the_state_it_sends_from() {
         server.pull_round((1, 0), Round::Continuation, target - 1, None);
         server.settle_pull((1, 0), 0.0, &mut journal, &mut RowBatch::default());
         push(&mut server, 20);
+    }
+}
+
+/// A worker role over the two shards with one draw of gradients
+/// accumulated and its cycle pushing iteration `n` planned.
+fn planned(n: u64) -> (WorkerRole, ShardMap) {
+    let ps = params();
+    let map = ShardMap::contiguous(ps.iter().map(Matrix::rows).sum(), N_SHARDS);
+    let mut w = WorkerRole::new(&ps, RogWorkerConfig::new(THRESHOLD, 0.05), N_SHARDS);
+    w.accumulate(&grads(n));
+    w.plan(n, &map, THRESHOLD);
+    (w, map)
+}
+
+fn grads(seed: u64) -> Vec<Matrix> {
+    let mut rng = DetRng::new(seed);
+    let ps = params();
+    ps.iter()
+        .map(|m| Matrix::randn(m.rows(), m.cols(), 1.0, &mut rng))
+        .collect()
+}
+
+/// Shard `s`'s push of iteration `n` lands whole; the leg has pushed.
+fn push_through(w: &mut WorkerRole, s: usize, n: u64) -> bool {
+    let all = w.push_leg(s).plan().len();
+    assert_eq!(w.push_round(s, Round::Speculative, all, None), None);
+    w.commit_push(s, n, &mut RowBatch::default());
+    w.push_done(s)
+}
+
+#[test]
+fn a_cut_in_push_on_every_engaged_leg_restarts_the_cycle() {
+    let (mut w, map) = planned(2);
+    (0..N_SHARDS).for_each(|s| w.cut(s));
+    assert_eq!(w.restart(1), Some(Restart::Cycle));
+    assert!(w.busy(), "the cut cycle is still in flight");
+    w.plan(3, &map, THRESHOLD);
+    assert_eq!(w.cycle_iter(), 3);
+    assert!(
+        (0..N_SHARDS).all(|s| w.restart(s).is_none()),
+        "plan clears every mark"
+    );
+    // A leg out of the cycle (its shard was down) is not waited for.
+    w.skip(1);
+    w.cut(0);
+    assert_eq!(w.restart(0), Some(Restart::Cycle));
+    // A cycle parked before any leg started restarts whole, once.
+    let (mut w, _) = planned(2);
+    for s in 0..N_SHARDS {
+        push_through(&mut w, s, 2);
+        w.finish_leg(s);
+    }
+    assert!(!w.busy());
+    w.park(3);
+    assert!(w.busy() && w.cycle_iter() == 3);
+    assert_eq!(w.restart(1), Some(Restart::Cycle));
+    assert_eq!(w.restart(0), None);
+    assert!(!w.busy());
+}
+
+#[test]
+fn a_cut_in_push_on_one_leg_replans_only_that_leg() {
+    let (mut w, map) = planned(2);
+    assert!(!push_through(&mut w, 0, 2));
+    let pushed = w.push_leg(0).plan().to_vec();
+    w.cut(1);
+    assert_eq!(w.restart(1), Some(Restart::Push));
+    assert_eq!(w.restart(1), None, "the mark was taken");
+    // The leg re-plans against the latest gradients at the cycle's
+    // iteration; the other leg keeps its plan and its phase.
+    w.accumulate(&grads(9));
+    w.replan(1, &map, THRESHOLD);
+    assert_eq!(w.cycle_iter(), 2);
+    assert_eq!(w.push_leg(0).plan(), pushed);
+    let plan = w.push_leg(1).plan();
+    assert!(!plan.is_empty() && plan.iter().all(|&id| map.shard_of(id) == 1));
+    assert!(push_through(&mut w, 1, 2), "leg 0 had pushed");
+    // A push cut beside a pull cut restarts alone too.
+    let (mut w, _) = planned(2);
+    push_through(&mut w, 0, 2);
+    (0..N_SHARDS).for_each(|s| w.cut(s));
+    assert_eq!(w.restart(1), Some(Restart::Push));
+    assert_eq!(w.restart(0), Some(Restart::Gate));
+}
+
+#[test]
+fn a_cut_during_a_pull_re_parks_at_the_gate() {
+    let ps = params();
+    let (mut w, map) = planned(1);
+    let plane = ShardedServer::new(&ps, 1, THRESHOLD, ImportanceMetric::default(), map);
+    let mut server = ServerRole::new(plane, None);
+    let mut journal = Journal::disabled();
+    let leg = (0, 0);
+    push_through(&mut w, 0, 1);
+    assert_eq!(server.enter_gate(leg, 1, 0.0, &mut journal), Gate::Granted);
+    server.grant(leg, 0.0, &mut journal);
+    // The pull is cut in the air: the leg has pushed, so it goes back
+    // to the gate at the cycle's iteration and waits for a scan.
+    w.cut(0);
+    assert_eq!(w.restart(0), Some(Restart::Gate));
+    assert!(w.busy());
+    assert_eq!(server.retry(leg, w.cycle_iter(), false), Gate::Parked);
+    assert!(server.is_parked(leg));
+    assert_eq!(release_all(&mut server), vec![0]);
+    assert_eq!(w.restart(0), None);
+}
+
+#[test]
+fn disengage_and_rejoin_clear_every_mark() {
+    for rejoin in [false, true] {
+        let (mut w, _) = planned(2);
+        push_through(&mut w, 0, 2);
+        (0..N_SHARDS).for_each(|s| w.cut(s));
+        w.park(3);
+        if rejoin {
+            w.rejoin(7);
+        } else {
+            w.disengage();
+        }
+        assert!(!w.busy());
+        assert!((0..N_SHARDS).all(|s| !w.engaged(s) && w.restart(s).is_none()));
+        assert_eq!(w.cycle_iter(), if rejoin { 7 } else { 3 });
     }
 }

@@ -41,7 +41,8 @@ fn server(n_workers: usize, threshold: u32) -> ServerRole {
 
 /// Plans worker `w`'s push of `iter` and returns its floor.
 fn plan_push(w: &mut WorkerRole, iter: u64) -> PushFloor {
-    w.plan(iter, &ShardMap::contiguous(n_rows(), 1));
+    let bound = w.worker().config().threshold;
+    w.plan(iter, &ShardMap::contiguous(n_rows(), 1), bound);
     w.floor(0)
 }
 

@@ -20,6 +20,8 @@
 //! A disabled journal ([`Journal::enabled`] `false`) skips every
 //! [`obs!`]-guarded site, and engine output is bit-identical either way.
 
+#![forbid(unsafe_code)]
+
 pub mod event;
 pub mod gz;
 pub mod journal;

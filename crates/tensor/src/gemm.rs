@@ -5,12 +5,17 @@
 //! The backward [`add_scaled_rows`]: per output row, the non-zero terms
 //! compacted without a branch, then summed in order into register
 //! blocks.
+//!
+//! Each kernel has one body, compiled twice: for the build target and,
+//! on x86-64, inside an AVX2 wrapper that runs when the CPU has AVX2.
+//! Both compile the same IEEE operations in the same order.
 
 use crate::ops;
 
-/// Outputs per panel. Eight lanes are two SSE registers per partial
+/// Outputs per panel. On the portable path (baseline x86-64: sixteen
+/// 4-wide SSE registers) eight lanes are two registers per partial
 /// sum, so the four partial sums a pass keeps live fill eight of the
-/// sixteen the baseline x86-64 target has and nothing spills.
+/// sixteen and nothing spills; under AVX2 each is one 8-wide register.
 const LANES: usize = 8;
 
 /// `(scalar, row offset)` terms one compaction pass keeps on the stack.
@@ -80,9 +85,56 @@ fn pack(w: &[f32], k: usize, panels: &mut Vec<f32>) {
     }
 }
 
+/// Whether the kernels run their AVX2 instantiation: the CPU has AVX2
+/// (std caches the check) and, in tests, the portable bodies are not
+/// forced.
+#[cfg(target_arch = "x86_64")]
+fn avx2() -> bool {
+    #[cfg(test)]
+    if tests::PORTABLE.get() {
+        return false;
+    }
+    std::arch::is_x86_feature_detected!("avx2")
+}
+
+/// [`panel_rows`], in its AVX2 instantiation where the CPU has AVX2.
+fn run_panels<const U: usize>(
+    a: &[f32],
+    k: usize,
+    n: usize,
+    paneled: usize,
+    panels: &[f32],
+    out: &mut [f32],
+) {
+    #[cfg(target_arch = "x86_64")]
+    if avx2() {
+        // SAFETY: `avx2()` holds only where `is_x86_feature_detected!
+        // ("avx2")` does, so the CPU runs every instruction it may use.
+        #[allow(unsafe_code)]
+        return unsafe { panel_rows_avx2::<U>(a, k, n, paneled, panels, out) };
+    }
+    panel_rows::<U>(a, k, n, paneled, panels, out);
+}
+
+/// [`panel_rows`] compiled with AVX2 and without FMA: the same IEEE
+/// operations in the same order, in 8-wide registers.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn panel_rows_avx2<const U: usize>(
+    a: &[f32],
+    k: usize,
+    n: usize,
+    paneled: usize,
+    panels: &[f32],
+    out: &mut [f32],
+) {
+    panel_rows::<U>(a, k, n, paneled, panels, out);
+}
+
 /// Panel outer, batch rows inner: a panel (`k * 32` bytes) stays in L1
 /// while every row of `a` streams past it.
-fn run_panels<const U: usize>(
+#[inline(always)]
+fn panel_rows<const U: usize>(
     a: &[f32],
     k: usize,
     n: usize,
@@ -162,13 +214,34 @@ fn panel_dot<const U: usize>(a: &[f32], panel: &[f32]) -> [f32; LANES] {
 /// That branch mispredicts on fresh ReLU masks, so each output row
 /// first writes every term to a stack chunk and advances only past the
 /// non-zero ones, then adds the kept terms into 32/16/8-wide column
-/// blocks held in registers.
+/// blocks held in registers. Runs the AVX2 instantiation where the CPU
+/// has AVX2.
 pub(crate) fn add_scaled_rows(
     out: &mut [f32],
     x: &[f32],
     w: usize,
     scalar: impl Fn(usize, usize) -> f32,
 ) {
+    #[cfg(target_arch = "x86_64")]
+    if avx2() {
+        // SAFETY: `avx2()` holds only where `is_x86_feature_detected!
+        // ("avx2")` does, so the CPU runs every instruction it may use.
+        #[allow(unsafe_code)]
+        return unsafe { scaled_rows_avx2(out, x, w, scalar) };
+    }
+    scaled_rows(out, x, w, scalar);
+}
+
+/// [`scaled_rows`] compiled with AVX2 and without FMA: the same IEEE
+/// operations in the same order, in 8-wide registers.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn scaled_rows_avx2(out: &mut [f32], x: &[f32], w: usize, scalar: impl Fn(usize, usize) -> f32) {
+    scaled_rows(out, x, w, scalar);
+}
+
+#[inline(always)]
+fn scaled_rows(out: &mut [f32], x: &[f32], w: usize, scalar: impl Fn(usize, usize) -> f32) {
     if w == 0 {
         return;
     }
@@ -223,6 +296,25 @@ mod tests {
     use super::*;
     use crate::rng::DetRng;
     use crate::Matrix;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Set to run the portable bodies on a CPU that has AVX2.
+        pub(super) static PORTABLE: Cell<bool> = const { Cell::new(false) };
+    }
+
+    /// Runs `check` over the portable bodies, then over their AVX2
+    /// instantiation if this CPU has AVX2.
+    fn on_each_path(check: impl Fn(&str)) {
+        PORTABLE.set(true);
+        check("portable");
+        PORTABLE.set(false);
+        #[cfg(target_arch = "x86_64")]
+        if avx2() {
+            return check("avx2");
+        }
+        eprintln!("no AVX2 on this CPU: its instantiation was not checked");
+    }
 
     /// The four-output block the training forward used before the
     /// panel kernel, kept as its oracle.
@@ -306,41 +398,43 @@ mod tests {
 
     #[test]
     fn panel_kernel_is_bit_identical_to_its_scalar_ancestors() {
-        let mut panels = Vec::new();
-        let mut out = Matrix::default();
-        for k in 0..=70 {
-            for n in 0..=20 {
-                for batch in [1, 2, 7, 24] {
-                    for specials in [false, true] {
-                        let a = fill(batch, k, n, specials);
-                        let w = fill(n, k, 5 * batch, specials);
-                        a.matmul_transb_into(&w, SumOrder::Four, &mut panels, &mut out);
-                        assert_eq!(out.shape(), (batch, n));
-                        let four = out.as_slice().to_vec();
-                        assert!(
-                            same_bits(&four, &transb_by_dot4(&a, &w)),
-                            "Four: k={k} n={n} batch={batch} specials={specials}"
-                        );
-                        a.matmul_transb_into(&w, SumOrder::Eight, &mut panels, &mut out);
-                        let want = if k == 0 {
-                            vec![0.0; batch * n]
-                        } else {
-                            transb_by_matvec(&a, &w)
-                        };
-                        assert!(
-                            same_bits(out.as_slice(), &want),
-                            "Eight: k={k} n={n} batch={batch} specials={specials}"
-                        );
-                        // The two orders are the same sums up to rounding.
-                        if !specials {
-                            for (x, y) in four.iter().zip(out.as_slice()) {
-                                assert!((x - y).abs() < 2e-2, "k={k} n={n}: {x} vs {y}");
+        on_each_path(|path| {
+            let mut panels = Vec::new();
+            let mut out = Matrix::default();
+            for k in 0..=70 {
+                for n in 0..=20 {
+                    for batch in [1, 2, 7, 24] {
+                        for specials in [false, true] {
+                            let a = fill(batch, k, n, specials);
+                            let w = fill(n, k, 5 * batch, specials);
+                            a.matmul_transb_into(&w, SumOrder::Four, &mut panels, &mut out);
+                            assert_eq!(out.shape(), (batch, n));
+                            let four = out.as_slice().to_vec();
+                            assert!(
+                                same_bits(&four, &transb_by_dot4(&a, &w)),
+                                "{path} Four: k={k} n={n} batch={batch} specials={specials}"
+                            );
+                            a.matmul_transb_into(&w, SumOrder::Eight, &mut panels, &mut out);
+                            let want = if k == 0 {
+                                vec![0.0; batch * n]
+                            } else {
+                                transb_by_matvec(&a, &w)
+                            };
+                            assert!(
+                                same_bits(out.as_slice(), &want),
+                                "{path} Eight: k={k} n={n} batch={batch} specials={specials}"
+                            );
+                            // The two orders are the same sums up to rounding.
+                            if !specials {
+                                for (x, y) in four.iter().zip(out.as_slice()) {
+                                    assert!((x - y).abs() < 2e-2, "k={k} n={n}: {x} vs {y}");
+                                }
                             }
                         }
                     }
                 }
             }
-        }
+        });
     }
 
     /// `Matrix::add_outer` as it was: one branch per row of `gw`.
@@ -398,47 +492,50 @@ mod tests {
 
     #[test]
     fn backward_kernel_is_bit_identical_to_its_branching_loops() {
-        let mut rng = DetRng::new(28);
-        let mut got = Matrix::default();
-        // 150 terms fill two stack chunks and part of a third.
-        for terms in [1, 2, 7, 24, 48, 49, 150] {
-            for w in 0..=70 {
-                let n = 1 + (w + terms) % 5;
-                for density in [0.0, 0.28, 0.49, 1.0] {
-                    for specials in [false, true] {
-                        let case = format!("terms={terms} w={w} density={density} {specials}");
-                        let x = sparse(terms, w, 1.0, specials, &mut rng);
-                        // The weight gradient: `dz` (terms x n) against
-                        // activations `x`, onto a non-zero start.
-                        let dz = sparse(terms, n, density, specials, &mut rng);
-                        let start = sparse(n, w, 0.5, specials, &mut rng);
-                        for scale in [0.03125, 1.0e-20] {
-                            let mut want = start.clone();
-                            for r in 0..terms {
-                                add_outer_by_branch(&mut want, dz.row(r), x.row(r), scale);
+        on_each_path(|path| {
+            let mut rng = DetRng::new(28);
+            let mut got = Matrix::default();
+            // 150 terms fill two stack chunks and part of a third.
+            for terms in [1, 2, 7, 24, 48, 49, 150] {
+                for w in 0..=70 {
+                    let n = 1 + (w + terms) % 5;
+                    for density in [0.0, 0.28, 0.49, 1.0] {
+                        for specials in [false, true] {
+                            let case =
+                                format!("{path} terms={terms} w={w} density={density} {specials}");
+                            let x = sparse(terms, w, 1.0, specials, &mut rng);
+                            // The weight gradient: `dz` (terms x n) against
+                            // activations `x`, onto a non-zero start.
+                            let dz = sparse(terms, n, density, specials, &mut rng);
+                            let start = sparse(n, w, 0.5, specials, &mut rng);
+                            for scale in [0.03125, 1.0e-20] {
+                                let mut want = start.clone();
+                                for r in 0..terms {
+                                    add_outer_by_branch(&mut want, dz.row(r), x.row(r), scale);
+                                }
+                                let mut batch = start.clone();
+                                batch.add_outer_batch(&dz, &x, scale);
+                                assert!(same_bits(batch.as_slice(), want.as_slice()), "dW {case}");
+                                let mut one = start.clone();
+                                for r in 0..terms {
+                                    one.add_outer(dz.row(r), x.row(r), scale);
+                                }
+                                assert!(same_bits(one.as_slice(), want.as_slice()), "outer {case}");
                             }
-                            let mut batch = start.clone();
-                            batch.add_outer_batch(&dz, &x, scale);
-                            assert!(same_bits(batch.as_slice(), want.as_slice()), "dW {case}");
-                            let mut one = start.clone();
-                            for r in 0..terms {
-                                one.add_outer(dz.row(r), x.row(r), scale);
-                            }
-                            assert!(same_bits(one.as_slice(), want.as_slice()), "outer {case}");
+                            // `dz · W` with `x` as `W` (n x terms times
+                            // terms x w), and its one-row form `matvec_t`.
+                            let dz = sparse(n, terms, density, specials, &mut rng);
+                            let want = matmul_by_axpy(&dz, &x);
+                            got.as_mut_slice().fill(f32::NAN);
+                            dz.matmul_into(&x, &mut got);
+                            assert_eq!(got.shape(), (n, w));
+                            assert!(same_bits(got.as_slice(), want.as_slice()), "dA {case}");
+                            let y = x.matvec_t(dz.row(0));
+                            assert!(same_bits(&y, want.row(0)), "matvec_t {case}");
                         }
-                        // `dz · W` with `x` as `W` (n x terms times
-                        // terms x w), and its one-row form `matvec_t`.
-                        let dz = sparse(n, terms, density, specials, &mut rng);
-                        let want = matmul_by_axpy(&dz, &x);
-                        got.as_mut_slice().fill(f32::NAN);
-                        dz.matmul_into(&x, &mut got);
-                        assert_eq!(got.shape(), (n, w));
-                        assert!(same_bits(got.as_slice(), want.as_slice()), "dA {case}");
-                        let y = x.matvec_t(dz.row(0));
-                        assert!(same_bits(&y, want.row(0)), "matvec_t {case}");
                     }
                 }
             }
-        }
+        });
     }
 }

@@ -27,9 +27,9 @@ use rog_trainer::{
 };
 
 use crate::{
-    cells_json, final_metric, four_panel_report, header, identical, iteration_probes, json_f64,
-    results_dir, run_all, run_outcomes, section, series_at_iterations, series_at_times, short_name,
-    side, time_probes, write_artifact, Extra, JsonCell,
+    cells_json, final_metric, four_panel_report, header, iteration_probes, json_f64, results_dir,
+    run_all, run_outcomes, section, series_at_iterations, series_at_times, short_name, side,
+    time_probes, write_artifact, Extra, JsonCell,
 };
 
 /// What an experiment reads from the command line.
@@ -1414,7 +1414,7 @@ fn bench_shard(ctx: &Ctx) {
     let mut runs = run_all(&configs);
     let unsharded = runs.pop().expect("identity control run");
     let one_shard_clean = &runs[0];
-    let one_shard_identity = identical(one_shard_clean, &unsharded);
+    let one_shard_identity = one_shard_clean.differences(&unsharded).is_empty();
 
     println!(
         "{:<14} {:>7} {:>8} {:>10} {:>12} {:>10}",
@@ -1551,8 +1551,8 @@ fn bench_fleet(ctx: &Ctx) {
     let mut cells: Vec<RunOutcome> = Vec::new();
     let mut double_run_identity = true;
     for pair in outcomes.chunks(2) {
-        double_run_identity &=
-            pair[0].stats == pair[1].stats && identical(&pair[0].metrics, &pair[1].metrics);
+        double_run_identity &= pair[0].stats == pair[1].stats
+            && pair[0].metrics.differences(&pair[1].metrics).is_empty();
         cells.push(pair[0].clone());
     }
 

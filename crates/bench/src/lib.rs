@@ -49,19 +49,6 @@ pub fn side(runs: &[RunMetrics], rog: bool) -> impl Iterator<Item = &RunMetrics>
         .filter(move |r| r.name.starts_with("ROG") == rog)
 }
 
-/// Byte-level equality of everything the engine reports in
-/// [`RunMetrics`]: if any of these differ the runs were not the same
-/// computation.
-pub fn identical(a: &RunMetrics, b: &RunMetrics) -> bool {
-    a.checkpoints == b.checkpoints
-        && a.mean_iterations == b.mean_iterations
-        && a.total_energy_j == b.total_energy_j
-        && a.useful_bytes == b.useful_bytes
-        && a.wasted_bytes == b.wasted_bytes
-        && a.stall_secs == b.stall_secs
-        && a.final_model_divergence == b.final_model_divergence
-}
-
 /// The strategy part of a run name (`"ROG-4 / cruda / outdoor"` →
 /// `"ROG-4"`): the column label of every series table.
 pub fn short_name(r: &RunMetrics) -> &str {

@@ -349,38 +349,13 @@ impl FaultPlan {
     /// outside `[0, 1]`, and windows overlapping an existing loss
     /// window on the same link.
     pub fn try_push_loss(&mut self, w: LossWindow) -> Result<(), FaultPlanError> {
-        if !w.start.is_finite() || !w.end.is_finite() {
-            return Err(FaultPlanError::new(format!(
-                "non-finite loss window [{}, {})",
-                w.start, w.end
-            )));
-        }
-        if w.start < 0.0 {
-            return Err(FaultPlanError::new(format!(
-                "loss window starts before t=0 ({})",
-                w.start
-            )));
-        }
-        if w.end <= w.start {
-            return Err(FaultPlanError::new(format!(
-                "empty or inverted loss window [{}, {})",
-                w.start, w.end
-            )));
-        }
-        if !w.rate.is_finite() || !(0.0..=1.0).contains(&w.rate) {
-            return Err(FaultPlanError::new(format!(
-                "loss rate out of [0, 1]: {}",
-                w.rate
-            )));
-        }
-        for e in &self.loss_windows {
-            if e.link == w.link && w.start < e.end && e.start < w.end {
-                return Err(FaultPlanError::new(format!(
-                    "loss window [{}, {}) overlaps [{}, {}) on link {}",
-                    w.start, w.end, e.start, e.end, w.link
-                )));
-            }
-        }
+        let bad_rate = (!w.rate.is_finite() || !(0.0..=1.0).contains(&w.rate))
+            .then(|| format!("loss rate out of [0, 1]: {}", w.rate));
+        let taken = self.loss_windows.iter().filter(|e| e.link == w.link);
+        let taken = taken.map(|e| (e.start, e.end));
+        check_window("loss window", (w.start, w.end), bad_rate, taken, || {
+            format!("on link {}", w.link)
+        })?;
         self.loss_windows.push(w);
         Ok(())
     }
@@ -392,32 +367,11 @@ impl FaultPlan {
     /// Rejects non-finite or negative times, empty windows, and windows
     /// overlapping an existing window of the same kind.
     pub fn try_push(&mut self, w: FaultWindow) -> Result<(), FaultPlanError> {
-        if !w.start.is_finite() || !w.end.is_finite() {
-            return Err(FaultPlanError::new(format!(
-                "non-finite window [{}, {})",
-                w.start, w.end
-            )));
-        }
-        if w.start < 0.0 {
-            return Err(FaultPlanError::new(format!(
-                "window starts before t=0 ({})",
-                w.start
-            )));
-        }
-        if w.end <= w.start {
-            return Err(FaultPlanError::new(format!(
-                "empty or inverted window [{}, {})",
-                w.start, w.end
-            )));
-        }
-        for e in &self.windows {
-            if e.kind == w.kind && w.start < e.end && e.start < w.end {
-                return Err(FaultPlanError::new(format!(
-                    "window [{}, {}) overlaps [{}, {}) of the same kind {:?}",
-                    w.start, w.end, e.start, e.end, w.kind
-                )));
-            }
-        }
+        let taken = self.windows.iter().filter(|e| e.kind == w.kind);
+        let taken = taken.map(|e| (e.start, e.end));
+        check_window("window", (w.start, w.end), None, taken, || {
+            format!("of the same kind {:?}", w.kind)
+        })?;
         self.windows.push(w);
         Ok(())
     }
@@ -484,6 +438,34 @@ impl FaultPlan {
         });
         FaultClock::from_events(events)
     }
+}
+
+/// The checks a window takes before it joins a plan, in this order: its
+/// times are finite, it starts at or after t=0, it is not empty, `bad`
+/// (a check of the window's own value) is `None`, and it overlaps none
+/// of `taken`, the windows with its target (`target` names that).
+/// `noun` names the window in every message.
+fn check_window(
+    noun: &str,
+    (start, end): (Time, Time),
+    bad: Option<String>,
+    taken: impl IntoIterator<Item = (Time, Time)>,
+    target: impl FnOnce() -> String,
+) -> Result<(), FaultPlanError> {
+    let msg = if !start.is_finite() || !end.is_finite() {
+        format!("non-finite {noun} [{start}, {end})")
+    } else if start < 0.0 {
+        format!("{noun} starts before t=0 ({start})")
+    } else if end <= start {
+        format!("empty or inverted {noun} [{start}, {end})")
+    } else if let Some(msg) = bad {
+        msg
+    } else if let Some((s, e)) = taken.into_iter().find(|&(s, e)| start < e && s < end) {
+        format!("{noun} [{start}, {end}) overlaps [{s}, {e}) {}", target())
+    } else {
+        return Ok(());
+    };
+    Err(FaultPlanError::new(msg))
 }
 
 #[cfg(test)]

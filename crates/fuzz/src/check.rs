@@ -45,10 +45,6 @@ use rog_trainer::{ExperimentConfig, RunMetrics, RunOutcome, Strategy};
 
 use crate::scenario::Scenario;
 
-/// Float tolerance for mean-vs-total iteration reconciliation (all
-/// other comparisons are bitwise).
-const EPS: f64 = 1e-9;
-
 /// One invariant failure observed while replaying a scenario.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Violation {
@@ -155,41 +151,6 @@ fn quiet_run(cfg: &ExperimentConfig) -> Result<RunOutcome, String> {
     })
 }
 
-/// Field-by-field bit-exact comparison of two runs, ignoring the run
-/// name (twin topologies legitimately differ in their `+agg{n}` /
-/// `+shard{n}` name segments). Returns human-readable differences.
-fn metrics_diff_modulo_name(a: &RunMetrics, b: &RunMetrics) -> Vec<String> {
-    let mut diffs = Vec::new();
-    if a.checkpoints != b.checkpoints {
-        diffs.push("checkpoints".to_owned());
-    }
-    if a.mean_iterations.to_bits() != b.mean_iterations.to_bits() {
-        diffs.push(format!(
-            "mean_iterations {} vs {}",
-            a.mean_iterations, b.mean_iterations
-        ));
-    }
-    if a.total_energy_j.to_bits() != b.total_energy_j.to_bits() {
-        diffs.push("total_energy_j".to_owned());
-    }
-    for (what, x, y) in [
-        ("useful_bytes", a.useful_bytes, b.useful_bytes),
-        ("wasted_bytes", a.wasted_bytes, b.wasted_bytes),
-        ("lost_bytes", a.lost_bytes, b.lost_bytes),
-        ("corrupt_bytes", a.corrupt_bytes, b.corrupt_bytes),
-        ("stall_secs", a.stall_secs, b.stall_secs),
-        ("offline_secs", a.offline_secs, b.offline_secs),
-    ] {
-        if x.to_bits() != y.to_bits() {
-            diffs.push(format!("{what} {x} vs {y}"));
-        }
-    }
-    if a.final_model_divergence != b.final_model_divergence {
-        diffs.push("final_model_divergence".to_owned());
-    }
-    diffs
-}
-
 /// Removes the `"seq":N,` field from one journal line (aggregator
 /// merge records consume sequence numbers, shifting later records).
 fn without_seq(line: &str) -> String {
@@ -202,10 +163,12 @@ fn without_seq(line: &str) -> String {
     format!("{}{}", &line[..i], &line[i + j + 1..])
 }
 
-/// Normalizes a journal for flat-vs-hierarchical comparison: drop
-/// `agg_merge` records and `seq` counters, erase the `+agg{n}` name
-/// segment — the same normalization the fleet-scale suite pins.
-fn normalized(journal: &str, aggs: usize) -> String {
+/// Normalizes a hierarchical run's journal (`aggs` aggregators) for
+/// comparison against its flat twin: drops the `agg_merge` records and
+/// the `seq` counters they shift, and erases the `+agg{n}` segment of
+/// the run name. The aggregator tier is pure accounting, so the flat
+/// twin's journal normalizes to the same text.
+pub fn flat_twin_journal(journal: &str, aggs: usize) -> String {
     journal
         .replace(&format!("+agg{aggs}"), "")
         .lines()
@@ -215,12 +178,13 @@ fn normalized(journal: &str, aggs: usize) -> String {
         .join("\n")
 }
 
-/// The reconciliation block: journal replay must agree with the
-/// metrics bitwise, and event pairings must balance. `faulty` is true
-/// when the scenario's plan has fault windows — fault recovery
-/// re-queues an aborted granted pull into the gate wait silently, so
-/// its re-grant emits a second `gate_exit` for a single `gate_enter`
-/// and the gate pairing is only checkable on fault-free runs.
+/// The reconciliation block: the journal must reconcile with the
+/// metrics (`RunMetrics::reconcile`), and event pairings must balance.
+/// `faulty` is true when the scenario's plan has fault windows — fault
+/// recovery re-queues an aborted granted pull into the gate wait
+/// silently, so its re-grant emits a second `gate_exit` for a single
+/// `gate_enter` and the gate pairing is only checkable on fault-free
+/// runs.
 fn reconcile(m: &RunMetrics, journal: &str, faulty: bool, violations: &mut Vec<Violation>) {
     let s = match TraceSummary::from_jsonl(journal) {
         Ok(s) => s,
@@ -231,25 +195,7 @@ fn reconcile(m: &RunMetrics, journal: &str, faulty: bool, violations: &mut Vec<V
             return;
         }
     };
-    let comp = s.composition();
-    let mut bit = |what: &str, a: f64, b: f64| {
-        if a.to_bits() != b.to_bits() {
-            violations.push(Violation::Reconciliation(format!("{what}: {a} != {b}")));
-        }
-    };
-    bit("compute", comp[0], m.composition.compute);
-    bit("communicate", comp[1], m.composition.communicate);
-    bit("stall", comp[2], m.composition.stall);
-    bit("offline", comp[3], m.composition.offline);
-    bit("stall_secs", s.cluster_residency(2), m.stall_secs);
-    bit("offline_secs", s.cluster_residency(4), m.offline_secs);
-    bit("duration", s.duration, m.duration);
-    if s.n_devices == 0 || (s.iters as f64 / s.n_devices as f64 - m.mean_iterations).abs() >= EPS {
-        violations.push(Violation::Reconciliation(format!(
-            "{} iters over {} devices vs mean {}",
-            s.iters, s.n_devices, m.mean_iterations
-        )));
-    }
+    violations.extend(m.reconcile(&s).into_iter().map(Violation::Reconciliation));
     let n = |ev: &str| s.event_counts.get(ev).copied().unwrap_or(0);
     // Begin/end pairings are directional, not exact: the duration cap
     // cuts runs mid-operation (a worker blocked at the gate, a push in
@@ -278,7 +224,7 @@ fn reconcile(m: &RunMetrics, journal: &str, faulty: bool, violations: &mut Vec<V
             s.iters
         )));
     }
-    if n("meta") != 1 || n("run_end") != 1 || n("close") as usize != s.n_devices {
+    if n("meta") != 1 || n("run_end") != 1 || n("close") as usize != s.timelines.len() {
         violations.push(Violation::Reconciliation(
             "meta/run_end/close cardinality broken".to_owned(),
         ));
@@ -620,12 +566,11 @@ pub fn check_scenario(sc: &Scenario) -> CheckOutcome {
                     "flat twin panicked: {e}"
                 ))),
                 Ok(flat) => {
-                    for d in metrics_diff_modulo_name(&flat.metrics, m) {
-                        violations.push(Violation::HierarchyTwinDivergence(d));
-                    }
+                    let diffs = flat.metrics.differences(m);
+                    violations.extend(diffs.into_iter().map(Violation::HierarchyTwinDivergence));
                     let flat_j = flat.journal.as_ref().expect("traced").to_jsonl();
-                    if normalized(&flat_j, sc.n_aggregators)
-                        != normalized(&journal, sc.n_aggregators)
+                    if flat_twin_journal(&flat_j, sc.n_aggregators)
+                        != flat_twin_journal(&journal, sc.n_aggregators)
                     {
                         violations.push(Violation::HierarchyTwinDivergence(
                             "normalized journals differ".to_owned(),

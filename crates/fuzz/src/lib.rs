@@ -37,7 +37,7 @@ mod report;
 mod scenario;
 mod shrink;
 
-pub use check::{check_scenario, replay_staleness, CheckOutcome, Violation};
+pub use check::{check_scenario, flat_twin_journal, replay_staleness, CheckOutcome, Violation};
 pub use generator::{ScenarioGen, FAULT_FREE_PREFIX_SECS};
 pub use report::{FuzzReport, ScenarioRecord};
 pub use scenario::{LossSpec, Scenario};

@@ -7,7 +7,10 @@
 //! oracle: engines record typed [`EventKind`]s into a [`Journal`]
 //! stamped on the virtual clock, the journal serializes to a canonical
 //! JSONL byte stream, and [`TraceSummary`] replays a journal back into
-//! the per-iteration composition `RunMetrics` reports.
+//! the per-iteration composition `RunMetrics` reports: it rebuilds each
+//! device's `rog-sim` `Timeline` from the journal's `state` and `close`
+//! records, the same timelines the run record composed its metrics
+//! from, and holds no span arithmetic of its own.
 //!
 //! Because every emission site runs on the single event-loop thread at
 //! points totally ordered by (virtual time, queue sequence), a journal
@@ -30,4 +33,4 @@ pub mod summary;
 pub use event::{Event, EventKind, Record, Val};
 pub use gz::{crc32, gzip_compress, gzip_decompress};
 pub use journal::Journal;
-pub use summary::{TraceSummary, STATE_NAMES};
+pub use summary::TraceSummary;

@@ -1,25 +1,19 @@
 //! Journal aggregation: replaying a JSONL journal into a Fig.8-style
 //! per-iteration composition table.
 //!
-//! The replay mirrors `rog-sim`'s `Timeline` float arithmetic
-//! operation-for-operation (same additions, same order), so the
-//! composition derived from a journal is bitwise identical to the one
+//! The replay rebuilds each device's `rog-sim` [`Timeline`] from its
+//! `state` and `close` records and composes through the same
+//! [`residency`] / [`per_iteration`] helpers `RunRecord::finish` uses, so
+//! the composition derived from a journal is bitwise the one
 //! `RunMetrics` reports for the same run — the journal-vs-aggregate
-//! cross-check the test suite pins.
+//! cross-check `RunMetrics::reconcile` makes.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
+use rog_sim::{per_iteration, residency, DeviceState, Timeline};
+
 use crate::event::Record;
-
-/// Device state names in `rog-sim` display order; indices match
-/// `DeviceState::ALL`.
-pub const STATE_NAMES: [&str; 5] = ["compute", "communicate", "stall", "idle", "offline"];
-
-const COMPUTE: usize = 0;
-const COMMUNICATE: usize = 1;
-const STALL: usize = 2;
-const OFFLINE: usize = 4;
 
 /// Aggregates of one parsed journal.
 #[derive(Debug, Clone, PartialEq)]
@@ -32,11 +26,10 @@ pub struct TraceSummary {
     pub iters: u64,
     /// Virtual run duration in seconds (from `run_end`).
     pub duration: f64,
-    /// Number of devices observed in state events.
-    pub n_devices: usize,
-    /// Per-device residency seconds, indexed `[device][state]` with
-    /// states in [`STATE_NAMES`] order.
-    pub residency: Vec<[f64; 5]>,
+    /// Each device's timeline, rebuilt from its `state` and `close`
+    /// records; indexed by worker, as many as the highest worker a
+    /// record names.
+    pub timelines: Vec<Timeline>,
     /// Event counts by wire name.
     pub event_counts: BTreeMap<String, u64>,
     /// Total gate wait seconds (sum of `gate_exit.waited`).
@@ -55,53 +48,38 @@ pub struct TraceSummary {
     pub lines: usize,
 }
 
-/// Replay of one device's timeline, mirroring `Timeline::set_state` /
-/// `Timeline::close` exactly: a span contributes `end - start` only
-/// when strictly positive, additions happen in span order.
-#[derive(Debug, Clone)]
-struct DeviceReplay {
-    open: Option<(usize, f64)>,
-    res: [f64; 5],
-}
-
-impl Default for DeviceReplay {
-    fn default() -> Self {
-        DeviceReplay {
-            open: None,
-            // -0.0 is the identity `Sum for f64` folds from, so a state
-            // with no spans reproduces `Timeline::time_in`'s empty sum
-            // bit-for-bit (it is -0.0, not +0.0).
-            res: [-0.0; 5],
-        }
+/// The timeline of the device a `state` / `close` record names, if it
+/// can take the record at `t`.
+fn device<'a>(
+    timelines: &'a mut Vec<Timeline>,
+    rec: &Record,
+    t: f64,
+) -> Result<&'a mut Timeline, String> {
+    let ev = rec.ev();
+    let w = rec.num("w").ok_or_else(|| format!("{ev} without w"))? as usize;
+    if timelines.len() <= w {
+        timelines.resize_with(w + 1, Timeline::new);
     }
-}
-
-impl DeviceReplay {
-    fn set_state(&mut self, t: f64, state: usize) {
-        if let Some((cur, start)) = self.open {
-            if cur == state {
-                return;
-            }
-            if t > start {
-                self.res[cur] += t - start;
-            }
-        }
-        self.open = Some((state, t));
+    let tl = &mut timelines[w];
+    if !tl.admits(t) {
+        return Err(format!(
+            "{ev} at t={t} is not finite or precedes device {w}'s open span"
+        ));
     }
-
-    fn close(&mut self, t: f64) {
-        if let Some((cur, start)) = self.open.take() {
-            if t > start {
-                self.res[cur] += t - start;
-            }
-        }
-    }
+    Ok(tl)
 }
 
 impl TraceSummary {
     /// Parses and aggregates a JSONL journal.
+    ///
+    /// # Errors
+    ///
+    /// Names the line that does not parse, lacks a field its event
+    /// needs, names an unknown state, or carries a `state` / `close`
+    /// time its device's timeline cannot take (non-finite, or before
+    /// the open span: [`Timeline::admits`]).
     pub fn from_jsonl(text: &str) -> Result<TraceSummary, String> {
-        let mut devices: Vec<DeviceReplay> = Vec::new();
+        let mut timelines: Vec<Timeline> = Vec::new();
         let mut event_counts: BTreeMap<String, u64> = BTreeMap::new();
         let mut name = String::new();
         let mut seed = 0u64;
@@ -115,17 +93,12 @@ impl TraceSummary {
         let mut chunks_corrupt = 0u64;
         let mut lines = 0usize;
 
-        let dev = |devices: &mut Vec<DeviceReplay>, w: usize| {
-            if devices.len() <= w {
-                devices.resize_with(w + 1, DeviceReplay::default);
-            }
-        };
-
         for (lineno, line) in text.lines().enumerate() {
             if line.trim().is_empty() {
                 continue;
             }
-            let rec = Record::parse(line).map_err(|e| format!("line {}: {e}", lineno + 1))?;
+            let at = |e: String| format!("line {}: {e}", lineno + 1);
+            let rec = Record::parse(line).map_err(at)?;
             lines += 1;
             let ev = rec.ev().to_string();
             *event_counts.entry(ev.clone()).or_insert(0) += 1;
@@ -136,20 +109,18 @@ impl TraceSummary {
                     seed = rec.num("seed").unwrap_or(0.0) as u64;
                 }
                 "state" => {
-                    let w = rec.num("w").ok_or("state without w")? as usize;
-                    let s = rec.str("state").ok_or("state without state")?;
-                    let idx = STATE_NAMES
-                        .iter()
-                        .position(|&n| n == s)
-                        .ok_or_else(|| format!("unknown state {s:?}"))?;
-                    dev(&mut devices, w);
-                    devices[w].set_state(t, idx);
+                    let s = rec
+                        .str("state")
+                        .ok_or_else(|| at("state without state".into()))?;
+                    let state = DeviceState::ALL
+                        .into_iter()
+                        .find(|d| d.name() == s)
+                        .ok_or_else(|| at(format!("unknown state {s:?}")))?;
+                    device(&mut timelines, &rec, t)
+                        .map_err(at)?
+                        .set_state(t, state);
                 }
-                "close" => {
-                    let w = rec.num("w").ok_or("close without w")? as usize;
-                    dev(&mut devices, w);
-                    devices[w].close(t);
-                }
+                "close" => device(&mut timelines, &rec, t).map_err(at)?.close(t),
                 "gate_exit" => {
                     let waited = rec.num("waited").unwrap_or(0.0);
                     gate_wait_total += waited;
@@ -180,8 +151,7 @@ impl TraceSummary {
             seed,
             iters,
             duration,
-            n_devices: devices.len(),
-            residency: devices.into_iter().map(|d| d.res).collect(),
+            timelines,
             event_counts,
             gate_wait_total,
             gate_wait_max,
@@ -193,22 +163,21 @@ impl TraceSummary {
         })
     }
 
-    /// Cluster residency for `state` (index into [`STATE_NAMES`]),
-    /// summed over devices in index order — the same summation order
-    /// `RunRecord::finish` (`rog-trainer`) uses over timelines.
-    pub fn cluster_residency(&self, state: usize) -> f64 {
-        self.residency.iter().map(|r| r[state]).sum()
+    /// Cluster residency in `state`, summed over devices in index order.
+    pub fn cluster_residency(&self, state: DeviceState) -> f64 {
+        residency(&self.timelines, state)
     }
 
     /// Per-iteration composition `[compute, communicate, stall,
-    /// offline]`, computed with the exact arithmetic of
-    /// `RunRecord::finish` (zero when no iterations ran).
+    /// offline]` (zero when no iterations ran).
     pub fn composition(&self) -> [f64; 4] {
-        if self.iters == 0 {
-            return [0.0; 4];
-        }
-        let per = |s: usize| (self.cluster_residency(s) / self.iters as f64).max(0.0);
-        [per(COMPUTE), per(COMMUNICATE), per(STALL), per(OFFLINE)]
+        [
+            DeviceState::Compute,
+            DeviceState::Communicate,
+            DeviceState::Stall,
+            DeviceState::Offline,
+        ]
+        .map(|s| per_iteration(&self.timelines, s, self.iters))
     }
 
     /// Renders the Fig.8-style per-iteration composition table.
@@ -218,7 +187,11 @@ impl TraceSummary {
         let _ = writeln!(
             out,
             "seed: {}  devices: {}  iterations: {}  duration: {:.3} s  journal lines: {}",
-            self.seed, self.n_devices, self.iters, self.duration, self.lines
+            self.seed,
+            self.timelines.len(),
+            self.iters,
+            self.duration,
+            self.lines
         );
         let comp = self.composition();
         let total: f64 = comp.iter().sum();
@@ -264,83 +237,6 @@ mod tests {
             .write_jsonl(&mut s);
         }
         s
-    }
-
-    #[test]
-    fn replay_reproduces_timeline_residencies() {
-        // Mirrors timeline.rs::transitions_accumulate_durations.
-        let text = journal_text(&[
-            (
-                0.0,
-                EventKind::State {
-                    w: 0,
-                    state: "compute",
-                },
-            ),
-            (
-                2.0,
-                EventKind::State {
-                    w: 0,
-                    state: "communicate",
-                },
-            ),
-            (
-                3.0,
-                EventKind::State {
-                    w: 0,
-                    state: "stall",
-                },
-            ),
-            (
-                3.5,
-                EventKind::State {
-                    w: 0,
-                    state: "compute",
-                },
-            ),
-            (5.0, EventKind::Close { w: 0 }),
-            (
-                5.0,
-                EventKind::RunEnd {
-                    iters: 2,
-                    duration: 5.0,
-                },
-            ),
-        ]);
-        let s = TraceSummary::from_jsonl(&text).unwrap();
-        assert_eq!(s.n_devices, 1);
-        assert_eq!(s.residency[0][COMPUTE], 3.5);
-        assert_eq!(s.residency[0][COMMUNICATE], 1.0);
-        assert_eq!(s.residency[0][STALL], 0.5);
-        let comp = s.composition();
-        assert_eq!(comp[0], 1.75);
-        assert_eq!(comp[1], 0.5);
-        assert_eq!(comp[2], 0.25);
-        assert_eq!(comp[3], 0.0);
-    }
-
-    #[test]
-    fn zero_length_spans_are_dropped_like_timeline() {
-        let text = journal_text(&[
-            (
-                1.0,
-                EventKind::State {
-                    w: 0,
-                    state: "compute",
-                },
-            ),
-            (
-                1.0,
-                EventKind::State {
-                    w: 0,
-                    state: "stall",
-                },
-            ),
-            (2.0, EventKind::Close { w: 0 }),
-        ]);
-        let s = TraceSummary::from_jsonl(&text).unwrap();
-        assert_eq!(s.residency[0][COMPUTE], 0.0);
-        assert_eq!(s.residency[0][STALL], 1.0);
     }
 
     #[test]

@@ -41,7 +41,7 @@ mod queue;
 mod timeline;
 
 pub use queue::EventQueue;
-pub use timeline::{DeviceState, Span, Timeline};
+pub use timeline::{per_iteration, residency, DeviceState, Span, Timeline};
 
 /// Virtual time in seconds since simulation start.
 pub type Time = f64;

@@ -65,11 +65,15 @@ impl Span {
     }
 }
 
+/// How far a record may precede the open span's start and still be
+/// taken: float noise, not a step back in time.
+const SLACK: Time = 1e-9;
+
 /// Append-only state history of one device.
 ///
 /// Transitions are recorded with [`Timeline::set_state`]; the final open
 /// span is closed with [`Timeline::close`]. Time must be non-decreasing.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Timeline {
     spans: Vec<Span>,
     open: Option<(DeviceState, Time)>,
@@ -79,6 +83,14 @@ impl Timeline {
     /// Creates an empty timeline.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Whether the timeline can take a record at `t`: `t` is finite and
+    /// not before the open span (by more than 1e-9 of float noise). A
+    /// record that fails this is one [`Timeline::set_state`] panics on,
+    /// or one that makes a residency infinite.
+    pub fn admits(&self, t: Time) -> bool {
+        t.is_finite() && self.open.is_none_or(|(_, start)| t >= start - SLACK)
     }
 
     /// Records that the device enters `state` at time `t`, closing any
@@ -94,7 +106,7 @@ impl Timeline {
     pub fn set_state(&mut self, t: Time, state: DeviceState) -> bool {
         if let Some((cur, start)) = self.open {
             assert!(
-                t >= start - 1e-9,
+                t >= start - SLACK,
                 "timeline must be monotonic: {t} < {start}"
             );
             if cur == state {
@@ -119,7 +131,7 @@ impl Timeline {
     /// Panics if `t` precedes the start of the open span.
     pub fn close(&mut self, t: Time) {
         if let Some((cur, start)) = self.open.take() {
-            assert!(t >= start - 1e-9, "close before span start");
+            assert!(t >= start - SLACK, "close before span start");
             if t > start {
                 self.spans.push(Span {
                     state: cur,
@@ -171,6 +183,21 @@ impl Timeline {
     pub fn end_time(&self) -> Time {
         self.spans.last().map_or(0.0, |s| s.end)
     }
+}
+
+/// Cluster-total closed time in `state`, summed over `timelines` in
+/// index order.
+pub fn residency(timelines: &[Timeline], state: DeviceState) -> Time {
+    timelines.iter().map(|t| t.time_in(state)).sum()
+}
+
+/// [`residency`] per iteration over `iters` cluster iterations, clamped
+/// at 0; 0 when no iteration ran.
+pub fn per_iteration(timelines: &[Timeline], state: DeviceState, iters: u64) -> Time {
+    if iters == 0 {
+        return 0.0;
+    }
+    (residency(timelines, state) / iters as f64).max(0.0)
 }
 
 #[cfg(test)]
@@ -231,6 +258,19 @@ mod tests {
         tl.close(1.0);
         assert_eq!(tl.spans().len(), 1);
         assert_eq!(tl.current_state(), None);
+    }
+
+    #[test]
+    fn admits_and_composes() {
+        let mut tl = Timeline::new();
+        assert!(tl.admits(0.0) && !tl.admits(f64::NAN) && !tl.admits(f64::INFINITY));
+        tl.set_state(5.0, DeviceState::Stall);
+        assert!(tl.admits(5.0 - SLACK / 2.0) && !tl.admits(4.0));
+        tl.close(8.0);
+        let tls = [tl.clone(), tl];
+        assert_eq!(residency(&tls, DeviceState::Stall), 6.0);
+        assert_eq!(per_iteration(&tls, DeviceState::Stall, 4), 1.5);
+        assert_eq!(per_iteration(&tls, DeviceState::Stall, 0), 0.0);
     }
 
     #[test]

@@ -495,9 +495,7 @@ mod tests {
     fn runs_are_deterministic() {
         let a = run_metrics(&cfg(Strategy::Ssp { threshold: 4 }));
         let b = run_metrics(&cfg(Strategy::Ssp { threshold: 4 }));
-        assert_eq!(a.mean_iterations, b.mean_iterations);
-        assert_eq!(a.checkpoints, b.checkpoints);
-        assert_eq!(a.total_energy_j, b.total_energy_j);
+        assert_eq!(a.differences(&b), Vec::<String>::new());
     }
 
     #[test]
@@ -543,7 +541,11 @@ mod tests {
         // But training resumes after the rejoin resync.
         assert!(m.mean_iterations > 5.0, "iters {}", m.mean_iterations);
         let m2 = run_metrics(&c);
-        assert_eq!(m.checkpoints, m2.checkpoints, "faulty runs replay");
+        assert_eq!(
+            m.differences(&m2),
+            Vec::<String>::new(),
+            "faulty runs replay"
+        );
     }
 
     #[test]
@@ -557,7 +559,7 @@ mod tests {
         );
         let a = run_metrics(&c);
         let b = run_metrics(&c);
-        assert_eq!(a.checkpoints, b.checkpoints);
+        assert_eq!(a.differences(&b), Vec::<String>::new());
         assert!(a.mean_iterations > 5.0, "iters {}", a.mean_iterations);
     }
 

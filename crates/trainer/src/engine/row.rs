@@ -860,8 +860,7 @@ mod tests {
     fn rog_is_deterministic() {
         let a = run_metrics(&cfg(4));
         let b = run_metrics(&cfg(4));
-        assert_eq!(a.mean_iterations, b.mean_iterations);
-        assert_eq!(a.checkpoints, b.checkpoints);
+        assert_eq!(a.differences(&b), Vec::<String>::new());
     }
 
     #[test]
@@ -916,8 +915,7 @@ mod tests {
         c.pipeline = true;
         let a = run_metrics(&c);
         let b = run_metrics(&c);
-        assert_eq!(a.checkpoints, b.checkpoints);
-        assert_eq!(a.mean_iterations, b.mean_iterations);
+        assert_eq!(a.differences(&b), Vec::<String>::new());
     }
 
     #[test]
@@ -1067,8 +1065,7 @@ mod tests {
         assert!(a.name.contains("+shard2"), "name {}", a.name);
         assert!(a.mean_iterations > 5.0, "iters {}", a.mean_iterations);
         let b = run_metrics(&c);
-        assert_eq!(a.checkpoints, b.checkpoints);
-        assert_eq!(a.mean_iterations, b.mean_iterations);
+        assert_eq!(a.differences(&b), Vec::<String>::new());
     }
 
     #[test]
@@ -1092,7 +1089,6 @@ mod tests {
         let a = run_metrics(&c);
         assert!(a.mean_iterations > 5.0, "iters {}", a.mean_iterations);
         let b = run_metrics(&c);
-        assert_eq!(a.checkpoints, b.checkpoints);
-        assert_eq!(a.mean_iterations, b.mean_iterations);
+        assert_eq!(a.differences(&b), Vec::<String>::new());
     }
 }

@@ -1182,7 +1182,7 @@ mod tests {
             .filter(|e| e.kind == EventKind::WireDrop { w, kind });
         assert_eq!(drops.count(), 4);
         let summary = rog_obs::TraceSummary::from_jsonl(&journal.to_jsonl()).expect("parses");
-        assert_eq!(summary.composition().map(f64::to_bits), bits(m.composition));
+        assert_eq!(m.reconcile(&summary), Vec::<String>::new());
         assert_eq!(summary.iters, 1);
     }
 

@@ -5,8 +5,8 @@ use std::collections::BTreeMap;
 use std::ops::Range;
 
 use rog_energy::PowerModel;
-use rog_obs::{obs, EventKind, Journal};
-use rog_sim::{DeviceState, Time, Timeline};
+use rog_obs::{obs, EventKind, Journal, TraceSummary};
+use rog_sim::{per_iteration, residency, DeviceState, Time, Timeline};
 use serde::Serialize;
 
 use crate::cluster::{Cluster, DeviceKind};
@@ -106,6 +106,113 @@ pub struct RunMetrics {
     pub final_model_divergence: f64,
 }
 
+impl RunMetrics {
+    /// The one journal↔metrics check: `journal`, this run's journal
+    /// replayed onto its own timelines, must give bit for bit the four
+    /// composition columns, `stall_secs`, `offline_secs` and `duration`
+    /// this run reports, and its `run_end` total must spread over the
+    /// record's devices to `mean_iterations`. Returns one line per
+    /// disagreement; empty when the two views reconcile.
+    pub fn reconcile(&self, journal: &TraceSummary) -> Vec<String> {
+        let (c, [compute, communicate, stall, offline]) = (self.composition, journal.composition());
+        let res = |s| journal.cluster_residency(s);
+        let mut diffs: Vec<String> = [
+            ("composition.compute", compute, c.compute),
+            ("composition.communicate", communicate, c.communicate),
+            ("composition.stall", stall, c.stall),
+            ("composition.offline", offline, c.offline),
+            ("stall_secs", res(DeviceState::Stall), self.stall_secs),
+            ("offline_secs", res(DeviceState::Offline), self.offline_secs),
+            ("duration", journal.duration, self.duration),
+        ]
+        .into_iter()
+        .filter(|(_, j, m)| j.to_bits() != m.to_bits())
+        .map(|(what, j, m)| format!("{what}: journal {j} vs metrics {m}"))
+        .collect();
+        // The mean is the total over the record's devices. The journal
+        // names only the devices that took a state (a worker's own
+        // record holds just itself), so it bounds their number from
+        // below: the total must divide into a whole number of devices,
+        // no fewer than it names.
+        let named = journal
+            .timelines
+            .iter()
+            .filter(|t| **t != Timeline::new())
+            .count();
+        let devices = journal.iters as f64 / self.mean_iterations;
+        let spread = if journal.iters == 0 {
+            self.mean_iterations == 0.0
+        } else {
+            (devices - devices.round()).abs() < 1e-9 && devices.round() >= named.max(1) as f64
+        };
+        if !spread {
+            diffs.push(format!(
+                "iterations: journal total {} over {named} named devices vs mean {}",
+                journal.iters, self.mean_iterations
+            ));
+        }
+        diffs
+    }
+
+    /// The one run↔run check: every field but the name, floats by their
+    /// bits. Returns one line per field that differs; empty when the two
+    /// runs were the same computation (a twin topology may still name
+    /// itself differently).
+    pub fn differences(&self, other: &RunMetrics) -> Vec<String> {
+        let mut diffs = Vec::new();
+        let metric = |m: &RunMetrics| (m.metric_name.clone(), m.metric_higher_better);
+        if metric(self) != metric(other) {
+            diffs.push(format!("metric: {:?} vs {:?}", metric(self), metric(other)));
+        }
+        for ((what, a), (_, b)) in self.series().into_iter().zip(other.series()) {
+            if let Some(i) = (0..a.len().max(b.len())).find(|&i| a.get(i) != b.get(i)) {
+                let (m, n) = (a.len(), b.len());
+                diffs.push(format!("{what}: {m} vs {n}, first difference at {i}"));
+            }
+        }
+        for ((what, x), (_, y)) in self.scalars().into_iter().zip(other.scalars()) {
+            if x.to_bits() != y.to_bits() {
+                diffs.push(format!("{what}: {x} vs {y}"));
+            }
+        }
+        diffs
+    }
+
+    /// The checkpoints and micro samples, each entry as its count and
+    /// the bits of its floats.
+    fn series(&self) -> [(&'static str, Vec<[u64; 4]>); 2] {
+        let bits = |n, [a, b, c]: [f64; 3]| [n, a.to_bits(), b.to_bits(), c.to_bits()];
+        let ck = |c: &Checkpoint| bits(c.iter, [c.time, c.metric, c.energy_j]);
+        let mi =
+            |s: &MicroSample| bits(s.staleness, [s.time, s.bandwidth_bps, s.transmission_rate]);
+        [
+            ("checkpoints", self.checkpoints.iter().map(ck).collect()),
+            ("micro", self.micro.iter().map(mi).collect()),
+        ]
+    }
+
+    /// Every scalar field, named.
+    fn scalars(&self) -> [(&'static str, f64); 14] {
+        let c = self.composition;
+        [
+            ("composition.compute", c.compute),
+            ("composition.communicate", c.communicate),
+            ("composition.stall", c.stall),
+            ("composition.offline", c.offline),
+            ("mean_iterations", self.mean_iterations),
+            ("duration", self.duration),
+            ("total_energy_j", self.total_energy_j),
+            ("useful_bytes", self.useful_bytes),
+            ("wasted_bytes", self.wasted_bytes),
+            ("lost_bytes", self.lost_bytes),
+            ("corrupt_bytes", self.corrupt_bytes),
+            ("stall_secs", self.stall_secs),
+            ("offline_secs", self.offline_secs),
+            ("final_model_divergence", self.final_model_divergence),
+        ]
+    }
+}
+
 /// Channel byte accounting handed to [`RunRecord::finish`]:
 /// each class from the channel's conservation identity
 /// `useful + wasted + lost + corrupt == offered`.
@@ -183,14 +290,11 @@ impl RunRecord {
         }
     }
 
-    /// Whether worker `w`'s timeline can take a record at `t`: finite
-    /// and not before its open span. What a peer streams is checked
-    /// against this before it is recorded.
+    /// Whether worker `w`'s timeline can take a record at `t`
+    /// ([`Timeline::admits`]). What a peer streams is checked against
+    /// this before it is recorded.
     pub fn admits(&self, w: usize, t: Time) -> bool {
-        t.is_finite()
-            && self.timelines[w - self.first]
-                .open_since()
-                .is_none_or(|since| t >= since)
+        self.timelines[w - self.first].admits(t)
     }
 
     /// Worker `w` enters `state` at `t`. Journaled, and `true`, only when
@@ -304,22 +408,15 @@ impl RunRecord {
         }
 
         let mean_iterations = iters as f64 / self.iterations.len() as f64;
-        let composition = if iters == 0 {
-            TimeComposition::default()
-        } else {
-            let sum = |s: DeviceState| {
-                (timelines.iter().map(|t| t.time_in(s)).sum::<f64>() / iters as f64).max(0.0)
-            };
-            TimeComposition {
-                compute: sum(DeviceState::Compute),
-                communicate: sum(DeviceState::Communicate),
-                stall: sum(DeviceState::Stall),
-                offline: sum(DeviceState::Offline),
-            }
+        let per = |s: DeviceState| per_iteration(timelines, s, iters);
+        let composition = TimeComposition {
+            compute: per(DeviceState::Compute),
+            communicate: per(DeviceState::Communicate),
+            stall: per(DeviceState::Stall),
+            offline: per(DeviceState::Offline),
         };
-        let residency = |s: DeviceState| timelines.iter().map(|t| t.time_in(s)).sum::<f64>();
-        let stall_secs = residency(DeviceState::Stall);
-        let offline_secs = residency(DeviceState::Offline);
+        let stall_secs = residency(timelines, DeviceState::Stall);
+        let offline_secs = residency(timelines, DeviceState::Offline);
 
         RunMetrics {
             name: self.name,
@@ -347,7 +444,6 @@ mod tests {
     use super::*;
     use crate::config::ModelScale;
     use proptest::prelude::*;
-    use rog_obs::TraceSummary;
 
     /// A record over `n` workers, the last `laptops` of them laptops.
     fn open(n: usize, laptops: usize, journal: &mut Journal) -> RunRecord {
@@ -438,8 +534,9 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         /// Any calls on any devices (repeated states, zero-length spans,
-        /// calls after `close`, spans open at or past the end) journal a
-        /// frame that replays to the assembled composition bit for bit.
+        /// calls after `close`, spans open at or past the end, devices
+        /// that never take a state) journal a frame that reconciles with
+        /// the assembled metrics.
         #[test]
         fn the_journal_replays_to_the_assembled_composition(
             n in 2usize..5,
@@ -468,12 +565,7 @@ mod tests {
             }
             let m = r.finish(f64::from(end) * 0.3, ByteAccount::default(), 0.0, &mut journal);
             let summary = TraceSummary::from_jsonl(&journal.to_jsonl()).expect("parses");
-            let c = m.composition;
-            let bits = |v: [f64; 4]| v.map(f64::to_bits);
-            prop_assert_eq!(
-                bits(summary.composition()),
-                bits([c.compute, c.communicate, c.stall, c.offline])
-            );
+            prop_assert_eq!(m.reconcile(&summary), Vec::<String>::new());
             prop_assert_eq!(summary.iters, iters);
         }
     }

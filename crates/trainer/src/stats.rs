@@ -108,7 +108,7 @@ mod tests {
         };
         let runs = [run(1), run(2)];
         assert_ne!(runs[0].checkpoints, runs[1].checkpoints);
-        assert_eq!(runs[0].checkpoints, run(1).checkpoints);
+        assert_eq!(runs[0].differences(&run(1)), Vec::<String>::new());
         let it = iterations(&runs);
         assert_eq!(it.n, 2);
         assert!(it.mean > 0.0);

@@ -72,8 +72,10 @@ const MAX_PARAMS: u64 = 1 << 28;
 /// cycle itself.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TraceEv {
-    /// Device state change; index into `rog-obs`'s `STATE_NAMES`
-    /// (compute=0, communicate=1, stall=2, idle=3, offline=4).
+    /// Device state change; index into `rog-sim`'s `DeviceState::ALL`
+    /// (compute=0, communicate=1, stall=2, idle=3, offline=4), the
+    /// states the server's timeline for the worker takes and a journal
+    /// replay rebuilds.
     State(u8),
     /// Iteration `iter` started computing.
     IterBegin(u64),

@@ -121,31 +121,13 @@ pub fn scenario_matrix() -> Vec<(&'static str, ExperimentConfig)> {
     out
 }
 
-/// Asserts two runs are observably identical: bit-exact byte counters,
-/// equal checkpoints, and byte-equal serialized JSON reports.
+/// Asserts two runs are observably identical: the same name, no field
+/// that differs (`RunMetrics::differences`), and byte-equal serialized
+/// JSON reports.
 pub fn assert_identical_runs(a: &RunMetrics, b: &RunMetrics, what: &str) {
     assert_eq!(a.name, b.name, "name differs: {what}");
-    assert_eq!(a.checkpoints, b.checkpoints, "checkpoints differ: {what}");
-    assert_eq!(
-        a.mean_iterations, b.mean_iterations,
-        "iterations differ: {what}"
-    );
-    assert_eq!(a.total_energy_j, b.total_energy_j, "energy differs: {what}");
-    assert_eq!(
-        a.useful_bytes.to_bits(),
-        b.useful_bytes.to_bits(),
-        "useful bytes differ: {what}"
-    );
-    assert_eq!(
-        a.wasted_bytes.to_bits(),
-        b.wasted_bytes.to_bits(),
-        "wasted bytes differ: {what}"
-    );
-    assert_eq!(
-        a.lost_bytes.to_bits(),
-        b.lost_bytes.to_bits(),
-        "lost bytes differ: {what}"
-    );
+    let diffs = a.differences(b);
+    assert!(diffs.is_empty(), "{what}: {}", diffs.join("; "));
     assert_eq!(
         runs_to_json(std::slice::from_ref(a)),
         runs_to_json(std::slice::from_ref(b)),

@@ -69,10 +69,7 @@ fn identical_seeds_reproduce_bitwise() {
         };
         let a = cfg.options().run().metrics;
         let b = cfg.options().run().metrics;
-        assert_eq!(a.checkpoints, b.checkpoints, "{}", strategy.name());
-        assert_eq!(a.mean_iterations, b.mean_iterations);
-        assert_eq!(a.total_energy_j, b.total_energy_j);
-        assert_eq!(a.useful_bytes, b.useful_bytes);
+        common::assert_identical_runs(&a, &b, &strategy.name());
     }
 }
 

@@ -485,6 +485,5 @@ fn replayed_traces_reproduce_generated_runs() {
     .options()
     .run()
     .metrics;
-    assert_eq!(replayed.checkpoints, reference.checkpoints);
-    assert_eq!(replayed.mean_iterations, reference.mean_iterations);
+    assert_eq!(replayed.differences(&reference), Vec::<String>::new());
 }

@@ -237,3 +237,49 @@ fn a_voided_compute_timer_never_fires_in_place_of_the_rearmed_one() {
         );
     }
 }
+
+/// Both window kinds report each refusal in their own words, checks in
+/// order: a bad span before a bad rate before an overlap.
+#[test]
+fn window_refusals_keep_their_messages() {
+    let plan = FaultPlan::new()
+        .worker_offline(1, 10.0, 20.0)
+        .link_loss(2, 10.0, 20.0, 0.5);
+    let kind = rog::fault::FaultKind::WorkerOffline(1);
+    let fault = |start, end| rog::fault::FaultWindow { kind, start, end };
+    let loss = |start, end, rate| rog::fault::LossWindow {
+        link: 2,
+        start,
+        end,
+        rate,
+    };
+    let mut p = plan.clone();
+    let mut refused = |w| p.try_push(w).unwrap_err().message().to_owned();
+    assert_eq!(refused(fault(f64::NAN, 1.0)), "non-finite window [NaN, 1)");
+    assert_eq!(refused(fault(-1.0, 1.0)), "window starts before t=0 (-1)");
+    assert_eq!(refused(fault(3.0, 3.0)), "empty or inverted window [3, 3)");
+    assert_eq!(
+        refused(fault(15.0, 25.0)),
+        "window [15, 25) overlaps [10, 20) of the same kind WorkerOffline(1)"
+    );
+    let mut p = plan;
+    let mut refused = |w| p.try_push_loss(w).unwrap_err().message().to_owned();
+    let inf = f64::INFINITY;
+    assert_eq!(
+        refused(loss(0.0, inf, 2.0)),
+        "non-finite loss window [0, inf)"
+    );
+    assert_eq!(
+        refused(loss(-2.0, 1.0, 0.5)),
+        "loss window starts before t=0 (-2)"
+    );
+    assert_eq!(
+        refused(loss(5.0, 4.0, 2.0)),
+        "empty or inverted loss window [5, 4)"
+    );
+    assert_eq!(refused(loss(15.0, 25.0, 2.0)), "loss rate out of [0, 1]: 2");
+    assert_eq!(
+        refused(loss(15.0, 25.0, 0.5)),
+        "loss window [15, 25) overlaps [10, 20) on link 2"
+    );
+}

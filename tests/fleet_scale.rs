@@ -6,72 +6,12 @@
 
 mod common;
 
-use common::{fleet_cluster_cfg, scenario_matrix};
+use common::{assert_identical_runs, fleet_cluster_cfg, scenario_matrix};
+use rog::fuzz::flat_twin_journal;
 use rog::prelude::*;
 
 fn traced(cfg: &ExperimentConfig) -> RunOutcome {
     cfg.options().traced(true).run()
-}
-
-/// Removes the `"seq":N,` field from one journal line: aggregator
-/// merge records consume sequence numbers, shifting every later
-/// record's `seq` without changing anything else.
-fn without_seq(line: &str) -> String {
-    let Some(i) = line.find("\"seq\":") else {
-        return line.to_owned();
-    };
-    let Some(j) = line[i..].find(',') else {
-        return line.to_owned();
-    };
-    format!("{}{}", &line[..i], &line[i + j + 1..])
-}
-
-/// Normalizes a hierarchical journal for comparison against its flat
-/// twin: drop `agg_merge` records, drop the shifted `seq` counters,
-/// and erase the `+agg{n}` segment from the run name in the header.
-fn normalized(journal: &str, aggs: usize) -> String {
-    journal
-        .replace(&format!("+agg{aggs}"), "")
-        .lines()
-        .filter(|l| !l.contains("\"ev\":\"agg_merge\""))
-        .map(without_seq)
-        .collect::<Vec<_>>()
-        .join("\n")
-}
-
-/// Bit-exact equality of every engine-reported metric except the run
-/// name (which legitimately differs by the `+agg{n}` segment).
-fn assert_same_run_modulo_name(flat: &RunMetrics, hier: &RunMetrics, what: &str) {
-    assert_eq!(flat.checkpoints, hier.checkpoints, "checkpoints: {what}");
-    assert_eq!(
-        flat.mean_iterations, hier.mean_iterations,
-        "iterations: {what}"
-    );
-    assert_eq!(flat.total_energy_j, hier.total_energy_j, "energy: {what}");
-    assert_eq!(
-        flat.useful_bytes.to_bits(),
-        hier.useful_bytes.to_bits(),
-        "useful bytes: {what}"
-    );
-    assert_eq!(
-        flat.wasted_bytes.to_bits(),
-        hier.wasted_bytes.to_bits(),
-        "wasted bytes: {what}"
-    );
-    assert_eq!(
-        flat.lost_bytes.to_bits(),
-        hier.lost_bytes.to_bits(),
-        "lost bytes: {what}"
-    );
-    assert_eq!(
-        flat.stall_secs.to_bits(),
-        hier.stall_secs.to_bits(),
-        "stall: {what}"
-    );
-    assert_eq!(
-        flat.final_model_divergence, hier.final_model_divergence,
-        "divergence: {what}"
-    );
 }
 
 /// The aggregator tier is pure accounting: for every ROG scenario in
@@ -95,7 +35,9 @@ fn hierarchical_topology_is_observationally_inert() {
                 hier.metrics.name.contains(&format!("+agg{aggs}")),
                 "hierarchical run is not labeled: {what}"
             );
-            assert_same_run_modulo_name(&flat.metrics, &hier.metrics, &what);
+            // Every metric but the name, which carries `+agg{n}`.
+            let diffs = flat.metrics.differences(&hier.metrics);
+            assert_eq!(diffs, Vec::<String>::new(), "{what}");
             assert!(
                 hier.stats.agg_flushes > 0,
                 "no merge windows flushed: {what}"
@@ -107,8 +49,8 @@ fn hierarchical_topology_is_observationally_inert() {
             let flat_j = flat.journal.as_ref().expect("traced").to_jsonl();
             let hier_j = hier.journal.as_ref().expect("traced").to_jsonl();
             assert_eq!(
-                normalized(&flat_j, aggs),
-                normalized(&hier_j, aggs),
+                flat_twin_journal(&flat_j, aggs),
+                flat_twin_journal(&hier_j, aggs),
                 "journal differs beyond aggregator records: {what}"
             );
         }
@@ -129,8 +71,7 @@ fn fleet_256_is_deterministic() {
     assert!(base.stats.peak_version_bytes > 0);
     let again = traced(&cfg);
     assert_eq!(base.stats, again.stats, "fleet stats differ on replay");
-    assert_same_run_modulo_name(&base.metrics, &again.metrics, "256 workers, replay");
-    assert_eq!(base.metrics.name, again.metrics.name);
+    assert_identical_runs(&base.metrics, &again.metrics, "256 workers, replay");
     assert_eq!(
         base_journal,
         again.journal.as_ref().expect("traced").to_jsonl(),
@@ -202,11 +143,8 @@ mod proptests {
             };
             let f = flat.options().run();
             let h = hier.options().run();
-            assert_same_run_modulo_name(
-                &f.metrics,
-                &h.metrics,
-                &format!("w={workers} a={aggs} t={threshold} seed={seed}"),
-            );
+            let what = format!("w={workers} a={aggs} t={threshold} seed={seed}");
+            prop_assert_eq!(f.metrics.differences(&h.metrics), Vec::<String>::new(), "{}", what);
             prop_assert_eq!(f.stats.sim_events, h.stats.sim_events);
             prop_assert_eq!(f.stats.queue_scheduled, h.stats.queue_scheduled);
             prop_assert_eq!(f.stats.peak_version_bytes, h.stats.peak_version_bytes);

@@ -1,19 +1,15 @@
-//! The event journal must reconcile with `RunMetrics`: the composition
-//! a `TraceSummary` replays from the journal is *bitwise* identical to
-//! the one the metrics collector reports, residency sums conserve wall
-//! time within 1e-9, and turning tracing on never perturbs the run.
+//! The event journal must reconcile with `RunMetrics`: a `TraceSummary`
+//! rebuilds the run record's own `Timeline`s from the journal, so
+//! `RunMetrics::reconcile` finds the two views *bitwise* equal; residency
+//! sums conserve wall time within 1e-9, and turning tracing on never
+//! perturbs the run.
 
 mod common;
 
 use common::{assert_identical_runs, small_cluster_cfg, EPS};
 use rog::obs::TraceSummary;
 use rog::prelude::*;
-
-/// Composition comparisons are bitwise: the summary replay mirrors the
-/// timeline float arithmetic op-for-op, so any drift is a bug.
-fn assert_bits(a: f64, b: f64, what: &str) {
-    assert_eq!(a.to_bits(), b.to_bits(), "{what}: {a} != {b}");
-}
+use rog::sim::DeviceState;
 
 /// The scenario matrix: every strategy on the shared small cluster,
 /// plus a faulted and a lossy variant exercising offline residency and
@@ -75,35 +71,8 @@ fn journal_composition_reconciles_bitwise_with_run_metrics() {
         let (m, journal) = (out.metrics, out.journal.expect("traced run"));
         let s = TraceSummary::from_jsonl(&journal.to_jsonl())
             .unwrap_or_else(|e| panic!("{name}: journal does not parse: {e}"));
-        let comp = s.composition();
-        assert_bits(comp[0], m.composition.compute, &format!("{name} compute"));
-        assert_bits(
-            comp[1],
-            m.composition.communicate,
-            &format!("{name} communicate"),
-        );
-        assert_bits(comp[2], m.composition.stall, &format!("{name} stall"));
-        assert_bits(comp[3], m.composition.offline, &format!("{name} offline"));
-        // The cluster-total gauges are the same sums in the same order.
-        assert_bits(
-            s.cluster_residency(2),
-            m.stall_secs,
-            &format!("{name} stall_secs"),
-        );
-        assert_bits(
-            s.cluster_residency(4),
-            m.offline_secs,
-            &format!("{name} offline_secs"),
-        );
-        assert_bits(s.duration, m.duration, &format!("{name} duration"));
-        // run_end carries total iterations; metrics report the mean.
-        assert!(
-            (s.iters as f64 / s.n_devices as f64 - m.mean_iterations).abs() < EPS,
-            "{name}: {} iters over {} devices vs mean {}",
-            s.iters,
-            s.n_devices,
-            m.mean_iterations
-        );
+        let diffs = m.reconcile(&s);
+        assert!(diffs.is_empty(), "{name}: {}", diffs.join("; "));
     }
 }
 
@@ -116,8 +85,8 @@ fn residency_conserves_wall_time() {
         // Every device's five state residencies tile its whole timeline:
         // no gaps, so the sum covers at least the run duration.
         let mut total_wall = 0.0;
-        for (w, res) in s.residency.iter().enumerate() {
-            let sum: f64 = res.iter().sum();
+        for (w, tl) in s.timelines.iter().enumerate() {
+            let sum: f64 = DeviceState::ALL.iter().map(|&st| tl.time_in(st)).sum();
             assert!(
                 sum >= m.duration - EPS,
                 "{name}: device {w} residency {sum} < duration {}",
@@ -129,9 +98,9 @@ fn residency_conserves_wall_time() {
         // per-iteration composition, scaled back up) plus idle equals
         // total wall time within 1e-9 per device.
         let busy: f64 = s.composition().iter().sum::<f64>() * s.iters as f64;
-        let idle = s.cluster_residency(3);
+        let idle = s.cluster_residency(DeviceState::Idle);
         assert!(
-            (busy + idle - total_wall).abs() < EPS * s.n_devices as f64,
+            (busy + idle - total_wall).abs() < EPS * s.timelines.len() as f64,
             "{name}: busy {busy} + idle {idle} != wall {total_wall}"
         );
     }
@@ -159,7 +128,7 @@ fn event_pairings_are_balanced() {
         assert!(n("iter_begin") >= n("iter_end"), "{name}: begin < end");
         assert_eq!(n("meta"), 1, "{name}");
         assert_eq!(n("run_end"), 1, "{name}");
-        assert_eq!(n("close") as usize, s.n_devices, "{name}");
+        assert_eq!(n("close") as usize, s.timelines.len(), "{name}");
     }
 }
 
@@ -173,5 +142,53 @@ fn tracing_never_perturbs_the_run() {
         let (traced, journal) = (out.metrics, out.journal.expect("traced run"));
         assert!(!journal.to_jsonl().is_empty(), "journal must be non-empty");
         assert_identical_runs(&plain, &traced, "trace on vs off");
+    }
+}
+
+/// Both checks name each field that disagrees, by its bits: `==` holds
+/// between -0 and +0 (an empty residency sums to -0), they do not.
+#[test]
+fn the_checks_name_what_disagrees() {
+    let mut cfg = small_cluster_cfg(Strategy::Rog { threshold: 4 });
+    cfg.record_micro = true;
+    let out = cfg.options().traced(true).run();
+    let (m, journal) = (out.metrics, out.journal.expect("traced run"));
+    let s = TraceSummary::from_jsonl(&journal.to_jsonl()).expect("parses");
+    let name = "a twin".to_owned();
+    let mut other = RunMetrics { name, ..m.clone() };
+    assert_eq!(m.differences(&other), Vec::<String>::new());
+    other.offline_secs = -m.offline_secs;
+    other.mean_iterations += 0.3;
+    other.checkpoints[0].metric += 1.0;
+    other.micro.pop();
+    let diffs = m.differences(&other);
+    let fields: Vec<&str> = diffs.iter().filter_map(|d| d.split(':').next()).collect();
+    let want = ["checkpoints", "micro", "mean_iterations", "offline_secs"];
+    assert_eq!(fields, want, "{diffs:?}");
+    let diffs = other.reconcile(&s);
+    assert_eq!(diffs.len(), 2, "{diffs:?}");
+    assert_eq!(diffs[0], "offline_secs: journal -0 vs metrics 0");
+    assert!(
+        diffs[1].starts_with("iterations: journal total"),
+        "{diffs:?}"
+    );
+}
+
+/// A `state` or `close` record its device's timeline cannot take —
+/// before the open span, or at a non-finite time (`1e999` parses to
+/// +inf) — is refused with its line, not dropped or summed.
+#[test]
+fn a_record_the_timeline_cannot_take_is_refused_with_its_line() {
+    let open = "{\"t\":2.0,\"ev\":\"state\",\"w\":1,\"state\":\"compute\"}\n";
+    assert!(TraceSummary::from_jsonl(open).is_ok());
+    for t in ["1.0", "1e999", "-1e999"] {
+        for (ev, rest) in [("state", ",\"state\":\"stall\""), ("close", "")] {
+            let text = format!("{open}{{\"t\":{t},\"ev\":\"{ev}\",\"w\":1{rest}}}\n");
+            let err = TraceSummary::from_jsonl(&text).unwrap_err();
+            assert!(
+                err.starts_with(&format!("line 2: {ev} at t=")),
+                "{t}: {err}"
+            );
+        }
     }
 }

@@ -95,23 +95,12 @@ fn run_cluster(
 }
 
 /// The journal replay and the metrics collector see the same
-/// timelines, so composition must match bit for bit.
+/// timelines, so the two views reconcile bit for bit.
 fn assert_journal_replays_to_metrics(live: &RunOutcome) {
     let journal = live.journal.as_ref().expect("traced run has a journal");
     let summary = TraceSummary::from_jsonl(&journal.to_jsonl()).expect("journal parses");
-    let c = &live.metrics.composition;
-    for (i, (replayed, reported)) in summary
-        .composition()
-        .iter()
-        .zip([c.compute, c.communicate, c.stall, c.offline])
-        .enumerate()
-    {
-        assert_eq!(
-            replayed.to_bits(),
-            reported.to_bits(),
-            "journal/metrics composition[{i}] diverged: {replayed} vs {reported}"
-        );
-    }
+    let diffs = live.metrics.reconcile(&summary);
+    assert!(diffs.is_empty(), "journal/metrics: {}", diffs.join("; "));
 }
 
 #[test]

@@ -25,20 +25,25 @@ fn bench_compression(c: &mut Criterion) {
     let mut g = c.benchmark_group("compression");
     let mut rng = DetRng::new(1);
     // 16384 cols = 256 packed u64 words: makes the word-at-a-time
-    // pack/unpack throughput visible above the per-call overhead.
-    for &cols in &[64usize, 512, 4096, 16_384] {
+    // pack/unpack throughput visible above the per-call overhead. 40,
+    // 80 and 112 are the CRUDA widths the workloads run, for the
+    // error-feedback steps only.
+    for &cols in &[40usize, 64, 80, 112, 512, 4096, 16_384] {
         let row: Vec<f32> = (0..cols).map(|_| rng.normal() as f32).collect();
-        g.bench_with_input(BenchmarkId::new("onebit_encode", cols), &row, |b, row| {
-            b.iter(|| CompressedRow::encode(black_box(row)))
-        });
-        let code = CompressedRow::encode(&row);
-        g.bench_with_input(BenchmarkId::new("onebit_decode", cols), &code, |b, code| {
-            b.iter(|| black_box(code).decompress())
-        });
-        let mut ef = CodecState::new(&[cols], 0);
-        g.bench_with_input(BenchmarkId::new("error_feedback", cols), &row, |b, row| {
-            b.iter(|| ef.compress(&OneBitCodec, 0, black_box(row)))
-        });
+        let cruda = matches!(cols, 40 | 80 | 112);
+        if !cruda {
+            g.bench_with_input(BenchmarkId::new("onebit_encode", cols), &row, |b, row| {
+                b.iter(|| CompressedRow::encode(black_box(row)))
+            });
+            let code = CompressedRow::encode(&row);
+            g.bench_with_input(BenchmarkId::new("onebit_decode", cols), &code, |b, code| {
+                b.iter(|| black_box(code).decompress())
+            });
+            let mut ef = CodecState::new(&[cols], 0);
+            g.bench_with_input(BenchmarkId::new("error_feedback", cols), &row, |b, row| {
+                b.iter(|| ef.compress(&OneBitCodec, 0, black_box(row)))
+            });
+        }
         // What the commit paths run: the same step, restored values
         // into a caller buffer, no code.
         let mut ef = CodecState::new(&[cols], 0);
@@ -59,6 +64,9 @@ fn bench_compression(c: &mut Criterion) {
                 out[0]
             })
         });
+        if cruda {
+            continue;
+        }
         g.bench_with_input(BenchmarkId::new("sized_sparse", cols), &row, |b, row| {
             b.iter(|| ef.planned_payload_bytes(&SparseDeltaCodec, 0, black_box(row)))
         });

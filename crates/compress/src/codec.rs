@@ -34,6 +34,7 @@ use rog_tensor::rng::DetRng;
 
 use std::cell::RefCell;
 
+use crate::lanes::exact_sums;
 use crate::onebit::{class_scale, level, restore_in_place, CompressedRow};
 
 /// Length in bytes of `v` as an LEB128 varint.
@@ -342,9 +343,13 @@ struct SparseScan {
 
 impl SparseScan {
     /// Two passes over `row`: the mean, then the selection.
-    /// Deterministic: pure thresholding, no randomization.
+    /// Deterministic: pure thresholding, no randomization. The mean's
+    /// sum is the exact total of the two class sums where their gate
+    /// holds, which is the element-order chain's own value.
     fn of(row: &[f32]) -> Self {
-        let mean = row.iter().map(|v| f64::from(v.abs())).sum::<f64>() / row.len() as f64;
+        let serial = || row.iter().map(|v| f64::from(v.abs())).sum::<f64>();
+        let total = exact_sums(row).map_or_else(serial, |(pos, neg)| pos + neg);
+        let mean = total / row.len() as f64;
         let mut scan = Self {
             tau: SPARSE_THRESHOLD_FACTOR * mean,
             ..Self::default()
@@ -891,6 +896,7 @@ impl CodecState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lanes::tests::on_each_path;
     use proptest::prelude::*;
 
     fn all_codecs() -> Vec<Codec> {
@@ -1026,7 +1032,12 @@ mod tests {
         // residuals carry. Each raw row also goes through `transcode`
         // and the sizing on its own, so the shapes reach the codec
         // unblurred by a residual. NaN and ±Inf rows skip the
-        // quantizers (they divide by the row maximum).
+        // quantizers (they divide by the row maximum). All of it over
+        // the portable path and the AVX2 class sums.
+        on_each_path(every_rung_steps_on);
+    }
+
+    fn every_rung_steps_on(path: &str) {
         use crate::onebit::reference::{decompress_per_bit, encode_per_bit};
         for codec in all_codecs() {
             let onebit = codec == Codec::OneBit(OneBitCodec);
@@ -1037,7 +1048,7 @@ mod tests {
                 &[None]
             };
             for (&special, w) in specials.iter().flat_map(|s| (0..=200).map(move |w| (s, w))) {
-                let what = format!("{} width {w} special {special:?}", codec.name());
+                let what = format!("{path}: {} width {w} special {special:?}", codec.name());
                 let mut residual = vec![0.0f32; w];
                 let mut ref_rng = DetRng::new(42);
                 let mut fused = CodecState::new(&[3, w], 42);
@@ -1406,6 +1417,66 @@ mod tests {
         let planned = state.planned_payload_bytes(&codec, 0, &spiky);
         let code = state.compress(&codec, 0, &spiky);
         assert_eq!(planned, code.payload_bytes());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(400))]
+
+        /// Magnitudes `2^x`, `x` uniform over a window of up to 64
+        /// octaves between subnormal and 2^100 (every other one in the
+        /// window's top octave when `top`, which drives the sums to the
+        /// exactness gate's bound), with one NaN, +Inf or -Inf or a
+        /// third of the values `±0.0` planted by `special`: rows on both
+        /// sides of the gate. Where the lanes run they must give the
+        /// serial chain's `f64` sums, and the one-bit and sparse rungs
+        /// must match their spelled-out references on either path.
+        #[test]
+        fn prop_exact_lanes_keep_the_serial_bits(
+            len in 1usize..200,
+            window in (-152.0f64..36.0, 0.0f64..64.0),
+            top in proptest::bool::ANY,
+            special in 0u8..10,
+            seed in 0u64..u64::MAX,
+        ) {
+            use crate::onebit::reference::{decompress_per_bit, encode_per_bit};
+            use crate::onebit::serial_sums;
+            let ((lo, spread), mut rng) = (window, DetRng::new(seed));
+            let mut row: Vec<f32> = (0..len)
+                .map(|i| {
+                    let x = match top && i % 2 == 0 {
+                        true => lo + spread - rng.uniform() * spread.min(1.0),
+                        false => lo + spread * rng.uniform(),
+                    };
+                    2f64.powf(x) as f32 * if rng.chance(0.5) { -1.0 } else { 1.0 }
+                })
+                .collect();
+            let at = rng.index(len);
+            match special {
+                0..=2 => row[at] = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY][special as usize],
+                3 => row.iter_mut().step_by(3).for_each(|v| *v *= 0.0),
+                _ => {}
+            }
+            on_each_path(|path| {
+                let sums = |(p, n): (f64, f64)| (p.to_bits(), n.to_bits());
+                if let Some(exact) = crate::lanes::exact_sums(&row) {
+                    assert_eq!(sums(exact), sums(serial_sums(&row)), "{path}: {row:?}");
+                }
+                let want = encode_per_bit(&row);
+                let code = CompressedRow::encode(&row);
+                let scales = |c: &CompressedRow| bits(&[c.scale_pos, c.scale_neg]);
+                assert_eq!(scales(&code), scales(&want), "{path}: {row:?}");
+                assert_eq!(code.bits, want.bits, "{path}");
+                let mut restored = row.clone();
+                OneBitCodec.transcode(&mut restored, &mut DetRng::new(0));
+                assert_eq!(bits(&restored), bits(&decompress_per_bit(&want)), "{path}");
+                let lists = encode_with_lists(&row);
+                let mut sparse = row.clone();
+                SparseDeltaCodec.transcode(&mut sparse, &mut DetRng::new(0));
+                assert_eq!(bits(&sparse), bits(&lists.decompress()), "{path}: {row:?}");
+                let sized = SparseDeltaCodec.sized_payload_bytes(&row);
+                assert_eq!(sized, lists.payload_bytes(), "{path}");
+            });
+        }
     }
 
     proptest! {

@@ -33,11 +33,18 @@
 //!     assert!((restored[i] + ef.residual(0)[i] - g[i]).abs() < 1e-6);
 //! }
 //! ```
+//!
+//! The crate's only `unsafe` is the call of the one-bit kernel's AVX2
+//! class sums, made only where `is_x86_feature_detected!("avx2")`
+//! holds, and only for a row whose sums no grouping can round: the
+//! lanes then give the serial chain's bits (the proof is `lanes.rs`'s
+//! module doc). `fma` is not enabled.
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 mod codec;
+mod lanes;
 mod onebit;
 
 pub use codec::{

@@ -1,5 +1,7 @@
 //! One-bit sign compression with per-row error feedback.
 
+use crate::lanes::exact_sums;
+
 /// A one-bit-compressed row: one sign bit per value plus two scales.
 ///
 /// Values flagged positive decompress to `scale_pos`, the rest to
@@ -18,28 +20,42 @@ pub struct CompressedRow {
     pub cols: usize,
 }
 
-/// Pass A of the one sign-and-scale kernel: the running per-class
-/// magnitude sums of a row, fed a word of up to 64 values at a time in
-/// row order.
+/// Pass A of the one sign-and-scale kernel, the one place both
+/// [`restore_in_place`] and [`CompressedRow::encode`] take their scales
+/// from: `(scale_pos, scale_neg)` of `row`, `pos_n` of whose values are
+/// in the positive class.
+fn scales(row: &[f32], pos_n: u32) -> (f32, f32) {
+    let (pos_sum, neg_sum) = exact_sums(row).unwrap_or_else(|| serial_sums(row));
+    (
+        class_scale(pos_sum, pos_n),
+        class_scale(neg_sum, row.len() as u32 - pos_n),
+    )
+}
+
+/// The sign word of `chunk` (at most 64 values): bit `b` set when value
+/// `b` is in the positive class, `v >= 0.0`, so `-0.0` decodes to
+/// `scale_pos` and NaN to `-scale_neg`.
+#[inline(always)]
+fn sign_word(chunk: &[f32]) -> u64 {
+    let mut word = 0u64;
+    for (b, &v) in chunk.iter().enumerate() {
+        word |= u64::from(v >= 0.0) << b;
+    }
+    word
+}
+
+/// Each sign class's magnitude sum as one serial `f64` chain in row
+/// order: what every row that fails [`exact_sums`]'s gate, and every
+/// row on a CPU without AVX2, runs.
 ///
 /// Each value adds its magnitude to its own class's sum and `+0.0` to
 /// the other's, so the add chains carry no data-dependent branch. The
 /// result is bit-identical to summing each class on its own: a sum that
 /// starts at `+0.0` and only ever takes non-negative terms (or NaN) can
 /// never be `-0.0`, and `x + 0.0 == x` exactly for every other `x`.
-#[derive(Default)]
-struct ClassSums {
-    pos_sum: f64,
-    neg_sum: f64,
-    pos_n: u32,
-}
-
-impl ClassSums {
-    /// Accounts `chunk` (at most 64 values) and returns its sign word,
-    /// bit `b` set when value `b` is in the positive class: `v >= 0.0`,
-    /// so `-0.0` decodes to `scale_pos` and NaN to `-scale_neg`.
-    #[inline(always)]
-    fn add(&mut self, chunk: &[f32]) -> u64 {
+pub(crate) fn serial_sums(row: &[f32]) -> (f64, f64) {
+    let (mut pos_sum, mut neg_sum) = (0.0f64, 0.0f64);
+    for chunk in row.chunks(64) {
         // The two terms of every value are staged first: that loop has
         // no carried dependency, so it compiles to vector selects,
         // where the same selects inside the add chain compile to a
@@ -50,25 +66,11 @@ impl ClassSums {
             *n = if v >= 0.0 { 0.0 } else { -v };
         }
         for (p, n) in pos.iter().zip(&neg).take(chunk.len()) {
-            self.pos_sum += f64::from(*p);
-            self.neg_sum += f64::from(*n);
+            pos_sum += f64::from(*p);
+            neg_sum += f64::from(*n);
         }
-        let mut word = 0u64;
-        for (b, &v) in chunk.iter().enumerate() {
-            word |= u64::from(v >= 0.0) << b;
-        }
-        self.pos_n += word.count_ones();
-        word
     }
-
-    /// `(scale_pos, scale_neg)` of the `cols` values seen: each class's
-    /// mean magnitude, 0 for an empty class.
-    fn scales(&self, cols: usize) -> (f32, f32) {
-        (
-            class_scale(self.pos_sum, self.pos_n),
-            class_scale(self.neg_sum, cols as u32 - self.pos_n),
-        )
-    }
+    (pos_sum, neg_sum)
 }
 
 /// A sign class's reconstruction scale: the mean of its `n` magnitudes,
@@ -95,11 +97,8 @@ pub(crate) fn level(positive: bool, scale_pos: f32, scale_neg: f32) -> f32 {
 /// `CompressedRow::encode(row).decompress()` without the code: pass A
 /// over the values, pass B writing the two levels back.
 pub(crate) fn restore_in_place(row: &mut [f32]) {
-    let mut sums = ClassSums::default();
-    for chunk in row.chunks(64) {
-        sums.add(chunk);
-    }
-    let (scale_pos, scale_neg) = sums.scales(row.len());
+    let pos_n = row.iter().filter(|&&v| v >= 0.0).count();
+    let (scale_pos, scale_neg) = scales(row, pos_n as u32);
     for v in row {
         *v = level(*v >= 0.0, scale_pos, scale_neg);
     }
@@ -116,12 +115,13 @@ impl CompressedRow {
     pub fn encode(row: &[f32]) -> Self {
         let cols = row.len();
         let mut bits = vec![0u8; cols.div_ceil(8)];
-        let mut sums = ClassSums::default();
+        let mut pos_n = 0;
         for (chunk, out) in row.chunks(64).zip(bits.chunks_mut(8)) {
-            let word = sums.add(chunk).to_le_bytes();
-            out.copy_from_slice(&word[..out.len()]);
+            let word = sign_word(chunk);
+            pos_n += word.count_ones();
+            out.copy_from_slice(&word.to_le_bytes()[..out.len()]);
         }
-        let (scale_pos, scale_neg) = sums.scales(cols);
+        let (scale_pos, scale_neg) = scales(row, pos_n);
         Self {
             scale_pos,
             scale_neg,
@@ -203,24 +203,28 @@ pub(crate) mod reference {
 mod tests {
     use super::reference::{decompress_per_bit, encode_per_bit};
     use super::*;
+    use crate::lanes::tests::on_each_path;
     use proptest::prelude::*;
     use rog_tensor::rng::DetRng;
 
     #[test]
     fn word_packed_codec_matches_reference_across_boundaries() {
-        // Lengths straddling the byte and word boundaries.
-        let mut rng = DetRng::new(17);
-        for cols in [0usize, 1, 7, 8, 9, 63, 64, 65, 127, 128, 129, 200] {
-            let row: Vec<f32> = (0..cols).map(|_| rng.normal() as f32).collect();
-            let fast = CompressedRow::encode(&row);
-            let reference = encode_per_bit(&row);
-            assert_eq!(fast, reference, "encode diverges at cols={cols}");
-            assert_eq!(
-                fast.decompress(),
-                decompress_per_bit(&reference),
-                "decode diverges at cols={cols}"
-            );
-        }
+        // Lengths straddling the byte and word boundaries, and the
+        // restore kernel beside the code.
+        on_each_path(|path| {
+            let mut rng = DetRng::new(17);
+            for cols in [0usize, 1, 7, 8, 9, 63, 64, 65, 127, 128, 129, 200] {
+                let row: Vec<f32> = (0..cols).map(|_| rng.normal() as f32).collect();
+                let fast = CompressedRow::encode(&row);
+                let reference = encode_per_bit(&row);
+                assert_eq!(fast, reference, "{path}: encode diverges at cols={cols}");
+                let want = decompress_per_bit(&reference);
+                assert_eq!(fast.decompress(), want, "{path}: decode at cols={cols}");
+                let mut restored = row.clone();
+                restore_in_place(&mut restored);
+                assert_eq!(restored, want, "{path}: restore at cols={cols}");
+            }
+        });
     }
 
     #[test]
@@ -266,10 +270,12 @@ mod tests {
         fn prop_word_packed_round_trips_like_reference(
             row in proptest::collection::vec(-50.0f32..50.0, 0..200),
         ) {
-            let fast = CompressedRow::encode(&row);
-            let reference = encode_per_bit(&row);
-            prop_assert_eq!(&fast, &reference);
-            prop_assert_eq!(fast.decompress(), decompress_per_bit(&reference));
+            on_each_path(|path| {
+                let fast = CompressedRow::encode(&row);
+                let reference = encode_per_bit(&row);
+                assert_eq!(&fast, &reference, "{path}");
+                assert_eq!(fast.decompress(), decompress_per_bit(&reference), "{path}");
+            });
         }
     }
 }

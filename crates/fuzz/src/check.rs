@@ -224,7 +224,7 @@ fn reconcile(m: &RunMetrics, journal: &str, faulty: bool, violations: &mut Vec<V
             s.iters
         )));
     }
-    if n("meta") != 1 || n("run_end") != 1 || n("close") as usize != s.timelines.len() {
+    if n("meta") != 1 || n("run_end") != 1 || n("close") as usize != s.devices() {
         violations.push(Violation::Reconciliation(
             "meta/run_end/close cardinality broken".to_owned(),
         ));

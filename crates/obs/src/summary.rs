@@ -26,10 +26,9 @@ pub struct TraceSummary {
     pub iters: u64,
     /// Virtual run duration in seconds (from `run_end`).
     pub duration: f64,
-    /// Each device's timeline, rebuilt from its `state` and `close`
-    /// records; indexed by worker, as many as the highest worker a
-    /// record names.
-    pub timelines: Vec<Timeline>,
+    /// The timeline of each device a `state` or `close` record names,
+    /// rebuilt from those records, by device index.
+    pub timelines: BTreeMap<u32, Timeline>,
     /// Event counts by wire name.
     pub event_counts: BTreeMap<String, u64>,
     /// Total gate wait seconds (sum of `gate_exit.waited`).
@@ -48,19 +47,21 @@ pub struct TraceSummary {
     pub lines: usize,
 }
 
-/// The timeline of the device a `state` / `close` record names, if it
-/// can take the record at `t`.
+/// The timeline of the device a `state` / `close` record names, if its
+/// `w` is a device index (a whole number in `u32` range) and its
+/// timeline can take the record at `t`.
 fn device<'a>(
-    timelines: &'a mut Vec<Timeline>,
+    timelines: &'a mut BTreeMap<u32, Timeline>,
     rec: &Record,
     t: f64,
 ) -> Result<&'a mut Timeline, String> {
     let ev = rec.ev();
-    let w = rec.num("w").ok_or_else(|| format!("{ev} without w"))? as usize;
-    if timelines.len() <= w {
-        timelines.resize_with(w + 1, Timeline::new);
+    let w = rec.num("w").ok_or_else(|| format!("{ev} without w"))?;
+    if w.fract() != 0.0 || !(0.0..=f64::from(u32::MAX)).contains(&w) {
+        return Err(format!("{ev} names device {w}, not a u32 index"));
     }
-    let tl = &mut timelines[w];
+    let w = w as u32;
+    let tl = timelines.entry(w).or_default();
     if !tl.admits(t) {
         return Err(format!(
             "{ev} at t={t} is not finite or precedes device {w}'s open span"
@@ -79,7 +80,7 @@ impl TraceSummary {
     /// time its device's timeline cannot take (non-finite, or before
     /// the open span: [`Timeline::admits`]).
     pub fn from_jsonl(text: &str) -> Result<TraceSummary, String> {
-        let mut timelines: Vec<Timeline> = Vec::new();
+        let mut timelines = BTreeMap::new();
         let mut event_counts: BTreeMap<String, u64> = BTreeMap::new();
         let mut name = String::new();
         let mut seed = 0u64;
@@ -163,9 +164,17 @@ impl TraceSummary {
         })
     }
 
+    /// One past the highest device index a record names (0 when none
+    /// does): the devices a dense, index-ordered record would hold.
+    pub fn devices(&self) -> usize {
+        self.timelines
+            .last_key_value()
+            .map_or(0, |(&w, _)| w as usize + 1)
+    }
+
     /// Cluster residency in `state`, summed over devices in index order.
     pub fn cluster_residency(&self, state: DeviceState) -> f64 {
-        residency(&self.timelines, state)
+        residency(self.timelines.values(), state)
     }
 
     /// Per-iteration composition `[compute, communicate, stall,
@@ -177,7 +186,7 @@ impl TraceSummary {
             DeviceState::Stall,
             DeviceState::Offline,
         ]
-        .map(|s| per_iteration(&self.timelines, s, self.iters))
+        .map(|s| per_iteration(self.timelines.values(), s, self.iters))
     }
 
     /// Renders the Fig.8-style per-iteration composition table.
@@ -312,6 +321,29 @@ mod tests {
         ]);
         let s = TraceSummary::from_jsonl(&text).unwrap();
         assert_eq!(s.composition(), [0.0; 4]);
+    }
+
+    #[test]
+    fn a_device_index_must_be_a_u32_and_costs_one_timeline() {
+        let text = journal_text(&[
+            (
+                0.0,
+                EventKind::State {
+                    w: 0,
+                    state: "idle",
+                },
+            ),
+            (1.0, EventKind::Close { w: 0 }),
+        ]);
+        let naming = |w: &str| text.replace("\"w\":0", &format!("\"w\":{w}"));
+        for w in ["1e20", "-1", "0.5", "4294967296"] {
+            let err = TraceSummary::from_jsonl(&naming(w)).unwrap_err();
+            assert!(err.starts_with("line 1: state names device"), "{w}: {err}");
+        }
+        let far = TraceSummary::from_jsonl(&naming("1e9")).unwrap();
+        assert_eq!(far.timelines.len(), 1);
+        assert_eq!(far.devices(), 1_000_000_001);
+        assert_eq!(far.composition(), [0.0; 4]);
     }
 
     #[test]

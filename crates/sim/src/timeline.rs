@@ -186,14 +186,21 @@ impl Timeline {
 }
 
 /// Cluster-total closed time in `state`, summed over `timelines` in
-/// index order.
-pub fn residency(timelines: &[Timeline], state: DeviceState) -> Time {
-    timelines.iter().map(|t| t.time_in(state)).sum()
+/// the order given (device index order, for every caller).
+pub fn residency<'a>(
+    timelines: impl IntoIterator<Item = &'a Timeline>,
+    state: DeviceState,
+) -> Time {
+    timelines.into_iter().map(|t| t.time_in(state)).sum()
 }
 
 /// [`residency`] per iteration over `iters` cluster iterations, clamped
 /// at 0; 0 when no iteration ran.
-pub fn per_iteration(timelines: &[Timeline], state: DeviceState, iters: u64) -> Time {
+pub fn per_iteration<'a>(
+    timelines: impl IntoIterator<Item = &'a Timeline>,
+    state: DeviceState,
+    iters: u64,
+) -> Time {
     if iters == 0 {
         return 0.0;
     }

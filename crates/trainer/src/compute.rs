@@ -12,7 +12,7 @@ use crate::engine::common::EngineCtx;
 
 /// Does nothing: a run draws its gradients serially and has no thread
 /// count. Kept only because the frozen `benchmark/` package calls it
-/// (ROADMAP item 6 lists it for deletion there); nothing else may.
+/// (ROADMAP item 12 lists it for deletion there); nothing else may.
 pub fn set_thread_override(_threads: Option<usize>) {}
 
 /// Runs one draw into a recycled parameter-shaped buffer (zeroed

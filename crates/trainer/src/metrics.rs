@@ -136,7 +136,7 @@ impl RunMetrics {
         // no fewer than it names.
         let named = journal
             .timelines
-            .iter()
+            .values()
             .filter(|t| **t != Timeline::new())
             .count();
         let devices = journal.iters as f64 / self.mean_iterations;

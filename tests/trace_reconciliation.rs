@@ -85,7 +85,7 @@ fn residency_conserves_wall_time() {
         // Every device's five state residencies tile its whole timeline:
         // no gaps, so the sum covers at least the run duration.
         let mut total_wall = 0.0;
-        for (w, tl) in s.timelines.iter().enumerate() {
+        for (w, tl) in &s.timelines {
             let sum: f64 = DeviceState::ALL.iter().map(|&st| tl.time_in(st)).sum();
             assert!(
                 sum >= m.duration - EPS,
@@ -128,7 +128,7 @@ fn event_pairings_are_balanced() {
         assert!(n("iter_begin") >= n("iter_end"), "{name}: begin < end");
         assert_eq!(n("meta"), 1, "{name}");
         assert_eq!(n("run_end"), 1, "{name}");
-        assert_eq!(n("close") as usize, s.timelines.len(), "{name}");
+        assert_eq!(n("close") as usize, s.devices(), "{name}");
     }
 }
 

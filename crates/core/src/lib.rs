@@ -17,9 +17,6 @@
 //!   ROG and the baselines alike: per-worker pending copies of the averaged gradients, kept per row
 //!   and therefore shardable by row with no change to any value, and
 //!   stored once per cohort of workers whose copies are bit-identical.
-//!   RSP provably retains SSP's convergence guarantee —
-//!   [`convergence::rsp_regret_bound`] computes the Theorem 1 bound and
-//!   the crate's tests exercise it on a convex problem.
 //!
 //! * **ATP (Adaptive Transmission Protocol)** — [`ImportanceMetric`]
 //!   (Algo 3) ranks rows by gradient magnitude plus staleness pressure,
@@ -32,9 +29,9 @@
 //! The push/pull cycle that strings these together is [`WorkerRole`] +
 //! [`ServerRole`], which own the worker and server state (drivers read
 //! it, and change it only through role methods): clockless, socketless
-//! decisions with three drivers —
-//! the event-driven engine over a simulated wireless channel and the
-//! socket path (both in `rog-trainer`), and [`RogOptimizer`] here.
+//! decisions driven by `rog-trainer`'s event-driven engines (row and
+//! model granularity, over a simulated wireless channel) and its socket
+//! path.
 //! Everything algorithmic about ROG is in this crate, independent of
 //! time and transport.
 
@@ -42,13 +39,11 @@
 #![warn(missing_docs)]
 
 mod aggregator;
-pub mod convergence;
 pub mod gate;
 mod importance;
 mod leg;
 pub mod mta;
 mod mta_time;
-mod optimizer;
 mod roles;
 mod rows;
 mod shard;
@@ -59,7 +54,6 @@ pub use aggregator::{AggregatorMap, AggregatorPlane, AggregatorStats, MergeSumma
 pub use importance::{ImportanceMetric, ImportanceMode, ImportanceWeights, RankScratch};
 pub use leg::{Leg, Round};
 pub use mta_time::MtaTimeTracker;
-pub use optimizer::{RogOptimizer, RogSession, StepReport};
 pub use roles::{Gate, LegId, PushFloor, PushReport, Restart, ServerRole, WorkerRole};
 pub use rows::{RowBatch, RowId, RowPartition, RowRef};
 pub use shard::{ShardMap, ShardedServer};

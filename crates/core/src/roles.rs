@@ -7,11 +7,11 @@
 //! verdicts ([`PushFloor`], [`Gate`], the next [`Round`]) and
 //! caller-owned [`RowBatch`]es come out. Each shard leg's push and pull
 //! is a [`Leg`] the roles own, so what counts as landed has one home.
-//! Four drivers run them — the simulated row engine (speculative
+//! Three drivers run them — the simulated row engine (speculative
 //! flows under deadlines, loss, faults), the socket path (`serve` hosts
-//! the server role, each `join` one worker role), the synchronous
-//! [`crate::RogOptimizer`] and the model-granularity baselines — so a
-//! rule such as "the RSP-mandatory prefix is never cut" has one home.
+//! the server role, each `join` one worker role) and the
+//! model-granularity baselines — so a rule such as "the RSP-mandatory
+//! prefix is never cut" has one home.
 //!
 //! One shard leg of a cycle, in call order: [`WorkerRole::plan`] (every
 //! leg's plan and floor), [`ServerRole::push_start`] (the time budget

@@ -35,6 +35,7 @@
 //!   hierarchical run matches its flat twin once aggregator accounting
 //!   records are stripped.
 
+use std::collections::{BTreeMap, BTreeSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use rog_core::gate;
@@ -239,7 +240,10 @@ enum StalenessBound {
     /// Model-engine adaptive bound (DSSP / ABS): per-worker thresholds,
     /// updated by `threshold_adapt` events; a `gate_enter` lead may not
     /// exceed the worker's journaled threshold + 1.
-    PerWorker { thr: Vec<u64>, initial: u64 },
+    PerWorker {
+        thr: BTreeMap<u32, u64>,
+        initial: u64,
+    },
     /// Row-engine adaptive bound (the `roga` hybrid): one cluster-wide
     /// threshold, updated by `auto_threshold` events; a `gate_enter`
     /// lead may not exceed `rsp_bound(cur)`.
@@ -251,7 +255,8 @@ enum StalenessBound {
 /// static for BSP/SSP/ROG, replayed from the `threshold_adapt` /
 /// `auto_threshold` records for DSSP/ABS and the adaptive-bound ROG
 /// hybrid. Returns how many `gate_enter` records were checked, or the
-/// first line that breaks the bound. ASP is unbounded and FLOWN adapts
+/// first line that breaks the bound. Workers are named by device index
+/// ([`Record::device`]). ASP is unbounded and FLOWN adapts
 /// without journaling its bound, so for both nothing is checked.
 ///
 /// A shard's `gate_enter` records go unchecked from the shard's first
@@ -279,7 +284,7 @@ pub fn replay_staleness(strategy: Strategy, journal: &str) -> Result<usize, Stri
         Strategy::Asp | Strategy::Flown { .. } => return Ok(0),
         Strategy::Dssp { min_threshold, .. } | Strategy::Abs { min_threshold, .. } => {
             StalenessBound::PerWorker {
-                thr: Vec::new(),
+                thr: BTreeMap::new(),
                 initial: u64::from(min_threshold),
             }
         }
@@ -291,6 +296,7 @@ pub fn replay_staleness(strategy: Strategy, journal: &str) -> Result<usize, Stri
         rec.num(key)
             .ok_or_else(|| format!("record lacks `{key}`: {line}"))
     };
+    let device = |rec: &Record, line: &str| rec.device().map_err(|e| format!("{e}: {line}"));
     let scope = |rec: &Record| rec.num("shard").map_or(Event::NO_SHARD, |s| s as i64);
     let mut been_down: Vec<i64> = Vec::new();
     let mut gates = 0;
@@ -300,13 +306,10 @@ pub fn replay_staleness(strategy: Strategy, journal: &str) -> Result<usize, Stri
             continue;
         }
         if line.contains("\"ev\":\"threshold_adapt\"") {
-            if let StalenessBound::PerWorker { thr, initial } = &mut bound {
+            if let StalenessBound::PerWorker { thr, .. } = &mut bound {
                 let rec = parse(line)?;
-                let w = field(&rec, "w", line)? as usize;
-                if thr.len() <= w {
-                    thr.resize(w + 1, *initial);
-                }
-                thr[w] = field(&rec, "threshold", line)? as u64;
+                let w = device(&rec, line)?;
+                thr.insert(w, field(&rec, "threshold", line)? as u64);
             }
             continue;
         }
@@ -327,8 +330,7 @@ pub fn replay_staleness(strategy: Strategy, journal: &str) -> Result<usize, Stri
         let limit = match &bound {
             StalenessBound::Fixed(b) => *b,
             StalenessBound::PerWorker { thr, initial } => {
-                let w = field(&rec, "w", line)? as usize;
-                thr.get(w).copied().unwrap_or(*initial) + 1
+                thr.get(&device(&rec, line)?).copied().unwrap_or(*initial) + 1
             }
             StalenessBound::Row { cur } => gate::rsp_bound(*cur),
         };
@@ -354,10 +356,10 @@ fn check_staleness(sc: &Scenario, journal: &str, violations: &mut Vec<Violation>
 /// The outage residency invariant, observed from the journal: between
 /// a worker's `worker_down` fault record and the next `worker_up` it
 /// journals no `push_start` or `row_push`. A push record or worker
-/// fault without its `w` is malformed. Returns the first line that
-/// breaks the rule.
+/// fault without a device index in its `w` ([`Record::device`]) is
+/// malformed. Returns the first line that breaks the rule.
 fn replay_residency(journal: &str) -> Result<(), String> {
-    let mut down: Vec<bool> = Vec::new();
+    let mut down = BTreeSet::new();
     for line in journal.lines() {
         let push = line.contains("\"ev\":\"push_start\"") || line.contains("\"ev\":\"row_push\"");
         if !push && !line.contains("\"ev\":\"fault\"") {
@@ -370,15 +372,13 @@ fn replay_residency(journal: &str) -> Result<(), String> {
             (false, Some("worker_up")) => Some(false),
             _ => continue,
         };
-        let w = rec
-            .num("w")
-            .ok_or_else(|| format!("record lacks `w`: {line}"))? as usize;
-        if down.len() <= w {
-            down.resize(w + 1, false);
-        }
+        let w = rec.device().map_err(|e| format!("{e}: {line}"))?;
         match edge {
-            Some(edge) => down[w] = edge,
-            None if down[w] => return Err(format!("worker {w} pushes while down: {line}")),
+            Some(true) => _ = down.insert(w),
+            Some(false) => _ = down.remove(&w),
+            None if down.contains(&w) => {
+                return Err(format!("worker {w} pushes while down: {line}"))
+            }
             None => {}
         }
     }
@@ -409,22 +409,23 @@ fn check_codec_select(sc: &Scenario, journal: &str, violations: &mut Vec<Violati
         let Ok(rec) = Record::parse(line) else {
             continue; // parse failures are the reconciliation check's job
         };
-        let w = rec.num("w").unwrap_or(f64::NAN);
+        let w = match rec.device() {
+            Ok(w) if (w as usize) < sc.n_workers => w as usize,
+            _ => {
+                violations.push(Violation::CodecSelect(format!(
+                    "worker outside the {}-worker fleet: {line}",
+                    sc.n_workers
+                )));
+                return;
+            }
+        };
         let codec = rec.str("codec").unwrap_or("").to_owned();
-        if !(w >= 0.0 && (w as usize) < sc.n_workers) {
-            violations.push(Violation::CodecSelect(format!(
-                "worker {w} outside the {}-worker fleet: {line}",
-                sc.n_workers
-            )));
-            return;
-        }
         if codec != "onebit" && codec != "sparse" {
             violations.push(Violation::CodecSelect(format!(
                 "unknown selector rung {codec:?}: {line}"
             )));
             return;
         }
-        let w = w as usize;
         if last[w] == codec {
             violations.push(Violation::CodecSelect(format!(
                 "worker {w} re-selected {codec:?} it was already on: {line}"
@@ -744,5 +745,33 @@ mod tests {
         ] {
             assert!(replay_residency(&bad).is_err(), "{bad}");
         }
+    }
+
+    #[test]
+    fn a_device_index_outside_u32_is_refused_naming_the_line() {
+        let dssp = Strategy::Dssp {
+            min_threshold: 1,
+            max_threshold: 8,
+        };
+        // One record shape carries every field either replay reads.
+        let rec = |ev: &str, w: &str| {
+            let fields = format!("\"kind\":\"worker_down\",\"w\":{w},\"threshold\":3,\"lead\":4");
+            format!("{{\"t\":1.0,\"ev\":\"{ev}\",{fields}}}")
+        };
+        for w in ["1e20", "4294967296", "-1", "0.5"] {
+            let adapt = rec("threshold_adapt", w);
+            let err = replay_staleness(dssp, &adapt).unwrap_err();
+            assert!(err.starts_with("threshold_adapt names device") && err.ends_with(&adapt));
+            let down = rec("fault", w);
+            let err = replay_residency(&down).unwrap_err();
+            assert!(err.starts_with("fault names device") && err.ends_with(&down));
+        }
+        // A far but valid index costs one map entry.
+        let far = |evs: [&str; 2]| evs.map(|ev| rec(ev, "4e9")).join("\n");
+        assert_eq!(
+            replay_staleness(dssp, &far(["threshold_adapt", "gate_enter"])),
+            Ok(1)
+        );
+        assert!(replay_residency(&far(["fault", "push_start"])).is_err());
     }
 }

@@ -180,7 +180,6 @@ pub struct Flow {
     prefix: Vec<u64>,
     bytes_done: f64,
     deadline: Option<Time>,
-    started_at: Time,
     /// Fates drawn so far, one per completed chunk (empty when the
     /// channel has no loss model).
     fates: Vec<ChunkFate>,
@@ -517,7 +516,6 @@ impl Channel {
             prefix,
             bytes_done: 0.0,
             deadline: spec.deadline,
-            started_at: self.now,
             // One fate per chunk at most: sized here so that drawing
             // them never allocates inside `advance_until`.
             fates: Vec::with_capacity(if self.loss.is_some() { n_chunks } else { 0 }),
@@ -527,12 +525,6 @@ impl Channel {
 
     fn flow_index(&self, id: FlowId) -> Option<usize> {
         self.flows.binary_search_by_key(&id, |f| f.id).ok()
-    }
-
-    /// Time a flow has spent in flight so far.
-    pub fn flow_age(&self, id: FlowId) -> Option<Time> {
-        self.flow_index(id)
-            .map(|k| self.now - self.flows[k].started_at)
     }
 
     /// Tears down an in-flight flow at the current channel time (the
@@ -1112,7 +1104,6 @@ mod tests {
         assert_eq!(ch.useful_bytes(), 0.0, "nothing was acknowledged");
         assert!((ch.wasted_bytes() - 1_500_000.0).abs() < 1_000.0);
         assert_eq!(ch.active_flows(), 0);
-        assert_eq!(ch.flow_age(id), None);
         // A later advance produces no stale event for the cancelled flow.
         assert!(ch.advance_until(10.0).is_empty());
     }
@@ -1470,10 +1461,6 @@ mod tests {
                 2 if !ids.is_empty() => {
                     // Live and long-finished ids alike.
                     let id = ids[rng.index(ids.len())];
-                    prop_assert_eq!(
-                        a.flow_age(id).map(f64::to_bits),
-                        b.flow_age(id).map(f64::to_bits)
-                    );
                     prop_assert_eq!(a.cancel_flow(id), b.cancel_flow(id));
                 }
                 _ => {

@@ -264,6 +264,7 @@ impl LossModel {
 
     /// Number of links whose state has actually been materialized
     /// (diagnostic; bounded by the links the run transmitted on).
+    #[cfg(test)]
     pub fn materialized_links(&self) -> usize {
         self.links.len()
     }
@@ -288,11 +289,6 @@ impl LossModel {
     /// The configuration this model was built from.
     pub fn config(&self) -> &LossConfig {
         &self.cfg
-    }
-
-    /// True when no knob, chain, or window can ever harm a chunk.
-    pub fn is_transparent(&self) -> bool {
-        self.cfg.is_off() && self.windows.iter().all(|w| w.rate == 0.0)
     }
 
     /// Effective chunk-loss probability on `link` at time `t`
@@ -380,11 +376,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn off_config_is_transparent_and_delivers_everything() {
+    fn off_config_delivers_everything() {
         let cfg = LossConfig::off();
         assert!(cfg.is_off());
         let mut m = LossModel::build(&cfg, 3, 100.0);
-        assert!(m.is_transparent());
         for i in 0..200 {
             assert_eq!(m.chunk_fate(i % 3, i as f64 * 0.05), ChunkFate::Delivered);
         }
@@ -456,7 +451,6 @@ mod tests {
     fn windows_add_loss_only_inside_their_span() {
         let mut m = LossModel::build(&LossConfig::off(), 2, 100.0);
         m.add_window(1, 10.0, 20.0, 0.5);
-        assert!(!m.is_transparent());
         assert_eq!(m.loss_prob(1, 5.0), 0.0);
         assert_eq!(m.loss_prob(1, 15.0), 0.5);
         assert_eq!(m.loss_prob(1, 20.0), 0.0, "end is exclusive");

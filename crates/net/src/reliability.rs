@@ -82,6 +82,7 @@ impl SeqWindow {
     }
 
     /// Lowest sequence number not yet accepted.
+    #[cfg(test)]
     pub fn next_expected(&self) -> u64 {
         self.floor
     }

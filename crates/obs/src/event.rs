@@ -419,6 +419,22 @@ impl Record {
         self.num("t").unwrap_or(0.0)
     }
 
+    /// The device index in `w`: a whole number in `u32` range, so a
+    /// replay keyed by it costs one map entry per device named, however
+    /// large the index.
+    ///
+    /// # Errors
+    ///
+    /// Names the event when `w` is missing or is not such a number.
+    pub fn device(&self) -> Result<u32, String> {
+        let ev = self.ev();
+        let w = self.num("w").ok_or_else(|| format!("{ev} without w"))?;
+        if w.fract() != 0.0 || !(0.0..=f64::from(u32::MAX)).contains(&w) {
+            return Err(format!("{ev} names device {w}, not a u32 index"));
+        }
+        Ok(w as u32)
+    }
+
     /// Parses one JSONL journal line (a flat JSON object).
     pub fn parse(line: &str) -> Result<Record, String> {
         let mut p = Parser {

@@ -48,23 +48,19 @@ pub struct TraceSummary {
 }
 
 /// The timeline of the device a `state` / `close` record names, if its
-/// `w` is a device index (a whole number in `u32` range) and its
-/// timeline can take the record at `t`.
+/// `w` is a device index ([`Record::device`]) and its timeline can take
+/// the record at `t`.
 fn device<'a>(
     timelines: &'a mut BTreeMap<u32, Timeline>,
     rec: &Record,
     t: f64,
 ) -> Result<&'a mut Timeline, String> {
-    let ev = rec.ev();
-    let w = rec.num("w").ok_or_else(|| format!("{ev} without w"))?;
-    if w.fract() != 0.0 || !(0.0..=f64::from(u32::MAX)).contains(&w) {
-        return Err(format!("{ev} names device {w}, not a u32 index"));
-    }
-    let w = w as u32;
+    let w = rec.device()?;
     let tl = timelines.entry(w).or_default();
     if !tl.admits(t) {
         return Err(format!(
-            "{ev} at t={t} is not finite or precedes device {w}'s open span"
+            "{} at t={t} is not finite or precedes device {w}'s open span",
+            rec.ev()
         ));
     }
     Ok(tl)

@@ -2,7 +2,7 @@
 //! simulation harness.
 //!
 //! This drives the row cycle's two roles by hand, the way the simulated
-//! engine, the socket path and `RogOptimizer` do: two workers accumulate
+//! engines and the socket path do: two workers accumulate
 //! real gradients, rank rows with the importance metric, push a
 //! bandwidth-limited subset (as a cut deadline would), and the server
 //! role enforces the RSP gate before serving pulls. Useful as a

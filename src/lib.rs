@@ -9,8 +9,9 @@
 //!
 //! Facade crate re-exporting the whole workspace:
 //!
-//! * [`core`] — the contribution: RSP, ATP, the `RogOptimizer` API, and
-//!   the staleness-gate predicates (`core::gate`) every strategy shares.
+//! * [`core`] — the contribution: RSP, ATP, the row cycle's two roles
+//!   (`WorkerRole` / `ServerRole`), and the staleness-gate predicates
+//!   (`core::gate`) every strategy shares.
 //! * [`trainer`] — end-to-end simulated experiments ([`prelude`] has a
 //!   quickstart).
 //! * [`net`] / [`sim`] / [`energy`] — wireless channel, discrete-event

@@ -54,6 +54,24 @@ fn bench_compression(c: &mut Criterion) {
                 out[0]
             })
         });
+        // The same step on a row the exactness gate refuses (one 2^40
+        // spike): the serial chain behind the fused passes. The
+        // residual is zeroed first: carried, the spike's error spreads
+        // over the row and the gate admits the steps after the first.
+        let mut spiked = row.clone();
+        spiked[cols / 2] *= 2f32.powi(40);
+        let mut ef = CodecState::new(&[cols], 0);
+        g.bench_with_input(
+            BenchmarkId::new("ef_cycle_refused", cols),
+            &spiked,
+            |b, row| {
+                b.iter(|| {
+                    ef.reset();
+                    ef.restore_into(&OneBitCodec, 0, black_box(row), &mut out);
+                    out[0]
+                })
+            },
+        );
         // The sparse rung of the same step (a normal row selects ~11 %
         // of its values, just under the break-even density), and the
         // plan-time sizing every candidate row pays before it.

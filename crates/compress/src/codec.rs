@@ -34,7 +34,7 @@ use rog_tensor::rng::DetRng;
 
 use std::cell::RefCell;
 
-use crate::lanes::exact_sums;
+use crate::lanes::{exact_sums, onebit_step};
 use crate::onebit::{class_scale, level, restore_in_place, CompressedRow};
 
 /// Length in bytes of `v` as an LEB128 varint.
@@ -164,11 +164,12 @@ const fn quant_name(bits: u8) -> &'static str {
 /// - encoding is deterministic given the input and the RNG stream
 ///   (codecs that don't randomize must not touch the RNG).
 ///
-/// Error feedback is *outside* the codec: [`CodecState::restore_into`]
-/// folds the stored residual into the row before transcoding and keeps
-/// the new quantization error afterwards, so `restored + residual ==
-/// input` holds exactly for every codec — the invariant that keeps each
-/// rung "lossless" in the convergence sense.
+/// Error feedback wraps the codec: [`CodecState::restore_into`] runs
+/// [`RowCodec::restore_step`], which folds the stored residual into the
+/// row before transcoding and keeps the new quantization error
+/// afterwards, so `restored + residual == input` holds exactly for
+/// every codec — the invariant that keeps each rung "lossless" in the
+/// convergence sense.
 pub trait RowCodec {
     /// The codec's wire-format name (stable; used in journals).
     fn name(&self) -> &'static str;
@@ -205,6 +206,45 @@ pub trait RowCodec {
     fn transcode(&self, row: &mut [f32], rng: &mut DetRng) {
         let restored = self.encode(row, rng).decompress();
         row.copy_from_slice(&restored);
+    }
+
+    /// One error-feedback step over a row's stored residual, three rows
+    /// of one width: folds `gradient` into `residual`, writes into
+    /// `restored` what the receiver reconstructs and keeps the new
+    /// quantization error in `residual`. Spelled out as fold, copy,
+    /// [`RowCodec::transcode`] and subtract; a codec with a fused kernel
+    /// overrides it with the same bits.
+    fn restore_step(
+        &self,
+        residual: &mut [f32],
+        gradient: &[f32],
+        restored: &mut [f32],
+        rng: &mut DetRng,
+    ) {
+        spelled_out_step(self, residual, gradient, restored, rng);
+    }
+}
+
+/// [`RowCodec::restore_step`] as fold, copy, transcode and subtract.
+fn spelled_out_step<C: RowCodec + ?Sized>(
+    codec: &C,
+    residual: &mut [f32],
+    gradient: &[f32],
+    restored: &mut [f32],
+    rng: &mut DetRng,
+) {
+    fold(residual, gradient);
+    restored.copy_from_slice(residual);
+    codec.transcode(restored, rng);
+    for (r, d) in residual.iter_mut().zip(restored.iter()) {
+        *r -= d;
+    }
+}
+
+/// `r ← r + g`, value by value.
+fn fold(residual: &mut [f32], gradient: &[f32]) {
+    for (r, g) in residual.iter_mut().zip(gradient) {
+        *r += g;
     }
 }
 
@@ -265,6 +305,20 @@ impl RowCodec for OneBitCodec {
     /// Allocation-free: the two passes of the one-bit kernel, no code.
     fn transcode(&self, row: &mut [f32], _rng: &mut DetRng) {
         restore_in_place(row);
+    }
+
+    /// The fused two-pass AVX2 kernel where the CPU has AVX2, else the
+    /// spelled-out step.
+    fn restore_step(
+        &self,
+        residual: &mut [f32],
+        gradient: &[f32],
+        restored: &mut [f32],
+        rng: &mut DetRng,
+    ) {
+        if onebit_step(residual, gradient, restored).is_none() {
+            spelled_out_step(self, residual, gradient, restored, rng);
+        }
     }
 }
 
@@ -734,6 +788,16 @@ impl RowCodec for Codec {
     fn transcode(&self, row: &mut [f32], rng: &mut DetRng) {
         self.inner().transcode(row, rng);
     }
+
+    fn restore_step(
+        &self,
+        residual: &mut [f32],
+        gradient: &[f32],
+        restored: &mut [f32],
+        rng: &mut DetRng,
+    ) {
+        self.inner().restore_step(residual, gradient, restored, rng);
+    }
 }
 
 thread_local! {
@@ -833,20 +897,16 @@ impl CodecState {
         })
     }
 
-    /// Folds `gradient` into the stored residual of row `row`
-    /// (`r ← g + r`) and hands back that residual-adjusted row with the
-    /// stream to encode it with.
-    fn fold(&mut self, row: usize, gradient: &[f32]) -> (&mut [f32], &mut DetRng) {
-        let adjusted = &mut self.residuals[self.offsets[row]..self.offsets[row + 1]];
+    /// The stored residual of row `row`, checked against the width of
+    /// `gradient`, with the stream to encode it with.
+    fn slot(&mut self, row: usize, gradient: &[f32]) -> (&mut [f32], &mut DetRng) {
+        let residual = &mut self.residuals[self.offsets[row]..self.offsets[row + 1]];
         assert_eq!(
-            adjusted.len(),
+            residual.len(),
             gradient.len(),
             "gradient width mismatch for row {row}"
         );
-        for (r, g) in adjusted.iter_mut().zip(gradient) {
-            *r += g;
-        }
-        (adjusted, &mut self.rng)
+        (residual, &mut self.rng)
     }
 
     /// One error-feedback step of row `row`, in place: folds the stored
@@ -854,7 +914,8 @@ impl CodecState {
     /// receiver of the `codec`-framed row reconstructs, and keeps the
     /// new quantization error — `restored + residual == gradient +
     /// old_residual` exactly, for every codec. What every commit path
-    /// runs; with [`OneBitCodec`] it never touches the heap.
+    /// runs ([`RowCodec::restore_step`]); with [`OneBitCodec`] it never
+    /// touches the heap.
     ///
     /// # Panics
     ///
@@ -867,12 +928,13 @@ impl CodecState {
         gradient: &[f32],
         restored: &mut [f32],
     ) {
-        let (adjusted, rng) = self.fold(row, gradient);
-        restored.copy_from_slice(adjusted);
-        codec.transcode(restored, rng);
-        for (r, d) in adjusted.iter_mut().zip(restored.iter()) {
-            *r -= d;
-        }
+        let (residual, rng) = self.slot(row, gradient);
+        assert_eq!(
+            restored.len(),
+            residual.len(),
+            "restored width mismatch for row {row}"
+        );
+        codec.restore_step(residual, gradient, restored, rng);
     }
 
     /// [`CodecState::restore_into`] for a caller that wants the wire
@@ -884,7 +946,8 @@ impl CodecState {
     /// Panics if `row` is out of range or `gradient` has the wrong
     /// width.
     pub fn compress(&mut self, codec: &dyn RowCodec, row: usize, gradient: &[f32]) -> RowCode {
-        let (adjusted, rng) = self.fold(row, gradient);
+        let (adjusted, rng) = self.slot(row, gradient);
+        fold(adjusted, gradient);
         let code = codec.encode(adjusted, rng);
         for (r, d) in adjusted.iter_mut().zip(code.decompress()) {
             *r -= d;
@@ -1116,6 +1179,99 @@ mod tests {
                 let drew = ref_rng.next_u64() != DetRng::new(42).next_u64();
                 assert_eq!(drew, matches!(codec, Codec::Quant(_)) && w > 0, "{what}");
             }
+        }
+    }
+
+    /// The exactness gate as `lanes.rs` proves it: every value finite,
+    /// and the floored exponent fields of the smallest and largest
+    /// nonzero magnitude at most `29 - bitlen(n)` apart.
+    fn gate_admits(row: &[f32]) -> bool {
+        let field = |v: &f32| (v.abs().to_bits() >> 23).max(1);
+        let nonzero = || row.iter().filter(|v| **v != 0.0);
+        let bitlen = usize::BITS - row.len().leading_zeros();
+        row.iter().all(|v| v.is_finite())
+            && match (nonzero().map(field).min(), nonzero().map(field).max()) {
+                (Some(lo), Some(hi)) => hi - lo + bitlen <= 29,
+                _ => true,
+            }
+    }
+
+    /// Step `shape` of a fused-step sequence: `shaped_row`'s 24 rounds
+    /// (round 17 with `special`), then values in `[1, 2)` with one
+    /// spike `1.5 * 2^(29 - bitlen(w) + k)` — the gate's edge (`k = 0`),
+    /// one past it (`k = 1`), far past it (`k` up to 12) — and values
+    /// near `2^125` with NaN and ±Inf planted, whose span alone the gate
+    /// would admit.
+    fn fused_step_row(w: usize, shape: usize, special: Option<f32>, rng: &mut DetRng) -> Vec<f32> {
+        let sign = |rng: &mut DetRng| if rng.chance(0.5) { -1.0f32 } else { 1.0 };
+        match shape {
+            0..24 => shaped_row(w, shape, special, rng),
+            24..27 => {
+                let mut g: Vec<f32> = (0..w)
+                    .map(|_| sign(rng) * (1.0 + rng.uniform() as f32))
+                    .collect();
+                let k = if shape == 26 {
+                    2 + rng.index(11)
+                } else {
+                    shape - 24
+                };
+                let bitlen = (usize::BITS - w.leading_zeros()) as usize;
+                if w > 0 {
+                    g[rng.index(w)] = sign(rng) * 1.5 * 2f32.powi((29 - bitlen + k) as i32);
+                }
+                g
+            }
+            _ => {
+                let mut g: Vec<f32> = (0..w)
+                    .map(|_| rng.normal() as f32 * 2f32.powi(125))
+                    .collect();
+                for x in [f32::NAN, -f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+                    if w > 0 && rng.chance(0.5) {
+                        g[rng.index(w)] = x;
+                    }
+                }
+                g
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The one-bit step as the commit paths run it — the fused AVX2
+        /// kernel where the CPU has it — against the spelled-out fold,
+        /// copy, transcode and subtract, over a sequence of steps that
+        /// carries the residual forward: `restored` and the residual
+        /// bit for bit (NaNs folded) after every step, on widths 0–130
+        /// (every partial last block of 1–7 values), and the kernel's
+        /// gate verdict the proof's.
+        #[test]
+        fn prop_fused_onebit_step_keeps_the_spelled_out_bits(
+            w in 0usize..=130,
+            shapes in proptest::collection::vec(0usize..28, 1..7),
+            special in 0usize..3,
+            seed in 0u64..u64::MAX,
+        ) {
+            let special = [None, Some(f32::NAN), Some(f32::INFINITY)][special];
+            on_each_path(|path| {
+                let mut rows = DetRng::new(seed);
+                let mut fused = CodecState::new(&[w], 0);
+                let (mut residual, mut want) = (vec![0.0f32; w], vec![0.0f32; w]);
+                for (step, &shape) in shapes.iter().enumerate() {
+                    let g = fused_step_row(w, shape, special, &mut rows);
+                    let at = format!("{path}: width {w} step {step} shape {shape}: {g:?}");
+                    let adjusted: Vec<f32> = residual.iter().zip(&g).map(|(r, g)| r + g).collect();
+                    let (mut copy, mut out) = (residual.clone(), vec![7.0f32; w]);
+                    if let Some(lanes) = onebit_step(&mut copy, &g, &mut out) {
+                        assert_eq!(lanes, gate_admits(&adjusted), "{at}: the gate's verdict");
+                    }
+                    spelled_out_step(&OneBitCodec, &mut residual, &g, &mut want, &mut DetRng::new(0));
+                    let mut restored = vec![7.0f32; w];
+                    fused.restore_into(&Codec::OneBit(OneBitCodec), 0, &g, &mut restored);
+                    assert_eq!(bits(&restored), bits(&want), "{at}: restored");
+                    assert_eq!(bits(fused.residual(0)), bits(&residual), "{at}: residual");
+                }
+            });
         }
     }
 

@@ -98,7 +98,7 @@ impl WorkerClock {
 ///
 /// # Fleet-scale representation
 ///
-/// Per-worker state is a [`WorkerClock`] (base + sparse overrides), so a
+/// Per-worker state is a `WorkerClock` (base + sparse overrides), so a
 /// worker's own minimum is its base and is *monotone nondecreasing*.
 /// That monotonicity is what makes the global bound incremental: the
 /// store keeps two count rings indexed by `version − origin` — how many

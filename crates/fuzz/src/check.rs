@@ -330,7 +330,8 @@ pub fn replay_staleness(strategy: Strategy, journal: &str) -> Result<usize, Stri
         let limit = match &bound {
             StalenessBound::Fixed(b) => *b,
             StalenessBound::PerWorker { thr, initial } => {
-                thr.get(&device(&rec, line)?).copied().unwrap_or(*initial) + 1
+                let thr = thr.get(&device(&rec, line)?).copied().unwrap_or(*initial);
+                thr.saturating_add(1)
             }
             StalenessBound::Row { cur } => gate::rsp_bound(*cur),
         };
@@ -593,36 +594,17 @@ pub fn check_scenario(sc: &Scenario) -> CheckOutcome {
 mod tests {
     use super::*;
     use crate::scenario::Scenario;
+    use proptest::prelude::{prop_assert, proptest, ProptestConfig};
     use rog_compress::CodecChoice;
-    use rog_trainer::Environment;
+    use rog_net::LossConfig;
+    use rog_obs::gzip_decompress;
+    use rog_trainer::{Environment, ModelScale, WorkloadKind};
+    use std::sync::OnceLock;
 
-    #[test]
-    fn a_clean_scenario_passes_every_invariant() {
-        let sc = Scenario {
-            gen_seed: 0,
-            index: 0,
-            strategy: Strategy::Rog { threshold: 4 },
-            n_workers: 2,
-            n_shards: 1,
-            n_aggregators: 0,
-            environment: Environment::Stable,
-            duration_secs: 20.0,
-            run_seed: 42,
-            loss: None,
-            codec: CodecChoice::OneBit,
-            script: String::new(),
-        };
-        let out = check_scenario(&sc);
-        assert!(out.passed(), "violations: {:?}", out.violations);
-        assert!(out.virtual_secs > 0.0);
-        assert!(out.sim_events > 0);
-    }
-
-    // Synthetic journals, not full replays: `check_scenario` swaps
-    // process-global state, so this binary keeps a single replay test.
-    #[test]
-    fn codec_select_contract_is_enforced_from_the_journal() {
-        let sc = |codec| Scenario {
+    /// A fault-free ROG-4 scenario of two workers on the stable
+    /// channel for 20 s, framing `codec`.
+    fn sc(codec: CodecChoice) -> Scenario {
+        Scenario {
             gen_seed: 0,
             index: 0,
             strategy: Strategy::Rog { threshold: 4 },
@@ -635,7 +617,21 @@ mod tests {
             loss: None,
             codec,
             script: String::new(),
-        };
+        }
+    }
+
+    #[test]
+    fn a_clean_scenario_passes_every_invariant() {
+        let out = check_scenario(&sc(CodecChoice::OneBit));
+        assert!(out.passed(), "violations: {:?}", out.violations);
+        assert!(out.virtual_secs > 0.0);
+        assert!(out.sim_events > 0);
+    }
+
+    // Synthetic journals, not full replays: `check_scenario` swaps
+    // process-global state, so this binary keeps a single replay test.
+    #[test]
+    fn codec_select_contract_is_enforced_from_the_journal() {
         let ev = |w: u32, codec: &str| {
             format!("{{\"t\":1.0,\"ev\":\"codec_select\",\"w\":{w},\"codec\":\"{codec}\"}}")
         };
@@ -685,6 +681,10 @@ mod tests {
         let adapt = rec("threshold_adapt", ",\"w\":1,\"threshold\":3");
         let ok = format!("{adapt}\n{}", rec("gate_enter", ",\"w\":1,\"lead\":4"));
         assert_eq!(replay_staleness(dssp, &ok), Ok(1));
+        // A threshold past `u64` saturates the bound instead of
+        // overflowing it (the mutation proptest's find).
+        let huge = ok.replace("\"threshold\":3", "\"threshold\":18446744073709551616");
+        assert_eq!(replay_staleness(dssp, &huge), Ok(1));
         for (strategy, bad) in [
             (dssp, rec("gate_enter", ",\"w\":0,\"lead\":3")), // worker 0's bound is 2
             (dssp, rec("gate_enter", ",\"w\":1")),
@@ -773,5 +773,149 @@ mod tests {
             Ok(1)
         );
         assert!(replay_residency(&far(["fault", "push_start"])).is_err());
+    }
+
+    /// The journals the mutation proptest starts from, with their runs'
+    /// strategies and metrics: the `rog_indoor` golden (checked to be
+    /// its configuration's journal), a lossy trace of the `codec auto`
+    /// rung under 10 % burst loss, which journals `loss` and
+    /// `codec_select` records, and a DSSP run's `threshold_adapt` ones.
+    fn seed_journals() -> &'static [(Strategy, RunMetrics, String); 3] {
+        static JOURNALS: OnceLock<[(Strategy, RunMetrics, String); 3]> = OnceLock::new();
+        JOURNALS.get_or_init(|| {
+            let mut cfg = ExperimentConfig {
+                workload: WorkloadKind::Cruda,
+                environment: Environment::Indoor,
+                strategy: Strategy::Rog { threshold: 4 },
+                model_scale: ModelScale::Small,
+                n_workers: 2,
+                n_laptop_workers: 0,
+                duration_secs: 60.0,
+                eval_every: 5,
+                seed: 42,
+                ..ExperimentConfig::default()
+            };
+            let run = |cfg: &ExperimentConfig| {
+                let out = cfg.options().traced(true).run();
+                (
+                    cfg.strategy,
+                    out.metrics,
+                    out.journal.expect("traced").to_jsonl(),
+                )
+            };
+            let golden = run(&cfg);
+            let path = concat!(
+                env!("CARGO_MANIFEST_DIR"),
+                "/../../tests/golden/rog_indoor.jsonl.gz"
+            );
+            let gz = std::fs::read(path).expect("read the golden");
+            let text = gzip_decompress(&gz).expect("the golden gunzips");
+            assert!(
+                text == golden.2.as_bytes(),
+                "the rog_indoor golden is not its run's journal"
+            );
+            let mut lossy = cfg.clone();
+            lossy.codec = CodecChoice::Auto;
+            lossy.loss = Some(LossConfig::gilbert_elliott(cfg.seed, 0.10));
+            cfg.strategy = Strategy::Dssp {
+                min_threshold: 1,
+                max_threshold: 8,
+            };
+            [golden, run(&lossy), run(&cfg)]
+        })
+    }
+
+    /// The numbers a mutation writes into a field: negative, `2^64`,
+    /// past every counter, and fractional.
+    const EXTREMES: [&str; 6] = [
+        "-1",
+        "18446744073709551616",
+        "1e308",
+        "-1e308",
+        "0.5",
+        "2.5",
+    ];
+
+    /// One mutation of a journal's lines: `op` 0 drops line `at`, 1
+    /// swaps it with line `to`, 2 duplicates it before line `to`, and
+    /// `3 + k` sets its numeric field number `to` to `EXTREMES[k]`.
+    fn mutate(lines: &mut Vec<String>, (op, at, to): (usize, usize, usize)) {
+        if lines.is_empty() {
+            return;
+        }
+        let (i, j) = (at % lines.len(), to % lines.len());
+        match op {
+            0 => _ = lines.remove(i),
+            1 => lines.swap(i, j),
+            2 => lines.insert(j, lines[i].clone()),
+            _ => {
+                let line = &lines[i];
+                let starts = line.match_indices("\":").map(|(k, _)| k + 2);
+                let numbers: Vec<(usize, usize)> = starts
+                    .filter(|&k| line[k..].starts_with(|c: char| c == '-' || c.is_ascii_digit()))
+                    .map(|k| (k, k + line[k..].find([',', '}']).unwrap_or(line.len() - k)))
+                    .collect();
+                if let Some(&(from, end)) = numbers.get(to % numbers.len().max(1)) {
+                    lines[i] = format!("{}{}{}", &line[..from], EXTREMES[op - 3], &line[end..]);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_seed_journals_reconcile_and_replay_clean() {
+        for (strategy, metrics, journal) in seed_journals() {
+            let summary = TraceSummary::from_jsonl(journal).expect("parses");
+            assert_eq!(metrics.reconcile(&summary), Vec::<String>::new());
+            assert!(replay_staleness(*strategy, journal).expect("bound") > 0);
+            assert_eq!(replay_residency(journal), Ok(()));
+            let mut v = Vec::new();
+            check_codec_select(&sc(CodecChoice::Auto), journal, &mut v);
+            assert!(v.is_empty(), "{v:?}");
+        }
+        for (which, ev) in [(1, "loss"), (1, "codec_select"), (2, "threshold_adapt")] {
+            let journal = &seed_journals()[which].2;
+            assert!(
+                journal.contains(&format!("\"ev\":\"{ev}\"")),
+                "no {ev} record"
+            );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// A mutated journal — lines dropped, swapped and duplicated,
+        /// numeric fields set to extremes — never panics the summary or
+        /// the fuzzer's three readers: each returns an `Err`, or an
+        /// `Ok` no larger than the journal's line count.
+        #[test]
+        fn a_mutated_journal_is_refused_or_bounded(
+            which in 0usize..3,
+            edits in proptest::collection::vec((0usize..9, 0usize..1 << 20, 0usize..1 << 20), 1..8),
+        ) {
+            let mut lines: Vec<String> = seed_journals()[which].2.lines().map(str::to_owned).collect();
+            for &edit in &edits {
+                mutate(&mut lines, edit);
+            }
+            let (journal, n) = (lines.join("\n"), lines.len());
+            if let Ok(s) = TraceSummary::from_jsonl(&journal) {
+                prop_assert!(s.lines <= n && s.timelines.len() <= n && s.event_counts.len() <= n);
+            }
+            let (min_threshold, max_threshold) = (1, 8);
+            for strategy in [
+                Strategy::Rog { threshold: 4 },
+                Strategy::Dssp { min_threshold, max_threshold },
+                Strategy::RogAdaptive { min_threshold, max_threshold },
+            ] {
+                if let Ok(gates) = replay_staleness(strategy, &journal) {
+                    prop_assert!(gates <= n);
+                }
+            }
+            let _ = replay_residency(&journal);
+            let mut v = Vec::new();
+            check_codec_select(&sc(CodecChoice::Auto), &journal, &mut v);
+            prop_assert!(v.len() <= 1);
+        }
     }
 }

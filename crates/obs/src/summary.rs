@@ -66,6 +66,14 @@ fn device<'a>(
     Ok(tl)
 }
 
+/// A counter field of `rec`, 0 when absent. The cast saturates (a
+/// negative or NaN count reads 0, one past `u64` reads `u64::MAX`), and
+/// the totals it feeds add saturating, so no number a journal holds
+/// can overflow them.
+fn count(rec: &Record, key: &str) -> u64 {
+    rec.num(key).unwrap_or(0.0) as u64
+}
+
 impl TraceSummary {
     /// Parses and aggregates a JSONL journal.
     ///
@@ -103,7 +111,7 @@ impl TraceSummary {
             match ev.as_str() {
                 "meta" => {
                     name = rec.str("name").unwrap_or("").to_string();
-                    seed = rec.num("seed").unwrap_or(0.0) as u64;
+                    seed = count(&rec, "seed");
                 }
                 "state" => {
                     let s = rec
@@ -126,17 +134,17 @@ impl TraceSummary {
                     }
                 }
                 "push_end" => {
-                    bytes_pushed += rec.num("bytes").unwrap_or(0.0) as u64;
+                    bytes_pushed = bytes_pushed.saturating_add(count(&rec, "bytes"));
                 }
                 "retransmit" => {
-                    rows_retransmitted += rec.num("rows").unwrap_or(0.0) as u64;
+                    rows_retransmitted = rows_retransmitted.saturating_add(count(&rec, "rows"));
                 }
                 "loss" => {
-                    chunks_lost += rec.num("lost").unwrap_or(0.0) as u64;
-                    chunks_corrupt += rec.num("corrupt").unwrap_or(0.0) as u64;
+                    chunks_lost = chunks_lost.saturating_add(count(&rec, "lost"));
+                    chunks_corrupt = chunks_corrupt.saturating_add(count(&rec, "corrupt"));
                 }
                 "run_end" => {
-                    iters = rec.num("iters").unwrap_or(0.0) as u64;
+                    iters = count(&rec, "iters");
                     duration = rec.num("duration").unwrap_or(0.0);
                 }
                 _ => {}
@@ -340,6 +348,27 @@ mod tests {
         assert_eq!(far.timelines.len(), 1);
         assert_eq!(far.devices(), 1_000_000_001);
         assert_eq!(far.composition(), [0.0; 4]);
+    }
+
+    #[test]
+    fn counters_past_u64_saturate() {
+        // Two `push_end` records of 1e308 bytes each overflowed the
+        // total (a find of the fuzzer's journal-mutation proptest).
+        let push = |t| {
+            let (w, iter, rows, bytes) = (0, 1, 1, 7);
+            (
+                t,
+                EventKind::PushEnd {
+                    w,
+                    iter,
+                    rows,
+                    bytes,
+                },
+            )
+        };
+        let text = journal_text(&[push(1.0), push(2.0)]).replace("\"bytes\":7", "\"bytes\":1e308");
+        let s = TraceSummary::from_jsonl(&text).unwrap();
+        assert_eq!(s.bytes_pushed, u64::MAX);
     }
 
     #[test]

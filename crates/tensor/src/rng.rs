@@ -166,14 +166,6 @@ impl DetRng {
         self.uniform() < p.clamp(0.0, 1.0)
     }
 
-    /// Fisher-Yates shuffle.
-    pub fn shuffle<T>(&mut self, xs: &mut [T]) {
-        for i in (1..xs.len()).rev() {
-            let j = self.index(i + 1);
-            xs.swap(i, j);
-        }
-    }
-
     /// Samples from a symmetric Dirichlet distribution with concentration
     /// `alpha`, via normalized Gamma draws (Marsaglia-Tsang for shape < 1
     /// handled by boosting).
@@ -283,15 +275,5 @@ mod tests {
             max_small > max_large + 0.2,
             "small alpha should concentrate mass: {max_small} vs {max_large}"
         );
-    }
-
-    #[test]
-    fn shuffle_is_permutation() {
-        let mut rng = DetRng::new(7);
-        let mut xs: Vec<usize> = (0..100).collect();
-        rng.shuffle(&mut xs);
-        let mut sorted = xs.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..100).collect::<Vec<_>>());
     }
 }

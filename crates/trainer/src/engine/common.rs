@@ -1110,7 +1110,7 @@ fn max_pair_distance<M: AsRef<[Matrix]>>(models: &[M]) -> (f64, usize) {
 /// A model is its parameter matrices (an [`Mlp`], or the one-matrix
 /// model the live cluster makes of a flat parameter vector); all must
 /// share one architecture. Of a 256-worker fleet's 32 640 pairs,
-/// [`max_pair_distance`] sums only those that can be the maximum.
+/// `max_pair_distance` sums only those that can be the maximum.
 pub fn relative_model_divergence<M: AsRef<[Matrix]>>(models: &[M]) -> f64 {
     if models.len() < 2 {
         return 0.0;

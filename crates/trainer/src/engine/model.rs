@@ -15,7 +15,7 @@
 //! `bound`, `set_bound`, `rejoin`) gating each worker at its own bound,
 //! SSP `t` as RSP threshold `t + 1`. Model-granular and the engine's
 //! own: whole-model reliable transfers, a pull drained at grant time,
-//! static membership, [`GateControl`] and the push/gate/pull records —
+//! static membership, `GateControl` and the push/gate/pull records —
 //! no role step that journals, whose `row_push`/`row_pull`/`mta`
 //! records the baselines' journal never had.
 

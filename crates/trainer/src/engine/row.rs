@@ -1,7 +1,7 @@
 //! The ROG engine: row-granulated RSP + ATP over the simulated channel.
 //!
 //! Per iteration each worker accumulates real gradients into its
-//! [`RogWorker`], ranks rows (importance + mandatory stale rows first),
+//! [`RogWorker`](rog_core::RogWorker), ranks rows (importance + mandatory stale rows first),
 //! and *speculatively transmits* them: a flow of per-row chunks with a
 //! deadline equal to the shared MTA-time budget. If the deadline cuts
 //! the flow before MTA (or before the RSP-mandatory rows) got through,

@@ -213,7 +213,7 @@ impl RunMetrics {
     }
 }
 
-/// Channel byte accounting handed to [`RunRecord::finish`]:
+/// Channel byte accounting handed to `RunRecord::finish`:
 /// each class from the channel's conservation identity
 /// `useful + wasted + lost + corrupt == offered`.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]

@@ -114,7 +114,6 @@ pub struct SocketTransport {
     by_addr: HashMap<SocketAddr, PeerId>,
     inbox: VecDeque<Delivery>,
     crc_drop_bytes: u64,
-    crc_drops: u64,
     /// Recent wire-hygiene drops `(peer, "crc" | "dup" | "proto")` for
     /// the caller's journal; bounded, drained via
     /// [`SocketTransport::take_wire_drops`].
@@ -137,7 +136,6 @@ impl SocketTransport {
             by_addr: HashMap::new(),
             inbox: VecDeque::new(),
             crc_drop_bytes: 0,
-            crc_drops: 0,
             drop_log: Vec::new(),
             scratch: vec![0u8; 65_536],
         })
@@ -201,11 +199,6 @@ impl SocketTransport {
         c
     }
 
-    /// Datagrams dropped by the CRC check so far.
-    pub fn crc_drops(&self) -> u64 {
-        self.crc_drops
-    }
-
     /// Drains the buffered wire-hygiene drop log: one `(peer, kind)`
     /// entry per dropped datagram or quarantined stream, `kind` ∈
     /// {`"crc"`, `"dup"`, `"proto"`}.
@@ -229,7 +222,6 @@ impl SocketTransport {
         let frame = match decode_frame(buf) {
             Ok(f) => f,
             Err(_) => {
-                self.crc_drops += 1;
                 self.crc_drop_bytes += n as u64;
                 self.log_drop(peer_id, "crc");
                 if let Some(p) = self.peers.get_mut(&peer_id) {
@@ -346,7 +338,6 @@ impl SocketTransport {
                     });
                 }
                 Err(_) => {
-                    self.crc_drops += 1;
                     self.crc_drop_bytes += len as u64;
                 }
             }
@@ -578,7 +569,7 @@ mod tests {
         a.udp.send_to(&frame, b.local_udp_addr().unwrap()).unwrap();
         let got = poll_until(&mut b, 1);
         assert!(got.is_empty(), "corrupt frame must not be delivered");
-        assert_eq!(b.crc_drops(), 1);
+        assert_eq!(b.take_wire_drops(), [(0, "crc")]);
         assert!(b.byte_counters().corrupt > 0.0);
         assert!(b.link_quality(0).loss_rate > 0.0);
     }

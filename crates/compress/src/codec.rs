@@ -959,7 +959,7 @@ impl CodecState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lanes::tests::on_each_path;
+    use crate::lanes::tests::{gate_admits, on_each_path};
     use proptest::prelude::*;
 
     fn all_codecs() -> Vec<Codec> {
@@ -1180,20 +1180,6 @@ mod tests {
                 assert_eq!(drew, matches!(codec, Codec::Quant(_)) && w > 0, "{what}");
             }
         }
-    }
-
-    /// The exactness gate as `lanes.rs` proves it: every value finite,
-    /// and the floored exponent fields of the smallest and largest
-    /// nonzero magnitude at most `29 - bitlen(n)` apart.
-    fn gate_admits(row: &[f32]) -> bool {
-        let field = |v: &f32| (v.abs().to_bits() >> 23).max(1);
-        let nonzero = || row.iter().filter(|v| **v != 0.0);
-        let bitlen = usize::BITS - row.len().leading_zeros();
-        row.iter().all(|v| v.is_finite())
-            && match (nonzero().map(field).min(), nonzero().map(field).max()) {
-                (Some(lo), Some(hi)) => hi - lo + bitlen <= 29,
-                _ => true,
-            }
     }
 
     /// Step `shape` of a fused-step sequence: `shaped_row`'s 24 rounds

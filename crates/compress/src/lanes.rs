@@ -1,6 +1,6 @@
-//! The one-bit kernel's class sums in eight `f64` lanes, where that
-//! provably gives the serial chain's bits, and the whole one-bit
-//! error-feedback step fused into two passes, in AVX2 instantiations.
+//! The one-bit kernel's count, exactness gate and class sums in eight
+//! `f64` lanes, in AVX2: over a bare row ([`exact_sums`]) and as pass 1
+//! of the error-feedback step fused into two passes ([`onebit_step`]).
 //!
 //! **The exactness gate.** An `f32` whose exponent field is `e`
 //! (floored at 1, where the subnormals sit) is a whole multiple of
@@ -12,17 +12,17 @@
 //! that is at most `2^53`: every partial sum, in any grouping, is exact
 //! in `f64`, and the lanes reach the serial chain's one exact total. A
 //! row that fails the gate, or holds NaN or ±Inf, takes the serial
-//! chain. On baseline x86-64 gate plus lanes cost more than the chain,
-//! so only the AVX2 instantiation takes them; the two stay separate
-//! `#[inline(never)]` functions, which measured faster than one body.
+//! chain. On baseline x86-64 (SSE2 has no unsigned 32-bit min or max)
+//! gate plus lanes cost more than the chain, so only AVX2 takes them.
 //!
-//! **The fused step** ([`onebit_step`]) is what the commit paths run:
-//! pass 1 folds the gradient into the residual and gathers, in the same
-//! loop, the positive count, the gate's extremes and both class sums;
-//! pass 2 writes the levels and the new residual. Each value sees the
-//! spelled-out step's IEEE operations in its order (`r + g`, the class
-//! select, `a - level`), and the sums are the gate's exact total or the
-//! serial chain itself, so no bit moves.
+//! **One gather.** [`Gather`] is the one loop that takes eight values
+//! into the count, the gate's extremes and the lane sums, [`admits`]
+//! the one gate rule, [`padded`] the one way a last, partial block is
+//! fed. The fused step's pass 1 folds the gradient into the residual
+//! and gathers in the same loop; pass 2 writes levels and residual.
+//! Each value sees the spelled-out step's IEEE operations in its order
+//! (`r + g`, the class select, `a - level`), and the sums are the
+//! gate's exact total or the serial chain itself: no bit moves.
 
 #[cfg(target_arch = "x86_64")]
 use crate::onebit::{class_scale, serial_sums};
@@ -39,10 +39,10 @@ pub(crate) fn exact_sums(row: &[f32]) -> Option<(f64, f64)> {
     #[cfg(target_arch = "x86_64")]
     if avx2() {
         // SAFETY: `avx2()` holds only where `is_x86_feature_detected!
-        // ("avx2")` does, so the CPU runs every instruction either
-        // function may use.
+        // ("avx2")` does, so the CPU runs every instruction the kernel
+        // may use.
         #[allow(unsafe_code)]
-        return unsafe { exact_avx2(row).then(|| lanes_avx2(row)) };
+        return unsafe { sums_avx2(row) };
     }
     None
 }
@@ -56,37 +56,6 @@ fn avx2() -> bool {
         return false;
     }
     std::arch::is_x86_feature_detected!("avx2")
-}
-
-/// [`exact`] compiled with AVX2.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-#[inline(never)]
-fn exact_avx2(row: &[f32]) -> bool {
-    exact(row)
-}
-
-/// [`lanes`] compiled with AVX2 and without FMA.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-#[inline(never)]
-fn lanes_avx2(row: &[f32]) -> (f64, f64) {
-    lanes(row)
-}
-
-/// The exactness gate: no NaN or ±Inf, and `span + bitlen(n) <= 29`.
-/// `|v|`'s bits order like its magnitude, so the extremes are an
-/// unsigned max and an unsigned min (of `bits - 1`, which sends the
-/// zeros to `u32::MAX`, past every nonzero magnitude).
-#[inline(always)]
-fn exact(row: &[f32]) -> bool {
-    let (mut hi, mut lo) = (0u32, u32::MAX);
-    for &v in row {
-        let a = v.to_bits() & 0x7fff_ffff;
-        hi = hi.max(a);
-        lo = lo.min(a.wrapping_sub(1));
-    }
-    admits(hi, lo, row.len())
 }
 
 /// The gate's verdict on an `n`-value row whose largest `|v|` has the
@@ -105,35 +74,21 @@ fn admits(hi: u32, lo: u32, n: usize) -> bool {
     span + (usize::BITS - n.leading_zeros()) <= 29
 }
 
-/// The two class sums over eight independent lanes (value `i` in lane
-/// `i mod 8`), the lanes then added up. Exact only behind [`exact`].
-/// As in the serial chain, each block's two terms per value are
-/// selected before any add: selects feeding the adds directly compile
-/// to a branch per value. The zeros padding the last block add
-/// nothing: a lane starts at `+0.0` and `x + 0.0 == x`.
-#[inline(always)]
-fn lanes(row: &[f32]) -> (f64, f64) {
-    let (mut pos, mut neg) = ([0.0f64; 8], [0.0f64; 8]);
-    let mut add = |block: [f32; 8]| {
-        let p = block.map(|v| if v >= 0.0 { v } else { 0.0 });
-        let n = block.map(|v| if v >= 0.0 { 0.0 } else { -v });
-        for l in 0..8 {
-            pos[l] += f64::from(p[l]);
-            neg[l] += f64::from(n[l]);
-        }
-    };
-    let blocks = row.chunks_exact(8);
-    let tail = blocks.remainder();
+/// [`exact_sums`]' kernel: the fused step's pass 1 without the fold.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline(never)]
+fn sums_avx2(row: &[f32]) -> Option<(f64, f64)> {
+    let mut gather = Gather::new();
+    let (blocks, tail) = row.as_chunks::<8>();
     for block in blocks {
-        add(block.try_into().expect("eight values"));
+        gather.add(load(block), 8);
     }
     if !tail.is_empty() {
-        let mut last = [0.0f32; 8];
-        last[..tail.len()].copy_from_slice(tail);
-        add(last);
+        gather.add(load(&padded(tail)), tail.len());
     }
-    let total = |s: [f64; 8]| ((s[0] + s[4]) + (s[1] + s[5])) + ((s[2] + s[6]) + (s[3] + s[7]));
-    (total(pos), total(neg))
+    let (_, lanes, sums) = gather.finish(row.len());
+    lanes.then_some(sums)
 }
 
 /// One one-bit error-feedback step over a row, fused: `residual ←
@@ -163,9 +118,7 @@ pub(crate) fn onebit_step(
 /// The fused step's two passes, with AVX2 and without FMA. Pass 1
 /// stores `a = r + g` and gathers the count, the gate and the lane
 /// sums; a row the gate refuses takes the serial chain over the folded
-/// row. Pass 2 writes each level and `a - level`. The last, partial
-/// block runs through zero-padded copies: a padding `+0.0` moves
-/// neither extreme nor sum, and the count masks it out.
+/// row. Pass 2 writes each level and `a - level`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 #[inline(never)]
@@ -177,20 +130,14 @@ fn step_avx2(residual: &mut [f32], gradient: &[f32], restored: &mut [f32]) -> bo
     for (r, g) in blocks.iter_mut().zip(g_blocks) {
         let a = _mm256_add_ps(load(r), load(g));
         store(r, a);
-        gather.add(a, _mm256_set1_epi32(-1));
+        gather.add(a, 8);
     }
     if !tail.is_empty() {
-        let (mut r, mut g) = ([0.0f32; 8], [0.0f32; 8]);
-        r[..tail.len()].copy_from_slice(tail);
-        g[..tail.len()].copy_from_slice(g_tail);
-        let a = _mm256_add_ps(load(&r), load(&g));
+        let mut r = padded(tail);
+        let a = _mm256_add_ps(load(&r), load(&padded(g_tail)));
         store(&mut r, a);
         tail.copy_from_slice(&r[..tail.len()]);
-        let first = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
-        gather.add(
-            a,
-            _mm256_cmpgt_epi32(_mm256_set1_epi32(tail.len() as i32), first),
-        );
+        gather.add(a, tail.len());
     }
 
     let (pos_n, lanes, sums) = gather.finish(n);
@@ -206,8 +153,7 @@ fn step_avx2(residual: &mut [f32], gradient: &[f32], restored: &mut [f32]) -> bo
         store(r, left);
     }
     if !tail.is_empty() {
-        let (mut r, mut out) = ([0.0f32; 8], [0.0f32; 8]);
-        r[..tail.len()].copy_from_slice(tail);
+        let (mut r, mut out) = (padded(tail), [0.0f32; 8]);
         let (level, left) = emit(load(&r), pos, neg);
         store(&mut out, level);
         store(&mut r, left);
@@ -224,17 +170,15 @@ fn step_avx2(residual: &mut [f32], gradient: &[f32], restored: &mut [f32]) -> bo
 #[target_feature(enable = "avx2")]
 #[inline]
 fn emit(a: __m256, pos: __m256, neg: __m256) -> (__m256, __m256) {
-    let level = _mm256_blendv_ps(
-        neg,
-        pos,
-        _mm256_cmp_ps::<_CMP_GE_OQ>(a, _mm256_setzero_ps()),
-    );
+    let ge = _mm256_cmp_ps::<_CMP_GE_OQ>(a, _mm256_setzero_ps());
+    let level = _mm256_blendv_ps(neg, pos, ge);
     (level, _mm256_sub_ps(a, level))
 }
 
-/// Pass 1's accumulators: the positive count, [`exact`]'s two extremes
-/// and the class sums in `f64` lanes, value `i` in lane `i mod 8` as in
-/// [`lanes`].
+/// Pass 1's accumulators: the positive count, the gate's extremes (max
+/// of `|v|`'s bits, which order like `|v|`; min of `bits - 1`, which
+/// sends zeros past every nonzero) and the class sums in `f64` lanes,
+/// value `i` in lane `i mod 8`.
 #[cfg(target_arch = "x86_64")]
 struct Gather {
     count: __m256i,
@@ -258,12 +202,15 @@ impl Gather {
         }
     }
 
-    /// Takes in one block of folded values, counting only the `valid`
-    /// lanes (all ones) as positive. The two terms per value are the
-    /// serial chain's: `a` or `+0.0`, and `+0.0` or `-a`.
+    /// Takes in one block, whose first `values` (8 but in a row's last
+    /// block) are the row's and the rest `+0.0` padding, which moves no
+    /// extreme or sum and is not counted. The two terms per value are
+    /// the serial chain's: `a` or `+0.0`, and `+0.0` or `-a`.
     #[target_feature(enable = "avx2")]
     #[inline]
-    fn add(&mut self, a: __m256, valid: __m256i) {
+    fn add(&mut self, a: __m256, values: usize) {
+        let lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+        let valid = _mm256_cmpgt_epi32(_mm256_set1_epi32(values as i32), lane);
         let ge = _mm256_cmp_ps::<_CMP_GE_OQ>(a, _mm256_setzero_ps());
         // A positive lane of `ge` is -1: subtracting counts it.
         let counted = _mm256_and_si256(_mm256_castps_si256(ge), valid);
@@ -295,20 +242,16 @@ impl Gather {
                 _mm_cvtsi128_si32($op(h, _mm_shuffle_epi32::<0b10_11_00_01>(h))) as u32
             }};
         }
-        let gate = admits(
+        let (hi, lo) = (
             across!(_mm_max_epu32, self.hi),
             across!(_mm_min_epu32, self.lo),
-            n,
         );
-        (
-            across!(_mm_add_epi32, self.count),
-            gate,
-            (total(self.pos), total(self.neg)),
-        )
+        let sums = (total(self.pos), total(self.neg));
+        (across!(_mm_add_epi32, self.count), admits(hi, lo, n), sums)
     }
 }
 
-/// Eight `f64` lanes, lanes 0–3 in `s[0]`, added up as [`lanes`] does.
+/// Eight `f64` lanes, 0–3 in `s[0]`, added as `((0+4)+(1+5))+((2+6)+(3+7))`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 #[inline]
@@ -317,6 +260,15 @@ fn total(s: [__m256d; 2]) -> f64 {
     let (low, high) = (_mm256_castpd256_pd128(t), _mm256_extractf128_pd::<1>(t));
     let pairs = _mm_add_pd(_mm_unpacklo_pd(low, high), _mm_unpackhi_pd(low, high));
     _mm_cvtsd_f64(pairs) + _mm_cvtsd_f64(_mm_unpackhi_pd(pairs, pairs))
+}
+
+/// A row's last, partial block as a whole one, padded with `+0.0`.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+fn padded(tail: &[f32]) -> [f32; 8] {
+    let mut block = [0.0f32; 8];
+    block[..tail.len()].copy_from_slice(tail);
+    block
 }
 
 /// Eight values as one register.
@@ -368,9 +320,30 @@ pub(crate) mod tests {
         eprintln!("no AVX2 on this CPU: the exact lanes were not checked");
     }
 
+    /// The exactness gate spelled out, the reference for every verdict
+    /// of the kernel: every value finite, and the floored exponent fields
+    /// of the smallest and largest nonzero `|v|` `<= 29 - bitlen(n)` apart.
+    pub(crate) fn gate_admits(row: &[f32]) -> bool {
+        let field = |v: &f32| (v.abs().to_bits() >> 23).max(1);
+        let nonzero = || row.iter().filter(|v| **v != 0.0);
+        let bitlen = usize::BITS - row.len().leading_zeros();
+        row.iter().all(|v| v.is_finite())
+            && match (nonzero().map(field).min(), nonzero().map(field).max()) {
+                (Some(lo), Some(hi)) => hi - lo + bitlen <= 29,
+                _ => true,
+            }
+    }
+
     #[test]
     fn the_gate_admits_exactly_the_rows_it_proves() {
-        let ok = exact;
+        // The oracle's verdict on each row; on AVX2 the kernel's must match.
+        let ok = |row: &[f32]| {
+            #[cfg(target_arch = "x86_64")]
+            if avx2() {
+                assert_eq!(exact_sums(row).is_some(), gate_admits(row), "{row:?}");
+            }
+            gate_admits(row)
+        };
         assert!(ok(&[]) && ok(&[0.0, -0.0]) && ok(&[f32::MAX]));
         assert!(!ok(&[1.0, f32::NAN]) && !ok(&[f32::INFINITY]) && !ok(&[-f32::INFINITY, 0.0]));
         // `2^s`, `n - 1` ones and a zero: the zero takes no part in
@@ -397,12 +370,17 @@ pub(crate) mod tests {
     #[test]
     fn a_row_the_serial_chain_rounds_is_refused() {
         // 1 + 2^-53 rounds back to 1 in `f64` (ties to even) every time
-        // along the chain; in lanes the small terms first meet each
-        // other, and the total comes out above 1.
+        // along the chain; in eight lanes (value `i` in lane `i mod 8`)
+        // the small terms first meet each other, and the total comes
+        // out above 1.
         let mut row = vec![2f32.powi(-53); 16];
         row[0] = 1.0;
-        assert!(!exact(&row));
+        assert!(!gate_admits(&row) && exact_sums(&row).is_none());
         assert_eq!(crate::onebit::serial_sums(&row), (1.0, 0.0));
-        assert!(lanes(&row).0 > 1.0);
+        let mut lanes = [0.0f64; 8];
+        for (i, &v) in row.iter().enumerate() {
+            lanes[i % 8] += f64::from(v);
+        }
+        assert!(lanes.iter().sum::<f64>() > 1.0);
     }
 }

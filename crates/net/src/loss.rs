@@ -72,6 +72,7 @@ impl GeParams {
     }
 
     /// Stationary (time-average) chunk-loss probability of the chain.
+    #[cfg(test)]
     pub fn mean_loss(&self) -> f64 {
         let pi_bad = self.enter_prob / (self.enter_prob + self.exit_prob).max(1e-12);
         (1.0 - pi_bad) * self.loss_good + pi_bad * self.loss_bad

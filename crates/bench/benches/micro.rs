@@ -17,7 +17,7 @@ use rog_core::{
 use rog_models::{CrudaSpec, Mlp, Task, Workload};
 use rog_net::{Channel, ChannelProfile, FlowSpec, LossConfig, Trace, TraceStream};
 use rog_tensor::rng::DetRng;
-use rog_tensor::Matrix;
+use rog_tensor::{Matrix, SumOrder};
 use rog_trainer::engine::common::relative_model_divergence;
 use rog_trainer::{Environment, ExperimentConfig, Strategy};
 
@@ -156,15 +156,32 @@ fn bench_kernels(c: &mut Criterion) {
                 0.0
             }
         });
+        // Into reused output and panel buffers, as the engines call them.
+        let (mut panels, mut out) = (Vec::new(), Matrix::default());
         g.bench_with_input(
             BenchmarkId::new("matmul_transb", &label),
             &(&acts, &w),
-            |b, (a, w)| b.iter(|| black_box(*a).matmul_transb(black_box(w))),
+            |b, (a, w)| {
+                b.iter(|| {
+                    black_box(*a).matmul_transb_into(
+                        black_box(w),
+                        SumOrder::Four,
+                        &mut panels,
+                        &mut out,
+                    );
+                    out.row(0)[0]
+                })
+            },
         );
         g.bench_with_input(
             BenchmarkId::new("matmul", &label),
             &(&dz, &w),
-            |b, (dz, w)| b.iter(|| black_box(*dz).matmul(black_box(w))),
+            |b, (dz, w)| {
+                b.iter(|| {
+                    black_box(*dz).matmul_into(black_box(w), &mut out);
+                    out.row(0)[0]
+                })
+            },
         );
         let mut gw = Matrix::zeros(n_out, n_in);
         g.bench_with_input(

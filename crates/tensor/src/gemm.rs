@@ -6,20 +6,52 @@
 //! compacted without a branch, then summed in order into register
 //! blocks.
 //!
-//! Each kernel has one body, compiled twice: for the build target and,
-//! on x86-64, inside an AVX2 wrapper that runs when the CPU has AVX2.
-//! Both compile the same IEEE operations in the same order.
+//! Each kernel has one body with three instantiations ([`Path`]): for
+//! the build target and, on x86-64, inside an AVX2 and an AVX-512
+//! wrapper that run where the CPU has the feature. They differ only in
+//! const parameters — lanes per panel, batch rows per pass, widest
+//! column block — which decide which outputs share an instruction;
+//! every lane computes the same IEEE operations in the same order.
 
 use crate::ops;
 
-/// Outputs per panel. On the portable path (baseline x86-64: sixteen
-/// 4-wide SSE registers) eight lanes are two registers per partial
-/// sum, so the four partial sums a pass keeps live fill eight of the
-/// sixteen and nothing spills; under AVX2 each is one 8-wide register.
-const LANES: usize = 8;
-
 /// `(scalar, row offset)` terms one compaction pass keeps on the stack.
 const TERMS: usize = 64;
+
+/// The instantiation of the kernels that runs, narrowest first.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+enum Path {
+    /// As built: 8 lanes, 1 batch row per pass, blocks up to 32 wide.
+    /// Baseline x86-64 has sixteen 4-wide SSE registers; one row's
+    /// four partial sums over eight lanes fill eight of them, as does a
+    /// 32-wide block, and anything wider spills.
+    Portable,
+    /// AVX2, sixteen 8-wide registers: 8 lanes, 2 rows (eight partial
+    /// sums live), blocks up to 64 wide.
+    Avx2,
+    /// AVX-512, thirty-two 16-wide registers: 16 lanes, 2 rows, blocks
+    /// up to 64 wide.
+    Avx512,
+}
+
+/// The widest path this CPU runs (std caches the checks) and, in
+/// tests, no wider than `tests::CAP`.
+fn path() -> Path {
+    #[cfg(target_arch = "x86_64")]
+    let best = if std::arch::is_x86_feature_detected!("avx512f") {
+        Path::Avx512
+    } else if std::arch::is_x86_feature_detected!("avx2") {
+        Path::Avx2
+    } else {
+        Path::Portable
+    };
+    #[cfg(not(target_arch = "x86_64"))]
+    let best = Path::Portable;
+    #[cfg(test)]
+    let best = best.min(tests::CAP.get());
+    best
+}
 
 /// The scalar summation order every output of the panel kernel
 /// reproduces bit for bit.
@@ -56,10 +88,10 @@ pub(crate) fn matmul_transb(
         SumOrder::Four => n - n % 4,
         SumOrder::Eight => n,
     };
-    pack(&w[..paneled * k], k, panels);
+    let w_paneled = &w[..paneled * k];
     match order {
-        SumOrder::Four => run_panels::<4>(a, k, n, paneled, panels, out),
-        SumOrder::Eight => run_panels::<8>(a, k, n, paneled, panels, out),
+        SumOrder::Four => run_panels::<4>(a, w_paneled, k, n, panels, out),
+        SumOrder::Eight => run_panels::<8>(a, w_paneled, k, n, panels, out),
     }
     for (arow, orow) in a.chunks_exact(k).zip(out.chunks_exact_mut(n)) {
         let rest = w[paneled * k..].chunks_exact(k);
@@ -69,140 +101,197 @@ pub(crate) fn matmul_transb(
     }
 }
 
-/// Packs the rows of `w` eight to a panel, `k`-major inside it:
-/// `panel[t * LANES + lane] = w[first + lane][t]`, the lanes past the
-/// last row zero.
-fn pack(w: &[f32], k: usize, panels: &mut Vec<f32>) {
-    panels.clear();
-    panels.resize((w.len() / k).div_ceil(LANES) * k * LANES, 0.0);
-    let blocks = w.chunks(k * LANES);
-    for (rows, panel) in blocks.zip(panels.chunks_exact_mut(k * LANES)) {
-        for (lane, row) in rows.chunks_exact(k).enumerate() {
-            for (t, &v) in row.iter().enumerate() {
-                panel[t * LANES + lane] = v;
-            }
-        }
-    }
-}
-
-/// Whether the kernels run their AVX2 instantiation: the CPU has AVX2
-/// (std caches the check) and, in tests, the portable bodies are not
-/// forced.
-#[cfg(target_arch = "x86_64")]
-fn avx2() -> bool {
-    #[cfg(test)]
-    if tests::PORTABLE.get() {
-        return false;
-    }
-    std::arch::is_x86_feature_detected!("avx2")
-}
-
-/// [`panel_rows`], in its AVX2 instantiation where the CPU has AVX2.
+/// [`panel_rows`] in the instantiation [`path`] picks.
 fn run_panels<const U: usize>(
     a: &[f32],
+    w: &[f32],
     k: usize,
     n: usize,
-    paneled: usize,
-    panels: &[f32],
+    panels: &mut Vec<f32>,
     out: &mut [f32],
 ) {
     #[cfg(target_arch = "x86_64")]
-    if avx2() {
-        // SAFETY: `avx2()` holds only where `is_x86_feature_detected!
-        // ("avx2")` does, so the CPU runs every instruction it may use.
+    if let wide @ (Path::Avx2 | Path::Avx512) = path() {
+        // SAFETY: `path()` names a wide path only where
+        // `is_x86_feature_detected!` holds for every feature its
+        // wrapper enables, so the CPU runs every instruction they use.
         #[allow(unsafe_code)]
-        return unsafe { panel_rows_avx2::<U>(a, k, n, paneled, panels, out) };
+        return unsafe {
+            match wide {
+                Path::Avx512 => panel_rows_avx512::<U>(a, w, k, n, panels, out),
+                _ => panel_rows_avx2::<U>(a, w, k, n, panels, out),
+            }
+        };
     }
-    panel_rows::<U>(a, k, n, paneled, panels, out);
+    panel_rows::<8, 1, U>(a, w, k, n, panels, out);
 }
 
 /// [`panel_rows`] compiled with AVX2 and without FMA: the same IEEE
-/// operations in the same order, in 8-wide registers.
+/// operations in the same order, two rows per pass in 8-wide
+/// registers.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 fn panel_rows_avx2<const U: usize>(
     a: &[f32],
+    w: &[f32],
     k: usize,
     n: usize,
-    paneled: usize,
-    panels: &[f32],
+    panels: &mut Vec<f32>,
     out: &mut [f32],
 ) {
-    panel_rows::<U>(a, k, n, paneled, panels, out);
+    panel_rows::<8, 2, U>(a, w, k, n, panels, out);
 }
 
-/// Panel outer, batch rows inner: a panel (`k * 32` bytes) stays in L1
-/// while every row of `a` streams past it.
-#[inline(always)]
-fn panel_rows<const U: usize>(
+/// [`panel_rows`] compiled with AVX-512: 16-lane panels, two rows per
+/// pass. `avx512f` implies LLVM's `fma` feature, but Rust never
+/// contracts `a * b + c`, so the IEEE operations are the same.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,avx512f")]
+fn panel_rows_avx512<const U: usize>(
     a: &[f32],
+    w: &[f32],
     k: usize,
     n: usize,
-    paneled: usize,
-    panels: &[f32],
+    panels: &mut Vec<f32>,
     out: &mut [f32],
 ) {
-    for (p, panel) in panels.chunks_exact(k * LANES).enumerate() {
-        let first = p * LANES;
-        let width = LANES.min(paneled - first);
-        for (arow, orow) in a.chunks_exact(k).zip(out.chunks_exact_mut(n)) {
-            let sums = panel_dot::<U>(arow, panel);
-            orow[first..first + width].copy_from_slice(&sums[..width]);
+    panel_rows::<16, 2, U>(a, w, k, n, panels, out);
+}
+
+/// Packs the rows of `w` into panels of `L`, `k`-major inside each:
+/// `panel[t * L + lane] = w[first + lane][t]`, the lanes past the last
+/// row zero.
+#[inline(always)]
+fn pack<const L: usize>(w: &[f32], k: usize, panels: &mut Vec<f32>) {
+    panels.clear();
+    panels.resize((w.len() / k).div_ceil(L) * k * L, 0.0);
+    let blocks = w.chunks(k * L);
+    for (rows, panel) in blocks.zip(panels.chunks_exact_mut(k * L)) {
+        for (lane, row) in rows.chunks_exact(k).enumerate() {
+            for (t, &v) in row.iter().enumerate() {
+                panel[t * L + lane] = v;
+            }
         }
     }
 }
 
-/// Eight dot products of `a` against one panel, each summed with `U`
-/// partial sums over `t mod U` (4: [`SumOrder::Four`], 8:
-/// [`SumOrder::Eight`]). Inlined into the row loop so the sums stay in
-/// registers up to the store; as a call the 112 x 80 layer ran 1.7x
-/// slower.
+/// Packs `w` (the outputs [`matmul_transb`] panels) into `L`-lane
+/// panels, then runs panel outer, batch rows inner, `R` rows per pass:
+/// a panel (`k * 4 * L` bytes) stays in L1 while every row of `a`
+/// streams past it. The rows left after the last full pass go one at a
+/// time.
 #[inline(always)]
-fn panel_dot<const U: usize>(a: &[f32], panel: &[f32]) -> [f32; LANES] {
-    let steps = a.chunks_exact(U);
-    let slabs = panel.chunks_exact(U * LANES);
-    let (a_tail, p_tail) = (steps.remainder(), slabs.remainder());
-    let mut acc = [[0.0f32; LANES]; U];
-    // Four partial sums per pass (see `LANES`), in a local of their own
-    // or they live in memory (`Eight` ran 5x slower summing straight
-    // into `acc`); with eight the second pass re-reads the L1-resident
-    // panel, cheaper than spilling.
-    for (g, group) in acc.chunks_exact_mut(4).enumerate() {
-        let mut live = [[0.0f32; LANES]; 4];
-        for (xa, xp) in steps.clone().zip(slabs.clone()) {
-            for (u, sum) in live.iter_mut().enumerate() {
-                let t = 4 * g + u;
-                for (l, s) in sum.iter_mut().enumerate() {
-                    *s += xa[t] * xp[t * LANES + l];
+fn panel_rows<const L: usize, const R: usize, const U: usize>(
+    a: &[f32],
+    w: &[f32],
+    k: usize,
+    n: usize,
+    panels: &mut Vec<f32>,
+    out: &mut [f32],
+) {
+    pack::<L>(w, k, panels);
+    let paneled = w.len() / k;
+    for (p, panel) in panels.chunks_exact(k * L).enumerate() {
+        let first = p * L;
+        let width = L.min(paneled - first);
+        let mut passes = a.chunks_exact(R * k);
+        let mut outs = out.chunks_exact_mut(R * n);
+        for (rows, orows) in passes.by_ref().zip(outs.by_ref()) {
+            let sums = panel_dot::<L, R, U>(rows, panel);
+            for (s, orow) in sums.iter().zip(orows.chunks_exact_mut(n)) {
+                orow[first..first + width].copy_from_slice(&s[..width]);
+            }
+        }
+        let left = passes.remainder().chunks_exact(k);
+        for (arow, orow) in left.zip(outs.into_remainder().chunks_exact_mut(n)) {
+            let [s] = panel_dot::<L, 1, U>(arow, panel);
+            orow[first..first + width].copy_from_slice(&s[..width]);
+        }
+    }
+}
+
+/// `L` dot products of each of the `R` rows in `rows` (`R * k`
+/// values) against one panel, each summed with `U` partial sums over
+/// `t mod U` (4: [`SumOrder::Four`], 8: [`SumOrder::Eight`]). Inlined
+/// into the row loop so the sums stay in registers up to the store; as
+/// a call the 112 x 80 layer ran 1.7x slower.
+#[inline(always)]
+fn panel_dot<const L: usize, const R: usize, const U: usize>(
+    rows: &[f32],
+    panel: &[f32],
+) -> [[f32; L]; R] {
+    let k = rows.len() / R;
+    let rows: [&[f32]; R] = std::array::from_fn(|r| &rows[r * k..(r + 1) * k]);
+    let steps = rows.map(|a| a.as_chunks::<U>().0);
+    let slabs = panel.chunks_exact(U * L);
+    let low = pass::<L, R, U>(steps, slabs.clone(), 0);
+    let high = if U == 8 {
+        pass::<L, R, U>(steps, slabs.clone(), 1)
+    } else {
+        low
+    };
+    let mut out = [[0.0f32; L]; R];
+    for (r, sums) in out.iter_mut().enumerate() {
+        // s_i + s_{i + U/2}, from one pass (Four) or across the two.
+        let x = |i: usize| {
+            let other = if U == 4 { low[r][i + 2] } else { high[r][i] };
+            lanes_add(low[r][i], other)
+        };
+        *sums = if U == 4 {
+            lanes_add(x(0), x(1))
+        } else {
+            lanes_add(lanes_add(x(0), x(1)), lanes_add(x(2), x(3)))
+        };
+        // Four adds the tail products onto the combined sum one by one;
+        // Eight sums them from zero and adds that once.
+        let a_tail = &rows[r][k - k % U..];
+        let mut tail = [0.0f32; L];
+        let onto = if U == 4 { &mut *sums } else { &mut tail };
+        for (&av, lanes) in a_tail.iter().zip(slabs.remainder().chunks_exact(L)) {
+            for (s, &pv) in onto.iter_mut().zip(lanes) {
+                *s += av * pv;
+            }
+        }
+        if U == 8 {
+            *sums = lanes_add(*sums, tail);
+        }
+    }
+    out
+}
+
+/// Partial sums `4g..4g + 4` of every row over one sweep of the panel,
+/// in a local of their own (`Eight` ran 5x slower summing into one
+/// array of all eight). They stay in registers only if LLVM unrolls
+/// every loop inside the sweep: with the rows outermost, or zipped as
+/// an array by value, it did not and the sums lived in memory (up to 5x
+/// slower). `Eight` takes a second sweep of the L1-resident panel
+/// rather than spill.
+#[inline(always)]
+fn pass<const L: usize, const R: usize, const U: usize>(
+    steps: [&[[f32; U]]; R],
+    slabs: std::slice::ChunksExact<'_, f32>,
+    g: usize,
+) -> [[[f32; L]; 4]; R] {
+    let mut live = [[[0.0f32; L]; 4]; R];
+    for (j, xp) in slabs.enumerate() {
+        for u in 0..4 {
+            let t = 4 * g + u;
+            let p = &xp[t * L..t * L + L];
+            for (r, sums) in live.iter_mut().enumerate() {
+                let av = steps[r][j][t];
+                for (s, &pv) in sums[u].iter_mut().zip(p) {
+                    *s += av * pv;
                 }
             }
         }
-        group.copy_from_slice(&live);
     }
-    let mut sums = [0.0f32; LANES];
-    for (l, s) in sums.iter_mut().enumerate() {
-        let x = |i: usize| acc[i][l] + acc[i + U / 2][l];
-        *s = if U == 4 {
-            x(0) + x(1)
-        } else {
-            (x(0) + x(1)) + (x(2) + x(3))
-        };
-    }
-    // Four adds the tail products onto the combined sum one by one;
-    // Eight sums them from zero and adds that once.
-    let mut tail = [0.0f32; LANES];
-    let onto = if U == 4 { &mut sums } else { &mut tail };
-    for (&av, lanes) in a_tail.iter().zip(p_tail.chunks_exact(LANES)) {
-        for (s, &pv) in onto.iter_mut().zip(lanes) {
-            *s += av * pv;
-        }
-    }
-    if U == 8 {
-        for (s, t) in sums.iter_mut().zip(tail) {
-            *s += t;
-        }
-    }
-    sums
+    live
+}
+
+/// Lane-wise `a + b`.
+#[inline(always)]
+fn lanes_add<const L: usize>(a: [f32; L], b: [f32; L]) -> [f32; L] {
+    std::array::from_fn(|l| a[l] + b[l])
 }
 
 /// `out_o += scalar(o, t) · x_t` for every `w`-wide row `o` of `out`
@@ -213,9 +302,8 @@ fn panel_dot<const U: usize>(a: &[f32], panel: &[f32]) -> [f32; LANES] {
 ///
 /// That branch mispredicts on fresh ReLU masks, so each output row
 /// first writes every term to a stack chunk and advances only past the
-/// non-zero ones, then adds the kept terms into 32/16/8-wide column
-/// blocks held in registers. Runs the AVX2 instantiation where the CPU
-/// has AVX2.
+/// non-zero ones, then adds the kept terms into column blocks held in
+/// registers. Runs the instantiation [`path`] picks.
 pub(crate) fn add_scaled_rows(
     out: &mut [f32],
     x: &[f32],
@@ -223,13 +311,19 @@ pub(crate) fn add_scaled_rows(
     scalar: impl Fn(usize, usize) -> f32,
 ) {
     #[cfg(target_arch = "x86_64")]
-    if avx2() {
-        // SAFETY: `avx2()` holds only where `is_x86_feature_detected!
-        // ("avx2")` does, so the CPU runs every instruction it may use.
+    if let wide @ (Path::Avx2 | Path::Avx512) = path() {
+        // SAFETY: `path()` names a wide path only where
+        // `is_x86_feature_detected!` holds for every feature its
+        // wrapper enables, so the CPU runs every instruction they use.
         #[allow(unsafe_code)]
-        return unsafe { scaled_rows_avx2(out, x, w, scalar) };
+        return unsafe {
+            match wide {
+                Path::Avx512 => scaled_rows_avx512(out, x, w, scalar),
+                _ => scaled_rows_avx2(out, x, w, scalar),
+            }
+        };
     }
-    scaled_rows(out, x, w, scalar);
+    scaled_rows::<32>(out, x, w, scalar);
 }
 
 /// [`scaled_rows`] compiled with AVX2 and without FMA: the same IEEE
@@ -237,11 +331,29 @@ pub(crate) fn add_scaled_rows(
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 fn scaled_rows_avx2(out: &mut [f32], x: &[f32], w: usize, scalar: impl Fn(usize, usize) -> f32) {
-    scaled_rows(out, x, w, scalar);
+    scaled_rows::<64>(out, x, w, scalar);
 }
 
+/// [`scaled_rows`] compiled with AVX-512, in 16-wide registers (see
+/// [`panel_rows_avx512`] on `fma`).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,avx512f")]
+fn scaled_rows_avx512(out: &mut [f32], x: &[f32], w: usize, scalar: impl Fn(usize, usize) -> f32) {
+    scaled_rows::<64>(out, x, w, scalar);
+}
+
+/// Covers each output row with as few column blocks as it can: `B`
+/// wide while `B` columns remain, then one block of the rest's
+/// multiple of eight (`B <= 64`), then single columns. A lone 8-wide
+/// block is one latency-bound add chain, so 40 columns are one block,
+/// not 32 + 8.
 #[inline(always)]
-fn scaled_rows(out: &mut [f32], x: &[f32], w: usize, scalar: impl Fn(usize, usize) -> f32) {
+fn scaled_rows<const B: usize>(
+    out: &mut [f32],
+    x: &[f32],
+    w: usize,
+    scalar: impl Fn(usize, usize) -> f32,
+) {
     if w == 0 {
         return;
     }
@@ -257,19 +369,24 @@ fn scaled_rows(out: &mut [f32], x: &[f32], w: usize, scalar: impl Fn(usize, usiz
             }
             let kept = &kept[..n];
             let mut c = 0;
-            while c + 32 <= w {
-                add_block::<32>(orow, c, kept, x);
-                c += 32;
+            while c + B <= w {
+                add_block::<B>(orow, c, kept, x);
+                c += B;
             }
-            if c + 16 <= w {
-                add_block::<16>(orow, c, kept, x);
-                c += 16;
+            // Fewer than `B` columns remain, so `eights < B / 8`: the
+            // guards keep blocks wider than `B` out of narrower builds.
+            let eights = (w - c) / 8;
+            match eights {
+                1 => add_block::<8>(orow, c, kept, x),
+                2 => add_block::<16>(orow, c, kept, x),
+                3 => add_block::<24>(orow, c, kept, x),
+                4 if B > 32 => add_block::<32>(orow, c, kept, x),
+                5 if B > 40 => add_block::<40>(orow, c, kept, x),
+                6 if B > 48 => add_block::<48>(orow, c, kept, x),
+                7 if B > 56 => add_block::<56>(orow, c, kept, x),
+                _ => {}
             }
-            if c + 8 <= w {
-                add_block::<8>(orow, c, kept, x);
-                c += 8;
-            }
-            for c in c..w {
+            for c in c + 8 * eights..w {
                 add_block::<1>(orow, c, kept, x);
             }
         }
@@ -299,21 +416,28 @@ mod tests {
     use std::cell::Cell;
 
     thread_local! {
-        /// Set to run the portable bodies on a CPU that has AVX2.
-        pub(super) static PORTABLE: Cell<bool> = const { Cell::new(false) };
+        /// The widest path [`path`] may pick on this thread: set lower
+        /// to run a narrower instantiation on a CPU that has a wider one.
+        pub(super) static CAP: Cell<Path> = const { Cell::new(Path::Avx512) };
     }
 
-    /// Runs `check` over the portable bodies, then over their AVX2
-    /// instantiation if this CPU has AVX2.
-    fn on_each_path(check: impl Fn(&str)) {
-        PORTABLE.set(true);
-        check("portable");
-        PORTABLE.set(false);
-        #[cfg(target_arch = "x86_64")]
-        if avx2() {
-            return check("avx2");
+    /// Runs `check` over every instantiation this CPU has, narrowest
+    /// first, and prints each one it checked or could not check.
+    fn on_each_path(kernel: &str, check: impl Fn(&str)) {
+        for (cap, name) in [
+            (Path::Portable, "portable"),
+            (Path::Avx2, "avx2"),
+            (Path::Avx512, "avx512"),
+        ] {
+            CAP.set(cap);
+            if path() == cap {
+                check(name);
+                eprintln!("{kernel} kernel, {name}: checked");
+            } else {
+                eprintln!("{kernel} kernel, {name}: not on this CPU, so not checked");
+            }
         }
-        eprintln!("no AVX2 on this CPU: its instantiation was not checked");
+        CAP.set(Path::Avx512);
     }
 
     /// The four-output block the training forward used before the
@@ -398,12 +522,14 @@ mod tests {
 
     #[test]
     fn panel_kernel_is_bit_identical_to_its_scalar_ancestors() {
-        on_each_path(|path| {
+        on_each_path("panel", |path| {
             let mut panels = Vec::new();
             let mut out = Matrix::default();
+            // n up to 41: two 16-lane panels and a partial third; odd
+            // batches leave one row after the two-row passes.
             for k in 0..=70 {
-                for n in 0..=20 {
-                    for batch in [1, 2, 7, 24] {
+                for n in 0..=41 {
+                    for batch in [1, 2, 3, 7, 24, 48] {
                         for specials in [false, true] {
                             let a = fill(batch, k, n, specials);
                             let w = fill(n, k, 5 * batch, specials);
@@ -492,12 +618,14 @@ mod tests {
 
     #[test]
     fn backward_kernel_is_bit_identical_to_its_branching_loops() {
-        on_each_path(|path| {
+        on_each_path("backward", |path| {
             let mut rng = DetRng::new(28);
             let mut got = Matrix::default();
-            // 150 terms fill two stack chunks and part of a third.
+            // 150 terms fill two stack chunks and part of a third; widths
+            // up to 140 take every block split up to two 64-wide blocks
+            // and a remainder (40 = 40, 80 = 64 + 16, 112 = 64 + 48).
             for terms in [1, 2, 7, 24, 48, 49, 150] {
-                for w in 0..=70 {
+                for w in 0..=140 {
                     let n = 1 + (w + terms) % 5;
                     for density in [0.0, 0.28, 0.49, 1.0] {
                         for specials in [false, true] {

@@ -15,13 +15,15 @@
 //! [`rng::DetRng`] and no kernel is allowed to reorder floating-point
 //! reductions nondeterministically.
 //!
-//! The crate's only `unsafe` is the call of each dense kernel's AVX2
-//! instantiation, made only where `is_x86_feature_detected!("avx2")`
-//! holds: calling a `#[target_feature]` function is `unsafe`, since on
-//! a CPU without the feature it would fault. It cannot move a bit.
-//! Both instantiations compile one body; `fma` is not enabled and Rust
-//! never contracts `a * b + c`, so every lane computes the same IEEE
-//! operations in the same order, only in wider registers.
+//! The crate's only `unsafe` is the call of each dense kernel's AVX2 or
+//! AVX-512 instantiation, made only where `is_x86_feature_detected!`
+//! holds for its features: calling a `#[target_feature]` function is
+//! `unsafe`, since on a CPU without the feature it would fault. It
+//! cannot move a bit. All three instantiations compile one body, and
+//! Rust never contracts `a * b + c` into a fused multiply-add (not even
+//! under `avx512f`, which implies LLVM's `fma` feature), so every lane
+//! computes the same IEEE operations in the same order, only in wider
+//! registers.
 //!
 //! # Example
 //!

@@ -309,8 +309,9 @@ impl Matrix {
     /// This is the dense-layer forward: with activations `A` (batch x
     /// in) and weights `W` (out x in), the pre-activations are `A * W^T`
     /// (batch x out). `other` is packed into `panels` (scratch, reused
-    /// across calls) eight outputs wide and every output is summed in
-    /// `order`, bit-identical to the scalar dot product it names.
+    /// across calls) eight or, under AVX-512, sixteen outputs wide and
+    /// every output is summed in `order`, bit-identical to the scalar
+    /// dot product it names.
     ///
     /// # Panics
     ///

@@ -3,16 +3,23 @@
 //! Provides the same bench-definition API the workspace uses
 //! (`criterion_group!`/`criterion_main!`, `Criterion::bench_function`,
 //! `benchmark_group`, `bench_with_input`, `BenchmarkId`) but measures
-//! with plain wall-clock timing loops: a short warm-up, then a timed
-//! run, reporting the mean per-iteration time to stdout. There is no
-//! statistical analysis, HTML report, or saved baseline.
+//! with plain wall-clock timing loops: a short warm-up, then `BATCHES`
+//! timed batches, reporting the minimum and the median per-iteration
+//! time over the batches to stdout. One mean over one window hid how
+//! far a cell moves (up to 2x between rounds on a shared host): the
+//! minimum is the figure to compare, and the median beside it shows
+//! the spread. There is no further statistical analysis, HTML report,
+//! or saved baseline.
 
 use std::time::{Duration, Instant};
 
 /// Measurement target: warm up briefly, then time enough iterations to
-/// fill the measurement window.
+/// fill the measurement window, split into `BATCHES` batches.
 const WARM_UP: Duration = Duration::from_millis(150);
 const MEASURE: Duration = Duration::from_millis(600);
+
+/// Timed batches per benchmark (odd, so the median is one of them).
+const BATCHES: usize = 11;
 
 /// Identifies one parameterised benchmark, e.g. `onebit_encode/1024`.
 pub struct BenchmarkId {
@@ -35,14 +42,14 @@ impl BenchmarkId {
 
 /// Passed to the bench closure; `iter` runs and times the routine.
 pub struct Bencher {
-    /// Mean seconds per iteration, filled in by `iter`.
-    elapsed_per_iter: f64,
+    /// Seconds per iteration of each timed batch, filled in by `iter`.
+    batches: Vec<f64>,
 }
 
 impl Bencher {
     fn new() -> Self {
         Self {
-            elapsed_per_iter: f64::NAN,
+            batches: Vec::new(),
         }
     }
 
@@ -55,26 +62,48 @@ impl Bencher {
             warm_iters += 1;
         }
         let per_iter = warm_start.elapsed().as_secs_f64() / warm_iters as f64;
-        let target_iters = ((MEASURE.as_secs_f64() / per_iter) as u64).max(10);
-        let start = Instant::now();
-        for _ in 0..target_iters {
-            std::hint::black_box(routine());
+        let per_batch = MEASURE.as_secs_f64() / BATCHES as f64;
+        let batch_iters = ((per_batch / per_iter) as u64).max(1);
+        self.batches.clear();
+        for _ in 0..BATCHES {
+            let start = Instant::now();
+            for _ in 0..batch_iters {
+                std::hint::black_box(routine());
+            }
+            self.batches
+                .push(start.elapsed().as_secs_f64() / batch_iters as f64);
         }
-        self.elapsed_per_iter = start.elapsed().as_secs_f64() / target_iters as f64;
+    }
+
+    /// The fastest batch's and the median batch's seconds per
+    /// iteration, or NaN if `iter` never ran.
+    fn min_median(&mut self) -> (f64, f64) {
+        if self.batches.is_empty() {
+            return (f64::NAN, f64::NAN);
+        }
+        self.batches.sort_by(f64::total_cmp);
+        (self.batches[0], self.batches[self.batches.len() / 2])
     }
 }
 
-fn report(label: &str, secs_per_iter: f64) {
-    let (value, unit) = if secs_per_iter < 1e-6 {
-        (secs_per_iter * 1e9, "ns")
-    } else if secs_per_iter < 1e-3 {
-        (secs_per_iter * 1e6, "µs")
-    } else if secs_per_iter < 1.0 {
-        (secs_per_iter * 1e3, "ms")
+/// Seconds as a value and a unit picked by `secs`' magnitude.
+fn scaled(secs: f64) -> (f64, &'static str) {
+    if secs < 1e-6 {
+        (secs * 1e9, "ns")
+    } else if secs < 1e-3 {
+        (secs * 1e6, "µs")
+    } else if secs < 1.0 {
+        (secs * 1e3, "ms")
     } else {
-        (secs_per_iter, "s")
-    };
-    println!("{label:<50} {value:>10.3} {unit}/iter");
+        (secs, "s")
+    }
+}
+
+fn report(label: &str, b: &mut Bencher) {
+    let (min, median) = b.min_median();
+    let (value, unit) = scaled(min);
+    let (mid, mid_unit) = scaled(median);
+    println!("{label:<50} {value:>10.3} {unit}/iter  (median {mid:.3} {mid_unit})");
 }
 
 /// Top-level driver, mirroring `criterion::Criterion`.
@@ -104,7 +133,7 @@ impl Criterion {
         if self.enabled(name) {
             let mut b = Bencher::new();
             f(&mut b);
-            report(name, b.elapsed_per_iter);
+            report(name, &mut b);
         }
         self
     }
@@ -129,7 +158,7 @@ impl BenchmarkGroup<'_> {
         if self.criterion.enabled(&label) {
             let mut b = Bencher::new();
             f(&mut b);
-            report(&label, b.elapsed_per_iter);
+            report(&label, &mut b);
         }
         self
     }
@@ -144,7 +173,7 @@ impl BenchmarkGroup<'_> {
         if self.criterion.enabled(&label) {
             let mut b = Bencher::new();
             f(&mut b, input);
-            report(&label, b.elapsed_per_iter);
+            report(&label, &mut b);
         }
         self
     }

@@ -9,10 +9,10 @@ use std::hint::black_box;
 use rog_compress::{
     CodecChoice, CodecState, CompressedRow, OneBitCodec, SparseDeltaCodec, TopKCodec,
 };
-use rog_core::mta::mta_fraction;
+use rog_core::mta::{mta_fraction, Mta};
 use rog_core::{
-    ImportanceMetric, ImportanceMode, RankScratch, RogWorker, RogWorkerConfig, RowBatch, RowId,
-    RowPartition, ShardMap, ShardedServer,
+    ImportanceMetric, ImportanceMode, PushFloor, RankScratch, RogWorker, RogWorkerConfig, RowBatch,
+    RowId, RowPartition, ShardMap, ShardedServer,
 };
 use rog_models::{CrudaSpec, Mlp, Task, Workload};
 use rog_net::{Channel, ChannelProfile, FlowSpec, LossConfig, Trace, TraceStream};
@@ -103,9 +103,6 @@ fn bench_importance(c: &mut Criterion) {
     for &rows in &[200usize, 2000, 33_307] {
         let mags: Vec<f32> = (0..rows).map(|_| rng.normal().abs() as f32).collect();
         let iters: Vec<u64> = (0..rows).map(|i| (i % 7) as u64).collect();
-        g.bench_with_input(BenchmarkId::new("rank_worker_mode", rows), &rows, |b, _| {
-            b.iter(|| metric.rank(ImportanceMode::Worker, black_box(&mags), black_box(&iters)))
-        });
         // Allocation-free full ranking (what the engines run every push).
         let mut scratch = RankScratch::default();
         let mut out = Vec::new();
@@ -122,6 +119,33 @@ fn bench_importance(c: &mut Criterion) {
             })
         });
     }
+    // A tie-heavy push ranking at the CRUDA model's 219 rows: about a
+    // third just pushed (magnitude 0, the newest iteration), the rest
+    // within a threshold-4 window. Hot in cache, it under-reports what
+    // the engine's cache-cold sorts gain (DESIGN.md *Performance*).
+    let rows = 219;
+    let pushed: Vec<bool> = (0..rows).map(|_| rng.chance(0.32)).collect();
+    let mags: Vec<f32> = pushed
+        .iter()
+        .map(|&p| if p { 0.0 } else { rng.normal().abs() as f32 })
+        .collect();
+    let iters: Vec<u64> = pushed
+        .iter()
+        .map(|&p| 100 - if p { 0 } else { rng.index(4) as u64 })
+        .collect();
+    let (mut scratch, mut out) = (RankScratch::default(), Vec::new());
+    g.bench_with_input(BenchmarkId::new("rank_into_ties", rows), &rows, |b, _| {
+        b.iter(|| {
+            let (mags, iters) = (black_box(&mags), black_box(&iters));
+            metric.rank_into(ImportanceMode::Worker, mags, iters, &mut scratch, &mut out);
+            out.len()
+        })
+    });
+    // One push leg's floor over those rows, as a worker opens it.
+    let bound = Mta::new(4);
+    g.bench_with_input(BenchmarkId::new("push_floor_new", rows), &rows, |b, _| {
+        b.iter(|| PushFloor::new(black_box(rows), black_box(30), black_box(bound)))
+    });
     g.finish();
 }
 
@@ -587,8 +611,12 @@ fn bench_granularity_ablation(c: &mut Criterion) {
     ] {
         let mags: Vec<f32> = (0..units).map(|_| rng.normal().abs() as f32).collect();
         let iters: Vec<u64> = (0..units).map(|i| (i % 5) as u64).collect();
+        let (mut scratch, mut out) = (RankScratch::default(), Vec::new());
         g.bench_function(name, |b| {
-            b.iter(|| metric.rank(ImportanceMode::Worker, black_box(&mags), black_box(&iters)))
+            b.iter(|| {
+                let (mags, iters) = (black_box(&mags), black_box(&iters));
+                metric.rank_into(ImportanceMode::Worker, mags, iters, &mut scratch, &mut out);
+            })
         });
     }
     g.finish();

@@ -9,6 +9,11 @@
 //! | threshold | 2 | 3 | 4 | 5 | 6 | 7 | 8 |
 //! |---|---|---|---|---|---|---|---|
 //! | MTA | 0.5 | 0.38 | 0.32 | 0.28 | 0.25 | 0.22 | 0.2 |
+//!
+//! [`Mta::new`] solves the fraction where a bound is set:
+//! [`ServerRole::new`](crate::ServerRole::new),
+//! [`ServerRole::set_bound`](crate::ServerRole::set_bound) and a `join`
+//! worker's `Welcome`. Floors and grants read it, never re-solve it.
 
 /// The MTA fraction for staleness threshold `s`: the root of
 /// `(1 - P)^(s-1) = P` in `(0, 1)`.
@@ -30,10 +35,14 @@ pub fn mta_fraction(s: u32) -> f64 {
     }
     let e = (s - 1) as f64;
     // f(p) = (1-p)^e - p is strictly decreasing on [0, 1] with f(0) = 1
-    // and f(1) = -1: bisect.
+    // and f(1) = -1: bisect. Once `mid` rounds onto an end every later
+    // step reproduces it, so stopping there keeps the 200-step bits.
     let (mut lo, mut hi) = (0.0f64, 1.0f64);
     for _ in 0..200 {
         let mid = 0.5 * (lo + hi);
+        if mid == lo || mid == hi {
+            break;
+        }
         if (1.0 - mid).powf(e) - mid > 0.0 {
             lo = mid;
         } else {
@@ -43,13 +52,39 @@ pub fn mta_fraction(s: u32) -> f64 {
     0.5 * (lo + hi)
 }
 
-/// Number of rows a push must include for `n_rows` total rows under
-/// threshold `s` (at least 1 for non-empty models).
-pub fn mta_rows(n_rows: usize, s: u32) -> usize {
-    if n_rows == 0 {
-        return 0;
+/// A staleness bound with its MTA fraction, solved once by
+/// [`Mta::new`] and carried wherever the bound goes.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Mta {
+    threshold: u32,
+    fraction: f64,
+}
+
+impl Mta {
+    /// Threshold `threshold` with its [`mta_fraction`].
+    pub fn new(threshold: u32) -> Self {
+        let fraction = mta_fraction(threshold);
+        Self {
+            threshold,
+            fraction,
+        }
     }
-    ((n_rows as f64 * mta_fraction(s)).ceil() as usize).clamp(1, n_rows)
+
+    /// The staleness threshold.
+    pub fn threshold(self) -> u32 {
+        self.threshold
+    }
+
+    /// [`mta_fraction`] of the threshold.
+    pub fn fraction(self) -> f64 {
+        self.fraction
+    }
+
+    /// Number of rows a push must include for `n_rows` total rows (at
+    /// least 1 for non-empty models).
+    pub fn rows(self, n_rows: usize) -> usize {
+        ((n_rows as f64 * self.fraction).ceil() as usize).clamp(n_rows.min(1), n_rows)
+    }
 }
 
 #[cfg(test)]
@@ -86,10 +121,41 @@ mod tests {
 
     #[test]
     fn mta_rows_rounds_up_and_clamps() {
-        assert_eq!(mta_rows(100, 2), 50);
-        assert_eq!(mta_rows(3, 8), 1);
-        assert_eq!(mta_rows(0, 4), 0);
-        assert_eq!(mta_rows(1, 64), 1);
+        assert_eq!(Mta::new(2).rows(100), 50);
+        assert_eq!(Mta::new(8).rows(3), 1);
+        assert_eq!(Mta::new(4).rows(0), 0);
+        assert_eq!(Mta::new(64).rows(1), 1);
+    }
+
+    /// The bisection as it ran before the early exit: all 200 steps.
+    fn two_hundred_steps(s: u32) -> f64 {
+        if s <= 1 {
+            return 1.0;
+        }
+        let e = (s - 1) as f64;
+        let (mut lo, mut hi) = (0.0f64, 1.0f64);
+        for _ in 0..200 {
+            let mid = 0.5 * (lo + hi);
+            if (1.0 - mid).powf(e) - mid > 0.0 {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        0.5 * (lo + hi)
+    }
+
+    #[test]
+    fn the_early_exit_keeps_the_200_step_bits() {
+        for s in 0..=4096u32 {
+            let (got, want) = (mta_fraction(s), two_hundred_steps(s));
+            assert_eq!(got.to_bits(), want.to_bits(), "threshold {s}");
+            let mta = Mta::new(s);
+            assert_eq!(
+                (mta.threshold(), mta.fraction().to_bits()),
+                (s, want.to_bits())
+            );
+        }
     }
 
     proptest! {
@@ -111,11 +177,11 @@ mod tests {
 
         #[test]
         fn prop_stalest_first_coverage(s in 2u32..16, n in 1usize..5000) {
-            // Pushing the `mta_rows` stalest rows each step refreshes
+            // Pushing the `Mta::rows` stalest rows each step refreshes
             // every row within ceil(1/P) steps — the deterministic
             // counterpart of the paper's probabilistic (1-P)^s argument.
             let p = mta_fraction(s);
-            let k = mta_rows(n, s);
+            let k = Mta::new(s).rows(n);
             let steps = (1.0 / p).ceil() as usize;
             let mut untransmitted = n;
             for _ in 0..steps {

@@ -39,8 +39,10 @@
 //! [`ServerRole`] owns every worker's staleness bound: the plane's
 //! threshold only seeds it, and [`ServerRole::set_bound`] is its one
 //! setter; [`WorkerRole::plan`] and [`WorkerRole::replan`] take the
-//! worker's bound from [`ServerRole::bound`]. A driver that moves a
-//! bound journals the move itself.
+//! worker's bound from [`ServerRole::bound`]. A bound is an [`Mta`]:
+//! its MTA fraction is solved where the bound is set and read by every
+//! floor and grant. A driver that moves a bound journals the move
+//! itself.
 //!
 //! The baselines (BSP/SSP/ASP/FLOWN/DSSP/ABS) put every row in every
 //! leg and call only unjournaled steps — `accumulate`,
@@ -55,8 +57,8 @@ use rog_sim::Time;
 use rog_tensor::Matrix;
 
 use crate::{
-    gate, mta, AggregatorPlane, AggregatorStats, Leg, MtaTimeTracker, RogWorker, RogWorkerConfig,
-    Round, RowBatch, RowId, ShardMap, ShardedServer,
+    gate, mta::Mta, AggregatorPlane, AggregatorStats, Leg, MtaTimeTracker, RogWorker,
+    RogWorkerConfig, Round, RowBatch, RowId, ShardMap, ShardedServer,
 };
 
 /// One worker's leg to one parameter shard: `(worker, shard)`.
@@ -79,9 +81,9 @@ pub struct PushFloor {
 
 impl PushFloor {
     /// The floor of a `rows`-row plan whose first `mandatory` rows sit
-    /// at the staleness bound.
-    pub fn new(rows: usize, mandatory: usize, threshold: u32) -> Self {
-        let mta_rows = mta::mta_rows(rows, threshold);
+    /// at the staleness bound `bound`.
+    pub fn new(rows: usize, mandatory: usize, bound: Mta) -> Self {
+        let mta_rows = bound.rows(rows);
         let mandatory = mandatory.min(rows);
         Self {
             rows,
@@ -230,10 +232,11 @@ impl WorkerRole {
     /// importance), gives each shard leg its rows in rank order, so a
     /// leg's mandatory rows stay a prefix of its plan, and opens every
     /// leg with its floor.
-    pub fn plan(&mut self, n: u64, map: &ShardMap, bound: u32) {
+    pub fn plan(&mut self, n: u64, map: &ShardMap, bound: Mta) {
         self.iter = n;
         self.parked = false;
-        self.worker.plan_push_at(n, bound, &mut self.ranked);
+        self.worker
+            .plan_push_at(n, bound.threshold(), &mut self.ranked);
         for s in 0..self.legs.len() {
             self.open(s, map, bound);
         }
@@ -242,8 +245,9 @@ impl WorkerRole {
     /// Re-plans shard `s`'s leg of the current cycle against the latest
     /// gradients and reopens it (a fault cut its push; the other legs
     /// keep theirs).
-    pub fn replan(&mut self, s: usize, map: &ShardMap, bound: u32) {
-        self.worker.plan_push_at(self.iter, bound, &mut self.ranked);
+    pub fn replan(&mut self, s: usize, map: &ShardMap, bound: Mta) {
+        self.worker
+            .plan_push_at(self.iter, bound.threshold(), &mut self.ranked);
         self.open(s, map, bound);
     }
 
@@ -251,7 +255,7 @@ impl WorkerRole {
     /// floor: `max(MTA, mandatory)` rows must go out, the mandatory
     /// prefix must land. The leg sizes every row as the worker's codec
     /// frames it now.
-    fn open(&mut self, s: usize, map: &ShardMap, bound: u32) {
+    fn open(&mut self, s: usize, map: &ShardMap, bound: Mta) {
         let (worker, n) = (&self.worker, self.iter);
         let row_iters = worker.row_iters();
         let leg = &mut self.legs[s];
@@ -260,7 +264,7 @@ impl WorkerRole {
         plan.extend(self.ranked.iter().filter(|&&id| map.shard_of(id) == s));
         let mandatory = plan
             .iter()
-            .take_while(|&&id| gate::row_is_mandatory(row_iters[id.0], n, bound))
+            .take_while(|&&id| gate::row_is_mandatory(row_iters[id.0], n, bound.threshold()))
             .count();
         leg.floor = PushFloor::new(plan.len(), mandatory, bound);
         let size = |id| worker.payload_bytes(id);
@@ -446,7 +450,7 @@ pub struct ServerRole {
     parked: Vec<(LegId, u64)>,
     /// Each worker's RSP threshold: its gate bound and its pulls' MTA
     /// target. The one copy every driver reads and moves.
-    bounds: Vec<u32>,
+    bounds: Vec<Mta>,
     /// Row-major by worker.
     legs: Vec<ServerLeg>,
     peak_version_bytes: usize,
@@ -461,7 +465,7 @@ impl ServerRole {
             agg,
             agg_ids: Vec::new(),
             parked: Vec::new(),
-            bounds: vec![server.threshold(); n],
+            bounds: vec![Mta::new(server.threshold()); n],
             legs: vec![ServerLeg::default(); n * n_shards],
             peak_version_bytes: 0,
             server,
@@ -679,7 +683,8 @@ impl ServerRole {
     /// otherwise. `reach = false` parks without a check (a granted pull
     /// was cut off and starts over, or the pusher queues for a scan).
     pub fn retry(&mut self, leg: LegId, n: u64, reach: bool) -> Gate {
-        if reach && self.server.versions(leg.1).gate_ok(n, self.bounds[leg.0]) {
+        let bound = self.bounds[leg.0].threshold();
+        if reach && self.server.versions(leg.1).gate_ok(n, bound) {
             Gate::Granted
         } else {
             self.parked.push((leg, n));
@@ -723,7 +728,7 @@ impl ServerRole {
                 obs_shard!(journal, now, tag, merge);
             }
         }
-        let mta_rows = mta::mta_rows(self.server.map().shard_rows(s), self.bounds[w]);
+        let mta_rows = self.bounds[w].rows(self.server.map().shard_rows(s));
         let i = self.slot(leg);
         let pull = &mut self.legs[i].pull;
         self.server.plan_pull_into(s, w, pull.plan_mut());
@@ -801,15 +806,16 @@ impl ServerRole {
         self.server.commit_pull_into(s, w, rows, out);
     }
 
-    /// Gates worker `w` at `bound` and sizes its pulls' MTA by it,
-    /// unjournaled (follow with a release scan: a loosened gate may
-    /// admit parked requests). SSP's bound `t` is RSP threshold `t + 1`.
+    /// Gates worker `w` at `bound` and sizes its pulls' MTA by it (the
+    /// fraction is solved here, once per move), unjournaled (follow
+    /// with a release scan: a loosened gate may admit parked requests).
+    /// SSP's bound `t` is RSP threshold `t + 1`.
     pub fn set_bound(&mut self, w: usize, bound: u32) {
-        self.bounds[w] = bound;
+        self.bounds[w] = Mta::new(bound);
     }
 
-    /// Worker `w`'s RSP threshold at the gate.
-    pub fn bound(&self, w: usize) -> u32 {
+    /// Worker `w`'s RSP threshold at the gate, with its MTA.
+    pub fn bound(&self, w: usize) -> Mta {
         self.bounds[w]
     }
 

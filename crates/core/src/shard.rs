@@ -1253,9 +1253,16 @@ mod tests {
                 .map(|&r| ops::mean_abs(pending.get(w, r).0))
                 .collect();
             let fresh: Vec<u64> = globals.iter().map(|&r| pending.get(w, r).1).collect();
-            ImportanceMetric::default()
-                .rank(ImportanceMode::Server, &mean_abs, &fresh)
-                .into_iter()
+            let (m, mut keys, mut out) =
+                (ImportanceMetric::default(), RankScratch::default(), vec![]);
+            m.rank_into(
+                ImportanceMode::Server,
+                &mean_abs,
+                &fresh,
+                &mut keys,
+                &mut out,
+            );
+            out.into_iter()
                 .filter(|l| fresh[l.0] > 0)
                 .map(|l| RowId(globals[l.0]))
                 .collect()

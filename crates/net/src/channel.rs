@@ -290,6 +290,7 @@ pub struct Channel {
     reports: BTreeMap<FlowId, DeliveryReport>,
     lost_bytes: f64,
     corrupt_bytes: f64,
+    #[cfg(test)]
     duplicated_bytes: f64,
     offered_bytes: f64,
     loss_est: BTreeMap<LinkId, LossEwma>,
@@ -332,6 +333,7 @@ impl Channel {
             reports: BTreeMap::new(),
             lost_bytes: 0.0,
             corrupt_bytes: 0.0,
+            #[cfg(test)]
             duplicated_bytes: 0.0,
             offered_bytes: 0.0,
             loss_est: BTreeMap::new(),
@@ -403,6 +405,8 @@ impl Channel {
 
     /// Bytes delivered more than once (receiver-side dedup absorbs
     /// them; informational, not part of the conservation identity).
+    /// Only the conservation tests read it.
+    #[cfg(test)]
     pub fn duplicated_bytes(&self) -> f64 {
         self.duplicated_bytes
     }
@@ -566,14 +570,12 @@ impl Channel {
             return;
         }
         debug_assert_eq!(f.fates.len(), chunks_done, "one fate per complete chunk");
-        let (mut useful, mut lost, mut corrupt, mut dup) = (0u64, 0u64, 0u64, 0u64);
+        let (mut useful, mut lost, mut corrupt) = (0u64, 0u64, 0u64);
         for i in 0..chunks_done {
             let size = f.prefix[i + 1] - f.prefix[i];
             match f.fates[i] {
-                ChunkFate::Delivered | ChunkFate::Reordered => useful += size,
-                ChunkFate::Duplicated => {
-                    useful += size;
-                    dup += size;
+                ChunkFate::Delivered | ChunkFate::Reordered | ChunkFate::Duplicated => {
+                    useful += size
                 }
                 ChunkFate::Lost => lost += size,
                 ChunkFate::Corrupt => corrupt += size,
@@ -582,7 +584,12 @@ impl Channel {
         self.useful_bytes += useful as f64;
         self.lost_bytes += lost as f64;
         self.corrupt_bytes += corrupt as f64;
-        self.duplicated_bytes += dup as f64;
+        #[cfg(test)]
+        {
+            let dup = f.fates[..chunks_done].iter().zip(f.prefix.windows(2));
+            let dup = dup.filter(|(fate, _)| **fate == ChunkFate::Duplicated);
+            self.duplicated_bytes += dup.map(|(_, w)| w[1] - w[0]).sum::<u64>() as f64;
+        }
         let report = DeliveryReport {
             link: f.link,
             fates: f.fates[..chunks_done].to_vec(),

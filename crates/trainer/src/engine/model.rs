@@ -284,7 +284,7 @@ impl ModelEngine {
         };
         control.assign(&mut self.thresholds);
         for (w, &t) in self.thresholds.iter().enumerate() {
-            if self.server.bound(w) != t.saturating_add(1) {
+            if self.server.bound(w).threshold() != t.saturating_add(1) {
                 self.server.set_bound(w, t.saturating_add(1));
             }
         }

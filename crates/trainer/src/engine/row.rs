@@ -325,7 +325,7 @@ impl Engine for RowEngine {
 impl RowEngine {
     /// The staleness bound every worker's gate enforces (ROG's is uniform).
     fn threshold(&self) -> u32 {
-        self.server.bound(0)
+        self.server.bound(0).threshold()
     }
 
     /// Pipeline mode: an iteration completes at each compute; gradients

@@ -50,8 +50,8 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use rog_core::{
-    Gate, PushFloor, PushReport, RogWorkerConfig, Round, RowBatch, RowId, ServerRole, ShardMap,
-    ShardedServer, WorkerRole,
+    mta::Mta, Gate, PushFloor, PushReport, RogWorkerConfig, Round, RowBatch, RowId, ServerRole,
+    ShardMap, ShardedServer, WorkerRole,
 };
 use rog_obs::{obs, EventKind, Journal};
 use rog_sim::DeviceState;
@@ -836,6 +836,7 @@ pub fn join(cfg: &ExperimentConfig, opts: &JoinOptions) -> Result<RunOutcome, St
     let cluster = Cluster::build(cfg);
     let mut model = cluster.init_model.clone();
     let mut wcfg = RogWorkerConfig::new(threshold, cluster.lr);
+    let bound = Mta::new(threshold);
     wcfg.importance = cfg.importance();
     let n_shards = cfg.effective_shards();
     let map = ShardMap::contiguous(model.row_widths().len(), n_shards);
@@ -901,7 +902,7 @@ pub fn join(cfg: &ExperimentConfig, opts: &JoinOptions) -> Result<RunOutcome, St
         // best-effort datagrams.
         lw.set_state(DeviceState::Communicate);
         role.accumulate(&grads);
-        role.plan(iter, &map, threshold);
+        role.plan(iter, &map, bound);
         let (mut mandatory, mut bulk) = (Vec::new(), Vec::new());
         for s in 0..n_shards {
             let floor = role.floor(s);

@@ -13,7 +13,7 @@
 //! ```
 
 use rog::core::{
-    mta, Gate, RogWorkerConfig, Round, RowBatch, ServerRole, ShardMap, ShardedServer, WorkerRole,
+    Gate, RogWorkerConfig, Round, RowBatch, ServerRole, ShardMap, ShardedServer, WorkerRole,
 };
 use rog::obs::Journal;
 use rog::tensor::rng::DetRng;
@@ -35,10 +35,11 @@ fn main() {
     // This walkthrough has no clock: every record would carry t = 0.
     let mut journal = Journal::disabled();
     let mut rows = RowBatch::default();
-    let mta_rows = mta::mta_rows(n_rows, threshold);
+    let mta = server.bound(0);
     println!(
-        "model: {n_rows} rows | RSP threshold {threshold} | MTA {:.0}% = {mta_rows} rows\n",
-        100.0 * mta::mta_fraction(threshold)
+        "model: {n_rows} rows | RSP threshold {threshold} | MTA {:.0}% = {} rows\n",
+        100.0 * mta.fraction(),
+        mta.rows(n_rows)
     );
 
     let mut rng = DetRng::new(42);

@@ -5,7 +5,8 @@
 //! server until `min(V)` admits it — made deterministic.
 
 use rog::compress::CodecChoice;
-use rog::core::{gate, mta};
+use rog::core::gate;
+use rog::core::mta::{mta_fraction, Mta};
 use rog::core::{
     Gate, ImportanceMetric, LegId, PushReport, Restart, RogWorkerConfig, Round, RowBatch, RowId,
     ServerRole, ShardMap, ShardedServer, WorkerRole,
@@ -264,7 +265,7 @@ fn a_dropped_row_keeps_its_mass_and_comes_back_mandatory() {
             .map(|m| Matrix::randn(m.rows(), m.cols(), 1.0, &mut rng))
             .collect();
         w.accumulate(&grads);
-        w.plan(n, &map, THRESHOLD);
+        w.plan(n, &map, Mta::new(THRESHOLD));
         let plan = w.push_leg(0).plan();
         let at = plan.iter().position(|&id| id == victim).expect("ranked");
         let intact: Vec<bool> = plan.iter().map(|&id| id != victim).collect();
@@ -442,6 +443,44 @@ fn each_worker_is_parked_and_released_by_its_own_bound() {
     assert_eq!(push_all(&mut server, 1, 4), Gate::Parked, "lead 3 at RSP 1");
 }
 
+/// A bound carries its MTA fraction: the server role solves it at
+/// construction and at every `set_bound`, so each worker's bound reads
+/// `mta_fraction` of its own threshold.
+#[test]
+fn each_bound_carries_the_fraction_of_its_threshold() {
+    let ps = params();
+    let n_rows = ps.iter().map(Matrix::rows).sum();
+    let imp = ImportanceMetric::default();
+    let map = ShardMap::contiguous(n_rows, 1);
+    let mut server = ServerRole::new(ShardedServer::new(&ps, 3, THRESHOLD, imp, map), None);
+    let carried = |server: &ServerRole| {
+        (0..3)
+            .map(|w| {
+                (
+                    server.bound(w).threshold(),
+                    server.bound(w).fraction().to_bits(),
+                )
+            })
+            .collect::<Vec<_>>()
+    };
+    let solved = |ts: [u32; 3]| ts.map(|t| (t, mta_fraction(t).to_bits())).to_vec();
+    let mut ts = [THRESHOLD; 3];
+    assert_eq!(carried(&server), solved(ts));
+    for (w, t) in [
+        (0, 1),
+        (1, 8),
+        (2, 0),
+        (0, 64),
+        (1, 8),
+        (2, 2),
+        (1, THRESHOLD),
+    ] {
+        server.set_bound(w, t);
+        ts[w] = t;
+        assert_eq!(carried(&server), solved(ts), "after set_bound({w}, {t})");
+    }
+}
+
 /// A rejoin never lowers `min(V)`: worker 1 departs, worker 0 pushes
 /// on alone, and worker 1 comes back having adopted an older iteration
 /// than `min(V)` reached meanwhile. Its rows restart at `min(V)`, so
@@ -471,7 +510,8 @@ fn a_rejoin_at_an_older_iteration_leaves_min_v_in_place() {
 }
 
 /// A worker's bound also sizes its pulls: after `set_bound(w, b)` the
-/// grant's MTA is `mta_rows(shard_rows, b)`, capped at the plan length.
+/// grant's MTA is `Mta::new(b).rows(shard_rows)`, capped at the plan
+/// length.
 #[test]
 fn a_grant_sizes_the_pull_by_the_workers_own_bound() {
     let ps = params();
@@ -491,7 +531,7 @@ fn a_grant_sizes_the_pull_by_the_workers_own_bound() {
         assert_eq!(push_all(&mut server, 0, 1), Gate::Granted);
         let must = server.grant((0, 0), 0.0, &mut journal);
         assert_eq!(server.pull_leg((0, 0)).plan().len(), n_rows);
-        assert_eq!(must, mta::mta_rows(n_rows, bound), "bound {bound}");
+        assert_eq!(must, Mta::new(bound).rows(n_rows), "bound {bound}");
     }
     // Two pending rows: the MTA of the shard's rows is past the plan.
     let mut server = plane(2);
@@ -502,7 +542,7 @@ fn a_grant_sizes_the_pull_by_the_workers_own_bound() {
     server.ingest((1, 0), 1, &mut two);
     assert_eq!(server.retry((0, 0), 1, true), Gate::Granted);
     assert_eq!(server.grant((0, 0), 0.0, &mut journal), 2);
-    assert!(mta::mta_rows(n_rows, 4) > 2);
+    assert!(Mta::new(4).rows(n_rows) > 2);
 }
 
 #[test]
@@ -602,7 +642,7 @@ fn a_leg_hands_out_the_sizes_of_the_state_it_sends_from() {
     };
     w.accumulate(&spikes(0));
     for moved in ["accumulate", "push codec"] {
-        w.plan(n, &map, THRESHOLD);
+        w.plan(n, &map, Mta::new(THRESHOLD));
         let handed: Vec<u64> = w.push_sizes(0, Round::Speculative).collect();
         assert_eq!(handed, fresh(&w, Round::Speculative), "{moved}");
         let next = w.push_round(0, Round::Speculative, 2, Some(&[false, true]));
@@ -675,7 +715,7 @@ fn planned(n: u64) -> (WorkerRole, ShardMap) {
     let map = ShardMap::contiguous(ps.iter().map(Matrix::rows).sum(), N_SHARDS);
     let mut w = WorkerRole::new(&ps, RogWorkerConfig::new(THRESHOLD, 0.05), N_SHARDS);
     w.accumulate(&grads(n));
-    w.plan(n, &map, THRESHOLD);
+    w.plan(n, &map, Mta::new(THRESHOLD));
     (w, map)
 }
 
@@ -701,7 +741,7 @@ fn a_cut_in_push_on_every_engaged_leg_restarts_the_cycle() {
     (0..N_SHARDS).for_each(|s| w.cut(s));
     assert_eq!(w.restart(1), Some(Restart::Cycle));
     assert!(w.busy(), "the cut cycle is still in flight");
-    w.plan(3, &map, THRESHOLD);
+    w.plan(3, &map, Mta::new(THRESHOLD));
     assert_eq!(w.cycle_iter(), 3);
     assert!(
         (0..N_SHARDS).all(|s| w.restart(s).is_none()),
@@ -736,7 +776,7 @@ fn a_cut_in_push_on_one_leg_replans_only_that_leg() {
     // The leg re-plans against the latest gradients at the cycle's
     // iteration; the other leg keeps its plan and its phase.
     w.accumulate(&grads(9));
-    w.replan(1, &map, THRESHOLD);
+    w.replan(1, &map, Mta::new(THRESHOLD));
     assert_eq!(w.cycle_iter(), 2);
     assert_eq!(w.push_leg(0).plan(), pushed);
     let plan = w.push_leg(1).plan();

@@ -5,6 +5,7 @@
 //! every worker eventually applies the same gradients.
 
 use proptest::prelude::*;
+use rog::core::mta::Mta;
 use rog::core::{
     Gate, ImportanceMetric, PushFloor, RogWorkerConfig, Round, RowBatch, RowId, ServerRole,
     ShardMap, ShardedServer, WorkerRole,
@@ -42,7 +43,7 @@ fn server(n_workers: usize, threshold: u32) -> ServerRole {
 /// Plans worker `w`'s push of `iter` and returns its floor.
 fn plan_push(w: &mut WorkerRole, iter: u64) -> PushFloor {
     let bound = w.worker().config().threshold;
-    w.plan(iter, &ShardMap::contiguous(n_rows(), 1), bound);
+    w.plan(iter, &ShardMap::contiguous(n_rows(), 1), Mta::new(bound));
     w.floor(0)
 }
 
@@ -139,12 +140,12 @@ proptest! {
 #[test]
 fn a_zero_budget_is_floored_at_mta_and_mandatory() {
     // MTA(4) of 4 rows = ceil(0.3177 * 4) = 2.
-    assert_eq!(PushFloor::new(4, 0, 4).admit(Some(0)), 2);
-    assert_eq!(PushFloor::new(4, 3, 4).admit(Some(0)), 3);
-    assert_eq!(PushFloor::new(4, 9, 4).admit(Some(0)), 4);
-    assert_eq!(PushFloor::new(4, 0, 4).admit(Some(3)), 3);
-    assert_eq!(PushFloor::new(4, 0, 4).admit(Some(9)), 4);
-    assert_eq!(PushFloor::new(4, 0, 4).admit(None), 4);
+    assert_eq!(PushFloor::new(4, 0, Mta::new(4)).admit(Some(0)), 2);
+    assert_eq!(PushFloor::new(4, 3, Mta::new(4)).admit(Some(0)), 3);
+    assert_eq!(PushFloor::new(4, 9, Mta::new(4)).admit(Some(0)), 4);
+    assert_eq!(PushFloor::new(4, 0, Mta::new(4)).admit(Some(3)), 3);
+    assert_eq!(PushFloor::new(4, 0, Mta::new(4)).admit(Some(9)), 4);
+    assert_eq!(PushFloor::new(4, 0, Mta::new(4)).admit(None), 4);
 
     // Through the shipped plan: a worker whose first pushes are cut to
     // nothing, so every row reaches the bound, then sends only what a

@@ -26,12 +26,12 @@ fn bench_compression(c: &mut Criterion) {
     let mut rng = DetRng::new(1);
     // 16384 cols = 256 packed u64 words: makes the word-at-a-time
     // pack/unpack throughput visible above the per-call overhead. 40,
-    // 80 and 112 are the CRUDA widths the workloads run, for the
-    // error-feedback steps and the sparse sizing only.
-    for &cols in &[40usize, 64, 80, 112, 512, 4096, 16_384] {
+    // 80 and 112 are the CRUDA widths, 100 (last: the others keep their
+    // rows) a 4-value partial block; steps and sparse sizing only.
+    for &cols in &[40usize, 64, 80, 112, 512, 4096, 16_384, 100] {
         let row: Vec<f32> = (0..cols).map(|_| rng.normal() as f32).collect();
-        let cruda = matches!(cols, 40 | 80 | 112);
-        if !cruda {
+        let steps_only = matches!(cols, 40 | 80 | 100 | 112);
+        if !steps_only {
             g.bench_with_input(BenchmarkId::new("onebit_encode", cols), &row, |b, row| {
                 b.iter(|| CompressedRow::encode(black_box(row)))
             });
@@ -85,7 +85,7 @@ fn bench_compression(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::new("sized_sparse", cols), &row, |b, row| {
             b.iter(|| ef.planned_payload_bytes(&SparseDeltaCodec, 0, black_box(row)))
         });
-        if cruda {
+        if steps_only {
             continue;
         }
         let topk = TopKCodec::new(0.01);

@@ -959,8 +959,9 @@ impl CodecState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lanes::tests::{gate_admits, on_each_path};
+    use crate::lanes::tests::{gate_admits, LANES};
     use proptest::prelude::*;
+    use rog_tensor::simd::{testhooks::on_each_isa, Isa};
 
     fn all_codecs() -> Vec<Codec> {
         vec![
@@ -1097,10 +1098,10 @@ mod tests {
         // unblurred by a residual. NaN and ±Inf rows skip the
         // quantizers (they divide by the row maximum). All of it over
         // the portable path and the AVX2 class sums.
-        on_each_path(every_rung_steps_on);
+        on_each_isa("every rung", LANES, every_rung_steps_on);
     }
 
-    fn every_rung_steps_on(path: &str) {
+    fn every_rung_steps_on(isa: Isa) {
         use crate::onebit::reference::{decompress_per_bit, encode_per_bit};
         for codec in all_codecs() {
             let onebit = codec == Codec::OneBit(OneBitCodec);
@@ -1111,7 +1112,7 @@ mod tests {
                 &[None]
             };
             for (&special, w) in specials.iter().flat_map(|s| (0..=200).map(move |w| (s, w))) {
-                let what = format!("{path}: {} width {w} special {special:?}", codec.name());
+                let what = format!("{isa:?}: {} width {w} special {special:?}", codec.name());
                 let mut residual = vec![0.0f32; w];
                 let mut ref_rng = DetRng::new(42);
                 let mut fused = CodecState::new(&[3, w], 42);
@@ -1239,16 +1240,18 @@ mod tests {
             seed in 0u64..u64::MAX,
         ) {
             let special = [None, Some(f32::NAN), Some(f32::INFINITY)][special];
-            on_each_path(|path| {
+            on_each_isa("fused step", LANES, |isa| {
                 let mut rows = DetRng::new(seed);
                 let mut fused = CodecState::new(&[w], 0);
                 let (mut residual, mut want) = (vec![0.0f32; w], vec![0.0f32; w]);
                 for (step, &shape) in shapes.iter().enumerate() {
                     let g = fused_step_row(w, shape, special, &mut rows);
-                    let at = format!("{path}: width {w} step {step} shape {shape}: {g:?}");
+                    let at = format!("{isa:?}: width {w} step {step} shape {shape}: {g:?}");
                     let adjusted: Vec<f32> = residual.iter().zip(&g).map(|(r, g)| r + g).collect();
                     let (mut copy, mut out) = (residual.clone(), vec![7.0f32; w]);
-                    if let Some(lanes) = onebit_step(&mut copy, &g, &mut out) {
+                    let ran = onebit_step(&mut copy, &g, &mut out);
+                    assert_eq!(ran.is_some(), isa >= Isa::Avx2, "{at}: the fused kernel ran");
+                    if let Some(lanes) = ran {
                         assert_eq!(lanes, gate_admits(&adjusted), "{at}: the gate's verdict");
                     }
                     spelled_out_step(&OneBitCodec, &mut residual, &g, &mut want, &mut DetRng::new(0));
@@ -1598,25 +1601,28 @@ mod tests {
                 3 => row.iter_mut().step_by(3).for_each(|v| *v *= 0.0),
                 _ => {}
             }
-            on_each_path(|path| {
+            on_each_isa("exact sums", LANES, |isa| {
                 let sums = |(p, n): (f64, f64)| (p.to_bits(), n.to_bits());
-                if let Some(exact) = crate::lanes::exact_sums(&row) {
-                    assert_eq!(sums(exact), sums(serial_sums(&row)), "{path}: {row:?}");
+                let exact = crate::lanes::exact_sums(&row);
+                let lanes = isa >= Isa::Avx2 && gate_admits(&row);
+                assert_eq!(exact.is_some(), lanes, "{isa:?}: the lanes ran: {row:?}");
+                if let Some(exact) = exact {
+                    assert_eq!(sums(exact), sums(serial_sums(&row)), "{isa:?}: {row:?}");
                 }
                 let want = encode_per_bit(&row);
                 let code = CompressedRow::encode(&row);
                 let scales = |c: &CompressedRow| bits(&[c.scale_pos, c.scale_neg]);
-                assert_eq!(scales(&code), scales(&want), "{path}: {row:?}");
-                assert_eq!(code.bits, want.bits, "{path}");
+                assert_eq!(scales(&code), scales(&want), "{isa:?}: {row:?}");
+                assert_eq!(code.bits, want.bits, "{isa:?}");
                 let mut restored = row.clone();
                 OneBitCodec.transcode(&mut restored, &mut DetRng::new(0));
-                assert_eq!(bits(&restored), bits(&decompress_per_bit(&want)), "{path}");
+                assert_eq!(bits(&restored), bits(&decompress_per_bit(&want)), "{isa:?}");
                 let lists = encode_with_lists(&row);
                 let mut sparse = row.clone();
                 SparseDeltaCodec.transcode(&mut sparse, &mut DetRng::new(0));
-                assert_eq!(bits(&sparse), bits(&lists.decompress()), "{path}: {row:?}");
+                assert_eq!(bits(&sparse), bits(&lists.decompress()), "{isa:?}: {row:?}");
                 let sized = SparseDeltaCodec.sized_payload_bytes(&row);
-                assert_eq!(sized, lists.payload_bytes(), "{path}");
+                assert_eq!(sized, lists.payload_bytes(), "{isa:?}");
             });
         }
     }

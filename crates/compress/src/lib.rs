@@ -34,13 +34,11 @@
 //! }
 //! ```
 //!
-//! The crate's only `unsafe` is in `lanes.rs`: the calls of the
-//! one-bit kernel's AVX2 class sums and of its fused error-feedback
-//! step, made only where `is_x86_feature_detected!("avx2")` holds, and
-//! the fused step's load and store of eight values. The lanes sum only
-//! a row whose sums no grouping can round, so they give the serial
-//! chain's bits (the proof is `lanes.rs`'s module doc). `fma` is not
-//! enabled.
+//! The crate's only `unsafe` is in `lanes.rs`: the calls of the AVX2
+//! one-bit kernels where [`rog_tensor::simd::isa`] names AVX2 or wider,
+//! and one load and one store of eight values. The lanes sum only rows
+//! no grouping can round, so they keep the serial chain's bits (the
+//! proof is `lanes.rs`'s module doc). `fma` is not enabled.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]

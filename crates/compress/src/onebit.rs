@@ -203,7 +203,7 @@ pub(crate) mod reference {
 mod tests {
     use super::reference::{decompress_per_bit, encode_per_bit};
     use super::*;
-    use crate::lanes::tests::on_each_path;
+    use crate::lanes::tests::LANES;
     use proptest::prelude::*;
     use rog_tensor::rng::DetRng;
 
@@ -211,18 +211,18 @@ mod tests {
     fn word_packed_codec_matches_reference_across_boundaries() {
         // Lengths straddling the byte and word boundaries, and the
         // restore kernel beside the code.
-        on_each_path(|path| {
+        rog_tensor::simd::testhooks::on_each_isa("one-bit codec", LANES, |isa| {
             let mut rng = DetRng::new(17);
             for cols in [0usize, 1, 7, 8, 9, 63, 64, 65, 127, 128, 129, 200] {
                 let row: Vec<f32> = (0..cols).map(|_| rng.normal() as f32).collect();
                 let fast = CompressedRow::encode(&row);
                 let reference = encode_per_bit(&row);
-                assert_eq!(fast, reference, "{path}: encode diverges at cols={cols}");
+                assert_eq!(fast, reference, "{isa:?}: encode diverges at cols={cols}");
                 let want = decompress_per_bit(&reference);
-                assert_eq!(fast.decompress(), want, "{path}: decode at cols={cols}");
+                assert_eq!(fast.decompress(), want, "{isa:?}: decode at cols={cols}");
                 let mut restored = row.clone();
                 restore_in_place(&mut restored);
-                assert_eq!(restored, want, "{path}: restore at cols={cols}");
+                assert_eq!(restored, want, "{isa:?}: restore at cols={cols}");
             }
         });
     }
@@ -270,11 +270,11 @@ mod tests {
         fn prop_word_packed_round_trips_like_reference(
             row in proptest::collection::vec(-50.0f32..50.0, 0..200),
         ) {
-            on_each_path(|path| {
+            rog_tensor::simd::testhooks::on_each_isa("one-bit codec", LANES, |isa| {
                 let fast = CompressedRow::encode(&row);
                 let reference = encode_per_bit(&row);
-                assert_eq!(&fast, &reference, "{path}");
-                assert_eq!(fast.decompress(), decompress_per_bit(&reference), "{path}");
+                assert_eq!(&fast, &reference, "{isa:?}");
+                assert_eq!(fast.decompress(), decompress_per_bit(&reference), "{isa:?}");
             });
         }
     }

@@ -795,6 +795,7 @@ fn argmax(xs: &[f32]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rog_tensor::simd::{testhooks::on_each_isa, Isa};
 
     fn tiny_dataset() -> Dataset {
         // Two linearly separable classes in 2-D.
@@ -1047,12 +1048,17 @@ mod tests {
             let model = wl.make_model(&mut rng);
             cases.push((model, wl.shards()[0].clone(), wl.shards()[1].clone()));
         }
+        let all = [Isa::Portable, Isa::Avx2, Isa::Avx512];
+        on_each_isa("mlp", &all, |_| dense_passes_match(&cases, rng.clone()));
+    }
+
+    fn dense_passes_match(cases: &[(Mlp, Dataset, Dataset)], mut rng: DetRng) {
         // Shapes alternate on one thread, so the scratch is reshaped
         // between every pair of calls; 70 samples overflow one stack
         // chunk of weight-gradient terms.
         let mut idxs = Vec::new();
         for batch in [1usize, 7, 23, 49, 70] {
-            for (model, shard, test) in &cases {
+            for (model, shard, test) in cases {
                 shard.sample_batch_into(batch, &mut rng, &mut idxs);
                 let mut got = model.zero_grads();
                 let (loss, correct) = model.loss_and_grad_into(shard, &idxs, &mut got);

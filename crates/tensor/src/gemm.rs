@@ -6,52 +6,18 @@
 //! compacted without a branch, then summed in order into register
 //! blocks.
 //!
-//! Each kernel has one body with three instantiations ([`Path`]): for
-//! the build target and, on x86-64, inside an AVX2 and an AVX-512
-//! wrapper that run where the CPU has the feature. They differ only in
-//! const parameters — lanes per panel, batch rows per pass, widest
-//! column block — which decide which outputs share an instruction;
-//! every lane computes the same IEEE operations in the same order.
+//! Each kernel has one body with an instantiation per
+//! [`crate::simd::Isa`], differing only in const parameters — lanes per
+//! panel, batch rows per pass, widest column block — which decide which
+//! outputs share an instruction; every lane computes the same IEEE
+//! operations in the same order.
 
 use crate::ops;
+#[cfg(target_arch = "x86_64")]
+use crate::simd::{self, Isa};
 
 /// `(scalar, row offset)` terms one compaction pass keeps on the stack.
 const TERMS: usize = 64;
-
-/// The instantiation of the kernels that runs, narrowest first.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
-enum Path {
-    /// As built: 8 lanes, 1 batch row per pass, blocks up to 32 wide.
-    /// Baseline x86-64 has sixteen 4-wide SSE registers; one row's
-    /// four partial sums over eight lanes fill eight of them, as does a
-    /// 32-wide block, and anything wider spills.
-    Portable,
-    /// AVX2, sixteen 8-wide registers: 8 lanes, 2 rows (eight partial
-    /// sums live), blocks up to 64 wide.
-    Avx2,
-    /// AVX-512, thirty-two 16-wide registers: 16 lanes, 2 rows, blocks
-    /// up to 64 wide.
-    Avx512,
-}
-
-/// The widest path this CPU runs (std caches the checks) and, in
-/// tests, no wider than `tests::CAP`.
-fn path() -> Path {
-    #[cfg(target_arch = "x86_64")]
-    let best = if std::arch::is_x86_feature_detected!("avx512f") {
-        Path::Avx512
-    } else if std::arch::is_x86_feature_detected!("avx2") {
-        Path::Avx2
-    } else {
-        Path::Portable
-    };
-    #[cfg(not(target_arch = "x86_64"))]
-    let best = Path::Portable;
-    #[cfg(test)]
-    let best = best.min(tests::CAP.get());
-    best
-}
 
 /// The scalar summation order every output of the panel kernel
 /// reproduces bit for bit.
@@ -101,7 +67,7 @@ pub(crate) fn matmul_transb(
     }
 }
 
-/// [`panel_rows`] in the instantiation [`path`] picks.
+/// [`panel_rows`] in the instantiation for [`crate::simd::isa`].
 fn run_panels<const U: usize>(
     a: &[f32],
     w: &[f32],
@@ -111,51 +77,17 @@ fn run_panels<const U: usize>(
     out: &mut [f32],
 ) {
     #[cfg(target_arch = "x86_64")]
-    if let wide @ (Path::Avx2 | Path::Avx512) = path() {
-        // SAFETY: `path()` names a wide path only where
-        // `is_x86_feature_detected!` holds for every feature its
-        // wrapper enables, so the CPU runs every instruction they use.
+    if let wide @ (Isa::Avx2 | Isa::Avx512) = simd::isa() {
+        // SAFETY: `simd::isa()` detected every feature each arm enables.
         #[allow(unsafe_code)]
         return unsafe {
             match wide {
-                Path::Avx512 => panel_rows_avx512::<U>(a, w, k, n, panels, out),
-                _ => panel_rows_avx2::<U>(a, w, k, n, panels, out),
+                Isa::Avx512 => x86_64::panel_rows_avx512::<U>(a, w, k, n, panels, out),
+                _ => x86_64::panel_rows_avx2::<U>(a, w, k, n, panels, out),
             }
         };
     }
     panel_rows::<8, 1, U>(a, w, k, n, panels, out);
-}
-
-/// [`panel_rows`] compiled with AVX2 and without FMA: the same IEEE
-/// operations in the same order, two rows per pass in 8-wide
-/// registers.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-fn panel_rows_avx2<const U: usize>(
-    a: &[f32],
-    w: &[f32],
-    k: usize,
-    n: usize,
-    panels: &mut Vec<f32>,
-    out: &mut [f32],
-) {
-    panel_rows::<8, 2, U>(a, w, k, n, panels, out);
-}
-
-/// [`panel_rows`] compiled with AVX-512: 16-lane panels, two rows per
-/// pass. `avx512f` implies LLVM's `fma` feature, but Rust never
-/// contracts `a * b + c`, so the IEEE operations are the same.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,avx512f")]
-fn panel_rows_avx512<const U: usize>(
-    a: &[f32],
-    w: &[f32],
-    k: usize,
-    n: usize,
-    panels: &mut Vec<f32>,
-    out: &mut [f32],
-) {
-    panel_rows::<16, 2, U>(a, w, k, n, panels, out);
 }
 
 /// Packs the rows of `w` into panels of `L`, `k`-major inside each:
@@ -303,7 +235,7 @@ fn lanes_add<const L: usize>(a: [f32; L], b: [f32; L]) -> [f32; L] {
 /// That branch mispredicts on fresh ReLU masks, so each output row
 /// first writes every term to a stack chunk and advances only past the
 /// non-zero ones, then adds the kept terms into column blocks held in
-/// registers. Runs the instantiation [`path`] picks.
+/// registers. Runs the instantiation for [`crate::simd::isa`].
 pub(crate) fn add_scaled_rows(
     out: &mut [f32],
     x: &[f32],
@@ -311,35 +243,17 @@ pub(crate) fn add_scaled_rows(
     scalar: impl Fn(usize, usize) -> f32,
 ) {
     #[cfg(target_arch = "x86_64")]
-    if let wide @ (Path::Avx2 | Path::Avx512) = path() {
-        // SAFETY: `path()` names a wide path only where
-        // `is_x86_feature_detected!` holds for every feature its
-        // wrapper enables, so the CPU runs every instruction they use.
+    if let wide @ (Isa::Avx2 | Isa::Avx512) = simd::isa() {
+        // SAFETY: `simd::isa()` detected every feature each arm enables.
         #[allow(unsafe_code)]
         return unsafe {
             match wide {
-                Path::Avx512 => scaled_rows_avx512(out, x, w, scalar),
-                _ => scaled_rows_avx2(out, x, w, scalar),
+                Isa::Avx512 => x86_64::scaled_rows_avx512(out, x, w, scalar),
+                _ => x86_64::scaled_rows_avx2(out, x, w, scalar),
             }
         };
     }
     scaled_rows::<32>(out, x, w, scalar);
-}
-
-/// [`scaled_rows`] compiled with AVX2 and without FMA: the same IEEE
-/// operations in the same order, in 8-wide registers.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-fn scaled_rows_avx2(out: &mut [f32], x: &[f32], w: usize, scalar: impl Fn(usize, usize) -> f32) {
-    scaled_rows::<64>(out, x, w, scalar);
-}
-
-/// [`scaled_rows`] compiled with AVX-512, in 16-wide registers (see
-/// [`panel_rows_avx512`] on `fma`).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,avx512f")]
-fn scaled_rows_avx512(out: &mut [f32], x: &[f32], w: usize, scalar: impl Fn(usize, usize) -> f32) {
-    scaled_rows::<64>(out, x, w, scalar);
 }
 
 /// Covers each output row with as few column blocks as it can: `B`
@@ -408,37 +322,67 @@ fn add_block<const B: usize>(orow: &mut [f32], c: usize, kept: &[(f32, usize)], 
     out.copy_from_slice(&acc);
 }
 
+/// The AVX2 (8 lanes) and AVX-512 (16 lanes) instantiations, two rows
+/// per pass and blocks up to 64 wide: the same IEEE operations in the
+/// same order, in wider registers. `avx512f` implies LLVM's `fma`
+/// feature, but Rust never contracts `a * b + c`.
+#[cfg(target_arch = "x86_64")]
+mod x86_64 {
+    use super::{panel_rows, scaled_rows};
+
+    #[target_feature(enable = "avx2")]
+    pub(super) fn panel_rows_avx2<const U: usize>(
+        a: &[f32],
+        w: &[f32],
+        k: usize,
+        n: usize,
+        panels: &mut Vec<f32>,
+        out: &mut [f32],
+    ) {
+        panel_rows::<8, 2, U>(a, w, k, n, panels, out);
+    }
+
+    #[target_feature(enable = "avx2,avx512f")]
+    pub(super) fn panel_rows_avx512<const U: usize>(
+        a: &[f32],
+        w: &[f32],
+        k: usize,
+        n: usize,
+        panels: &mut Vec<f32>,
+        out: &mut [f32],
+    ) {
+        panel_rows::<16, 2, U>(a, w, k, n, panels, out);
+    }
+
+    #[target_feature(enable = "avx2")]
+    pub(super) fn scaled_rows_avx2(
+        out: &mut [f32],
+        x: &[f32],
+        w: usize,
+        scalar: impl Fn(usize, usize) -> f32,
+    ) {
+        scaled_rows::<64>(out, x, w, scalar);
+    }
+
+    #[target_feature(enable = "avx2,avx512f")]
+    pub(super) fn scaled_rows_avx512(
+        out: &mut [f32],
+        x: &[f32],
+        w: usize,
+        scalar: impl Fn(usize, usize) -> f32,
+    ) {
+        scaled_rows::<64>(out, x, w, scalar);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::rng::DetRng;
+    use crate::simd::{testhooks::on_each_isa, Isa};
     use crate::Matrix;
-    use std::cell::Cell;
 
-    thread_local! {
-        /// The widest path [`path`] may pick on this thread: set lower
-        /// to run a narrower instantiation on a CPU that has a wider one.
-        pub(super) static CAP: Cell<Path> = const { Cell::new(Path::Avx512) };
-    }
-
-    /// Runs `check` over every instantiation this CPU has, narrowest
-    /// first, and prints each one it checked or could not check.
-    fn on_each_path(kernel: &str, check: impl Fn(&str)) {
-        for (cap, name) in [
-            (Path::Portable, "portable"),
-            (Path::Avx2, "avx2"),
-            (Path::Avx512, "avx512"),
-        ] {
-            CAP.set(cap);
-            if path() == cap {
-                check(name);
-                eprintln!("{kernel} kernel, {name}: checked");
-            } else {
-                eprintln!("{kernel} kernel, {name}: not on this CPU, so not checked");
-            }
-        }
-        CAP.set(Path::Avx512);
-    }
+    const ALL: [Isa; 3] = [Isa::Portable, Isa::Avx2, Isa::Avx512];
 
     /// The four-output block the training forward used before the
     /// panel kernel, kept as its oracle.
@@ -522,7 +466,7 @@ mod tests {
 
     #[test]
     fn panel_kernel_is_bit_identical_to_its_scalar_ancestors() {
-        on_each_path("panel", |path| {
+        on_each_isa("panel", &ALL, |isa| {
             let mut panels = Vec::new();
             let mut out = Matrix::default();
             // n up to 41: two 16-lane panels and a partial third; odd
@@ -538,7 +482,7 @@ mod tests {
                             let four = out.as_slice().to_vec();
                             assert!(
                                 same_bits(&four, &transb_by_dot4(&a, &w)),
-                                "{path} Four: k={k} n={n} batch={batch} specials={specials}"
+                                "{isa:?} Four: k={k} n={n} batch={batch} specials={specials}"
                             );
                             a.matmul_transb_into(&w, SumOrder::Eight, &mut panels, &mut out);
                             let want = if k == 0 {
@@ -548,7 +492,7 @@ mod tests {
                             };
                             assert!(
                                 same_bits(out.as_slice(), &want),
-                                "{path} Eight: k={k} n={n} batch={batch} specials={specials}"
+                                "{isa:?} Eight: k={k} n={n} batch={batch} specials={specials}"
                             );
                             // The two orders are the same sums up to rounding.
                             if !specials {
@@ -618,7 +562,7 @@ mod tests {
 
     #[test]
     fn backward_kernel_is_bit_identical_to_its_branching_loops() {
-        on_each_path("backward", |path| {
+        on_each_isa("backward", &ALL, |isa| {
             let mut rng = DetRng::new(28);
             let mut got = Matrix::default();
             // 150 terms fill two stack chunks and part of a third; widths
@@ -630,7 +574,7 @@ mod tests {
                     for density in [0.0, 0.28, 0.49, 1.0] {
                         for specials in [false, true] {
                             let case =
-                                format!("{path} terms={terms} w={w} density={density} {specials}");
+                                format!("{isa:?} terms={terms} w={w} density={density} {specials}");
                             let x = sparse(terms, w, 1.0, specials, &mut rng);
                             // The weight gradient: `dz` (terms x n) against
                             // activations `x`, onto a non-zero start.

@@ -16,14 +16,10 @@
 //! reductions nondeterministically.
 //!
 //! The crate's only `unsafe` is the call of each dense kernel's AVX2 or
-//! AVX-512 instantiation, made only where `is_x86_feature_detected!`
-//! holds for its features: calling a `#[target_feature]` function is
-//! `unsafe`, since on a CPU without the feature it would fault. It
-//! cannot move a bit. All three instantiations compile one body, and
-//! Rust never contracts `a * b + c` into a fused multiply-add (not even
-//! under `avx512f`, which implies LLVM's `fma` feature), so every lane
-//! computes the same IEEE operations in the same order, only in wider
-//! registers.
+//! AVX-512 instantiation where [`simd::isa`] names it (its doc is the
+//! safety argument). It cannot move a bit: all three instantiations
+//! compile one body, and Rust never contracts `a * b + c` (not even
+//! under `avx512f`, which implies LLVM's `fma` feature).
 //!
 //! # Example
 //!
@@ -44,6 +40,7 @@ mod gemm;
 mod matrix;
 pub mod ops;
 pub mod rng;
+pub mod simd;
 
 pub use gemm::SumOrder;
 pub use matrix::{Matrix, ShapeError};

@@ -15,7 +15,7 @@ use rog_core::{
     RowId, RowPartition, ShardMap, ShardedServer,
 };
 use rog_models::{CrudaSpec, Mlp, Task, Workload};
-use rog_net::{Channel, ChannelProfile, FlowSpec, LossConfig, Trace, TraceStream};
+use rog_net::{Channel, ChannelProfile, FlowSpec, LossConfig, Trace, TraceSource, TraceStream};
 use rog_tensor::rng::DetRng;
 use rog_tensor::{Matrix, SumOrder};
 use rog_trainer::engine::common::relative_model_divergence;
@@ -336,6 +336,31 @@ fn bench_channel(c: &mut Criterion) {
     g.bench_function("1024_flows_outdoor_10s", |b| {
         b.iter(|| {
             let mut ch = Channel::new(capacity.clone(), fleet_links.clone());
+            for l in 0..1024 {
+                ch.start_flow(0.0, FlowSpec::new(l, vec![20_000; 55]));
+            }
+            let events = ch.advance_until(10.0);
+            assert!(events.is_empty());
+            ch.active_flows()
+        })
+    });
+    // The same stepping over the source kind `fleet256` runs on:
+    // generated streams (`Cluster::build`'s), each stepped to the time
+    // the channel reads it.
+    let capacity_stream = profile.capacity_stream(7, 300.0);
+    let fleet_streams: Vec<TraceStream> = (0..1024)
+        .map(|l| profile.link_stream(100 + l, 12.0))
+        .collect();
+    g.bench_function("1024_streams_outdoor_10s", |b| {
+        b.iter(|| {
+            let mut ch = Channel::from_sources(
+                TraceSource::Generated(capacity_stream.clone()),
+                fleet_streams
+                    .iter()
+                    .cloned()
+                    .map(TraceSource::Generated)
+                    .collect(),
+            );
             for l in 0..1024 {
                 ch.start_flow(0.0, FlowSpec::new(l, vec![20_000; 55]));
             }

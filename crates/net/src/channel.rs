@@ -21,6 +21,7 @@ use rog_sim::Time;
 
 use crate::loss::{ChunkFate, LossModel};
 use crate::stats::LossEwma;
+use crate::trace;
 use crate::{Trace, TraceStream};
 
 /// Index of a device's link (assigned by the cluster builder).
@@ -178,20 +179,26 @@ pub struct Flow {
     /// Cumulative chunk byte boundaries; `prefix[i]` = bytes of the first
     /// `i` chunks. `prefix[len]` is the flow total.
     prefix: Vec<u64>,
+    /// `prefix[len]`, the flow total.
+    total: f64,
     bytes_done: f64,
     deadline: Option<Time>,
+    /// The link's fade factor, read in grid cell `cell` of its source:
+    /// the source holds that value until the cell changes.
+    factor: f64,
+    cell: usize,
+    /// The link source's grid step when it is not the capacity's; `None`
+    /// on the capacity's grid (or with no source), whose cell and
+    /// breakpoint a step computes once for every such flow.
+    own_dt: Option<Time>,
     /// Fates drawn so far, one per completed chunk (empty when the
     /// channel has no loss model).
     fates: Vec<ChunkFate>,
 }
 
 impl Flow {
-    fn total(&self) -> u64 {
-        *self.prefix.last().expect("prefix is never empty")
-    }
-
     fn remaining(&self) -> f64 {
-        self.total() as f64 - self.bytes_done
+        self.total - self.bytes_done
     }
 
     /// Number of whole chunks covered by `bytes_done`.
@@ -237,10 +244,10 @@ impl TraceSource {
         }
     }
 
-    fn next_breakpoint_after(&self, t: Time) -> Time {
+    fn dt(&self) -> Time {
         match self {
-            Self::Replayed(trace) => trace.next_breakpoint_after(t),
-            Self::Generated(stream) => stream.next_breakpoint_after(t),
+            Self::Replayed(trace) => trace.dt(),
+            Self::Generated(stream) => stream.dt(),
         }
     }
 }
@@ -292,6 +299,10 @@ pub struct Channel {
     corrupt_bytes: f64,
     #[cfg(test)]
     duplicated_bytes: f64,
+    /// Link-source reads of the flows' factors; only the read-count
+    /// test looks.
+    #[cfg(test)]
+    link_reads: u64,
     offered_bytes: f64,
     loss_est: BTreeMap<LinkId, LossEwma>,
 }
@@ -335,6 +346,8 @@ impl Channel {
             corrupt_bytes: 0.0,
             #[cfg(test)]
             duplicated_bytes: 0.0,
+            #[cfg(test)]
+            link_reads: 0,
             offered_bytes: 0.0,
             loss_est: BTreeMap::new(),
         }
@@ -514,12 +527,24 @@ impl Channel {
         prefix.push(acc);
         let id = FlowId(self.next_id);
         self.next_id += 1;
+        let sources = self.sources.get_mut();
+        let cap_dt = sources.capacity.dt();
+        let own_dt = sources.links.get(spec.link).map(TraceSource::dt);
+        let own_dt = own_dt.filter(|dt| dt.to_bits() != cap_dt.to_bits());
+        #[cfg(test)]
+        {
+            self.link_reads += 1;
+        }
         self.flows.push(Flow {
             id,
             link: spec.link,
             prefix,
+            total: acc as f64,
             bytes_done: 0.0,
             deadline: spec.deadline,
+            factor: sources.link_factor(spec.link, self.now),
+            cell: trace::cell(own_dt.unwrap_or(cap_dt), self.now),
+            own_dt,
             // One fate per chunk at most: sized here so that drawing
             // them never allocates inside `advance_until`.
             fates: Vec::with_capacity(if self.loss.is_some() { n_chunks } else { 0 }),
@@ -629,20 +654,31 @@ impl Channel {
             let now = self.now;
             // Segment of constant rates: bounded by trace breakpoints.
             // The same pass leaves each flow's un-shared PHY rate
-            // (`capacity × link factor`) in `rates`.
+            // (`capacity × link factor`) in `rates`, re-reading a link
+            // only in a grid cell the flow has not read yet.
             let sources = self.sources.get_mut();
-            let mut seg_end = t.min(sources.capacity.next_breakpoint_after(now));
+            let cap_dt = sources.capacity.dt();
+            let cap_cell = trace::cell(cap_dt, now);
+            let mut seg_end = t.min(trace::next_breakpoint(cap_dt, now));
             let cap = sources.capacity.value_at(now);
             self.rates.clear();
-            for f in &self.flows {
-                let factor = match sources.links.get_mut(f.link) {
-                    Some(link) => {
-                        seg_end = seg_end.min(link.next_breakpoint_after(now));
-                        link.value_at(now)
+            for f in &mut self.flows {
+                let cell = match f.own_dt {
+                    None => cap_cell,
+                    Some(dt) => {
+                        seg_end = seg_end.min(trace::next_breakpoint(dt, now));
+                        trace::cell(dt, now)
                     }
-                    None => 1.0,
                 };
-                self.rates.push(cap * factor);
+                if cell != f.cell {
+                    f.cell = cell;
+                    f.factor = sources.link_factor(f.link, now);
+                    #[cfg(test)]
+                    {
+                        self.link_reads += 1;
+                    }
+                }
+                self.rates.push(cap * f.factor);
             }
             // Constant per-flow rates in this segment, exact per-flow
             // finish times, and the earliest event inside the segment.
@@ -676,14 +712,13 @@ impl Channel {
             self.now = step_to;
             let mut any_finished = false;
             for ((f, &rate), &fin) in self.flows.iter_mut().zip(&self.rates).zip(&self.fins) {
-                let total = f.total() as f64;
                 f.bytes_done = if fin <= step_to + EPS {
                     // Snap to exact completion: floating-point increments
                     // can otherwise fall below the ulp of `bytes_done`
                     // and stall the integration forever.
-                    total
+                    f.total
                 } else {
-                    (f.bytes_done + rate * dt).min(total)
+                    (f.bytes_done + rate * dt).min(f.total)
                 };
                 // Draw loss fates for chunks the fluid model just
                 // completed, in FlowId order (deterministic: single
@@ -706,7 +741,7 @@ impl Channel {
                     let outcome = if f.remaining() <= BYTE_TOL {
                         let chunks_done = f.prefix.len() - 1;
                         self.settle_chunks(f, chunks_done);
-                        self.offered_bytes += f.total() as f64;
+                        self.offered_bytes += f.total;
                         FlowOutcome::Completed
                     } else {
                         let chunks_done = f.chunks_done();
@@ -739,6 +774,7 @@ impl Channel {
 mod tests {
     use super::*;
     use crate::loss::{GeParams, LossConfig};
+    use crate::trace::next_breakpoint;
     use crate::ChannelProfile;
     use proptest::prelude::*;
     use rog_tensor::rng::DetRng;
@@ -779,10 +815,10 @@ mod tests {
                 }
                 // Segment of constant rates: bounded by trace breakpoints.
                 let src = self.sources.get_mut();
-                let mut seg_end = t.min(src.capacity.next_breakpoint_after(self.now));
+                let mut seg_end = t.min(next_breakpoint(src.capacity.dt(), self.now));
                 for f in flows.values() {
                     if let Some(link) = src.links.get(f.link) {
-                        seg_end = seg_end.min(link.next_breakpoint_after(self.now));
+                        seg_end = seg_end.min(next_breakpoint(link.dt(), self.now));
                     }
                 }
                 // Constant per-flow rates in this segment.
@@ -833,9 +869,9 @@ mod tests {
                         // Snap to exact completion: floating-point increments
                         // can otherwise fall below the ulp of `bytes_done`
                         // and stall the integration forever.
-                        f.bytes_done = f.total() as f64;
+                        f.bytes_done = f.total;
                     } else {
-                        f.bytes_done = (f.bytes_done + rates[id] * dt).min(f.total() as f64);
+                        f.bytes_done = (f.bytes_done + rates[id] * dt).min(f.total);
                     }
                 }
                 self.now = step_to;
@@ -863,7 +899,7 @@ mod tests {
                     let outcome = if f.remaining() <= BYTE_TOL {
                         let chunks_done = f.prefix.len() - 1;
                         self.settle_chunks(&f, chunks_done);
-                        self.offered_bytes += f.total() as f64;
+                        self.offered_bytes += f.total;
                         FlowOutcome::Completed
                     } else {
                         let chunks_done = f.chunks_done_reference();
@@ -1332,8 +1368,9 @@ mod tests {
         ) {
             let mut rng = DetRng::new(seed);
             let grid = [0.05, 0.1, 0.3, 1.0];
+            let cap_dt = grid[rng.index(grid.len())];
             let capacity = Trace::from_samples(
-                grid[rng.index(grid.len())],
+                cap_dt,
                 (0..1 + rng.index(8)).map(|_| rng.uniform_range(4e6, 80e6)).collect(),
             );
             let links: Vec<Trace> = (0..n_links)
@@ -1345,7 +1382,10 @@ mod tests {
                         let k = rng.index(samples.len());
                         samples[k] = 0.0;
                     }
-                    Trace::from_samples(grid[rng.index(grid.len())], samples)
+                    // Half the links on the capacity's grid, the rest
+                    // on any grid.
+                    let dt = if rng.chance(0.5) { cap_dt } else { grid[rng.index(grid.len())] };
+                    Trace::from_samples(dt, samples)
                 })
                 .collect();
             let mut new = Channel::new(capacity, links).with_sharing(if throughput_fair {
@@ -1440,7 +1480,12 @@ mod tests {
     /// Drives `a` with `advance_until` and `b` with `advance_b` through
     /// one random start / cancel / advance schedule; everything either
     /// can report, rate estimates included, must agree bit for bit
-    /// after every call.
+    /// after every call. Besides random times, the schedule advances to
+    /// a hair before a cell edge of the capacity's or a link's grid
+    /// (where `next_breakpoint`'s guard skips a breakpoint while the
+    /// sample is still the cell's), starts a flow on a live flow's link
+    /// after such an advance (a cell later whenever it crosses an edge),
+    /// and cancels a flow mid-cell.
     fn same_schedule(
         rng: &mut DetRng,
         a: &mut Channel,
@@ -1450,43 +1495,134 @@ mod tests {
     ) -> Result<(), TestCaseError> {
         let mut ids: Vec<FlowId> = Vec::new();
         for _ in 0..60 {
-            match rng.index(4) {
+            match rng.index(7) {
                 0 | 1 => {
                     // One link index past the traces: factor 1.0.
                     let link = rng.index(n_links + 1);
-                    let chunks: Vec<u64> = (0..rng.index(12))
-                        .map(|_| rng.index(40_000) as u64)
-                        .collect();
-                    let mut spec = FlowSpec::new(link, chunks);
-                    if rng.chance(0.5) {
-                        spec = spec.with_deadline(a.now() + rng.uniform_range(0.0, 0.5));
-                    }
-                    let id = a.start_flow(a.now(), spec.clone());
-                    prop_assert_eq!(b.start_flow(b.now(), spec), id);
-                    ids.push(id);
+                    start_both(rng, a, b, link, &mut ids)?;
                 }
                 2 if !ids.is_empty() => {
                     // Live and long-finished ids alike.
                     let id = ids[rng.index(ids.len())];
                     prop_assert_eq!(a.cancel_flow(id), b.cancel_flow(id));
                 }
+                3 => {
+                    let link = rng.index(n_links + 1);
+                    let t = cell_edge(rng, a, link);
+                    advance_both(a, b, advance_b, t)?;
+                }
+                4 if !a.flows.is_empty() => {
+                    let link = a.flows[rng.index(a.flows.len())].link;
+                    let t = cell_edge(rng, a, link);
+                    advance_both(a, b, advance_b, t)?;
+                    start_both(rng, a, b, link, &mut ids)?;
+                }
+                5 if !a.flows.is_empty() => {
+                    let live = a.flows[rng.index(a.flows.len())].id;
+                    let dt = grid_of(a, rng.index(n_links + 1));
+                    let t = (trace::cell(dt, a.now()) as f64 + 1.5) * dt;
+                    advance_both(a, b, advance_b, t)?;
+                    prop_assert_eq!(a.cancel_flow(live), b.cancel_flow(live));
+                }
                 _ => {
                     let t = a.now() + rng.uniform_range(0.0, 0.3);
-                    let got = a.advance_until(t);
-                    let want = advance_b(b, t);
-                    prop_assert_eq!(got.len(), want.len());
-                    for (g, w) in got.iter().zip(&want) {
-                        prop_assert_eq!(
-                            (g.id, g.at.to_bits(), g.outcome),
-                            (w.id, w.at.to_bits(), w.outcome)
-                        );
-                        prop_assert_eq!(a.take_report(g.id), b.take_report(w.id));
-                    }
+                    advance_both(a, b, advance_b, t)?;
                 }
             }
             prop_assert_eq!(observables(a), observables(b));
             prop_assert_eq!(estimates(a, n_links), estimates(b, n_links));
         }
         Ok(())
+    }
+
+    /// Starts the same random flow on `link` in both channels.
+    fn start_both(
+        rng: &mut DetRng,
+        a: &mut Channel,
+        b: &mut Channel,
+        link: LinkId,
+        ids: &mut Vec<FlowId>,
+    ) -> Result<(), TestCaseError> {
+        let chunks: Vec<u64> = (0..rng.index(12))
+            .map(|_| rng.index(40_000) as u64)
+            .collect();
+        let mut spec = FlowSpec::new(link, chunks);
+        if rng.chance(0.5) {
+            spec = spec.with_deadline(a.now() + rng.uniform_range(0.0, 0.5));
+        }
+        let id = a.start_flow(a.now(), spec.clone());
+        prop_assert_eq!(b.start_flow(b.now(), spec), id);
+        ids.push(id);
+        Ok(())
+    }
+
+    /// Advances both channels to `t`; the events and their reports must
+    /// agree bit for bit.
+    fn advance_both(
+        a: &mut Channel,
+        b: &mut Channel,
+        advance_b: fn(&mut Channel, Time) -> Vec<FlowEvent>,
+        t: Time,
+    ) -> Result<(), TestCaseError> {
+        let got = a.advance_until(t);
+        let want = advance_b(b, t);
+        prop_assert_eq!(got.len(), want.len());
+        for (g, w) in got.iter().zip(&want) {
+            prop_assert_eq!(
+                (g.id, g.at.to_bits(), g.outcome),
+                (w.id, w.at.to_bits(), w.outcome)
+            );
+            prop_assert_eq!(a.take_report(g.id), b.take_report(w.id));
+        }
+        Ok(())
+    }
+
+    /// The grid step of `link`'s source, or the capacity's for a link
+    /// with none.
+    fn grid_of(ch: &Channel, link: LinkId) -> Time {
+        let src = ch.sources.borrow();
+        src.links.get(link).unwrap_or(&src.capacity).dt()
+    }
+
+    /// `k·dt − δ` on `link`'s grid (see [`grid_of`]) for one of the next
+    /// two edges `k` and `δ ∈ {0, 5e-13, 2e-12, 1e-9}`: exactly on an
+    /// edge, inside and just outside `next_breakpoint`'s 1e-12 guard,
+    /// and just before `advance_until`'s 1e-9 tolerance.
+    fn cell_edge(rng: &mut DetRng, ch: &Channel, link: LinkId) -> Time {
+        let dt = grid_of(ch, link);
+        let k = trace::cell(dt, ch.now()) + 1 + rng.index(2);
+        k as f64 * dt - [0.0, 5e-13, 2e-12, 1e-9][rng.index(4)]
+    }
+
+    #[test]
+    fn a_flow_reads_its_link_once_per_grid_cell() {
+        // A 1/8 s grid and 1/64 s steps, so every edge is exact: eight
+        // steps per cell. Each flow is far too large to finish.
+        let dt = 0.125;
+        let samples = |l: usize| (0..10).map(|k| 0.5 + ((l + k) % 5) as f64 * 0.1).collect();
+        let mut ch = Channel::new(
+            Trace::from_samples(dt, vec![8e6; 10]),
+            (0..64)
+                .map(|l| Trace::from_samples(dt, samples(l)))
+                .collect(),
+        );
+        let spec = |l: usize| FlowSpec::new(l, vec![1 << 40]);
+        for l in 0..32 {
+            ch.start_flow(0.0, spec(l));
+        }
+        for k in 1..=40 {
+            assert!(ch.advance_until(k as f64 / 64.0).is_empty());
+        }
+        // Half-way, in cell 5: 32 more flows, on links of their own.
+        for l in 32..64 {
+            ch.start_flow(ch.now(), spec(l));
+        }
+        for k in 41..=80 {
+            assert!(ch.advance_until(k as f64 / 64.0).is_empty());
+        }
+        // Cells 0..10 for the first half, 5..10 for the second; read
+        // each step, it would be 32 · 80 + 32 · 40 (+ 64 starts).
+        assert_eq!(ch.link_reads, 32 * 10 + 32 * 5);
+        assert_eq!(ch.active_flows(), 64);
     }
 }

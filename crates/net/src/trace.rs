@@ -63,14 +63,6 @@ impl Trace {
         self.samples[sample_index(self.dt, self.samples.len(), t)]
     }
 
-    /// The first grid breakpoint strictly after `t`.
-    ///
-    /// Between consecutive breakpoints the value is constant, so channel
-    /// integration only needs to look at these instants.
-    pub fn next_breakpoint_after(&self, t: Time) -> Time {
-        next_breakpoint(self.dt, t)
-    }
-
     /// Mean of the samples.
     pub fn mean(&self) -> f64 {
         self.samples.iter().sum::<f64>() / self.samples.len() as f64
@@ -94,14 +86,22 @@ impl Trace {
 /// the end, sample 0 at `t <= 0`. Shared by [`Trace`] and the generated
 /// [`TraceStream`](crate::TraceStream), so both read the same sample.
 pub(crate) fn sample_index(dt: Time, n: usize, t: Time) -> usize {
+    cell(dt, t) % n
+}
+
+/// The cell of a `dt` grid that holds time `t`, before wrapping: every
+/// source on that grid reads one sample throughout a cell.
+pub(crate) fn cell(dt: Time, t: Time) -> usize {
     if t <= 0.0 {
         0
     } else {
-        (t / dt) as usize % n
+        (t / dt) as usize
     }
 }
 
-/// The first breakpoint of a `dt` grid strictly after `t`.
+/// The first breakpoint of a `dt` grid strictly after `t`. Between
+/// consecutive breakpoints a source's value is constant, so channel
+/// integration only needs to look at these instants.
 pub(crate) fn next_breakpoint(dt: Time, t: Time) -> Time {
     let bp = ((t / dt).floor() + 1.0) * dt;
     // Guard against t sitting exactly on a breakpoint within float noise.
@@ -128,18 +128,16 @@ mod tests {
 
     #[test]
     fn breakpoints_advance_strictly() {
-        let t = Trace::from_samples(0.1, vec![1.0; 10]);
-        let bp = t.next_breakpoint_after(0.0);
+        let bp = next_breakpoint(0.1, 0.0);
         assert!((bp - 0.1).abs() < 1e-9);
-        let bp2 = t.next_breakpoint_after(bp);
+        let bp2 = next_breakpoint(0.1, bp);
         assert!(bp2 > bp + 1e-6);
         assert!((bp2 - 0.2).abs() < 1e-9);
     }
 
     #[test]
     fn breakpoint_mid_interval() {
-        let t = Trace::from_samples(0.5, vec![1.0, 2.0]);
-        assert!((t.next_breakpoint_after(0.7) - 1.0).abs() < 1e-9);
+        assert!((next_breakpoint(0.5, 0.7) - 1.0).abs() < 1e-9);
     }
 
     #[test]
